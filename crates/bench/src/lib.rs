@@ -1,9 +1,9 @@
 //! # qa-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus a
-//! plain timing harness (`benches/micro.rs`). Each binary prints the
-//! figure's rows/series as a text table and writes a JSON copy under
-//! `bench_results/`.
+//! One binary per table/figure of the paper (see `src/bin/`). Each binary
+//! prints the figure's rows/series as a text table and writes a JSON copy
+//! under `bench_results/`. (Performance is measured by the repo benchmark,
+//! `benchmark/run.sh`.)
 //!
 //! Scale control: every binary honours `QA_SCALE`:
 //!
@@ -15,8 +15,6 @@
 use qa_simnet::json::ToJson;
 use qa_simnet::{par_map_indexed_with, thread_budget};
 use std::path::PathBuf;
-
-pub mod micro;
 
 /// Fans the independent cells of a sweep (parameter grid × mechanisms ×
 /// seeds) over a scoped worker pool.

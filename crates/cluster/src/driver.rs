@@ -15,27 +15,26 @@
 //! ## Resilience
 //!
 //! The driver never assumes the fleet is healthy. Negotiation replies are
-//! collected under a deadline ([`ClusterConfig::reply_timeout`]) — a lost
-//! or late reply is treated as a non-offer, not a protocol failure. A node
+//! collected under a deadline ([`ClusterConfig::reply_timeout`]), a node
 //! whose mailbox disconnects (crash injection via
-//! [`ClusterConfig::crashes`], or a dead worker) is dropped from the
-//! candidate set and the run finishes without it; a query that was
-//! executing there is re-allocated. Failed attempts retry with capped
-//! exponential backoff and a bounded budget ([`ClusterConfig::max_retries`])
-//! so nothing livelocks. All environmental failures surface as
-//! [`ClusterError`] values in the per-query outcomes — the request, offer
-//! and execute paths never panic.
+//! [`ClusterConfig::crashes`], or a dead worker) is routed around, and
+//! failed attempts retry with capped exponential backoff within
+//! [`ClusterConfig::max_retries`]. Those rules are [`crate::protocol`]'s;
+//! this module gives them threads, clocks and a [`Transport`]. All
+//! environmental failures surface as [`ClusterError`] values in the
+//! per-query outcomes — the request, offer and execute paths never panic.
 
 use crate::error::ClusterError;
-use crate::node::{spawn_node_with_faults, EstimateReply, ExecReply, NodeHandle, OfferReply};
+use crate::node::{spawn_node_with_faults, ExecReply, NodeHandle};
+use crate::protocol::{Action, Bid, Event, Outcome, QueryProtocol};
 use crate::setup::ClusterSpec;
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::{fan_out, ChannelTransport, Transport};
 use qa_core::QantConfig;
 use qa_simnet::telemetry::{HistogramHandle, Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, FaultPlan, SimDuration};
 use qa_workload::ClassId;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,15 +223,10 @@ impl DriverMetrics {
 /// State shared by every per-query protocol thread.
 struct Shared {
     transport: Arc<dyn Transport>,
-    mechanism: ClusterMechanism,
-    period: Duration,
-    reply_timeout: Duration,
-    max_retries: u32,
-    /// Nodes known to be gone; maintained cooperatively by whoever
-    /// observes a disconnected channel (and by the crash injector).
+    config: ClusterConfig,
+    /// Nodes known to be gone; set by whichever query observes it (see
+    /// [`QueryProtocol::step`]) and by the crash injector.
     dead: Vec<AtomicBool>,
-    /// Driver-side telemetry (query lifecycle, crashes, lost sends).
-    telemetry: Telemetry,
     /// Registry-backed latency histograms (`None` without a registry).
     metrics: Option<DriverMetrics>,
     /// Wall-clock origin for trace timestamps.
@@ -240,28 +234,16 @@ struct Shared {
 }
 
 impl Shared {
-    fn mark_dead(&self, node: usize) {
-        self.dead[node].store(true, Ordering::Relaxed);
-    }
-
     /// Stamps the telemetry clock with wall-clock-µs-since-start and
     /// returns the handle, so call sites read
     /// `shared.telemetry().emit(..)`. One atomic store when enabled, one
     /// `Option` branch when not.
     fn telemetry(&self) -> &Telemetry {
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .set_now_us(self.epoch.elapsed().as_micros() as u64);
+        let telemetry = &self.config.telemetry;
+        if telemetry.is_enabled() {
+            telemetry.set_now_us(self.epoch.elapsed().as_micros() as u64);
         }
-        &self.telemetry
-    }
-
-    fn live_candidates(&self, capable: &[usize]) -> Vec<usize> {
-        capable
-            .iter()
-            .copied()
-            .filter(|&n| !self.dead[n].load(Ordering::Relaxed))
-            .collect()
+        telemetry
     }
 }
 
@@ -349,12 +331,8 @@ pub fn run_workload(
     let num_nodes = transport.num_nodes();
     let shared = Arc::new(Shared {
         transport: Arc::clone(&transport),
-        mechanism: config.mechanism,
-        period: config.period,
-        reply_timeout: config.reply_timeout,
-        max_retries: config.max_retries,
+        config: config.clone(),
         dead: (0..num_nodes).map(|_| AtomicBool::new(false)).collect(),
-        telemetry: config.telemetry.clone(),
         metrics: DriverMetrics::resolve(&config.telemetry),
         epoch,
     });
@@ -401,7 +379,7 @@ pub fn run_workload(
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 if node < shared.transport.num_nodes() {
-                    shared.mark_dead(node);
+                    shared.dead[node].store(true, Ordering::Relaxed);
                     shared
                         .telemetry()
                         .emit(|| TelemetryEvent::NodeCrashed { node: node as u32 });
@@ -433,25 +411,25 @@ pub fn run_workload(
         })
         .collect();
 
-    // Issue queries on schedule; each runs its protocol on its own thread.
+    // Issue queries on schedule; each runs its protocol on its own thread,
+    // detached so that a finished query's stack is given back while the run
+    // goes on. The outcome channel closing is the join: a thread lets go of
+    // the transport before it reports, so none outlives this call holding it.
     let (done_tx, done_rx) = channel::<QueryOutcome>();
-    let mut issue_threads = Vec::new();
     for (i, (gap, class, sql)) in workload.into_iter().enumerate() {
         std::thread::sleep(gap);
         let capable = spec.capable_nodes(class);
         let done = done_tx.clone();
         let shared = Arc::clone(&shared);
-        issue_threads.push(std::thread::spawn(move || {
-            let outcome = run_one(i, class, sql, &capable, &shared);
+        std::thread::spawn(move || {
+            let outcome = run_one(i, class, sql, capable, &shared);
+            drop(shared);
             let _ = done.send(outcome);
-        }));
+        });
     }
     drop(done_tx);
 
     let mut outcomes: Vec<QueryOutcome> = done_rx.iter().collect();
-    for t in issue_threads {
-        let _ = t.join();
-    }
     outcomes.sort_by_key(|o| o.query);
 
     stop.store(true, Ordering::Relaxed);
@@ -481,234 +459,114 @@ pub fn run_workload(
     })
 }
 
-/// Collects replies under the shared deadline. Stops early once all `sent`
-/// reply senders have answered or disconnected; missing replies are simply
-/// absent from the result (loss tolerance).
-fn collect_replies<T>(rx: &Receiver<T>, sent: usize, deadline: Instant) -> Vec<T> {
-    let mut got = Vec::with_capacity(sent);
-    while got.len() < sent {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        match rx.recv_timeout(remaining) {
-            Ok(r) => got.push(r),
-            // Timeout: the deadline expired with replies outstanding.
-            // Disconnected: every outstanding reply sender was dropped
-            // (replies fault-dropped, or the node died). Either way the
-            // client proceeds with what it has.
-            Err(_) => break,
-        }
-    }
-    got
-}
-
-/// One allocation attempt round: polls the live candidates, returns the
-/// chosen node if any reply produced one. Send failures mark nodes dead.
-fn poll_round(
+/// Carries out one [`Action::Poll`]: fans `send` out over `nodes` (a send
+/// that fails is reported to `proto` on the spot, as `context`), gathers
+/// the replies under the reply deadline, and returns the closing event.
+fn poll_round<R: Into<Bid>>(
     shared: &Shared,
-    capable: &[usize],
-    class: ClassId,
-    sql: &str,
-) -> Result<Option<usize>, ClusterError> {
-    let live = shared.live_candidates(capable);
-    if live.is_empty() {
-        return Err(ClusterError::NoCandidates);
-    }
-    let _span = shared.telemetry.span("cluster.poll_round");
+    proto: &mut QueryProtocol,
+    nodes: &[usize],
+    context: &str,
+    send: impl Fn(usize, Sender<R>) -> Result<(), ClusterError>,
+) -> Event {
+    let _span = shared.config.telemetry.span("cluster.poll_round");
     let started = Instant::now();
-    let deadline = started + shared.reply_timeout;
-    let rpc_observed = |r| {
-        if let Some(m) = &shared.metrics {
-            m.rpc_ms.observe(started.elapsed().as_secs_f64() * 1e3);
-        }
-        r
-    };
-    match shared.mechanism {
-        ClusterMechanism::Greedy => {
-            let (tx, rx) = channel::<EstimateReply>();
-            let mut sent = 0;
-            for &n in &live {
-                if shared.transport.estimate(n, sql, tx.clone()).is_err() {
-                    shared.mark_dead(n);
-                    shared.telemetry().emit(|| TelemetryEvent::MessageDropped {
-                        node: n as u32,
-                        context: "estimate_send".to_string(),
-                    });
-                } else {
-                    sent += 1;
-                }
-            }
-            drop(tx);
-            let mut best: Option<(f64, usize)> = None;
-            for r in collect_replies(&rx, sent, deadline) {
-                let better = match best {
-                    None => true,
-                    Some((b, _)) => r.exec_ms < b,
-                };
-                if better {
-                    best = Some((r.exec_ms, r.node));
-                }
-            }
-            rpc_observed(Ok(best.map(|(_, n)| n)))
-        }
-        ClusterMechanism::QaNt => {
-            let (tx, rx) = channel::<OfferReply>();
-            let mut sent = 0;
-            for &n in &live {
-                if shared
-                    .transport
-                    .call_for_offers(n, class, sql, tx.clone())
-                    .is_err()
-                {
-                    shared.mark_dead(n);
-                    shared.telemetry().emit(|| TelemetryEvent::MessageDropped {
-                        node: n as u32,
-                        context: "offer_send".to_string(),
-                    });
-                } else {
-                    sent += 1;
-                }
-            }
-            drop(tx);
-            let mut best: Option<(f64, usize)> = None;
-            for r in collect_replies(&rx, sent, deadline) {
-                if !r.offered {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((b, _)) => r.completion_ms < b,
-                };
-                if better {
-                    best = Some((r.completion_ms, r.node));
-                }
-            }
-            rpc_observed(Ok(best.map(|(_, n)| n)))
-        }
+    let (sent, rx) = fan_out(nodes, send, |node| {
+        proto.poll_send_failed(node, context, &shared.dead, shared.telemetry())
+    });
+    // Stops once every successful send has answered, at the deadline, or
+    // when every outstanding reply sender is gone (replies fault-dropped,
+    // node died); missing replies are simply absent (loss tolerance).
+    let deadline = started + shared.config.reply_timeout;
+    let remaining = || deadline.saturating_duration_since(Instant::now());
+    let bids = std::iter::from_fn(|| rx.recv_timeout(remaining()).ok())
+        .take(sent)
+        .map(Into::into)
+        .collect();
+    if let Some(m) = &shared.metrics {
+        m.rpc_ms.observe(started.elapsed().as_secs_f64() * 1e3);
     }
+    Event::RoundClosed { bids }
 }
 
-/// Runs the allocation protocol + execution for one query. Environmental
-/// failures are retried within the budget and otherwise recorded in the
-/// outcome; this function never panics.
+/// Runs one query: the blocking shell around its [`QueryProtocol`], which
+/// makes every decision. Environmental failures end up in the outcome;
+/// this function never panics.
 fn run_one(
     idx: usize,
     class: ClassId,
     sql: String,
-    capable: &[usize],
+    capable: Vec<usize>,
     shared: &Shared,
 ) -> QueryOutcome {
     let issued = Instant::now();
-    let fail = |err: ClusterError, retries: u32| {
-        shared.telemetry().emit(|| TelemetryEvent::QueryUnserved {
-            query: idx as u64,
-            class: class.0,
-            retries,
-        });
-        QueryOutcome {
-            query: idx,
-            class: class.0,
-            node: None,
-            assign_ms: issued.elapsed().as_secs_f64() * 1e3,
-            total_ms: issued.elapsed().as_secs_f64() * 1e3,
-            retries,
-            error: Some(err.to_string()),
-        }
+    let elapsed_ms = || issued.elapsed().as_secs_f64() * 1e3;
+    let (transport, config) = (&shared.transport, &shared.config);
+    let mut proto = QueryProtocol::new(idx as u64, class, config.max_retries, capable);
+    let mut outcome = QueryOutcome {
+        query: idx,
+        class: class.0,
+        node: None,
+        assign_ms: 0.0,
+        total_ms: 0.0,
+        retries: 0,
+        error: None,
     };
-
-    let mut retries = 0u32;
+    let mut event = Event::Ready;
     loop {
-        // Allocation: poll, and on an empty round (all rejections, or all
-        // replies lost) back off and resubmit — §2.2's next-period retry,
-        // with exponential growth so a partitioned network is not spammed.
-        let chosen = loop {
-            match poll_round(shared, capable, class, &sql) {
-                Err(e) => return fail(e, retries),
-                Ok(Some(n)) => break n,
-                Ok(None) => {
-                    retries += 1;
-                    if retries > shared.max_retries {
-                        return fail(ClusterError::RetriesExhausted { retries }, retries);
-                    }
-                    std::thread::sleep(backoff(shared.period, retries - 1));
+        event = match proto.step(event, &shared.dead, shared.telemetry()) {
+            Action::Poll(nodes) => match config.mechanism {
+                ClusterMechanism::Greedy => {
+                    let send = |n, tx| transport.estimate(n, &sql, tx);
+                    poll_round(shared, &mut proto, &nodes, "estimate_send", send)
                 }
+                ClusterMechanism::QaNt => {
+                    let send = |n, tx| transport.call_for_offers(n, class, &sql, tx);
+                    poll_round(shared, &mut proto, &nodes, "offer_send", send)
+                }
+            },
+            Action::Backoff { attempt } => {
+                std::thread::sleep(backoff(config.period, attempt));
+                Event::Ready
+            }
+            Action::Execute { node, .. } => {
+                outcome.assign_ms = elapsed_ms();
+                if let Some(m) = &shared.metrics {
+                    m.assign_ms.observe(outcome.assign_ms);
+                }
+                let (tx, rx) = channel::<ExecReply>();
+                if transport.execute(node, class, &sql, tx).is_err() {
+                    Event::ExecuteSendFailed
+                } else {
+                    match rx.recv_timeout(EXEC_TIMEOUT) {
+                        Ok(reply) => {
+                            outcome.total_ms = elapsed_ms();
+                            if let Some(m) = &shared.metrics {
+                                m.total_ms.observe(outcome.total_ms);
+                            }
+                            outcome.error = reply.error;
+                            let response_ms = outcome.total_ms;
+                            Event::Executed { response_ms }
+                        }
+                        Err(RecvTimeoutError::Disconnected) => Event::ExecuteLost,
+                        Err(RecvTimeoutError::Timeout) => Event::ExecuteTimedOut,
+                    }
+                }
+            }
+            Action::Done(Outcome::Completed { node, .. }) => {
+                outcome.node = Some(node);
+                break;
+            }
+            Action::Done(Outcome::Unserved(error)) => {
+                outcome.assign_ms = elapsed_ms();
+                outcome.total_ms = outcome.assign_ms;
+                outcome.error = Some(error.to_string());
+                break;
             }
         };
-        let assign_ms = issued.elapsed().as_secs_f64() * 1e3;
-        if let Some(m) = &shared.metrics {
-            m.assign_ms.observe(assign_ms);
-        }
-        shared.telemetry().emit(|| TelemetryEvent::QueryAssigned {
-            query: idx as u64,
-            class: class.0,
-            node: chosen as u32,
-            retries,
-        });
-
-        // Execution. A disconnect means the chosen node crashed with our
-        // query: drop it from the candidate set and re-allocate (the
-        // cluster analogue of the simulator's crash re-entry).
-        let (tx, rx) = channel::<ExecReply>();
-        if shared.transport.execute(chosen, class, &sql, tx).is_err() {
-            shared.mark_dead(chosen);
-            shared.telemetry().emit(|| TelemetryEvent::MessageDropped {
-                node: chosen as u32,
-                context: "execute_send".to_string(),
-            });
-            retries += 1;
-            if retries > shared.max_retries {
-                return fail(ClusterError::RetriesExhausted { retries }, retries);
-            }
-            continue;
-        }
-        match rx.recv_timeout(EXEC_TIMEOUT) {
-            Ok(r) => {
-                let total_ms = issued.elapsed().as_secs_f64() * 1e3;
-                if let Some(m) = &shared.metrics {
-                    m.total_ms.observe(total_ms);
-                }
-                shared.telemetry().emit(|| TelemetryEvent::QueryCompleted {
-                    query: idx as u64,
-                    class: class.0,
-                    node: chosen as u32,
-                    response_ms: total_ms,
-                });
-                return QueryOutcome {
-                    query: idx,
-                    class: class.0,
-                    node: Some(chosen),
-                    assign_ms,
-                    total_ms,
-                    retries,
-                    error: r.error,
-                };
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                shared.mark_dead(chosen);
-                retries += 1;
-                if retries > shared.max_retries {
-                    return fail(
-                        ClusterError::ChannelClosed {
-                            phase: "execute",
-                            node: chosen,
-                        },
-                        retries,
-                    );
-                }
-                std::thread::sleep(backoff(shared.period, retries - 1));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                return fail(
-                    ClusterError::Timeout {
-                        phase: "execute",
-                        node: chosen,
-                    },
-                    retries,
-                )
-            }
-        }
     }
+    outcome.retries = proto.retries();
+    outcome
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! Model-checking harness for the cluster driver protocol.
 //!
 //! [`run_schedule`] executes one deterministic episode of the allocation
-//! protocol — a step-driven re-statement of [`crate::driver::run_workload`]'s
-//! per-query state machine (poll → collect under a deadline → assign →
-//! execute → crash re-entry with a retry budget) — against the
+//! protocol — the same [`QueryProtocol`] machines
+//! [`crate::driver::run_workload`] runs, one per query — against the
 //! [`SimTransport`] virtual network, with **every** nondeterministic
 //! decision (which message is delivered, what is dropped, when a node
 //! crashes, when a collection deadline fires, when the driver harvests a
@@ -29,23 +28,18 @@
 //! the bounded DFS enumeration from [`SystematicExplorer`]. A failing
 //! schedule's seed or choice trail replays the identical interleaving.
 
-use crate::node::{ExecReply, OfferReply};
+use crate::driver::ClusterMechanism;
+use crate::error::ClusterError;
+use crate::node::ExecReply;
+use crate::protocol::{Action, Bid, Event, Outcome, QueryProtocol};
 use crate::simtransport::{encode_sql, NetStats, SharedSchedule, SimTransport};
-use crate::transport::Transport;
+use crate::transport::{fan_out, Transport};
 use qa_simnet::sched::{ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer};
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_workload::ClassId;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{channel, Receiver, TryRecvError};
-
-/// Which allocation protocol the harness drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreMechanism {
-    /// Estimate poll, minimum `exec_ms` wins (the paper's baseline).
-    Greedy,
-    /// Call-for-offers, minimum `completion_ms` among offers wins (QA-NT).
-    QaNt,
-}
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 /// Shape of one explored episode. Small on purpose: model checking pays
 /// for breadth in schedules, not size of any single run.
@@ -68,7 +62,7 @@ pub struct ExploreConfig {
     /// Driver-action budget — the virtual watchdog behind invariant 4.
     pub max_actions: u64,
     /// The protocol under test.
-    pub mechanism: ExploreMechanism,
+    pub mechanism: ClusterMechanism,
     /// Harness self-test: arm the model nodes' deliberate double-commit
     /// bug; the invariant checker must flag every such run.
     pub inject_double_exec: bool,
@@ -88,7 +82,7 @@ impl ExploreConfig {
             crash_budget: 1,
             tick_every: 3,
             max_actions: 10_000,
-            mechanism: ExploreMechanism::QaNt,
+            mechanism: ClusterMechanism::QaNt,
             inject_double_exec: false,
         }
     }
@@ -129,254 +123,144 @@ impl ScheduleOutcome {
     }
 }
 
-/// Where one query currently is in the protocol.
-enum QState {
-    /// Not yet issued.
+/// Where a query's shell stands (the protocol state itself lives in its
+/// [`QueryProtocol`]).
+enum Pending {
+    /// The shell is between states (mid-turn placeholder).
     Idle,
-    /// Offers/estimates requested; waiting for the deadline action.
-    Collecting(CollectRx),
-    /// Assigned; waiting for the execute reply (or its loss).
-    Executing {
-        node: usize,
-        generation: u32,
-        rx: Receiver<ExecReply>,
-        /// Reply pulled during enablement checks, not yet harvested.
-        buffered: Option<Result<ExecReply, ()>>,
-    },
-    /// Finished: `Some((node, generation))` completed, `None` unserved.
-    Done(Option<(usize, u32)>),
+    /// A poll round is open; the deadline action closes it over the
+    /// replies that have arrived by then.
+    Round(Box<dyn FnOnce() -> Event>),
+    /// An execute is in flight.
+    Execute(Receiver<ExecReply>),
+    /// The execute's fate is known and waits for the schedule to pick the
+    /// harvest.
+    Harvest(Event),
+    Done(Outcome),
 }
 
-enum CollectRx {
-    Offers(Receiver<OfferReply>),
-    Estimates(Receiver<crate::node::EstimateReply>),
-}
-
-struct QueryRun {
-    class: usize,
-    state: QState,
-    retries: u32,
-    /// Execute attempts so far — the next assignment's generation.
-    attempts: u32,
-}
-
-/// A driver action whose turn order the schedule controls.
-enum Action {
+/// A shell action whose turn order the schedule controls.
+enum Choice {
     /// Let the virtual network take one step.
     Net,
-    /// Issue the next query's poll round.
+    /// Issue the next query.
     Issue,
     /// Fire the collection deadline for query `i`.
     Deadline(usize),
-    /// Consume query `i`'s buffered execute result.
+    /// Consume query `i`'s parked execute result.
     Harvest(usize),
 }
 
-struct Driver<'a> {
+/// The explorer's shell around the protocol machines: where the threaded
+/// driver blocks on a deadline, sleeps a back-off or waits for an execute
+/// reply, this one hands the turn to the schedule.
+struct Episode<'a> {
     cfg: &'a ExploreConfig,
     transport: &'a SimTransport,
-    shared: &'a SharedSchedule,
     telemetry: &'a Telemetry,
-    queries: Vec<QueryRun>,
-    next_issue: usize,
-    /// Nodes the driver has written off (send failed = crash observed).
-    dead: Vec<bool>,
+    /// Nodes the machines have written off (send failed = crash observed).
+    dead: Vec<AtomicBool>,
+    /// The queries issued so far, in issue order.
+    queries: Vec<(QueryProtocol, Pending)>,
 }
 
-impl Driver<'_> {
-    fn live_nodes(&self) -> Vec<usize> {
-        (0..self.cfg.num_nodes).filter(|&n| !self.dead[n]).collect()
-    }
-
-    /// Broadcasts the poll round for query `i` (offers under QA-NT,
-    /// estimates under Greedy). Zero reachable nodes ⇒ unserved.
-    fn issue_poll(&mut self, i: usize) {
-        let class = ClassId(self.queries[i].class as u32);
-        let sql = encode_sql(i as u64, self.queries[i].attempts, class);
-        let mut sent = 0usize;
-        match self.cfg.mechanism {
-            ExploreMechanism::QaNt => {
-                let (tx, rx) = channel();
-                for node in self.live_nodes() {
-                    match self
-                        .transport
-                        .call_for_offers(node, class, &sql, tx.clone())
-                    {
-                        Ok(()) => sent += 1,
-                        Err(_) => self.dead[node] = true,
+impl Episode<'_> {
+    /// Feeds `event` to query `i`'s machine and carries out what it
+    /// answers, up to the next point where the schedule must choose.
+    fn advance(&mut self, i: usize, mut event: Event) {
+        let class = ClassId((i % self.cfg.num_classes) as u32);
+        let (transport, dead, telemetry) = (self.transport, &self.dead, self.telemetry);
+        let (proto, pending) = &mut self.queries[i];
+        *pending = loop {
+            event = match proto.step(event, dead, telemetry) {
+                Action::Poll(nodes) => {
+                    let sql = encode_sql(i as u64, 0, class);
+                    break match self.cfg.mechanism {
+                        ClusterMechanism::Greedy => open_round(
+                            &nodes,
+                            |n, tx| transport.estimate(n, &sql, tx),
+                            |n| proto.poll_send_failed(n, "estimate_send", dead, telemetry),
+                        ),
+                        ClusterMechanism::QaNt => open_round(
+                            &nodes,
+                            |n, tx| transport.call_for_offers(n, class, &sql, tx),
+                            |n| proto.poll_send_failed(n, "offer_send", dead, telemetry),
+                        ),
+                    };
+                }
+                // Virtual time: a back-off elapses at once.
+                Action::Backoff { .. } => Event::Ready,
+                Action::Execute { node, generation } => {
+                    let sql = encode_sql(i as u64, generation, class);
+                    let (tx, rx) = channel();
+                    match transport.execute(node, class, &sql, tx) {
+                        Ok(()) => break Pending::Execute(rx),
+                        Err(_) => Event::ExecuteSendFailed,
                     }
                 }
-                self.queries[i].state = QState::Collecting(CollectRx::Offers(rx));
-            }
-            ExploreMechanism::Greedy => {
-                let (tx, rx) = channel();
-                for node in self.live_nodes() {
-                    match self.transport.estimate(node, &sql, tx.clone()) {
-                        Ok(()) => sent += 1,
-                        Err(_) => self.dead[node] = true,
-                    }
-                }
-                self.queries[i].state = QState::Collecting(CollectRx::Estimates(rx));
-            }
-        }
-        if sent == 0 {
-            self.finish_unserved(i);
-        }
-    }
-
-    /// The deadline action: drain whatever replies arrived, pick the
-    /// winner deterministically (min cost, ties to the lowest node), and
-    /// dispatch the execute — or retry/give up when nobody bid.
-    fn deadline(&mut self, i: usize) {
-        let winner: Option<usize> = match &self.queries[i].state {
-            QState::Collecting(CollectRx::Offers(rx)) => {
-                let mut best: Option<(f64, usize)> = None;
-                while let Ok(offer) = rx.try_recv() {
-                    if !offer.offered {
-                        continue;
-                    }
-                    let key = (offer.completion_ms, offer.node);
-                    if best.is_none_or(|b| (key.0, key.1) < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(_, node)| node)
-            }
-            QState::Collecting(CollectRx::Estimates(rx)) => {
-                let mut best: Option<(f64, usize)> = None;
-                while let Ok(est) = rx.try_recv() {
-                    let key = (est.exec_ms, est.node);
-                    if best.is_none_or(|b| (key.0, key.1) < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(_, node)| node)
-            }
-            _ => unreachable!("deadline on a non-collecting query"),
+                Action::Done(outcome) => break Pending::Done(outcome),
+            };
         };
-        match winner {
-            Some(node) => self.dispatch_execute(i, node),
-            None => self.retry(i),
-        }
     }
 
-    /// Sends the execute for query `i` to `node` under a fresh
-    /// generation. A failed send is an observed crash: mark the node
-    /// dead and retry.
-    fn dispatch_execute(&mut self, i: usize, node: usize) {
-        let generation = self.queries[i].attempts;
-        self.queries[i].attempts += 1;
-        let class = ClassId(self.queries[i].class as u32);
-        let sql = encode_sql(i as u64, generation, class);
-        let (tx, rx) = channel();
-        match self.transport.execute(node, class, &sql, tx) {
-            Ok(()) => {
-                let retries = self.queries[i].retries;
-                self.telemetry.emit(|| TelemetryEvent::QueryAssigned {
-                    query: i as u64,
-                    class: class.0,
-                    node: node as u32,
-                    retries,
-                });
-                self.queries[i].state = QState::Executing {
-                    node,
-                    generation,
-                    rx,
-                    buffered: None,
-                };
-            }
-            Err(_) => {
-                self.dead[node] = true;
-                self.retry(i);
-            }
-        }
-    }
-
-    /// One more attempt if the budget allows, else unserved.
-    fn retry(&mut self, i: usize) {
-        self.queries[i].retries += 1;
-        if self.queries[i].retries > self.cfg.max_retries {
-            self.finish_unserved(i);
-        } else {
-            self.issue_poll(i);
-        }
-    }
-
-    fn finish_unserved(&mut self, i: usize) {
-        let (class, retries) = (self.queries[i].class as u32, self.queries[i].retries);
-        self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-            query: i as u64,
-            class,
-            retries,
-        });
-        self.queries[i].state = QState::Done(None);
-    }
-
-    /// The harvest action: act on the buffered execute result. A lost
-    /// reply (disconnected receiver) is indistinguishable from a crashed
-    /// assignee, so the driver re-enters allocation — generation bumped —
-    /// exactly like [`crate::driver::run_workload`].
-    fn harvest(&mut self, i: usize) {
-        let QState::Executing {
-            node,
-            generation,
-            buffered,
-            ..
-        } = &mut self.queries[i].state
-        else {
-            unreachable!("harvest on a non-executing query");
-        };
-        let (node, generation) = (*node, *generation);
-        match buffered.take().expect("harvest enabled without a result") {
-            Ok(reply) => {
-                let class = self.queries[i].class as u32;
-                self.telemetry.emit(|| TelemetryEvent::QueryCompleted {
-                    query: i as u64,
-                    class,
-                    node: node as u32,
-                    response_ms: reply.exec_ms,
-                });
-                self.queries[i].state = QState::Done(Some((node, generation)));
-            }
-            Err(()) => {
-                self.dead[node] = true;
-                self.retry(i);
-            }
-        }
-    }
-
-    /// Builds the enabled-action list in a fixed deterministic order.
-    /// Executing queries get their receiver polled here; a ready (or
-    /// dead) reply is buffered so the harvest stays schedulable without
-    /// consuming it twice.
-    fn enabled_actions(&mut self) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// Builds the enabled-choice list in a fixed deterministic order.
+    /// Executing queries get their receiver polled here; a ready reply, or
+    /// the certainty that none can arrive, is parked so the harvest stays
+    /// schedulable without consuming it twice.
+    fn enabled(&mut self) -> Vec<Choice> {
+        let mut choices = Vec::new();
         if self.transport.pending_messages() > 0 {
-            actions.push(Action::Net);
+            choices.push(Choice::Net);
         }
-        if self.next_issue < self.cfg.num_queries {
-            actions.push(Action::Issue);
+        if self.queries.len() < self.cfg.num_queries {
+            choices.push(Choice::Issue);
         }
-        for i in 0..self.queries.len() {
-            match &mut self.queries[i].state {
-                QState::Collecting(_) => actions.push(Action::Deadline(i)),
-                QState::Executing { rx, buffered, .. } => {
-                    if buffered.is_none() {
-                        match rx.try_recv() {
-                            Ok(reply) => *buffered = Some(Ok(reply)),
-                            Err(TryRecvError::Disconnected) => *buffered = Some(Err(())),
-                            Err(TryRecvError::Empty) => {}
-                        }
+        for (i, (_, pending)) in self.queries.iter_mut().enumerate() {
+            if let Pending::Execute(rx) = pending {
+                match rx.try_recv() {
+                    Ok(reply) => {
+                        let response_ms = reply.exec_ms;
+                        *pending = Pending::Harvest(Event::Executed { response_ms });
                     }
-                    if buffered.is_some() {
-                        actions.push(Action::Harvest(i));
+                    // A lost reply is indistinguishable from a crashed
+                    // assignee.
+                    Err(TryRecvError::Disconnected) => {
+                        *pending = Pending::Harvest(Event::ExecuteLost);
                     }
+                    Err(TryRecvError::Empty) => {}
                 }
+            }
+            match pending {
+                Pending::Round(_) => choices.push(Choice::Deadline(i)),
+                Pending::Harvest(_) => choices.push(Choice::Harvest(i)),
                 _ => {}
             }
         }
-        actions
+        choices
     }
+
+    /// `(query, outcome)` of every finished query.
+    fn outcomes(&self) -> impl Iterator<Item = (usize, &Outcome)> {
+        let slots = self.queries.iter().enumerate();
+        slots.filter_map(|(i, (_, pending))| match pending {
+            Pending::Done(outcome) => Some((i, outcome)),
+            _ => None,
+        })
+    }
+}
+
+/// Fans a poll out over `nodes`, reporting each failed send to `failed`, and
+/// parks the round until its deadline.
+fn open_round<R: Into<Bid> + 'static>(
+    nodes: &[usize],
+    send: impl Fn(usize, Sender<R>) -> Result<(), ClusterError>,
+    failed: impl FnMut(usize),
+) -> Pending {
+    let (_, rx) = fan_out(nodes, send, failed);
+    Pending::Round(Box::new(move || {
+        let bids = rx.try_iter().map(Into::into).collect();
+        Event::RoundClosed { bids }
+    }))
 }
 
 /// Runs one episode under `schedule` and audits the invariants. The
@@ -405,33 +289,19 @@ pub fn run_schedule(
         mode: mode.to_string(),
     });
 
-    let mut driver = Driver {
+    // Every model node prices every class, so every node is capable.
+    let capable: Vec<usize> = (0..cfg.num_nodes).collect();
+    let mut episode = Episode {
         cfg,
         transport: &transport,
-        shared: &shared,
         telemetry,
-        queries: (0..cfg.num_queries)
-            .map(|i| QueryRun {
-                class: i % cfg.num_classes,
-                state: QState::Idle,
-                retries: 0,
-                attempts: 0,
-            })
-            .collect(),
-        next_issue: 0,
-        dead: vec![false; cfg.num_nodes],
+        dead: (0..cfg.num_nodes).map(|_| AtomicBool::new(false)).collect(),
+        queries: Vec::new(),
     };
 
     let mut actions = 0u64;
-    loop {
-        let all_done = driver
-            .queries
-            .iter()
-            .all(|q| matches!(q.state, QState::Done(_)));
-        if all_done || actions >= cfg.max_actions {
-            break;
-        }
-        let enabled = driver.enabled_actions();
+    while episode.outcomes().count() < cfg.num_queries && actions < cfg.max_actions {
+        let enabled = episode.enabled();
         if enabled.is_empty() {
             // Unreachable by construction (a non-done query always has a
             // deadline, a harvest, or an in-flight message) — but a model
@@ -440,29 +310,35 @@ pub fn run_schedule(
             break;
         }
         actions += 1;
-        let pick = driver.shared.choose("action", enabled.len());
-        match enabled[pick] {
-            Action::Net => {
+        match enabled[shared.choose("action", enabled.len())] {
+            Choice::Net => {
                 transport.step();
             }
-            Action::Issue => {
-                let i = driver.next_issue;
-                driver.next_issue += 1;
+            Choice::Issue => {
+                let i = episode.queries.len();
                 if i > 0 && i.is_multiple_of(cfg.tick_every) {
-                    for node in driver.live_nodes() {
-                        if transport.period_tick(node).is_err() {
-                            driver.dead[node] = true;
-                        }
+                    // Like the threaded ticker: every node, dead or not.
+                    for node in 0..cfg.num_nodes {
+                        let _ = transport.period_tick(node);
                     }
                 }
-                driver.issue_poll(i);
+                let class = ClassId((i % cfg.num_classes) as u32);
+                let proto = QueryProtocol::new(i as u64, class, cfg.max_retries, capable.clone());
+                episode.queries.push((proto, Pending::Idle));
+                episode.advance(i, Event::Ready);
             }
-            Action::Deadline(i) => driver.deadline(i),
-            Action::Harvest(i) => driver.harvest(i),
+            Choice::Deadline(i) | Choice::Harvest(i) => {
+                let event = match std::mem::replace(&mut episode.queries[i].1, Pending::Idle) {
+                    Pending::Round(close) => close(),
+                    Pending::Harvest(event) => event,
+                    _ => unreachable!("enabled without a round or a parked result"),
+                };
+                episode.advance(i, event);
+            }
         }
     }
 
-    let mut violations = check_invariants(cfg, &driver, &transport, actions);
+    let mut violations = check_invariants(cfg, &episode, &transport, actions);
     for v in &violations {
         let (invariant, detail) = (v.invariant.to_string(), v.detail.clone());
         telemetry.emit(|| TelemetryEvent::InvariantViolated { invariant, detail });
@@ -474,19 +350,14 @@ pub fn run_schedule(
         first.detail = format!("{} [trail {}]", first.detail, trail_string);
     }
 
-    let completed = driver
-        .queries
-        .iter()
-        .filter(|q| matches!(q.state, QState::Done(Some(_))))
+    let completed = episode
+        .outcomes()
+        .filter(|(_, o)| matches!(o, Outcome::Completed { .. }))
         .count() as u64;
-    let unserved = driver
-        .queries
-        .iter()
-        .filter(|q| matches!(q.state, QState::Done(None)))
-        .count() as u64;
+    let unserved = episode.outcomes().count() as u64 - completed;
     let net = transport.stats();
     let description = shared.describe();
-    drop(driver);
+    drop(episode);
     drop(transport);
     let trail = shared.into_inner().trail().clone();
     ScheduleOutcome {
@@ -505,18 +376,14 @@ pub fn run_schedule(
 /// episodes that finished.
 fn check_invariants(
     cfg: &ExploreConfig,
-    driver: &Driver<'_>,
+    episode: &Episode<'_>,
     transport: &SimTransport,
     actions: u64,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     // 4. Termination under the (virtual) watchdog.
-    let unfinished = driver
-        .queries
-        .iter()
-        .filter(|q| !matches!(q.state, QState::Done(_)))
-        .count();
+    let unfinished = cfg.num_queries - episode.outcomes().count();
     if unfinished > 0 {
         violations.push(Violation {
             invariant: "termination",
@@ -537,15 +404,11 @@ fn check_invariants(
     transport.drain();
     let nodes = transport.node_states();
 
-    // 1. Conservation: one outcome per query, totals match, and every
-    // committed execution is present exactly once on its assignee.
-    let mut done = 0usize;
-    for (i, q) in driver.queries.iter().enumerate() {
-        let QState::Done(outcome) = &q.state else {
-            continue;
-        };
-        done += 1;
-        if let Some((node, generation)) = outcome {
+    // 1. Conservation: every query has ended (checked above; a machine
+    // accepts nothing after `Done`, so exactly once), and every committed
+    // execution is present exactly once on its assignee.
+    for (i, outcome) in episode.outcomes() {
+        if let Outcome::Completed { node, generation } = outcome {
             let hits = nodes[*node]
                 .executions
                 .iter()
@@ -561,12 +424,6 @@ fn check_invariants(
                 });
             }
         }
-    }
-    if done != cfg.num_queries {
-        violations.push(Violation {
-            invariant: "conservation",
-            detail: format!("{done} outcomes for {} queries", cfg.num_queries),
-        });
     }
 
     // 2. No double assignment across crash re-entry: a (query, generation)
@@ -599,37 +456,25 @@ fn check_invariants(
         rx.try_recv().ok().map(|p| p.prices)
     };
     for n in &nodes {
-        let (first, second) = (dump(n.id), dump(n.id));
-        match (first, second) {
-            (Some(a), Some(b)) => {
-                if a != b {
-                    violations.push(Violation {
-                        invariant: "price_consistency",
-                        detail: format!(
-                            "node {} dumps differ across reconnect: {a:?} vs {b:?}",
-                            n.id
-                        ),
-                    });
-                } else if a != n.prices {
-                    violations.push(Violation {
-                        invariant: "price_consistency",
-                        detail: format!(
-                            "node {} dumped {a:?} but market state holds {:?}",
-                            n.id, n.prices
-                        ),
-                    });
-                } else if a.iter().any(|p| !p.is_finite() || *p <= 0.0) {
-                    violations.push(Violation {
-                        invariant: "price_consistency",
-                        detail: format!("node {} price vector not finite-positive: {a:?}", n.id),
-                    });
-                }
+        let id = n.id;
+        let problem = match (dump(id), dump(id)) {
+            (Some(a), Some(b)) if a != b => {
+                format!("node {id} dumps differ across reconnect: {a:?} vs {b:?}")
             }
-            _ => violations.push(Violation {
-                invariant: "price_consistency",
-                detail: format!("node {} did not answer the post-recovery price dump", n.id),
-            }),
-        }
+            (Some(a), Some(_)) if a != n.prices => {
+                let held = &n.prices;
+                format!("node {id} dumped {a:?} but market state holds {held:?}")
+            }
+            (Some(a), Some(_)) if a.iter().any(|p| !p.is_finite() || *p <= 0.0) => {
+                format!("node {id} price vector not finite-positive: {a:?}")
+            }
+            (Some(_), Some(_)) => continue,
+            _ => format!("node {id} did not answer the post-recovery price dump"),
+        };
+        violations.push(Violation {
+            invariant: "price_consistency",
+            detail: problem,
+        });
     }
 
     violations
@@ -808,7 +653,7 @@ mod tests {
 
     #[test]
     fn random_sweep_holds_all_invariants_under_both_mechanisms() {
-        for mechanism in [ExploreMechanism::QaNt, ExploreMechanism::Greedy] {
+        for mechanism in [ClusterMechanism::QaNt, ClusterMechanism::Greedy] {
             let cfg = ExploreConfig {
                 mechanism,
                 ..ExploreConfig::small()

@@ -24,9 +24,14 @@
 //! * [`setup`] — deployment generator: tables, views, copies, query classes,
 //! * [`node`] — the node thread: minidb + QA-NT market state + estimator,
 //!   optionally behind a lossy link ([`spawn_node_with_faults`]),
-//! * [`driver`] — the experiment driver: workload replay, allocation
-//!   protocols (Greedy and QA-NT), Figure-7 measurements, crash injection
-//!   and loss-tolerant reply collection,
+//! * [`protocol`] — the allocation protocol of one query (Greedy and
+//!   QA-NT) as a sans-IO state machine: winner selection, retry budget,
+//!   crash re-entry,
+//! * [`driver`] — the experiment driver: workload replay, the threaded
+//!   shell around [`protocol`], Figure-7 measurements, crash injection and
+//!   loss-tolerant reply collection,
+//! * [`explore`] — the model-checking shell around the same [`protocol`]
+//!   over the [`simtransport`] virtual network,
 //! * [`error`] — the [`ClusterError`] taxonomy for environmental failures
 //!   (the protocol paths never panic).
 
@@ -36,6 +41,7 @@ pub mod error;
 pub mod explore;
 pub mod metrics_http;
 pub mod node;
+pub mod protocol;
 pub mod qad;
 pub mod setup;
 pub mod simtransport;
@@ -48,7 +54,7 @@ pub use driver::{
 pub use error::ClusterError;
 pub use explore::{
     explore_random, explore_systematic, run_schedule, run_seed, run_trail, ExploreConfig,
-    ExploreMechanism, ExploreReport, ScheduleOutcome, Violation,
+    ExploreReport, ScheduleOutcome, Violation,
 };
 pub use node::{spawn_node, spawn_node_with_faults, NodeHandle, NodeMsg};
 pub use qad::FedConfig;

@@ -200,11 +200,6 @@ impl SharedSchedule {
         self.0.lock().unwrap().trail().to_string()
     }
 
-    /// The raw chosen indices (for [`qa_simnet::sched::ReplaySchedule`]).
-    pub fn trail_indices(&self) -> Vec<u32> {
-        self.0.lock().unwrap().trail().indices()
-    }
-
     /// Consumes the wrapper, returning the schedule (for
     /// [`qa_simnet::sched::SystematicExplorer::finish`]).
     ///

@@ -40,7 +40,7 @@ use qa_simnet::telemetry::Telemetry;
 use qa_workload::ClassId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -108,6 +108,26 @@ pub trait Transport: Send + Sync {
 
     /// Gracefully tears the whole fleet connection down. Idempotent.
     fn shutdown(&self);
+}
+
+/// Fans one request out over `nodes` with every reply addressed to the
+/// returned receiver, which disconnects once no reply can arrive any more.
+/// Each node whose send fails goes to `failed` at once; the count returned
+/// is of the sends that went out.
+pub(crate) fn fan_out<R>(
+    nodes: &[usize],
+    send: impl Fn(usize, Sender<R>) -> Result<(), ClusterError>,
+    mut failed: impl FnMut(usize),
+) -> (usize, Receiver<R>) {
+    let (tx, rx) = channel();
+    let mut sent = 0;
+    for &node in nodes {
+        match send(node, tx.clone()) {
+            Ok(()) => sent += 1,
+            Err(_) => failed(node),
+        }
+    }
+    (sent, rx)
 }
 
 // ---------------------------------------------------------------------------

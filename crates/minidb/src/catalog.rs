@@ -92,11 +92,6 @@ impl Catalog {
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.values().map(|t| t.name()).collect()
     }
-
-    /// Names of all views (unsorted).
-    pub fn view_names(&self) -> Vec<&str> {
-        self.views.values().map(|v| v.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]

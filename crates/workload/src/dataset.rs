@@ -145,11 +145,6 @@ impl Dataset {
         &self.relations[id.index()]
     }
 
-    /// Sorted relation ids held by `node`.
-    pub fn relations_of(&self, node: NodeId) -> &[RelationId] {
-        &self.per_node[node.index()]
-    }
-
     /// `true` iff `node` holds a mirror of `rel`.
     pub fn node_has(&self, node: NodeId, rel: RelationId) -> bool {
         self.per_node[node.index()].binary_search(&rel).is_ok()

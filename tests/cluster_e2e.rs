@@ -37,17 +37,19 @@ fn greedy_and_qant_both_finish_the_workload() {
 fn queries_only_land_on_nodes_with_the_data() {
     with_watchdog("placement respects data copies", 120, || {
         let s = spec();
-        let mut cfg = ClusterConfig::ci_scale(ClusterMechanism::QaNt, 5);
-        cfg.num_queries = 20;
-        let r = run_experiment(&s, &cfg).expect("spec has evaluable classes");
-        for o in &r.outcomes {
-            if let Some(n) = o.node {
-                assert!(
-                    s.capable_nodes(ClassId(o.class)).contains(&n),
-                    "query {} of class {} landed on incapable node {n}",
-                    o.query,
-                    o.class
-                );
+        for mech in [ClusterMechanism::Greedy, ClusterMechanism::QaNt] {
+            let mut cfg = ClusterConfig::ci_scale(mech, 5);
+            cfg.num_queries = 20;
+            let r = run_experiment(&s, &cfg).expect("spec has evaluable classes");
+            for o in &r.outcomes {
+                if let Some(n) = o.node {
+                    assert!(
+                        s.capable_nodes(ClassId(o.class)).contains(&n),
+                        "{mech}: query {} of class {} landed on incapable node {n}",
+                        o.query,
+                        o.class
+                    );
+                }
             }
         }
     });
