@@ -180,12 +180,12 @@ impl QantNode {
         self.pricer.prices()
     }
 
-    /// Batched log-price read (see
-    /// [`NonTatonnementPricer::ln_prices_into`][qa_economics::NonTatonnementPricer::ln_prices_into]):
-    /// one call per node fills the per-class signal row the sharded
-    /// engine's period reports aggregate.
-    pub fn ln_prices_into(&self, out: &mut [f64]) {
-        self.pricer.ln_prices_into(out);
+    /// `ln(price)` of one class (see
+    /// [`NonTatonnementPricer::ln_price`][qa_economics::NonTatonnementPricer::ln_price]):
+    /// the log domain is what the sharded engine's period reports
+    /// aggregate, over the classes each node can run.
+    pub fn ln_price(&self, class: ClassId) -> f64 {
+        self.pricer.ln_price(class.index())
     }
 
     /// Remaining supply for the current period.

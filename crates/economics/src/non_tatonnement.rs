@@ -177,8 +177,13 @@ impl NonTatonnementPricer {
     pub fn ln_prices_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.num_classes(), "class count mismatch");
         for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.prices.get(k).max(f64::MIN_POSITIVE).ln();
+            *slot = self.ln_price(k);
         }
+    }
+
+    /// `ln(price_k)`, the one-class form of [`Self::ln_prices_into`].
+    pub fn ln_price(&self, k: usize) -> f64 {
+        self.prices.get(k).max(f64::MIN_POSITIVE).ln()
     }
 
     /// Number of classes.
@@ -258,7 +263,12 @@ impl NonTatonnementPricer {
     /// Lanes that exhaust their count early multiply by exactly `1.0`
     /// (a bit-exact identity for finite values) until the widest lane in
     /// the chunk finishes; a lane saturated at the ceiling keeps taking
-    /// `min(ceiling·(1+λ), ceiling) = ceiling`. Callers must only use
+    /// `min(ceiling·(1+λ), ceiling) = ceiling`. Like the lone chain, a
+    /// chunk stops at its fixed point: once a stride of steps moves no
+    /// lane, every lane is at its ceiling or out of refusals and the rest
+    /// of the replay is identities. A refusal storm long enough to
+    /// saturate prices (a few hundred steps at the default λ and ceiling)
+    /// costs those steps, not its length. Callers must only use
     /// this while telemetry is disabled on every pricer (the eager path
     /// emits one `PriceAdjusted` per rejection).
     pub fn on_rejections_batch(
@@ -268,6 +278,8 @@ impl NonTatonnementPricer {
     ) {
         assert_eq!(pricers.len(), counts.len());
         const LANES: usize = 8;
+        /// Steps between fixed-point checks.
+        const STRIDE: u64 = 16;
         let mut i = 0;
         while i < pricers.len() {
             let n = LANES.min(pricers.len() - i);
@@ -291,11 +303,22 @@ impl NonTatonnementPricer {
                 d[j] = counts[i + j];
             }
             let dmax = d.iter().copied().max().unwrap_or(0);
-            for s in 0..dmax {
-                for j in 0..LANES {
-                    let f = if s < d[j] { fac[j] } else { 1.0 };
-                    p[j] = (p[j] * f).min(ceil[j]);
+            let mut done = 0;
+            while done < dmax {
+                let before = p;
+                for s in done..dmax.min(done + STRIDE) {
+                    for j in 0..LANES {
+                        let f = if s < d[j] { fac[j] } else { 1.0 };
+                        p[j] = (p[j] * f).min(ceil[j]);
+                    }
                 }
+                // A lane never falls, so a stride that leaves all of them
+                // where they were was identities throughout, and each
+                // lane's step only ever repeats or turns into `× 1.0`.
+                if p == before {
+                    break;
+                }
+                done += STRIDE;
             }
             for (j, pr) in chunk.iter_mut().enumerate() {
                 pr.prices.set(k, p[j], pr.config.price_floor);
@@ -425,6 +448,54 @@ mod tests {
             p.on_rejection(0);
         }
         assert!(p.prices().get(0) <= 10.0 + 1e-9);
+    }
+
+    #[test]
+    fn batched_replay_matches_stepwise_rejections() {
+        // Counts short of, at and far past the ~290 steps that take a
+        // price from 1 to the ceiling; more pricers than one chunk; one
+        // with a low ceiling of its own; and a lone tail lane.
+        let counts = [
+            0u64, 1, 15, 16, 17, 100, 289, 290, 291, 700, 5_000, 700, 3, 2, 40, 600, 1_000,
+        ];
+        assert_eq!(counts.len() % 8, 1);
+        let tight = PricerConfig {
+            price_ceiling: 50.0,
+            ..PricerConfig::default()
+        };
+        let fresh = || -> Vec<NonTatonnementPricer> {
+            (0..counts.len())
+                .map(|i| {
+                    let cfg = if i == 9 {
+                        tight
+                    } else {
+                        PricerConfig::default()
+                    };
+                    let start = PriceVector::from_prices(vec![0.25 + 0.37 * i as f64, 1.0]);
+                    NonTatonnementPricer::with_prices(start, cfg)
+                })
+                .collect()
+        };
+        let mut stepwise = fresh();
+        for (p, &n) in stepwise.iter_mut().zip(&counts) {
+            for _ in 0..n {
+                p.on_rejection(0);
+            }
+        }
+        let mut batched = fresh();
+        let mut lanes: Vec<&mut NonTatonnementPricer> = batched.iter_mut().collect();
+        NonTatonnementPricer::on_rejections_batch(&mut lanes, 0, &counts);
+        for (i, (a, b)) in stepwise.iter().zip(&batched).enumerate() {
+            assert_eq!(
+                a.prices().get(0).to_bits(),
+                b.prices().get(0).to_bits(),
+                "lane {i}, {} refusals",
+                counts[i]
+            );
+            assert_eq!(b.prices().get(1), 1.0, "other class untouched");
+            assert_eq!(a.rejections(0), b.rejections(0));
+        }
+        assert_eq!(batched[10].prices().get(0), 1e12, "5 000 steps saturate");
     }
 
     #[test]

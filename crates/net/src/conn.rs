@@ -816,15 +816,26 @@ mod tests {
             .unwrap();
         client_rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
+        // A reader counts a frame before handing it on, so the receive
+        // side is settled by now. A writer counts a frame only after the
+        // write returns, by when the peer may already have read it and
+        // woken this thread: the send side is awaited, against a deadline.
+        let sent = |reg: &qa_simnet::MetricsRegistry, name: &str, at_least: u64| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while reg.counter(name).get() < at_least {
+                assert!(Instant::now() < deadline, "{name} never reached {at_least}");
+                std::thread::yield_now();
+            }
+        };
         let creg = client_tel.registry().unwrap();
-        assert!(creg.counter("net.frames_sent").get() >= 1);
+        sent(creg, "net.frames_sent", 1);
         assert!(creg.counter("net.frames_received").get() >= 1);
         // Framed wire size: payload + 4-byte length prefix per frame.
-        assert!(creg.counter("net.bytes_sent").get() >= 13);
+        sent(creg, "net.bytes_sent", 13);
         assert!(creg.counter("net.bytes_received").get() >= 13);
         let sreg = server_tel.registry().unwrap();
         assert!(sreg.counter("net.frames_received").get() >= 1);
-        assert!(sreg.counter("net.frames_sent").get() >= 1);
+        sent(sreg, "net.frames_sent", 1);
         client.close();
         server_conn.close();
     }

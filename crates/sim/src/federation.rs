@@ -29,11 +29,13 @@
 
 use crate::metrics::RunMetrics;
 use crate::node::NodeSoa;
+use crate::offer_index::OfferIndex;
 use crate::scenario::Scenario;
 use qa_core::messages::{OFFER_BYTES, REQUEST_BYTES, RESPONSE_BYTES};
 use qa_core::{
     BnqrdCoordinator, MarkovAllocator, MechanismKind, RoundRobinState, TwoProbesChooser,
 };
+use qa_economics::QuantityVector;
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{par_for_each_chunk_mut, DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
@@ -83,6 +85,17 @@ enum MechState {
         /// resolve the common supply-available case with one contiguous
         /// array read instead of a market call.
         avail: Vec<u64>,
+        /// Pure-market mode (set once per run, in `begin_run`): with no
+        /// §5.1 threshold, telemetry off and no fault or crash schedule,
+        /// the candidate set is the static capable list and a
+        /// within-period price rise is unobservable — `on_request`
+        /// answers from supply alone. Allocation then reads the best
+        /// offer off this index instead of polling, and a dry node's
+        /// refusals are counted from the index's demand stamps and
+        /// replayed stepwise at the period boundary: same multiplication
+        /// sequence, same final prices. `None` keeps the eager per-poll
+        /// loops.
+        index: Option<OfferIndex>,
     },
     Greedy {
         /// Stale backlog snapshot (refreshed each period): clients cannot
@@ -193,32 +206,27 @@ pub struct Federation<'a> {
     /// path stops allocating once they reach steady-state capacity.
     scratch_capable: Vec<NodeId>,
     scratch_reachable: Vec<NodeId>,
-    /// QA-NT refusal memo, one flag per class: set when a request saw a
-    /// full refusal this period under stable conditions (no faults, no
-    /// dead nodes, telemetry off). Prices are non-decreasing and supply
-    /// non-increasing within a period, so a fully-refused class stays
-    /// fully refused until the next period boundary — later requests
-    /// short-circuit to `NoOffers` and only count a deferred rejection.
-    /// Cleared at every period start and on any kill/recover event.
+    /// Eager-path QA-NT refusal memo, one flag per class: set when a
+    /// request saw a full refusal this period under stable conditions (no
+    /// faults, no dead nodes, telemetry off). Prices are non-decreasing
+    /// and supply non-increasing within a period, so a fully-refused
+    /// class stays fully refused until the next period boundary — later
+    /// requests short-circuit to `NoOffers` and only count a deferred
+    /// rejection. Cleared at every period start and on any kill/recover
+    /// event. Never set while the offer index is engaged: an empty index
+    /// is the memo.
     refused_classes: Vec<bool>,
     /// Refusals owed to the market while the memo short-circuits, per
     /// class; flushed into every capable node's pricer (bit-identical
     /// stepwise price rises) before the period-end price update.
     deferred_rejections: Vec<u64>,
-    /// Pure-market rejection deferral (set once per run): with no §5.1
-    /// threshold, telemetry off and no fault schedule, a within-period
-    /// price rise is unobservable — `on_request` answers from supply
-    /// alone — so per-poll rejections can be counted here and replayed
-    /// stepwise at the period boundary instead of calling into the
-    /// market per poll. Same multiplication sequence, same final prices.
-    defer_rejections: bool,
-    /// Deferred per-poll rejection counts, `class-major [class × node]`,
-    /// drained by `flush_deferred_rejections`.
-    deferred_node_rejections: Vec<u64>,
-    /// Per-class flag: some entry of the class' `deferred_node_rejections`
-    /// row is non-zero. Lets the flush skip untouched rows without
-    /// scanning the (classes × nodes) matrix every period.
-    deferred_dirty: Vec<bool>,
+    /// One node-indexed row of refusal counts, filled per class by
+    /// `flush_deferred_rejections` for `QantNode::apply_rejections_batch`
+    /// and zeroed again.
+    rejection_row: Vec<u64>,
+    /// Per-class supply caps handed to every node's supply solve at a
+    /// period boundary; a reused buffer.
+    demand_caps: QuantityVector,
 }
 
 impl<'a> Federation<'a> {
@@ -261,6 +269,7 @@ impl<'a> Federation<'a> {
                         })
                         .collect(),
                     avail: vec![0; k * cfg.num_nodes],
+                    index: None,
                 }
             }
             MechanismKind::Greedy => MechState::Greedy {
@@ -312,9 +321,8 @@ impl<'a> Federation<'a> {
             scratch_reachable: Vec::new(),
             refused_classes: vec![false; k],
             deferred_rejections: vec![0; k],
-            defer_rejections: false,
-            deferred_node_rejections: vec![0; k * cfg.num_nodes],
-            deferred_dirty: vec![false; k],
+            rejection_row: vec![0; cfg.num_nodes],
+            demand_caps: QuantityVector::zeros(k),
         }
     }
 
@@ -354,13 +362,17 @@ impl<'a> Federation<'a> {
     /// Panics when the mechanism is not QA-NT.
     pub fn restrict_market_to<F: Fn(NodeId) -> bool>(&mut self, participates: F) {
         match &mut self.state {
-            MechState::QaNt { nodes, avail } => {
+            MechState::QaNt {
+                nodes,
+                avail,
+                index,
+            } => {
                 for (i, slot) in nodes.iter_mut().enumerate() {
                     if !participates(NodeId(i as u32)) {
                         *slot = None;
                     }
                 }
-                sync_avail(nodes, avail);
+                sync_avail(nodes, avail, index.as_mut(), &self.nodes);
             }
             _ => panic!("partial deployment applies to QA-NT only"),
         }
@@ -415,20 +427,27 @@ impl<'a> Federation<'a> {
         self.more_arrivals = more;
     }
 
-    /// Starts a run: fixes the rejection-deferral mode, seeds the event
-    /// queue with the failure schedule and the first period boundary.
+    /// Starts a run: fixes the pure-market mode, seeds the event queue
+    /// with the failure schedule and the first period boundary.
     pub(crate) fn begin_run(&mut self) {
         let cfg_period = self.scenario.config.period;
         // Fixed for the whole run: fault schedules and kill/recover
         // events are installed before `run`, and the telemetry handle at
         // construction.
-        self.defer_rejections = self.kills.is_empty()
+        let pure_market = self.kills.is_empty()
             && self.recoveries.is_empty()
             && self.faults.is_none()
             && self.scenario.config.qant.price_threshold.is_none()
             && !self.telemetry.is_enabled();
-        if let MechState::QaNt { nodes, avail } = &mut self.state {
-            sync_avail(nodes, avail);
+        if let MechState::QaNt {
+            nodes,
+            avail,
+            index,
+        } = &mut self.state
+        {
+            *index = pure_market
+                .then(|| OfferIndex::new(&self.scenario.capable, &self.exec, self.nodes.len()));
+            sync_avail(nodes, avail, index.as_mut(), &self.nodes);
         }
         for &(at, node) in &self.kills {
             self.queue.schedule(at, Event::Kill { node });
@@ -527,6 +546,14 @@ impl<'a> Federation<'a> {
                     return true;
                 }
                 self.nodes.complete(node.index());
+                if self.nodes.queued(node.index()) == 0 {
+                    if let MechState::QaNt {
+                        index: Some(index), ..
+                    } = &mut self.state
+                    {
+                        index.idled(node);
+                    }
+                }
                 self.done[idx] = true;
                 let q = self.arrivals[idx];
                 self.metrics
@@ -558,17 +585,19 @@ impl<'a> Federation<'a> {
                 self.flush_deferred_rejections();
                 self.refused_classes.fill(false);
                 match &mut self.state {
-                    MechState::QaNt { nodes, avail } => {
+                    MechState::QaNt {
+                        nodes,
+                        avail,
+                        index,
+                    } => {
                         // Sellers have no reason to reserve more supply
                         // for a class than anyone asked for last period
                         // (with headroom for growth): the caps steer
                         // leftover capacity to classes with live demand.
-                        let caps = qa_economics::QuantityVector::from_counts(
-                            self.period_demand
-                                .iter()
-                                .map(|&d| d.saturating_mul(2).max(2))
-                                .collect(),
-                        );
+                        for (k, &d) in self.period_demand.iter().enumerate() {
+                            self.demand_caps.set(k, d.saturating_mul(2).max(2));
+                        }
+                        let caps = &self.demand_caps;
                         let period_ms = cfg_period.as_millis_f64();
                         // Work-conserving budget. In the §5.1 threshold
                         // mode it is floored at T/2 so a node that
@@ -583,14 +612,6 @@ impl<'a> Federation<'a> {
                             0.0
                         };
                         let soa = &self.nodes;
-                        let budgets: Vec<Option<f64>> = (0..nodes.len())
-                            .map(|i| {
-                                soa.alive(i).then(|| {
-                                    let backlog = soa.backlog(i, now).as_millis_f64();
-                                    (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms)
-                                })
-                            })
-                            .collect();
                         // The eq.-4 solves are independent per node, so
                         // they fan over scoped workers; results are
                         // identical at any thread count — the split
@@ -609,16 +630,16 @@ impl<'a> Federation<'a> {
                             for (j, slot) in chunk.iter_mut().enumerate() {
                                 let Some(n) = slot else { continue };
                                 n.end_period();
-                                if let Some(budget) = budgets[offset + j] {
-                                    n.begin_period_with_budget(
-                                        &exec_times[offset + j],
-                                        Some(&caps),
-                                        budget,
-                                    );
+                                let i = offset + j;
+                                if soa.alive(i) {
+                                    let backlog = soa.backlog(i, now).as_millis_f64();
+                                    let budget =
+                                        (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms);
+                                    n.begin_period_with_budget(&exec_times[i], Some(caps), budget);
                                 }
                             }
                         });
-                        sync_avail(nodes, avail);
+                        sync_avail(nodes, avail, index.as_mut(), soa);
                         self.period_demand.iter_mut().for_each(|d| *d = 0);
                     }
                     MechState::Bnqrd { coordinator } => coordinator.tick(0.9),
@@ -749,33 +770,43 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Pays the refusals the memo short-circuited into every capable
-    /// node's pricer. Must run before any period-end price update (the
+    /// Pays the closing period's unpaid refusals into the refusing
+    /// nodes' pricers. Must run before any period-end price update (the
     /// deferred rises belong to the closing period) and after the run
-    /// loop exits (so post-run market state matches an eager run).
+    /// loop exits (so post-run market state matches an eager run), once
+    /// each: what makes the next call start from nothing is the boundary's
+    /// demand reset and index rebuild.
     fn flush_deferred_rejections(&mut self) {
-        if let MechState::QaNt { nodes, .. } = &mut self.state {
-            let n_total = self.nodes.len();
-            for (k, class_d) in self.deferred_rejections.iter_mut().enumerate() {
-                let dirty = std::mem::replace(&mut self.deferred_dirty[k], false);
-                if *class_d == 0 && !dirty {
-                    continue;
-                }
-                let row = &mut self.deferred_node_rejections[k * n_total..(k + 1) * n_total];
-                // Fold the full-refusal memo's class-level count into the
-                // per-node row: every capable node refused each of those
-                // requests. The raises are identical ×(1+λ) steps, so
-                // replay order across the two ledgers is immaterial —
-                // only the per-(node, class) totals reach the price.
-                if *class_d > 0 {
-                    for &n in &self.scenario.capable[k] {
-                        row[n.index()] += *class_d;
+        let MechState::QaNt { nodes, index, .. } = &mut self.state else {
+            return;
+        };
+        let row = &mut self.rejection_row;
+        for k in 0..self.period_demand.len() {
+            let class = ClassId(k as u32);
+            match index {
+                // Pure-market mode: every dry capable node refused each
+                // class request made since it ran dry.
+                Some(index) => {
+                    if self.period_demand[k] == 0 {
+                        continue;
                     }
-                    *class_d = 0;
+                    index.rejections_into(class, self.period_demand[k], row);
                 }
-                qa_core::QantNode::apply_rejections_batch(nodes, ClassId(k as u32), row);
-                row.fill(0);
+                // Eager mode polls pay as they go; what is owed is the
+                // memo's short-circuited requests, each refused by every
+                // capable node.
+                None => {
+                    let owed = std::mem::take(&mut self.deferred_rejections[k]);
+                    if owed == 0 {
+                        continue;
+                    }
+                    for &n in &self.scenario.capable[k] {
+                        row[n.index()] = owed;
+                    }
+                }
             }
+            qa_core::QantNode::apply_rejections_batch(nodes, class, row);
+            row.fill(0);
         }
     }
 
@@ -790,37 +821,35 @@ impl<'a> Federation<'a> {
     /// # Panics
     /// Panics for non-QA-NT mechanisms.
     pub(crate) fn qant_signals_into(&self, supply: &mut [u64], ln_price: &mut [f64]) {
-        let MechState::QaNt { nodes, avail } = &self.state else {
+        let MechState::QaNt { nodes, avail, .. } = &self.state else {
             panic!("market signals apply to QA-NT only");
         };
         let n_total = self.nodes.len();
-        let k_count = supply.len();
-        for (k, s) in supply.iter_mut().enumerate() {
+        // Log prices sum in ascending node order whatever order the
+        // scenario lists a class's capable nodes in: float addition is
+        // not associative, and the signal must not depend on the listing.
+        ln_price.fill(0.0);
+        for (slot, exec_times) in nodes.iter().zip(&self.scenario.exec_times_ms) {
+            let Some(market) = slot else { continue };
+            for (k, sum) in ln_price.iter_mut().enumerate() {
+                if exec_times[k].is_some() {
+                    *sum += market.ln_price(ClassId(k as u32));
+                }
+            }
+        }
+        for (k, (s, lnp)) in supply.iter_mut().zip(ln_price.iter_mut()).enumerate() {
             let mut units: u64 = 0;
+            let mut markets = 0u32;
             for &node in &self.scenario.capable[k] {
                 let a = avail[k * n_total + node.index()];
                 if a != u64::MAX {
                     units = units.saturating_add(a);
                 }
+                markets += u32::from(nodes[node.index()].is_some());
             }
             *s = units;
-        }
-        let mut sums = vec![0.0; k_count];
-        let mut counts = vec![0u32; k_count];
-        let mut node_lnp = vec![0.0; k_count];
-        for (i, slot) in nodes.iter().enumerate() {
-            let Some(market) = slot else { continue };
-            market.ln_prices_into(&mut node_lnp);
-            for (k, &lnp) in node_lnp.iter().enumerate() {
-                if self.scenario.exec_times_ms[i][k].is_some() {
-                    sums[k] += lnp;
-                    counts[k] += 1;
-                }
-            }
-        }
-        for (k, lnp) in ln_price.iter_mut().enumerate() {
-            *lnp = if counts[k] > 0 {
-                sums[k] / counts[k] as f64
+            *lnp = if markets > 0 {
+                *lnp / markets as f64
             } else {
                 0.0
             };
@@ -906,72 +935,39 @@ impl<'a> Federation<'a> {
         let one_way = link.transfer_time(REQUEST_BYTES);
 
         let (choice, mut delay) = match &mut self.state {
-            MechState::QaNt { nodes, avail } => {
+            MechState::QaNt {
+                nodes,
+                avail,
+                index,
+            } => {
                 self.period_demand[class.index()] += 1;
                 let avail_row = &mut avail[class.index() * n_total..(class.index() + 1) * n_total];
                 let soa = &self.nodes;
-                // Single fused sweep: collect offers and pick the winner
-                // in one pass. The winner is the first minimum under
-                // `(estimated_completion, server)` — exactly what
+                // The winner is the first minimum under
+                // `(estimated_completion, server)` over the offering
+                // nodes — exactly what
                 // `qa_core::client::choose_best_offer` computes over a
                 // materialized offer list, without building the list.
                 let mut offers: u64 = 0;
                 let mut best: Option<(SimDuration, NodeId)> = None;
-                // Fast path inside either loop: the availability mirror
-                // says the node still has supply, so `on_request` would
-                // return `true` without touching market state or
-                // telemetry — skip the call. Non-participating nodes sit
-                // at `u64::MAX` and always take this path (§4).
-                if self.defer_rejections {
-                    // Pure-market deferral: an exhausted node's refusal
-                    // is just a counter bump (the price rise is replayed
-                    // at the boundary), so the sweep never touches market
-                    // state — it reads three flat rows.
-                    let deferred = &mut self.deferred_node_rejections
-                        [class.index() * n_total..(class.index() + 1) * n_total];
-                    let backlog = soa.backlog_until_slice();
-                    if reachable.len() == n_total {
-                        // Every node is a candidate: sweep the full rows
-                        // in lockstep (capable lists are ascending, so a
-                        // full-length list is exactly 0..N) — no index
-                        // gather, no bounds checks.
-                        for (i, ((&a, d), (&b, &exec))) in avail_row
-                            .iter()
-                            .zip(deferred.iter_mut())
-                            .zip(backlog.iter().zip(exec_row.iter()))
-                            .enumerate()
-                        {
-                            if a > 0 {
-                                offers += 1;
-                                let est = b.saturating_since(now) + exec;
-                                let n = NodeId(i as u32);
-                                if best.is_none_or(|x| (est, n) < x) {
-                                    best = Some((est, n));
-                                }
-                            } else {
-                                *d += 1;
-                            }
-                        }
-                    } else {
-                        for &n in reachable {
-                            if avail_row[n.index()] > 0 {
-                                offers += 1;
-                                let est =
-                                    backlog[n.index()].saturating_since(now) + exec_row[n.index()];
-                                if best.is_none_or(|b| (est, n) < b) {
-                                    best = Some((est, n));
-                                }
-                            } else {
-                                deferred[n.index()] += 1;
-                            }
-                        }
-                    }
-                    if (offers as usize) < reachable.len() {
-                        self.deferred_dirty[class.index()] = true;
-                    }
+                // Pure-market mode's winner and its leaf in the index.
+                let mut indexed: Option<(NodeId, usize)> = None;
+                if let Some(index) = index {
+                    // Nobody is polled: the index already holds every
+                    // offering node, ranked.
+                    offers = index.offerers(class);
+                    indexed = index.best(class, now);
                 } else if reachable.len() == n_total {
-                    // Eager market round-trips (telemetry, §5.1 threshold
-                    // or faults active), full candidate set.
+                    // Eager market round-trips (telemetry, §5.1 threshold,
+                    // faults or a crash schedule active), full candidate
+                    // set: sweep the full rows in lockstep (a capable
+                    // list of full length is exactly 0..N) — no index
+                    // gather, no bounds checks. Fast path inside either
+                    // loop: the availability mirror says the node still
+                    // has supply, so `on_request` would return `true`
+                    // without touching market state or telemetry — skip
+                    // the call. Non-participating nodes sit at `u64::MAX`
+                    // and always take this path (§4).
                     let backlog = soa.backlog_until_slice();
                     for (i, ((market, &a), (&b, &exec))) in nodes
                         .iter_mut()
@@ -1014,7 +1010,7 @@ impl<'a> Federation<'a> {
                 // one offer back per offering node, then the accept plus
                 // the declines.
                 self.metrics.messages += capable.len() as u64 + 2 * offers;
-                match best {
+                match indexed.map(|(n, _)| n).or(best.map(|(_, n)| n)) {
                     None => {
                         // Full refusal. Under stable conditions the
                         // outcome is locked in for the rest of the
@@ -1023,17 +1019,26 @@ impl<'a> Federation<'a> {
                         // and the reachable set cannot change without a
                         // kill/recover event (which clears the memo).
                         // Telemetry must be off — the eager path emits
-                        // per-request rejection events.
-                        if !faults_on && self.nodes.all_alive() && !self.telemetry.is_enabled() {
+                        // per-request rejection events. In pure-market
+                        // mode the empty index already answers the rest
+                        // of the period in O(1).
+                        if index.is_none()
+                            && !faults_on
+                            && self.nodes.all_alive()
+                            && !self.telemetry.is_enabled()
+                        {
                             self.refused_classes[class.index()] = true;
                         }
                         return Allocation::NoOffers;
                     }
-                    Some((_, server)) => {
+                    Some(server) => {
                         if let Some(market) = &mut nodes[server.index()] {
                             market.on_accept(class);
                             let a = &mut avail_row[server.index()];
                             *a = a.saturating_sub(1);
+                            if let (0, Some(index), Some((_, leaf))) = (*a, index, indexed) {
+                                index.ran_dry(class, leaf, self.period_demand[class.index()]);
+                            }
                         }
                         (server, rtt)
                     }
@@ -1165,6 +1170,12 @@ impl<'a> Federation<'a> {
             .chosen_backlog_ms
             .add(self.nodes.backlog(choice.index(), start).as_millis_f64());
         let finish = self.nodes.accept(choice.index(), start, exec_of(choice));
+        if let MechState::QaNt {
+            index: Some(index), ..
+        } = &mut self.state
+        {
+            index.accepted(choice, finish);
+        }
         self.owners[idx] = Some(choice);
         Allocation::Assigned {
             node: choice,
@@ -1180,8 +1191,15 @@ impl<'a> Federation<'a> {
 /// the mirror is positive is exact because that call, with supply
 /// available, mutates nothing and emits nothing; every event that *can*
 /// change supply (period boundaries, partial-deployment restriction,
-/// accepts) resyncs or decrements the mirror.
-fn sync_avail(nodes: &[Option<qa_core::QantNode>], avail: &mut [u64]) {
+/// accepts) resyncs or decrements the mirror. The offer index, when
+/// engaged, is re-read from the fresh mirror in the same breath: this is
+/// the only place supply can rise.
+fn sync_avail(
+    nodes: &[Option<qa_core::QantNode>],
+    avail: &mut [u64],
+    index: Option<&mut OfferIndex>,
+    soa: &NodeSoa,
+) {
     let num_nodes = nodes.len();
     let classes = avail.len().checked_div(num_nodes).unwrap_or(0);
     for (n, slot) in nodes.iter().enumerate() {
@@ -1206,6 +1224,9 @@ fn sync_avail(nodes: &[Option<qa_core::QantNode>], avail: &mut [u64]) {
                 }
             }
         }
+    }
+    if let Some(index) = index {
+        index.rebuild(avail, soa);
     }
 }
 
@@ -1544,6 +1565,201 @@ mod tests {
         let out = f.run(&t);
         assert_eq!(out.metrics.unserved, 5);
         assert_eq!(out.metrics.completed, 0);
+    }
+}
+
+/// The offer index against the eager per-poll loops: whole runs must agree
+/// to the last bit.
+#[cfg(test)]
+mod index_differential {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::node::NodeHardware;
+    use crate::scenario::TwoClassParams;
+    use qa_workload::arrival::{ArrivalProcess, SinusoidProcess};
+    use qa_workload::{Dataset, QueryTemplate, Relation, RelationId, TemplateSet};
+
+    /// Everything a run leaves behind: the full metrics (every counter,
+    /// `response_hist`, `assign_latency`, `chosen_exec_ms`, … — through
+    /// `Debug`, which prints floats round-trip exact), the bit patterns
+    /// of every market node's final ln-prices, and who served each query.
+    #[derive(Debug, PartialEq)]
+    struct Residue {
+        metrics: String,
+        ln_prices: Vec<Vec<u64>>,
+        owners: Vec<Option<NodeId>>,
+    }
+
+    /// Runs `trace` with the index engaged (`indexed`) or, through
+    /// `Telemetry::metrics_only()`, on the eager per-poll path.
+    fn residue(
+        s: &Scenario,
+        trace: &Trace,
+        indexed: bool,
+        participates: Option<fn(NodeId) -> bool>,
+    ) -> Residue {
+        let telemetry = if indexed {
+            Telemetry::disabled()
+        } else {
+            Telemetry::metrics_only()
+        };
+        let mut f = Federation::with_telemetry(s, MechanismKind::QaNt, trace, telemetry);
+        if let Some(p) = participates {
+            f.restrict_market_to(p);
+        }
+        f.push_arrivals(trace.events());
+        f.begin_run();
+        while f.process_next() {}
+        f.flush_deferred_rejections();
+        let MechState::QaNt { nodes, index, .. } = &f.state else {
+            unreachable!("a QA-NT run")
+        };
+        assert_eq!(index.is_some(), indexed, "the run took the other path");
+        let k = s.templates.num_classes();
+        let ln_prices = nodes
+            .iter()
+            .flatten()
+            .map(|n| {
+                (0..k)
+                    .map(|c| n.ln_price(ClassId(c as u32)).to_bits())
+                    .collect()
+            })
+            .collect();
+        Residue {
+            metrics: format!("{:?}", f.metrics),
+            ln_prices,
+            owners: f.owners,
+        }
+    }
+
+    fn assert_paths_agree(
+        s: &Scenario,
+        trace: &Trace,
+        participates: Option<fn(NodeId) -> bool>,
+        what: &str,
+    ) {
+        let indexed = residue(s, trace, true, participates);
+        let eager = residue(s, trace, false, participates);
+        assert!(indexed == eager, "{what}: indexed and eager runs differ");
+    }
+
+    /// Horizon that yields about 3 000 arrivals at `rate_qps`.
+    fn horizon_for(rate_qps: f64) -> SimTime {
+        SimTime::from_micros(((3_000.0 / rate_qps).clamp(4.0, 40.0) * 1e6) as u64)
+    }
+
+    #[test]
+    fn two_class_draws_agree_with_the_eager_path() {
+        let mut draw = DetRng::seed_from_u64(0x1DE).derive("two-class-draws");
+        for (case, &n) in [1, 2, 10, 64, 300, 2, 10, 64].iter().enumerate() {
+            let load = draw.float_in(0.3, 1.6);
+            let mut cfg = SimConfig::small_test(draw.next_u64());
+            cfg.num_nodes = n;
+            let s = Scenario::two_class(cfg, TwoClassParams::default());
+            let peak_q1 = load * s.capacity_qps(&[2.0 / 3.0, 1.0 / 3.0]) / 0.75;
+            let (p1, p2) = SinusoidProcess::paper_pair(0.05, peak_q1);
+            let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
+            let horizon = horizon_for(0.75 * peak_q1);
+            let mut arrivals = p1.generate(horizon, &mut rng);
+            arrivals.extend(p2.generate(horizon, &mut rng));
+            let t = Trace::from_arrivals(arrivals, n, &mut rng);
+            let what = format!("two_class case {case}: N={n} load={load:.2} q={}", t.len());
+            assert_paths_agree(&s, &t, None, &what);
+            // §4 partial deployment: every third node stays outside the
+            // market, always offers (`u64::MAX` availability) and so
+            // never leaves the index.
+            assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
+        }
+    }
+
+    #[test]
+    fn table3_draws_agree_with_the_eager_path() {
+        let mut draw = DetRng::seed_from_u64(0x1DE).derive("table3-draws");
+        for (case, &n) in [10, 64, 300].iter().enumerate() {
+            let load = draw.float_in(0.3, 1.6);
+            let mut cfg = SimConfig::small_test(draw.next_u64());
+            cfg.num_nodes = n;
+            let s = Scenario::table3(cfg);
+            let k = s.templates.num_classes();
+            assert_eq!(k, 100);
+            // Uniform class mix, exponential gaps.
+            let rate = load * s.capacity_qps(&vec![1.0 / k as f64; k]);
+            let horizon = horizon_for(rate).as_micros() as f64 / 1e6;
+            let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
+            let mut arrivals = Vec::new();
+            let mut at = 0.0;
+            while at < horizon {
+                arrivals.push((
+                    SimTime::from_micros((at * 1e6) as u64),
+                    ClassId(rng.index(k) as u32),
+                ));
+                at -= (1.0 - rng.unit()).ln() / rate;
+            }
+            let t = Trace::from_arrivals(arrivals, n, &mut rng);
+            let what = format!("table3 case {case}: N={n} load={load:.2} q={}", t.len());
+            assert_paths_agree(&s, &t, None, &what);
+            assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
+        }
+    }
+
+    /// One class, two identical nodes: every estimate tie must fall to
+    /// node 0, also when node 0 is ranked in the busy regime and node 1
+    /// in the idle one.
+    #[test]
+    fn estimate_ties_and_an_arrival_at_backlog_until_fall_to_the_lowest_node() {
+        let cfg = SimConfig::small_test(5);
+        let cfg = SimConfig {
+            num_nodes: 2,
+            ..cfg
+        };
+        let both = vec![NodeId(0), NodeId(1)];
+        let dataset = Dataset::from_relations(
+            2,
+            vec![Relation {
+                id: RelationId(0),
+                size_bytes: 1 << 20,
+                attributes: 4,
+                mirrors: both,
+            }],
+        );
+        let templates = TemplateSet::from_templates(vec![QueryTemplate {
+            id: ClassId(0),
+            joins: 0,
+            relations: vec![RelationId(0)],
+            base_cost: SimDuration::from_millis(100),
+            result_bytes: 1_024,
+        }]);
+        let hw = NodeHardware {
+            cpu_ghz: 2.0,
+            io_mbps: 40.0,
+            buffer_mb: 6.0,
+            hash_join: true,
+        };
+        let s = Scenario::assemble(cfg, templates, dataset, vec![hw.clone(), hw]);
+        let mut rng = DetRng::seed_from_u64(1).derive("ties");
+        let trace_of = |times: &[SimTime], rng: &mut DetRng| {
+            Trace::from_arrivals(times.iter().map(|&t| (t, ClassId(0))).collect(), 2, rng)
+        };
+        // Learn when node 0 frees up after serving a query posed at t=0.
+        let first = trace_of(&[SimTime::ZERO], &mut rng);
+        let mut probe = Federation::new(&s, MechanismKind::QaNt, &first);
+        probe.push_arrivals(first.events());
+        probe.begin_run();
+        probe.process_next();
+        assert_eq!(probe.owners[0], Some(NodeId(0)), "idle tie falls to node 0");
+        let free_at = probe.nodes.backlog_until_slice()[0];
+
+        // Query 1 lands exactly at `free_at`, ahead of query 0's
+        // completion event: node 0 still ranks as busy with zero backlog
+        // left, node 1 as idle, the estimates tie and node 0 wins. Query
+        // 2, at the same instant, then sees node 0 truly busy.
+        let t = trace_of(&[SimTime::ZERO, free_at, free_at], &mut rng);
+        let indexed = residue(&s, &t, true, None);
+        assert_eq!(
+            indexed.owners,
+            [Some(NodeId(0)), Some(NodeId(0)), Some(NodeId(1))]
+        );
+        assert!(indexed == residue(&s, &t, false, None));
     }
 }
 

@@ -29,6 +29,7 @@ pub mod experiments;
 pub mod federation;
 pub mod metrics;
 pub mod node;
+mod offer_index;
 pub mod replay;
 pub mod scenario;
 pub mod sharded;

@@ -13,6 +13,8 @@
 //!   message latencies do not round to zero),
 //! * [`EventQueue`] — a deterministic future-event list with stable FIFO
 //!   tie-breaking for simultaneous events,
+//! * [`MinTree`] — an indexed tournament tree: the minimum of a standing
+//!   set of keyed positions in `O(1)`, one position re-keyed in `O(log n)`,
 //! * [`DetRng`] and the distributions in [`dist`] — all randomness in an
 //!   experiment flows from a single seed, so every run is reproducible,
 //! * [`LinkSpec`] — a latency + bandwidth model for network links,
@@ -42,6 +44,7 @@ pub mod exposition;
 pub mod fault;
 pub mod json;
 pub mod link;
+pub mod mintree;
 pub mod par;
 pub mod rng;
 pub mod sched;
@@ -56,6 +59,7 @@ pub use exposition::prometheus_text;
 pub use fault::{FaultPlan, LinkFaults, OutageWindow};
 pub use json::{Json, ToJson};
 pub use link::LinkSpec;
+pub use mintree::MinTree;
 pub use par::{
     par_for_each_chunk_mut, par_map_indexed, par_map_indexed_with, split_budget, thread_budget,
 };

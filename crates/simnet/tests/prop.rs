@@ -3,7 +3,7 @@
 //! over 200 random cases from a fixed seed, so failures reproduce exactly.
 
 use qa_simnet::stats::Welford;
-use qa_simnet::{DetRng, EventQueue, ScheduledEvent, SimDuration, SimTime, Zipf};
+use qa_simnet::{DetRng, EventQueue, MinTree, ScheduledEvent, SimDuration, SimTime, Zipf};
 use std::collections::BinaryHeap;
 
 const CASES: usize = 200;
@@ -192,6 +192,73 @@ fn sharded_multi_queue_merge_matches_single_heap_oracle() {
             if got.is_none() {
                 break;
             }
+        }
+    }
+}
+
+/// The tournament tree against a linear-scan oracle under random
+/// update / remove / rebuild interleavings: after every step `min` and
+/// `len` agree with a plain `Vec<Option<u64>>` scanned left to right. Keys come from a handful of values so ties are the norm (the
+/// lowest leaf must win them); sizes cover no leaves, a single leaf and
+/// non-powers of two; removals outnumber inserts often enough to empty
+/// the tree, and emptied leaves are re-inserted.
+#[test]
+fn min_tree_matches_linear_scan_oracle() {
+    let mut rng = DetRng::seed_from_u64(0x51B1_0004);
+    for case in 0..CASES {
+        let leaves = match case % 8 {
+            0 => 0,
+            1 => 1,
+            _ => 1 + rng.index(70),
+        };
+        let key_range = 1 + rng.int_in(0, 6);
+        let mut tree = MinTree::new(leaves);
+        let mut oracle: Vec<Option<u64>> = vec![None; leaves];
+        let steps = if leaves == 0 { 4 } else { 300 };
+        // Phases alternate between filling up and draining, so the tree
+        // passes through empty and full more than once per case.
+        for step in 0..steps {
+            let draining = (step / 60) % 2 == 1;
+            match rng.index(20) {
+                0 => {
+                    for slot in oracle.iter_mut() {
+                        *slot = rng.chance(0.5).then(|| rng.int_in(0, key_range));
+                    }
+                    tree.rebuild(oracle.iter().copied());
+                }
+                _ if leaves == 0 => {}
+                r => {
+                    let leaf = rng.index(leaves);
+                    if (r < 14) == draining {
+                        oracle[leaf] = None;
+                        tree.remove(leaf);
+                    } else {
+                        let key = rng.int_in(0, key_range);
+                        oracle[leaf] = Some(key);
+                        tree.update(leaf, key);
+                    }
+                }
+            }
+            let mut expect: Option<(usize, u64)> = None;
+            for (leaf, key) in oracle.iter().enumerate() {
+                if let Some(key) = *key {
+                    if expect.is_none_or(|(_, best)| key < best) {
+                        expect = Some((leaf, key));
+                    }
+                }
+            }
+            assert_eq!(tree.min(), expect, "case {case} step {step}: min");
+            let present = oracle.iter().flatten().count();
+            assert_eq!(tree.len(), present, "case {case} step {step}: len");
+            assert_eq!(tree.is_empty(), present == 0, "case {case} step {step}");
+        }
+        // Everything removed, then one leaf re-inserted.
+        (0..leaves).for_each(|leaf| tree.remove(leaf));
+        assert_eq!((tree.min(), tree.len()), (None, 0), "case {case}: drained");
+        if leaves > 0 {
+            let leaf = rng.index(leaves);
+            tree.update(leaf, 7);
+            assert_eq!(tree.min(), Some((leaf, 7)), "case {case}: re-insert");
         }
     }
 }

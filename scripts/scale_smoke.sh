@@ -6,11 +6,21 @@
 #      timing-free determinism artifact to be byte-identical — the
 #      sharded engine's output must not depend on how the shard and
 #      solver layers share the machine;
-#   2. diff the S=1 rows of the artifact against a flat-engine rerun via
-#      the library test (`sharded_single_shard_is_byte_identical_to_flat
-#      _engine`), covered by the determinism suite the perf-smoke job
-#      runs — here we only re-check artifact stability across shard
-#      layouts, which `--quick` sweeps (S=1 vs S=4/S=8) in one run.
+#   2. `cmp` that artifact against the checked-in
+#      goldens/fig_scale_quick_determinism.json. `fig_scale` runs with
+#      telemetry off, so this is the one gate that pins the pure-market
+#      path (offer index, boundary rejection replay) — the path the repo
+#      benchmark times — from commit to commit; the golden trace runs
+#      with telemetry on and only ever sees the eager path;
+#   3. the S=1 rows of the artifact against a flat-engine rerun are the
+#      library test `sharded_single_shard_is_byte_identical_to_flat
+#      _engine`'s job, covered by the determinism suite — here `--quick`
+#      only re-checks artifact stability across shard layouts (S=1 vs
+#      S=4/S=8) in one run.
+#
+# Usage: scripts/scale_smoke.sh [--bless]
+# --bless rewrites the golden from the fresh artifact; commit the diff
+# together with the behaviour change that caused it.
 #
 # The timed artifact (bench_results/fig_scale.json) is left in place for
 # upload; the determinism artifact is the compared one.
@@ -33,3 +43,16 @@ if ! cmp -s bench_results/fig_scale_determinism.json bench_results/fig_scale_det
 fi
 rm -f bench_results/fig_scale_determinism.t1.json
 echo "scale-smoke: determinism artifact byte-identical across thread budgets"
+
+golden=goldens/fig_scale_quick_determinism.json
+if [ "${1:-}" = "--bless" ]; then
+  cp bench_results/fig_scale_determinism.json "$golden"
+  echo "scale-smoke: blessed $golden"
+elif ! cmp -s bench_results/fig_scale_determinism.json "$golden"; then
+  echo "scale-smoke: FAIL — determinism artifact differs from $golden" >&2
+  diff "$golden" bench_results/fig_scale_determinism.json >&2 || true
+  echo "scale-smoke: if the behaviour change is intended, rerun with --bless" >&2
+  exit 1
+else
+  echo "scale-smoke: determinism artifact matches $golden"
+fi
