@@ -10,7 +10,7 @@
 
 use qa_bench::Sweep;
 use qa_core::MechanismKind;
-use qa_sim::config::SimConfig;
+use qa_sim::config::{BrokerConfig, SimConfig};
 use qa_sim::experiments::{
     fig3_sinusoid_workload, fig4_all_algorithms, fig4_summarize, fig4_workload, fig5a_load_sweep,
     fig5a_point, fig6_point, fig6_scenario, fig6_zipf_sweep, run_cell, scale_point, scale_trace,
@@ -18,8 +18,9 @@ use qa_sim::experiments::{
 };
 use qa_sim::federation::Federation;
 use qa_sim::scenario::{Scenario, TwoClassParams};
-use qa_sim::sharded::ShardPlan;
+use qa_sim::sharded::{ShardPlan, ShardRunOptions};
 use qa_simnet::json::ToJson;
+use qa_simnet::telemetry::Telemetry;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -134,27 +135,46 @@ fn sharded_scale_points_are_identical_across_thread_budgets() {
 }
 
 #[test]
-fn intra_period_solves_are_identical_across_thread_budgets() {
-    // The federation parallelizes the per-node eq.-4 supply solves inside
-    // a period once the node count crosses its internal threshold (64).
-    // 96 nodes with telemetry off engages that path; the run outcome must
-    // not depend on the intra-run thread budget.
+fn shard_steps_and_their_signal_reports_are_identical_across_thread_budgets() {
+    // The shard step is the engine's one parallel layer, and the worker
+    // that steps a shard also writes its boundary report. 96 nodes make
+    // the one-shard boundary span two blocks. The broker trace carries
+    // every report (each bid is a shard's supply and ln-price), so its
+    // bytes, the outcome and the convergence series must not depend on
+    // which worker wrote what.
     let mut config = SimConfig::small_test(2007);
     config.num_nodes = 96;
     let scenario = Scenario::two_class(config, TwoClassParams::default());
-    let trace = two_class_trace(&scenario, 0.05, 0.8, 4);
-    let run = |threads: usize| {
-        let mut f = Federation::new(&scenario, MechanismKind::QaNt, &trace);
-        f.set_intra_threads(threads);
-        let outcome = f.run(&trace);
-        format!("{:?}", outcome)
-    };
-    let reference = run(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            run(threads),
-            reference,
-            "federation run diverged at {threads} intra threads"
-        );
+    let trace = two_class_trace(&scenario, 0.05, 0.8, 6);
+    for shards in [1, 4] {
+        let plan = ShardPlan::build(&scenario, shards);
+        let run = |budget: usize, broker: Option<BrokerConfig>| {
+            let (telemetry, buffer) = Telemetry::buffered();
+            let out = plan.run_with_options(
+                &trace,
+                &ShardRunOptions {
+                    budget,
+                    broker,
+                    telemetry,
+                    ..ShardRunOptions::default()
+                },
+            );
+            (
+                format!("{:?}", out.outcome),
+                out.signal_history,
+                buffer.to_jsonl(),
+            )
+        };
+        for broker in [None, Some(BrokerConfig::qant())] {
+            let reference = run(1, broker);
+            assert_eq!(reference.2.is_empty(), broker.is_none());
+            for budget in [2, 8] {
+                assert!(
+                    run(budget, broker) == reference,
+                    "S={shards} broker={} diverged at budget {budget}",
+                    broker.is_some()
+                );
+            }
+        }
     }
 }

@@ -320,10 +320,13 @@ impl QantNode {
         offered
     }
 
-    /// Applies the price side effects of `count` class-`class` requests
-    /// that this node refused, without the per-request [`Self::on_request`]
-    /// round-trips. Exactly the rejection arm of `on_request`, batched:
-    /// the stepwise price rises are bit-identical to `count` eager calls.
+    /// Charges `counts[i]` refused class-`class` requests to `nodes[i]`:
+    /// exactly the rejection arm of [`Self::on_request`], batched — the
+    /// price rises are bit-identical to that many eager calls (see
+    /// [`NonTatonnementPricer::on_rejections_batch`]), which is what makes
+    /// boundary replay of a period's refusal storm cheap. Absent nodes and
+    /// nodes incapable of the class are not charged: an eager `on_request`
+    /// would not have been a market event either.
     ///
     /// The caller owns the equivalence argument: it may only defer
     /// refusals it has *proven* would each return `false` from
@@ -331,68 +334,13 @@ impl QantNode {
     /// prices are non-decreasing within a period, so a full refusal stays
     /// a full refusal), and only while telemetry is disabled (the eager
     /// path emits a `RequestRejected` event per refusal).
-    pub fn on_rejections(&mut self, class: ClassId, count: u64) {
-        let k = class.index();
-        if count == 0 || self.unit_costs_ms.get(k).copied().flatten().is_none() {
-            // Not capable of the class: eager `on_request` would not have
-            // been a market event either.
-            return;
-        }
-        self.pricer.on_rejections(k, count);
-    }
-
-    /// Batched [`Self::on_rejections`] across a node population:
-    /// `counts[i]` refusals of `class` are charged to `nodes[i]`.
-    /// Result-identical to the per-node calls, but the independent
-    /// per-node price chains run interleaved (see
-    /// [`NonTatonnementPricer::on_rejections_batch`]), which is what
-    /// makes boundary replay of a period's refusal storm cheap. Nodes
-    /// that are absent, uncharged, incapable of the class, or currently
-    /// traced take the exact per-node path instead.
     pub fn apply_rejections_batch(nodes: &mut [Option<QantNode>], class: ClassId, counts: &[u64]) {
-        assert_eq!(nodes.len(), counts.len());
         let k = class.index();
-        // Sparse rows (a handful of charged nodes, as in many-class
-        // workloads) don't repay the lane setup: charge them directly.
-        if counts.iter().filter(|&&d| d > 0).count() < 4 {
-            for (slot, &d) in nodes.iter_mut().zip(counts) {
-                if d > 0 {
-                    if let Some(node) = slot {
-                        node.on_rejections(class, d);
-                    }
-                }
-            }
-            return;
-        }
-        let mut lanes: Vec<&mut NonTatonnementPricer> = Vec::with_capacity(nodes.len());
-        let mut lane_counts: Vec<u64> = Vec::with_capacity(nodes.len());
-        for (slot, &d) in nodes.iter_mut().zip(counts) {
-            let Some(node) = slot else { continue };
-            if d == 0 || node.unit_costs_ms.get(k).copied().flatten().is_none() {
-                continue;
-            }
-            if node.telemetry.is_enabled() {
-                node.pricer.on_rejections(k, d);
-                continue;
-            }
-            lanes.push(&mut node.pricer);
-            lane_counts.push(d);
-        }
-        // Group similarly-sized chains into the same SIMD chunk: each chunk
-        // runs for its max count, so mixing a 300-step chain with 5-step
-        // ones wastes seven lanes. Node order is immaterial — the chains
-        // are independent and each node's own step sequence is unchanged.
-        let mut order: Vec<u32> = (0..lanes.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| core::cmp::Reverse(lane_counts[i as usize]));
-        let mut sorted_lanes: Vec<&mut NonTatonnementPricer> = Vec::with_capacity(lanes.len());
-        let mut sorted_counts: Vec<u64> = Vec::with_capacity(lanes.len());
-        let mut lanes_opt: Vec<Option<&mut NonTatonnementPricer>> =
-            lanes.into_iter().map(Some).collect();
-        for &i in &order {
-            sorted_lanes.push(lanes_opt[i as usize].take().expect("unique index"));
-            sorted_counts.push(lane_counts[i as usize]);
-        }
-        NonTatonnementPricer::on_rejections_batch(&mut sorted_lanes, k, &sorted_counts);
+        NonTatonnementPricer::on_rejections_batch_by(nodes, k, counts, |slot| {
+            let node = slot.as_mut()?;
+            let capable = node.unit_costs_ms.get(k).copied().flatten().is_some();
+            capable.then_some(&mut node.pricer)
+        });
     }
 
     /// Step 6: the node's offer was accepted — consume one supply unit

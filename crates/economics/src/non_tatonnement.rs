@@ -71,10 +71,118 @@ impl PricerConfig {
     }
 }
 
+/// Lanes one replay block holds on the stack.
+const BLOCK: usize = 64;
+
+/// The refusal chain `p ← min(p·(1+λ), ceiling)` (QA-NT step 9) of one
+/// configuration, and what deciding its outcome without walking it needs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RefusalChain {
+    factor: f64,
+    ceiling: f64,
+    log2_ceiling: f64,
+    /// Refusals that double a price, `ln 2 / ln(1+λ)`, stretched by the
+    /// share of a step's gain that rounding can eat (see
+    /// [`RefusalChain::saturates`]); infinite when λ is too small to bound
+    /// that share, and then every chain is walked.
+    steps_per_octave: f64,
+}
+
+impl RefusalChain {
+    fn new(config: &PricerConfig) -> RefusalChain {
+        let factor = 1.0 + config.lambda;
+        let gain = factor.ln();
+        RefusalChain {
+            factor,
+            ceiling: config.price_ceiling,
+            log2_ceiling: config.price_ceiling.log2(),
+            steps_per_octave: if gain >= 1e-8 {
+                std::f64::consts::LN_2 / gain * (1.0 + 2e-8)
+            } else {
+                f64::INFINITY
+            },
+        }
+    }
+
+    /// `true` when `count` refusals provably leave `p` at the ceiling —
+    /// and a chain that reaches the ceiling *is* the ceiling from there
+    /// on, so the closed form is exact to the bit. `p = 2^e·(1+x)` has
+    /// `log2 p ≥ e + x`, which makes `steps` an upper bound on the
+    /// refusals the real-valued chain needs, two to spare. The float
+    /// chain gains `ln(1+λ) − 2⁻⁵³` per step at worst; with
+    /// `ln(1+λ) ≥ 10⁻⁸` that is the `1 + 2·10⁻⁸` stretch, and the spare
+    /// steps dwarf the rounding of this arithmetic (under 10⁻⁴ step).
+    fn saturates(&self, p: f64, count: u64) -> bool {
+        let bits = p.to_bits();
+        let mantissa = (bits & ((1 << 52) - 1)) as f64 / (1u64 << 52) as f64;
+        let log2_p = (bits >> 52) as f64 - 1023.0 + mantissa;
+        let steps = (self.log2_ceiling - log2_p) * self.steps_per_octave + 2.0;
+        p >= f64::MIN_POSITIVE && count as f64 >= steps
+    }
+
+    /// Moves every `prices[i]` to where `counts[i]` refusals leave it:
+    /// bit-identical to that many `min(p·(1+λ), ceiling)` steps each.
+    /// Saturating lanes are settled in closed form; the rest are walked
+    /// `LANES` at a time — the chains are independent, and interleaving
+    /// them hides the multiply latency that makes a lone chain serial.
+    fn replay(&self, prices: &mut [f64], counts: &[u64]) {
+        const LANES: usize = 16;
+        debug_assert!(prices.len() == counts.len() && prices.len() <= BLOCK);
+        let mut walk = [(0u64, 0usize); BLOCK];
+        let mut walked = 0;
+        for (i, (p, &d)) in prices.iter_mut().zip(counts).enumerate() {
+            if d == 0 {
+                continue;
+            }
+            if self.saturates(*p, d) {
+                *p = self.ceiling;
+            } else {
+                walk[walked] = (d, i);
+                walked += 1;
+            }
+        }
+        // Longest first: a group runs for its longest lane, so lanes of
+        // similar length share one, and within it the lanes still owed
+        // refusals are a prefix that only shrinks.
+        let walk = &mut walk[..walked];
+        walk.sort_unstable_by_key(|&(d, _)| std::cmp::Reverse(d));
+        for group in walk.chunks(LANES) {
+            // A retired lane (or one past the group) multiplies by exactly
+            // 1.0 — a bit-exact identity for finite values — so the inner
+            // loop has a constant bound and no branch, and vectorizes.
+            let mut p = [0.0f64; LANES];
+            let mut factor = [1.0f64; LANES];
+            for (j, &(_, i)) in group.iter().enumerate() {
+                (p[j], factor[j]) = (prices[i], self.factor);
+            }
+            let mut done = 0;
+            for (j, &(d, _)) in group.iter().enumerate().rev() {
+                for _ in done..d {
+                    for l in 0..LANES {
+                        // `f64::min` without its NaN fix-up (prices are
+                        // finite): a single `minpd`.
+                        let raised = p[l] * factor[l];
+                        p[l] = if raised < self.ceiling {
+                            raised
+                        } else {
+                            self.ceiling
+                        };
+                    }
+                }
+                (done, factor[j]) = (d, 1.0);
+            }
+            for (j, &(_, i)) in group.iter().enumerate() {
+                prices[i] = p[j];
+            }
+        }
+    }
+}
+
 /// A node's private price state and its non-tâtonnement dynamics.
 #[derive(Debug, Clone)]
 pub struct NonTatonnementPricer {
     config: PricerConfig,
+    chain: RefusalChain,
     prices: PriceVector,
     /// Rejections recorded this period, per class (diagnostics).
     rejections: Vec<u64>,
@@ -96,6 +204,7 @@ impl NonTatonnementPricer {
         NonTatonnementPricer {
             prices,
             rejections: vec![0; k],
+            chain: RefusalChain::new(&config),
             config,
             telemetry: Telemetry::disabled(),
         }
@@ -155,6 +264,7 @@ impl NonTatonnementPricer {
         NonTatonnementPricer {
             prices: PriceVector::uniform(k, config.initial_price),
             rejections: vec![0; k],
+            chain: RefusalChain::new(&config),
             config,
             telemetry: Telemetry::disabled(),
         }
@@ -215,116 +325,70 @@ impl NonTatonnementPricer {
     }
 
     /// Applies `count` consecutive [`NonTatonnementPricer::on_rejection`]s
-    /// for class `k`. Bit-identical to calling `on_rejection` in a loop —
-    /// the same stepwise `min(p·(1+λ), ceiling)` multiplications in the
-    /// same order — but while telemetry is disabled the intermediate
-    /// prices are unobservable, so the sequence runs in a register with a
-    /// single store at the end (and stops early at a fixed point: the
-    /// ceiling, where the remaining steps are no-ops). Enabled runs take
-    /// the slow path and still emit one `PriceAdjusted` per rejection.
+    /// for class `k`, bit-identical to calling it in a loop. While
+    /// telemetry is disabled the intermediate prices are unobservable, so
+    /// this is [`Self::on_rejections_batch`] with one lane; enabled runs
+    /// still emit one `PriceAdjusted` per rejection.
     ///
     /// Callers batch rejection storms: a client resubmission wave that
     /// was refused `count` times charges the price rise in one call
     /// instead of `count` market round-trips.
     pub fn on_rejections(&mut self, k: usize, count: u64) {
-        if count == 0 {
-            return;
-        }
-        if self.telemetry.is_enabled() {
-            for _ in 0..count {
-                self.on_rejection(k);
-            }
-            return;
-        }
-        // `raised` stays finite (min with a finite ceiling) and ≥ the
-        // floor (prices never sit below it), so the one deferred
-        // `set` is exactly the last of the per-step clamped sets.
-        let factor = 1.0 + self.config.lambda;
-        let ceiling = self.config.price_ceiling;
-        let mut p = self.prices.get(k);
-        for _ in 0..count {
-            let raised = (p * factor).min(ceiling);
-            if raised == p {
-                break;
-            }
-            p = raised;
-        }
-        self.prices.set(k, p, self.config.price_floor);
-        self.rejections[k] += count;
+        Self::on_rejections_batch(&mut [self], k, &[count]);
     }
 
     /// Replays per-pricer rejection counts for class `k` across many
-    /// pricers at once. Result-identical to calling
-    /// [`Self::on_rejections`] on each pricer — every pricer's price walks
-    /// its own `min(p·(1+λ), ceiling)` chain — but the chains are
-    /// *independent across pricers*, so running eight of them interleaved
-    /// hides the multiply latency that makes a lone chain serial.
-    ///
-    /// Lanes that exhaust their count early multiply by exactly `1.0`
-    /// (a bit-exact identity for finite values) until the widest lane in
-    /// the chunk finishes; a lane saturated at the ceiling keeps taking
-    /// `min(ceiling·(1+λ), ceiling) = ceiling`. Like the lone chain, a
-    /// chunk stops at its fixed point: once a stride of steps moves no
-    /// lane, every lane is at its ceiling or out of refusals and the rest
-    /// of the replay is identities. A refusal storm long enough to
-    /// saturate prices (a few hundred steps at the default λ and ceiling)
-    /// costs those steps, not its length. Callers must only use
-    /// this while telemetry is disabled on every pricer (the eager path
-    /// emits one `PriceAdjusted` per rejection).
+    /// pricers at once: result-identical to `counts[i]` stepwise
+    /// [`Self::on_rejection`]s on each. A chain long enough to provably
+    /// reach the ceiling costs nothing — a refusal storm is charged by
+    /// its lanes, not its length — and the others walk interleaved. A
+    /// traced pricer takes the stepwise path and emits every adjustment;
+    /// so does one whose configuration differs from the first's.
     pub fn on_rejections_batch(
         pricers: &mut [&mut NonTatonnementPricer],
         k: usize,
         counts: &[u64],
     ) {
-        assert_eq!(pricers.len(), counts.len());
-        const LANES: usize = 8;
-        /// Steps between fixed-point checks.
-        const STRIDE: u64 = 16;
-        let mut i = 0;
-        while i < pricers.len() {
-            let n = LANES.min(pricers.len() - i);
-            if n == 1 {
-                pricers[i].on_rejections(k, counts[i]);
-                break;
-            }
-            let chunk = &mut pricers[i..i + n];
-            // Idle lanes (j ≥ n, or exhausted ones once s ≥ d[j]) multiply
-            // by exactly 1.0 — a bit-exact identity for finite values — so
-            // the inner loop can run all LANES unconditionally with a
-            // constant bound, which lets it unroll and vectorize.
-            let mut p = [0.0f64; LANES];
-            let mut fac = [1.0f64; LANES];
-            let mut ceil = [f64::INFINITY; LANES];
-            let mut d = [0u64; LANES];
-            for (j, pr) in chunk.iter().enumerate() {
-                p[j] = pr.prices.get(k);
-                fac[j] = 1.0 + pr.config.lambda;
-                ceil[j] = pr.config.price_ceiling;
-                d[j] = counts[i + j];
-            }
-            let dmax = d.iter().copied().max().unwrap_or(0);
-            let mut done = 0;
-            while done < dmax {
-                let before = p;
-                for s in done..dmax.min(done + STRIDE) {
-                    for j in 0..LANES {
-                        let f = if s < d[j] { fac[j] } else { 1.0 };
-                        p[j] = (p[j] * f).min(ceil[j]);
+        Self::on_rejections_batch_by(pricers, k, counts, |p| Some(&mut **p));
+    }
+
+    /// [`Self::on_rejections_batch`] over any population `pricer` can
+    /// find a pricer in (`None` = this lane is not charged), from stack
+    /// scratch: nothing is allocated.
+    pub fn on_rejections_batch_by<T>(
+        lanes: &mut [T],
+        k: usize,
+        counts: &[u64],
+        pricer: impl for<'a> Fn(&'a mut T) -> Option<&'a mut NonTatonnementPricer>,
+    ) {
+        assert_eq!(lanes.len(), counts.len());
+        let mut chain = None;
+        for (lanes, counts) in lanes.chunks_mut(BLOCK).zip(counts.chunks(BLOCK)) {
+            let mut p = [0.0f64; BLOCK];
+            let mut d = [0u64; BLOCK];
+            for (j, (lane, &count)) in lanes.iter_mut().zip(counts).enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let Some(pr) = pricer(lane) else { continue };
+                if pr.telemetry.is_enabled() || *chain.get_or_insert(pr.chain) != pr.chain {
+                    for _ in 0..count {
+                        pr.on_rejection(k);
                     }
+                } else {
+                    (p[j], d[j]) = (pr.prices.get(k), count);
                 }
-                // A lane never falls, so a stride that leaves all of them
-                // where they were was identities throughout, and each
-                // lane's step only ever repeats or turns into `× 1.0`.
-                if p == before {
-                    break;
+            }
+            let Some(chain) = chain else { continue };
+            chain.replay(&mut p[..lanes.len()], &d[..lanes.len()]);
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                if let Some(pr) = pricer(lane).filter(|_| d[j] > 0) {
+                    // Finite and at or above the floor, so this one set
+                    // is exactly the last of the per-step clamped sets.
+                    pr.prices.set(k, p[j], pr.config.price_floor);
+                    pr.rejections[k] += d[j];
                 }
-                done += STRIDE;
             }
-            for (j, pr) in chunk.iter_mut().enumerate() {
-                pr.prices.set(k, p[j], pr.config.price_floor);
-                pr.rejections[k] += d[j];
-            }
-            i += n;
         }
     }
 
@@ -404,6 +468,7 @@ pub fn trade_exhausts_pair<S: crate::supply::SupplySet>(
 mod tests {
     use super::*;
     use crate::supply::LinearCapacitySet;
+    use qa_simnet::DetRng;
 
     fn qv(v: &[u64]) -> QuantityVector {
         QuantityVector::from_counts(v.to_vec())
@@ -496,6 +561,104 @@ mod tests {
             assert_eq!(a.rejections(0), b.rejections(0));
         }
         assert_eq!(batched[10].prices().get(0), 1e12, "5 000 steps saturate");
+    }
+
+    /// Stepwise refusals from `p` until the price stops moving: the count
+    /// that reaches the ceiling, or `None` when `limit` steps do not.
+    fn steps_to_ceiling(p: f64, cfg: PricerConfig, limit: u64) -> Option<u64> {
+        let mut pricer = NonTatonnementPricer::with_prices(PriceVector::from_prices(vec![p]), cfg);
+        (0..=limit).find(|_| {
+            let at_ceiling = pricer.prices().get(0) == cfg.price_ceiling;
+            pricer.on_rejection(0);
+            at_ceiling
+        })
+    }
+
+    #[test]
+    fn closed_form_replay_is_the_stepwise_loop_to_the_bit() {
+        // (λ, whether its closed form may ever engage below the ceiling):
+        // at λ = 1e-9 rounding could eat a step's gain, so nothing is
+        // proven and every chain must be walked. λ < 1 by `validate`.
+        let lambdas = [(1e-9, false), (1e-6, true), (0.1, true), (0.9, true)];
+        let mut rng = DetRng::seed_from_u64(0x5A7).derive("closed-form");
+        let mut proven = 0;
+        for case in 0..400 {
+            let (lambda, provable) = lambdas[case % lambdas.len()];
+            let price_floor = 10f64.powf(rng.float_in(-12.0, -3.0));
+            let price_ceiling = 10f64.powf(rng.float_in(0.5, 14.0));
+            let cfg = PricerConfig {
+                lambda,
+                initial_price: price_floor,
+                price_floor,
+                price_ceiling,
+            };
+            let chain = RefusalChain::new(&cfg);
+            // Start a drawn number of steps under the ceiling (few enough
+            // to walk at any λ), at the floor, or at the ceiling.
+            let under = rng.float_in(0.0, 4_000.0);
+            let p = match case % 7 {
+                0 => price_ceiling,
+                1 if lambda >= 0.1 => price_floor,
+                _ => (price_ceiling / (1.0 + lambda).powf(under)).max(price_floor),
+            };
+            let bound = steps_to_ceiling(p, cfg, 40_000).expect("reachable by construction");
+            let far = bound + rng.int_in(4, 1 << 40);
+            for count in (bound.saturating_sub(3)..=bound + 3).chain([1, bound / 2, far]) {
+                let saturates = chain.saturates(p, count);
+                proven += u32::from(saturates);
+                assert!(!saturates || count >= bound, "λ={lambda} p={p}: unsound");
+                assert!(provable || p == price_ceiling || !saturates);
+                // Not proven only near the bound: the two spare steps and
+                // the 0.086 octave `e + x` sits under `log2 p` at worst.
+                let slack = 3.0 + 0.09 * std::f64::consts::LN_2 / lambda.ln_1p();
+                assert!(!provable || saturates || (count as f64) < bound as f64 + slack);
+                // Only a walk short enough to afford is replayed.
+                if saturates || count <= 40_000 {
+                    let fresh = || {
+                        let start = PriceVector::from_prices(vec![p, 1.0]);
+                        NonTatonnementPricer::with_prices(start, cfg)
+                    };
+                    let mut stepwise = fresh();
+                    for _ in 0..count.min(bound + 3) {
+                        stepwise.on_rejection(0);
+                    }
+                    let mut replayed = fresh();
+                    replayed.on_rejections(0, count);
+                    assert_eq!(
+                        replayed.prices().get(0).to_bits(),
+                        stepwise.prices().get(0).to_bits(),
+                        "λ={lambda} p={p} count={count} bound={bound}"
+                    );
+                    assert_eq!(replayed.rejections(0), count);
+                }
+            }
+        }
+        assert!(proven > 500, "the closed form barely engaged: {proven}");
+    }
+
+    #[test]
+    fn traced_pricers_replay_stepwise_and_emit_every_adjustment() {
+        let (tel, buf) = Telemetry::buffered();
+        let fresh = || NonTatonnementPricer::new(1, PricerConfig::default());
+        let (mut lone, mut lane, mut quiet) = (fresh(), fresh(), fresh());
+        lone.set_telemetry(tel.with_label(1));
+        lane.set_telemetry(tel.with_label(2));
+        // 400 refusals saturate from the initial price: the closed form
+        // would apply, were nobody watching.
+        lone.on_rejections(0, 400);
+        NonTatonnementPricer::on_rejections_batch(&mut [&mut quiet, &mut lane], 0, &[400, 400]);
+        for node in [1, 2] {
+            let adjustments = buf
+                .records()
+                .iter()
+                .filter(|r| matches!(r.event, TelemetryEvent::PriceAdjusted { node: n, .. } if n == node))
+                .count();
+            assert_eq!(adjustments, 400, "node {node}");
+        }
+        assert_eq!(buf.records().len(), 800);
+        for p in [&lone, &lane, &quiet] {
+            assert_eq!(p.prices().get(0), 1e12);
+        }
     }
 
     #[test]

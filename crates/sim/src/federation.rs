@@ -37,7 +37,7 @@ use qa_core::{
 };
 use qa_economics::QuantityVector;
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
-use qa_simnet::{par_for_each_chunk_mut, DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
+use qa_simnet::{DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
 
 /// Cap on resubmissions per query (QA-NT rejections, fault losses, and
@@ -50,10 +50,10 @@ const MAX_RETRIES: u32 = 20_000;
 /// Salt separating the fault-injection RNG stream from the mechanism's.
 const FAULT_SALT: u64 = 0xFA17_0001;
 
-/// Below this many nodes a period's supply solves are cheaper than the
-/// scoped-thread fork–join that would parallelize them, so the period
-/// update stays inline.
-const INTRA_PAR_MIN_NODES: usize = 64;
+/// Nodes per block of the period-boundary pass: few enough that a block's
+/// market state is still in cache when each of its nodes is solved, enough
+/// to fill the refusal replay's lanes.
+const BOUNDARY_BLOCK: usize = 64;
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -80,7 +80,7 @@ enum MechState {
         /// Column-major availability mirror, `avail[class * N + node]`:
         /// how many more class-`k` requests node `n` will answer with an
         /// offer this period (`u64::MAX` for non-participating nodes).
-        /// Kept in sync by [`sync_avail`] at period boundaries and
+        /// Rewritten per node by [`mirror_node`] at period boundaries and
         /// decremented alongside `on_accept`, it lets the hot path
         /// resolve the common supply-available case with one contiguous
         /// array read instead of a market call.
@@ -92,9 +92,8 @@ enum MechState {
         /// answers from supply alone. Allocation then reads the best
         /// offer off this index instead of polling, and a dry node's
         /// refusals are counted from the index's demand stamps and
-        /// replayed stepwise at the period boundary: same multiplication
-        /// sequence, same final prices. `None` keeps the eager per-poll
-        /// loops.
+        /// replayed at the period boundary: same final prices. `None`
+        /// keeps the eager per-poll loops.
         index: Option<OfferIndex>,
     },
     Greedy {
@@ -155,9 +154,6 @@ pub struct Federation<'a> {
     /// looks up capable nodes). One row is exactly the slice the offer
     /// sweep walks.
     exec: Vec<SimDuration>,
-    /// Worker budget for the per-period supply solves (see the
-    /// `PeriodStart` arm). Defaults to [`qa_simnet::thread_budget`].
-    intra_threads: usize,
     /// Owned arrival buffer. Trace arrivals are pre-sorted, so they never
     /// enter the event queue: a cursor drains them in order between
     /// dynamic events. The flat [`Federation::run`] copies the whole
@@ -217,13 +213,9 @@ pub struct Federation<'a> {
     /// is the memo.
     refused_classes: Vec<bool>,
     /// Refusals owed to the market while the memo short-circuits, per
-    /// class; flushed into every capable node's pricer (bit-identical
-    /// stepwise price rises) before the period-end price update.
+    /// class; charged to every capable node's pricer (bit-identical
+    /// price rises) before the period-end price update.
     deferred_rejections: Vec<u64>,
-    /// One node-indexed row of refusal counts, filled per class by
-    /// `flush_deferred_rejections` for `QantNode::apply_rejections_batch`
-    /// and zeroed again.
-    rejection_row: Vec<u64>,
     /// Per-class supply caps handed to every node's supply solve at a
     /// period boundary; a reused buffer.
     demand_caps: QuantityVector,
@@ -299,7 +291,6 @@ impl<'a> Federation<'a> {
             mechanism,
             nodes,
             exec,
-            intra_threads: qa_simnet::thread_budget(),
             arrivals: Vec::new(),
             next_arrival: 0,
             queue: EventQueue::new(),
@@ -321,7 +312,6 @@ impl<'a> Federation<'a> {
             scratch_reachable: Vec::new(),
             refused_classes: vec![false; k],
             deferred_rejections: vec![0; k],
-            rejection_row: vec![0; cfg.num_nodes],
             demand_caps: QuantityVector::zeros(k),
         }
     }
@@ -376,15 +366,6 @@ impl<'a> Federation<'a> {
             }
             _ => panic!("partial deployment applies to QA-NT only"),
         }
-    }
-
-    /// Overrides the worker budget for the per-period supply solves
-    /// (default: [`qa_simnet::thread_budget`]). The output is identical at
-    /// any budget — the solves are independent per node — so this only
-    /// matters for oversubscription control and determinism tests.
-    pub fn set_intra_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "thread budget must be at least 1");
-        self.intra_threads = threads;
     }
 
     /// Runs the trace to completion and returns the measurements.
@@ -500,7 +481,7 @@ impl<'a> Federation<'a> {
         // The final (partial) period never reaches another boundary; pay
         // its deferred refusals so post-run market state matches an eager
         // run.
-        self.flush_deferred_rejections();
+        self.charge_last_refusals();
         RunOutcome {
             mechanism: self.mechanism,
             metrics: self.metrics,
@@ -579,69 +560,8 @@ impl<'a> Federation<'a> {
                     index: now.period_index(cfg_period),
                 });
                 let _span = self.telemetry.span("federation.period_update");
-                // Deferred refusals belong to the closing period:
-                // charge them before its price update, then re-arm
-                // the memo for the fresh supply.
-                self.flush_deferred_rejections();
-                self.refused_classes.fill(false);
+                self.roll_market_period(now);
                 match &mut self.state {
-                    MechState::QaNt {
-                        nodes,
-                        avail,
-                        index,
-                    } => {
-                        // Sellers have no reason to reserve more supply
-                        // for a class than anyone asked for last period
-                        // (with headroom for growth): the caps steer
-                        // leftover capacity to classes with live demand.
-                        for (k, &d) in self.period_demand.iter().enumerate() {
-                            self.demand_caps.set(k, d.saturating_mul(2).max(2));
-                        }
-                        let caps = &self.demand_caps;
-                        let period_ms = cfg_period.as_millis_f64();
-                        // Work-conserving budget. In the §5.1 threshold
-                        // mode it is floored at T/2 so a node that
-                        // queued work while the bypass was active does
-                        // not reject everything while draining; in pure
-                        // market mode backlog never exceeds ~2T and the
-                        // floor must not oversell. Dead nodes get no
-                        // budget: they end their period and go quiet.
-                        let floor = if self.scenario.config.qant.price_threshold.is_some() {
-                            0.5 * period_ms
-                        } else {
-                            0.0
-                        };
-                        let soa = &self.nodes;
-                        // The eq.-4 solves are independent per node, so
-                        // they fan over scoped workers; results are
-                        // identical at any thread count — the split
-                        // only decides which worker solves which node.
-                        // Telemetry emission order is part of the
-                        // byte-deterministic contract, so the parallel
-                        // path only engages when tracing is off.
-                        let threads =
-                            if self.telemetry.is_enabled() || nodes.len() < INTRA_PAR_MIN_NODES {
-                                1
-                            } else {
-                                self.intra_threads
-                            };
-                        let exec_times = &self.scenario.exec_times_ms;
-                        par_for_each_chunk_mut(threads, nodes, |offset, chunk| {
-                            for (j, slot) in chunk.iter_mut().enumerate() {
-                                let Some(n) = slot else { continue };
-                                n.end_period();
-                                let i = offset + j;
-                                if soa.alive(i) {
-                                    let backlog = soa.backlog(i, now).as_millis_f64();
-                                    let budget =
-                                        (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms);
-                                    n.begin_period_with_budget(&exec_times[i], Some(caps), budget);
-                                }
-                            }
-                        });
-                        sync_avail(nodes, avail, index.as_mut(), soa);
-                        self.period_demand.iter_mut().for_each(|d| *d = 0);
-                    }
                     MechState::Bnqrd { coordinator } => coordinator.tick(0.9),
                     MechState::Greedy {
                         snapshot,
@@ -770,43 +690,81 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Pays the closing period's unpaid refusals into the refusing
-    /// nodes' pricers. Must run before any period-end price update (the
-    /// deferred rises belong to the closing period) and after the run
-    /// loop exits (so post-run market state matches an eager run), once
-    /// each: what makes the next call start from nothing is the boundary's
-    /// demand reset and index rebuild.
-    fn flush_deferred_rejections(&mut self) {
-        let MechState::QaNt { nodes, index, .. } = &mut self.state else {
+    /// QA-NT's period boundary (§3.3 steps 9–14, then step 2) in one pass
+    /// over the nodes, a block at a time: the block is charged the closing
+    /// period's unpaid refusals, then each of its nodes ends its period
+    /// (leftover supply decays prices), solves eq. 4 for the next one and
+    /// has its mirror column and index leaves rewritten — all while its
+    /// market state is in cache. Nodes share nothing here, so the order is
+    /// unobservable; per node it is the order the paper gives.
+    fn roll_market_period(&mut self, now: SimTime) {
+        let MechState::QaNt {
+            nodes,
+            avail,
+            index,
+        } = &mut self.state
+        else {
             return;
         };
-        let row = &mut self.rejection_row;
-        for k in 0..self.period_demand.len() {
-            let class = ClassId(k as u32);
-            match index {
-                // Pure-market mode: every dry capable node refused each
-                // class request made since it ran dry.
-                Some(index) => {
-                    if self.period_demand[k] == 0 {
-                        continue;
+        // Sellers have no reason to reserve more supply for a class than
+        // anyone asked for last period (with headroom for growth): the
+        // caps steer leftover capacity to classes with live demand.
+        for (k, &d) in self.period_demand.iter().enumerate() {
+            self.demand_caps.set(k, d.saturating_mul(2).max(2));
+        }
+        let config = &self.scenario.config;
+        let period_ms = config.period.as_millis_f64();
+        // Work-conserving budget. In the §5.1 threshold mode it is
+        // floored at T/2 so a node that queued work while the bypass was
+        // active does not reject everything while draining; in pure
+        // market mode backlog never exceeds ~2T and the floor must not
+        // oversell. Dead nodes get no budget: they end their period and
+        // go quiet.
+        let floor = if config.qant.price_threshold.is_some() {
+            0.5 * period_ms
+        } else {
+            0.0
+        };
+        let soa = &self.nodes;
+        for (block, lo) in nodes
+            .chunks_mut(BOUNDARY_BLOCK)
+            .zip((0..).step_by(BOUNDARY_BLOCK))
+        {
+            let owed = (&self.period_demand[..], &self.deferred_rejections[..]);
+            charge_refusals(block, lo, index.as_ref(), owed);
+            for (slot, i) in block.iter_mut().zip(lo..) {
+                if let Some(n) = slot {
+                    n.end_period();
+                    if soa.alive(i) {
+                        let backlog = soa.backlog(i, now).as_millis_f64();
+                        let budget = (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms);
+                        let costs = &self.scenario.exec_times_ms[i];
+                        n.begin_period_with_budget(costs, Some(&self.demand_caps), budget);
                     }
-                    index.rejections_into(class, self.period_demand[k], row);
                 }
-                // Eager mode polls pay as they go; what is owed is the
-                // memo's short-circuited requests, each refused by every
-                // capable node.
-                None => {
-                    let owed = std::mem::take(&mut self.deferred_rejections[k]);
-                    if owed == 0 {
-                        continue;
-                    }
-                    for &n in &self.scenario.capable[k] {
-                        row[n.index()] = owed;
-                    }
-                }
+                mirror_node(i, slot, avail, index.as_mut(), soa);
             }
-            qa_core::QantNode::apply_rejections_batch(nodes, class, row);
-            row.fill(0);
+        }
+        if let Some(index) = index {
+            index.restore();
+        }
+        // Re-arm the refusal memo for the fresh supply.
+        self.period_demand.fill(0);
+        self.deferred_rejections.fill(0);
+        self.refused_classes.fill(false);
+    }
+
+    /// Charges every node the refusals of a period that never reached its
+    /// boundary (see [`charge_refusals`]): once, after the run loop exits.
+    fn charge_last_refusals(&mut self) {
+        if let MechState::QaNt { nodes, index, .. } = &mut self.state {
+            let owed = (&self.period_demand[..], &self.deferred_rejections[..]);
+            for (block, lo) in nodes
+                .chunks_mut(BOUNDARY_BLOCK)
+                .zip((0..).step_by(BOUNDARY_BLOCK))
+            {
+                charge_refusals(block, lo, index.as_ref(), owed);
+            }
         }
     }
 
@@ -862,7 +820,7 @@ impl<'a> Federation<'a> {
         // Refusal memo hit: this class was fully refused earlier this
         // period under conditions that cannot improve before the next
         // boundary. Charge the same messages and defer the per-node price
-        // rises (see `flush_deferred_rejections`).
+        // rises (see `charge_refusals`).
         if self.refused_classes[class.index()] {
             self.period_demand[class.index()] += 1;
             self.deferred_rejections[class.index()] += 1;
@@ -1185,48 +1143,81 @@ impl<'a> Federation<'a> {
     }
 }
 
-/// Rebuilds the QA-NT availability mirror from the authoritative per-node
-/// supplies: `avail[class * N + node]` is how many more class requests the
-/// node will answer with an offer this period. Skipping `on_request` while
-/// the mirror is positive is exact because that call, with supply
-/// available, mutates nothing and emits nothing; every event that *can*
-/// change supply (period boundaries, partial-deployment restriction,
-/// accepts) resyncs or decrements the mirror. The offer index, when
-/// engaged, is re-read from the fresh mirror in the same breath: this is
-/// the only place supply can rise.
-fn sync_avail(
-    nodes: &[Option<qa_core::QantNode>],
+/// Charges `block` — nodes `lo..`, at most [`BOUNDARY_BLOCK`] of them — the
+/// refusals the closing period still owes them; `owed` is its per-class
+/// `(period_demand, deferred_rejections)`. Must run before the block's
+/// period-end price update: the deferred rises belong to the closing
+/// period.
+fn charge_refusals(
+    block: &mut [Option<qa_core::QantNode>],
+    lo: usize,
+    index: Option<&OfferIndex>,
+    (demand, deferred): (&[u64], &[u64]),
+) {
+    let mut row = [0u64; BOUNDARY_BLOCK];
+    let row = &mut row[..block.len()];
+    for (k, (&demand, &deferred)) in demand.iter().zip(deferred).enumerate() {
+        let class = ClassId(k as u32);
+        match index {
+            // Pure-market mode: every dry capable node refused each
+            // class request made since it ran dry.
+            Some(index) if demand > 0 => index.rejections_into(class, demand, lo, row),
+            // Eager mode polls pay as they go; what is owed is the
+            // memo's short-circuited requests, each refused by every
+            // capable node (the nodes know which they are).
+            None if deferred > 0 => row.fill(deferred),
+            _ => continue,
+        }
+        qa_core::QantNode::apply_rejections_batch(block, class, row);
+        row.fill(0);
+    }
+}
+
+/// Rewrites node `n`'s column of the QA-NT availability mirror from its
+/// authoritative supply: `avail[class * N + n]` is how many more class
+/// requests the node will answer with an offer this period. Skipping
+/// `on_request` while the mirror is positive is exact because that call,
+/// with supply available, mutates nothing and emits nothing; every event
+/// that *can* change supply (period boundaries, partial-deployment
+/// restriction, accepts) rewrites or decrements the mirror. The node's
+/// leaves of the offer index, when engaged, are re-read from the fresh
+/// column in the same breath: this is the only place supply can rise.
+fn mirror_node(
+    n: usize,
+    slot: &Option<qa_core::QantNode>,
     avail: &mut [u64],
     index: Option<&mut OfferIndex>,
     soa: &NodeSoa,
 ) {
-    let num_nodes = nodes.len();
-    let classes = avail.len().checked_div(num_nodes).unwrap_or(0);
-    for (n, slot) in nodes.iter().enumerate() {
-        match slot.as_ref().map(|q| q.supply()) {
-            Some(Some(s)) => {
-                for (k, &units) in s.as_slice().iter().enumerate() {
-                    avail[k * num_nodes + n] = units;
-                }
-            }
+    let supply = slot.as_ref().map(|q| q.supply());
+    for (k, a) in avail.iter_mut().skip(n).step_by(soa.len()).enumerate() {
+        *a = match supply {
+            Some(Some(s)) => s.get(k),
             // Market node between periods (e.g. it died and its period
             // was ended without a successor): no supply, no offers.
-            Some(None) => {
-                for k in 0..classes {
-                    avail[k * num_nodes + n] = 0;
-                }
-            }
+            Some(None) => 0,
             // Non-participating node (§4 partial deployment): always
             // offers; the sentinel is never meaningfully decremented.
-            None => {
-                for k in 0..classes {
-                    avail[k * num_nodes + n] = u64::MAX;
-                }
-            }
-        }
+            None => u64::MAX,
+        };
     }
     if let Some(index) = index {
-        index.rebuild(avail, soa);
+        index.reseat(NodeId(n as u32), avail, soa);
+    }
+}
+
+/// [`mirror_node`] for every node, outside the period boundary's own pass.
+fn sync_avail(
+    nodes: &[Option<qa_core::QantNode>],
+    avail: &mut [u64],
+    mut index: Option<&mut OfferIndex>,
+    soa: &NodeSoa,
+) {
+    for (n, slot) in nodes.iter().enumerate() {
+        mirror_node(n, slot, avail, index.as_deref_mut(), soa);
+    }
+    if let Some(index) = index {
+        index.restore();
     }
 }
 
@@ -1568,8 +1559,9 @@ mod tests {
     }
 }
 
-/// The offer index against the eager per-poll loops: whole runs must agree
-/// to the last bit.
+/// The offer index and the fused period boundary against the eager
+/// per-poll loops: whole runs must agree to the last bit, at every
+/// boundary on the way.
 #[cfg(test)]
 mod index_differential {
     use super::*;
@@ -1590,18 +1582,20 @@ mod index_differential {
         owners: Vec<Option<NodeId>>,
     }
 
-    /// Runs `trace` with the index engaged (`indexed`) or, through
-    /// `Telemetry::metrics_only()`, on the eager per-poll path.
-    fn residue(
-        s: &Scenario,
+    /// A QA-NT run over `trace`, ready to step. Telemetry off takes the
+    /// fast path under test — the offer index, or with a §5.1 threshold
+    /// the refusal memo; `Telemetry::metrics_only()` the eager per-poll
+    /// path that pays every refusal as it happens.
+    fn start<'a>(
+        s: &'a Scenario,
         trace: &Trace,
-        indexed: bool,
+        traced: bool,
         participates: Option<fn(NodeId) -> bool>,
-    ) -> Residue {
-        let telemetry = if indexed {
-            Telemetry::disabled()
-        } else {
+    ) -> Federation<'a> {
+        let telemetry = if traced {
             Telemetry::metrics_only()
+        } else {
+            Telemetry::disabled()
         };
         let mut f = Federation::with_telemetry(s, MechanismKind::QaNt, trace, telemetry);
         if let Some(p) = participates {
@@ -1609,13 +1603,67 @@ mod index_differential {
         }
         f.push_arrivals(trace.events());
         f.begin_run();
-        while f.process_next() {}
-        f.flush_deferred_rejections();
-        let MechState::QaNt { nodes, index, .. } = &f.state else {
+        let MechState::QaNt { index, .. } = &f.state else {
             unreachable!("a QA-NT run")
         };
+        let indexed = !traced && s.config.qant.price_threshold.is_none();
         assert_eq!(index.is_some(), indexed, "the run took the other path");
-        let k = s.templates.num_classes();
+        f
+    }
+
+    /// The market between two periods: every node's price bits, the
+    /// availability mirror, and per class how many nodes offer and which
+    /// offer a client would take at `now` — swept from the mirror, and
+    /// checked against the index's heads where there is one.
+    type MarketState = (Vec<Vec<u64>>, Vec<u64>, Vec<(u64, Option<NodeId>)>);
+
+    fn market_state(f: &Federation, now: SimTime) -> MarketState {
+        let MechState::QaNt {
+            nodes,
+            avail,
+            index,
+        } = &f.state
+        else {
+            unreachable!("a QA-NT run")
+        };
+        let (k, n) = (f.period_demand.len(), f.nodes.len());
+        let prices = nodes
+            .iter()
+            .flatten()
+            .map(|q| (0..k).map(|c| q.prices().get(c).to_bits()).collect())
+            .collect();
+        let heads = (0..k)
+            .map(|c| {
+                let mut capable = f.scenario.capable[c].clone();
+                capable.sort_unstable();
+                let offering = capable.iter().filter(|m| avail[c * n + m.index()] > 0);
+                let best = offering
+                    .clone()
+                    .map(|&m| {
+                        let exec = f.exec[c * n + m.index()];
+                        (f.nodes.estimated_completion(m.index(), now, exec), m)
+                    })
+                    .min();
+                let head = (offering.count() as u64, best.map(|(_, m)| m));
+                if let Some(index) = index {
+                    let class = ClassId(c as u32);
+                    let indexed = (index.offerers(class), index.best(class, now).map(|b| b.0));
+                    assert_eq!(indexed, head, "class {c}: the index lost the mirror");
+                }
+                head
+            })
+            .collect();
+        (prices, avail.clone(), heads)
+    }
+
+    /// Runs what is left of `f`, pays the last period's refusals.
+    fn residue(mut f: Federation) -> Residue {
+        while f.process_next() {}
+        f.charge_last_refusals();
+        let MechState::QaNt { nodes, .. } = &f.state else {
+            unreachable!("a QA-NT run")
+        };
+        let k = f.period_demand.len();
         let ln_prices = nodes
             .iter()
             .flatten()
@@ -1632,15 +1680,40 @@ mod index_differential {
         }
     }
 
+    /// Steps the fast and the eager run a period at a time: the market
+    /// must read the same after every boundary, and the runs leave the
+    /// same residue. Returns whether the fast run ever owed the market a
+    /// refusal going into a boundary.
     fn assert_paths_agree(
         s: &Scenario,
         trace: &Trace,
         participates: Option<fn(NodeId) -> bool>,
         what: &str,
-    ) {
-        let indexed = residue(s, trace, true, participates);
-        let eager = residue(s, trace, false, participates);
-        assert!(indexed == eager, "{what}: indexed and eager runs differ");
+    ) -> bool {
+        let mut fast = start(s, trace, false, participates);
+        let mut eager = start(s, trace, true, participates);
+        let mut boundary = SimTime::ZERO + s.config.period;
+        let mut owed = false;
+        while fast.peek_next_time().is_some() {
+            fast.step_through(SimTime::from_micros(boundary.as_micros() - 1));
+            owed |= match &fast.state {
+                MechState::QaNt {
+                    index: Some(index), ..
+                } => (0..fast.period_demand.len())
+                    .any(|c| index.offerers(ClassId(c as u32)) == 0 && fast.period_demand[c] > 0),
+                _ => fast.deferred_rejections.iter().any(|&d| d > 0),
+            };
+            fast.step_through(boundary);
+            eager.step_through(boundary);
+            assert!(
+                market_state(&fast, boundary) == market_state(&eager, boundary),
+                "{what}: the markets differ after the boundary at {boundary:?}"
+            );
+            boundary += s.config.period;
+        }
+        assert!(eager.peek_next_time().is_none(), "{what}: eager runs on");
+        assert!(residue(fast) == residue(eager), "{what}: residues differ");
+        owed
     }
 
     /// Horizon that yields about 3 000 arrivals at `rate_qps`.
@@ -1648,56 +1721,101 @@ mod index_differential {
         SimTime::from_micros(((3_000.0 / rate_qps).clamp(4.0, 40.0) * 1e6) as u64)
     }
 
+    fn two_class_trace(s: &Scenario, load: f64) -> Trace {
+        let peak_q1 = load * s.capacity_qps(&[2.0 / 3.0, 1.0 / 3.0]) / 0.75;
+        let (p1, p2) = SinusoidProcess::paper_pair(0.05, peak_q1);
+        let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
+        let horizon = horizon_for(0.75 * peak_q1);
+        let mut arrivals = p1.generate(horizon, &mut rng);
+        arrivals.extend(p2.generate(horizon, &mut rng));
+        Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng)
+    }
+
+    /// Uniform class mix, exponential gaps.
+    fn table3_trace(s: &Scenario, load: f64) -> Trace {
+        let k = s.templates.num_classes();
+        let rate = load * s.capacity_qps(&vec![1.0 / k as f64; k]);
+        let horizon = horizon_for(rate).as_micros() as f64 / 1e6;
+        let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
+        let mut arrivals = Vec::new();
+        let mut at = 0.0;
+        while at < horizon {
+            arrivals.push((
+                SimTime::from_micros((at * 1e6) as u64),
+                ClassId(rng.index(k) as u32),
+            ));
+            at -= (1.0 - rng.unit()).ln() / rate;
+        }
+        Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng)
+    }
+
     #[test]
     fn two_class_draws_agree_with_the_eager_path() {
         let mut draw = DetRng::seed_from_u64(0x1DE).derive("two-class-draws");
-        for (case, &n) in [1, 2, 10, 64, 300, 2, 10, 64].iter().enumerate() {
-            let load = draw.float_in(0.3, 1.6);
+        let mut owed = 0;
+        for (case, &n) in [1, 2, 10, 64, 300, 2, 10, 64, 130].iter().enumerate() {
+            let load = draw.float_in(0.3, 3.0);
             let mut cfg = SimConfig::small_test(draw.next_u64());
             cfg.num_nodes = n;
             let s = Scenario::two_class(cfg, TwoClassParams::default());
-            let peak_q1 = load * s.capacity_qps(&[2.0 / 3.0, 1.0 / 3.0]) / 0.75;
-            let (p1, p2) = SinusoidProcess::paper_pair(0.05, peak_q1);
-            let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
-            let horizon = horizon_for(0.75 * peak_q1);
-            let mut arrivals = p1.generate(horizon, &mut rng);
-            arrivals.extend(p2.generate(horizon, &mut rng));
-            let t = Trace::from_arrivals(arrivals, n, &mut rng);
+            let t = two_class_trace(&s, load);
             let what = format!("two_class case {case}: N={n} load={load:.2} q={}", t.len());
-            assert_paths_agree(&s, &t, None, &what);
+            owed += u32::from(assert_paths_agree(&s, &t, None, &what));
             // §4 partial deployment: every third node stays outside the
             // market, always offers (`u64::MAX` availability) and so
             // never leaves the index.
             assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
         }
+        assert!(
+            owed >= 4,
+            "only {owed} draws replayed refusals at a boundary"
+        );
     }
 
     #[test]
     fn table3_draws_agree_with_the_eager_path() {
         let mut draw = DetRng::seed_from_u64(0x1DE).derive("table3-draws");
-        for (case, &n) in [10, 64, 300].iter().enumerate() {
-            let load = draw.float_in(0.3, 1.6);
+        for (case, &n) in [10, 64, 130].iter().enumerate() {
+            let load = draw.float_in(0.3, 3.0);
             let mut cfg = SimConfig::small_test(draw.next_u64());
             cfg.num_nodes = n;
             let s = Scenario::table3(cfg);
-            let k = s.templates.num_classes();
-            assert_eq!(k, 100);
-            // Uniform class mix, exponential gaps.
-            let rate = load * s.capacity_qps(&vec![1.0 / k as f64; k]);
-            let horizon = horizon_for(rate).as_micros() as f64 / 1e6;
-            let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
-            let mut arrivals = Vec::new();
-            let mut at = 0.0;
-            while at < horizon {
-                arrivals.push((
-                    SimTime::from_micros((at * 1e6) as u64),
-                    ClassId(rng.index(k) as u32),
-                ));
-                at -= (1.0 - rng.unit()).ln() / rate;
-            }
-            let t = Trace::from_arrivals(arrivals, n, &mut rng);
+            assert_eq!(s.templates.num_classes(), 100);
+            let t = table3_trace(&s, load);
             let what = format!("table3 case {case}: N={n} load={load:.2} q={}", t.len());
             assert_paths_agree(&s, &t, None, &what);
+            assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
+        }
+    }
+
+    /// §5.1 threshold on, telemetry off: no index, but the refusal memo
+    /// short-circuits fully refused classes and the boundary charges what
+    /// they owe from `deferred_rejections` — the other source of counts
+    /// behind the same replay.
+    #[test]
+    fn memo_active_eager_runs_agree_with_the_traced_reference() {
+        let mut draw = DetRng::seed_from_u64(0x1DE).derive("memo-draws");
+        for (case, &(n, table3)) in [(10, false), (70, false), (130, false), (10, true)]
+            .iter()
+            .enumerate()
+        {
+            let load = draw.float_in(1.5, 3.0);
+            let mut cfg = SimConfig::small_test(draw.next_u64());
+            cfg.num_nodes = n;
+            cfg.qant.price_threshold = Some(2.0);
+            cfg.qant.renormalize_prices = false;
+            let (s, t) = if table3 {
+                let s = Scenario::table3(cfg);
+                let t = table3_trace(&s, load);
+                (s, t)
+            } else {
+                let s = Scenario::two_class(cfg, TwoClassParams::default());
+                let t = two_class_trace(&s, load);
+                (s, t)
+            };
+            let what = format!("memo case {case}: N={n} load={load:.2} q={}", t.len());
+            let owed = assert_paths_agree(&s, &t, None, &what);
+            assert!(owed || table3, "{what}: the memo never engaged");
             assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
         }
     }
@@ -1754,12 +1872,12 @@ mod index_differential {
         // left, node 1 as idle, the estimates tie and node 0 wins. Query
         // 2, at the same instant, then sees node 0 truly busy.
         let t = trace_of(&[SimTime::ZERO, free_at, free_at], &mut rng);
-        let indexed = residue(&s, &t, true, None);
+        let indexed = residue(start(&s, &t, false, None));
         assert_eq!(
             indexed.owners,
             [Some(NodeId(0)), Some(NodeId(0)), Some(NodeId(1))]
         );
-        assert!(indexed == residue(&s, &t, false, None));
+        assert!(indexed == residue(start(&s, &t, true, None)));
     }
 }
 

@@ -21,9 +21,9 @@
 //!
 //! Membership is "still has supply for the class this period". Within a
 //! period supply only falls, at the accept that drains it, so a leaf
-//! leaves at most once per period ([`OfferIndex::ran_dry`]) and the whole
-//! population is re-read from the availability mirror at each boundary
-//! ([`OfferIndex::rebuild`]). For the same reason a dry node's refusals
+//! leaves at most once per period ([`OfferIndex::ran_dry`]) and each
+//! node's leaves are re-read from the availability mirror at each boundary
+//! ([`OfferIndex::reseat`]). For the same reason a dry node's refusals
 //! this period are exactly the class requests made since it ran dry: one
 //! demand stamp per leaf replaces a per-poll rejection count
 //! ([`OfferIndex::rejections_into`]).
@@ -71,7 +71,7 @@ pub(crate) struct OfferIndex {
 impl OfferIndex {
     /// An index over `capable[class]` with every leaf absent;
     /// `exec[class * num_nodes + node]` is the flattened execution-time
-    /// matrix. Call [`OfferIndex::rebuild`] before the first query.
+    /// matrix. [`OfferIndex::reseat`] every node before the first query.
     pub(crate) fn new(
         capable: &[Vec<NodeId>],
         exec: &[SimDuration],
@@ -122,27 +122,32 @@ impl OfferIndex {
         }
     }
 
-    /// Re-reads every leaf from the availability mirror
-    /// (`avail[class * num_nodes + node]`) and the nodes' queues. Runs
-    /// wherever the mirror is resynced: supply may have risen.
-    pub(crate) fn rebuild(&mut self, avail: &[u64], nodes: &NodeSoa) {
-        let backlog_until = nodes.backlog_until_slice();
-        for (k, c) in self.classes.iter_mut().enumerate() {
-            let row = &avail[k * self.num_nodes..(k + 1) * self.num_nodes];
-            let offers = |n: &NodeId| row[n.index()] > 0;
-            for (dry, n) in c.dry_at.iter_mut().zip(&c.node) {
-                *dry = if offers(n) { OFFERING } else { 0 };
-            }
-            c.idle.rebuild(
-                c.node
-                    .iter()
-                    .zip(&c.exec)
-                    .map(|(n, &exec)| (offers(n) && nodes.queued(n.index()) == 0).then_some(exec)),
+    /// Re-reads `node`'s leaves from its column of the availability mirror
+    /// (`avail[class * num_nodes + node]`) and its queue, wherever that
+    /// column is rewritten: supply may have risen. The trees answer again
+    /// after [`OfferIndex::restore`].
+    pub(crate) fn reseat(&mut self, node: NodeId, avail: &[u64], nodes: &NodeSoa) {
+        let n = node.index();
+        let queued = nodes.queued(n) > 0;
+        let backlog_until = nodes.backlog_until_slice()[n].as_micros();
+        for &(k, leaf) in node_leaves(&self.leaf_start, &self.leaves, node) {
+            let (c, leaf) = (&mut self.classes[k as usize], leaf as usize);
+            let offers = avail[k as usize * self.num_nodes + n] > 0;
+            c.dry_at[leaf] = if offers { OFFERING } else { 0 };
+            c.idle
+                .stage(leaf, (offers && !queued).then_some(c.exec[leaf]));
+            c.busy.stage(
+                leaf,
+                (offers && queued).then(|| backlog_until + c.exec[leaf]),
             );
-            c.busy.rebuild(c.node.iter().zip(&c.exec).map(|(n, &exec)| {
-                (offers(n) && nodes.queued(n.index()) > 0)
-                    .then(|| backlog_until[n.index()].as_micros() + exec)
-            }));
+        }
+    }
+
+    /// Replays the trees once every re-read node is [`OfferIndex::reseat`]ed.
+    pub(crate) fn restore(&mut self) {
+        for c in &mut self.classes {
+            c.idle.restore();
+            c.busy.restore();
         }
     }
 
@@ -171,7 +176,7 @@ impl OfferIndex {
 
     /// The accept just taken drained `leaf`'s supply for `class`; `demand`
     /// is the period's class request count including that accept. The
-    /// leaf stops offering until the next [`OfferIndex::rebuild`].
+    /// leaf stops offering until the next [`OfferIndex::reseat`].
     pub(crate) fn ran_dry(&mut self, class: ClassId, leaf: usize, demand: u64) {
         let c = &mut self.classes[class.index()];
         c.idle.remove(leaf);
@@ -205,15 +210,20 @@ impl OfferIndex {
         }
     }
 
-    /// Writes into `row[node]`, for every dry capable node of `class`,
-    /// the refusals it owes the market this period: `demand` (the
-    /// period's class request count so far) minus the count when it ran
-    /// dry. Offering nodes' entries are left untouched.
-    pub(crate) fn rejections_into(&self, class: ClassId, demand: u64, row: &mut [u64]) {
+    /// Writes into `row[node - lo]`, for every dry capable node of `class`
+    /// in `lo..lo + row.len()`, the refusals it owes the market this
+    /// period: `demand` (the period's class request count so far) minus
+    /// the count when it ran dry. Offering nodes' entries are left
+    /// untouched.
+    pub(crate) fn rejections_into(&self, class: ClassId, demand: u64, lo: usize, row: &mut [u64]) {
         let c = &self.classes[class.index()];
-        for (&dry, n) in c.dry_at.iter().zip(&c.node) {
+        let first = c.node.partition_point(|n| n.index() < lo);
+        for (&dry, n) in c.dry_at[first..].iter().zip(&c.node[first..]) {
+            let Some(owed) = row.get_mut(n.index() - lo) else {
+                break;
+            };
             if dry != OFFERING {
-                row[n.index()] = demand - dry;
+                *owed = demand - dry;
             }
         }
     }

@@ -23,10 +23,10 @@
 //!
 //! ## Thread budget
 //!
-//! The shard layer and the per-shard eq.-4 supply solves share one budget
-//! via [`split_budget`]: `S` shards on a `B`-core budget step on
-//! `min(B, S)` outer workers, each solving with `B / outer` inner threads
-//! — never `S × B` oversubscription.
+//! The shard step is the engine's one parallel layer: `S` shards on a
+//! `B`-thread budget step on `min(B, S)` workers, and the worker that
+//! stepped a shard also writes that shard's boundary report. Inside a
+//! shard the period boundary runs inline (see `Federation`).
 
 use crate::broker::BrokerTier;
 use crate::config::BrokerConfig;
@@ -35,7 +35,7 @@ use crate::scenario::Scenario;
 use qa_core::hier::mean_abs_delta_ln;
 use qa_core::MechanismKind;
 use qa_simnet::telemetry::Telemetry;
-use qa_simnet::{par_for_each_chunk_mut, split_budget, DetRng, SimTime};
+use qa_simnet::{par_for_each_chunk_mut, DetRng, SimTime};
 use qa_workload::dataset::{Dataset, Relation};
 use qa_workload::ids::RelationId;
 use qa_workload::{NodeId, QueryEvent, Trace};
@@ -69,8 +69,7 @@ pub struct ShardPlan {
 /// reproduces [`ShardPlan::run`] exactly.
 #[derive(Clone)]
 pub struct ShardRunOptions {
-    /// Total thread budget shared by the shard layer and the per-shard
-    /// supply solves (see [`ShardPlan::thread_split`]).
+    /// Worker threads the shard layer may step shards on.
     pub budget: usize,
     /// Two-tier market: when set, a [`BrokerTier`] clears each window on
     /// the parent market and drives the router weights; when `None` the
@@ -195,22 +194,15 @@ impl ShardPlan {
         &self.home_shards[k]
     }
 
-    /// How a total thread budget splits between the shard layer and each
-    /// shard's intra-period solves: `(outer, inner)` with
-    /// `outer × inner ≤ budget` (see [`split_budget`]).
-    pub fn thread_split(&self, budget: usize) -> (usize, usize) {
-        split_budget(budget, self.shards.len())
-    }
-
     /// Runs the trace through the sharded engine on the ambient
     /// [`qa_simnet::thread_budget`].
     pub fn run(&self, trace: &Trace) -> ShardedOutcome {
         self.run_with_options(trace, &ShardRunOptions::default())
     }
 
-    /// [`ShardPlan::run`] with an explicit total thread budget. The output
-    /// is identical at any budget; the budget only decides how the shard
-    /// stepping and the per-shard supply solves share the machine.
+    /// [`ShardPlan::run`] with an explicit thread budget. The output is
+    /// identical at any budget; the budget only decides how many workers
+    /// step the shards.
     pub fn run_with_budget(&self, trace: &Trace, budget: usize) -> ShardedOutcome {
         self.run_with_options(
             trace,
@@ -240,14 +232,12 @@ impl ShardPlan {
     pub fn run_with_options(&self, trace: &Trace, options: &ShardRunOptions) -> ShardedOutcome {
         let s_count = self.shards.len();
         let k = self.num_classes;
-        let (outer, inner) = self.thread_split(options.budget);
         let empty = Trace::from_events(Vec::new());
         let mut feds: Vec<Federation> = self
             .shards
             .iter()
             .map(|sh| {
                 let mut f = Federation::new(&sh.scenario, MechanismKind::QaNt, &empty);
-                f.set_intra_threads(inner);
                 f.set_more_arrivals(true);
                 f
             })
@@ -284,7 +274,9 @@ impl ShardPlan {
             .as_ref()
             .map(|cfg| BrokerTier::new(k, cfg, options.telemetry.clone()));
         let mut window_demand = vec![0u64; k];
-        collect_signals(&feds, &mut supply, &mut lnp);
+        for (s, fed) in feds.iter().enumerate() {
+            fed.qant_signals_into(&mut supply[s], &mut lnp[s]);
+        }
         // Initial refresh: markets opened their first period during
         // construction, so weights and the Δ-baseline come from t = 0.
         match broker.as_mut() {
@@ -357,12 +349,15 @@ impl ShardPlan {
                     fed.set_more_arrivals(false);
                 }
             }
-            par_for_each_chunk_mut(outer, &mut feds, |_, chunk| {
-                for fed in chunk {
+            // Each worker also writes its shards' boundary reports: the
+            // K·N `ln`s stay off the serial path between two windows.
+            let mut steps: Vec<_> = feds.iter_mut().zip(&mut supply).zip(&mut lnp).collect();
+            par_for_each_chunk_mut(options.budget, &mut steps, |_, chunk| {
+                for ((fed, supply), lnp) in chunk {
                     fed.step_through(boundary);
+                    fed.qant_signals_into(supply, lnp);
                 }
             });
-            collect_signals(&feds, &mut supply, &mut lnp);
             let delta = match broker.as_mut() {
                 None => update_weights(
                     &self.home_shards,
@@ -399,7 +394,7 @@ impl ShardPlan {
         }
         // Epilogue: retries and completions past the last injected
         // window; each shard's own period chain winds down naturally.
-        par_for_each_chunk_mut(outer, &mut feds, |_, chunk| {
+        par_for_each_chunk_mut(options.budget, &mut feds, |_, chunk| {
             for fed in chunk {
                 fed.drain();
             }
@@ -509,14 +504,6 @@ fn pick_home(homes: &[usize], weights: &[f64], credits: &mut [f64]) -> usize {
     }
     credits[best] -= 1.0;
     homes[best]
-}
-
-/// Reads every shard's per-class boundary signals (remaining supply
-/// units, mean ln price). Read-only on the markets.
-fn collect_signals(feds: &[Federation<'_>], supply: &mut [Vec<u64>], lnp: &mut [Vec<f64>]) {
-    for (s, fed) in feds.iter().enumerate() {
-        fed.qant_signals_into(&mut supply[s], &mut lnp[s]);
-    }
 }
 
 /// Cross-shard mean ln-price per class over the class's home shards,
@@ -666,21 +653,6 @@ mod tests {
         assert!(m.completed > 0, "nothing completed");
         assert_eq!(out.cross_messages, 2 * 4 * out.periods as u64);
         assert_eq!(out.signal_history.len(), out.periods);
-    }
-
-    #[test]
-    fn shard_and_solver_layers_share_one_thread_budget() {
-        let parent = world(16, 7);
-        let plan = ShardPlan::build(&parent, 4);
-        // 4 shards on 8 cores: 4 outer workers, 2 solver threads each —
-        // not 4 shards × 8 solvers.
-        assert_eq!(plan.thread_split(8), (4, 2));
-        assert_eq!(plan.thread_split(1), (1, 1));
-        assert_eq!(plan.thread_split(64), (4, 16));
-        let single = ShardPlan::build(&parent, 1);
-        // One shard inherits the whole budget for its solves, exactly the
-        // flat engine's default.
-        assert_eq!(single.thread_split(8), (1, 8));
     }
 
     #[test]

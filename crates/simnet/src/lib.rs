@@ -60,9 +60,7 @@ pub use fault::{FaultPlan, LinkFaults, OutageWindow};
 pub use json::{Json, ToJson};
 pub use link::LinkSpec;
 pub use mintree::MinTree;
-pub use par::{
-    par_for_each_chunk_mut, par_map_indexed, par_map_indexed_with, split_budget, thread_budget,
-};
+pub use par::{par_for_each_chunk_mut, par_map_indexed, par_map_indexed_with, thread_budget};
 pub use rng::DetRng;
 pub use sched::{
     ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer, SystematicSchedule,

@@ -69,22 +69,21 @@ impl MinTree {
         self.set(leaf, ABSENT);
     }
 
-    /// Replaces the whole population in `O(leaves)`: the `i`-th item is
-    /// leaf `i`'s key (`None` = absent); leaves past the iterator's end
-    /// are absent.
+    /// Writes `leaf` (`None` = absent) without replaying its matches:
+    /// `min` and `len` are stale until [`MinTree::restore`]. For callers
+    /// that re-key most leaves at once, in their own order.
     ///
     /// # Panics
-    /// Panics when the iterator yields more items than there are leaves.
-    pub fn rebuild<I: IntoIterator<Item = Option<u64>>>(&mut self, keys: I) {
-        self.slots[self.cap..].fill(ABSENT);
-        self.present = 0;
-        for (i, key) in keys.into_iter().enumerate() {
-            assert!(i < self.leaves, "more keys than leaves");
-            if let Some(key) = key {
-                self.slots[self.cap + i] = (key, i as u32);
-                self.present += 1;
-            }
-        }
+    /// Panics when `leaf` is out of range.
+    pub fn stage(&mut self, leaf: usize, key: Option<u64>) {
+        assert!(leaf < self.leaves, "leaf out of range");
+        self.slots[self.cap + leaf] = key.map_or(ABSENT, |key| (key, leaf as u32));
+    }
+
+    /// Replays every match in `O(leaves)`, making staged leaves count.
+    pub fn restore(&mut self) {
+        let leaves = &self.slots[self.cap..];
+        self.present = leaves.iter().filter(|s| s.1 != ABSENT.1).count();
         for p in (1..self.cap).rev() {
             self.slots[p] = self.slots[2 * p].min(self.slots[2 * p + 1]);
         }
@@ -134,7 +133,13 @@ mod tests {
     #[test]
     fn equal_keys_resolve_to_the_lowest_leaf() {
         let mut t = MinTree::new(6);
-        t.rebuild([Some(9), None, Some(5), Some(5), None, Some(5)]);
+        for (leaf, key) in [Some(9), None, Some(5), Some(5), None, Some(5)]
+            .into_iter()
+            .enumerate()
+        {
+            t.stage(leaf, key);
+        }
+        t.restore();
         assert_eq!((t.len(), t.min()), (4, Some((2, 5))));
         t.remove(2);
         assert_eq!(t.min(), Some((3, 5)));
@@ -145,7 +150,7 @@ mod tests {
     #[test]
     fn degenerate_sizes() {
         let mut none = MinTree::new(0);
-        none.rebuild([]);
+        none.restore();
         assert_eq!(none.min(), None);
         let mut one = MinTree::new(1);
         one.update(0, u64::MAX);

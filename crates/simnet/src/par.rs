@@ -54,27 +54,6 @@ pub fn thread_budget() -> usize {
     parse_threads(std::env::var("QA_THREADS").ok().as_deref(), default)
 }
 
-/// Splits one thread budget between `outer_jobs` concurrent outer tasks
-/// and the parallelism available *inside* each, returning
-/// `(outer, inner)` with `outer * inner <= budget`.
-///
-/// Nested fork–join layers (e.g. the sharded federation stepping shards
-/// in parallel while each shard's period boundary fans its eq.-4 supply
-/// solves over workers) must share a single budget or they multiply:
-/// `S` shards each spawning `budget` solvers oversubscribes the machine
-/// `S`-fold. The outer layer gets `min(budget, outer_jobs)` workers and
-/// each outer task inherits the even share `budget / outer` (at least 1)
-/// for its inner pool.
-///
-/// # Panics
-/// Panics if `budget == 0`.
-pub fn split_budget(budget: usize, outer_jobs: usize) -> (usize, usize) {
-    assert!(budget >= 1, "thread budget must be at least 1");
-    let outer = budget.min(outer_jobs).max(1);
-    let inner = (budget / outer).max(1);
-    (outer, inner)
-}
-
 /// Maps `f` over `items` on up to [`thread_budget`] worker threads,
 /// returning results in input order. See [`par_map_indexed_with`].
 pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -148,8 +127,8 @@ where
 ///
 /// This is the intra-run counterpart of [`par_map_indexed_with`]: where
 /// that fans out whole simulation cells, this fans the *independent
-/// per-element updates inside one run* (e.g. each node's eq.-4 supply
-/// solve at a period boundary). Because every element is visited exactly
+/// per-element updates inside one run* (the sharded engine stepping each
+/// shard through a period). Because every element is visited exactly
 /// once and elements share nothing, the result is identical at any thread
 /// count — the split only decides which worker performs which update.
 ///
@@ -265,28 +244,6 @@ mod tests {
     #[test]
     fn thread_budget_is_positive() {
         assert!(thread_budget() >= 1);
-    }
-
-    #[test]
-    fn split_budget_never_oversubscribes() {
-        for budget in 1..=32 {
-            for jobs in 0..=40 {
-                let (outer, inner) = split_budget(budget, jobs);
-                assert!(outer >= 1 && inner >= 1);
-                assert!(
-                    outer * inner <= budget.max(1),
-                    "budget={budget} jobs={jobs} -> {outer}x{inner}"
-                );
-                assert!(outer <= jobs.max(1));
-            }
-        }
-        // The two layers split a shared machine: 4 shards on 8 cores get
-        // 4 outer workers with 2 solver threads each, not 4x8.
-        assert_eq!(split_budget(8, 4), (4, 2));
-        assert_eq!(split_budget(8, 16), (8, 1));
-        assert_eq!(split_budget(1, 4), (1, 1));
-        assert_eq!(split_budget(8, 1), (1, 8));
-        assert_eq!(split_budget(6, 4), (4, 1));
     }
 
     #[test]

@@ -197,7 +197,7 @@ fn sharded_multi_queue_merge_matches_single_heap_oracle() {
 }
 
 /// The tournament tree against a linear-scan oracle under random
-/// update / remove / rebuild interleavings: after every step `min` and
+/// update / remove / stage-and-restore interleavings: after every step `min` and
 /// `len` agree with a plain `Vec<Option<u64>>` scanned left to right. Keys come from a handful of values so ties are the norm (the
 /// lowest leaf must win them); sizes cover no leaves, a single leaf and
 /// non-powers of two; removals outnumber inserts often enough to empty
@@ -221,10 +221,15 @@ fn min_tree_matches_linear_scan_oracle() {
             let draining = (step / 60) % 2 == 1;
             match rng.index(20) {
                 0 => {
-                    for slot in oracle.iter_mut() {
-                        *slot = rng.chance(0.5).then(|| rng.int_in(0, key_range));
+                    // Re-key most leaves at once: staged leaves count
+                    // after the one `restore`, the others keep theirs.
+                    for (leaf, slot) in oracle.iter_mut().enumerate() {
+                        if rng.chance(0.8) {
+                            *slot = rng.chance(0.5).then(|| rng.int_in(0, key_range));
+                            tree.stage(leaf, *slot);
+                        }
                     }
-                    tree.rebuild(oracle.iter().copied());
+                    tree.restore();
                 }
                 _ if leaves == 0 => {}
                 r => {
