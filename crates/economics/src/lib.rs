@@ -48,9 +48,9 @@ pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMarketConfig, P
 pub use pareto::{dominates, enumerate_solutions, is_pareto_optimal, Solution};
 pub use preference::{EquitablePreference, Preference, ThroughputPreference, WeightedPreference};
 pub use supply::{
-    price_density_order_into, solve_supply_fractional, solve_supply_fractional_cached,
-    solve_supply_greedy, solve_supply_greedy_cached, solve_supply_optimal, DensityOrderCache,
-    EnumeratedSupplySet, LinearCapacitySet, SupplySet,
+    price_density_order_into, solve_supply_fractional, solve_supply_greedy,
+    solve_supply_greedy_cached, solve_supply_optimal, DensityOrderCache, EnumeratedSupplySet,
+    LinearCapacitySet, SupplySet,
 };
 pub use tatonnement::{Tatonnement, TatonnementOutcome};
 pub use vectors::{PriceVector, QuantityVector};

@@ -39,6 +39,11 @@ pub enum ParentMechanism {
     /// aggregate supply curves until relative excess demand is within
     /// tolerance, then ration at the clearing price.
     Walras,
+    /// No market: every broker is awarded its whole bid at a flat price
+    /// (`ln p = 0`), whatever the demand — nothing is rationed, nothing
+    /// left unserved, no rounds. The one-level federation as the
+    /// degenerate case of the two-tier one.
+    PassThrough,
 }
 
 /// Tuning knobs of the parent market.
@@ -183,13 +188,15 @@ impl ParentMarket {
                 assert_eq!(out.len(), self.walras_ln.len(), "class count mismatch");
                 out.copy_from_slice(&self.walras_ln);
             }
+            ParentMechanism::PassThrough => out.fill(0.0),
         }
     }
 
     /// Clears one window: rations `demand` (per class) across the broker
     /// `bids` and adjusts the parent prices. Allocation is conservative —
     /// for every class, `Σ_b allocations[b][k] + unserved[k] == demand[k]`
-    /// and `allocations[b][k] <= bids[b].capacity[k]`.
+    /// and `allocations[b][k] <= bids[b].capacity[k]` — except under
+    /// [`ParentMechanism::PassThrough`], which ignores `demand`.
     ///
     /// # Panics
     /// Panics when `bids` is empty, a bid's class count differs from the
@@ -209,6 +216,12 @@ impl ParentMarket {
         match self.config.mechanism {
             ParentMechanism::QaNt => self.clear_qant(bids, demand),
             ParentMechanism::Walras => self.clear_walras(bids, demand),
+            ParentMechanism::PassThrough => ClearingOutcome {
+                allocations: bids.iter().map(|b| b.capacity.clone()).collect(),
+                ln_prices: vec![0.0; k],
+                unserved: vec![0; k],
+                rounds: 0,
+            },
         }
     }
 

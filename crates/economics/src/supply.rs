@@ -297,29 +297,6 @@ fn greedy_fill(
     supply
 }
 
-/// The fractional fill over a precomputed density ordering — the body
-/// shared by [`solve_supply_fractional`] and
-/// [`solve_supply_fractional_cached`].
-fn fractional_fill(set: &LinearCapacitySet, caps: Option<&[f64]>, order: &[usize]) -> Vec<f64> {
-    let mut supply = vec![0.0; set.num_classes()];
-    let mut remaining = set.capacity();
-    for &i in order {
-        if remaining <= 0.0 {
-            break;
-        }
-        let t = set.unit_costs()[i].expect("ordered classes have costs");
-        let mut amount = remaining / t;
-        if let Some(c) = caps {
-            amount = amount.min(c[i]);
-        }
-        if amount > 0.0 {
-            supply[i] = amount;
-            remaining -= amount * t;
-        }
-    }
-    supply
-}
-
 /// Greedy first-order-conditions solver for eq. 4.
 ///
 /// Fills the capacity in descending price density `pₖ / tₖ`, taking as many
@@ -361,9 +338,6 @@ pub fn solve_supply_greedy_cached(
 /// first-order-conditions optimum of the relaxed problem; QA-NT rounds it
 /// to integers per period with an error-diffusion carry, which is exactly
 /// the rounding the paper blames for its ~5 % loss at light loads (§5.1).
-///
-/// Sorts on every call; hot-path callers should use
-/// [`solve_supply_fractional_cached`].
 pub fn solve_supply_fractional(
     prices: &PriceVector,
     set: &LinearCapacitySet,
@@ -374,30 +348,34 @@ pub fn solve_supply_fractional(
     }
     let mut order = Vec::new();
     price_density_order_into(prices, set.unit_costs(), &mut order);
-    fractional_fill(set, caps, &order)
-}
-
-/// [`solve_supply_fractional`] with a memoized density ordering (see
-/// [`solve_supply_greedy_cached`]).
-pub fn solve_supply_fractional_cached(
-    prices: &PriceVector,
-    set: &LinearCapacitySet,
-    caps: Option<&[f64]>,
-    cache: &mut DensityOrderCache,
-) -> Vec<f64> {
-    if let Some(c) = caps {
-        assert_eq!(c.len(), set.num_classes());
+    let mut supply = vec![0.0; set.num_classes()];
+    let mut remaining = set.capacity();
+    for &i in &order {
+        if remaining <= 0.0 {
+            break;
+        }
+        let t = set.unit_costs()[i].expect("ordered classes have costs");
+        let mut amount = remaining / t;
+        if let Some(c) = caps {
+            amount = amount.min(c[i]);
+        }
+        if amount > 0.0 {
+            supply[i] = amount;
+            remaining -= amount * t;
+        }
     }
-    let order = cache.order(prices, set.unit_costs());
-    fractional_fill(set, caps, order)
+    supply
 }
 
-/// Exact solver for eq. 4 by dynamic programming over discretized capacity.
+/// Exact solver for eq. 4.
 ///
-/// Capacity and unit costs are discretized to `resolution` steps (costs
-/// round *up*, so the result is always feasible). With `caps` given it is a
-/// bounded knapsack, otherwise unbounded. Exact up to discretization;
-/// intended for tests and ablations, not the hot path.
+/// Without `caps` it is an unbounded-knapsack dynamic program: capacity and
+/// unit costs are discretized to `resolution` steps (costs round *up*, so
+/// the result is always feasible), exact up to that discretization. With
+/// `caps` it enumerates the capped capacity set and takes the most
+/// valuable vector (the one with the most units on ties): exact, and
+/// affordable only while `K` and the caps are small. Intended for tests
+/// and ablations, not the hot path.
 pub fn solve_supply_optimal(
     prices: &PriceVector,
     set: &LinearCapacitySet,
@@ -409,6 +387,17 @@ pub fn solve_supply_optimal(
     assert!(resolution > 0);
     if set.capacity() <= 0.0 {
         return QuantityVector::zeros(k);
+    }
+    if let Some(caps) = caps {
+        return enumerate_capacity_set(set, Some(caps))
+            .into_iter()
+            .max_by(|a, b| {
+                prices
+                    .value_of(a)
+                    .total_cmp(&prices.value_of(b))
+                    .then_with(|| a.total().cmp(&b.total()))
+            })
+            .expect("enumeration always contains the zero vector");
     }
     let step = set.capacity() / resolution as f64;
     let cost_steps: Vec<Option<usize>> = set
@@ -422,45 +411,6 @@ pub fn solve_supply_optimal(
     let w_max = resolution;
     let mut value = vec![0.0_f64; w_max + 1];
     let mut choice: Vec<Option<(usize, usize)>> = vec![None; w_max + 1];
-
-    if let Some(caps) = caps {
-        // Bounded: iterate classes, then units (binary splitting is overkill
-        // at test scale).
-        for (i, &step) in cost_steps.iter().enumerate() {
-            let Some(ci) = step else { continue };
-            let pi = prices.get(i);
-            for _ in 0..caps.get(i) {
-                // One more unit of class i; iterate weights descending so the
-                // unit is used at most once per pass.
-                let mut improved = false;
-                for w in (ci..=w_max).rev() {
-                    let cand = value[w - ci] + pi;
-                    if cand > value[w] + 1e-12 {
-                        value[w] = cand;
-                        choice[w] = Some((i, w - ci));
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
-        }
-        // Reconstruction for bounded case is tricky with in-place passes, so
-        // recompute greedily from the DP values via a fresh exact search at
-        // small scale instead: fall back to enumeration when K and caps are
-        // small (tests only use it that way).
-        let vectors = enumerate_capacity_set(set, Some(caps));
-        return vectors
-            .into_iter()
-            .max_by(|a, b| {
-                prices
-                    .value_of(a)
-                    .total_cmp(&prices.value_of(b))
-                    .then_with(|| a.total().cmp(&b.total()))
-            })
-            .expect("enumeration always contains the zero vector");
-    }
 
     // Unbounded knapsack DP with reconstruction.
     for w in 1..=w_max {
@@ -668,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_solvers_match_uncached_across_price_changes() {
+    fn cached_solver_matches_uncached_across_price_changes() {
         let set = LinearCapacitySet::new(vec![Some(400.0), Some(100.0), Some(250.0)], 500.0);
         let mut cache = DensityOrderCache::new();
         let price_seq = [
@@ -682,10 +632,6 @@ mod tests {
             assert_eq!(
                 solve_supply_greedy_cached(&p, &set, None, &mut cache),
                 solve_supply_greedy(&p, &set, None)
-            );
-            assert_eq!(
-                solve_supply_fractional_cached(&p, &set, None, &mut cache),
-                solve_supply_fractional(&p, &set, None)
             );
         }
     }

@@ -1,10 +1,9 @@
 //! The broker tier of the two-tier market (DESIGN.md §12).
 //!
-//! In broker mode every shard of a [`crate::sharded::ShardPlan`] run gets a
-//! first-class broker: at each period boundary the shard's aggregate
-//! per-class supply and mean ln-price (the same signals the PR 9 router
-//! consumed raw) become the broker's sealed bid on a parent market. The
-//! [`BrokerTier`] owns that market and, once per boundary:
+//! Every shard of a [`crate::sharded::ShardPlan`] run gets a first-class
+//! broker: at each period boundary the shard's aggregate per-class supply
+//! and mean ln-price become the broker's sealed bid on a parent market.
+//! The [`BrokerTier`] owns that market and, once per boundary:
 //!
 //! 1. turns the shard signals into [`qa_core::hier::ShardSignal`]s and
 //!    submits them as bids (`broker_bid` telemetry, one per shard),
@@ -16,6 +15,12 @@
 //! 4. rewrites the router weights from the clearing result: each home
 //!    shard's weight is its quota biased by how far its own price sits
 //!    below the parent's clearing price.
+//!
+//! A run without a parent market is the same tier over
+//! [`ParentMechanism::PassThrough`](qa_economics::parent::ParentMechanism):
+//! quota = the supply signal and clearing price = 1, so step 4 yields the
+//! raw-signal router weights `(1 + supply) · e^(−ln p)` and steps 2–3 are
+//! empty.
 //!
 //! Everything here runs serially at the boundary, so broker mode is
 //! byte-stable across thread budgets for free; cross-tier traffic stays at
@@ -75,7 +80,7 @@ impl BrokerTier {
     /// exactly as the router consumes them; `weights[k][i]` indexes
     /// `home_shards[k][i]`, matching the router's layout. Classes with a
     /// single home shard keep their weight untouched (the router never
-    /// reads it), same as the raw-signal path.
+    /// reads it).
     pub fn clear_window(
         &mut self,
         home_shards: &[Vec<usize>],
@@ -218,6 +223,43 @@ mod tests {
         t.clear_window(&home_shards, &supply, &lnp, &[3, 3], &mut weights);
         assert_eq!(weights[0], vec![7.5], "router never reads 1-home weights");
         assert_ne!(weights[1], vec![1.0, 1.0], "multi-home weights rewritten");
+    }
+
+    /// The raw-signal router is the pass-through parent, bit for bit: no
+    /// clamp bites inside the pricer's log range, nothing escalates.
+    #[test]
+    fn pass_through_parent_reproduces_the_router_weights() {
+        use qa_simnet::DetRng;
+        let pricer = qa_economics::non_tatonnement::PricerConfig::default();
+        let (floor, ceiling) = (pricer.price_floor.ln(), pricer.price_ceiling.ln());
+        let mut rng = DetRng::seed_from_u64(0x1DE).derive("pass-through");
+        let mut t = BrokerTier::new(4, &BrokerConfig::pass_through(), Telemetry::disabled());
+        let home_shards = vec![vec![0usize, 1, 2]; 4];
+        for _ in 0..50 {
+            let supply: Vec<Vec<u64>> = (0..3)
+                .map(|_| (0..4).map(|_| rng.next_u64() % 5_000).collect())
+                .collect();
+            // Per class: ln p = ±0 or the floor, anywhere in range,
+            // negative, the ceiling.
+            let lnp: Vec<Vec<f64>> = (0..3)
+                .map(|s| {
+                    let drawn = rng.float_in(floor, ceiling);
+                    vec![[0.0, -0.0, floor][s], drawn, -drawn.abs(), ceiling]
+                })
+                .collect();
+            let demand: Vec<u64> = (0..4).map(|_| rng.next_u64() % 20_000).collect();
+            let mut weights = vec![vec![1.0; 3]; 4];
+            let out = t.clear_window(&home_shards, &supply, &lnp, &demand, &mut weights);
+            for (kc, row) in weights.iter().enumerate() {
+                for (s, w) in row.iter().enumerate() {
+                    let raw = (1.0 + supply[s][kc] as f64) * (-lnp[s][kc]).exp();
+                    assert_eq!(w.to_bits(), raw.to_bits(), "class {kc} shard {s}");
+                }
+            }
+            assert_eq!((out.rounds, out.unserved), (0, vec![0; 4]));
+        }
+        assert_eq!((t.total_escalated, t.total_rounds), (0, 0));
+        assert_eq!(t.escalated(), &[0; 4]);
     }
 
     #[test]

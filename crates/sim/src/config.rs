@@ -98,9 +98,9 @@ impl SimConfig {
 /// Two-tier market configuration: when installed on a sharded run, every
 /// shard gets a broker that bids its aggregate supply/ln-price signals on
 /// a parent market, and the clearing result (quotas + clearing prices)
-/// drives the cross-shard router instead of the raw weight-proportional
-/// signals. `None` (the default everywhere) is the degenerate one-level
-/// case — the PR 9 router, byte-for-byte.
+/// drives the cross-shard router. A run without one (the default
+/// everywhere) routes on the raw signals: the same tier over the
+/// pass-through parent, which awards every bid whole at a flat price.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrokerConfig {
     /// The parent market's mechanism and price dynamics.
@@ -117,21 +117,27 @@ impl BrokerConfig {
     /// QA-NT at the broker tier: one greedy cheapest-first clearing per
     /// window, parent prices adjusted from unmet demand / unsold capacity.
     pub fn qant() -> BrokerConfig {
-        BrokerConfig {
-            market: ParentMarketConfig {
-                mechanism: ParentMechanism::QaNt,
-                ..ParentMarketConfig::default()
-            },
-        }
+        BrokerConfig::with(ParentMechanism::QaNt)
     }
 
     /// WALRAS-style tâtonnement at the broker tier: the parent iterates
     /// its ln-price against the brokers' aggregate supply curves until the
     /// window clears within tolerance.
     pub fn walras() -> BrokerConfig {
+        BrokerConfig::with(ParentMechanism::Walras)
+    }
+
+    /// No parent market: quotas are the shards' raw supply signals and the
+    /// clearing price is flat (see [`ParentMechanism::PassThrough`]).
+    pub(crate) fn pass_through() -> BrokerConfig {
+        BrokerConfig::with(ParentMechanism::PassThrough)
+    }
+
+    /// The default parent-market tuning under `mechanism`.
+    fn with(mechanism: ParentMechanism) -> BrokerConfig {
         BrokerConfig {
             market: ParentMarketConfig {
-                mechanism: ParentMechanism::Walras,
+                mechanism,
                 ..ParentMarketConfig::default()
             },
         }

@@ -74,17 +74,11 @@ enum Event {
 
 enum MechState {
     /// QA-NT; `None` entries are non-participating nodes that always offer
-    /// (the §4 partial-deployment case).
+    /// (the §4 partial-deployment case). Each node's own
+    /// [`supply`](qa_core::QantNode::supply) is the only copy of what it
+    /// still offers this period.
     QaNt {
         nodes: Vec<Option<qa_core::QantNode>>,
-        /// Column-major availability mirror, `avail[class * N + node]`:
-        /// how many more class-`k` requests node `n` will answer with an
-        /// offer this period (`u64::MAX` for non-participating nodes).
-        /// Rewritten per node by [`mirror_node`] at period boundaries and
-        /// decremented alongside `on_accept`, it lets the hot path
-        /// resolve the common supply-available case with one contiguous
-        /// array read instead of a market call.
-        avail: Vec<u64>,
         /// Pure-market mode (set once per run, in `begin_run`): with no
         /// §5.1 threshold, telemetry off and no fault or crash schedule,
         /// the candidate set is the static capable list and a
@@ -93,16 +87,11 @@ enum MechState {
         /// offer off this index instead of polling, and a dry node's
         /// refusals are counted from the index's demand stamps and
         /// replayed at the period boundary: same final prices. `None`
-        /// keeps the eager per-poll loops.
+        /// polls every candidate (§3.3 steps 4–10), paying each refusal
+        /// as it happens.
         index: Option<OfferIndex>,
     },
-    Greedy {
-        /// Stale backlog snapshot (refreshed each period): clients cannot
-        /// observe live queues, only periodically collected estimates —
-        /// the "old information" effect of the paper's reference [10].
-        snapshot: Vec<SimDuration>,
-        snapshot_at: SimTime,
-    },
+    Greedy,
     Random,
     RoundRobin {
         per_client: Vec<RoundRobinState>,
@@ -151,8 +140,7 @@ pub struct Federation<'a> {
     /// Flattened execution-time matrix, `exec[class * N + node]`
     /// (pre-converted from the scenario's `exec_times_ms`; incapable
     /// pairs hold a zero sentinel and are never read — `allocate` only
-    /// looks up capable nodes). One row is exactly the slice the offer
-    /// sweep walks.
+    /// looks up capable nodes).
     exec: Vec<SimDuration>,
     /// Owned arrival buffer. Trace arrivals are pre-sorted, so they never
     /// enter the event queue: a cursor drains them in order between
@@ -202,20 +190,6 @@ pub struct Federation<'a> {
     /// path stops allocating once they reach steady-state capacity.
     scratch_capable: Vec<NodeId>,
     scratch_reachable: Vec<NodeId>,
-    /// Eager-path QA-NT refusal memo, one flag per class: set when a
-    /// request saw a full refusal this period under stable conditions (no
-    /// faults, no dead nodes, telemetry off). Prices are non-decreasing
-    /// and supply non-increasing within a period, so a fully-refused
-    /// class stays fully refused until the next period boundary — later
-    /// requests short-circuit to `NoOffers` and only count a deferred
-    /// rejection. Cleared at every period start and on any kill/recover
-    /// event. Never set while the offer index is engaged: an empty index
-    /// is the memo.
-    refused_classes: Vec<bool>,
-    /// Refusals owed to the market while the memo short-circuits, per
-    /// class; charged to every capable node's pricer (bit-identical
-    /// price rises) before the period-end price update.
-    deferred_rejections: Vec<u64>,
     /// Per-class supply caps handed to every node's supply solve at a
     /// period boundary; a reused buffer.
     demand_caps: QuantityVector,
@@ -260,14 +234,10 @@ impl<'a> Federation<'a> {
                             Some(n)
                         })
                         .collect(),
-                    avail: vec![0; k * cfg.num_nodes],
                     index: None,
                 }
             }
-            MechanismKind::Greedy => MechState::Greedy {
-                snapshot: vec![SimDuration::ZERO; cfg.num_nodes],
-                snapshot_at: SimTime::ZERO,
-            },
+            MechanismKind::Greedy => MechState::Greedy,
             MechanismKind::Random => MechState::Random,
             MechanismKind::RoundRobin => MechState::RoundRobin {
                 per_client: (0..cfg.num_nodes).map(|_| RoundRobinState::new()).collect(),
@@ -310,8 +280,6 @@ impl<'a> Federation<'a> {
             telemetry,
             scratch_capable: Vec::new(),
             scratch_reachable: Vec::new(),
-            refused_classes: vec![false; k],
-            deferred_rejections: vec![0; k],
             demand_caps: QuantityVector::zeros(k),
         }
     }
@@ -351,20 +319,13 @@ impl<'a> Federation<'a> {
     /// # Panics
     /// Panics when the mechanism is not QA-NT.
     pub fn restrict_market_to<F: Fn(NodeId) -> bool>(&mut self, participates: F) {
-        match &mut self.state {
-            MechState::QaNt {
-                nodes,
-                avail,
-                index,
-            } => {
-                for (i, slot) in nodes.iter_mut().enumerate() {
-                    if !participates(NodeId(i as u32)) {
-                        *slot = None;
-                    }
-                }
-                sync_avail(nodes, avail, index.as_mut(), &self.nodes);
+        let MechState::QaNt { nodes, .. } = &mut self.state else {
+            panic!("partial deployment applies to QA-NT only");
+        };
+        for (i, slot) in nodes.iter_mut().enumerate() {
+            if !participates(NodeId(i as u32)) {
+                *slot = None;
             }
-            _ => panic!("partial deployment applies to QA-NT only"),
         }
     }
 
@@ -420,15 +381,16 @@ impl<'a> Federation<'a> {
             && self.faults.is_none()
             && self.scenario.config.qant.price_threshold.is_none()
             && !self.telemetry.is_enabled();
-        if let MechState::QaNt {
-            nodes,
-            avail,
-            index,
-        } = &mut self.state
-        {
-            *index = pure_market
-                .then(|| OfferIndex::new(&self.scenario.capable, &self.exec, self.nodes.len()));
-            sync_avail(nodes, avail, index.as_mut(), &self.nodes);
+        if let MechState::QaNt { nodes, index } = &mut self.state {
+            *index = pure_market.then(|| {
+                let mut offers =
+                    OfferIndex::new(&self.scenario.capable, &self.exec, self.nodes.len());
+                for (n, slot) in nodes.iter().enumerate() {
+                    offers.reseat(NodeId(n as u32), slot.as_ref(), &self.nodes);
+                }
+                offers.restore();
+                offers
+            });
         }
         for &(at, node) in &self.kills {
             self.queue.schedule(at, Event::Kill { node });
@@ -436,11 +398,12 @@ impl<'a> Federation<'a> {
         for &(at, node) in &self.recoveries {
             self.queue.schedule(at, Event::Recover { node });
         }
-        // Periods matter for QA-NT (market), BNQRD (report decay) and
-        // Greedy (stale load snapshots).
+        // Periods matter for QA-NT (market) and BNQRD (report decay);
+        // Greedy's chain does no work but marks `period_started` in
+        // traces.
         if matches!(
             self.state,
-            MechState::QaNt { .. } | MechState::Bnqrd { .. } | MechState::Greedy { .. }
+            MechState::QaNt { .. } | MechState::Bnqrd { .. } | MechState::Greedy
         ) {
             self.queue
                 .schedule(SimTime::ZERO + cfg_period, Event::PeriodStart);
@@ -475,13 +438,8 @@ impl<'a> Federation<'a> {
         while self.process_next() {}
     }
 
-    /// Ends the run: pays the final partial period's deferred refusals
-    /// and returns the measurements.
-    pub(crate) fn finish(mut self) -> RunOutcome {
-        // The final (partial) period never reaches another boundary; pay
-        // its deferred refusals so post-run market state matches an eager
-        // run.
-        self.charge_last_refusals();
+    /// Ends the run and returns the measurements.
+    pub(crate) fn finish(self) -> RunOutcome {
         RunOutcome {
             mechanism: self.mechanism,
             metrics: self.metrics,
@@ -508,7 +466,7 @@ impl<'a> Federation<'a> {
             self.next_arrival += 1;
             let now = self.arrivals[idx].at;
             self.telemetry.set_now_us(now.as_micros());
-            self.handle_arrival(now, idx, 0, cfg_period);
+            self.handle_arrival(now, idx, 0);
             return true;
         }
         let Some(ev) = self.queue.pop() else {
@@ -518,7 +476,7 @@ impl<'a> Federation<'a> {
         self.telemetry.set_now_us(now.as_micros());
         match ev.payload {
             Event::Arrival { idx, retries } => {
-                self.handle_arrival(now, idx, retries, cfg_period);
+                self.handle_arrival(now, idx, retries);
             }
             Event::Completion { idx, node, gen } => {
                 // Stale completion: the query was orphaned by a crash
@@ -561,18 +519,8 @@ impl<'a> Federation<'a> {
                 });
                 let _span = self.telemetry.span("federation.period_update");
                 self.roll_market_period(now);
-                match &mut self.state {
-                    MechState::Bnqrd { coordinator } => coordinator.tick(0.9),
-                    MechState::Greedy {
-                        snapshot,
-                        snapshot_at,
-                    } => {
-                        for (i, s) in snapshot.iter_mut().enumerate() {
-                            *s = self.nodes.backlog(i, now);
-                        }
-                        *snapshot_at = now;
-                    }
-                    _ => {}
+                if let MechState::Bnqrd { coordinator } = &mut self.state {
+                    coordinator.tick(0.9);
                 }
                 if !self.queue.is_empty()
                     || self.next_arrival < self.arrivals.len()
@@ -582,9 +530,6 @@ impl<'a> Federation<'a> {
                 }
             }
             Event::Kill { node } => {
-                // Membership changed: the refusal memo's "conditions
-                // cannot improve" argument no longer holds.
-                self.refused_classes.fill(false);
                 self.nodes.kill(node.index());
                 self.telemetry
                     .emit(|| TelemetryEvent::NodeCrashed { node: node.0 });
@@ -601,31 +546,10 @@ impl<'a> Federation<'a> {
                 for q in orphans {
                     self.assign_gen[q] = self.assign_gen[q].wrapping_add(1);
                     self.owners[q] = None;
-                    let tried = self.attempts[q];
-                    if tried >= MAX_RETRIES {
-                        self.metrics.unserved += 1;
-                        self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-                            query: q as u64,
-                            class: self.arrivals[q].class.0,
-                            retries: tried,
-                        });
-                    } else {
-                        self.metrics.retries += 1;
-                        let next = SimTime::from_micros(
-                            (now.period_index(cfg_period) + 1) * cfg_period.as_micros(),
-                        ) + SimDuration::from_micros(1);
-                        self.queue.schedule(
-                            next,
-                            Event::Arrival {
-                                idx: q,
-                                retries: tried + 1,
-                            },
-                        );
-                    }
+                    self.resubmit(now, q, self.attempts[q], true);
                 }
             }
             Event::Recover { node } => {
-                self.refused_classes.fill(false);
                 self.nodes.revive(node.index(), now);
                 self.telemetry
                     .emit(|| TelemetryEvent::NodeRecovered { node: node.0 });
@@ -637,7 +561,7 @@ impl<'a> Federation<'a> {
     /// Processes the arrival (or resubmission) of query `idx` at `now`:
     /// one allocation attempt, then completion scheduling, next-period
     /// resubmission, or an unserved verdict.
-    fn handle_arrival(&mut self, now: SimTime, idx: usize, retries: u32, cfg_period: SimDuration) {
+    fn handle_arrival(&mut self, now: SimTime, idx: usize, retries: u32) {
         self.attempts[idx] = retries;
         let q = self.arrivals[idx];
         match self.allocate(now, q.class, q.origin, idx) {
@@ -657,36 +581,29 @@ impl<'a> Federation<'a> {
                 self.queue
                     .schedule(finish, Event::Completion { idx, node, gen });
             }
-            Allocation::NoOffers => {
-                if retries >= MAX_RETRIES {
-                    self.metrics.unserved += 1;
-                    self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-                        query: idx as u64,
-                        class: q.class.0,
-                        retries,
-                    });
-                } else {
-                    self.metrics.retries += 1;
-                    let next = SimTime::from_micros(
-                        (now.period_index(cfg_period) + 1) * cfg_period.as_micros(),
-                    ) + SimDuration::from_micros(1);
-                    self.queue.schedule(
-                        next,
-                        Event::Arrival {
-                            idx,
-                            retries: retries + 1,
-                        },
-                    );
-                }
-            }
-            Allocation::Impossible => {
-                self.metrics.unserved += 1;
-                self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-                    query: idx as u64,
-                    class: q.class.0,
-                    retries,
-                });
-            }
+            Allocation::NoOffers => self.resubmit(now, idx, retries, true),
+            Allocation::Impossible => self.resubmit(now, idx, retries, false),
+        }
+    }
+
+    /// Query `idx` holds no assignment after `tried` resubmissions: it
+    /// re-enters just past the next period boundary (§2.2), or counts as
+    /// unserved when it `can_run` nowhere or its retry budget is spent.
+    fn resubmit(&mut self, now: SimTime, idx: usize, tried: u32, can_run: bool) {
+        if can_run && tried < MAX_RETRIES {
+            self.metrics.retries += 1;
+            let period = self.scenario.config.period;
+            let next = SimTime::from_micros((now.period_index(period) + 1) * period.as_micros())
+                + SimDuration::from_micros(1);
+            let retries = tried + 1;
+            self.queue.schedule(next, Event::Arrival { idx, retries });
+        } else {
+            self.metrics.unserved += 1;
+            self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
+                query: idx as u64,
+                class: self.arrivals[idx].class.0,
+                retries: tried,
+            });
         }
     }
 
@@ -694,16 +611,11 @@ impl<'a> Federation<'a> {
     /// over the nodes, a block at a time: the block is charged the closing
     /// period's unpaid refusals, then each of its nodes ends its period
     /// (leftover supply decays prices), solves eq. 4 for the next one and
-    /// has its mirror column and index leaves rewritten — all while its
+    /// has its index leaves re-read from the fresh supply — all while its
     /// market state is in cache. Nodes share nothing here, so the order is
     /// unobservable; per node it is the order the paper gives.
     fn roll_market_period(&mut self, now: SimTime) {
-        let MechState::QaNt {
-            nodes,
-            avail,
-            index,
-        } = &mut self.state
-        else {
+        let MechState::QaNt { nodes, index } = &mut self.state else {
             return;
         };
         // Sellers have no reason to reserve more supply for a class than
@@ -730,8 +642,9 @@ impl<'a> Federation<'a> {
             .chunks_mut(BOUNDARY_BLOCK)
             .zip((0..).step_by(BOUNDARY_BLOCK))
         {
-            let owed = (&self.period_demand[..], &self.deferred_rejections[..]);
-            charge_refusals(block, lo, index.as_ref(), owed);
+            if let Some(index) = index {
+                charge_refusals(block, lo, index, &self.period_demand);
+            }
             for (slot, i) in block.iter_mut().zip(lo..) {
                 if let Some(n) = slot {
                     n.end_period();
@@ -742,30 +655,16 @@ impl<'a> Federation<'a> {
                         n.begin_period_with_budget(costs, Some(&self.demand_caps), budget);
                     }
                 }
-                mirror_node(i, slot, avail, index.as_mut(), soa);
+                if let Some(index) = index {
+                    // The only place supply can rise.
+                    index.reseat(NodeId(i as u32), slot.as_ref(), soa);
+                }
             }
         }
         if let Some(index) = index {
             index.restore();
         }
-        // Re-arm the refusal memo for the fresh supply.
         self.period_demand.fill(0);
-        self.deferred_rejections.fill(0);
-        self.refused_classes.fill(false);
-    }
-
-    /// Charges every node the refusals of a period that never reached its
-    /// boundary (see [`charge_refusals`]): once, after the run loop exits.
-    fn charge_last_refusals(&mut self) {
-        if let MechState::QaNt { nodes, index, .. } = &mut self.state {
-            let owed = (&self.period_demand[..], &self.deferred_rejections[..]);
-            for (block, lo) in nodes
-                .chunks_mut(BOUNDARY_BLOCK)
-                .zip((0..).step_by(BOUNDARY_BLOCK))
-            {
-                charge_refusals(block, lo, index.as_ref(), owed);
-            }
-        }
     }
 
     /// Per-class market signals for the sharded router, written into
@@ -779,10 +678,9 @@ impl<'a> Federation<'a> {
     /// # Panics
     /// Panics for non-QA-NT mechanisms.
     pub(crate) fn qant_signals_into(&self, supply: &mut [u64], ln_price: &mut [f64]) {
-        let MechState::QaNt { nodes, avail, .. } = &self.state else {
+        let MechState::QaNt { nodes, .. } = &self.state else {
             panic!("market signals apply to QA-NT only");
         };
-        let n_total = self.nodes.len();
         // Log prices sum in ascending node order whatever order the
         // scenario lists a class's capable nodes in: float addition is
         // not associative, and the signal must not depend on the listing.
@@ -798,12 +696,12 @@ impl<'a> Federation<'a> {
         for (k, (s, lnp)) in supply.iter_mut().zip(ln_price.iter_mut()).enumerate() {
             let mut units: u64 = 0;
             let mut markets = 0u32;
-            for &node in &self.scenario.capable[k] {
-                let a = avail[k * n_total + node.index()];
-                if a != u64::MAX {
-                    units = units.saturating_add(a);
-                }
-                markets += u32::from(nodes[node.index()].is_some());
+            for market in self.scenario.capable[k]
+                .iter()
+                .filter_map(|node| nodes[node.index()].as_ref())
+            {
+                units = units.saturating_add(market.supply().map_or(0, |s| s.get(k)));
+                markets += 1;
             }
             *s = units;
             *lnp = if markets > 0 {
@@ -817,16 +715,6 @@ impl<'a> Federation<'a> {
     /// Runs the allocation protocol for one query at `now`.
     fn allocate(&mut self, now: SimTime, class: ClassId, origin: NodeId, idx: usize) -> Allocation {
         let _span = self.telemetry.span("federation.allocate");
-        // Refusal memo hit: this class was fully refused earlier this
-        // period under conditions that cannot improve before the next
-        // boundary. Charge the same messages and defer the per-node price
-        // rises (see `charge_refusals`).
-        if self.refused_classes[class.index()] {
-            self.period_demand[class.index()] += 1;
-            self.deferred_rejections[class.index()] += 1;
-            self.metrics.messages += self.scenario.capable[class.index()].len() as u64;
-            return Allocation::NoOffers;
-        }
         let scenario = self.scenario;
         let link = scenario.config.link;
         // Fault injection: the polling mechanisms (QA-NT, Greedy,
@@ -859,7 +747,7 @@ impl<'a> Federation<'a> {
             }
             let polls = matches!(
                 self.state,
-                MechState::QaNt { .. } | MechState::Greedy { .. } | MechState::TwoProbes
+                MechState::QaNt { .. } | MechState::Greedy | MechState::TwoProbes
             );
             self.scratch_reachable.clear();
             if faults_on && polls {
@@ -893,162 +781,82 @@ impl<'a> Federation<'a> {
         let one_way = link.transfer_time(REQUEST_BYTES);
 
         let (choice, mut delay) = match &mut self.state {
-            MechState::QaNt {
-                nodes,
-                avail,
-                index,
-            } => {
+            MechState::QaNt { nodes, index } => {
                 self.period_demand[class.index()] += 1;
-                let avail_row = &mut avail[class.index() * n_total..(class.index() + 1) * n_total];
-                let soa = &self.nodes;
-                // The winner is the first minimum under
-                // `(estimated_completion, server)` over the offering
-                // nodes — exactly what
-                // `qa_core::client::choose_best_offer` computes over a
-                // materialized offer list, without building the list.
-                let mut offers: u64 = 0;
-                let mut best: Option<(SimDuration, NodeId)> = None;
-                // Pure-market mode's winner and its leaf in the index.
-                let mut indexed: Option<(NodeId, usize)> = None;
-                if let Some(index) = index {
+                // `leaf`: the winner's place in the index, when it answered.
+                let (offers, winner, leaf) = match index {
                     // Nobody is polled: the index already holds every
                     // offering node, ranked.
-                    offers = index.offerers(class);
-                    indexed = index.best(class, now);
-                } else if reachable.len() == n_total {
-                    // Eager market round-trips (telemetry, §5.1 threshold,
-                    // faults or a crash schedule active), full candidate
-                    // set: sweep the full rows in lockstep (a capable
-                    // list of full length is exactly 0..N) — no index
-                    // gather, no bounds checks. Fast path inside either
-                    // loop: the availability mirror says the node still
-                    // has supply, so `on_request` would return `true`
-                    // without touching market state or telemetry — skip
-                    // the call. Non-participating nodes sit at `u64::MAX`
-                    // and always take this path (§4).
-                    let backlog = soa.backlog_until_slice();
-                    for (i, ((market, &a), (&b, &exec))) in nodes
-                        .iter_mut()
-                        .zip(avail_row.iter())
-                        .zip(backlog.iter().zip(exec_row.iter()))
-                        .enumerate()
-                    {
-                        let offered = a > 0
-                            || match market {
+                    Some(index) => {
+                        let (winner, leaf) = index.best(class, now).unzip();
+                        (index.offerers(class), winner, leaf)
+                    }
+                    // §3.3 steps 4–10: poll every candidate; a node out
+                    // of supply refuses and raises its price. The winner
+                    // is the first minimum under `(estimated completion,
+                    // server)` over the offers — what
+                    // `qa_core::client::choose_best_offer` picks from the
+                    // materialized list.
+                    None => {
+                        let mut offers: u64 = 0;
+                        let mut best: Option<(SimDuration, NodeId)> = None;
+                        for &n in reachable {
+                            let offered = match &mut nodes[n.index()] {
                                 Some(market) => market.on_request(class),
                                 None => true,
                             };
-                        if offered {
-                            offers += 1;
-                            let est = b.saturating_since(now) + exec;
-                            let n = NodeId(i as u32);
-                            if best.is_none_or(|x| (est, n) < x) {
-                                best = Some((est, n));
+                            if offered {
+                                offers += 1;
+                                let est =
+                                    self.nodes.estimated_completion(n.index(), now, exec_of(n));
+                                if best.is_none_or(|b| (est, n) < b) {
+                                    best = Some((est, n));
+                                }
                             }
                         }
+                        (offers, best.map(|(_, n)| n), None)
                     }
-                } else {
-                    for &n in reachable {
-                        let offered = avail_row[n.index()] > 0
-                            || match &mut nodes[n.index()] {
-                                Some(market) => market.on_request(class),
-                                None => true,
-                            };
-                        if offered {
-                            offers += 1;
-                            let est = soa.estimated_completion(n.index(), now, exec_of(n));
-                            if best.is_none_or(|b| (est, n) < b) {
-                                best = Some((est, n));
-                            }
-                        }
-                    }
-                }
+                };
                 // One call-for-offers per capable node (unreachable ones
                 // were still sent, they just never produced an offer),
                 // one offer back per offering node, then the accept plus
                 // the declines.
                 self.metrics.messages += capable.len() as u64 + 2 * offers;
-                match indexed.map(|(n, _)| n).or(best.map(|(_, n)| n)) {
-                    None => {
-                        // Full refusal. Under stable conditions the
-                        // outcome is locked in for the rest of the
-                        // period: supply only falls, prices only rise
-                        // (so every node's threshold bypass stays off),
-                        // and the reachable set cannot change without a
-                        // kill/recover event (which clears the memo).
-                        // Telemetry must be off — the eager path emits
-                        // per-request rejection events. In pure-market
-                        // mode the empty index already answers the rest
-                        // of the period in O(1).
-                        if index.is_none()
-                            && !faults_on
-                            && self.nodes.all_alive()
-                            && !self.telemetry.is_enabled()
-                        {
-                            self.refused_classes[class.index()] = true;
+                let Some(server) = winner else {
+                    return Allocation::NoOffers;
+                };
+                if let Some(market) = &mut nodes[server.index()] {
+                    market.on_accept(class);
+                    if let (Some(index), Some(leaf)) = (index, leaf) {
+                        if market.supply().is_some_and(|s| s.get(class.index()) == 0) {
+                            index.ran_dry(class, leaf, self.period_demand[class.index()]);
                         }
-                        return Allocation::NoOffers;
-                    }
-                    Some(server) => {
-                        if let Some(market) = &mut nodes[server.index()] {
-                            market.on_accept(class);
-                            let a = &mut avail_row[server.index()];
-                            *a = a.saturating_sub(1);
-                            if let (0, Some(index), Some((_, leaf))) = (*a, index, indexed) {
-                                index.ran_dry(class, leaf, self.period_demand[class.index()]);
-                            }
-                        }
-                        (server, rtt)
                     }
                 }
+                (server, rtt)
             }
-            MechState::Greedy {
-                snapshot,
-                snapshot_at,
-            } => {
+            MechState::Greedy => {
                 // §4: "immediately assign queries to server nodes that can
                 // evaluate them in the least time. A small amount of
-                // randomization may also be used." The client combines
-                // EXPLAIN-style execution estimates with *stale* load
-                // information — queue lengths as of the last collection
-                // period, discounted for elapsed time — because live queues
-                // of other clients' work are unobservable (the "old
-                // information" herding effect of the paper's ref. [10]).
-                // Assignment is unilateral: the §4 autonomy violation.
+                // randomization may also be used." The client polls every
+                // candidate for an EXPLAIN-style completion estimate —
+                // live backlog plus execution time, each off by up to
+                // ±`greedy_estimate_error` — and assigns unilaterally:
+                // the §4 autonomy violation.
                 self.metrics.messages += 2 * capable.len() as u64 + 1;
-                let _ = (snapshot, snapshot_at);
                 let err = self.scenario.config.greedy_estimate_error;
                 let mut best: Option<(SimDuration, NodeId)> = None;
                 // Only nodes whose estimate round-trip survived the link
                 // are candidates this attempt.
-                if reachable.len() == n_total {
-                    // Full candidate set: lockstep row sweep, same as the
-                    // QA-NT arm (ascending capable list of full length is
-                    // exactly 0..N).
-                    let backlog = self.nodes.backlog_until_slice();
-                    for (i, (&b, &exec)) in backlog.iter().zip(exec_row.iter()).enumerate() {
-                        let raw = b.saturating_since(now) + exec;
-                        let noisy = if err > 0.0 {
-                            raw * (1.0 + self.rng.float_in(-err, err))
-                        } else {
-                            raw
-                        };
-                        let n = NodeId(i as u32);
-                        if best.is_none() || (noisy, n) < best.unwrap() {
-                            best = Some((noisy, n));
-                        }
-                    }
-                } else {
-                    for &n in reachable {
-                        let raw = self.nodes.estimated_completion(n.index(), now, exec_of(n));
-                        let noisy = if err > 0.0 {
-                            raw * (1.0 + self.rng.float_in(-err, err))
-                        } else {
-                            raw
-                        };
-                        if best.is_none() || (noisy, n) < best.unwrap() {
-                            best = Some((noisy, n));
-                        }
+                for &n in reachable {
+                    let raw = self.nodes.estimated_completion(n.index(), now, exec_of(n));
+                    let noisy = if err > 0.0 {
+                        raw * (1.0 + self.rng.float_in(-err, err))
+                    } else {
+                        raw
+                    };
+                    if best.is_none_or(|b| (noisy, n) < b) {
+                        best = Some((noisy, n));
                     }
                 }
                 match best {
@@ -1144,80 +952,24 @@ impl<'a> Federation<'a> {
 }
 
 /// Charges `block` — nodes `lo..`, at most [`BOUNDARY_BLOCK`] of them — the
-/// refusals the closing period still owes them; `owed` is its per-class
-/// `(period_demand, deferred_rejections)`. Must run before the block's
-/// period-end price update: the deferred rises belong to the closing
+/// refusals the closing period still owes them in pure-market mode: every
+/// dry capable node refused each class request made since it ran dry
+/// (`demand` is the period's per-class request count). Must run before
+/// the block's period-end price update: the rises belong to the closing
 /// period.
 fn charge_refusals(
     block: &mut [Option<qa_core::QantNode>],
     lo: usize,
-    index: Option<&OfferIndex>,
-    (demand, deferred): (&[u64], &[u64]),
+    index: &OfferIndex,
+    demand: &[u64],
 ) {
     let mut row = [0u64; BOUNDARY_BLOCK];
     let row = &mut row[..block.len()];
-    for (k, (&demand, &deferred)) in demand.iter().zip(deferred).enumerate() {
+    for (k, &demand) in demand.iter().enumerate().filter(|(_, &d)| d > 0) {
         let class = ClassId(k as u32);
-        match index {
-            // Pure-market mode: every dry capable node refused each
-            // class request made since it ran dry.
-            Some(index) if demand > 0 => index.rejections_into(class, demand, lo, row),
-            // Eager mode polls pay as they go; what is owed is the
-            // memo's short-circuited requests, each refused by every
-            // capable node (the nodes know which they are).
-            None if deferred > 0 => row.fill(deferred),
-            _ => continue,
-        }
+        index.rejections_into(class, demand, lo, row);
         qa_core::QantNode::apply_rejections_batch(block, class, row);
         row.fill(0);
-    }
-}
-
-/// Rewrites node `n`'s column of the QA-NT availability mirror from its
-/// authoritative supply: `avail[class * N + n]` is how many more class
-/// requests the node will answer with an offer this period. Skipping
-/// `on_request` while the mirror is positive is exact because that call,
-/// with supply available, mutates nothing and emits nothing; every event
-/// that *can* change supply (period boundaries, partial-deployment
-/// restriction, accepts) rewrites or decrements the mirror. The node's
-/// leaves of the offer index, when engaged, are re-read from the fresh
-/// column in the same breath: this is the only place supply can rise.
-fn mirror_node(
-    n: usize,
-    slot: &Option<qa_core::QantNode>,
-    avail: &mut [u64],
-    index: Option<&mut OfferIndex>,
-    soa: &NodeSoa,
-) {
-    let supply = slot.as_ref().map(|q| q.supply());
-    for (k, a) in avail.iter_mut().skip(n).step_by(soa.len()).enumerate() {
-        *a = match supply {
-            Some(Some(s)) => s.get(k),
-            // Market node between periods (e.g. it died and its period
-            // was ended without a successor): no supply, no offers.
-            Some(None) => 0,
-            // Non-participating node (§4 partial deployment): always
-            // offers; the sentinel is never meaningfully decremented.
-            None => u64::MAX,
-        };
-    }
-    if let Some(index) = index {
-        index.reseat(NodeId(n as u32), avail, soa);
-    }
-}
-
-/// [`mirror_node`] for every node, outside the period boundary's own pass.
-fn sync_avail(
-    nodes: &[Option<qa_core::QantNode>],
-    avail: &mut [u64],
-    mut index: Option<&mut OfferIndex>,
-    soa: &NodeSoa,
-) {
-    for (n, slot) in nodes.iter().enumerate() {
-        mirror_node(n, slot, avail, index.as_deref_mut(), soa);
-    }
-    if let Some(index) = index {
-        index.restore();
     }
 }
 
@@ -1559,9 +1311,9 @@ mod tests {
     }
 }
 
-/// The offer index and the fused period boundary against the eager
-/// per-poll loops: whole runs must agree to the last bit, at every
-/// boundary on the way.
+/// The offer index and the fused period boundary against the eager poll
+/// loop: whole runs must agree to the last bit, at every boundary on the
+/// way.
 #[cfg(test)]
 mod index_differential {
     use super::*;
@@ -1583,9 +1335,9 @@ mod index_differential {
     }
 
     /// A QA-NT run over `trace`, ready to step. Telemetry off takes the
-    /// fast path under test — the offer index, or with a §5.1 threshold
-    /// the refusal memo; `Telemetry::metrics_only()` the eager per-poll
-    /// path that pays every refusal as it happens.
+    /// offer index unless a §5.1 threshold is set; with
+    /// `Telemetry::metrics_only()`, or a threshold, every candidate is
+    /// polled and pays its refusal as it happens.
     fn start<'a>(
         s: &'a Scenario,
         trace: &Trace,
@@ -1611,19 +1363,23 @@ mod index_differential {
         f
     }
 
-    /// The market between two periods: every node's price bits, the
-    /// availability mirror, and per class how many nodes offer and which
-    /// offer a client would take at `now` — swept from the mirror, and
-    /// checked against the index's heads where there is one.
-    type MarketState = (Vec<Vec<u64>>, Vec<u64>, Vec<(u64, Option<NodeId>)>);
+    /// Whether node `n` answers a class-`c` request with an offer on
+    /// supply alone: outside the market always, inside it while supply
+    /// lasts.
+    fn has_supply(nodes: &[Option<qa_core::QantNode>], n: NodeId, c: usize) -> bool {
+        nodes[n.index()]
+            .as_ref()
+            .is_none_or(|q| q.supply().is_some_and(|s| s.get(c) > 0))
+    }
+
+    /// The market between two periods: every market node's price bits and
+    /// remaining supply, and per class how many nodes offer and which
+    /// offer a client would take at `now` — swept from the nodes' supply,
+    /// and checked against the index's heads where there is one.
+    type MarketState = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<(u64, Option<NodeId>)>);
 
     fn market_state(f: &Federation, now: SimTime) -> MarketState {
-        let MechState::QaNt {
-            nodes,
-            avail,
-            index,
-        } = &f.state
-        else {
+        let MechState::QaNt { nodes, index } = &f.state else {
             unreachable!("a QA-NT run")
         };
         let (k, n) = (f.period_demand.len(), f.nodes.len());
@@ -1632,11 +1388,16 @@ mod index_differential {
             .flatten()
             .map(|q| (0..k).map(|c| q.prices().get(c).to_bits()).collect())
             .collect();
+        let supply = nodes
+            .iter()
+            .flatten()
+            .map(|q| q.supply().map_or(Vec::new(), |s| s.as_slice().to_vec()))
+            .collect();
         let heads = (0..k)
             .map(|c| {
                 let mut capable = f.scenario.capable[c].clone();
                 capable.sort_unstable();
-                let offering = capable.iter().filter(|m| avail[c * n + m.index()] > 0);
+                let offering = capable.iter().filter(|&&m| has_supply(nodes, m, c));
                 let best = offering
                     .clone()
                     .map(|&m| {
@@ -1648,21 +1409,30 @@ mod index_differential {
                 if let Some(index) = index {
                     let class = ClassId(c as u32);
                     let indexed = (index.offerers(class), index.best(class, now).map(|b| b.0));
-                    assert_eq!(indexed, head, "class {c}: the index lost the mirror");
+                    assert_eq!(indexed, head, "class {c}: the index lost the supply");
                 }
                 head
             })
             .collect();
-        (prices, avail.clone(), heads)
+        (prices, supply, heads)
     }
 
-    /// Runs what is left of `f`, pays the last period's refusals.
+    /// Runs what is left of `f` and charges every node the refusals of the
+    /// last period, which never reaches a boundary (an eager run has paid
+    /// them already).
     fn residue(mut f: Federation) -> Residue {
         while f.process_next() {}
-        f.charge_last_refusals();
-        let MechState::QaNt { nodes, .. } = &f.state else {
+        let MechState::QaNt { nodes, index } = &mut f.state else {
             unreachable!("a QA-NT run")
         };
+        if let Some(index) = index {
+            for (block, lo) in nodes
+                .chunks_mut(BOUNDARY_BLOCK)
+                .zip((0..).step_by(BOUNDARY_BLOCK))
+            {
+                charge_refusals(block, lo, index, &f.period_demand);
+            }
+        }
         let k = f.period_demand.len();
         let ln_prices = nodes
             .iter()
@@ -1682,8 +1452,9 @@ mod index_differential {
 
     /// Steps the fast and the eager run a period at a time: the market
     /// must read the same after every boundary, and the runs leave the
-    /// same residue. Returns whether the fast run ever owed the market a
-    /// refusal going into a boundary.
+    /// same residue. Returns whether the fast run ever refused a request
+    /// outright: with the index, going into a boundary (so the boundary
+    /// had refusals to replay); without it, at all.
     fn assert_paths_agree(
         s: &Scenario,
         trace: &Trace,
@@ -1701,7 +1472,7 @@ mod index_differential {
                     index: Some(index), ..
                 } => (0..fast.period_demand.len())
                     .any(|c| index.offerers(ClassId(c as u32)) == 0 && fast.period_demand[c] > 0),
-                _ => fast.deferred_rejections.iter().any(|&d| d > 0),
+                _ => fast.metrics.retries > 0,
             };
             fast.step_through(boundary);
             eager.step_through(boundary);
@@ -1749,95 +1520,80 @@ mod index_differential {
         Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng)
     }
 
-    #[test]
-    fn two_class_draws_agree_with_the_eager_path() {
-        let mut draw = DetRng::seed_from_u64(0x1DE).derive("two-class-draws");
-        let mut owed = 0;
-        for (case, &n) in [1, 2, 10, 64, 300, 2, 10, 64, 130].iter().enumerate() {
-            let load = draw.float_in(0.3, 3.0);
+    /// One drawn world per `(nodes, §5.1 threshold)` case, the whole
+    /// federation in the market and then every third node outside it.
+    /// Without a threshold the fast run is the offer index; with one both
+    /// runs poll (loads past saturation, so the restriction engages) and
+    /// only the telemetry differs. Returns how many index cases refused.
+    fn assert_draws_agree(
+        name: &str,
+        cases: &[(usize, Option<f64>)],
+        world: fn(SimConfig, f64) -> (Scenario, Trace),
+    ) -> usize {
+        let mut draw = DetRng::seed_from_u64(0x1DE).derive(name);
+        let mut refused = 0;
+        for (case, &(n, threshold)) in cases.iter().enumerate() {
+            let load = draw.float_in(if threshold.is_some() { 1.5 } else { 0.3 }, 3.0);
             let mut cfg = SimConfig::small_test(draw.next_u64());
             cfg.num_nodes = n;
-            let s = Scenario::two_class(cfg, TwoClassParams::default());
-            let t = two_class_trace(&s, load);
-            let what = format!("two_class case {case}: N={n} load={load:.2} q={}", t.len());
-            owed += u32::from(assert_paths_agree(&s, &t, None, &what));
-            // §4 partial deployment: every third node stays outside the
-            // market, always offers (`u64::MAX` availability) and so
-            // never leaves the index.
+            cfg.qant.price_threshold = threshold;
+            cfg.qant.renormalize_prices &= threshold.is_none();
+            let (s, t) = world(cfg, load);
+            let what = format!("{name} case {case}: N={n} load={load:.2} q={}", t.len());
+            let case_refused = assert_paths_agree(&s, &t, None, &what);
+            match threshold {
+                None => refused += usize::from(case_refused),
+                Some(_) => assert!(case_refused, "{what}: the restriction never engaged"),
+            }
+            // §4 partial deployment: the outsiders always offer and so
+            // never leave the index.
             assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
         }
+        refused
+    }
+
+    #[test]
+    fn two_class_draws_agree_with_the_eager_path() {
+        let mut cases = [1, 2, 10, 64, 300, 2, 10, 64, 130]
+            .map(|n| (n, None))
+            .to_vec();
+        cases.push((70, Some(2.0)));
+        let refused = assert_draws_agree("two-class-draws", &cases, |cfg, load| {
+            let s = Scenario::two_class(cfg, TwoClassParams::default());
+            let t = two_class_trace(&s, load);
+            (s, t)
+        });
         assert!(
-            owed >= 4,
-            "only {owed} draws replayed refusals at a boundary"
+            refused >= 4,
+            "only {refused} draws replayed refusals at a boundary"
         );
     }
 
     #[test]
     fn table3_draws_agree_with_the_eager_path() {
-        let mut draw = DetRng::seed_from_u64(0x1DE).derive("table3-draws");
-        for (case, &n) in [10, 64, 130].iter().enumerate() {
-            let load = draw.float_in(0.3, 3.0);
-            let mut cfg = SimConfig::small_test(draw.next_u64());
-            cfg.num_nodes = n;
+        let cases = [(10, None), (64, None), (130, None), (10, Some(2.0))];
+        assert_draws_agree("table3-draws", &cases, |cfg, load| {
             let s = Scenario::table3(cfg);
             assert_eq!(s.templates.num_classes(), 100);
             let t = table3_trace(&s, load);
-            let what = format!("table3 case {case}: N={n} load={load:.2} q={}", t.len());
-            assert_paths_agree(&s, &t, None, &what);
-            assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
-        }
+            (s, t)
+        });
     }
 
-    /// §5.1 threshold on, telemetry off: no index, but the refusal memo
-    /// short-circuits fully refused classes and the boundary charges what
-    /// they owe from `deferred_rejections` — the other source of counts
-    /// behind the same replay.
-    #[test]
-    fn memo_active_eager_runs_agree_with_the_traced_reference() {
-        let mut draw = DetRng::seed_from_u64(0x1DE).derive("memo-draws");
-        for (case, &(n, table3)) in [(10, false), (70, false), (130, false), (10, true)]
-            .iter()
-            .enumerate()
-        {
-            let load = draw.float_in(1.5, 3.0);
-            let mut cfg = SimConfig::small_test(draw.next_u64());
-            cfg.num_nodes = n;
-            cfg.qant.price_threshold = Some(2.0);
-            cfg.qant.renormalize_prices = false;
-            let (s, t) = if table3 {
-                let s = Scenario::table3(cfg);
-                let t = table3_trace(&s, load);
-                (s, t)
-            } else {
-                let s = Scenario::two_class(cfg, TwoClassParams::default());
-                let t = two_class_trace(&s, load);
-                (s, t)
-            };
-            let what = format!("memo case {case}: N={n} load={load:.2} q={}", t.len());
-            let owed = assert_paths_agree(&s, &t, None, &what);
-            assert!(owed || table3, "{what}: the memo never engaged");
-            assert_paths_agree(&s, &t, Some(|n| n.index() % 3 != 0), &what);
-        }
-    }
-
-    /// One class, two identical nodes: every estimate tie must fall to
-    /// node 0, also when node 0 is ranked in the busy regime and node 1
-    /// in the idle one.
-    #[test]
-    fn estimate_ties_and_an_arrival_at_backlog_until_fall_to_the_lowest_node() {
-        let cfg = SimConfig::small_test(5);
+    /// One class over `n` identical nodes: equal queues give equal
+    /// estimates.
+    fn identical_nodes(n: usize) -> Scenario {
         let cfg = SimConfig {
-            num_nodes: 2,
-            ..cfg
+            num_nodes: n,
+            ..SimConfig::small_test(5)
         };
-        let both = vec![NodeId(0), NodeId(1)];
         let dataset = Dataset::from_relations(
-            2,
+            n,
             vec![Relation {
                 id: RelationId(0),
                 size_bytes: 1 << 20,
                 attributes: 4,
-                mirrors: both,
+                mirrors: (0..n as u32).map(NodeId).collect(),
             }],
         );
         let templates = TemplateSet::from_templates(vec![QueryTemplate {
@@ -1853,7 +1609,15 @@ mod index_differential {
             buffer_mb: 6.0,
             hash_join: true,
         };
-        let s = Scenario::assemble(cfg, templates, dataset, vec![hw.clone(), hw]);
+        Scenario::assemble(cfg, templates, dataset, vec![hw; n])
+    }
+
+    /// Two identical nodes: every estimate tie must fall to node 0, also
+    /// when node 0 is ranked in the busy regime and node 1 in the idle
+    /// one.
+    #[test]
+    fn estimate_ties_and_an_arrival_at_backlog_until_fall_to_the_lowest_node() {
+        let s = identical_nodes(2);
         let mut rng = DetRng::seed_from_u64(1).derive("ties");
         let trace_of = |times: &[SimTime], rng: &mut DetRng| {
             Trace::from_arrivals(times.iter().map(|&t| (t, ClassId(0))).collect(), 2, rng)
@@ -1878,6 +1642,68 @@ mod index_differential {
             [Some(NodeId(0)), Some(NodeId(0)), Some(NodeId(1))]
         );
         assert!(indexed == residue(start(&s, &t, true, None)));
+    }
+
+    /// The poll loop is the paper's client: every first-time arrival goes
+    /// to the offer `choose_best_offer` picks from the materialised list
+    /// of the alive capable nodes that still have supply — over tied
+    /// estimates, a partial deployment and a dead node.
+    #[test]
+    fn eager_poll_is_choose_best_offer() {
+        use qa_core::messages::Offer;
+        let twins = identical_nodes(6);
+        let mixed = Scenario::two_class(SimConfig::small_test(0x1DE), TwoClassParams::default());
+        let outsiders: Option<fn(NodeId) -> bool> = Some(|n| n.index() % 3 != 0);
+        let (mut ties, mut refusals) = (0, 0);
+        for (s, participates, dead) in [
+            (&twins, None, None),
+            (&twins, outsiders, Some(NodeId(1))),
+            (&mixed, None, Some(NodeId(4))),
+            (&mixed, outsiders, None),
+        ] {
+            let t = table3_trace(s, 1.6);
+            let mut f = start(s, &t, true, participates);
+            if let Some(node) = dead {
+                f.queue
+                    .schedule(SimTime::from_millis(700), Event::Kill { node });
+            }
+            let n = f.nodes.len();
+            while let Some(at) = f.peek_next_time() {
+                let idx = f.next_arrival;
+                let fresh = f.arrivals.get(idx).filter(|q| q.at == at);
+                let expected = fresh.map(|q| {
+                    let MechState::QaNt { nodes, .. } = &f.state else {
+                        unreachable!("a QA-NT run")
+                    };
+                    let c = q.class.index();
+                    let offers: Vec<Offer> = s.capable[c]
+                        .iter()
+                        .filter(|m| f.nodes.alive(m.index()) && has_supply(nodes, **m, c))
+                        .map(|&m| Offer {
+                            query_id: idx as u64,
+                            server: m,
+                            estimated_completion: f.nodes.estimated_completion(
+                                m.index(),
+                                at,
+                                f.exec[c * n + m.index()],
+                            ),
+                        })
+                        .collect();
+                    let best = qa_core::client::choose_best_offer(&offers);
+                    let tied = |o: &&Offer| {
+                        Some(o.estimated_completion) == best.map(|b| b.estimated_completion)
+                    };
+                    ties += usize::from(offers.iter().filter(tied).count() > 1);
+                    refusals += usize::from(best.is_none());
+                    best.map(|o| o.server)
+                });
+                f.process_next();
+                if let Some(expected) = expected {
+                    assert_eq!(f.owners[idx], expected, "query {idx} at {at:?}");
+                }
+            }
+        }
+        assert!(ties > 0 && refusals > 0, "{ties} ties, {refusals} refusals");
     }
 }
 

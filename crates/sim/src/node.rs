@@ -129,9 +129,7 @@ impl NodeSoa {
         self.queued[i]
     }
 
-    /// The backlog column (contiguous offer sweeps: zipping this row with
-    /// an execution-time row gives every node's estimated completion with
-    /// no per-node bounds checks).
+    /// The backlog column: when each node's queue drains.
     pub fn backlog_until_slice(&self) -> &[SimTime] {
         &self.backlog_until
     }

@@ -22,7 +22,7 @@
 //! Membership is "still has supply for the class this period". Within a
 //! period supply only falls, at the accept that drains it, so a leaf
 //! leaves at most once per period ([`OfferIndex::ran_dry`]) and each
-//! node's leaves are re-read from the availability mirror at each boundary
+//! node's leaves are re-read from its own supply vector at each boundary
 //! ([`OfferIndex::reseat`]). For the same reason a dry node's refusals
 //! this period are exactly the class requests made since it ran dry: one
 //! demand stamp per leaf replaces a per-poll rejection count
@@ -30,9 +30,11 @@
 //!
 //! The index is exact only while the candidate set is the static capable
 //! list — no link faults, no dead nodes — which is the federation's
-//! rejection-deferral condition; the eager sweeps serve every other run.
+//! rejection-deferral condition; the eager poll loop serves every other
+//! run.
 
 use crate::node::NodeSoa;
+use qa_core::QantNode;
 use qa_simnet::{MinTree, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId};
 
@@ -65,7 +67,6 @@ pub(crate) struct OfferIndex {
     /// on `n` can touch.
     leaf_start: Vec<u32>,
     leaves: Vec<(u32, u32)>,
-    num_nodes: usize,
 }
 
 impl OfferIndex {
@@ -118,21 +119,23 @@ impl OfferIndex {
             classes,
             leaf_start,
             leaves,
-            num_nodes,
         }
     }
 
-    /// Re-reads `node`'s leaves from its column of the availability mirror
-    /// (`avail[class * num_nodes + node]`) and its queue, wherever that
-    /// column is rewritten: supply may have risen. The trees answer again
-    /// after [`OfferIndex::restore`].
-    pub(crate) fn reseat(&mut self, node: NodeId, avail: &[u64], nodes: &NodeSoa) {
+    /// Re-reads `node`'s leaves from its market's remaining supply and its
+    /// queue, wherever supply may have risen: a new period, or the start
+    /// of the run. A node outside the market (`None`, the §4 partial
+    /// deployment) always offers; a market node between periods has no
+    /// supply and offers nothing. The trees answer again after
+    /// [`OfferIndex::restore`].
+    pub(crate) fn reseat(&mut self, node: NodeId, market: Option<&QantNode>, nodes: &NodeSoa) {
         let n = node.index();
         let queued = nodes.queued(n) > 0;
         let backlog_until = nodes.backlog_until_slice()[n].as_micros();
+        let supply = market.map(QantNode::supply);
         for &(k, leaf) in node_leaves(&self.leaf_start, &self.leaves, node) {
             let (c, leaf) = (&mut self.classes[k as usize], leaf as usize);
-            let offers = avail[k as usize * self.num_nodes + n] > 0;
+            let offers = supply.is_none_or(|s| s.is_some_and(|s| s.get(k as usize) > 0));
             c.dry_at[leaf] = if offers { OFFERING } else { 0 };
             c.idle
                 .stage(leaf, (offers && !queued).then_some(c.exec[leaf]));

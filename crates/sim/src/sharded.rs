@@ -2,7 +2,7 @@
 //!
 //! Partitions one federation into `S` shards — contiguous node slices,
 //! each with its own event queue, arrival cursor, market state and
-//! flattened exec/availability matrices — and runs the intra-period hot
+//! flattened exec matrix — and runs the intra-period hot
 //! loop of every shard in parallel. Cross-shard coordination happens only
 //! at period boundaries, as batched aggregate signals: each shard reports
 //! per-class remaining supply and the log of its geometric-mean price, and
@@ -71,10 +71,11 @@ pub struct ShardPlan {
 pub struct ShardRunOptions {
     /// Worker threads the shard layer may step shards on.
     pub budget: usize,
-    /// Two-tier market: when set, a [`BrokerTier`] clears each window on
-    /// the parent market and drives the router weights; when `None` the
-    /// raw-signal weight-proportional router runs (the degenerate
-    /// one-level case, byte-identical to PR 9).
+    /// The parent market a [`BrokerTier`] clears each window on to set the
+    /// router weights. `None` is the pass-through parent: every shard is
+    /// awarded its whole supply signal at a flat price, so the weights
+    /// are the raw signals `(1 + supply) · e^(−ln p)` (the one-level
+    /// case) and the tier stays silent whatever `telemetry` is.
     pub broker: Option<BrokerConfig>,
     /// Node crashes to schedule, in *parent* node ids (remapped onto the
     /// owning shard before the run starts).
@@ -269,38 +270,25 @@ impl ShardPlan {
             .map(|kc| vec![0.0; self.home_shards[kc].len()])
             .collect();
         let mut prev_mean_lnp = vec![0.0; k];
-        let mut broker = options
-            .broker
-            .as_ref()
-            .map(|cfg| BrokerTier::new(k, cfg, options.telemetry.clone()));
+        let mut tier = match &options.broker {
+            Some(cfg) => BrokerTier::new(k, cfg, options.telemetry.clone()),
+            None => BrokerTier::new(k, &BrokerConfig::pass_through(), Telemetry::disabled()),
+        };
         let mut window_demand = vec![0u64; k];
         for (s, fed) in feds.iter().enumerate() {
             fed.qant_signals_into(&mut supply[s], &mut lnp[s]);
         }
         // Initial refresh: markets opened their first period during
         // construction, so weights and the Δ-baseline come from t = 0.
-        match broker.as_mut() {
-            None => {
-                update_weights(
-                    &self.home_shards,
-                    &supply,
-                    &lnp,
-                    &mut weights,
-                    &mut prev_mean_lnp,
-                );
-            }
-            Some(tier) => {
-                class_mean_lnp(&self.home_shards, &lnp, &mut prev_mean_lnp);
-                options.telemetry.set_now_us(0);
-                tier.clear_window(
-                    &self.home_shards,
-                    &supply,
-                    &lnp,
-                    &window_demand,
-                    &mut weights,
-                );
-            }
-        }
+        class_mean_lnp(&self.home_shards, &lnp, &mut prev_mean_lnp);
+        options.telemetry.set_now_us(0);
+        tier.clear_window(
+            &self.home_shards,
+            &supply,
+            &lnp,
+            &window_demand,
+            &mut weights,
+        );
 
         let events = trace.events();
         let period = self.shards[0].scenario.config.period;
@@ -358,36 +346,23 @@ impl ShardPlan {
                     fed.qant_signals_into(supply, lnp);
                 }
             });
-            let delta = match broker.as_mut() {
-                None => update_weights(
-                    &self.home_shards,
-                    &supply,
-                    &lnp,
-                    &mut weights,
-                    &mut prev_mean_lnp,
-                ),
-                Some(tier) => {
-                    // Same convergence yardstick as the raw router — the
-                    // motion of the cross-shard mean ln-price — so the
-                    // fig_hier columns are directly comparable; only the
-                    // weight rule differs (parent clearing vs raw signal).
-                    let mut means = prev_mean_lnp.clone();
-                    class_mean_lnp(&self.home_shards, &lnp, &mut means);
-                    let delta = mean_abs_delta_ln(&prev_mean_lnp, &means);
-                    prev_mean_lnp.copy_from_slice(&means);
-                    options.telemetry.set_now_us(boundary.as_micros());
-                    tier.clear_window(
-                        &self.home_shards,
-                        &supply,
-                        &lnp,
-                        &window_demand,
-                        &mut weights,
-                    );
-                    delta
-                }
-            };
+            // The convergence yardstick is the motion of the cross-shard
+            // mean ln-price whatever the parent mechanism, so the fig_hier
+            // columns are directly comparable; only the weight rule
+            // differs.
+            let mut means = prev_mean_lnp.clone();
+            class_mean_lnp(&self.home_shards, &lnp, &mut means);
+            signal_history.push(mean_abs_delta_ln(&prev_mean_lnp, &means));
+            prev_mean_lnp = means;
+            options.telemetry.set_now_us(boundary.as_micros());
+            tier.clear_window(
+                &self.home_shards,
+                &supply,
+                &lnp,
+                &window_demand,
+                &mut weights,
+            );
             window_demand.iter_mut().for_each(|d| *d = 0);
-            signal_history.push(delta);
             cross_messages += 2 * s_count as u64;
             periods += 1;
             boundary += period;
@@ -406,17 +381,14 @@ impl ShardPlan {
             merged.metrics.merge_from(&o.metrics);
             merged.total_busy += o.total_busy;
         }
-        let (escalated_units, parent_rounds) = broker
-            .map(|t| (t.total_escalated, t.total_rounds))
-            .unwrap_or((0, 0));
         ShardedOutcome {
             outcome: merged,
             num_shards: s_count,
             periods,
             cross_messages,
             signal_history,
-            escalated_units,
-            parent_rounds,
+            escalated_units: tier.total_escalated,
+            parent_rounds: tier.total_rounds,
         }
     }
 }
@@ -508,8 +480,7 @@ fn pick_home(homes: &[usize], weights: &[f64], credits: &mut [f64]) -> usize {
 
 /// Cross-shard mean ln-price per class over the class's home shards,
 /// written into `means`; classes with no home shard keep their previous
-/// value (mirroring [`update_weights`]' skip). Same accumulation order as
-/// the router path, so both modes measure convergence bit-identically.
+/// value.
 fn class_mean_lnp(home_shards: &[Vec<usize>], lnp: &[Vec<f64>], means: &mut [f64]) {
     for (kc, homes) in home_shards.iter().enumerate() {
         if homes.is_empty() {
@@ -521,38 +492,6 @@ fn class_mean_lnp(home_shards: &[Vec<usize>], lnp: &[Vec<f64>], means: &mut [f64
         }
         means[kc] = mean / homes.len() as f64;
     }
-}
-
-/// Recomputes the router weights — `(1 + supply) · e^(−ln p)`, i.e.
-/// supply headroom deflated by price — and returns the mean over classes
-/// of |Δ ln p| of the class's cross-shard mean log price since the last
-/// boundary (the convergence signal).
-fn update_weights(
-    home_shards: &[Vec<usize>],
-    supply: &[Vec<u64>],
-    lnp: &[Vec<f64>],
-    weights: &mut [Vec<f64>],
-    prev_mean_lnp: &mut [f64],
-) -> f64 {
-    let k = home_shards.len();
-    let mut delta_sum = 0.0;
-    for kc in 0..k {
-        let homes = &home_shards[kc];
-        if homes.is_empty() {
-            continue;
-        }
-        let mut mean = 0.0;
-        for (i, &s) in homes.iter().enumerate() {
-            if homes.len() > 1 {
-                weights[kc][i] = (1.0 + supply[s][kc] as f64) * (-lnp[s][kc]).exp();
-            }
-            mean += lnp[s][kc];
-        }
-        mean /= homes.len() as f64;
-        delta_sum += (mean - prev_mean_lnp[kc]).abs();
-        prev_mean_lnp[kc] = mean;
-    }
-    delta_sum / k.max(1) as f64
 }
 
 #[cfg(test)]
