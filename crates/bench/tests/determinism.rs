@@ -7,6 +7,9 @@
 //! here is equality of the shipped artifacts. Thread budgets are pinned
 //! via [`Sweep::with_threads`] — not the `QA_THREADS` env var — because
 //! the test harness runs tests concurrently and env mutation would race.
+//!
+//! The last test pins bytes from commit to commit instead: every way a
+//! query is resubmitted, against `goldens/retry_paths_determinism.json`.
 
 use qa_bench::Sweep;
 use qa_core::MechanismKind;
@@ -19,8 +22,10 @@ use qa_sim::experiments::{
 use qa_sim::federation::Federation;
 use qa_sim::scenario::{Scenario, TwoClassParams};
 use qa_sim::sharded::{ShardPlan, ShardRunOptions};
-use qa_simnet::json::ToJson;
+use qa_simnet::json::{Json, ToJson};
 use qa_simnet::telemetry::Telemetry;
+use qa_simnet::{json_obj, FaultPlan, LinkFaults, SimTime};
+use qa_workload::NodeId;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -176,5 +181,110 @@ fn shard_steps_and_their_signal_reports_are_identical_across_thread_budgets() {
                 );
             }
         }
+    }
+}
+
+/// One `goldens/retry_paths_determinism.json` row: the counters and
+/// distributions a retry can move, in full, and an FNV-1a hash of the whole
+/// `Debug` rendering (floats print round-trip exact), which pins the rest —
+/// the per-period, per-class and per-origin series.
+fn retry_row(case: String, m: &qa_sim::metrics::RunMetrics) -> Json {
+    let debug = format!("{m:?}");
+    let fnv = debug.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    json_obj! {
+        "case": case,
+        "completed": m.completed,
+        "unserved": m.unserved,
+        "retries": m.retries,
+        "messages": m.messages,
+        "lost_messages": m.lost_messages,
+        "response": m.response,
+        "response_hist": m.response_hist,
+        "assign_latency": m.assign_latency,
+        "chosen_exec_ms": m.chosen_exec_ms,
+        "chosen_backlog_ms": m.chosen_backlog_ms,
+        "debug_fnv1a": format!("{fnv:016x}"),
+    }
+}
+
+#[test]
+fn retry_paths_match_the_checked_in_golden() {
+    // Every way a query comes to be resubmitted, pinned byte for byte from
+    // commit to commit: refused by a dry market (offer index, and the
+    // eager poll loop under a §5.1 threshold), lost to a lossy link (three
+    // mechanisms; BNQRD's coordinator is the state a same-microsecond
+    // completion/retry swap would show in), orphaned by a crash, and
+    // parked across the sharded engine's window steps and its drain. The
+    // golden was generated before retries left the event queue.
+    fn clean(_: &mut Federation) {}
+    fn lossy(f: &mut Federation) {
+        f.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.1)));
+    }
+    fn crash(f: &mut Federation) {
+        for n in 0..3 {
+            f.kill_node_at(NodeId(n), SimTime::from_millis(2_250));
+            f.recover_node_at(NodeId(n), SimTime::from_millis(6_100));
+        }
+    }
+    let mut rows = Vec::new();
+    for (nodes, seed) in [(20, 5), (100, 6)] {
+        for load in [0.75, 1.5] {
+            let scenario = scale_world(nodes, seed);
+            let mut threshold = scenario.config.clone();
+            threshold.qant.price_threshold = Some(2.0);
+            threshold.qant.renormalize_prices = false;
+            let threshold = Scenario::two_class(threshold, TwoClassParams::default());
+            let trace = two_class_trace(&scenario, 0.05, load, 12);
+            type Arm<'a> = (&'a str, &'a Scenario, MechanismKind, fn(&mut Federation));
+            let arms: [Arm; 6] = [
+                ("qant_index", &scenario, MechanismKind::QaNt, clean),
+                ("qant_threshold", &threshold, MechanismKind::QaNt, clean),
+                ("qant_lossy", &scenario, MechanismKind::QaNt, lossy),
+                ("greedy_lossy", &scenario, MechanismKind::Greedy, lossy),
+                ("bnqrd_lossy", &scenario, MechanismKind::Bnqrd, lossy),
+                ("qant_kill_recover", &scenario, MechanismKind::QaNt, crash),
+            ];
+            for (name, world, mechanism, arm) in arms {
+                let mut f = Federation::new(world, mechanism, &trace);
+                arm(&mut f);
+                let out = f.run(&trace);
+                assert_eq!(
+                    out.metrics.completed + out.metrics.unserved,
+                    trace.len() as u64
+                );
+                let case = format!("{name} nodes={nodes} seed={seed} load={load}");
+                rows.push(retry_row(case, &out.metrics));
+            }
+        }
+    }
+    let scenario = scale_world(96, 7);
+    let trace = two_class_trace(&scenario, 0.05, 1.5, 12);
+    let options = ShardRunOptions {
+        budget: 1,
+        broker: Some(BrokerConfig::qant()),
+        ..ShardRunOptions::default()
+    };
+    let out = ShardPlan::build(&scenario, 4).run_with_options(&trace, &options);
+    assert!(
+        out.outcome.metrics.retries > 0,
+        "the broker run parks nobody"
+    );
+    let case = "broker_qant shards=4 nodes=96 seed=7 load=1.5".to_string();
+    rows.push(retry_row(case, &out.outcome.metrics));
+
+    let fresh = Json::Arr(rows).pretty();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let golden = format!("{root}/goldens/retry_paths_determinism.json");
+    if std::fs::read_to_string(&golden).ok().as_ref() != Some(&fresh) {
+        // Leave the fresh rendering where the bench bins leave theirs.
+        let artifact = format!("{root}/bench_results/retry_paths_determinism.json");
+        std::fs::create_dir_all(format!("{root}/bench_results")).expect("bench_results/");
+        std::fs::write(&artifact, &fresh).expect("write the artifact");
+        panic!(
+            "retry paths diverged from {golden}: diff it against {artifact}, \
+             and copy that over the golden only with an intended behaviour change"
+        );
     }
 }

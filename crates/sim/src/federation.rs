@@ -9,7 +9,9 @@
 //!
 //! A query rejected by every QA-NT server is re-submitted at the start of
 //! the next period (§2.2: "If all available servers reject a request for a
-//! query, the respective client resubmits it in the next time period").
+//! query, the respective client resubmits it in the next time period"). It
+//! waits on a FIFO list, not in the event queue: one [`Event::Wake`] per
+//! boundary retries the list's due members in the order they were parked.
 //!
 //! ## Fault injection
 //!
@@ -39,6 +41,7 @@ use qa_economics::QuantityVector;
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
+use std::collections::VecDeque;
 
 /// Cap on resubmissions per query (QA-NT rejections, fault losses, and
 /// crash re-entries all count); beyond it the query counts as unserved.
@@ -55,11 +58,14 @@ const FAULT_SALT: u64 = 0xFA17_0001;
 /// to fill the refusal replay's lanes.
 const BOUNDARY_BLOCK: usize = 64;
 
+/// The query slot of a wait-list entry that is no query but a fence: the
+/// [`Event::Wake`] that reaches it stops there.
+const FENCE: usize = usize::MAX;
+
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// Query `idx` (into the trace) asks for allocation. `retries` counts
-    /// prior attempts.
-    Arrival { idx: usize, retries: u32 },
+    /// The wait list's front members due now retry, up to the next fence.
+    Wake,
     /// Query `idx` finished on `node`. `gen` is the assignment generation
     /// at scheduling time: a crash that orphans the query bumps the
     /// generation, turning this into a stale no-op.
@@ -150,9 +156,15 @@ pub struct Federation<'a> {
     arrivals: Vec<QueryEvent>,
     /// Cursor into `arrivals`: the next not-yet-processed arrival.
     next_arrival: usize,
-    /// The dynamic event queue (completions, period boundaries, retries,
+    /// The dynamic event queue (completions, period boundaries, wakes,
     /// failure injections).
     queue: EventQueue<Event>,
+    /// Queries waiting out a refusal, `(wake time, query, attempts spent)`
+    /// in the order they were parked: wake times never fall along the list,
+    /// and the queue holds one [`Event::Wake`] per distinct one (two can be
+    /// pending: a query refused at a boundary's own microsecond, before
+    /// that boundary's wake fires, already waits for the following one).
+    parked: VecDeque<(SimTime, usize, u32)>,
     /// Stepped mode only: further `push_arrivals` calls may follow, so
     /// the period chain must stay alive across boundaries even when the
     /// currently-injected arrivals are exhausted. Always `false` in flat
@@ -190,6 +202,10 @@ pub struct Federation<'a> {
     /// path stops allocating once they reach steady-state capacity.
     scratch_capable: Vec<NodeId>,
     scratch_reachable: Vec<NodeId>,
+    /// Request + offer + response transfer times over the run's one link
+    /// model, and the request's alone.
+    rtt: SimDuration,
+    one_way: SimDuration,
     /// Per-class supply caps handed to every node's supply solve at a
     /// period boundary; a reused buffer.
     demand_caps: QuantityVector,
@@ -212,6 +228,9 @@ impl<'a> Federation<'a> {
         telemetry: Telemetry,
     ) -> Federation<'a> {
         let cfg = &scenario.config;
+        let one_way = cfg.link.transfer_time(REQUEST_BYTES);
+        let rtt =
+            one_way + cfg.link.transfer_time(OFFER_BYTES) + cfg.link.transfer_time(RESPONSE_BYTES);
         let nodes = NodeSoa::new(cfg.num_nodes);
         let k = scenario.templates.num_classes();
         let mut exec = vec![SimDuration::ZERO; k * cfg.num_nodes];
@@ -264,6 +283,7 @@ impl<'a> Federation<'a> {
             arrivals: Vec::new(),
             next_arrival: 0,
             queue: EventQueue::new(),
+            parked: VecDeque::new(),
             more_arrivals: false,
             state,
             rng: DetRng::seed_from_u64(cfg.seed ^ mechanism_salt(mechanism)),
@@ -280,6 +300,8 @@ impl<'a> Federation<'a> {
             telemetry,
             scratch_capable: Vec::new(),
             scratch_reachable: Vec::new(),
+            rtt,
+            one_way,
             demand_caps: QuantityVector::zeros(k),
         }
     }
@@ -448,12 +470,8 @@ impl<'a> Federation<'a> {
     }
 
     /// Processes the single next event — the arrival cursor head or the
-    /// queue head. Returns `false` when nothing is pending.
-    ///
-    /// Because arrivals used to be scheduled first (lowest sequence
-    /// numbers), an arrival always preceded any same-time dynamic
-    /// event — the cursor rule `arrival.at <= peek_time` reproduces
-    /// that order exactly.
+    /// queue head; an arrival precedes any same-time dynamic event.
+    /// Returns `false` when nothing is pending.
     fn process_next(&mut self) -> bool {
         let cfg_period = self.scenario.config.period;
         if self.next_arrival < self.arrivals.len()
@@ -475,8 +493,14 @@ impl<'a> Federation<'a> {
         let now = ev.time;
         self.telemetry.set_now_us(now.as_micros());
         match ev.payload {
-            Event::Arrival { idx, retries } => {
-                self.handle_arrival(now, idx, retries);
+            Event::Wake => {
+                while let Some(&(_, idx, retries)) = self.parked.front().filter(|m| m.0 == now) {
+                    self.parked.pop_front();
+                    if idx == FENCE {
+                        break;
+                    }
+                    self.handle_arrival(now, idx, retries);
+                }
             }
             Event::Completion { idx, node, gen } => {
                 // Stale completion: the query was orphaned by a crash
@@ -558,8 +582,8 @@ impl<'a> Federation<'a> {
         true
     }
 
-    /// Processes the arrival (or resubmission) of query `idx` at `now`:
-    /// one allocation attempt, then completion scheduling, next-period
+    /// Query `idx` asks for allocation at `now`, `retries` attempts behind
+    /// it: one allocation attempt, then completion scheduling, next-period
     /// resubmission, or an unserved verdict.
     fn handle_arrival(&mut self, now: SimTime, idx: usize, retries: u32) {
         self.attempts[idx] = retries;
@@ -580,14 +604,22 @@ impl<'a> Federation<'a> {
                 let gen = self.assign_gen[idx];
                 self.queue
                     .schedule(finish, Event::Completion { idx, node, gen });
+                // Same-microsecond order is park and schedule order, as
+                // when each retry was a queue event of its own: queries
+                // parked for `finish` from here on retry after this
+                // completion, behind a wake of their own.
+                if self.parked.back().is_some_and(|m| m.0 == finish) {
+                    self.queue.schedule(finish, Event::Wake);
+                    self.parked.push_back((finish, FENCE, 0));
+                }
             }
             Allocation::NoOffers => self.resubmit(now, idx, retries, true),
             Allocation::Impossible => self.resubmit(now, idx, retries, false),
         }
     }
 
-    /// Query `idx` holds no assignment after `tried` resubmissions: it
-    /// re-enters just past the next period boundary (§2.2), or counts as
+    /// Query `idx` holds no assignment after `tried` resubmissions: it is
+    /// parked until just past the next period boundary (§2.2), or counts as
     /// unserved when it `can_run` nowhere or its retry budget is spent.
     fn resubmit(&mut self, now: SimTime, idx: usize, tried: u32, can_run: bool) {
         if can_run && tried < MAX_RETRIES {
@@ -595,8 +627,10 @@ impl<'a> Federation<'a> {
             let period = self.scenario.config.period;
             let next = SimTime::from_micros((now.period_index(period) + 1) * period.as_micros())
                 + SimDuration::from_micros(1);
-            let retries = tried + 1;
-            self.queue.schedule(next, Event::Arrival { idx, retries });
+            if self.parked.back().is_none_or(|m| m.0 != next) {
+                self.queue.schedule(next, Event::Wake);
+            }
+            self.parked.push_back((next, idx, tried + 1));
         } else {
             self.metrics.unserved += 1;
             self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
@@ -716,7 +750,23 @@ impl<'a> Federation<'a> {
     fn allocate(&mut self, now: SimTime, class: ClassId, origin: NodeId, idx: usize) -> Allocation {
         let _span = self.telemetry.span("federation.allocate");
         let scenario = self.scenario;
-        let link = scenario.config.link;
+        if let MechState::QaNt {
+            index: Some(index), ..
+        } = &self.state
+        {
+            // A dry class stays dry until the boundary (within a period
+            // supply only falls) and every dry leaf carries its `dry_at`
+            // stamp already, so the refusal is the two counters the full
+            // attempt below would touch on its way to an empty index. The
+            // index implies no faults and no dead node: the candidates
+            // are the static capable list.
+            let capable = scenario.capable[class.index()].len() as u64;
+            if capable > 0 && index.offerers(class) == 0 {
+                self.period_demand[class.index()] += 1;
+                self.metrics.messages += capable;
+                return Allocation::NoOffers;
+            }
+        }
         // Fault injection: the polling mechanisms (QA-NT, Greedy,
         // two-probes) exchange a request/reply pair with every candidate;
         // either direction can be lost, removing that candidate from this
@@ -775,11 +825,6 @@ impl<'a> Federation<'a> {
         let exec_row = &self.exec[class.index() * n_total..(class.index() + 1) * n_total];
         let exec_of = move |n: NodeId| exec_row[n.index()];
 
-        let rtt = link.transfer_time(REQUEST_BYTES)
-            + link.transfer_time(OFFER_BYTES)
-            + link.transfer_time(RESPONSE_BYTES);
-        let one_way = link.transfer_time(REQUEST_BYTES);
-
         let (choice, mut delay) = match &mut self.state {
             MechState::QaNt { nodes, index } => {
                 self.period_demand[class.index()] += 1;
@@ -833,7 +878,7 @@ impl<'a> Federation<'a> {
                         }
                     }
                 }
-                (server, rtt)
+                (server, self.rtt)
             }
             MechState::Greedy => {
                 // §4: "immediately assign queries to server nodes that can
@@ -860,7 +905,7 @@ impl<'a> Federation<'a> {
                     }
                 }
                 match best {
-                    Some((_, n)) => (n, rtt),
+                    Some((_, n)) => (n, self.rtt),
                     // Every estimate lost: the client learned nothing and
                     // tries again next period.
                     None => return Allocation::NoOffers,
@@ -870,12 +915,12 @@ impl<'a> Federation<'a> {
                 self.metrics.messages += 1;
                 (
                     qa_core::client::choose_random(&mut self.rng, capable),
-                    one_way,
+                    self.one_way,
                 )
             }
             MechState::RoundRobin { per_client } => {
                 self.metrics.messages += 1;
-                (per_client[origin.index()].choose(capable), one_way)
+                (per_client[origin.index()].choose(capable), self.one_way)
             }
             MechState::TwoProbes => {
                 self.metrics.messages += 5;
@@ -886,12 +931,12 @@ impl<'a> Federation<'a> {
                 let pick = TwoProbesChooser::choose(&mut self.rng, reachable, |n| {
                     soa.backlog(n.index(), now).as_millis_f64()
                 });
-                (pick, rtt)
+                (pick, self.rtt)
             }
             MechState::Bnqrd { coordinator } => {
                 self.metrics.messages += 3;
                 let ref_cost = self.scenario.templates.get(class).base_cost.as_millis_f64();
-                (coordinator.assign(capable, ref_cost), rtt)
+                (coordinator.assign(capable, ref_cost), self.rtt)
             }
             MechState::Markov { allocator } => {
                 self.metrics.messages += 1;
@@ -903,7 +948,7 @@ impl<'a> Federation<'a> {
                 } else {
                     qa_core::client::choose_random(&mut self.rng, capable)
                 };
-                (pick, one_way)
+                (pick, self.one_way)
             }
         };
 
@@ -1230,12 +1275,18 @@ mod tests {
                 SimTime::from_secs(2),
             )],
         }));
-        let out = f.run(&t);
+        f.push_arrivals(t.events());
+        f.begin_run();
+        f.step_through(SimTime::from_millis(1_400));
+        // Nothing executes: the parked queries' one wake is all that keeps
+        // the period chain rolling until the link returns.
+        assert_eq!((f.parked.len(), f.queue.len()), (8, 2));
+        f.drain();
+        assert!(f.parked.is_empty() && f.queue.is_empty());
+        let out = f.finish();
         assert_eq!(out.metrics.completed, 8);
-        assert!(
-            out.metrics.retries >= 8,
-            "every query deferred past the outage"
-        );
+        // Refused on arrival and again at 1.5 s; served at 2 s.
+        assert_eq!(out.metrics.retries, 16);
         assert!(out.metrics.lost_messages > 0);
     }
 
@@ -1582,7 +1633,7 @@ mod index_differential {
 
     /// One class over `n` identical nodes: equal queues give equal
     /// estimates.
-    fn identical_nodes(n: usize) -> Scenario {
+    pub(super) fn identical_nodes(n: usize) -> Scenario {
         let cfg = SimConfig {
             num_nodes: n,
             ..SimConfig::small_test(5)
@@ -1704,6 +1755,154 @@ mod index_differential {
             }
         }
         assert!(ties > 0 && refusals > 0, "{ties} ties, {refusals} refusals");
+    }
+}
+
+/// The wait list that holds refused queries between period boundaries.
+#[cfg(test)]
+mod wait_list {
+    use super::index_differential::identical_nodes;
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::scenario::TwoClassParams;
+    use qa_simnet::{LinkFaults, OutageWindow};
+
+    const PERIOD_US: u64 = 500_000;
+
+    fn stepped<'a>(s: &'a Scenario, m: MechanismKind, t: &Trace) -> Federation<'a> {
+        assert_eq!(s.config.period.as_micros(), PERIOD_US);
+        let mut f = Federation::new(s, m, t);
+        f.push_arrivals(t.events());
+        f
+    }
+
+    #[test]
+    fn a_refusal_on_the_boundary_waits_for_the_following_one() {
+        let s = Scenario::two_class(SimConfig::small_test(11), TwoClassParams::default());
+        // A burst that dries class 0 for the period, then one more query
+        // at the boundary's own microsecond: the cursor serves it ahead of
+        // the `PeriodStart`, from the closing period's (empty) supply.
+        let mut arrivals: Vec<(SimTime, ClassId)> = (0..200)
+            .map(|i| (SimTime::from_micros(i), ClassId(0)))
+            .collect();
+        arrivals.push((SimTime::from_micros(PERIOD_US), ClassId(0)));
+        let mut rng = DetRng::seed_from_u64(3).derive("boundary");
+        let t = Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng);
+        let mut f = stepped(&s, MechanismKind::QaNt, &t);
+        f.begin_run();
+        while f.next_arrival < t.len() {
+            f.process_next();
+        }
+        let first = SimTime::from_micros(PERIOD_US + 1);
+        let second = SimTime::from_micros(2 * PERIOD_US + 1);
+        // Two wake times on the list at once, in order.
+        assert_eq!(f.parked.back(), Some(&(second, 200, 1)));
+        let before = f.parked.len() - 1;
+        assert!(before > 0, "the burst fits the period's supply");
+        assert!(f.parked.iter().take(before).all(|m| m.0 == first));
+        let early = f.parked[0].1;
+
+        f.step_through(first);
+        assert_eq!(f.attempts[early], 1, "parked before the boundary");
+        assert_eq!(f.attempts[200], 0, "parked on it: not due yet");
+        assert_eq!(f.parked.front(), Some(&(second, 200, 1)));
+        f.step_through(second);
+        assert_eq!(f.attempts[200], 1);
+        f.drain();
+        let out = f.finish();
+        assert_eq!(out.metrics.completed, 201);
+        // What the same trace counted when every retry was a queue event.
+        assert_eq!(out.metrics.retries, 4_652);
+    }
+
+    /// A completion that lands on a wake's microsecond, scheduled between
+    /// two parks for it, runs between the two retries: the order of the
+    /// queue when each retry was an event of its own. BNQRD shows it — the
+    /// completion's load report decides where the second retry goes.
+    #[test]
+    fn a_completion_on_the_wake_microsecond_keeps_its_place_between_two_waiters() {
+        let s = identical_nodes(4);
+        let wake = SimTime::from_micros(PERIOD_US + 1);
+        let probe = Federation::new(&s, MechanismKind::Bnqrd, &Trace::from_events(vec![]));
+        // Posed here on an idle node, a query completes exactly at `wake`.
+        let posed = wake.as_micros() - (probe.rtt + probe.exec[0]).as_micros();
+        let mut rng = DetRng::seed_from_u64(1).derive("fence");
+        let arrivals =
+            [posed - 1_000, posed, posed + 1_000].map(|at| (SimTime::from_micros(at), ClassId(0)));
+        let t = Trace::from_arrivals(arrivals.to_vec(), 4, &mut rng);
+        let mut f = stepped(&s, MechanismKind::Bnqrd, &t);
+        // Nodes 0 and 2 are cut off for the first period: the coordinator
+        // picks the least-loaded node, 0 then 1 then 2, and the first and
+        // third assignment messages are lost.
+        let cut = LinkFaults {
+            outages: vec![OutageWindow::new(
+                SimTime::ZERO,
+                SimTime::from_micros(PERIOD_US),
+            )],
+            ..LinkFaults::none()
+        };
+        f.set_fault_plan(
+            FaultPlan::none()
+                .with_link(0, cut.clone())
+                .with_link(2, cut),
+        );
+        f.begin_run();
+        while f.next_arrival < t.len() {
+            f.process_next();
+        }
+        assert_eq!(f.owners, [None, Some(NodeId(1)), None]);
+        assert_eq!(f.parked, [(wake, 0, 1), (wake, FENCE, 0), (wake, 2, 1)]);
+        f.drain();
+        // Query 0 retries first and takes the one node never charged, 3.
+        // Then node 1 reports its completion and is the least loaded when
+        // query 2 retries; retried ahead of the report, query 2 would have
+        // gone to node 0.
+        assert_eq!(
+            f.owners,
+            [Some(NodeId(3)), Some(NodeId(1)), Some(NodeId(1))]
+        );
+        let out = f.finish();
+        let m = &out.metrics;
+        assert_eq!(
+            (
+                m.completed,
+                m.unserved,
+                m.retries,
+                m.lost_messages,
+                m.messages
+            ),
+            (3, 0, 2, 2, 15)
+        );
+    }
+
+    #[test]
+    fn a_spent_retry_budget_is_unserved_and_not_parked_again() {
+        let s = identical_nodes(2);
+        let mut rng = DetRng::seed_from_u64(2).derive("budget");
+        let t = Trace::from_arrivals(vec![(SimTime::from_secs(9), ClassId(0))], 2, &mut rng);
+        let (telemetry, records) = Telemetry::buffered();
+        let mut f = Federation::with_telemetry(&s, MechanismKind::Greedy, &t, telemetry);
+        f.push_arrivals(t.events());
+        let now = SimTime::from_millis(10);
+        f.resubmit(now, 0, MAX_RETRIES - 1, true);
+        let wake = SimTime::from_micros(PERIOD_US + 1);
+        assert_eq!(f.parked, [(wake, 0, MAX_RETRIES)]);
+        assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 0));
+        assert!(records.is_empty());
+
+        f.parked.clear();
+        f.resubmit(now, 0, MAX_RETRIES, true);
+        assert!(f.parked.is_empty());
+        assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 1));
+        let events: Vec<_> = records.records().into_iter().map(|r| r.event).collect();
+        assert!(matches!(
+            events[..],
+            [TelemetryEvent::QueryUnserved {
+                query: 0,
+                class: 0,
+                retries: MAX_RETRIES
+            }]
+        ));
     }
 }
 

@@ -41,18 +41,6 @@ impl LinkSpec {
         LinkSpec::new(SimDuration::from_micros(200), 100e6 / 8.0)
     }
 
-    /// The paper's wireless link: 54 Mb/s nominal with the (much) higher
-    /// latency typical of 802.11g point-to-point bridges.
-    pub fn wireless_54mb() -> Self {
-        LinkSpec::new(SimDuration::from_millis(3), 54e6 / 8.0 * 0.5)
-    }
-
-    /// A link so fast it is effectively free; useful in unit tests that
-    /// want to ignore the network.
-    pub fn instant() -> Self {
-        LinkSpec::new(SimDuration::ZERO, 1e15)
-    }
-
     /// Time to move `bytes` across this link: latency plus serialization.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         let ser = bytes as f64 / self.bandwidth_bytes_per_sec;
@@ -76,20 +64,6 @@ mod tests {
     fn zero_bytes_costs_only_latency() {
         let link = LinkSpec::fast_ethernet();
         assert_eq!(link.transfer_time(0), link.latency);
-    }
-
-    #[test]
-    fn wireless_is_slower_than_wired_for_same_payload() {
-        let wired = LinkSpec::fast_ethernet();
-        let wifi = LinkSpec::wireless_54mb();
-        let payload = 100_000;
-        assert!(wifi.transfer_time(payload) > wired.transfer_time(payload));
-    }
-
-    #[test]
-    fn instant_link_is_effectively_free() {
-        let link = LinkSpec::instant();
-        assert_eq!(link.transfer_time(1_000_000).as_micros(), 0);
     }
 
     #[test]
