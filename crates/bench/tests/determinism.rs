@@ -8,8 +8,10 @@
 //! via [`Sweep::with_threads`] — not the `QA_THREADS` env var — because
 //! the test harness runs tests concurrently and env mutation would race.
 //!
-//! The last test pins bytes from commit to commit instead: every way a
-//! query is resubmitted, against `goldens/retry_paths_determinism.json`.
+//! The last two tests pin bytes from commit to commit instead: every way a
+//! query is resubmitted, against `goldens/retry_paths_determinism.json`,
+//! and every seller's prices, supply and carry between periods, against
+//! `goldens/market_state_determinism.json`.
 
 use qa_bench::Sweep;
 use qa_core::MechanismKind;
@@ -24,8 +26,8 @@ use qa_sim::scenario::{Scenario, TwoClassParams};
 use qa_sim::sharded::{ShardPlan, ShardRunOptions};
 use qa_simnet::json::{Json, ToJson};
 use qa_simnet::telemetry::Telemetry;
-use qa_simnet::{json_obj, FaultPlan, LinkFaults, SimTime};
-use qa_workload::NodeId;
+use qa_simnet::{json_obj, DetRng, FaultPlan, LinkFaults, SimTime};
+use qa_workload::{ClassId, NodeId, Trace};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -184,15 +186,24 @@ fn shard_steps_and_their_signal_reports_are_identical_across_thread_budgets() {
     }
 }
 
-/// One `goldens/retry_paths_determinism.json` row: the counters and
-/// distributions a retry can move, in full, and an FNV-1a hash of the whole
-/// `Debug` rendering (floats print round-trip exact), which pins the rest —
-/// the per-period, per-class and per-origin series.
-fn retry_row(case: String, m: &qa_sim::metrics::RunMetrics) -> Json {
-    let debug = format!("{m:?}");
-    let fnv = debug.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> String {
+    let hash = bytes.into_iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     });
+    format!("{hash:016x}")
+}
+
+/// The hash of a run's whole `Debug` rendering (floats print round-trip
+/// exact): the per-period, per-class and per-origin series included.
+fn debug_fnv1a(m: &qa_sim::metrics::RunMetrics) -> String {
+    fnv1a(format!("{m:?}").bytes())
+}
+
+/// One `goldens/retry_paths_determinism.json` row: the counters and
+/// distributions a retry can move, in full, and the `Debug` hash, which
+/// pins the rest.
+fn retry_row(case: String, m: &qa_sim::metrics::RunMetrics) -> Json {
     json_obj! {
         "case": case,
         "completed": m.completed,
@@ -205,7 +216,44 @@ fn retry_row(case: String, m: &qa_sim::metrics::RunMetrics) -> Json {
         "assign_latency": m.assign_latency,
         "chosen_exec_ms": m.chosen_exec_ms,
         "chosen_backlog_ms": m.chosen_backlog_ms,
-        "debug_fnv1a": format!("{fnv:016x}"),
+        "debug_fnv1a": debug_fnv1a(m),
+    }
+}
+
+/// The ways the golden tests perturb a run before it starts.
+fn clean(_: &mut Federation) {}
+fn lossy(f: &mut Federation) {
+    f.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.1)));
+}
+fn crash(f: &mut Federation) {
+    for n in 0..3 {
+        f.kill_node_at(NodeId(n), SimTime::from_millis(2_250));
+        f.recover_node_at(NodeId(n), SimTime::from_millis(6_100));
+    }
+}
+
+/// `scenario`'s world with the §5.1 threshold on (and so renormalization
+/// off): every candidate is polled.
+fn with_threshold(scenario: &Scenario, build: fn(SimConfig) -> Scenario) -> Scenario {
+    let mut config = scenario.config.clone();
+    config.qant.price_threshold = Some(2.0);
+    config.qant.renormalize_prices = false;
+    build(config)
+}
+
+/// Fails unless `goldens/<name>` holds exactly `fresh`, leaving the fresh
+/// rendering where the bench bins leave theirs. There is no bless switch.
+fn assert_matches_golden(name: &str, fresh: &str) {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let golden = format!("{root}/goldens/{name}");
+    if std::fs::read_to_string(&golden).ok().as_deref() != Some(fresh) {
+        let artifact = format!("{root}/bench_results/{name}");
+        std::fs::create_dir_all(format!("{root}/bench_results")).expect("bench_results/");
+        std::fs::write(&artifact, fresh).expect("write the artifact");
+        panic!(
+            "diverged from {golden}: diff it against {artifact}, and copy that \
+             over the golden only with an intended behaviour change"
+        );
     }
 }
 
@@ -218,24 +266,11 @@ fn retry_paths_match_the_checked_in_golden() {
     // completion/retry swap would show in), orphaned by a crash, and
     // parked across the sharded engine's window steps and its drain. The
     // golden was generated before retries left the event queue.
-    fn clean(_: &mut Federation) {}
-    fn lossy(f: &mut Federation) {
-        f.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.1)));
-    }
-    fn crash(f: &mut Federation) {
-        for n in 0..3 {
-            f.kill_node_at(NodeId(n), SimTime::from_millis(2_250));
-            f.recover_node_at(NodeId(n), SimTime::from_millis(6_100));
-        }
-    }
     let mut rows = Vec::new();
     for (nodes, seed) in [(20, 5), (100, 6)] {
         for load in [0.75, 1.5] {
             let scenario = scale_world(nodes, seed);
-            let mut threshold = scenario.config.clone();
-            threshold.qant.price_threshold = Some(2.0);
-            threshold.qant.renormalize_prices = false;
-            let threshold = Scenario::two_class(threshold, TwoClassParams::default());
+            let threshold = with_threshold(&scenario, two_class);
             let trace = two_class_trace(&scenario, 0.05, load, 12);
             type Arm<'a> = (&'a str, &'a Scenario, MechanismKind, fn(&mut Federation));
             let arms: [Arm; 6] = [
@@ -274,17 +309,109 @@ fn retry_paths_match_the_checked_in_golden() {
     let case = "broker_qant shards=4 nodes=96 seed=7 load=1.5".to_string();
     rows.push(retry_row(case, &out.outcome.metrics));
 
-    let fresh = Json::Arr(rows).pretty();
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let golden = format!("{root}/goldens/retry_paths_determinism.json");
-    if std::fs::read_to_string(&golden).ok().as_ref() != Some(&fresh) {
-        // Leave the fresh rendering where the bench bins leave theirs.
-        let artifact = format!("{root}/bench_results/retry_paths_determinism.json");
-        std::fs::create_dir_all(format!("{root}/bench_results")).expect("bench_results/");
-        std::fs::write(&artifact, &fresh).expect("write the artifact");
-        panic!(
-            "retry paths diverged from {golden}: diff it against {artifact}, \
-             and copy that over the golden only with an intended behaviour change"
-        );
+    assert_matches_golden("retry_paths_determinism.json", &Json::Arr(rows).pretty());
+}
+
+fn two_class(config: SimConfig) -> Scenario {
+    Scenario::two_class(config, TwoClassParams::default())
+}
+
+/// Uniform class mix, exponential gaps, at `load` × the world's capacity.
+fn uniform_mix_trace(s: &Scenario, load: f64, secs: f64) -> Trace {
+    let k = s.templates.num_classes();
+    let rate = load * s.capacity_qps(&vec![1.0 / k as f64; k]);
+    let mut rng = DetRng::seed_from_u64(s.config.seed).derive("uniform-mix-trace");
+    let (mut arrivals, mut at) = (Vec::new(), 0.0);
+    while at < secs {
+        let class = ClassId(rng.index(k) as u32);
+        arrivals.push((SimTime::from_micros((at * 1e6) as u64), class));
+        at -= (1.0 - rng.unit()).ln() / rate;
     }
+    Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng)
+}
+
+#[test]
+fn market_state_matches_the_checked_in_golden() {
+    // The sellers' whole state — price bits, remaining supply, carry —
+    // after the first, second, tenth and last period boundary of runs on
+    // both QA-NT selection paths (the offer index; the poll loop under a
+    // §5.1 threshold, lossy links and a crash) and a §4 partial
+    // deployment, over K = 2 and K = 100. The golden was generated by the
+    // engine that kept one `QantNode` struct per seller, before the
+    // sellers moved into one column block: since then both paths run on
+    // the same storage and cannot vouch for each other.
+    fn partial(f: &mut Federation) {
+        f.restrict_market_to(|n| n.index() % 3 != 0);
+    }
+    type World = (String, Scenario, fn(SimConfig) -> Scenario, Trace);
+    let mut worlds: Vec<World> = Vec::new();
+    for (nodes, seed) in [(20, 5), (100, 6)] {
+        for load in [0.75, 1.5] {
+            let scenario = scale_world(nodes, seed);
+            let trace = two_class_trace(&scenario, 0.05, load, 12);
+            let name = format!("two_class nodes={nodes} seed={seed} load={load}");
+            worlds.push((name, scenario, two_class, trace));
+        }
+    }
+    let scenario = Scenario::table3(SimConfig::scaled(30, 8));
+    let trace = uniform_mix_trace(&scenario, 1.2, 12.0);
+    let name = "table3 nodes=30 seed=8 load=1.2".to_string();
+    worlds.push((name, scenario, Scenario::table3, trace));
+
+    let mut rows = Vec::new();
+    for (world, scenario, build, trace) in &worlds {
+        let threshold = with_threshold(scenario, *build);
+        type Arm<'a> = (&'a str, &'a Scenario, fn(&mut Federation));
+        let arms: [Arm; 5] = [
+            ("index", scenario, clean),
+            ("threshold", &threshold, clean),
+            ("lossy", scenario, lossy),
+            ("kill_recover", scenario, crash),
+            ("partial", scenario, partial),
+        ];
+        for (arm, scenario, perturb) in arms {
+            let mut f = Federation::new(scenario, MechanismKind::QaNt, trace);
+            perturb(&mut f);
+            let nodes = scenario.config.num_nodes as u32;
+            // A period at a time — the same events in the same order as
+            // `run` — reading the market after each boundary's events.
+            f.push_arrivals(trace.events());
+            f.begin_run();
+            let (mut states, mut boundary) = (Vec::new(), SimTime::ZERO);
+            while f.peek_next_time().is_some() {
+                boundary += scenario.config.period;
+                f.step_through(boundary);
+                // One hash per column over every node, in node order; a
+                // node outside the market contributes a lone marker byte.
+                let mut columns: [Vec<u8>; 3] = Default::default();
+                for row in (0..nodes).map(|n| f.market_row(NodeId(n))) {
+                    let Some((prices, supply, carry)) = row else {
+                        columns.iter_mut().for_each(|c| c.push(0xFF));
+                        continue;
+                    };
+                    columns[0].extend(prices.iter().flat_map(|p| p.to_bits().to_le_bytes()));
+                    columns[1].extend(supply.iter().flat_map(|s| s.to_le_bytes()));
+                    columns[2].extend(carry.iter().flat_map(|c| c.to_bits().to_le_bytes()));
+                }
+                let [prices, supply, carry] = columns.map(fnv1a);
+                states.push(json_obj! {
+                    "after_boundary": states.len() as u64 + 1,
+                    "prices_fnv1a": prices,
+                    "supply_fnv1a": supply,
+                    "carry_fnv1a": carry,
+                });
+            }
+            let out = f.finish();
+            assert!(states.len() > 10, "{world} {arm}: a run of few periods");
+            let last = states.len() - 1;
+            let kept: Vec<Json> = [0, 1, 9, last].map(|b| states[b].clone()).to_vec();
+            rows.push(json_obj! {
+                "case": format!("{arm} {world}"),
+                "retries": out.metrics.retries,
+                "debug_fnv1a": debug_fnv1a(&out.metrics),
+                "market": Json::Arr(kept),
+            });
+        }
+    }
+    assert_matches_golden("market_state_determinism.json", &Json::Arr(rows).pretty());
 }

@@ -1,6 +1,8 @@
-//! The QA-NT algorithm (§3.3) — per-node server-side state machine.
+//! The QA-NT algorithm (§3.3) — the server-side state machine, for a
+//! whole population of sellers at once ([`QantMarket`]: one row of
+//! node-major columns per seller) or for one ([`QantNode`], one row).
 //!
-//! Direct transcription of the paper's pseudo-code:
+//! Direct transcription of the paper's pseudo-code, per row:
 //!
 //! ```text
 //! 1  Repeat for ever
@@ -28,9 +30,10 @@
 //! overload-control mechanism).
 
 use qa_economics::{
-    DensityOrderCache, NonTatonnementPricer, PriceVector, PricerConfig, QuantityVector,
+    adjusted, ln_price, price_density_order_into, PriceVector, PricerConfig, QuantityVector,
+    RefusalChain, ReplayWork, REPLAY_BLOCK,
 };
-use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, SimDuration};
 use qa_workload::ClassId;
 
@@ -47,7 +50,7 @@ pub struct QantConfig {
     /// prices so that per-node jitter does not count as market stress.
     pub price_threshold: Option<f64>,
     /// Log-space half-width of per-node initial price jitter (see
-    /// [`QantNode::with_jitter`]); 0 = no jitter.
+    /// [`QantMarket::with_jitter`]); 0 = no jitter.
     pub initial_price_jitter: f64,
     /// Renormalize private prices (geometric mean → 1) at every period
     /// end. Scale-invariant (only relative prices drive supply), it keeps
@@ -71,144 +74,127 @@ impl Default for QantConfig {
     }
 }
 
-/// Per-node QA-NT state: private prices + current-period supply vector.
+/// The QA-NT sellers of one run: `rows` nodes × `classes` query classes of
+/// private state in node-major columns (`column[row * classes + class]`),
+/// one configuration, one refusal chain and one telemetry handle for all
+/// of them. Rows share nothing: every method touches the one row (or row
+/// range) it names, so a population behaves exactly like that many
+/// independent sellers — [`QantNode`] is the one-row case.
+///
+/// A row outside a period (before its first [`Self::begin_period`], after
+/// [`Self::end_period`]) has all-zero supply: it offers nothing, an accept
+/// finds nothing to take, and its leftover decays no price.
 #[derive(Debug, Clone)]
-pub struct QantNode {
+pub struct QantMarket {
     config: QantConfig,
-    pricer: NonTatonnementPricer,
-    /// Remaining supply for the current period (`None` before the first
-    /// `begin_period`).
-    supply: Option<QuantityVector>,
-    /// Initial prices (post-jitter), the baseline for the §5.1 threshold.
-    initial_prices: Vec<f64>,
+    chain: RefusalChain,
+    classes: usize,
+    /// Private prices (never sent over the network).
+    prices: Vec<f64>,
+    /// Supply still unsold this period.
+    supply: Vec<u64>,
     /// Error-diffusion carry: the fractional part of the relaxed eq.-4
-    /// solution rolls into the next period, so a class whose equilibrium
-    /// amount is e.g. 0.5/period (execution time longer than `T`) is
-    /// supplied every other period instead of never. This is the integer
-    /// rounding the paper discusses in §5.1.
+    /// solution, rolled into the next period's (see `begin_period`).
     carry: Vec<f64>,
-    /// The node's per-class execution times used to build the supply set
-    /// (refreshed each period — estimates may improve over time). Owned
-    /// buffer, refilled in place so steady-state periods allocate nothing.
-    unit_costs_ms: Vec<Option<f64>>,
-    /// Memoized price-density ordering for the supply solve; re-sorted
-    /// only when prices or unit costs actually changed since last period.
-    order_cache: DensityOrderCache,
-    /// Retired supply buffer, recycled by the next `begin_period` so the
-    /// steady-state period cycle performs no quantity-vector allocations.
-    spare: Option<QuantityVector>,
-    /// Market-event sink (disabled by default: one branch per emit site).
+    /// Estimated execution time in ms (`None` = cannot run), as of the
+    /// row's last `begin_period` — estimates may improve over time.
+    cost: Vec<Option<f64>>,
+    /// Initial prices (post-jitter), the baseline for the §5.1 threshold.
+    initial: Vec<f64>,
+    /// Scratch of the supply solve's density ordering.
+    order: Vec<usize>,
+    /// Market-event sink (disabled by default: one branch per emit site);
+    /// row `r`'s events carry the node id `label + r`.
     telemetry: Telemetry,
 }
 
-impl QantNode {
-    /// A node over `k` query classes with uniform initial prices.
-    pub fn new(k: usize, config: QantConfig) -> QantNode {
-        QantNode {
-            pricer: NonTatonnementPricer::new(k, config.pricer),
-            initial_prices: vec![config.pricer.initial_price; k],
-            config,
-            supply: None,
-            carry: vec![0.0; k],
-            unit_costs_ms: vec![None; k],
-            order_cache: DensityOrderCache::new(),
-            spare: None,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// A node whose initial prices are jittered per class by
-    /// `exp(U(-σ, σ))` with `σ = config.initial_price_jitter`.
+impl QantMarket {
+    /// `rows` sellers over `k` query classes whose initial prices are
+    /// jittered per class by `exp(U(-σ, σ))` with
+    /// `σ = config.initial_price_jitter`, drawn row by row.
     ///
     /// Under the multiplicative non-tâtonnement dynamics, log-price offsets
     /// between nodes never decay, so this one-time jitter permanently
     /// staggers the price ratios at which otherwise-identical nodes switch
     /// their supply between classes — the population splits into a stable
     /// mix of specializations instead of flip-flopping in lockstep.
-    pub fn with_jitter(k: usize, config: QantConfig, rng: &mut DetRng) -> QantNode {
+    pub fn with_jitter(rows: usize, k: usize, config: QantConfig, rng: &mut DetRng) -> QantMarket {
         let sigma = config.initial_price_jitter;
         assert!(sigma >= 0.0 && sigma.is_finite());
-        let prices = PriceVector::from_prices(
-            (0..k)
-                .map(|_| {
-                    let factor = if sigma > 0.0 {
-                        rng.float_in(-sigma, sigma).exp()
-                    } else {
-                        1.0
-                    };
-                    (config.pricer.initial_price * factor)
-                        .clamp(config.pricer.price_floor, config.pricer.price_ceiling)
-                })
-                .collect(),
-        );
-        let initial_prices = prices.as_slice().to_vec();
-        QantNode {
-            pricer: NonTatonnementPricer::with_prices(prices, config.pricer),
-            initial_prices,
+        let pricer = config.pricer;
+        let jittered = |_| {
+            let factor = if sigma > 0.0 {
+                rng.float_in(-sigma, sigma).exp()
+            } else {
+                1.0
+            };
+            (pricer.initial_price * factor).clamp(pricer.price_floor, pricer.price_ceiling)
+        };
+        QantMarket::with_prices(k, config, (0..rows * k).map(jittered).collect())
+    }
+
+    fn with_prices(k: usize, config: QantConfig, prices: Vec<f64>) -> QantMarket {
+        config.pricer.validate();
+        QantMarket {
+            chain: RefusalChain::new(&config.pricer),
             config,
-            supply: None,
-            carry: vec![0.0; k],
-            unit_costs_ms: vec![None; k],
-            order_cache: DensityOrderCache::new(),
-            spare: None,
+            classes: k,
+            supply: vec![0; prices.len()],
+            carry: vec![0.0; prices.len()],
+            cost: vec![None; prices.len()],
+            initial: prices.clone(),
+            prices,
+            order: Vec::with_capacity(k),
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Installs a telemetry handle (label it with this node's id via
-    /// [`Telemetry::with_label`]); supply solves, request rejections and
-    /// the pricer's adjustments emit through it. Install *before* the
-    /// first `begin_period` to capture the initial supply solve.
+    /// Installs a telemetry handle: supply solves, request rejections and
+    /// price adjustments of row `r` emit through it as node
+    /// `telemetry.label() + r`. Install *before* the first `begin_period`
+    /// to capture the initial supply solves.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.pricer.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.pricer.num_classes()
+    fn span(&self, row: usize) -> std::ops::Range<usize> {
+        row * self.classes..(row + 1) * self.classes
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &QantConfig {
-        &self.config
+    fn node(&self, row: usize) -> u32 {
+        self.telemetry.label() + row as u32
     }
 
-    /// The private prices (never sent over the network; exposed for
-    /// diagnostics and tests only).
-    pub fn prices(&self) -> &qa_economics::PriceVector {
-        self.pricer.prices()
+    /// Row `row`'s private prices (exposed for diagnostics and tests only).
+    #[inline]
+    pub fn prices(&self, row: usize) -> &[f64] {
+        &self.prices[self.span(row)]
     }
 
-    /// `ln(price)` of one class (see
-    /// [`NonTatonnementPricer::ln_price`][qa_economics::NonTatonnementPricer::ln_price]):
-    /// the log domain is what the sharded engine's period reports
-    /// aggregate, over the classes each node can run.
-    pub fn ln_price(&self, class: ClassId) -> f64 {
-        self.pricer.ln_price(class.index())
+    /// Row `row`'s remaining supply for the current period.
+    #[inline]
+    pub fn supply(&self, row: usize) -> &[u64] {
+        &self.supply[self.span(row)]
     }
 
-    /// Remaining supply for the current period.
-    pub fn supply(&self) -> Option<&QuantityVector> {
-        self.supply.as_ref()
+    /// Row `row`'s error-diffusion carry.
+    #[inline]
+    pub fn carry(&self, row: usize) -> &[f64] {
+        &self.carry[self.span(row)]
     }
 
-    /// Step 2: start a period. `unit_costs_ms[k]` is this node's estimated
+    /// `ln(price)` of one class of one row: the log domain is what the
+    /// sharded engine's period reports aggregate, over the classes each
+    /// node can run.
+    #[inline]
+    pub fn ln_price(&self, row: usize, class: ClassId) -> f64 {
+        ln_price(self.prices[row * self.classes + class.index()])
+    }
+
+    /// Step 2: row `row` starts a period with a capacity budget of
+    /// `budget_ms` milliseconds. `unit_costs_ms[k]` is the node's estimated
     /// execution time for class `k` in milliseconds (`None` = cannot run);
     /// `demand_caps` optionally bounds per-class supply by observed demand.
-    /// The costs are copied into an internal buffer, so the per-period hot
-    /// path never clones the caller's vector.
-    pub fn begin_period(
-        &mut self,
-        unit_costs_ms: &[Option<f64>],
-        demand_caps: Option<&QuantityVector>,
-    ) {
-        let budget = self.config.period.as_millis_f64();
-        self.begin_period_with_budget(unit_costs_ms, demand_caps, budget);
-    }
-
-    /// [`Self::begin_period`] with an explicit capacity budget in
-    /// milliseconds.
     ///
     /// The supply set "depends on [the node's] available hardware
     /// resources" (§2.2): an idle node can deliver up to two periods of
@@ -216,19 +202,20 @@ impl QantNode {
     /// proportionally less. Drivers pass `2T − current_backlog` so node
     /// queues stay bounded by `2T` while idle capacity is never refused —
     /// the work-conserving form of QA-NT admission control.
-    pub fn begin_period_with_budget(
+    pub fn begin_period(
         &mut self,
+        row: usize,
         unit_costs_ms: &[Option<f64>],
-        demand_caps: Option<&QuantityVector>,
+        demand_caps: Option<&[u64]>,
         budget_ms: f64,
     ) {
-        assert_eq!(unit_costs_ms.len(), self.num_classes());
         assert!(budget_ms.is_finite() && budget_ms >= 0.0);
         let _span = self.telemetry.span("qant.supply_solve");
-        self.unit_costs_ms.clear();
-        self.unit_costs_ms.extend_from_slice(unit_costs_ms);
-        let period_ms = budget_ms;
-
+        let (span, node) = (self.span(row), self.node(row));
+        self.cost[span.clone()].copy_from_slice(unit_costs_ms);
+        let cost = &self.cost[span.clone()];
+        let supply = &mut self.supply[span.clone()];
+        let carry = &mut self.carry[span.clone()];
         // Integer-greedy fill by price density, with two refinements over
         // the plain knapsack:
         //
@@ -240,135 +227,213 @@ impl QantNode {
         //   is e.g. 0.5/period (execution longer than `T`) is supplied
         //   every other period rather than never — the integer-rounding
         //   effect the paper analyses in §5.1.
-        //
-        // The density ordering is memoized: quiet periods (no rejection,
-        // no leftover, no renormalization shift) reuse last period's sort.
-        let k_classes = self.num_classes();
-        let prices = self.pricer.prices();
-        let order = self.order_cache.order(prices, &self.unit_costs_ms);
-        let mut supply = match self.spare.take() {
-            Some(mut s) if s.num_classes() == k_classes => {
-                s.reset_zero();
-                s
-            }
-            _ => QuantityVector::zeros(k_classes),
-        };
-        let mut remaining = period_ms;
-        for &k in order {
-            let t = self.unit_costs_ms[k].expect("filtered");
+        price_density_order_into(&self.prices[span], cost, &mut self.order);
+        supply.fill(0);
+        let mut remaining = budget_ms;
+        for &k in &self.order {
+            let t = cost[k].expect("filtered");
             // Fractional allotment this period plus the rolled-over carry.
-            let alloc = remaining / t + self.carry[k];
-            let mut units = alloc.floor().max(0.0) as u64;
+            let alloc = remaining / t + carry[k];
+            // `as` floors, and saturates a negative allotment to zero.
+            let mut units = alloc as u64;
             if let Some(caps) = demand_caps {
-                units = units.min(caps.get(k));
+                units = units.min(caps[k]);
             }
-            supply.set(k, units);
+            supply[k] = units;
             // Carry keeps the unreleased fraction, clamped to < 1 so a
             // demand-capped class cannot hoard unbounded future supply.
-            self.carry[k] = (alloc - units as f64).clamp(0.0, 0.999_999);
+            carry[k] = (alloc - units as f64).clamp(0.0, 0.999_999);
             remaining = (remaining - units as f64 * t).max(0.0);
         }
-        let telemetry = &self.telemetry;
-        telemetry.emit(|| TelemetryEvent::SupplyComputed {
-            node: telemetry.label(),
+        self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
+            node,
             budget_ms,
-            supply: supply.as_slice().to_vec(),
+            supply: supply.to_vec(),
         });
-        self.supply = Some(supply);
     }
 
-    /// `true` when the §5.1 threshold says the market is quiet and supply
-    /// restriction should be bypassed: no price has inflated past
-    /// `threshold ×` its initial value.
-    fn threshold_bypass(&self) -> bool {
-        match self.config.price_threshold {
-            Some(t) => !self
-                .pricer
-                .prices()
-                .iter()
-                .any(|(k, p)| p > t * self.initial_prices[k]),
-            None => false,
-        }
-    }
-
-    /// Steps 4–10: a request for class `k` arrived. Returns `true` when
-    /// the node offers. A refusal raises the private price (step 9).
+    /// Steps 4–10: a request for class `class` arrived at row `row`.
+    /// Returns `true` when the node offers. A refusal raises the private
+    /// price (step 9).
     ///
     /// In the §5.1 threshold mode the node "properly track[s] query
     /// prices" regardless: supply exhaustion still raises the price even
     /// while the node keeps offering — that is how a quiet market learns
-    /// it is becoming overloaded and engages the restriction.
-    pub fn on_request(&mut self, class: ClassId) -> bool {
-        let k = class.index();
-        let can_run = self.unit_costs_ms.get(k).copied().flatten().is_some();
-        if !can_run {
+    /// it is becoming overloaded and engages the restriction: no price has
+    /// inflated past `threshold ×` its initial value.
+    #[inline]
+    pub fn on_request(&mut self, row: usize, class: ClassId) -> bool {
+        let (k, at) = (class.index(), row * self.classes + class.index());
+        if k >= self.classes || self.cost[at].is_none() {
             // No data for this class: not a market event, no price change.
             return false;
         }
-        let available = self.supply.as_ref().is_some_and(|s| s.get(k) > 0);
-        if !available {
-            self.pricer.on_rejection(k);
+        if self.supply[at] > 0 {
+            return true;
         }
-        let offered = available || self.threshold_bypass();
-        if !offered {
-            let telemetry = &self.telemetry;
-            telemetry.emit(|| TelemetryEvent::RequestRejected {
-                node: telemetry.label(),
+        let (node, old) = (self.node(row), self.prices[at]);
+        self.prices[at] = self.chain.step(old);
+        let new = self.prices[at];
+        adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
+        let span = self.span(row);
+        let mut rises = self.prices[span.clone()].iter().zip(&self.initial[span]);
+        let threshold = self.config.price_threshold;
+        let bypass = threshold.is_some_and(|t| rises.all(|(p, initial)| *p <= t * initial));
+        if !bypass {
+            self.telemetry.emit(|| TelemetryEvent::RequestRejected {
+                node,
                 class: k as u32,
             });
         }
-        offered
+        bypass
     }
 
-    /// Charges `counts[i]` refused class-`class` requests to `nodes[i]`:
+    /// Charges `counts[i]` refused class-`class` requests to row `lo + i`:
     /// exactly the rejection arm of [`Self::on_request`], batched — the
     /// price rises are bit-identical to that many eager calls (see
-    /// [`NonTatonnementPricer::on_rejections_batch`]), which is what makes
-    /// boundary replay of a period's refusal storm cheap. Absent nodes and
-    /// nodes incapable of the class are not charged: an eager `on_request`
-    /// would not have been a market event either.
+    /// [`RefusalChain::replay`], which also fills in `work`). Rows
+    /// incapable of the class are not charged: an eager `on_request` would
+    /// not have been a market event either.
     ///
     /// The caller owns the equivalence argument: it may only defer
     /// refusals it has *proven* would each return `false` from
     /// `on_request` (supply exhausted, threshold bypass already off —
     /// prices are non-decreasing within a period, so a full refusal stays
-    /// a full refusal), and only while telemetry is disabled (the eager
-    /// path emits a `RequestRejected` event per refusal).
-    pub fn apply_rejections_batch(nodes: &mut [Option<QantNode>], class: ClassId, counts: &[u64]) {
-        let k = class.index();
-        NonTatonnementPricer::on_rejections_batch_by(nodes, k, counts, |slot| {
-            let node = slot.as_mut()?;
-            let capable = node.unit_costs_ms.get(k).copied().flatten().is_some();
-            capable.then_some(&mut node.pricer)
-        });
+    /// one), and only while telemetry is disabled (the eager path emits
+    /// two events per refusal).
+    ///
+    /// # Panics
+    /// Panics when `counts` names more than [`REPLAY_BLOCK`] rows.
+    pub fn charge_refusals(
+        &mut self,
+        lo: usize,
+        class: ClassId,
+        counts: &[u64],
+        work: &mut ReplayWork,
+    ) {
+        debug_assert!(!self.telemetry.is_enabled());
+        let at = |j: usize| (lo + j) * self.classes + class.index();
+        let mut p = [0.0f64; REPLAY_BLOCK];
+        let mut d = [0u64; REPLAY_BLOCK];
+        for (j, &count) in counts.iter().enumerate() {
+            if count > 0 && self.cost[at(j)].is_some() {
+                (p[j], d[j]) = (self.prices[at(j)], count);
+            }
+        }
+        self.chain
+            .replay(&mut p[..counts.len()], &d[..counts.len()], work);
+        for j in (0..counts.len()).filter(|&j| d[j] > 0) {
+            self.prices[at(j)] = p[j];
+        }
     }
 
-    /// Step 6: the node's offer was accepted — consume one supply unit
+    /// Step 6: row `row`'s offer was accepted — consume one supply unit
     /// (saturating: in bypass mode accepts may exceed the period supply).
-    pub fn on_accept(&mut self, class: ClassId) {
-        if let Some(s) = &mut self.supply {
-            let _ = s.take_unit(class.index());
-        }
+    /// Returns what is left.
+    #[inline]
+    pub fn on_accept(&mut self, row: usize, class: ClassId) -> u64 {
+        let left = &mut self.supply[row * self.classes + class.index()];
+        *left = left.saturating_sub(1);
+        *left
     }
 
-    /// Steps 12–14: the period elapsed; leftover supply lowers prices.
-    /// Call `begin_period` afterwards to start the next round.
-    pub fn end_period(&mut self) {
+    /// Steps 12–14: row `row`'s period elapsed; leftover supply lowers
+    /// prices and is withdrawn. Call `begin_period` afterwards to start
+    /// the next round.
+    pub fn end_period(&mut self, row: usize) {
         let _span = self.telemetry.span("qant.price_update");
-        let leftover = self
-            .supply
-            .take()
-            .unwrap_or_else(|| QuantityVector::zeros(self.num_classes()));
-        self.pricer.on_period_end(&leftover);
+        let (span, node) = (self.span(row), self.node(row));
+        let prices = &mut self.prices[span.clone()];
+        let leftover = &mut self.supply[span];
+        let pricer = &self.config.pricer;
+        pricer.decay_leftover(prices, leftover, &self.telemetry, node);
         if self.config.renormalize_prices {
-            self.pricer.renormalize();
+            pricer.renormalize(prices, &self.telemetry, node);
         }
-        self.spare = Some(leftover);
+        leftover.fill(0);
+    }
+}
+
+/// Per-node QA-NT state: private prices + current-period supply vector —
+/// a [`QantMarket`] of one row, for a node that keeps its own market (the
+/// threaded cluster's, a `qad` process's).
+#[derive(Debug, Clone)]
+pub struct QantNode(QantMarket);
+
+impl QantNode {
+    /// A node over `k` query classes with uniform initial prices.
+    pub fn new(k: usize, config: QantConfig) -> QantNode {
+        let prices = vec![config.pricer.initial_price; k];
+        QantNode(QantMarket::with_prices(k, config, prices))
     }
 
-    /// Diagnostic: highest private price across classes.
-    pub fn max_price(&self) -> f64 {
-        self.pricer.prices().max_price()
+    /// A node with jittered initial prices: [`QantMarket::with_jitter`].
+    pub fn with_jitter(k: usize, config: QantConfig, rng: &mut DetRng) -> QantNode {
+        QantNode(QantMarket::with_jitter(1, k, config, rng))
+    }
+
+    /// Installs a telemetry handle (label it with this node's id via
+    /// [`Telemetry::with_label`]): [`QantMarket::set_telemetry`].
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.0.set_telemetry(telemetry);
+    }
+
+    /// Number of classes.
+    pub fn num_classes(&self) -> usize {
+        self.0.classes
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &QantConfig {
+        &self.0.config
+    }
+
+    /// The private prices (never sent over the network; exposed for
+    /// diagnostics and tests only).
+    pub fn prices(&self) -> PriceVector {
+        PriceVector::from_prices(self.0.prices(0).to_vec())
+    }
+
+    /// Remaining supply for the current period (all zero outside one;
+    /// never `None`).
+    pub fn supply(&self) -> Option<QuantityVector> {
+        Some(QuantityVector::from_counts(self.0.supply(0).to_vec()))
+    }
+
+    /// [`Self::begin_period_with_budget`] with one period `T` of budget.
+    pub fn begin_period(
+        &mut self,
+        unit_costs_ms: &[Option<f64>],
+        demand_caps: Option<&QuantityVector>,
+    ) {
+        let budget = self.0.config.period.as_millis_f64();
+        self.begin_period_with_budget(unit_costs_ms, demand_caps, budget);
+    }
+
+    /// Step 2, with an explicit budget: [`QantMarket::begin_period`].
+    pub fn begin_period_with_budget(
+        &mut self,
+        unit_costs_ms: &[Option<f64>],
+        demand_caps: Option<&QuantityVector>,
+        budget_ms: f64,
+    ) {
+        let caps = demand_caps.map(QuantityVector::as_slice);
+        self.0.begin_period(0, unit_costs_ms, caps, budget_ms);
+    }
+
+    /// Steps 4–10: [`QantMarket::on_request`].
+    pub fn on_request(&mut self, class: ClassId) -> bool {
+        self.0.on_request(0, class)
+    }
+
+    /// Step 6: [`QantMarket::on_accept`].
+    pub fn on_accept(&mut self, class: ClassId) {
+        self.0.on_accept(0, class);
+    }
+
+    /// Steps 12–14: [`QantMarket::end_period`].
+    pub fn end_period(&mut self) {
+        self.0.end_period(0);
     }
 }
 
@@ -539,5 +604,91 @@ mod tests {
             n.on_accept(ClassId(1)); // more accepts than supply
         }
         assert_eq!(n.supply().unwrap().get(1), 0);
+    }
+
+    /// The column store's bug class is a wrong stride or offset: an N-row
+    /// market must stay equal, to the bit, to N one-row nodes driven by
+    /// the same calls.
+    #[test]
+    fn rows_do_not_bleed() {
+        let mut rng = DetRng::seed_from_u64(0xB1EED).derive("rows");
+        let period_ms = QantConfig::default().period.as_millis_f64();
+        for case in 0..48 {
+            let k = [1, 2, 7][case % 3];
+            let n = 1 + rng.index(if case % 4 == 0 { 150 } else { 12 });
+            let threshold = case % 2 == 0;
+            let config = QantConfig {
+                price_threshold: threshold.then_some(2.0),
+                renormalize_prices: !threshold,
+                ..QantConfig::default()
+            };
+            let mut jitter = rng.derive("jitter");
+            let mut market = QantMarket::with_jitter(n, k, config, &mut jitter.clone());
+            let mut nodes: Vec<QantNode> = (0..n)
+                .map(|_| QantNode::with_jitter(k, config, &mut jitter))
+                .collect();
+            let costs: Vec<Vec<Option<f64>>> = (0..n)
+                .map(|_| {
+                    (0..k)
+                        .map(|_| rng.chance(0.8).then(|| rng.float_in(20.0, 900.0)))
+                        .collect()
+                })
+                .collect();
+            for step in 0..400 {
+                let (row, class) = (rng.index(n), ClassId(rng.index(k) as u32));
+                match rng.index(5) {
+                    0 | 1 => assert_eq!(
+                        market.on_request(row, class),
+                        nodes[row].on_request(class),
+                        "case {case} step {step}"
+                    ),
+                    2 => {
+                        market.on_accept(row, class);
+                        nodes[row].on_accept(class);
+                    }
+                    3 => {
+                        // Refusals short of, near and far past saturation,
+                        // and rows owed none.
+                        let lo = rng.index(n);
+                        let counts: Vec<u64> = (lo..n.min(lo + REPLAY_BLOCK))
+                            .map(|_| [0, 1, rng.int_in(2, 400), 1 << 40][rng.index(4)])
+                            .collect();
+                        let work = &mut ReplayWork::default();
+                        market.charge_refusals(lo, class, &counts, work);
+                        for (node, &count) in nodes[lo..].iter_mut().zip(&counts) {
+                            node.0.charge_refusals(0, class, &[count], work);
+                        }
+                    }
+                    _ => {
+                        let caps: Vec<u64> = (0..k).map(|_| rng.int_in(0, 6)).collect();
+                        let caps = rng.chance(0.5).then_some(caps);
+                        let rows = if rng.chance(0.3) { 0..n } else { row..row + 1 };
+                        for row in rows {
+                            let budget =
+                                [0.0, rng.float_in(0.0, 2.0), 2.0][rng.index(3)] * period_ms;
+                            market.end_period(row);
+                            nodes[row].end_period();
+                            if rng.chance(0.9) {
+                                market.begin_period(row, &costs[row], caps.as_deref(), budget);
+                                nodes[row]
+                                    .0
+                                    .begin_period(0, &costs[row], caps.as_deref(), budget);
+                            }
+                        }
+                    }
+                }
+                for (row, node) in nodes.iter().enumerate() {
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let of = |m: &QantMarket, r: usize| {
+                        (bits(m.prices(r)), m.supply(r).to_vec(), bits(m.carry(r)))
+                    };
+                    assert_eq!(
+                        of(&market, row),
+                        of(&node.0, 0),
+                        "case {case} (n={n}, k={k}) step {step}: row {row}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -42,8 +42,10 @@ pub mod vectors;
 pub mod welfare;
 
 pub use market::{excess_demand, is_equilibrium, ExcessVector};
-pub use non_tatonnement::{trade_exhausts_pair, trade_is_feasible};
-pub use non_tatonnement::{NonTatonnementPricer, PricerConfig};
+pub use non_tatonnement::{
+    adjusted, ln_price, trade_exhausts_pair, trade_is_feasible, NonTatonnementPricer, PricerConfig,
+    RefusalChain, ReplayWork, REPLAY_BLOCK,
+};
 pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMarketConfig, ParentMechanism};
 pub use pareto::{dominates, enumerate_solutions, is_pareto_optimal, Solution};
 pub use preference::{EquitablePreference, Preference, ThroughputPreference, WeightedPreference};

@@ -11,9 +11,14 @@
 //! * at period end, `s_ik > 0` units remain unsold → the node infers excess
 //!   supply and lowers `pₖ ← pₖ − s_ik·λ·pₖ` (steps 12–14).
 //!
-//! [`NonTatonnementPricer`] is that private state machine. It is the heart
-//! of QA-NT and is reused verbatim by the simulator (`qa-sim`) and by the
-//! threaded cluster (`qa-cluster`).
+//! The three price moves are functions over a price row —
+//! [`RefusalChain`] (step 9, one step or a replayed batch),
+//! [`PricerConfig::decay_leftover`] (steps 12–14) and
+//! [`PricerConfig::renormalize`] — so a population of sellers can keep its
+//! rows in one block (`qa_core::QantMarket`, which the simulator and the
+//! threaded cluster run) and still share this one arithmetic.
+//! [`NonTatonnementPricer`] is the same state machine over one owned row:
+//! the parent market's pricer.
 
 use crate::vectors::{PriceVector, QuantityVector};
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
@@ -71,13 +76,38 @@ impl PricerConfig {
     }
 }
 
-/// Lanes one replay block holds on the stack.
-const BLOCK: usize = 64;
+/// Lanes one [`RefusalChain::replay`] call takes: a block's gathered
+/// prices and counts fit the stack.
+pub const REPLAY_BLOCK: usize = 64;
+
+/// What a [`RefusalChain::replay`] did, in lanes: a function of the prices
+/// and counts alone, so a run's totals repeat exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayWork {
+    /// Lanes whose chain was walked step by step.
+    pub walked: u64,
+    /// Lanes settled at the ceiling without a walk.
+    pub closed_form: u64,
+    /// Refusals the walked lanes were owed, summed.
+    pub steps: u64,
+}
+
+/// One refusal: `min(p·factor, ceiling)`, without `f64::min`'s NaN fix-up
+/// (prices are finite) — a single `minpd`.
+#[inline]
+fn raise(p: f64, factor: f64, ceiling: f64) -> f64 {
+    let raised = p * factor;
+    if raised < ceiling {
+        raised
+    } else {
+        ceiling
+    }
+}
 
 /// The refusal chain `p ← min(p·(1+λ), ceiling)` (QA-NT step 9) of one
 /// configuration, and what deciding its outcome without walking it needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct RefusalChain {
+pub struct RefusalChain {
     factor: f64,
     ceiling: f64,
     log2_ceiling: f64,
@@ -89,7 +119,8 @@ struct RefusalChain {
 }
 
 impl RefusalChain {
-    fn new(config: &PricerConfig) -> RefusalChain {
+    /// The chain of `config`'s λ and ceiling.
+    pub fn new(config: &PricerConfig) -> RefusalChain {
         let factor = 1.0 + config.lambda;
         let gain = factor.ln();
         RefusalChain {
@@ -102,6 +133,12 @@ impl RefusalChain {
                 f64::INFINITY
             },
         }
+    }
+
+    /// Where one refusal leaves `p`.
+    #[inline]
+    pub fn step(&self, p: f64) -> f64 {
+        raise(p, self.factor, self.ceiling)
     }
 
     /// `true` when `count` refusals provably leave `p` at the ceiling —
@@ -121,14 +158,18 @@ impl RefusalChain {
     }
 
     /// Moves every `prices[i]` to where `counts[i]` refusals leave it:
-    /// bit-identical to that many `min(p·(1+λ), ceiling)` steps each.
-    /// Saturating lanes are settled in closed form; the rest are walked
-    /// `LANES` at a time — the chains are independent, and interleaving
-    /// them hides the multiply latency that makes a lone chain serial.
-    fn replay(&self, prices: &mut [f64], counts: &[u64]) {
+    /// bit-identical to that many [`Self::step`]s each. Saturating lanes
+    /// are settled in closed form; the rest are walked `LANES` at a time —
+    /// the chains are independent, and interleaving them hides the
+    /// multiply latency that makes a lone chain serial.
+    /// What that took is added to `work`.
+    ///
+    /// # Panics
+    /// Panics when the slices differ in length or exceed [`REPLAY_BLOCK`].
+    pub fn replay(&self, prices: &mut [f64], counts: &[u64], work: &mut ReplayWork) {
         const LANES: usize = 16;
-        debug_assert!(prices.len() == counts.len() && prices.len() <= BLOCK);
-        let mut walk = [(0u64, 0usize); BLOCK];
+        assert!(prices.len() == counts.len() && prices.len() <= REPLAY_BLOCK);
+        let mut walk = [(0u64, 0usize); REPLAY_BLOCK];
         let mut walked = 0;
         for (i, (p, &d)) in prices.iter_mut().zip(counts).enumerate() {
             if d == 0 {
@@ -136,11 +177,14 @@ impl RefusalChain {
             }
             if self.saturates(*p, d) {
                 *p = self.ceiling;
+                work.closed_form += 1;
             } else {
                 walk[walked] = (d, i);
                 walked += 1;
+                work.steps += d;
             }
         }
+        work.walked += walked as u64;
         // Longest first: a group runs for its longest lane, so lanes of
         // similar length share one, and within it the lanes still owed
         // refusals are a prefix that only shrinks.
@@ -159,14 +203,7 @@ impl RefusalChain {
             for (j, &(d, _)) in group.iter().enumerate().rev() {
                 for _ in done..d {
                     for l in 0..LANES {
-                        // `f64::min` without its NaN fix-up (prices are
-                        // finite): a single `minpd`.
-                        let raised = p[l] * factor[l];
-                        p[l] = if raised < self.ceiling {
-                            raised
-                        } else {
-                            self.ceiling
-                        };
+                        p[l] = raise(p[l], factor[l], self.ceiling);
                     }
                 }
                 (done, factor[j]) = (d, 1.0);
@@ -178,7 +215,82 @@ impl RefusalChain {
     }
 }
 
-/// A node's private price state and its non-tâtonnement dynamics.
+/// The period-end price moves over one price row. Each change is a
+/// [`TelemetryEvent::PriceAdjusted`] of `node`.
+impl PricerConfig {
+    /// QA-NT steps 12–14: `leftover[k] > 0` unsold units lower `prices[k]`
+    /// by `s·λ·p`, floored (`p − s·λ·p` goes negative for a large
+    /// leftover; the factor is clamped at 0 and the floor keeps the
+    /// multiplicative dynamics alive).
+    #[inline]
+    pub fn decay_leftover(&self, prices: &mut [f64], leftover: &[u64], t: &Telemetry, node: u32) {
+        assert_eq!(prices.len(), leftover.len(), "class count mismatch");
+        for (k, (p, &s)) in prices.iter_mut().zip(leftover).enumerate() {
+            if s > 0 {
+                let old = *p;
+                let factor = (1.0 - self.lambda * s as f64).max(0.0);
+                *p = (old * factor).max(self.price_floor);
+                adjusted(t, node, k, old, *p, PriceReason::PeriodDecay);
+            }
+        }
+    }
+
+    /// Rescales the row so its geometric mean is 1.
+    ///
+    /// A competitive market is invariant to a uniform price rescaling (only
+    /// relative prices drive supply decisions), so this changes nothing
+    /// economically — but it keeps long overloads from driving every price
+    /// into the ceiling/floor clamps, which *would* destroy the relative
+    /// structure.
+    #[inline]
+    pub fn renormalize(&self, prices: &mut [f64], telemetry: &Telemetry, node: u32) {
+        if prices.is_empty() {
+            return;
+        }
+        let log_mean = prices.iter().map(|p| p.ln()).sum::<f64>() / prices.len() as f64;
+        let scale = log_mean.exp();
+        if !scale.is_finite() || scale <= 0.0 {
+            return;
+        }
+        for (k, p) in prices.iter_mut().enumerate() {
+            let old = *p;
+            *p = (old / scale).clamp(self.price_floor, self.price_ceiling);
+            if *p != old {
+                adjusted(telemetry, node, k, old, *p, PriceReason::Renormalize);
+            }
+        }
+    }
+}
+
+/// `ln(p)` the way aggregated price signals read it: the geometric mean
+/// over a region's sellers is an arithmetic mean of these.
+#[inline]
+pub fn ln_price(p: f64) -> f64 {
+    p.max(f64::MIN_POSITIVE).ln()
+}
+
+/// Emits `node`'s class-`k` price move as a
+/// [`TelemetryEvent::PriceAdjusted`].
+#[inline]
+pub fn adjusted(
+    telemetry: &Telemetry,
+    node: u32,
+    k: usize,
+    old: f64,
+    new: f64,
+    reason: PriceReason,
+) {
+    telemetry.emit(|| TelemetryEvent::PriceAdjusted {
+        node,
+        class: k as u32,
+        old,
+        new,
+        reason,
+    });
+}
+
+/// A node's private price state and its non-tâtonnement dynamics: the row
+/// kernels above over one owned row.
 #[derive(Debug, Clone)]
 pub struct NonTatonnementPricer {
     config: PricerConfig,
@@ -193,6 +305,11 @@ pub struct NonTatonnementPricer {
 }
 
 impl NonTatonnementPricer {
+    /// A pricer over `k` classes starting at the configured initial price.
+    pub fn new(k: usize, config: PricerConfig) -> Self {
+        Self::with_prices(PriceVector::uniform(k, config.initial_price), config)
+    }
+
     /// A pricer with explicit (already jittered) initial prices. Because
     /// the non-tâtonnement dynamics are multiplicative, initial log-price
     /// offsets between nodes persist forever — heterogeneous starting
@@ -217,57 +334,10 @@ impl NonTatonnementPricer {
         self.telemetry = telemetry;
     }
 
-    /// Rescales all prices so their geometric mean is 1.
-    ///
-    /// A competitive market is invariant to a uniform price rescaling (only
-    /// relative prices drive supply decisions), so this changes nothing
-    /// economically — but it keeps long overloads from driving every price
-    /// into the ceiling/floor clamps, which *would* destroy the relative
-    /// structure.
+    /// [`PricerConfig::renormalize`] over this pricer's row.
     pub fn renormalize(&mut self) {
-        let k = self.num_classes();
-        if k == 0 {
-            return;
-        }
-        let log_mean: f64 = self.prices.iter().map(|(_, p)| p.ln()).sum::<f64>() / k as f64;
-        let scale = log_mean.exp();
-        if !scale.is_finite() || scale <= 0.0 {
-            return;
-        }
-        for kk in 0..k {
-            let old = self.prices.get(kk);
-            let p = old / scale;
-            self.prices.set(
-                kk,
-                p.clamp(self.config.price_floor, self.config.price_ceiling),
-                self.config.price_floor,
-            );
-            let new = self.prices.get(kk);
-            if new != old {
-                let telemetry = &self.telemetry;
-                telemetry.emit(|| TelemetryEvent::PriceAdjusted {
-                    node: telemetry.label(),
-                    class: kk as u32,
-                    old,
-                    new,
-                    reason: PriceReason::Renormalize,
-                });
-            }
-        }
-    }
-}
-
-impl NonTatonnementPricer {
-    /// A pricer over `k` classes starting at the configured initial price.
-    pub fn new(k: usize, config: PricerConfig) -> Self {
-        config.validate();
-        NonTatonnementPricer {
-            prices: PriceVector::uniform(k, config.initial_price),
-            rejections: vec![0; k],
-            chain: RefusalChain::new(&config),
-            config,
-            telemetry: Telemetry::disabled(),
-        }
+        let (prices, node) = (self.prices.as_mut_slice(), self.telemetry.label());
+        self.config.renormalize(prices, &self.telemetry, node);
     }
 
     /// The current private prices.
@@ -276,24 +346,15 @@ impl NonTatonnementPricer {
     }
 
     /// Batched price read: writes `ln(price_k)` for every class into
-    /// `out` (sized to the class count) in one call. The log domain is
-    /// what aggregated price signals are exchanged in — the geometric
-    /// mean over a region's pricers is an arithmetic mean of these — so
-    /// the sharded engine's per-period reports read each market exactly
-    /// once instead of taking `K` getter round-trips.
+    /// `out` (sized to the class count) in one call.
     ///
     /// # Panics
     /// Panics when `out` is not sized to the class count.
     pub fn ln_prices_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.num_classes(), "class count mismatch");
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.ln_price(k);
+        for (slot, &p) in out.iter_mut().zip(self.prices.as_slice()) {
+            *slot = ln_price(p);
         }
-    }
-
-    /// `ln(price_k)`, the one-class form of [`Self::ln_prices_into`].
-    pub fn ln_price(&self, k: usize) -> f64 {
-        self.prices.get(k).max(f64::MIN_POSITIVE).ln()
     }
 
     /// Number of classes.
@@ -309,68 +370,46 @@ impl NonTatonnementPricer {
     /// Step 9 of QA-NT: a class-`k` request had to be rejected because the
     /// node's supply for `k` is exhausted — price rises by a factor `1+λ`.
     pub fn on_rejection(&mut self, k: usize) {
-        let p = self.prices.get(k);
-        let raised = (p * (1.0 + self.config.lambda)).min(self.config.price_ceiling);
-        self.prices.set(k, raised, self.config.price_floor);
+        let old = self.prices.get(k);
+        self.prices
+            .set(k, self.chain.step(old), self.config.price_floor);
         self.rejections[k] += 1;
-        let new = self.prices.get(k);
-        let telemetry = &self.telemetry;
-        telemetry.emit(|| TelemetryEvent::PriceAdjusted {
-            node: telemetry.label(),
-            class: k as u32,
-            old: p,
-            new,
-            reason: PriceReason::Rejection,
-        });
+        let (node, new) = (self.telemetry.label(), self.prices.get(k));
+        adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
     }
 
     /// Applies `count` consecutive [`NonTatonnementPricer::on_rejection`]s
-    /// for class `k`, bit-identical to calling it in a loop. While
-    /// telemetry is disabled the intermediate prices are unobservable, so
-    /// this is [`Self::on_rejections_batch`] with one lane; enabled runs
-    /// still emit one `PriceAdjusted` per rejection.
-    ///
-    /// Callers batch rejection storms: a client resubmission wave that
-    /// was refused `count` times charges the price rise in one call
-    /// instead of `count` market round-trips.
+    /// for class `k`, bit-identical to calling it in a loop: one lane of
+    /// [`Self::on_rejections_batch`].
     pub fn on_rejections(&mut self, k: usize, count: u64) {
         Self::on_rejections_batch(&mut [self], k, &[count]);
     }
 
     /// Replays per-pricer rejection counts for class `k` across many
-    /// pricers at once: result-identical to `counts[i]` stepwise
-    /// [`Self::on_rejection`]s on each. A chain long enough to provably
-    /// reach the ceiling costs nothing — a refusal storm is charged by
-    /// its lanes, not its length — and the others walk interleaved. A
-    /// traced pricer takes the stepwise path and emits every adjustment;
-    /// so does one whose configuration differs from the first's.
+    /// pricers at once — gather, [`RefusalChain::replay`], scatter:
+    /// result-identical to `counts[i]` stepwise [`Self::on_rejection`]s on
+    /// each. A chain long enough to provably reach the ceiling costs
+    /// nothing — a refusal storm is charged by its lanes, not its length.
+    /// A traced pricer takes the stepwise path and emits every
+    /// adjustment; so does one whose configuration differs from the
+    /// first's.
     pub fn on_rejections_batch(
         pricers: &mut [&mut NonTatonnementPricer],
         k: usize,
         counts: &[u64],
     ) {
-        Self::on_rejections_batch_by(pricers, k, counts, |p| Some(&mut **p));
-    }
-
-    /// [`Self::on_rejections_batch`] over any population `pricer` can
-    /// find a pricer in (`None` = this lane is not charged), from stack
-    /// scratch: nothing is allocated.
-    pub fn on_rejections_batch_by<T>(
-        lanes: &mut [T],
-        k: usize,
-        counts: &[u64],
-        pricer: impl for<'a> Fn(&'a mut T) -> Option<&'a mut NonTatonnementPricer>,
-    ) {
-        assert_eq!(lanes.len(), counts.len());
+        assert_eq!(pricers.len(), counts.len());
         let mut chain = None;
-        for (lanes, counts) in lanes.chunks_mut(BLOCK).zip(counts.chunks(BLOCK)) {
-            let mut p = [0.0f64; BLOCK];
-            let mut d = [0u64; BLOCK];
-            for (j, (lane, &count)) in lanes.iter_mut().zip(counts).enumerate() {
+        for (lanes, counts) in pricers
+            .chunks_mut(REPLAY_BLOCK)
+            .zip(counts.chunks(REPLAY_BLOCK))
+        {
+            let mut p = [0.0f64; REPLAY_BLOCK];
+            let mut d = [0u64; REPLAY_BLOCK];
+            for (j, (pr, &count)) in lanes.iter_mut().zip(counts).enumerate() {
                 if count == 0 {
                     continue;
                 }
-                let Some(pr) = pricer(lane) else { continue };
                 if pr.telemetry.is_enabled() || *chain.get_or_insert(pr.chain) != pr.chain {
                     for _ in 0..count {
                         pr.on_rejection(k);
@@ -380,48 +419,24 @@ impl NonTatonnementPricer {
                 }
             }
             let Some(chain) = chain else { continue };
-            chain.replay(&mut p[..lanes.len()], &d[..lanes.len()]);
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if let Some(pr) = pricer(lane).filter(|_| d[j] > 0) {
-                    // Finite and at or above the floor, so this one set
-                    // is exactly the last of the per-step clamped sets.
-                    pr.prices.set(k, p[j], pr.config.price_floor);
-                    pr.rejections[k] += d[j];
-                }
+            let work = &mut ReplayWork::default();
+            chain.replay(&mut p[..lanes.len()], &d[..lanes.len()], work);
+            for (j, pr) in lanes.iter_mut().enumerate().filter(|(j, _)| d[*j] > 0) {
+                // Finite and at or above the floor, so this one set is
+                // exactly the last of the per-step clamped sets.
+                pr.prices.set(k, p[j], pr.config.price_floor);
+                pr.rejections[k] += d[j];
             }
         }
     }
 
-    /// Steps 12–14 of QA-NT: the period ended with `leftover` unsold supply;
-    /// each class' price falls by `s_ik·λ·pₖ`, clamped so it stays positive.
-    ///
-    /// Also resets the per-period rejection counters.
+    /// [`PricerConfig::decay_leftover`] over this pricer's row; also
+    /// resets the per-period rejection counters.
     pub fn on_period_end(&mut self, leftover: &QuantityVector) {
-        assert_eq!(leftover.num_classes(), self.num_classes());
-        for (k, s) in leftover.iter() {
-            if s > 0 {
-                let p = self.prices.get(k);
-                // p − s·λ·p can go negative for large leftovers; the price
-                // floor (and a multiplicative clamp at 1−λ·s capped below 1)
-                // keeps the dynamics sane.
-                let factor = (1.0 - self.config.lambda * s as f64).max(0.0);
-                self.prices.set(
-                    k,
-                    (p * factor).max(self.config.price_floor),
-                    self.config.price_floor,
-                );
-                let new = self.prices.get(k);
-                let telemetry = &self.telemetry;
-                telemetry.emit(|| TelemetryEvent::PriceAdjusted {
-                    node: telemetry.label(),
-                    class: k as u32,
-                    old: p,
-                    new,
-                    reason: PriceReason::PeriodDecay,
-                });
-            }
-        }
-        self.rejections.iter_mut().for_each(|r| *r = 0);
+        let (prices, node) = (self.prices.as_mut_slice(), self.telemetry.label());
+        self.config
+            .decay_leftover(prices, leftover.as_slice(), &self.telemetry, node);
+        self.rejections.fill(0);
     }
 
     /// Rejections observed for class `k` in the current period.

@@ -205,21 +205,14 @@ pub fn enumerate_capacity_set(
 /// This is the ordering both eq.-4 solvers fill capacity in. It reuses the
 /// caller's scratch vector — no per-call allocation once the scratch has
 /// grown to the class count.
-pub fn price_density_order_into(
-    prices: &PriceVector,
-    unit_costs: &[Option<f64>],
-    out: &mut Vec<usize>,
-) {
-    assert_eq!(
-        prices.num_classes(),
-        unit_costs.len(),
-        "class count mismatch"
-    );
+#[inline]
+pub fn price_density_order_into(prices: &[f64], unit_costs: &[Option<f64>], out: &mut Vec<usize>) {
+    assert_eq!(prices.len(), unit_costs.len(), "class count mismatch");
     out.clear();
     out.extend((0..unit_costs.len()).filter(|&i| unit_costs[i].is_some()));
     out.sort_by(|&a, &b| {
-        let da = prices.get(a) / unit_costs[a].expect("filtered");
-        let db = prices.get(b) / unit_costs[b].expect("filtered");
+        let da = prices[a] / unit_costs[a].expect("filtered");
+        let db = prices[b] / unit_costs[b].expect("filtered");
         // total_cmp, not partial_cmp: an all-zero price vector is legal
         // (densities 0.0 compare equal, class index breaks the tie) and
         // must not panic the solver.
@@ -257,7 +250,7 @@ impl DensityOrderCache {
     pub fn order(&mut self, prices: &PriceVector, unit_costs: &[Option<f64>]) -> &[usize] {
         let hit = self.valid && self.prices == prices.as_slice() && self.unit_costs == unit_costs;
         if !hit {
-            price_density_order_into(prices, unit_costs, &mut self.order);
+            price_density_order_into(prices.as_slice(), unit_costs, &mut self.order);
             self.prices.clear();
             self.prices.extend_from_slice(prices.as_slice());
             self.unit_costs.clear();
@@ -312,7 +305,7 @@ pub fn solve_supply_greedy(
     caps: Option<&QuantityVector>,
 ) -> QuantityVector {
     let mut order = Vec::new();
-    price_density_order_into(prices, set.unit_costs(), &mut order);
+    price_density_order_into(prices.as_slice(), set.unit_costs(), &mut order);
     greedy_fill(set, caps, &order)
 }
 
@@ -347,7 +340,7 @@ pub fn solve_supply_fractional(
         assert_eq!(c.len(), set.num_classes());
     }
     let mut order = Vec::new();
-    price_density_order_into(prices, set.unit_costs(), &mut order);
+    price_density_order_into(prices.as_slice(), set.unit_costs(), &mut order);
     let mut supply = vec![0.0; set.num_classes()];
     let mut remaining = set.capacity();
     for &i in &order {
@@ -513,7 +506,7 @@ mod tests {
         let o = solve_supply_optimal(&p, &n1(), Some(&qv(&[2, 2])), 1_000);
         assert!(n1().contains(&o));
         let mut order = Vec::new();
-        price_density_order_into(&p, &[Some(400.0), Some(100.0)], &mut order);
+        price_density_order_into(p.as_slice(), &[Some(400.0), Some(100.0)], &mut order);
         assert_eq!(order, vec![0, 1]);
     }
 
@@ -598,12 +591,12 @@ mod tests {
         let p = PriceVector::from_prices(vec![4.5, 1.0, 2.0]);
         let costs = vec![Some(400.0), Some(100.0), None];
         let mut order = Vec::with_capacity(3);
-        price_density_order_into(&p, &costs, &mut order);
+        price_density_order_into(p.as_slice(), &costs, &mut order);
         // densities: 4.5/400 = 0.011, 1/100 = 0.01 → class 0 first; class 2
         // has no cost and is excluded.
         assert_eq!(order, vec![0, 1]);
         let cap = order.capacity();
-        price_density_order_into(&p, &costs, &mut order);
+        price_density_order_into(p.as_slice(), &costs, &mut order);
         assert_eq!(order.capacity(), cap, "no reallocation on reuse");
     }
 
@@ -613,7 +606,7 @@ mod tests {
         let p = PriceVector::from_prices(vec![2.0, 1.0]);
         let costs = vec![Some(200.0), Some(100.0)];
         let mut order = Vec::new();
-        price_density_order_into(&p, &costs, &mut order);
+        price_density_order_into(p.as_slice(), &costs, &mut order);
         assert_eq!(order, vec![0, 1]);
     }
 

@@ -40,27 +40,9 @@ impl QuantityVector {
         self.0[k] = v;
     }
 
-    /// Resets every count to zero in place (buffer reuse: equivalent to
-    /// replacing the vector with [`Self::zeros`] of the same size, without
-    /// the allocation).
-    pub fn reset_zero(&mut self) {
-        self.0.fill(0);
-    }
-
     /// Adds `n` units of class `k`.
     pub fn add_units(&mut self, k: usize, n: u64) {
         self.0[k] += n;
-    }
-
-    /// Removes one unit of class `k`, returning `false` (and leaving the
-    /// vector unchanged) if none remain.
-    pub fn take_unit(&mut self, k: usize) -> bool {
-        if self.0[k] > 0 {
-            self.0[k] -= 1;
-            true
-        } else {
-            false
-        }
     }
 
     /// Total units across all classes — the quantity the paper's
@@ -243,6 +225,12 @@ impl PriceVector {
         &self.0
     }
 
+    /// The raw prices, for this crate's row kernels (which keep them
+    /// finite and positive).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.0
+    }
+
     /// Largest price across classes.
     pub fn max_price(&self) -> f64 {
         self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
@@ -292,17 +280,6 @@ mod tests {
         // Incomparable pair: neither ≤ holds.
         assert!(!qv(&[2, 0]).le(&qv(&[0, 2])));
         assert!(!qv(&[0, 2]).le(&qv(&[2, 0])));
-    }
-
-    #[test]
-    fn take_unit_decrements_until_empty() {
-        let mut s = qv(&[2, 0]);
-        assert!(s.take_unit(0));
-        assert!(s.take_unit(0));
-        assert!(!s.take_unit(0), "exhausted class must reject");
-        assert!(!s.take_unit(1));
-        assert_eq!(s, qv(&[0, 0]));
-        assert!(s.is_zero());
     }
 
     #[test]

@@ -29,15 +29,15 @@
 //! disabled plan never draws from it at all (the fault-free path is
 //! bit-identical to a build without fault injection).
 
-use crate::metrics::RunMetrics;
+use crate::metrics::{BoundaryWork, RunMetrics};
 use crate::node::NodeSoa;
 use crate::offer_index::OfferIndex;
 use crate::scenario::Scenario;
 use qa_core::messages::{OFFER_BYTES, REQUEST_BYTES, RESPONSE_BYTES};
 use qa_core::{
-    BnqrdCoordinator, MarkovAllocator, MechanismKind, RoundRobinState, TwoProbesChooser,
+    BnqrdCoordinator, MarkovAllocator, MechanismKind, QantMarket, RoundRobinState, TwoProbesChooser,
 };
-use qa_economics::QuantityVector;
+use qa_economics::{ReplayWork, REPLAY_BLOCK};
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
@@ -54,9 +54,9 @@ const MAX_RETRIES: u32 = 20_000;
 const FAULT_SALT: u64 = 0xFA17_0001;
 
 /// Nodes per block of the period-boundary pass: few enough that a block's
-/// market state is still in cache when each of its nodes is solved, enough
-/// to fill the refusal replay's lanes.
-const BOUNDARY_BLOCK: usize = 64;
+/// market rows are still in cache when each of them is solved, enough to
+/// fill the refusal replay's lanes.
+const BOUNDARY_BLOCK: usize = REPLAY_BLOCK;
 
 /// The query slot of a wait-list entry that is no query but a fence: the
 /// [`Event::Wake`] that reaches it stops there.
@@ -78,37 +78,36 @@ enum Event {
     Recover { node: NodeId },
 }
 
+/// QA-NT's state: node `n`'s seller is row `n` of `market`, whose supply
+/// column is the only copy of what each still offers this period.
+struct Sellers {
+    market: QantMarket,
+    /// `false` for a non-participating node, which always offers (the §4
+    /// partial-deployment case); its row lies unused.
+    member: Vec<bool>,
+    /// Pure-market mode (set once per run, in `begin_run`): with no §5.1
+    /// threshold, telemetry off and no fault or crash schedule, the
+    /// candidate set is the static capable list and a within-period price
+    /// rise is unobservable — `on_request` answers from supply alone.
+    /// Allocation then reads the best offer off this index instead of
+    /// polling, and a dry node's refusals are counted from the index's
+    /// demand stamps and replayed at the period boundary: same final
+    /// prices. `None` polls every candidate (§3.3 steps 4–10), paying each
+    /// refusal as it happens.
+    index: Option<OfferIndex>,
+}
+
+// One per run, matched on per query: boxing the market would put a
+// pointer chase on that path.
+#[allow(clippy::large_enum_variant)]
 enum MechState {
-    /// QA-NT; `None` entries are non-participating nodes that always offer
-    /// (the §4 partial-deployment case). Each node's own
-    /// [`supply`](qa_core::QantNode::supply) is the only copy of what it
-    /// still offers this period.
-    QaNt {
-        nodes: Vec<Option<qa_core::QantNode>>,
-        /// Pure-market mode (set once per run, in `begin_run`): with no
-        /// §5.1 threshold, telemetry off and no fault or crash schedule,
-        /// the candidate set is the static capable list and a
-        /// within-period price rise is unobservable — `on_request`
-        /// answers from supply alone. Allocation then reads the best
-        /// offer off this index instead of polling, and a dry node's
-        /// refusals are counted from the index's demand stamps and
-        /// replayed at the period boundary: same final prices. `None`
-        /// polls every candidate (§3.3 steps 4–10), paying each refusal
-        /// as it happens.
-        index: Option<OfferIndex>,
-    },
+    QaNt(Sellers),
     Greedy,
     Random,
-    RoundRobin {
-        per_client: Vec<RoundRobinState>,
-    },
+    RoundRobin { per_client: Vec<RoundRobinState> },
     TwoProbes,
-    Bnqrd {
-        coordinator: BnqrdCoordinator,
-    },
-    Markov {
-        allocator: MarkovAllocator,
-    },
+    Bnqrd { coordinator: BnqrdCoordinator },
+    Markov { allocator: MarkovAllocator },
 }
 
 /// Result of one allocation attempt.
@@ -135,6 +134,8 @@ pub struct RunOutcome {
     pub metrics: RunMetrics,
     /// Total busy time summed over nodes (utilization diagnostics).
     pub total_busy: SimDuration,
+    /// What the run's QA-NT period boundaries did, in counts.
+    pub boundary: BoundaryWork,
 }
 
 /// The simulator for one (scenario, mechanism) pair.
@@ -208,7 +209,8 @@ pub struct Federation<'a> {
     one_way: SimDuration,
     /// Per-class supply caps handed to every node's supply solve at a
     /// period boundary; a reused buffer.
-    demand_caps: QuantityVector,
+    demand_caps: Vec<u64>,
+    boundary: BoundaryWork,
 }
 
 impl<'a> Federation<'a> {
@@ -244,17 +246,17 @@ impl<'a> Federation<'a> {
         let state = match mechanism {
             MechanismKind::QaNt => {
                 let mut price_rng = DetRng::seed_from_u64(cfg.seed).derive("qant-prices");
-                MechState::QaNt {
-                    nodes: (0..cfg.num_nodes)
-                        .map(|i| {
-                            let mut n = qa_core::QantNode::with_jitter(k, cfg.qant, &mut price_rng);
-                            n.set_telemetry(telemetry.with_label(i as u32));
-                            n.begin_period(&scenario.exec_times_ms[i], None);
-                            Some(n)
-                        })
-                        .collect(),
-                    index: None,
+                let mut market =
+                    QantMarket::with_jitter(cfg.num_nodes, k, cfg.qant, &mut price_rng);
+                market.set_telemetry(telemetry.with_label(0));
+                for (i, costs) in scenario.exec_times_ms.iter().enumerate() {
+                    market.begin_period(i, costs, None, cfg.period.as_millis_f64());
                 }
+                MechState::QaNt(Sellers {
+                    market,
+                    member: vec![true; cfg.num_nodes],
+                    index: None,
+                })
             }
             MechanismKind::Greedy => MechState::Greedy,
             MechanismKind::Random => MechState::Random,
@@ -302,7 +304,8 @@ impl<'a> Federation<'a> {
             scratch_reachable: Vec::new(),
             rtt,
             one_way,
-            demand_caps: QuantityVector::zeros(k),
+            demand_caps: vec![0; k],
+            boundary: BoundaryWork::default(),
         }
     }
 
@@ -341,13 +344,11 @@ impl<'a> Federation<'a> {
     /// # Panics
     /// Panics when the mechanism is not QA-NT.
     pub fn restrict_market_to<F: Fn(NodeId) -> bool>(&mut self, participates: F) {
-        let MechState::QaNt { nodes, .. } = &mut self.state else {
+        let MechState::QaNt(sellers) = &mut self.state else {
             panic!("partial deployment applies to QA-NT only");
         };
-        for (i, slot) in nodes.iter_mut().enumerate() {
-            if !participates(NodeId(i as u32)) {
-                *slot = None;
-            }
+        for (i, m) in sellers.member.iter_mut().enumerate() {
+            *m &= participates(NodeId(i as u32));
         }
     }
 
@@ -359,6 +360,17 @@ impl<'a> Federation<'a> {
         self.finish()
     }
 
+    /// `node`'s seller between events: its private prices, remaining
+    /// supply and error-diffusion carry per class. `None` for a node
+    /// outside the market and for other mechanisms.
+    pub fn market_row(&self, node: NodeId) -> Option<(&[f64], &[u64], &[f64])> {
+        let MechState::QaNt(Sellers { market, member, .. }) = &self.state else {
+            return None;
+        };
+        let n = node.index();
+        member[n].then(|| (market.prices(n), market.supply(n), market.carry(n)))
+    }
+
     /// Appends arrivals to the run's input buffer (time-ordered within
     /// and across calls) and grows the per-query bookkeeping to match.
     /// The flat [`Federation::run`] injects the whole trace at once; the
@@ -366,7 +378,7 @@ impl<'a> Federation<'a> {
     ///
     /// # Panics
     /// Panics when the new arrivals start before already-buffered ones.
-    pub(crate) fn push_arrivals(&mut self, events: &[QueryEvent]) {
+    pub fn push_arrivals(&mut self, events: &[QueryEvent]) {
         if let (Some(last), Some(first)) = (self.arrivals.last(), events.first()) {
             assert!(
                 last.at <= first.at,
@@ -393,7 +405,7 @@ impl<'a> Federation<'a> {
 
     /// Starts a run: fixes the pure-market mode, seeds the event queue
     /// with the failure schedule and the first period boundary.
-    pub(crate) fn begin_run(&mut self) {
+    pub fn begin_run(&mut self) {
         let cfg_period = self.scenario.config.period;
         // Fixed for the whole run: fault schedules and kill/recover
         // events are installed before `run`, and the telemetry handle at
@@ -403,12 +415,12 @@ impl<'a> Federation<'a> {
             && self.faults.is_none()
             && self.scenario.config.qant.price_threshold.is_none()
             && !self.telemetry.is_enabled();
-        if let MechState::QaNt { nodes, index } = &mut self.state {
-            *index = pure_market.then(|| {
+        if let MechState::QaNt(q) = &mut self.state {
+            q.index = pure_market.then(|| {
                 let mut offers =
                     OfferIndex::new(&self.scenario.capable, &self.exec, self.nodes.len());
-                for (n, slot) in nodes.iter().enumerate() {
-                    offers.reseat(NodeId(n as u32), slot.as_ref(), &self.nodes);
+                for (n, &m) in q.member.iter().enumerate() {
+                    offers.reseat(NodeId(n as u32), m.then(|| q.market.supply(n)), &self.nodes);
                 }
                 offers.restore();
                 offers
@@ -425,7 +437,7 @@ impl<'a> Federation<'a> {
         // traces.
         if matches!(
             self.state,
-            MechState::QaNt { .. } | MechState::Bnqrd { .. } | MechState::Greedy
+            MechState::QaNt(_) | MechState::Bnqrd { .. } | MechState::Greedy
         ) {
             self.queue
                 .schedule(SimTime::ZERO + cfg_period, Event::PeriodStart);
@@ -434,7 +446,7 @@ impl<'a> Federation<'a> {
 
     /// Earliest pending event time — the arrival cursor head or the queue
     /// head, whichever the run loop would take next.
-    pub(crate) fn peek_next_time(&self) -> Option<SimTime> {
+    pub fn peek_next_time(&self) -> Option<SimTime> {
         let arrival = self.arrivals.get(self.next_arrival).map(|e| e.at);
         match (arrival, self.queue.peek_time()) {
             (Some(a), Some(q)) => Some(a.min(q)),
@@ -448,7 +460,7 @@ impl<'a> Federation<'a> {
     /// belonging to the window first; `until` is normally a period
     /// boundary, so the `PeriodStart` at exactly `until` is processed
     /// before returning.
-    pub(crate) fn step_through(&mut self, until: SimTime) {
+    pub fn step_through(&mut self, until: SimTime) {
         while self.peek_next_time().is_some_and(|t| t <= until) {
             self.process_next();
         }
@@ -461,11 +473,12 @@ impl<'a> Federation<'a> {
     }
 
     /// Ends the run and returns the measurements.
-    pub(crate) fn finish(self) -> RunOutcome {
+    pub fn finish(self) -> RunOutcome {
         RunOutcome {
             mechanism: self.mechanism,
             metrics: self.metrics,
             total_busy: self.nodes.total_busy(),
+            boundary: self.boundary,
         }
     }
 
@@ -510,11 +523,8 @@ impl<'a> Federation<'a> {
                 }
                 self.nodes.complete(node.index());
                 if self.nodes.queued(node.index()) == 0 {
-                    if let MechState::QaNt {
-                        index: Some(index), ..
-                    } = &mut self.state
-                    {
-                        index.idled(node);
+                    if let MechState::QaNt(Sellers { index: Some(i), .. }) = &mut self.state {
+                        i.idled(node);
                     }
                 }
                 self.done[idx] = true;
@@ -642,21 +652,26 @@ impl<'a> Federation<'a> {
     }
 
     /// QA-NT's period boundary (§3.3 steps 9–14, then step 2) in one pass
-    /// over the nodes, a block at a time: the block is charged the closing
-    /// period's unpaid refusals, then each of its nodes ends its period
-    /// (leftover supply decays prices), solves eq. 4 for the next one and
-    /// has its index leaves re-read from the fresh supply — all while its
-    /// market state is in cache. Nodes share nothing here, so the order is
-    /// unobservable; per node it is the order the paper gives.
+    /// over the market's rows, a block at a time: the block is charged the
+    /// closing period's unpaid refusals, then each of its rows ends its
+    /// period (leftover supply decays prices), solves eq. 4 for the next
+    /// one and has its index leaves re-read from the fresh supply — all
+    /// while the rows are in cache. Rows share nothing, so the order is
+    /// unobservable; per row it is the order the paper gives.
     fn roll_market_period(&mut self, now: SimTime) {
-        let MechState::QaNt { nodes, index } = &mut self.state else {
+        let MechState::QaNt(Sellers {
+            market,
+            member,
+            index,
+        }) = &mut self.state
+        else {
             return;
         };
         // Sellers have no reason to reserve more supply for a class than
         // anyone asked for last period (with headroom for growth): the
         // caps steer leftover capacity to classes with live demand.
-        for (k, &d) in self.period_demand.iter().enumerate() {
-            self.demand_caps.set(k, d.saturating_mul(2).max(2));
+        for (cap, &d) in self.demand_caps.iter_mut().zip(&self.period_demand) {
+            *cap = d.saturating_mul(2).max(2);
         }
         let config = &self.scenario.config;
         let period_ms = config.period.as_millis_f64();
@@ -666,38 +681,52 @@ impl<'a> Federation<'a> {
         // market mode backlog never exceeds ~2T and the floor must not
         // oversell. Dead nodes get no budget: they end their period and
         // go quiet.
-        let floor = if config.qant.price_threshold.is_some() {
-            0.5 * period_ms
-        } else {
-            0.0
-        };
+        let floor = config.qant.price_threshold.map_or(0.0, |_| 0.5 * period_ms);
         let soa = &self.nodes;
-        for (block, lo) in nodes
-            .chunks_mut(BOUNDARY_BLOCK)
-            .zip((0..).step_by(BOUNDARY_BLOCK))
-        {
-            if let Some(index) = index {
-                charge_refusals(block, lo, index, &self.period_demand);
+        let mut refusals = ReplayWork::default();
+        let mut solves = 0;
+        let mut owed = [0u64; BOUNDARY_BLOCK];
+        for lo in (0..member.len()).step_by(BOUNDARY_BLOCK) {
+            let hi = (lo + BOUNDARY_BLOCK).min(member.len());
+            // The refusals the closing period still owes the block in
+            // pure-market mode: every dry capable node refused each class
+            // request made since it ran dry. Ahead of the block's
+            // period-end price update: the rises belong to that period.
+            for (k, &demand) in self.period_demand.iter().enumerate() {
+                let Some(index) = index.as_ref().filter(|_| demand > 0) else {
+                    continue;
+                };
+                let (class, owed) = (ClassId(k as u32), &mut owed[..hi - lo]);
+                index.rejections_into(class, demand, lo, owed);
+                market.charge_refusals(lo, class, owed, &mut refusals);
+                owed.fill(0);
             }
-            for (slot, i) in block.iter_mut().zip(lo..) {
-                if let Some(n) = slot {
-                    n.end_period();
+            for (i, &member) in (lo..).zip(&member[lo..hi]) {
+                if member {
+                    market.end_period(i);
+                    self.boundary.node_periods += 1;
                     if soa.alive(i) {
                         let backlog = soa.backlog(i, now).as_millis_f64();
                         let budget = (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms);
                         let costs = &self.scenario.exec_times_ms[i];
-                        n.begin_period_with_budget(costs, Some(&self.demand_caps), budget);
+                        market.begin_period(i, costs, Some(&self.demand_caps), budget);
+                        solves += 1;
                     }
                 }
                 if let Some(index) = index {
                     // The only place supply can rise.
-                    index.reseat(NodeId(i as u32), slot.as_ref(), soa);
+                    let supply = member.then(|| market.supply(i));
+                    index.reseat(NodeId(i as u32), supply, soa);
                 }
             }
         }
         if let Some(index) = index {
             index.restore();
         }
+        self.boundary.refusal_lanes_walked += refusals.walked;
+        self.boundary.refusal_lanes_closed_form += refusals.closed_form;
+        self.boundary.refusal_lane_steps += refusals.steps;
+        self.boundary.density_sorts += solves;
         self.period_demand.fill(0);
     }
 
@@ -712,32 +741,24 @@ impl<'a> Federation<'a> {
     /// # Panics
     /// Panics for non-QA-NT mechanisms.
     pub(crate) fn qant_signals_into(&self, supply: &mut [u64], ln_price: &mut [f64]) {
-        let MechState::QaNt { nodes, .. } = &self.state else {
+        let MechState::QaNt(Sellers { market, member, .. }) = &self.state else {
             panic!("market signals apply to QA-NT only");
         };
-        // Log prices sum in ascending node order whatever order the
-        // scenario lists a class's capable nodes in: float addition is
-        // not associative, and the signal must not depend on the listing.
+        // One pass over the market rows: log prices sum in ascending node
+        // order whatever order the scenario lists a class's capable nodes
+        // in — float addition is not associative, and the signal must not
+        // depend on the listing.
+        supply.fill(0);
         ln_price.fill(0.0);
-        for (slot, exec_times) in nodes.iter().zip(&self.scenario.exec_times_ms) {
-            let Some(market) = slot else { continue };
-            for (k, sum) in ln_price.iter_mut().enumerate() {
-                if exec_times[k].is_some() {
-                    *sum += market.ln_price(ClassId(k as u32));
-                }
+        let rows = self.scenario.exec_times_ms.iter().enumerate();
+        for (n, exec_times) in rows.filter(|(n, _)| member[*n]) {
+            for k in (0..exec_times.len()).filter(|&k| exec_times[k].is_some()) {
+                supply[k] = supply[k].saturating_add(market.supply(n)[k]);
+                ln_price[k] += market.ln_price(n, ClassId(k as u32));
             }
         }
-        for (k, (s, lnp)) in supply.iter_mut().zip(ln_price.iter_mut()).enumerate() {
-            let mut units: u64 = 0;
-            let mut markets = 0u32;
-            for market in self.scenario.capable[k]
-                .iter()
-                .filter_map(|node| nodes[node.index()].as_ref())
-            {
-                units = units.saturating_add(market.supply().map_or(0, |s| s.get(k)));
-                markets += 1;
-            }
-            *s = units;
+        for (lnp, capable) in ln_price.iter_mut().zip(&self.scenario.capable) {
+            let markets = capable.iter().filter(|node| member[node.index()]).count();
             *lnp = if markets > 0 {
                 *lnp / markets as f64
             } else {
@@ -750,9 +771,9 @@ impl<'a> Federation<'a> {
     fn allocate(&mut self, now: SimTime, class: ClassId, origin: NodeId, idx: usize) -> Allocation {
         let _span = self.telemetry.span("federation.allocate");
         let scenario = self.scenario;
-        if let MechState::QaNt {
+        if let MechState::QaNt(Sellers {
             index: Some(index), ..
-        } = &self.state
+        }) = &self.state
         {
             // A dry class stays dry until the boundary (within a period
             // supply only falls) and every dry leaf carries its `dry_at`
@@ -797,7 +818,7 @@ impl<'a> Federation<'a> {
             }
             let polls = matches!(
                 self.state,
-                MechState::QaNt { .. } | MechState::Greedy | MechState::TwoProbes
+                MechState::QaNt(_) | MechState::Greedy | MechState::TwoProbes
             );
             self.scratch_reachable.clear();
             if faults_on && polls {
@@ -826,7 +847,11 @@ impl<'a> Federation<'a> {
         let exec_of = move |n: NodeId| exec_row[n.index()];
 
         let (choice, mut delay) = match &mut self.state {
-            MechState::QaNt { nodes, index } => {
+            MechState::QaNt(Sellers {
+                market,
+                member,
+                index,
+            }) => {
                 self.period_demand[class.index()] += 1;
                 // `leaf`: the winner's place in the index, when it answered.
                 let (offers, winner, leaf) = match index {
@@ -846,11 +871,7 @@ impl<'a> Federation<'a> {
                         let mut offers: u64 = 0;
                         let mut best: Option<(SimDuration, NodeId)> = None;
                         for &n in reachable {
-                            let offered = match &mut nodes[n.index()] {
-                                Some(market) => market.on_request(class),
-                                None => true,
-                            };
-                            if offered {
+                            if !member[n.index()] || market.on_request(n.index(), class) {
                                 offers += 1;
                                 let est =
                                     self.nodes.estimated_completion(n.index(), now, exec_of(n));
@@ -870,12 +891,9 @@ impl<'a> Federation<'a> {
                 let Some(server) = winner else {
                     return Allocation::NoOffers;
                 };
-                if let Some(market) = &mut nodes[server.index()] {
-                    market.on_accept(class);
+                if member[server.index()] && market.on_accept(server.index(), class) == 0 {
                     if let (Some(index), Some(leaf)) = (index, leaf) {
-                        if market.supply().is_some_and(|s| s.get(class.index()) == 0) {
-                            index.ran_dry(class, leaf, self.period_demand[class.index()]);
-                        }
+                        index.ran_dry(class, leaf, self.period_demand[class.index()]);
                     }
                 }
                 (server, self.rtt)
@@ -981,11 +999,8 @@ impl<'a> Federation<'a> {
             .chosen_backlog_ms
             .add(self.nodes.backlog(choice.index(), start).as_millis_f64());
         let finish = self.nodes.accept(choice.index(), start, exec_of(choice));
-        if let MechState::QaNt {
-            index: Some(index), ..
-        } = &mut self.state
-        {
-            index.accepted(choice, finish);
+        if let MechState::QaNt(Sellers { index: Some(i), .. }) = &mut self.state {
+            i.accepted(choice, finish);
         }
         self.owners[idx] = Some(choice);
         Allocation::Assigned {
@@ -993,28 +1008,6 @@ impl<'a> Federation<'a> {
             finish,
             delay,
         }
-    }
-}
-
-/// Charges `block` — nodes `lo..`, at most [`BOUNDARY_BLOCK`] of them — the
-/// refusals the closing period still owes them in pure-market mode: every
-/// dry capable node refused each class request made since it ran dry
-/// (`demand` is the period's per-class request count). Must run before
-/// the block's period-end price update: the rises belong to the closing
-/// period.
-fn charge_refusals(
-    block: &mut [Option<qa_core::QantNode>],
-    lo: usize,
-    index: &OfferIndex,
-    demand: &[u64],
-) {
-    let mut row = [0u64; BOUNDARY_BLOCK];
-    let row = &mut row[..block.len()];
-    for (k, &demand) in demand.iter().enumerate().filter(|(_, &d)| d > 0) {
-        let class = ClassId(k as u32);
-        index.rejections_into(class, demand, lo, row);
-        qa_core::QantNode::apply_rejections_batch(block, class, row);
-        row.fill(0);
     }
 }
 
@@ -1343,6 +1336,31 @@ mod tests {
     }
 
     #[test]
+    fn boundary_work_of_the_flat1k_rep_is_pinned() {
+        // The repo benchmark's `flat1k` rep. The counts are functions of
+        // the seed and the code: a change that moves them changed the
+        // algorithm (which lanes the closed form settles, how refusals are
+        // deferred), not just its speed.
+        use crate::experiments::{run_cell, scale_world, two_class_trace};
+        let s = scale_world(1_000, 11);
+        let t = two_class_trace(&s, 0.05, 0.75, 100);
+        let out = run_cell(&s, &t, MechanismKind::QaNt);
+        assert_eq!(
+            out.boundary,
+            BoundaryWork {
+                node_periods: 203_000,
+                refusal_lanes_walked: 102_278,
+                refusal_lanes_closed_form: 122_395,
+                refusal_lane_steps: 10_220_249,
+                density_sorts: 203_000,
+            }
+        );
+        // Nothing here for another mechanism to count.
+        let greedy = run_cell(&s, &t, MechanismKind::Greedy);
+        assert_eq!(greedy.boundary, BoundaryWork::default());
+    }
+
+    #[test]
     fn impossible_class_counts_unserved() {
         let s = scenario();
         // Kill every Q2-capable node up front, then send Q2 queries.
@@ -1406,7 +1424,7 @@ mod index_differential {
         }
         f.push_arrivals(trace.events());
         f.begin_run();
-        let MechState::QaNt { index, .. } = &f.state else {
+        let MechState::QaNt(Sellers { index, .. }) = &f.state else {
             unreachable!("a QA-NT run")
         };
         let indexed = !traced && s.config.qant.price_threshold.is_none();
@@ -1417,38 +1435,34 @@ mod index_differential {
     /// Whether node `n` answers a class-`c` request with an offer on
     /// supply alone: outside the market always, inside it while supply
     /// lasts.
-    fn has_supply(nodes: &[Option<qa_core::QantNode>], n: NodeId, c: usize) -> bool {
-        nodes[n.index()]
-            .as_ref()
-            .is_none_or(|q| q.supply().is_some_and(|s| s.get(c) > 0))
+    fn has_supply(f: &Federation, n: NodeId, c: usize) -> bool {
+        f.market_row(n).is_none_or(|(_, supply, _)| supply[c] > 0)
     }
 
-    /// The market between two periods: every market node's price bits and
-    /// remaining supply, and per class how many nodes offer and which
-    /// offer a client would take at `now` — swept from the nodes' supply,
-    /// and checked against the index's heads where there is one.
-    type MarketState = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<(u64, Option<NodeId>)>);
+    /// The market between two periods: every market node's price bits,
+    /// remaining supply and carry bits, and per class how many nodes offer
+    /// and which offer a client would take at `now` — swept from the
+    /// nodes' supply, and checked against the index's heads where there
+    /// is one.
+    type MarketState = (Vec<Vec<u64>>, Vec<(u64, Option<NodeId>)>);
 
     fn market_state(f: &Federation, now: SimTime) -> MarketState {
-        let MechState::QaNt { nodes, index } = &f.state else {
+        let MechState::QaNt(Sellers { index, .. }) = &f.state else {
             unreachable!("a QA-NT run")
         };
         let (k, n) = (f.period_demand.len(), f.nodes.len());
-        let prices = nodes
-            .iter()
-            .flatten()
-            .map(|q| (0..k).map(|c| q.prices().get(c).to_bits()).collect())
-            .collect();
-        let supply = nodes
-            .iter()
-            .flatten()
-            .map(|q| q.supply().map_or(Vec::new(), |s| s.as_slice().to_vec()))
+        let rows = (0..n as u32)
+            .filter_map(|m| f.market_row(NodeId(m)))
+            .map(|(prices, supply, carry)| {
+                let bits = |column: &[f64]| column.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                [bits(prices), supply.to_vec(), bits(carry)].concat()
+            })
             .collect();
         let heads = (0..k)
             .map(|c| {
                 let mut capable = f.scenario.capable[c].clone();
                 capable.sort_unstable();
-                let offering = capable.iter().filter(|&&m| has_supply(nodes, m, c));
+                let offering = capable.iter().filter(|&&m| has_supply(f, m, c));
                 let best = offering
                     .clone()
                     .map(|&m| {
@@ -1465,32 +1479,24 @@ mod index_differential {
                 head
             })
             .collect();
-        (prices, supply, heads)
+        (rows, heads)
     }
 
-    /// Runs what is left of `f` and charges every node the refusals of the
-    /// last period, which never reaches a boundary (an eager run has paid
-    /// them already).
+    /// Runs what is left of `f` and one more boundary, which charges every
+    /// node the refusals of the last period (an eager run has paid them
+    /// already).
     fn residue(mut f: Federation) -> Residue {
         while f.process_next() {}
-        let MechState::QaNt { nodes, index } = &mut f.state else {
+        f.roll_market_period(SimTime::from_secs(1 << 20));
+        let MechState::QaNt(Sellers { market, member, .. }) = &f.state else {
             unreachable!("a QA-NT run")
         };
-        if let Some(index) = index {
-            for (block, lo) in nodes
-                .chunks_mut(BOUNDARY_BLOCK)
-                .zip((0..).step_by(BOUNDARY_BLOCK))
-            {
-                charge_refusals(block, lo, index, &f.period_demand);
-            }
-        }
         let k = f.period_demand.len();
-        let ln_prices = nodes
-            .iter()
-            .flatten()
+        let ln_prices = (0..member.len())
+            .filter(|&n| member[n])
             .map(|n| {
                 (0..k)
-                    .map(|c| n.ln_price(ClassId(c as u32)).to_bits())
+                    .map(|c| market.ln_price(n, ClassId(c as u32)).to_bits())
                     .collect()
             })
             .collect();
@@ -1519,9 +1525,9 @@ mod index_differential {
         while fast.peek_next_time().is_some() {
             fast.step_through(SimTime::from_micros(boundary.as_micros() - 1));
             owed |= match &fast.state {
-                MechState::QaNt {
+                MechState::QaNt(Sellers {
                     index: Some(index), ..
-                } => (0..fast.period_demand.len())
+                }) => (0..fast.period_demand.len())
                     .any(|c| index.offerers(ClassId(c as u32)) == 0 && fast.period_demand[c] > 0),
                 _ => fast.metrics.retries > 0,
             };
@@ -1723,13 +1729,10 @@ mod index_differential {
                 let idx = f.next_arrival;
                 let fresh = f.arrivals.get(idx).filter(|q| q.at == at);
                 let expected = fresh.map(|q| {
-                    let MechState::QaNt { nodes, .. } = &f.state else {
-                        unreachable!("a QA-NT run")
-                    };
                     let c = q.class.index();
                     let offers: Vec<Offer> = s.capable[c]
                         .iter()
-                        .filter(|m| f.nodes.alive(m.index()) && has_supply(nodes, **m, c))
+                        .filter(|m| f.nodes.alive(m.index()) && has_supply(&f, **m, c))
                         .map(|&m| Offer {
                             query_id: idx as u64,
                             server: m,

@@ -295,6 +295,49 @@ qa_simnet::impl_to_json!(MechanismSummary {
     messages_per_query
 });
 
+/// What a run's QA-NT period boundaries did, in counts: functions of the
+/// seed and the code alone, so they repeat exactly and a change that moves
+/// them changed the algorithm. Kept outside [`RunMetrics`] — they measure
+/// the simulator, not the simulated federation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BoundaryWork {
+    /// Market rows that ended a period.
+    pub node_periods: u64,
+    /// Deferred-refusal lanes (a dry seller × a class) walked step by step.
+    pub refusal_lanes_walked: u64,
+    /// Lanes settled at the price ceiling without a walk.
+    pub refusal_lanes_closed_form: u64,
+    /// Refusals the walked lanes were owed, summed.
+    pub refusal_lane_steps: u64,
+    /// Price-density orderings computed for a supply solve.
+    pub density_sorts: u64,
+}
+
+impl BoundaryWork {
+    /// Adds another shard's counts.
+    pub fn merge_from(&mut self, other: &BoundaryWork) {
+        self.node_periods += other.node_periods;
+        self.refusal_lanes_walked += other.refusal_lanes_walked;
+        self.refusal_lanes_closed_form += other.refusal_lanes_closed_form;
+        self.refusal_lane_steps += other.refusal_lane_steps;
+        self.density_sorts += other.density_sorts;
+    }
+
+    /// Publishes the counts under the `sim.boundary.` prefix, next to
+    /// [`RunMetrics::publish_to`]'s.
+    pub fn publish_to(&self, registry: &MetricsRegistry) {
+        for (name, count) in [
+            ("node_periods", self.node_periods),
+            ("refusal_lanes_walked", self.refusal_lanes_walked),
+            ("refusal_lanes_closed_form", self.refusal_lanes_closed_form),
+            ("refusal_lane_steps", self.refusal_lane_steps),
+            ("density_sorts", self.density_sorts),
+        ] {
+            registry.counter(&format!("sim.boundary.{name}")).add(count);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

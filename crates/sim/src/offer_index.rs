@@ -22,7 +22,7 @@
 //! Membership is "still has supply for the class this period". Within a
 //! period supply only falls, at the accept that drains it, so a leaf
 //! leaves at most once per period ([`OfferIndex::ran_dry`]) and each
-//! node's leaves are re-read from its own supply vector at each boundary
+//! node's leaves are re-read from its own supply row at each boundary
 //! ([`OfferIndex::reseat`]). For the same reason a dry node's refusals
 //! this period are exactly the class requests made since it ran dry: one
 //! demand stamp per leaf replaces a per-poll rejection count
@@ -34,7 +34,6 @@
 //! run.
 
 use crate::node::NodeSoa;
-use qa_core::QantNode;
 use qa_simnet::{MinTree, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId};
 
@@ -122,20 +121,19 @@ impl OfferIndex {
         }
     }
 
-    /// Re-reads `node`'s leaves from its market's remaining supply and its
-    /// queue, wherever supply may have risen: a new period, or the start
-    /// of the run. A node outside the market (`None`, the §4 partial
-    /// deployment) always offers; a market node between periods has no
-    /// supply and offers nothing. The trees answer again after
+    /// Re-reads `node`'s leaves from its market row's remaining `supply`
+    /// and its queue, wherever supply may have risen: a new period, or the
+    /// start of the run. A node outside the market (`None`, the §4 partial
+    /// deployment) always offers; a market node between periods has an
+    /// all-zero row and offers nothing. The trees answer again after
     /// [`OfferIndex::restore`].
-    pub(crate) fn reseat(&mut self, node: NodeId, market: Option<&QantNode>, nodes: &NodeSoa) {
+    pub(crate) fn reseat(&mut self, node: NodeId, supply: Option<&[u64]>, nodes: &NodeSoa) {
         let n = node.index();
         let queued = nodes.queued(n) > 0;
         let backlog_until = nodes.backlog_until_slice()[n].as_micros();
-        let supply = market.map(QantNode::supply);
         for &(k, leaf) in node_leaves(&self.leaf_start, &self.leaves, node) {
             let (c, leaf) = (&mut self.classes[k as usize], leaf as usize);
-            let offers = supply.is_none_or(|s| s.is_some_and(|s| s.get(k as usize) > 0));
+            let offers = supply.is_none_or(|s| s[k as usize] > 0);
             c.dry_at[leaf] = if offers { OFFERING } else { 0 };
             c.idle
                 .stage(leaf, (offers && !queued).then_some(c.exec[leaf]));

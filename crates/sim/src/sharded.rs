@@ -289,6 +289,7 @@ impl ShardPlan {
             &window_demand,
             &mut weights,
         );
+        weights.iter_mut().for_each(|w| into_shares(w));
 
         let events = trace.events();
         let period = self.shards[0].scenario.config.period;
@@ -362,6 +363,7 @@ impl ShardPlan {
                 &window_demand,
                 &mut weights,
             );
+            weights.iter_mut().for_each(|w| into_shares(w));
             window_demand.iter_mut().for_each(|d| *d = 0);
             cross_messages += 2 * s_count as u64;
             periods += 1;
@@ -380,6 +382,7 @@ impl ShardPlan {
         for o in outcomes {
             merged.metrics.merge_from(&o.metrics);
             merged.total_busy += o.total_busy;
+            merged.boundary.merge_from(&o.boundary);
         }
         ShardedOutcome {
             outcome: merged,
@@ -446,27 +449,31 @@ fn slice_scenario(parent: &Scenario, s: usize, lo: usize, hi: usize) -> Scenario
     }
 }
 
-/// Stride-credit pick over a class's home shards: every shard accrues
-/// credit proportional to its weight share, the highest-credit shard
-/// (lowest index on ties) takes the query and pays one unit. Long-run
-/// traffic shares converge to the weight shares without any randomness,
-/// so routing is a pure function of the boundary signals.
-fn pick_home(homes: &[usize], weights: &[f64], credits: &mut [f64]) -> usize {
+/// Turns a class's router weights into the shares of its arrivals each home
+/// shard is due until the next clearing: weights only change there, so the
+/// per-query pick divides nothing.
+fn into_shares(weights: &mut [f64]) {
     let total: f64 = weights.iter().sum();
     if total > 0.0 && total.is_finite() {
-        for (c, w) in credits.iter_mut().zip(weights) {
-            *c += w / total;
-        }
+        weights.iter_mut().for_each(|w| *w /= total);
     } else {
         // Starvation guard: when every weight is zero (a class the parent
         // awarded no quota this window) the shares would be 0/0 = NaN,
         // and NaN credits never win another argmax — the class would be
-        // silently parked on homes[0] forever. Accrue uniform shares
-        // instead so queued arrivals still round-robin across homes.
-        let share = 1.0 / credits.len() as f64;
-        for c in credits.iter_mut() {
-            *c += share;
-        }
+        // silently parked on homes[0] forever. Uniform shares instead, so
+        // queued arrivals still round-robin across homes.
+        weights.fill(1.0 / weights.len() as f64);
+    }
+}
+
+/// Stride-credit pick over a class's home shards: every shard accrues
+/// credit by its share of the weights ([`into_shares`]), the highest-credit
+/// shard (lowest index on ties) takes the query and pays one unit.
+/// Long-run traffic shares converge to the weight shares without any
+/// randomness, so routing is a pure function of the boundary signals.
+fn pick_home(homes: &[usize], shares: &[f64], credits: &mut [f64]) -> usize {
+    for (c, share) in credits.iter_mut().zip(shares) {
+        *c += share;
     }
     let mut best = 0;
     for i in 1..credits.len() {
@@ -594,10 +601,16 @@ mod tests {
         assert_eq!(out.signal_history.len(), out.periods);
     }
 
+    fn shares_of(weights: &[f64]) -> Vec<f64> {
+        let mut shares = weights.to_vec();
+        into_shares(&mut shares);
+        shares
+    }
+
     #[test]
     fn stride_credit_tracks_weight_shares() {
         let homes = [0usize, 1, 2];
-        let weights = [2.0, 1.0, 1.0];
+        let weights = shares_of(&[2.0, 1.0, 1.0]);
         let mut credits = vec![0.0; 3];
         let mut counts = [0usize; 3];
         for _ in 0..400 {
@@ -615,14 +628,14 @@ mod tests {
         let mut credits = vec![0.0; 2];
         let mut counts = [0usize; 2];
         for _ in 0..10 {
-            counts[pick_home(&homes, &[0.0, 0.0], &mut credits)] += 1;
+            counts[pick_home(&homes, &shares_of(&[0.0, 0.0]), &mut credits)] += 1;
         }
         assert_eq!(counts, [5, 5], "all-zero weights must round-robin");
         assert!(credits.iter().all(|c| c.is_finite()));
         // Weights recover next window: proportional routing resumes.
         let mut counts = [0usize; 2];
         for _ in 0..400 {
-            counts[pick_home(&homes, &[3.0, 1.0], &mut credits)] += 1;
+            counts[pick_home(&homes, &shares_of(&[3.0, 1.0]), &mut credits)] += 1;
         }
         assert_eq!(counts, [300, 100], "credits must not stay poisoned");
     }
@@ -633,7 +646,7 @@ mod tests {
         // weights (the legitimate floor is ~e^-27.6 from the price
         // ceiling) and exact zeros both keep every arrival routed.
         let homes = [0usize, 1, 2];
-        let weights = [1e-320, 0.0, 1e308];
+        let weights = shares_of(&[1e-320, 0.0, 1e308]);
         let mut credits = vec![0.0; 3];
         let mut routed = 0usize;
         for _ in 0..1_000 {

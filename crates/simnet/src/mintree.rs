@@ -75,6 +75,7 @@ impl MinTree {
     ///
     /// # Panics
     /// Panics when `leaf` is out of range.
+    #[inline]
     pub fn stage(&mut self, leaf: usize, key: Option<u64>) {
         assert!(leaf < self.leaves, "leaf out of range");
         self.slots[self.cap + leaf] = key.map_or(ABSENT, |key| (key, leaf as u32));
