@@ -22,7 +22,7 @@
 //! the scrape on an interval, one JSON line per round.
 
 use crate::driver::run_workload;
-use crate::node::PricesReply;
+use crate::node::{NodeMsg, PricesReply};
 use crate::qad::FedConfig;
 use crate::transport::{NodeStats, TcpTransport, Transport};
 use crate::ClusterError;
@@ -209,10 +209,8 @@ fn read_announcements(
 pub fn collect_prices(transport: &dyn Transport, timeout: Duration) -> Vec<Option<PricesReply>> {
     (0..transport.num_nodes())
         .map(|n| {
-            let (tx, rx) = channel();
-            if transport.dump_prices(n, tx).is_err() {
-                return None;
-            }
+            let (reply, rx) = channel();
+            transport.send(n, NodeMsg::DumpPrices { reply }).ok()?;
             rx.recv_timeout(timeout).ok()
         })
         .collect()

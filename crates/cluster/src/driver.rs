@@ -25,7 +25,7 @@
 //! per-query outcomes — the request, offer and execute paths never panic.
 
 use crate::error::ClusterError;
-use crate::node::{spawn_node_with_faults, ExecReply, NodeHandle};
+use crate::node::{spawn_node, ExecReply, NodeHandle, NodeMsg};
 use crate::protocol::{Action, Bid, Event, Outcome, QueryProtocol};
 use crate::setup::ClusterSpec;
 use crate::transport::{fan_out, ChannelTransport, Transport};
@@ -279,7 +279,7 @@ pub fn spawn_fleet(spec: &ClusterSpec, config: &ClusterConfig, epoch: Instant) -
     let qant_cfg = qant_config_for(config.mechanism, config.period);
     let nodes: Vec<NodeHandle> = (0..spec.num_nodes)
         .map(|n| {
-            spawn_node_with_faults(
+            spawn_node(
                 spec,
                 n,
                 config.seed,
@@ -354,7 +354,7 @@ pub fn run_workload(
                     .telemetry()
                     .emit(|| TelemetryEvent::PeriodStarted { index });
                 for n in 0..shared.transport.num_nodes() {
-                    let _ = shared.transport.period_tick(n);
+                    let _ = shared.transport.send(n, NodeMsg::PeriodTick);
                 }
             }
         })
@@ -517,11 +517,17 @@ fn run_one(
         event = match proto.step(event, &shared.dead, shared.telemetry()) {
             Action::Poll(nodes) => match config.mechanism {
                 ClusterMechanism::Greedy => {
-                    let send = |n, tx| transport.estimate(n, &sql, tx);
+                    let send = |n, reply| {
+                        let sql = sql.clone();
+                        transport.send(n, NodeMsg::Estimate { sql, reply })
+                    };
                     poll_round(shared, &mut proto, &nodes, "estimate_send", send)
                 }
                 ClusterMechanism::QaNt => {
-                    let send = |n, tx| transport.call_for_offers(n, class, &sql, tx);
+                    let send = |n, reply| {
+                        let sql = sql.clone();
+                        transport.send(n, NodeMsg::CallForOffers { class, sql, reply })
+                    };
                     poll_round(shared, &mut proto, &nodes, "offer_send", send)
                 }
             },
@@ -534,8 +540,10 @@ fn run_one(
                 if let Some(m) = &shared.metrics {
                     m.assign_ms.observe(outcome.assign_ms);
                 }
-                let (tx, rx) = channel::<ExecReply>();
-                if transport.execute(node, class, &sql, tx).is_err() {
+                let (reply, rx) = channel::<ExecReply>();
+                let sql = sql.clone();
+                let execute = NodeMsg::Execute { sql, class, reply };
+                if transport.send(node, execute).is_err() {
                     Event::ExecuteSendFailed
                 } else {
                     match rx.recv_timeout(EXEC_TIMEOUT) {

@@ -3,11 +3,13 @@
 //! [`run_schedule`] executes one deterministic episode of the allocation
 //! protocol — the same [`QueryProtocol`] machines
 //! [`crate::driver::run_workload`] runs, one per query — against the
-//! [`SimTransport`] virtual network, with **every** nondeterministic
-//! decision (which message is delivered, what is dropped, when a node
-//! crashes, when a collection deadline fires, when the driver harvests a
-//! reply) resolved by one shared [`Schedule`]. After the episode, four
-//! machine-checked invariants audit the final state:
+//! [`SimTransport`] virtual network, whose nodes are the sellers
+//! ([`crate::protocol::NodeProtocol`]) every node thread and `qad` process
+//! runs, under the shipped market configuration, with **every**
+//! nondeterministic decision (which message is delivered, what is dropped,
+//! when a node crashes, when a collection deadline fires, when the driver
+//! harvests a reply) resolved by one shared [`Schedule`]. After the
+//! episode, four machine-checked invariants audit the final state:
 //!
 //! 1. **conservation** — every query ends exactly once (completed or
 //!    unserved, totals match the workload), and each completed query's
@@ -28,9 +30,9 @@
 //! the bounded DFS enumeration from [`SystematicExplorer`]. A failing
 //! schedule's seed or choice trail replays the identical interleaving.
 
-use crate::driver::ClusterMechanism;
+use crate::driver::{qant_config_for, ClusterMechanism};
 use crate::error::ClusterError;
-use crate::node::ExecReply;
+use crate::node::{ExecReply, NodeMsg};
 use crate::protocol::{Action, Bid, Event, Outcome, QueryProtocol};
 use crate::simtransport::{encode_sql, NetStats, SharedSchedule, SimTransport};
 use crate::transport::{fan_out, Transport};
@@ -40,6 +42,7 @@ use qa_workload::ClassId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::time::Duration;
 
 /// Shape of one explored episode. Small on purpose: model checking pays
 /// for breadth in schedules, not size of any single run.
@@ -51,8 +54,9 @@ pub struct ExploreConfig {
     pub num_classes: usize,
     /// Queries in the episode.
     pub num_queries: usize,
-    /// Per-class supply units restored each period.
-    pub supply_per_period: u32,
+    /// The sellers' market period (what a period tick's eq.-4 budget is
+    /// measured in).
+    pub period: Duration,
     /// Re-allocation attempts before a query is declared unserved.
     pub max_retries: u32,
     /// Schedule-chosen crash injections available to the adversary.
@@ -63,7 +67,7 @@ pub struct ExploreConfig {
     pub max_actions: u64,
     /// The protocol under test.
     pub mechanism: ClusterMechanism,
-    /// Harness self-test: arm the model nodes' deliberate double-commit
+    /// Harness self-test: arm the virtual nodes' deliberate double-commit
     /// bug; the invariant checker must flag every such run.
     pub inject_double_exec: bool,
 }
@@ -77,7 +81,7 @@ impl ExploreConfig {
             num_nodes: 3,
             num_classes: 2,
             num_queries: 4,
-            supply_per_period: 2,
+            period: Duration::from_millis(40),
             max_retries: 3,
             crash_budget: 1,
             tick_every: 3,
@@ -174,16 +178,19 @@ impl Episode<'_> {
         *pending = loop {
             event = match proto.step(event, dead, telemetry) {
                 Action::Poll(nodes) => {
-                    let sql = encode_sql(i as u64, 0, class);
+                    let sql = || encode_sql(i as u64, 0, class);
                     break match self.cfg.mechanism {
                         ClusterMechanism::Greedy => open_round(
                             &nodes,
-                            |n, tx| transport.estimate(n, &sql, tx),
+                            |n, reply| transport.send(n, NodeMsg::Estimate { sql: sql(), reply }),
                             |n| proto.poll_send_failed(n, "estimate_send", dead, telemetry),
                         ),
                         ClusterMechanism::QaNt => open_round(
                             &nodes,
-                            |n, tx| transport.call_for_offers(n, class, &sql, tx),
+                            |n, reply| {
+                                let sql = sql();
+                                transport.send(n, NodeMsg::CallForOffers { class, sql, reply })
+                            },
                             |n| proto.poll_send_failed(n, "offer_send", dead, telemetry),
                         ),
                     };
@@ -192,8 +199,8 @@ impl Episode<'_> {
                 Action::Backoff { .. } => Event::Ready,
                 Action::Execute { node, generation } => {
                     let sql = encode_sql(i as u64, generation, class);
-                    let (tx, rx) = channel();
-                    match transport.execute(node, class, &sql, tx) {
+                    let (reply, rx) = channel();
+                    match transport.send(node, NodeMsg::Execute { sql, class, reply }) {
                         Ok(()) => break Pending::Execute(rx),
                         Err(_) => Event::ExecuteSendFailed,
                     }
@@ -272,11 +279,15 @@ pub fn run_schedule(
     schedule_id: u64,
     mode: &str,
 ) -> ScheduleOutcome {
+    telemetry.emit(|| TelemetryEvent::ScheduleStarted {
+        schedule: schedule_id,
+        mode: mode.to_string(),
+    });
     let shared = SharedSchedule::new(schedule);
     let transport = SimTransport::new(
         cfg.num_nodes,
         cfg.num_classes,
-        cfg.supply_per_period,
+        qant_config_for(cfg.mechanism, cfg.period),
         cfg.crash_budget,
         shared.clone(),
         telemetry.clone(),
@@ -284,12 +295,8 @@ pub fn run_schedule(
     if cfg.inject_double_exec {
         transport.inject_double_exec();
     }
-    telemetry.emit(|| TelemetryEvent::ScheduleStarted {
-        schedule: schedule_id,
-        mode: mode.to_string(),
-    });
 
-    // Every model node prices every class, so every node is capable.
+    // The cost table lets every node evaluate every class.
     let capable: Vec<usize> = (0..cfg.num_nodes).collect();
     let mut episode = Episode {
         cfg,
@@ -319,7 +326,7 @@ pub fn run_schedule(
                 if i > 0 && i.is_multiple_of(cfg.tick_every) {
                     // Like the threaded ticker: every node, dead or not.
                     for node in 0..cfg.num_nodes {
-                        let _ = transport.period_tick(node);
+                        let _ = transport.send(node, NodeMsg::PeriodTick);
                     }
                 }
                 let class = ClassId((i % cfg.num_classes) as u32);
@@ -450,19 +457,20 @@ fn check_invariants(
     // sane, stable across dumps, and identical to the node's internal
     // state (nodes were recovered and the network drained above).
     let dump = |node: usize| -> Option<Vec<f64>> {
-        let (tx, rx) = channel();
-        transport.dump_prices(node, tx).ok()?;
+        let (reply, rx) = channel();
+        transport.send(node, NodeMsg::DumpPrices { reply }).ok()?;
         transport.drain();
         rx.try_recv().ok().map(|p| p.prices)
     };
     for n in &nodes {
         let id = n.id;
+        let market = n.seller.market();
+        let held = market.map_or(Vec::new(), |q| q.prices().as_slice().to_vec());
         let problem = match (dump(id), dump(id)) {
             (Some(a), Some(b)) if a != b => {
                 format!("node {id} dumps differ across reconnect: {a:?} vs {b:?}")
             }
-            (Some(a), Some(_)) if a != n.prices => {
-                let held = &n.prices;
+            (Some(a), Some(_)) if a != held => {
                 format!("node {id} dumped {a:?} but market state holds {held:?}")
             }
             (Some(a), Some(_)) if a.iter().any(|p| !p.is_finite() || *p <= 0.0) => {
@@ -674,6 +682,30 @@ mod tests {
                 "{mechanism:?}: adversary never dropped anything"
             );
         }
+    }
+
+    /// The sellers are the shipped ones, so under the §5.1 threshold a
+    /// refusal takes eight exhausted requests of one class on one node.
+    /// The random sweep must still get there: the market's own
+    /// `RequestRejected` (nothing in the shells emits one) shows up.
+    #[test]
+    fn random_sweep_reaches_real_refusals() {
+        let cfg = ExploreConfig::small();
+        let refusals = |seed: u64| {
+            let (telemetry, buffer) = Telemetry::buffered();
+            let schedule = Box::new(RandomSchedule::new(seed));
+            let out = run_schedule(&cfg, schedule, &telemetry, seed, "random");
+            assert!(out.passed(), "seed {seed}: {:?}", out.violations);
+            let rejected = |r: &qa_simnet::telemetry::TraceRecord| {
+                matches!(r.event, TelemetryEvent::RequestRejected { .. })
+            };
+            buffer.records().into_iter().filter(rejected).count()
+        };
+        let refusing = (7..157).filter(|&seed| refusals(seed) > 0).count();
+        assert!(
+            refusing >= 15,
+            "only {refusing}/150 schedules saw a refusal"
+        );
     }
 
     #[test]

@@ -22,16 +22,20 @@
 //! CI; all comparisons are relative, which is what Figure 7 reports.
 //!
 //! * [`setup`] — deployment generator: tables, views, copies, query classes,
-//! * [`node`] — the node thread: minidb + QA-NT market state + estimator,
-//!   optionally behind a lossy link ([`spawn_node_with_faults`]),
-//! * [`protocol`] — the allocation protocol of one query (Greedy and
-//!   QA-NT) as a sans-IO state machine: winner selection, retry budget,
-//!   crash re-entry,
+//! * [`protocol`] — both sides of the allocation protocol, sans-IO: one
+//!   query's state machine (winner selection, retry budget, crash
+//!   re-entry) and the one seller ([`protocol::NodeProtocol`]: §3.3's
+//!   offer / refuse-and-raise / accept / period boundary over a private
+//!   `QantNode`, plus backlog and the `qad.*` metrics),
+//! * [`node`] — the node thread, the seller's threaded shell: minidb, the
+//!   two-step estimator, the modelled link (optionally lossy) and the
+//!   [`NodeMsg`] mailbox; a `qad` process runs the same thread,
+//! * [`transport`] — `send(node, NodeMsg)` over mailboxes or TCP,
 //! * [`driver`] — the experiment driver: workload replay, the threaded
-//!   shell around [`protocol`], Figure-7 measurements, crash injection and
-//!   loss-tolerant reply collection,
-//! * [`explore`] — the model-checking shell around the same [`protocol`]
-//!   over the [`simtransport`] virtual network,
+//!   shell around the query machine, Figure-7 measurements, crash
+//!   injection and loss-tolerant reply collection,
+//! * [`explore`] — the model-checking shell around the same query machine
+//!   and the same sellers over the [`simtransport`] virtual network,
 //! * [`error`] — the [`ClusterError`] taxonomy for environmental failures
 //!   (the protocol paths never panic).
 
@@ -56,7 +60,7 @@ pub use explore::{
     explore_random, explore_systematic, run_schedule, run_seed, run_trail, ExploreConfig,
     ExploreReport, ScheduleOutcome, Violation,
 };
-pub use node::{spawn_node, spawn_node_with_faults, NodeHandle, NodeMsg};
+pub use node::{spawn_node, NodeHandle, NodeMsg};
 pub use qad::FedConfig;
 pub use setup::{ClusterSpec, QueryClassSpec};
 pub use simtransport::{SharedSchedule, SimNodeState, SimTransport};

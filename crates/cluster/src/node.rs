@@ -1,19 +1,24 @@
-//! The node thread: a live minidb instance plus QA-NT market state.
+//! The node thread: the threaded shell around the seller
+//! ([`NodeProtocol`]) — a live minidb instance, a mailbox and a link.
 //!
 //! Each node is one OS thread with a mailbox. It processes messages
 //! strictly in order, exactly like a saturated single-worker DBMS: while a
 //! query executes, `EXPLAIN`/estimate requests queue behind it — the
 //! mechanism behind the paper's "the slowest of the PCs took up to 3
-//! seconds to evaluate an EXPLAIN PLAN statement".
+//! seconds to evaluate an EXPLAIN PLAN statement". What a request does to
+//! prices, supply and backlog is the seller's business; this file
+//! estimates costs, executes, sleeps the modelled latencies, draws the
+//! link faults and sends the replies.
 //!
 //! Cost estimation is the paper's two-step §5.2 scheme: `EXPLAIN` the
 //! query, then use per-plan-fingerprint execution history
 //! ([`qa_core::PlanHistoryEstimator`]) to correct the optimizer's prior.
 
+use crate::protocol::NodeProtocol;
 use crate::setup::ClusterSpec;
-use qa_core::{PlanHistoryEstimator, QantConfig, QantNode};
+use qa_core::{PlanHistoryEstimator, QantConfig};
 use qa_minidb::Database;
-use qa_simnet::telemetry::{Counter, Gauge, HistogramHandle, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, LinkFaults, SimTime};
 use qa_workload::ClassId;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -23,7 +28,8 @@ use std::time::{Duration, Instant};
 /// Salt separating each node's fault stream from its price-jitter stream.
 const FAULT_SALT: u64 = 0xFA17_0002;
 
-/// A message to a node.
+/// A message to a node: the one request vocabulary every carrier speaks
+/// (mailbox, wire, virtual network).
 pub enum NodeMsg {
     /// Greedy's estimate poll: reply with the history-corrected execution
     /// estimate (EXPLAIN + history), *without* queue information — the
@@ -63,6 +69,20 @@ pub enum NodeMsg {
     },
     /// Shut the node down.
     Shutdown,
+}
+
+impl NodeMsg {
+    /// The request's name in errors and drop reports.
+    pub fn phase(&self) -> &'static str {
+        match self {
+            NodeMsg::Estimate { .. } => "estimate",
+            NodeMsg::CallForOffers { .. } => "offer",
+            NodeMsg::Execute { .. } => "execute",
+            NodeMsg::PeriodTick => "tick",
+            NodeMsg::DumpPrices { .. } => "prices",
+            NodeMsg::Shutdown => "shutdown",
+        }
+    }
 }
 
 /// Reply to [`NodeMsg::Estimate`].
@@ -125,54 +145,12 @@ impl NodeHandle {
     }
 }
 
-/// Metric handles the node worker feeds, resolved once at spawn from the
-/// telemetry registry (`None` when telemetry carries no registry — the
-/// serving path then costs a single branch per message). Resolving at
-/// spawn also *pre-registers* every family, so a stats scrape of an idle
-/// node already lists them at zero instead of omitting them.
-struct NodeMetrics {
-    estimates_served: Counter,
-    offers_made: Counter,
-    offers_rejected: Counter,
-    queries_executed: Counter,
-    queries_failed: Counter,
-    periods: Counter,
-    /// Per-class rejection counters, indexed by [`ClassId::index`].
-    rejected_by_class: Vec<Counter>,
-    backlog_ms: Gauge,
-    exec_ms: HistogramHandle,
-    period_ms: HistogramHandle,
-}
-
-impl NodeMetrics {
-    fn resolve(telemetry: &Telemetry, num_classes: usize) -> Option<NodeMetrics> {
-        let r = telemetry.registry()?;
-        Some(NodeMetrics {
-            estimates_served: r.counter("qad.estimates_served"),
-            offers_made: r.counter("qad.offers_made"),
-            offers_rejected: r.counter("qad.offers_rejected"),
-            queries_executed: r.counter("qad.queries_executed"),
-            queries_failed: r.counter("qad.queries_failed"),
-            periods: r.counter("qad.periods"),
-            rejected_by_class: (0..num_classes)
-                .map(|k| r.counter(&format!("qad.rejected.class{k}")))
-                .collect(),
-            backlog_ms: r.gauge("qad.backlog_ms"),
-            exec_ms: r.histogram("qad.exec_ms"),
-            period_ms: r.histogram("qad.period_ms"),
-        })
-    }
-}
-
 /// Internal node state.
 struct NodeWorker {
     id: usize,
     db: Database,
     estimator: PlanHistoryEstimator,
-    qant: Option<QantNode>,
     spec_classes: Vec<(ClassId, String)>,
-    /// Estimated outstanding work (ms) — grows on Execute, shrinks after.
-    backlog_ms: f64,
     slowdown: f64,
     link_latency: Duration,
     inbox: Receiver<NodeMsg>,
@@ -189,8 +167,6 @@ struct NodeWorker {
     /// carry wall-clock timestamps (and are *not* byte-deterministic,
     /// unlike the simulator's).
     telemetry: Telemetry,
-    /// Registry-backed metric handles (`None` without a registry).
-    metrics: Option<NodeMetrics>,
     /// Wall clock of the last period tick, for the period-duration
     /// histogram.
     last_tick: Instant,
@@ -198,39 +174,22 @@ struct NodeWorker {
 
 /// Spawns a node thread: loads its share of the data, optionally arms the
 /// QA-NT market (with jittered initial prices), and serves its mailbox.
-/// The link is fault-free; see [`spawn_node_with_faults`] for lossy links.
-pub fn spawn_node(
-    spec: &ClusterSpec,
-    node: usize,
-    data_seed: u64,
-    qant_config: Option<QantConfig>,
-) -> NodeHandle {
-    spawn_node_with_faults(
-        spec,
-        node,
-        data_seed,
-        qant_config,
-        LinkFaults::none(),
-        Instant::now(),
-        Telemetry::disabled(),
-    )
-}
-
-/// Spawns a node whose *negotiation replies* traverse a faulty link:
-/// estimate and offer replies may be dropped (per `faults.drop_prob` and
-/// its outage windows, with window offsets measured from `epoch`) or
-/// delayed by jitter. `Execute` replies are never dropped — assignments
-/// travel over a reliable (TCP-like) connection, matching the paper's
-/// deployment where only the chatty estimate traffic crossed the flaky
-/// wireless link. The fault stream is seeded from `data_seed` and the node
-/// index, so a run is reproducible given its spec and seed.
+///
+/// Its *negotiation replies* traverse a link that may be faulty
+/// ([`LinkFaults::none`] for a healthy one): estimate and offer replies
+/// may be dropped (per `faults.drop_prob` and its outage windows, with
+/// window offsets measured from `epoch`) or delayed by jitter. `Execute`
+/// replies are never dropped — assignments travel over a reliable
+/// (TCP-like) connection, matching the paper's deployment where only the
+/// chatty estimate traffic crossed the flaky wireless link. The fault
+/// stream is seeded from `data_seed` and the node index, so a run is
+/// reproducible given its spec and seed.
 ///
 /// `telemetry` observes the node's market events and reply losses; it is
 /// relabelled with the node index, and its clock is stamped from
 /// `epoch.elapsed()` (wall-clock) per message. Pass
 /// [`Telemetry::disabled`] for a silent node.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_node_with_faults(
+pub fn spawn_node(
     spec: &ClusterSpec,
     node: usize,
     data_seed: u64,
@@ -259,16 +218,9 @@ pub fn spawn_node_with_faults(
     let link_latency = Duration::from_micros(spec.link_latency_us[node]);
     let num_classes = spec.classes.len();
     let telemetry = telemetry.with_label(node as u32);
-    let qant = qant_config.map(|cfg| {
-        let mut rng = DetRng::seed_from_u64(data_seed ^ (node as u64).wrapping_mul(0x9E37));
-        let mut q = QantNode::with_jitter(num_classes, cfg, &mut rng);
-        q.set_telemetry(telemetry.clone());
-        q
-    });
-
-    let fault_rng =
-        DetRng::seed_from_u64(data_seed ^ (node as u64).wrapping_mul(0x9E37) ^ FAULT_SALT);
-    let metrics = NodeMetrics::resolve(&telemetry, num_classes);
+    let node_seed = data_seed ^ (node as u64).wrapping_mul(0x9E37);
+    let mut seller = NodeProtocol::new(node, num_classes, qant_config, node_seed, &telemetry);
+    let fault_rng = DetRng::seed_from_u64(node_seed ^ FAULT_SALT);
     let join = std::thread::Builder::new()
         .name(format!("qa-node-{node}"))
         .spawn(move || {
@@ -288,9 +240,7 @@ pub fn spawn_node_with_faults(
                 id: node,
                 db,
                 estimator: PlanHistoryEstimator::new(0.3, 0.01),
-                qant,
                 spec_classes,
-                backlog_ms: 0.0,
                 slowdown,
                 link_latency,
                 inbox: rx,
@@ -298,11 +248,10 @@ pub fn spawn_node_with_faults(
                 fault_rng,
                 epoch,
                 telemetry,
-                metrics,
                 last_tick: Instant::now(),
             };
-            worker.init_market();
-            worker.run();
+            worker.init_market(&mut seller);
+            worker.run(&mut seller);
         })
         // Programmer-error invariant: thread spawning only fails on OS
         // resource exhaustion, which the experiment cannot run through.
@@ -316,55 +265,28 @@ pub fn spawn_node_with_faults(
 
 impl NodeWorker {
     /// Warms the plan-history estimator with one real execution per local
-    /// class, then computes the initial supply vector. The paper's
-    /// two-step estimator is defined in terms of "past execution
-    /// information"; without any, the optimizer-cost prior is in plan
-    /// units, not milliseconds, and a cold market would reject everything
-    /// until the first executions land.
-    fn init_market(&mut self) {
+    /// class, then opens the market. The paper's two-step estimator is
+    /// defined in terms of "past execution information"; without any, the
+    /// optimizer-cost prior is in plan units, not milliseconds, and a cold
+    /// market would reject everything until the first executions land.
+    fn init_market(&mut self, seller: &mut NodeProtocol) {
         self.telemetry
             .set_now_us(self.epoch.elapsed().as_micros() as u64);
-        let warmups: Vec<String> = self
-            .spec_classes
-            .iter()
-            .map(|(_, sql)| sql.clone())
-            .collect();
-        for sql in warmups {
+        for (_, sql) in &self.spec_classes {
             let started = Instant::now();
-            if self.db.query(&sql).is_ok() {
+            if self.db.query(sql).is_ok() {
                 let engine_ms = started.elapsed().as_secs_f64() * 1e3;
-                if let Ok(ex) = self.db.explain(&sql) {
+                if let Ok(ex) = self.db.explain(sql) {
                     self.estimator.observe_ms(ex.fingerprint, engine_ms);
                 }
             }
         }
-        if self.qant.is_some() {
-            let costs = self.class_costs();
-            if let Some(q) = self.qant.as_mut() {
-                q.begin_period(&costs, None);
-            }
-        }
+        seller.open_market(|k| self.class_costs(k));
     }
 
-    /// Restarts the market period with a work-conserving budget:
-    /// `2T − backlog`, so an idle node never refuses capacity while a
-    /// backlogged one stops overselling (same policy as the simulator).
-    fn restart_period(&mut self) {
-        if self.qant.is_none() {
-            return;
-        }
-        let costs = self.class_costs();
-        let Some(q) = self.qant.as_mut() else { return };
-        q.end_period();
-        let period_ms = q.config().period.as_millis_f64();
-        let budget = (2.0 * period_ms - self.backlog_ms).clamp(0.5 * period_ms, 2.0 * period_ms);
-        q.begin_period_with_budget(&costs, None, budget);
-    }
-
-    /// Per-class execution estimates (ms), `None` for classes this node
-    /// cannot evaluate.
-    fn class_costs(&self) -> Vec<Option<f64>> {
-        let k = self.qant.as_ref().map_or(0, |q| q.num_classes());
+    /// Execution estimates (ms) of the `k` classes, `None` for those this
+    /// node cannot evaluate.
+    fn class_costs(&self, k: usize) -> Vec<Option<f64>> {
         let mut costs = vec![None; k];
         for (id, sql) in &self.spec_classes {
             costs[id.index()] = self.estimate_ms(sql).ok();
@@ -382,96 +304,50 @@ impl NodeWorker {
             * self.slowdown)
     }
 
-    /// Whether a negotiation reply leaving now survives the link. Checked
-    /// only on the fault path; never draws with a disabled plan.
-    fn reply_delivered(&mut self) -> bool {
-        if self.faults.is_none() {
-            return true;
+    /// Sends a negotiation reply over the link: the one-way latency plus
+    /// jitter first, then the loss draw. A dropped reply is simply never
+    /// sent; the client's collection deadline treats it as a non-answer.
+    /// A disabled fault plan draws nothing.
+    fn reply_over_link<R>(&mut self, reply: &Sender<R>, value: R, context: &'static str) {
+        let faulty = !self.faults.is_none();
+        let jitter = if faulty {
+            Duration::from_micros(self.faults.sample_jitter(&mut self.fault_rng).as_micros())
+        } else {
+            Duration::ZERO
+        };
+        std::thread::sleep(self.link_latency + jitter);
+        let delivered = !faulty || {
+            let at = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
+            self.faults.delivers(at, &mut self.fault_rng)
+        };
+        if delivered {
+            let _ = reply.send(value);
+        } else {
+            let telemetry = &self.telemetry;
+            telemetry.emit(|| TelemetryEvent::MessageDropped {
+                node: telemetry.label(),
+                context: context.to_string(),
+            });
         }
-        let at = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-        self.faults.delivers(at, &mut self.fault_rng)
     }
 
-    /// Extra wall-clock delay a delivered reply pays on a jittery link.
-    fn reply_jitter(&mut self) -> Duration {
-        if self.faults.is_none() {
-            return Duration::ZERO;
-        }
-        Duration::from_micros(self.faults.sample_jitter(&mut self.fault_rng).as_micros())
-    }
-
-    /// Emits a [`TelemetryEvent::MessageDropped`] for a fault-eaten reply.
-    fn note_reply_dropped(&self, context: &'static str) {
-        let telemetry = &self.telemetry;
-        telemetry.emit(|| TelemetryEvent::MessageDropped {
-            node: telemetry.label(),
-            context: context.to_string(),
-        });
-    }
-
-    fn run(&mut self) {
+    fn run(&mut self, seller: &mut NodeProtocol) {
         while let Ok(msg) = self.inbox.recv() {
             self.telemetry
                 .set_now_us(self.epoch.elapsed().as_micros() as u64);
-            // One-way link latency before any reply leaves the node.
             match msg {
                 NodeMsg::Estimate { sql, reply } => {
-                    if let Some(m) = &self.metrics {
-                        m.estimates_served.incr();
-                    }
                     let exec_ms = self.estimate_ms(&sql).unwrap_or(f64::INFINITY);
-                    std::thread::sleep(self.link_latency + self.reply_jitter());
-                    // A dropped reply is simply never sent; the client's
-                    // collection deadline treats it as a non-answer.
-                    if self.reply_delivered() {
-                        let _ = reply.send(EstimateReply {
-                            node: self.id,
-                            exec_ms,
-                        });
-                    } else {
-                        self.note_reply_dropped("estimate_reply");
-                    }
+                    self.reply_over_link(&reply, seller.estimate(exec_ms), "estimate_reply");
                 }
                 NodeMsg::CallForOffers { class, sql, reply } => {
-                    let offered = match &mut self.qant {
-                        Some(q) => q.on_request(class),
-                        None => true,
-                    };
-                    if let Some(m) = &self.metrics {
-                        if offered {
-                            m.offers_made.incr();
-                        } else {
-                            m.offers_rejected.incr();
-                            if let Some(c) = m.rejected_by_class.get(class.index()) {
-                                c.incr();
-                            }
-                        }
-                    }
-                    let completion_ms = if offered {
-                        self.backlog_ms + self.estimate_ms(&sql).unwrap_or(f64::INFINITY)
-                    } else {
-                        f64::INFINITY
-                    };
-                    std::thread::sleep(self.link_latency + self.reply_jitter());
-                    if self.reply_delivered() {
-                        let _ = reply.send(OfferReply {
-                            node: self.id,
-                            offered,
-                            completion_ms,
-                        });
-                    } else {
-                        self.note_reply_dropped("offer_reply");
-                    }
+                    let estimate = || self.estimate_ms(&sql).unwrap_or(f64::INFINITY);
+                    let offer = seller.offer(class, estimate);
+                    self.reply_over_link(&reply, offer, "offer_reply");
                 }
                 NodeMsg::Execute { sql, class, reply } => {
-                    if let Some(q) = &mut self.qant {
-                        q.on_accept(class);
-                    }
                     let est = self.estimate_ms(&sql).unwrap_or(0.0);
-                    self.backlog_ms += est;
-                    if let Some(m) = &self.metrics {
-                        m.backlog_ms.set(self.backlog_ms);
-                    }
+                    seller.accept(class, est);
                     let started = Instant::now();
                     let outcome = self.db.query(&sql);
                     let raw_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -482,21 +358,11 @@ impl NodeWorker {
                         std::thread::sleep(Duration::from_secs_f64(extra / 1e3));
                     }
                     let exec_ms = started.elapsed().as_secs_f64() * 1e3;
-                    self.backlog_ms = (self.backlog_ms - est).max(0.0);
-                    if let Some(m) = &self.metrics {
-                        m.backlog_ms.set(self.backlog_ms);
-                        m.exec_ms.observe(exec_ms);
-                        m.queries_executed.incr();
-                        if outcome.is_err() {
-                            m.queries_failed.incr();
-                        }
-                    }
+                    seller.executed(est, exec_ms, outcome.is_ok());
                     if let Ok(ex) = self.db.explain(&sql) {
-                        // Record the *unscaled-by-slowdown* time? No: the
-                        // estimator predicts this node's wall time, so it
-                        // learns the scaled value but estimate_ms also
-                        // multiplies by slowdown. Store the raw engine time
-                        // to keep the two-step scheme consistent.
+                        // `estimate_ms` multiplies by the slowdown, so the
+                        // history learns the raw engine time: that keeps
+                        // the two-step scheme consistent.
                         self.estimator
                             .observe_ms(ex.fingerprint, exec_ms / self.slowdown);
                     }
@@ -505,44 +371,24 @@ impl NodeWorker {
                     // the chatty negotiation traffic is lossy. A node
                     // *crash* still loses them — the channel disconnects.
                     std::thread::sleep(self.link_latency);
-                    match outcome {
-                        Ok(res) => {
-                            let _ = reply.send(ExecReply {
-                                node: self.id,
-                                rows: res.rows.len(),
-                                exec_ms,
-                                error: None,
-                            });
-                        }
-                        Err(e) => {
-                            let _ = reply.send(ExecReply {
-                                node: self.id,
-                                rows: 0,
-                                exec_ms,
-                                error: Some(e.to_string()),
-                            });
-                        }
-                    }
+                    let (rows, error) = match outcome {
+                        Ok(res) => (res.rows.len(), None),
+                        Err(e) => (0, Some(e.to_string())),
+                    };
+                    let _ = reply.send(ExecReply {
+                        node: self.id,
+                        rows,
+                        exec_ms,
+                        error,
+                    });
                 }
                 NodeMsg::PeriodTick => {
-                    if let Some(m) = &self.metrics {
-                        m.periods.incr();
-                        m.period_ms
-                            .observe(self.last_tick.elapsed().as_secs_f64() * 1e3);
-                    }
+                    let since_last_ms = self.last_tick.elapsed().as_secs_f64() * 1e3;
                     self.last_tick = Instant::now();
-                    self.restart_period();
+                    seller.tick(since_last_ms, |k| self.class_costs(k));
                 }
                 NodeMsg::DumpPrices { reply } => {
-                    let prices = self
-                        .qant
-                        .as_ref()
-                        .map(|q| q.prices().as_slice().to_vec())
-                        .unwrap_or_default();
-                    let _ = reply.send(PricesReply {
-                        node: self.id,
-                        prices,
-                    });
+                    let _ = reply.send(seller.prices());
                 }
                 NodeMsg::Shutdown => break,
             }
@@ -558,12 +404,30 @@ mod tests {
         ClusterSpec::generate(3, 4, 6, 8, 4, 60)
     }
 
+    /// A silent node on `faults`.
+    fn spawn(
+        s: &ClusterSpec,
+        node: usize,
+        cfg: Option<QantConfig>,
+        faults: LinkFaults,
+    ) -> NodeHandle {
+        spawn_node(
+            s,
+            node,
+            99,
+            cfg,
+            faults,
+            Instant::now(),
+            Telemetry::disabled(),
+        )
+    }
+
     #[test]
     fn node_answers_estimates_and_executes() {
         let s = spec();
         let class = &s.classes[0];
         let node = s.capable_nodes(class.id)[0];
-        let h = spawn_node(&s, node, 99, None);
+        let h = spawn(&s, node, None, LinkFaults::none());
         let sql = class.instantiate(100);
 
         let (tx, rx) = channel();
@@ -594,7 +458,7 @@ mod tests {
     /// Measures the node's own estimate for the class so tests can size
     /// the market period to a handful of supply units.
     fn calibrated_period_ms(s: &ClusterSpec, node: usize, sql: &str) -> f64 {
-        let h = spawn_node(s, node, 99, None);
+        let h = spawn(s, node, None, LinkFaults::none());
         let (tx, rx) = channel();
         h.sender
             .send(NodeMsg::Estimate {
@@ -612,15 +476,7 @@ mod tests {
         let s = spec();
         let class = &s.classes[0];
         let node = s.capable_nodes(class.id)[0];
-        let h = spawn_node_with_faults(
-            &s,
-            node,
-            99,
-            None,
-            LinkFaults::lossy(1.0),
-            Instant::now(),
-            Telemetry::disabled(),
-        );
+        let h = spawn(&s, node, None, LinkFaults::lossy(1.0));
         let sql = class.instantiate(100);
 
         // Negotiation reply is dropped: the reply sender is discarded, so
@@ -662,7 +518,7 @@ mod tests {
             period: qa_simnet::SimDuration::from_millis_f64(period_ms),
             ..QantConfig::default()
         };
-        let h = spawn_node(&s, node, 99, Some(cfg));
+        let h = spawn(&s, node, Some(cfg), LinkFaults::none());
         // Alternate requests with period ticks: rejections raise the
         // class's private price until the node supplies it; sustained
         // requests then exhaust each period's supply again. Both market
@@ -714,7 +570,7 @@ mod tests {
             period: qa_simnet::SimDuration::from_millis_f64(period_ms),
             ..QantConfig::default()
         };
-        let h = spawn_node(&s, node, 99, Some(cfg));
+        let h = spawn(&s, node, Some(cfg), LinkFaults::none());
         let offer = |h: &NodeHandle| {
             let (tx, rx) = channel();
             h.sender
@@ -753,7 +609,7 @@ mod tests {
         let s = spec();
         let class = &s.classes[0];
         let node = s.capable_nodes(class.id)[0];
-        let h = spawn_node(&s, node, 99, None);
+        let h = spawn(&s, node, None, LinkFaults::none());
         let sql = class.instantiate(100);
         let estimate = |h: &NodeHandle| {
             let (tx, rx) = channel();

@@ -1,4 +1,6 @@
-//! The allocation protocol of one query, as a sans-IO state machine.
+//! Both sides of the allocation protocol, sans-IO: the query a client
+//! places ([`QueryProtocol`]) and the seller that answers it
+//! ([`NodeProtocol`], at the end of this file).
 //!
 //! [`QueryProtocol::step`] owns every protocol *decision* — which nodes a
 //! round polls (the class's capable set minus the fleet's dead), who wins
@@ -21,8 +23,10 @@
 //! checks are checked about the code that serves traffic.
 
 use crate::error::ClusterError;
-use crate::node::{EstimateReply, OfferReply};
-use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
+use crate::node::{EstimateReply, OfferReply, PricesReply};
+use qa_core::{QantConfig, QantNode};
+use qa_simnet::telemetry::{Counter, Gauge, HistogramHandle, Telemetry, TelemetryEvent};
+use qa_simnet::DetRng;
 use qa_workload::ClassId;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -292,6 +296,201 @@ impl QueryProtocol {
     }
 }
 
+/// Metric handles the seller feeds, resolved once from the telemetry
+/// registry (`None` when telemetry carries no registry — a request then
+/// costs a single branch). Resolving up front also *pre-registers* every
+/// family, so a stats scrape of an idle node already lists them at zero
+/// instead of omitting them.
+#[derive(Debug, Clone)]
+struct NodeMetrics {
+    estimates_served: Counter,
+    offers_made: Counter,
+    offers_rejected: Counter,
+    queries_executed: Counter,
+    queries_failed: Counter,
+    periods: Counter,
+    /// Per-class rejection counters, indexed by [`ClassId::index`].
+    rejected_by_class: Vec<Counter>,
+    backlog_ms: Gauge,
+    exec_ms: HistogramHandle,
+    period_ms: HistogramHandle,
+}
+
+impl NodeMetrics {
+    fn resolve(telemetry: &Telemetry, num_classes: usize) -> Option<NodeMetrics> {
+        let r = telemetry.registry()?;
+        Some(NodeMetrics {
+            estimates_served: r.counter("qad.estimates_served"),
+            offers_made: r.counter("qad.offers_made"),
+            offers_rejected: r.counter("qad.offers_rejected"),
+            queries_executed: r.counter("qad.queries_executed"),
+            queries_failed: r.counter("qad.queries_failed"),
+            periods: r.counter("qad.periods"),
+            rejected_by_class: (0..num_classes)
+                .map(|k| r.counter(&format!("qad.rejected.class{k}")))
+                .collect(),
+            backlog_ms: r.gauge("qad.backlog_ms"),
+            exec_ms: r.histogram("qad.exec_ms"),
+            period_ms: r.histogram("qad.period_ms"),
+        })
+    }
+}
+
+/// One seller — §3.3 steps 4–14 as the cluster runs them: the private
+/// QA-NT market (`None` under Greedy, which sells without one), the
+/// estimated outstanding work, and the `qad.*` metrics. A request touches
+/// no channel, clock, sleep, random stream or database: a shell
+/// ([`crate::node`]'s thread, which every `qad` process also runs, or
+/// [`crate::simtransport`]'s virtual network) estimates costs, executes
+/// queries and carries the replies, and tells the seller what happened.
+/// Each `*_ms` argument is that shell's estimate or measurement in
+/// milliseconds.
+#[derive(Debug, Clone)]
+pub struct NodeProtocol {
+    id: usize,
+    qant: Option<QantNode>,
+    /// Estimated outstanding work — grows on accept, shrinks once executed.
+    backlog_ms: f64,
+    metrics: Option<NodeMetrics>,
+}
+
+impl NodeProtocol {
+    /// Node `id`'s seller over `num_classes` classes: with `config`, a
+    /// market whose initial prices are jittered from `seed`; without, none.
+    /// `telemetry` must already carry the node's label.
+    pub fn new(
+        id: usize,
+        num_classes: usize,
+        config: Option<QantConfig>,
+        seed: u64,
+        telemetry: &Telemetry,
+    ) -> NodeProtocol {
+        let qant = config.map(|cfg| {
+            let mut q = QantNode::with_jitter(num_classes, cfg, &mut DetRng::seed_from_u64(seed));
+            q.set_telemetry(telemetry.clone());
+            q
+        });
+        NodeProtocol {
+            id,
+            qant,
+            backlog_ms: 0.0,
+            metrics: NodeMetrics::resolve(telemetry, num_classes),
+        }
+    }
+
+    /// The market, if this seller keeps one (diagnostics and tests).
+    pub fn market(&self) -> Option<&QantNode> {
+        self.qant.as_ref()
+    }
+
+    /// Estimated outstanding work (ms).
+    pub fn backlog_ms(&self) -> f64 {
+        self.backlog_ms
+    }
+
+    /// Opens the first market period on one period of budget. `costs(K)`
+    /// yields the per-class execution estimates (`None` = cannot
+    /// evaluate); it is not called without a market.
+    pub fn open_market(&mut self, costs: impl FnOnce(usize) -> Vec<Option<f64>>) {
+        if let Some(q) = &mut self.qant {
+            q.begin_period(&costs(q.num_classes()), None);
+        }
+    }
+
+    /// Greedy's poll: the execution estimate alone, *without* queue
+    /// information — the client cannot see other clients' outstanding work
+    /// (§4's greedy).
+    pub fn estimate(&self, exec_ms: f64) -> EstimateReply {
+        if let Some(m) = &self.metrics {
+            m.estimates_served.incr();
+        }
+        let node = self.id;
+        EstimateReply { node, exec_ms }
+    }
+
+    /// A call-for-offers (steps 4–10): offers while the market supplies
+    /// `class` (always, without a market); a refusal raises the class's
+    /// price. `estimate` is asked for the execution estimate only when the
+    /// node offers; the promised completion adds the node's own backlog.
+    pub fn offer(&mut self, class: ClassId, estimate: impl FnOnce() -> f64) -> OfferReply {
+        let offered = self.qant.as_mut().is_none_or(|q| q.on_request(class));
+        if let Some(m) = &self.metrics {
+            if offered {
+                m.offers_made.incr();
+            } else {
+                m.offers_rejected.incr();
+                if let Some(c) = m.rejected_by_class.get(class.index()) {
+                    c.incr();
+                }
+            }
+        }
+        let completion_ms = if offered {
+            self.backlog_ms + estimate()
+        } else {
+            f64::INFINITY
+        };
+        OfferReply {
+            node: self.id,
+            offered,
+            completion_ms,
+        }
+    }
+
+    /// The client took the offer (step 6): one supply unit is sold and the
+    /// query's estimated `est_ms` joins the backlog.
+    pub fn accept(&mut self, class: ClassId, est_ms: f64) {
+        if let Some(q) = &mut self.qant {
+            q.on_accept(class);
+        }
+        self.backlog_ms += est_ms;
+        if let Some(m) = &self.metrics {
+            m.backlog_ms.set(self.backlog_ms);
+        }
+    }
+
+    /// The query accepted under `est_ms` ran for `exec_ms`: its *estimate*
+    /// leaves the backlog, which holds estimates only.
+    pub fn executed(&mut self, est_ms: f64, exec_ms: f64, ok: bool) {
+        self.backlog_ms = (self.backlog_ms - est_ms).max(0.0);
+        if let Some(m) = &self.metrics {
+            m.backlog_ms.set(self.backlog_ms);
+            m.exec_ms.observe(exec_ms);
+            m.queries_executed.incr();
+            if !ok {
+                m.queries_failed.incr();
+            }
+        }
+    }
+
+    /// A period boundary (steps 12–14, then step 2), `since_last_ms` after
+    /// the previous one by the shell's clock. The new period's budget is
+    /// work-conserving: `2T − backlog`, so an idle node never refuses
+    /// capacity while a backlogged one stops overselling (same policy as
+    /// the simulator). `costs` as in [`Self::open_market`].
+    pub fn tick(&mut self, since_last_ms: f64, costs: impl FnOnce(usize) -> Vec<Option<f64>>) {
+        if let Some(m) = &self.metrics {
+            m.periods.incr();
+            m.period_ms.observe(since_last_ms);
+        }
+        let Some(q) = &mut self.qant else { return };
+        let costs = costs(q.num_classes());
+        q.end_period();
+        let period_ms = q.config().period.as_millis_f64();
+        let budget = (2.0 * period_ms - self.backlog_ms).clamp(0.5 * period_ms, 2.0 * period_ms);
+        q.begin_period_with_budget(&costs, None, budget);
+    }
+
+    /// The per-class private prices (empty without a market), for operator
+    /// tooling (`qa-ctl prices`).
+    pub fn prices(&self) -> PricesReply {
+        let prices = self.qant.as_ref().map(|q| q.prices().as_slice().to_vec());
+        PricesReply {
+            node: self.id,
+            prices: prices.unwrap_or_default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,17 +689,174 @@ mod tests {
             ("explore.rs", include_str!("explore.rs")),
         ];
         let min_cost = "exec_ms <|completion_ms <|cost_ms|min_by|total_cmp";
-        for (file, source) in shells {
+        for_each_code_line(&shells, |at, code| {
+            let budget = code.contains("max_retries") && code.contains(['<', '>']);
+            let selects = min_cost.split('|').any(|needle| code.contains(needle));
+            assert!(
+                !budget && !selects,
+                "{at}: protocol decision outside protocol.rs"
+            );
+        });
+    }
+
+    /// Nor the seller's: every carrier of node traffic asks
+    /// [`NodeProtocol`], none restates a step of §3.3.
+    #[test]
+    fn shells_hold_no_market_arithmetic() {
+        let shells = [
+            ("node.rs", include_str!("node.rs")),
+            ("simtransport.rs", include_str!("simtransport.rs")),
+            ("qad.rs", include_str!("qad.rs")),
+            ("transport.rs", include_str!("transport.rs")),
+            ("driver.rs", include_str!("driver.rs")),
+            ("explore.rs", include_str!("explore.rs")),
+        ];
+        let market = "on_request|on_accept|end_period|begin_period|LAMBDA|prices[";
+        for_each_code_line(&shells, |at, code| {
+            let restated = market.split('|').find(|needle| code.contains(needle));
+            assert_eq!(
+                restated, None,
+                "{at}: market arithmetic outside NodeProtocol"
+            );
+        });
+    }
+
+    /// Calls `check("file:line: text", code)` for every non-test line of
+    /// `files`, `code` being the line without its comment.
+    fn for_each_code_line(files: &[(&str, &str)], check: impl Fn(&str, &str)) {
+        for (file, source) in files {
             let code = source.split("#[cfg(test)]").next().unwrap_or(source);
             for (n, line) in code.lines().enumerate() {
-                let code = line.split("//").next().unwrap_or(line);
-                let budget = code.contains("max_retries") && code.contains(['<', '>']);
-                let selects = min_cost.split('|').any(|needle| code.contains(needle));
-                assert!(
-                    !budget && !selects,
-                    "{file}:{}: protocol decision outside protocol.rs: {line}",
-                    n + 1
-                );
+                let at = format!("{file}:{}: {line}", n + 1);
+                check(&at, line.split("//").next().unwrap_or(line));
+            }
+        }
+    }
+
+    /// The `QantConfig`s a seller runs under: the shipped §5.1 threshold
+    /// deployment, and the paper default (no threshold: every exhausted
+    /// request is refused outright, prices renormalized).
+    fn markets() -> [Option<QantConfig>; 3] {
+        let period = std::time::Duration::from_millis(40);
+        let shipped = crate::qant_config_for(crate::ClusterMechanism::QaNt, period);
+        [None, shipped, Some(QantConfig::default())]
+    }
+
+    #[test]
+    fn an_estimate_carries_no_backlog_and_an_offer_promises_it() {
+        for market in markets() {
+            let mut seller = NodeProtocol::new(3, 3, market, 11, &Telemetry::disabled());
+            seller.open_market(|_| vec![Some(4.0), Some(8.0), None]);
+            let idle = seller.estimate(8.0);
+            seller.accept(ClassId(0), 4.0);
+            seller.accept(ClassId(0), 4.5);
+            assert_eq!(seller.backlog_ms(), 8.5);
+            // §4's greedy: the client learns nothing of the queue.
+            let busy = seller.estimate(8.0);
+            assert_eq!((busy.node, busy.exec_ms), (3, 8.0));
+            assert_eq!(busy.exec_ms, idle.exec_ms);
+            // The offer volunteers it.
+            let offer = seller.offer(ClassId(1), || 8.0);
+            let promised = if offer.offered {
+                8.5 + 8.0
+            } else {
+                f64::INFINITY
+            };
+            assert_eq!(offer.completion_ms, promised);
+            let unthresholded = market == Some(QantConfig::default());
+            assert!(offer.offered || unthresholded, "{market:?} must offer");
+            // A market refuses a class it has no cost for, unestimated.
+            if market.is_some() {
+                let refusal =
+                    seller.offer(ClassId(2), || unreachable!("refusals estimate nothing"));
+                assert!(!refusal.offered && refusal.completion_ms == f64::INFINITY);
+            }
+        }
+    }
+
+    /// The seller is the `QantNode` it wraps plus a backlog float, to the
+    /// bit: 400 random requests against the calls `node.rs` made on its own
+    /// `QantNode` before the seller existed.
+    #[test]
+    fn seller_is_the_qant_node_it_wraps_to_the_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (case, k) in [1usize, 2, 7].into_iter().enumerate() {
+            for market in markets() {
+                let mut rng = DetRng::seed_from_u64(0x5E11 + case as u64);
+                // Every third class of the larger tables is not evaluable.
+                let costs: Vec<Option<f64>> = (0..k)
+                    .map(|c| (k < 3 || c % 3 != 1).then(|| rng.float_in(3.0, 30.0)))
+                    .collect();
+                let seed = 77 + case as u64;
+                let mut seller = NodeProtocol::new(0, k, market, seed, &Telemetry::disabled());
+                let mut qant = market
+                    .map(|cfg| QantNode::with_jitter(k, cfg, &mut DetRng::seed_from_u64(seed)));
+                let mut backlog = 0.0_f64;
+                seller.open_market(|_| costs.clone());
+                if let Some(q) = &mut qant {
+                    q.begin_period(&costs, None);
+                }
+                // Estimates of the accepted, unfinished queries.
+                let mut running: Vec<f64> = Vec::new();
+                for step in 0..400 {
+                    let class = ClassId(rng.index(k) as u32);
+                    let est = costs[class.index()].unwrap_or(5.0) * rng.float_in(0.8, 1.2);
+                    match rng.index(10) {
+                        0..=3 => {
+                            let got = seller.offer(class, || est);
+                            let offered = qant.as_mut().is_none_or(|q| q.on_request(class));
+                            let want = if offered {
+                                backlog + est
+                            } else {
+                                f64::INFINITY
+                            };
+                            assert_eq!(got.offered, offered, "step {step}");
+                            assert_eq!(got.completion_ms.to_bits(), want.to_bits(), "step {step}");
+                        }
+                        4..=6 => {
+                            seller.accept(class, est);
+                            if let Some(q) = &mut qant {
+                                q.on_accept(class);
+                            }
+                            backlog += est;
+                            running.push(est);
+                        }
+                        7 | 8 if !running.is_empty() => {
+                            let est = running.swap_remove(rng.index(running.len()));
+                            let exec_ms = est * rng.float_in(0.5, 2.0);
+                            seller.executed(est, exec_ms, rng.index(8) > 0);
+                            backlog = (backlog - est).max(0.0);
+                        }
+                        _ => {
+                            seller.tick(40.0, |_| costs.clone());
+                            if let Some(q) = &mut qant {
+                                q.end_period();
+                                let t = q.config().period.as_millis_f64();
+                                let budget = (2.0 * t - backlog).clamp(0.5 * t, 2.0 * t);
+                                q.begin_period_with_budget(&costs, None, budget);
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        seller.backlog_ms().to_bits(),
+                        backlog.to_bits(),
+                        "step {step}"
+                    );
+                    let (got, want) = (seller.market(), qant.as_ref());
+                    assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        let (got_p, want_p) = (got.prices(), want.prices());
+                        assert_eq!(
+                            bits(got_p.as_slice()),
+                            bits(want_p.as_slice()),
+                            "step {step}"
+                        );
+                        assert_eq!(got.supply(), want.supply(), "step {step}");
+                    }
+                    let dumped = seller.prices().prices;
+                    let held = want.map_or(Vec::new(), |q| q.prices().as_slice().to_vec());
+                    assert_eq!(bits(&dumped), bits(&held), "step {step}");
+                }
             }
         }
     }

@@ -25,7 +25,7 @@
 //! reconnect to a still-warm market.
 
 use crate::driver::qant_config_for;
-use crate::node::{spawn_node_with_faults, NodeMsg, PricesReply};
+use crate::node::{spawn_node, EstimateReply, ExecReply, NodeMsg, OfferReply, PricesReply};
 use crate::setup::ClusterSpec;
 use crate::ClusterMechanism;
 use qa_net::{ConnConfig, Connection, WireMsg};
@@ -298,7 +298,7 @@ pub fn serve(
     let epoch = Instant::now();
     let qant_cfg = qant_config_for(fed.mechanism, Duration::from_millis(fed.period_ms));
     let fault_plan = fed.fault_plan();
-    let handle = spawn_node_with_faults(
+    let handle = spawn_node(
         &spec,
         node,
         fed.seed,
@@ -377,71 +377,55 @@ fn serve_session(
         });
     }
 
-    for msg in rx {
-        match msg {
+    // The inverse of `TcpTransport::send`: each request frame becomes the
+    // `NodeMsg` it encodes, its reply channel forwarded back under the
+    // frame's token.
+    for wire in rx {
+        let msg = match wire {
             WireMsg::Estimate { token, sql } => {
-                let (tx, reply_rx) = channel();
-                if mailbox.send(NodeMsg::Estimate { sql, reply: tx }).is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: crate::node::EstimateReply| {
+                let (reply, reply_rx) = channel();
+                forward(&conn, reply_rx, move |r: EstimateReply| {
                     WireMsg::EstimateReply {
                         token,
                         node: r.node as u32,
                         exec_ms: r.exec_ms,
                     }
                 });
+                NodeMsg::Estimate { sql, reply }
             }
             WireMsg::CallForOffers { token, class, sql } => {
-                let (tx, reply_rx) = channel();
-                let send = mailbox.send(NodeMsg::CallForOffers {
-                    class: qa_workload::ClassId(class),
-                    sql,
-                    reply: tx,
+                let (reply, reply_rx) = channel();
+                forward(&conn, reply_rx, move |r: OfferReply| WireMsg::OfferReply {
+                    token,
+                    node: r.node as u32,
+                    offered: r.offered,
+                    completion_ms: r.completion_ms,
                 });
-                if send.is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: crate::node::OfferReply| {
-                    WireMsg::OfferReply {
-                        token,
-                        node: r.node as u32,
-                        offered: r.offered,
-                        completion_ms: r.completion_ms,
-                    }
-                });
+                let class = qa_workload::ClassId(class);
+                NodeMsg::CallForOffers { class, sql, reply }
             }
             WireMsg::Execute { token, class, sql } => {
-                let (tx, reply_rx) = channel();
-                let send = mailbox.send(NodeMsg::Execute {
-                    sql,
-                    class: qa_workload::ClassId(class),
-                    reply: tx,
+                let (reply, reply_rx) = channel();
+                forward(&conn, reply_rx, move |r: ExecReply| WireMsg::ExecReply {
+                    token,
+                    node: r.node as u32,
+                    rows: r.rows as u64,
+                    exec_ms: r.exec_ms,
+                    error: r.error,
                 });
-                if send.is_err() {
-                    return SessionEnd::Shutdown;
-                }
-                forward(&conn, reply_rx, move |r: crate::node::ExecReply| {
-                    WireMsg::ExecReply {
-                        token,
-                        node: r.node as u32,
-                        rows: r.rows as u64,
-                        exec_ms: r.exec_ms,
-                        error: r.error,
-                    }
-                });
+                let class = qa_workload::ClassId(class);
+                NodeMsg::Execute { sql, class, reply }
             }
             WireMsg::DumpPrices { token } => {
-                let (tx, reply_rx) = channel();
-                if mailbox.send(NodeMsg::DumpPrices { reply: tx }).is_err() {
-                    return SessionEnd::Shutdown;
-                }
+                let (reply, reply_rx) = channel();
                 forward(&conn, reply_rx, move |r: PricesReply| WireMsg::Prices {
                     token,
                     node: r.node as u32,
                     prices: r.prices,
                 });
+                NodeMsg::DumpPrices { reply }
             }
+            WireMsg::PeriodTick => NodeMsg::PeriodTick,
             WireMsg::StatsRequest { token } => {
                 // Answered inline from the registry, *not* via the node
                 // mailbox: a stats scrape must stay responsive even when
@@ -451,18 +435,17 @@ fn serve_session(
                     .map(|r| r.snapshot().dump())
                     .unwrap_or_else(|| "{}".to_string());
                 let _ = conn.send(WireMsg::StatsReply { token, node, json });
-            }
-            WireMsg::PeriodTick => {
-                let sent = mailbox.send(NodeMsg::PeriodTick);
-                if sent.is_err() {
-                    return SessionEnd::Shutdown;
-                }
+                continue;
             }
             WireMsg::Shutdown => return SessionEnd::Shutdown,
             // Handshake frames are consumed by Connection::accept; reply
             // frames are never driver → server. Ignore rather than die:
             // a confused peer costs nothing.
-            _ => {}
+            _ => continue,
+        };
+        // A closed mailbox means the node worker is gone.
+        if mailbox.send(msg).is_err() {
+            return SessionEnd::Shutdown;
         }
     }
     SessionEnd::PeerGone

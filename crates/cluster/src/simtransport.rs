@@ -3,12 +3,15 @@
 //!
 //! Where [`crate::transport::ChannelTransport`] runs real node threads
 //! and [`crate::transport::TcpTransport`] real sockets, `SimTransport`
-//! runs **model nodes** (the market state machine without minidb or
-//! threads) over an in-memory message queue, and resolves every piece of
-//! nondeterminism — which in-flight message is delivered next, whether a
-//! request or its reply is dropped, when a node crashes — through an
-//! explicit [`Schedule`]. One schedule = one fully deterministic
-//! interleaving; a seed or a recorded choice trail replays it exactly.
+//! runs the same sellers ([`NodeProtocol`], built from the shipped
+//! [`crate::qant_config_for`]) with neither minidb nor threads: an
+//! in-memory message queue carries the [`NodeMsg`]s, a fixed cost table
+//! stands in for `EXPLAIN` plus history, an accepted query "runs" until
+//! its node's next period tick, and every piece of nondeterminism — which
+//! in-flight message is delivered next, whether a request or its reply is
+//! dropped, when a node crashes — is resolved through an explicit
+//! [`Schedule`]. One schedule = one fully deterministic interleaving; a
+//! seed or a recorded choice trail replays it exactly.
 //!
 //! The driver side stays the real [`Transport`] contract: requests are
 //! asynchronous sends whose replies arrive on the caller's `Sender` or
@@ -19,26 +22,24 @@
 //! Query identity crosses the seam the same way it does over TCP: encoded
 //! in the SQL text. The harness formats requests as
 //! `"q=<id> gen=<generation> class=<class>"` (see [`encode_sql`]), and
-//! model nodes log every execution as a `(query, generation)` pair so the
+//! every execution is logged as a `(query, generation)` pair so the
 //! invariant checks can audit double assignment across crash re-entry.
 
 use crate::error::ClusterError;
-use crate::node::{EstimateReply, ExecReply, OfferReply, PricesReply};
+use crate::node::{ExecReply, NodeMsg};
+use crate::protocol::NodeProtocol;
 use crate::transport::Transport;
+use qa_core::QantConfig;
 use qa_simnet::sched::Schedule;
-use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_workload::ClassId;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
-/// Multiplicative price raise on rejection (§3.1's `×(1 + λ)`).
-const LAMBDA: f64 = 0.25;
-/// Multiplicative price decay on leftover supply at period end (§3.2).
-const MU: f64 = 0.10;
-/// Prices never decay below this floor.
-const PRICE_FLOOR: f64 = 1e-6;
 /// Virtual microseconds per delivered network step (telemetry clock).
 const STEP_US: u64 = 1_000;
+/// Seeds the fleet's initial price jitter: every schedule explores the
+/// same three sellers.
+const FLEET_SEED: u64 = 2007;
 
 /// Formats the harness SQL carrying query identity across the transport
 /// seam.
@@ -52,7 +53,7 @@ fn sql_field(sql: &str, key: &str) -> Option<u64> {
         .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
 }
 
-/// One committed execution on a model node.
+/// One committed execution on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Execution {
     /// The query's trace index.
@@ -61,85 +62,57 @@ pub struct Execution {
     pub generation: u32,
 }
 
-/// The market state machine of one model node: per-class private prices
-/// and per-period supply, a backlog estimate, and an execution audit log.
+/// One node of the virtual fleet: the seller under test, and what this
+/// shell models around it — a cost table for the estimator, a log for the
+/// database.
 #[derive(Debug, Clone)]
 pub struct SimNodeState {
     /// Node index.
     pub id: usize,
     /// `true` once crashed (schedule-chosen or driver-injected).
     pub crashed: bool,
-    /// Per-class private prices.
-    pub prices: Vec<f64>,
-    /// Per-class units still offered this period.
-    pub supply: Vec<u32>,
-    /// Per-class base execution estimate in milliseconds.
+    /// Prices, supply and backlog: the seller [`crate::node`] runs.
+    pub seller: NodeProtocol,
+    /// Per-class execution estimate in milliseconds.
     pub exec_ms: Vec<f64>,
-    /// Queued work in milliseconds (completion-time estimates add this).
-    pub backlog_ms: f64,
     /// Every execution this node ever committed, in order.
     pub executions: Vec<Execution>,
-    /// Per-class supply level restored at each period boundary.
-    period_supply_level: u32,
+    /// Estimates of the accepted queries still running; they finish at the
+    /// node's next period tick.
+    running: Vec<f64>,
+    /// Network step of the node's last period tick.
+    ticked_at: u64,
 }
 
 impl SimNodeState {
-    fn new(id: usize, num_classes: usize, supply_per_period: u32) -> SimNodeState {
-        SimNodeState {
+    fn new(id: usize, num_classes: usize, seller: NodeProtocol) -> SimNodeState {
+        let mut node = SimNodeState {
             id,
             crashed: false,
-            prices: vec![1.0; num_classes],
-            supply: vec![supply_per_period; num_classes],
+            seller,
             // Heterogeneous but deterministic: node i is (1 + i/4)× the
             // base cost, and each class is 10 ms heavier than the last.
             exec_ms: (0..num_classes)
                 .map(|c| (10.0 + 10.0 * c as f64) * (1.0 + id as f64 / 4.0))
                 .collect(),
-            backlog_ms: 0.0,
             executions: Vec::new(),
-            period_supply_level: supply_per_period,
-        }
+            running: Vec::new(),
+            ticked_at: 0,
+        };
+        let costs = node.costs();
+        node.seller.open_market(|_| costs);
+        node
     }
-}
 
-/// A request parked in the virtual network, waiting for the schedule to
-/// deliver or drop it.
-enum SimMsg {
-    Estimate {
-        class: usize,
-        reply: Sender<EstimateReply>,
-    },
-    Offer {
-        class: usize,
-        reply: Sender<OfferReply>,
-    },
-    Execute {
-        class: usize,
-        query: u64,
-        generation: u32,
-        reply: Sender<ExecReply>,
-    },
-    Prices {
-        reply: Sender<PricesReply>,
-    },
-    Tick,
-}
-
-impl SimMsg {
-    fn label(&self) -> &'static str {
-        match self {
-            SimMsg::Estimate { .. } => "estimate",
-            SimMsg::Offer { .. } => "offer",
-            SimMsg::Execute { .. } => "execute",
-            SimMsg::Prices { .. } => "prices",
-            SimMsg::Tick => "tick",
-        }
+    /// The cost table as the market reads it: every class evaluable.
+    fn costs(&self) -> Vec<Option<f64>> {
+        self.exec_ms.iter().copied().map(Some).collect()
     }
 }
 
 struct InFlight {
     node: usize,
-    msg: SimMsg,
+    msg: NodeMsg,
 }
 
 /// Counters the harness reports per schedule.
@@ -222,23 +195,28 @@ pub struct SimTransport {
 }
 
 impl SimTransport {
-    /// A fleet of `num_nodes` model nodes, all pricing `num_classes`
-    /// classes with `supply_per_period` units each, whose nondeterminism
-    /// is resolved by `schedule`. Up to `crash_budget` schedule-chosen
-    /// crashes are injected at network steps of the schedule's choosing.
+    /// A fleet of `num_nodes` sellers over `num_classes` classes, each
+    /// keeping a market under `market` (none under Greedy), whose
+    /// nondeterminism is resolved by `schedule`. Up to `crash_budget`
+    /// schedule-chosen crashes are injected at network steps of the
+    /// schedule's choosing.
     pub fn new(
         num_nodes: usize,
         num_classes: usize,
-        supply_per_period: u32,
+        market: Option<QantConfig>,
         crash_budget: u32,
         schedule: SharedSchedule,
         telemetry: Telemetry,
     ) -> SimTransport {
+        let node = |id: usize| {
+            let labelled = telemetry.with_label(id as u32);
+            let seed = FLEET_SEED + id as u64;
+            let seller = NodeProtocol::new(id, num_classes, market, seed, &labelled);
+            SimNodeState::new(id, num_classes, seller)
+        };
         SimTransport {
             world: Mutex::new(SimWorld {
-                nodes: (0..num_nodes)
-                    .map(|id| SimNodeState::new(id, num_classes, supply_per_period))
-                    .collect(),
+                nodes: (0..num_nodes).map(node).collect(),
                 inflight: Vec::new(),
                 crash_budget,
                 stats: NetStats::default(),
@@ -260,7 +238,7 @@ impl SimTransport {
         self.world.lock().unwrap().inflight.len()
     }
 
-    /// Snapshot of every model node's state.
+    /// Snapshot of every node's state.
     pub fn node_states(&self) -> Vec<SimNodeState> {
         self.world.lock().unwrap().nodes.clone()
     }
@@ -285,10 +263,9 @@ impl SimTransport {
     }
 
     /// Takes one schedule-chosen network step: possibly inject a crash,
-    /// else pick an in-flight message, decide drop-vs-deliver, process it
-    /// on the model node, and decide whether the reply survives. Returns
-    /// `false` when the network is idle (nothing in flight, no step
-    /// taken).
+    /// else pick an in-flight message, decide drop-vs-deliver, hand it to
+    /// its node, and decide whether the reply survives. Returns `false`
+    /// when the network is idle (nothing in flight, no step taken).
     pub fn step(&self) -> bool {
         let mut world = self.world.lock().unwrap();
         let world = &mut *world;
@@ -326,123 +303,16 @@ impl SimTransport {
         }
 
         let idx = self.schedule.choose("deliver", world.inflight.len());
-        let InFlight { node, msg } = world.inflight.remove(idx);
+        let flight = world.inflight.remove(idx);
         if self.schedule.choose("drop", 2) == 1 {
             world.stats.dropped_requests += 1;
-            let context = format!("{} request dropped", msg.label());
-            self.telemetry.emit(|| TelemetryEvent::MessageDropped {
-                node: node as u32,
-                context,
-            });
+            let node = flight.node as u32;
+            let context = format!("{} request dropped", flight.msg.phase());
+            self.telemetry
+                .emit(|| TelemetryEvent::MessageDropped { node, context });
             return true; // senders drop here → waiter disconnects
         }
-        world.stats.delivered += 1;
-        let drop_reply = |world: &mut SimWorld, this: &SimTransport, label: &str| -> bool {
-            let dropped = this.schedule.choose("reply_drop", 2) == 1;
-            if dropped {
-                world.stats.dropped_replies += 1;
-                let context = format!("{label} reply dropped");
-                this.telemetry.emit(|| TelemetryEvent::MessageDropped {
-                    node: node as u32,
-                    context,
-                });
-            }
-            dropped
-        };
-        match msg {
-            SimMsg::Estimate { class, reply } => {
-                let exec_ms = world.nodes[node].exec_ms[class] + world.nodes[node].backlog_ms;
-                if !drop_reply(world, self, "estimate") {
-                    let _ = reply.send(EstimateReply { node, exec_ms });
-                }
-            }
-            SimMsg::Offer { class, reply } => {
-                let n = &mut world.nodes[node];
-                let offered = n.supply[class] > 0;
-                let completion_ms = n.backlog_ms + n.exec_ms[class];
-                if !offered {
-                    // §3.1: a refusal raises the private price ×(1 + λ).
-                    let old = n.prices[class];
-                    n.prices[class] = old * (1.0 + LAMBDA);
-                    let new = n.prices[class];
-                    self.telemetry.emit(|| TelemetryEvent::RequestRejected {
-                        node: node as u32,
-                        class: class as u32,
-                    });
-                    self.telemetry.emit(|| TelemetryEvent::PriceAdjusted {
-                        node: node as u32,
-                        class: class as u32,
-                        old,
-                        new,
-                        reason: PriceReason::Rejection,
-                    });
-                }
-                if !drop_reply(world, self, "offer") {
-                    let _ = reply.send(OfferReply {
-                        node,
-                        offered,
-                        completion_ms,
-                    });
-                }
-            }
-            SimMsg::Execute {
-                class,
-                query,
-                generation,
-                reply,
-            } => {
-                let double = world.inject_double_exec;
-                let n = &mut world.nodes[node];
-                n.executions.push(Execution { query, generation });
-                if double {
-                    n.executions.push(Execution { query, generation });
-                }
-                n.supply[class] = n.supply[class].saturating_sub(1);
-                let exec_ms = n.exec_ms[class];
-                n.backlog_ms += exec_ms;
-                if !drop_reply(world, self, "execute") {
-                    let _ = reply.send(ExecReply {
-                        node,
-                        rows: 1,
-                        exec_ms,
-                        error: None,
-                    });
-                }
-            }
-            SimMsg::Prices { reply } => {
-                let prices = world.nodes[node].prices.clone();
-                if !drop_reply(world, self, "prices") {
-                    let _ = reply.send(PricesReply { node, prices });
-                }
-            }
-            SimMsg::Tick => {
-                let n = &mut world.nodes[node];
-                for class in 0..n.prices.len() {
-                    if n.supply[class] > 0 {
-                        // §3.2: leftover supply decays the price.
-                        let old = n.prices[class];
-                        n.prices[class] = (old * (1.0 - MU)).max(PRICE_FLOOR);
-                        let new = n.prices[class];
-                        self.telemetry.emit(|| TelemetryEvent::PriceAdjusted {
-                            node: node as u32,
-                            class: class as u32,
-                            old,
-                            new,
-                            reason: PriceReason::PeriodDecay,
-                        });
-                    }
-                }
-                let fresh = n.tick_supply();
-                n.backlog_ms = 0.0;
-                let budget_ms = n.exec_ms.iter().sum::<f64>();
-                let supply: Vec<u64> = fresh.iter().map(|&s| s as u64).collect();
-                self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
-                    node: node as u32,
-                    budget_ms,
-                    supply,
-                });
-            }
-        }
+        self.deliver(world, flight, true);
         true
     }
 
@@ -451,107 +321,85 @@ impl SimTransport {
     /// the post-run drain the invariant checks use to quiesce the
     /// network before auditing state.
     pub fn drain(&self) {
-        loop {
-            let msg = {
-                let mut world = self.world.lock().unwrap();
-                if world.inflight.is_empty() {
-                    break;
-                }
-                world.stats.steps += 1;
-                world.stats.delivered += 1;
-                world.inflight.remove(0)
-            };
-            self.deliver_benign(msg);
+        let mut world = self.world.lock().unwrap();
+        while !world.inflight.is_empty() {
+            world.stats.steps += 1;
+            let flight = world.inflight.remove(0);
+            self.deliver(&mut world, flight, false);
         }
     }
 
-    /// Processes one message with no loss and no price side channels
-    /// beyond the node's normal handling.
-    fn deliver_benign(&self, InFlight { node, msg }: InFlight) {
-        let mut world = self.world.lock().unwrap();
-        let world = &mut *world;
-        match msg {
-            SimMsg::Estimate { class, reply } => {
-                let exec_ms = world.nodes[node].exec_ms[class] + world.nodes[node].backlog_ms;
-                let _ = reply.send(EstimateReply { node, exec_ms });
-            }
-            SimMsg::Offer { class, reply } => {
-                let n = &mut world.nodes[node];
-                let offered = n.supply[class] > 0;
-                let completion_ms = n.backlog_ms + n.exec_ms[class];
-                if !offered {
-                    let old = n.prices[class];
-                    n.prices[class] = old * (1.0 + LAMBDA);
-                }
-                let _ = reply.send(OfferReply {
-                    node,
-                    offered,
-                    completion_ms,
+    /// Hands one request to its node's seller and carries the reply back.
+    /// Only an `adversarial` delivery lets the schedule drop the reply —
+    /// the one choice point in here.
+    fn deliver(&self, world: &mut SimWorld, flight: InFlight, adversarial: bool) {
+        let InFlight { node, msg } = flight;
+        world.stats.delivered += 1;
+        let phase = msg.phase();
+        let n = &mut world.nodes[node];
+        let mut reply_survives = || {
+            let dropped = adversarial && self.schedule.choose("reply_drop", 2) == 1;
+            if dropped {
+                world.stats.dropped_replies += 1;
+                let context = format!("{phase} reply dropped");
+                self.telemetry.emit(|| TelemetryEvent::MessageDropped {
+                    node: node as u32,
+                    context,
                 });
             }
-            SimMsg::Execute {
-                class,
-                query,
-                generation,
-                reply,
-            } => {
-                let double = world.inject_double_exec;
-                let n = &mut world.nodes[node];
-                n.executions.push(Execution { query, generation });
-                if double {
+            !dropped
+        };
+        match msg {
+            NodeMsg::Estimate { sql, reply } => {
+                let class = sql_field(&sql, "class").unwrap_or(0) as usize;
+                let estimate = n.seller.estimate(n.exec_ms[class]);
+                if reply_survives() {
+                    let _ = reply.send(estimate);
+                }
+            }
+            NodeMsg::CallForOffers { class, reply, .. } => {
+                let exec_ms = n.exec_ms[class.index()];
+                let offer = n.seller.offer(class, || exec_ms);
+                if reply_survives() {
+                    let _ = reply.send(offer);
+                }
+            }
+            NodeMsg::Execute { sql, class, reply } => {
+                let query = sql_field(&sql, "q").unwrap_or(u64::MAX);
+                let generation = sql_field(&sql, "gen").unwrap_or(0) as u32;
+                for _ in 0..=usize::from(world.inject_double_exec) {
                     n.executions.push(Execution { query, generation });
                 }
-                n.supply[class] = n.supply[class].saturating_sub(1);
-                let exec_ms = n.exec_ms[class];
-                n.backlog_ms += exec_ms;
-                let _ = reply.send(ExecReply {
-                    node,
-                    rows: 1,
-                    exec_ms,
-                    error: None,
-                });
-            }
-            SimMsg::Prices { reply } => {
-                let prices = world.nodes[node].prices.clone();
-                let _ = reply.send(PricesReply { node, prices });
-            }
-            SimMsg::Tick => {
-                let n = &mut world.nodes[node];
-                for class in 0..n.prices.len() {
-                    if n.supply[class] > 0 {
-                        n.prices[class] = (n.prices[class] * (1.0 - MU)).max(PRICE_FLOOR);
-                    }
+                let exec_ms = n.exec_ms[class.index()];
+                n.seller.accept(class, exec_ms);
+                n.running.push(exec_ms);
+                if reply_survives() {
+                    let _ = reply.send(ExecReply {
+                        node,
+                        rows: 1,
+                        exec_ms,
+                        error: None,
+                    });
                 }
-                n.tick_supply();
-                n.backlog_ms = 0.0;
             }
+            NodeMsg::DumpPrices { reply } => {
+                let prices = n.seller.prices();
+                if reply_survives() {
+                    let _ = reply.send(prices);
+                }
+            }
+            NodeMsg::PeriodTick => {
+                for exec_ms in n.running.drain(..) {
+                    n.seller.executed(exec_ms, exec_ms, true);
+                }
+                let since_last_us = (world.stats.steps - n.ticked_at) * STEP_US;
+                n.ticked_at = world.stats.steps;
+                let costs = n.costs();
+                n.seller.tick(since_last_us as f64 / 1e3, |_| costs);
+            }
+            // `send` turns a shutdown into a crash; none is ever parked.
+            NodeMsg::Shutdown => {}
         }
-    }
-
-    fn post(&self, phase: &'static str, node: usize, msg: SimMsg) -> Result<(), ClusterError> {
-        let mut world = self.world.lock().unwrap();
-        if world.nodes[node].crashed {
-            return Err(ClusterError::ChannelClosed { phase, node });
-        }
-        world.inflight.push(InFlight { node, msg });
-        Ok(())
-    }
-
-    fn class_of(sql: &str) -> usize {
-        sql_field(sql, "class").unwrap_or(0) as usize
-    }
-}
-
-impl SimNodeState {
-    /// Period boundary: refills supply to the per-period level inferred
-    /// from the starting configuration (uniform across classes). Returns
-    /// the fresh supply vector.
-    fn tick_supply(&mut self) -> Vec<u32> {
-        let level = self.period_supply_level;
-        for s in &mut self.supply {
-            *s = level;
-        }
-        self.supply.clone()
     }
 }
 
@@ -560,60 +408,18 @@ impl Transport for SimTransport {
         self.world.lock().unwrap().nodes.len()
     }
 
-    fn estimate(
-        &self,
-        node: usize,
-        sql: &str,
-        reply: Sender<EstimateReply>,
-    ) -> Result<(), ClusterError> {
-        let class = Self::class_of(sql);
-        self.post("estimate", node, SimMsg::Estimate { class, reply })
-    }
-
-    fn call_for_offers(
-        &self,
-        node: usize,
-        class: ClassId,
-        _sql: &str,
-        reply: Sender<OfferReply>,
-    ) -> Result<(), ClusterError> {
-        self.post(
-            "offer",
-            node,
-            SimMsg::Offer {
-                class: class.0 as usize,
-                reply,
-            },
-        )
-    }
-
-    fn execute(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<ExecReply>,
-    ) -> Result<(), ClusterError> {
-        let query = sql_field(sql, "q").unwrap_or(u64::MAX);
-        let generation = sql_field(sql, "gen").unwrap_or(0) as u32;
-        self.post(
-            "execute",
-            node,
-            SimMsg::Execute {
-                class: class.0 as usize,
-                query,
-                generation,
-                reply,
-            },
-        )
-    }
-
-    fn period_tick(&self, node: usize) -> Result<(), ClusterError> {
-        self.post("tick", node, SimMsg::Tick)
-    }
-
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError> {
-        self.post("prices", node, SimMsg::Prices { reply })
+    fn send(&self, node: usize, msg: NodeMsg) -> Result<(), ClusterError> {
+        if let NodeMsg::Shutdown = msg {
+            self.shutdown_node(node);
+            return Ok(());
+        }
+        let mut world = self.world.lock().unwrap();
+        if world.nodes[node].crashed {
+            let phase = msg.phase();
+            return Err(ClusterError::ChannelClosed { phase, node });
+        }
+        world.inflight.push(InFlight { node, msg });
+        Ok(())
     }
 
     fn shutdown_node(&self, node: usize) {
@@ -625,5 +431,82 @@ impl Transport for SimTransport {
     fn shutdown(&self) {
         let mut world = self.world.lock().unwrap();
         world.inflight.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qa_simnet::sched::RandomSchedule;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    /// `drain` is `step`'s delivery under benign choices: everything in
+    /// flight arrives, every reply comes back, and the schedule is never
+    /// asked — so a post-run audit cannot perturb the trail it audits.
+    #[test]
+    fn drain_delivers_everything_and_consumes_no_choice_point() {
+        let schedule = SharedSchedule::new(Box::new(RandomSchedule::new(5)));
+        let market =
+            crate::qant_config_for(crate::ClusterMechanism::QaNt, Duration::from_millis(40));
+        let net = SimTransport::new(3, 2, market, 0, schedule.clone(), Telemetry::disabled());
+        let class = ClassId(1);
+        let (estimates, estimate_rx) = channel();
+        let (offers, offer_rx) = channel();
+        let (execs, exec_rx) = channel();
+        let (prices, price_rx) = channel();
+        let post = |node: usize| {
+            let (sql, reply) = (encode_sql(9, 0, class), estimates.clone());
+            net.send(node, NodeMsg::Estimate { sql, reply }).unwrap();
+            let (sql, reply) = (encode_sql(9, 0, class), offers.clone());
+            net.send(node, NodeMsg::CallForOffers { class, sql, reply })
+                .unwrap();
+            let (sql, reply) = (encode_sql(9, 0, class), execs.clone());
+            net.send(node, NodeMsg::Execute { sql, class, reply })
+                .unwrap();
+            net.send(node, NodeMsg::PeriodTick).unwrap();
+            let reply = prices.clone();
+            net.send(node, NodeMsg::DumpPrices { reply }).unwrap();
+        };
+        // A few adversarial steps first (drops, no crash budget), so the
+        // trail is not empty.
+        post(0);
+        for _ in 0..3 {
+            net.step();
+        }
+        (0..3).for_each(post);
+        let in_flight = net.pending_messages();
+        assert!(in_flight >= 12, "only {in_flight} messages in flight");
+        let (trail, described, before) =
+            (schedule.trail_string(), schedule.describe(), net.stats());
+
+        net.drain();
+
+        assert_eq!(net.pending_messages(), 0);
+        assert_eq!(
+            schedule.trail_string(),
+            trail,
+            "drain consumed a choice point"
+        );
+        assert_eq!(schedule.describe(), described);
+        let after = net.stats();
+        assert_eq!(after.delivered - before.delivered, in_flight as u64);
+        assert_eq!(after.dropped_replies, before.dropped_replies);
+        assert_eq!(after.crash_steps, before.crash_steps);
+        // Each of the three nodes answered the drained requests (the
+        // adversarial prefix may have added node 0's answers on top).
+        for (what, got) in [
+            ("estimates", estimate_rx.try_iter().count()),
+            ("offers", offer_rx.try_iter().count()),
+            ("executions", exec_rx.try_iter().count()),
+            ("price dumps", price_rx.try_iter().count()),
+        ] {
+            assert!((3..=4).contains(&got), "{got} {what} came back");
+        }
+        // The tick retired the execution it followed: nothing is backlogged.
+        for node in net.node_states() {
+            assert_eq!(node.seller.backlog_ms(), 0.0, "node {}", node.id);
+            assert!(!node.executions.is_empty(), "node {}", node.id);
+        }
     }
 }

@@ -12,12 +12,13 @@
 //!
 //! ## Contract
 //!
-//! Request methods (`estimate`, `call_for_offers`, `execute`,
-//! `dump_prices`) are **asynchronous sends**: the reply arrives on the
-//! `Sender` the caller passed, or never does. The driver's loss-tolerant
-//! collection deadline is the only completion guarantee — exactly the
-//! semantics the in-process fleet always had, which is what makes the two
-//! implementations observationally interchangeable:
+//! [`Transport::send`] carries one [`NodeMsg`] — the same request enum
+//! whatever lies underneath — and is an **asynchronous send**: the reply
+//! arrives on the `Sender` inside the message, or never does. The
+//! driver's loss-tolerant collection deadline is the only completion
+//! guarantee — exactly the semantics the in-process fleet always had,
+//! which is what makes the two implementations observationally
+//! interchangeable:
 //!
 //! * a reply that will never come (fault-dropped, peer dead) surfaces as
 //!   either a disconnected `Receiver` or a collection timeout;
@@ -37,7 +38,6 @@ use crate::error::ClusterError;
 use crate::node::{EstimateReply, ExecReply, NodeHandle, NodeMsg, OfferReply, PricesReply};
 use qa_net::{ConnConfig, Connection, NetError, WireMsg};
 use qa_simnet::telemetry::Telemetry;
-use qa_workload::ClassId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -55,52 +55,13 @@ pub trait Transport: Send + Sync {
     /// Fleet size (dead peers included — indices are stable).
     fn num_nodes(&self) -> usize;
 
-    /// Greedy's estimate poll.
+    /// Posts `msg` to `node`; see the module docs for what becomes of the
+    /// reply.
     ///
     /// # Errors
-    /// [`ClusterError`] when the send itself fails (peer dead).
-    fn estimate(
-        &self,
-        node: usize,
-        sql: &str,
-        reply: Sender<EstimateReply>,
-    ) -> Result<(), ClusterError>;
-
-    /// QA-NT's call-for-offers.
-    ///
-    /// # Errors
-    /// [`ClusterError`] when the send itself fails (peer dead).
-    fn call_for_offers(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<OfferReply>,
-    ) -> Result<(), ClusterError>;
-
-    /// Executes an accepted assignment.
-    ///
-    /// # Errors
-    /// [`ClusterError`] when the send itself fails (peer dead).
-    fn execute(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<ExecReply>,
-    ) -> Result<(), ClusterError>;
-
-    /// Announces a QA-NT period boundary.
-    ///
-    /// # Errors
-    /// [`ClusterError`] when the send itself fails (peer dead).
-    fn period_tick(&self, node: usize) -> Result<(), ClusterError>;
-
-    /// Requests the node's current per-class price vector.
-    ///
-    /// # Errors
-    /// [`ClusterError`] when the send itself fails (peer dead).
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError>;
+    /// [`ClusterError`] (its phase is [`NodeMsg::phase`]) when the send
+    /// itself fails (peer dead).
+    fn send(&self, node: usize, msg: NodeMsg) -> Result<(), ClusterError>;
 
     /// Terminates one node (crash injection / targeted shutdown). Best
     /// effort; a node that is already gone is not an error.
@@ -148,12 +109,6 @@ impl ChannelTransport {
             handles: Mutex::new(nodes),
         }
     }
-
-    fn send(&self, phase: &'static str, node: usize, msg: NodeMsg) -> Result<(), ClusterError> {
-        self.senders[node]
-            .send(msg)
-            .map_err(|_| ClusterError::ChannelClosed { phase, node })
-    }
 }
 
 impl Transport for ChannelTransport {
@@ -161,64 +116,11 @@ impl Transport for ChannelTransport {
         self.senders.len()
     }
 
-    fn estimate(
-        &self,
-        node: usize,
-        sql: &str,
-        reply: Sender<EstimateReply>,
-    ) -> Result<(), ClusterError> {
-        self.send(
-            "estimate",
-            node,
-            NodeMsg::Estimate {
-                sql: sql.to_string(),
-                reply,
-            },
-        )
-    }
-
-    fn call_for_offers(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<OfferReply>,
-    ) -> Result<(), ClusterError> {
-        self.send(
-            "offer",
-            node,
-            NodeMsg::CallForOffers {
-                class,
-                sql: sql.to_string(),
-                reply,
-            },
-        )
-    }
-
-    fn execute(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<ExecReply>,
-    ) -> Result<(), ClusterError> {
-        self.send(
-            "execute",
-            node,
-            NodeMsg::Execute {
-                sql: sql.to_string(),
-                class,
-                reply,
-            },
-        )
-    }
-
-    fn period_tick(&self, node: usize) -> Result<(), ClusterError> {
-        self.send("tick", node, NodeMsg::PeriodTick)
-    }
-
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError> {
-        self.send("prices", node, NodeMsg::DumpPrices { reply })
+    fn send(&self, node: usize, msg: NodeMsg) -> Result<(), ClusterError> {
+        let phase = msg.phase();
+        self.senders[node]
+            .send(msg)
+            .map_err(|_| ClusterError::ChannelClosed { phase, node })
     }
 
     fn shutdown_node(&self, node: usize) {
@@ -344,16 +246,6 @@ impl TcpTransport {
         }
     }
 
-    fn send(&self, phase: &'static str, node: usize, msg: WireMsg) -> Result<(), ClusterError> {
-        let peer = &self.peers[node];
-        let guard = peer.conn.lock().unwrap();
-        let conn = guard.as_ref().ok_or_else(|| {
-            ClusterError::net(phase, node, peer.state.addr.clone(), NetError::PeerClosed)
-        })?;
-        conn.send(msg)
-            .map_err(|e| ClusterError::net(phase, node, peer.state.addr.clone(), e))
-    }
-
     /// Requests one node's metrics-registry snapshot (the fleet stats
     /// scrape). Answered by the `qad` session loop directly — never the
     /// node worker — so a saturated market still reports its stats.
@@ -361,39 +253,35 @@ impl TcpTransport {
     /// # Errors
     /// [`ClusterError`] when the send itself fails (peer dead).
     pub fn request_stats(&self, node: usize, reply: Sender<NodeStats>) -> Result<(), ClusterError> {
-        self.request("stats", node, Pending::Stats(reply), |token| {
-            WireMsg::StatsRequest { token }
-        })
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let wire = WireMsg::StatsRequest { token };
+        self.post("stats", node, token, wire, Some(Pending::Stats(reply)))
     }
 
-    /// Registers the reply slot under a fresh token, then sends. On a
-    /// failed send the slot is withdrawn again so the map cannot leak.
-    fn request(
+    /// Parks the frame's reply slot, if it has one, under `token`, then
+    /// sends. On a failed send the slot is withdrawn again so the map
+    /// cannot leak.
+    fn post(
         &self,
         phase: &'static str,
         node: usize,
-        pending: Pending,
-        make_msg: impl FnOnce(u64) -> WireMsg,
+        token: u64,
+        wire: WireMsg,
+        slot: Option<Pending>,
     ) -> Result<(), ClusterError> {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.peers[node]
-            .state
-            .pending
-            .lock()
-            .unwrap()
-            .insert(token, (pending, Instant::now()));
-        match self.send(phase, node, make_msg(token)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.peers[node]
-                    .state
-                    .pending
-                    .lock()
-                    .unwrap()
-                    .remove(&token);
-                Err(e)
-            }
+        let peer = &self.peers[node];
+        if let Some(slot) = slot {
+            let mut parked = peer.state.pending.lock().unwrap();
+            parked.insert(token, (slot, Instant::now()));
         }
+        let sent = match peer.conn.lock().unwrap().as_ref() {
+            Some(conn) => conn.send(wire),
+            None => Err(NetError::PeerClosed),
+        };
+        sent.map_err(|e| {
+            peer.state.pending.lock().unwrap().remove(&token);
+            ClusterError::net(phase, node, peer.state.addr.clone(), e)
+        })
     }
 }
 
@@ -402,64 +290,39 @@ impl Transport for TcpTransport {
         self.peers.len()
     }
 
-    fn estimate(
-        &self,
-        node: usize,
-        sql: &str,
-        reply: Sender<EstimateReply>,
-    ) -> Result<(), ClusterError> {
-        let sql = sql.to_string();
-        self.request("estimate", node, Pending::Estimate(reply), |token| {
-            WireMsg::Estimate { token, sql }
-        })
-    }
-
-    fn call_for_offers(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<OfferReply>,
-    ) -> Result<(), ClusterError> {
-        let sql = sql.to_string();
-        self.request("offer", node, Pending::Offer(reply), |token| {
-            WireMsg::CallForOffers {
-                token,
-                class: class.0,
-                sql,
+    fn send(&self, node: usize, msg: NodeMsg) -> Result<(), ClusterError> {
+        let phase = msg.phase();
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let (wire, slot) = match msg {
+            NodeMsg::Estimate { sql, reply } => (
+                WireMsg::Estimate { token, sql },
+                Some(Pending::Estimate(reply)),
+            ),
+            NodeMsg::CallForOffers { class, sql, reply } => {
+                let class = class.0;
+                (
+                    WireMsg::CallForOffers { token, class, sql },
+                    Some(Pending::Offer(reply)),
+                )
             }
-        })
-    }
-
-    fn execute(
-        &self,
-        node: usize,
-        class: ClassId,
-        sql: &str,
-        reply: Sender<ExecReply>,
-    ) -> Result<(), ClusterError> {
-        let sql = sql.to_string();
-        self.request("execute", node, Pending::Exec(reply), |token| {
-            WireMsg::Execute {
-                token,
-                class: class.0,
-                sql,
+            NodeMsg::Execute { sql, class, reply } => {
+                let class = class.0;
+                (
+                    WireMsg::Execute { token, class, sql },
+                    Some(Pending::Exec(reply)),
+                )
             }
-        })
-    }
-
-    fn period_tick(&self, node: usize) -> Result<(), ClusterError> {
-        self.send("tick", node, WireMsg::PeriodTick)
-    }
-
-    fn dump_prices(&self, node: usize, reply: Sender<PricesReply>) -> Result<(), ClusterError> {
-        self.request("prices", node, Pending::Prices(reply), |token| {
-            WireMsg::DumpPrices { token }
-        })
+            NodeMsg::DumpPrices { reply } => {
+                (WireMsg::DumpPrices { token }, Some(Pending::Prices(reply)))
+            }
+            NodeMsg::PeriodTick => (WireMsg::PeriodTick, None),
+            NodeMsg::Shutdown => (WireMsg::Shutdown, None),
+        };
+        self.post(phase, node, token, wire, slot)
     }
 
     fn shutdown_node(&self, node: usize) {
-        let _ = self.send("shutdown", node, WireMsg::Shutdown);
+        let _ = self.send(node, NodeMsg::Shutdown);
         let conn = self.peers[node].conn.lock().unwrap().take();
         if let Some(c) = conn {
             c.close();

@@ -443,13 +443,6 @@ impl NonTatonnementPricer {
     pub fn rejections(&self, k: usize) -> u64 {
         self.rejections[k]
     }
-
-    /// `true` when the node should consider the system overloaded: §5.1
-    /// suggests tracking prices and engaging QA-NT's supply restriction
-    /// "only ... if they are above a specific threshold".
-    pub fn any_price_above(&self, threshold: f64) -> bool {
-        self.prices.iter().any(|(_, p)| p > threshold)
-    }
 }
 
 /// Checks rule 1 of Definition 4 (feasibility): after the proposed
@@ -692,16 +685,6 @@ mod tests {
         let before = p.prices().clone();
         p.on_period_end(&qv(&[0, 0, 0]));
         assert_eq!(p.prices(), &before);
-    }
-
-    #[test]
-    fn overload_detection_threshold() {
-        let mut p = NonTatonnementPricer::new(2, PricerConfig::default());
-        assert!(!p.any_price_above(2.0));
-        for _ in 0..10 {
-            p.on_rejection(1);
-        }
-        assert!(p.any_price_above(2.0));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! transport as typed errors and prompt receiver disconnects, never as a
 //! hang that waits out the idle-death timer or the pending-reply TTL.
 
-use query_markets::cluster::{ClusterError, TcpTransport, Transport};
+use query_markets::cluster::node::EstimateReply;
+use query_markets::cluster::{ClusterError, NodeMsg, TcpTransport, Transport};
 use query_markets::net::{
     recv_msg, send_msg, write_frame, ConnConfig, NetError, WireMsg, MAX_FRAME,
 };
@@ -75,6 +76,11 @@ fn serve(stream: &mut TcpStream, mis: Misbehaviour) {
     }
 }
 
+fn estimate(sql: &str, reply: mpsc::Sender<EstimateReply>) -> NodeMsg {
+    let sql = sql.to_string();
+    NodeMsg::Estimate { sql, reply }
+}
+
 fn connect(addr: &str) -> TcpTransport {
     let cfg = ConnConfig::default();
     TcpTransport::connect(&[addr.to_string()], &cfg, &Telemetry::disabled()).expect("connect")
@@ -87,7 +93,9 @@ fn mangled_frame_fails_fast_with_typed_source_chain() {
         let transport = connect(&addr);
 
         let (tx, rx) = mpsc::channel();
-        transport.estimate(0, "SELECT 1", tx).expect("send ok");
+        transport
+            .send(0, estimate("SELECT 1", tx))
+            .expect("send ok");
 
         // The mangled reply must kill the connection and disconnect the
         // parked receiver well before the 15 s idle-death deadline (the
@@ -104,7 +112,7 @@ fn mangled_frame_fails_fast_with_typed_source_chain() {
         // immediately and the error is typed all the way down.
         let (tx2, _rx2) = mpsc::channel();
         let err = transport
-            .estimate(0, "SELECT 2", tx2)
+            .send(0, estimate("SELECT 2", tx2))
             .expect_err("connection must be dead");
         match &err {
             ClusterError::Net {
@@ -148,7 +156,9 @@ fn disconnect_fails_pending_requests_immediately() {
         let transport = connect(&addr);
 
         let (tx, rx) = mpsc::channel();
-        transport.estimate(0, "SELECT 1", tx).expect("send ok");
+        transport
+            .send(0, estimate("SELECT 1", tx))
+            .expect("send ok");
         // Give the request time to actually reach the server, so the
         // pending slot is genuinely outstanding when we disconnect.
         std::thread::sleep(Duration::from_millis(50));
