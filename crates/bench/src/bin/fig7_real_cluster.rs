@@ -41,8 +41,8 @@ fn main() {
             )
         }
         Scale::Full => {
-            let rows = ClusterConfig::paper_scale(ClusterMechanism::Greedy, 0, 30).rows_per_table;
-            let spec = ClusterSpec::paper(2007, rows);
+            // 50 000 rows per base table: the paper's 1 GB, scaled down.
+            let spec = ClusterSpec::paper(2007, 50_000);
             (
                 spec,
                 vec![

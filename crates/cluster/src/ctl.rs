@@ -22,7 +22,7 @@
 //! the scrape on an interval, one JSON line per round.
 
 use crate::driver::run_workload;
-use crate::node::{NodeMsg, PricesReply};
+use crate::node::{NodeMsg, PricesReply, Reply};
 use crate::qad::FedConfig;
 use crate::transport::{NodeStats, TcpTransport, Transport};
 use crate::ClusterError;
@@ -209,7 +209,7 @@ fn read_announcements(
 pub fn collect_prices(transport: &dyn Transport, timeout: Duration) -> Vec<Option<PricesReply>> {
     (0..transport.num_nodes())
         .map(|n| {
-            let (reply, rx) = channel();
+            let (reply, rx) = Reply::channel();
             transport.send(n, NodeMsg::DumpPrices { reply }).ok()?;
             rx.recv_timeout(timeout).ok()
         })
@@ -238,7 +238,7 @@ fn prices_json(prices: &[Option<PricesReply>]) -> Json {
 pub fn collect_stats(transport: &TcpTransport, timeout: Duration) -> Vec<Option<NodeStats>> {
     (0..transport.num_nodes())
         .map(|n| {
-            let (tx, rx) = channel();
+            let (tx, rx) = Reply::channel();
             if transport.request_stats(n, tx).is_err() {
                 return None;
             }

@@ -19,22 +19,24 @@
 //! whose mailbox disconnects (crash injection via
 //! [`ClusterConfig::crashes`], or a dead worker) is routed around, and
 //! failed attempts retry with capped exponential backoff within
-//! [`ClusterConfig::max_retries`]. Those rules are [`crate::protocol`]'s;
-//! this module gives them threads, clocks and a [`Transport`]. All
+//! [`ClusterConfig::max_retries`]. Those rules are [`crate::protocol`]'s,
+//! carried out by the [`crate::episode`] shell; this module gives that
+//! shell a clock, the workload and a [`Transport`]. All
 //! environmental failures surface as [`ClusterError`] values in the
 //! per-query outcomes — the request, offer and execute paths never panic.
 
+use crate::episode::{Episode, Timer, Wait};
 use crate::error::ClusterError;
-use crate::node::{spawn_node, ExecReply, NodeHandle, NodeMsg};
-use crate::protocol::{Action, Bid, Event, Outcome, QueryProtocol};
+use crate::node::{spawn_node, NodeHandle};
 use crate::setup::ClusterSpec;
-use crate::transport::{fan_out, ChannelTransport, Transport};
+use crate::transport::{ChannelTransport, Transport};
 use qa_core::QantConfig;
-use qa_simnet::telemetry::{HistogramHandle, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{DetRng, FaultPlan, SimDuration};
 use qa_workload::ClassId;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::collections::BTreeSet;
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,8 +76,6 @@ pub struct ClusterConfig {
     pub mean_interarrival: Duration,
     /// QA-NT market period (paper: 500 ms; scale with the workload).
     pub period: Duration,
-    /// Rows per base table (scale).
-    pub rows_per_table: usize,
     /// The mechanism under test.
     pub mechanism: ClusterMechanism,
     /// Maximum resubmissions before giving up on a query (QA-NT
@@ -107,7 +107,6 @@ impl ClusterConfig {
             num_queries: 40,
             mean_interarrival: Duration::from_millis(5),
             period: Duration::from_millis(40),
-            rows_per_table: 80,
             mechanism,
             max_retries: 100,
             reply_timeout: Duration::from_secs(60),
@@ -130,7 +129,6 @@ impl ClusterConfig {
             num_queries: 300,
             mean_interarrival: Duration::from_millis(mean_interarrival_ms),
             period: Duration::from_millis(100),
-            rows_per_table: 50_000,
             mechanism,
             max_retries: 2_000,
             reply_timeout: Duration::from_secs(60),
@@ -142,7 +140,7 @@ impl ClusterConfig {
 }
 
 /// Per-query measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryOutcome {
     /// Query index in issue order.
     pub query: usize,
@@ -195,57 +193,6 @@ qa_simnet::impl_to_json!(ExperimentResult {
     failed,
     completion_rate
 });
-
-/// Driver-side latency histograms, resolved once per run from the
-/// telemetry registry (`None` without one). These go to the *registry
-/// only* — never the event stream — so enabling them cannot perturb
-/// trace byte-determinism.
-struct DriverMetrics {
-    /// Issue-to-assignment latency per query (ms).
-    assign_ms: HistogramHandle,
-    /// Issue-to-result latency per query (ms).
-    total_ms: HistogramHandle,
-    /// One negotiation round trip: fan-out to last collected reply (ms).
-    rpc_ms: HistogramHandle,
-}
-
-impl DriverMetrics {
-    fn resolve(telemetry: &Telemetry) -> Option<DriverMetrics> {
-        let r = telemetry.registry()?;
-        Some(DriverMetrics {
-            assign_ms: r.histogram("driver.assign_ms"),
-            total_ms: r.histogram("driver.total_ms"),
-            rpc_ms: r.histogram("driver.rpc_ms"),
-        })
-    }
-}
-
-/// State shared by every per-query protocol thread.
-struct Shared {
-    transport: Arc<dyn Transport>,
-    config: ClusterConfig,
-    /// Nodes known to be gone; set by whichever query observes it (see
-    /// [`QueryProtocol::step`]) and by the crash injector.
-    dead: Vec<AtomicBool>,
-    /// Registry-backed latency histograms (`None` without a registry).
-    metrics: Option<DriverMetrics>,
-    /// Wall-clock origin for trace timestamps.
-    epoch: Instant,
-}
-
-impl Shared {
-    /// Stamps the telemetry clock with wall-clock-µs-since-start and
-    /// returns the handle, so call sites read
-    /// `shared.telemetry().emit(..)`. One atomic store when enabled, one
-    /// `Option` branch when not.
-    fn telemetry(&self) -> &Telemetry {
-        let telemetry = &self.config.telemetry;
-        if telemetry.is_enabled() {
-            telemetry.set_now_us(self.epoch.elapsed().as_micros() as u64);
-        }
-        telemetry
-    }
-}
 
 /// Capped exponential backoff between allocation attempts: one period,
 /// doubling per retry, never more than eight periods.
@@ -318,6 +265,12 @@ pub fn run_experiment(
 /// dump post-run price vectors) and owns the final
 /// [`Transport::shutdown`].
 ///
+/// One loop on the caller's thread: it blocks on the [`Episode`]'s inbox
+/// until the next timer is due — an issue time, a period tick, a scheduled
+/// crash, or one of the waits the episode names (reply deadline, back-off,
+/// the execute ceiling) — and hands each arrival and each expired timer to the
+/// episode, which does the rest.
+///
 /// # Errors
 /// Returns [`ClusterError::NoCandidates`] when the spec has no evaluable
 /// query class; per-query environmental failures are recorded in the
@@ -327,68 +280,6 @@ pub fn run_workload(
     config: &ClusterConfig,
     transport: Arc<dyn Transport>,
 ) -> Result<ExperimentResult, ClusterError> {
-    let epoch = Instant::now();
-    let num_nodes = transport.num_nodes();
-    let shared = Arc::new(Shared {
-        transport: Arc::clone(&transport),
-        config: config.clone(),
-        dead: (0..num_nodes).map(|_| AtomicBool::new(false)).collect(),
-        metrics: DriverMetrics::resolve(&config.telemetry),
-        epoch,
-    });
-
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // QA-NT period ticker.
-    let ticker = {
-        let stop = Arc::clone(&stop);
-        let shared = Arc::clone(&shared);
-        let period = config.period;
-        let ticking = matches!(config.mechanism, ClusterMechanism::QaNt);
-        std::thread::spawn(move || {
-            let mut index = 0u64;
-            while ticking && !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
-                index += 1;
-                shared
-                    .telemetry()
-                    .emit(|| TelemetryEvent::PeriodStarted { index });
-                for n in 0..shared.transport.num_nodes() {
-                    let _ = shared.transport.send(n, NodeMsg::PeriodTick);
-                }
-            }
-        })
-    };
-
-    // Crash injector: kills scheduled nodes through the transport —
-    // shutting the mailbox in-process, terminating the remote process
-    // over TCP — exactly like a process death: in-flight replies are lost
-    // and every later send fails. Polls the stop flag so a schedule
-    // reaching past the run's end cannot block teardown.
-    let crash_injector = {
-        let stop = Arc::clone(&stop);
-        let shared = Arc::clone(&shared);
-        let mut crashes = config.crashes.clone();
-        crashes.sort_by_key(|&(_, delay)| delay);
-        std::thread::spawn(move || {
-            for (node, delay) in crashes {
-                while epoch.elapsed() < delay {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                if node < shared.transport.num_nodes() {
-                    shared.dead[node].store(true, Ordering::Relaxed);
-                    shared
-                        .telemetry()
-                        .emit(|| TelemetryEvent::NodeCrashed { node: node as u32 });
-                    shared.transport.shutdown_node(node);
-                }
-            }
-        })
-    };
-
     // Pre-generate the workload: (delay-from-previous, class, sql).
     let mut rng = DetRng::seed_from_u64(config.seed).derive("cluster-workload");
     let usable: Vec<&crate::setup::QueryClassSpec> = spec
@@ -397,9 +288,6 @@ pub fn run_workload(
         .filter(|c| !spec.capable_nodes(c.id).is_empty())
         .collect();
     if usable.is_empty() {
-        stop.store(true, Ordering::Relaxed);
-        let _ = ticker.join();
-        let _ = crash_injector.join();
         return Err(ClusterError::NoCandidates);
     }
     let mean_ms = config.mean_interarrival.as_secs_f64() * 1e3;
@@ -411,31 +299,80 @@ pub fn run_workload(
         })
         .collect();
 
-    // Issue queries on schedule; each runs its protocol on its own thread,
-    // detached so that a finished query's stack is given back while the run
-    // goes on. The outcome channel closing is the join: a thread lets go of
-    // the transport before it reports, so none outlives this call holding it.
-    let (done_tx, done_rx) = channel::<QueryOutcome>();
-    for (i, (gap, class, sql)) in workload.into_iter().enumerate() {
-        std::thread::sleep(gap);
-        let capable = spec.capable_nodes(class);
-        let done = done_tx.clone();
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            let outcome = run_one(i, class, sql, capable, &shared);
-            drop(shared);
-            let _ = done.send(outcome);
-        });
+    let epoch = Instant::now();
+    let num_nodes = transport.num_nodes();
+    let sql = |i: usize, _generation: u32| workload[i].2.clone();
+    let dead: Vec<AtomicBool> = (0..num_nodes).map(|_| AtomicBool::new(false)).collect();
+    let (inbox_tx, inbox) = channel();
+    let mut episode = Episode::new(
+        &*transport,
+        config.mechanism,
+        config.max_retries,
+        &sql,
+        &dead,
+        &config.telemetry,
+        inbox_tx,
+    );
+
+    // The loop's timers, earliest first. Nothing is ever cancelled: the
+    // episode ignores a stale one.
+    let mut wakes: BTreeSet<(Duration, Wake)> = BTreeSet::new();
+    if let Some((gap, ..)) = workload.first() {
+        wakes.insert((*gap, Wake::Issue));
     }
-    drop(done_tx);
+    if config.mechanism == ClusterMechanism::QaNt {
+        wakes.insert((config.period, Wake::Tick(1)));
+    }
+    // Crash offsets are measured from experiment start.
+    for &(node, delay) in config.crashes.iter().filter(|(node, _)| *node < num_nodes) {
+        wakes.insert((delay, Wake::Crash(node)));
+    }
 
-    let mut outcomes: Vec<QueryOutcome> = done_rx.iter().collect();
-    outcomes.sort_by_key(|o| o.query);
+    while episode.finished() < workload.len() {
+        // What has arrived goes first, as a reply in hand always beat its
+        // deadline; then the earliest timer, once due.
+        let due = wakes.first().map_or(Duration::MAX, |&(at, _)| at);
+        let arrived = inbox.recv_timeout(due.saturating_sub(epoch.elapsed()));
+        let now = epoch.elapsed();
+        match arrived {
+            Ok(arrival) => episode.deliver(now, arrival),
+            Err(_) if due > now => {}
+            Err(_) => match wakes.pop_first().map(|(_, wake)| wake) {
+                Some(Wake::Issue) => {
+                    let (_, class, _) = workload[episode.issued()];
+                    episode.issue(now, class, spec.capable_nodes(class));
+                    // The next gap runs from when this issue actually
+                    // happened (the clock is read again, after the
+                    // fan-out), not from its due time — the sleep chain
+                    // the issuing thread used to be — so oversleep
+                    // accumulates and the offered load stays what every
+                    // recorded run measured (about 97 queries/s at a 10 ms
+                    // mean gap, not 100). The same holds for the period
+                    // ticks below.
+                    if let Some((gap, ..)) = workload.get(episode.issued()) {
+                        wakes.insert((epoch.elapsed() + *gap, Wake::Issue));
+                    }
+                }
+                Some(Wake::Tick(index)) => {
+                    episode.tick(now, index);
+                    wakes.insert((epoch.elapsed() + config.period, Wake::Tick(index + 1)));
+                }
+                Some(Wake::Crash(node)) => episode.crash(now, node),
+                Some(Wake::Shell(timer)) => episode.fire(now, timer),
+                None => {}
+            },
+        }
+        for timer in episode.take_timers() {
+            let delay = match timer.wait {
+                Wait::Replies(_) => config.reply_timeout,
+                Wait::Backoff(attempt) => backoff(config.period, attempt),
+                Wait::Execute(_) => EXEC_TIMEOUT,
+            };
+            wakes.insert((now + delay, Wake::Shell(timer)));
+        }
+    }
 
-    stop.store(true, Ordering::Relaxed);
-    let _ = ticker.join();
-    let _ = crash_injector.join();
-
+    let outcomes = episode.into_measurements();
     let ok: Vec<&QueryOutcome> = outcomes.iter().filter(|o| o.error.is_none()).collect();
     let mean = |f: fn(&QueryOutcome) -> f64| {
         if ok.is_empty() {
@@ -459,127 +396,24 @@ pub fn run_workload(
     })
 }
 
-/// Carries out one [`Action::Poll`]: fans `send` out over `nodes` (a send
-/// that fails is reported to `proto` on the spot, as `context`), gathers
-/// the replies under the reply deadline, and returns the closing event.
-fn poll_round<R: Into<Bid>>(
-    shared: &Shared,
-    proto: &mut QueryProtocol,
-    nodes: &[usize],
-    context: &str,
-    send: impl Fn(usize, Sender<R>) -> Result<(), ClusterError>,
-) -> Event {
-    let _span = shared.config.telemetry.span("cluster.poll_round");
-    let started = Instant::now();
-    let (sent, rx) = fan_out(nodes, send, |node| {
-        proto.poll_send_failed(node, context, &shared.dead, shared.telemetry())
-    });
-    // Stops once every successful send has answered, at the deadline, or
-    // when every outstanding reply sender is gone (replies fault-dropped,
-    // node died); missing replies are simply absent (loss tolerance).
-    let deadline = started + shared.config.reply_timeout;
-    let remaining = || deadline.saturating_duration_since(Instant::now());
-    let bids = std::iter::from_fn(|| rx.recv_timeout(remaining()).ok())
-        .take(sent)
-        .map(Into::into)
-        .collect();
-    if let Some(m) = &shared.metrics {
-        m.rpc_ms.observe(started.elapsed().as_secs_f64() * 1e3);
-    }
-    Event::RoundClosed { bids }
-}
-
-/// Runs one query: the blocking shell around its [`QueryProtocol`], which
-/// makes every decision. Environmental failures end up in the outcome;
-/// this function never panics.
-fn run_one(
-    idx: usize,
-    class: ClassId,
-    sql: String,
-    capable: Vec<usize>,
-    shared: &Shared,
-) -> QueryOutcome {
-    let issued = Instant::now();
-    let elapsed_ms = || issued.elapsed().as_secs_f64() * 1e3;
-    let (transport, config) = (&shared.transport, &shared.config);
-    let mut proto = QueryProtocol::new(idx as u64, class, config.max_retries, capable);
-    let mut outcome = QueryOutcome {
-        query: idx,
-        class: class.0,
-        node: None,
-        assign_ms: 0.0,
-        total_ms: 0.0,
-        retries: 0,
-        error: None,
-    };
-    let mut event = Event::Ready;
-    loop {
-        event = match proto.step(event, &shared.dead, shared.telemetry()) {
-            Action::Poll(nodes) => match config.mechanism {
-                ClusterMechanism::Greedy => {
-                    let send = |n, reply| {
-                        let sql = sql.clone();
-                        transport.send(n, NodeMsg::Estimate { sql, reply })
-                    };
-                    poll_round(shared, &mut proto, &nodes, "estimate_send", send)
-                }
-                ClusterMechanism::QaNt => {
-                    let send = |n, reply| {
-                        let sql = sql.clone();
-                        transport.send(n, NodeMsg::CallForOffers { class, sql, reply })
-                    };
-                    poll_round(shared, &mut proto, &nodes, "offer_send", send)
-                }
-            },
-            Action::Backoff { attempt } => {
-                std::thread::sleep(backoff(config.period, attempt));
-                Event::Ready
-            }
-            Action::Execute { node, .. } => {
-                outcome.assign_ms = elapsed_ms();
-                if let Some(m) = &shared.metrics {
-                    m.assign_ms.observe(outcome.assign_ms);
-                }
-                let (reply, rx) = channel::<ExecReply>();
-                let sql = sql.clone();
-                let execute = NodeMsg::Execute { sql, class, reply };
-                if transport.send(node, execute).is_err() {
-                    Event::ExecuteSendFailed
-                } else {
-                    match rx.recv_timeout(EXEC_TIMEOUT) {
-                        Ok(reply) => {
-                            outcome.total_ms = elapsed_ms();
-                            if let Some(m) = &shared.metrics {
-                                m.total_ms.observe(outcome.total_ms);
-                            }
-                            outcome.error = reply.error;
-                            let response_ms = outcome.total_ms;
-                            Event::Executed { response_ms }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => Event::ExecuteLost,
-                        Err(RecvTimeoutError::Timeout) => Event::ExecuteTimedOut,
-                    }
-                }
-            }
-            Action::Done(Outcome::Completed { node, .. }) => {
-                outcome.node = Some(node);
-                break;
-            }
-            Action::Done(Outcome::Unserved(error)) => {
-                outcome.assign_ms = elapsed_ms();
-                outcome.total_ms = outcome.assign_ms;
-                outcome.error = Some(error.to_string());
-                break;
-            }
-        };
-    }
-    outcome.retries = proto.retries();
-    outcome
+/// What [`run_workload`]'s loop wakes up for (wakes due at the same instant
+/// fire in this order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Wake {
+    /// Issue the next query of the workload.
+    Issue,
+    /// Start QA-NT market period number `.0`.
+    Tick(u64),
+    /// Kill this node (the crash schedule).
+    Crash(usize),
+    /// A wait the episode named has run out.
+    Shell(Timer),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_simnet::telemetry::TelemetryEvent;
 
     fn spec() -> ClusterSpec {
         ClusterSpec::generate(5, 5, 8, 12, 6, 60)
@@ -771,5 +605,13 @@ mod tests {
             Err(ClusterError::NoCandidates) => {}
             other => panic!("expected NoCandidates, got {other:?}"),
         }
+        // And it is one before anything is armed: no tick goes out and no
+        // scheduled crash is carried out on the way to the error.
+        let mut cfg = ClusterConfig::ci_scale(ClusterMechanism::QaNt, 23);
+        (cfg.period, cfg.crashes) = (Duration::ZERO, vec![(0, Duration::ZERO)]);
+        let net = Arc::new(crate::episode::fake::FakeTransport::new(5, &[]));
+        let got = run_workload(&s, &cfg, Arc::clone(&net) as Arc<dyn Transport>);
+        assert!(matches!(got, Err(ClusterError::NoCandidates)), "{got:?}");
+        assert_eq!(net.log(), "");
     }
 }

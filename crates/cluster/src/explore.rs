@@ -1,9 +1,9 @@
 //! Model-checking harness for the cluster driver protocol.
 //!
 //! [`run_schedule`] executes one deterministic episode of the allocation
-//! protocol — the same [`QueryProtocol`] machines
-//! [`crate::driver::run_workload`] runs, one per query — against the
-//! [`SimTransport`] virtual network, whose nodes are the sellers
+//! protocol — the [`Episode`] shell [`crate::driver::run_workload`] runs,
+//! over the same [`crate::protocol::QueryProtocol`] machines, one per
+//! query — against the [`SimTransport`] virtual network, whose nodes are the sellers
 //! ([`crate::protocol::NodeProtocol`]) every node thread and `qad` process
 //! runs, under the shipped market configuration, with **every**
 //! nondeterministic decision (which message is delivered, what is dropped,
@@ -31,17 +31,17 @@
 //! schedule's seed or choice trail replays the identical interleaving.
 
 use crate::driver::{qant_config_for, ClusterMechanism};
-use crate::error::ClusterError;
-use crate::node::{ExecReply, NodeMsg};
-use crate::protocol::{Action, Bid, Event, Outcome, QueryProtocol};
+use crate::episode::{Arrival, Episode, Timer, Wait};
+use crate::node::{NodeMsg, Reply};
+use crate::protocol::Outcome;
 use crate::simtransport::{encode_sql, NetStats, SharedSchedule, SimTransport};
-use crate::transport::{fan_out, Transport};
+use crate::transport::Transport;
 use qa_simnet::sched::{ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer};
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_workload::ClassId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
 /// Shape of one explored episode. Small on purpose: model checking pays
@@ -127,147 +127,103 @@ impl ScheduleOutcome {
     }
 }
 
-/// Where a query's shell stands (the protocol state itself lives in its
-/// [`QueryProtocol`]).
-enum Pending {
-    /// The shell is between states (mid-turn placeholder).
-    Idle,
-    /// A poll round is open; the deadline action closes it over the
-    /// replies that have arrived by then.
-    Round(Box<dyn FnOnce() -> Event>),
-    /// An execute is in flight.
-    Execute(Receiver<ExecReply>),
-    /// The execute's fate is known and waits for the schedule to pick the
-    /// harvest.
-    Harvest(Event),
-    Done(Outcome),
-}
-
-/// A shell action whose turn order the schedule controls.
+/// A loop action whose turn order the schedule controls.
 enum Choice {
     /// Let the virtual network take one step.
     Net,
     /// Issue the next query.
     Issue,
-    /// Fire the collection deadline for query `i`.
+    /// Let query `i`'s collection deadline pass: the driver looks at what
+    /// has reached its inbox for the query, then closes the round.
     Deadline(usize),
-    /// Consume query `i`'s parked execute result.
+    /// Let the driver see the fate of query `i`'s execute.
     Harvest(usize),
 }
 
-/// The explorer's shell around the protocol machines: where the threaded
-/// driver blocks on a deadline, sleeps a back-off or waits for an execute
-/// reply, this one hands the turn to the schedule.
-struct Episode<'a> {
+/// The explorer's loop around the [`Episode`] — the shell
+/// [`crate::driver::run_workload`] runs. Where that loop blocks on its
+/// inbox until the next timer, this one lets the schedule say when the
+/// driver gets to look: replies wait in `held` until their query's turn.
+struct Explorer<'a> {
     cfg: &'a ExploreConfig,
     transport: &'a SimTransport,
-    telemetry: &'a Telemetry,
-    /// Nodes the machines have written off (send failed = crash observed).
-    dead: Vec<AtomicBool>,
-    /// The queries issued so far, in issue order.
-    queries: Vec<(QueryProtocol, Pending)>,
+    episode: Episode<'a>,
+    inbox: Receiver<Arrival>,
+    /// Arrivals the driver has not looked at yet, per query.
+    held: Vec<Vec<Arrival>>,
 }
 
-impl Episode<'_> {
-    /// Feeds `event` to query `i`'s machine and carries out what it
-    /// answers, up to the next point where the schedule must choose.
-    fn advance(&mut self, i: usize, mut event: Event) {
-        let class = ClassId((i % self.cfg.num_classes) as u32);
-        let (transport, dead, telemetry) = (self.transport, &self.dead, self.telemetry);
-        let (proto, pending) = &mut self.queries[i];
-        *pending = loop {
-            event = match proto.step(event, dead, telemetry) {
-                Action::Poll(nodes) => {
-                    let sql = || encode_sql(i as u64, 0, class);
-                    break match self.cfg.mechanism {
-                        ClusterMechanism::Greedy => open_round(
-                            &nodes,
-                            |n, reply| transport.send(n, NodeMsg::Estimate { sql: sql(), reply }),
-                            |n| proto.poll_send_failed(n, "estimate_send", dead, telemetry),
-                        ),
-                        ClusterMechanism::QaNt => open_round(
-                            &nodes,
-                            |n, reply| {
-                                let sql = sql();
-                                transport.send(n, NodeMsg::CallForOffers { class, sql, reply })
-                            },
-                            |n| proto.poll_send_failed(n, "offer_send", dead, telemetry),
-                        ),
-                    };
-                }
-                // Virtual time: a back-off elapses at once.
-                Action::Backoff { .. } => Event::Ready,
-                Action::Execute { node, generation } => {
-                    let sql = encode_sql(i as u64, generation, class);
-                    let (reply, rx) = channel();
-                    match transport.send(node, NodeMsg::Execute { sql, class, reply }) {
-                        Ok(()) => break Pending::Execute(rx),
-                        Err(_) => Event::ExecuteSendFailed,
-                    }
-                }
-                Action::Done(outcome) => break Pending::Done(outcome),
-            };
-        };
-    }
-
+impl Explorer<'_> {
     /// Builds the enabled-choice list in a fixed deterministic order.
-    /// Executing queries get their receiver polled here; a ready reply, or
-    /// the certainty that none can arrive, is parked so the harvest stays
-    /// schedulable without consuming it twice.
     fn enabled(&mut self) -> Vec<Choice> {
+        for arrival in self.inbox.try_iter() {
+            self.held[arrival.query].push(arrival);
+        }
         let mut choices = Vec::new();
         if self.transport.pending_messages() > 0 {
             choices.push(Choice::Net);
         }
-        if self.queries.len() < self.cfg.num_queries {
+        if self.episode.issued() < self.cfg.num_queries {
             choices.push(Choice::Issue);
         }
-        for (i, (_, pending)) in self.queries.iter_mut().enumerate() {
-            if let Pending::Execute(rx) = pending {
-                match rx.try_recv() {
-                    Ok(reply) => {
-                        let response_ms = reply.exec_ms;
-                        *pending = Pending::Harvest(Event::Executed { response_ms });
-                    }
-                    // A lost reply is indistinguishable from a crashed
-                    // assignee.
-                    Err(TryRecvError::Disconnected) => {
-                        *pending = Pending::Harvest(Event::ExecuteLost);
-                    }
-                    Err(TryRecvError::Empty) => {}
+        for (i, held) in self.held.iter().enumerate() {
+            match self.episode.waiting_on(i) {
+                Some(Wait::Replies(_)) => choices.push(Choice::Deadline(i)),
+                // The execute's fate is known and waits for the schedule
+                // to pick the harvest.
+                Some(execute) if held.iter().any(|a| a.wait == execute) => {
+                    choices.push(Choice::Harvest(i));
                 }
-            }
-            match pending {
-                Pending::Round(_) => choices.push(Choice::Deadline(i)),
-                Pending::Harvest(_) => choices.push(Choice::Harvest(i)),
                 _ => {}
             }
         }
         choices
     }
 
-    /// `(query, outcome)` of every finished query.
-    fn outcomes(&self) -> impl Iterator<Item = (usize, &Outcome)> {
-        let slots = self.queries.iter().enumerate();
-        slots.filter_map(|(i, (_, pending))| match pending {
-            Pending::Done(outcome) => Some((i, outcome)),
-            _ => None,
-        })
+    /// Carries out one choice. Of the timers the episode names, only the
+    /// round deadline is a choice point; a back-off elapses at once
+    /// (virtual time), and no execute times out — its reply arrives or is
+    /// lost.
+    fn take(&mut self, choice: Choice) {
+        // Virtual time: one millisecond per network step.
+        let now = Duration::from_millis(self.transport.stats().steps);
+        match choice {
+            Choice::Net => {
+                self.transport.step();
+            }
+            Choice::Issue => {
+                let i = self.episode.issued();
+                if i > 0 && i.is_multiple_of(self.cfg.tick_every) {
+                    self.episode.tick(now, (i / self.cfg.tick_every) as u64);
+                }
+                let class = ClassId((i % self.cfg.num_classes) as u32);
+                // The cost table lets every node evaluate every class.
+                let capable = (0..self.cfg.num_nodes).collect();
+                self.held.push(Vec::new());
+                self.episode.issue(now, class, capable);
+            }
+            Choice::Deadline(i) | Choice::Harvest(i) => {
+                let wait = self.episode.waiting_on(i);
+                for arrival in std::mem::take(&mut self.held[i]) {
+                    self.episode.deliver(now, arrival);
+                }
+                // A round its last arrival closed just now ignores this.
+                if let Some(wait @ Wait::Replies(_)) = wait {
+                    self.episode.fire(now, Timer { query: i, wait });
+                }
+            }
+        }
+        loop {
+            let timers = self.episode.take_timers();
+            if timers.is_empty() {
+                break;
+            }
+            let backoffs = |t: &Timer| matches!(t.wait, Wait::Backoff(_));
+            for timer in timers.into_iter().filter(backoffs) {
+                self.episode.fire(now, timer);
+            }
+        }
     }
-}
-
-/// Fans a poll out over `nodes`, reporting each failed send to `failed`, and
-/// parks the round until its deadline.
-fn open_round<R: Into<Bid> + 'static>(
-    nodes: &[usize],
-    send: impl Fn(usize, Sender<R>) -> Result<(), ClusterError>,
-    failed: impl FnMut(usize),
-) -> Pending {
-    let (_, rx) = fan_out(nodes, send, failed);
-    Pending::Round(Box::new(move || {
-        let bids = rx.try_iter().map(Into::into).collect();
-        Event::RoundClosed { bids }
-    }))
 }
 
 /// Runs one episode under `schedule` and audits the invariants. The
@@ -296,19 +252,33 @@ pub fn run_schedule(
         transport.inject_double_exec();
     }
 
-    // The cost table lets every node evaluate every class.
-    let capable: Vec<usize> = (0..cfg.num_nodes).collect();
-    let mut episode = Episode {
+    // Query identity crosses the transport seam in the SQL text.
+    let sql = |i: usize, generation: u32| {
+        encode_sql(i as u64, generation, ClassId((i % cfg.num_classes) as u32))
+    };
+    // Nodes the machines have written off (send failed = crash observed).
+    let dead: Vec<AtomicBool> = (0..cfg.num_nodes).map(|_| AtomicBool::new(false)).collect();
+    let (inbox_tx, inbox) = channel();
+    let mechanism = cfg.mechanism;
+    let mut explorer = Explorer {
         cfg,
         transport: &transport,
-        telemetry,
-        dead: (0..cfg.num_nodes).map(|_| AtomicBool::new(false)).collect(),
-        queries: Vec::new(),
+        episode: Episode::new(
+            &transport,
+            mechanism,
+            cfg.max_retries,
+            &sql,
+            &dead,
+            telemetry,
+            inbox_tx,
+        ),
+        inbox,
+        held: Vec::new(),
     };
 
     let mut actions = 0u64;
-    while episode.outcomes().count() < cfg.num_queries && actions < cfg.max_actions {
-        let enabled = episode.enabled();
+    while explorer.episode.finished() < cfg.num_queries && actions < cfg.max_actions {
+        let mut enabled = explorer.enabled();
         if enabled.is_empty() {
             // Unreachable by construction (a non-done query always has a
             // deadline, a harvest, or an in-flight message) — but a model
@@ -317,33 +287,10 @@ pub fn run_schedule(
             break;
         }
         actions += 1;
-        match enabled[shared.choose("action", enabled.len())] {
-            Choice::Net => {
-                transport.step();
-            }
-            Choice::Issue => {
-                let i = episode.queries.len();
-                if i > 0 && i.is_multiple_of(cfg.tick_every) {
-                    // Like the threaded ticker: every node, dead or not.
-                    for node in 0..cfg.num_nodes {
-                        let _ = transport.send(node, NodeMsg::PeriodTick);
-                    }
-                }
-                let class = ClassId((i % cfg.num_classes) as u32);
-                let proto = QueryProtocol::new(i as u64, class, cfg.max_retries, capable.clone());
-                episode.queries.push((proto, Pending::Idle));
-                episode.advance(i, Event::Ready);
-            }
-            Choice::Deadline(i) | Choice::Harvest(i) => {
-                let event = match std::mem::replace(&mut episode.queries[i].1, Pending::Idle) {
-                    Pending::Round(close) => close(),
-                    Pending::Harvest(event) => event,
-                    _ => unreachable!("enabled without a round or a parked result"),
-                };
-                episode.advance(i, event);
-            }
-        }
+        let pick = shared.choose("action", enabled.len());
+        explorer.take(enabled.swap_remove(pick));
     }
+    let episode = explorer.episode;
 
     let mut violations = check_invariants(cfg, &episode, &transport, actions);
     for v in &violations {
@@ -361,7 +308,7 @@ pub fn run_schedule(
         .outcomes()
         .filter(|(_, o)| matches!(o, Outcome::Completed { .. }))
         .count() as u64;
-    let unserved = episode.outcomes().count() as u64 - completed;
+    let unserved = episode.finished() as u64 - completed;
     let net = transport.stats();
     let description = shared.describe();
     drop(episode);
@@ -390,7 +337,7 @@ fn check_invariants(
     let mut violations = Vec::new();
 
     // 4. Termination under the (virtual) watchdog.
-    let unfinished = cfg.num_queries - episode.outcomes().count();
+    let unfinished = cfg.num_queries - episode.finished();
     if unfinished > 0 {
         violations.push(Violation {
             invariant: "termination",
@@ -457,7 +404,7 @@ fn check_invariants(
     // sane, stable across dumps, and identical to the node's internal
     // state (nodes were recovered and the network drained above).
     let dump = |node: usize| -> Option<Vec<f64>> {
-        let (reply, rx) = channel();
+        let (reply, rx) = Reply::channel();
         transport.send(node, NodeMsg::DumpPrices { reply }).ok()?;
         transport.drain();
         rx.try_recv().ok().map(|p| p.prices)

@@ -8,7 +8,9 @@
 //!
 //! This crate is the open equivalent: five OS threads, each owning a live
 //! [`qa_minidb::Database`] instance, exchanging messages over
-//! `std::sync::mpsc` channels. Heterogeneity comes from per-node slowdown factors (the
+//! `std::sync::mpsc` channels with one driver loop on the caller's thread
+//! that multiplexes every query of the run over a single inbox.
+//! Heterogeneity comes from per-node slowdown factors (the
 //! paper's 1.3–3.06 GHz spread, where the same query took 1 s on the
 //! fastest and 14 s on the slowest machine) and one high-latency link (the
 //! paper's 54 Mb wireless PC). Because nodes are single-threaded — like a
@@ -30,17 +32,24 @@
 //! * [`node`] — the node thread, the seller's threaded shell: minidb, the
 //!   two-step estimator, the modelled link (optionally lossy) and the
 //!   [`NodeMsg`] mailbox; a `qad` process runs the same thread,
-//! * [`transport`] — `send(node, NodeMsg)` over mailboxes or TCP,
-//! * [`driver`] — the experiment driver: workload replay, the threaded
-//!   shell around the query machine, Figure-7 measurements, crash
-//!   injection and loss-tolerant reply collection,
-//! * [`explore`] — the model-checking shell around the same query machine
+//! * [`transport`] — `send(node, NodeMsg)` over mailboxes or TCP; the
+//!   reply travels back as a [`node::Reply`] inside the request,
+//! * [`episode`] — the driver's shell, once: it carries out what the
+//!   query machines decide, files every reply (answered or lost) under
+//!   its query and round, closes rounds, names the timers it needs, and
+//!   reads no clock,
+//! * [`driver`] — the experiment driver: the workload, and one loop that
+//!   steps the episode from an inbox and a timer list (issue times,
+//!   period ticks, the crash schedule, reply deadlines, back-offs),
+//!   Figure-7 measurements,
+//! * [`explore`] — the model checker: a schedule steps the *same* episode
 //!   and the same sellers over the [`simtransport`] virtual network,
 //! * [`error`] — the [`ClusterError`] taxonomy for environmental failures
 //!   (the protocol paths never panic).
 
 pub mod ctl;
 pub mod driver;
+pub mod episode;
 pub mod error;
 pub mod explore;
 pub mod metrics_http;

@@ -28,6 +28,55 @@ use std::time::{Duration, Instant};
 /// Salt separating each node's fault stream from its price-jitter stream.
 const FAULT_SALT: u64 = 0xFA17_0002;
 
+/// One request's way back to whoever asked. The carrier owns the return
+/// path: answering calls it with `Some(value)` on the answering thread, and
+/// a reply dropped unanswered — a fault draw, a crashed node, a failed
+/// pending table, a schedule's drop — calls it with `None`, so the asker
+/// learns the reply is *lost* at that moment instead of waiting out a
+/// deadline.
+pub struct Reply<T>(Option<Box<dyn FnOnce(Option<T>) + Send>>);
+
+impl<T> Reply<T> {
+    /// A reply that ends in `deliver`: called exactly once, with the answer
+    /// or with `None` when the reply was lost.
+    pub fn new(deliver: impl FnOnce(Option<T>) + Send + 'static) -> Reply<T> {
+        Reply(Some(Box::new(deliver)))
+    }
+
+    /// Answers the request.
+    pub fn send(mut self, value: T) {
+        if let Some(deliver) = self.0.take() {
+            deliver(Some(value));
+        }
+    }
+}
+
+impl<T: Send + 'static> Reply<T> {
+    /// A reply whose answer goes into `tx`; a lost one just lets go of it.
+    pub(crate) fn to(tx: Sender<T>) -> Reply<T> {
+        Reply::new(move |value| {
+            if let Some(value) = value {
+                let _ = tx.send(value);
+            }
+        })
+    }
+
+    /// A reply read from a channel: the receiver yields the answer, or
+    /// disconnects when the reply is lost.
+    pub fn channel() -> (Reply<T>, Receiver<T>) {
+        let (tx, rx) = channel();
+        (Reply::to(tx), rx)
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        if let Some(deliver) = self.0.take() {
+            deliver(None);
+        }
+    }
+}
+
 /// A message to a node: the one request vocabulary every carrier speaks
 /// (mailbox, wire, virtual network).
 pub enum NodeMsg {
@@ -38,7 +87,7 @@ pub enum NodeMsg {
         /// The SQL to estimate.
         sql: String,
         /// Where to send the reply.
-        reply: Sender<EstimateReply>,
+        reply: Reply<EstimateReply>,
     },
     /// QA-NT's call-for-offers.
     CallForOffers {
@@ -47,7 +96,7 @@ pub enum NodeMsg {
         /// The SQL (for the execution-time estimate backing the offer).
         sql: String,
         /// Where to send the reply.
-        reply: Sender<OfferReply>,
+        reply: Reply<OfferReply>,
     },
     /// Execute a query (the accepted assignment).
     Execute {
@@ -56,7 +105,7 @@ pub enum NodeMsg {
         /// Class (for QA-NT supply bookkeeping).
         class: ClassId,
         /// Where to send the result.
-        reply: Sender<ExecReply>,
+        reply: Reply<ExecReply>,
     },
     /// A QA-NT period boundary.
     PeriodTick,
@@ -65,7 +114,7 @@ pub enum NodeMsg {
     /// (`qa-ctl prices`) to inspect a live federation.
     DumpPrices {
         /// Where to send the reply.
-        reply: Sender<PricesReply>,
+        reply: Reply<PricesReply>,
     },
     /// Shut the node down.
     Shutdown,
@@ -305,10 +354,10 @@ impl NodeWorker {
     }
 
     /// Sends a negotiation reply over the link: the one-way latency plus
-    /// jitter first, then the loss draw. A dropped reply is simply never
-    /// sent; the client's collection deadline treats it as a non-answer.
-    /// A disabled fault plan draws nothing.
-    fn reply_over_link<R>(&mut self, reply: &Sender<R>, value: R, context: &'static str) {
+    /// jitter first, then the loss draw. A dropped reply is let go
+    /// unanswered, which tells the client it is lost. A disabled fault
+    /// plan draws nothing.
+    fn reply_over_link<R>(&mut self, reply: Reply<R>, value: R, context: &'static str) {
         let faulty = !self.faults.is_none();
         let jitter = if faulty {
             Duration::from_micros(self.faults.sample_jitter(&mut self.fault_rng).as_micros())
@@ -321,7 +370,7 @@ impl NodeWorker {
             self.faults.delivers(at, &mut self.fault_rng)
         };
         if delivered {
-            let _ = reply.send(value);
+            reply.send(value);
         } else {
             let telemetry = &self.telemetry;
             telemetry.emit(|| TelemetryEvent::MessageDropped {
@@ -338,12 +387,12 @@ impl NodeWorker {
             match msg {
                 NodeMsg::Estimate { sql, reply } => {
                     let exec_ms = self.estimate_ms(&sql).unwrap_or(f64::INFINITY);
-                    self.reply_over_link(&reply, seller.estimate(exec_ms), "estimate_reply");
+                    self.reply_over_link(reply, seller.estimate(exec_ms), "estimate_reply");
                 }
                 NodeMsg::CallForOffers { class, sql, reply } => {
                     let estimate = || self.estimate_ms(&sql).unwrap_or(f64::INFINITY);
                     let offer = seller.offer(class, estimate);
-                    self.reply_over_link(&reply, offer, "offer_reply");
+                    self.reply_over_link(reply, offer, "offer_reply");
                 }
                 NodeMsg::Execute { sql, class, reply } => {
                     let est = self.estimate_ms(&sql).unwrap_or(0.0);
@@ -369,13 +418,13 @@ impl NodeWorker {
                     // Execute replies are never fault-dropped: assignments
                     // travel over a reliable (TCP-like) connection; only
                     // the chatty negotiation traffic is lossy. A node
-                    // *crash* still loses them — the channel disconnects.
+                    // *crash* still loses them — the request is dropped.
                     std::thread::sleep(self.link_latency);
                     let (rows, error) = match outcome {
                         Ok(res) => (res.rows.len(), None),
                         Err(e) => (0, Some(e.to_string())),
                     };
-                    let _ = reply.send(ExecReply {
+                    reply.send(ExecReply {
                         node: self.id,
                         rows,
                         exec_ms,
@@ -388,7 +437,7 @@ impl NodeWorker {
                     seller.tick(since_last_ms, |k| self.class_costs(k));
                 }
                 NodeMsg::DumpPrices { reply } => {
-                    let _ = reply.send(seller.prices());
+                    reply.send(seller.prices());
                 }
                 NodeMsg::Shutdown => break,
             }
@@ -423,6 +472,28 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_reports_exactly_once_answered_or_lost() {
+        let (seen, reports) = channel();
+        let reply = |tag| {
+            let seen = seen.clone();
+            Reply::new(move |answer: Option<u32>| seen.send((tag, answer)).unwrap())
+        };
+        reply("answered").send(7);
+        drop(reply("dropped"));
+        // Lost inside whatever owned it — a message, a pending table.
+        drop(vec![Some(reply("owned"))]);
+        let want = [("answered", Some(7)), ("dropped", None), ("owned", None)];
+        assert_eq!(reports.try_iter().collect::<Vec<_>>(), want);
+
+        let (reply, rx) = Reply::channel();
+        reply.send(1);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [1]);
+        let (reply, rx) = Reply::<u32>::channel();
+        drop(reply);
+        assert_eq!(rx.recv(), Err(std::sync::mpsc::RecvError));
+    }
+
+    #[test]
     fn node_answers_estimates_and_executes() {
         let s = spec();
         let class = &s.classes[0];
@@ -430,7 +501,7 @@ mod tests {
         let h = spawn(&s, node, None, LinkFaults::none());
         let sql = class.instantiate(100);
 
-        let (tx, rx) = channel();
+        let (tx, rx) = Reply::channel();
         h.sender
             .send(NodeMsg::Estimate {
                 sql: sql.clone(),
@@ -441,7 +512,7 @@ mod tests {
         assert_eq!(est.node, node);
         assert!(est.exec_ms.is_finite() && est.exec_ms > 0.0);
 
-        let (tx, rx) = channel();
+        let (tx, rx) = Reply::channel();
         h.sender
             .send(NodeMsg::Execute {
                 sql,
@@ -459,7 +530,7 @@ mod tests {
     /// the market period to a handful of supply units.
     fn calibrated_period_ms(s: &ClusterSpec, node: usize, sql: &str) -> f64 {
         let h = spawn(s, node, None, LinkFaults::none());
-        let (tx, rx) = channel();
+        let (tx, rx) = Reply::channel();
         h.sender
             .send(NodeMsg::Estimate {
                 sql: sql.to_string(),
@@ -479,9 +550,9 @@ mod tests {
         let h = spawn(&s, node, None, LinkFaults::lossy(1.0));
         let sql = class.instantiate(100);
 
-        // Negotiation reply is dropped: the reply sender is discarded, so
+        // Negotiation reply is dropped: the reply is let go unanswered, so
         // the client observes a disconnect, not a value.
-        let (tx, rx) = channel();
+        let (tx, rx) = Reply::channel();
         h.sender
             .send(NodeMsg::Estimate {
                 sql: sql.clone(),
@@ -494,7 +565,7 @@ mod tests {
         );
 
         // Execution replies ride the reliable connection regardless.
-        let (tx, rx) = channel();
+        let (tx, rx) = Reply::channel();
         h.sender
             .send(NodeMsg::Execute {
                 sql,
@@ -526,7 +597,7 @@ mod tests {
         let mut offers = 0;
         let mut rejections = 0;
         for _ in 0..300 {
-            let (tx, rx) = channel();
+            let (tx, rx) = Reply::channel();
             h.sender
                 .send(NodeMsg::CallForOffers {
                     class: class.id,
@@ -537,7 +608,7 @@ mod tests {
             let o = rx.recv_timeout(Duration::from_secs(10)).unwrap();
             if o.offered {
                 offers += 1;
-                let (tx, rx) = channel();
+                let (tx, rx) = Reply::channel();
                 h.sender
                     .send(NodeMsg::Execute {
                         sql: sql.clone(),
@@ -572,7 +643,7 @@ mod tests {
         };
         let h = spawn(&s, node, Some(cfg), LinkFaults::none());
         let offer = |h: &NodeHandle| {
-            let (tx, rx) = channel();
+            let (tx, rx) = Reply::channel();
             h.sender
                 .send(NodeMsg::CallForOffers {
                     class: class.id,
@@ -586,7 +657,7 @@ mod tests {
         let mut guard = 0;
         while offer(&h) && guard < 500 {
             guard += 1;
-            let (tx, rx) = channel();
+            let (tx, rx) = Reply::channel();
             h.sender
                 .send(NodeMsg::Execute {
                     sql: sql.clone(),
@@ -612,7 +683,7 @@ mod tests {
         let h = spawn(&s, node, None, LinkFaults::none());
         let sql = class.instantiate(100);
         let estimate = |h: &NodeHandle| {
-            let (tx, rx) = channel();
+            let (tx, rx) = Reply::channel();
             h.sender
                 .send(NodeMsg::Estimate {
                     sql: sql.clone(),
@@ -623,7 +694,7 @@ mod tests {
         };
         let cold = estimate(&h);
         for _ in 0..3 {
-            let (tx, rx) = channel();
+            let (tx, rx) = Reply::channel();
             h.sender
                 .send(NodeMsg::Execute {
                     sql: sql.clone(),

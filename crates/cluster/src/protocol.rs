@@ -16,9 +16,11 @@
 //!   └──── Backoff{attempt} ◀─┴─────────────────────┘                 └▶ Poll at once
 //! ```
 //!
-//! Two shells run it: [`crate::driver`] blocks a thread per query over any
-//! [`crate::transport::Transport`], and [`crate::explore`] maps a
-//! schedule's choice points onto the same events over
+//! One shell runs it: [`crate::episode::Episode`] carries out the actions
+//! of every live query of a run over any
+//! [`crate::transport::Transport`]. [`crate::driver`] steps that shell
+//! from one loop blocking on an inbox and a timer, [`crate::explore`] from
+//! a schedule's choice points over
 //! [`crate::simtransport::SimTransport`] — so the invariants the explorer
 //! checks are checked about the code that serves traffic.
 
@@ -685,6 +687,7 @@ mod tests {
     #[test]
     fn shells_hold_no_retry_budget_or_winner_selection() {
         let shells = [
+            ("episode.rs", include_str!("episode.rs")),
             ("driver.rs", include_str!("driver.rs")),
             ("explore.rs", include_str!("explore.rs")),
         ];
@@ -699,6 +702,35 @@ mod tests {
         });
     }
 
+    /// The actions are carried out in one place, [`crate::episode`], on
+    /// whichever thread runs the loop: neither loop restates a carry-out,
+    /// and neither the driver nor a `qad` session spawns a thread per
+    /// query or per reply.
+    #[test]
+    fn shells_hold_no_second_carry_out_and_spawn_no_threads() {
+        let loops = [
+            ("driver.rs", include_str!("driver.rs")),
+            ("explore.rs", include_str!("explore.rs")),
+            ("qad.rs", include_str!("qad.rs")),
+        ];
+        for_each_code_line(&loops, |at, code| {
+            assert!(
+                !code.contains("Action::"),
+                "{at}: an action carried out twice"
+            );
+            assert!(!code.contains("thread::"), "{at}: a thread in the shell");
+        });
+        let episode = [("episode.rs", include_str!("episode.rs"))];
+        for arm in ["Poll(", "Execute {", "Backoff {", "Done("] {
+            let needle = format!("Action::{arm}");
+            let carried = std::cell::Cell::new(0);
+            for_each_code_line(&episode, |_, code| {
+                carried.set(carried.get() + usize::from(code.contains(&needle)));
+            });
+            assert_eq!(carried.get(), 1, "{needle} carried out once, in episode.rs");
+        }
+    }
+
     /// Nor the seller's: every carrier of node traffic asks
     /// [`NodeProtocol`], none restates a step of §3.3.
     #[test]
@@ -710,6 +742,7 @@ mod tests {
             ("transport.rs", include_str!("transport.rs")),
             ("driver.rs", include_str!("driver.rs")),
             ("explore.rs", include_str!("explore.rs")),
+            ("episode.rs", include_str!("episode.rs")),
         ];
         let market = "on_request|on_accept|end_period|begin_period|LAMBDA|prices[";
         for_each_code_line(&shells, |at, code| {

@@ -25,7 +25,7 @@
 //! reconnect to a still-warm market.
 
 use crate::driver::qant_config_for;
-use crate::node::{spawn_node, EstimateReply, ExecReply, NodeMsg, OfferReply, PricesReply};
+use crate::node::{spawn_node, EstimateReply, ExecReply, NodeMsg, OfferReply, PricesReply, Reply};
 use crate::setup::ClusterSpec;
 use crate::ClusterMechanism;
 use qa_net::{ConnConfig, Connection, WireMsg};
@@ -34,7 +34,6 @@ use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{FaultPlan, LinkFaults};
 use std::io::Write;
 use std::net::TcpListener;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -252,7 +251,6 @@ impl FedConfig {
             num_queries: self.num_queries,
             mean_interarrival: Duration::from_millis(self.mean_interarrival_ms),
             period: Duration::from_millis(self.period_ms),
-            rows_per_table: self.rows_per_table,
             mechanism: self.mechanism,
             max_retries: self.max_retries,
             reply_timeout: Duration::from_millis(self.reply_timeout_ms),
@@ -351,10 +349,10 @@ pub fn serve(
 }
 
 /// Pumps one driver connection: requests fan in to the node worker's
-/// mailbox; each reply is forwarded back over the wire (with its token)
-/// by a short-lived forwarder thread, preserving the node's saturated
-/// single-worker semantics — the *node* processes strictly in order, but
-/// a fault-dropped reply must not wedge the session.
+/// mailbox, and the worker answers each one straight onto this
+/// connection's writer queue, under the request's token. The *node*
+/// processes strictly in order; a reply it lets go of unanswered (a fault
+/// draw) sends nothing, so it cannot wedge the session.
 fn serve_session(
     conn: Arc<Connection>,
     rx: std::sync::mpsc::Receiver<WireMsg>,
@@ -362,40 +360,33 @@ fn serve_session(
     node: u32,
     telemetry: &Telemetry,
 ) -> SessionEnd {
-    /// Forwards one typed reply back over the connection when (if) it
-    /// arrives; a dropped reply sender just ends the thread silently.
-    fn forward<T: Send + 'static>(
+    /// The reply that frames its answer with `wrap` and queues it on `conn`.
+    fn over<T>(
         conn: &Arc<Connection>,
-        rx: std::sync::mpsc::Receiver<T>,
         wrap: impl FnOnce(T) -> WireMsg + Send + 'static,
-    ) {
+    ) -> Reply<T> {
         let conn = Arc::clone(conn);
-        std::thread::spawn(move || {
-            if let Ok(reply) = rx.recv() {
-                let _ = conn.send(wrap(reply));
+        Reply::new(move |answer: Option<T>| {
+            if let Some(answer) = answer {
+                let _ = conn.send(wrap(answer));
             }
-        });
+        })
     }
 
     // The inverse of `TcpTransport::send`: each request frame becomes the
-    // `NodeMsg` it encodes, its reply channel forwarded back under the
-    // frame's token.
+    // `NodeMsg` it encodes, answered over the wire under the frame's token.
     for wire in rx {
         let msg = match wire {
             WireMsg::Estimate { token, sql } => {
-                let (reply, reply_rx) = channel();
-                forward(&conn, reply_rx, move |r: EstimateReply| {
-                    WireMsg::EstimateReply {
-                        token,
-                        node: r.node as u32,
-                        exec_ms: r.exec_ms,
-                    }
+                let reply = over(&conn, move |r: EstimateReply| WireMsg::EstimateReply {
+                    token,
+                    node: r.node as u32,
+                    exec_ms: r.exec_ms,
                 });
                 NodeMsg::Estimate { sql, reply }
             }
             WireMsg::CallForOffers { token, class, sql } => {
-                let (reply, reply_rx) = channel();
-                forward(&conn, reply_rx, move |r: OfferReply| WireMsg::OfferReply {
+                let reply = over(&conn, move |r: OfferReply| WireMsg::OfferReply {
                     token,
                     node: r.node as u32,
                     offered: r.offered,
@@ -405,8 +396,7 @@ fn serve_session(
                 NodeMsg::CallForOffers { class, sql, reply }
             }
             WireMsg::Execute { token, class, sql } => {
-                let (reply, reply_rx) = channel();
-                forward(&conn, reply_rx, move |r: ExecReply| WireMsg::ExecReply {
+                let reply = over(&conn, move |r: ExecReply| WireMsg::ExecReply {
                     token,
                     node: r.node as u32,
                     rows: r.rows as u64,
@@ -417,8 +407,7 @@ fn serve_session(
                 NodeMsg::Execute { sql, class, reply }
             }
             WireMsg::DumpPrices { token } => {
-                let (reply, reply_rx) = channel();
-                forward(&conn, reply_rx, move |r: PricesReply| WireMsg::Prices {
+                let reply = over(&conn, move |r: PricesReply| WireMsg::Prices {
                     token,
                     node: r.node as u32,
                     prices: r.prices,

@@ -14,9 +14,9 @@
 //! seed or a recorded choice trail replays it exactly.
 //!
 //! The driver side stays the real [`Transport`] contract: requests are
-//! asynchronous sends whose replies arrive on the caller's `Sender` or
-//! never do, a send to a crashed node fails immediately, and a dropped
-//! reply surfaces as a disconnected `Receiver`. The protocol under test
+//! asynchronous sends whose [`crate::node::Reply`] is answered or never
+//! is, a send to a crashed node fails immediately, and a dropped reply
+//! reports itself lost. The protocol under test
 //! cannot tell this network from the threaded one — which is the point.
 //!
 //! Query identity crosses the seam the same way it does over TCP: encoded
@@ -293,7 +293,7 @@ impl SimTransport {
                 let step = world.stats.steps;
                 world.stats.crash_steps.push(step);
                 // Everything in flight to the victim dies with it; the
-                // dropped reply senders disconnect the waiting receivers.
+                // dropped replies report themselves lost.
                 world.inflight.retain(|m| m.node != victim);
                 self.telemetry.emit(|| TelemetryEvent::NodeCrashed {
                     node: victim as u32,
@@ -310,7 +310,7 @@ impl SimTransport {
             let context = format!("{} request dropped", flight.msg.phase());
             self.telemetry
                 .emit(|| TelemetryEvent::MessageDropped { node, context });
-            return true; // senders drop here → waiter disconnects
+            return true; // the reply drops here → the waiter learns it is lost
         }
         self.deliver(world, flight, true);
         true
@@ -354,14 +354,14 @@ impl SimTransport {
                 let class = sql_field(&sql, "class").unwrap_or(0) as usize;
                 let estimate = n.seller.estimate(n.exec_ms[class]);
                 if reply_survives() {
-                    let _ = reply.send(estimate);
+                    reply.send(estimate);
                 }
             }
             NodeMsg::CallForOffers { class, reply, .. } => {
                 let exec_ms = n.exec_ms[class.index()];
                 let offer = n.seller.offer(class, || exec_ms);
                 if reply_survives() {
-                    let _ = reply.send(offer);
+                    reply.send(offer);
                 }
             }
             NodeMsg::Execute { sql, class, reply } => {
@@ -374,7 +374,7 @@ impl SimTransport {
                 n.seller.accept(class, exec_ms);
                 n.running.push(exec_ms);
                 if reply_survives() {
-                    let _ = reply.send(ExecReply {
+                    reply.send(ExecReply {
                         node,
                         rows: 1,
                         exec_ms,
@@ -385,7 +385,7 @@ impl SimTransport {
             NodeMsg::DumpPrices { reply } => {
                 let prices = n.seller.prices();
                 if reply_survives() {
-                    let _ = reply.send(prices);
+                    reply.send(prices);
                 }
             }
             NodeMsg::PeriodTick => {
@@ -437,6 +437,7 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Reply;
     use qa_simnet::sched::RandomSchedule;
     use std::sync::mpsc::channel;
     use std::time::Duration;
@@ -456,16 +457,16 @@ mod tests {
         let (execs, exec_rx) = channel();
         let (prices, price_rx) = channel();
         let post = |node: usize| {
-            let (sql, reply) = (encode_sql(9, 0, class), estimates.clone());
+            let (sql, reply) = (encode_sql(9, 0, class), Reply::to(estimates.clone()));
             net.send(node, NodeMsg::Estimate { sql, reply }).unwrap();
-            let (sql, reply) = (encode_sql(9, 0, class), offers.clone());
+            let (sql, reply) = (encode_sql(9, 0, class), Reply::to(offers.clone()));
             net.send(node, NodeMsg::CallForOffers { class, sql, reply })
                 .unwrap();
-            let (sql, reply) = (encode_sql(9, 0, class), execs.clone());
+            let (sql, reply) = (encode_sql(9, 0, class), Reply::to(execs.clone()));
             net.send(node, NodeMsg::Execute { sql, class, reply })
                 .unwrap();
             net.send(node, NodeMsg::PeriodTick).unwrap();
-            let reply = prices.clone();
+            let reply = Reply::to(prices.clone());
             net.send(node, NodeMsg::DumpPrices { reply }).unwrap();
         };
         // A few adversarial steps first (drops, no crash budget), so the

@@ -13,34 +13,35 @@
 //! ## Contract
 //!
 //! [`Transport::send`] carries one [`NodeMsg`] — the same request enum
-//! whatever lies underneath — and is an **asynchronous send**: the reply
-//! arrives on the `Sender` inside the message, or never does. The
-//! driver's loss-tolerant collection deadline is the only completion
-//! guarantee — exactly the semantics the in-process fleet always had,
-//! which is what makes the two implementations observationally
-//! interchangeable:
+//! whatever lies underneath — and is an **asynchronous send**: the
+//! [`Reply`] inside the message is answered on whichever thread carries
+//! the answer back, reports *lost* when a carrier lets go of it
+//! unanswered, or does neither. The driver's loss-tolerant collection
+//! deadline is the only completion guarantee — exactly the semantics the
+//! in-process fleet always had, which is what makes the two
+//! implementations observationally interchangeable:
 //!
 //! * a reply that will never come (fault-dropped, peer dead) surfaces as
-//!   either a disconnected `Receiver` or a collection timeout;
+//!   either a lost [`Reply`] or a collection timeout;
 //! * a send to a dead peer returns a [`ClusterError`] immediately, and
 //!   the caller is expected to mark the node dead and re-allocate (PR-1
 //!   crash semantics);
 //! * `shutdown_node` is crash injection: over channels it shuts the
 //!   mailbox, over TCP it terminates the remote process.
 //!
-//! Token correlation: reply `Sender`s cannot cross a socket, so
+//! Token correlation: a [`Reply`] cannot cross a socket, so
 //! [`TcpTransport`] assigns each request a `u64` token, keeps the typed
-//! sender in a per-peer pending map, and a dispatcher thread routes each
-//! incoming reply frame back by token. Tokens are registered *before* the
+//! reply in a per-peer pending map, and a dispatcher thread answers it
+//! from the incoming reply frame with that token. Tokens are registered *before* the
 //! request is sent — a reply can never race its own registration.
 
 use crate::error::ClusterError;
-use crate::node::{EstimateReply, ExecReply, NodeHandle, NodeMsg, OfferReply, PricesReply};
+use crate::node::{EstimateReply, ExecReply, NodeHandle, NodeMsg, OfferReply, PricesReply, Reply};
 use qa_net::{ConnConfig, Connection, NetError, WireMsg};
 use qa_simnet::telemetry::Telemetry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,26 +70,6 @@ pub trait Transport: Send + Sync {
 
     /// Gracefully tears the whole fleet connection down. Idempotent.
     fn shutdown(&self);
-}
-
-/// Fans one request out over `nodes` with every reply addressed to the
-/// returned receiver, which disconnects once no reply can arrive any more.
-/// Each node whose send fails goes to `failed` at once; the count returned
-/// is of the sends that went out.
-pub(crate) fn fan_out<R>(
-    nodes: &[usize],
-    send: impl Fn(usize, Sender<R>) -> Result<(), ClusterError>,
-    mut failed: impl FnMut(usize),
-) -> (usize, Receiver<R>) {
-    let (tx, rx) = channel();
-    let mut sent = 0;
-    for &node in nodes {
-        match send(node, tx.clone()) {
-            Ok(()) => sent += 1,
-            Err(_) => failed(node),
-        }
-    }
-    (sent, rx)
 }
 
 // ---------------------------------------------------------------------------
@@ -148,27 +129,35 @@ pub struct NodeStats {
     pub json: String,
 }
 
-/// A reply sender parked under its request token.
-enum Pending {
-    Estimate(Sender<EstimateReply>),
-    Offer(Sender<OfferReply>),
-    Exec(Sender<ExecReply>),
-    Prices(Sender<PricesReply>),
-    Stats(Sender<NodeStats>),
+/// A reply parked under its request token, answered with the reply frame
+/// that carries the token.
+type Slot = Reply<WireMsg>;
+
+/// The slot that answers `reply` from the frame `unframe` accepts. Any
+/// other frame under its token is a protocol violation: the reply is lost
+/// rather than answered wrong.
+fn slot<T: 'static>(reply: Reply<T>, unframe: fn(WireMsg) -> Option<T>) -> Slot {
+    Reply::new(move |frame: Option<WireMsg>| {
+        if let Some(answer) = frame.and_then(unframe) {
+            reply.send(answer);
+        }
+    })
 }
 
 /// Shared between a peer's handle and its dispatcher thread.
 struct PeerState {
     addr: String,
-    pending: Mutex<HashMap<u64, (Pending, Instant)>>,
+    pending: Mutex<HashMap<u64, (Slot, Instant)>>,
 }
 
 impl PeerState {
-    /// Fails every outstanding request now: dropping the parked senders
-    /// disconnects their receivers, so waiters observe dead-peer
-    /// semantics immediately instead of aging out via the TTL sweep.
+    /// Fails every outstanding request now: the parked replies are let
+    /// go unanswered (outside the lock — each reports *lost* to its
+    /// asker), so waiters observe dead-peer semantics immediately instead
+    /// of aging out via the TTL sweep.
     fn fail_pending(&self) {
-        self.pending.lock().unwrap().clear();
+        let failed = std::mem::take(&mut *self.pending.lock().unwrap());
+        drop(failed);
     }
 }
 
@@ -176,6 +165,22 @@ struct Peer {
     state: Arc<PeerState>,
     conn: Mutex<Option<Connection>>,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Peer {
+    /// Closes the connection, if it is still up.
+    fn hang_up(&self) {
+        if let Some(c) = self.conn.lock().unwrap().take() {
+            c.close();
+        }
+        // Fail waiters before joining the dispatcher: the join can block
+        // on connection teardown, and nobody may wait out the TTL for a
+        // reply that can no longer arrive.
+        self.state.fail_pending();
+        if let Some(d) = self.dispatcher.lock().unwrap().take() {
+            let _ = d.join();
+        }
+    }
 }
 
 /// The fleet over real sockets: one [`Connection`] per `qad` server.
@@ -232,18 +237,7 @@ impl TcpTransport {
     /// stay up and keep accepting (a driver crash looks exactly like
     /// this). A later `shutdown` becomes a no-op on the closed peers.
     pub fn disconnect(&self) {
-        for peer in &self.peers {
-            if let Some(c) = peer.conn.lock().unwrap().take() {
-                c.close();
-            }
-            // Fail waiters before joining the dispatcher: the join can
-            // block on connection teardown, and nobody may wait out the
-            // TTL for a reply that can no longer arrive.
-            peer.state.fail_pending();
-            if let Some(d) = peer.dispatcher.lock().unwrap().take() {
-                let _ = d.join();
-            }
-        }
+        self.peers.iter().for_each(Peer::hang_up);
     }
 
     /// Requests one node's metrics-registry snapshot (the fleet stats
@@ -252,10 +246,17 @@ impl TcpTransport {
     ///
     /// # Errors
     /// [`ClusterError`] when the send itself fails (peer dead).
-    pub fn request_stats(&self, node: usize, reply: Sender<NodeStats>) -> Result<(), ClusterError> {
+    pub fn request_stats(&self, node: usize, reply: Reply<NodeStats>) -> Result<(), ClusterError> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let wire = WireMsg::StatsRequest { token };
-        self.post("stats", node, token, wire, Some(Pending::Stats(reply)))
+        let slot = slot(reply, |frame| match frame {
+            WireMsg::StatsReply { node, json, .. } => Some(NodeStats {
+                node: node as usize,
+                json,
+            }),
+            _ => None,
+        });
+        self.post("stats", node, token, wire, Some(slot))
     }
 
     /// Parks the frame's reply slot, if it has one, under `token`, then
@@ -267,7 +268,7 @@ impl TcpTransport {
         node: usize,
         token: u64,
         wire: WireMsg,
-        slot: Option<Pending>,
+        slot: Option<Slot>,
     ) -> Result<(), ClusterError> {
         let peer = &self.peers[node];
         if let Some(slot) = slot {
@@ -279,7 +280,8 @@ impl TcpTransport {
             None => Err(NetError::PeerClosed),
         };
         sent.map_err(|e| {
-            peer.state.pending.lock().unwrap().remove(&token);
+            let withdrawn = peer.state.pending.lock().unwrap().remove(&token);
+            drop(withdrawn);
             ClusterError::net(phase, node, peer.state.addr.clone(), e)
         })
     }
@@ -296,25 +298,66 @@ impl Transport for TcpTransport {
         let (wire, slot) = match msg {
             NodeMsg::Estimate { sql, reply } => (
                 WireMsg::Estimate { token, sql },
-                Some(Pending::Estimate(reply)),
+                Some(slot(reply, |frame| match frame {
+                    WireMsg::EstimateReply { node, exec_ms, .. } => Some(EstimateReply {
+                        node: node as usize,
+                        exec_ms,
+                    }),
+                    _ => None,
+                })),
             ),
-            NodeMsg::CallForOffers { class, sql, reply } => {
-                let class = class.0;
-                (
-                    WireMsg::CallForOffers { token, class, sql },
-                    Some(Pending::Offer(reply)),
-                )
-            }
-            NodeMsg::Execute { sql, class, reply } => {
-                let class = class.0;
-                (
-                    WireMsg::Execute { token, class, sql },
-                    Some(Pending::Exec(reply)),
-                )
-            }
-            NodeMsg::DumpPrices { reply } => {
-                (WireMsg::DumpPrices { token }, Some(Pending::Prices(reply)))
-            }
+            NodeMsg::CallForOffers { class, sql, reply } => (
+                WireMsg::CallForOffers {
+                    token,
+                    class: class.0,
+                    sql,
+                },
+                Some(slot(reply, |frame| match frame {
+                    WireMsg::OfferReply {
+                        node,
+                        offered,
+                        completion_ms,
+                        ..
+                    } => Some(OfferReply {
+                        node: node as usize,
+                        offered,
+                        completion_ms,
+                    }),
+                    _ => None,
+                })),
+            ),
+            NodeMsg::Execute { sql, class, reply } => (
+                WireMsg::Execute {
+                    token,
+                    class: class.0,
+                    sql,
+                },
+                Some(slot(reply, |frame| match frame {
+                    WireMsg::ExecReply {
+                        node,
+                        rows,
+                        exec_ms,
+                        error,
+                        ..
+                    } => Some(ExecReply {
+                        node: node as usize,
+                        rows: rows as usize,
+                        exec_ms,
+                        error,
+                    }),
+                    _ => None,
+                })),
+            ),
+            NodeMsg::DumpPrices { reply } => (
+                WireMsg::DumpPrices { token },
+                Some(slot(reply, |frame| match frame {
+                    WireMsg::Prices { node, prices, .. } => Some(PricesReply {
+                        node: node as usize,
+                        prices,
+                    }),
+                    _ => None,
+                })),
+            ),
             NodeMsg::PeriodTick => (WireMsg::PeriodTick, None),
             NodeMsg::Shutdown => (WireMsg::Shutdown, None),
         };
@@ -323,17 +366,7 @@ impl Transport for TcpTransport {
 
     fn shutdown_node(&self, node: usize) {
         let _ = self.send(node, NodeMsg::Shutdown);
-        let conn = self.peers[node].conn.lock().unwrap().take();
-        if let Some(c) = conn {
-            c.close();
-        }
-        // As in `disconnect`: pending replies can never arrive once the
-        // connection is gone, so fail them immediately.
-        self.peers[node].state.fail_pending();
-        let dispatcher = self.peers[node].dispatcher.lock().unwrap().take();
-        if let Some(d) = dispatcher {
-            let _ = d.join();
-        }
+        self.peers[node].hang_up();
     }
 
     fn shutdown(&self) {
@@ -349,9 +382,9 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Routes reply frames back to their parked senders by token. Runs until
-/// the connection dies, then drops every outstanding sender so waiting
-/// drivers observe disconnection (dead-peer semantics).
+/// Answers each parked reply from the reply frame carrying its token. Runs
+/// until the connection dies, then fails every outstanding reply so
+/// waiting drivers observe disconnection (dead-peer semantics).
 fn dispatch_replies(state: Arc<PeerState>, rx: Receiver<WireMsg>) {
     loop {
         // The timeout is only the GC cadence: expired tokens (replies
@@ -380,62 +413,10 @@ fn dispatch_replies(state: Arc<PeerState>, rx: Receiver<WireMsg>) {
             _ => continue,
         };
         let slot = state.pending.lock().unwrap().remove(&token);
-        // A mismatched slot type means a protocol violation; dropping the
-        // sender surfaces it as a disconnect rather than a wrong value.
-        match (slot, msg) {
-            (Some((Pending::Estimate(tx), _)), WireMsg::EstimateReply { node, exec_ms, .. }) => {
-                let _ = tx.send(EstimateReply {
-                    node: node as usize,
-                    exec_ms,
-                });
-            }
-            (
-                Some((Pending::Offer(tx), _)),
-                WireMsg::OfferReply {
-                    node,
-                    offered,
-                    completion_ms,
-                    ..
-                },
-            ) => {
-                let _ = tx.send(OfferReply {
-                    node: node as usize,
-                    offered,
-                    completion_ms,
-                });
-            }
-            (
-                Some((Pending::Exec(tx), _)),
-                WireMsg::ExecReply {
-                    node,
-                    rows,
-                    exec_ms,
-                    error,
-                    ..
-                },
-            ) => {
-                let _ = tx.send(ExecReply {
-                    node: node as usize,
-                    rows: rows as usize,
-                    exec_ms,
-                    error,
-                });
-            }
-            (Some((Pending::Prices(tx), _)), WireMsg::Prices { node, prices, .. }) => {
-                let _ = tx.send(PricesReply {
-                    node: node as usize,
-                    prices,
-                });
-            }
-            (Some((Pending::Stats(tx), _)), WireMsg::StatsReply { node, json, .. }) => {
-                let _ = tx.send(NodeStats {
-                    node: node as usize,
-                    json,
-                });
-            }
-            _ => {}
+        if let Some((slot, _)) = slot {
+            slot.send(msg);
         }
     }
-    // Peer died: disconnect every waiter.
-    state.pending.lock().unwrap().clear();
+    // Peer died: every waiter learns its reply is lost.
+    state.fail_pending();
 }

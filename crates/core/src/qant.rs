@@ -394,10 +394,9 @@ impl QantNode {
         PriceVector::from_prices(self.0.prices(0).to_vec())
     }
 
-    /// Remaining supply for the current period (all zero outside one;
-    /// never `None`).
-    pub fn supply(&self) -> Option<QuantityVector> {
-        Some(QuantityVector::from_counts(self.0.supply(0).to_vec()))
+    /// Remaining supply for the current period (all zero outside one).
+    pub fn supply(&self) -> QuantityVector {
+        QuantityVector::from_counts(self.0.supply(0).to_vec())
     }
 
     /// [`Self::begin_period_with_budget`] with one period `T` of budget.
@@ -452,7 +451,7 @@ mod tests {
     fn initial_supply_prefers_denser_class() {
         // §3.3 walkthrough: at equal prices N1 supplies only q2.
         let n = n1();
-        assert_eq!(n.supply().unwrap().as_slice(), &[0, 5]);
+        assert_eq!(n.supply().as_slice(), &[0, 5]);
     }
 
     #[test]
@@ -482,12 +481,12 @@ mod tests {
             let _ = n.on_request(ClassId(0)); // unmet q1 demand
             n.end_period();
             n.begin_period(&[Some(400.0), Some(100.0)], None);
-            if n.supply().unwrap().get(0) > 0 {
+            if n.supply().get(0) > 0 {
                 break;
             }
         }
         assert!(
-            n.supply().unwrap().get(0) > 0,
+            n.supply().get(0) > 0,
             "q1 price never rose enough: prices {}",
             n.prices()
         );
@@ -520,7 +519,7 @@ mod tests {
         let mut n = QantNode::new(2, QantConfig::default());
         let caps = QuantityVector::from_counts(vec![0, 2]);
         n.begin_period(&[Some(400.0), Some(100.0)], Some(&caps));
-        assert_eq!(n.supply().unwrap().as_slice(), &[0, 2]);
+        assert_eq!(n.supply().as_slice(), &[0, 2]);
     }
 
     #[test]
@@ -603,7 +602,7 @@ mod tests {
         for _ in 0..7 {
             n.on_accept(ClassId(1)); // more accepts than supply
         }
-        assert_eq!(n.supply().unwrap().get(1), 0);
+        assert_eq!(n.supply().get(1), 0);
     }
 
     /// The column store's bug class is a wrong stride or offset: an N-row

@@ -6,7 +6,6 @@
 //! aggregates in one pass without storing raw samples:
 //!
 //! * [`Welford`] — numerically stable running mean/variance,
-//! * [`Histogram`] — fixed-width bucket counts with percentile queries,
 //! * [`LogHistogram`] — power-of-two log-bucket counts with a fixed,
 //!   universal bucket layout, so any two instances (including one
 //!   reconstructed from a JSON snapshot scraped off another process)
@@ -141,76 +140,6 @@ impl ToJson for Welford {
             "min": self.min(),
             "max": self.max(),
         }
-    }
-}
-
-/// Fixed-width-bucket histogram over `[0, width * buckets)`, with an
-/// overflow bucket at the top.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram of `buckets` buckets each `width` wide.
-    ///
-    /// # Panics
-    /// Panics if `width` is not positive or `buckets == 0`.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width.is_finite() && width > 0.0, "bad bucket width {width}");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            counts: vec![0; buckets + 1], // last = overflow
-            total: 0,
-        }
-    }
-
-    /// Records one (non-negative) observation; negatives clamp to bucket 0.
-    pub fn record(&mut self, x: f64) {
-        let i = if x <= 0.0 {
-            0
-        } else {
-            ((x / self.width) as usize).min(self.counts.len() - 1)
-        };
-        self.counts[i] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate `q`-quantile (`q` clamped to `[0, 1]`) using the upper
-    /// edge of the bucket containing it, capped at the histogram's range
-    /// top `width * buckets` (observations in the overflow bucket have no
-    /// finite upper edge, so the range top is the tightest honest answer).
-    /// Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let range_top = (self.counts.len() - 1) as f64 * self.width;
-        let mut acc = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(((i as f64 + 1.0) * self.width).min(range_top));
-            }
-        }
-        // Unreachable: `target <= total` and the loop sums every bucket,
-        // but stay total-function anyway.
-        Some(range_top)
-    }
-
-    /// Raw bucket counts (last bucket is overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -566,83 +495,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean().unwrap() - all.mean().unwrap()).abs() < 1e-9);
         assert!((a.variance().unwrap() - all.variance().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(10.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 * 10.0 + 5.0); // one per bucket
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((p50 - 500.0).abs() <= 10.0, "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= 980.0, "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_overflow_bucket() {
-        let mut h = Histogram::new(1.0, 4);
-        h.record(1_000.0);
-        assert_eq!(*h.buckets().last().unwrap(), 1);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new(1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.quantile(0.0), None);
-        assert_eq!(h.quantile(1.0), None);
-    }
-
-    #[test]
-    fn histogram_overflow_quantile_caps_at_range_top() {
-        let mut h = Histogram::new(1.0, 4);
-        h.record(1_000.0);
-        // Everything is in the overflow bucket; the old code answered
-        // `(buckets + 1) * width = 5`, outside the histogram's range.
-        assert_eq!(h.quantile(0.5), Some(4.0));
-        assert_eq!(h.quantile(1.0), Some(4.0));
-    }
-
-    #[test]
-    fn histogram_extreme_quantiles_single_observation() {
-        let mut h = Histogram::new(10.0, 4);
-        h.record(15.0); // bucket 1: (10, 20]
-                        // p0 clamps to the smallest non-empty target (first observation).
-        assert_eq!(h.quantile(0.0), Some(20.0));
-        assert_eq!(h.quantile(0.5), Some(20.0));
-        assert_eq!(h.quantile(1.0), Some(20.0));
-        // Out-of-range q clamps rather than panicking.
-        assert_eq!(h.quantile(-1.0), Some(20.0));
-        assert_eq!(h.quantile(2.0), Some(20.0));
-    }
-
-    #[test]
-    fn histogram_single_bucket_histogram() {
-        let mut h = Histogram::new(5.0, 1);
-        h.record(0.0);
-        h.record(2.5);
-        assert_eq!(h.quantile(0.5), Some(5.0));
-        h.record(100.0); // overflow
-        assert_eq!(h.quantile(1.0), Some(5.0));
-        assert_eq!(h.buckets(), &[2, 1]);
-    }
-
-    #[test]
-    fn histogram_quantile_monotone_in_q() {
-        let mut h = Histogram::new(1.0, 50);
-        for i in 0..200 {
-            h.record((i % 60) as f64);
-        }
-        let mut last = 0.0;
-        for step in 0..=20 {
-            let q = step as f64 / 20.0;
-            let v = h.quantile(q).unwrap();
-            assert!(v >= last, "quantile({q}) = {v} < {last}");
-            assert!(v <= 50.0, "quantile({q}) = {v} beyond range top");
-            last = v;
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn qant_walkthrough_of_section_3_3() {
     // solving (4), node N1 will supply only q2 queries."
     let mut n1 = QantNode::new(2, QantConfig::default());
     n1.begin_period(&[Some(400.0), Some(100.0)], None);
-    assert_eq!(n1.supply().unwrap().as_slice(), &[0, 5]);
+    assert_eq!(n1.supply().as_slice(), &[0, 5]);
 
     // "Assume now that query distribution is modified and demand for
     // queries q1 cannot be satisfied. Then, prices of q1 queries will
@@ -48,12 +48,12 @@ fn qant_walkthrough_of_section_3_3() {
         n1.end_period();
         n1.begin_period(&[Some(400.0), Some(100.0)], None);
         periods += 1;
-        if n1.supply().unwrap().get(0) > 0 {
+        if n1.supply().get(0) > 0 {
             break;
         }
         assert!(periods < 200, "price never rose enough: {}", n1.prices());
     }
-    assert!(n1.supply().unwrap().get(0) >= 1);
+    assert!(n1.supply().get(0) >= 1);
 }
 
 #[test]
@@ -68,10 +68,7 @@ fn jittered_nodes_specialize_differently() {
             n
         })
         .collect();
-    let q1_suppliers = nodes
-        .iter()
-        .filter(|n| n.supply().unwrap().get(0) > 0)
-        .count();
+    let q1_suppliers = nodes.iter().filter(|n| n.supply().get(0) > 0).count();
     // With σ = 1.5 the q1-vs-q2 density flip (at p1 = 4·p2) is within the
     // jitter band for a meaningful minority of nodes.
     assert!(q1_suppliers > 0, "some node should start in q1 mode");
@@ -93,7 +90,7 @@ fn prices_stay_private_to_the_node() {
     let offered = n.on_request(ClassId(0));
     assert!(offered);
     // The only observable effects are boolean offers and supply counts.
-    assert!(n.supply().unwrap().get(0) > 0);
+    assert!(n.supply().get(0) > 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! transport as typed errors and prompt receiver disconnects, never as a
 //! hang that waits out the idle-death timer or the pending-reply TTL.
 
-use query_markets::cluster::node::EstimateReply;
+use query_markets::cluster::node::{EstimateReply, Reply};
 use query_markets::cluster::{ClusterError, NodeMsg, TcpTransport, Transport};
 use query_markets::net::{
     recv_msg, send_msg, write_frame, ConnConfig, NetError, WireMsg, MAX_FRAME,
@@ -76,7 +76,7 @@ fn serve(stream: &mut TcpStream, mis: Misbehaviour) {
     }
 }
 
-fn estimate(sql: &str, reply: mpsc::Sender<EstimateReply>) -> NodeMsg {
+fn estimate(sql: &str, reply: Reply<EstimateReply>) -> NodeMsg {
     let sql = sql.to_string();
     NodeMsg::Estimate { sql, reply }
 }
@@ -92,7 +92,7 @@ fn mangled_frame_fails_fast_with_typed_source_chain() {
         let (addr, server) = fake_server(Misbehaviour::MangledFrame);
         let transport = connect(&addr);
 
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = Reply::channel();
         transport
             .send(0, estimate("SELECT 1", tx))
             .expect("send ok");
@@ -110,7 +110,7 @@ fn mangled_frame_fails_fast_with_typed_source_chain() {
 
         // The connection is now dead: a follow-up request errors
         // immediately and the error is typed all the way down.
-        let (tx2, _rx2) = mpsc::channel();
+        let (tx2, _rx2) = Reply::channel();
         let err = transport
             .send(0, estimate("SELECT 2", tx2))
             .expect_err("connection must be dead");
@@ -155,7 +155,7 @@ fn disconnect_fails_pending_requests_immediately() {
         let (addr, server) = fake_server(Misbehaviour::NeverReply);
         let transport = connect(&addr);
 
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = Reply::channel();
         transport
             .send(0, estimate("SELECT 1", tx))
             .expect("send ok");
