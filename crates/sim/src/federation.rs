@@ -12,6 +12,11 @@
 //! query, the respective client resubmits it in the next time period"). It
 //! waits on a FIFO list, not in the event queue: one [`Event::Wake`] per
 //! boundary retries the list's due members in the order they were parked.
+//! In pure-market mode a member whose class no seller offers any more is
+//! refused for two counters, and a wake turns a whole run of such members
+//! to the back of the list in one move (`Federation::turn_dry_run`) — what
+//! a refusal costs under sustained overload, where a query is refused 60
+//! times before it runs.
 //!
 //! ## Fault injection
 //!
@@ -29,7 +34,7 @@
 //! disabled plan never draws from it at all (the fault-free path is
 //! bit-identical to a build without fault injection).
 
-use crate::metrics::{BoundaryWork, RunMetrics};
+use crate::metrics::{BoundaryWork, RunMetrics, WaitWork};
 use crate::node::NodeSoa;
 use crate::offer_index::OfferIndex;
 use crate::scenario::Scenario;
@@ -61,6 +66,24 @@ const BOUNDARY_BLOCK: usize = REPLAY_BLOCK;
 /// The query slot of a wait-list entry that is no query but a fence: the
 /// [`Event::Wake`] that reaches it stops there.
 const FENCE: usize = usize::MAX;
+
+/// A query waiting out a refusal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Waiter {
+    /// When it retries: the microsecond after a period boundary.
+    due: SimTime,
+    /// Its place in `arrivals`, or [`FENCE`].
+    query: usize,
+    /// Allocation attempts spent.
+    tried: u32,
+    /// Its class, so that a wake reads nothing but the list itself to
+    /// refuse it again.
+    class: ClassId,
+}
+
+// As large as the tuple it replaces, so that `paper100_overload`'s
+// `alloc.bytes_per_query` (`scripts/alloc_gate.sh`) cannot move.
+const _: () = assert!(std::mem::size_of::<Waiter>() == 24);
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -136,6 +159,8 @@ pub struct RunOutcome {
     pub total_busy: SimDuration,
     /// What the run's QA-NT period boundaries did, in counts.
     pub boundary: BoundaryWork,
+    /// What the run's wait list did at its wakes, in counts.
+    pub wait: WaitWork,
 }
 
 /// The simulator for one (scenario, mechanism) pair.
@@ -160,12 +185,12 @@ pub struct Federation<'a> {
     /// The dynamic event queue (completions, period boundaries, wakes,
     /// failure injections).
     queue: EventQueue<Event>,
-    /// Queries waiting out a refusal, `(wake time, query, attempts spent)`
-    /// in the order they were parked: wake times never fall along the list,
-    /// and the queue holds one [`Event::Wake`] per distinct one (two can be
-    /// pending: a query refused at a boundary's own microsecond, before
-    /// that boundary's wake fires, already waits for the following one).
-    parked: VecDeque<(SimTime, usize, u32)>,
+    /// Queries waiting out a refusal, in the order they were parked: wake
+    /// times never fall along the list, and the queue holds one
+    /// [`Event::Wake`] per distinct one (two can be pending: a query
+    /// refused at a boundary's own microsecond, before that boundary's wake
+    /// fires, already waits for the following one).
+    parked: VecDeque<Waiter>,
     /// Stepped mode only: further `push_arrivals` calls may follow, so
     /// the period chain must stay alive across boundaries even when the
     /// currently-injected arrivals are exhausted. Always `false` in flat
@@ -180,8 +205,8 @@ pub struct Federation<'a> {
     owners: Vec<Option<NodeId>>,
     /// Whether each query completed.
     done: Vec<bool>,
-    /// Allocation attempts already spent per query (crash re-entry resumes
-    /// from here).
+    /// Allocation attempts a query had spent when it was assigned (crash
+    /// re-entry resumes from here).
     attempts: Vec<u32>,
     /// Assignment generation per query; bumped when a crash orphans the
     /// query so the stale completion event is ignored.
@@ -211,6 +236,7 @@ pub struct Federation<'a> {
     /// period boundary; a reused buffer.
     demand_caps: Vec<u64>,
     boundary: BoundaryWork,
+    wait: WaitWork,
 }
 
 impl<'a> Federation<'a> {
@@ -306,6 +332,7 @@ impl<'a> Federation<'a> {
             one_way,
             demand_caps: vec![0; k],
             boundary: BoundaryWork::default(),
+            wait: WaitWork::default(),
         }
     }
 
@@ -479,6 +506,7 @@ impl<'a> Federation<'a> {
             metrics: self.metrics,
             total_busy: self.nodes.total_busy(),
             boundary: self.boundary,
+            wait: self.wait,
         }
     }
 
@@ -495,9 +523,11 @@ impl<'a> Federation<'a> {
         {
             let idx = self.next_arrival;
             self.next_arrival += 1;
-            let now = self.arrivals[idx].at;
+            let QueryEvent { at: now, class, .. } = self.arrivals[idx];
             self.telemetry.set_now_us(now.as_micros());
-            self.handle_arrival(now, idx, 0);
+            if self.refuse_dry(class) || self.handle_arrival(now, idx, class, 0) {
+                self.resubmit(wake_after(now, cfg_period), idx, class, 0);
+            }
             return true;
         }
         let Some(ev) = self.queue.pop() else {
@@ -507,12 +537,22 @@ impl<'a> Federation<'a> {
         self.telemetry.set_now_us(now.as_micros());
         match ev.payload {
             Event::Wake => {
-                while let Some(&(_, idx, retries)) = self.parked.front().filter(|m| m.0 == now) {
+                let next = wake_after(now, cfg_period);
+                self.wait.wakes += 1;
+                loop {
+                    self.turn_dry_run(now, next);
+                    // The member that ends the run, if it is due.
+                    let Some(&w) = self.parked.front().filter(|w| w.due == now) else {
+                        break;
+                    };
                     self.parked.pop_front();
-                    if idx == FENCE {
+                    if w.query == FENCE {
                         break;
                     }
-                    self.handle_arrival(now, idx, retries);
+                    self.wait.attempted += 1;
+                    if self.handle_arrival(now, w.query, w.class, w.tried) {
+                        self.resubmit(next, w.query, w.class, w.tried);
+                    }
                 }
             }
             Event::Completion { idx, node, gen } => {
@@ -577,10 +617,11 @@ impl<'a> Federation<'a> {
                     .filter(|(q, owner)| **owner == Some(node) && !self.done[*q])
                     .map(|(q, _)| q)
                     .collect();
+                let next = wake_after(now, cfg_period);
                 for q in orphans {
                     self.assign_gen[q] = self.assign_gen[q].wrapping_add(1);
                     self.owners[q] = None;
-                    self.resubmit(now, q, self.attempts[q], true);
+                    self.resubmit(next, q, self.arrivals[q].class, self.attempts[q]);
                 }
             }
             Event::Recover { node } => {
@@ -592,24 +633,83 @@ impl<'a> Federation<'a> {
         true
     }
 
-    /// Query `idx` asks for allocation at `now`, `retries` attempts behind
-    /// it: one allocation attempt, then completion scheduling, next-period
-    /// resubmission, or an unserved verdict.
-    fn handle_arrival(&mut self, now: SimTime, idx: usize, retries: u32) {
-        self.attempts[idx] = retries;
-        let q = self.arrivals[idx];
-        match self.allocate(now, q.class, q.origin, idx) {
+    /// In pure-market mode a class nobody offers any more is refused
+    /// without an allocation attempt: it stays dry until the boundary
+    /// (within a period supply only falls) and every dry leaf carries its
+    /// `dry_at` stamp already, so the refusal is the two counters a full
+    /// attempt would touch on its way to an empty index. The index implies
+    /// no faults and no dead node: the candidates are the static capable
+    /// list. Returns whether the request was refused here.
+    #[inline]
+    fn refuse_dry(&mut self, class: ClassId) -> bool {
+        let MechState::QaNt(Sellers {
+            index: Some(index), ..
+        }) = &self.state
+        else {
+            return false;
+        };
+        let capable = self.scenario.capable[class.index()].len() as u64;
+        if capable == 0 || index.offerers(class) > 0 {
+            return false;
+        }
+        self.period_demand[class.index()] += 1;
+        self.metrics.messages += capable;
+        true
+    }
+
+    /// Refuses again, in one move, the maximal run of front waiters that
+    /// are due `now`, are no fence, have retry budget left and belong to a
+    /// dry class, parking them for `next`. This is the sequence of pops and
+    /// pushes the run's members would make one at a time: no allocation,
+    /// completion or `ran_dry` stamp can interleave, so each is refused
+    /// whatever came before it; the first push alone can need a wake
+    /// scheduled (its own `due` is `now`, every later one finds `next` at
+    /// the back); and nothing but the run moves, so fences and members
+    /// parked on a boundary's own microsecond keep their places. Without
+    /// an index there is no dry class and no run.
+    fn turn_dry_run(&mut self, now: SimTime, next: SimTime) {
+        let mut run = 0;
+        while let Some(&w) = self.parked.get(run) {
+            let turns = w.due == now && w.query != FENCE && w.tried < MAX_RETRIES;
+            if !(turns && self.refuse_dry(w.class)) {
+                break;
+            }
+            run += 1;
+        }
+        if run == 0 {
+            return;
+        }
+        self.wait.runs += 1;
+        self.wait.turned += run as u64;
+        self.metrics.retries += run as u64;
+        if self.parked.back().is_some_and(|w| w.due != next) {
+            self.queue.schedule(next, Event::Wake);
+        }
+        self.parked.rotate_left(run);
+        let kept = self.parked.len() - run;
+        for w in self.parked.range_mut(kept..) {
+            (w.due, w.tried) = (next, w.tried + 1);
+        }
+    }
+
+    /// Query `idx` of `class` asks for allocation at `now`, `tried`
+    /// attempts behind it: one allocation attempt, then completion
+    /// scheduling or an unserved verdict — or every server refused, which
+    /// returns `true` for the caller to [`Federation::resubmit`].
+    fn handle_arrival(&mut self, now: SimTime, idx: usize, class: ClassId, tried: u32) -> bool {
+        match self.allocate(now, class, idx) {
             Allocation::Assigned {
                 node,
                 finish,
                 delay,
             } => {
+                self.attempts[idx] = tried;
                 self.metrics.assign_latency.add(delay.as_millis_f64());
                 self.telemetry.emit(|| TelemetryEvent::QueryAssigned {
                     query: idx as u64,
-                    class: q.class.0,
+                    class: class.0,
                     node: node.0,
-                    retries,
+                    retries: tried,
                 });
                 let gen = self.assign_gen[idx];
                 self.queue
@@ -618,37 +718,52 @@ impl<'a> Federation<'a> {
                 // when each retry was a queue event of its own: queries
                 // parked for `finish` from here on retry after this
                 // completion, behind a wake of their own.
-                if self.parked.back().is_some_and(|m| m.0 == finish) {
+                if self.parked.back().is_some_and(|w| w.due == finish) {
                     self.queue.schedule(finish, Event::Wake);
-                    self.parked.push_back((finish, FENCE, 0));
+                    self.parked.push_back(Waiter {
+                        due: finish,
+                        query: FENCE,
+                        tried: 0,
+                        class,
+                    });
                 }
+                false
             }
-            Allocation::NoOffers => self.resubmit(now, idx, retries, true),
-            Allocation::Impossible => self.resubmit(now, idx, retries, false),
+            Allocation::NoOffers => true,
+            Allocation::Impossible => {
+                self.give_up(idx, class, tried);
+                false
+            }
         }
     }
 
-    /// Query `idx` holds no assignment after `tried` resubmissions: it is
-    /// parked until just past the next period boundary (§2.2), or counts as
-    /// unserved when it `can_run` nowhere or its retry budget is spent.
-    fn resubmit(&mut self, now: SimTime, idx: usize, tried: u32, can_run: bool) {
-        if can_run && tried < MAX_RETRIES {
-            self.metrics.retries += 1;
-            let period = self.scenario.config.period;
-            let next = SimTime::from_micros((now.period_index(period) + 1) * period.as_micros())
-                + SimDuration::from_micros(1);
-            if self.parked.back().is_none_or(|m| m.0 != next) {
-                self.queue.schedule(next, Event::Wake);
-            }
-            self.parked.push_back((next, idx, tried + 1));
-        } else {
-            self.metrics.unserved += 1;
-            self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-                query: idx as u64,
-                class: self.arrivals[idx].class.0,
-                retries: tried,
-            });
+    /// Query `idx` holds no assignment after `tried` attempts: it is parked
+    /// until `next`, just past the next period boundary (§2.2), or counts
+    /// as unserved when its retry budget is spent.
+    fn resubmit(&mut self, next: SimTime, idx: usize, class: ClassId, tried: u32) {
+        if tried >= MAX_RETRIES {
+            return self.give_up(idx, class, tried);
         }
+        self.metrics.retries += 1;
+        if self.parked.back().is_none_or(|w| w.due != next) {
+            self.queue.schedule(next, Event::Wake);
+        }
+        self.parked.push_back(Waiter {
+            due: next,
+            query: idx,
+            tried: tried + 1,
+            class,
+        });
+    }
+
+    /// Query `idx` can run nowhere, or has spent its retry budget.
+    fn give_up(&mut self, idx: usize, class: ClassId, tried: u32) {
+        self.metrics.unserved += 1;
+        self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
+            query: idx as u64,
+            class: class.0,
+            retries: tried,
+        });
     }
 
     /// QA-NT's period boundary (§3.3 steps 9–14, then step 2) in one pass
@@ -768,26 +883,9 @@ impl<'a> Federation<'a> {
     }
 
     /// Runs the allocation protocol for one query at `now`.
-    fn allocate(&mut self, now: SimTime, class: ClassId, origin: NodeId, idx: usize) -> Allocation {
+    fn allocate(&mut self, now: SimTime, class: ClassId, idx: usize) -> Allocation {
         let _span = self.telemetry.span("federation.allocate");
         let scenario = self.scenario;
-        if let MechState::QaNt(Sellers {
-            index: Some(index), ..
-        }) = &self.state
-        {
-            // A dry class stays dry until the boundary (within a period
-            // supply only falls) and every dry leaf carries its `dry_at`
-            // stamp already, so the refusal is the two counters the full
-            // attempt below would touch on its way to an empty index. The
-            // index implies no faults and no dead node: the candidates
-            // are the static capable list.
-            let capable = scenario.capable[class.index()].len() as u64;
-            if capable > 0 && index.offerers(class) == 0 {
-                self.period_demand[class.index()] += 1;
-                self.metrics.messages += capable;
-                return Allocation::NoOffers;
-            }
-        }
         // Fault injection: the polling mechanisms (QA-NT, Greedy,
         // two-probes) exchange a request/reply pair with every candidate;
         // either direction can be lost, removing that candidate from this
@@ -938,6 +1036,7 @@ impl<'a> Federation<'a> {
             }
             MechState::RoundRobin { per_client } => {
                 self.metrics.messages += 1;
+                let origin = self.arrivals[idx].origin;
                 (per_client[origin.index()].choose(capable), self.one_way)
             }
             MechState::TwoProbes => {
@@ -1009,6 +1108,12 @@ impl<'a> Federation<'a> {
             delay,
         }
     }
+}
+
+/// When a query refused at `now` retries: the microsecond after the next
+/// period boundary.
+fn wake_after(now: SimTime, period: SimDuration) -> SimTime {
+    SimTime::from_micros((now.period_index(period) + 1) * period.as_micros() + 1)
 }
 
 fn mechanism_salt(m: MechanismKind) -> u64 {
@@ -1345,6 +1450,8 @@ mod tests {
         let s = scale_world(1_000, 11);
         let t = two_class_trace(&s, 0.05, 0.75, 100);
         let out = run_cell(&s, &t, MechanismKind::QaNt);
+        // For `scripts/work_gate.sh`, which runs this with `--nocapture`.
+        println!("work-gate: flat1k {:?} {:?}", out.boundary, out.wait);
         assert_eq!(
             out.boundary,
             BoundaryWork {
@@ -1355,9 +1462,60 @@ mod tests {
                 density_sorts: 203_000,
             }
         );
+        assert_eq!(
+            out.wait,
+            WaitWork {
+                wakes: 102,
+                runs: 350,
+                turned: 31_899,
+                attempted: 34_623,
+            }
+        );
         // Nothing here for another mechanism to count.
         let greedy = run_cell(&s, &t, MechanismKind::Greedy);
         assert_eq!(greedy.boundary, BoundaryWork::default());
+        assert_eq!(greedy.wait, WaitWork::default());
+    }
+
+    #[test]
+    fn wait_work_of_the_paper100_overload_rep_is_pinned() {
+        // The repo benchmark's `paper100_overload` rep: 60 refusals per
+        // query, nearly all of them a waiter of a dry class turned in a
+        // run. A run move that stops forming runs keeps every simulated
+        // output and loses these counts.
+        use crate::experiments::{run_cell, scale_world, two_class_trace};
+        let s = scale_world(100, 11);
+        let t = two_class_trace(&s, 0.05, 1.5, 150);
+        let out = run_cell(&s, &t, MechanismKind::QaNt);
+        println!("work-gate: paper100_overload {:?}", out.wait);
+        assert_eq!(
+            out.wait,
+            WaitWork {
+                wakes: 438,
+                runs: 3_928,
+                turned: 1_273_327,
+                attempted: 21_508,
+            }
+        );
+        // Everyone parked was woken, one way or the other.
+        assert_eq!(out.wait.turned + out.wait.attempted, out.metrics.retries);
+        // A run needs the offer index: polled, every waiter takes a full
+        // attempt; Greedy parks nobody.
+        let traced = Telemetry::metrics_only();
+        let polled = Federation::with_telemetry(&s, MechanismKind::QaNt, &t, traced).run(&t);
+        assert_eq!(polled.metrics.retries, out.metrics.retries);
+        let all = out.metrics.retries;
+        assert_eq!(
+            polled.wait,
+            WaitWork {
+                wakes: 438,
+                runs: 0,
+                turned: 0,
+                attempted: all,
+            }
+        );
+        let greedy = run_cell(&s, &t, MechanismKind::Greedy);
+        assert_eq!(greedy.wait, WaitWork::default());
     }
 
     #[test]
@@ -1637,29 +1795,68 @@ mod index_differential {
         });
     }
 
+    /// Sustained overload: most wakes find a class dry and turn its
+    /// waiters in runs, between members of classes still served. The polled
+    /// engine retries every waiter by itself — the reference the run move
+    /// must match to the last bit.
+    #[test]
+    fn overloaded_runs_turn_the_waiters_the_polled_path_attempts() {
+        let cfg = SimConfig::small_test(0x0DD);
+        let two_class = Scenario::two_class(cfg.clone(), TwoClassParams::default());
+        let table3 = Scenario::table3(cfg);
+        let worlds = [
+            (two_class_trace(&two_class, 1.5), two_class),
+            (table3_trace(&table3, 1.5), table3),
+        ];
+        for (t, s) in &worlds {
+            let k = s.templates.num_classes();
+            let periods = t.horizon().period_index(s.config.period);
+            assert!(periods >= 20, "K={k}: {periods} periods");
+            let run_out = |traced: bool| {
+                let mut f = start(s, t, traced, None);
+                while f.process_next() {}
+                (f.wait, residue(f))
+            };
+            let (fast, indexed) = run_out(false);
+            let (slow, polled) = run_out(true);
+            assert!(indexed == polled, "K={k}: residues differ");
+            // Runs, and more than one a wake: served members part them.
+            assert!(fast.turned > 0 && fast.runs > fast.wakes, "K={k}: {fast:?}");
+            let all = fast.turned + fast.attempted;
+            assert_eq!((slow.runs, slow.turned, slow.attempted), (0, 0, all));
+            assert_eq!(slow.wakes, fast.wakes);
+        }
+    }
+
     /// One class over `n` identical nodes: equal queues give equal
     /// estimates.
     pub(super) fn identical_nodes(n: usize) -> Scenario {
+        alike_nodes(n, &[(0..n as u32).collect()])
+    }
+
+    /// `n` identical nodes and one class per entry of `holders`, which
+    /// lists the nodes that can run it; every class costs the same.
+    pub(super) fn alike_nodes(n: usize, holders: &[Vec<u32>]) -> Scenario {
         let cfg = SimConfig {
             num_nodes: n,
             ..SimConfig::small_test(5)
         };
-        let dataset = Dataset::from_relations(
-            n,
-            vec![Relation {
-                id: RelationId(0),
-                size_bytes: 1 << 20,
-                attributes: 4,
-                mirrors: (0..n as u32).map(NodeId).collect(),
-            }],
-        );
-        let templates = TemplateSet::from_templates(vec![QueryTemplate {
-            id: ClassId(0),
+        let ids = 0..holders.len() as u32;
+        let relations = ids.clone().zip(holders).map(|(c, nodes)| Relation {
+            id: RelationId(c),
+            size_bytes: 1 << 20,
+            attributes: 4,
+            mirrors: nodes.iter().copied().map(NodeId).collect(),
+        });
+        let dataset = Dataset::from_relations(n, relations.collect());
+        let templates = ids.map(|c| QueryTemplate {
+            id: ClassId(c),
             joins: 0,
-            relations: vec![RelationId(0)],
+            relations: vec![RelationId(c)],
             base_cost: SimDuration::from_millis(100),
             result_bytes: 1_024,
-        }]);
+        });
+        let templates = TemplateSet::from_templates(templates.collect());
         let hw = NodeHardware {
             cpu_ghz: 2.0,
             io_mbps: 40.0,
@@ -1764,19 +1961,205 @@ mod index_differential {
 /// The wait list that holds refused queries between period boundaries.
 #[cfg(test)]
 mod wait_list {
-    use super::index_differential::identical_nodes;
+    use super::index_differential::{alike_nodes, identical_nodes};
     use super::*;
     use crate::config::SimConfig;
     use crate::scenario::TwoClassParams;
     use qa_simnet::{LinkFaults, OutageWindow};
 
     const PERIOD_US: u64 = 500_000;
+    const BOUNDARY: SimTime = SimTime::from_micros(PERIOD_US);
+    /// When the first period's refusals retry, and the second's.
+    const WAKE: SimTime = SimTime::from_micros(PERIOD_US + 1);
+    const SECOND: SimTime = SimTime::from_micros(2 * PERIOD_US + 1);
 
     fn stepped<'a>(s: &'a Scenario, m: MechanismKind, t: &Trace) -> Federation<'a> {
         assert_eq!(s.config.period.as_micros(), PERIOD_US);
         let mut f = Federation::new(s, m, t);
         f.push_arrivals(t.events());
         f
+    }
+
+    /// A class-0 wait-list entry.
+    fn waiter(due: SimTime, query: usize, tried: u32) -> Waiter {
+        Waiter {
+            due,
+            query,
+            tried,
+            class: ClassId(0),
+        }
+    }
+
+    /// An indexed QA-NT run of `s`, begun, over a burst of `n` class-0
+    /// queries a microsecond apart from t = 0 — more than node 0 offers in
+    /// a period — and then the `later` `(µs, class)` arrivals.
+    fn burst<'a>(s: &'a Scenario, n: u64, later: &[(u64, u32)]) -> Federation<'a> {
+        let arrivals = (0..n).map(|at| (at, 0)).chain(later.iter().copied());
+        let arrivals = arrivals.map(|(at, c)| (SimTime::from_micros(at), ClassId(c)));
+        let mut rng = DetRng::seed_from_u64(4).derive("burst");
+        let t = Trace::from_arrivals(arrivals.collect(), s.config.num_nodes, &mut rng);
+        let mut f = stepped(s, MechanismKind::QaNt, &t);
+        f.begin_run();
+        assert!(matches!(
+            f.state,
+            MechState::QaNt(Sellers { index: Some(_), .. })
+        ));
+        f
+    }
+
+    /// Runs the arrival cursor dry, with whatever events fall in between.
+    fn pose_all(f: &mut Federation) {
+        while f.next_arrival < f.arrivals.len() {
+            f.process_next();
+        }
+    }
+
+    /// What node 0 still offers of class 0.
+    fn supply(f: &Federation) -> usize {
+        f.market_row(NodeId(0)).expect("a market node").1[0] as usize
+    }
+
+    fn list(f: &Federation) -> Vec<Waiter> {
+        f.parked.iter().copied().collect()
+    }
+
+    /// `members` after one more refusal each.
+    fn turned(members: &[Waiter], next: SimTime) -> Vec<Waiter> {
+        let again = |w: &Waiter| Waiter {
+            due: next,
+            tried: w.tried + 1,
+            ..*w
+        };
+        members.iter().map(again).collect()
+    }
+
+    /// Pending `Wake`s: what the queue holds besides the completions of
+    /// running queries and the next period boundary.
+    fn pending_wakes(f: &Federation) -> usize {
+        let running = f.owners.iter().zip(&f.done);
+        f.queue.len() - running.filter(|(o, done)| o.is_some() && !**done).count() - 1
+    }
+
+    fn wait_work(wakes: u64, runs: u64, turned: usize, attempted: usize) -> WaitWork {
+        WaitWork {
+            wakes,
+            runs,
+            turned: turned as u64,
+            attempted: attempted as u64,
+        }
+    }
+
+    #[test]
+    fn a_run_over_the_whole_list_schedules_one_wake() {
+        let s = identical_nodes(1);
+        let mut f = burst(&s, 30, &[]);
+        f.step_through(BOUNDARY);
+        // Fresh arrivals on the wake's own microsecond go ahead of it and
+        // take the whole of the new period's supply.
+        let fresh = vec![(WAKE, ClassId(0)); supply(&f)];
+        let mut rng = DetRng::seed_from_u64(4).derive("fresh");
+        f.push_arrivals(Trace::from_arrivals(fresh, 1, &mut rng).events());
+        pose_all(&mut f);
+        assert_eq!(supply(&f), 0);
+        let before = list(&f);
+        assert!(before.len() > 1 && before.iter().all(|w| w.due == WAKE));
+        assert_eq!(pending_wakes(&f), 1);
+
+        f.step_through(WAKE);
+        assert_eq!(f.parked, turned(&before, SECOND));
+        assert_eq!(f.wait, wait_work(1, 1, before.len(), 0));
+        assert_eq!(pending_wakes(&f), 1);
+    }
+
+    #[test]
+    fn a_run_stops_at_a_spent_budget_and_resumes_behind_it() {
+        let s = identical_nodes(1);
+        let mut f = burst(&s, 30, &[]);
+        f.step_through(BOUNDARY);
+        let served = supply(&f);
+        let mut before = list(&f);
+        assert!(before.len() >= served + 3, "{} waiting", before.len());
+        // The second member of what would be one run is on its last try.
+        let spent = before.remove(served + 1);
+        f.parked[served + 1].tried = MAX_RETRIES;
+        let (messages, retries) = (f.metrics.messages, f.metrics.retries);
+
+        f.step_through(WAKE);
+        assert_eq!(f.parked, turned(&before[served..], SECOND));
+        let refused = before.len() - served;
+        assert_eq!(f.wait, wait_work(1, 2, refused, served + 1));
+        assert_eq!(f.metrics.retries - retries, refused as u64);
+        assert_eq!((f.metrics.unserved, f.owners[spent.query]), (1, None));
+        // Every member asked once, whichever way it went: an offer and the
+        // accept on top of the request for a served one.
+        assert_eq!(f.period_demand, [before.len() as u64 + 1]);
+        let asked = (3 * served + refused + 1) as u64;
+        assert_eq!(f.metrics.messages - messages, asked);
+    }
+
+    #[test]
+    fn a_run_turns_behind_a_member_parked_on_the_boundary() {
+        let s = identical_nodes(1);
+        let mut f = burst(&s, 30, &[(PERIOD_US, 0)]);
+        f.step_through(BOUNDARY);
+        let served = supply(&f);
+        let mut before = list(&f);
+        // Refused at the boundary's own microsecond, from the closing
+        // period's supply: not due at this boundary's wake.
+        let early = before.pop().expect("the last arrival");
+        assert_eq!(early, waiter(SECOND, 30, 1));
+        assert!(before.len() > served && before.iter().all(|w| w.due == WAKE));
+        assert_eq!(pending_wakes(&f), 2);
+
+        f.step_through(WAKE);
+        let after = [vec![early], turned(&before[served..], SECOND)].concat();
+        assert_eq!(f.parked, after);
+        assert_eq!(f.wait, wait_work(1, 1, before.len() - served, served));
+        // The run found its wake scheduled: `early` is at the back.
+        assert_eq!(pending_wakes(&f), 1);
+    }
+
+    /// The fence test below on an indexed QA-NT run: the run ends at the
+    /// fence, the completion fires, and the fence's own wake turns the
+    /// rest.
+    #[test]
+    fn a_run_stops_at_a_fence_and_the_second_wake_turns_the_rest() {
+        // Class 0 runs on node 0 alone, class 1 on node 1 alone.
+        let s = alike_nodes(2, &[vec![0], vec![1]]);
+        let probe = Federation::new(&s, MechanismKind::QaNt, &Trace::from_events(vec![]));
+        // Posed here, query 20 completes on the idle node 1 exactly at
+        // `WAKE`; class 0 has long run dry, and 21 and 22 park behind it.
+        let posed = WAKE.as_micros() - (probe.rtt + probe.exec[3]).as_micros();
+        let later = [(posed, 1), (posed + 1_000, 0), (posed + 2_000, 0)];
+        let mut f = burst(&s, 20, &later);
+        pose_all(&mut f);
+        f.step_through(BOUNDARY);
+        let served = supply(&f);
+        let before = list(&f);
+        let fence = before.len() - 3;
+        assert!(fence > served, "no run ahead of the fence");
+        let parted = Waiter {
+            class: ClassId(1),
+            ..waiter(WAKE, FENCE, 0)
+        };
+        assert_eq!(
+            before[fence..],
+            [parted, waiter(WAKE, 21, 1), waiter(WAKE, 22, 1)]
+        );
+
+        f.process_next();
+        let ahead = turned(&before[served..fence], SECOND);
+        let after = [before[fence + 1..].to_vec(), ahead.clone()].concat();
+        assert_eq!(f.parked, after);
+        assert_eq!(f.wait, wait_work(1, 1, fence - served, served));
+        assert_eq!((pending_wakes(&f), f.done[20]), (2, false));
+        f.process_next();
+        assert!(f.done[20]);
+        f.process_next();
+        let after = [ahead, turned(&before[fence + 1..], SECOND)].concat();
+        assert_eq!(f.parked, after);
+        assert_eq!(f.wait, wait_work(2, 2, fence - served + 2, served));
+        assert_eq!(pending_wakes(&f), 1);
     }
 
     #[test]
@@ -1793,24 +2176,23 @@ mod wait_list {
         let t = Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng);
         let mut f = stepped(&s, MechanismKind::QaNt, &t);
         f.begin_run();
-        while f.next_arrival < t.len() {
-            f.process_next();
-        }
+        pose_all(&mut f);
         let first = SimTime::from_micros(PERIOD_US + 1);
         let second = SimTime::from_micros(2 * PERIOD_US + 1);
         // Two wake times on the list at once, in order.
-        assert_eq!(f.parked.back(), Some(&(second, 200, 1)));
+        assert_eq!(f.parked.back(), Some(&waiter(second, 200, 1)));
         let before = f.parked.len() - 1;
         assert!(before > 0, "the burst fits the period's supply");
-        assert!(f.parked.iter().take(before).all(|m| m.0 == first));
-        let early = f.parked[0].1;
+        assert!(f.parked.iter().take(before).all(|w| w.due == first));
+        let early = f.parked[0].query;
 
         f.step_through(first);
-        assert_eq!(f.attempts[early], 1, "parked before the boundary");
-        assert_eq!(f.attempts[200], 0, "parked on it: not due yet");
-        assert_eq!(f.parked.front(), Some(&(second, 200, 1)));
+        // Parked before the boundary: served at its first retry.
+        assert_eq!(f.owners[early].map(|_| f.attempts[early]), Some(1));
+        // Parked on it: not due yet.
+        assert_eq!(f.parked.front(), Some(&waiter(second, 200, 1)));
         f.step_through(second);
-        assert_eq!(f.attempts[200], 1);
+        assert_eq!(f.owners[200].map(|_| f.attempts[200]), Some(1));
         f.drain();
         let out = f.finish();
         assert_eq!(out.metrics.completed, 201);
@@ -1850,11 +2232,16 @@ mod wait_list {
                 .with_link(2, cut),
         );
         f.begin_run();
-        while f.next_arrival < t.len() {
-            f.process_next();
-        }
+        pose_all(&mut f);
         assert_eq!(f.owners, [None, Some(NodeId(1)), None]);
-        assert_eq!(f.parked, [(wake, 0, 1), (wake, FENCE, 0), (wake, 2, 1)]);
+        assert_eq!(
+            f.parked,
+            [
+                waiter(wake, 0, 1),
+                waiter(wake, FENCE, 0),
+                waiter(wake, 2, 1)
+            ]
+        );
         f.drain();
         // Query 0 retries first and takes the one node never charged, 3.
         // Then node 1 reports its completion and is the least loaded when
@@ -1887,14 +2274,15 @@ mod wait_list {
         let mut f = Federation::with_telemetry(&s, MechanismKind::Greedy, &t, telemetry);
         f.push_arrivals(t.events());
         let now = SimTime::from_millis(10);
-        f.resubmit(now, 0, MAX_RETRIES - 1, true);
-        let wake = SimTime::from_micros(PERIOD_US + 1);
-        assert_eq!(f.parked, [(wake, 0, MAX_RETRIES)]);
+        let wake = wake_after(now, s.config.period);
+        assert_eq!(wake, SimTime::from_micros(PERIOD_US + 1));
+        f.resubmit(wake, 0, ClassId(0), MAX_RETRIES - 1);
+        assert_eq!(f.parked, [waiter(wake, 0, MAX_RETRIES)]);
         assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 0));
         assert!(records.is_empty());
 
         f.parked.clear();
-        f.resubmit(now, 0, MAX_RETRIES, true);
+        f.resubmit(wake, 0, ClassId(0), MAX_RETRIES);
         assert!(f.parked.is_empty());
         assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 1));
         let events: Vec<_> = records.records().into_iter().map(|r| r.event).collect();

@@ -295,46 +295,63 @@ qa_simnet::impl_to_json!(MechanismSummary {
     messages_per_query
 });
 
-/// What a run's QA-NT period boundaries did, in counts: functions of the
-/// seed and the code alone, so they repeat exactly and a change that moves
-/// them changed the algorithm. Kept outside [`RunMetrics`] — they measure
-/// the simulator, not the simulated federation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoundaryWork {
-    /// Market rows that ended a period.
-    pub node_periods: u64,
-    /// Deferred-refusal lanes (a dry seller × a class) walked step by step.
-    pub refusal_lanes_walked: u64,
-    /// Lanes settled at the price ceiling without a walk.
-    pub refusal_lanes_closed_form: u64,
-    /// Refusals the walked lanes were owed, summed.
-    pub refusal_lane_steps: u64,
-    /// Price-density orderings computed for a supply solve.
-    pub density_sorts: u64,
+/// A block of `u64` work counts: functions of the seed and the code
+/// alone, so they repeat exactly and a change that moves them changed the
+/// algorithm. Kept outside [`RunMetrics`] — they measure the simulator, not
+/// the simulated federation.
+macro_rules! work_counts {
+    ($(#[$doc:meta])* $name:ident, $prefix:literal,
+     { $($(#[$field_doc:meta])* $field:ident),* $(,)? }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$field_doc])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Adds another shard's counts.
+            pub fn merge_from(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Publishes the counts under their prefix, next to
+            /// [`RunMetrics::publish_to`]'s.
+            pub fn publish_to(&self, registry: &MetricsRegistry) {
+                $(registry.counter(concat!($prefix, stringify!($field))).add(self.$field);)*
+            }
+        }
+    };
 }
 
-impl BoundaryWork {
-    /// Adds another shard's counts.
-    pub fn merge_from(&mut self, other: &BoundaryWork) {
-        self.node_periods += other.node_periods;
-        self.refusal_lanes_walked += other.refusal_lanes_walked;
-        self.refusal_lanes_closed_form += other.refusal_lanes_closed_form;
-        self.refusal_lane_steps += other.refusal_lane_steps;
-        self.density_sorts += other.density_sorts;
+work_counts! {
+    /// What a run's QA-NT period boundaries did (`sim.boundary.*`).
+    BoundaryWork, "sim.boundary.", {
+        /// Market rows that ended a period.
+        node_periods,
+        /// Deferred-refusal lanes (a dry seller × a class) walked step by step.
+        refusal_lanes_walked,
+        /// Lanes settled at the price ceiling without a walk.
+        refusal_lanes_closed_form,
+        /// Refusals the walked lanes were owed, summed.
+        refusal_lane_steps,
+        /// Price-density orderings computed for a supply solve.
+        density_sorts,
     }
+}
 
-    /// Publishes the counts under the `sim.boundary.` prefix, next to
-    /// [`RunMetrics::publish_to`]'s.
-    pub fn publish_to(&self, registry: &MetricsRegistry) {
-        for (name, count) in [
-            ("node_periods", self.node_periods),
-            ("refusal_lanes_walked", self.refusal_lanes_walked),
-            ("refusal_lanes_closed_form", self.refusal_lanes_closed_form),
-            ("refusal_lane_steps", self.refusal_lane_steps),
-            ("density_sorts", self.density_sorts),
-        ] {
-            registry.counter(&format!("sim.boundary.{name}")).add(count);
-        }
+work_counts! {
+    /// What a run's wait list did at its wakes (`sim.wait.*`). Every parked
+    /// query is either turned or attempted, so a run that leaves nobody
+    /// waiting has `turned + attempted == RunMetrics::retries`.
+    WaitWork, "sim.wait.", {
+        /// Wake events processed.
+        wakes,
+        /// Maximal runs of due dry-class waiters moved to the back in one go.
+        runs,
+        /// Waiters those runs held, summed: refused again for two counters.
+        turned,
+        /// Waiters that took a full allocation attempt.
+        attempted,
     }
 }
 

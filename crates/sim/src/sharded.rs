@@ -383,6 +383,7 @@ impl ShardPlan {
             merged.metrics.merge_from(&o.metrics);
             merged.total_busy += o.total_busy;
             merged.boundary.merge_from(&o.boundary);
+            merged.wait.merge_from(&o.wait);
         }
         ShardedOutcome {
             outcome: merged,

@@ -114,6 +114,7 @@ pub fn run_trace_dump(spec: &TraceDumpSpec) -> TraceDump {
     if let Some(registry) = telemetry.registry() {
         outcome.metrics.publish_to(registry);
         outcome.boundary.publish_to(registry);
+        outcome.wait.publish_to(registry);
     }
     let registry_snapshot = telemetry
         .registry()
