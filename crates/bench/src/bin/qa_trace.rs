@@ -18,7 +18,7 @@
 //! into `check_trace` or `qa-trace` itself).
 
 use qa_bench::render_table;
-use qa_simnet::json::{Json, ToJson};
+use qa_simnet::json::{FromJson, Json, ToJson};
 use qa_simnet::stats::{LogHistogram, Welford};
 use qa_simnet::telemetry::{ConvergenceReport, TelemetryEvent, TraceRecord};
 use std::collections::BTreeMap;
@@ -37,40 +37,23 @@ macro_rules! outln {
     ($($t:tt)*) => { out(format_args!($($t)*)) };
 }
 
-/// The node an event is attributed to, when it names one.
+/// The first of the wire fields `names` the event carries. Every field
+/// the filters ask for is a `u32` on the wire.
+fn event_u32(e: &TelemetryEvent, names: &[&str]) -> Option<u32> {
+    let (_, value) = e.fields().into_iter().find(|(k, _)| names.contains(k))?;
+    u32::from_json(&value).ok()
+}
+
+/// The node an event is attributed to, when it names one. Brokers are
+/// shard-level actors; their index shares the `--node` filter slot so one
+/// shard's bids can be followed through a trace.
 fn event_node(e: &TelemetryEvent) -> Option<u32> {
-    match e {
-        TelemetryEvent::PriceAdjusted { node, .. }
-        | TelemetryEvent::SupplyComputed { node, .. }
-        | TelemetryEvent::RequestRejected { node, .. }
-        | TelemetryEvent::QueryAssigned { node, .. }
-        | TelemetryEvent::QueryCompleted { node, .. }
-        | TelemetryEvent::MessageDropped { node, .. }
-        | TelemetryEvent::NodeCrashed { node }
-        | TelemetryEvent::NodeRecovered { node }
-        | TelemetryEvent::PeerConnected { node, .. }
-        | TelemetryEvent::HandshakeCompleted { node, .. }
-        | TelemetryEvent::ConnectRetried { node, .. }
-        | TelemetryEvent::FrameDropped { node, .. }
-        | TelemetryEvent::PeerDied { node, .. } => Some(*node),
-        // Brokers are shard-level actors; their index shares the `--node`
-        // filter slot so one shard's bids can be followed through a trace.
-        TelemetryEvent::BrokerBid { broker, .. } => Some(*broker),
-        _ => None,
-    }
+    event_u32(e, &["node", "broker"])
 }
 
 /// The query class an event concerns, when it names one.
 fn event_class(e: &TelemetryEvent) -> Option<u32> {
-    match e {
-        TelemetryEvent::PriceAdjusted { class, .. }
-        | TelemetryEvent::RequestRejected { class, .. }
-        | TelemetryEvent::QueryAssigned { class, .. }
-        | TelemetryEvent::QueryCompleted { class, .. }
-        | TelemetryEvent::QueryUnserved { class, .. }
-        | TelemetryEvent::DemandEscalated { class, .. } => Some(*class),
-        _ => None,
-    }
+    event_u32(e, &["class"])
 }
 
 fn load(path: &str) -> Result<Vec<TraceRecord>, String> {

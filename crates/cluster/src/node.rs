@@ -345,12 +345,15 @@ impl NodeWorker {
 
     /// The two-step estimate for one SQL string.
     fn estimate_ms(&self, sql: &str) -> Result<f64, qa_minidb::DbError> {
-        let ex = self.db.explain(sql)?;
-        Ok(self
-            .estimator
-            .estimate_ms(ex.fingerprint, ex.root.cost)
+        Ok(self.estimate_of(&self.db.explain(sql)?))
+    }
+
+    /// The two-step estimate for one planned query.
+    fn estimate_of(&self, plan: &qa_minidb::Explain) -> f64 {
+        self.estimator
+            .estimate_ms(plan.fingerprint, plan.root.cost)
             .max(0.01)
-            * self.slowdown)
+            * self.slowdown
     }
 
     /// Sends a negotiation reply over the link: the one-way latency plus
@@ -395,7 +398,10 @@ impl NodeWorker {
                     self.reply_over_link(reply, offer, "offer_reply");
                 }
                 NodeMsg::Execute { sql, class, reply } => {
-                    let est = self.estimate_ms(&sql).unwrap_or(0.0);
+                    // Planned once: the estimate and the history both read
+                    // this plan.
+                    let plan = self.db.explain(&sql).ok();
+                    let est = plan.as_ref().map_or(0.0, |p| self.estimate_of(p));
                     seller.accept(class, est);
                     let started = Instant::now();
                     let outcome = self.db.query(&sql);
@@ -408,12 +414,12 @@ impl NodeWorker {
                     }
                     let exec_ms = started.elapsed().as_secs_f64() * 1e3;
                     seller.executed(est, exec_ms, outcome.is_ok());
-                    if let Ok(ex) = self.db.explain(&sql) {
-                        // `estimate_ms` multiplies by the slowdown, so the
+                    if let Some(plan) = plan {
+                        // `estimate_of` multiplies by the slowdown, so the
                         // history learns the raw engine time: that keeps
                         // the two-step scheme consistent.
                         self.estimator
-                            .observe_ms(ex.fingerprint, exec_ms / self.slowdown);
+                            .observe_ms(plan.fingerprint, exec_ms / self.slowdown);
                     }
                     // Execute replies are never fault-dropped: assignments
                     // travel over a reliable (TCP-like) connection; only

@@ -29,7 +29,7 @@ use crate::node::{spawn_node, EstimateReply, ExecReply, NodeMsg, OfferReply, Pri
 use crate::setup::ClusterSpec;
 use crate::ClusterMechanism;
 use qa_net::{ConnConfig, Connection, WireMsg};
-use qa_simnet::json::Json;
+use qa_simnet::json::{FromJson, Json, ToJson};
 use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{FaultPlan, LinkFaults};
 use std::io::Write;
@@ -73,6 +73,45 @@ pub struct FedConfig {
     pub drop_prob: f64,
 }
 
+// The wire schema: this list is the key set `parse` accepts and the
+// order `dump` writes.
+qa_simnet::impl_json!(FedConfig {
+    spec_seed,
+    num_nodes,
+    num_tables,
+    num_views,
+    num_classes,
+    rows_per_table,
+    mechanism,
+    seed,
+    num_queries,
+    mean_interarrival_ms,
+    period_ms,
+    max_retries,
+    reply_timeout_ms,
+    drop_prob,
+});
+
+impl ToJson for ClusterMechanism {
+    fn to_json(&self) -> Json {
+        match self {
+            ClusterMechanism::QaNt => "qant",
+            ClusterMechanism::Greedy => "greedy",
+        }
+        .to_json()
+    }
+}
+
+impl FromJson for ClusterMechanism {
+    fn from_json(v: &Json) -> Result<ClusterMechanism, String> {
+        match v.as_str() {
+            Some("qant") => Ok(ClusterMechanism::QaNt),
+            Some("greedy") => Ok(ClusterMechanism::Greedy),
+            _ => Err(format!("must be \"qant\" or \"greedy\", got {}", v.dump())),
+        }
+    }
+}
+
 impl FedConfig {
     /// A CI-scale example federation (the `qa-ctl init` template).
     pub fn example() -> FedConfig {
@@ -98,85 +137,37 @@ impl FedConfig {
         }
     }
 
-    /// Parses a config from JSON text. Unknown keys are rejected so a
-    /// typo cannot silently fall back to a default.
+    /// Parses a config from JSON text: the keys given are read over
+    /// [`FedConfig::example`]'s. Unknown keys are rejected so a typo
+    /// cannot silently fall back to a default.
     ///
     /// # Errors
     /// A human-readable description of the first problem found.
     pub fn parse(text: &str) -> Result<FedConfig, String> {
-        let json = Json::parse(text)?;
-        let keys = json.keys().ok_or("config must be a JSON object")?;
-        const KNOWN: &[&str] = &[
-            "spec_seed",
-            "num_nodes",
-            "num_tables",
-            "num_views",
-            "num_classes",
-            "rows_per_table",
-            "mechanism",
-            "seed",
-            "num_queries",
-            "mean_interarrival_ms",
-            "period_ms",
-            "max_retries",
-            "reply_timeout_ms",
-            "drop_prob",
-        ];
-        for k in keys {
-            if !KNOWN.contains(&k) {
-                return Err(format!("unknown config key {k:?}"));
+        let Json::Obj(given) = Json::parse(text)? else {
+            return Err("config must be a JSON object".to_string());
+        };
+        let Json::Obj(mut pairs) = FedConfig::example().to_json() else {
+            unreachable!("a struct serializes as an object")
+        };
+        for (key, value) in given {
+            match pairs.iter_mut().find(|(known, _)| *known == key) {
+                Some(slot) => slot.1 = value,
+                None => return Err(format!("unknown config key {key:?}")),
             }
         }
-        let u = |key: &str, default: u64| -> Result<u64, String> {
-            match json.get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| format!("{key} must be a non-negative integer")),
-            }
-        };
-        let d = FedConfig::example();
-        let mechanism = match json.get("mechanism") {
-            None => d.mechanism,
-            Some(Json::Str(s)) if s == "qant" => ClusterMechanism::QaNt,
-            Some(Json::Str(s)) if s == "greedy" => ClusterMechanism::Greedy,
-            Some(other) => {
-                return Err(format!(
-                    "mechanism must be \"qant\" or \"greedy\", got {}",
-                    other.dump()
-                ))
-            }
-        };
-        let drop_prob = match json.get("drop_prob") {
-            None => d.drop_prob,
-            Some(Json::Float(p)) if (0.0..=1.0).contains(p) => *p,
-            Some(Json::Int(0)) => 0.0,
-            Some(Json::Int(1)) => 1.0,
-            Some(other) => {
-                return Err(format!("drop_prob must be in [0, 1], got {}", other.dump()))
-            }
-        };
-        let cfg = FedConfig {
-            spec_seed: u("spec_seed", d.spec_seed)?,
-            num_nodes: u("num_nodes", d.num_nodes as u64)? as usize,
-            num_tables: u("num_tables", d.num_tables as u64)? as usize,
-            num_views: u("num_views", d.num_views as u64)? as usize,
-            num_classes: u("num_classes", d.num_classes as u64)? as usize,
-            rows_per_table: u("rows_per_table", d.rows_per_table as u64)? as usize,
-            mechanism,
-            seed: u("seed", d.seed)?,
-            num_queries: u("num_queries", d.num_queries as u64)? as usize,
-            mean_interarrival_ms: u("mean_interarrival_ms", d.mean_interarrival_ms)?,
-            period_ms: u("period_ms", d.period_ms)?,
-            max_retries: u("max_retries", u64::from(d.max_retries))? as u32,
-            reply_timeout_ms: u("reply_timeout_ms", d.reply_timeout_ms)?,
-            drop_prob,
-        };
+        let cfg = FedConfig::from_json(&Json::Obj(pairs))?;
         if cfg.num_nodes < 2 {
             return Err("num_nodes must be at least 2".to_string());
         }
         if cfg.period_ms == 0 {
             return Err("period_ms must be positive".to_string());
+        }
+        if !(0.0..=1.0).contains(&cfg.drop_prob) {
+            return Err(format!(
+                "drop_prob must be in [0, 1], got {}",
+                cfg.drop_prob
+            ));
         }
         Ok(cfg)
     }
@@ -192,35 +183,7 @@ impl FedConfig {
 
     /// Serializes (the `qa-ctl init` output; `parse` round-trips it).
     pub fn dump(&self) -> String {
-        Json::object([
-            ("spec_seed", Json::Int(self.spec_seed as i64)),
-            ("num_nodes", Json::Int(self.num_nodes as i64)),
-            ("num_tables", Json::Int(self.num_tables as i64)),
-            ("num_views", Json::Int(self.num_views as i64)),
-            ("num_classes", Json::Int(self.num_classes as i64)),
-            ("rows_per_table", Json::Int(self.rows_per_table as i64)),
-            (
-                "mechanism",
-                Json::Str(
-                    match self.mechanism {
-                        ClusterMechanism::QaNt => "qant",
-                        ClusterMechanism::Greedy => "greedy",
-                    }
-                    .to_string(),
-                ),
-            ),
-            ("seed", Json::Int(self.seed as i64)),
-            ("num_queries", Json::Int(self.num_queries as i64)),
-            (
-                "mean_interarrival_ms",
-                Json::Int(self.mean_interarrival_ms as i64),
-            ),
-            ("period_ms", Json::Int(self.period_ms as i64)),
-            ("max_retries", Json::Int(i64::from(self.max_retries))),
-            ("reply_timeout_ms", Json::Int(self.reply_timeout_ms as i64)),
-            ("drop_prob", Json::Float(self.drop_prob)),
-        ])
-        .pretty()
+        self.to_json().pretty()
     }
 
     /// Regenerates the deterministic deployment this config describes.
@@ -525,11 +488,29 @@ mod tests {
     }
 
     #[test]
+    fn seeds_above_i64_max_round_trip() {
+        for seed in [i64::MAX as u64 + 1, u64::MAX] {
+            let cfg = FedConfig {
+                spec_seed: seed,
+                seed,
+                ..FedConfig::example()
+            };
+            assert_eq!(FedConfig::parse(&cfg.dump()), Ok(cfg));
+        }
+    }
+
+    #[test]
     fn unknown_keys_and_bad_values_are_rejected() {
         assert!(FedConfig::parse("{\"num_nodez\": 5}").is_err(), "typo key");
         assert!(FedConfig::parse("{\"mechanism\": \"qnat\"}").is_err());
         assert!(FedConfig::parse("{\"drop_prob\": 1.5}").is_err());
+        assert!(FedConfig::parse("{\"drop_prob\": 2}").is_err());
         assert!(FedConfig::parse("{\"num_nodes\": 1}").is_err());
+        assert!(FedConfig::parse("{\"period_ms\": 0}").is_err());
+        assert_eq!(
+            FedConfig::parse("{\"max_retries\": 4294967296}"),
+            Err("field \"max_retries\": exceeds u32".to_string())
+        );
         assert!(FedConfig::parse("[]").is_err(), "must be an object");
     }
 

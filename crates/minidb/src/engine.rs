@@ -95,19 +95,6 @@ impl Database {
                 })?;
                 Ok(QueryResult::empty())
             }
-            Statement::CreateIndex {
-                name: _,
-                table,
-                column,
-            } => {
-                let t = self
-                    .catalog
-                    .table_mut(&table)
-                    .ok_or_else(|| DbError::catalog(format!("unknown table '{table}'")))?;
-                let ordinal = t.schema().resolve(None, &column)?;
-                t.create_index(ordinal)?;
-                Ok(QueryResult::empty())
-            }
             Statement::Insert { table, rows } => {
                 let t = self
                     .catalog
@@ -412,136 +399,6 @@ mod tests {
             r.rows,
             vec![vec![Value::Int(5), Value::Float(70.0), Value::Float(120.0)]]
         );
-    }
-}
-
-#[cfg(test)]
-mod index_tests {
-    use super::*;
-
-    fn indexed_db() -> Database {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE t (id INT, grp INT, v FLOAT)")
-            .unwrap();
-        db.load_rows(
-            "t",
-            (0..1_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 10), Value::Float(i as f64)])
-                .collect(),
-        )
-        .unwrap();
-        db.execute("CREATE INDEX t_grp ON t (grp)").unwrap();
-        db
-    }
-
-    #[test]
-    fn equality_uses_index_scan() {
-        let db = indexed_db();
-        let ex = db.explain("SELECT * FROM t WHERE grp = 3").unwrap();
-        assert!(ex.text.contains("IndexScan"), "{}", ex.text);
-        let r = db.query("SELECT COUNT(*) FROM t WHERE grp = 3").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(100));
-    }
-
-    #[test]
-    fn range_uses_index_scan() {
-        let db = indexed_db();
-        let ex = db.explain("SELECT * FROM t WHERE grp >= 8").unwrap();
-        assert!(ex.text.contains("IndexScan"), "{}", ex.text);
-        let r = db.query("SELECT COUNT(*) FROM t WHERE grp >= 8").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(200));
-        // Mirrored literal form `3 > grp` ≡ `grp < 3`.
-        let r = db.query("SELECT COUNT(*) FROM t WHERE 3 > grp").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(300));
-        assert!(db
-            .explain("SELECT * FROM t WHERE 3 > grp")
-            .unwrap()
-            .text
-            .contains("IndexScan"));
-    }
-
-    #[test]
-    fn index_and_residual_filter_compose() {
-        let db = indexed_db();
-        let sql = "SELECT COUNT(*) FROM t WHERE grp = 3 AND v < 500.0";
-        let ex = db.explain(sql).unwrap();
-        assert!(ex.text.contains("IndexScan"), "{}", ex.text);
-        assert!(ex.text.contains("Filter"), "{}", ex.text);
-        let r = db.query(sql).unwrap();
-        // grp = 3 → ids 3, 13, …, 993; v < 500 keeps ids < 500 → 50 rows.
-        assert_eq!(r.rows[0][0], Value::Int(50));
-    }
-
-    #[test]
-    fn unindexed_column_stays_sequential() {
-        let db = indexed_db();
-        let ex = db.explain("SELECT * FROM t WHERE id = 7").unwrap();
-        assert!(!ex.text.contains("IndexScan"), "{}", ex.text);
-        assert!(ex.text.contains("Scan"));
-    }
-
-    #[test]
-    fn index_scan_estimated_cheaper_than_full_scan() {
-        let db = indexed_db();
-        let with = db.explain("SELECT * FROM t WHERE grp = 3").unwrap();
-        let without = db.explain("SELECT * FROM t WHERE id = 3").unwrap();
-        assert!(
-            with.root.cost < without.root.cost / 2.0,
-            "index {} vs scan {}",
-            with.root.cost,
-            without.root.cost
-        );
-    }
-
-    #[test]
-    fn index_results_match_full_scan() {
-        let mut db = indexed_db();
-        // Same predicate through an unindexed expression to force a scan:
-        // (grp + 0) = 3 is not sargable.
-        let via_index = db
-            .query("SELECT id FROM t WHERE grp = 3 ORDER BY id")
-            .unwrap();
-        let via_scan = db
-            .query("SELECT id FROM t WHERE grp + 0 = 3 ORDER BY id")
-            .unwrap();
-        assert_eq!(via_index.rows, via_scan.rows);
-        // And the index stays correct after further inserts.
-        db.execute("INSERT INTO t VALUES (5000, 3, 1.0)").unwrap();
-        let r = db.query("SELECT COUNT(*) FROM t WHERE grp = 3").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(101));
-    }
-
-    #[test]
-    fn nulls_are_not_indexed_and_never_match() {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE n (k INT)").unwrap();
-        db.execute("INSERT INTO n VALUES (1), (NULL), (2), (NULL)")
-            .unwrap();
-        db.execute("CREATE INDEX n_k ON n (k)").unwrap();
-        let r = db.query("SELECT COUNT(*) FROM n WHERE k >= 0").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(2));
-        assert!(db
-            .explain("SELECT * FROM n WHERE k >= 0")
-            .unwrap()
-            .text
-            .contains("IndexScan"));
-    }
-
-    #[test]
-    fn create_index_errors() {
-        let mut db = indexed_db();
-        assert!(db.execute("CREATE INDEX x ON missing (id)").is_err());
-        assert!(db.execute("CREATE INDEX x ON t (nope)").is_err());
-    }
-
-    #[test]
-    fn fingerprint_stable_across_index_literals() {
-        let db = indexed_db();
-        let a = db.explain("SELECT * FROM t WHERE grp = 1").unwrap();
-        let b = db.explain("SELECT * FROM t WHERE grp = 9").unwrap();
-        assert_eq!(a.fingerprint, b.fingerprint);
-        let c = db.explain("SELECT * FROM t WHERE grp > 1").unwrap();
-        assert_ne!(a.fingerprint, c.fingerprint);
     }
 }
 

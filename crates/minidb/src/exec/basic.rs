@@ -30,36 +30,6 @@ impl RowIter for Scan<'_> {
     }
 }
 
-/// Index lookup: yields the rows at precomputed positions (in table
-/// order).
-pub struct IndexScan<'a> {
-    rows: &'a [Row],
-    positions: Vec<usize>,
-    pos: usize,
-}
-
-impl<'a> IndexScan<'a> {
-    /// A scan over the rows at `positions` (must be valid indices).
-    pub fn new(rows: &'a [Row], positions: Vec<usize>) -> IndexScan<'a> {
-        IndexScan {
-            rows,
-            positions,
-            pos: 0,
-        }
-    }
-}
-
-impl RowIter for IndexScan<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.pos >= self.positions.len() {
-            return Ok(None);
-        }
-        let row = self.rows[self.positions[self.pos]].clone();
-        self.pos += 1;
-        Ok(Some(row))
-    }
-}
-
 /// Predicate filter (SQL semantics: keep only rows where the predicate is
 /// `TRUE`; `NULL` drops).
 pub struct Filter<'a> {

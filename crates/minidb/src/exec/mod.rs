@@ -11,7 +11,7 @@ pub mod join;
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
-use crate::plan::logical::{IndexCondition, JoinStrategy, LogicalPlan};
+use crate::plan::logical::{JoinStrategy, LogicalPlan};
 use crate::value::Row;
 
 /// A pull-based row stream.
@@ -31,29 +31,6 @@ pub fn build<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> DbResult<BoxIter<'
                 .table(table)
                 .ok_or_else(|| DbError::catalog(format!("table '{table}' vanished")))?;
             Ok(Box::new(basic::Scan::new(t.rows())))
-        }
-        LogicalPlan::IndexScan {
-            table,
-            column,
-            condition,
-            ..
-        } => {
-            let t = catalog
-                .table(table)
-                .ok_or_else(|| DbError::catalog(format!("table '{table}' vanished")))?;
-            let index = t.index_on(*column).ok_or_else(|| {
-                DbError::catalog(format!("index on '{table}' column {column} vanished"))
-            })?;
-            let mut positions: Vec<usize> = match condition {
-                IndexCondition::Eq(v) => index.get(v).cloned().unwrap_or_default(),
-                IndexCondition::Range { lo, hi } => index
-                    .range((lo.clone(), hi.clone()))
-                    .flat_map(|(_, ps)| ps.iter().copied())
-                    .collect(),
-            };
-            // Emit in table order, keeping the executor deterministic.
-            positions.sort_unstable();
-            Ok(Box::new(basic::IndexScan::new(t.rows(), positions)))
         }
         LogicalPlan::Filter { input, predicate } => Ok(Box::new(basic::Filter::new(
             build(input, catalog)?,

@@ -13,7 +13,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
-use crate::plan::logical::{IndexCondition, JoinStrategy, LogicalPlan};
+use crate::plan::logical::{JoinStrategy, LogicalPlan};
 use crate::sql::ast::{BinaryOp, UnaryOp};
 
 /// Estimated output shape of a plan node.
@@ -73,34 +73,6 @@ pub fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> PlanEstimate {
                 rows,
                 // Sequential read: CPU per row plus byte volume.
                 cost: rows * (1.0 + width / 100.0),
-                width: width.max(8.0),
-            }
-        }
-        LogicalPlan::IndexScan {
-            table,
-            column,
-            condition,
-            ..
-        } => {
-            let (rows, width, distinct) = catalog
-                .table(table)
-                .map(|t| {
-                    let s = t.stats();
-                    (
-                        s.row_count as f64,
-                        s.avg_row_bytes,
-                        s.columns[*column].distinct_estimate(s.row_count).max(1) as f64,
-                    )
-                })
-                .unwrap_or((0.0, 0.0, 1.0));
-            let out_rows = match condition {
-                IndexCondition::Eq(_) => (rows / distinct).max(0.0),
-                IndexCondition::Range { .. } => rows * 0.3,
-            };
-            PlanEstimate {
-                rows: out_rows,
-                // B-tree descent plus the matching rows.
-                cost: rows.max(2.0).log2() + out_rows * (1.0 + width / 100.0),
                 width: width.max(8.0),
             }
         }

@@ -72,26 +72,6 @@ fn hash_plan<H: Hasher>(plan: &LogicalPlan, h: &mut H) {
             table.hash(h);
             alias.hash(h);
         }
-        LogicalPlan::IndexScan {
-            table,
-            alias,
-            column,
-            condition,
-            ..
-        } => {
-            table.hash(h);
-            alias.hash(h);
-            column.hash(h);
-            // Literal-insensitive: hash only the shape of the condition.
-            match condition {
-                crate::plan::logical::IndexCondition::Eq(_) => 0u8.hash(h),
-                crate::plan::logical::IndexCondition::Range { lo, hi } => {
-                    1u8.hash(h);
-                    std::mem::discriminant(lo).hash(h);
-                    std::mem::discriminant(hi).hash(h);
-                }
-            }
-        }
         LogicalPlan::Filter { predicate, .. } => hash_expr(predicate, h),
         LogicalPlan::Project { exprs, .. } => {
             for e in exprs {

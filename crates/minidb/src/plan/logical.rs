@@ -10,9 +10,7 @@
 use crate::expr::BoundExpr;
 use crate::schema::Schema;
 use crate::sql::ast::AggFunc;
-use crate::value::Value;
 use std::fmt;
-use std::ops::Bound;
 
 /// Equi-join keys: pairs of (left ordinal, right ordinal), where the right
 /// ordinal is relative to the right input's schema.
@@ -40,44 +38,6 @@ pub struct AggExpr {
     pub name: String,
 }
 
-/// The key condition an [`LogicalPlan::IndexScan`] applies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexCondition {
-    /// `column = value`.
-    Eq(Value),
-    /// A (half-)open range over the column.
-    Range {
-        /// Lower bound.
-        lo: Bound<Value>,
-        /// Upper bound.
-        hi: Bound<Value>,
-    },
-}
-
-impl fmt::Display for IndexCondition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IndexCondition::Eq(v) => write!(f, "= {v}"),
-            IndexCondition::Range { lo, hi } => {
-                match lo {
-                    Bound::Included(v) => write!(f, ">= {v}")?,
-                    Bound::Excluded(v) => write!(f, "> {v}")?,
-                    Bound::Unbounded => {}
-                }
-                if !matches!(lo, Bound::Unbounded) && !matches!(hi, Bound::Unbounded) {
-                    write!(f, " AND ")?;
-                }
-                match hi {
-                    Bound::Included(v) => write!(f, "<= {v}")?,
-                    Bound::Excluded(v) => write!(f, "< {v}")?,
-                    Bound::Unbounded => {}
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// A logical plan node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
@@ -87,20 +47,6 @@ pub enum LogicalPlan {
         table: String,
         /// The alias used in the query.
         alias: String,
-        /// Output schema (qualified by the alias).
-        schema: Schema,
-    },
-    /// Index lookup on a base table (chosen by the optimizer when a
-    /// sargable predicate meets a secondary index).
-    IndexScan {
-        /// The catalog table name.
-        table: String,
-        /// The alias used in the query.
-        alias: String,
-        /// The indexed column's ordinal in the table schema.
-        column: usize,
-        /// The key condition.
-        condition: IndexCondition,
         /// Output schema (qualified by the alias).
         schema: Schema,
     },
@@ -167,7 +113,6 @@ impl LogicalPlan {
     pub fn schema(&self) -> &Schema {
         match self {
             LogicalPlan::Scan { schema, .. } => schema,
-            LogicalPlan::IndexScan { schema, .. } => schema,
             LogicalPlan::Filter { input, .. } => input.schema(),
             LogicalPlan::Project { schema, .. } => schema,
             LogicalPlan::Join { schema, .. } => schema,
@@ -181,7 +126,6 @@ impl LogicalPlan {
     pub fn op_name(&self) -> &'static str {
         match self {
             LogicalPlan::Scan { .. } => "Scan",
-            LogicalPlan::IndexScan { .. } => "IndexScan",
             LogicalPlan::Filter { .. } => "Filter",
             LogicalPlan::Project { .. } => "Project",
             LogicalPlan::Join { strategy, .. } => match strategy {
@@ -198,7 +142,7 @@ impl LogicalPlan {
     /// The node's children.
     pub fn children(&self) -> Vec<&LogicalPlan> {
         match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::IndexScan { .. } => vec![],
+            LogicalPlan::Scan { .. } => vec![],
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
@@ -217,20 +161,6 @@ impl LogicalPlan {
                 } else {
                     format!("{table} AS {alias}")
                 }
-            }
-            LogicalPlan::IndexScan {
-                table,
-                alias,
-                column,
-                condition,
-                ..
-            } => {
-                let name = if table == alias {
-                    table.clone()
-                } else {
-                    format!("{table} AS {alias}")
-                };
-                format!("{name} col#{column} {condition}")
             }
             LogicalPlan::Filter { predicate, .. } => predicate.to_string(),
             LogicalPlan::Project { exprs, .. } => exprs

@@ -16,9 +16,8 @@ use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
 use crate::plan::binder::flatten_and;
 use crate::plan::cost::estimate;
-use crate::plan::logical::{IndexCondition, JoinStrategy, LogicalPlan};
+use crate::plan::logical::{JoinStrategy, LogicalPlan};
 use crate::sql::ast::BinaryOp;
-use std::ops::Bound;
 
 /// Engine-level physical capabilities (per-node heterogeneity knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,183 +38,7 @@ impl Default for OptimizerConfig {
 /// Optimizes a bound plan.
 pub fn optimize(plan: LogicalPlan, catalog: &Catalog, config: OptimizerConfig) -> LogicalPlan {
     let plan = push_down_filters(plan);
-    let plan = use_indexes(plan, catalog);
     choose_join_strategies(plan, catalog, config)
-}
-
-/// Rewrites `Filter(sargable ∧ rest) over Scan` into
-/// `Filter(rest) over IndexScan` when a secondary index covers the
-/// sargable conjunct. Runs after pushdown, so filters sit directly on
-/// scans.
-fn use_indexes(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = use_indexes(*input, catalog);
-            if let LogicalPlan::Scan {
-                table,
-                alias,
-                schema,
-            } = input
-            {
-                let indexed: Vec<usize> = catalog
-                    .table(&table)
-                    .map(|t| t.indexed_columns())
-                    .unwrap_or_default();
-                let mut conjuncts = Vec::new();
-                flatten_and(predicate, &mut conjuncts);
-                // First sargable conjunct over an indexed column wins.
-                let mut condition: Option<(usize, IndexCondition)> = None;
-                let mut rest: Vec<BoundExpr> = Vec::new();
-                for c in conjuncts {
-                    if condition.is_none() {
-                        if let Some((col, cond)) = sargable(&c, &indexed) {
-                            condition = Some((col, cond));
-                            continue;
-                        }
-                    }
-                    rest.push(c);
-                }
-                let scan = match condition {
-                    Some((column, condition)) => LogicalPlan::IndexScan {
-                        table,
-                        alias,
-                        column,
-                        condition,
-                        schema,
-                    },
-                    None => {
-                        // Rebuild the untouched filter-over-scan.
-                        let scan = LogicalPlan::Scan {
-                            table,
-                            alias,
-                            schema,
-                        };
-                        let pred = rest
-                            .into_iter()
-                            .reduce(|a, b| BoundExpr::Binary {
-                                left: Box::new(a),
-                                op: BinaryOp::And,
-                                right: Box::new(b),
-                            })
-                            .expect("filter had at least one conjunct");
-                        return LogicalPlan::Filter {
-                            input: Box::new(scan),
-                            predicate: pred,
-                        };
-                    }
-                };
-                match rest.into_iter().reduce(|a, b| BoundExpr::Binary {
-                    left: Box::new(a),
-                    op: BinaryOp::And,
-                    right: Box::new(b),
-                }) {
-                    Some(pred) => LogicalPlan::Filter {
-                        input: Box::new(scan),
-                        predicate: pred,
-                    },
-                    None => scan,
-                }
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate,
-                }
-            }
-        }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(use_indexes(*input, catalog)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            equi,
-            residual,
-            strategy,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(use_indexes(*left, catalog)),
-            right: Box::new(use_indexes(*right, catalog)),
-            equi,
-            residual,
-            strategy,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(use_indexes(*input, catalog)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(use_indexes(*input, catalog)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(use_indexes(*input, catalog)),
-            n,
-        },
-        leaf => leaf,
-    }
-}
-
-/// Returns `(column ordinal, condition)` when `expr` is of the form
-/// `col ⊙ literal` (or `literal ⊙ col`) with `⊙ ∈ {=, <, <=, >, >=}` and
-/// `col` carries a secondary index. Scan schemas map 1:1 onto table
-/// schemas, so the bound ordinal IS the table ordinal.
-fn sargable(expr: &BoundExpr, indexed: &[usize]) -> Option<(usize, IndexCondition)> {
-    let BoundExpr::Binary { left, op, right } = expr else {
-        return None;
-    };
-    let (col, lit, op) = match (left.as_ref(), right.as_ref()) {
-        (BoundExpr::Column { index, .. }, BoundExpr::Literal(v)) => (*index, v.clone(), *op),
-        (BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => {
-            // Mirror the operator: `5 < col` ≡ `col > 5`.
-            let mirrored = match op {
-                BinaryOp::Lt => BinaryOp::Gt,
-                BinaryOp::LtEq => BinaryOp::GtEq,
-                BinaryOp::Gt => BinaryOp::Lt,
-                BinaryOp::GtEq => BinaryOp::LtEq,
-                other => *other,
-            };
-            (*index, v.clone(), mirrored)
-        }
-        _ => return None,
-    };
-    if lit.is_null() || !indexed.contains(&col) {
-        return None;
-    }
-    let cond = match op {
-        BinaryOp::Eq => IndexCondition::Eq(lit),
-        BinaryOp::Lt => IndexCondition::Range {
-            lo: Bound::Unbounded,
-            hi: Bound::Excluded(lit),
-        },
-        BinaryOp::LtEq => IndexCondition::Range {
-            lo: Bound::Unbounded,
-            hi: Bound::Included(lit),
-        },
-        BinaryOp::Gt => IndexCondition::Range {
-            lo: Bound::Excluded(lit),
-            hi: Bound::Unbounded,
-        },
-        BinaryOp::GtEq => IndexCondition::Range {
-            lo: Bound::Included(lit),
-            hi: Bound::Unbounded,
-        },
-        _ => return None,
-    };
-    Some((col, cond))
 }
 
 /// Recursively pushes filter conjuncts toward the scans.
@@ -268,7 +91,7 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
             input: Box::new(push_down_filters(*input)),
             n,
         },
-        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::IndexScan { .. }) => leaf,
+        leaf @ LogicalPlan::Scan { .. } => leaf,
     }
 }
 
@@ -469,7 +292,7 @@ fn choose_join_strategies(
             input: Box::new(choose_join_strategies(*input, catalog, config)),
             n,
         },
-        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::IndexScan { .. }) => leaf,
+        leaf @ LogicalPlan::Scan { .. } => leaf,
     }
 }
 

@@ -23,15 +23,6 @@ pub enum Statement {
         /// The defining query.
         select: SelectStmt,
     },
-    /// `CREATE INDEX name ON table (column)`
-    CreateIndex {
-        /// Index name (catalog bookkeeping only).
-        name: String,
-        /// The indexed table.
-        table: String,
-        /// The indexed column.
-        column: String,
-    },
     /// `INSERT INTO name VALUES (…), (…)`
     Insert {
         /// Target table.

@@ -107,10 +107,7 @@ impl Parser {
             if self.eat_keyword("VIEW") {
                 return self.create_view();
             }
-            if self.eat_keyword("INDEX") {
-                return self.create_index();
-            }
-            return Err(DbError::parse("expected TABLE, VIEW or INDEX after CREATE"));
+            return Err(DbError::parse("expected TABLE or VIEW after CREATE"));
         }
         if self.eat_keyword("INSERT") {
             return self.insert();
@@ -163,20 +160,6 @@ impl Parser {
         Ok(Statement::CreateView {
             name,
             select: self.select()?,
-        })
-    }
-
-    fn create_index(&mut self) -> DbResult<Statement> {
-        let name = self.expect_ident()?;
-        self.expect_keyword("ON")?;
-        let table = self.expect_ident()?;
-        self.expect_symbol("(")?;
-        let column = self.expect_ident()?;
-        self.expect_symbol(")")?;
-        Ok(Statement::CreateIndex {
-            name,
-            table,
-            column,
         })
     }
 

@@ -9,7 +9,7 @@
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::value::{Row, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// Cap on exact distinct counting per column; beyond it we extrapolate.
 const DISTINCT_CAP: usize = 10_000;
@@ -98,10 +98,6 @@ impl TableStats {
     }
 }
 
-/// A secondary index: ordered map from column value to row positions.
-/// NULLs are not indexed (SQL predicates never match them).
-pub type ColumnIndex = BTreeMap<Value, Vec<usize>>;
-
 /// An in-memory table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -109,8 +105,6 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     stats: TableStats,
-    /// Secondary indexes keyed by column ordinal.
-    indexes: std::collections::HashMap<usize, ColumnIndex>,
 }
 
 impl Table {
@@ -122,7 +116,6 @@ impl Table {
             schema,
             rows: Vec::new(),
             stats,
-            indexes: std::collections::HashMap::new(),
         }
     }
 
@@ -173,49 +166,8 @@ impl Table {
             coerced.push(v.coerce(col.ty));
         }
         self.stats.observe(&coerced);
-        let pos = self.rows.len();
-        for (&col, index) in &mut self.indexes {
-            let v = &coerced[col];
-            if !v.is_null() {
-                index.entry(v.clone()).or_default().push(pos);
-            }
-        }
         self.rows.push(coerced);
         Ok(())
-    }
-
-    /// Builds (or rebuilds) a secondary index on the column at `ordinal`.
-    ///
-    /// # Errors
-    /// `Catalog` if the ordinal is out of range.
-    pub fn create_index(&mut self, ordinal: usize) -> DbResult<()> {
-        if ordinal >= self.schema.len() {
-            return Err(DbError::catalog(format!(
-                "table '{}' has no column ordinal {ordinal}",
-                self.name
-            )));
-        }
-        let mut index: ColumnIndex = BTreeMap::new();
-        for (pos, row) in self.rows.iter().enumerate() {
-            let v = &row[ordinal];
-            if !v.is_null() {
-                index.entry(v.clone()).or_default().push(pos);
-            }
-        }
-        self.indexes.insert(ordinal, index);
-        Ok(())
-    }
-
-    /// The secondary index on `ordinal`, if one exists.
-    pub fn index_on(&self, ordinal: usize) -> Option<&ColumnIndex> {
-        self.indexes.get(&ordinal)
-    }
-
-    /// Ordinals with secondary indexes.
-    pub fn indexed_columns(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.indexes.keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     /// The stored rows.

@@ -207,15 +207,6 @@ pub fn fig5b_point(scenario: &Scenario, freq_hz: f64, secs: u64) -> SweepPoint {
     sweep_point(scenario, &trace, freq_hz)
 }
 
-/// Figure 5b: frequency sweep 0.05–2 Hz at 80 % average load.
-pub fn fig5b_frequency_sweep(config: &SimConfig, freqs_hz: &[f64], secs: u64) -> Vec<SweepPoint> {
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
-    freqs_hz
-        .iter()
-        .map(|&f| fig5b_point(&scenario, f, secs))
-        .collect()
-}
-
 // ---------------------------------------------------------------- Fig. 5c
 
 /// Figure 5c: Q1 arrivals vs Q1 queries executed per half-second, for

@@ -2296,109 +2296,3 @@ mod wait_list {
         ));
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use crate::config::SimConfig;
-    use crate::scenario::TwoClassParams;
-    use qa_simnet::telemetry::Severity;
-    use qa_workload::arrival::{ArrivalProcess, SinusoidProcess};
-
-    #[test]
-    #[ignore]
-    fn diagnose_overload() {
-        // Silent by default; set QA_TELEMETRY=stderr to see the report.
-        let tel = Telemetry::from_env();
-        let frac: f64 = std::env::var("DIAG_FRAC")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.2);
-        let nodes: usize = std::env::var("DIAG_NODES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
-        let secs: u64 = std::env::var("DIAG_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40);
-        let mut cfg = SimConfig::small_test(11);
-        cfg.num_nodes = nodes;
-        let s = Scenario::two_class(cfg, TwoClassParams::default());
-        let mix = [2.0 / 3.0, 1.0 / 3.0];
-        let capacity = s.capacity_qps(&mix);
-        let peak_q1 = frac * capacity / 0.75;
-        let (p1, p2) = SinusoidProcess::paper_pair(0.05, peak_q1);
-        let mut rng = DetRng::seed_from_u64(s.config.seed).derive("trace");
-        let horizon = SimTime::from_secs(secs);
-        let mut arrivals = p1.generate(horizon, &mut rng);
-        arrivals.extend(p2.generate(horizon, &mut rng));
-        let t = Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng);
-        tel.diag(Severity::Info, "sim.diag", || {
-            format!(
-                "overload sweep: frac={frac} nodes={nodes} secs={secs} queries={}",
-                t.len()
-            )
-        });
-        for m in [MechanismKind::QaNt, MechanismKind::Greedy] {
-            let f = Federation::new(&s, m, &t);
-            // run inline to inspect node state afterwards
-            let scenario = f.scenario;
-            let out = f.run(&t);
-            let _ = scenario;
-            tel.diag(Severity::Info, "sim.diag", || {
-                format!(
-                    "{m}: completed={} retries={} mean={:?} q1={:?} q2={:?} busy={:.0}s",
-                    out.metrics.completed,
-                    out.metrics.retries,
-                    out.metrics.mean_response_ms(),
-                    out.metrics.mean_response_ms_of(ClassId(0)),
-                    out.metrics.mean_response_ms_of(ClassId(1)),
-                    out.total_busy.as_secs_f64()
-                )
-            });
-        }
-    }
-}
-
-#[cfg(test)]
-mod diag_zipf {
-    use super::*;
-    use crate::config::SimConfig;
-    use qa_simnet::telemetry::Severity;
-    use qa_workload::arrival::{ArrivalProcess, ZipfProcess};
-
-    #[test]
-    #[ignore]
-    fn diagnose_zipf_light() {
-        let gap: u64 = std::env::var("ZIPF_MIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000);
-        let cfg = SimConfig::paper_defaults();
-        let s = Scenario::table3(cfg);
-        let process = ZipfProcess::paper(100, SimDuration::from_millis(gap));
-        let mut rng = DetRng::seed_from_u64(s.config.seed).derive("zipf-trace");
-        let horizon_s = (10_000.0 * process.mean_gap_secs() / 100.0).clamp(10.0, 3_600.0);
-        let mut arrivals =
-            process.generate(SimTime::from_micros((horizon_s * 1e6) as u64), &mut rng);
-        arrivals.sort_by_key(|(t, c)| (*t, c.index()));
-        arrivals.truncate(10_000);
-        let t = Trace::from_arrivals(arrivals, s.config.num_nodes, &mut rng);
-        // Silent by default; set QA_TELEMETRY=stderr to see the report.
-        let tel = Telemetry::from_env();
-        for m in [MechanismKind::QaNt, MechanismKind::Greedy] {
-            let out = Federation::new(&s, m, &t).run(&t);
-            tel.diag(Severity::Info, "sim.diag_zipf", || {
-                format!(
-                    "{m}: completed={} retries={} mean={:?} exec@choice={:?} backlog@choice={:?}",
-                    out.metrics.completed,
-                    out.metrics.retries,
-                    out.metrics.mean_response_ms(),
-                    out.metrics.chosen_exec_ms.mean(),
-                    out.metrics.chosen_backlog_ms.mean()
-                )
-            });
-        }
-    }
-}

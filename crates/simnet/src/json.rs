@@ -12,18 +12,30 @@
 //! * a [`ToJson`] conversion trait with impls for primitives, `Option`,
 //!   slices and `Vec`, plus the [`impl_to_json!`](crate::impl_to_json) /
 //!   [`json_obj!`](crate::json_obj) macros for struct ports,
-//! * a small strict parser ([`Json::parse`]) for the trace replay
-//!   round-trip.
+//! * a small strict parser ([`Json::parse`]),
+//! * the read half: [`FromJson`], one strict reader per type (`u32`,
+//!   `u64`, `usize`, `f64`, `String`, `Vec<T>`), and [`Json::field`],
+//!   which reads one required key of an object through it and names the
+//!   key in the error. [`impl_json!`](crate::impl_json) states a struct's
+//!   field list once and generates both halves from it. Every reader
+//!   that must refuse bad input — telemetry trace records, the `qad`
+//!   federation config, workload traces — goes through `field`, so what
+//!   "missing", "ill-typed" and "exceeds `u32`" mean is decided here,
+//!   once. (The fleet-snapshot merge skips what it cannot read instead,
+//!   and uses [`Json::get`] and the `as_*` accessors.)
 //!
 //! It lives in `qa-simnet` because the substrate crate is the one
 //! dependency shared by every layer that serializes (workload traces,
 //! simulator results, cluster results, bench output); `qa-core` re-exports
 //! it as `qa_core::json` for the upper layers.
 //!
-//! Non-goals: derive-style deserialization into structs (only `Trace`
-//! reads JSON back, and it does so by field extraction), `u64` values
-//! above `i64::MAX` (integers are stored as `i64`; larger values saturate
-//! through `f64`), and streaming.
+//! Integers are exact over `i64::MIN ..= u64::MAX`: [`Json::Int`] holds
+//! what fits an `i64`, [`Json::UInt`] only the `u64` values above it, so
+//! a value has one representation and `==` on trees stays structural.
+//!
+//! Non-goals: enums and optional fields in the derived read half (the two
+//! string-coded enums implement [`FromJson`] by hand; defaults are the
+//! caller's — see `FedConfig::parse`), and streaming.
 
 use std::fmt::Write as _;
 
@@ -36,6 +48,8 @@ pub enum Json {
     Bool(bool),
     /// An integer (JSON numbers without fraction/exponent).
     Int(i64),
+    /// An integer above `i64::MAX`. Never holds a value `Int` can.
+    UInt(u64),
     /// A float. Non-finite values emit as `null`.
     Float(f64),
     /// A string.
@@ -65,6 +79,16 @@ impl Json {
         }
     }
 
+    /// Reads the required key `key` of an object as a `T`, strictly: a
+    /// missing key and a value `T` does not accept are both errors, and
+    /// both name the key.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        T::from_json(value).map_err(|e| format!("field {key:?}: {e}"))
+    }
+
     /// The elements of an array (`None` for non-arrays).
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -77,6 +101,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(v) => u64::try_from(*v).ok(),
+            Json::UInt(v) => Some(*v),
             _ => None,
         }
     }
@@ -85,6 +110,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(v) => Some(*v as f64),
+            Json::UInt(v) => Some(*v as f64),
             Json::Float(v) => Some(*v),
             _ => None,
         }
@@ -130,6 +156,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
             Json::Float(v) => {
@@ -422,11 +451,14 @@ impl Parser<'_> {
                 .map(Json::Float)
                 .map_err(|e| format!("bad number '{text}': {e}"))
         } else {
-            text.parse::<i64>().map(Json::Int).or_else(|_| {
-                text.parse::<f64>()
-                    .map(Json::Float)
-                    .map_err(|e| format!("bad number '{text}': {e}"))
-            })
+            text.parse::<i64>()
+                .map(Json::Int)
+                .or_else(|_| text.parse::<u64>().map(Json::UInt))
+                .or_else(|_| {
+                    text.parse::<f64>()
+                        .map(Json::Float)
+                        .map_err(|e| format!("bad number '{text}': {e}"))
+                })
         }
     }
 }
@@ -486,11 +518,10 @@ macro_rules! int_to_json {
 int_to_json!(i8, i16, i32, i64, u8, u16, u32);
 
 impl ToJson for u64 {
-    /// Values above `i64::MAX` degrade to a float (documented non-goal).
     fn to_json(&self) -> Json {
         match i64::try_from(*self) {
             Ok(v) => Json::Int(v),
-            Err(_) => Json::Float(*self as f64),
+            Err(_) => Json::UInt(*self),
         }
     }
 }
@@ -528,6 +559,60 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
+/// Strict conversion back from a [`Json`] value — the read half of
+/// [`ToJson`]. An impl accepts exactly what its type's `to_json` writes
+/// (an `f64` also accepts an integer, which is how a whole float is
+/// written by hand); the error says what was wrong with the value and
+/// leaves naming it to the caller ([`Json::field`]).
+pub trait FromJson: Sized {
+    /// Reads `v` as a `Self`.
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+impl FromJson for u64 {
+    fn from_json(v: &Json) -> Result<u64, String> {
+        v.as_u64()
+            .ok_or_else(|| "not a non-negative integer".into())
+    }
+}
+
+impl FromJson for u32 {
+    fn from_json(v: &Json) -> Result<u32, String> {
+        u32::try_from(u64::from_json(v)?).map_err(|_| "exceeds u32".into())
+    }
+}
+
+impl FromJson for usize {
+    fn from_json(v: &Json) -> Result<usize, String> {
+        usize::try_from(u64::from_json(v)?).map_err(|_| "exceeds usize".into())
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(v: &Json) -> Result<f64, String> {
+        v.as_f64().ok_or_else(|| "not a number".into())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &Json) -> Result<String, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "not a string".into())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Json) -> Result<Vec<T>, String> {
+        v.as_array()
+            .ok_or("not an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::from_json(x).map_err(|e| format!("element {i}: {e}")))
+            .collect()
+    }
+}
+
 /// Implements [`ToJson`] for a struct by listing its fields:
 ///
 /// ```
@@ -542,6 +627,34 @@ macro_rules! impl_to_json {
                 $crate::json::Json::object([
                     $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),+
                 ])
+            }
+        }
+    };
+}
+
+/// Implements [`ToJson`] and [`FromJson`] for a struct from one list of
+/// its fields — [`impl_to_json!`](crate::impl_to_json) plus the read
+/// half: every listed field is required and read through its type's
+/// [`FromJson`].
+///
+/// ```
+/// use qa_simnet::json::{FromJson, Json, ToJson};
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: f64, n: u32 }
+/// qa_simnet::impl_json!(Point { x, n });
+/// let p = Point { x: 0.5, n: 3 };
+/// assert_eq!(Point::from_json(&p.to_json()), Ok(p));
+/// assert!(Point::from_json(&Json::parse(r#"{"x":0.5}"#).unwrap()).is_err());
+/// ```
+#[macro_export]
+macro_rules! impl_json {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        $crate::impl_to_json!($ty { $($field),+ });
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                Ok($ty {
+                    $($field: v.field(stringify!($field))?),+
+                })
             }
         }
     };
@@ -639,12 +752,62 @@ mod tests {
     #[test]
     fn to_json_primitives() {
         assert_eq!(7u32.to_json(), Json::Int(7));
-        assert_eq!((u64::MAX).to_json(), Json::Float(u64::MAX as f64));
+        assert_eq!((u64::MAX).to_json(), Json::UInt(u64::MAX));
         assert_eq!(None::<f64>.to_json(), Json::Null);
         assert_eq!(Some("x").to_json(), Json::Str("x".to_string()));
         assert_eq!(
             vec![1u8, 2].to_json(),
             Json::Arr(vec![Json::Int(1), Json::Int(2)])
+        );
+    }
+
+    #[test]
+    fn integers_are_exact_up_to_u64_max() {
+        for v in [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let text = v.to_json().dump();
+            assert_eq!(text, v.to_string());
+            let back = Json::parse(&text).unwrap();
+            assert_eq!(back, v.to_json(), "one representation per value");
+            assert_eq!(u64::from_json(&back), Ok(v));
+        }
+        // One past u64::MAX is a float again, and no integer.
+        let huge = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(huge, Json::Float(18446744073709551616.0));
+        assert!(u64::from_json(&huge).is_err());
+    }
+
+    #[test]
+    fn field_reads_strictly_and_names_the_key() {
+        let v =
+            Json::parse(r#"{"n":7,"x":2,"s":"a","xs":[1,2.5],"big":4294967296,"neg":-1}"#).unwrap();
+        assert_eq!(v.field::<u32>("n"), Ok(7));
+        assert_eq!(v.field::<f64>("x"), Ok(2.0));
+        assert_eq!(v.field::<String>("s"), Ok("a".to_string()));
+        assert_eq!(v.field::<Vec<f64>>("xs"), Ok(vec![1.0, 2.5]));
+        assert_eq!(v.field::<u64>("big"), Ok(1 << 32));
+        assert_eq!(v.field::<usize>("big"), Ok(1 << 32));
+        let refused = |r: Result<u32, String>| r.unwrap_err();
+        assert_eq!(refused(v.field("gone")), "missing field \"gone\"");
+        assert_eq!(refused(v.field("big")), "field \"big\": exceeds u32");
+        assert_eq!(
+            refused(v.field("neg")),
+            "field \"neg\": not a non-negative integer"
+        );
+        assert_eq!(
+            v.field::<Vec<u64>>("xs").unwrap_err(),
+            "field \"xs\": element 1: not a non-negative integer"
+        );
+        assert_eq!(
+            v.field::<f64>("s").unwrap_err(),
+            "field \"s\": not a number"
+        );
+        assert_eq!(
+            v.field::<String>("n").unwrap_err(),
+            "field \"n\": not a string"
+        );
+        assert_eq!(
+            v.field::<Vec<u64>>("n").unwrap_err(),
+            "field \"n\": not an array"
         );
     }
 

@@ -7,7 +7,7 @@
 //! (paired comparison, same arrivals for QA-NT and all baselines).
 
 use crate::ids::{ClassId, NodeId};
-use qa_simnet::json::Json;
+use qa_simnet::json::{FromJson, Json, ToJson};
 use qa_simnet::{json_obj, DetRng, SimDuration, SimTime};
 
 /// A single query arrival.
@@ -21,6 +21,28 @@ pub struct QueryEvent {
     pub class: ClassId,
     /// The client node that poses the query.
     pub origin: NodeId,
+}
+
+impl ToJson for QueryEvent {
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "id": self.id,
+            "at_us": self.at.as_micros(),
+            "class": self.class.index(),
+            "origin": self.origin.index(),
+        }
+    }
+}
+
+impl FromJson for QueryEvent {
+    fn from_json(v: &Json) -> Result<QueryEvent, String> {
+        Ok(QueryEvent {
+            id: v.field("id")?,
+            at: SimTime::from_micros(v.field("at_us")?),
+            class: ClassId(v.field("class")?),
+            origin: NodeId(v.field("origin")?),
+        })
+    }
 }
 
 /// A time-ordered sequence of query arrivals.
@@ -114,46 +136,13 @@ impl Trace {
     /// Serializes the trace to JSON (recorded workloads are replayed across
     /// mechanisms and sessions). Times are stored in microseconds.
     pub fn to_json(&self) -> String {
-        let events: Vec<Json> = self
-            .events
-            .iter()
-            .map(|e| {
-                json_obj! {
-                    "id": e.id,
-                    "at_us": e.at.as_micros(),
-                    "class": e.class.index(),
-                    "origin": e.origin.index(),
-                }
-            })
-            .collect();
-        json_obj! { "events": events }.dump()
+        json_obj! { "events": self.events }.dump()
     }
 
     /// Deserializes a trace from [`Trace::to_json`] output, re-validating
     /// the time ordering.
     pub fn from_json(json: &str) -> Result<Trace, String> {
-        let doc = Json::parse(json)?;
-        let items = doc
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or("missing 'events' array")?;
-        let mut events = Vec::with_capacity(items.len());
-        for item in items {
-            let field = |key: &str| {
-                item.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing or invalid '{key}'"))
-            };
-            let narrow = |v: u64, what: &str| {
-                u32::try_from(v).map_err(|_| format!("{what} {v} out of range"))
-            };
-            events.push(QueryEvent {
-                id: field("id")?,
-                at: SimTime::from_micros(field("at_us")?),
-                class: ClassId(narrow(field("class")?, "class")?),
-                origin: NodeId(narrow(field("origin")?, "origin")?),
-            });
-        }
+        let events: Vec<QueryEvent> = Json::parse(json)?.field("events")?;
         if !events.windows(2).all(|w| w[0].at <= w[1].at) {
             return Err("trace events out of order".to_string());
         }
@@ -269,6 +258,11 @@ mod tests {
         let back = Trace::from_json(&j).unwrap();
         assert_eq!(t, back);
         assert!(Trace::from_json("{bad json").is_err());
+        let wide = j.replacen("\"class\":", "\"class\":4294967296, \"was\":", 1);
+        assert_eq!(
+            Trace::from_json(&wide),
+            Err("field \"events\": element 0: field \"class\": exceeds u32".to_string())
+        );
     }
 
     #[test]

@@ -3,11 +3,16 @@
 # crates/<crate>/src/**/*.rs up to (not including) its first
 # `#[cfg(test)]`, summed per crate and over the workspace. Blank and
 # comment lines count; unit tests, integration tests and the benchmark
-# package do not. Prints, gates nothing.
+# package do not. Exits 1 when the total is above CEILING.
 #
-# Usage: scripts/loc.sh [file.rs ...]   (with files: one count per file)
+# Usage: scripts/loc.sh [file.rs ...]   (with files: one count per file,
+#                                        nothing gated)
 set -eu
 cd "$(dirname "$0")/.."
+
+# The total at the last PR that moved it. A PR that grows the tree raises
+# this number in the same diff; one that shrinks it lowers it.
+CEILING=26331
 
 # Lines of the given files ahead of each file's first `#[cfg(test)]`.
 count() {
@@ -27,3 +32,7 @@ for crate in crates/*; do
     total=$((total + n))
 done
 printf '%6d  total\n' "$total"
+if [ "$total" -gt "$CEILING" ]; then
+    echo "loc: FAIL — $total non-test lines exceed the ceiling $CEILING (scripts/loc.sh)" >&2
+    exit 1
+fi
