@@ -532,6 +532,46 @@ mod tests {
         h.shutdown();
     }
 
+    /// A node thread parses SQL straight off the wire. About 1 MiB of
+    /// nested parentheses, which overflowed its default-sized stack, gets
+    /// an infinite estimate and an error reply, and the node then serves
+    /// its next request.
+    #[test]
+    fn node_survives_deeply_nested_sql() {
+        let s = spec();
+        let class = &s.classes[0];
+        let node = s.capable_nodes(class.id)[0];
+        let h = spawn(&s, node, None, LinkFaults::none());
+        let half = 1 << 19;
+        let deep = format!("SELECT {}1{} FROM t00", "(".repeat(half), ")".repeat(half));
+        let estimate = |sql: String| {
+            let (tx, rx) = Reply::channel();
+            h.sender.send(NodeMsg::Estimate { sql, reply: tx }).unwrap();
+            rx.recv_timeout(Duration::from_secs(10)).unwrap().exec_ms
+        };
+        assert_eq!(estimate(deep.clone()), f64::INFINITY);
+
+        let (tx, rx) = Reply::channel();
+        h.sender
+            .send(NodeMsg::Execute {
+                sql: deep,
+                class: class.id,
+                reply: tx,
+            })
+            .unwrap();
+        let res = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(
+            res.error
+                .as_deref()
+                .is_some_and(|e| e.contains("deeper than")),
+            "{:?}",
+            res.error
+        );
+
+        assert!(estimate(class.instantiate(100)).is_finite());
+        h.shutdown();
+    }
+
     /// Measures the node's own estimate for the class so tests can size
     /// the market period to a handful of supply units.
     fn calibrated_period_ms(s: &ClusterSpec, node: usize, sql: &str) -> f64 {

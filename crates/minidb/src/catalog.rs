@@ -1,11 +1,12 @@
 //! The catalog: tables and views by (case-insensitive) name.
 //!
-//! Views store their defining `SELECT` text; the binder inlines a view by
-//! re-parsing and re-binding its definition at reference time, exactly like
-//! the select-project views over base tables that the paper's real
-//! deployment uses (§5.2: "80 select-project views over these tables").
+//! Views store their parsed defining `SELECT`; the binder inlines a view by
+//! re-binding its definition at reference time, exactly like the
+//! select-project views over base tables that the paper's real deployment
+//! uses (§5.2: "80 select-project views over these tables").
 
 use crate::error::{DbError, DbResult};
+use crate::sql::ast::SelectStmt;
 use crate::storage::Table;
 use std::collections::HashMap;
 
@@ -14,8 +15,8 @@ use std::collections::HashMap;
 pub struct View {
     /// The view name.
     pub name: String,
-    /// The defining `SELECT` statement text.
-    pub query: String,
+    /// The defining `SELECT` statement.
+    pub select: SelectStmt,
 }
 
 /// The namespace of tables and views.
@@ -81,27 +82,28 @@ impl Catalog {
     pub fn view(&self, name: &str) -> Option<&View> {
         self.views.get(&key(name))
     }
-
-    /// `true` iff any relation (table or view) with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
-        let k = key(name);
-        self.tables.contains_key(&k) || self.views.contains_key(&k)
-    }
-
-    /// Names of all tables (unsorted).
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.values().map(|t| t.name()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
+    use crate::sql::ast::Statement;
+    use crate::sql::parser::parse_statement;
     use crate::value::DataType;
 
     fn t(name: &str) -> Table {
         Table::new(name, Schema::new(vec![Column::new("x", DataType::Int)]))
+    }
+
+    fn view(name: &str) -> View {
+        let Statement::Select(select) = parse_statement("SELECT x FROM a").unwrap() else {
+            unreachable!()
+        };
+        View {
+            name: name.into(),
+            select,
+        }
     }
 
     #[test]
@@ -110,7 +112,6 @@ mod tests {
         c.create_table(t("Emp")).unwrap();
         assert!(c.table("emp").is_some());
         assert!(c.table("EMP").is_some());
-        assert!(c.contains("eMp"));
         assert!(c.table("dept").is_none());
     }
 
@@ -128,27 +129,9 @@ mod tests {
     fn view_and_table_share_namespace() {
         let mut c = Catalog::new();
         c.create_table(t("a")).unwrap();
-        let v = View {
-            name: "a".into(),
-            query: "SELECT x FROM a".into(),
-        };
-        assert!(c.create_view(v).is_err());
-        c.create_view(View {
-            name: "va".into(),
-            query: "SELECT x FROM a".into(),
-        })
-        .unwrap();
+        assert!(c.create_view(view("a")).is_err());
+        c.create_view(view("va")).unwrap();
         assert!(c.view("VA").is_some());
         assert!(c.create_table(t("va")).is_err());
-    }
-
-    #[test]
-    fn names_listing() {
-        let mut c = Catalog::new();
-        c.create_table(t("one")).unwrap();
-        c.create_table(t("two")).unwrap();
-        let mut names = c.table_names();
-        names.sort_unstable();
-        assert_eq!(names, vec!["one", "two"]);
     }
 }

@@ -5,7 +5,7 @@
 //! NULL, `COUNT` is 0; with no `GROUP BY` the operator emits exactly one
 //! row even for empty input.
 
-use super::{BoxIter, RowIter};
+use super::basic::eval_all;
 use crate::error::{DbError, DbResult};
 use crate::expr::BoundExpr;
 use crate::plan::logical::AggExpr;
@@ -128,100 +128,54 @@ impl AggState {
     }
 }
 
-/// Blocking hash aggregation.
-pub struct HashAggregate<'a> {
-    input: Option<BoxIter<'a>>,
-    group_by: Vec<BoundExpr>,
-    aggs: Vec<AggExpr>,
-    output: Vec<Row>,
-    pos: usize,
-}
-
-impl<'a> HashAggregate<'a> {
-    /// An aggregation of `input` grouped by `group_by`.
-    pub fn new(input: BoxIter<'a>, group_by: Vec<BoundExpr>, aggs: Vec<AggExpr>) -> Self {
-        HashAggregate {
-            input: Some(input),
-            group_by,
-            aggs,
-            output: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn materialize(&mut self) -> DbResult<()> {
-        let Some(mut input) = self.input.take() else {
-            return Ok(());
+/// Hash aggregation of `rows` grouped by `group_by`: one output row per
+/// group, in first-seen order, holding the group key then the aggregates.
+pub fn hash_aggregate(
+    rows: &[Row],
+    group_by: &[BoundExpr],
+    aggs: &[AggExpr],
+) -> DbResult<Vec<Row>> {
+    let fresh = || {
+        aggs.iter()
+            .map(|a| AggState::new(a.func))
+            .collect::<Vec<_>>()
+    };
+    // Group key → index into `states`, which keeps first-seen order.
+    let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut states: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+    for row in rows {
+        let key = eval_all(group_by.iter(), row)?;
+        let idx = match groups.get(&key) {
+            Some(&i) => i,
+            None => {
+                groups.insert(key.clone(), states.len());
+                states.push((key, fresh()));
+                states.len() - 1
+            }
         };
-        // Group key → (first-seen order, states). Insertion order is kept so
-        // output is deterministic.
-        let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut states: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-        while let Some(row) = input.next_row()? {
-            let mut key = Vec::with_capacity(self.group_by.len());
-            for g in &self.group_by {
-                key.push(g.eval(&row)?);
-            }
-            let idx = match groups.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = states.len();
-                    groups.insert(key.clone(), i);
-                    states.push((
-                        key.clone(),
-                        self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    ));
-                    i
-                }
-            };
-            for (a, st) in self.aggs.iter().zip(states[idx].1.iter_mut()) {
-                match &a.arg {
-                    None => st.update(None)?,
-                    Some(e) => {
-                        let v = e.eval(&row)?;
-                        st.update(Some(&v))?;
-                    }
-                }
+        for (a, st) in aggs.iter().zip(states[idx].1.iter_mut()) {
+            match &a.arg {
+                None => st.update(None)?,
+                Some(e) => st.update(Some(&e.eval(row)?))?,
             }
         }
-        // Global aggregate over empty input still yields one row.
-        if states.is_empty() && self.group_by.is_empty() {
-            states.push((
-                Vec::new(),
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            ));
-        }
-        self.output = states
-            .into_iter()
-            .map(|(key, sts)| {
-                let mut row = key;
-                row.extend(sts.into_iter().map(AggState::finish));
-                row
-            })
-            .collect();
-        Ok(())
     }
-}
-
-impl RowIter for HashAggregate<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.input.is_some() {
-            self.materialize()?;
-        }
-        if self.pos >= self.output.len() {
-            return Ok(None);
-        }
-        let row = std::mem::take(&mut self.output[self.pos]);
-        self.pos += 1;
-        Ok(Some(row))
+    // Global aggregate over empty input still yields one row.
+    if states.is_empty() && group_by.is_empty() {
+        states.push((Vec::new(), fresh()));
     }
+    Ok(states
+        .into_iter()
+        .map(|(mut row, sts)| {
+            row.extend(sts.into_iter().map(AggState::finish));
+            row
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::basic::Scan;
-    use crate::exec::collect;
     use crate::value::DataType;
 
     fn data() -> Vec<Row> {
@@ -249,15 +203,9 @@ mod tests {
         }
     }
 
+    /// Unsorted: the assertions read groups in first-seen order.
     fn run(group: Vec<BoundExpr>, aggs: Vec<AggExpr>, rows: &[Row]) -> Vec<Row> {
-        let mut out = collect(Box::new(HashAggregate::new(
-            Box::new(Scan::new(rows)),
-            group,
-            aggs,
-        )))
-        .unwrap();
-        out.sort();
-        out
+        hash_aggregate(rows, &group, &aggs).unwrap()
     }
 
     #[test]
@@ -373,11 +321,7 @@ mod tests {
     #[test]
     fn sum_over_text_errors() {
         let d = vec![vec![Value::Str("a".into()), Value::Str("x".into())]];
-        let r = collect(Box::new(HashAggregate::new(
-            Box::new(Scan::new(&d)),
-            vec![],
-            vec![agg(AggFunc::Sum, Some(col(1, DataType::Text)))],
-        )));
-        assert!(r.is_err());
+        let sum = [agg(AggFunc::Sum, Some(col(1, DataType::Text)))];
+        assert!(hash_aggregate(&d, &[], &sum).is_err());
     }
 }

@@ -1,186 +1,66 @@
-//! Scan, filter, project, sort, limit.
+//! Filter, project, sort.
 
-use super::{BoxIter, RowIter};
 use crate::error::DbResult;
 use crate::expr::BoundExpr;
 use crate::value::Row;
 use std::cmp::Ordering;
 
-/// Sequential scan over borrowed table rows.
-pub struct Scan<'a> {
-    rows: &'a [Row],
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    /// A scan over `rows`.
-    pub fn new(rows: &'a [Row]) -> Scan<'a> {
-        Scan { rows, pos: 0 }
-    }
-}
-
-impl RowIter for Scan<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let row = self.rows[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(row))
-    }
-}
-
-/// Predicate filter (SQL semantics: keep only rows where the predicate is
-/// `TRUE`; `NULL` drops).
-pub struct Filter<'a> {
-    input: BoxIter<'a>,
-    predicate: BoundExpr,
-}
-
-impl<'a> Filter<'a> {
-    /// A filter over `input`.
-    pub fn new(input: BoxIter<'a>, predicate: BoundExpr) -> Filter<'a> {
-        Filter { input, predicate }
-    }
-}
-
-impl RowIter for Filter<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        while let Some(row) = self.input.next_row()? {
-            if self.predicate.eval_predicate(&row)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// Expression projection.
-pub struct Project<'a> {
-    input: BoxIter<'a>,
-    exprs: Vec<BoundExpr>,
-}
-
-impl<'a> Project<'a> {
-    /// A projection over `input`.
-    pub fn new(input: BoxIter<'a>, exprs: Vec<BoundExpr>) -> Project<'a> {
-        Project { input, exprs }
-    }
-}
-
-impl RowIter for Project<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        match self.input.next_row()? {
-            None => Ok(None),
-            Some(row) => {
-                let mut out = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(&row)?);
-                }
-                Ok(Some(out))
-            }
+/// Keeps the rows where `predicate` is `TRUE` (SQL semantics: `NULL`
+/// drops).
+pub fn filter(rows: Vec<Row>, predicate: &BoundExpr) -> DbResult<Vec<Row>> {
+    let mut out = Vec::new();
+    for row in rows {
+        if predicate.eval_predicate(&row)? {
+            out.push(row);
         }
     }
+    Ok(out)
 }
 
-/// Blocking sort; materializes on first pull. Stable, so equal keys keep
+/// Evaluates `exprs` over every row.
+pub fn project(rows: &[Row], exprs: &[BoundExpr]) -> DbResult<Vec<Row>> {
+    rows.iter().map(|row| eval_all(exprs.iter(), row)).collect()
+}
+
+/// The values of `exprs` over one row. Collecting `DbResult`s would lose
+/// the exact length and grow the row by reallocation.
+pub(crate) fn eval_all<'a>(
+    exprs: impl ExactSizeIterator<Item = &'a BoundExpr>,
+    row: &Row,
+) -> DbResult<Row> {
+    let mut out = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        out.push(e.eval(row)?);
+    }
+    Ok(out)
+}
+
+/// Sorts by `keys` (expression, ascending). Stable, so equal keys keep
 /// input order.
-pub struct Sort<'a> {
-    input: Option<BoxIter<'a>>,
-    keys: Vec<(BoundExpr, bool)>,
-    sorted: Vec<Row>,
-    pos: usize,
-}
-
-impl<'a> Sort<'a> {
-    /// A sort of `input` by `keys` (expression, ascending).
-    pub fn new(input: BoxIter<'a>, keys: Vec<(BoundExpr, bool)>) -> Sort<'a> {
-        Sort {
-            input: Some(input),
-            keys,
-            sorted: Vec::new(),
-            pos: 0,
-        }
+pub fn sort(rows: Vec<Row>, keys: &[(BoundExpr, bool)]) -> DbResult<Vec<Row>> {
+    let mut keyed = Vec::with_capacity(rows.len());
+    for row in rows {
+        keyed.push((eval_all(keys.iter().map(|(e, _)| e), &row)?, row));
     }
-
-    fn materialize(&mut self) -> DbResult<()> {
-        let Some(mut input) = self.input.take() else {
-            return Ok(());
-        };
-        let mut keyed: Vec<(Vec<crate::value::Value>, Row)> = Vec::new();
-        while let Some(row) = input.next_row()? {
-            let mut key = Vec::with_capacity(self.keys.len());
-            for (e, _) in &self.keys {
-                key.push(e.eval(&row)?);
-            }
-            keyed.push((key, row));
-        }
-        let dirs: Vec<bool> = self.keys.iter().map(|(_, asc)| *asc).collect();
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, asc) in dirs.iter().enumerate() {
-                let ord = ka[i].cmp(&kb[i]);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-        self.sorted = keyed.into_iter().map(|(_, r)| r).collect();
-        Ok(())
-    }
-}
-
-impl RowIter for Sort<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.input.is_some() {
-            self.materialize()?;
-        }
-        if self.pos >= self.sorted.len() {
-            return Ok(None);
-        }
-        let row = std::mem::take(&mut self.sorted[self.pos]);
-        self.pos += 1;
-        Ok(Some(row))
-    }
-}
-
-/// Row-count limit (stops pulling from its input once satisfied).
-pub struct Limit<'a> {
-    input: BoxIter<'a>,
-    remaining: u64,
-}
-
-impl<'a> Limit<'a> {
-    /// A limit of `n` rows over `input`.
-    pub fn new(input: BoxIter<'a>, n: u64) -> Limit<'a> {
-        Limit {
-            input,
-            remaining: n,
-        }
-    }
-}
-
-impl RowIter for Limit<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next_row()? {
-            None => Ok(None),
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-        }
-    }
+    keyed.sort_by(|(a, _), (b, _)| {
+        keys.iter()
+            .zip(a.iter().zip(b))
+            .map(|((_, asc), (x, y))| if *asc { x.cmp(y) } else { x.cmp(y).reverse() })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::collect;
+    use crate::catalog::Catalog;
+    use crate::exec::run;
+    use crate::plan::logical::LogicalPlan;
+    use crate::schema::{Column, Schema};
     use crate::sql::ast::BinaryOp;
+    use crate::storage::Table;
     use crate::value::{DataType, Value};
 
     fn rows(vals: &[i64]) -> Vec<Row> {
@@ -195,11 +75,28 @@ mod tests {
         }
     }
 
+    /// A catalog holding `data` as table `t`, and a scan of it.
+    fn scan(data: &[Row]) -> (Catalog, LogicalPlan) {
+        let schema = Schema::new(vec![Column::new("x", DataType::Int)]);
+        let mut t = Table::new("t", schema.clone());
+        for row in data {
+            t.insert(row.clone()).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.create_table(t).unwrap();
+        let plan = LogicalPlan::Scan {
+            table: "t".into(),
+            alias: "t".into(),
+            schema,
+        };
+        (catalog, plan)
+    }
+
     #[test]
     fn scan_yields_all_rows() {
         let data = rows(&[1, 2, 3]);
-        let out = collect(Box::new(Scan::new(&data))).unwrap();
-        assert_eq!(out, data);
+        let (catalog, plan) = scan(&data);
+        assert_eq!(run(&plan, &catalog).unwrap(), data);
     }
 
     #[test]
@@ -210,8 +107,7 @@ mod tests {
             op: BinaryOp::Gt,
             right: Box::new(BoundExpr::Literal(Value::Int(3))),
         };
-        let out = collect(Box::new(Filter::new(Box::new(Scan::new(&data)), pred))).unwrap();
-        assert_eq!(out, rows(&[5, 8]));
+        assert_eq!(filter(data, &pred).unwrap(), rows(&[5, 8]));
     }
 
     #[test]
@@ -222,28 +118,15 @@ mod tests {
             op: BinaryOp::Mul,
             right: Box::new(BoundExpr::Literal(Value::Int(2))),
         };
-        let out = collect(Box::new(Project::new(
-            Box::new(Scan::new(&data)),
-            vec![double],
-        )))
-        .unwrap();
-        assert_eq!(out, rows(&[4, 6]));
+        assert_eq!(project(&data, &[double]).unwrap(), rows(&[4, 6]));
     }
 
     #[test]
     fn sort_orders_ascending_and_descending() {
         let data = rows(&[3, 1, 2]);
-        let asc = collect(Box::new(Sort::new(
-            Box::new(Scan::new(&data)),
-            vec![(col0(), true)],
-        )))
-        .unwrap();
+        let asc = sort(data.clone(), &[(col0(), true)]).unwrap();
         assert_eq!(asc, rows(&[1, 2, 3]));
-        let desc = collect(Box::new(Sort::new(
-            Box::new(Scan::new(&data)),
-            vec![(col0(), false)],
-        )))
-        .unwrap();
+        let desc = sort(data, &[(col0(), false)]).unwrap();
         assert_eq!(desc, rows(&[3, 2, 1]));
     }
 
@@ -254,32 +137,24 @@ mod tests {
             vec![Value::Int(1), Value::Str("second".into())],
             vec![Value::Int(0), Value::Str("zero".into())],
         ];
-        let out = collect(Box::new(Sort::new(
-            Box::new(Scan::new(&data)),
-            vec![(col0(), true)],
-        )))
-        .unwrap();
+        let out = sort(data, &[(col0(), true)]).unwrap();
         assert_eq!(out[1][1], Value::Str("first".into()));
         assert_eq!(out[2][1], Value::Str("second".into()));
     }
 
     #[test]
     fn limit_truncates() {
-        let data = rows(&[1, 2, 3, 4]);
-        let out = collect(Box::new(Limit::new(Box::new(Scan::new(&data)), 2))).unwrap();
-        assert_eq!(out, rows(&[1, 2]));
-        let zero = collect(Box::new(Limit::new(Box::new(Scan::new(&data)), 0))).unwrap();
-        assert!(zero.is_empty());
+        let (catalog, input) = scan(&rows(&[1, 2, 3, 4]));
+        let limit = |n| LogicalPlan::Limit {
+            input: Box::new(input.clone()),
+            n,
+        };
+        assert_eq!(run(&limit(2), &catalog).unwrap(), rows(&[1, 2]));
+        assert!(run(&limit(0), &catalog).unwrap().is_empty());
     }
 
     #[test]
     fn empty_input_flows_through() {
-        let data: Vec<Row> = vec![];
-        let out = collect(Box::new(Sort::new(
-            Box::new(Scan::new(&data)),
-            vec![(col0(), true)],
-        )))
-        .unwrap();
-        assert!(out.is_empty());
+        assert!(sort(vec![], &[(col0(), true)]).unwrap().is_empty());
     }
 }

@@ -1,377 +1,117 @@
-//! Join operators: hash, sort-merge and nested-loop.
+//! The join: one hash join.
 //!
-//! All three produce identical results for equi joins (the property tests
-//! check this); they differ only in cost. SQL NULL semantics apply: a NULL
-//! join key never matches anything.
+//! The right input is the build side and the left probes it in order, so
+//! output rows follow the probe order, each probe row's matches in build
+//! order. A join without equi keys hashes every row to the empty key —
+//! one bucket — which makes it the nested loop `EXPLAIN` calls it. SQL
+//! NULL semantics apply: a NULL join key never matches anything.
 
-use super::{BoxIter, RowIter};
 use crate::error::DbResult;
 use crate::expr::BoundExpr;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
 
-/// Evaluates the equi-key tuple of a row; `None` if any key is NULL (NULL
-/// never joins).
+/// The equi-key tuple of a row; `None` if any key is NULL (NULL never
+/// joins).
 fn key_of(row: &Row, cols: &[usize]) -> Option<Vec<Value>> {
     let mut key = Vec::with_capacity(cols.len());
     for &c in cols {
-        let v = row[c].clone();
-        if v.is_null() {
+        if row[c].is_null() {
             return None;
         }
-        key.push(v);
+        key.push(row[c].clone());
     }
     Some(key)
 }
 
-fn concat(left: &Row, right: &Row) -> Row {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    out.extend(left.iter().cloned());
-    out.extend(right.iter().cloned());
-    out
-}
-
-fn passes_residual(residual: &Option<BoundExpr>, row: &Row) -> DbResult<bool> {
-    match residual {
-        None => Ok(true),
-        Some(p) => p.eval_predicate(row),
-    }
-}
-
-/// Hash join: builds on the right input, probes with the left.
-pub struct HashJoin<'a> {
-    left: BoxIter<'a>,
-    right: Option<BoxIter<'a>>,
-    left_keys: Vec<usize>,
-    right_keys: Vec<usize>,
-    residual: Option<BoundExpr>,
-    table: HashMap<Vec<Value>, Vec<Row>>,
-    /// Current probe row and the matches still to emit.
-    current: Option<(Row, Vec<Row>, usize)>,
-}
-
-impl<'a> HashJoin<'a> {
-    /// A hash join with `equi` = (left ordinal, right-relative ordinal)
-    /// pairs; `left_len` is the left schema width (for the residual, which
-    /// is bound over the concatenated schema).
-    pub fn new(
-        left: BoxIter<'a>,
-        right: BoxIter<'a>,
-        equi: Vec<(usize, usize)>,
-        residual: Option<BoundExpr>,
-        left_len: usize,
-    ) -> HashJoin<'a> {
-        let _ = left_len; // residual is already concatenation-relative
-        let (left_keys, right_keys) = equi.into_iter().unzip();
-        HashJoin {
-            left,
-            right: Some(right),
-            left_keys,
-            right_keys,
-            residual,
-            table: HashMap::new(),
-            current: None,
+/// Joins `left` (probe) with `right` (build) on `equi` = (left ordinal,
+/// right-relative ordinal) pairs, keeping the concatenated rows that pass
+/// `residual`, which is bound over the concatenated schema.
+pub fn hash_join(
+    left: &[Row],
+    right: &[Row],
+    equi: &[(usize, usize)],
+    residual: Option<&BoundExpr>,
+) -> DbResult<Vec<Row>> {
+    let (left_keys, right_keys): (Vec<usize>, Vec<usize>) = equi.iter().copied().unzip();
+    let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
+    for row in right {
+        if let Some(key) = key_of(row, &right_keys) {
+            table.entry(key).or_default().push(row);
         }
     }
-
-    fn build(&mut self) -> DbResult<()> {
-        let Some(mut right) = self.right.take() else {
-            return Ok(());
+    let mut out = Vec::new();
+    for probe in left {
+        let Some(matches) = key_of(probe, &left_keys).and_then(|key| table.get(&key)) else {
+            continue;
         };
-        while let Some(row) = right.next_row()? {
-            if let Some(key) = key_of(&row, &self.right_keys) {
-                self.table.entry(key).or_default().push(row);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl RowIter for HashJoin<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.right.is_some() {
-            self.build()?;
-        }
-        loop {
-            if let Some((probe, matches, idx)) = &mut self.current {
-                while *idx < matches.len() {
-                    let row = concat(probe, &matches[*idx]);
-                    *idx += 1;
-                    if passes_residual(&self.residual, &row)? {
-                        return Ok(Some(row));
-                    }
-                }
-                self.current = None;
-            }
-            match self.left.next_row()? {
-                None => return Ok(None),
-                Some(probe) => {
-                    if let Some(key) = key_of(&probe, &self.left_keys) {
-                        if let Some(matches) = self.table.get(&key) {
-                            self.current = Some((probe, matches.clone(), 0));
-                        }
-                    }
-                }
+        for build in matches {
+            let row: Row = probe.iter().chain(build.iter()).cloned().collect();
+            if residual.map_or(Ok(true), |p| p.eval_predicate(&row))? {
+                out.push(row);
             }
         }
     }
-}
-
-/// Sort-merge join: materializes and sorts both inputs on the keys, then
-/// merges group-by-group (cross product within equal-key groups).
-pub struct MergeJoin<'a> {
-    left: Option<BoxIter<'a>>,
-    right: Option<BoxIter<'a>>,
-    left_keys: Vec<usize>,
-    right_keys: Vec<usize>,
-    residual: Option<BoundExpr>,
-    output: Vec<Row>,
-    pos: usize,
-}
-
-impl<'a> MergeJoin<'a> {
-    /// A merge join (see [`HashJoin::new`] for key conventions).
-    pub fn new(
-        left: BoxIter<'a>,
-        right: BoxIter<'a>,
-        equi: Vec<(usize, usize)>,
-        residual: Option<BoundExpr>,
-    ) -> MergeJoin<'a> {
-        let (left_keys, right_keys) = equi.into_iter().unzip();
-        MergeJoin {
-            left: Some(left),
-            right: Some(right),
-            left_keys,
-            right_keys,
-            residual,
-            output: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn materialize(&mut self) -> DbResult<()> {
-        let (Some(mut li), Some(mut ri)) = (self.left.take(), self.right.take()) else {
-            return Ok(());
-        };
-        let mut lrows: Vec<(Vec<Value>, Row)> = Vec::new();
-        while let Some(r) = li.next_row()? {
-            if let Some(k) = key_of(&r, &self.left_keys) {
-                lrows.push((k, r));
-            }
-        }
-        let mut rrows: Vec<(Vec<Value>, Row)> = Vec::new();
-        while let Some(r) = ri.next_row()? {
-            if let Some(k) = key_of(&r, &self.right_keys) {
-                rrows.push((k, r));
-            }
-        }
-        lrows.sort_by(|(a, _), (b, _)| a.cmp(b));
-        rrows.sort_by(|(a, _), (b, _)| a.cmp(b));
-
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lrows.len() && j < rrows.len() {
-            match lrows[i].0.cmp(&rrows[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Find group extents on both sides.
-                    let key = lrows[i].0.clone();
-                    let li_end = lrows[i..]
-                        .iter()
-                        .position(|(k, _)| *k != key)
-                        .map_or(lrows.len(), |p| i + p);
-                    let rj_end = rrows[j..]
-                        .iter()
-                        .position(|(k, _)| *k != key)
-                        .map_or(rrows.len(), |p| j + p);
-                    for (_, lr) in &lrows[i..li_end] {
-                        for (_, rr) in &rrows[j..rj_end] {
-                            let row = concat(lr, rr);
-                            if passes_residual(&self.residual, &row)? {
-                                self.output.push(row);
-                            }
-                        }
-                    }
-                    i = li_end;
-                    j = rj_end;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl RowIter for MergeJoin<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.left.is_some() {
-            self.materialize()?;
-        }
-        if self.pos >= self.output.len() {
-            return Ok(None);
-        }
-        let row = std::mem::take(&mut self.output[self.pos]);
-        self.pos += 1;
-        Ok(Some(row))
-    }
-}
-
-/// Nested-loop join: materializes the right side, loops the left.
-/// Handles arbitrary (including empty) equi keys plus residual.
-pub struct NestedLoopJoin<'a> {
-    left: BoxIter<'a>,
-    right: Option<BoxIter<'a>>,
-    equi: Vec<(usize, usize)>,
-    residual: Option<BoundExpr>,
-    right_rows: Vec<Row>,
-    current: Option<(Row, usize)>,
-}
-
-impl<'a> NestedLoopJoin<'a> {
-    /// A nested-loop join (see [`HashJoin::new`] for conventions).
-    pub fn new(
-        left: BoxIter<'a>,
-        right: BoxIter<'a>,
-        equi: Vec<(usize, usize)>,
-        residual: Option<BoundExpr>,
-        left_len: usize,
-    ) -> NestedLoopJoin<'a> {
-        let _ = left_len;
-        NestedLoopJoin {
-            left,
-            right: Some(right),
-            equi,
-            residual,
-            right_rows: Vec::new(),
-            current: None,
-        }
-    }
-
-    fn materialize_right(&mut self) -> DbResult<()> {
-        let Some(mut right) = self.right.take() else {
-            return Ok(());
-        };
-        while let Some(r) = right.next_row()? {
-            self.right_rows.push(r);
-        }
-        Ok(())
-    }
-
-    fn keys_match(&self, l: &Row, r: &Row) -> bool {
-        self.equi.iter().all(|&(lc, rc)| {
-            let (a, b) = (&l[lc], &r[rc]);
-            !a.is_null() && !b.is_null() && a == b
-        })
-    }
-}
-
-impl RowIter for NestedLoopJoin<'_> {
-    fn next_row(&mut self) -> DbResult<Option<Row>> {
-        if self.right.is_some() {
-            self.materialize_right()?;
-        }
-        loop {
-            if let Some((lrow, idx)) = self.current.take() {
-                let mut idx = idx;
-                while idx < self.right_rows.len() {
-                    let rrow = &self.right_rows[idx];
-                    idx += 1;
-                    if !self.equi.is_empty() && !self.keys_match(&lrow, rrow) {
-                        continue;
-                    }
-                    let row = concat(&lrow, rrow);
-                    if passes_residual(&self.residual, &row)? {
-                        self.current = Some((lrow, idx));
-                        return Ok(Some(row));
-                    }
-                }
-            }
-            match self.left.next_row()? {
-                None => return Ok(None),
-                Some(lrow) => self.current = Some((lrow, 0)),
-            }
-        }
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::basic::Scan;
-    use crate::exec::collect;
     use crate::sql::ast::BinaryOp;
     use crate::value::DataType;
 
+    fn int(i: i64) -> Value {
+        Value::Int(i)
+    }
+
+    fn text(s: &str) -> Value {
+        Value::Str(s.into())
+    }
+
     fn left_rows() -> Vec<Row> {
         vec![
-            vec![Value::Int(1), Value::Str("a".into())],
-            vec![Value::Int(2), Value::Str("b".into())],
-            vec![Value::Int(2), Value::Str("b2".into())],
-            vec![Value::Int(3), Value::Str("c".into())],
-            vec![Value::Null, Value::Str("n".into())],
+            vec![int(1), text("a")],
+            vec![int(2), text("b")],
+            vec![int(2), text("b2")],
+            vec![int(3), text("c")],
+            vec![Value::Null, text("n")],
         ]
     }
 
     fn right_rows() -> Vec<Row> {
         vec![
-            vec![Value::Int(2), Value::Float(20.0)],
-            vec![Value::Int(2), Value::Float(21.0)],
-            vec![Value::Int(3), Value::Float(30.0)],
-            vec![Value::Int(4), Value::Float(40.0)],
+            vec![int(2), Value::Float(20.0)],
+            vec![int(2), Value::Float(21.0)],
+            vec![int(3), Value::Float(30.0)],
+            vec![int(4), Value::Float(40.0)],
             vec![Value::Null, Value::Float(0.0)],
         ]
     }
 
-    fn run_all(equi: Vec<(usize, usize)>, residual: Option<BoundExpr>) -> Vec<Vec<Row>> {
-        let l = left_rows();
-        let r = right_rows();
-        let hash = collect(Box::new(HashJoin::new(
-            Box::new(Scan::new(&l)),
-            Box::new(Scan::new(&r)),
-            equi.clone(),
-            residual.clone(),
-            2,
-        )))
-        .unwrap();
-        let merge = collect(Box::new(MergeJoin::new(
-            Box::new(Scan::new(&l)),
-            Box::new(Scan::new(&r)),
-            equi.clone(),
-            residual.clone(),
-        )))
-        .unwrap();
-        let nl = collect(Box::new(NestedLoopJoin::new(
-            Box::new(Scan::new(&l)),
-            Box::new(Scan::new(&r)),
-            equi,
-            residual,
-            2,
-        )))
-        .unwrap();
-        vec![hash, merge, nl]
-    }
-
-    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
-        rows.sort();
-        rows
+    fn join(equi: &[(usize, usize)], residual: Option<&BoundExpr>) -> Vec<Row> {
+        hash_join(&left_rows(), &right_rows(), equi, residual).unwrap()
     }
 
     #[test]
-    fn equi_join_agree_across_algorithms() {
-        let results = run_all(vec![(0, 0)], None);
-        let expected = 2 * 2 + 1; // key 2: 2×2, key 3: 1×1
-        for r in &results {
-            assert_eq!(r.len(), expected);
-        }
-        assert_eq!(sorted(results[0].clone()), sorted(results[1].clone()));
-        assert_eq!(sorted(results[0].clone()), sorted(results[2].clone()));
+    fn equi_join_emits_probe_order_then_build_order() {
+        let row = |k, l: &str, r| vec![int(k), text(l), int(k), Value::Float(r)];
+        assert_eq!(
+            join(&[(0, 0)], None),
+            vec![
+                row(2, "b", 20.0),
+                row(2, "b", 21.0),
+                row(2, "b2", 20.0),
+                row(2, "b2", 21.0),
+                row(3, "c", 30.0),
+            ]
+        );
     }
 
     #[test]
     fn null_keys_never_match() {
-        let results = run_all(vec![(0, 0)], None);
-        for r in &results {
-            assert!(r.iter().all(|row| !row[0].is_null() && !row[2].is_null()));
-        }
+        let out = join(&[(0, 0)], None);
+        assert!(out.iter().all(|row| !row[0].is_null() && !row[2].is_null()));
     }
 
     #[test]
@@ -386,70 +126,39 @@ mod tests {
             op: BinaryOp::Gt,
             right: Box::new(BoundExpr::Literal(Value::Float(20.0))),
         };
-        let results = run_all(vec![(0, 0)], Some(residual));
         // key 2 matches v=21 only (2 left rows × 1), key 3 matches v=30.
-        for r in &results {
-            assert_eq!(r.len(), 3, "{r:?}");
-        }
+        let out = join(&[(0, 0)], Some(&residual));
+        assert_eq!(out.len(), 3, "{out:?}");
     }
 
     #[test]
-    fn cross_join_via_nested_loop() {
-        let l = left_rows();
-        let r = right_rows();
-        let out = collect(Box::new(NestedLoopJoin::new(
-            Box::new(Scan::new(&l)),
-            Box::new(Scan::new(&r)),
-            vec![],
-            None,
-            2,
-        )))
-        .unwrap();
-        assert_eq!(out.len(), l.len() * r.len());
+    fn key_less_join_is_one_bucket() {
+        // Every pair, NULL keys included, left-major.
+        let (l, r) = (left_rows(), right_rows());
+        let pairs: Vec<Row> = l
+            .iter()
+            .flat_map(|a| r.iter().map(move |b| [a.as_slice(), b].concat()))
+            .collect();
+        assert_eq!(join(&[], None), pairs);
     }
 
     #[test]
     fn empty_sides_produce_empty_output() {
-        let empty: Vec<Row> = vec![];
         let r = right_rows();
-        let out = collect(Box::new(HashJoin::new(
-            Box::new(Scan::new(&empty)),
-            Box::new(Scan::new(&r)),
-            vec![(0, 0)],
-            None,
-            2,
-        )))
-        .unwrap();
-        assert!(out.is_empty());
-        let out2 = collect(Box::new(MergeJoin::new(
-            Box::new(Scan::new(&r)),
-            Box::new(Scan::new(&empty)),
-            vec![(0, 0)],
-            None,
-        )))
-        .unwrap();
-        assert!(out2.is_empty());
+        assert!(hash_join(&[], &r, &[(0, 0)], None).unwrap().is_empty());
+        assert!(hash_join(&r, &[], &[(0, 0)], None).unwrap().is_empty());
+        assert!(hash_join(&r, &[], &[], None).unwrap().is_empty());
     }
 
     #[test]
     fn multi_key_join() {
-        let l = vec![
-            vec![Value::Int(1), Value::Str("x".into())],
-            vec![Value::Int(1), Value::Str("y".into())],
-        ];
+        let l = vec![vec![int(1), text("x")], vec![int(1), text("y")]];
         let r = vec![
-            vec![Value::Int(1), Value::Str("x".into()), Value::Float(1.0)],
-            vec![Value::Int(1), Value::Str("z".into()), Value::Float(2.0)],
+            vec![int(1), text("x"), Value::Float(1.0)],
+            vec![int(1), text("z"), Value::Float(2.0)],
         ];
-        let out = collect(Box::new(HashJoin::new(
-            Box::new(Scan::new(&l)),
-            Box::new(Scan::new(&r)),
-            vec![(0, 0), (1, 1)],
-            None,
-            2,
-        )))
-        .unwrap();
+        let out = hash_join(&l, &r, &[(0, 0), (1, 1)], None).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0][1], Value::Str("x".into()));
+        assert_eq!(out[0][1], text("x"));
     }
 }

@@ -1,9 +1,16 @@
-//! Execution: pull-based row iterators over the logical plan.
+//! Execution: a materializing interpreter over the logical plan.
 //!
-//! The executor interprets the optimized [`LogicalPlan`] directly — each
-//! node becomes a [`RowIter`]. Scans borrow table rows from the catalog
-//! (no copies); blocking operators (sort, hash build, aggregation,
-//! merge-join) materialize lazily on first pull.
+//! [`run`] evaluates the optimized [`LogicalPlan`] bottom-up, one function
+//! per operator, each taking its input's rows and returning its own. Row
+//! order is fixed by construction: filters and projections keep input
+//! order, the hash join emits probe rows in order with each one's matches
+//! in build order, groups come out in first-seen order and the sort is
+//! stable.
+//!
+//! Every operator runs over all of its input, `LIMIT` included: it
+//! truncates a finished result. So an evaluation error (a division by zero,
+//! an overflow) in a row past the limit fails the query, where a pull
+//! pipeline stopped before reading that row.
 
 pub mod aggregate;
 pub mod basic;
@@ -11,93 +18,41 @@ pub mod join;
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
-use crate::plan::logical::{JoinStrategy, LogicalPlan};
+use crate::plan::logical::LogicalPlan;
 use crate::value::Row;
 
-/// A pull-based row stream.
-pub trait RowIter {
-    /// The next row, or `None` when exhausted.
-    fn next_row(&mut self) -> DbResult<Option<Row>>;
-}
-
-/// A boxed row stream borrowing from the catalog.
-pub type BoxIter<'a> = Box<dyn RowIter + 'a>;
-
-/// Builds an executor tree for a plan.
-pub fn build<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> DbResult<BoxIter<'a>> {
+/// Executes a plan against the catalog, returning its rows.
+pub fn run(plan: &LogicalPlan, catalog: &Catalog) -> DbResult<Vec<Row>> {
     match plan {
-        LogicalPlan::Scan { table, .. } => {
-            let t = catalog
-                .table(table)
-                .ok_or_else(|| DbError::catalog(format!("table '{table}' vanished")))?;
-            Ok(Box::new(basic::Scan::new(t.rows())))
-        }
-        LogicalPlan::Filter { input, predicate } => Ok(Box::new(basic::Filter::new(
-            build(input, catalog)?,
-            predicate.clone(),
-        ))),
-        LogicalPlan::Project { input, exprs, .. } => Ok(Box::new(basic::Project::new(
-            build(input, catalog)?,
-            exprs.clone(),
-        ))),
+        LogicalPlan::Scan { table, .. } => catalog
+            .table(table)
+            .map(|t| t.rows().to_vec())
+            .ok_or_else(|| DbError::catalog(format!("table '{table}' vanished"))),
+        LogicalPlan::Filter { input, predicate } => basic::filter(run(input, catalog)?, predicate),
+        LogicalPlan::Project { input, exprs, .. } => basic::project(&run(input, catalog)?, exprs),
         LogicalPlan::Join {
             left,
             right,
             equi,
             residual,
-            strategy,
             ..
-        } => {
-            let l = build(left, catalog)?;
-            let r = build(right, catalog)?;
-            match strategy {
-                JoinStrategy::Hash => Ok(Box::new(join::HashJoin::new(
-                    l,
-                    r,
-                    equi.clone(),
-                    residual.clone(),
-                    left.schema().len(),
-                ))),
-                JoinStrategy::Merge => Ok(Box::new(join::MergeJoin::new(
-                    l,
-                    r,
-                    equi.clone(),
-                    residual.clone(),
-                ))),
-                JoinStrategy::NestedLoop => Ok(Box::new(join::NestedLoopJoin::new(
-                    l,
-                    r,
-                    equi.clone(),
-                    residual.clone(),
-                    left.schema().len(),
-                ))),
-            }
-        }
+        } => join::hash_join(
+            &run(left, catalog)?,
+            &run(right, catalog)?,
+            equi,
+            residual.as_ref(),
+        ),
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
             ..
-        } => Ok(Box::new(aggregate::HashAggregate::new(
-            build(input, catalog)?,
-            group_by.clone(),
-            aggs.clone(),
-        ))),
-        LogicalPlan::Sort { input, keys } => Ok(Box::new(basic::Sort::new(
-            build(input, catalog)?,
-            keys.clone(),
-        ))),
+        } => aggregate::hash_aggregate(&run(input, catalog)?, group_by, aggs),
+        LogicalPlan::Sort { input, keys } => basic::sort(run(input, catalog)?, keys),
         LogicalPlan::Limit { input, n } => {
-            Ok(Box::new(basic::Limit::new(build(input, catalog)?, *n)))
+            let mut rows = run(input, catalog)?;
+            rows.truncate(usize::try_from(*n).unwrap_or(usize::MAX));
+            Ok(rows)
         }
     }
-}
-
-/// Drains an executor into a row vector.
-pub fn collect(mut iter: BoxIter<'_>) -> DbResult<Vec<Row>> {
-    let mut out = Vec::new();
-    while let Some(row) = iter.next_row()? {
-        out.push(row);
-    }
-    Ok(out)
 }

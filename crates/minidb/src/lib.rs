@@ -6,7 +6,8 @@
 //! with `EXPLAIN PLAN` corrected by past-execution history. This crate is
 //! the open substitute for that RDBMS: a small but real relational engine
 //! that parses SQL, plans it with a cost-based optimizer, explains plans
-//! with cost estimates, and executes them over in-memory tables.
+//! with cost estimates, and executes them over in-memory tables — the two
+//! things the deployment asks of it.
 //!
 //! The engine supports exactly the workload shape the paper uses —
 //! read-only select-join-project-sort(-group) queries (§2.1) over base
@@ -14,12 +15,14 @@
 //! experiment up:
 //!
 //! * `CREATE TABLE` / `CREATE VIEW` / `INSERT` / `SELECT`
-//! * scans, filters, projections, hash/merge/nested-loop joins, sorts,
-//!   hash aggregation (`COUNT/SUM/MIN/MAX/AVG`, `GROUP BY`), `LIMIT`
-//! * `EXPLAIN` with estimated cardinalities and cost, and a stable *plan
-//!   fingerprint* that `qa-cluster` keys its execution-history estimator on
-//!   (the paper's "past execution information concerning queries with the
-//!   same plan").
+//! * one materializing executor: scans, filters, projections, one hash
+//!   join (a join without equi keys is its one-bucket case, which
+//!   `EXPLAIN` names `NestedLoopJoin` and costs as one), sorts, hash
+//!   aggregation (`COUNT/SUM/MIN/MAX/AVG`, `GROUP BY`), `LIMIT`
+//! * [`Database::explain`] with estimated cardinalities and cost, and a
+//!   stable *plan fingerprint* that `qa-cluster` keys its
+//!   execution-history estimator on (the paper's "past execution
+//!   information concerning queries with the same plan").
 //!
 //! Entry point: [`Database`].
 //!

@@ -12,10 +12,9 @@
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::expr::{bind_expr, BoundExpr};
-use crate::plan::logical::{AggExpr, JoinStrategy, LogicalPlan};
+use crate::plan::logical::{AggExpr, LogicalPlan};
 use crate::schema::{Column, Schema};
-use crate::sql::ast::{Expr, FromClause, SelectItem, SelectStmt, Statement};
-use crate::sql::parser::parse_statement;
+use crate::sql::ast::{Expr, FromClause, SelectItem, SelectStmt};
 use crate::value::DataType;
 
 /// Maximum view-inlining depth.
@@ -60,19 +59,9 @@ fn bind_select_depth(
         || select.order_by.iter().any(|(e, _)| contains_agg(e));
 
     let mut plan = if is_aggregate {
-        if select.distinct {
-            return Err(DbError::binding(
-                "DISTINCT with aggregates/GROUP BY is not supported",
-            ));
-        }
         bind_aggregate_query(select, plan)?
     } else {
-        let plan = bind_plain_query(select, plan)?;
-        if select.distinct {
-            dedupe(plan)
-        } else {
-            plan
-        }
+        bind_plain_query(select, plan)?
     };
 
     if let Some(n) = select.limit {
@@ -82,29 +71,6 @@ fn bind_select_depth(
         };
     }
     Ok(plan)
-}
-
-/// Wraps a plan in a deduplicating aggregation over all of its columns
-/// (`SELECT DISTINCT`). The hash aggregate preserves first-seen order, so
-/// an `ORDER BY` beneath it survives.
-fn dedupe(plan: LogicalPlan) -> LogicalPlan {
-    let schema = plan.schema().clone();
-    let group_by: Vec<BoundExpr> = schema
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| BoundExpr::Column {
-            index: i,
-            ty: c.ty,
-            name: c.name.clone(),
-        })
-        .collect();
-    LogicalPlan::Aggregate {
-        input: Box::new(plan),
-        group_by,
-        aggs: Vec::new(),
-        schema,
-    }
 }
 
 fn bind_from(from: &FromClause, catalog: &Catalog, depth: usize) -> DbResult<LogicalPlan> {
@@ -119,16 +85,7 @@ fn bind_from(from: &FromClause, catalog: &Catalog, depth: usize) -> DbResult<Log
                 });
             }
             if let Some(view) = catalog.view(name) {
-                let stmt = parse_statement(&view.query)?;
-                let inner = match stmt {
-                    Statement::Select(s) => s,
-                    _ => {
-                        return Err(DbError::catalog(format!(
-                            "view '{name}' does not store a SELECT"
-                        )))
-                    }
-                };
-                let inner_plan = bind_select_depth(&inner, catalog, depth + 1)?;
+                let inner_plan = bind_select_depth(&view.select, catalog, depth + 1)?;
                 // Re-expose the view's output under the alias.
                 let inner_schema = inner_plan.schema().clone();
                 let exprs: Vec<BoundExpr> = inner_schema
@@ -172,7 +129,6 @@ fn bind_from(from: &FromClause, catalog: &Catalog, depth: usize) -> DbResult<Log
                 right: Box::new(r),
                 equi,
                 residual,
-                strategy: JoinStrategy::Hash, // optimizer may revise
                 schema: combined,
             })
         }
@@ -532,6 +488,8 @@ fn resolve_over_aggregate(
 mod tests {
     use super::*;
     use crate::catalog::View;
+    use crate::sql::ast::Statement;
+    use crate::sql::parser::parse_statement;
     use crate::storage::Table;
     use crate::value::Value;
 
@@ -560,9 +518,14 @@ mod tests {
             ]),
         );
         c.create_table(dept).unwrap();
+        let Statement::Select(select) =
+            parse_statement("SELECT id, salary FROM emp WHERE salary > 5.0").unwrap()
+        else {
+            unreachable!()
+        };
         c.create_view(View {
             name: "rich".into(),
-            query: "SELECT id, salary FROM emp WHERE salary > 5.0".into(),
+            select,
         })
         .unwrap();
         c

@@ -13,7 +13,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
-use crate::plan::logical::{JoinStrategy, LogicalPlan};
+use crate::plan::logical::LogicalPlan;
 use crate::sql::ast::{BinaryOp, UnaryOp};
 
 /// Estimated output shape of a plan node.
@@ -99,7 +99,6 @@ pub fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> PlanEstimate {
             right,
             equi,
             residual,
-            strategy,
             ..
         } => {
             let l = estimate(left, catalog);
@@ -113,17 +112,12 @@ pub fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> PlanEstimate {
             };
             let res_sel = residual.as_ref().map_or(1.0, selectivity);
             let rows = (base_rows * res_sel).max(0.0);
-            let algo_cost = match strategy {
-                JoinStrategy::Hash => {
-                    let build = l.rows.min(r.rows);
-                    let probe = l.rows.max(r.rows);
-                    2.0 * build + probe
-                }
-                JoinStrategy::Merge => {
-                    let nlogn = |n: f64| if n > 1.0 { n * n.log2() } else { n };
-                    nlogn(l.rows) + nlogn(r.rows) + l.rows + r.rows
-                }
-                JoinStrategy::NestedLoop => l.rows * r.rows * 0.5 + l.rows + r.rows,
+            // A key-less join compares every pair: it is priced as the
+            // nested loop it is, not as a hash join.
+            let algo_cost = if equi.is_empty() {
+                l.rows * r.rows * 0.5 + l.rows + r.rows
+            } else {
+                2.0 * l.rows.min(r.rows) + l.rows.max(r.rows)
             };
             PlanEstimate {
                 rows,

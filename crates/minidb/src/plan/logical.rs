@@ -3,9 +3,9 @@
 //! Every node knows its output [`Schema`]; expressions inside a node are
 //! bound against its *input* schema. The tree is built by the binder,
 //! rewritten by the optimizer, costed by the cost model, and interpreted by
-//! the executor — there is no separate physical plan; the small number of
-//! physical choices (join algorithm) is recorded on the [`LogicalPlan::Join`]
-//! node itself.
+//! the executor — there is no separate physical plan: every join is a hash
+//! join, and its one physical choice, the build side, is the
+//! [`LogicalPlan::Join`]'s right input.
 
 use crate::expr::BoundExpr;
 use crate::schema::Schema;
@@ -15,17 +15,6 @@ use std::fmt;
 /// Equi-join keys: pairs of (left ordinal, right ordinal), where the right
 /// ordinal is relative to the right input's schema.
 pub type JoinKeys = Vec<(usize, usize)>;
-
-/// Which join algorithm the executor should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Build a hash table on the smaller side (requires equi keys).
-    Hash,
-    /// Sort both sides on the keys and merge (requires equi keys).
-    Merge,
-    /// Nested loops with the full predicate (always applicable).
-    NestedLoop,
-}
 
 /// One aggregate in an [`LogicalPlan::Aggregate`] node.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,18 +55,17 @@ pub enum LogicalPlan {
         /// Output schema (one column per expression).
         schema: Schema,
     },
-    /// Join of two inputs.
+    /// Hash join of two inputs; without equi keys, every row hashes to one
+    /// bucket and the join is a nested loop.
     Join {
-        /// Left input.
+        /// Left (probe) input.
         left: Box<LogicalPlan>,
-        /// Right input.
+        /// Right (build) input.
         right: Box<LogicalPlan>,
         /// Equi-key pairs (left ordinal, right-relative ordinal).
         equi: JoinKeys,
         /// Non-equi residual predicate over the concatenated schema.
         residual: Option<BoundExpr>,
-        /// The algorithm to use.
-        strategy: JoinStrategy,
         /// Output schema (left ++ right).
         schema: Schema,
     },
@@ -128,11 +116,8 @@ impl LogicalPlan {
             LogicalPlan::Scan { .. } => "Scan",
             LogicalPlan::Filter { .. } => "Filter",
             LogicalPlan::Project { .. } => "Project",
-            LogicalPlan::Join { strategy, .. } => match strategy {
-                JoinStrategy::Hash => "HashJoin",
-                JoinStrategy::Merge => "MergeJoin",
-                JoinStrategy::NestedLoop => "NestedLoopJoin",
-            },
+            LogicalPlan::Join { equi, .. } if equi.is_empty() => "NestedLoopJoin",
+            LogicalPlan::Join { .. } => "HashJoin",
             LogicalPlan::Aggregate { .. } => "Aggregate",
             LogicalPlan::Sort { .. } => "Sort",
             LogicalPlan::Limit { .. } => "Limit",
@@ -253,7 +238,6 @@ mod tests {
             right: Box::new(scan("b")),
             equi: vec![(0, 0)],
             residual: None,
-            strategy: JoinStrategy::Hash,
             schema: scan("a").schema().join(scan("b").schema()),
         };
         let out = j.to_string();

@@ -1,44 +1,24 @@
 //! Rule-based optimizer.
 //!
-//! Three rewrites, applied in order:
+//! Two rewrites, applied in order:
 //!
 //! 1. **Predicate pushdown** — conjuncts of a `Filter` sitting above a join
 //!    move into the side they reference; filters above projections stay put
 //!    (projections here are always top-of-plan).
-//! 2. **Join strategy selection** — equi joins use hash join when the
-//!    engine allows it (Table 3: only 95 of 100 simulated nodes have
-//!    hash-join capability), falling back to sort-merge; joins without equi
-//!    keys use nested loops.
-//! 3. **Build-side ordering** — for hash joins, the smaller estimated input
-//!    becomes the right (build) side.
+//! 2. **Build-side ordering** — for joins with equi keys, the smaller
+//!    estimated input becomes the right (build) side of the hash join.
+//!    A key-less join keeps its order: it compares every pair either way.
 
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
 use crate::plan::binder::flatten_and;
 use crate::plan::cost::estimate;
-use crate::plan::logical::{JoinStrategy, LogicalPlan};
+use crate::plan::logical::LogicalPlan;
 use crate::sql::ast::BinaryOp;
 
-/// Engine-level physical capabilities (per-node heterogeneity knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimizerConfig {
-    /// Whether hash join is available (all nodes can merge-scan, only some
-    /// can hash-join — Table 3).
-    pub enable_hash_join: bool,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            enable_hash_join: true,
-        }
-    }
-}
-
 /// Optimizes a bound plan.
-pub fn optimize(plan: LogicalPlan, catalog: &Catalog, config: OptimizerConfig) -> LogicalPlan {
-    let plan = push_down_filters(plan);
-    choose_join_strategies(plan, catalog, config)
+pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
+    choose_build_sides(push_down_filters(plan), catalog)
 }
 
 /// Recursively pushes filter conjuncts toward the scans.
@@ -62,14 +42,12 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
             right,
             equi,
             residual,
-            strategy,
             schema,
         } => LogicalPlan::Join {
             left: Box::new(push_down_filters(*left)),
             right: Box::new(push_down_filters(*right)),
             equi,
             residual,
-            strategy,
             schema,
         },
         LogicalPlan::Aggregate {
@@ -103,7 +81,6 @@ fn push_predicate(input: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
             right,
             equi,
             residual,
-            strategy,
             schema,
         } => {
             let left_len = left.schema().len();
@@ -131,7 +108,6 @@ fn push_predicate(input: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
                 right: Box::new(right_plan),
                 equi,
                 residual,
-                strategy,
                 schema,
             };
             match stay {
@@ -167,101 +143,70 @@ fn and_combine(acc: Option<BoundExpr>, next: BoundExpr) -> BoundExpr {
     }
 }
 
-/// Picks join algorithms and build sides bottom-up.
-fn choose_join_strategies(
-    plan: LogicalPlan,
-    catalog: &Catalog,
-    config: OptimizerConfig,
-) -> LogicalPlan {
+/// Puts the smaller estimated input of each equi join on the build side,
+/// bottom-up.
+fn choose_build_sides(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     match plan {
         LogicalPlan::Join {
             left,
             right,
             mut equi,
-            residual,
+            mut residual,
             schema,
-            ..
         } => {
-            let mut left = choose_join_strategies(*left, catalog, config);
-            let mut right = choose_join_strategies(*right, catalog, config);
-            let strategy = if equi.is_empty() {
-                JoinStrategy::NestedLoop
-            } else if config.enable_hash_join {
-                JoinStrategy::Hash
-            } else {
-                JoinStrategy::Merge
-            };
-            let mut residual = residual;
-            if strategy == JoinStrategy::Hash {
-                // Put the smaller estimated input on the right (build side).
-                let le = estimate(&left, catalog);
-                let re = estimate(&right, catalog);
-                if le.rows < re.rows {
-                    let left_len = left.schema().len();
-                    let right_len = right.schema().len();
-                    std::mem::swap(&mut left, &mut right);
-                    equi = equi.into_iter().map(|(l, r)| (r, l)).collect();
-                    // The output schema column order is defined by the
-                    // original query; re-map it with a projection-free
-                    // trick: swap sides and fix column order with a
-                    // remapping of the residual plus a Project above.
-                    // To keep plans simple we instead keep the schema in
-                    // new (right ++ left) order and add a Project restoring
-                    // the original order.
-                    let new_schema = left.schema().join(right.schema());
-                    residual = residual.map(|r| {
-                        r.remap_columns(&|i| {
-                            if i < left_len {
-                                // old-left column now lives after new-left
-                                // (= old right) block
-                                i + right_len
-                            } else {
-                                i - left_len
-                            }
-                        })
-                    });
-                    let exprs: Vec<BoundExpr> = (0..schema.len())
-                        .map(|i| {
-                            // Original order: old-left block then old-right.
-                            let src = if i < left_len {
-                                i + right_len
-                            } else {
-                                i - left_len
-                            };
-                            let col = new_schema.column(src);
-                            BoundExpr::Column {
-                                index: src,
-                                ty: col.ty,
-                                name: col.name.clone(),
-                            }
-                        })
-                        .collect();
-                    let join = LogicalPlan::Join {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        equi,
-                        residual,
-                        strategy,
-                        schema: new_schema,
-                    };
-                    return LogicalPlan::Project {
-                        input: Box::new(join),
-                        exprs,
-                        schema,
-                    };
-                }
+            let mut left = choose_build_sides(*left, catalog);
+            let mut right = choose_build_sides(*right, catalog);
+            if !equi.is_empty() && estimate(&left, catalog).rows < estimate(&right, catalog).rows {
+                let left_len = left.schema().len();
+                let right_len = right.schema().len();
+                std::mem::swap(&mut left, &mut right);
+                equi = equi.into_iter().map(|(l, r)| (r, l)).collect();
+                // The swapped join outputs (old right ++ old left):
+                // `new_index` maps an old column there. The residual is
+                // remapped, and a Project on top restores the query's order.
+                let new_schema = left.schema().join(right.schema());
+                let new_index = |i: usize| {
+                    if i < left_len {
+                        i + right_len
+                    } else {
+                        i - left_len
+                    }
+                };
+                residual = residual.map(|r| r.remap_columns(&new_index));
+                let exprs: Vec<BoundExpr> = (0..schema.len())
+                    .map(|i| {
+                        let src = new_index(i);
+                        let col = new_schema.column(src);
+                        BoundExpr::Column {
+                            index: src,
+                            ty: col.ty,
+                            name: col.name.clone(),
+                        }
+                    })
+                    .collect();
+                let join = LogicalPlan::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    equi,
+                    residual,
+                    schema: new_schema,
+                };
+                return LogicalPlan::Project {
+                    input: Box::new(join),
+                    exprs,
+                    schema,
+                };
             }
             LogicalPlan::Join {
                 left: Box::new(left),
                 right: Box::new(right),
                 equi,
                 residual,
-                strategy,
                 schema,
             }
         }
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(choose_join_strategies(*input, catalog, config)),
+            input: Box::new(choose_build_sides(*input, catalog)),
             predicate,
         },
         LogicalPlan::Project {
@@ -269,7 +214,7 @@ fn choose_join_strategies(
             exprs,
             schema,
         } => LogicalPlan::Project {
-            input: Box::new(choose_join_strategies(*input, catalog, config)),
+            input: Box::new(choose_build_sides(*input, catalog)),
             exprs,
             schema,
         },
@@ -279,17 +224,17 @@ fn choose_join_strategies(
             aggs,
             schema,
         } => LogicalPlan::Aggregate {
-            input: Box::new(choose_join_strategies(*input, catalog, config)),
+            input: Box::new(choose_build_sides(*input, catalog)),
             group_by,
             aggs,
             schema,
         },
         LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(choose_join_strategies(*input, catalog, config)),
+            input: Box::new(choose_build_sides(*input, catalog)),
             keys,
         },
         LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(choose_join_strategies(*input, catalog, config)),
+            input: Box::new(choose_build_sides(*input, catalog)),
             n,
         },
         leaf @ LogicalPlan::Scan { .. } => leaf,
@@ -327,10 +272,10 @@ mod tests {
         c
     }
 
-    fn optimized(sql: &str, cfg: OptimizerConfig) -> LogicalPlan {
+    fn optimized(sql: &str) -> LogicalPlan {
         let c = catalog();
         match parse_statement(sql).unwrap() {
-            Statement::Select(s) => optimize(bind_select(&s, &c).unwrap(), &c, cfg),
+            Statement::Select(s) => optimize(bind_select(&s, &c).unwrap(), &c),
             _ => unreachable!(),
         }
     }
@@ -341,10 +286,7 @@ mod tests {
 
     #[test]
     fn filter_pushes_below_join() {
-        let p = optimized(
-            "SELECT * FROM big JOIN small ON big.k = small.k WHERE big.id < 10",
-            OptimizerConfig::default(),
-        );
+        let p = optimized("SELECT * FROM big JOIN small ON big.k = small.k WHERE big.id < 10");
         let text = render(&p);
         // The filter must appear below the join in the tree: the join line
         // comes before the filter line.
@@ -358,10 +300,7 @@ mod tests {
 
     #[test]
     fn small_side_becomes_build_side() {
-        let p = optimized(
-            "SELECT * FROM big JOIN small ON big.k = small.k",
-            OptimizerConfig::default(),
-        );
+        let p = optimized("SELECT * FROM big JOIN small ON big.k = small.k");
         let text = render(&p);
         // After the swap, `small` must be the right (build) child, i.e. the
         // second scan listed under the join.
@@ -375,31 +314,15 @@ mod tests {
     }
 
     #[test]
-    fn hash_disabled_falls_back_to_merge() {
-        let p = optimized(
-            "SELECT * FROM big JOIN small ON big.k = small.k",
-            OptimizerConfig {
-                enable_hash_join: false,
-            },
-        );
-        assert!(render(&p).contains("MergeJoin"));
-    }
-
-    #[test]
     fn no_equi_keys_uses_nested_loop() {
-        let p = optimized(
-            "SELECT * FROM big JOIN small ON big.k < small.k",
-            OptimizerConfig::default(),
-        );
+        let p = optimized("SELECT * FROM big JOIN small ON big.k < small.k");
         assert!(render(&p).contains("NestedLoopJoin"));
     }
 
     #[test]
     fn cross_side_predicate_stays_above_join() {
-        let p = optimized(
-            "SELECT * FROM big JOIN small ON big.k = small.k WHERE big.id + small.k > 3",
-            OptimizerConfig::default(),
-        );
+        let p =
+            optimized("SELECT * FROM big JOIN small ON big.k = small.k WHERE big.id + small.k > 3");
         let text = render(&p);
         let join_pos = text.find("Join").unwrap();
         let filter_pos = text.find("Filter").unwrap();
@@ -415,7 +338,7 @@ mod tests {
             _ => unreachable!(),
         };
         let before = bound.schema().clone();
-        let after = optimize(bound, &c, OptimizerConfig::default());
+        let after = optimize(bound, &c);
         assert_eq!(&before, after.schema());
     }
 }

@@ -79,13 +79,6 @@ impl Schema {
         Schema { columns }
     }
 
-    /// The empty schema.
-    pub fn empty() -> Schema {
-        Schema {
-            columns: Vec::new(),
-        }
-    }
-
     /// Number of columns.
     pub fn len(&self) -> usize {
         self.columns.len()
@@ -148,13 +141,6 @@ impl Schema {
         let mut columns = self.columns.clone();
         columns.extend(right.columns.iter().cloned());
         Schema { columns }
-    }
-
-    /// The sub-schema formed by the given ordinals (projection).
-    pub fn project(&self, ordinals: &[usize]) -> Schema {
-        Schema {
-            columns: ordinals.iter().map(|&i| self.columns[i].clone()).collect(),
-        }
     }
 }
 
@@ -244,15 +230,6 @@ mod tests {
         let j = l.join(&r);
         assert_eq!(j.len(), 2);
         assert_eq!(j.resolve(None, "b").unwrap(), 1);
-    }
-
-    #[test]
-    fn project_selects_ordinals() {
-        let s = sample();
-        let p = s.project(&[3, 0]);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.column(0).name, "budget");
-        assert_eq!(p.column(1).name, "id");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Abstract syntax tree, with a pretty-printer.
+//! Abstract syntax tree.
 //!
-//! The printer produces SQL the parser accepts, which the property tests
-//! exploit: `parse(print(ast)) == ast`.
+//! [`Expr`] prints fully parenthesized, which is how the parser's tests
+//! read back the precedence it parsed.
 
 use crate::value::{DataType, Value};
 use std::fmt;
@@ -32,15 +32,11 @@ pub enum Statement {
     },
     /// `SELECT …`
     Select(SelectStmt),
-    /// `EXPLAIN SELECT …`
-    Explain(SelectStmt),
 }
 
 /// A `SELECT` statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
-    /// `SELECT DISTINCT` — deduplicate the projected rows.
-    pub distinct: bool,
     /// The projection list.
     pub projections: Vec<SelectItem>,
     /// The `FROM` clause (absent for `SELECT 1`-style constants).
@@ -263,71 +259,6 @@ impl fmt::Display for Expr {
     }
 }
 
-impl fmt::Display for FromClause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FromClause::Table { name, alias } => match alias {
-                Some(a) if a != name => write!(f, "{name} AS {a}"),
-                _ => write!(f, "{name}"),
-            },
-            FromClause::Join { left, right, on } => {
-                write!(f, "{left} JOIN {right} ON {on}")
-            }
-        }
-    }
-}
-
-impl fmt::Display for SelectStmt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT ")?;
-        if self.distinct {
-            write!(f, "DISTINCT ")?;
-        }
-        for (i, p) in self.projections.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            match p {
-                SelectItem::Star => write!(f, "*")?,
-                SelectItem::Expr { expr, alias } => {
-                    write!(f, "{expr}")?;
-                    if let Some(a) = alias {
-                        write!(f, " AS {a}")?;
-                    }
-                }
-            }
-        }
-        if let Some(from) = &self.from {
-            write!(f, " FROM {from}")?;
-        }
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
-        }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY ")?;
-            for (i, g) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{g}")?;
-            }
-        }
-        if !self.order_by.is_empty() {
-            write!(f, " ORDER BY ")?;
-            for (i, (e, asc)) in self.order_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{e} {}", if *asc { "ASC" } else { "DESC" })?;
-            }
-        }
-        if let Some(l) = self.limit {
-            write!(f, " LIMIT {l}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,50 +281,5 @@ mod tests {
             }),
         };
         assert_eq!(e.to_string(), "(t.a + (2 * b))");
-    }
-
-    #[test]
-    fn select_display_covers_all_clauses() {
-        let s = SelectStmt {
-            distinct: false,
-            projections: vec![
-                SelectItem::Star,
-                SelectItem::Expr {
-                    expr: Expr::Agg {
-                        func: AggFunc::Count,
-                        arg: None,
-                    },
-                    alias: Some("n".into()),
-                },
-            ],
-            from: Some(FromClause::Table {
-                name: "t".into(),
-                alias: None,
-            }),
-            where_clause: Some(Expr::IsNull {
-                expr: Box::new(Expr::Column {
-                    qualifier: None,
-                    name: "x".into(),
-                }),
-                negated: true,
-            }),
-            group_by: vec![Expr::Column {
-                qualifier: None,
-                name: "g".into(),
-            }],
-            order_by: vec![(
-                Expr::Column {
-                    qualifier: None,
-                    name: "g".into(),
-                },
-                false,
-            )],
-            limit: Some(10),
-        };
-        assert_eq!(
-            s.to_string(),
-            "SELECT *, COUNT(*) AS n FROM t WHERE (x IS NOT NULL) \
-             GROUP BY g ORDER BY g DESC LIMIT 10"
-        );
     }
 }

@@ -11,7 +11,6 @@
 //! SELECT t.a, SUM(u.b) FROM t JOIN u ON t.a = u.a
 //!   WHERE u.b >= 10 AND c <> 'z'
 //!   GROUP BY t.a ORDER BY t.a DESC LIMIT 5;
-//! EXPLAIN SELECT ...;
 //! ```
 
 pub mod ast;

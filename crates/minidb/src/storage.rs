@@ -1,85 +1,23 @@
 //! In-memory table storage with lightweight statistics.
 //!
 //! Tables are row vectors with type-checked inserts. Each table keeps the
-//! statistics the cost model needs — row count, average row width and
-//! per-column distinct estimates — updated incrementally on insert (the
-//! distinct estimate is exact below a cap, then switches to a conservative
-//! ratio, which is all the optimizer's selectivity heuristics require).
+//! statistics the cost model reads — row count and average row width —
+//! updated incrementally on insert.
 
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::value::{Row, Value};
-use std::collections::HashSet;
-
-/// Cap on exact distinct counting per column; beyond it we extrapolate.
-const DISTINCT_CAP: usize = 10_000;
-
-/// Per-column statistics.
-#[derive(Debug, Clone)]
-pub struct ColumnStats {
-    /// Exact distinct values while below [`DISTINCT_CAP`].
-    seen: HashSet<Value>,
-    /// `true` once the exact set was abandoned.
-    saturated: bool,
-    /// NULL count.
-    pub nulls: u64,
-}
-
-impl ColumnStats {
-    fn new() -> ColumnStats {
-        ColumnStats {
-            seen: HashSet::new(),
-            saturated: false,
-            nulls: 0,
-        }
-    }
-
-    fn observe(&mut self, v: &Value) {
-        if v.is_null() {
-            self.nulls += 1;
-            return;
-        }
-        if !self.saturated {
-            self.seen.insert(v.clone());
-            if self.seen.len() > DISTINCT_CAP {
-                self.saturated = true;
-                self.seen.clear();
-                self.seen.shrink_to_fit();
-            }
-        }
-    }
-
-    /// Estimated number of distinct non-NULL values given `row_count` rows.
-    pub fn distinct_estimate(&self, row_count: u64) -> u64 {
-        if self.saturated {
-            // Beyond the cap assume high cardinality: half the rows.
-            (row_count / 2).max(DISTINCT_CAP as u64)
-        } else {
-            self.seen.len() as u64
-        }
-    }
-}
 
 /// Table-level statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TableStats {
     /// Number of rows.
     pub row_count: u64,
     /// Mean serialized row width in bytes (rough, for I/O costing).
     pub avg_row_bytes: f64,
-    /// Per-column stats.
-    pub columns: Vec<ColumnStats>,
 }
 
 impl TableStats {
-    fn new(num_columns: usize) -> TableStats {
-        TableStats {
-            row_count: 0,
-            avg_row_bytes: 0.0,
-            columns: (0..num_columns).map(|_| ColumnStats::new()).collect(),
-        }
-    }
-
     fn observe(&mut self, row: &Row) {
         let bytes: usize = row
             .iter()
@@ -92,9 +30,6 @@ impl TableStats {
         let n = self.row_count as f64;
         self.avg_row_bytes = (self.avg_row_bytes * n + bytes as f64) / (n + 1.0);
         self.row_count += 1;
-        for (c, v) in self.columns.iter_mut().zip(row) {
-            c.observe(v);
-        }
     }
 }
 
@@ -110,12 +45,11 @@ pub struct Table {
 impl Table {
     /// An empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Table {
-        let stats = TableStats::new(schema.len());
         Table {
             name: name.into(),
             schema,
             rows: Vec::new(),
-            stats,
+            stats: TableStats::default(),
         }
     }
 
@@ -127,16 +61,6 @@ impl Table {
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Row count.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// The statistics.
@@ -202,7 +126,7 @@ mod tests {
             Value::Str("a".into()),
         ])
         .unwrap();
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows().len(), 1);
         let err = t
             .insert(vec![
                 Value::Str("oops".into()),
@@ -235,11 +159,11 @@ mod tests {
         let mut t = table();
         t.insert(vec![Value::Null, Value::Null, Value::Null])
             .unwrap();
-        assert_eq!(t.stats().columns[0].nulls, 1);
+        assert_eq!(t.rows()[0], vec![Value::Null; 3]);
     }
 
     #[test]
-    fn stats_track_counts_and_distincts() {
+    fn stats_track_count_and_width() {
         let mut t = table();
         for i in 0..100 {
             t.insert(vec![
@@ -251,20 +175,6 @@ mod tests {
         }
         let s = t.stats();
         assert_eq!(s.row_count, 100);
-        assert_eq!(s.columns[0].distinct_estimate(100), 100);
-        assert_eq!(s.columns[1].distinct_estimate(100), 10);
-        assert_eq!(s.columns[2].distinct_estimate(100), 5);
         assert!(s.avg_row_bytes > 16.0);
-    }
-
-    #[test]
-    fn distinct_saturation_extrapolates() {
-        let mut stats = ColumnStats::new();
-        for i in 0..(DISTINCT_CAP as i64 + 10) {
-            stats.observe(&Value::Int(i));
-        }
-        assert!(stats.saturated);
-        let est = stats.distinct_estimate(1_000_000);
-        assert!(est >= DISTINCT_CAP as u64);
     }
 }

@@ -3,7 +3,7 @@
 //! Three scalar types cover the paper's select-join-project-sort workload:
 //! 64-bit integers, 64-bit floats and UTF-8 strings, plus SQL `NULL`.
 //! Values are totally ordered (NULLs first, floats by IEEE `total_cmp`) so
-//! sort and merge-join never have to handle incomparable pairs, and hashing
+//! sort never has to handle incomparable pairs, and hashing
 //! is consistent with equality (floats hash their bit pattern after
 //! normalizing `-0.0`, integers and equal-valued floats intentionally hash
 //! differently only when they compare differently).

@@ -2,10 +2,10 @@
 //! loops (the hermetic-build substitute for proptest): each property runs
 //! over 150 random cases from a fixed seed, so failures reproduce exactly.
 
-use qa_minidb::exec::basic::{Scan, Sort};
-use qa_minidb::exec::collect;
-use qa_minidb::exec::join::{HashJoin, MergeJoin, NestedLoopJoin};
+use qa_minidb::exec::basic::sort;
+use qa_minidb::exec::join::hash_join;
 use qa_minidb::expr::BoundExpr;
+use qa_minidb::sql::ast::BinaryOp;
 use qa_minidb::value::{DataType, Row, Value};
 use qa_minidb::Database;
 use qa_simnet::DetRng;
@@ -50,40 +50,66 @@ fn sorted(mut v: Vec<Row>) -> Vec<Row> {
     v
 }
 
-/// The three join algorithms agree on arbitrary inputs (equi join on the
-/// first column, NULLs never matching).
+/// The join's definition, row order included: every (left, right) pair in
+/// left-major order whose keys are equal and non-NULL and whose
+/// concatenation passes the residual.
+fn nested_loop(
+    left: &[Row],
+    right: &[Row],
+    equi: &[(usize, usize)],
+    residual: Option<&BoundExpr>,
+) -> Vec<Row> {
+    let mut out = Vec::new();
+    for l in left {
+        for r in right {
+            let row = [l.as_slice(), r].concat();
+            if equi.iter().all(|&(a, b)| !l[a].is_null() && l[a] == r[b])
+                && residual.is_none_or(|p| p.eval_predicate(&row).unwrap())
+            {
+                out.push(row);
+            }
+        }
+    }
+    out
+}
+
+/// The hash join equals the nested-loop reference exactly, row order
+/// included, on arbitrary inputs: equi, multi-key, NULL-key (one key in
+/// nine is NULL), residual and key-less joins.
 #[test]
 fn join_algorithms_agree() {
     let mut rng = DetRng::seed_from_u64(0x11D8_0001);
+    let int = |index| BoundExpr::Column {
+        index,
+        ty: DataType::Int,
+        name: format!("c{index}"),
+    };
+    // left.v < right.v over the concatenated (key, v, k2, key, v, k2).
+    let residual = BoundExpr::Binary {
+        left: Box::new(int(1)),
+        op: BinaryOp::Lt,
+        right: Box::new(int(4)),
+    };
+    let keys: [&[(usize, usize)]; 3] = [&[(0, 0)], &[(0, 0), (2, 2)], &[]];
     for case in 0..CASES {
-        let left = random_rows(&mut rng, 30);
-        let right = random_rows(&mut rng, 30);
-        let equi = vec![(0usize, 0usize)];
-        let hash = collect(Box::new(HashJoin::new(
-            Box::new(Scan::new(&left)),
-            Box::new(Scan::new(&right)),
-            equi.clone(),
-            None,
-            2,
-        )))
-        .unwrap();
-        let merge = collect(Box::new(MergeJoin::new(
-            Box::new(Scan::new(&left)),
-            Box::new(Scan::new(&right)),
-            equi.clone(),
-            None,
-        )))
-        .unwrap();
-        let nl = collect(Box::new(NestedLoopJoin::new(
-            Box::new(Scan::new(&left)),
-            Box::new(Scan::new(&right)),
-            equi,
-            None,
-            2,
-        )))
-        .unwrap();
-        assert_eq!(sorted(hash.clone()), sorted(merge), "case {case}");
-        assert_eq!(sorted(hash), sorted(nl), "case {case}");
+        let mut side = || -> Vec<Row> {
+            let mut rows = random_rows(&mut rng, 30);
+            for row in &mut rows {
+                row.push(Value::Int(rng.int_in(0, 2) as i64));
+            }
+            rows
+        };
+        let (left, right) = (side(), side());
+        for equi in keys {
+            for residual in [None, Some(&residual)] {
+                assert_eq!(
+                    hash_join(&left, &right, equi, residual).unwrap(),
+                    nested_loop(&left, &right, equi, residual),
+                    "case {case}, keys {equi:?}, residual {}",
+                    residual.is_some()
+                );
+            }
+        }
     }
 }
 
@@ -107,14 +133,7 @@ fn join_cardinality_formula() {
                 expected += lc.get(&r[0]).copied().unwrap_or(0);
             }
         }
-        let out = collect(Box::new(HashJoin::new(
-            Box::new(Scan::new(&left)),
-            Box::new(Scan::new(&right)),
-            vec![(0, 0)],
-            None,
-            2,
-        )))
-        .unwrap();
+        let out = hash_join(&left, &right, &[(0, 0)], None).unwrap();
         assert_eq!(out.len(), expected, "case {case}");
     }
 }
@@ -130,11 +149,7 @@ fn sort_is_an_ordered_permutation() {
             ty: DataType::Int,
             name: "v".into(),
         };
-        let out = collect(Box::new(Sort::new(
-            Box::new(Scan::new(&rows)),
-            vec![(key, true)],
-        )))
-        .unwrap();
+        let out = sort(rows.clone(), &[(key, true)]).unwrap();
         assert_eq!(out.len(), rows.len(), "case {case}");
         assert_eq!(sorted(out.clone()), sorted(rows), "case {case}");
         for w in out.windows(2) {
