@@ -1,88 +1,80 @@
-//! `fig_scale`: throughput scaling of the sharded federation engine.
+//! `fig_scale`: the sharded engine against the flat one, and the parent
+//! markets against each other, from 100 to 10 000 nodes.
 //!
-//! Sweeps the federation size (100 → 10 000 nodes at full scale) and runs
-//! the same trace through the engine flat (`S = 1`, byte-identical to the
-//! pre-sharding event loop) and sharded, reporting wall-clock throughput
-//! (periods/s, queries/s) and the market's convergence period.
+//! Every size runs one trace through the flat engine (`S = 1`) and through
+//! the sharded engine under each parent mechanism (QA-NT, WALRAS); the
+//! 10 000-node trace holds ≥ 10 M queries. Reported per row: wall-clock
+//! throughput, mean response, the market's convergence period, cross-tier
+//! messages, escalated demand and inter-shard allocation efficiency.
 //!
-//! Two artifacts:
+//! Artifacts:
 //! * `bench_results/fig_scale.json` — the full points, timings included;
 //! * `bench_results/fig_scale_determinism.json` — the timing-free
 //!   projection, byte-identical at any `QA_THREADS` and machine speed
-//!   (the CI `scale-smoke` job diffs it across 1 vs 8 threads).
+//!   (`--quick` is `goldens/fig_scale_quick_determinism.json`);
+//! * `bench_results/fig_scale_trace.jsonl` (with `--trace`) — the broker
+//!   telemetry of the 60-node, 4-shard QA-NT row (`broker_bid`,
+//!   `parent_cleared`, `demand_escalated`), byte-deterministic.
 //!
-//! `--quick` shrinks the sweep for CI (seconds, not minutes).
+//! `--quick` (or `QA_SCALE` unset) shrinks the sweep for CI.
 
 use qa_bench::{fmt_ms, render_table, write_json, Scale};
-use qa_sim::experiments::{scale_point, scale_trace, scale_world, ScalePoint};
+use qa_sim::config::BrokerConfig;
+use qa_sim::experiments::{scale_cells, scale_point, ScalePoint};
+use qa_simnet::telemetry::Telemetry;
 use std::time::Instant;
 
-/// Cells as `(nodes, shards, horizon_secs)`. Each size runs flat (S = 1)
-/// and sharded on the identical trace so the speedup column is
-/// like-for-like.
-fn cells(quick: bool) -> Vec<(usize, usize, u64)> {
-    if quick {
-        vec![(60, 1, 10), (60, 4, 10), (200, 1, 10), (200, 8, 10)]
-    } else {
-        vec![
-            (100, 1, 60),
-            (100, 8, 60),
-            (300, 1, 60),
-            (300, 8, 60),
-            (1_000, 1, 120),
-            (1_000, 16, 120),
-            (3_000, 1, 60),
-            (3_000, 16, 60),
-            (10_000, 1, 20),
-            (10_000, 16, 20),
-        ]
-    }
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick") || qa_bench::scale() == Scale::Ci;
-    let seed = 2007;
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick") || qa_bench::scale() == Scale::Ci;
+    let want_trace = args.iter().any(|a| a == "--trace");
+    let budget = qa_simnet::thread_budget();
+
     let mut points: Vec<ScalePoint> = Vec::new();
-    for (nodes, shards, secs) in cells(quick) {
-        let scenario = scale_world(nodes, seed);
-        let trace = scale_trace(&scenario, secs);
-        let start = Instant::now();
-        let mut p = scale_point(&scenario, &trace, shards);
-        let elapsed = start.elapsed().as_secs_f64();
-        p.elapsed_s = elapsed;
-        p.periods_per_s = p.periods as f64 / elapsed.max(1e-9);
-        p.queries_per_s = p.queries as f64 / elapsed.max(1e-9);
-        eprintln!(
-            "  {} nodes x S={}: {} queries in {:.2}s",
-            nodes, shards, p.queries, elapsed
-        );
-        points.push(p);
+    for cell in scale_cells(quick) {
+        let (scenario, trace) = cell.inputs();
+        for &(shards, parent) in &cell.rows {
+            let start = Instant::now();
+            let mut p = scale_point(
+                &scenario,
+                &trace,
+                shards,
+                parent,
+                budget,
+                Telemetry::disabled(),
+            );
+            let elapsed = start.elapsed().as_secs_f64();
+            p.elapsed_s = elapsed;
+            p.periods_per_s = p.periods as f64 / elapsed.max(1e-9);
+            p.queries_per_s = p.queries as f64 / elapsed.max(1e-9);
+            eprintln!(
+                "  {} nodes x S={} [{}]: {} queries in {:.2}s",
+                p.nodes, p.shards, p.mode, p.queries, elapsed
+            );
+            points.push(p);
+        }
     }
 
-    println!("fig_scale — sharded engine throughput vs federation size\n");
+    println!("fig_scale — flat engine vs sharded engine under each parent market\n");
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
-            // Speedup vs the flat (S = 1) run of the same size, which by
-            // construction precedes the sharded run in `points`.
-            let flat = points
-                .iter()
-                .find(|q| q.nodes == p.nodes && q.shards == 1)
-                .expect("every size has a flat row");
             vec![
                 p.nodes.to_string(),
                 p.shards.to_string(),
+                p.mode.clone(),
                 p.queries.to_string(),
                 format!("{:.2}", p.elapsed_s),
                 format!("{:.0}", p.queries_per_s),
-                format!("{:.0}", p.periods_per_s),
-                format!("{:.2}x", flat.elapsed_s / p.elapsed_s.max(1e-9)),
                 fmt_ms(p.mean_response_ms),
                 if p.convergence_period < 0 {
                     "-".into()
                 } else {
                     p.convergence_period.to_string()
                 },
+                p.cross_messages.to_string(),
+                p.escalated_units.to_string(),
+                format!("{:.4}", p.alloc_efficiency),
             ]
         })
         .collect();
@@ -92,13 +84,15 @@ fn main() {
             &[
                 "nodes",
                 "shards",
+                "parent",
                 "queries",
                 "wall (s)",
                 "queries/s",
-                "periods/s",
-                "speedup",
                 "response",
-                "conv. period"
+                "conv. period",
+                "x-tier msgs",
+                "escalated",
+                "alloc eff."
             ],
             &rows
         )
@@ -107,8 +101,8 @@ fn main() {
     let path = write_json("fig_scale", &points).expect("write result");
     println!("wrote {}", path.display());
 
-    // Timing-free projection: what the CI byte-identity check compares
-    // across thread budgets and shard layouts.
+    // Timing-free projection: what the determinism gates compare across
+    // thread budgets and commits.
     let det: Vec<ScalePoint> = points
         .iter()
         .map(|p| ScalePoint {
@@ -120,4 +114,21 @@ fn main() {
         .collect();
     let path = write_json("fig_scale_determinism", &det).expect("write determinism artifact");
     println!("wrote {}", path.display());
+
+    // Sim-time stamped and boundary-serial, hence byte-deterministic.
+    if want_trace {
+        let (scenario, trace) = scale_cells(true)[0].inputs();
+        let (telemetry, buffer) = Telemetry::buffered();
+        scale_point(
+            &scenario,
+            &trace,
+            4,
+            BrokerConfig::qant(),
+            budget,
+            telemetry,
+        );
+        let path = std::path::Path::new("bench_results/fig_scale_trace.jsonl");
+        std::fs::write(path, buffer.to_jsonl()).expect("write broker trace");
+        println!("wrote {} ({} events)", path.display(), buffer.len());
+    }
 }

@@ -8,9 +8,11 @@
 //! via [`Sweep::with_threads`] — not the `QA_THREADS` env var — because
 //! the test harness runs tests concurrently and env mutation would race.
 //!
-//! The last two tests pin bytes from commit to commit instead: every way a
-//! query is resubmitted, against `goldens/retry_paths_determinism.json`,
-//! and every seller's prices, supply and carry between periods, against
+//! The last three tests pin bytes from commit to commit instead: the quick
+//! scaling sweep, against `goldens/fig_scale_quick_determinism.json`;
+//! every way a query is resubmitted, against
+//! `goldens/retry_paths_determinism.json`; and every seller's prices,
+//! supply and carry between periods, against
 //! `goldens/market_state_determinism.json`.
 
 use qa_bench::Sweep;
@@ -18,8 +20,8 @@ use qa_core::MechanismKind;
 use qa_sim::config::{BrokerConfig, SimConfig};
 use qa_sim::experiments::{
     fig3_sinusoid_workload, fig4_all_algorithms, fig4_summarize, fig4_workload, fig5a_load_sweep,
-    fig5a_point, fig6_point, fig6_scenario, fig6_zipf_sweep, run_cell, scale_point, scale_trace,
-    scale_world, two_class_trace,
+    fig5a_point, fig6_point, fig6_scenario, fig6_zipf_sweep, run_cell, scale_cells, scale_point,
+    scale_trace, scale_world, two_class_trace, ScalePoint,
 };
 use qa_sim::federation::Federation;
 use qa_sim::scenario::{Scenario, TwoClassParams};
@@ -99,15 +101,44 @@ fn fig3_json_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn sharded_single_shard_is_byte_identical_to_flat_engine() {
+fn single_shard_is_the_flat_engine_under_either_parent() {
     // The S = 1 contract: the sharded window loop must replay the flat
     // event loop exactly — same market jitter, same event order, same
-    // Debug-formatted outcome — on the artifact-relevant scale world.
-    let scenario = scale_world(60, 2007);
-    let trace = scale_trace(&scenario, 10);
-    let flat = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
-    let sharded = ShardPlan::build(&scenario, 1).run_with_budget(&trace, 1);
-    assert_eq!(format!("{:?}", sharded.outcome), format!("{flat:?}"));
+    // Debug-formatted outcome — and a one-broker parent, whatever its
+    // mechanism, has nowhere else to route. An overloaded world makes the
+    // parent escalate.
+    let overloaded = {
+        let mut config = SimConfig::small_test(5);
+        config.num_nodes = 30;
+        let scenario = Scenario::two_class(config, TwoClassParams::default());
+        let trace = two_class_trace(&scenario, 0.05, 1.5, 10);
+        (scenario, trace)
+    };
+    let scaled = [(60, 2007), (200, 11)].map(|(nodes, seed)| {
+        let scenario = scale_world(nodes, seed);
+        let trace = scale_trace(&scenario, 10);
+        (scenario, trace)
+    });
+    for (scenario, trace) in scaled.iter().chain([&overloaded]) {
+        let flat = format!("{:?}", run_cell(scenario, trace, MechanismKind::QaNt));
+        let plan = ShardPlan::build(scenario, 1);
+        for parent in [BrokerConfig::qant(), BrokerConfig::walras()] {
+            for budget in [1, 8] {
+                let options = ShardRunOptions {
+                    budget,
+                    broker: Some(parent),
+                    ..ShardRunOptions::default()
+                };
+                let out = plan.run_with_options(trace, &options);
+                assert_eq!(
+                    format!("{:?}", out.outcome),
+                    flat,
+                    "{} nodes, {parent:?}, budget {budget}",
+                    scenario.config.num_nodes
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -132,13 +163,32 @@ fn sharded_scale_points_are_identical_across_thread_budgets() {
                 "sharded S={shards} diverged at budget {budget}"
             );
         }
-        // And the JSON projection the sweep writes (timing fields are
-        // zero until the harness stamps them, so this is the determinism
-        // artifact's exact serialization).
-        let a = scale_point(&scenario, &trace, shards).to_json().pretty();
-        let b = scale_point(&scenario, &trace, shards).to_json().pretty();
-        assert_eq!(a, b, "scale_point not reproducible at S={shards}");
     }
+}
+
+#[test]
+fn fig_scale_quick_matches_the_checked_in_golden() {
+    // The quick scaling sweep, computed from the cell list `fig_scale`
+    // runs and rendered as its timing-free determinism artifact, at two
+    // shard-worker budgets. The sweep runs with telemetry off, so this is
+    // the golden that pins the pure-market path (offer index, boundary
+    // rejection replay) that the repo benchmark times.
+    let sweep = |budget: usize| -> String {
+        let mut points: Vec<ScalePoint> = Vec::new();
+        for cell in scale_cells(true) {
+            let (scenario, trace) = cell.inputs();
+            for &(shards, parent) in &cell.rows {
+                let telemetry = Telemetry::disabled();
+                points.push(scale_point(
+                    &scenario, &trace, shards, parent, budget, telemetry,
+                ));
+            }
+        }
+        points.to_json().pretty()
+    };
+    let fresh = sweep(1);
+    assert_eq!(sweep(8), fresh, "the sweep diverged at budget 8");
+    assert_matches_golden("fig_scale_quick_determinism.json", &fresh);
 }
 
 #[test]
@@ -172,14 +222,14 @@ fn shard_steps_and_their_signal_reports_are_identical_across_thread_budgets() {
                 buffer.to_jsonl(),
             )
         };
-        for broker in [None, Some(BrokerConfig::qant())] {
+        // `None` is the default QA-NT parent: every sharded run bids.
+        for broker in [None, Some(BrokerConfig::walras())] {
             let reference = run(1, broker);
-            assert_eq!(reference.2.is_empty(), broker.is_none());
+            assert!(!reference.2.is_empty(), "S={shards} {broker:?}: no bids");
             for budget in [2, 8] {
                 assert!(
                     run(budget, broker) == reference,
-                    "S={shards} broker={} diverged at budget {budget}",
-                    broker.is_some()
+                    "S={shards} {broker:?} diverged at budget {budget}"
                 );
             }
         }

@@ -28,7 +28,6 @@
 pub mod bnqrd;
 pub mod client;
 pub mod estimator;
-pub mod hier;
 pub mod markov;
 pub mod mechanism;
 pub mod messages;
@@ -43,7 +42,6 @@ pub use qa_simnet::telemetry;
 pub use bnqrd::BnqrdCoordinator;
 pub use client::{choose_best_offer, RoundRobinState, TwoProbesChooser};
 pub use estimator::{EstimatorStats, PlanHistoryEstimator};
-pub use hier::{escalation_cap, mean_abs_delta_ln, ShardSignal};
 pub use markov::MarkovAllocator;
 pub use mechanism::MechanismKind;
 pub use messages::{Offer, Request};

@@ -39,11 +39,6 @@ pub enum ParentMechanism {
     /// aggregate supply curves until relative excess demand is within
     /// tolerance, then ration at the clearing price.
     Walras,
-    /// No market: every broker is awarded its whole bid at a flat price
-    /// (`ln p = 0`), whatever the demand — nothing is rationed, nothing
-    /// left unserved, no rounds. The one-level federation as the
-    /// degenerate case of the two-tier one.
-    PassThrough,
 }
 
 /// Tuning knobs of the parent market.
@@ -118,16 +113,6 @@ pub struct BrokerBid {
     pub reservation_ln: Vec<f64>,
 }
 
-impl BrokerBid {
-    /// A bid over `k` classes with zero capacity and neutral prices.
-    pub fn empty(k: usize) -> Self {
-        BrokerBid {
-            capacity: vec![0; k],
-            reservation_ln: vec![0.0; k],
-        }
-    }
-}
-
 /// The result of clearing one window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClearingOutcome {
@@ -188,15 +173,13 @@ impl ParentMarket {
                 assert_eq!(out.len(), self.walras_ln.len(), "class count mismatch");
                 out.copy_from_slice(&self.walras_ln);
             }
-            ParentMechanism::PassThrough => out.fill(0.0),
         }
     }
 
     /// Clears one window: rations `demand` (per class) across the broker
     /// `bids` and adjusts the parent prices. Allocation is conservative —
     /// for every class, `Σ_b allocations[b][k] + unserved[k] == demand[k]`
-    /// and `allocations[b][k] <= bids[b].capacity[k]` — except under
-    /// [`ParentMechanism::PassThrough`], which ignores `demand`.
+    /// and `allocations[b][k] <= bids[b].capacity[k]`.
     ///
     /// # Panics
     /// Panics when `bids` is empty, a bid's class count differs from the
@@ -216,12 +199,6 @@ impl ParentMarket {
         match self.config.mechanism {
             ParentMechanism::QaNt => self.clear_qant(bids, demand),
             ParentMechanism::Walras => self.clear_walras(bids, demand),
-            ParentMechanism::PassThrough => ClearingOutcome {
-                allocations: bids.iter().map(|b| b.capacity.clone()).collect(),
-                ln_prices: vec![0.0; k],
-                unserved: vec![0; k],
-                rounds: 0,
-            },
         }
     }
 

@@ -2,11 +2,10 @@
 //!
 //! Every shard of a [`crate::sharded::ShardPlan`] run gets a first-class
 //! broker: at each period boundary the shard's aggregate per-class supply
-//! and mean ln-price become the broker's sealed bid on a parent market.
-//! The [`BrokerTier`] owns that market and, once per boundary:
+//! and mean ln-price become the broker's sealed [`BrokerBid`] on a parent
+//! market. The [`BrokerTier`] owns that market and, once per boundary:
 //!
-//! 1. turns the shard signals into [`qa_core::hier::ShardSignal`]s and
-//!    submits them as bids (`broker_bid` telemetry, one per shard),
+//! 1. submits the shards' bids (`broker_bid` telemetry, one per shard),
 //! 2. clears the window's demand — the arrivals just routed plus the
 //!    escalated carry from the previous window — through the parent
 //!    mechanism (`parent_cleared` telemetry),
@@ -16,19 +15,12 @@
 //!    shard's weight is its quota biased by how far its own price sits
 //!    below the parent's clearing price.
 //!
-//! A run without a parent market is the same tier over
-//! [`ParentMechanism::PassThrough`](qa_economics::parent::ParentMechanism):
-//! quota = the supply signal and clearing price = 1, so step 4 yields the
-//! raw-signal router weights `(1 + supply) · e^(−ln p)` and steps 2–3 are
-//! empty.
-//!
-//! Everything here runs serially at the boundary, so broker mode is
+//! Everything here runs serially at the boundary, so the tier is
 //! byte-stable across thread budgets for free; cross-tier traffic stays at
-//! the router's 2·S messages per period (bids up, quotas + prices down —
-//! escalation is parent-local state, not a message).
+//! 2·S messages per period (bids up, quotas + prices down — escalation is
+//! parent-local state, not a message).
 
 use crate::config::BrokerConfig;
-use qa_core::hier::{escalation_cap, ShardSignal};
 use qa_economics::parent::{BrokerBid, ClearingOutcome, ParentMarket};
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 
@@ -91,28 +83,29 @@ impl BrokerTier {
     ) -> ClearingOutcome {
         let k = self.market.num_classes();
         assert_eq!(window_demand.len(), k, "demand class count mismatch");
-        let signals: Vec<ShardSignal> = supply
+        let bids: Vec<BrokerBid> = supply
             .iter()
             .zip(lnp)
             .enumerate()
             .map(|(s, (sup, prices))| {
-                let sig = ShardSignal {
-                    shard: s as u32,
+                // The parent sorts brokers on these prices with
+                // `total_cmp`, which would rank a NaN last without a word.
+                assert!(
+                    sup.len() == k && prices.len() == k && prices.iter().all(|p| p.is_finite()),
+                    "shard {s}: a bid needs {k} supplies and finite ln-prices, \
+                     got {sup:?} and {prices:?}"
+                );
+                self.telemetry.emit(|| TelemetryEvent::BrokerBid {
+                    broker: s as u32,
                     supply: sup.clone(),
                     mean_ln_price: prices.clone(),
-                };
-                sig.validate();
-                sig
+                });
+                BrokerBid {
+                    capacity: sup.clone(),
+                    reservation_ln: prices.clone(),
+                }
             })
             .collect();
-        for sig in &signals {
-            self.telemetry.emit(|| TelemetryEvent::BrokerBid {
-                broker: sig.shard,
-                supply: sig.supply.clone(),
-                mean_ln_price: sig.mean_ln_price.clone(),
-            });
-        }
-        let bids: Vec<BrokerBid> = signals.iter().map(ShardSignal::to_bid).collect();
         let demand: Vec<u64> = window_demand
             .iter()
             .zip(&self.escalated)
@@ -125,7 +118,7 @@ impl BrokerTier {
             ln_prices: outcome.ln_prices.clone(),
             unserved: outcome.unserved.clone(),
         });
-        self.escalated = escalation_cap(&outcome.unserved, &signals);
+        self.escalated = escalation_cap(&outcome.unserved, &bids);
         for (kc, &units) in self.escalated.iter().enumerate() {
             if units > 0 {
                 self.total_escalated += units;
@@ -149,6 +142,21 @@ impl BrokerTier {
         }
         outcome
     }
+}
+
+/// Bounds escalated demand at the tier's reported capacity: demand the
+/// parent could not place re-enters the *next* window's clearing, but only
+/// up to what the brokers collectively bid this window — anything beyond
+/// that could never clear and would compound into an unbounded carry under
+/// sustained overload (the excess stays queued at the shards, which is
+/// where QA-NT's own back-pressure handles it).
+fn escalation_cap(unserved: &[u64], bids: &[BrokerBid]) -> Vec<u64> {
+    let mut capped = unserved.to_vec();
+    for (k, u) in capped.iter_mut().enumerate() {
+        let tier_supply: u64 = bids.iter().map(|b| b.capacity[k]).sum();
+        *u = (*u).min(tier_supply);
+    }
+    capped
 }
 
 #[cfg(test)]
@@ -225,41 +233,26 @@ mod tests {
         assert_ne!(weights[1], vec![1.0, 1.0], "multi-home weights rewritten");
     }
 
-    /// The raw-signal router is the pass-through parent, bit for bit: no
-    /// clamp bites inside the pricer's log range, nothing escalates.
     #[test]
-    fn pass_through_parent_reproduces_the_router_weights() {
-        use qa_simnet::DetRng;
-        let pricer = qa_economics::non_tatonnement::PricerConfig::default();
-        let (floor, ceiling) = (pricer.price_floor.ln(), pricer.price_ceiling.ln());
-        let mut rng = DetRng::seed_from_u64(0x1DE).derive("pass-through");
-        let mut t = BrokerTier::new(4, &BrokerConfig::pass_through(), Telemetry::disabled());
-        let home_shards = vec![vec![0usize, 1, 2]; 4];
-        for _ in 0..50 {
-            let supply: Vec<Vec<u64>> = (0..3)
-                .map(|_| (0..4).map(|_| rng.next_u64() % 5_000).collect())
-                .collect();
-            // Per class: ln p = ±0 or the floor, anywhere in range,
-            // negative, the ceiling.
-            let lnp: Vec<Vec<f64>> = (0..3)
-                .map(|s| {
-                    let drawn = rng.float_in(floor, ceiling);
-                    vec![[0.0, -0.0, floor][s], drawn, -drawn.abs(), ceiling]
-                })
-                .collect();
-            let demand: Vec<u64> = (0..4).map(|_| rng.next_u64() % 20_000).collect();
-            let mut weights = vec![vec![1.0; 3]; 4];
-            let out = t.clear_window(&home_shards, &supply, &lnp, &demand, &mut weights);
-            for (kc, row) in weights.iter().enumerate() {
-                for (s, w) in row.iter().enumerate() {
-                    let raw = (1.0 + supply[s][kc] as f64) * (-lnp[s][kc]).exp();
-                    assert_eq!(w.to_bits(), raw.to_bits(), "class {kc} shard {s}");
-                }
-            }
-            assert_eq!((out.rounds, out.unserved), (0, vec![0; 4]));
-        }
-        assert_eq!((t.total_escalated, t.total_rounds), (0, 0));
-        assert_eq!(t.escalated(), &[0; 4]);
+    fn escalation_is_capped_at_tier_supply() {
+        let bid = |capacity: Vec<u64>| BrokerBid {
+            reservation_ln: vec![0.0; capacity.len()],
+            capacity,
+        };
+        let bids = vec![bid(vec![3, 10]), bid(vec![2, 0])];
+        // Class 0: tier supply 5 caps the carry; class 1: carry fits.
+        assert_eq!(escalation_cap(&[100, 4], &bids), vec![5, 4]);
+        // No bids at all: nothing can be escalated.
+        assert_eq!(escalation_cap(&[9], &[]), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite ln-prices")]
+    fn validation_rejects_nan_prices() {
+        let mut t = tier(1);
+        let lnp = vec![vec![0.0], vec![f64::NAN]];
+        let mut weights = vec![vec![1.0, 1.0]];
+        t.clear_window(&[vec![0, 1]], &[vec![1], vec![1]], &lnp, &[2], &mut weights);
     }
 
     #[test]

@@ -95,12 +95,10 @@ impl SimConfig {
     }
 }
 
-/// Two-tier market configuration: when installed on a sharded run, every
-/// shard gets a broker that bids its aggregate supply/ln-price signals on
-/// a parent market, and the clearing result (quotas + clearing prices)
-/// drives the cross-shard router. A run without one (the default
-/// everywhere) routes on the raw signals: the same tier over the
-/// pass-through parent, which awards every bid whole at a flat price.
+/// Two-tier market configuration: on a sharded run every shard gets a
+/// broker that bids its aggregate supply/ln-price signals on a parent
+/// market, and the clearing result (quotas + clearing prices) drives the
+/// cross-shard router. The default is the QA-NT parent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrokerConfig {
     /// The parent market's mechanism and price dynamics.
@@ -125,12 +123,6 @@ impl BrokerConfig {
     /// window clears within tolerance.
     pub fn walras() -> BrokerConfig {
         BrokerConfig::with(ParentMechanism::Walras)
-    }
-
-    /// No parent market: quotas are the shards' raw supply signals and the
-    /// clearing price is flat (see [`ParentMechanism::PassThrough`]).
-    pub(crate) fn pass_through() -> BrokerConfig {
-        BrokerConfig::with(ParentMechanism::PassThrough)
     }
 
     /// The default parent-market tuning under `mechanism`.

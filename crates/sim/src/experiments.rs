@@ -11,6 +11,7 @@ use crate::metrics::MechanismSummary;
 use crate::scenario::{Scenario, TwoClassParams};
 use crate::sharded::{ShardPlan, ShardRunOptions};
 use qa_core::MechanismKind;
+use qa_economics::parent::ParentMechanism;
 use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{DetRng, SimTime};
 use qa_workload::arrival::{ArrivalProcess, SinusoidProcess, ZipfProcess};
@@ -315,9 +316,10 @@ pub fn fig6_zipf_sweep(
 
 // ------------------------------------------------------------- fig_scale
 
-/// One cell of the scaling sweep: the QA-NT federation at `nodes` nodes
-/// run through the sharded engine at `shards` shards (1 = the flat
-/// engine's exact behaviour). Timing fields are filled by the harness —
+/// One row of the scaling sweep: the QA-NT federation at `nodes` nodes on
+/// the sharded engine at `shards` shards, whose brokers clear on the
+/// parent market `mode`. `S = 1` is the flat engine exactly: one broker
+/// has nowhere else to route. Timing fields are filled by the harness —
 /// the simulation itself never reads a wall clock, so the timing-free
 /// projection of a point is deterministic.
 #[derive(Debug, Clone)]
@@ -326,145 +328,7 @@ pub struct ScalePoint {
     pub nodes: u64,
     /// Shard count the engine used.
     pub shards: u64,
-    /// Arrivals in the trace.
-    pub queries: u64,
-    /// Period boundaries stepped.
-    pub periods: u64,
-    /// Completed queries.
-    pub completed: u64,
-    /// Unserved queries.
-    pub unserved: u64,
-    /// Mean response (ms).
-    pub mean_response_ms: f64,
-    /// First period whose mean |Δ ln p| fell below
-    /// [`SCALE_CONVERGENCE_EPS`]; −1 when the run never settled.
-    pub convergence_period: i64,
-    /// Cross-shard signal messages (2 per shard per boundary).
-    pub cross_messages: u64,
-    /// Wall-clock seconds (harness-filled; 0 in determinism artifacts).
-    pub elapsed_s: f64,
-    /// Simulated periods per wall-clock second (harness-filled).
-    pub periods_per_s: f64,
-    /// Queries per wall-clock second (harness-filled).
-    pub queries_per_s: f64,
-}
-
-qa_simnet::impl_to_json!(ScalePoint {
-    nodes,
-    shards,
-    queries,
-    periods,
-    completed,
-    unserved,
-    mean_response_ms,
-    convergence_period,
-    cross_messages,
-    elapsed_s,
-    periods_per_s,
-    queries_per_s
-});
-
-/// Price-settling threshold for the sweep's convergence-period column.
-pub const SCALE_CONVERGENCE_EPS: f64 = 1e-2;
-
-/// The scaling world: the two-class scenario at an arbitrary node count.
-pub fn scale_world(nodes: usize, seed: u64) -> Scenario {
-    Scenario::two_class(SimConfig::scaled(nodes, seed), TwoClassParams::default())
-}
-
-/// The scaling trace: 0.05 Hz sinusoid at 75 % of the (size-dependent)
-/// system capacity, so per-node load is constant across sweep sizes.
-pub fn scale_trace(scenario: &Scenario, secs: u64) -> Trace {
-    two_class_trace(scenario, 0.05, 0.75, secs)
-}
-
-/// Runs one scaling cell and folds it into a [`ScalePoint`] (timing
-/// fields zeroed — the harness stamps them).
-pub fn scale_point(scenario: &Scenario, trace: &Trace, shards: usize) -> ScalePoint {
-    let out = ShardPlan::build(scenario, shards).run(trace);
-    ScalePoint {
-        nodes: scenario.config.num_nodes as u64,
-        shards: out.num_shards as u64,
-        queries: trace.len() as u64,
-        periods: out.periods as u64,
-        completed: out.outcome.metrics.completed,
-        unserved: out.outcome.metrics.unserved,
-        mean_response_ms: out.outcome.metrics.mean_response_ms().unwrap_or(f64::NAN),
-        convergence_period: out
-            .convergence_period(SCALE_CONVERGENCE_EPS)
-            .map_or(-1, |p| p as i64),
-        cross_messages: out.cross_messages,
-        elapsed_s: 0.0,
-        periods_per_s: 0.0,
-        queries_per_s: 0.0,
-    }
-}
-
-// -------------------------------------------------------------- fig_hier
-
-/// Engine variants compared by the hierarchical-market sweep (`fig_hier`),
-/// in column order: the flat engine, the PR 9 raw-signal router, and the
-/// two-tier broker market under each parent mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HierMode {
-    /// One shard, no cross-shard coordination — the flat engine baseline.
-    Flat,
-    /// Sharded with the weight-proportional router over raw signals.
-    Router,
-    /// Sharded with the broker tier clearing on a QA-NT parent market.
-    BrokerQant,
-    /// Sharded with the broker tier clearing via WALRAS tâtonnement.
-    BrokerWalras,
-}
-
-impl HierMode {
-    /// Every mode, in sweep column order.
-    pub const ALL: [HierMode; 4] = [
-        HierMode::Flat,
-        HierMode::Router,
-        HierMode::BrokerQant,
-        HierMode::BrokerWalras,
-    ];
-
-    /// Stable table/JSON label.
-    pub fn label(self) -> &'static str {
-        match self {
-            HierMode::Flat => "flat",
-            HierMode::Router => "router",
-            HierMode::BrokerQant => "broker_qant",
-            HierMode::BrokerWalras => "broker_walras",
-        }
-    }
-
-    /// The broker configuration this mode installs on the run, if any.
-    pub fn broker(self) -> Option<BrokerConfig> {
-        match self {
-            HierMode::Flat | HierMode::Router => None,
-            HierMode::BrokerQant => Some(BrokerConfig::qant()),
-            HierMode::BrokerWalras => Some(BrokerConfig::walras()),
-        }
-    }
-
-    /// The shard count this mode runs at when the sweep asks for
-    /// `preferred` shards (the flat baseline pins itself to one).
-    pub fn shards(self, preferred: usize) -> usize {
-        match self {
-            HierMode::Flat => 1,
-            _ => preferred.max(1),
-        }
-    }
-}
-
-/// One cell of the hierarchical-market sweep: a [`HierMode`] engine
-/// variant over the scaling world. Timing fields are harness-filled, like
-/// [`ScalePoint`]; the timing-free projection is deterministic.
-#[derive(Debug, Clone)]
-pub struct HierPoint {
-    /// Federation size.
-    pub nodes: u64,
-    /// Shard count the engine used.
-    pub shards: u64,
-    /// Engine variant ([`HierMode::label`]).
+    /// The parent mechanism: `broker_qant` or `broker_walras`.
     pub mode: String,
     /// Arrivals in the trace.
     pub queries: u64,
@@ -481,15 +345,13 @@ pub struct HierPoint {
     /// First period whose mean |Δ ln p| fell below
     /// [`SCALE_CONVERGENCE_EPS`]; −1 when the run never settled.
     pub convergence_period: i64,
-    /// Cross-tier signal messages (2 per shard per boundary in every
-    /// sharded mode — broker bids ride the same channel the raw signals
-    /// did).
+    /// Cross-tier signal messages (2 per shard per boundary: bids up,
+    /// quotas and prices down).
     pub cross_messages: u64,
-    /// Demand units the parent market escalated across windows (broker
-    /// modes only).
+    /// Demand units the parent market escalated across windows.
     pub escalated_units: u64,
-    /// Price-adjustment rounds the parent market spent (broker modes
-    /// only; parent-local, not messages).
+    /// Price-adjustment rounds the parent market spent (parent-local,
+    /// not messages).
     pub parent_rounds: u64,
     /// Inter-shard allocation efficiency: completed placements per
     /// placement attempt, `completed / (completed + retries)`.
@@ -502,7 +364,7 @@ pub struct HierPoint {
     pub queries_per_s: f64,
 }
 
-qa_simnet::impl_to_json!(HierPoint {
+qa_simnet::impl_to_json!(ScalePoint {
     nodes,
     shards,
     mode,
@@ -522,30 +384,128 @@ qa_simnet::impl_to_json!(HierPoint {
     queries_per_s
 });
 
-/// Runs one hierarchical-market cell and folds it into a [`HierPoint`]
-/// (timing fields zeroed — the harness stamps them). `telemetry` receives
-/// the broker-tier events when the mode has a broker; pass
-/// [`Telemetry::disabled`] otherwise.
-pub fn hier_point(
+/// Price-settling threshold for the sweep's convergence-period column.
+pub const SCALE_CONVERGENCE_EPS: f64 = 1e-2;
+
+/// The scaling world: the two-class scenario at an arbitrary node count.
+pub fn scale_world(nodes: usize, seed: u64) -> Scenario {
+    Scenario::two_class(SimConfig::scaled(nodes, seed), TwoClassParams::default())
+}
+
+/// The scaling trace: 0.05 Hz sinusoid at 75 % of the (size-dependent)
+/// system capacity, so per-node load is constant across sweep sizes.
+pub fn scale_trace(scenario: &Scenario, secs: u64) -> Trace {
+    two_class_trace(scenario, 0.05, 0.75, secs)
+}
+
+/// A scaling cell's trace length.
+#[derive(Debug, Clone, Copy)]
+pub enum ScaleHorizon {
+    /// Simulated seconds.
+    Secs(u64),
+    /// Long enough for at least this many arrivals.
+    Queries(u64),
+}
+
+/// One size of the scaling sweep: a world, its trace, and the rows run on
+/// that trace as `(shards, parent)` pairs, so every row of a size is
+/// like-for-like.
+#[derive(Debug, Clone)]
+pub struct ScaleCell {
+    /// Federation size.
+    pub nodes: usize,
+    /// Trace length.
+    pub horizon: ScaleHorizon,
+    /// `(shards, parent)` per row, in table order.
+    pub rows: Vec<(usize, BrokerConfig)>,
+}
+
+impl ScaleCell {
+    /// The cell's world and trace (seed 2007).
+    pub fn inputs(&self) -> (Scenario, Trace) {
+        let scenario = scale_world(self.nodes, 2007);
+        let secs = match self.horizon {
+            ScaleHorizon::Secs(s) => s,
+            ScaleHorizon::Queries(q) => horizon_for_queries(&scenario, q),
+        };
+        let trace = scale_trace(&scenario, secs);
+        (scenario, trace)
+    }
+}
+
+/// The cells of `fig_scale`: at every size a flat row (S = 1) and a
+/// sharded row under each parent mechanism; `quick` is the CI shape.
+/// Above 3 000 nodes the horizon is sized to ≥ 10 M queries, where the
+/// parents part ways.
+pub fn scale_cells(quick: bool) -> Vec<ScaleCell> {
+    let cell = |nodes, shards, horizon| ScaleCell {
+        nodes,
+        horizon,
+        rows: vec![
+            (1, BrokerConfig::qant()),
+            (shards, BrokerConfig::qant()),
+            (shards, BrokerConfig::walras()),
+        ],
+    };
+    use ScaleHorizon::{Queries, Secs};
+    if quick {
+        vec![cell(60, 4, Secs(10)), cell(200, 8, Secs(10))]
+    } else {
+        vec![
+            cell(100, 8, Secs(60)),
+            cell(300, 8, Secs(60)),
+            cell(1_000, 16, Secs(120)),
+            cell(3_000, 16, Secs(60)),
+            cell(10_000, 32, Queries(10_000_000)),
+        ]
+    }
+}
+
+/// Seconds of sinusoid needed for at least `target` arrivals at this
+/// world's offered load, derived from a probe trace spanning exactly two
+/// full cycles of the 0.05 Hz waveform — whole cycles, or the probe would
+/// catch only the crest and bias the rate estimate. The probe rate is
+/// unbiased but discrete, so a 2 % pad makes `target` a floor rather
+/// than a coin flip.
+fn horizon_for_queries(scenario: &Scenario, target: u64) -> u64 {
+    const PROBE_SECS: u64 = 40;
+    let probe = scale_trace(scenario, PROBE_SECS);
+    let qps = probe.len() as f64 / PROBE_SECS as f64;
+    ((target as f64 * 1.02 / qps.max(1.0)).ceil() as u64).max(PROBE_SECS)
+}
+
+/// A parent mechanism's table/JSON label.
+fn parent_label(parent: &BrokerConfig) -> &'static str {
+    match parent.market.mechanism {
+        ParentMechanism::QaNt => "broker_qant",
+        ParentMechanism::Walras => "broker_walras",
+    }
+}
+
+/// Runs one scaling row on `budget` shard workers and folds it into a
+/// [`ScalePoint`] (timing fields zeroed — the harness stamps them).
+/// `telemetry` receives the broker tier's events.
+pub fn scale_point(
     scenario: &Scenario,
     trace: &Trace,
     shards: usize,
-    mode: HierMode,
+    parent: BrokerConfig,
+    budget: usize,
     telemetry: Telemetry,
-) -> HierPoint {
-    let plan = ShardPlan::build(scenario, mode.shards(shards));
+) -> ScalePoint {
     let options = ShardRunOptions {
-        broker: mode.broker(),
+        budget,
+        broker: Some(parent),
         telemetry,
         ..ShardRunOptions::default()
     };
-    let out = plan.run_with_options(trace, &options);
+    let out = ShardPlan::build(scenario, shards).run_with_options(trace, &options);
     let m = &out.outcome.metrics;
     let attempts = m.completed + m.retries;
-    HierPoint {
+    ScalePoint {
         nodes: scenario.config.num_nodes as u64,
         shards: out.num_shards as u64,
-        mode: mode.label().to_string(),
+        mode: parent_label(&parent).to_string(),
         queries: trace.len() as u64,
         periods: out.periods as u64,
         completed: m.completed,
@@ -653,66 +613,36 @@ mod tests {
     }
 
     #[test]
-    fn hier_point_covers_every_mode_and_conserves_queries() {
+    fn scale_rows_conserve_queries_and_report_their_parent() {
         let scenario = scale_world(20, 2007);
         let trace = scale_trace(&scenario, 10);
-        for mode in HierMode::ALL {
-            let p = hier_point(&scenario, &trace, 4, mode, Telemetry::disabled());
-            assert_eq!(p.mode, mode.label());
+        for (shards, parent) in [
+            (1, BrokerConfig::qant()),
+            (4, BrokerConfig::qant()),
+            (4, BrokerConfig::walras()),
+        ] {
+            let p = scale_point(&scenario, &trace, shards, parent, 1, Telemetry::disabled());
+            let label = parent_label(&parent);
+            assert_eq!((p.mode.as_str(), p.shards), (label, shards as u64));
             assert_eq!(
                 p.completed + p.unserved,
                 p.queries,
-                "{}: every arrival completes or is unserved exactly once",
-                mode.label()
+                "{label} S={shards}: every arrival completes or is unserved exactly once"
             );
-            assert!(p.completed > 0, "{}: nothing ran", mode.label());
+            assert!(p.completed > 0, "{label} S={shards}: nothing ran");
             assert!(
                 p.alloc_efficiency > 0.0 && p.alloc_efficiency <= 1.0,
-                "{}: alloc_efficiency {}",
-                mode.label(),
+                "{label} S={shards}: alloc_efficiency {}",
                 p.alloc_efficiency
             );
-            match mode {
-                HierMode::Flat => {
-                    assert_eq!(p.shards, 1);
-                    assert_eq!(p.cross_messages, 2 * p.periods);
-                    assert_eq!(p.escalated_units, 0);
-                    assert_eq!(p.parent_rounds, 0);
-                }
-                HierMode::Router => {
-                    assert_eq!(p.shards, 4);
-                    assert_eq!(p.cross_messages, 2 * 4 * p.periods);
-                    assert_eq!(p.escalated_units, 0);
-                    assert_eq!(p.parent_rounds, 0);
-                }
-                HierMode::BrokerQant | HierMode::BrokerWalras => {
-                    assert_eq!(p.shards, 4);
-                    assert_eq!(
-                        p.cross_messages,
-                        2 * 4 * p.periods,
-                        "{}: broker mode must keep the router's O(S) traffic",
-                        mode.label()
-                    );
-                    assert!(p.parent_rounds > 0, "{}: parent never priced", mode.label());
-                }
-            }
+            // Cross-tier traffic stays O(S): bids up, quotas/prices down.
+            assert_eq!(p.cross_messages, 2 * p.shards * p.periods);
+            assert!(
+                p.parent_rounds > 0,
+                "{label} S={shards}: parent never priced"
+            );
+            let json = qa_simnet::ToJson::to_json(&p).dump();
+            assert!(json.contains(&format!("\"mode\":\"{label}\"")), "{json}");
         }
-    }
-
-    #[test]
-    fn hier_point_json_carries_the_mode_label() {
-        let scenario = scale_world(12, 7);
-        let trace = scale_trace(&scenario, 6);
-        let p = hier_point(
-            &scenario,
-            &trace,
-            2,
-            HierMode::BrokerQant,
-            Telemetry::disabled(),
-        );
-        let json = qa_simnet::ToJson::to_json(&p).dump();
-        assert!(json.contains("\"mode\":\"broker_qant\""), "{json}");
-        assert!(json.contains("\"alloc_efficiency\":"), "{json}");
-        assert!(json.contains("\"escalated_units\":"), "{json}");
     }
 }

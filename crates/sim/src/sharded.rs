@@ -4,22 +4,25 @@
 //! each with its own event queue, arrival cursor, market state and
 //! flattened exec matrix — and runs the intra-period hot
 //! loop of every shard in parallel. Cross-shard coordination happens only
-//! at period boundaries, as batched aggregate signals: each shard reports
-//! per-class remaining supply and the log of its geometric-mean price, and
-//! the router uses those aggregates to place the next window's arrivals.
-//! This is the WALRAS-style multicommodity decomposition (see
-//! `PAPERS.md`): sub-markets iterate locally and exchange only aggregated
-//! price/excess-demand signals, never per-query traffic.
+//! at period boundaries, as batched aggregate signals: each shard's broker
+//! bids its per-class remaining supply and the log of its geometric-mean
+//! price on a parent market ([`BrokerTier`]), whose clearing sets the
+//! router weights for the next window's arrivals. This is the WALRAS-style
+//! multicommodity decomposition (see `PAPERS.md`): sub-markets iterate
+//! locally and exchange only aggregated price/excess-demand signals, never
+//! per-query traffic.
 //!
 //! ## Determinism contract
 //!
 //! * `S = 1` is byte-identical to the flat [`Federation::run`]: the single
 //!   shard is the parent scenario itself (same seed, same market jitter
 //!   stream), the window loop replays the flat event order exactly, and
-//!   the boundary signal reads never perturb the market.
+//!   neither the boundary signal reads nor the one-broker parent (a
+//!   single home shard has nowhere else to route) perturb the market.
 //! * Any `S` is byte-stable across thread budgets: shards share nothing
-//!   within a period, the router is a pure function of the previous
-//!   boundary's signals, and the merge runs in shard-index order.
+//!   within a period, the parent clears serially at the boundary, the
+//!   router is a pure function of its result, and the merge runs in
+//!   shard-index order.
 //!
 //! ## Thread budget
 //!
@@ -32,7 +35,6 @@ use crate::broker::BrokerTier;
 use crate::config::BrokerConfig;
 use crate::federation::{Federation, RunOutcome};
 use crate::scenario::Scenario;
-use qa_core::hier::mean_abs_delta_ln;
 use qa_core::MechanismKind;
 use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{par_for_each_chunk_mut, DetRng, SimTime};
@@ -65,17 +67,17 @@ pub struct ShardPlan {
 }
 
 /// Per-run knobs of the sharded engine beyond the trace itself. The
-/// default — ambient thread budget, no broker, no faults, telemetry off —
-/// reproduces [`ShardPlan::run`] exactly.
+/// default — ambient thread budget, the QA-NT parent, no faults,
+/// telemetry off — reproduces [`ShardPlan::run`] exactly.
 #[derive(Clone)]
 pub struct ShardRunOptions {
     /// Worker threads the shard layer may step shards on.
     pub budget: usize,
     /// The parent market a [`BrokerTier`] clears each window on to set the
-    /// router weights. `None` is the pass-through parent: every shard is
-    /// awarded its whole supply signal at a flat price, so the weights
-    /// are the raw signals `(1 + supply) · e^(−ln p)` (the one-level
-    /// case) and the tier stays silent whatever `telemetry` is.
+    /// router weights. `None` reads as [`BrokerConfig::default`], the
+    /// QA-NT parent: every sharded run clears a real market. The `Option`
+    /// stays only because the repo benchmark (`benchmark/`) writes
+    /// `Some(…)`; its next revision (ROADMAP item 1) removes it.
     pub broker: Option<BrokerConfig>,
     /// Node crashes to schedule, in *parent* node ids (remapped onto the
     /// owning shard before the run starts).
@@ -120,11 +122,10 @@ pub struct ShardedOutcome {
     /// Per-period mean |Δ ln p| over classes (price-signal movement);
     /// drives [`ShardedOutcome::convergence_period`].
     pub signal_history: Vec<f64>,
-    /// Units of demand the parent market escalated across windows
-    /// (broker mode only; 0 under the raw router).
+    /// Units of demand the parent market escalated across windows.
     pub escalated_units: u64,
-    /// Price-adjustment rounds the parent market spent (broker mode
-    /// only; internal to the parent, not cross-tier messages).
+    /// Price-adjustment rounds the parent market spent (internal to the
+    /// parent, not cross-tier messages).
     pub parent_rounds: u64,
 }
 
@@ -270,10 +271,11 @@ impl ShardPlan {
             .map(|kc| vec![0.0; self.home_shards[kc].len()])
             .collect();
         let mut prev_mean_lnp = vec![0.0; k];
-        let mut tier = match &options.broker {
-            Some(cfg) => BrokerTier::new(k, cfg, options.telemetry.clone()),
-            None => BrokerTier::new(k, &BrokerConfig::pass_through(), Telemetry::disabled()),
-        };
+        let mut tier = BrokerTier::new(
+            k,
+            &options.broker.unwrap_or_default(),
+            options.telemetry.clone(),
+        );
         let mut window_demand = vec![0u64; k];
         for (s, fed) in feds.iter().enumerate() {
             fed.qant_signals_into(&mut supply[s], &mut lnp[s]);
@@ -348,9 +350,8 @@ impl ShardPlan {
                 }
             });
             // The convergence yardstick is the motion of the cross-shard
-            // mean ln-price whatever the parent mechanism, so the fig_hier
-            // columns are directly comparable; only the weight rule
-            // differs.
+            // mean ln-price whatever the parent mechanism, so the sweep's
+            // rows are directly comparable.
             let mut means = prev_mean_lnp.clone();
             class_mean_lnp(&self.home_shards, &lnp, &mut means);
             signal_history.push(mean_abs_delta_ln(&prev_mean_lnp, &means));
@@ -500,6 +501,21 @@ fn class_mean_lnp(home_shards: &[Vec<usize>], lnp: &[Vec<f64>], means: &mut [f64
         }
         means[kc] = mean / homes.len() as f64;
     }
+}
+
+/// Mean |Δ ln p| between two per-class price snapshots — the convergence
+/// signal (a window counts as converged once this falls below the
+/// experiment's ε).
+///
+/// # Panics
+/// Panics when the snapshots differ in length.
+fn mean_abs_delta_ln(prev: &[f64], next: &[f64]) -> f64 {
+    assert_eq!(prev.len(), next.len(), "class count mismatch");
+    if prev.is_empty() {
+        return 0.0;
+    }
+    let sum: f64 = prev.iter().zip(next).map(|(a, b)| (b - a).abs()).sum();
+    sum / prev.len() as f64
 }
 
 #[cfg(test)]
@@ -705,22 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn broker_off_options_match_the_plain_run_byte_for_byte() {
-        let parent = world(16, 31);
-        let trace = trace_for(&parent, 30);
-        let plan = ShardPlan::build(&parent, 4);
-        let plain = plan.run(&trace);
-        let via_options = plan.run_with_options(&trace, &ShardRunOptions::default());
-        assert_eq!(
-            format!("{:?}", via_options.outcome),
-            format!("{:?}", plain.outcome)
-        );
-        assert_eq!(via_options.signal_history, plain.signal_history);
-        assert_eq!(via_options.escalated_units, 0);
-        assert_eq!(via_options.parent_rounds, 0);
-    }
-
-    #[test]
     fn fault_schedules_land_on_the_owning_shard() {
         let parent = world(16, 13);
         let trace = trace_for(&parent, 30);
@@ -741,6 +741,13 @@ mod tests {
             "crash re-entry must conserve queries"
         );
         assert!(m.completed > 0);
+    }
+
+    #[test]
+    fn mean_abs_delta_ln_averages_per_class_motion() {
+        let d = mean_abs_delta_ln(&[0.0, 1.0], &[0.5, 0.0]);
+        assert!((d - 0.75).abs() < 1e-12);
+        assert_eq!(mean_abs_delta_ln(&[], &[]), 0.0);
     }
 
     #[test]

@@ -37,8 +37,8 @@ fn draw_case(rng: &mut DetRng) -> Case {
     let mut recoveries = Vec::new();
     if rng.chance(0.5) {
         // One node dies mid-run; half the time it re-enters later, so the
-        // router and the broker both see the shard's supply collapse and
-        // (sometimes) come back.
+        // parent sees the shard's supply collapse and (sometimes) come
+        // back.
         let victim = NodeId(rng.int_in(0, nodes as u64 - 1) as u32);
         let down_at = rng.int_in(1, secs / 2);
         kills.push((victim, SimTime::from_secs(down_at)));
@@ -87,9 +87,25 @@ fn two_tier_routing_conserves_queries() {
             case.recoveries.len(),
         );
         if case.broker.is_none() {
+            let qant = ShardRunOptions {
+                broker: Some(BrokerConfig::qant()),
+                ..options.clone()
+            };
+            let explicit = plan.run_with_options(&trace, &qant);
             assert_eq!(
-                out.escalated_units, 0,
-                "case {case_no}: the raw router has no parent to escalate to"
+                format!(
+                    "{:?}",
+                    (&out.outcome, out.escalated_units, out.parent_rounds)
+                ),
+                format!(
+                    "{:?}",
+                    (
+                        &explicit.outcome,
+                        explicit.escalated_units,
+                        explicit.parent_rounds
+                    )
+                ),
+                "case {case_no}: no broker config must run the default QA-NT parent"
             );
         }
         assert_eq!(
