@@ -1,27 +1,42 @@
-//! `qa-trace` — offline analyzer for JSONL telemetry traces.
+//! `qa-trace` — the one tool for JSONL telemetry traces: it validates,
+//! analyses, dumps and replays them.
 //!
 //! Works on any trace the telemetry layer writes (simulator dumps,
 //! `qad --trace` node traces, `qa-ctl --trace` driver traces):
 //!
 //! ```text
-//! qa-trace summary     <trace.jsonl>                # event census + span
+//! qa-trace summary     <trace.jsonl> [--require a,b] # event census + span
 //! qa-trace filter      <trace.jsonl> [--kind a,b] [--node N] [--class C]
 //!                      [--from-us T] [--to-us T]    # re-emit matching JSONL
 //! qa-trace prices      <trace.jsonl> [--class C]    # per-class price timelines
 //! qa-trace rejections  <trace.jsonl>                # node × class heatmap
 //! qa-trace convergence <trace.jsonl> --period-ms P [--tol X]
 //! qa-trace spans       <trace.jsonl>                # derived durations
+//! qa-trace dump                                     # seeded sim trace
+//! qa-trace golden      [--bless] [path]             # golden replay
 //! ```
 //!
-//! Every subcommand accepts `--json` to print a machine-readable report
-//! instead of tables. `filter` always emits canonical JSONL (feed it back
-//! into `check_trace` or `qa-trace` itself).
+//! Every subcommand reads its trace through
+//! [`qa_simnet::telemetry::read_trace`], so every analysis also validates
+//! it (strict parse, canonical re-dump, monotone clock); `summary
+//! --require` also fails unless each listed kind occurs. The analyses
+//! take `--json` and the filter flags; `filter` emits canonical JSONL.
+//!
+//! `dump` runs [`qa_sim::run_trace_dump`] at `QA_SCALE` (ci: 10 nodes,
+//! 20 s; full: 100 nodes, 120 s) and `QA_SEED` (default 2007; malformed is
+//! an error), writes `bench_results/trace_dump.jsonl` (byte-deterministic)
+//! and `trace_dump_convergence.json` (outcome, census, convergence,
+//! registry), and prints `summary` and `convergence` over the records.
+//! `golden` replays [`qa_sim::TraceDumpSpec::golden`] against
+//! `goldens/trace_seed2007.jsonl` byte for byte; `--bless` rewrites it.
 
-use qa_bench::render_table;
+use qa_bench::{render_table, scale, write_json, Scale};
+use qa_sim::{check_golden_text, run_trace_dump, TraceDumpSpec, GOLDEN_PATH, GOLDEN_SEED};
 use qa_simnet::json::{FromJson, Json, ToJson};
 use qa_simnet::stats::{LogHistogram, Welford};
-use qa_simnet::telemetry::{ConvergenceReport, TelemetryEvent, TraceRecord};
+use qa_simnet::telemetry::{census, read_trace, ConvergenceReport, TelemetryEvent, TraceRecord};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Pipe-safe `println!`: `filter` output is meant to be piped, and a
@@ -58,12 +73,7 @@ fn event_class(e: &TelemetryEvent) -> Option<u32> {
 
 fn load(path: &str) -> Result<Vec<TraceRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    text.lines()
-        .enumerate()
-        .map(|(i, line)| {
-            TraceRecord::parse_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))
-        })
-        .collect()
+    read_trace(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 #[derive(Default)]
@@ -77,30 +87,11 @@ struct Filter {
 
 impl Filter {
     fn matches(&self, r: &TraceRecord) -> bool {
-        if !self.kinds.is_empty() && !self.kinds.iter().any(|k| k == r.event.kind()) {
-            return false;
-        }
-        if let Some(n) = self.node {
-            if event_node(&r.event) != Some(n) {
-                return false;
-            }
-        }
-        if let Some(c) = self.class {
-            if event_class(&r.event) != Some(c) {
-                return false;
-            }
-        }
-        if let Some(t) = self.from_us {
-            if r.t_us < t {
-                return false;
-            }
-        }
-        if let Some(t) = self.to_us {
-            if r.t_us > t {
-                return false;
-            }
-        }
-        true
+        (self.kinds.is_empty() || self.kinds.iter().any(|k| k == r.event.kind()))
+            && self.node.is_none_or(|n| event_node(&r.event) == Some(n))
+            && self.class.is_none_or(|c| event_class(&r.event) == Some(c))
+            && self.from_us.is_none_or(|t| r.t_us >= t)
+            && self.to_us.is_none_or(|t| r.t_us <= t)
     }
 }
 
@@ -108,16 +99,56 @@ struct Args {
     path: String,
     filter: Filter,
     json: bool,
-    period_ms: Option<u64>,
+    period_us: Option<u64>,
     tol: f64,
+    required: Vec<String>,
+}
+
+/// A flag's value, parsed; the error names the flag.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `--period-ms` as the positive µs bucket [`ConvergenceReport`] takes.
+fn period_us(ms: &str) -> Result<u64, String> {
+    let ms: u64 = parsed("--period-ms", ms)?;
+    match ms.checked_mul(1000) {
+        Some(0) => Err("--period-ms must be positive".to_string()),
+        Some(us) => Ok(us),
+        None => Err(format!("--period-ms {ms} overflows the µs clock")),
+    }
+}
+
+/// `--tol`: a quiet-period threshold, so neither NaN nor negative.
+fn tolerance(tol: &str) -> Result<f64, String> {
+    let tol: f64 = parsed("--tol", tol)?;
+    if tol >= 0.0 {
+        Ok(tol)
+    } else {
+        Err(format!("--tol must be a non-negative number, got {tol}"))
+    }
+}
+
+/// The comma-separated, blank-free list a `--kind`/`--require` value
+/// names.
+fn kind_list(list: &str) -> Vec<String> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
 fn parse_args(rest: &[String]) -> Result<Args, String> {
     let mut path = None;
     let mut filter = Filter::default();
     let mut json = false;
-    let mut period_ms = None;
+    let mut period_us = None;
     let mut tol = 0.05;
+    let mut required = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| {
@@ -126,50 +157,14 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--kind" => {
-                filter.kinds = take("--kind")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--node" => {
-                filter.node = Some(
-                    take("--node")?
-                        .parse()
-                        .map_err(|e| format!("--node: {e}"))?,
-                )
-            }
-            "--class" => {
-                filter.class = Some(
-                    take("--class")?
-                        .parse()
-                        .map_err(|e| format!("--class: {e}"))?,
-                )
-            }
-            "--from-us" => {
-                filter.from_us = Some(
-                    take("--from-us")?
-                        .parse()
-                        .map_err(|e| format!("--from-us: {e}"))?,
-                )
-            }
-            "--to-us" => {
-                filter.to_us = Some(
-                    take("--to-us")?
-                        .parse()
-                        .map_err(|e| format!("--to-us: {e}"))?,
-                )
-            }
-            "--period-ms" => {
-                period_ms = Some(
-                    take("--period-ms")?
-                        .parse()
-                        .map_err(|e| format!("--period-ms: {e}"))?,
-                )
-            }
-            "--tol" => tol = take("--tol")?.parse().map_err(|e| format!("--tol: {e}"))?,
+            "--kind" => filter.kinds = kind_list(&take(arg)?),
+            "--require" => required.extend(kind_list(&take(arg)?)),
+            "--node" => filter.node = Some(parsed(arg, &take(arg)?)?),
+            "--class" => filter.class = Some(parsed(arg, &take(arg)?)?),
+            "--from-us" => filter.from_us = Some(parsed(arg, &take(arg)?)?),
+            "--to-us" => filter.to_us = Some(parsed(arg, &take(arg)?)?),
+            "--period-ms" => period_us = Some(self::period_us(&take(arg)?)?),
+            "--tol" => tol = tolerance(&take(arg)?)?,
             "--json" => json = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
             other => {
@@ -183,71 +178,79 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
         path: path.ok_or("a trace path is required")?,
         filter,
         json,
-        period_ms,
+        period_us,
         tol,
+        required,
     })
 }
 
-fn cmd_summary(args: &Args) -> Result<(), String> {
-    let records = load(&args.path)?;
-    let kept: Vec<&TraceRecord> = records.iter().filter(|r| args.filter.matches(r)).collect();
-    let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut nodes: std::collections::BTreeSet<u32> = Default::default();
-    for r in &kept {
-        *kinds.entry(r.event.kind()).or_insert(0) += 1;
-        nodes.extend(event_node(&r.event));
-    }
-    let (first, last) = match (kept.first(), kept.last()) {
+/// The census, node count and time span of `records`, as a JSON report
+/// and as a table.
+fn summary(records: &[TraceRecord]) -> (Json, String) {
+    let kinds = census(records);
+    let nodes: std::collections::BTreeSet<u32> = records
+        .iter()
+        .filter_map(|r| event_node(&r.event))
+        .collect();
+    let (first, last) = match (records.first(), records.last()) {
         (Some(f), Some(l)) => (f.t_us, l.t_us),
         _ => (0, 0),
     };
-    if args.json {
-        let report = Json::object([
-            ("records", Json::Int(kept.len() as i64)),
-            ("first_us", Json::Int(first as i64)),
-            ("last_us", Json::Int(last as i64)),
-            ("nodes", Json::Int(nodes.len() as i64)),
-            (
-                "kinds",
-                Json::object(
-                    kinds
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), Json::Int(*v as i64))),
-                ),
-            ),
-        ]);
-        outln!("{}", report.pretty());
-    } else {
-        outln!(
-            "{} records over {:.1} ms, {} nodes\n",
-            kept.len(),
-            (last.saturating_sub(first)) as f64 / 1e3,
-            nodes.len()
-        );
-        let rows: Vec<Vec<String>> = kinds
-            .iter()
-            .map(|(k, v)| vec![k.to_string(), v.to_string()])
-            .collect();
-        outln!("{}", render_table(&["event", "count"], &rows));
+    let json = Json::object([
+        ("records", records.len().to_json()),
+        ("first_us", first.to_json()),
+        ("last_us", last.to_json()),
+        ("nodes", nodes.len().to_json()),
+        (
+            "kinds",
+            Json::object(kinds.iter().map(|(k, n)| (*k, n.to_json()))),
+        ),
+    ]);
+    let rows: Vec<Vec<String>> = kinds
+        .iter()
+        .map(|(k, n)| vec![k.to_string(), n.to_string()])
+        .collect();
+    let text = format!(
+        "{} records over {:.1} ms, {} nodes\n\n{}",
+        records.len(),
+        (last - first) as f64 / 1e3,
+        nodes.len(),
+        render_table(&["event", "count"], &rows)
+    );
+    (json, text)
+}
+
+fn cmd_summary(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
+    let kinds = census(records);
+    if let Some(missing) = args
+        .required
+        .iter()
+        .find(|k| !kinds.contains_key(k.as_str()))
+    {
+        let seen: Vec<&str> = kinds.keys().copied().collect();
+        return Err(format!(
+            "{}: required event kind '{missing}' never occurs (saw: {})",
+            args.path,
+            seen.join(", ")
+        ));
+    }
+    let (json, text) = summary(records);
+    outln!("{}", if args.json { json.pretty() } else { text });
+    Ok(())
+}
+
+fn cmd_filter(_: &Args, records: &[TraceRecord]) -> Result<(), String> {
+    for r in records {
+        outln!("{}", r.to_json().dump());
     }
     Ok(())
 }
 
-fn cmd_filter(args: &Args) -> Result<(), String> {
-    for r in load(&args.path)? {
-        if args.filter.matches(&r) {
-            outln!("{}", r.to_json().dump());
-        }
-    }
-    Ok(())
-}
-
-fn cmd_prices(args: &Args) -> Result<(), String> {
-    let records = load(&args.path)?;
+fn cmd_prices(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
     // class -> (adjustments, first, last, min, max) over `new` prices.
     let mut per_class: BTreeMap<u32, (u64, f64, f64, f64, f64)> = BTreeMap::new();
     let mut timeline = Vec::new();
-    for r in records.iter().filter(|r| args.filter.matches(r)) {
+    for r in records {
         if let TelemetryEvent::PriceAdjusted {
             node,
             class,
@@ -273,7 +276,7 @@ fn cmd_prices(args: &Args) -> Result<(), String> {
             (
                 format!("class{c}"),
                 Json::object([
-                    ("adjustments", Json::Int(*n as i64)),
+                    ("adjustments", n.to_json()),
                     ("first", Json::Float(*first)),
                     ("last", Json::Float(*last)),
                     ("min", Json::Float(*min)),
@@ -310,11 +313,10 @@ fn cmd_prices(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_rejections(args: &Args) -> Result<(), String> {
-    let records = load(&args.path)?;
+fn cmd_rejections(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
     let mut heat: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
     let mut classes: std::collections::BTreeSet<u32> = Default::default();
-    for r in records.iter().filter(|r| args.filter.matches(r)) {
+    for r in records {
         if let TelemetryEvent::RequestRejected { node, class } = r.event {
             *heat.entry(node).or_default().entry(class).or_insert(0) += 1;
             classes.insert(class);
@@ -324,10 +326,7 @@ fn cmd_rejections(args: &Args) -> Result<(), String> {
         let report = Json::object(heat.iter().map(|(n, row)| {
             (
                 format!("node{n}"),
-                Json::object(
-                    row.iter()
-                        .map(|(c, v)| (format!("class{c}"), Json::Int(*v as i64))),
-                ),
+                Json::object(row.iter().map(|(c, v)| (format!("class{c}"), v.to_json()))),
             )
         }));
         outln!("{}", report.pretty());
@@ -356,36 +355,42 @@ fn cmd_rejections(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_convergence(args: &Args) -> Result<(), String> {
-    let period_ms = args
-        .period_ms
+fn cmd_convergence(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
+    let period_us = args
+        .period_us
         .ok_or("convergence requires --period-ms MS (the trace's market period)")?;
-    let records = load(&args.path)?;
-    let kept: Vec<TraceRecord> = records
-        .into_iter()
-        .filter(|r| args.filter.matches(r))
-        .collect();
-    let report = ConvergenceReport::from_records(&kept, period_ms * 1000, args.tol);
-    if args.json {
-        outln!("{}", report.to_json().pretty());
-        return Ok(());
-    }
-    outln!(
+    let report = ConvergenceReport::from_records(records, period_us, args.tol);
+    let text = if args.json {
+        report.to_json().pretty()
+    } else {
+        convergence_text(&report, records)
+    };
+    outln!("{text}");
+    Ok(())
+}
+
+/// The convergence digest: the event totals (read off the census), the
+/// broker tier's when it ran, then how each class's prices settled.
+fn convergence_text(report: &ConvergenceReport, records: &[TraceRecord]) -> String {
+    let kinds = census(records);
+    let n = |kind: &str| kinds.get(kind).copied().unwrap_or(0);
+    let mut text = format!(
         "periods = {}, nodes = {}, price adjustments = {}, rejections = {}, \
          dropped = {}, crashes = {}",
         report.periods,
         report.nodes,
-        report.price_adjustments,
-        report.rejections,
-        report.dropped_messages,
-        report.crashes
+        n("price_adjusted"),
+        n("request_rejected"),
+        n("message_dropped"),
+        n("node_crashed")
     );
-    if report.broker_bids > 0 || report.parent_clearings > 0 {
-        outln!(
-            "broker tier: {} bids, {} parent clearings, {} units escalated",
-            report.broker_bids,
-            report.parent_clearings,
-            report.escalated_units
+    if n("broker_bid") + n("parent_cleared") > 0 {
+        let _ = write!(
+            text,
+            "\nbroker tier: {} bids, {} parent clearings, {} escalations",
+            n("broker_bid"),
+            n("parent_cleared"),
+            n("demand_escalated")
         );
     }
     for c in &report.per_class {
@@ -393,27 +398,24 @@ fn cmd_convergence(args: &Args) -> Result<(), String> {
             Some(p) => format!("stabilized at period {p}"),
             None => "still moving in the final period".to_string(),
         };
-        outln!(
-            "  class {}: {} adjustments, final mean price {:.4}, {}",
-            c.class,
-            c.adjustments,
-            c.final_mean_price,
-            settled
+        let _ = write!(
+            text,
+            "\n  class {}: {} adjustments, final mean price {:.4}, {settled}",
+            c.class, c.adjustments, c.final_mean_price
         );
     }
-    Ok(())
+    text
 }
 
 /// Durations derived from lifecycle event pairs: per-query
 /// assigned→completed, plus the gaps between `period_started` events.
-fn cmd_spans(args: &Args) -> Result<(), String> {
-    let records = load(&args.path)?;
+fn cmd_spans(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
     let mut assigned: BTreeMap<u64, u64> = BTreeMap::new();
     let mut exec = Welford::new();
     let mut exec_hist = LogHistogram::new();
     let mut period_gap = Welford::new();
     let mut last_period: Option<u64> = None;
-    for r in records.iter().filter(|r| args.filter.matches(r)) {
+    for r in records {
         match &r.event {
             TelemetryEvent::QueryAssigned { query, .. } => {
                 assigned.insert(*query, r.t_us);
@@ -439,7 +441,7 @@ fn cmd_spans(args: &Args) -> Result<(), String> {
             ("assigned_to_completed_ms", exec.to_json()),
             ("assigned_to_completed_hist", exec_hist.to_json()),
             ("period_gap_ms", period_gap.to_json()),
-            ("unmatched_assignments", Json::Int(assigned.len() as i64)),
+            ("unmatched_assignments", assigned.len().to_json()),
         ]);
         outln!("{}", report.pretty());
         return Ok(());
@@ -461,16 +463,97 @@ fn cmd_spans(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `QA_SEED` (unset: 2007). A value that is not a `u64` is an error, not
+/// a silent fallback to the default seed.
+fn seed_from(var: Result<String, std::env::VarError>) -> Result<u64, String> {
+    match var {
+        Err(std::env::VarError::NotPresent) => Ok(2007),
+        Ok(seed) => seed.parse().map_err(|e| format!("QA_SEED={seed:?}: {e}")),
+        Err(e) => Err(format!("QA_SEED: {e}")),
+    }
+}
+
+fn cmd_dump(rest: &[String]) -> Result<(), String> {
+    if let Some(arg) = rest.first() {
+        return Err(format!("dump: unexpected argument {arg:?}"));
+    }
+    let seed = seed_from(std::env::var("QA_SEED"))?;
+    let spec = match scale() {
+        Scale::Ci => TraceDumpSpec::ci(seed),
+        Scale::Full => TraceDumpSpec::full(seed),
+    };
+    let dump = run_trace_dump(&spec);
+    let jsonl_path = std::path::Path::new("bench_results").join("trace_dump.jsonl");
+    std::fs::create_dir_all("bench_results")
+        .and_then(|()| std::fs::write(&jsonl_path, &dump.jsonl))
+        .map_err(|e| format!("cannot write {}: {e}", jsonl_path.display()))?;
+    outln!(
+        "Trace dump — QA-NT, seed {seed}, {} nodes, {} s horizon\n",
+        spec.config.num_nodes,
+        spec.secs
+    );
+    outln!("{}", summary(&dump.records).1);
+    outln!("{}", convergence_text(&dump.report, &dump.records));
+    outln!(
+        "\nwrote {} ({} records)",
+        jsonl_path.display(),
+        dump.records.len()
+    );
+    let path = write_json("trace_dump_convergence", &dump.summary)
+        .map_err(|e| format!("cannot write trace_dump_convergence.json: {e}"))?;
+    outln!("wrote {}", path.display());
+    Ok(())
+}
+
+fn cmd_golden(rest: &[String]) -> Result<(), String> {
+    let mut bless = false;
+    let mut path = None;
+    for arg in rest {
+        match arg.as_str() {
+            "--bless" => bless = true,
+            other if !other.starts_with("--") && path.is_none() => path = Some(other),
+            other => return Err(format!("golden: unexpected argument {other:?}")),
+        }
+    }
+    let path = path.unwrap_or(GOLDEN_PATH);
+    if bless {
+        let dump = run_trace_dump(&TraceDumpSpec::golden(GOLDEN_SEED));
+        std::fs::write(path, &dump.jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
+        outln!(
+            "qa-trace golden: blessed {path} ({} records, {} bytes, seed {GOLDEN_SEED})",
+            dump.records.len(),
+            dump.jsonl.len()
+        );
+        return Ok(());
+    }
+    let golden = std::fs::read_to_string(path).map_err(|e| {
+        format!("cannot read {path}: {e} (generate it with `qa-trace golden --bless`)")
+    })?;
+    let records =
+        check_golden_text(&golden, GOLDEN_SEED).map_err(|e| format!("golden FAIL\n{e}"))?;
+    outln!("qa-trace golden: {path}: {records} records byte-identical (seed {GOLDEN_SEED})");
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let usage = "usage: qa-trace <summary|filter|prices|rejections|convergence|spans> \
                  <trace.jsonl> [--kind a,b] [--node N] [--class C] [--from-us T] [--to-us T] \
-                 [--period-ms MS] [--tol X] [--json]";
+                 [--require a,b] [--period-ms MS] [--tol X] [--json]\n       \
+                 qa-trace dump                      (QA_SCALE, QA_SEED)\n       \
+                 qa-trace golden [--bless] [path]";
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{usage}");
         return ExitCode::from(2);
     };
-    let run = |f: fn(&Args) -> Result<(), String>| parse_args(rest).and_then(|a| f(&a));
+    // Every analysis reads the whole trace strictly, then sees only the
+    // records the filter flags keep.
+    let run = |f: fn(&Args, &[TraceRecord]) -> Result<(), String>| {
+        let args = parse_args(rest)?;
+        let mut records = load(&args.path)?;
+        records.retain(|r| args.filter.matches(r));
+        f(&args, &records)
+    };
     let result = match cmd.as_str() {
         "summary" => run(cmd_summary),
         "filter" => run(cmd_filter),
@@ -478,6 +561,8 @@ fn main() -> ExitCode {
         "rejections" => run(cmd_rejections),
         "convergence" => run(cmd_convergence),
         "spans" => run(cmd_spans),
+        "dump" => cmd_dump(rest),
+        "golden" => cmd_golden(rest),
         "--help" | "-h" | "help" => {
             outln!("{usage}");
             Ok(())
@@ -490,5 +575,63 @@ fn main() -> ExitCode {
             eprintln!("qa-trace: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Result<Args, String> {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_zero_period_is_refused_not_a_panic() {
+        let err = args(&["t.jsonl", "--period-ms", "0"]).err();
+        assert_eq!(err.as_deref(), Some("--period-ms must be positive"));
+        let us = args(&["t.jsonl", "--period-ms", "250"]).map(|a| a.period_us);
+        assert_eq!(us, Ok(Some(250_000)));
+    }
+
+    #[test]
+    fn a_period_past_the_us_clock_is_refused() {
+        let ms = (u64::MAX / 1000 + 1).to_string();
+        let err = args(&["t.jsonl", "--period-ms", &ms]).err().unwrap();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn a_nan_or_negative_tolerance_is_refused() {
+        for tol in ["NaN", "-0.5", "-inf"] {
+            let err = args(&["t.jsonl", "--tol", tol]).err().unwrap();
+            assert!(err.starts_with("--tol must be"), "{tol}: {err}");
+        }
+        assert_eq!(args(&["t.jsonl", "--tol", "0"]).map(|a| a.tol), Ok(0.0));
+    }
+
+    #[test]
+    fn summary_writes_u64_timestamps_unsigned() {
+        let at = |t_us| TraceRecord {
+            t_us,
+            event: TelemetryEvent::PeriodStarted { index: 0 },
+        };
+        let json = summary(&[at(1 << 63)]).0.dump();
+        assert!(json.contains("\"first_us\":9223372036854775808"), "{json}");
+        // The same clock stepping back to 5 is no trace at all.
+        let lines = [at(1 << 63), at(5)].map(|r| r.to_json().dump()).join("\n");
+        assert_eq!(
+            read_trace(&lines),
+            Err("line 2: timestamp regression 9223372036854775808 -> 5".to_string())
+        );
+    }
+
+    #[test]
+    fn a_malformed_seed_is_an_error_not_the_default() {
+        use std::env::VarError;
+        assert_eq!(seed_from(Err(VarError::NotPresent)), Ok(2007));
+        assert_eq!(seed_from(Ok("11".to_string())), Ok(11));
+        let err = seed_from(Ok("20O7".to_string())).unwrap_err();
+        assert!(err.starts_with("QA_SEED=\"20O7\""), "{err}");
     }
 }

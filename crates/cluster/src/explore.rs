@@ -716,10 +716,10 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(&r.event, TelemetryEvent::ScheduleStarted { schedule: 99, mode } if mode == "random")));
-        // Every record round-trips through the strict parser.
-        for r in &records {
-            let line = qa_simnet::json::ToJson::to_json(r).dump();
-            qa_simnet::telemetry::TraceRecord::parse_line(&line).unwrap();
-        }
+        // The records read back through the strict trace reader.
+        assert_eq!(
+            qa_simnet::telemetry::read_trace(&buffer.to_jsonl()),
+            Ok(records)
+        );
     }
 }

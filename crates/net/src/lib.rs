@@ -23,7 +23,8 @@
 //! death — flows through the `qa_simnet::telemetry` taxonomy
 //! (`peer_connected`, `handshake_completed`, `connect_retried`,
 //! `frame_dropped`, `peer_died`), so JSONL traces from a multi-process
-//! run parse with the same `check_trace` validator as simulator traces.
+//! run read through the same strict `qa_simnet::telemetry::read_trace`
+//! (`qa-trace summary`) as simulator traces.
 //!
 //! The crate is std-only and knows nothing about query allocation: it
 //! moves [`WireMsg`] values between processes. `qa-cluster` builds its

@@ -21,7 +21,9 @@
 //! * [`experiments`] — one function per figure, returning serializable
 //!   series for the bench harness,
 //! * [`tracedump`] — seeded full-telemetry replay producing a
-//!   byte-deterministic JSONL market trace plus convergence diagnostics.
+//!   byte-deterministic JSONL market trace plus convergence diagnostics,
+//!   and the golden-trace replay that diffs one against the checked-in
+//!   golden.
 
 pub mod broker;
 pub mod config;
@@ -30,7 +32,6 @@ pub mod federation;
 pub mod metrics;
 pub mod node;
 mod offer_index;
-pub mod replay;
 pub mod scenario;
 pub mod sharded;
 pub mod tracedump;
@@ -39,10 +40,9 @@ pub use broker::BrokerTier;
 pub use config::{BrokerConfig, SimConfig};
 pub use federation::{Federation, RunOutcome};
 pub use metrics::RunMetrics;
-pub use replay::{
-    check_golden_text, first_divergence, golden_spec, render_divergence, run_golden, Divergence,
-    GOLDEN_PATH, GOLDEN_SEED,
-};
 pub use scenario::{Scenario, TwoClassParams};
 pub use sharded::{ShardPlan, ShardRunOptions, ShardSpec, ShardedOutcome};
-pub use tracedump::{run_trace_dump, TraceDump, TraceDumpSpec};
+pub use tracedump::{
+    check_golden_text, first_divergence, render_divergence, run_trace_dump, Divergence, TraceDump,
+    TraceDumpSpec, GOLDEN_PATH, GOLDEN_SEED,
+};

@@ -65,6 +65,8 @@ pub use rng::DetRng;
 pub use sched::{
     ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer, SystematicSchedule,
 };
-pub use telemetry::{ConvergenceReport, MetricsRegistry, Telemetry, TelemetryEvent, TraceRecord};
+pub use telemetry::{
+    census, read_trace, ConvergenceReport, MetricsRegistry, Telemetry, TelemetryEvent, TraceRecord,
+};
 pub use time::{SimDuration, SimTime};
 pub use watchdog::with_watchdog;

@@ -19,7 +19,7 @@
 //!   installed,
 //! * [`EventSink`] / [`TraceBuffer`] / [`WriterSink`] /
 //!   [`CountingSink`] — pluggable destinations (in-memory for tests and
-//!   `trace_dump`, a JSONL writer for trace files, a counter for
+//!   `qa-trace dump`, a JSONL writer for trace files, a counter for
 //!   overhead benches),
 //! * [`MetricsRegistry`] — named counters, gauges, [`Welford`] handles
 //!   and log-bucket [`HistogramHandle`]s with a deterministic JSON
@@ -29,7 +29,8 @@
 //!   solve, assignment round, price update) that record into the
 //!   registry, *not* the event stream, so traces stay byte-deterministic,
 //! * [`ConvergenceReport`] — per-class cross-node price-variance series
-//!   and time-to-stabilization computed from a trace.
+//!   and time-to-stabilization computed from a trace; how many events of
+//!   each kind a trace holds is [`census`]'s answer, not the report's.
 //!
 //! # Time
 //!
@@ -42,8 +43,11 @@
 //!
 //! Records serialize as flattened JSONL objects
 //! (`{"t_us":…,"type":"price_adjusted",…}`) through the in-tree
-//! [`crate::json`] module, and parse back via [`TraceRecord::parse_line`]
-//! for strict round-trip validation (`scripts/check_trace.sh`).
+//! [`crate::json`] module. A trace is read back through one strict
+//! reader, [`read_trace`]: every line parses ([`TraceRecord::parse_line`]),
+//! re-dumps to its own bytes, and keeps the clock monotone. Every trace
+//! consumer (`qa-trace`, the golden replay, `scripts/check_trace.sh`)
+//! reads through it.
 
 use crate::json::{FromJson, Json, ToJson};
 use crate::stats::{LogHistogram, Welford};
@@ -286,7 +290,7 @@ macro_rules! event_api {
         }
     )+) => {
         /// A typed market event. Field names are the wire schema; changing
-        /// them breaks `scripts/check_trace.sh` deliberately.
+        /// them breaks [`read_trace`] deliberately.
         #[derive(Debug, Clone, PartialEq)]
         pub enum TelemetryEvent {
             $(
@@ -370,6 +374,52 @@ impl TraceRecord {
     pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
         TraceRecord::from_json(&Json::parse(line)?)
     }
+}
+
+/// Reads a whole JSONL trace under the trace contract: every line parses
+/// strictly and re-dumps to exactly its own bytes (so schema drift
+/// between emitter and reader fails here), timestamps never decrease
+/// (traces are written in event-loop order), and there is no empty line
+/// and no empty trace.
+///
+/// # Errors
+/// The first violation, naming its 1-based line.
+pub fn read_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
+    let mut records: Vec<TraceRecord> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let at = i + 1;
+        if line.is_empty() {
+            return Err(format!("line {at}: empty line"));
+        }
+        let record =
+            TraceRecord::parse_line(line).map_err(|e| format!("line {at}: parse error: {e}"))?;
+        let redump = record.to_json().dump();
+        if redump != line {
+            return Err(format!(
+                "line {at}: not canonical\n  input:  {line}\n  redump: {redump}"
+            ));
+        }
+        if let Some(last) = records.last().filter(|last| record.t_us < last.t_us) {
+            return Err(format!(
+                "line {at}: timestamp regression {} -> {}",
+                last.t_us, record.t_us
+            ));
+        }
+        records.push(record);
+    }
+    if records.is_empty() {
+        return Err("trace is empty".to_string());
+    }
+    Ok(records)
+}
+
+/// How many records of each event kind `records` holds, by kind name.
+pub fn census(records: &[TraceRecord]) -> BTreeMap<&'static str, u64> {
+    let mut counts = BTreeMap::new();
+    for r in records {
+        *counts.entry(r.event.kind()).or_insert(0) += 1;
+    }
+    counts
 }
 
 // ---------------------------------------------------------------------------
@@ -832,7 +882,7 @@ impl Telemetry {
     /// writes wall-clock-since-epoch. The clock is **monotone**: a stamp
     /// below the current value is ignored (`fetch_max`), so concurrent
     /// wall-clock stampers racing between `elapsed()` and the store can
-    /// never make trace timestamps regress — which `check_trace` rejects.
+    /// never make trace timestamps regress — which [`read_trace`] rejects.
     #[inline]
     pub fn set_now_us(&self, t_us: u64) {
         if let Some(inner) = &self.inner {
@@ -966,24 +1016,8 @@ pub struct ConvergenceReport {
     pub period_us: u64,
     /// Number of periods covered.
     pub periods: u64,
-    /// Distinct nodes that emitted price or supply events.
+    /// Distinct nodes that emitted price, rejection or supply events.
     pub nodes: u64,
-    /// Total price-adjustment events.
-    pub price_adjustments: u64,
-    /// Total request-rejection events.
-    pub rejections: u64,
-    /// Total supply-solve events.
-    pub supply_events: u64,
-    /// Total dropped-message events.
-    pub dropped_messages: u64,
-    /// Total node-crash events.
-    pub crashes: u64,
-    /// Total broker-bid events (hierarchical tier).
-    pub broker_bids: u64,
-    /// Total parent-market clearings (hierarchical tier).
-    pub parent_clearings: u64,
-    /// Total units of demand escalated across clearing windows.
-    pub escalated_units: u64,
     /// Per-class series, sorted by class id.
     pub per_class: Vec<ClassConvergence>,
 }
@@ -994,14 +1028,6 @@ impl ToJson for ConvergenceReport {
             "period_us": self.period_us,
             "periods": self.periods,
             "nodes": self.nodes,
-            "price_adjustments": self.price_adjustments,
-            "rejections": self.rejections,
-            "supply_events": self.supply_events,
-            "dropped_messages": self.dropped_messages,
-            "crashes": self.crashes,
-            "broker_bids": self.broker_bids,
-            "parent_clearings": self.parent_clearings,
-            "escalated_units": self.escalated_units,
             "per_class": self.per_class,
         }
     }
@@ -1052,14 +1078,6 @@ impl ConvergenceReport {
         let mut variance: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
         let mut steps: BTreeMap<u32, Vec<Welford>> = BTreeMap::new();
         let mut nodes: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        let mut price_adjustments = 0u64;
-        let mut rejections = 0u64;
-        let mut supply_events = 0u64;
-        let mut dropped_messages = 0u64;
-        let mut crashes = 0u64;
-        let mut broker_bids = 0u64;
-        let mut parent_clearings = 0u64;
-        let mut escalated_units = 0u64;
         let mut adjustments: BTreeMap<u32, u64> = BTreeMap::new();
 
         let mut cur_period = 0u64;
@@ -1093,7 +1111,6 @@ impl ConvergenceReport {
                     new,
                     ..
                 } => {
-                    price_adjustments += 1;
                     *adjustments.entry(*class).or_default() += 1;
                     nodes.insert(*node);
                     prices.entry(*class).or_default().insert(*node, *new);
@@ -1105,19 +1122,10 @@ impl ConvergenceReport {
                         series[period as usize].add((new.ln() - old.ln()).abs());
                     }
                 }
-                TelemetryEvent::RequestRejected { node, .. } => {
-                    rejections += 1;
+                TelemetryEvent::RequestRejected { node, .. }
+                | TelemetryEvent::SupplyComputed { node, .. } => {
                     nodes.insert(*node);
                 }
-                TelemetryEvent::SupplyComputed { node, .. } => {
-                    supply_events += 1;
-                    nodes.insert(*node);
-                }
-                TelemetryEvent::MessageDropped { .. } => dropped_messages += 1,
-                TelemetryEvent::NodeCrashed { .. } => crashes += 1,
-                TelemetryEvent::BrokerBid { .. } => broker_bids += 1,
-                TelemetryEvent::ParentCleared { .. } => parent_clearings += 1,
-                TelemetryEvent::DemandEscalated { units, .. } => escalated_units += units,
                 _ => {}
             }
         }
@@ -1165,14 +1173,6 @@ impl ConvergenceReport {
             period_us,
             periods,
             nodes: nodes.len() as u64,
-            price_adjustments,
-            rejections,
-            supply_events,
-            dropped_messages,
-            crashes,
-            broker_bids,
-            parent_clearings,
-            escalated_units,
             per_class,
         }
     }
@@ -1300,7 +1300,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("round-trip failed for {line}: {e}"));
             assert_eq!(back, rec);
             // Canonical: re-serializing the parsed record reproduces the
-            // exact line (this is what check_trace enforces).
+            // exact line (what read_trace enforces).
             assert_eq!(back.to_json().dump(), line);
 
             let Json::Obj(pairs) = rec.to_json() else {
@@ -1335,26 +1335,79 @@ mod tests {
     /// "An event with no emitter" cannot come back: every table row is
     /// constructed by non-test code of some crate, and DESIGN.md §8 lists
     /// exactly the table's kinds.
-    #[test]
-    fn every_kind_has_an_emitter_and_a_design_entry() {
-        fn non_test_code(dir: &std::path::Path, out: &mut String) {
+    fn repo_root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// `(path, code)` for every Rust source of the workspace (`src/` and
+    /// each `crates/*/src/`) but this file, `code` being the text ahead of
+    /// the file's first `#[cfg(test)]`.
+    fn non_test_sources() -> Vec<(std::path::PathBuf, String)> {
+        fn walk(dir: &std::path::Path, out: &mut Vec<(std::path::PathBuf, String)>) {
             for entry in std::fs::read_dir(dir).expect("readable source dir") {
                 let path = entry.expect("dir entry").path();
                 if path.is_dir() {
-                    non_test_code(&path, out);
+                    walk(&path, out);
                 } else if path.extension().is_some_and(|e| e == "rs")
                     && !path.ends_with("simnet/src/telemetry.rs")
                 {
                     let source = std::fs::read_to_string(&path).expect("readable source");
-                    out.push_str(source.split("#[cfg(test)]").next().unwrap_or(&source));
+                    let code = source.split("#[cfg(test)]").next().unwrap_or(&source);
+                    out.push((path, code.to_string()));
                 }
             }
         }
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut code = String::new();
+        let root = repo_root();
+        let mut out = Vec::new();
+        walk(&root.join("src"), &mut out);
         for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
-            non_test_code(&krate.expect("dir entry").path().join("src"), &mut code);
+            walk(&krate.expect("dir entry").path().join("src"), &mut out);
         }
+        out
+    }
+
+    /// One strict reader: no trace consumer outside this file parses a
+    /// line on its own, so none can skip the canonical/monotone checks.
+    #[test]
+    fn trace_lines_are_parsed_only_through_read_trace() {
+        let sources = non_test_sources();
+        assert!(sources.len() > 50, "walked the workspace");
+        for (path, code) in sources {
+            for (n, line) in code.lines().enumerate() {
+                let code = line.split("//").next().unwrap_or(line);
+                assert!(
+                    !code.contains("parse_line"),
+                    "{}:{}: parses trace lines outside read_trace",
+                    path.display(),
+                    n + 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_trace_enforces_the_trace_contract() {
+        let a = adj(5, 0, 0, 1.0, 2.0).to_json().dump();
+        let b = adj(5, 1, 0, 1.0, 2.0).to_json().dump();
+        let records = read_trace(&format!("{a}\n{b}\n")).expect("valid trace");
+        assert_eq!(records, [adj(5, 0, 0, 1.0, 2.0), adj(5, 1, 0, 1.0, 2.0)]);
+        let refused = |text: &str| read_trace(text).expect_err(text);
+        assert_eq!(refused(""), "trace is empty");
+        assert_eq!(refused(&format!("{a}\n\n{b}\n")), "line 2: empty line");
+        assert!(refused(&format!("{a}\nnot json\n")).starts_with("line 2: parse error: "));
+        let spaced = a.replacen(':', ": ", 1);
+        assert!(refused(&format!("{a}\n{spaced}\n")).starts_with("line 2: not canonical"));
+        let late = adj(4, 0, 0, 1.0, 2.0).to_json().dump();
+        assert_eq!(
+            refused(&format!("{a}\n{late}\n")),
+            "line 2: timestamp regression 5 -> 4"
+        );
+    }
+
+    #[test]
+    fn every_kind_has_an_emitter_and_a_design_entry() {
+        let root = repo_root();
+        let code: String = non_test_sources().into_iter().map(|(_, c)| c).collect();
         for (variant, kind, _) in SCHEMA {
             let emitter = format!("|| TelemetryEvent::{variant} {{");
             assert!(code.contains(&emitter), "{kind} has no emitter");
@@ -1605,8 +1658,6 @@ mod tests {
         let report = ConvergenceReport::from_records(&records, period, 1e-3);
         assert_eq!(report.periods, 4);
         assert_eq!(report.nodes, 2);
-        assert_eq!(report.price_adjustments, 3);
-        assert_eq!(report.supply_events, 1);
         let c0 = &report.per_class[0];
         assert_eq!(c0.class, 0);
         assert_eq!(c0.adjustments, 3);
@@ -1622,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn convergence_report_counts_broker_tier_events() {
+    fn census_counts_broker_tier_events() {
         let records = vec![
             TraceRecord {
                 t_us: 0,
@@ -1657,12 +1708,18 @@ mod tests {
                 event: TelemetryEvent::DemandEscalated { class: 0, units: 2 },
             },
         ];
+        let counts = census(&records);
+        assert_eq!(
+            counts.into_iter().collect::<Vec<_>>(),
+            [
+                ("broker_bid", 2),
+                ("demand_escalated", 2),
+                ("parent_cleared", 1)
+            ]
+        );
+        // Event totals are the census's; the report carries none.
         let report = ConvergenceReport::from_records(&records, 1_000, 1e-3);
-        assert_eq!(report.broker_bids, 2);
-        assert_eq!(report.parent_clearings, 1);
-        assert_eq!(report.escalated_units, 5);
-        let dump = report.to_json().dump();
-        assert!(dump.contains("\"broker_bids\":2"));
+        assert!(!report.to_json().dump().contains("broker"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Golden-trace replay gate: re-run the simulator's golden spec and
+# Golden-trace replay gate (`qa-trace golden`): re-run the simulator's golden spec and
 # require the emitted JSONL to be byte-for-byte identical to the
 # checked-in golden (goldens/trace_seed2007.jsonl). Any behavioural
 # drift — a perturbed pricer constant, a reordered reduction, an
@@ -14,7 +14,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--bless" ]; then
-    cargo run -q --release -p qa-bench --bin check_golden -- --bless
+    cargo run -q --release -p qa-bench --bin qa_trace -- golden --bless
 else
-    cargo run -q --release -p qa-bench --bin check_golden
+    cargo run -q --release -p qa-bench --bin qa_trace -- golden
 fi

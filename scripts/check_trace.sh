@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # Validate the telemetry trace contract end to end: run the seeded
-# trace_dump (CI scale unless QA_SCALE says otherwise), then check every
-# JSONL line against the strict parser — canonical re-dump byte equality,
-# monotone timestamps — and require the full event taxonomy that a seeded
-# faulty run must produce (market, query-lifecycle and fault events).
+# `qa-trace dump` (CI scale unless QA_SCALE says otherwise), then read the
+# trace with `qa-trace summary`, whose strict reader checks every JSONL
+# line — canonical re-dump byte equality, monotone timestamps — and
+# require the full event taxonomy that a seeded faulty run must produce
+# (market, query-lifecycle and fault events).
 #
 # Usage: scripts/check_trace.sh [trace.jsonl]
-# With an argument, skips the trace_dump run and validates that file.
+# With an argument, skips the dump and validates that file.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,8 +17,8 @@ REQUIRED="price_adjusted,supply_computed,request_rejected,query_assigned,query_c
 if [ "$#" -ge 1 ]; then
     trace="$1"
 else
-    cargo run -q -p qa-bench --bin trace_dump
+    cargo run -q -p qa-bench --bin qa_trace -- dump
     trace="bench_results/trace_dump.jsonl"
 fi
 
-cargo run -q -p qa-bench --bin check_trace -- "$trace" --require "$REQUIRED"
+cargo run -q -p qa-bench --bin qa_trace -- summary "$trace" --require "$REQUIRED"

@@ -11,7 +11,8 @@
 #      exposition line-by-line plus the 404 route (`check_metrics --fetch`),
 #      and attach to it with `qa-ctl stats --addrs` without perturbing it;
 #   3. a traced `qa-ctl run` — replay the seeded workload, then analyze
-#      the driver trace offline with `qa-trace` (census, span rollups,
+#      the driver trace offline with `qa-trace`, which validates it as it
+#      reads (census with the query lifecycle required, span rollups,
 #      filter round-trip back through the analyzer).
 #
 # Usage: scripts/metrics_smoke.sh [workdir]
@@ -100,12 +101,7 @@ wait "$qad_pid" 2>/dev/null || true
     > "$workdir/report.json"
 
 ./target/release/qa_trace summary "$workdir/driver.jsonl" --json \
-    > "$workdir/trace_summary.json"
-grep -q '"query_completed"' "$workdir/trace_summary.json" || {
-    echo "metrics-smoke: driver trace has no completed queries" >&2
-    cat "$workdir/trace_summary.json" >&2
-    exit 1
-}
+    --require query_assigned,query_completed > "$workdir/trace_summary.json"
 ./target/release/qa_trace spans "$workdir/driver.jsonl" > "$workdir/spans.txt"
 grep -q "assigned→completed" "$workdir/spans.txt"
 

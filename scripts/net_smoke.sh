@@ -2,8 +2,9 @@
 # End-to-end smoke of the multi-process federation: build the real bins,
 # spawn 5 `qad` servers on loopback ephemeral ports via `qa-ctl run`,
 # replay the seeded workload over TCP, then hold every emitted JSONL
-# trace to the strict telemetry contract (canonical re-dump, monotone
-# clocks) with the transport-specific required-event lists:
+# trace to the strict telemetry contract (`qa-trace summary`: canonical
+# re-dump, monotone clocks) with the transport-specific required-event
+# lists:
 #
 #   * driver trace  — one peer_connected + handshake_completed per node,
 #     plus the full query lifecycle (assigned, completed, periods);
@@ -22,7 +23,7 @@ mkdir -p "$workdir"
 echo "net-smoke: workdir $workdir"
 
 cargo build --release -q --bin qad --bin qa-ctl
-cargo build --release -q -p qa-bench --bin check_trace
+cargo build --release -q -p qa-bench --bin qa_trace
 
 ./target/release/qa-ctl init > "$workdir/fed.json"
 
@@ -39,11 +40,11 @@ grep -q '"clean_shutdown": true' "$workdir/report.json" || {
     exit 1
 }
 
-./target/release/check_trace "$workdir/driver.jsonl" \
+./target/release/qa_trace summary "$workdir/driver.jsonl" \
     --require peer_connected,handshake_completed,query_assigned,query_completed,period_started
 
 for node_trace in "$workdir"/traces/node*.jsonl; do
-    ./target/release/check_trace "$node_trace" \
+    ./target/release/qa_trace summary "$node_trace" \
         --require peer_connected,handshake_completed,supply_computed
 done
 

@@ -9,8 +9,8 @@
 #      parent clears serially at the boundary, so neither may depend on
 #      how many workers step the shards;
 #   2. hold the broker trace to the strict telemetry contract
-#      (check_trace: canonical re-dump, monotone clocks) and require the
-#      broker-tier event taxonomy to actually appear.
+#      (`qa-trace summary`: canonical re-dump, monotone clocks) and
+#      require the broker-tier event taxonomy to actually appear.
 #
 # The artifact's bytes from commit to commit are the determinism suite's
 # job (`cargo test -p qa-bench --test determinism fig_scale_quick`,
@@ -19,7 +19,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p qa-bench --bin fig_scale --bin check_trace
+cargo build --release -q -p qa-bench --bin fig_scale --bin qa_trace
 
 echo "scale-smoke: fig_scale --quick --trace at QA_THREADS=1"
 QA_THREADS=1 ./target/release/fig_scale --quick --trace
@@ -39,6 +39,6 @@ done
 rm -rf "$t1"
 echo "scale-smoke: artifacts byte-identical across thread budgets"
 
-./target/release/check_trace bench_results/fig_scale_trace.jsonl \
+./target/release/qa_trace summary bench_results/fig_scale_trace.jsonl \
   --require broker_bid,parent_cleared,demand_escalated
 echo "scale-smoke: broker trace passes the strict telemetry contract"

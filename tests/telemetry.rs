@@ -3,16 +3,16 @@
 //! * the trace-dump JSONL is **byte-deterministic** — two runs of the
 //!   same spec produce identical bytes (sim-time clock + seeded
 //!   randomness; no wall-clock leaks into the event stream),
-//! * every emitted line survives the strict parser and re-dumps to the
-//!   exact input bytes (the canonical-form contract `check_trace`
-//!   enforces in CI),
+//! * the emitted JSONL reads back through the strict trace reader
+//!   (`read_trace`: every line re-dumps to its exact bytes, clocks are
+//!   monotone) as the very records the run captured,
 //! * observation is passive — enabling telemetry does not change what
 //!   the simulation computes,
 //! * the cluster driver emits the same wire schema from real threads.
 
 use qa_sim::{run_trace_dump, TraceDumpSpec};
 use qa_simnet::json::ToJson;
-use qa_simnet::telemetry::{TelemetryEvent, TraceRecord};
+use qa_simnet::telemetry::{read_trace, TelemetryEvent, TraceRecord};
 
 #[test]
 fn trace_dump_is_byte_deterministic() {
@@ -37,19 +37,7 @@ fn trace_dump_is_byte_deterministic() {
 #[test]
 fn trace_dump_lines_are_canonical_jsonl() {
     let dump = run_trace_dump(&TraceDumpSpec::ci(11));
-    assert_eq!(dump.jsonl.lines().count(), dump.records.len());
-    let mut last_t = 0u64;
-    for (line, record) in dump.jsonl.lines().zip(&dump.records) {
-        let parsed = TraceRecord::parse_line(line).expect("strict parse of emitted line");
-        assert_eq!(parsed, *record);
-        assert_eq!(
-            parsed.to_json().dump(),
-            line,
-            "re-dump must reproduce the emitted bytes"
-        );
-        assert!(parsed.t_us >= last_t, "timestamps must be monotone");
-        last_t = parsed.t_us;
-    }
+    assert_eq!(read_trace(&dump.jsonl), Ok(dump.records));
 }
 
 #[test]
