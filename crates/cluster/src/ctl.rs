@@ -22,9 +22,9 @@
 //! the scrape on an interval, one JSON line per round.
 
 use crate::driver::run_workload;
-use crate::node::{NodeMsg, PricesReply, Reply};
+use crate::node::{NodeMsg, NodeStats, PricesReply, Reply};
 use crate::qad::FedConfig;
-use crate::transport::{NodeStats, TcpTransport, Transport};
+use crate::transport::{TcpTransport, Transport};
 use crate::ClusterError;
 use qa_simnet::json::Json;
 use qa_simnet::telemetry::{MetricsRegistry, Telemetry};

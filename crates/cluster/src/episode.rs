@@ -456,16 +456,16 @@ pub(crate) mod fake {
                 .expect("answered twice")
             {
                 Parked::Estimate(reply) => reply.send(EstimateReply {
-                    node,
+                    node: node as u32,
                     exec_ms: cost_ms,
                 }),
                 Parked::Offer(reply) => reply.send(OfferReply {
-                    node,
+                    node: node as u32,
                     offered: true,
                     completion_ms: cost_ms,
                 }),
                 Parked::Exec(reply) => reply.send(ExecReply {
-                    node,
+                    node: node as u32,
                     rows: 1,
                     exec_ms: cost_ms,
                     error: None,

@@ -69,8 +69,8 @@ pub use explore::{
     explore_random, explore_systematic, run_schedule, run_seed, run_trail, ExploreConfig,
     ExploreReport, ScheduleOutcome, Violation,
 };
-pub use node::{spawn_node, NodeHandle, NodeMsg};
+pub use node::{spawn_node, NodeHandle, NodeMsg, NodeStats};
 pub use qad::FedConfig;
 pub use setup::{ClusterSpec, QueryClassSpec};
 pub use simtransport::{SharedSchedule, SimNodeState, SimTransport};
-pub use transport::{ChannelTransport, NodeStats, TcpTransport, Transport};
+pub use transport::{ChannelTransport, TcpTransport, Transport};

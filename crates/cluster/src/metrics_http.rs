@@ -15,12 +15,17 @@
 
 use qa_simnet::prometheus_text;
 use qa_simnet::telemetry::MetricsRegistry;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Per-request socket deadline: a stalled scraper must not pin threads.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Cap on a request's line plus headers. The deadline applies per read,
+/// so without it a client that kept sending bytes and no newline would
+/// grow the buffer without limit; past it the request is answered 400.
+const MAX_HEAD: u64 = 8 * 1024;
 
 /// Binds `addr`, then serves `GET /metrics` forever on a background
 /// thread. Returns the bound address (so `addr` may use port 0).
@@ -50,21 +55,17 @@ pub fn serve_metrics(addr: &str, registry: MetricsRegistry) -> Result<SocketAddr
 /// Reads one request line, answers, closes. Header bytes after the
 /// request line are drained but ignored — this endpoint has no routes
 /// that depend on them.
-fn handle_request(stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
+fn handle_request(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
     stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
     stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers up to the blank line so the peer never sees a reset
-    // while still sending.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
-        }
-    }
-    let mut stream = reader.into_inner();
+    let Some(request_line) = read_head(&stream)? else {
+        return respond(
+            &mut stream,
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            "request head too large\n",
+        );
+    };
     match route(&request_line) {
         Route::Metrics => {
             let body = prometheus_text(&registry.snapshot());
@@ -92,6 +93,23 @@ fn handle_request(stream: TcpStream, registry: &MetricsRegistry) -> std::io::Res
             "only GET is supported\n",
         ),
     }
+}
+
+/// The request line, after draining the headers up to the blank line so
+/// the peer never sees a reset while still sending; `None` when the two
+/// run past [`MAX_HEAD`].
+fn read_head(stream: &TcpStream) -> std::io::Result<Option<String>> {
+    let mut head = BufReader::new(stream.take(MAX_HEAD));
+    let mut request_line = String::new();
+    head.read_line(&mut request_line)?;
+    let mut line = request_line.clone();
+    while line.ends_with('\n') && !line.trim().is_empty() {
+        line.clear();
+        head.read_line(&mut line)?;
+    }
+    // A line cut short with the cap spent: the head did not fit.
+    let cut = !line.ends_with('\n') && head.get_ref().limit() == 0;
+    Ok((!cut).then_some(request_line))
 }
 
 enum Route {
@@ -205,6 +223,28 @@ mod tests {
         let mut raw = String::new();
         std::io::Read::read_to_string(&mut stream, &mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.0 405"), "{raw}");
+    }
+
+    #[test]
+    fn endless_request_line_is_refused_promptly() {
+        let (addr, _registry) = endpoint();
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(REQUEST_TIMEOUT)).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // 2 MiB and no newline; the write fails once the server hangs up.
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'a'; 2 << 20]);
+        });
+        let started = std::time::Instant::now();
+        let mut status = [0u8; 12];
+        (&stream).read_exact(&mut status).unwrap();
+        assert_eq!(&status, b"HTTP/1.0 400");
+        assert!(
+            started.elapsed() < REQUEST_TIMEOUT,
+            "{:?}",
+            started.elapsed()
+        );
+        flood.join().unwrap();
     }
 
     #[test]

@@ -25,6 +25,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// The answers a node gives, one per reply message of the wire protocol
+/// (`qa_net::wire`'s table): every carrier hands these around unchanged.
+pub use qa_net::wire::{EstimateReply, ExecReply, NodeStats, OfferReply, PricesReply};
+
 /// Salt separating each node's fault stream from its price-jitter stream.
 const FAULT_SALT: u64 = 0xFA17_0002;
 
@@ -132,49 +136,6 @@ impl NodeMsg {
             NodeMsg::Shutdown => "shutdown",
         }
     }
-}
-
-/// Reply to [`NodeMsg::Estimate`].
-#[derive(Debug, Clone, Copy)]
-pub struct EstimateReply {
-    /// The responding node.
-    pub node: usize,
-    /// History-corrected execution estimate (ms).
-    pub exec_ms: f64,
-}
-
-/// Reply to [`NodeMsg::CallForOffers`].
-#[derive(Debug, Clone, Copy)]
-pub struct OfferReply {
-    /// The responding node.
-    pub node: usize,
-    /// Whether the node offers (QA-NT supply available).
-    pub offered: bool,
-    /// Estimated completion (queue backlog + execution), ms. The server
-    /// voluntarily includes its own backlog — autonomy-preserving.
-    pub completion_ms: f64,
-}
-
-/// Reply to [`NodeMsg::Execute`].
-#[derive(Debug, Clone)]
-pub struct ExecReply {
-    /// The executing node.
-    pub node: usize,
-    /// Rows returned (row count only; the driver does not need payloads).
-    pub rows: usize,
-    /// Measured execution time (ms, wall clock including slowdown).
-    pub exec_ms: f64,
-    /// Error text, if the query failed.
-    pub error: Option<String>,
-}
-
-/// Reply to [`NodeMsg::DumpPrices`].
-#[derive(Debug, Clone)]
-pub struct PricesReply {
-    /// The responding node.
-    pub node: usize,
-    /// Per-class private prices (empty when the node runs no market).
-    pub prices: Vec<f64>,
 }
 
 /// A handle to a spawned node.
@@ -427,11 +388,11 @@ impl NodeWorker {
                     // *crash* still loses them — the request is dropped.
                     std::thread::sleep(self.link_latency);
                     let (rows, error) = match outcome {
-                        Ok(res) => (res.rows.len(), None),
+                        Ok(res) => (res.rows.len() as u64, None),
                         Err(e) => (0, Some(e.to_string())),
                     };
                     reply.send(ExecReply {
-                        node: self.id,
+                        node: self.id as u32,
                         rows,
                         exec_ms,
                         error,
@@ -515,7 +476,7 @@ mod tests {
             })
             .unwrap();
         let est = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(est.node, node);
+        assert_eq!(est.node as usize, node);
         assert!(est.exec_ms.is_finite() && est.exec_ms > 0.0);
 
         let (tx, rx) = Reply::channel();

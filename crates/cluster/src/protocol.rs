@@ -45,7 +45,7 @@ pub struct Bid {
 impl From<EstimateReply> for Bid {
     fn from(r: EstimateReply) -> Bid {
         Bid {
-            node: r.node,
+            node: r.node as usize,
             cost_ms: Some(r.exec_ms),
         }
     }
@@ -54,7 +54,7 @@ impl From<EstimateReply> for Bid {
 impl From<OfferReply> for Bid {
     fn from(r: OfferReply) -> Bid {
         Bid {
-            node: r.node,
+            node: r.node as usize,
             cost_ms: r.offered.then_some(r.completion_ms),
         }
     }
@@ -406,7 +406,7 @@ impl NodeProtocol {
         if let Some(m) = &self.metrics {
             m.estimates_served.incr();
         }
-        let node = self.id;
+        let node = self.id as u32;
         EstimateReply { node, exec_ms }
     }
 
@@ -432,7 +432,7 @@ impl NodeProtocol {
             f64::INFINITY
         };
         OfferReply {
-            node: self.id,
+            node: self.id as u32,
             offered,
             completion_ms,
         }
@@ -487,7 +487,7 @@ impl NodeProtocol {
     pub fn prices(&self) -> PricesReply {
         let prices = self.qant.as_ref().map(|q| q.prices().as_slice().to_vec());
         PricesReply {
-            node: self.id,
+            node: self.id as u32,
             prices: prices.unwrap_or_default(),
         }
     }

@@ -23,12 +23,15 @@
 //! frame arrives. A driver that disconnects without `Shutdown` is not
 //! fatal — the server goes back to accepting, so a crashed driver can
 //! reconnect to a still-warm market.
+//!
+//! A request frame becomes the [`NodeMsg`] it encodes; the node's answer
+//! goes back under its token through [`qa_net::ReplyBody::frame`].
 
 use crate::driver::qant_config_for;
-use crate::node::{spawn_node, EstimateReply, ExecReply, NodeMsg, OfferReply, PricesReply, Reply};
+use crate::node::{spawn_node, NodeMsg, NodeStats, Reply};
 use crate::setup::ClusterSpec;
 use crate::ClusterMechanism;
-use qa_net::{ConnConfig, Connection, WireMsg};
+use qa_net::{ConnConfig, Connection, ReplyBody, WireMsg};
 use qa_simnet::json::{FromJson, Json, ToJson};
 use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{FaultPlan, LinkFaults};
@@ -323,15 +326,13 @@ fn serve_session(
     node: u32,
     telemetry: &Telemetry,
 ) -> SessionEnd {
-    /// The reply that frames its answer with `wrap` and queues it on `conn`.
-    fn over<T>(
-        conn: &Arc<Connection>,
-        wrap: impl FnOnce(T) -> WireMsg + Send + 'static,
-    ) -> Reply<T> {
+    /// The reply that frames its answer under `token` and queues it on
+    /// `conn`.
+    fn over<T: ReplyBody>(conn: &Arc<Connection>, token: u64) -> Reply<T> {
         let conn = Arc::clone(conn);
         Reply::new(move |answer: Option<T>| {
             if let Some(answer) = answer {
-                let _ = conn.send(wrap(answer));
+                let _ = conn.send(answer.frame(token));
             }
         })
     }
@@ -340,43 +341,23 @@ fn serve_session(
     // `NodeMsg` it encodes, answered over the wire under the frame's token.
     for wire in rx {
         let msg = match wire {
-            WireMsg::Estimate { token, sql } => {
-                let reply = over(&conn, move |r: EstimateReply| WireMsg::EstimateReply {
-                    token,
-                    node: r.node as u32,
-                    exec_ms: r.exec_ms,
-                });
-                NodeMsg::Estimate { sql, reply }
-            }
-            WireMsg::CallForOffers { token, class, sql } => {
-                let reply = over(&conn, move |r: OfferReply| WireMsg::OfferReply {
-                    token,
-                    node: r.node as u32,
-                    offered: r.offered,
-                    completion_ms: r.completion_ms,
-                });
-                let class = qa_workload::ClassId(class);
-                NodeMsg::CallForOffers { class, sql, reply }
-            }
-            WireMsg::Execute { token, class, sql } => {
-                let reply = over(&conn, move |r: ExecReply| WireMsg::ExecReply {
-                    token,
-                    node: r.node as u32,
-                    rows: r.rows as u64,
-                    exec_ms: r.exec_ms,
-                    error: r.error,
-                });
-                let class = qa_workload::ClassId(class);
-                NodeMsg::Execute { sql, class, reply }
-            }
-            WireMsg::DumpPrices { token } => {
-                let reply = over(&conn, move |r: PricesReply| WireMsg::Prices {
-                    token,
-                    node: r.node as u32,
-                    prices: r.prices,
-                });
-                NodeMsg::DumpPrices { reply }
-            }
+            WireMsg::Estimate { token, sql } => NodeMsg::Estimate {
+                sql,
+                reply: over(&conn, token),
+            },
+            WireMsg::CallForOffers { token, class, sql } => NodeMsg::CallForOffers {
+                class: qa_workload::ClassId(class),
+                sql,
+                reply: over(&conn, token),
+            },
+            WireMsg::Execute { token, class, sql } => NodeMsg::Execute {
+                sql,
+                class: qa_workload::ClassId(class),
+                reply: over(&conn, token),
+            },
+            WireMsg::DumpPrices { token } => NodeMsg::DumpPrices {
+                reply: over(&conn, token),
+            },
             WireMsg::PeriodTick => NodeMsg::PeriodTick,
             WireMsg::StatsRequest { token } => {
                 // Answered inline from the registry, *not* via the node
@@ -386,7 +367,7 @@ fn serve_session(
                     .registry()
                     .map(|r| r.snapshot().dump())
                     .unwrap_or_else(|| "{}".to_string());
-                let _ = conn.send(WireMsg::StatsReply { token, node, json });
+                let _ = conn.send(NodeStats { node, json }.frame(token));
                 continue;
             }
             WireMsg::Shutdown => return SessionEnd::Shutdown,

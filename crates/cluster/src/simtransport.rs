@@ -375,7 +375,7 @@ impl SimTransport {
                 n.running.push(exec_ms);
                 if reply_survives() {
                     reply.send(ExecReply {
-                        node,
+                        node: node as u32,
                         rows: 1,
                         exec_ms,
                         error: None,

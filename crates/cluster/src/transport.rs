@@ -36,8 +36,8 @@
 //! request is sent — a reply can never race its own registration.
 
 use crate::error::ClusterError;
-use crate::node::{EstimateReply, ExecReply, NodeHandle, NodeMsg, OfferReply, PricesReply, Reply};
-use qa_net::{ConnConfig, Connection, NetError, WireMsg};
+use crate::node::{NodeHandle, NodeMsg, NodeStats, Reply};
+use qa_net::{ConnConfig, Connection, NetError, ReplyBody, WireMsg};
 use qa_simnet::telemetry::Telemetry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,28 +120,19 @@ impl Transport for ChannelTransport {
 // TCP
 // ---------------------------------------------------------------------------
 
-/// One node's metrics-registry snapshot, scraped over the wire.
-#[derive(Debug, Clone)]
-pub struct NodeStats {
-    /// The responding fleet node.
-    pub node: usize,
-    /// Its `MetricsRegistry::snapshot()` as compact JSON.
-    pub json: String,
-}
-
 /// A reply parked under its request token, answered with the reply frame
 /// that carries the token.
 type Slot = Reply<WireMsg>;
 
-/// The slot that answers `reply` from the frame `unframe` accepts. Any
-/// other frame under its token is a protocol violation: the reply is lost
-/// rather than answered wrong.
-fn slot<T: 'static>(reply: Reply<T>, unframe: fn(WireMsg) -> Option<T>) -> Slot {
-    Reply::new(move |frame: Option<WireMsg>| {
-        if let Some(answer) = frame.and_then(unframe) {
+/// The slot that answers `reply` from its reply frame. Any other frame
+/// under its token is a protocol violation: the reply is lost rather than
+/// answered wrong.
+fn slot<T: ReplyBody + 'static>(reply: Reply<T>) -> Option<Slot> {
+    Some(Reply::new(move |frame: Option<WireMsg>| {
+        if let Some(answer) = frame.and_then(T::unframe) {
             reply.send(answer);
         }
-    })
+    }))
 }
 
 /// Shared between a peer's handle and its dispatcher thread.
@@ -249,14 +240,7 @@ impl TcpTransport {
     pub fn request_stats(&self, node: usize, reply: Reply<NodeStats>) -> Result<(), ClusterError> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let wire = WireMsg::StatsRequest { token };
-        let slot = slot(reply, |frame| match frame {
-            WireMsg::StatsReply { node, json, .. } => Some(NodeStats {
-                node: node as usize,
-                json,
-            }),
-            _ => None,
-        });
-        self.post("stats", node, token, wire, Some(slot))
+        self.post("stats", node, token, wire, slot(reply))
     }
 
     /// Parks the frame's reply slot, if it has one, under `token`, then
@@ -296,68 +280,16 @@ impl Transport for TcpTransport {
         let phase = msg.phase();
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let (wire, slot) = match msg {
-            NodeMsg::Estimate { sql, reply } => (
-                WireMsg::Estimate { token, sql },
-                Some(slot(reply, |frame| match frame {
-                    WireMsg::EstimateReply { node, exec_ms, .. } => Some(EstimateReply {
-                        node: node as usize,
-                        exec_ms,
-                    }),
-                    _ => None,
-                })),
-            ),
-            NodeMsg::CallForOffers { class, sql, reply } => (
-                WireMsg::CallForOffers {
-                    token,
-                    class: class.0,
-                    sql,
-                },
-                Some(slot(reply, |frame| match frame {
-                    WireMsg::OfferReply {
-                        node,
-                        offered,
-                        completion_ms,
-                        ..
-                    } => Some(OfferReply {
-                        node: node as usize,
-                        offered,
-                        completion_ms,
-                    }),
-                    _ => None,
-                })),
-            ),
-            NodeMsg::Execute { sql, class, reply } => (
-                WireMsg::Execute {
-                    token,
-                    class: class.0,
-                    sql,
-                },
-                Some(slot(reply, |frame| match frame {
-                    WireMsg::ExecReply {
-                        node,
-                        rows,
-                        exec_ms,
-                        error,
-                        ..
-                    } => Some(ExecReply {
-                        node: node as usize,
-                        rows: rows as usize,
-                        exec_ms,
-                        error,
-                    }),
-                    _ => None,
-                })),
-            ),
-            NodeMsg::DumpPrices { reply } => (
-                WireMsg::DumpPrices { token },
-                Some(slot(reply, |frame| match frame {
-                    WireMsg::Prices { node, prices, .. } => Some(PricesReply {
-                        node: node as usize,
-                        prices,
-                    }),
-                    _ => None,
-                })),
-            ),
+            NodeMsg::Estimate { sql, reply } => (WireMsg::Estimate { token, sql }, slot(reply)),
+            NodeMsg::CallForOffers { class, sql, reply } => {
+                let class = class.0;
+                (WireMsg::CallForOffers { token, class, sql }, slot(reply))
+            }
+            NodeMsg::Execute { sql, class, reply } => {
+                let class = class.0;
+                (WireMsg::Execute { token, class, sql }, slot(reply))
+            }
+            NodeMsg::DumpPrices { reply } => (WireMsg::DumpPrices { token }, slot(reply)),
             NodeMsg::PeriodTick => (WireMsg::PeriodTick, None),
             NodeMsg::Shutdown => (WireMsg::Shutdown, None),
         };
@@ -402,15 +334,10 @@ fn dispatch_replies(state: Arc<PeerState>, rx: Receiver<WireMsg>) {
             }
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
         };
-        let token = match &msg {
-            WireMsg::EstimateReply { token, .. }
-            | WireMsg::OfferReply { token, .. }
-            | WireMsg::ExecReply { token, .. }
-            | WireMsg::Prices { token, .. }
-            | WireMsg::StatsReply { token, .. } => *token,
-            // Anything else is not a reply; a well-behaved qad never
-            // sends these to a driver.
-            _ => continue,
+        // Anything else is not a reply; a well-behaved qad never sends
+        // one to a driver.
+        let Some(token) = msg.reply_token() else {
+            continue;
         };
         let slot = state.pending.lock().unwrap().remove(&token);
         if let Some((slot, _)) = slot {

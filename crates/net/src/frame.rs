@@ -19,7 +19,9 @@ use std::io::{Read, Write};
 /// Handshake magic: the first four payload bytes of a `Hello`.
 pub const MAGIC: [u8; 4] = *b"QANT";
 
-/// The protocol version this build speaks. Bump on any wire change.
+/// The protocol version this build speaks. Bump on any wire change: the
+/// root package's `every_message_keeps_its_pinned_wire_bytes` test
+/// (`tests/net_codec.rs`) fails when a message's bytes move.
 /// v2: added `StatsRequest`/`StatsReply` (fleet metrics scrape).
 pub const PROTOCOL_VERSION: u16 = 2;
 

@@ -8,8 +8,10 @@
 //! * [`wire`] — a versioned binary codec for every cluster protocol
 //!   message ([`WireMsg`]): explicit little-endian encode/decode, one tag
 //!   byte per message, typed [`CodecError`]s for every malformed input.
-//!   No serde — the workspace is hermetic (zero registry deps) and the
-//!   format is small enough to own.
+//!   Each message is one row of a table that generates the enum, the
+//!   codec and each reply's token-less answer type ([`ReplyBody`]), which
+//!   `qa-cluster`'s carriers hand around. No serde — the workspace is
+//!   hermetic (zero registry deps) and the format is small enough to own.
 //! * [`frame`] — length-prefixed frames over any `Read`/`Write` pair,
 //!   with a hard frame-size cap (an adversarial length prefix errors
 //!   out before any allocation) and the magic + protocol-version
@@ -36,4 +38,4 @@ pub mod wire;
 
 pub use conn::{backoff, ConnConfig, Connection};
 pub use frame::{read_frame, recv_msg, send_msg, write_frame, MAGIC, MAX_FRAME, PROTOCOL_VERSION};
-pub use wire::{CodecError, NetError, WireMsg};
+pub use wire::{CodecError, NetError, ReplyBody, WireMsg};

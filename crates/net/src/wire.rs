@@ -8,6 +8,11 @@
 //! versions are typed errors, and trailing bytes after a complete message
 //! are rejected — a desynced stream can never be silently misparsed.
 //!
+//! The vocabulary is one `messages!` table: a row per message gives its
+//! tag, name and fields, and the table generates [`WireMsg`], its codec
+//! and, for each reply, the token-less answer type ([`ReplyBody`]) that
+//! the node produces and the asker receives. A new message is one row.
+//!
 //! [`WireMsg::Hello`]/[`WireMsg::HelloAck`] carry the magic and protocol
 //! version inline, so version negotiation flows through the same decode
 //! path (and the same adversarial tests) as everything else.
@@ -156,122 +161,239 @@ impl NetError {
     }
 }
 
-/// One cluster protocol message on the wire.
-///
-/// Request/reply pairs correlate through a `token` the requester chose;
-/// replies also carry the responding `node` id so they are
-/// self-describing in captured traces. Classes are raw `u32`s (the
-/// `ClassId` newtype lives upstream in `qa-workload`; the wire layer
-/// stays dependency-light).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireMsg {
+/// The node id drivers/controllers present in their [`WireMsg::Hello`] —
+/// they are clients of every node, not members of the fleet.
+pub const CLIENT_NODE: u32 = u32::MAX;
+
+/// The answer one reply message carries, without the token that routes
+/// it back: what a node hands its reply, and what the asker receives.
+pub trait ReplyBody: Sized {
+    /// The reply message carrying this answer under the request's `token`.
+    fn frame(self, token: u64) -> WireMsg;
+
+    /// The answer inside `msg`, or `None` when `msg` is another message.
+    fn unframe(msg: WireMsg) -> Option<Self>;
+}
+
+/// The protocol vocabulary, declared once. One row per message: the
+/// variant, its tag byte, its [`WireMsg::kind`] name, an optional
+/// preamble written ahead of the fields (the [`Handshake`]), and its
+/// fields in wire order, each written and read through its type's
+/// [`Field`] impl. A reply row names, after `=>`, the type of the answer
+/// it carries; its variant gets the request's `token` ahead of those
+/// fields. The table generates [`WireMsg`], its codec, [`WireMsg::KINDS`],
+/// [`WireMsg::reply_token`] and, per reply, the answer type with its
+/// [`ReplyBody`] impl.
+macro_rules! messages {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal, $kind:literal $(, $preamble:ident)?
+        $({ $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )* })?
+        $(=> $body:ident { $( $(#[$body_doc:meta])* $body_field:ident: $body_ty:ty, )+ })?
+    )+) => {
+        /// One cluster protocol message on the wire.
+        ///
+        /// Request/reply pairs correlate through a `token` the requester chose;
+        /// replies also carry the responding `node` id so they are
+        /// self-describing in captured traces. Classes are raw `u32`s (the
+        /// `ClassId` newtype lives upstream in `qa-workload`; the wire layer
+        /// stays dependency-light).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum WireMsg {
+            $(
+                $(#[$doc])*
+                $variant
+                $({ $( $(#[$field_doc])* $field: $ty, )* })?
+                $({
+                    /// The request's token.
+                    token: u64,
+                    $( $(#[$body_doc])* $body_field: $body_ty, )+
+                })?,
+            )+
+        }
+
+        impl WireMsg {
+            /// Every message's [`WireMsg::kind`], in tag order.
+            pub const KINDS: &'static [&'static str] = &[$($kind),+];
+
+            /// Encodes this message as one frame payload (tag + fields; the
+            /// length prefix is the frame layer's job).
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity(16);
+                match self {
+                    $(
+                        WireMsg::$variant { $($( $field, )*)? $( token, $( $body_field, )+ )? } => {
+                            out.push($tag);
+                            $( $preamble::put(&mut out); )?
+                            $($( $field.put(&mut out); )*)?
+                            $( token.put(&mut out); $( $body_field.put(&mut out); )+ )?
+                        }
+                    )+
+                }
+                out
+            }
+
+            /// Decodes one frame payload. Strict: unknown tags/versions, short
+            /// buffers, invalid values and trailing bytes are all typed errors,
+            /// never panics.
+            pub fn decode(payload: &[u8]) -> Result<WireMsg, CodecError> {
+                let mut c = Cursor { buf: payload, pos: 0 };
+                let msg = match c.take(1, "tag")?[0] {
+                    $(
+                        $tag => {
+                            $( $preamble::check(&mut c)?; )?
+                            WireMsg::$variant {
+                                $($( $field: Field::take(&mut c, stringify!($field))?, )*)?
+                                $( token: Field::take(&mut c, "token")?,
+                                   $( $body_field: Field::take(&mut c, stringify!($body_field))?, )+ )?
+                            }
+                        }
+                    )+
+                    other => return Err(CodecError::UnknownTag(other)),
+                };
+                c.finish()?;
+                Ok(msg)
+            }
+
+            /// A short stable name for logs and telemetry contexts.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( WireMsg::$variant { .. } => $kind, )+
+                }
+            }
+
+            /// The token a reply answers, `None` for a message that is no
+            /// reply.
+            pub fn reply_token(&self) -> Option<u64> {
+                match self {
+                    $($( WireMsg::$variant { token, $( $body_field: _, )+ } => Some(*token), )?)+
+                    _ => None,
+                }
+            }
+        }
+
+        $($(
+            #[doc = concat!("The answer a [`WireMsg::", stringify!($variant), "`] carries.")]
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $body {
+                $( $(#[$body_doc])* pub $body_field: $body_ty, )+
+            }
+
+            impl ReplyBody for $body {
+                fn frame(self, token: u64) -> WireMsg {
+                    WireMsg::$variant { token, $( $body_field: self.$body_field, )+ }
+                }
+
+                fn unframe(msg: WireMsg) -> Option<$body> {
+                    match msg {
+                        WireMsg::$variant { $( $body_field, )+ .. } => Some($body { $( $body_field, )+ }),
+                        _ => None,
+                    }
+                }
+            }
+        )?)+
+    };
+}
+
+messages! {
     /// Dialer's handshake: magic + protocol version + the dialer's node
     /// id (drivers use [`CLIENT_NODE`]).
-    Hello {
+    Hello = 0x01, "hello", Handshake {
         /// The dialing peer's node id.
         node: u32,
-    },
+    }
     /// Listener's handshake reply: magic + version + its node id.
-    HelloAck {
+    HelloAck = 0x02, "hello_ack", Handshake {
         /// The listening node's id.
         node: u32,
-    },
+    }
     /// Heartbeat probe.
-    Ping {
+    Ping = 0x03, "ping" {
         /// Echo nonce.
         nonce: u64,
-    },
+    }
     /// Heartbeat answer.
-    Pong {
+    Pong = 0x04, "pong" {
         /// The probe's nonce.
         nonce: u64,
-    },
+    }
     /// Greedy's estimate poll.
-    Estimate {
+    Estimate = 0x10, "estimate" {
         /// Reply-correlation token.
         token: u64,
         /// The SQL to estimate.
         sql: String,
-    },
+    }
     /// Reply to [`WireMsg::Estimate`].
-    EstimateReply {
-        /// The request's token.
-        token: u64,
+    EstimateReply = 0x11, "estimate_reply" => EstimateReply {
         /// The responding node.
         node: u32,
         /// History-corrected execution estimate (ms).
         exec_ms: f64,
-    },
+    }
     /// QA-NT's call-for-offers.
-    CallForOffers {
+    CallForOffers = 0x12, "call_for_offers" {
         /// Reply-correlation token.
         token: u64,
         /// The query's class.
         class: u32,
         /// The SQL backing the offer's execution estimate.
         sql: String,
-    },
+    }
     /// Reply to [`WireMsg::CallForOffers`].
-    OfferReply {
-        /// The request's token.
-        token: u64,
+    OfferReply = 0x13, "offer_reply" => OfferReply {
         /// The responding node.
         node: u32,
-        /// Whether market supply was available.
+        /// Whether the node offers (QA-NT supply available).
         offered: bool,
-        /// Estimated completion (backlog + execution), ms.
+        /// Estimated completion (queue backlog + execution), ms. The server
+        /// voluntarily includes its own backlog — autonomy-preserving.
         completion_ms: f64,
-    },
+    }
     /// Execute an accepted assignment.
-    Execute {
+    Execute = 0x14, "execute" {
         /// Reply-correlation token.
         token: u64,
         /// The query's class.
         class: u32,
         /// The SQL.
         sql: String,
-    },
+    }
     /// Reply to [`WireMsg::Execute`].
-    ExecReply {
-        /// The request's token.
-        token: u64,
+    ExecReply = 0x15, "exec_reply" => ExecReply {
         /// The executing node.
         node: u32,
-        /// Rows returned.
+        /// Rows returned (row count only; the driver does not need payloads).
         rows: u64,
-        /// Measured execution time (ms).
+        /// Measured execution time (ms, wall clock including slowdown).
         exec_ms: f64,
         /// Error text if the query failed.
         error: Option<String>,
-    },
+    }
     /// A QA-NT market period boundary.
-    PeriodTick,
+    PeriodTick = 0x20, "period_tick"
     /// Ask the node for its private per-class price vector.
-    DumpPrices {
+    DumpPrices = 0x21, "dump_prices" {
         /// Reply-correlation token.
         token: u64,
-    },
+    }
     /// Reply to [`WireMsg::DumpPrices`] (empty for non-market nodes).
-    Prices {
-        /// The request's token.
-        token: u64,
+    Prices = 0x22, "prices" => PricesReply {
         /// The responding node.
         node: u32,
-        /// Private per-class prices.
+        /// Private per-class prices (empty when the node runs no market).
         prices: Vec<f64>,
-    },
+    }
     /// Ask the node for a snapshot of its metrics registry (counters,
     /// gauges, Welford summaries, log-bucket histograms). The fleet
     /// scrape (`qa-ctl stats`) fans this to every node and merges the
     /// replies.
-    StatsRequest {
+    StatsRequest = 0x23, "stats_request" {
         /// Reply-correlation token.
         token: u64,
-    },
+    }
     /// Reply to [`WireMsg::StatsRequest`].
-    StatsReply {
-        /// The request's token.
-        token: u64,
+    StatsReply = 0x24, "stats_reply" => NodeStats {
         /// The responding node.
         node: u32,
         /// The registry snapshot as compact JSON
@@ -279,77 +401,34 @@ pub enum WireMsg {
         /// forward-compatible as metric families come and go, and
         /// directly mergeable via `MetricsRegistry::merge_snapshot`.
         json: String,
-    },
+    }
     /// Shut the node down.
-    Shutdown,
+    Shutdown = 0x2f, "shutdown"
 }
 
-/// The node id drivers/controllers present in their [`WireMsg::Hello`] —
-/// they are clients of every node, not members of the fleet.
-pub const CLIENT_NODE: u32 = u32::MAX;
+/// The preamble of [`WireMsg::Hello`] and [`WireMsg::HelloAck`]: [`MAGIC`],
+/// then [`PROTOCOL_VERSION`], both checked on read, so a peer speaking
+/// another protocol or version fails the decode with a typed error.
+struct Handshake;
 
-const TAG_HELLO: u8 = 0x01;
-const TAG_HELLO_ACK: u8 = 0x02;
-const TAG_PING: u8 = 0x03;
-const TAG_PONG: u8 = 0x04;
-const TAG_ESTIMATE: u8 = 0x10;
-const TAG_ESTIMATE_REPLY: u8 = 0x11;
-const TAG_CALL_FOR_OFFERS: u8 = 0x12;
-const TAG_OFFER_REPLY: u8 = 0x13;
-const TAG_EXECUTE: u8 = 0x14;
-const TAG_EXEC_REPLY: u8 = 0x15;
-const TAG_PERIOD_TICK: u8 = 0x20;
-const TAG_DUMP_PRICES: u8 = 0x21;
-const TAG_PRICES: u8 = 0x22;
-const TAG_STATS_REQUEST: u8 = 0x23;
-const TAG_STATS_REPLY: u8 = 0x24;
-const TAG_SHUTDOWN: u8 = 0x2f;
+impl Handshake {
+    fn put(out: &mut Vec<u8>) {
+        out.extend_from_slice(&MAGIC);
+        PROTOCOL_VERSION.put(out);
+    }
 
-// -- encode helpers ---------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
+    fn check(c: &mut Cursor<'_>) -> Result<(), CodecError> {
+        let magic = c.take(4, "magic")?;
+        let magic: [u8; 4] = magic.try_into().expect("take yields the 4 bytes asked for");
+        if magic != MAGIC {
+            return Err(CodecError::BadMagic(magic));
+        }
+        match u16::take(c, "version")? {
+            PROTOCOL_VERSION => Ok(()),
+            version => Err(CodecError::UnknownVersion(version)),
         }
     }
 }
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    put_u32(out, xs.len() as u32);
-    for &x in xs {
-        put_f64(out, x);
-    }
-}
-
-// -- decode helpers ---------------------------------------------------------
 
 /// Bounds-checked little-endian reader over a payload slice. Every take
 /// validates the remaining length first, so decode never over-reads and
@@ -360,12 +439,12 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(CodecError::Truncated { field });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -373,286 +452,112 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, field: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, field)?[0])
+    fn finish(self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(CodecError::TrailingBytes { extra }),
+        }
+    }
+}
+
+/// A field type's wire form: how a value is written, and how it is read
+/// back strictly, naming `field` in any error.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<Self, CodecError>;
+}
+
+macro_rules! le_field {
+    ($($t:ty),+) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<$t, CodecError> {
+                let bytes = c.take(std::mem::size_of::<$t>(), field)?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take yields the width asked for")))
+            }
+        }
+    )+};
+}
+
+le_field!(u16, u32, u64);
+
+/// By its IEEE-754 bits.
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
     }
 
-    fn u16(&mut self, field: &'static str) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2, field)?.try_into().unwrap()))
+    fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<f64, CodecError> {
+        u64::take(c, field).map(f64::from_bits)
+    }
+}
+
+/// One byte, 0 or 1; anything else is [`CodecError::BadValue`].
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    fn u32(&mut self, field: &'static str) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, field)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, field)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64(field)?))
-    }
-
-    fn bool(&mut self, field: &'static str) -> Result<bool, CodecError> {
-        match self.u8(field)? {
+    fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<bool, CodecError> {
+        match c.take(1, field)?[0] {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(CodecError::BadValue { field }),
         }
     }
+}
 
-    fn str(&mut self, field: &'static str) -> Result<String, CodecError> {
-        let len = self.u32(field)? as usize;
-        let bytes = self.take(len, field)?;
+/// `u32` byte length, then UTF-8.
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<String, CodecError> {
+        let len = u32::take(c, field)? as usize;
+        let bytes = c.take(len, field)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8 { field })
     }
+}
 
-    fn opt_str(&mut self, field: &'static str) -> Result<Option<String>, CodecError> {
-        match self.u8(field)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str(field)?)),
-            _ => Err(CodecError::BadValue { field }),
+/// A presence flag (a `bool`), then the value when present.
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
         }
     }
 
-    fn f64s(&mut self, field: &'static str) -> Result<Vec<f64>, CodecError> {
-        let count = self.u32(field)? as usize;
-        // Validate against the bytes present before reserving anything:
-        // a hostile count cannot trigger an unbounded allocation.
-        if self.buf.len() - self.pos < count * 8 {
-            return Err(CodecError::Truncated { field });
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.f64(field)?);
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), CodecError> {
-        let extra = self.buf.len() - self.pos;
-        if extra == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes { extra })
+    fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<Option<T>, CodecError> {
+        match bool::take(c, field)? {
+            true => T::take(c, field).map(Some),
+            false => Ok(None),
         }
     }
 }
 
-impl WireMsg {
-    /// Encodes this message as one frame payload (tag + fields; the
-    /// length prefix is the frame layer's job).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        match self {
-            WireMsg::Hello { node } => {
-                out.push(TAG_HELLO);
-                out.extend_from_slice(&MAGIC);
-                put_u16(&mut out, PROTOCOL_VERSION);
-                put_u32(&mut out, *node);
-            }
-            WireMsg::HelloAck { node } => {
-                out.push(TAG_HELLO_ACK);
-                out.extend_from_slice(&MAGIC);
-                put_u16(&mut out, PROTOCOL_VERSION);
-                put_u32(&mut out, *node);
-            }
-            WireMsg::Ping { nonce } => {
-                out.push(TAG_PING);
-                put_u64(&mut out, *nonce);
-            }
-            WireMsg::Pong { nonce } => {
-                out.push(TAG_PONG);
-                put_u64(&mut out, *nonce);
-            }
-            WireMsg::Estimate { token, sql } => {
-                out.push(TAG_ESTIMATE);
-                put_u64(&mut out, *token);
-                put_str(&mut out, sql);
-            }
-            WireMsg::EstimateReply {
-                token,
-                node,
-                exec_ms,
-            } => {
-                out.push(TAG_ESTIMATE_REPLY);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *node);
-                put_f64(&mut out, *exec_ms);
-            }
-            WireMsg::CallForOffers { token, class, sql } => {
-                out.push(TAG_CALL_FOR_OFFERS);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *class);
-                put_str(&mut out, sql);
-            }
-            WireMsg::OfferReply {
-                token,
-                node,
-                offered,
-                completion_ms,
-            } => {
-                out.push(TAG_OFFER_REPLY);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *node);
-                put_bool(&mut out, *offered);
-                put_f64(&mut out, *completion_ms);
-            }
-            WireMsg::Execute { token, class, sql } => {
-                out.push(TAG_EXECUTE);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *class);
-                put_str(&mut out, sql);
-            }
-            WireMsg::ExecReply {
-                token,
-                node,
-                rows,
-                exec_ms,
-                error,
-            } => {
-                out.push(TAG_EXEC_REPLY);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *node);
-                put_u64(&mut out, *rows);
-                put_f64(&mut out, *exec_ms);
-                put_opt_str(&mut out, error);
-            }
-            WireMsg::PeriodTick => out.push(TAG_PERIOD_TICK),
-            WireMsg::DumpPrices { token } => {
-                out.push(TAG_DUMP_PRICES);
-                put_u64(&mut out, *token);
-            }
-            WireMsg::Prices {
-                token,
-                node,
-                prices,
-            } => {
-                out.push(TAG_PRICES);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *node);
-                put_f64s(&mut out, prices);
-            }
-            WireMsg::StatsRequest { token } => {
-                out.push(TAG_STATS_REQUEST);
-                put_u64(&mut out, *token);
-            }
-            WireMsg::StatsReply { token, node, json } => {
-                out.push(TAG_STATS_REPLY);
-                put_u64(&mut out, *token);
-                put_u32(&mut out, *node);
-                put_str(&mut out, json);
-            }
-            WireMsg::Shutdown => out.push(TAG_SHUTDOWN),
+/// `u32` element count, then the elements.
+impl Field for Vec<f64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for x in self {
+            x.put(out);
         }
-        out
     }
 
-    /// Decodes one frame payload. Strict: unknown tags/versions, short
-    /// buffers, invalid values and trailing bytes are all typed errors,
-    /// never panics.
-    pub fn decode(payload: &[u8]) -> Result<WireMsg, CodecError> {
-        let mut c = Cursor::new(payload);
-        let tag = c.u8("tag")?;
-        let msg = match tag {
-            TAG_HELLO | TAG_HELLO_ACK => {
-                let magic: [u8; 4] = c.take(4, "magic")?.try_into().unwrap();
-                if magic != MAGIC {
-                    return Err(CodecError::BadMagic(magic));
-                }
-                let version = c.u16("version")?;
-                if version != PROTOCOL_VERSION {
-                    return Err(CodecError::UnknownVersion(version));
-                }
-                let node = c.u32("node")?;
-                if tag == TAG_HELLO {
-                    WireMsg::Hello { node }
-                } else {
-                    WireMsg::HelloAck { node }
-                }
-            }
-            TAG_PING => WireMsg::Ping {
-                nonce: c.u64("nonce")?,
-            },
-            TAG_PONG => WireMsg::Pong {
-                nonce: c.u64("nonce")?,
-            },
-            TAG_ESTIMATE => WireMsg::Estimate {
-                token: c.u64("token")?,
-                sql: c.str("sql")?,
-            },
-            TAG_ESTIMATE_REPLY => WireMsg::EstimateReply {
-                token: c.u64("token")?,
-                node: c.u32("node")?,
-                exec_ms: c.f64("exec_ms")?,
-            },
-            TAG_CALL_FOR_OFFERS => WireMsg::CallForOffers {
-                token: c.u64("token")?,
-                class: c.u32("class")?,
-                sql: c.str("sql")?,
-            },
-            TAG_OFFER_REPLY => WireMsg::OfferReply {
-                token: c.u64("token")?,
-                node: c.u32("node")?,
-                offered: c.bool("offered")?,
-                completion_ms: c.f64("completion_ms")?,
-            },
-            TAG_EXECUTE => WireMsg::Execute {
-                token: c.u64("token")?,
-                class: c.u32("class")?,
-                sql: c.str("sql")?,
-            },
-            TAG_EXEC_REPLY => WireMsg::ExecReply {
-                token: c.u64("token")?,
-                node: c.u32("node")?,
-                rows: c.u64("rows")?,
-                exec_ms: c.f64("exec_ms")?,
-                error: c.opt_str("error")?,
-            },
-            TAG_PERIOD_TICK => WireMsg::PeriodTick,
-            TAG_DUMP_PRICES => WireMsg::DumpPrices {
-                token: c.u64("token")?,
-            },
-            TAG_PRICES => WireMsg::Prices {
-                token: c.u64("token")?,
-                node: c.u32("node")?,
-                prices: c.f64s("prices")?,
-            },
-            TAG_STATS_REQUEST => WireMsg::StatsRequest {
-                token: c.u64("token")?,
-            },
-            TAG_STATS_REPLY => WireMsg::StatsReply {
-                token: c.u64("token")?,
-                node: c.u32("node")?,
-                json: c.str("json")?,
-            },
-            TAG_SHUTDOWN => WireMsg::Shutdown,
-            other => return Err(CodecError::UnknownTag(other)),
-        };
-        c.finish()?;
-        Ok(msg)
-    }
-
-    /// A short stable name for logs and telemetry contexts.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WireMsg::Hello { .. } => "hello",
-            WireMsg::HelloAck { .. } => "hello_ack",
-            WireMsg::Ping { .. } => "ping",
-            WireMsg::Pong { .. } => "pong",
-            WireMsg::Estimate { .. } => "estimate",
-            WireMsg::EstimateReply { .. } => "estimate_reply",
-            WireMsg::CallForOffers { .. } => "call_for_offers",
-            WireMsg::OfferReply { .. } => "offer_reply",
-            WireMsg::Execute { .. } => "execute",
-            WireMsg::ExecReply { .. } => "exec_reply",
-            WireMsg::PeriodTick => "period_tick",
-            WireMsg::DumpPrices { .. } => "dump_prices",
-            WireMsg::Prices { .. } => "prices",
-            WireMsg::StatsRequest { .. } => "stats_request",
-            WireMsg::StatsReply { .. } => "stats_reply",
-            WireMsg::Shutdown => "shutdown",
+    fn take(c: &mut Cursor<'_>, field: &'static str) -> Result<Vec<f64>, CodecError> {
+        let count = u32::take(c, field)? as usize;
+        // Validate against the bytes present before reserving anything:
+        // a hostile count cannot trigger an unbounded allocation.
+        if c.remaining() < count * 8 {
+            return Err(CodecError::Truncated { field });
         }
+        (0..count).map(|_| f64::take(c, field)).collect()
     }
 }
 
@@ -751,6 +656,32 @@ mod tests {
             WireMsg::decode(&bytes),
             Err(CodecError::Truncated { field: "json" })
         );
+    }
+
+    #[test]
+    fn reply_bodies_frame_and_unframe_under_their_token() {
+        let body = OfferReply {
+            node: 2,
+            offered: true,
+            completion_ms: 3.0,
+        };
+        let msg = body.clone().frame(9);
+        let want = WireMsg::OfferReply {
+            token: 9,
+            node: 2,
+            offered: true,
+            completion_ms: 3.0,
+        };
+        assert_eq!(msg, want);
+        assert_eq!(msg.reply_token(), Some(9));
+        assert_eq!(OfferReply::unframe(msg), Some(body));
+        // Any other message, reply or not, holds no offer.
+        let stats = NodeStats {
+            node: 2,
+            json: "{}".into(),
+        };
+        assert_eq!(OfferReply::unframe(stats.frame(9)), None);
+        assert_eq!(WireMsg::DumpPrices { token: 9 }.reply_token(), None);
     }
 
     #[test]

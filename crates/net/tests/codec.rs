@@ -15,6 +15,7 @@
 
 use qa_net::{CodecError, WireMsg, MAX_FRAME};
 use qa_simnet::rng::DetRng;
+use std::collections::BTreeSet;
 
 /// A deterministic, occasionally nasty string.
 fn arb_string(rng: &mut DetRng) -> String {
@@ -48,47 +49,47 @@ fn arb_f64(rng: &mut DetRng) -> f64 {
     }
 }
 
-/// One random message covering every variant uniformly.
+/// One random message, its kind drawn uniformly from `WireMsg::KINDS`.
 fn arb_msg(rng: &mut DetRng) -> WireMsg {
-    match rng.int_in(0, 14) {
-        0 => WireMsg::Hello {
+    match *rng.pick(WireMsg::KINDS) {
+        "hello" => WireMsg::Hello {
             node: rng.next_u32(),
         },
-        1 => WireMsg::HelloAck {
+        "hello_ack" => WireMsg::HelloAck {
             node: rng.next_u32(),
         },
-        2 => WireMsg::Ping {
+        "ping" => WireMsg::Ping {
             nonce: rng.next_u64(),
         },
-        3 => WireMsg::Pong {
+        "pong" => WireMsg::Pong {
             nonce: rng.next_u64(),
         },
-        4 => WireMsg::Estimate {
+        "estimate" => WireMsg::Estimate {
             token: rng.next_u64(),
             sql: arb_string(rng),
         },
-        5 => WireMsg::EstimateReply {
+        "estimate_reply" => WireMsg::EstimateReply {
             token: rng.next_u64(),
             node: rng.next_u32(),
             exec_ms: arb_f64(rng),
         },
-        6 => WireMsg::CallForOffers {
+        "call_for_offers" => WireMsg::CallForOffers {
             token: rng.next_u64(),
             class: rng.next_u32(),
             sql: arb_string(rng),
         },
-        7 => WireMsg::OfferReply {
+        "offer_reply" => WireMsg::OfferReply {
             token: rng.next_u64(),
             node: rng.next_u32(),
             offered: rng.chance(0.5),
             completion_ms: arb_f64(rng),
         },
-        8 => WireMsg::Execute {
+        "execute" => WireMsg::Execute {
             token: rng.next_u64(),
             class: rng.next_u32(),
             sql: arb_string(rng),
         },
-        9 => WireMsg::ExecReply {
+        "exec_reply" => WireMsg::ExecReply {
             token: rng.next_u64(),
             node: rng.next_u32(),
             rows: rng.next_u64(),
@@ -99,11 +100,11 @@ fn arb_msg(rng: &mut DetRng) -> WireMsg {
                 None
             },
         },
-        10 => WireMsg::PeriodTick,
-        11 => WireMsg::DumpPrices {
+        "period_tick" => WireMsg::PeriodTick,
+        "dump_prices" => WireMsg::DumpPrices {
             token: rng.next_u64(),
         },
-        12 => WireMsg::Prices {
+        "prices" => WireMsg::Prices {
             token: rng.next_u64(),
             node: rng.next_u32(),
             prices: {
@@ -111,16 +112,45 @@ fn arb_msg(rng: &mut DetRng) -> WireMsg {
                 (0..n).map(|_| arb_f64(rng)).collect()
             },
         },
-        13 => WireMsg::Shutdown,
-        _ => WireMsg::PeriodTick,
+        "stats_request" => WireMsg::StatsRequest {
+            token: rng.next_u64(),
+        },
+        "stats_reply" => WireMsg::StatsReply {
+            token: rng.next_u64(),
+            node: rng.next_u32(),
+            json: arb_string(rng),
+        },
+        "shutdown" => WireMsg::Shutdown,
+        other => panic!("arb_msg has no generator for {other:?}"),
+    }
+}
+
+/// Records each message's kind, and at the end asserts every kind came up.
+#[derive(Default)]
+struct Coverage(BTreeSet<&'static str>);
+
+impl Coverage {
+    fn saw(&mut self, msg: &WireMsg) {
+        self.0.insert(msg.kind());
+    }
+
+    fn assert_complete(&self, property: &str) {
+        let missed: Vec<&str> = WireMsg::KINDS
+            .iter()
+            .copied()
+            .filter(|k| !self.0.contains(k))
+            .collect();
+        assert!(missed.is_empty(), "{property} never drew {missed:?}");
     }
 }
 
 #[test]
 fn round_trip_property_all_variants() {
     let mut rng = DetRng::seed_from_u64(0x5eed_c0dec);
+    let mut seen = Coverage::default();
     for i in 0..4000 {
         let msg = arb_msg(&mut rng);
+        seen.saw(&msg);
         let bytes = msg.encode();
         assert!(
             bytes.len() as u64 <= MAX_FRAME as u64,
@@ -132,13 +162,16 @@ fn round_trip_property_all_variants() {
         // Canonical form: re-encoding the decoded value is byte-identical.
         assert_eq!(back.encode(), bytes, "iteration {i}: encoding is canonical");
     }
+    seen.assert_complete("the round trip");
 }
 
 #[test]
 fn every_truncation_is_a_typed_error() {
     let mut rng = DetRng::seed_from_u64(0x7c47_0001);
+    let mut seen = Coverage::default();
     for _ in 0..400 {
         let msg = arb_msg(&mut rng);
+        seen.saw(&msg);
         let bytes = msg.encode();
         for cut in 0..bytes.len() {
             let err = WireMsg::decode(&bytes[..cut]).expect_err("strict prefix must not decode");
@@ -152,13 +185,16 @@ fn every_truncation_is_a_typed_error() {
             );
         }
     }
+    seen.assert_complete("the truncation loop");
 }
 
 #[test]
 fn random_byte_flips_never_panic_and_never_break_canonical_form() {
     let mut rng = DetRng::seed_from_u64(0xf1b_f1b);
+    let mut seen = Coverage::default();
     for _ in 0..2000 {
         let msg = arb_msg(&mut rng);
+        seen.saw(&msg);
         let mut bytes = msg.encode();
         let pos = rng.index(bytes.len());
         let bit = 1u8 << rng.int_in(0, 7);
@@ -175,6 +211,7 @@ fn random_byte_flips_never_panic_and_never_break_canonical_form() {
             );
         }
     }
+    seen.assert_complete("the byte-flip loop");
 }
 
 #[test]

@@ -149,6 +149,138 @@ fn codec_errors_chain_through_cluster_error_source() {
     assert!(codec.to_string().contains("0xfe"), "{codec}");
 }
 
+/// One fixed example of every message, with its bytes as protocol v2
+/// puts them on the wire. A `qad` built from an older commit of the same
+/// version must read what this one writes, so none of these may move.
+fn pinned_examples() -> Vec<(WireMsg, &'static str)> {
+    let sql = || "SELECT a FROM t".to_string();
+    vec![
+        (WireMsg::Hello { node: 7 }, "0151414e54020007000000"),
+        (WireMsg::HelloAck { node: 3 }, "0251414e54020003000000"),
+        (
+            WireMsg::Ping {
+                nonce: 0x0102_0304_0506_0708,
+            },
+            "030807060504030201",
+        ),
+        (WireMsg::Pong { nonce: 42 }, "042a00000000000000"),
+        (
+            WireMsg::Estimate {
+                token: 9,
+                sql: "SELECT 1".into(),
+            },
+            "1009000000000000000800000053454c4543542031",
+        ),
+        (
+            WireMsg::EstimateReply {
+                token: 9,
+                node: 2,
+                exec_ms: 1.5,
+            },
+            "11090000000000000002000000000000000000f83f",
+        ),
+        (
+            WireMsg::CallForOffers {
+                token: 10,
+                class: 4,
+                sql: sql(),
+            },
+            "120a00000000000000040000000f00000053454c45435420612046524f4d2074",
+        ),
+        (
+            WireMsg::OfferReply {
+                token: 10,
+                node: 1,
+                offered: true,
+                completion_ms: 12.25,
+            },
+            "130a0000000000000001000000010000000000802840",
+        ),
+        (
+            WireMsg::Execute {
+                token: 11,
+                class: 4,
+                sql: sql(),
+            },
+            "140b00000000000000040000000f00000053454c45435420612046524f4d2074",
+        ),
+        (
+            WireMsg::ExecReply {
+                token: 11,
+                node: 1,
+                rows: 20,
+                exec_ms: 3.5,
+                error: None,
+            },
+            "150b000000000000000100000014000000000000000000000000000c4000",
+        ),
+        (
+            WireMsg::ExecReply {
+                token: 12,
+                node: 0,
+                rows: 0,
+                exec_ms: 0.25,
+                error: Some("no such table: t".into()),
+            },
+            "150c00000000000000000000000000000000000000000000000000d03f01\
+             100000006e6f2073756368207461626c653a2074",
+        ),
+        (WireMsg::PeriodTick, "20"),
+        (WireMsg::DumpPrices { token: 13 }, "210d00000000000000"),
+        (
+            WireMsg::Prices {
+                token: 13,
+                node: 4,
+                prices: vec![1.0, 0.5],
+            },
+            "220d000000000000000400000002000000000000000000f03f000000000000e03f",
+        ),
+        (WireMsg::StatsRequest { token: 14 }, "230e00000000000000"),
+        (
+            WireMsg::StatsReply {
+                token: 14,
+                node: 4,
+                json: "{}".into(),
+            },
+            "240e0000000000000004000000020000007b7d",
+        ),
+        (WireMsg::Shutdown, "2f"),
+    ]
+}
+
+#[test]
+fn every_message_keeps_its_pinned_wire_bytes() {
+    let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+    let examples = pinned_examples();
+    for (msg, want) in &examples {
+        let got = hex(&msg.encode());
+        assert_eq!(
+            &got,
+            want,
+            "{} encodes to different bytes: bump `PROTOCOL_VERSION` (crates/net/src/frame.rs) \
+             and re-pin, or restore the encoding",
+            msg.kind()
+        );
+        let bytes: Vec<u8> = (0..want.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&want[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            WireMsg::decode(&bytes).as_ref(),
+            Ok(msg),
+            "{}'s pinned bytes decode differently: bump `PROTOCOL_VERSION`",
+            msg.kind()
+        );
+    }
+    let mut kinds: Vec<&str> = examples.iter().map(|(m, _)| m.kind()).collect();
+    kinds.dedup();
+    assert_eq!(
+        kinds,
+        WireMsg::KINDS,
+        "one example per message, in table order"
+    );
+}
+
 #[test]
 fn disconnect_fails_pending_requests_immediately() {
     with_watchdog("disconnect fails pending requests", 60, || {

@@ -152,7 +152,7 @@ fn five_process_federation_matches_in_process_allocation_totals() {
         let reply = reply.as_ref().unwrap_or_else(|| {
             panic!("node {node} did not answer the price dump");
         });
-        assert_eq!(reply.node, node);
+        assert_eq!(reply.node as usize, node);
         assert_eq!(
             reply.prices.len(),
             test_fed().num_classes,
