@@ -30,12 +30,12 @@
 //! overload-control mechanism).
 
 use qa_economics::{
-    adjusted, ln_price, price_density_order_into, PriceVector, PricerConfig, QuantityVector,
-    RefusalChain, ReplayWork, REPLAY_BLOCK,
+    adjusted, ln_price, PriceVector, PricerConfig, QuantityVector, RefusalChain, ReplayWork,
 };
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, SimDuration};
 use qa_workload::ClassId;
+use std::ops::Range;
 
 /// QA-NT tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,13 +77,15 @@ impl Default for QantConfig {
 /// The QA-NT sellers of one run: `rows` nodes × `classes` query classes of
 /// private state in node-major columns (`column[row * classes + class]`),
 /// one configuration, one refusal chain and one telemetry handle for all
-/// of them. Rows share nothing: every method touches the one row (or row
-/// range) it names, so a population behaves exactly like that many
-/// independent sellers — [`QantNode`] is the one-row case.
+/// of them. Rows share nothing: every method touches the rows it names,
+/// and touches each the way it would touch a lone seller, so a population
+/// behaves exactly like that many independent sellers — [`QantNode`] is
+/// the one-row case.
 ///
 /// A row outside a period (before its first [`Self::begin_period`], after
-/// [`Self::end_period`]) has all-zero supply: it offers nothing, an accept
-/// finds nothing to take, and its leftover decays no price.
+/// a [`Self::roll`] that did not reopen it) has all-zero supply: it offers
+/// nothing, an accept finds nothing to take, and its leftover decays no
+/// price.
 #[derive(Debug, Clone)]
 pub struct QantMarket {
     config: QantConfig,
@@ -94,15 +96,20 @@ pub struct QantMarket {
     /// Supply still unsold this period.
     supply: Vec<u64>,
     /// Error-diffusion carry: the fractional part of the relaxed eq.-4
-    /// solution, rolled into the next period's (see `begin_period`).
+    /// solution, rolled into the next period's (see `solve`).
     carry: Vec<f64>,
     /// Estimated execution time in ms (`None` = cannot run), as of the
     /// row's last `begin_period` — estimates may improve over time.
     cost: Vec<Option<f64>>,
     /// Initial prices (post-jitter), the baseline for the §5.1 threshold.
     initial: Vec<f64>,
-    /// Scratch of the supply solve's density ordering.
-    order: Vec<usize>,
+    /// Scratch of the supply solve: a row's capable classes as
+    /// `(density, cost, class)`, in fill order.
+    order: Vec<(f64, f64, usize)>,
+    /// Scratch of the renormalization: each rolled row's `ln` sum.
+    ln_sums: Vec<f64>,
+    /// Scratch of the refusal walk: `(owed, slot)` lanes.
+    lanes: Vec<(u64, usize)>,
     /// Market-event sink (disabled by default: one branch per emit site);
     /// row `r`'s events carry the node id `label + r`.
     telemetry: Telemetry,
@@ -145,6 +152,8 @@ impl QantMarket {
             initial: prices.clone(),
             prices,
             order: Vec::with_capacity(k),
+            ln_sums: Vec::new(),
+            lanes: Vec::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -177,6 +186,13 @@ impl QantMarket {
         &self.supply[self.span(row)]
     }
 
+    /// Every row's remaining supply, node-major: row `r`'s is
+    /// [`Self::supply`]`(r)`.
+    #[inline]
+    pub fn supply_column(&self) -> &[u64] {
+        &self.supply
+    }
+
     /// Row `row`'s error-diffusion carry.
     #[inline]
     pub fn carry(&self, row: usize) -> &[f64] {
@@ -191,17 +207,12 @@ impl QantMarket {
         ln_price(self.prices[row * self.classes + class.index()])
     }
 
-    /// Step 2: row `row` starts a period with a capacity budget of
-    /// `budget_ms` milliseconds. `unit_costs_ms[k]` is the node's estimated
-    /// execution time for class `k` in milliseconds (`None` = cannot run);
-    /// `demand_caps` optionally bounds per-class supply by observed demand.
-    ///
-    /// The supply set "depends on [the node's] available hardware
-    /// resources" (§2.2): an idle node can deliver up to two periods of
-    /// work within the coming period-and-backlog window, a backlogged one
-    /// proportionally less. Drivers pass `2T − current_backlog` so node
-    /// queues stay bounded by `2T` while idle capacity is never refused —
-    /// the work-conserving form of QA-NT admission control.
+    /// Step 2 alone: row `row` starts a period — its first, or the next
+    /// after a [`Self::roll`] that left it closed — with a capacity budget
+    /// of `budget_ms` milliseconds. `unit_costs_ms[k]` is the node's
+    /// estimated execution time for class `k` in milliseconds (`None` =
+    /// cannot run), kept for the row's later rolls; `demand_caps`
+    /// optionally bounds per-class supply by observed demand.
     pub fn begin_period(
         &mut self,
         row: usize,
@@ -209,47 +220,124 @@ impl QantMarket {
         demand_caps: Option<&[u64]>,
         budget_ms: f64,
     ) {
-        assert!(budget_ms.is_finite() && budget_ms >= 0.0);
-        let _span = self.telemetry.span("qant.supply_solve");
-        let (span, node) = (self.span(row), self.node(row));
-        self.cost[span.clone()].copy_from_slice(unit_costs_ms);
-        let cost = &self.cost[span.clone()];
-        let supply = &mut self.supply[span.clone()];
-        let carry = &mut self.carry[span.clone()];
-        // Integer-greedy fill by price density, with two refinements over
-        // the plain knapsack:
-        //
-        // * capacity left after the whole units of a denser class cascades
-        //   to the next class — the paper's §3.2 example where a node
-        //   supplies (1 q1, 1 q2) within one 500 ms period;
-        // * the fractional remainder of each class rolls over to the next
-        //   period (error diffusion), so a class whose equilibrium amount
-        //   is e.g. 0.5/period (execution longer than `T`) is supplied
-        //   every other period rather than never — the integer-rounding
-        //   effect the paper analyses in §5.1.
-        price_density_order_into(&self.prices[span], cost, &mut self.order);
-        supply.fill(0);
-        let mut remaining = budget_ms;
-        for &k in &self.order {
-            let t = cost[k].expect("filtered");
-            // Fractional allotment this period plus the rolled-over carry.
-            let alloc = remaining / t + carry[k];
-            // `as` floors, and saturates a negative allotment to zero.
-            let mut units = alloc as u64;
-            if let Some(caps) = demand_caps {
-                units = units.min(caps[k]);
+        let at = row * self.classes;
+        self.cost[at..at + self.classes].copy_from_slice(unit_costs_ms);
+        self.solve(row..row + 1, demand_caps, &mut |_| Some(budget_ms));
+    }
+
+    /// The period boundary of every row in `rows` (§3.3 steps 12–14, then
+    /// step 2): leftover supply lowers prices and is withdrawn, prices are
+    /// renormalized, and a row for which `budget(row)` is `Some(ms)` solves
+    /// eq. 4 for the next period under that capacity budget and its kept
+    /// costs (`None` leaves it closed: a dead node goes quiet).
+    /// `demand_caps` as in [`Self::begin_period`].
+    ///
+    /// The supply set "depends on [the node's] available hardware
+    /// resources" (§2.2): an idle node can deliver up to two periods of
+    /// work within the coming period-and-backlog window, a backlogged one
+    /// proportionally less. Drivers pass `2T − current_backlog` so node
+    /// queues stay bounded by `2T` while idle capacity is never refused —
+    /// the work-conserving form of QA-NT admission control.
+    ///
+    /// The whole run is ended, a column pass at a time, before any row is
+    /// solved. Only the telemetry could tell, so with it on each row is
+    /// ended and solved before the next, its events in their own order.
+    pub fn roll(
+        &mut self,
+        rows: Range<usize>,
+        demand_caps: Option<&[u64]>,
+        mut budget: impl FnMut(usize) -> Option<f64>,
+    ) {
+        if self.telemetry.is_enabled() {
+            for row in rows {
+                self.end(row..row + 1);
+                self.solve(row..row + 1, demand_caps, &mut budget);
             }
-            supply[k] = units;
-            // Carry keeps the unreleased fraction, clamped to < 1 so a
-            // demand-capped class cannot hoard unbounded future supply.
-            carry[k] = (alloc - units as f64).clamp(0.0, 0.999_999);
-            remaining = (remaining - units as f64 * t).max(0.0);
+        } else {
+            self.end(rows.clone());
+            self.solve(rows, demand_caps, &mut budget);
         }
-        self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
-            node,
-            budget_ms,
-            supply: supply.to_vec(),
-        });
+    }
+
+    /// Steps 12–14 and the renormalization over `rows`, in column order.
+    /// A run of more than one row is only ended with telemetry off, where
+    /// no event reads the node label the decay is handed.
+    fn end(&mut self, rows: Range<usize>) {
+        let _span = self.telemetry.span("qant.price_update");
+        let (k, node) = (self.classes, self.node(rows.start));
+        let run = rows.start * k..rows.end * k;
+        let pricer = &self.config.pricer;
+        let prices = &mut self.prices[run.clone()];
+        let leftover = &mut self.supply[run];
+        pricer.decay_leftover(prices, leftover, &self.telemetry, node);
+        leftover.fill(0);
+        if self.config.renormalize_prices {
+            pricer.renormalize_rows(prices, k, &mut self.ln_sums, &self.telemetry, node);
+        }
+    }
+
+    /// Step 2 for every row of `rows` that `budget` opens.
+    fn solve(
+        &mut self,
+        rows: Range<usize>,
+        demand_caps: Option<&[u64]>,
+        budget: &mut impl FnMut(usize) -> Option<f64>,
+    ) {
+        let _span = self.telemetry.span("qant.supply_solve");
+        let (k, label) = (self.classes, self.telemetry.label());
+        for row in rows {
+            let Some(budget_ms) = budget(row) else {
+                continue;
+            };
+            assert!(budget_ms.is_finite() && budget_ms >= 0.0);
+            let span = row * k..(row + 1) * k;
+            let cost = &self.cost[span.clone()];
+            let supply = &mut self.supply[span.clone()];
+            let carry = &mut self.carry[span.clone()];
+            // Integer-greedy fill by price density `p/t` (descending, ties
+            // to the lower class), with two refinements over the plain
+            // knapsack:
+            //
+            // * capacity left after the whole units of a denser class
+            //   cascades to the next class — the paper's §3.2 example where
+            //   a node supplies (1 q1, 1 q2) within one 500 ms period;
+            // * the fractional remainder of each class rolls over to the
+            //   next period (error diffusion), so a class whose equilibrium
+            //   amount is e.g. 0.5/period (execution longer than `T`) is
+            //   supplied every other period rather than never — the
+            //   integer-rounding effect the paper analyses in §5.1.
+            self.order.clear();
+            let prices = &self.prices[span];
+            for (class, (&p, &t)) in prices.iter().zip(cost).enumerate() {
+                if let Some(t) = t {
+                    self.order.push((p / t, t, class));
+                }
+            }
+            self.order
+                .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
+            supply.fill(0);
+            let mut remaining = budget_ms;
+            for &(_, t, class) in &self.order {
+                // Fractional allotment this period plus the rolled-over
+                // carry.
+                let alloc = remaining / t + carry[class];
+                // `as` floors, and saturates a negative allotment to zero.
+                let mut units = alloc as u64;
+                if let Some(caps) = demand_caps {
+                    units = units.min(caps[class]);
+                }
+                supply[class] = units;
+                // Carry keeps the unreleased fraction, clamped to < 1 so a
+                // demand-capped class cannot hoard unbounded future supply.
+                carry[class] = (alloc - units as f64).clamp(0.0, 0.999_999);
+                remaining = (remaining - units as f64 * t).max(0.0);
+            }
+            self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
+                node: label + row as u32,
+                budget_ms,
+                supply: supply.to_vec(),
+            });
+        }
     }
 
     /// Steps 4–10: a request for class `class` arrived at row `row`.
@@ -288,12 +376,14 @@ impl QantMarket {
         bypass
     }
 
-    /// Charges `counts[i]` refused class-`class` requests to row `lo + i`:
-    /// exactly the rejection arm of [`Self::on_request`], batched — the
-    /// price rises are bit-identical to that many eager calls (see
-    /// [`RefusalChain::replay`], which also fills in `work`). Rows
-    /// incapable of the class are not charged: an eager `on_request` would
-    /// not have been a market event either.
+    /// Charges every `(row, count)` of `owed` that many refused
+    /// class-`class` requests: exactly the rejection arm of
+    /// [`Self::on_request`], batched — the price rises are bit-identical to
+    /// that many eager calls (see [`RefusalChain::replay`], which also
+    /// fills in `work`). Every lane of the class is pooled into that one
+    /// walk. Rows incapable of the class are not charged: an eager
+    /// `on_request` would not have been a market event either. No row may
+    /// be named twice.
     ///
     /// The caller owns the equivalence argument: it may only defer
     /// refusals it has *proven* would each return `false` from
@@ -301,30 +391,21 @@ impl QantMarket {
     /// prices are non-decreasing within a period, so a full refusal stays
     /// one), and only while telemetry is disabled (the eager path emits
     /// two events per refusal).
-    ///
-    /// # Panics
-    /// Panics when `counts` names more than [`REPLAY_BLOCK`] rows.
     pub fn charge_refusals(
         &mut self,
-        lo: usize,
         class: ClassId,
-        counts: &[u64],
+        owed: impl IntoIterator<Item = (usize, u64)>,
         work: &mut ReplayWork,
     ) {
         debug_assert!(!self.telemetry.is_enabled());
-        let at = |j: usize| (lo + j) * self.classes + class.index();
-        let mut p = [0.0f64; REPLAY_BLOCK];
-        let mut d = [0u64; REPLAY_BLOCK];
-        for (j, &count) in counts.iter().enumerate() {
-            if count > 0 && self.cost[at(j)].is_some() {
-                (p[j], d[j]) = (self.prices[at(j)], count);
-            }
-        }
-        self.chain
-            .replay(&mut p[..counts.len()], &d[..counts.len()], work);
-        for j in (0..counts.len()).filter(|&j| d[j] > 0) {
-            self.prices[at(j)] = p[j];
-        }
+        let (k, cost) = (self.classes, &self.cost);
+        let lanes = owed.into_iter().map(|(row, count)| {
+            let at = row * k + class.index();
+            (if cost[at].is_some() { count } else { 0 }, at)
+        });
+        self.lanes.clear();
+        self.lanes.extend(lanes);
+        self.chain.replay(&mut self.prices, &mut self.lanes, work);
     }
 
     /// Step 6: row `row`'s offer was accepted — consume one supply unit
@@ -335,22 +416,6 @@ impl QantMarket {
         let left = &mut self.supply[row * self.classes + class.index()];
         *left = left.saturating_sub(1);
         *left
-    }
-
-    /// Steps 12–14: row `row`'s period elapsed; leftover supply lowers
-    /// prices and is withdrawn. Call `begin_period` afterwards to start
-    /// the next round.
-    pub fn end_period(&mut self, row: usize) {
-        let _span = self.telemetry.span("qant.price_update");
-        let (span, node) = (self.span(row), self.node(row));
-        let prices = &mut self.prices[span.clone()];
-        let leftover = &mut self.supply[span];
-        let pricer = &self.config.pricer;
-        pricer.decay_leftover(prices, leftover, &self.telemetry, node);
-        if self.config.renormalize_prices {
-            pricer.renormalize(prices, &self.telemetry, node);
-        }
-        leftover.fill(0);
     }
 }
 
@@ -430,9 +495,10 @@ impl QantNode {
         self.0.on_accept(0, class);
     }
 
-    /// Steps 12–14: [`QantMarket::end_period`].
+    /// Steps 12–14 alone: [`QantMarket::roll`] over this node's row,
+    /// leaving it closed until the next [`Self::begin_period`].
     pub fn end_period(&mut self) {
-        self.0.end_period(0);
+        self.0.roll(0..1, None, |_| None);
     }
 }
 
@@ -633,6 +699,12 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            // The costs a row's rolls solve under, kept as its first
+            // `begin_period` would keep them.
+            market.cost = costs.concat();
+            for (node, costs) in nodes.iter_mut().zip(&costs) {
+                node.0.cost.clone_from(costs);
+            }
             for step in 0..400 {
                 let (row, class) = (rng.index(n), ClassId(rng.index(k) as u32));
                 match rng.index(5) {
@@ -649,29 +721,38 @@ mod tests {
                         // Refusals short of, near and far past saturation,
                         // and rows owed none.
                         let lo = rng.index(n);
-                        let counts: Vec<u64> = (lo..n.min(lo + REPLAY_BLOCK))
-                            .map(|_| [0, 1, rng.int_in(2, 400), 1 << 40][rng.index(4)])
+                        let owed: Vec<(usize, u64)> = (lo..n.min(lo + 1 + rng.index(100)))
+                            .map(|r| (r, [0, 1, rng.int_in(2, 400), 1 << 40][rng.index(4)]))
                             .collect();
                         let work = &mut ReplayWork::default();
-                        market.charge_refusals(lo, class, &counts, work);
-                        for (node, &count) in nodes[lo..].iter_mut().zip(&counts) {
-                            node.0.charge_refusals(0, class, &[count], work);
+                        market.charge_refusals(class, owed.iter().copied(), work);
+                        for &(r, count) in &owed {
+                            let before = nodes[r].prices().get(class.index());
+                            nodes[r].0.charge_refusals(class, [(0, count)], work);
+                            // Not a market event for a row that cannot run
+                            // the class.
+                            if costs[r][class.index()].is_none() {
+                                assert_eq!(nodes[r].prices().get(class.index()), before);
+                            }
                         }
                     }
                     _ => {
                         let caps: Vec<u64> = (0..k).map(|_| rng.int_in(0, 6)).collect();
                         let caps = rng.chance(0.5).then_some(caps);
                         let rows = if rng.chance(0.3) { 0..n } else { row..row + 1 };
+                        let budgets: Vec<Option<f64>> = (0..n)
+                            .map(|_| {
+                                let budget = [0.0, rng.float_in(0.0, 2.0), 2.0][rng.index(3)];
+                                rng.chance(0.9).then_some(budget * period_ms)
+                            })
+                            .collect();
+                        market.roll(rows.clone(), caps.as_deref(), |r| budgets[r]);
+                        let caps = caps.map(QuantityVector::from_counts);
                         for row in rows {
-                            let budget =
-                                [0.0, rng.float_in(0.0, 2.0), 2.0][rng.index(3)] * period_ms;
-                            market.end_period(row);
                             nodes[row].end_period();
-                            if rng.chance(0.9) {
-                                market.begin_period(row, &costs[row], caps.as_deref(), budget);
-                                nodes[row]
-                                    .0
-                                    .begin_period(0, &costs[row], caps.as_deref(), budget);
+                            if let Some(budget) = budgets[row] {
+                                let caps = caps.as_ref();
+                                nodes[row].begin_period_with_budget(&costs[row], caps, budget);
                             }
                         }
                     }
@@ -689,5 +770,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The period end one row at a time, as it stood before the boundary
+    /// kernel: the reference [`QantMarket::roll`] is held to.
+    fn end_period_per_row(m: &mut QantMarket, row: usize) {
+        let (span, node) = (m.span(row), m.node(row));
+        let prices = &mut m.prices[span.clone()];
+        let leftover = &mut m.supply[span];
+        let pricer = &m.config.pricer;
+        pricer.decay_leftover(prices, leftover, &m.telemetry, node);
+        if m.config.renormalize_prices {
+            pricer.renormalize(prices, &m.telemetry, node);
+        }
+        leftover.fill(0);
+    }
+
+    /// The supply solve one row at a time, likewise.
+    fn begin_period_per_row(
+        m: &mut QantMarket,
+        row: usize,
+        unit_costs_ms: &[Option<f64>],
+        demand_caps: Option<&[u64]>,
+        budget_ms: f64,
+    ) {
+        let (span, node) = (m.span(row), m.node(row));
+        m.cost[span.clone()].copy_from_slice(unit_costs_ms);
+        let cost = &m.cost[span.clone()];
+        let supply = &mut m.supply[span.clone()];
+        let carry = &mut m.carry[span.clone()];
+        let mut order = Vec::new();
+        qa_economics::price_density_order_into(&m.prices[span], cost, &mut order);
+        supply.fill(0);
+        let mut remaining = budget_ms;
+        for &k in &order {
+            let t = cost[k].expect("filtered");
+            let alloc = remaining / t + carry[k];
+            let mut units = alloc as u64;
+            if let Some(caps) = demand_caps {
+                units = units.min(caps[k]);
+            }
+            supply[k] = units;
+            carry[k] = (alloc - units as f64).clamp(0.0, 0.999_999);
+            remaining = (remaining - units as f64 * t).max(0.0);
+        }
+        m.telemetry.emit(|| TelemetryEvent::SupplyComputed {
+            node,
+            budget_ms,
+            supply: supply.to_vec(),
+        });
+    }
+
+    /// The kernel against the per-row end → begin on the same random rows,
+    /// at the edges: K = 1 and 5, `None` costs (whole rows of them),
+    /// prices at the floor and the ceiling, leftover 0, 1 and huge, caps
+    /// of 0, budget 0, dead rows and rows outside the rolled run. Prices,
+    /// supply and carry must agree to the bit everywhere, and with the
+    /// telemetry on the events must come in the same sequence.
+    #[test]
+    fn the_roll_kernel_is_the_per_row_boundary_to_the_bit() {
+        let mut rng = DetRng::seed_from_u64(0x2011).derive("roll");
+        let period_ms = QantConfig::default().period.as_millis_f64();
+        let mut events = 0;
+        for case in 0..240 {
+            let k = [1, 2, 5][case % 3];
+            let n = 1 + rng.index(40);
+            let pricer = if case % 5 == 0 {
+                // Tight clamps: the renormalization pins prices to both.
+                PricerConfig {
+                    price_floor: 0.5,
+                    price_ceiling: 4.0,
+                    ..PricerConfig::default()
+                }
+            } else {
+                PricerConfig::default()
+            };
+            let config = QantConfig {
+                pricer,
+                renormalize_prices: case % 7 != 3,
+                ..QantConfig::default()
+            };
+            let mut kernel = QantMarket::with_jitter(n, k, config, &mut rng.derive("jitter"));
+            let (floor, ceiling) = (pricer.price_floor, pricer.price_ceiling);
+            let capable = rng.chance(0.9);
+            for at in 0..n * k {
+                kernel.prices[at] = match rng.index(6) {
+                    0 => floor,
+                    1 => ceiling,
+                    _ => (floor * (ceiling / floor).powf(rng.float_in(0.0, 1.0))).min(ceiling),
+                };
+                kernel.supply[at] = [0, 1, rng.int_in(2, 20), 1 << 40][rng.index(4)];
+                kernel.carry[at] = rng.float_in(0.0, 0.999_999);
+                let cost = [1e-3, rng.float_in(1.0, 900.0), 4_000.0][rng.index(3)];
+                kernel.cost[at] = (capable && rng.chance(0.75)).then_some(cost);
+            }
+            let mut reference = kernel.clone();
+            let traced = case % 2 == 0;
+            let (tel, buf) = Telemetry::buffered();
+            let (ref_tel, ref_buf) = Telemetry::buffered();
+            if traced {
+                kernel.set_telemetry(tel.with_label(100));
+                reference.set_telemetry(ref_tel.with_label(100));
+            }
+            let lo = rng.index(n);
+            let rows = lo..lo + 1 + rng.index(n - lo);
+            let caps: Vec<u64> = (0..k).map(|_| rng.int_in(0, 4)).collect();
+            let caps = rng.chance(0.5).then_some(caps);
+            let budgets: Vec<Option<f64>> = (0..n)
+                .map(|_| {
+                    let budget = [0.0, rng.float_in(0.0, 2.0), 2.0][rng.index(3)];
+                    rng.chance(0.85).then_some(budget * period_ms)
+                })
+                .collect();
+            kernel.roll(rows.clone(), caps.as_deref(), |r| budgets[r]);
+            for row in rows {
+                end_period_per_row(&mut reference, row);
+                if let Some(budget) = budgets[row] {
+                    let costs = reference.cost[reference.span(row)].to_vec();
+                    begin_period_per_row(&mut reference, row, &costs, caps.as_deref(), budget);
+                }
+            }
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&kernel.prices), bits(&reference.prices), "case {case}");
+            assert_eq!(kernel.supply, reference.supply, "case {case}");
+            assert_eq!(bits(&kernel.carry), bits(&reference.carry), "case {case}");
+            let sequence = |records: Vec<qa_simnet::telemetry::TraceRecord>| {
+                records
+                    .iter()
+                    .map(|r| format!("{:?}", r.event))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                sequence(buf.records()),
+                sequence(ref_buf.records()),
+                "case {case}"
+            );
+            events += buf.records().len();
+        }
+        assert!(events > 1_000, "the traced cases emitted {events} events");
     }
 }

@@ -44,7 +44,7 @@ pub mod welfare;
 pub use market::{excess_demand, is_equilibrium, ExcessVector};
 pub use non_tatonnement::{
     adjusted, ln_price, trade_exhausts_pair, trade_is_feasible, NonTatonnementPricer, PricerConfig,
-    RefusalChain, ReplayWork, REPLAY_BLOCK,
+    RefusalChain, ReplayWork,
 };
 pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMarketConfig, ParentMechanism};
 pub use pareto::{dominates, enumerate_solutions, is_pareto_optimal, Solution};

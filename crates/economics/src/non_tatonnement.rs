@@ -76,9 +76,8 @@ impl PricerConfig {
     }
 }
 
-/// Lanes one [`RefusalChain::replay`] call takes: a block's gathered
-/// prices and counts fit the stack.
-pub const REPLAY_BLOCK: usize = 64;
+/// Lanes one vector group of [`RefusalChain::replay`]'s walk steps at once.
+const LANES: usize = 16;
 
 /// What a [`RefusalChain::replay`] did, in lanes: a function of the prices
 /// and counts alone, so a run's totals repeat exactly.
@@ -90,6 +89,10 @@ pub struct ReplayWork {
     pub closed_form: u64,
     /// Refusals the walked lanes were owed, summed.
     pub steps: u64,
+    /// Lane-steps the walk executed, padding included: a group of lanes
+    /// steps for as long as its longest, so `steps / slots` is the walk's
+    /// efficiency.
+    pub slots: u64,
 }
 
 /// One refusal: `min(p·factor, ceiling)`, without `f64::min`'s NaN fix-up
@@ -157,59 +160,52 @@ impl RefusalChain {
         p >= f64::MIN_POSITIVE && count as f64 >= steps
     }
 
-    /// Moves every `prices[i]` to where `counts[i]` refusals leave it:
-    /// bit-identical to that many [`Self::step`]s each. Saturating lanes
-    /// are settled in closed form; the rest are walked `LANES` at a time —
-    /// the chains are independent, and interleaving them hides the
-    /// multiply latency that makes a lone chain serial.
-    /// What that took is added to `work`.
+    /// Moves `prices[slot]` of every lane `(count, slot)` to where `count`
+    /// refusals leave it: bit-identical to that many [`Self::step`]s each.
+    /// Saturating lanes are settled in closed form; the rest are walked
+    /// `LANES` at a time — the chains are independent, and interleaving
+    /// them hides the multiply latency that makes a lone chain serial.
+    /// The more lanes a call pools, the closer in length the lanes of a
+    /// group, and the less of the walk is padding. What that took is added
+    /// to `work`; `lanes` is left holding the walked lanes, reordered. No
+    /// two lanes may name one slot; a lane owed nothing is no lane.
     ///
     /// # Panics
-    /// Panics when the slices differ in length or exceed [`REPLAY_BLOCK`].
-    pub fn replay(&self, prices: &mut [f64], counts: &[u64], work: &mut ReplayWork) {
-        const LANES: usize = 16;
-        assert!(prices.len() == counts.len() && prices.len() <= REPLAY_BLOCK);
-        let mut walk = [(0u64, 0usize); REPLAY_BLOCK];
-        let mut walked = 0;
-        for (i, (p, &d)) in prices.iter_mut().zip(counts).enumerate() {
-            if d == 0 {
-                continue;
-            }
-            if self.saturates(*p, d) {
-                *p = self.ceiling;
+    /// Panics when a slot is out of range.
+    pub fn replay(&self, prices: &mut [f64], lanes: &mut Vec<(u64, usize)>, work: &mut ReplayWork) {
+        lanes.retain(|&(d, slot)| {
+            if d > 0 && self.saturates(prices[slot], d) {
+                prices[slot] = self.ceiling;
                 work.closed_form += 1;
-            } else {
-                walk[walked] = (d, i);
-                walked += 1;
-                work.steps += d;
+                return false;
             }
-        }
-        work.walked += walked as u64;
+            work.steps += d;
+            d > 0
+        });
+        work.walked += lanes.len() as u64;
         // Longest first: a group runs for its longest lane, so lanes of
         // similar length share one, and within it the lanes still owed
         // refusals are a prefix that only shrinks.
-        let walk = &mut walk[..walked];
-        walk.sort_unstable_by_key(|&(d, _)| std::cmp::Reverse(d));
-        for group in walk.chunks(LANES) {
-            // A retired lane (or one past the group) multiplies by exactly
-            // 1.0 — a bit-exact identity for finite values — so the inner
-            // loop has a constant bound and no branch, and vectorizes.
+        lanes.sort_unstable_by_key(|&(d, _)| std::cmp::Reverse(d));
+        for group in lanes.chunks(LANES) {
+            work.slots += group[0].0 * LANES as u64;
+            // Every lane steps until the group's longest is done; a lane
+            // is read out when its own count is reached, and what it
+            // computes after that is discarded (the ceiling keeps it
+            // finite). So the inner loop has a constant bound, no branch
+            // and one factor, and vectorizes.
             let mut p = [0.0f64; LANES];
-            let mut factor = [1.0f64; LANES];
             for (j, &(_, i)) in group.iter().enumerate() {
-                (p[j], factor[j]) = (prices[i], self.factor);
+                p[j] = prices[i];
             }
             let mut done = 0;
-            for (j, &(d, _)) in group.iter().enumerate().rev() {
+            for (j, &(d, i)) in group.iter().enumerate().rev() {
                 for _ in done..d {
-                    for l in 0..LANES {
-                        p[l] = raise(p[l], factor[l], self.ceiling);
+                    for lane in &mut p {
+                        *lane = raise(*lane, self.factor, self.ceiling);
                     }
                 }
-                (done, factor[j]) = (d, 1.0);
-            }
-            for (j, &(_, i)) in group.iter().enumerate() {
-                prices[i] = p[j];
+                (done, prices[i]) = (d, p[j]);
             }
         }
     }
@@ -244,11 +240,43 @@ impl PricerConfig {
     /// structure.
     #[inline]
     pub fn renormalize(&self, prices: &mut [f64], telemetry: &Telemetry, node: u32) {
-        if prices.is_empty() {
+        let ln_sum = prices.iter().map(|p| p.ln()).sum::<f64>();
+        self.rescale(prices, ln_sum, telemetry, node);
+    }
+
+    /// [`Self::renormalize`] of every `k`-price row of `prices` (row `r`
+    /// is node `first_node + r`), a column pass at a time: every row's
+    /// `ln` sum into `ln_sums` (scratch), then every row rescaled — so
+    /// the `ln` calls of many rows are in flight at once.
+    pub fn renormalize_rows(
+        &self,
+        prices: &mut [f64],
+        k: usize,
+        ln_sums: &mut Vec<f64>,
+        telemetry: &Telemetry,
+        first_node: u32,
+    ) {
+        if k == 0 {
             return;
         }
-        let log_mean = prices.iter().map(|p| p.ln()).sum::<f64>() / prices.len() as f64;
-        let scale = log_mean.exp();
+        ln_sums.clear();
+        ln_sums.extend(
+            prices
+                .chunks_exact(k)
+                .map(|row| row.iter().map(|p| p.ln()).sum::<f64>()),
+        );
+        let rows = prices.chunks_exact_mut(k).zip(ln_sums.iter());
+        for (node, (row, &ln_sum)) in (first_node..).zip(rows) {
+            self.rescale(row, ln_sum, telemetry, node);
+        }
+    }
+
+    /// Divides the row by its geometric mean `exp(ln_sum / len)`, within
+    /// the floor and the ceiling — unless that mean is not a positive
+    /// finite number (an empty row), which leaves the row as it is.
+    #[inline]
+    fn rescale(&self, prices: &mut [f64], ln_sum: f64, telemetry: &Telemetry, node: u32) {
+        let scale = (ln_sum / prices.len() as f64).exp();
         if !scale.is_finite() || scale <= 0.0 {
             return;
         }
@@ -400,33 +428,30 @@ impl NonTatonnementPricer {
     ) {
         assert_eq!(pricers.len(), counts.len());
         let mut chain = None;
-        for (lanes, counts) in pricers
-            .chunks_mut(REPLAY_BLOCK)
-            .zip(counts.chunks(REPLAY_BLOCK))
-        {
-            let mut p = [0.0f64; REPLAY_BLOCK];
-            let mut d = [0u64; REPLAY_BLOCK];
-            for (j, (pr, &count)) in lanes.iter_mut().zip(counts).enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                if pr.telemetry.is_enabled() || *chain.get_or_insert(pr.chain) != pr.chain {
-                    for _ in 0..count {
-                        pr.on_rejection(k);
-                    }
-                } else {
-                    (p[j], d[j]) = (pr.prices.get(k), count);
-                }
+        let mut p = vec![0.0f64; pricers.len()];
+        let mut batched = Vec::new();
+        for (j, (pr, &count)) in pricers.iter_mut().zip(counts).enumerate() {
+            if count == 0 {
+                continue;
             }
-            let Some(chain) = chain else { continue };
-            let work = &mut ReplayWork::default();
-            chain.replay(&mut p[..lanes.len()], &d[..lanes.len()], work);
-            for (j, pr) in lanes.iter_mut().enumerate().filter(|(j, _)| d[*j] > 0) {
-                // Finite and at or above the floor, so this one set is
-                // exactly the last of the per-step clamped sets.
-                pr.prices.set(k, p[j], pr.config.price_floor);
-                pr.rejections[k] += d[j];
+            if pr.telemetry.is_enabled() || *chain.get_or_insert(pr.chain) != pr.chain {
+                for _ in 0..count {
+                    pr.on_rejection(k);
+                }
+            } else {
+                p[j] = pr.prices.get(k);
+                batched.push(j);
             }
+        }
+        let Some(chain) = chain else { return };
+        let mut lanes = batched.iter().map(|&j| (counts[j], j)).collect();
+        chain.replay(&mut p, &mut lanes, &mut ReplayWork::default());
+        for j in batched {
+            let pr = &mut pricers[j];
+            // Finite and at or above the floor, so this one set is exactly
+            // the last of the per-step clamped sets.
+            pr.prices.set(k, p[j], pr.config.price_floor);
+            pr.rejections[k] += counts[j];
         }
     }
 
@@ -640,6 +665,44 @@ mod tests {
                     assert_eq!(replayed.rejections(0), count);
                 }
             }
+            // One pooled walk over more lanes than a group holds many
+            // times over, owed counts mixed: none, one, short and long
+            // walks, and (where λ proves it) far past saturation.
+            let starts: Vec<f64> = (0..80)
+                .map(|_| {
+                    let under = rng.float_in(0.0, 4_000.0);
+                    (price_ceiling / (1.0 + lambda).powf(under)).max(price_floor)
+                })
+                .collect();
+            let counts: Vec<u64> = (0..80)
+                .map(|i| match i % 4 {
+                    0 => 0,
+                    1 => 1,
+                    2 => rng.int_in(2, 5_000),
+                    _ if provable => 1 << 40,
+                    _ => rng.int_in(2, 60),
+                })
+                .collect();
+            let mut pooled = starts.clone();
+            let mut lanes: Vec<(u64, usize)> = counts.iter().copied().zip(0..).collect();
+            let mut work = ReplayWork::default();
+            chain.replay(&mut pooled, &mut lanes, &mut work);
+            for (i, (&start, &count)) in starts.iter().zip(&counts).enumerate() {
+                let mut p = start;
+                for _ in 0..count {
+                    if p == price_ceiling {
+                        break;
+                    }
+                    p = chain.step(p);
+                }
+                assert_eq!(
+                    pooled[i].to_bits(),
+                    p.to_bits(),
+                    "λ={lambda} lane {i} count={count}"
+                );
+            }
+            assert_eq!(work.walked + work.closed_form, 60);
+            assert!(work.slots >= work.steps && work.slots % LANES as u64 == 0);
         }
         assert!(proven > 500, "the closed form barely engaged: {proven}");
     }

@@ -42,7 +42,7 @@ use qa_core::messages::{OFFER_BYTES, REQUEST_BYTES, RESPONSE_BYTES};
 use qa_core::{
     BnqrdCoordinator, MarkovAllocator, MechanismKind, QantMarket, RoundRobinState, TwoProbesChooser,
 };
-use qa_economics::{ReplayWork, REPLAY_BLOCK};
+use qa_economics::ReplayWork;
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
@@ -57,11 +57,6 @@ const MAX_RETRIES: u32 = 20_000;
 
 /// Salt separating the fault-injection RNG stream from the mechanism's.
 const FAULT_SALT: u64 = 0xFA17_0001;
-
-/// Nodes per block of the period-boundary pass: few enough that a block's
-/// market rows are still in cache when each of them is solved, enough to
-/// fill the refusal replay's lanes.
-const BOUNDARY_BLOCK: usize = REPLAY_BLOCK;
 
 /// The query slot of a wait-list entry that is no query but a fence: the
 /// [`Event::Wake`] that reaches it stops there.
@@ -446,10 +441,7 @@ impl<'a> Federation<'a> {
             q.index = pure_market.then(|| {
                 let mut offers =
                     OfferIndex::new(&self.scenario.capable, &self.exec, self.nodes.len());
-                for (n, &m) in q.member.iter().enumerate() {
-                    offers.reseat(NodeId(n as u32), m.then(|| q.market.supply(n)), &self.nodes);
-                }
-                offers.restore();
+                offers.reseat(q.market.supply_column(), &q.member, &self.nodes);
                 offers
             });
         }
@@ -766,13 +758,14 @@ impl<'a> Federation<'a> {
         });
     }
 
-    /// QA-NT's period boundary (§3.3 steps 9–14, then step 2) in one pass
-    /// over the market's rows, a block at a time: the block is charged the
-    /// closing period's unpaid refusals, then each of its rows ends its
-    /// period (leftover supply decays prices), solves eq. 4 for the next
-    /// one and has its index leaves re-read from the fresh supply — all
-    /// while the rows are in cache. Rows share nothing, so the order is
-    /// unobservable; per row it is the order the paper gives.
+    /// QA-NT's period boundary (§3.3 steps 9–14, then step 2) as three
+    /// passes over the whole market: the closing period's unpaid refusals,
+    /// one pooled walk per class; one roll of the market's rows (leftover
+    /// supply decays prices, each live row solves eq. 4 for the next
+    /// period); and the index re-reading every leaf from the fresh supply.
+    /// Per row that is the order the paper gives, the refusals ahead of
+    /// the period-end price update; rows share nothing, so the order
+    /// across rows is unobservable.
     fn roll_market_period(&mut self, now: SimTime) {
         let MechState::QaNt(Sellers {
             market,
@@ -798,49 +791,45 @@ impl<'a> Federation<'a> {
         // go quiet.
         let floor = config.qant.price_threshold.map_or(0.0, |_| 0.5 * period_ms);
         let soa = &self.nodes;
+        // The refusals the closing period still owes in pure-market mode:
+        // every dry capable node refused each class request made since it
+        // ran dry. Ahead of the period-end price update: the rises belong
+        // to that period.
         let mut refusals = ReplayWork::default();
+        for (k, &demand) in self.period_demand.iter().enumerate() {
+            let Some(index) = index.as_ref().filter(|_| demand > 0) else {
+                continue;
+            };
+            let class = ClassId(k as u32);
+            market.charge_refusals(class, index.rejections(class, demand), &mut refusals);
+        }
+        // Each run of market rows ends its period; a live row opens the
+        // next on a work-conserving budget.
         let mut solves = 0;
-        let mut owed = [0u64; BOUNDARY_BLOCK];
-        for lo in (0..member.len()).step_by(BOUNDARY_BLOCK) {
-            let hi = (lo + BOUNDARY_BLOCK).min(member.len());
-            // The refusals the closing period still owes the block in
-            // pure-market mode: every dry capable node refused each class
-            // request made since it ran dry. Ahead of the block's
-            // period-end price update: the rises belong to that period.
-            for (k, &demand) in self.period_demand.iter().enumerate() {
-                let Some(index) = index.as_ref().filter(|_| demand > 0) else {
-                    continue;
-                };
-                let (class, owed) = (ClassId(k as u32), &mut owed[..hi - lo]);
-                index.rejections_into(class, demand, lo, owed);
-                market.charge_refusals(lo, class, owed, &mut refusals);
-                owed.fill(0);
+        let mut lo = 0;
+        for run in member.chunk_by(|a, b| a == b) {
+            let rows = lo..lo + run.len();
+            lo = rows.end;
+            if !run[0] {
+                continue;
             }
-            for (i, &member) in (lo..).zip(&member[lo..hi]) {
-                if member {
-                    market.end_period(i);
-                    self.boundary.node_periods += 1;
-                    if soa.alive(i) {
-                        let backlog = soa.backlog(i, now).as_millis_f64();
-                        let budget = (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms);
-                        let costs = &self.scenario.exec_times_ms[i];
-                        market.begin_period(i, costs, Some(&self.demand_caps), budget);
-                        solves += 1;
-                    }
-                }
-                if let Some(index) = index {
-                    // The only place supply can rise.
-                    let supply = member.then(|| market.supply(i));
-                    index.reseat(NodeId(i as u32), supply, soa);
-                }
-            }
+            self.boundary.node_periods += run.len() as u64;
+            market.roll(rows, Some(&self.demand_caps), |i| {
+                soa.alive(i).then(|| {
+                    solves += 1;
+                    let backlog = soa.backlog(i, now).as_millis_f64();
+                    (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms)
+                })
+            });
         }
         if let Some(index) = index {
-            index.restore();
+            // The only place supply can rise.
+            index.reseat(market.supply_column(), member, soa);
         }
         self.boundary.refusal_lanes_walked += refusals.walked;
         self.boundary.refusal_lanes_closed_form += refusals.closed_form;
         self.boundary.refusal_lane_steps += refusals.steps;
+        self.boundary.refusal_lane_slots += refusals.slots;
         self.boundary.density_sorts += solves;
         self.period_demand.fill(0);
     }
@@ -1445,7 +1434,8 @@ mod tests {
         // The repo benchmark's `flat1k` rep. The counts are functions of
         // the seed and the code: a change that moves them changed the
         // algorithm (which lanes the closed form settles, how refusals are
-        // deferred), not just its speed.
+        // deferred, how tightly the walk packs its lanes), not just its
+        // speed.
         use crate::experiments::{run_cell, scale_world, two_class_trace};
         let s = scale_world(1_000, 11);
         let t = two_class_trace(&s, 0.05, 0.75, 100);
@@ -1459,6 +1449,7 @@ mod tests {
                 refusal_lanes_walked: 102_278,
                 refusal_lanes_closed_form: 122_395,
                 refusal_lane_steps: 10_220_249,
+                refusal_lane_slots: 10_546_160,
                 density_sorts: 203_000,
             }
         );

@@ -334,6 +334,9 @@ work_counts! {
         refusal_lanes_closed_form,
         /// Refusals the walked lanes were owed, summed.
         refusal_lane_steps,
+        /// Lane-steps the refusal walk executed, padding included:
+        /// `refusal_lane_steps / refusal_lane_slots` is its efficiency.
+        refusal_lane_slots,
         /// Price-density orderings computed for a supply solve.
         density_sorts,
     }

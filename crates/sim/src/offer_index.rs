@@ -26,7 +26,7 @@
 //! ([`OfferIndex::reseat`]). For the same reason a dry node's refusals
 //! this period are exactly the class requests made since it ran dry: one
 //! demand stamp per leaf replaces a per-poll rejection count
-//! ([`OfferIndex::rejections_into`]).
+//! ([`OfferIndex::rejections`]).
 //!
 //! The index is exact only while the candidate set is the static capable
 //! list — no link faults, no dead nodes — which is the federation's
@@ -55,6 +55,10 @@ struct ClassOffers {
     /// The period's class demand when the leaf ran out of supply (0 when
     /// it opened the period dry), or [`OFFERING`].
     dry_at: Vec<u64>,
+    /// The leaves that stopped offering this period, in the order they
+    /// did: those that opened it dry, then each as it ran dry. Stamps only
+    /// grow along the list, so what its leaves owe only falls.
+    dry: Vec<u32>,
 }
 
 /// See the [module docs](self).
@@ -71,7 +75,7 @@ pub(crate) struct OfferIndex {
 impl OfferIndex {
     /// An index over `capable[class]` with every leaf absent;
     /// `exec[class * num_nodes + node]` is the flattened execution-time
-    /// matrix. [`OfferIndex::reseat`] every node before the first query.
+    /// matrix. [`OfferIndex::reseat`] it before the first query.
     pub(crate) fn new(
         capable: &[Vec<NodeId>],
         exec: &[SimDuration],
@@ -92,6 +96,7 @@ impl OfferIndex {
                     idle: MinTree::new(node.len()),
                     busy: MinTree::new(node.len()),
                     dry_at: vec![0; node.len()],
+                    dry: Vec::with_capacity(node.len()),
                     node,
                 }
             })
@@ -121,32 +126,32 @@ impl OfferIndex {
         }
     }
 
-    /// Re-reads `node`'s leaves from its market row's remaining `supply`
-    /// and its queue, wherever supply may have risen: a new period, or the
-    /// start of the run. A node outside the market (`None`, the §4 partial
-    /// deployment) always offers; a market node between periods has an
-    /// all-zero row and offers nothing. The trees answer again after
-    /// [`OfferIndex::restore`].
-    pub(crate) fn reseat(&mut self, node: NodeId, supply: Option<&[u64]>, nodes: &NodeSoa) {
-        let n = node.index();
-        let queued = nodes.queued(n) > 0;
-        let backlog_until = nodes.backlog_until_slice()[n].as_micros();
-        for &(k, leaf) in node_leaves(&self.leaf_start, &self.leaves, node) {
-            let (c, leaf) = (&mut self.classes[k as usize], leaf as usize);
-            let offers = supply.is_none_or(|s| s[k as usize] > 0);
-            c.dry_at[leaf] = if offers { OFFERING } else { 0 };
-            c.idle
-                .stage(leaf, (offers && !queued).then_some(c.exec[leaf]));
-            c.busy.stage(
-                leaf,
-                (offers && queued).then(|| backlog_until + c.exec[leaf]),
-            );
-        }
-    }
-
-    /// Replays the trees once every re-read node is [`OfferIndex::reseat`]ed.
-    pub(crate) fn restore(&mut self) {
-        for c in &mut self.classes {
+    /// Re-reads every leaf from its node's remaining supply and queue,
+    /// wherever supply may have risen: a new period, or the start of the
+    /// run. `supply` is the market's supply column (node-major, one entry
+    /// per class). A node outside the market (`member[n]` false, the §4
+    /// partial deployment) always offers; a market node between periods
+    /// has an all-zero row and offers nothing. One class at a time: its
+    /// leaves are staged in order, then its trees replayed.
+    pub(crate) fn reseat(&mut self, supply: &[u64], member: &[bool], nodes: &NodeSoa) {
+        let classes = self.classes.len();
+        let backlog_until = nodes.backlog_until_slice();
+        for (k, c) in self.classes.iter_mut().enumerate() {
+            c.dry.clear();
+            for (leaf, n) in c.node.iter().map(|n| n.index()).enumerate() {
+                let offers = !member[n] || supply[n * classes + k] > 0;
+                let queued = nodes.queued(n) > 0;
+                c.dry_at[leaf] = if offers { OFFERING } else { 0 };
+                if !offers {
+                    c.dry.push(leaf as u32);
+                }
+                c.idle
+                    .stage(leaf, (offers && !queued).then_some(c.exec[leaf]));
+                c.busy.stage(
+                    leaf,
+                    (offers && queued).then(|| backlog_until[n].as_micros() + c.exec[leaf]),
+                );
+            }
             c.idle.restore();
             c.busy.restore();
         }
@@ -183,6 +188,7 @@ impl OfferIndex {
         c.idle.remove(leaf);
         c.busy.remove(leaf);
         c.dry_at[leaf] = demand;
+        c.dry.push(leaf as u32);
     }
 
     /// `node` accepted a query (of any class) and is now occupied until
@@ -211,22 +217,19 @@ impl OfferIndex {
         }
     }
 
-    /// Writes into `row[node - lo]`, for every dry capable node of `class`
-    /// in `lo..lo + row.len()`, the refusals it owes the market this
-    /// period: `demand` (the period's class request count so far) minus
-    /// the count when it ran dry. Offering nodes' entries are left
-    /// untouched.
-    pub(crate) fn rejections_into(&self, class: ClassId, demand: u64, lo: usize, row: &mut [u64]) {
+    /// Every dry capable node of `class` with the refusals it owes the
+    /// market this period, as `(node index, owed)`: `demand` (the period's
+    /// class request count so far) minus the count when it ran dry. In
+    /// the order they ran dry, so the most owed come first: those that
+    /// opened the period dry each owe the whole demand.
+    pub(crate) fn rejections(
+        &self,
+        class: ClassId,
+        demand: u64,
+    ) -> impl Iterator<Item = (usize, u64)> + '_ {
         let c = &self.classes[class.index()];
-        let first = c.node.partition_point(|n| n.index() < lo);
-        for (&dry, n) in c.dry_at[first..].iter().zip(&c.node[first..]) {
-            let Some(owed) = row.get_mut(n.index() - lo) else {
-                break;
-            };
-            if dry != OFFERING {
-                *owed = demand - dry;
-            }
-        }
+        let dry = c.dry.iter().map(|&leaf| leaf as usize);
+        dry.map(move |leaf| (c.node[leaf].index(), demand - c.dry_at[leaf]))
     }
 }
 

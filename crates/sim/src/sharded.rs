@@ -744,6 +744,53 @@ mod tests {
     }
 
     #[test]
+    fn boundary_work_of_the_broker10k_rep_is_pinned() {
+        // The repo benchmark's `broker10k` rep over its `--quick` horizon
+        // (24 s): 10 000 nodes in 32 shards under the QA-NT parent. The
+        // counts are the shards' summed, and a function of the seed and
+        // the code only — the thread budget decides who steps a shard,
+        // never what the shard does.
+        use crate::experiments::{scale_world, two_class_trace};
+        use crate::metrics::{BoundaryWork, WaitWork};
+        let s = scale_world(10_000, 11);
+        let t = two_class_trace(&s, 0.05, 0.5, 24);
+        let plan = ShardPlan::build(&s, 32);
+        let work = |budget| {
+            let options = ShardRunOptions {
+                budget,
+                broker: Some(BrokerConfig::qant()),
+                ..ShardRunOptions::default()
+            };
+            let out = plan.run_with_options(&t, &options).outcome;
+            (out.boundary, out.wait)
+        };
+        let (boundary, wait) = work(1);
+        // For `scripts/work_gate.sh`, which runs this with `--nocapture`.
+        println!("work-gate: broker10k {boundary:?} {wait:?}");
+        assert_eq!(work(2), (boundary, wait));
+        assert_eq!(
+            boundary,
+            BoundaryWork {
+                node_periods: 546_901,
+                refusal_lanes_walked: 251_495,
+                refusal_lanes_closed_form: 146_159,
+                refusal_lane_steps: 14_276_637,
+                refusal_lane_slots: 15_179_072,
+                density_sorts: 546_901,
+            }
+        );
+        assert_eq!(
+            wait,
+            WaitWork {
+                wakes: 622,
+                runs: 596,
+                turned: 343_058,
+                attempted: 68_369,
+            }
+        );
+    }
+
+    #[test]
     fn mean_abs_delta_ln_averages_per_class_motion() {
         let d = mean_abs_delta_ln(&[0.0, 1.0], &[0.5, 0.0]);
         assert!((d - 0.75).abs() < 1e-12);
