@@ -39,16 +39,17 @@ pub fn run_cell(scenario: &Scenario, trace: &Trace, mechanism: MechanismKind) ->
 ///
 /// The average rate of a raised sinusoid is half its peak, so with
 /// `peak_q2 = peak_q1/2` the total average rate is `0.75·peak_q1`; the
-/// peak is solved from the requested average.
+/// peak is solved from the requested average. Thinning emits each class's
+/// arrivals in time order, so the two streams are merged, not sorted.
 pub fn two_class_trace(scenario: &Scenario, freq_hz: f64, frac: f64, secs: u64) -> Trace {
     let capacity = scenario.capacity_qps(&TWO_CLASS_MIX);
     let peak_q1 = frac * capacity / 0.75;
     let (p1, p2) = SinusoidProcess::paper_pair(freq_hz, peak_q1);
     let mut rng = DetRng::seed_from_u64(scenario.config.seed).derive("two-class-trace");
     let horizon = SimTime::from_secs(secs);
-    let mut arrivals = p1.generate(horizon, &mut rng);
-    arrivals.extend(p2.generate(horizon, &mut rng));
-    Trace::from_arrivals(arrivals, scenario.config.num_nodes, &mut rng)
+    let q1 = p1.generate(horizon, &mut rng);
+    let q2 = p2.generate(horizon, &mut rng);
+    Trace::merge_arrivals(&q1, &q2, scenario.config.num_nodes, &mut rng)
 }
 
 // ---------------------------------------------------------------- Fig. 3

@@ -99,9 +99,11 @@ impl RunMetrics {
                 .resize_with(origin.index() + 1, Welford::new);
         }
         self.response_per_origin[origin.index()].add(resp_ms);
-        self.response_series.record(finished, resp_ms);
-        self.completed += 1;
+        // One period index serves the response series and both counts.
+        debug_assert_eq!(self.response_series.period(), self.period);
         let idx = finished.period_index(self.period) as usize;
+        self.response_series.record_in_bin(idx, resp_ms);
+        self.completed += 1;
         if idx >= self.executed_per_period.len() {
             self.executed_per_period.resize(idx + 1, 0);
         }

@@ -52,7 +52,10 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Builds the derived matrices from parts.
+    /// Builds the derived matrices from parts: the capable lists from the
+    /// dataset, then the execution-time matrix by walking each list once,
+    /// so the cost is linear in nodes × classes (no per-cell membership
+    /// test).
     pub fn assemble(
         config: SimConfig,
         templates: TemplateSet,
@@ -64,20 +67,9 @@ impl Scenario {
         assert_eq!(dataset.num_nodes(), config.num_nodes);
         let capable: Vec<Vec<NodeId>> =
             templates.iter().map(|t| dataset.capable_nodes(t)).collect();
-        let exec_times_ms: Vec<Vec<Option<f64>>> = (0..config.num_nodes)
-            .map(|i| {
-                templates
-                    .iter()
-                    .map(|t| {
-                        if capable[t.id.index()].contains(&NodeId(i as u32)) {
-                            Some(hardware[i].execution_time(t, &config).as_millis_f64())
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let exec_times_ms = exec_matrix(config.num_nodes, &templates, &capable, |i, t| {
+            hardware[i].execution_time(t, &config).as_millis_f64()
+        });
         Scenario {
             config,
             templates,
@@ -175,28 +167,14 @@ impl Scenario {
                 }
             })
             .collect();
-        let exec_times_ms: Vec<Vec<Option<f64>>> = (0..config.num_nodes)
-            .map(|i| {
-                templates
-                    .iter()
-                    .map(|t| {
-                        if !capable[t.id.index()].contains(&NodeId(i as u32)) {
-                            return None;
-                        }
-                        let missing = t
-                            .relations
-                            .iter()
-                            .filter(|&&r| !dataset.node_has(NodeId(i as u32), r))
-                            .count() as f64;
-                        let frac = missing / t.relations.len().max(1) as f64;
-                        let base = hardware[i].execution_time(t, &config).as_millis_f64();
-                        // Remote fetches add up to +50% for a fully remote
-                        // join tail.
-                        Some(base * (1.0 + 0.5 * frac))
-                    })
-                    .collect()
-            })
-            .collect();
+        let exec_times_ms = exec_matrix(config.num_nodes, &templates, &capable, |i, t| {
+            let node = NodeId(i as u32);
+            let missing = t.relations.iter().filter(|&&r| !dataset.node_has(node, r));
+            let frac = missing.count() as f64 / t.relations.len().max(1) as f64;
+            let base = hardware[i].execution_time(t, &config).as_millis_f64();
+            // Remote fetches add up to +50% for a fully remote join tail.
+            base * (1.0 + 0.5 * frac)
+        });
         Scenario {
             config,
             templates,
@@ -234,6 +212,25 @@ impl Scenario {
     }
 }
 
+/// The execution-time matrix `[node][class]`: `Some(cell(i, t))` for each
+/// node `i` in `capable[t]`, `None` everywhere else. Each capable list is
+/// walked once, so the cost is linear in the matrix plus the lists.
+fn exec_matrix(
+    num_nodes: usize,
+    templates: &TemplateSet,
+    capable: &[Vec<NodeId>],
+    mut cell: impl FnMut(usize, &QueryTemplate) -> f64,
+) -> Vec<Vec<Option<f64>>> {
+    let mut exec = vec![vec![None; templates.num_classes()]; num_nodes];
+    for t in templates.iter() {
+        let k = t.id.index();
+        for n in &capable[k] {
+            exec[n.index()][k] = Some(cell(n.index(), t));
+        }
+    }
+    exec
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +263,73 @@ mod tests {
         assert_eq!(s.templates.num_classes(), 100);
         for (k, cap) in s.capable.iter().enumerate() {
             assert!(!cap.is_empty(), "class {k} evaluable nowhere");
+        }
+    }
+
+    /// Holds the execution matrix to the capable lists cell by cell: a
+    /// cell is `Some(cell(i, t))` exactly when node `i` is in class `t`'s
+    /// list, and `None` otherwise.
+    fn assert_matrix_follows_capability(s: &Scenario, cell: impl Fn(usize, &QueryTemplate) -> f64) {
+        assert_eq!(s.exec_times_ms.len(), s.config.num_nodes);
+        for (i, row) in s.exec_times_ms.iter().enumerate() {
+            assert_eq!(row.len(), s.templates.num_classes());
+            for t in s.templates.iter() {
+                let k = t.id.index();
+                let want = s.capable[k].contains(&NodeId(i as u32)).then(|| cell(i, t));
+                assert_eq!(
+                    row[k].map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "node {i} class {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exec_matrix_is_the_per_cell_rule_over_random_datasets() {
+        let mut rng = DetRng::seed_from_u64(35);
+        for case in 0..30 {
+            let mut config = SimConfig::small_test(case);
+            config.num_nodes = 1 + rng.index(60);
+            let ds_cfg = DatasetConfig {
+                num_nodes: config.num_nodes,
+                num_relations: 1 + rng.index(30),
+                mean_mirrors: 1.0 + rng.unit() * (config.num_nodes - 1) as f64,
+                ..DatasetConfig::default()
+            };
+            let dataset = Dataset::generate(&ds_cfg, &mut rng);
+            let tpl_cfg = TemplateConfig {
+                num_classes: 1 + rng.index(10),
+                num_relations: ds_cfg.num_relations,
+                joins_min: 0,
+                joins_max: 3,
+                ..TemplateConfig::default()
+            };
+            let templates = TemplateSet::generate(&tpl_cfg, &mut rng);
+            let hardware = (0..config.num_nodes)
+                .map(|_| NodeHardware::sample(&config, &mut rng))
+                .collect();
+            let s = Scenario::assemble(config, templates, dataset, hardware);
+            assert_matrix_follows_capability(&s, |i, t| {
+                s.hardware[i].execution_time(t, &s.config).as_millis_f64()
+            });
+        }
+    }
+
+    #[test]
+    fn exec_matrix_is_the_per_cell_rule_in_the_table3_world() {
+        for (seed, nodes) in [(3, 30), (8, 100)] {
+            let mut cfg = SimConfig::small_test(seed);
+            cfg.num_nodes = nodes;
+            let s = Scenario::table3(cfg);
+            assert_matrix_follows_capability(&s, |i, t| {
+                let held =
+                    |&r: &RelationId| s.dataset.relation(r).mirrors.contains(&NodeId(i as u32));
+                let missing = t.relations.iter().filter(|r| !held(r)).count();
+                let frac = missing as f64 / t.relations.len().max(1) as f64;
+                let base = s.hardware[i].execution_time(t, &s.config).as_millis_f64();
+                base * (1.0 + 0.5 * frac)
+            });
         }
     }
 

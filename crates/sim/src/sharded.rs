@@ -473,14 +473,17 @@ fn into_shares(weights: &mut [f64]) {
 /// shard (lowest index on ties) takes the query and pays one unit.
 /// Long-run traffic shares converge to the weight shares without any
 /// randomness, so routing is a pure function of the boundary signals.
+///
+/// One pass accrues and tracks the running top; only a strictly greater
+/// credit takes it over, so the first maximum wins.
 fn pick_home(homes: &[usize], shares: &[f64], credits: &mut [f64]) -> usize {
-    for (c, share) in credits.iter_mut().zip(shares) {
+    debug_assert_eq!(shares.len(), credits.len());
+    credits[0] += shares[0];
+    let (mut best, mut top) = (0, credits[0]);
+    for (i, (c, share)) in credits.iter_mut().zip(shares).enumerate().skip(1) {
         *c += share;
-    }
-    let mut best = 0;
-    for i in 1..credits.len() {
-        if credits[i] > credits[best] {
-            best = i;
+        if *c > top {
+            (best, top) = (i, *c);
         }
     }
     credits[best] -= 1.0;
@@ -673,6 +676,53 @@ mod tests {
         }
         assert_eq!(routed, 1_000);
         assert!(credits.iter().all(|c| c.is_finite()));
+    }
+
+    /// The two-loop pick the fused one replaced: accrue every credit, then
+    /// rescan for the first maximum.
+    fn pick_home_two_loops(homes: &[usize], shares: &[f64], credits: &mut [f64]) -> usize {
+        for (c, share) in credits.iter_mut().zip(shares) {
+            *c += share;
+        }
+        let mut best = 0;
+        for i in 1..credits.len() {
+            if credits[i] > credits[best] {
+                best = i;
+            }
+        }
+        credits[best] -= 1.0;
+        homes[best]
+    }
+
+    #[test]
+    fn fused_pick_is_the_two_loop_pick() {
+        let mut rng = DetRng::seed_from_u64(35);
+        for case in 0..2_000 {
+            let n = 1 + rng.index(40);
+            let homes: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+            // Every other case draws from a few dyadic values so that
+            // sums tie exactly and the first-maximum rule decides.
+            let draw = |rng: &mut DetRng| {
+                if case % 2 == 0 {
+                    rng.index(4) as f64 / 4.0
+                } else {
+                    rng.float_in(-2.0, 2.0)
+                }
+            };
+            let shares = shares_of(&(0..n).map(|_| draw(&mut rng).abs()).collect::<Vec<_>>());
+            let mut credits: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
+            let mut oracle = credits.clone();
+            for step in 0..50 {
+                let want = pick_home_two_loops(&homes, &shares, &mut oracle);
+                let got = pick_home(&homes, &shares, &mut credits);
+                assert_eq!(got, want, "case {case} step {step}");
+                assert_eq!(
+                    credits.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                    oracle.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                    "case {case} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -149,8 +149,11 @@ impl DetRng {
     /// deterministic). Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} from {n}");
-        // Partial Fisher–Yates over an index vector; O(n) setup is fine at
-        // our scales (n ≤ a few thousand relations/nodes).
+        // Partial Fisher–Yates over an index vector: O(n) to fill it, then
+        // k swaps. A two-class world draws once (half its nodes, linear
+        // like the rest of its set-up, 10 000 nodes included); a Table-3
+        // dataset draws ~5 mirrors per relation and so pays n per relation.
+        // The draws fix every world's bits: a cheaper sampler is a new world.
         let mut idx: Vec<usize> = (0..n).collect();
         for i in 0..k {
             let j = i + self.index(n - i);

@@ -196,15 +196,24 @@ impl LogHistogram {
         (i < LOG_HIST_FINITE).then(|| 2f64.powi(LOG_HIST_MIN_EXP + i as i32))
     }
 
+    /// The bucket of `x`: the smallest finite bound `2^e ≥ x`, read off the
+    /// f64's exponent (plus one unless the mantissa is zero, so an exact
+    /// power of two is its own bucket's bound) in constant time.
     fn bucket_index(x: f64) -> usize {
-        let mut bound = 2f64.powi(LOG_HIST_MIN_EXP);
-        for i in 0..LOG_HIST_FINITE {
-            if x <= bound {
-                return i;
-            }
-            bound *= 2.0;
+        const MANTISSA: u64 = (1 << 52) - 1;
+        const LO: f64 = f64::from_bits(((LOG_HIST_MIN_EXP + 1023) as u64) << 52);
+        const HI: f64 = f64::from_bits(((LOG_HIST_MAX_EXP + 1023) as u64) << 52);
+        if x <= LO {
+            return 0;
         }
-        LOG_HIST_FINITE
+        if x > HI || x.is_nan() {
+            return LOG_HIST_FINITE;
+        }
+        // Positive and normal here, so the sign bit is clear.
+        let bits = x.to_bits();
+        let exp = (bits >> 52) as i32 - 1023;
+        let ceil = exp + i32::from(bits & MANTISSA != 0);
+        (ceil - LOG_HIST_MIN_EXP) as usize
     }
 
     /// Records one observation. NaN is ignored.
@@ -364,7 +373,12 @@ impl TimeSeries {
 
     /// Records observation `x` at virtual time `at`.
     pub fn record(&mut self, at: SimTime, x: f64) {
-        let idx = at.period_index(self.period) as usize;
+        self.record_in_bin(at.period_index(self.period) as usize, x);
+    }
+
+    /// Records observation `x` in bin `idx`, for a caller that already
+    /// holds the time's [`period_index`](SimTime::period_index).
+    pub fn record_in_bin(&mut self, idx: usize, x: f64) {
         if idx >= self.bins.len() {
             self.bins.resize_with(idx + 1, Welford::new);
         }
@@ -631,6 +645,54 @@ mod tests {
             }
         }
         assert!(LogHistogram::from_json(&bad).is_none());
+    }
+
+    /// The doubling scan the bit-level `bucket_index` replaced.
+    fn bucket_index_by_scan(x: f64) -> usize {
+        let mut bound = 2f64.powi(LOG_HIST_MIN_EXP);
+        for i in 0..LOG_HIST_FINITE {
+            if x <= bound {
+                return i;
+            }
+            bound *= 2.0;
+        }
+        LOG_HIST_FINITE
+    }
+
+    #[test]
+    fn bucket_index_from_bits_is_the_doubling_scan() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in -12..=22 {
+            let p = 2f64.powi(k);
+            xs.extend([p, p.next_down(), p.next_up(), -p, 1.5 * p]);
+        }
+        let mut rng = crate::DetRng::seed_from_u64(35);
+        for _ in 0..10_000 {
+            // Log-uniform over the whole layout and a little beyond.
+            xs.push(2f64.powf(rng.float_in(-14.0, 24.0)));
+            xs.push(rng.float_in(0.0, 4_000.0));
+        }
+        for x in xs {
+            assert_eq!(
+                LogHistogram::bucket_index(x),
+                bucket_index_by_scan(x),
+                "x = {x:e} ({:#018x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -74,6 +74,48 @@ impl Trace {
         Trace { events }
     }
 
+    /// Builds a trace from two arrival streams, each already sorted by
+    /// `(time, class)`, in one merging pass: the same trace as
+    /// [`from_arrivals`](Self::from_arrivals) over `first` followed by
+    /// `second` (on equal keys `first` goes first, as the stable sort puts
+    /// it), with origins drawn from `rng` in the same order.
+    ///
+    /// # Panics
+    /// Panics if a stream is out of order or `num_nodes` is zero.
+    pub fn merge_arrivals(
+        first: &[(SimTime, ClassId)],
+        second: &[(SimTime, ClassId)],
+        num_nodes: usize,
+        rng: &mut DetRng,
+    ) -> Self {
+        assert!(num_nodes > 0);
+        let key = |&(t, c): &(SimTime, ClassId)| (t, c.index());
+        let total = first.len() + second.len();
+        let mut events = Vec::with_capacity(total);
+        let (mut i, mut j) = (0, 0);
+        let mut last = (SimTime::ZERO, 0);
+        for id in 0..total as u64 {
+            let next =
+                if j == second.len() || (i < first.len() && key(&first[i]) <= key(&second[j])) {
+                    i += 1;
+                    first[i - 1]
+                } else {
+                    j += 1;
+                    second[j - 1]
+                };
+            // Every descent in a stream shows up as one in the merge.
+            assert!(key(&next) >= last, "arrival streams must be sorted");
+            last = key(&next);
+            events.push(QueryEvent {
+                id,
+                at: next.0,
+                class: next.1,
+                origin: NodeId(rng.index(num_nodes) as u32),
+            });
+        }
+        Trace { events }
+    }
+
     /// Builds from fully specified events (must be time-sorted).
     ///
     /// # Panics
@@ -214,6 +256,38 @@ mod tests {
         assert_eq!(m.events()[0].at, SimTime::from_millis(5));
         assert_eq!(m.events()[0].id, 0);
         assert_eq!(m.events()[1].id, 1);
+    }
+
+    #[test]
+    fn merge_arrivals_is_the_stable_sort_of_the_concatenation() {
+        let mut draw = DetRng::seed_from_u64(35);
+        for case in 0..300 {
+            // Few distinct times, so equal times within and across the
+            // streams are common; each stream keeps one class, as the
+            // thinning emits them.
+            let mut stream = |class: u32| {
+                let mut v: Vec<(SimTime, ClassId)> = (0..draw.index(40))
+                    .map(|_| (SimTime::from_millis(draw.index(12) as u64), ClassId(class)))
+                    .collect();
+                v.sort_by_key(|&(t, _)| t);
+                v
+            };
+            let (c0, c1) = if case % 3 == 0 { (1, 0) } else { (0, 1) };
+            let (first, second) = (stream(c0), stream(c1));
+            let nodes = 1 + case % 7;
+            let mut all = first.clone();
+            all.extend_from_slice(&second);
+            let sorted = Trace::from_arrivals(all, nodes, &mut rng());
+            let merged = Trace::merge_arrivals(&first, &second, nodes, &mut rng());
+            assert_eq!(merged, sorted, "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be sorted")]
+    fn merge_arrivals_rejects_an_unsorted_stream() {
+        let at = |ms| (SimTime::from_millis(ms), ClassId(0));
+        let _ = Trace::merge_arrivals(&[at(10), at(5)], &[at(7)], 2, &mut rng());
     }
 
     #[test]

@@ -188,3 +188,84 @@ fn fairness_metric_is_populated_by_runs() {
     assert!((0.0..=1.0 + 1e-9).contains(&j));
     assert!(j > 0.5, "origins should be treated comparably: {j}");
 }
+
+/// FNV-1a over a stream of 64-bit words (little-endian bytes).
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of a benchmark workload's inputs: every `exec_times_ms` cell
+/// (`None` as `u64::MAX`, else the f64 bits), every `capable` list with
+/// its length, and every `QueryEvent`'s id, time, class and origin.
+fn setup_digest(world: &Scenario, trace: &Trace) -> (u64, u64) {
+    let cells = world
+        .exec_times_ms
+        .iter()
+        .flatten()
+        .map(|t| t.map_or(u64::MAX, f64::to_bits));
+    let lists = world
+        .capable
+        .iter()
+        .flat_map(|l| std::iter::once(l.len() as u64).chain(l.iter().map(|n| u64::from(n.0))));
+    let events = trace.iter().flat_map(|e| {
+        [
+            e.id,
+            e.at.as_micros(),
+            u64::from(e.class.0),
+            u64::from(e.origin.0),
+        ]
+    });
+    (fnv1a(cells.chain(lists)), fnv1a(events))
+}
+
+/// The set-up of the three simulator benchmark workloads (`flat1k`,
+/// `paper100_overload`, `broker10k`) at seed 11 over their `--quick`
+/// horizons: the world and trace digests pinned here were computed by the
+/// quadratic world builder and the sorting trace builder, so a faster
+/// set-up must build the same inputs to the bit.
+#[test]
+fn benchmark_workload_setups_are_pinned() {
+    use query_markets::sim::experiments::scale_world;
+    let workloads = [
+        ("flat1k", 1_000, 0.75, 20),
+        ("paper100_overload", 100, 1.5, 30),
+        ("broker10k", 10_000, 0.5, 24),
+    ];
+    let got: Vec<(&str, u64, u64, usize)> = workloads
+        .iter()
+        .map(|&(name, nodes, frac, secs)| {
+            let world = scale_world(nodes, 11);
+            let trace = two_class_trace(&world, 0.05, frac, secs);
+            let (w, t) = setup_digest(&world, &trace);
+            (name, w, t, trace.len())
+        })
+        .collect();
+    let pinned = [
+        (
+            "flat1k",
+            0x0cf8_3a23_afc6_447a,
+            0x2148_ac12_17e5_f440,
+            14_476,
+        ),
+        (
+            "paper100_overload",
+            0xd90f_ba9f_d7e5_7461,
+            0x9f60_fc40_785f_fa0c,
+            4_955,
+        ),
+        (
+            "broker10k",
+            0xa902_dc94_451e_4a6c,
+            0x0c01_0425_53ae_3e5e,
+            128_814,
+        ),
+    ];
+    assert_eq!(got, pinned, "a benchmark workload's set-up moved");
+}
