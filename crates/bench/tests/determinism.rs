@@ -425,7 +425,7 @@ fn market_state_matches_the_checked_in_golden() {
             let nodes = scenario.config.num_nodes as u32;
             // A period at a time — the same events in the same order as
             // `run` — reading the market after each boundary's events.
-            f.push_arrivals(trace.events());
+            f.push_arrivals(trace.events(), false);
             f.begin_run();
             let (mut states, mut boundary) = (Vec::new(), SimTime::ZERO);
             while f.peek_next_time().is_some() {

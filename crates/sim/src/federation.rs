@@ -67,7 +67,7 @@ const FENCE: usize = usize::MAX;
 struct Waiter {
     /// When it retries: the microsecond after a period boundary.
     due: SimTime,
-    /// Its place in `arrivals`, or [`FENCE`].
+    /// Its slot, or [`FENCE`].
     query: usize,
     /// Allocation attempts spent.
     tried: u32,
@@ -84,16 +84,33 @@ const _: () = assert!(std::mem::size_of::<Waiter>() == 24);
 enum Event {
     /// The wait list's front members due now retry, up to the next fence.
     Wake,
-    /// Query `idx` finished on `node`. `gen` is the assignment generation
-    /// at scheduling time: a crash that orphans the query bumps the
-    /// generation, turning this into a stale no-op.
-    Completion { idx: usize, node: NodeId, gen: u32 },
+    /// The query in `slot` finished on `node`. `gen` is the slot's
+    /// generation at scheduling time: a crash that orphans the query bumps
+    /// it, turning this into a stale no-op.
+    Completion { slot: usize, node: NodeId, gen: u32 },
     /// A period boundary.
     PeriodStart,
     /// Failure injection: node dies.
     Kill { node: NodeId },
     /// Failure injection: node comes back (empty queue, same hardware).
     Recover { node: NodeId },
+}
+
+/// A query in flight, from its arrival until it completes or is given up;
+/// then its slot is freed for the next arrival.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The arrival, its `id` renumbered to its place in this engine's
+    /// arrival order: the ordinal telemetry names the query by.
+    query: QueryEvent,
+    /// The node it is assigned to, while it is.
+    owner: Option<NodeId>,
+    /// Allocation attempts it had spent when it was assigned (crash
+    /// re-entry resumes from here).
+    attempts: u32,
+    /// Bumped when a crash orphans the query and when the slot is freed,
+    /// so that a completion scheduled before either is stale.
+    gen: u32,
 }
 
 /// QA-NT's state: node `n`'s seller is row `n` of `market`, whose supply
@@ -169,14 +186,19 @@ pub struct Federation<'a> {
     /// pairs hold a zero sentinel and are never read — `allocate` only
     /// looks up capable nodes).
     exec: Vec<SimDuration>,
-    /// Owned arrival buffer. Trace arrivals are pre-sorted, so they never
-    /// enter the event queue: a cursor drains them in order between
-    /// dynamic events. The flat [`Federation::run`] copies the whole
-    /// trace in at once; the sharded engine injects one period window at
-    /// a time via `push_arrivals`.
+    /// Arrivals injected and not yet arrived, one period window at a time
+    /// (`push_arrivals`). They are time-ordered, so they never enter the
+    /// event queue: a cursor takes them in order between dynamic events.
     arrivals: Vec<QueryEvent>,
     /// Cursor into `arrivals`: the next not-yet-processed arrival.
     next_arrival: usize,
+    /// Arrivals taken so far: the next arrival's ordinal.
+    arrived: u64,
+    /// The queries in flight, one slot each from arrival to completion or
+    /// unserved verdict: per-query state lives only while the query does.
+    slots: Vec<Slot>,
+    /// Freed slots, reused by the next arrivals.
+    free: Vec<usize>,
     /// The dynamic event queue (completions, period boundaries, wakes,
     /// failure injections).
     queue: EventQueue<Event>,
@@ -186,26 +208,14 @@ pub struct Federation<'a> {
     /// refused at a boundary's own microsecond, before that boundary's wake
     /// fires, already waits for the following one).
     parked: VecDeque<Waiter>,
-    /// Stepped mode only: further `push_arrivals` calls may follow, so
-    /// the period chain must stay alive across boundaries even when the
-    /// currently-injected arrivals are exhausted. Always `false` in flat
-    /// runs — there the full buffer answers the question exactly.
+    /// Further arrivals may be pushed, so the period chain must stay alive
+    /// across boundaries even when the injected arrivals are exhausted.
     more_arrivals: bool,
     state: MechState,
     rng: DetRng,
     metrics: RunMetrics,
     /// Per-class request counts of the running period (QA-NT demand caps).
     period_demand: Vec<u64>,
-    /// Which node each query ended up on (for failure bookkeeping).
-    owners: Vec<Option<NodeId>>,
-    /// Whether each query completed.
-    done: Vec<bool>,
-    /// Allocation attempts a query had spent when it was assigned (crash
-    /// re-entry resumes from here).
-    attempts: Vec<u32>,
-    /// Assignment generation per query; bumped when a crash orphans the
-    /// query so the stale completion event is ignored.
-    assign_gen: Vec<u32>,
     /// Failure injections to schedule.
     kills: Vec<(SimTime, NodeId)>,
     /// Recovery injections to schedule.
@@ -235,8 +245,8 @@ pub struct Federation<'a> {
 }
 
 impl<'a> Federation<'a> {
-    /// Builds a run. The trace is needed at build time for sizing and, for
-    /// the Markov allocator, its static per-class rates.
+    /// Builds a run. The trace is read at build time only by the Markov
+    /// allocator, for its static per-class rates.
     pub fn new(scenario: &'a Scenario, mechanism: MechanismKind, trace: &Trace) -> Federation<'a> {
         Federation::with_telemetry(scenario, mechanism, trace, Telemetry::disabled())
     }
@@ -305,17 +315,19 @@ impl<'a> Federation<'a> {
             exec,
             arrivals: Vec::new(),
             next_arrival: 0,
+            arrived: 0,
+            // Reserved on the thread that builds the run: growth stays in
+            // the malloc arena of a buffer's first block, and the sharded
+            // engine steps a shard on a fresh worker thread every window.
+            slots: Vec::with_capacity(64),
+            free: Vec::with_capacity(64),
             queue: EventQueue::new(),
-            parked: VecDeque::new(),
+            parked: VecDeque::with_capacity(64),
             more_arrivals: false,
             state,
             rng: DetRng::seed_from_u64(cfg.seed ^ mechanism_salt(mechanism)),
             metrics: RunMetrics::new(cfg.period, k),
             period_demand: vec![0; k],
-            owners: vec![None; trace.len()],
-            done: vec![false; trace.len()],
-            attempts: vec![0; trace.len()],
-            assign_gen: vec![0; trace.len()],
             kills: Vec::new(),
             recoveries: Vec::new(),
             faults: FaultPlan::none(),
@@ -374,11 +386,17 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Runs the trace to completion and returns the measurements.
+    /// Runs the trace to completion and returns the measurements: the
+    /// sharded engine's window loop at one shard, each period window of
+    /// arrivals stepped through its boundary, then whatever is left.
     pub fn run(mut self, trace: &Trace) -> RunOutcome {
-        self.push_arrivals(trace.events());
         self.begin_run();
-        while self.process_next() {}
+        let period = self.scenario.config.period;
+        for (boundary, window, last) in period_windows(trace.events(), period) {
+            self.push_arrivals(window, !last);
+            self.step_through(boundary);
+        }
+        self.step_through(SimTime::MAX);
         self.finish()
     }
 
@@ -393,14 +411,15 @@ impl<'a> Federation<'a> {
         member[n].then(|| (market.prices(n), market.supply(n), market.carry(n)))
     }
 
-    /// Appends arrivals to the run's input buffer (time-ordered within
-    /// and across calls) and grows the per-query bookkeeping to match.
-    /// The flat [`Federation::run`] injects the whole trace at once; the
-    /// sharded engine injects one period window at a time.
+    /// Appends arrivals (time-ordered within and across calls) to the
+    /// run's pending buffer, dropping those already taken: the buffer holds
+    /// one period window of not-yet-arrived queries at a time. `more` says
+    /// whether further calls follow, which keeps the period chain alive
+    /// when the buffer runs dry.
     ///
     /// # Panics
     /// Panics when the new arrivals start before already-buffered ones.
-    pub fn push_arrivals(&mut self, events: &[QueryEvent]) {
+    pub fn push_arrivals(&mut self, events: &[QueryEvent], more: bool) {
         if let (Some(last), Some(first)) = (self.arrivals.last(), events.first()) {
             assert!(
                 last.at <= first.at,
@@ -408,20 +427,9 @@ impl<'a> Federation<'a> {
             );
         }
         debug_assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+        self.arrivals.drain(..self.next_arrival);
+        self.next_arrival = 0;
         self.arrivals.extend_from_slice(events);
-        let n = self.arrivals.len();
-        self.owners.resize(n, None);
-        self.done.resize(n, false);
-        self.attempts.resize(n, 0);
-        self.assign_gen.resize(n, 0);
-    }
-
-    /// Stepped mode: marks whether further [`Federation::push_arrivals`]
-    /// calls may follow. While set, the period chain stays alive across
-    /// boundaries even when the currently-injected arrivals are
-    /// exhausted — exactly the condition the flat run reads off its full
-    /// arrival buffer.
-    pub(crate) fn set_more_arrivals(&mut self, more: bool) {
         self.more_arrivals = more;
     }
 
@@ -467,28 +475,17 @@ impl<'a> Federation<'a> {
     /// head, whichever the run loop would take next.
     pub fn peek_next_time(&self) -> Option<SimTime> {
         let arrival = self.arrivals.get(self.next_arrival).map(|e| e.at);
-        match (arrival, self.queue.peek_time()) {
-            (Some(a), Some(q)) => Some(a.min(q)),
-            (a, q) => a.or(q),
-        }
+        arrival.into_iter().chain(self.queue.peek_time()).min()
     }
 
-    /// Processes every pending event with `time <= until`, in exactly the
-    /// order the flat run processes them (the arrival cursor wins ties,
-    /// then queue key order). The caller must have injected all arrivals
-    /// belonging to the window first; `until` is normally a period
-    /// boundary, so the `PeriodStart` at exactly `until` is processed
-    /// before returning.
+    /// Processes every pending event with `time <= until`, in time order
+    /// (the arrival cursor wins ties, then queue key order). The caller
+    /// must have injected all arrivals belonging to the window first;
+    /// `until` is normally a period boundary, so the `PeriodStart` at
+    /// exactly `until` is processed before returning. `SimTime::MAX`
+    /// processes everything that is left.
     pub fn step_through(&mut self, until: SimTime) {
-        while self.peek_next_time().is_some_and(|t| t <= until) {
-            self.process_next();
-        }
-    }
-
-    /// Processes everything that is left (stepped mode epilogue: retries
-    /// and completions past the last injected window).
-    pub(crate) fn drain(&mut self) {
-        while self.process_next() {}
+        while self.process_next(until) {}
     }
 
     /// Ends the run and returns the measurements.
@@ -502,29 +499,29 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Processes the single next event — the arrival cursor head or the
-    /// queue head; an arrival precedes any same-time dynamic event.
-    /// Returns `false` when nothing is pending.
-    fn process_next(&mut self) -> bool {
+    /// Processes the single next event due by `until` — the arrival
+    /// cursor head or the queue head; an arrival precedes any same-time
+    /// dynamic event. Returns `false` when nothing is due.
+    fn process_next(&mut self, until: SimTime) -> bool {
         let cfg_period = self.scenario.config.period;
-        if self.next_arrival < self.arrivals.len()
-            && self
-                .queue
-                .peek_time()
-                .is_none_or(|t| self.arrivals[self.next_arrival].at <= t)
+        let queued = self.queue.peek_time().filter(|&t| t <= until);
+        if let Some(&q) = self
+            .arrivals
+            .get(self.next_arrival)
+            .filter(|q| q.at <= until && queued.is_none_or(|t| q.at <= t))
         {
-            let idx = self.next_arrival;
             self.next_arrival += 1;
-            let QueryEvent { at: now, class, .. } = self.arrivals[idx];
-            self.telemetry.set_now_us(now.as_micros());
-            if self.refuse_dry(class) || self.handle_arrival(now, idx, class, 0) {
-                self.resubmit(wake_after(now, cfg_period), idx, class, 0);
+            let slot = self.admit(q);
+            self.telemetry.set_now_us(q.at.as_micros());
+            if self.refuse_dry(q.class) || self.handle_arrival(q.at, slot, q.class, 0) {
+                self.resubmit(wake_after(q.at, cfg_period), slot, q.class, 0);
             }
             return true;
         }
-        let Some(ev) = self.queue.pop() else {
+        if queued.is_none() {
             return false;
-        };
+        }
+        let ev = self.queue.pop().expect("a due event");
         let now = ev.time;
         self.telemetry.set_now_us(now.as_micros());
         match ev.payload {
@@ -547,10 +544,16 @@ impl<'a> Federation<'a> {
                     }
                 }
             }
-            Event::Completion { idx, node, gen } => {
+            Event::Completion { slot, node, gen } => {
                 // Stale completion: the query was orphaned by a crash
-                // (generation bumped) or already finished elsewhere.
-                if self.done[idx] || gen != self.assign_gen[idx] {
+                // (generation bumped), and its slot may since have been
+                // freed and reused.
+                let Slot {
+                    query: q,
+                    gen: live,
+                    ..
+                } = self.slots[slot];
+                if gen != live {
                     return true;
                 }
                 self.nodes.complete(node.index());
@@ -559,12 +562,11 @@ impl<'a> Federation<'a> {
                         i.idled(node);
                     }
                 }
-                self.done[idx] = true;
-                let q = self.arrivals[idx];
+                self.release(slot);
                 self.metrics
                     .record_completion_from(q.class, q.origin, q.at, now);
                 self.telemetry.emit(|| TelemetryEvent::QueryCompleted {
-                    query: idx as u64,
+                    query: q.id,
                     class: q.class.0,
                     node: node.0,
                     response_ms: now.saturating_since(q.at).as_millis_f64(),
@@ -601,19 +603,19 @@ impl<'a> Federation<'a> {
                     .emit(|| TelemetryEvent::NodeCrashed { node: node.0 });
                 // §2.2 semantics for crash victims: whatever the dead
                 // node owned re-enters the next period's demand vector
-                // as a fresh arrival, rather than silently vanishing.
-                let orphans: Vec<usize> = self
-                    .owners
-                    .iter()
-                    .enumerate()
-                    .filter(|(q, owner)| **owner == Some(node) && !self.done[*q])
-                    .map(|(q, _)| q)
+                // as a fresh arrival, rather than silently vanishing, in
+                // the order the queries arrived.
+                let mut orphans: Vec<(u64, usize)> = (self.slots.iter().enumerate())
+                    .filter(|(_, q)| q.owner == Some(node))
+                    .map(|(slot, q)| (q.query.id, slot))
                     .collect();
+                orphans.sort_unstable();
                 let next = wake_after(now, cfg_period);
-                for q in orphans {
-                    self.assign_gen[q] = self.assign_gen[q].wrapping_add(1);
-                    self.owners[q] = None;
-                    self.resubmit(next, q, self.arrivals[q].class, self.attempts[q]);
+                for (_, slot) in orphans {
+                    let q = &mut self.slots[slot];
+                    (q.gen, q.owner) = (q.gen.wrapping_add(1), None);
+                    let (class, attempts) = (q.query.class, q.attempts);
+                    self.resubmit(next, slot, class, attempts);
                 }
             }
             Event::Recover { node } => {
@@ -684,28 +686,52 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Query `idx` of `class` asks for allocation at `now`, `tried`
-    /// attempts behind it: one allocation attempt, then completion
+    /// Takes a slot for an arriving query, numbered with the next ordinal.
+    fn admit(&mut self, mut query: QueryEvent) -> usize {
+        (query.id, self.arrived) = (self.arrived, self.arrived + 1);
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(Slot {
+                query,
+                owner: None,
+                attempts: 0,
+                gen: 0,
+            });
+        }
+        self.slots[slot].query = query;
+        slot
+    }
+
+    /// Frees the slot of a query that completed or was given up.
+    fn release(&mut self, slot: usize) {
+        let q = &mut self.slots[slot];
+        (q.gen, q.owner) = (q.gen.wrapping_add(1), None);
+        self.free.push(slot);
+    }
+
+    /// The query in `slot`, of `class`, asks for allocation at `now`,
+    /// `tried` attempts behind it: one allocation attempt, then completion
     /// scheduling or an unserved verdict — or every server refused, which
     /// returns `true` for the caller to [`Federation::resubmit`].
-    fn handle_arrival(&mut self, now: SimTime, idx: usize, class: ClassId, tried: u32) -> bool {
-        match self.allocate(now, class, idx) {
+    fn handle_arrival(&mut self, now: SimTime, slot: usize, class: ClassId, tried: u32) -> bool {
+        match self.allocate(now, class, slot) {
             Allocation::Assigned {
                 node,
                 finish,
                 delay,
             } => {
-                self.attempts[idx] = tried;
+                let q = &mut self.slots[slot];
+                (q.owner, q.attempts) = (Some(node), tried);
+                let (ordinal, gen) = (q.query.id, q.gen);
                 self.metrics.assign_latency.add(delay.as_millis_f64());
                 self.telemetry.emit(|| TelemetryEvent::QueryAssigned {
-                    query: idx as u64,
+                    query: ordinal,
                     class: class.0,
                     node: node.0,
                     retries: tried,
                 });
-                let gen = self.assign_gen[idx];
                 self.queue
-                    .schedule(finish, Event::Completion { idx, node, gen });
+                    .schedule(finish, Event::Completion { slot, node, gen });
                 // Same-microsecond order is park and schedule order, as
                 // when each retry was a queue event of its own: queries
                 // parked for `finish` from here on retry after this
@@ -723,18 +749,18 @@ impl<'a> Federation<'a> {
             }
             Allocation::NoOffers => true,
             Allocation::Impossible => {
-                self.give_up(idx, class, tried);
+                self.give_up(slot, class, tried);
                 false
             }
         }
     }
 
-    /// Query `idx` holds no assignment after `tried` attempts: it is parked
-    /// until `next`, just past the next period boundary (§2.2), or counts
-    /// as unserved when its retry budget is spent.
-    fn resubmit(&mut self, next: SimTime, idx: usize, class: ClassId, tried: u32) {
+    /// The query in `slot` holds no assignment after `tried` attempts: it
+    /// is parked until `next`, just past the next period boundary (§2.2),
+    /// or counts as unserved when its retry budget is spent.
+    fn resubmit(&mut self, next: SimTime, slot: usize, class: ClassId, tried: u32) {
         if tried >= MAX_RETRIES {
-            return self.give_up(idx, class, tried);
+            return self.give_up(slot, class, tried);
         }
         self.metrics.retries += 1;
         if self.parked.back().is_none_or(|w| w.due != next) {
@@ -742,17 +768,19 @@ impl<'a> Federation<'a> {
         }
         self.parked.push_back(Waiter {
             due: next,
-            query: idx,
+            query: slot,
             tried: tried + 1,
             class,
         });
     }
 
-    /// Query `idx` can run nowhere, or has spent its retry budget.
-    fn give_up(&mut self, idx: usize, class: ClassId, tried: u32) {
+    /// The query in `slot` can run nowhere, or has spent its retry budget.
+    fn give_up(&mut self, slot: usize, class: ClassId, tried: u32) {
+        let ordinal = self.slots[slot].query.id;
+        self.release(slot);
         self.metrics.unserved += 1;
         self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
-            query: idx as u64,
+            query: ordinal,
             class: class.0,
             retries: tried,
         });
@@ -871,8 +899,8 @@ impl<'a> Federation<'a> {
         }
     }
 
-    /// Runs the allocation protocol for one query at `now`.
-    fn allocate(&mut self, now: SimTime, class: ClassId, idx: usize) -> Allocation {
+    /// Runs the allocation protocol at `now` for the query in `slot`.
+    fn allocate(&mut self, now: SimTime, class: ClassId, slot: usize) -> Allocation {
         let _span = self.telemetry.span("federation.allocate");
         let scenario = self.scenario;
         // Fault injection: the polling mechanisms (QA-NT, Greedy,
@@ -1025,7 +1053,7 @@ impl<'a> Federation<'a> {
             }
             MechState::RoundRobin { per_client } => {
                 self.metrics.messages += 1;
-                let origin = self.arrivals[idx].origin;
+                let origin = self.slots[slot].query.origin;
                 (per_client[origin.index()].choose(capable), self.one_way)
             }
             MechState::TwoProbes => {
@@ -1090,13 +1118,31 @@ impl<'a> Federation<'a> {
         if let MechState::QaNt(Sellers { index: Some(i), .. }) = &mut self.state {
             i.accepted(choice, finish);
         }
-        self.owners[idx] = Some(choice);
         Allocation::Assigned {
             node: choice,
             finish,
             delay,
         }
     }
+}
+
+/// Splits time-ordered `events` into the period windows
+/// `(boundary - period, boundary]`, each with its boundary and whether it
+/// is the last, until the events run out (a window may be empty).
+pub(crate) fn period_windows(
+    events: &[QueryEvent],
+    period: SimDuration,
+) -> impl Iterator<Item = (SimTime, &[QueryEvent], bool)> {
+    let (mut rest, mut boundary) = (events, SimTime::ZERO);
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        boundary += period;
+        let window;
+        (window, rest) = rest.split_at(rest.partition_point(|e| e.at <= boundary));
+        Some((boundary, window, rest.is_empty()))
+    })
 }
 
 /// When a query refused at `now` retries: the microsecond after the next
@@ -1362,13 +1408,13 @@ mod tests {
                 SimTime::from_secs(2),
             )],
         }));
-        f.push_arrivals(t.events());
+        f.push_arrivals(t.events(), false);
         f.begin_run();
         f.step_through(SimTime::from_millis(1_400));
         // Nothing executes: the parked queries' one wake is all that keeps
         // the period chain rolling until the link returns.
         assert_eq!((f.parked.len(), f.queue.len()), (8, 2));
-        f.drain();
+        f.step_through(SimTime::MAX);
         assert!(f.parked.is_empty() && f.queue.is_empty());
         let out = f.finish();
         assert_eq!(out.metrics.completed, 8);
@@ -1549,7 +1595,41 @@ mod index_differential {
     struct Residue {
         metrics: String,
         ln_prices: Vec<Vec<u64>>,
-        owners: Vec<Option<NodeId>>,
+        served: Served,
+    }
+
+    /// The completion log only tests keep: `(ordinal, node)` of every
+    /// query a run completed, in completion order. The engine itself
+    /// forgets a query when its slot is freed.
+    pub(super) type Served = Vec<(u64, NodeId)>;
+
+    /// [`Federation::process_next`], logging the query it completes, if
+    /// it completes one.
+    pub(super) fn step(f: &mut Federation, until: SimTime, served: &mut Served) -> bool {
+        let arrival = f.arrivals.get(f.next_arrival).map(|q| q.at);
+        if let Some(ev) = f.queue.peek() {
+            let first = ev.time <= until && arrival.is_none_or(|a| ev.time < a);
+            if let (true, Event::Completion { slot, node, gen }) = (first, ev.payload) {
+                let q = f.slots[slot];
+                served.extend((q.gen == gen).then_some((q.query.id, node)));
+            }
+        }
+        f.process_next(until)
+    }
+
+    /// [`Federation::step_through`], logging what it completes.
+    pub(super) fn step_through(f: &mut Federation, until: SimTime, served: &mut Served) {
+        while step(f, until, served) {}
+    }
+
+    /// The in-flight query `ordinal`'s node, while it is assigned one.
+    pub(super) fn owner(f: &Federation, ordinal: u64) -> Option<NodeId> {
+        let live = |&(slot, q): &(usize, &Slot)| q.query.id == ordinal && !f.free.contains(&slot);
+        f.slots
+            .iter()
+            .enumerate()
+            .find(live)
+            .and_then(|(_, q)| q.owner)
     }
 
     /// A QA-NT run over `trace`, ready to step. Telemetry off takes the
@@ -1571,7 +1651,7 @@ mod index_differential {
         if let Some(p) = participates {
             f.restrict_market_to(p);
         }
-        f.push_arrivals(trace.events());
+        f.push_arrivals(trace.events(), false);
         f.begin_run();
         let MechState::QaNt(Sellers { index, .. }) = &f.state else {
             unreachable!("a QA-NT run")
@@ -1631,11 +1711,11 @@ mod index_differential {
         (rows, heads)
     }
 
-    /// Runs what is left of `f` and one more boundary, which charges every
-    /// node the refusals of the last period (an eager run has paid them
-    /// already).
-    fn residue(mut f: Federation) -> Residue {
-        while f.process_next() {}
+    /// Runs what is left of `f`, logging on `served`, and one more
+    /// boundary, which charges every node the refusals of the last period
+    /// (an eager run has paid them already).
+    fn residue(mut f: Federation, mut served: Served) -> Residue {
+        step_through(&mut f, SimTime::MAX, &mut served);
         f.roll_market_period(SimTime::from_secs(1 << 20));
         let MechState::QaNt(Sellers { market, member, .. }) = &f.state else {
             unreachable!("a QA-NT run")
@@ -1652,7 +1732,7 @@ mod index_differential {
         Residue {
             metrics: format!("{:?}", f.metrics),
             ln_prices,
-            owners: f.owners,
+            served,
         }
     }
 
@@ -1669,10 +1749,12 @@ mod index_differential {
     ) -> bool {
         let mut fast = start(s, trace, false, participates);
         let mut eager = start(s, trace, true, participates);
+        let (mut fast_served, mut eager_served) = (Served::new(), Served::new());
         let mut boundary = SimTime::ZERO + s.config.period;
         let mut owed = false;
         while fast.peek_next_time().is_some() {
-            fast.step_through(SimTime::from_micros(boundary.as_micros() - 1));
+            let before = SimTime::from_micros(boundary.as_micros() - 1);
+            step_through(&mut fast, before, &mut fast_served);
             owed |= match &fast.state {
                 MechState::QaNt(Sellers {
                     index: Some(index), ..
@@ -1680,8 +1762,8 @@ mod index_differential {
                     .any(|c| index.offerers(ClassId(c as u32)) == 0 && fast.period_demand[c] > 0),
                 _ => fast.metrics.retries > 0,
             };
-            fast.step_through(boundary);
-            eager.step_through(boundary);
+            step_through(&mut fast, boundary, &mut fast_served);
+            step_through(&mut eager, boundary, &mut eager_served);
             assert!(
                 market_state(&fast, boundary) == market_state(&eager, boundary),
                 "{what}: the markets differ after the boundary at {boundary:?}"
@@ -1689,7 +1771,10 @@ mod index_differential {
             boundary += s.config.period;
         }
         assert!(eager.peek_next_time().is_none(), "{what}: eager runs on");
-        assert!(residue(fast) == residue(eager), "{what}: residues differ");
+        assert!(
+            residue(fast, fast_served) == residue(eager, eager_served),
+            "{what}: residues differ"
+        );
         owed
     }
 
@@ -1805,8 +1890,9 @@ mod index_differential {
             assert!(periods >= 20, "K={k}: {periods} periods");
             let run_out = |traced: bool| {
                 let mut f = start(s, t, traced, None);
-                while f.process_next() {}
-                (f.wait, residue(f))
+                let mut served = Served::new();
+                step_through(&mut f, SimTime::MAX, &mut served);
+                (f.wait, residue(f, served))
             };
             let (fast, indexed) = run_out(false);
             let (slow, polled) = run_out(true);
@@ -1870,10 +1956,14 @@ mod index_differential {
         // Learn when node 0 frees up after serving a query posed at t=0.
         let first = trace_of(&[SimTime::ZERO], &mut rng);
         let mut probe = Federation::new(&s, MechanismKind::QaNt, &first);
-        probe.push_arrivals(first.events());
+        probe.push_arrivals(first.events(), false);
         probe.begin_run();
-        probe.process_next();
-        assert_eq!(probe.owners[0], Some(NodeId(0)), "idle tie falls to node 0");
+        probe.process_next(SimTime::MAX);
+        assert_eq!(
+            owner(&probe, 0),
+            Some(NodeId(0)),
+            "idle tie falls to node 0"
+        );
         let free_at = probe.nodes.backlog_until_slice()[0];
 
         // Query 1 lands exactly at `free_at`, ahead of query 0's
@@ -1881,12 +1971,11 @@ mod index_differential {
         // left, node 1 as idle, the estimates tie and node 0 wins. Query
         // 2, at the same instant, then sees node 0 truly busy.
         let t = trace_of(&[SimTime::ZERO, free_at, free_at], &mut rng);
-        let indexed = residue(start(&s, &t, false, None));
-        assert_eq!(
-            indexed.owners,
-            [Some(NodeId(0)), Some(NodeId(0)), Some(NodeId(1))]
-        );
-        assert!(indexed == residue(start(&s, &t, true, None)));
+        let indexed = residue(start(&s, &t, false, None), Served::new());
+        let mut served = indexed.served.clone();
+        served.sort_unstable();
+        assert_eq!(served, [(0, NodeId(0)), (1, NodeId(0)), (2, NodeId(1))]);
+        assert!(indexed == residue(start(&s, &t, true, None), Served::new()));
     }
 
     /// The poll loop is the paper's client: every first-time arrival goes
@@ -1914,15 +2003,15 @@ mod index_differential {
             }
             let n = f.nodes.len();
             while let Some(at) = f.peek_next_time() {
-                let idx = f.next_arrival;
-                let fresh = f.arrivals.get(idx).filter(|q| q.at == at);
+                let ordinal = f.arrived;
+                let fresh = f.arrivals.get(f.next_arrival).filter(|q| q.at == at);
                 let expected = fresh.map(|q| {
                     let c = q.class.index();
                     let offers: Vec<Offer> = s.capable[c]
                         .iter()
                         .filter(|m| f.nodes.alive(m.index()) && has_supply(&f, **m, c))
                         .map(|&m| Offer {
-                            query_id: idx as u64,
+                            query_id: ordinal,
                             server: m,
                             estimated_completion: f.nodes.estimated_completion(
                                 m.index(),
@@ -1939,9 +2028,9 @@ mod index_differential {
                     refusals += usize::from(best.is_none());
                     best.map(|o| o.server)
                 });
-                f.process_next();
+                f.process_next(SimTime::MAX);
                 if let Some(expected) = expected {
-                    assert_eq!(f.owners[idx], expected, "query {idx} at {at:?}");
+                    assert_eq!(owner(&f, ordinal), expected, "query {ordinal} at {at:?}");
                 }
             }
         }
@@ -1952,7 +2041,7 @@ mod index_differential {
 /// The wait list that holds refused queries between period boundaries.
 #[cfg(test)]
 mod wait_list {
-    use super::index_differential::{alike_nodes, identical_nodes};
+    use super::index_differential::{alike_nodes, identical_nodes, owner, step, Served};
     use super::*;
     use crate::config::SimConfig;
     use crate::scenario::TwoClassParams;
@@ -1967,11 +2056,12 @@ mod wait_list {
     fn stepped<'a>(s: &'a Scenario, m: MechanismKind, t: &Trace) -> Federation<'a> {
         assert_eq!(s.config.period.as_micros(), PERIOD_US);
         let mut f = Federation::new(s, m, t);
-        f.push_arrivals(t.events());
+        f.push_arrivals(t.events(), false);
         f
     }
 
-    /// A class-0 wait-list entry.
+    /// A class-0 wait-list entry, naming its query by ordinal (as
+    /// [`list`] does).
     fn waiter(due: SimTime, query: usize, tried: u32) -> Waiter {
         Waiter {
             due,
@@ -2001,7 +2091,7 @@ mod wait_list {
     /// Runs the arrival cursor dry, with whatever events fall in between.
     fn pose_all(f: &mut Federation) {
         while f.next_arrival < f.arrivals.len() {
-            f.process_next();
+            f.process_next(SimTime::MAX);
         }
     }
 
@@ -2010,8 +2100,30 @@ mod wait_list {
         f.market_row(NodeId(0)).expect("a market node").1[0] as usize
     }
 
+    /// The wait list, each member named by its query's ordinal rather
+    /// than its slot.
     fn list(f: &Federation) -> Vec<Waiter> {
-        f.parked.iter().copied().collect()
+        let ordinal = |w: &Waiter| match w.query {
+            FENCE => FENCE,
+            slot => f.slots[slot].query.id as usize,
+        };
+        f.parked
+            .iter()
+            .map(|w| Waiter {
+                query: ordinal(w),
+                ..*w
+            })
+            .collect()
+    }
+
+    /// The attempts the in-flight query `ordinal` had spent when it was
+    /// assigned, while it is.
+    fn assigned_after(f: &Federation, ordinal: u64) -> Option<u32> {
+        owner(f, ordinal)?;
+        f.slots
+            .iter()
+            .find(|q| q.query.id == ordinal)
+            .map(|q| q.attempts)
     }
 
     /// `members` after one more refusal each.
@@ -2027,8 +2139,8 @@ mod wait_list {
     /// Pending `Wake`s: what the queue holds besides the completions of
     /// running queries and the next period boundary.
     fn pending_wakes(f: &Federation) -> usize {
-        let running = f.owners.iter().zip(&f.done);
-        f.queue.len() - running.filter(|(o, done)| o.is_some() && !**done).count() - 1
+        let running = f.slots.iter().filter(|q| q.owner.is_some()).count();
+        f.queue.len() - running - 1
     }
 
     fn wait_work(wakes: u64, runs: u64, turned: usize, attempted: usize) -> WaitWork {
@@ -2049,7 +2161,7 @@ mod wait_list {
         // take the whole of the new period's supply.
         let fresh = vec![(WAKE, ClassId(0)); supply(&f)];
         let mut rng = DetRng::seed_from_u64(4).derive("fresh");
-        f.push_arrivals(Trace::from_arrivals(fresh, 1, &mut rng).events());
+        f.push_arrivals(Trace::from_arrivals(fresh, 1, &mut rng).events(), false);
         pose_all(&mut f);
         assert_eq!(supply(&f), 0);
         let before = list(&f);
@@ -2057,7 +2169,7 @@ mod wait_list {
         assert_eq!(pending_wakes(&f), 1);
 
         f.step_through(WAKE);
-        assert_eq!(f.parked, turned(&before, SECOND));
+        assert_eq!(list(&f), turned(&before, SECOND));
         assert_eq!(f.wait, wait_work(1, 1, before.len(), 0));
         assert_eq!(pending_wakes(&f), 1);
     }
@@ -2076,11 +2188,14 @@ mod wait_list {
         let (messages, retries) = (f.metrics.messages, f.metrics.retries);
 
         f.step_through(WAKE);
-        assert_eq!(f.parked, turned(&before[served..], SECOND));
+        assert_eq!(list(&f), turned(&before[served..], SECOND));
         let refused = before.len() - served;
         assert_eq!(f.wait, wait_work(1, 2, refused, served + 1));
         assert_eq!(f.metrics.retries - retries, refused as u64);
-        assert_eq!((f.metrics.unserved, f.owners[spent.query]), (1, None));
+        assert_eq!(
+            (f.metrics.unserved, owner(&f, spent.query as u64)),
+            (1, None)
+        );
         // Every member asked once, whichever way it went: an offer and the
         // accept on top of the request for a served one.
         assert_eq!(f.period_demand, [before.len() as u64 + 1]);
@@ -2104,7 +2219,7 @@ mod wait_list {
 
         f.step_through(WAKE);
         let after = [vec![early], turned(&before[served..], SECOND)].concat();
-        assert_eq!(f.parked, after);
+        assert_eq!(list(&f), after);
         assert_eq!(f.wait, wait_work(1, 1, before.len() - served, served));
         // The run found its wake scheduled: `early` is at the back.
         assert_eq!(pending_wakes(&f), 1);
@@ -2138,17 +2253,18 @@ mod wait_list {
             [parted, waiter(WAKE, 21, 1), waiter(WAKE, 22, 1)]
         );
 
-        f.process_next();
+        let mut log = Served::new();
+        step(&mut f, SimTime::MAX, &mut log);
         let ahead = turned(&before[served..fence], SECOND);
         let after = [before[fence + 1..].to_vec(), ahead.clone()].concat();
-        assert_eq!(f.parked, after);
+        assert_eq!(list(&f), after);
         assert_eq!(f.wait, wait_work(1, 1, fence - served, served));
-        assert_eq!((pending_wakes(&f), f.done[20]), (2, false));
-        f.process_next();
-        assert!(f.done[20]);
-        f.process_next();
+        assert_eq!((pending_wakes(&f), log.len()), (2, 0));
+        step(&mut f, SimTime::MAX, &mut log);
+        assert_eq!(log, [(20, NodeId(1))]);
+        f.process_next(SimTime::MAX);
         let after = [ahead, turned(&before[fence + 1..], SECOND)].concat();
-        assert_eq!(f.parked, after);
+        assert_eq!(list(&f), after);
         assert_eq!(f.wait, wait_work(2, 2, fence - served + 2, served));
         assert_eq!(pending_wakes(&f), 1);
     }
@@ -2171,20 +2287,20 @@ mod wait_list {
         let first = SimTime::from_micros(PERIOD_US + 1);
         let second = SimTime::from_micros(2 * PERIOD_US + 1);
         // Two wake times on the list at once, in order.
-        assert_eq!(f.parked.back(), Some(&waiter(second, 200, 1)));
+        assert_eq!(list(&f).last(), Some(&waiter(second, 200, 1)));
         let before = f.parked.len() - 1;
         assert!(before > 0, "the burst fits the period's supply");
         assert!(f.parked.iter().take(before).all(|w| w.due == first));
-        let early = f.parked[0].query;
+        let early = list(&f)[0].query as u64;
 
         f.step_through(first);
         // Parked before the boundary: served at its first retry.
-        assert_eq!(f.owners[early].map(|_| f.attempts[early]), Some(1));
+        assert_eq!(assigned_after(&f, early), Some(1));
         // Parked on it: not due yet.
-        assert_eq!(f.parked.front(), Some(&waiter(second, 200, 1)));
+        assert_eq!(list(&f).first(), Some(&waiter(second, 200, 1)));
         f.step_through(second);
-        assert_eq!(f.owners[200].map(|_| f.attempts[200]), Some(1));
-        f.drain();
+        assert_eq!(assigned_after(&f, 200), Some(1));
+        f.step_through(SimTime::MAX);
         let out = f.finish();
         assert_eq!(out.metrics.completed, 201);
         // What the same trace counted when every retry was a queue event.
@@ -2224,24 +2340,24 @@ mod wait_list {
         );
         f.begin_run();
         pose_all(&mut f);
-        assert_eq!(f.owners, [None, Some(NodeId(1)), None]);
+        let owners = |f: &Federation| [0, 1, 2].map(|q| owner(f, q));
+        assert_eq!(owners(&f), [None, Some(NodeId(1)), None]);
         assert_eq!(
-            f.parked,
+            list(&f),
             [
                 waiter(wake, 0, 1),
                 waiter(wake, FENCE, 0),
                 waiter(wake, 2, 1)
             ]
         );
-        f.drain();
+        let mut served = Served::new();
+        super::index_differential::step_through(&mut f, SimTime::MAX, &mut served);
         // Query 0 retries first and takes the one node never charged, 3.
         // Then node 1 reports its completion and is the least loaded when
         // query 2 retries; retried ahead of the report, query 2 would have
         // gone to node 0.
-        assert_eq!(
-            f.owners,
-            [Some(NodeId(3)), Some(NodeId(1)), Some(NodeId(1))]
-        );
+        served.sort_unstable();
+        assert_eq!(served, [(0, NodeId(3)), (1, NodeId(1)), (2, NodeId(1))]);
         let out = f.finish();
         let m = &out.metrics;
         assert_eq!(
@@ -2263,18 +2379,18 @@ mod wait_list {
         let t = Trace::from_arrivals(vec![(SimTime::from_secs(9), ClassId(0))], 2, &mut rng);
         let (telemetry, records) = Telemetry::buffered();
         let mut f = Federation::with_telemetry(&s, MechanismKind::Greedy, &t, telemetry);
-        f.push_arrivals(t.events());
+        let slot = f.admit(t.events()[0]);
         let now = SimTime::from_millis(10);
         let wake = wake_after(now, s.config.period);
         assert_eq!(wake, SimTime::from_micros(PERIOD_US + 1));
-        f.resubmit(wake, 0, ClassId(0), MAX_RETRIES - 1);
-        assert_eq!(f.parked, [waiter(wake, 0, MAX_RETRIES)]);
+        f.resubmit(wake, slot, ClassId(0), MAX_RETRIES - 1);
+        assert_eq!(list(&f), [waiter(wake, 0, MAX_RETRIES)]);
         assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 0));
         assert!(records.is_empty());
 
         f.parked.clear();
-        f.resubmit(wake, 0, ClassId(0), MAX_RETRIES);
-        assert!(f.parked.is_empty());
+        f.resubmit(wake, slot, ClassId(0), MAX_RETRIES);
+        assert!(f.parked.is_empty() && f.free == [slot]);
         assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 1));
         let events: Vec<_> = records.records().into_iter().map(|r| r.event).collect();
         assert!(matches!(

@@ -33,7 +33,7 @@
 
 use crate::broker::BrokerTier;
 use crate::config::BrokerConfig;
-use crate::federation::{Federation, RunOutcome};
+use crate::federation::{period_windows, Federation, RunOutcome};
 use crate::scenario::Scenario;
 use qa_core::MechanismKind;
 use qa_simnet::telemetry::Telemetry;
@@ -238,11 +238,7 @@ impl ShardPlan {
         let mut feds: Vec<Federation> = self
             .shards
             .iter()
-            .map(|sh| {
-                let mut f = Federation::new(&sh.scenario, MechanismKind::QaNt, &empty);
-                f.set_more_arrivals(true);
-                f
-            })
+            .map(|sh| Federation::new(&sh.scenario, MechanismKind::QaNt, &empty))
             .collect();
         // Fault schedules arrive in parent node ids; each lands on its
         // owning shard's federation (before `begin_run` arms the timers).
@@ -293,20 +289,11 @@ impl ShardPlan {
         );
         weights.iter_mut().for_each(|w| into_shares(w));
 
-        let events = trace.events();
         let period = self.shards[0].scenario.config.period;
-        let mut cursor = 0usize;
-        let mut boundary = SimTime::ZERO + period;
-        let mut periods = 0usize;
-        let mut cross_messages = 0u64;
         let mut signal_history = Vec::new();
         let mut buffers: Vec<Vec<QueryEvent>> = vec![Vec::new(); s_count];
-        while cursor < events.len() {
-            // The window `(previous boundary, boundary]`: arrivals at
-            // exactly the boundary precede the `PeriodStart` there, same
-            // as the flat engine's arrival-cursor tie rule.
-            let end = cursor + events[cursor..].partition_point(|e| e.at <= boundary);
-            for e in &events[cursor..end] {
+        for (boundary, window, last) in period_windows(trace.events(), period) {
+            for e in window {
                 let kc = e.class.index();
                 window_demand[kc] += 1;
                 let homes = &self.home_shards[kc];
@@ -331,14 +318,9 @@ impl ShardPlan {
                 };
                 buffers[s].push(QueryEvent { origin, ..*e });
             }
-            cursor = end;
-            let last_window = cursor == events.len();
-            for (s, fed) in feds.iter_mut().enumerate() {
-                fed.push_arrivals(&buffers[s]);
-                buffers[s].clear();
-                if last_window {
-                    fed.set_more_arrivals(false);
-                }
+            for (fed, buffer) in feds.iter_mut().zip(&mut buffers) {
+                fed.push_arrivals(buffer, !last);
+                buffer.clear();
             }
             // Each worker also writes its shards' boundary reports: the
             // K·N `ln`s stay off the serial path between two windows.
@@ -366,15 +348,12 @@ impl ShardPlan {
             );
             weights.iter_mut().for_each(|w| into_shares(w));
             window_demand.iter_mut().for_each(|d| *d = 0);
-            cross_messages += 2 * s_count as u64;
-            periods += 1;
-            boundary += period;
         }
         // Epilogue: retries and completions past the last injected
         // window; each shard's own period chain winds down naturally.
         par_for_each_chunk_mut(options.budget, &mut feds, |_, chunk| {
             for fed in chunk {
-                fed.drain();
+                fed.step_through(SimTime::MAX);
             }
         });
 
@@ -389,8 +368,8 @@ impl ShardPlan {
         ShardedOutcome {
             outcome: merged,
             num_shards: s_count,
-            periods,
-            cross_messages,
+            periods: signal_history.len(),
+            cross_messages: 2 * (s_count * signal_history.len()) as u64,
             signal_history,
             escalated_units: tier.total_escalated,
             parent_rounds: tier.total_rounds,

@@ -3,13 +3,18 @@
 //! whatever the shard layout, broker mechanism, thread budget or fault
 //! schedule, every arrival of the trace is completed or unserved exactly
 //! once — queries neither vanish into nor multiply out of the tier
-//! boundary (routing, parent clearing, escalation, crash re-entry).
+//! boundary (routing, parent clearing, escalation, crash re-entry). A
+//! flat and a sharded run under crashes are also pinned to the bit.
 
+use qa_core::MechanismKind;
 use qa_sim::config::BrokerConfig;
-use qa_sim::experiments::{scale_trace, scale_world};
+use qa_sim::experiments::{scale_trace, scale_world, two_class_trace};
+use qa_sim::federation::Federation;
 use qa_sim::sharded::{ShardPlan, ShardRunOptions};
-use qa_simnet::{DetRng, SimTime};
+use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
+use qa_simnet::{DetRng, FaultPlan, LinkFaults, SimDuration, SimTime};
 use qa_workload::NodeId;
+use std::collections::BTreeMap;
 
 const CASES: usize = 24;
 
@@ -142,4 +147,112 @@ fn crash_reentry_conserves_under_both_mechanisms() {
             "federation must keep serving through the crash"
         );
     }
+}
+
+/// FNV-1a, 64-bit: the pins below are digests of what a run leaves.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A node and when something happens to it.
+type Schedule = Vec<(NodeId, SimTime)>;
+
+/// Kills and recoveries over `nodes` nodes: a third of them die once in
+/// the first half, and every other victim comes back later. Queues are long
+/// at the crest, so each crash orphans a batch of queries.
+fn crash_schedule(nodes: usize, secs: u64) -> (Schedule, Schedule) {
+    let mut rng = DetRng::seed_from_u64(0xC4A5);
+    let (mut kills, mut recoveries) = (Vec::new(), Vec::new());
+    for n in (0..nodes as u32).step_by(3) {
+        let down = SimTime::from_millis(rng.int_in(500, secs * 500));
+        kills.push((NodeId(n), down));
+        if n % 2 == 0 {
+            let up = down + SimDuration::from_millis(rng.int_in(300, 3_000));
+            recoveries.push((NodeId(n), up));
+        }
+    }
+    (kills, recoveries)
+}
+
+/// Orphan re-entry order, stale completions and retries on a lossy link,
+/// pinned to the bit. The flat digest covers the outcome's `Debug` (every
+/// float round-trip exact), the final ln-price of every price that moved
+/// and who completed each query, in completion order. The 4-shard broker
+/// run has no link faults to take and no per-query telemetry; its digest
+/// covers the merged outcome and the brokers' last bids and the parent's
+/// last clearing prices.
+#[test]
+fn crash_and_loss_runs_are_pinned() {
+    let scenario = scale_world(36, 41);
+    let trace = two_class_trace(&scenario, 0.05, 0.9, 12);
+    let (kills, recoveries) = crash_schedule(36, 12);
+
+    let (telemetry, buffer) = Telemetry::buffered();
+    let mut f = Federation::with_telemetry(&scenario, MechanismKind::QaNt, &trace, telemetry);
+    f.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.1)));
+    for &(node, at) in &kills {
+        f.kill_node_at(node, at);
+    }
+    for &(node, at) in &recoveries {
+        f.recover_node_at(node, at);
+    }
+    let out = f.run(&trace);
+    assert!(out.metrics.retries > 0 && out.metrics.lost_messages > 0);
+    let mut prices = BTreeMap::new();
+    let mut served = Vec::new();
+    for record in buffer.records() {
+        match record.event {
+            TelemetryEvent::PriceAdjusted {
+                node, class, new, ..
+            } => {
+                prices.insert((node, class), new.ln().to_bits());
+            }
+            TelemetryEvent::QueryCompleted { query, node, .. } => served.push((query, node)),
+            _ => {}
+        }
+    }
+    assert_eq!(served.len() as u64, out.metrics.completed);
+    let flat = format!("{out:?} {prices:?} {served:?}");
+
+    let plan = ShardPlan::build(&scenario, 4);
+    let (telemetry, buffer) = Telemetry::buffered();
+    let options = ShardRunOptions {
+        budget: 1,
+        broker: Some(BrokerConfig::qant()),
+        kills,
+        recoveries,
+        telemetry,
+    };
+    let sharded = plan.run_with_options(&trace, &options);
+    let mut bids = BTreeMap::new();
+    let mut cleared = Vec::new();
+    for record in buffer.records() {
+        match record.event {
+            TelemetryEvent::BrokerBid {
+                broker,
+                mean_ln_price,
+                ..
+            } => {
+                bids.insert(
+                    broker,
+                    mean_ln_price
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .collect::<Vec<_>>(),
+                );
+            }
+            TelemetryEvent::ParentCleared { ln_prices, .. } => {
+                cleared = ln_prices.iter().map(|p| p.to_bits()).collect();
+            }
+            _ => {}
+        }
+    }
+    let broker = format!("{:?} {bids:?} {cleared:?}", sharded.outcome);
+    // Computed by the engine that kept five arrays per trace query.
+    assert_eq!(
+        (fnv1a(flat.as_bytes()), fnv1a(broker.as_bytes())),
+        (0x328f_7547_37b5_c72b, 0x39ce_3588_8624_262f)
+    );
 }

@@ -20,8 +20,13 @@
 //! and new head slot through a per-bucket occupancy bitmap (64 empty
 //! buckets per word load), ranges that never overlap across pops, so total
 //! scan work is bounded by elapsed virtual time divided by `64 ×` the slot
-//! width. Buckets sort lazily: the common append-in-time-order case is
-//! recognised and served by a reversal instead of a comparison sort.
+//! width. A bucket is a list in key order, threaded through one pool of
+//! event slots: an event later than its bucket's last (the common
+//! schedule-in-time-order case) appends, an earlier one is placed by a
+//! walk, kept short because the ring doubles at half the slot width
+//! whenever pending events outnumber its buckets. A popped event's slot is
+//! reused by the next one scheduled, so the queue's storage follows the
+//! pending-event count, not how many buckets the ring has ever filled.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -69,73 +74,14 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// How a bucket's backing vector is currently ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BucketOrder {
-    /// Push order happens to be ascending by key (the common case when a
-    /// slot's events are scheduled in time order). Pop-ready after an
-    /// `O(n)` reversal, no comparisons.
-    PushAscending,
-    /// Descending by key: the minimum is at the back, `Vec::pop` serves it.
-    Descending,
-    /// Out of order; the next pop sorts it descending first.
-    Dirty,
-}
+/// End of a bucket's list, and both ends of an empty bucket.
+const NIL: u32 = u32::MAX;
 
+/// A pending event and the pool slot of the next one in its bucket.
 #[derive(Debug)]
-struct Bucket<E> {
-    events: Vec<ScheduledEvent<E>>,
-    order: BucketOrder,
-}
-
-impl<E> Bucket<E> {
-    fn new() -> Self {
-        Bucket {
-            events: Vec::new(),
-            order: BucketOrder::PushAscending,
-        }
-    }
-
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        if let Some(last) = self.events.last() {
-            let keeps = match self.order {
-                BucketOrder::PushAscending => ev.key() > last.key(),
-                BucketOrder::Descending => ev.key() < last.key(),
-                BucketOrder::Dirty => false,
-            };
-            if !keeps {
-                self.order = BucketOrder::Dirty;
-            }
-        }
-        self.events.push(ev);
-    }
-
-    /// Ensures the minimum-key event sits at the back of `events`.
-    fn make_pop_ready(&mut self) {
-        match self.order {
-            BucketOrder::PushAscending => self.events.reverse(),
-            BucketOrder::Descending => {}
-            BucketOrder::Dirty => {
-                self.events
-                    .sort_unstable_by_key(|e| core::cmp::Reverse(e.key()));
-            }
-        }
-        self.order = BucketOrder::Descending;
-    }
-
-    fn pop_min(&mut self) -> Option<ScheduledEvent<E>> {
-        self.make_pop_ready();
-        let ev = self.events.pop();
-        if self.events.is_empty() {
-            self.order = BucketOrder::PushAscending;
-        }
-        ev
-    }
-
-    fn min_key(&mut self) -> Option<(u64, u64)> {
-        self.make_pop_ready();
-        self.events.last().map(|e| e.key())
-    }
+struct Node<E> {
+    ev: ScheduledEvent<E>,
+    next: u32,
 }
 
 /// Starting ring size; slots map to buckets by `slot & (len - 1)`.
@@ -154,10 +100,18 @@ const INITIAL_WIDTH_SHIFT: u32 = 9;
 /// the simulation non-causal).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<Bucket<E>>,
+    /// The pending events, one slot each. A popped event frees its slot
+    /// for the next one scheduled, so the store holds as many events as
+    /// are pending at most, whatever the ring's size.
+    pool: Vec<Option<Node<E>>>,
+    /// Freed pool slots.
+    free: Vec<u32>,
+    /// Per bucket, the first and last pool slot of its events, listed in
+    /// key order; `(NIL, NIL)` when it is empty.
+    buckets: Vec<(u32, u32)>,
     /// One bit per bucket (set iff non-empty), packed into `u64` words.
     /// Lets the head scan skip 64 empty buckets per word instead of
-    /// touching each `Bucket` — sparse queues (few events spread over a
+    /// touching each bucket — sparse queues (few events spread over a
     /// long horizon) would otherwise pay a cache miss per empty bucket.
     occupied: Vec<u64>,
     /// Bucket index mask; `buckets.len()` is always a power of two.
@@ -180,8 +134,12 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at the origin.
     pub fn new() -> Self {
+        // The pool is reserved with the ring, so that its growth stays in
+        // the malloc arena of the thread that built the queue.
         EventQueue {
-            buckets: (0..INITIAL_BUCKETS).map(|_| Bucket::new()).collect(),
+            pool: Vec::with_capacity(INITIAL_BUCKETS / 4),
+            free: Vec::with_capacity(INITIAL_BUCKETS / 4),
+            buckets: vec![(NIL, NIL); INITIAL_BUCKETS],
             occupied: vec![0; INITIAL_BUCKETS / 64],
             mask: INITIAL_BUCKETS as u64 - 1,
             width_shift: INITIAL_WIDTH_SHIFT,
@@ -242,14 +200,68 @@ impl<E> EventQueue<E> {
         if self.head.is_none_or(|h| key < h) {
             self.head = Some(key);
         }
-        let b = self.bucket_of(t_us);
-        self.buckets[b].push(ScheduledEvent {
-            time: at,
-            seq,
-            payload,
+        let node = Some(Node {
+            ev: ScheduledEvent {
+                time: at,
+                seq,
+                payload,
+            },
+            next: NIL,
         });
-        self.occupied[b / 64] |= 1 << (b % 64);
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.pool[i as usize] = node;
+                i
+            }
+            None => {
+                self.pool.push(node);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        self.link(i);
         self.len += 1;
+        // More events than buckets: halve the slot width and double the
+        // ring, which keeps the span and the buckets short, so that a walk
+        // stays short whatever order the events come in.
+        if self.len > self.buckets.len() && self.buckets.len() < MAX_BUCKETS && self.width_shift > 0
+        {
+            self.rebucket(self.buckets.len() * 2, self.width_shift - 1);
+        }
+    }
+
+    fn node(&self, i: u32) -> &Node<E> {
+        self.pool[i as usize].as_ref().expect("a pending event")
+    }
+
+    fn node_mut(&mut self, i: u32) -> &mut Node<E> {
+        self.pool[i as usize].as_mut().expect("a pending event")
+    }
+
+    /// Puts the unlinked event in pool slot `i` into its bucket, in key
+    /// order: after the last event when it is the latest (the common
+    /// case: a slot's events scheduled in time order), before the first
+    /// when it is the earliest, else where a walk from the front finds.
+    fn link(&mut self, i: u32) {
+        let key = self.node(i).ev.key();
+        let b = self.bucket_of(key.0);
+        let (first, last) = self.buckets[b];
+        if first == NIL {
+            self.buckets[b] = (i, i);
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else if key > self.node(last).ev.key() {
+            self.node_mut(last).next = i;
+            self.buckets[b].1 = i;
+        } else if key < self.node(first).ev.key() {
+            self.node_mut(i).next = first;
+            self.buckets[b].0 = i;
+        } else {
+            let mut prev = first;
+            while self.node(self.node(prev).next).ev.key() < key {
+                prev = self.node(prev).next;
+            }
+            self.node_mut(i).next = self.node(prev).next;
+            self.node_mut(prev).next = i;
+        }
     }
 
     /// Doubles the ring or the slot width and re-buckets every pending
@@ -262,31 +274,38 @@ impl<E> EventQueue<E> {
     /// times per queue lifetime.
     fn grow(&mut self) {
         let want = (4 * self.len.max(16)).next_power_of_two().min(MAX_BUCKETS);
-        let nb = if self.buckets.len() < want {
-            self.buckets.len() * 2
+        if self.buckets.len() < want {
+            self.rebucket(self.buckets.len() * 2, self.width_shift);
         } else {
-            self.width_shift += 1;
-            self.buckets.len()
-        };
-        let mut pending: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.len);
+            self.rebucket(self.buckets.len(), self.width_shift + 1);
+        }
+    }
+
+    /// Re-buckets every pending event into a ring of `nb` buckets of
+    /// `2^width_shift` µs. The new ring must span every pending event.
+    fn rebucket(&mut self, nb: usize, width_shift: u32) {
+        let mut pending: Vec<u32> = Vec::with_capacity(self.len);
         // Drain through the bitmap so the ring's empty buckets cost nothing.
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
             while bits != 0 {
                 let b = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                pending.append(&mut self.buckets[b].events);
-                self.buckets[b].order = BucketOrder::PushAscending;
+                let mut i = self.buckets[b].0;
+                while i != NIL {
+                    pending.push(i);
+                    i = std::mem::replace(&mut self.node_mut(i).next, NIL);
+                }
             }
         }
-        self.buckets.resize_with(nb, Bucket::new);
+        self.buckets.clear();
+        self.buckets.resize(nb, (NIL, NIL));
         self.occupied.clear();
         self.occupied.resize(nb / 64, 0);
         self.mask = nb as u64 - 1;
-        for ev in pending {
-            let b = self.bucket_of(ev.time.as_micros());
-            self.buckets[b].push(ev);
-            self.occupied[b / 64] |= 1 << (b % 64);
+        self.width_shift = width_shift;
+        for i in pending {
+            self.link(i);
         }
     }
 
@@ -294,9 +313,16 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let (t_us, seq) = self.head?;
         let b = self.bucket_of(t_us);
-        let ev = self.buckets[b].pop_min().expect("head bucket is non-empty");
-        if self.buckets[b].events.is_empty() {
+        let i = self.buckets[b].0;
+        let Node { ev, next } = self.pool[i as usize]
+            .take()
+            .expect("head bucket is non-empty");
+        self.free.push(i);
+        if next == NIL {
+            self.buckets[b] = (NIL, NIL);
             self.occupied[b / 64] &= !(1 << (b % 64));
+        } else {
+            self.buckets[b].0 = next;
         }
         debug_assert_eq!(ev.key(), (t_us, seq));
         self.len -= 1;
@@ -326,7 +352,7 @@ impl<E> EventQueue<E> {
         for _ in 0..=words {
             if cur != 0 {
                 let b = w * 64 + cur.trailing_zeros() as usize;
-                self.head = self.buckets[b].min_key();
+                self.head = Some(self.node(self.buckets[b].0).ev.key());
                 return;
             }
             w = (w + 1) % words;
@@ -341,23 +367,19 @@ impl<E> EventQueue<E> {
     }
 
     /// The earliest pending event without popping it: the clock does not
-    /// advance and the event stays queued. Takes `&mut` because the head
-    /// bucket is lazily sorted in place. Lets a reader merge several
+    /// advance and the event stays queued. Lets a reader merge several
     /// queues by inspecting their heads (e.g. the sharded engine's
     /// multi-queue ordering tests).
-    pub fn peek(&mut self) -> Option<&ScheduledEvent<E>> {
+    pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
         let (t_us, _) = self.head?;
-        let b = self.bucket_of(t_us);
-        self.buckets[b].make_pop_ready();
-        self.buckets[b].events.last()
+        Some(&self.node(self.buckets[self.bucket_of(t_us)].0).ev)
     }
 
     /// Drops every pending event, keeping the clock where it is.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.events.clear();
-            b.order = BucketOrder::PushAscending;
-        }
+        self.pool.clear();
+        self.free.clear();
+        self.buckets.fill((NIL, NIL));
         self.occupied.fill(0);
         self.head = None;
         self.len = 0;
@@ -423,7 +445,7 @@ mod tests {
         q.schedule(SimTime::from_millis(9), "later");
         q.schedule(SimTime::from_millis(2), "head");
         // Two distinct timestamps in one 512 µs slot, out of push order:
-        // peek must surface the lazily-sorted minimum.
+        // peek must surface the minimum.
         let head = q.peek().expect("non-empty");
         assert_eq!(head.payload, "head");
         assert_eq!(head.time, SimTime::from_millis(2));
@@ -486,13 +508,44 @@ mod tests {
     #[test]
     fn out_of_order_pushes_into_one_bucket_still_sort() {
         // Several distinct timestamps inside a single 512 µs slot,
-        // scheduled out of order: the lazy bucket sort must untangle them.
+        // scheduled out of order: linking must keep the bucket in order.
         let mut q = EventQueue::new();
         for &us in &[400u64, 100, 300, 100, 200] {
             q.schedule(SimTime::from_micros(us), us);
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![100, 100, 200, 300, 400]);
+    }
+
+    #[test]
+    fn a_popped_event_frees_its_slot_for_the_next() {
+        // Ten events pending at any time over a horizon long enough to
+        // wrap the ring many times: the store never holds more than ten.
+        let mut q = EventQueue::new();
+        for i in 0..10u64 {
+            q.schedule(SimTime::from_micros(i * 700), i);
+        }
+        for i in 10..100_000u64 {
+            let ev = q.pop().expect("ten pending");
+            assert_eq!(ev.payload, i - 10);
+            q.schedule(ev.time + SimDuration::from_micros(7_000), i);
+        }
+        assert_eq!((q.len(), q.pool.len()), (10, 10));
+    }
+
+    #[test]
+    fn a_crowded_ring_narrows_its_slots() {
+        // Scattered times over a span the first few events already set:
+        // the ring keeps at least a bucket per event, so no bucket's list
+        // grows long, and pops stay in order.
+        let mut q = EventQueue::new();
+        let n = 20_000u64;
+        for i in 0..n {
+            q.schedule(SimTime::from_micros((i * 7919) % (16 * n)), i);
+        }
+        assert!(q.buckets.len() as u64 >= n, "{} buckets", q.buckets.len());
+        let times: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|e| e.time)).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]) && times.len() as u64 == n);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Regression gate on heap allocations per query of the flat engine.
 #
 # Runs the repo benchmark's traced `flat1k` and `paper100_overload` reps at
-# a fixed seed and fails when `alloc.calls_per_query` (and, for the
-# overload, `alloc.bytes_per_query`) exceeds the ceilings below. The flat
+# a fixed seed and fails when `alloc.calls_per_query` or
+# `alloc.bytes_per_query` exceeds the ceilings below. The flat
 # engine is single-threaded and the trace is a function of the seed, so
 # the counts repeat exactly from run to run and host to host: unlike a
 # timing, host noise cannot trip them. What they catch is an allocation
@@ -15,6 +15,10 @@
 # they cost 78.
 #
 # Each ceiling is 10 % above the value measured when it was last pinned
+# — now recycled per-query slots, arrivals a window at a time and the
+# event queue's buckets in one pool of event slots: flat1k 0.06139 ->
+# 0.001627 calls, 67.83 -> 18.30 B (its bytes ceiling is new);
+# paper100_overload 0.05332 -> 0.005028 calls, 75.30 -> 60.36 B. Before:
 # (PR 17, the sellers in one column block — a run's construction stops
 # allocating nine vectors per node: flat1k 0.18638 -> 0.06133 calls;
 # paper100_overload 0.09363 -> 0.05313 calls, 77.69 -> 75.16 B. PR 16:
@@ -45,7 +49,7 @@ while read -r workload calls bytes; do
   check "$result" alloc.calls_per_query "$calls"
   [ "$bytes" = - ] || check "$result" alloc.bytes_per_query "$bytes"
 done <<ROWS
-flat1k 0.0675 -
-paper100_overload 0.0584 82.68
+flat1k 0.00179 20.13
+paper100_overload 0.00553 66.40
 ROWS
 exit $status
