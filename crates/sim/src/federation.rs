@@ -62,6 +62,13 @@ const FAULT_SALT: u64 = 0xFA17_0001;
 /// [`Event::Wake`] that reaches it stops there.
 const FENCE: usize = usize::MAX;
 
+/// How many entries the in-flight buffers (slots, free list, wait list)
+/// are reserved for when a run is built. glibc serves a buffer's growth
+/// from the malloc arena of its first block, and the sharded engine steps
+/// each shard on a fresh worker thread every window: an empty buffer would
+/// take its first block, and all its growth, in some worker's arena.
+const IN_FLIGHT_RESERVE: usize = 64;
+
 /// A query waiting out a refusal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Waiter {
@@ -316,13 +323,10 @@ impl<'a> Federation<'a> {
             arrivals: Vec::new(),
             next_arrival: 0,
             arrived: 0,
-            // Reserved on the thread that builds the run: growth stays in
-            // the malloc arena of a buffer's first block, and the sharded
-            // engine steps a shard on a fresh worker thread every window.
-            slots: Vec::with_capacity(64),
-            free: Vec::with_capacity(64),
+            slots: Vec::with_capacity(IN_FLIGHT_RESERVE),
+            free: Vec::with_capacity(IN_FLIGHT_RESERVE),
             queue: EventQueue::new(),
-            parked: VecDeque::with_capacity(64),
+            parked: VecDeque::with_capacity(IN_FLIGHT_RESERVE),
             more_arrivals: false,
             state,
             rng: DetRng::seed_from_u64(cfg.seed ^ mechanism_salt(mechanism)),
@@ -548,12 +552,7 @@ impl<'a> Federation<'a> {
                 // Stale completion: the query was orphaned by a crash
                 // (generation bumped), and its slot may since have been
                 // freed and reused.
-                let Slot {
-                    query: q,
-                    gen: live,
-                    ..
-                } = self.slots[slot];
-                if gen != live {
+                if gen != self.slots[slot].gen {
                     return true;
                 }
                 self.nodes.complete(node.index());
@@ -562,7 +561,7 @@ impl<'a> Federation<'a> {
                         i.idled(node);
                     }
                 }
-                self.release(slot);
+                let q = self.release(slot);
                 self.metrics
                     .record_completion_from(q.class, q.origin, q.at, now);
                 self.telemetry.emit(|| TelemetryEvent::QueryCompleted {
@@ -702,11 +701,13 @@ impl<'a> Federation<'a> {
         slot
     }
 
-    /// Frees the slot of a query that completed or was given up.
-    fn release(&mut self, slot: usize) {
+    /// Frees the slot of a query that completed or was given up, and
+    /// returns the query.
+    fn release(&mut self, slot: usize) -> QueryEvent {
         let q = &mut self.slots[slot];
         (q.gen, q.owner) = (q.gen.wrapping_add(1), None);
         self.free.push(slot);
+        q.query
     }
 
     /// The query in `slot`, of `class`, asks for allocation at `now`,
@@ -776,8 +777,7 @@ impl<'a> Federation<'a> {
 
     /// The query in `slot` can run nowhere, or has spent its retry budget.
     fn give_up(&mut self, slot: usize, class: ClassId, tried: u32) {
-        let ordinal = self.slots[slot].query.id;
-        self.release(slot);
+        let ordinal = self.release(slot).id;
         self.metrics.unserved += 1;
         self.telemetry.emit(|| TelemetryEvent::QueryUnserved {
             query: ordinal,

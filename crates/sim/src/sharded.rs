@@ -112,10 +112,8 @@ pub struct ShardedOutcome {
     pub outcome: RunOutcome,
     /// Shard count the run used.
     pub num_shards: usize,
-    /// Simulated period boundaries stepped by the window loop.
-    pub periods: usize,
     /// Cross-shard coordination messages: one report up and one broadcast
-    /// down per shard per boundary. Kept separate from
+    /// down per shard per boundary, `2·S·periods()`. Kept separate from
     /// `outcome.metrics.messages` (the allocation-protocol count), so the
     /// `S = 1` output stays byte-identical to the flat engine.
     pub cross_messages: u64,
@@ -130,6 +128,12 @@ pub struct ShardedOutcome {
 }
 
 impl ShardedOutcome {
+    /// Simulated period boundaries stepped by the window loop: one
+    /// convergence sample each.
+    pub fn periods(&self) -> usize {
+        self.signal_history.len()
+    }
+
     /// First period whose mean |Δ ln p| fell below `eps`, if any — the
     /// sweep's convergence yardstick.
     pub fn convergence_period(&self, eps: f64) -> Option<usize> {
@@ -368,7 +372,6 @@ impl ShardPlan {
         ShardedOutcome {
             outcome: merged,
             num_shards: s_count,
-            periods: signal_history.len(),
             cross_messages: 2 * (s_count * signal_history.len()) as u64,
             signal_history,
             escalated_units: tier.total_escalated,
@@ -517,6 +520,13 @@ mod tests {
         two_class_trace(scenario, 0.25, 0.6, seconds)
     }
 
+    /// Period windows `(b - T, b]` from the first boundary through the
+    /// one that holds the last arrival.
+    fn windows_spanned(trace: &Trace, scenario: &Scenario) -> usize {
+        let period = scenario.config.period.as_micros();
+        trace.horizon().as_micros().div_ceil(period).max(1) as usize
+    }
+
     #[test]
     fn partitioner_keeps_every_class_reachable() {
         let mut cfg = SimConfig::small_test(3);
@@ -565,7 +575,7 @@ mod tests {
             "S=1 must be byte-identical to the flat engine"
         );
         assert_eq!(sharded.num_shards, 1);
-        assert!(sharded.periods > 0);
+        assert_eq!(sharded.periods(), windows_spanned(&trace, &parent));
     }
 
     #[test]
@@ -582,7 +592,6 @@ mod tests {
                 "budget={budget}"
             );
             assert_eq!(out.signal_history, base.signal_history);
-            assert_eq!(out.periods, base.periods);
             assert_eq!(out.cross_messages, base.cross_messages);
         }
     }
@@ -596,8 +605,7 @@ mod tests {
         let m = &out.outcome.metrics;
         assert_eq!(m.completed + m.unserved, trace.len() as u64);
         assert!(m.completed > 0, "nothing completed");
-        assert_eq!(out.cross_messages, 2 * 4 * out.periods as u64);
-        assert_eq!(out.signal_history.len(), out.periods);
+        assert_eq!(out.periods(), windows_spanned(&trace, &parent));
     }
 
     fn shares_of(weights: &[f64]) -> Vec<f64> {
@@ -745,8 +753,7 @@ mod tests {
         let m = &out.outcome.metrics;
         assert_eq!(m.completed + m.unserved, trace.len() as u64);
         assert!(m.completed > 0, "nothing completed under the broker");
-        // Cross-tier traffic stays O(S): bids up, quotas/prices down.
-        assert_eq!(out.cross_messages, 2 * 4 * out.periods as u64);
+        assert_eq!(out.periods(), windows_spanned(&trace, &parent));
     }
 
     #[test]

@@ -134,11 +134,9 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at the origin.
     pub fn new() -> Self {
-        // The pool is reserved with the ring, so that its growth stays in
-        // the malloc arena of the thread that built the queue.
         EventQueue {
-            pool: Vec::with_capacity(INITIAL_BUCKETS / 4),
-            free: Vec::with_capacity(INITIAL_BUCKETS / 4),
+            pool: Vec::new(),
+            free: Vec::new(),
             buckets: vec![(NIL, NIL); INITIAL_BUCKETS],
             occupied: vec![0; INITIAL_BUCKETS / 64],
             mask: INITIAL_BUCKETS as u64 - 1,

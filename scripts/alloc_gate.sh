@@ -18,7 +18,10 @@
 # — now recycled per-query slots, arrivals a window at a time and the
 # event queue's buckets in one pool of event slots: flat1k 0.06139 ->
 # 0.001627 calls, 67.83 -> 18.30 B (its bytes ceiling is new);
-# paper100_overload 0.05332 -> 0.005028 calls, 75.30 -> 60.36 B. Before:
+# paper100_overload 0.05332 -> 0.005028 calls, 75.30 -> 60.36 B. The
+# event pool then lost its up-front reservation, which no measurement
+# supported, and the counts rose within the ceilings: flat1k 0.001738
+# calls, 18.34 B; paper100_overload 0.005390 calls, 60.51 B. Before:
 # (PR 17, the sellers in one column block — a run's construction stops
 # allocating nine vectors per node: flat1k 0.18638 -> 0.06133 calls;
 # paper100_overload 0.09363 -> 0.05313 calls, 77.69 -> 75.16 B. PR 16:

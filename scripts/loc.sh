@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 # The total at the last PR that moved it. A PR that grows the tree raises
 # this number in the same diff; one that shrinks it lowers it.
-CEILING=25010
+CEILING=25036
 
 # Lines of the given files ahead of each file's first `#[cfg(test)]`.
 count() {
