@@ -14,10 +14,11 @@
 //! process exited cleanly. Requires the workspace bins to be built
 //! (`cargo build --release`) or `QAD_BIN` pointing at a `qad` binary.
 
-use qa_bench::{fmt_ms, render_table, scale, write_json, Scale, Sweep};
+use qa_bench::{fmt_ms, render_table, scale, write_json, Scale};
 use qa_cluster::ctl::Federation;
 use qa_cluster::{run_experiment, run_workload, ExperimentResult, FedConfig, Transport};
 use qa_simnet::telemetry::Telemetry;
+use qa_simnet::{par_map_indexed_with, thread_budget};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,8 +139,8 @@ fn main() {
             conditions.push((crashes, p));
         }
     }
-    let rows: Vec<Row> = Sweep::from_env()
-        .map(&conditions, |idx, &(crashes, p)| {
+    let rows: Vec<Row> =
+        par_map_indexed_with(thread_budget(), &conditions, |idx, &(crashes, p)| {
             let fed = fed_for(p, queries);
             // Channel column: the same FedConfig through the in-process
             // transport (run_experiment spawns and reaps its own fleet).

@@ -1,67 +1,36 @@
 //! # qa-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`). Each binary
-//! prints the figure's rows/series as a text table and writes a JSON copy
-//! under `bench_results/`. (Performance is measured by the repo benchmark,
+//! Every table and figure of the paper is one row of [`FIGURES`]: a name
+//! and a function from the scale and the thread budget to a [`Report`],
+//! the text to print and the files to write. `qa_fig <name>... | all`
+//! runs rows, prints their text and writes their files under
+//! `bench_results/`; the name is the JSON file's stem. The rows marked
+//! `committed` are functions of scale and seed alone: their full-scale
+//! files are committed under `figures/` and `tests/figures.rs`
+//! regenerates them. `explore`, `qa_trace`, `check_metrics` and `ext_net`
+//! are separate tools. (Performance is measured by the repo benchmark,
 //! `benchmark/run.sh`.)
 //!
-//! Scale control: every binary honours `QA_SCALE`:
+//! Scale control: `QA_SCALE` selects the scale of every figure:
 //!
 //! * `ci` (default) — small federation / short horizon, finishes in
 //!   seconds; shapes hold, absolute numbers are noisier,
 //! * `full` — the paper-scale configuration (100 nodes, full sweeps);
 //!   minutes of runtime.
+//!
+//! `QA_THREADS` sizes the worker pool that fans a figure's independent
+//! cells out (`qa_simnet::par_map_indexed_with`). Cells are pure
+//! functions of their inputs and come back in input order, so a figure's
+//! files are byte-identical at any budget.
+
+mod cluster;
+mod motivating;
+mod scale;
+mod sim;
 
 use qa_simnet::json::ToJson;
-use qa_simnet::{par_map_indexed_with, thread_budget};
+use std::fmt::Display;
 use std::path::PathBuf;
-
-/// Fans the independent cells of a sweep (parameter grid × mechanisms ×
-/// seeds) over a scoped worker pool.
-///
-/// Cells must be pure functions of their inputs — every cell derives its
-/// randomness from the scenario seed, never from shared mutable state —
-/// so fanning them out changes nothing about the numbers. Results come
-/// back in input order, which keeps the rendered tables and JSON files
-/// **byte-identical** to the serial run at any thread count.
-#[derive(Debug, Clone, Copy)]
-pub struct Sweep {
-    threads: usize,
-}
-
-impl Sweep {
-    /// Budget from the `QA_THREADS` env var; default all available cores.
-    /// `QA_THREADS=1` reproduces the exact pre-parallel behaviour (cells
-    /// run inline on the caller thread, no workers spawned).
-    pub fn from_env() -> Sweep {
-        Sweep {
-            threads: thread_budget(),
-        }
-    }
-
-    /// A sweep pinned to an explicit thread budget (determinism tests
-    /// compare budgets without touching the process environment).
-    pub fn with_threads(threads: usize) -> Sweep {
-        assert!(threads >= 1, "thread budget must be at least 1");
-        Sweep { threads }
-    }
-
-    /// The configured worker budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Maps `f(index, cell)` over `cells`, returning results in input
-    /// order regardless of which worker ran which cell.
-    pub fn map<T, R, F>(&self, cells: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        par_map_indexed_with(self.threads, cells, f)
-    }
-}
 
 /// Experiment scale selected via the `QA_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +49,114 @@ pub fn scale() -> Scale {
     }
 }
 
-/// Writes a JSON result file under `bench_results/` (created on demand)
-/// and returns its path.
-pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+/// What one figure produced: the text it prints and the files it writes.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// The tables and remarks, as printed.
+    pub text: String,
+    /// `(file name, contents)` pairs, written under `bench_results/`.
+    pub files: Vec<(String, String)>,
+}
+
+impl Report {
+    /// A report whose text opens with `title` and a blank line.
+    pub fn titled(title: impl Display) -> Report {
+        let text = format!("{title}\n\n");
+        Report {
+            text,
+            files: Vec::new(),
+        }
+    }
+
+    /// Appends `line` and a newline.
+    pub fn line(&mut self, line: impl Display) {
+        self.text.push_str(&format!("{line}\n"));
+    }
+
+    /// Appends [`render_table`] of `rows` under `headers` (separated by
+    /// `|`), then a blank line.
+    pub fn table(&mut self, headers: &str, rows: &[Vec<String>]) {
+        let headers: Vec<&str> = headers.split('|').collect();
+        self.line(render_table(&headers, rows));
+    }
+
+    /// Adds `<name>.json` holding `value`, rendered as every result file
+    /// is.
+    pub fn json<T: ToJson + ?Sized>(&mut self, name: &str, value: &T) {
+        let contents = value.to_json().pretty();
+        self.files.push((format!("{name}.json"), contents));
+    }
+}
+
+/// One table or figure: its name (the stem of its JSON file) and how to
+/// produce it at a scale and a thread budget.
+pub struct Figure {
+    /// The name `qa_fig` takes.
+    pub name: &'static str,
+    /// The files are functions of scale and seed alone (no wall clock):
+    /// committed under `figures/` at full scale.
+    pub committed: bool,
+    /// Computes the figure.
+    pub run: fn(Scale, usize) -> Report,
+}
+
+const fn committed(name: &'static str, run: fn(Scale, usize) -> Report) -> Figure {
+    Figure {
+        name,
+        committed: true,
+        run,
+    }
+}
+
+const fn uncommitted(name: &'static str, run: fn(Scale, usize) -> Report) -> Figure {
+    Figure {
+        name,
+        committed: false,
+        run,
+    }
+}
+
+/// Every figure, in the order `qa_fig all` runs them. Fig. 7,
+/// `ext_resilience` and `fig_scale` read the wall clock, so their files
+/// are not committed; `fig_scale_trace` is byte-deterministic, but a
+/// telemetry trace rather than a figure, which `scripts/scale_smoke.sh`
+/// holds across thread budgets.
+pub const FIGURES: &[Figure] = &[
+    committed("fig1_motivating", motivating::fig1),
+    committed("table2_comparison", sim::table2),
+    committed("table3_parameters", sim::table3),
+    committed("fig3_sinusoid_workload", sim::fig3),
+    committed("fig4_all_algorithms", sim::fig4),
+    committed("fig5a_load_sweep", sim::fig5a),
+    committed("fig5b_frequency_sweep", sim::fig5b),
+    committed("fig5c_tracking", sim::fig5c),
+    committed("fig6_zipf_sweep", sim::fig6),
+    uncommitted("fig7_real_cluster", cluster::fig7),
+    committed("ablation_market", sim::ablation),
+    committed("ext_fairness", sim::fairness),
+    uncommitted("ext_resilience", cluster::resilience),
+    uncommitted("fig_scale", scale::fig_scale),
+    uncommitted("fig_scale_trace", scale::trace),
+];
+
+/// The row called `name`.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// Writes `contents` to `bench_results/<file>` (the directory created on
+/// demand) and returns its path.
+pub fn write_result(file: &str, contents: &str) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("bench_results");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, value.to_json().pretty())?;
+    let path = dir.join(file);
+    std::fs::write(&path, contents)?;
     Ok(path)
+}
+
+/// Writes a JSON result file under `bench_results/` and returns its path.
+pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+    write_result(&format!("{name}.json"), &value.to_json().pretty())
 }
 
 /// Renders a simple aligned text table.
@@ -159,18 +228,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_map_preserves_input_order() {
-        let cells: Vec<u32> = (0..64).collect();
-        let serial = Sweep::with_threads(1).map(&cells, |i, &c| (i, c * 2));
-        for threads in [2, 8] {
-            let par = Sweep::with_threads(threads).map(&cells, |i, &c| (i, c * 2));
-            assert_eq!(par, serial, "threads={threads}");
+    fn every_row_has_a_name_of_its_own() {
+        for f in FIGURES {
+            assert_ne!(f.name, "all", "`qa_fig all` runs every row");
+            let rows = FIGURES.iter().filter(|g| g.name == f.name).count();
+            assert_eq!(rows, 1, "{} names {rows} rows", f.name);
+            assert_eq!(figure(f.name).map(|g| g.name), Some(f.name));
         }
-    }
-
-    #[test]
-    fn sweep_from_env_has_positive_budget() {
-        assert!(Sweep::from_env().threads() >= 1);
     }
 
     #[test]

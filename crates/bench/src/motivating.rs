@@ -6,6 +6,7 @@
 //! response; the query-allocation (QA) strategy 431 ms — and LB's
 //! allocation is Pareto-dominated (Fig. 2).
 
+use crate::{Report, Scale};
 use qa_economics::{dominates, QuantityVector, Solution, ThroughputPreference};
 
 /// Exec times: `times[node][class]` in ms.
@@ -72,13 +73,14 @@ fn aggregates(assignment: &[usize]) -> (QuantityVector, QuantityVector) {
     (supply[0].clone(), agg)
 }
 
-fn main() {
+/// Figures 1 and 2 (neither depends on scale or threads).
+pub fn fig1(_: Scale, _: usize) -> Report {
     let lb = lb_assignment();
     let qa = qa_assignment();
     let lb_resp = response_times(&lb);
     let qa_resp = response_times(&qa);
 
-    println!("Figure 1 — Performance optimization vs Load Balancing\n");
+    let mut r = Report::titled("Figure 1 — Performance optimization vs Load Balancing");
     let rows = vec![
         vec![
             "LB".to_string(),
@@ -91,22 +93,21 @@ fn main() {
             format!("{:.1} ms", mean(&qa_resp)),
         ],
     ];
-    println!(
-        "{}",
-        qa_bench::render_table(&["mechanism", "response times (ms)", "average"], &rows)
-    );
-    println!(
-        "LB is {:.0}% slower than QA (paper: 54%)\n",
-        100.0 * (mean(&lb_resp) / mean(&qa_resp) - 1.0)
-    );
+    r.table("mechanism|response times (ms)|average", &rows);
+    let slower = 100.0 * (mean(&lb_resp) / mean(&qa_resp) - 1.0);
+    r.line(format!("LB is {slower:.0}% slower than QA (paper: 54%)\n"));
 
     // Figure 2: aggregate vectors + Pareto check over the first 500 ms
     // period (demand d⃗ = (2,6); LB consumes (2,1), QA consumes (1,5)).
     let (n1_lb, agg_lb) = aggregates(&lb);
     let (n1_qa, agg_qa) = aggregates(&qa);
-    println!("Figure 2 — aggregate vectors over the whole run");
-    println!("  LB: N1 supplies {n1_lb}, aggregate supply {agg_lb}");
-    println!("  QA: N1 supplies {n1_qa}, aggregate supply {agg_qa}");
+    r.line("Figure 2 — aggregate vectors over the whole run");
+    r.line(format!(
+        "  LB: N1 supplies {n1_lb}, aggregate supply {agg_lb}"
+    ));
+    r.line(format!(
+        "  QA: N1 supplies {n1_qa}, aggregate supply {agg_qa}"
+    ));
 
     // Pareto dominance in the first period, exactly as §2.2 frames it.
     let lb_solution = Solution {
@@ -130,10 +131,10 @@ fn main() {
         ],
     };
     let prefs = vec![ThroughputPreference, ThroughputPreference];
-    println!(
-        "\nFirst period (T = 500 ms): QA Pareto-dominates LB: {}",
-        dominates(&qa_solution, &lb_solution, &prefs)
-    );
+    let dominated = dominates(&qa_solution, &lb_solution, &prefs);
+    r.line(format!(
+        "\nFirst period (T = 500 ms): QA Pareto-dominates LB: {dominated}"
+    ));
 
     let result = qa_simnet::json_obj! {
         "lb_mean_ms": mean(&lb_resp),
@@ -143,6 +144,6 @@ fn main() {
         "lb_responses": lb_resp,
         "qa_responses": qa_resp,
     };
-    let path = qa_bench::write_json("fig1_motivating", &result).expect("write result");
-    println!("\nwrote {}", path.display());
+    r.json("fig1_motivating", &result);
+    r
 }

@@ -12,19 +12,16 @@
 //! the cell's world and trace resident, and a cell's first row also covers
 //! building them. The sweep's peak is the largest row.
 //!
-//! Artifacts:
-//! * `bench_results/fig_scale.json` — the full points, timings and peak
-//!   resident sets included;
-//! * `bench_results/fig_scale_determinism.json` — the timing-free
-//!   projection, byte-identical at any `QA_THREADS` and machine speed
-//!   (`--quick` is `goldens/fig_scale_quick_determinism.json`);
-//! * `bench_results/fig_scale_trace.jsonl` (with `--trace`) — the broker
-//!   telemetry of the 60-node, 4-shard QA-NT row (`broker_bid`,
-//!   `parent_cleared`, `demand_escalated`), byte-deterministic.
-//!
-//! `--quick` (or `QA_SCALE` unset) shrinks the sweep for CI.
+//! Files:
+//! * `fig_scale.json` — the full points, timings and peak resident sets
+//!   included;
+//! * `fig_scale_determinism.json` — the timing-free projection,
+//!   byte-identical at any `QA_THREADS` and machine speed (at CI scale it
+//!   is `goldens/fig_scale_quick_determinism.json`);
+//! * `fig_scale_trace.jsonl`, the row of its own name — the broker
+//!   telemetry of one sharded run.
 
-use qa_bench::{fmt_ms, render_table, write_json, Scale};
+use crate::{fmt_ms, Report, Scale};
 use qa_sim::config::BrokerConfig;
 use qa_sim::experiments::{scale_cells, scale_point, ScalePoint};
 use qa_simnet::json::{Json, ToJson};
@@ -49,15 +46,10 @@ fn peak_rss_mb() -> f64 {
     kb.map_or(0.0, |kb| kb / 1024.0)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick") || qa_bench::scale() == Scale::Ci;
-    let want_trace = args.iter().any(|a| a == "--trace");
-    let budget = qa_simnet::thread_budget();
-
+pub fn fig_scale(scale: Scale, budget: usize) -> Report {
     let mut points: Vec<ScalePoint> = Vec::new();
     let mut peaks: Vec<f64> = Vec::new();
-    for cell in scale_cells(quick) {
+    for cell in scale_cells(scale == Scale::Ci) {
         reset_peak_rss();
         let (scenario, trace) = cell.inputs();
         for &(shards, parent) in &cell.rows {
@@ -85,7 +77,8 @@ fn main() {
         }
     }
 
-    println!("fig_scale — flat engine vs sharded engine under each parent market\n");
+    let mut r =
+        Report::titled("fig_scale — flat engine vs sharded engine under each parent market");
     let rows: Vec<Vec<String>> = points
         .iter()
         .zip(&peaks)
@@ -110,29 +103,14 @@ fn main() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "shards",
-                "parent",
-                "queries",
-                "wall (s)",
-                "queries/s",
-                "response",
-                "conv. period",
-                "x-tier msgs",
-                "escalated",
-                "alloc eff.",
-                "peak RSS (MB)"
-            ],
-            &rows
-        )
+    r.table(
+        "nodes|shards|parent|queries|wall (s)|queries/s|response|conv. period|x-tier msgs|\
+         escalated|alloc eff.|peak RSS (MB)",
+        &rows,
     );
 
     let sweep_peak = peaks.iter().copied().fold(0.0, f64::max);
-    println!("sweep peak RSS: {sweep_peak:.1} MB\n");
+    r.line(format!("sweep peak RSS: {sweep_peak:.1} MB\n"));
 
     // The timed artifact: each point with its row's peak resident set.
     let timed: Vec<Json> = points
@@ -146,8 +124,7 @@ fn main() {
             Json::Obj(fields)
         })
         .collect();
-    let path = write_json("fig_scale", &timed).expect("write result");
-    println!("wrote {}", path.display());
+    r.json("fig_scale", &timed);
 
     // Timing-free projection: what the determinism gates compare across
     // thread budgets and commits.
@@ -160,23 +137,21 @@ fn main() {
             ..p.clone()
         })
         .collect();
-    let path = write_json("fig_scale_determinism", &det).expect("write determinism artifact");
-    println!("wrote {}", path.display());
+    r.json("fig_scale_determinism", &det);
+    r
+}
 
-    // Sim-time stamped and boundary-serial, hence byte-deterministic.
-    if want_trace {
-        let (scenario, trace) = scale_cells(true)[0].inputs();
-        let (telemetry, buffer) = Telemetry::buffered();
-        scale_point(
-            &scenario,
-            &trace,
-            4,
-            BrokerConfig::qant(),
-            budget,
-            telemetry,
-        );
-        let path = std::path::Path::new("bench_results/fig_scale_trace.jsonl");
-        std::fs::write(path, buffer.to_jsonl()).expect("write broker trace");
-        println!("wrote {} ({} events)", path.display(), buffer.len());
-    }
+/// The broker telemetry of the 60-node, 4-shard QA-NT row of the CI
+/// sweep (`broker_bid`, `parent_cleared`, `demand_escalated`) at either
+/// scale: sim-time stamped and boundary-serial, hence byte-deterministic.
+pub fn trace(_: Scale, budget: usize) -> Report {
+    let (scenario, trace) = scale_cells(true)[0].inputs();
+    let (telemetry, buffer) = Telemetry::buffered();
+    let qant = BrokerConfig::qant();
+    scale_point(&scenario, &trace, 4, qant, budget, telemetry);
+    let mut r = Report::default();
+    r.line(format!("fig_scale_trace — {} broker events", buffer.len()));
+    let file = ("fig_scale_trace.jsonl".to_string(), buffer.to_jsonl());
+    r.files.push(file);
+    r
 }

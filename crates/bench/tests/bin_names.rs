@@ -1,7 +1,9 @@
 //! Every bin the scripts, the CI workflow and the documents tell a reader
 //! to build or run exists: each `--bin X` and `target/release/X` names a
-//! `crates/*/src/bin/X.rs` or a `[[bin]]` of the root package. A bin that
-//! is folded into another cannot leave a dangling instruction behind.
+//! `crates/*/src/bin/X.rs` or a `[[bin]]` of the root package, and each
+//! `qa_fig NAME...` names rows of `qa_bench::FIGURES` (or `all`). A bin
+//! that is folded into another, or a figure renamed, cannot leave a
+//! dangling instruction behind.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -60,6 +62,37 @@ fn unknown_bins(text: &str, bins: &BTreeSet<String>) -> Vec<String> {
     unknown
 }
 
+/// The figure names `text` passes to `qa_fig` that are not rows. The
+/// names passed are the tokens after `qa_fig` on its line (a lone `--`
+/// skipped) that start with a word holding a digit or an underscore, or
+/// are `all`, up to the first that does not or that ends in punctuation:
+/// "`qa_fig fig4_all_algorithms fig5a_load_sweep` at full scale" passes
+/// two.
+fn unknown_figures(text: &str) -> Vec<String> {
+    let mut unknown = Vec::new();
+    for (at, _) in text.match_indices("qa_fig ") {
+        let rest = &text[at + "qa_fig ".len()..];
+        let line = rest.lines().next().unwrap_or("");
+        for token in line.split_whitespace().skip_while(|t| *t == "--") {
+            let end = token
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(token.len());
+            let name = &token[..end];
+            let digit_or_underscore = |c: char| c == '_' || c.is_ascii_digit();
+            if name != "all" && !name.contains(digit_or_underscore) {
+                break;
+            }
+            if name != "all" && qa_bench::figure(name).is_none() {
+                unknown.push(format!("qa_fig {name}"));
+            }
+            if end < token.len() {
+                break;
+            }
+        }
+    }
+    unknown
+}
+
 /// The files that tell a reader which bins to run.
 fn instructions() -> Vec<(PathBuf, String)> {
     let root = repo_root();
@@ -96,10 +129,11 @@ fn every_named_bin_exists() {
     let files = instructions();
     assert!(files.len() > 10, "found the scripts");
     for (path, text) in files {
-        let unknown = unknown_bins(&text, &bins);
+        let mut unknown = unknown_bins(&text, &bins);
+        unknown.extend(unknown_figures(&text));
         assert!(
             unknown.is_empty(),
-            "{}: no such bin: {unknown:?}",
+            "{}: no such bin or figure: {unknown:?}",
             path.display()
         );
     }
@@ -113,5 +147,17 @@ fn a_folded_bin_left_behind_is_caught() {
     assert_eq!(
         unknown_bins(planted, &existing_bins()),
         ["--bin check_trace", "target/release/check_trace"]
+    );
+}
+
+#[test]
+fn a_missing_figure_is_caught() {
+    let planted = "QA_SCALE=full ./target/release/qa_fig fig4_all_algorithms fig8_missing\n\
+                   cargo run -p qa-bench --bin qa_fig -- fig9_missing\n\
+                   `qa_fig all` then `qa_fig fig_scale`, qa_fig <name>... and\n\
+                   echo \"qa_fig fig_scale at QA_THREADS=1\"\n";
+    assert_eq!(
+        unknown_figures(planted),
+        ["qa_fig fig8_missing", "qa_fig fig9_missing"]
     );
 }

@@ -3,10 +3,10 @@
 //! **byte-identical** to the serial loop.
 //!
 //! Each test renders results through the same `ToJson::pretty()` path the
-//! bench bins use for their `bench_results/*.json` files, so equality
-//! here is equality of the shipped artifacts. Thread budgets are pinned
-//! via [`Sweep::with_threads`] — not the `QA_THREADS` env var — because
-//! the test harness runs tests concurrently and env mutation would race.
+//! figures use for their `bench_results/*.json` files, so equality here
+//! is equality of the shipped artifacts. Thread budgets are passed
+//! explicitly — not through the `QA_THREADS` env var — because the test
+//! harness runs tests concurrently and env mutation would race.
 //!
 //! The last three tests pin bytes from commit to commit instead: the quick
 //! scaling sweep, against `goldens/fig_scale_quick_determinism.json`;
@@ -15,23 +15,43 @@
 //! supply and carry between periods, against
 //! `goldens/market_state_determinism.json`.
 
-use qa_bench::Sweep;
+use qa_bench::{Scale, FIGURES};
 use qa_core::MechanismKind;
 use qa_sim::config::{BrokerConfig, SimConfig};
 use qa_sim::experiments::{
-    fig3_sinusoid_workload, fig4_all_algorithms, fig4_summarize, fig4_workload, fig5a_load_sweep,
-    fig5a_point, fig6_point, fig6_scenario, fig6_zipf_sweep, run_cell, scale_cells, scale_point,
-    scale_trace, scale_world, two_class_trace, ScalePoint,
+    fig4_all_algorithms, fig4_summarize, fig4_workload, fig5a_load_sweep, fig5a_point, fig6_point,
+    fig6_scenario, fig6_zipf_sweep, run_cell, scale_cells, scale_point, scale_trace, scale_world,
+    two_class_trace, ScalePoint,
 };
 use qa_sim::federation::Federation;
 use qa_sim::scenario::{Scenario, TwoClassParams};
 use qa_sim::sharded::{ShardPlan, ShardRunOptions};
 use qa_simnet::json::{Json, ToJson};
 use qa_simnet::telemetry::Telemetry;
-use qa_simnet::{json_obj, DetRng, FaultPlan, LinkFaults, SimTime};
+use qa_simnet::{json_obj, par_map_indexed_with, DetRng, FaultPlan, LinkFaults, SimTime};
 use qa_workload::{ClassId, NodeId, Trace};
 
 const THREADS: [usize; 3] = [1, 2, 8];
+
+#[test]
+fn every_committed_figure_is_identical_across_thread_budgets() {
+    // Each committed row at CI scale: its text and its files, byte for
+    // byte, whichever worker ran which cell.
+    for fig in FIGURES.iter().filter(|f| f.committed) {
+        let render = |threads| {
+            let report = (fig.run)(Scale::Ci, threads);
+            (report.text, report.files)
+        };
+        let reference = render(THREADS[0]);
+        for threads in &THREADS[1..] {
+            assert!(
+                render(*threads) == reference,
+                "{} diverged at {threads} threads",
+                fig.name
+            );
+        }
+    }
+}
 
 #[test]
 fn fig5a_json_is_identical_across_thread_counts() {
@@ -41,8 +61,7 @@ fn fig5a_json_is_identical_across_thread_counts() {
     let reference = fig5a_load_sweep(&config, &fractions, 8).to_json().pretty();
     let scenario = Scenario::two_class(config, TwoClassParams::default());
     for threads in THREADS {
-        let pts =
-            Sweep::with_threads(threads).map(&fractions, |_, &f| fig5a_point(&scenario, f, 8));
+        let pts = par_map_indexed_with(threads, &fractions, |_, &f| fig5a_point(&scenario, f, 8));
         assert_eq!(
             pts.to_json().pretty(),
             reference,
@@ -57,7 +76,7 @@ fn fig4_json_is_identical_across_thread_counts() {
     let reference = fig4_all_algorithms(&config, 10).to_json().pretty();
     let (scenario, trace) = fig4_workload(&config, 10);
     for threads in THREADS {
-        let outcomes = Sweep::with_threads(threads).map(&MechanismKind::DYNAMIC, |_, &m| {
+        let outcomes = par_map_indexed_with(threads, &MechanismKind::DYNAMIC, |_, &m| {
             run_cell(&scenario, &trace, m)
         });
         assert_eq!(
@@ -76,28 +95,13 @@ fn fig6_json_is_identical_across_thread_counts() {
     let reference = fig6_zipf_sweep(&config, &gaps, 200).to_json().pretty();
     let scenario = fig6_scenario(&config);
     for threads in THREADS {
-        let pts = Sweep::with_threads(threads).map(&gaps, |_, &g| fig6_point(&scenario, g, 200));
+        let pts = par_map_indexed_with(threads, &gaps, |_, &g| fig6_point(&scenario, g, 200));
         assert_eq!(
             pts.to_json().pretty(),
             reference,
             "fig6 diverged at {threads} threads"
         );
     }
-}
-
-#[test]
-fn fig3_json_is_byte_identical_across_runs() {
-    // The fig3 artifact is pure workload generation — no federation, no
-    // threads — but it seeds every downstream figure, so its bytes are
-    // pinned here: two fresh generations must serialize identically.
-    let config = SimConfig::small_test(2007);
-    let reference = fig3_sinusoid_workload(&config, 0.05, 0.6, 20)
-        .to_json()
-        .pretty();
-    let again = fig3_sinusoid_workload(&config, 0.05, 0.6, 20)
-        .to_json()
-        .pretty();
-    assert_eq!(again, reference, "fig3 workload diverged between runs");
 }
 
 #[test]
@@ -292,7 +296,7 @@ fn with_threshold(scenario: &Scenario, build: fn(SimConfig) -> Scenario) -> Scen
 }
 
 /// Fails unless `goldens/<name>` holds exactly `fresh`, leaving the fresh
-/// rendering where the bench bins leave theirs. There is no bless switch.
+/// rendering where the figures leave theirs. There is no bless switch.
 fn assert_matches_golden(name: &str, fresh: &str) {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let golden = format!("{root}/goldens/{name}");

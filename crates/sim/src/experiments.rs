@@ -293,8 +293,8 @@ pub fn fig6_point(scenario: &Scenario, gap_ms: u64, max_queries: usize) -> Sweep
     let horizon_s = (max_queries as f64 * process.mean_gap_secs()
         / scenario.templates.num_classes() as f64)
         .clamp(10.0, 3_600.0);
-    let arrivals = process.generate(SimTime::from_secs_f64_pub(horizon_s), &mut rng);
-    let mut arrivals = arrivals;
+    let horizon = SimTime::from_micros((horizon_s.max(0.0) * 1e6) as u64);
+    let mut arrivals = process.generate(horizon, &mut rng);
     arrivals.sort_by_key(|(t, c)| (*t, c.index()));
     arrivals.truncate(max_queries);
     let trace = Trace::from_arrivals(arrivals, scenario.config.num_nodes, &mut rng);
@@ -527,18 +527,6 @@ pub fn scale_point(
         elapsed_s: 0.0,
         periods_per_s: 0.0,
         queries_per_s: 0.0,
-    }
-}
-
-/// `SimTime` lacks a public fractional-seconds constructor; adapter trait
-/// to keep the call site readable.
-trait SimTimeExt {
-    fn from_secs_f64_pub(s: f64) -> SimTime;
-}
-
-impl SimTimeExt for SimTime {
-    fn from_secs_f64_pub(s: f64) -> SimTime {
-        SimTime::from_micros((s.max(0.0) * 1e6) as u64)
     }
 }
 

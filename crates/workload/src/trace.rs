@@ -190,19 +190,6 @@ impl Trace {
         }
         Ok(Trace { events })
     }
-
-    /// Merges two traces (re-sorting and re-numbering ids).
-    pub fn merge(mut self, other: Trace) -> Trace {
-        self.events.extend(other.events);
-        self.events
-            .sort_by_key(|e| (e.at, e.class.index(), e.origin.index()));
-        for (i, e) in self.events.iter_mut().enumerate() {
-            e.id = i as u64;
-        }
-        Trace {
-            events: self.events,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,17 +232,6 @@ mod tests {
             t.arrivals_per_period(SimDuration::from_millis(500), Some(ClassId(0))),
             vec![1, 1, 1]
         );
-    }
-
-    #[test]
-    fn merge_preserves_order_and_renumbers() {
-        let a = Trace::from_arrivals(vec![(SimTime::from_millis(10), ClassId(0))], 1, &mut rng());
-        let b = Trace::from_arrivals(vec![(SimTime::from_millis(5), ClassId(1))], 1, &mut rng());
-        let m = a.merge(b);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.events()[0].at, SimTime::from_millis(5));
-        assert_eq!(m.events()[0].id, 0);
-        assert_eq!(m.events()[1].id, 1);
     }
 
     #[test]

@@ -84,28 +84,3 @@ fn sinusoid_rate_bounded() {
         );
     }
 }
-
-/// Merging traces preserves every event and global order.
-#[test]
-fn trace_merge_preserves_events() {
-    let mut meta = DetRng::seed_from_u64(0x0A10_0004);
-    for case in 0..CASES {
-        let seed = meta.next_u64();
-        let n1 = meta.index(50);
-        let n2 = meta.index(50);
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mk = |n: usize, rng: &mut DetRng| {
-            let arrivals: Vec<(SimTime, ClassId)> = (0..n)
-                .map(|_| (SimTime::from_millis(rng.int_in(0, 1_000)), ClassId(0)))
-                .collect();
-            Trace::from_arrivals(arrivals, 3, rng)
-        };
-        let a = mk(n1, &mut rng);
-        let b = mk(n2, &mut rng);
-        let merged = a.clone().merge(b.clone());
-        assert_eq!(merged.len(), a.len() + b.len(), "case {case}");
-        for w in merged.events().windows(2) {
-            assert!(w[0].at <= w[1].at, "case {case}");
-        }
-    }
-}

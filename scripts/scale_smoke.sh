@@ -2,10 +2,10 @@
 # CI smoke of the scaling sweep (flat engine vs the sharded engine under
 # each parent market):
 #
-#   1. build and run `fig_scale --quick --trace` (small sizes, seconds not
-#      minutes) at QA_THREADS=1 and QA_THREADS=8 and require both the
-#      timing-free determinism artifact and the broker telemetry trace to
-#      be byte-identical — shards share nothing within a period and the
+#   1. build and run `QA_SCALE=ci qa_fig fig_scale fig_scale_trace` (small
+#      sizes, seconds not minutes) at QA_THREADS=1 and QA_THREADS=8 and
+#      require both the timing-free determinism artifact and the broker
+#      telemetry trace to be byte-identical — shards share nothing within a period and the
 #      parent clears serially at the boundary, so neither may depend on
 #      how many workers step the shards;
 #   2. hold the broker trace to the strict telemetry contract
@@ -19,15 +19,15 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p qa-bench --bin fig_scale --bin qa_trace
+cargo build --release -q -p qa-bench --bin qa_fig --bin qa_trace
 
-echo "scale-smoke: fig_scale --quick --trace at QA_THREADS=1"
-QA_THREADS=1 ./target/release/fig_scale --quick --trace
+echo "scale-smoke: qa_fig fig_scale fig_scale_trace at QA_THREADS=1"
+QA_SCALE=ci QA_THREADS=1 ./target/release/qa_fig fig_scale fig_scale_trace
 t1=$(mktemp -d)
 cp bench_results/fig_scale_determinism.json bench_results/fig_scale_trace.jsonl "$t1"
 
-echo "scale-smoke: fig_scale --quick --trace at QA_THREADS=8"
-QA_THREADS=8 ./target/release/fig_scale --quick --trace
+echo "scale-smoke: qa_fig fig_scale fig_scale_trace at QA_THREADS=8"
+QA_SCALE=ci QA_THREADS=8 ./target/release/qa_fig fig_scale fig_scale_trace
 
 for f in fig_scale_determinism.json fig_scale_trace.jsonl; do
   if ! cmp -s "$t1/$f" "bench_results/$f"; then
