@@ -4,7 +4,9 @@
 //! four protocol invariants after every explored schedule.
 //!
 //! Scale (`QA_SCALE`): `ci` runs a systematic sweep of ≥1k schedules and
-//! 200 random seeds per mechanism; `full` multiplies both.
+//! 200 random seeds per mechanism; `full` multiplies both. `QA_SEED`
+//! (default 2007) is the random sweep's base seed; a value that is not a
+//! `u64` is an error.
 //!
 //! On a violation the failing schedule's seed/trail is printed so the
 //! exact interleaving can be replayed:
@@ -19,14 +21,17 @@ use qa_cluster::{
     explore_random, explore_systematic, run_seed, run_trail, ClusterMechanism, ExploreConfig,
     ExploreReport, ScheduleOutcome,
 };
-use qa_simnet::json::Json;
+use qa_simnet::json::{Json, ToJson};
 use std::process::ExitCode;
 
-fn base_seed() -> u64 {
-    std::env::var("QA_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2007)
+/// `QA_SEED` (unset: 2007). A value that is not a `u64` is an error, not
+/// a silent fallback to the default seed.
+fn seed_from(var: Result<String, std::env::VarError>) -> Result<u64, String> {
+    match var {
+        Err(std::env::VarError::NotPresent) => Ok(2007),
+        Ok(seed) => seed.parse().map_err(|e| format!("QA_SEED={seed:?}: {e}")),
+        Err(e) => Err(format!("QA_SEED: {e}")),
+    }
 }
 
 fn config_for(mechanism: ClusterMechanism) -> ExploreConfig {
@@ -96,6 +101,16 @@ fn report_json(label: &str, mech: &str, r: &ExploreReport) -> Json {
     ])
 }
 
+/// The run's `explore.json`.
+fn summary(seed: u64, total_schedules: u64, passed: bool, sweeps: Vec<Json>) -> Json {
+    Json::object([
+        ("seed", seed.to_json()),
+        ("total_schedules", total_schedules.to_json()),
+        ("passed", Json::Bool(passed)),
+        ("sweeps", Json::Arr(sweeps)),
+    ])
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
@@ -148,7 +163,13 @@ fn main() -> ExitCode {
         Scale::Ci => (6, 1_200, 200),
         Scale::Full => (8, 10_000, 1_000),
     };
-    let seed = base_seed();
+    let seed = match seed_from(std::env::var("QA_SEED")) {
+        Ok(seed) => seed,
+        Err(e) => {
+            eprintln!("explore: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut rows = Vec::new();
     let mut summaries = Vec::new();
     let mut all_passed = true;
@@ -199,13 +220,10 @@ fn main() -> ExitCode {
         if all_passed { "all hold" } else { "VIOLATED" }
     );
 
-    let summary = Json::object([
-        ("seed", Json::Int(seed as i64)),
-        ("total_schedules", Json::Int(total_schedules as i64)),
-        ("passed", Json::Bool(all_passed)),
-        ("sweeps", Json::Arr(summaries)),
-    ]);
-    match write_json("explore", &summary) {
+    match write_json(
+        "explore",
+        &summary(seed, total_schedules, all_passed, summaries),
+    ) {
         Ok(path) => println!("summary -> {}", path.display()),
         Err(e) => {
             eprintln!("explore: cannot write summary: {e}");
@@ -216,5 +234,28 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_malformed_seed_is_an_error_not_the_default() {
+        use std::env::VarError;
+        assert_eq!(seed_from(Err(VarError::NotPresent)), Ok(2007));
+        assert_eq!(seed_from(Ok("11".to_string())), Ok(11));
+        let err = seed_from(Ok("20O7".to_string())).unwrap_err();
+        assert!(err.starts_with("QA_SEED=\"20O7\""), "{err}");
+    }
+
+    #[test]
+    fn a_seed_past_i64_is_written_unsigned() {
+        let json = summary(u64::MAX, 3, true, Vec::new()).dump();
+        assert!(
+            json.starts_with("{\"seed\":18446744073709551615,"),
+            "{json}"
+        );
     }
 }

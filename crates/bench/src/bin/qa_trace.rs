@@ -1,5 +1,5 @@
-//! `qa-trace` — the one tool for JSONL telemetry traces: it validates,
-//! analyses, dumps and replays them.
+//! `qa-trace` — the one tool for JSONL telemetry traces: it validates
+//! and analyses them, and writes none.
 //!
 //! Works on any trace the telemetry layer writes (simulator dumps,
 //! `qad --trace` node traces, `qa-ctl --trace` driver traces):
@@ -12,8 +12,6 @@
 //! qa-trace rejections  <trace.jsonl>                # node × class heatmap
 //! qa-trace convergence <trace.jsonl> --period-ms P [--tol X]
 //! qa-trace spans       <trace.jsonl>                # derived durations
-//! qa-trace dump                                     # seeded sim trace
-//! qa-trace golden      [--bless] [path]             # golden replay
 //! ```
 //!
 //! Every subcommand reads its trace through
@@ -21,22 +19,14 @@
 //! it (strict parse, canonical re-dump, monotone clock); `summary
 //! --require` also fails unless each listed kind occurs. The analyses
 //! take `--json` and the filter flags; `filter` emits canonical JSONL.
-//!
-//! `dump` runs [`qa_sim::run_trace_dump`] at `QA_SCALE` (ci: 10 nodes,
-//! 20 s; full: 100 nodes, 120 s) and `QA_SEED` (default 2007; malformed is
-//! an error), writes `bench_results/trace_dump.jsonl` (byte-deterministic)
-//! and `trace_dump_convergence.json` (outcome, census, convergence,
-//! registry), and prints `summary` and `convergence` over the records.
-//! `golden` replays [`qa_sim::TraceDumpSpec::golden`] against
-//! `goldens/trace_seed2007.jsonl` byte for byte; `--bless` rewrites it.
+//! The seeded simulator traces are `qa_fig` rows: `trace_dump`, and
+//! `trace_seed2007`, committed under `figures/`.
 
-use qa_bench::{render_table, scale, write_json, Scale};
-use qa_sim::{check_golden_text, run_trace_dump, TraceDumpSpec, GOLDEN_PATH, GOLDEN_SEED};
-use qa_simnet::json::{FromJson, Json, ToJson};
+use qa_bench::{convergence_text, event_class, event_node, render_table, summary};
+use qa_simnet::json::{Json, ToJson};
 use qa_simnet::stats::{LogHistogram, Welford};
 use qa_simnet::telemetry::{census, read_trace, ConvergenceReport, TelemetryEvent, TraceRecord};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Pipe-safe `println!`: `filter` output is meant to be piped, and a
@@ -50,25 +40,6 @@ fn out(text: std::fmt::Arguments) {
 }
 macro_rules! outln {
     ($($t:tt)*) => { out(format_args!($($t)*)) };
-}
-
-/// The first of the wire fields `names` the event carries. Every field
-/// the filters ask for is a `u32` on the wire.
-fn event_u32(e: &TelemetryEvent, names: &[&str]) -> Option<u32> {
-    let (_, value) = e.fields().into_iter().find(|(k, _)| names.contains(k))?;
-    u32::from_json(&value).ok()
-}
-
-/// The node an event is attributed to, when it names one. Brokers are
-/// shard-level actors; their index shares the `--node` filter slot so one
-/// shard's bids can be followed through a trace.
-fn event_node(e: &TelemetryEvent) -> Option<u32> {
-    event_u32(e, &["node", "broker"])
-}
-
-/// The query class an event concerns, when it names one.
-fn event_class(e: &TelemetryEvent) -> Option<u32> {
-    event_u32(e, &["class"])
 }
 
 fn load(path: &str) -> Result<Vec<TraceRecord>, String> {
@@ -182,42 +153,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
         tol,
         required,
     })
-}
-
-/// The census, node count and time span of `records`, as a JSON report
-/// and as a table.
-fn summary(records: &[TraceRecord]) -> (Json, String) {
-    let kinds = census(records);
-    let nodes: std::collections::BTreeSet<u32> = records
-        .iter()
-        .filter_map(|r| event_node(&r.event))
-        .collect();
-    let (first, last) = match (records.first(), records.last()) {
-        (Some(f), Some(l)) => (f.t_us, l.t_us),
-        _ => (0, 0),
-    };
-    let json = Json::object([
-        ("records", records.len().to_json()),
-        ("first_us", first.to_json()),
-        ("last_us", last.to_json()),
-        ("nodes", nodes.len().to_json()),
-        (
-            "kinds",
-            Json::object(kinds.iter().map(|(k, n)| (*k, n.to_json()))),
-        ),
-    ]);
-    let rows: Vec<Vec<String>> = kinds
-        .iter()
-        .map(|(k, n)| vec![k.to_string(), n.to_string()])
-        .collect();
-    let text = format!(
-        "{} records over {:.1} ms, {} nodes\n\n{}",
-        records.len(),
-        (last - first) as f64 / 1e3,
-        nodes.len(),
-        render_table(&["event", "count"], &rows)
-    );
-    (json, text)
 }
 
 fn cmd_summary(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
@@ -369,44 +304,6 @@ fn cmd_convergence(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
     Ok(())
 }
 
-/// The convergence digest: the event totals (read off the census), the
-/// broker tier's when it ran, then how each class's prices settled.
-fn convergence_text(report: &ConvergenceReport, records: &[TraceRecord]) -> String {
-    let kinds = census(records);
-    let n = |kind: &str| kinds.get(kind).copied().unwrap_or(0);
-    let mut text = format!(
-        "periods = {}, nodes = {}, price adjustments = {}, rejections = {}, \
-         dropped = {}, crashes = {}",
-        report.periods,
-        report.nodes,
-        n("price_adjusted"),
-        n("request_rejected"),
-        n("message_dropped"),
-        n("node_crashed")
-    );
-    if n("broker_bid") + n("parent_cleared") > 0 {
-        let _ = write!(
-            text,
-            "\nbroker tier: {} bids, {} parent clearings, {} escalations",
-            n("broker_bid"),
-            n("parent_cleared"),
-            n("demand_escalated")
-        );
-    }
-    for c in &report.per_class {
-        let settled = match c.stabilized_at_period {
-            Some(p) => format!("stabilized at period {p}"),
-            None => "still moving in the final period".to_string(),
-        };
-        let _ = write!(
-            text,
-            "\n  class {}: {} adjustments, final mean price {:.4}, {settled}",
-            c.class, c.adjustments, c.final_mean_price
-        );
-    }
-    text
-}
-
 /// Durations derived from lifecycle event pairs: per-query
 /// assigned→completed, plus the gaps between `period_started` events.
 fn cmd_spans(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
@@ -463,84 +360,10 @@ fn cmd_spans(args: &Args, records: &[TraceRecord]) -> Result<(), String> {
     Ok(())
 }
 
-/// `QA_SEED` (unset: 2007). A value that is not a `u64` is an error, not
-/// a silent fallback to the default seed.
-fn seed_from(var: Result<String, std::env::VarError>) -> Result<u64, String> {
-    match var {
-        Err(std::env::VarError::NotPresent) => Ok(2007),
-        Ok(seed) => seed.parse().map_err(|e| format!("QA_SEED={seed:?}: {e}")),
-        Err(e) => Err(format!("QA_SEED: {e}")),
-    }
-}
-
-fn cmd_dump(rest: &[String]) -> Result<(), String> {
-    if let Some(arg) = rest.first() {
-        return Err(format!("dump: unexpected argument {arg:?}"));
-    }
-    let seed = seed_from(std::env::var("QA_SEED"))?;
-    let spec = match scale() {
-        Scale::Ci => TraceDumpSpec::ci(seed),
-        Scale::Full => TraceDumpSpec::full(seed),
-    };
-    let dump = run_trace_dump(&spec);
-    let jsonl_path = std::path::Path::new("bench_results").join("trace_dump.jsonl");
-    std::fs::create_dir_all("bench_results")
-        .and_then(|()| std::fs::write(&jsonl_path, &dump.jsonl))
-        .map_err(|e| format!("cannot write {}: {e}", jsonl_path.display()))?;
-    outln!(
-        "Trace dump — QA-NT, seed {seed}, {} nodes, {} s horizon\n",
-        spec.config.num_nodes,
-        spec.secs
-    );
-    outln!("{}", summary(&dump.records).1);
-    outln!("{}", convergence_text(&dump.report, &dump.records));
-    outln!(
-        "\nwrote {} ({} records)",
-        jsonl_path.display(),
-        dump.records.len()
-    );
-    let path = write_json("trace_dump_convergence", &dump.summary)
-        .map_err(|e| format!("cannot write trace_dump_convergence.json: {e}"))?;
-    outln!("wrote {}", path.display());
-    Ok(())
-}
-
-fn cmd_golden(rest: &[String]) -> Result<(), String> {
-    let mut bless = false;
-    let mut path = None;
-    for arg in rest {
-        match arg.as_str() {
-            "--bless" => bless = true,
-            other if !other.starts_with("--") && path.is_none() => path = Some(other),
-            other => return Err(format!("golden: unexpected argument {other:?}")),
-        }
-    }
-    let path = path.unwrap_or(GOLDEN_PATH);
-    if bless {
-        let dump = run_trace_dump(&TraceDumpSpec::golden(GOLDEN_SEED));
-        std::fs::write(path, &dump.jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
-        outln!(
-            "qa-trace golden: blessed {path} ({} records, {} bytes, seed {GOLDEN_SEED})",
-            dump.records.len(),
-            dump.jsonl.len()
-        );
-        return Ok(());
-    }
-    let golden = std::fs::read_to_string(path).map_err(|e| {
-        format!("cannot read {path}: {e} (generate it with `qa-trace golden --bless`)")
-    })?;
-    let records =
-        check_golden_text(&golden, GOLDEN_SEED).map_err(|e| format!("golden FAIL\n{e}"))?;
-    outln!("qa-trace golden: {path}: {records} records byte-identical (seed {GOLDEN_SEED})");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let usage = "usage: qa-trace <summary|filter|prices|rejections|convergence|spans> \
                  <trace.jsonl> [--kind a,b] [--node N] [--class C] [--from-us T] [--to-us T] \
-                 [--require a,b] [--period-ms MS] [--tol X] [--json]\n       \
-                 qa-trace dump                      (QA_SCALE, QA_SEED)\n       \
-                 qa-trace golden [--bless] [path]";
+                 [--require a,b] [--period-ms MS] [--tol X] [--json]";
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{usage}");
@@ -561,8 +384,6 @@ fn main() -> ExitCode {
         "rejections" => run(cmd_rejections),
         "convergence" => run(cmd_convergence),
         "spans" => run(cmd_spans),
-        "dump" => cmd_dump(rest),
-        "golden" => cmd_golden(rest),
         "--help" | "-h" | "help" => {
             outln!("{usage}");
             Ok(())
@@ -608,30 +429,5 @@ mod tests {
             assert!(err.starts_with("--tol must be"), "{tol}: {err}");
         }
         assert_eq!(args(&["t.jsonl", "--tol", "0"]).map(|a| a.tol), Ok(0.0));
-    }
-
-    #[test]
-    fn summary_writes_u64_timestamps_unsigned() {
-        let at = |t_us| TraceRecord {
-            t_us,
-            event: TelemetryEvent::PeriodStarted { index: 0 },
-        };
-        let json = summary(&[at(1 << 63)]).0.dump();
-        assert!(json.contains("\"first_us\":9223372036854775808"), "{json}");
-        // The same clock stepping back to 5 is no trace at all.
-        let lines = [at(1 << 63), at(5)].map(|r| r.to_json().dump()).join("\n");
-        assert_eq!(
-            read_trace(&lines),
-            Err("line 2: timestamp regression 9223372036854775808 -> 5".to_string())
-        );
-    }
-
-    #[test]
-    fn a_malformed_seed_is_an_error_not_the_default() {
-        use std::env::VarError;
-        assert_eq!(seed_from(Err(VarError::NotPresent)), Ok(2007));
-        assert_eq!(seed_from(Ok("11".to_string())), Ok(11));
-        let err = seed_from(Ok("20O7".to_string())).unwrap_err();
-        assert!(err.starts_with("QA_SEED=\"20O7\""), "{err}");
     }
 }

@@ -4,12 +4,13 @@
 //! and a function from the scale and the thread budget to a [`Report`],
 //! the text to print and the files to write. `qa_fig <name>... | all`
 //! runs rows, prints their text and writes their files under
-//! `bench_results/`; the name is the JSON file's stem. The rows marked
+//! `bench_results/`; the name is the file's stem. The rows marked
 //! `committed` are functions of scale and seed alone: their full-scale
-//! files are committed under `figures/` and `tests/figures.rs`
-//! regenerates them. `explore`, `qa_trace`, `check_metrics` and `ext_net`
-//! are separate tools. (Performance is measured by the repo benchmark,
-//! `benchmark/run.sh`.)
+//! files, the two seeded telemetry traces among them, are committed under
+//! `figures/` and `tests/figures.rs` regenerates them; nothing else
+//! writes there. `qa_trace` reads traces and writes none; `explore`,
+//! `check_metrics` and `ext_net` are separate tools. (Performance is
+//! measured by the repo benchmark, `benchmark/run.sh`.)
 //!
 //! Scale control: `QA_SCALE` selects the scale of every figure:
 //!
@@ -27,10 +28,12 @@ mod cluster;
 mod motivating;
 mod scale;
 mod sim;
+mod trace;
 
 use qa_simnet::json::ToJson;
 use std::fmt::Display;
 use std::path::PathBuf;
+pub use trace::{convergence_text, event_class, event_node, summary};
 
 /// Experiment scale selected via the `QA_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,10 +120,9 @@ const fn uncommitted(name: &'static str, run: fn(Scale, usize) -> Report) -> Fig
 }
 
 /// Every figure, in the order `qa_fig all` runs them. Fig. 7,
-/// `ext_resilience` and `fig_scale` read the wall clock, so their files
-/// are not committed; `fig_scale_trace` is byte-deterministic, but a
-/// telemetry trace rather than a figure, which `scripts/scale_smoke.sh`
-/// holds across thread budgets.
+/// `ext_resilience` and `fig_scale` read the wall clock, and
+/// `trace_dump`'s registry holds span timings, so their files are not
+/// committed.
 pub const FIGURES: &[Figure] = &[
     committed("fig1_motivating", motivating::fig1),
     committed("table2_comparison", sim::table2),
@@ -136,7 +138,9 @@ pub const FIGURES: &[Figure] = &[
     committed("ext_fairness", sim::fairness),
     uncommitted("ext_resilience", cluster::resilience),
     uncommitted("fig_scale", scale::fig_scale),
-    uncommitted("fig_scale_trace", scale::trace),
+    committed("fig_scale_trace", scale::trace),
+    committed("trace_seed2007", trace::golden),
+    uncommitted("trace_dump", trace::dump),
 ];
 
 /// The row called `name`.

@@ -1,9 +1,10 @@
 //! Every bin the scripts, the CI workflow and the documents tell a reader
 //! to build or run exists: each `--bin X` and `target/release/X` names a
 //! `crates/*/src/bin/X.rs` or a `[[bin]]` of the root package, and each
-//! `qa_fig NAME...` names rows of `qa_bench::FIGURES` (or `all`). A bin
-//! that is folded into another, or a figure renamed, cannot leave a
-//! dangling instruction behind.
+//! `qa_fig NAME...` names rows of `qa_bench::FIGURES` (or `all`), and
+//! each `scripts/X.sh`, `goldens/F` and `figures/F` they name is a file. A
+//! bin that is folded into another, a figure renamed, a script deleted or
+//! an artifact moved cannot leave a dangling instruction behind.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -93,6 +94,36 @@ fn unknown_figures(text: &str) -> Vec<String> {
     unknown
 }
 
+/// The repo paths `text` names that are not files: each `scripts/X.sh`,
+/// `goldens/F` and `figures/F` (`F` holding a `.`) that starts a path,
+/// bare or after `./`, and is not a `<placeholder>` or a `*` glob.
+fn missing_paths(text: &str, root: &Path) -> Vec<String> {
+    let mut missing = Vec::new();
+    for dir in ["scripts/", "goldens/", "figures/"] {
+        for (at, _) in text.match_indices(dir) {
+            let head = &text[..at];
+            let before = head.strip_suffix("./").unwrap_or(head).chars().next_back();
+            if before.is_some_and(|c| c.is_ascii_alphanumeric() || "_-/.".contains(c)) {
+                continue;
+            }
+            let rest = &text[at + dir.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || "_-.".contains(c)))
+                .unwrap_or(rest.len());
+            let name = rest[..end].trim_end_matches('.');
+            let named = if dir == "scripts/" {
+                name.ends_with(".sh")
+            } else {
+                name.contains('.')
+            };
+            if named && !root.join(dir).join(name).is_file() {
+                missing.push(format!("{dir}{name}"));
+            }
+        }
+    }
+    missing
+}
+
 /// The files that tell a reader which bins to run.
 fn instructions() -> Vec<(PathBuf, String)> {
     let root = repo_root();
@@ -131,9 +162,10 @@ fn every_named_bin_exists() {
     for (path, text) in files {
         let mut unknown = unknown_bins(&text, &bins);
         unknown.extend(unknown_figures(&text));
+        unknown.extend(missing_paths(&text, &repo_root()));
         assert!(
             unknown.is_empty(),
-            "{}: no such bin or figure: {unknown:?}",
+            "{}: no such bin, figure or file: {unknown:?}",
             path.display()
         );
     }
@@ -159,5 +191,21 @@ fn a_missing_figure_is_caught() {
     assert_eq!(
         unknown_figures(planted),
         ["qa_fig fig8_missing", "qa_fig fig9_missing"]
+    );
+}
+
+#[test]
+fn a_missing_script_or_artifact_is_caught() {
+    let planted = "run: sh scripts/check_missing.sh && ./scripts/gone_too.sh\n\
+                   sh scripts/loc.sh, ./scripts/work_gate.sh and scripts/<x>.sh\n\
+                   against goldens/trace_seed2007.jsonl (now figures/trace_seed2007.jsonl).\n\
+                   goldens/minidb_plans.txt, figures/*.json, benchmark/scripts/gone.sh\n";
+    assert_eq!(
+        missing_paths(planted, &repo_root()),
+        [
+            "scripts/check_missing.sh",
+            "scripts/gone_too.sh",
+            "goldens/trace_seed2007.jsonl"
+        ]
     );
 }

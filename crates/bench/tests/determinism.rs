@@ -8,8 +8,9 @@
 //! explicitly — not through the `QA_THREADS` env var — because the test
 //! harness runs tests concurrently and env mutation would race.
 //!
-//! The last three tests pin bytes from commit to commit instead: the quick
-//! scaling sweep, against `goldens/fig_scale_quick_determinism.json`;
+//! The last three tests pin bytes from commit to commit instead: the
+//! `fig_scale` row's quick sweep, against
+//! `goldens/fig_scale_quick_determinism.json`;
 //! every way a query is resubmitted, against
 //! `goldens/retry_paths_determinism.json`; and every seller's prices,
 //! supply and carry between periods, against
@@ -20,8 +21,7 @@ use qa_core::MechanismKind;
 use qa_sim::config::{BrokerConfig, SimConfig};
 use qa_sim::experiments::{
     fig4_all_algorithms, fig4_summarize, fig4_workload, fig5a_load_sweep, fig5a_point, fig6_point,
-    fig6_scenario, fig6_zipf_sweep, run_cell, scale_cells, scale_point, scale_trace, scale_world,
-    two_class_trace, ScalePoint,
+    fig6_scenario, fig6_zipf_sweep, run_cell, scale_trace, scale_world, two_class_trace,
 };
 use qa_sim::federation::Federation;
 use qa_sim::scenario::{Scenario, TwoClassParams};
@@ -172,26 +172,20 @@ fn sharded_scale_points_are_identical_across_thread_budgets() {
 
 #[test]
 fn fig_scale_quick_matches_the_checked_in_golden() {
-    // The quick scaling sweep, computed from the cell list `fig_scale`
-    // runs and rendered as its timing-free determinism artifact, at two
-    // shard-worker budgets. The sweep runs with telemetry off, so this is
-    // the golden that pins the pure-market path (offer index, boundary
-    // rejection replay) that the repo benchmark times.
-    let sweep = |budget: usize| -> String {
-        let mut points: Vec<ScalePoint> = Vec::new();
-        for cell in scale_cells(true) {
-            let (scenario, trace) = cell.inputs();
-            for &(shards, parent) in &cell.rows {
-                let telemetry = Telemetry::disabled();
-                points.push(scale_point(
-                    &scenario, &trace, shards, parent, budget, telemetry,
-                ));
-            }
-        }
-        points.to_json().pretty()
+    // The `fig_scale` row at CI scale, its timing-free determinism artifact
+    // at two shard-worker budgets. The sweep runs with telemetry off, so
+    // this is the golden that pins the pure-market path (offer index,
+    // boundary rejection replay) that the repo benchmark times.
+    let row = qa_bench::figure("fig_scale").expect("fig_scale is a row");
+    let artifact = |budget: usize| -> String {
+        let files = (row.run)(Scale::Ci, budget).files;
+        let file = files
+            .into_iter()
+            .find(|(name, _)| name == "fig_scale_determinism.json");
+        file.expect("fig_scale writes its determinism artifact").1
     };
-    let fresh = sweep(1);
-    assert_eq!(sweep(8), fresh, "the sweep diverged at budget 8");
+    let fresh = artifact(1);
+    assert_eq!(artifact(8), fresh, "the sweep diverged at budget 8");
     assert_matches_golden("fig_scale_quick_determinism.json", &fresh);
 }
 

@@ -3,9 +3,11 @@
 //! Every row of `qa_bench::FIGURES` marked `committed` is regenerated
 //! in-process at full scale and must reproduce its `figures/<file>` byte
 //! for byte; a mismatch names the figure and its first differing line,
-//! and leaves the fresh file in `bench_results/`. There is no bless
-//! switch: a committed figure changes by copying that file over it, with
-//! the reason in CHANGES.md.
+//! and leaves the fresh file in `bench_results/`. `figures/` holds
+//! exactly the files those rows write, the two seeded telemetry traces
+//! among them, and each committed trace also keeps the trace contract.
+//! There is no bless switch: a committed figure changes by copying that
+//! file over it, with the reason in CHANGES.md.
 //!
 //! Each fidelity verdict EXPERIMENTS.md gives Figs. 3, 4, 5a, 5b and 6 is
 //! a predicate over the committed files, with the verdict recorded next to
@@ -14,6 +16,8 @@
 
 use qa_bench::{Scale, FIGURES};
 use qa_simnet::json::Json;
+use qa_simnet::telemetry::{census, read_trace};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -33,14 +37,16 @@ fn mismatch(figure: &str, file: &str, committed: Option<&str>, fresh: &str) -> O
         Some(c) => c,
     };
     let (mut old, mut new) = (committed.lines(), fresh.lines());
+    let shown = |l: Option<&str>| l.map_or("<end of file>".to_string(), |l| format!("{l:?}"));
     for line in 1.. {
         match (old.next(), new.next()) {
             (Some(a), Some(b)) if a == b => continue,
             (None, None) => return Some(format!("{figure}: figures/{file} differs at its end")),
             (a, b) => {
+                let (a, b) = (shown(a), shown(b));
                 return Some(format!(
-                    "{figure}: figures/{file} line {line}: committed {a:?}, regenerated {b:?}"
-                ))
+                    "{figure}: figures/{file} line {line}: committed {a}, regenerated {b}"
+                ));
             }
         }
     }
@@ -51,10 +57,12 @@ fn mismatch(figure: &str, file: &str, committed: Option<&str>, fresh: &str) -> O
 fn committed_figures_regenerate_byte_for_byte() {
     let threads = qa_simnet::thread_budget();
     let mut failures = Vec::new();
+    let mut written = BTreeSet::new();
     for fig in FIGURES.iter().filter(|f| f.committed) {
         let report = (fig.run)(Scale::Full, threads);
         assert!(!report.files.is_empty(), "{} writes no file", fig.name);
         for (file, fresh) in &report.files {
+            written.insert(file.clone());
             let committed = committed_file(file);
             if let Some(why) = mismatch(fig.name, file, committed.as_deref(), fresh) {
                 let dir = repo_root().join("bench_results");
@@ -70,6 +78,46 @@ fn committed_figures_regenerate_byte_for_byte() {
          only with an intended behaviour change)",
         failures.join("\n")
     );
+    let present: BTreeSet<String> = std::fs::read_dir(repo_root().join("figures"))
+        .expect("figures/")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("UTF-8")
+        })
+        .collect();
+    let stray: Vec<&String> = present.difference(&written).collect();
+    assert!(stray.is_empty(), "no committed row writes {stray:?}");
+}
+
+#[test]
+fn committed_traces_keep_the_trace_contract() {
+    // The flat trace holds the taxonomy `scripts/check_trace.sh` requires
+    // of a seeded faulty run; the broker trace, the broker tier's.
+    let flat = [
+        "price_adjusted",
+        "supply_computed",
+        "request_rejected",
+        "query_assigned",
+        "query_completed",
+        "message_dropped",
+        "node_crashed",
+        "node_recovered",
+        "period_started",
+    ];
+    let broker = ["broker_bid", "parent_cleared", "demand_escalated"];
+    for (file, kinds) in [
+        ("trace_seed2007.jsonl", &flat[..]),
+        ("fig_scale_trace.jsonl", &broker[..]),
+    ] {
+        let text = committed_file(file).unwrap_or_else(|| panic!("figures/{file}"));
+        let records = read_trace(&text).unwrap_or_else(|e| panic!("figures/{file}: {e}"));
+        let census = census(&records);
+        for kind in kinds {
+            assert!(census.contains_key(kind), "figures/{file} lacks {kind}");
+        }
+    }
 }
 
 #[test]
@@ -89,6 +137,39 @@ fn a_planted_edit_fails_naming_its_figure() {
             && why.contains("662.6"),
         "{why}"
     );
+
+    // One digit flipped mid-trace: the kind of change a wrong pricer
+    // constant makes.
+    let fig = FIGURES.iter().find(|f| f.name == "trace_seed2007");
+    let report = (fig.expect("the golden trace is a row").run)(Scale::Full, 1);
+    let (file, fresh) = &report.files[0];
+    let committed = committed_file(file).expect("the golden trace is committed");
+    let mut lines: Vec<String> = committed.lines().map(str::to_string).collect();
+    let victim = lines.len() / 2;
+    let at = lines[victim]
+        .find(|c: char| c.is_ascii_digit())
+        .expect("a digit");
+    let digit = lines[victim].as_bytes()[at] - b'0';
+    let flipped = char::from(b'0' + (digit + 1) % 10).to_string();
+    lines[victim].replace_range(at..=at, &flipped);
+    let planted = lines.join("\n") + "\n";
+    let why = mismatch("trace_seed2007", file, Some(&planted), fresh).expect("caught");
+    let line = format!(
+        "trace_seed2007: figures/trace_seed2007.jsonl line {}:",
+        victim + 1
+    );
+    assert!(why.starts_with(&line), "{why}");
+
+    // A truncated trace reports where the committed file ends.
+    let truncated = committed
+        .lines()
+        .take(victim)
+        .collect::<Vec<_>>()
+        .join("\n")
+        + "\n";
+    let why = mismatch("trace_seed2007", file, Some(&truncated), fresh).expect("caught");
+    let end = format!("line {}: committed <end of file>, regenerated", victim + 1);
+    assert!(why.contains(&end), "{why}");
 }
 
 // ------------------------------------------------------------- fidelity

@@ -21,9 +21,7 @@
 //! * [`experiments`] — one function per figure, returning serializable
 //!   series for the bench harness,
 //! * [`tracedump`] — seeded full-telemetry replay producing a
-//!   byte-deterministic JSONL market trace plus convergence diagnostics,
-//!   and the golden-trace replay that diffs one against the checked-in
-//!   golden.
+//!   byte-deterministic JSONL market trace plus convergence diagnostics.
 
 pub mod broker;
 pub mod config;
@@ -42,7 +40,4 @@ pub use federation::{Federation, RunOutcome};
 pub use metrics::RunMetrics;
 pub use scenario::{Scenario, TwoClassParams};
 pub use sharded::{ShardPlan, ShardRunOptions, ShardSpec, ShardedOutcome};
-pub use tracedump::{
-    check_golden_text, first_divergence, render_divergence, run_trace_dump, Divergence, TraceDump,
-    TraceDumpSpec, GOLDEN_PATH, GOLDEN_SEED,
-};
+pub use tracedump::{run_trace_dump, TraceDump, TraceDumpSpec};

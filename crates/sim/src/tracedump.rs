@@ -10,20 +10,17 @@
 //! Everything in the JSONL trace is derived from sim-time and seeded
 //! randomness, so two runs of the same spec are **byte-identical** — the
 //! determinism guarantee `tests/telemetry.rs` pins and
-//! `scripts/check_trace.sh` validates in CI (`qa-trace dump`, then
+//! `scripts/check_trace.sh` validates in CI (`qa_fig trace_dump`, then
 //! `qa-trace summary --require`).
 //!
 //! A trace is therefore a complete behavioural fingerprint of the market:
 //! every price move, rejection, assignment, drop and crash in order. The
-//! golden replay ([`TraceDumpSpec::golden`], [`check_golden_text`];
-//! `qa-trace golden`, `scripts/check_golden.sh`) re-runs a small spec
-//! and diffs it byte for byte against the checked-in
-//! `goldens/trace_seed2007.jsonl`, so a refactor that silently changes
+//! `qa_fig` row `trace_seed2007` runs [`TraceDumpSpec::golden`], and its
+//! file is committed as `figures/trace_seed2007.jsonl`, which the figures
+//! test regenerates byte for byte: a refactor that silently changes
 //! market behaviour — a reordered float reduction, an off-by-one in the
-//! period loop, a perturbed pricer constant — fails loudly, naming the
-//! first diverging event. The diff is deliberately primitive: line by
-//! line, first divergence wins. Anything smarter (field tolerance,
-//! reordering windows) would re-introduce the silent drift it catches.
+//! period loop, a perturbed pricer constant — fails there, naming the
+//! first differing event.
 
 use crate::config::SimConfig;
 use crate::experiments::two_class_trace;
@@ -31,16 +28,9 @@ use crate::federation::Federation;
 use crate::scenario::{Scenario, TwoClassParams};
 use qa_core::MechanismKind;
 use qa_simnet::json::{Json, ToJson};
-use qa_simnet::telemetry::{census, read_trace, ConvergenceReport, Telemetry, TraceRecord};
+use qa_simnet::telemetry::{census, ConvergenceReport, Telemetry, TraceRecord};
 use qa_simnet::{FaultPlan, LinkFaults, SimTime};
 use qa_workload::NodeId;
-use std::fmt::Write as _;
-
-/// Seed of the checked-in golden trace.
-pub const GOLDEN_SEED: u64 = 2007;
-
-/// Repo-relative path of the checked-in golden trace.
-pub const GOLDEN_PATH: &str = "goldens/trace_seed2007.jsonl";
 
 /// Parameters of a trace-dump run.
 #[derive(Debug, Clone)]
@@ -95,9 +85,9 @@ impl TraceDumpSpec {
     /// stays reviewable, rich enough to cover the full event taxonomy
     /// (market dynamics, loss, one crash/recovery).
     ///
-    /// **Changing anything here invalidates the checked-in golden** —
-    /// regenerate with `qa-trace golden --bless` and commit the diff with
-    /// the change that caused it.
+    /// **Changing anything here changes the committed
+    /// `figures/trace_seed2007.jsonl`**: copy the `qa_fig trace_seed2007`
+    /// output over it with the change that caused it.
     pub fn golden(seed: u64) -> TraceDumpSpec {
         let mut spec = TraceDumpSpec::ci(seed);
         spec.config.num_nodes = 5;
@@ -180,106 +170,10 @@ pub fn run_trace_dump(spec: &TraceDumpSpec) -> TraceDump {
     }
 }
 
-/// Where two traces first diverge, 1-based. `None` on a side means the
-/// trace ended there.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Divergence {
-    /// 1-based line number of the first difference.
-    pub line: usize,
-    /// The golden trace's line, if it has one.
-    pub golden: Option<String>,
-    /// The replayed trace's line, if it has one.
-    pub actual: Option<String>,
-}
-
-/// First line where `actual` differs from `golden`, or `None` when the
-/// traces are byte-identical.
-pub fn first_divergence(golden: &str, actual: &str) -> Option<Divergence> {
-    let mut g = golden.lines();
-    let mut a = actual.lines();
-    let mut line = 0usize;
-    loop {
-        line += 1;
-        match (g.next(), a.next()) {
-            (None, None) => return None,
-            (golden_line, actual_line) => {
-                if golden_line == actual_line {
-                    continue;
-                }
-                return Some(Divergence {
-                    line,
-                    golden: golden_line.map(str::to_string),
-                    actual: actual_line.map(str::to_string),
-                });
-            }
-        }
-    }
-}
-
-/// Index of the first differing byte between two lines.
-fn first_diff_byte(a: &str, b: &str) -> usize {
-    a.bytes()
-        .zip(b.bytes())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.len().min(b.len()))
-}
-
-/// Renders a pointed first-divergence report: the event index, up to
-/// `context` preceding golden lines for orientation, both divergent
-/// lines, and a caret at the first differing byte.
-pub fn render_divergence(golden: &str, d: &Divergence, context: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "traces diverge at event {} (1-based)", d.line);
-    let lines: Vec<&str> = golden.lines().collect();
-    let from = d.line.saturating_sub(context + 1);
-    for (i, line) in lines.iter().enumerate().take(d.line - 1).skip(from) {
-        let _ = writeln!(out, "  = {:>6}  {line}", i + 1);
-    }
-    match (&d.golden, &d.actual) {
-        (Some(g), Some(a)) => {
-            let _ = writeln!(out, "  - golden  {g}");
-            let _ = writeln!(out, "  + actual  {a}");
-            let caret = first_diff_byte(g, a);
-            let _ = writeln!(
-                out,
-                "            {}^ first differing byte",
-                " ".repeat(caret)
-            );
-        }
-        (Some(g), None) => {
-            let _ = writeln!(out, "  - golden  {g}");
-            let _ = writeln!(out, "  + actual  <trace ends here>");
-        }
-        (None, Some(a)) => {
-            let _ = writeln!(out, "  - golden  <trace ends here>");
-            let _ = writeln!(out, "  + actual  {a}");
-        }
-        (None, None) => {}
-    }
-    out
-}
-
-/// Replays the golden spec and compares byte-for-byte against
-/// `golden_text`. The golden is first read through [`read_trace`], so a
-/// hand-edited golden that drifted from the trace contract fails even
-/// when the bytes happen to match.
-///
-/// Returns the number of records checked, or the full failure report.
-///
-/// # Errors
-/// A parse failure in the golden, or a rendered first-divergence report.
-pub fn check_golden_text(golden_text: &str, seed: u64) -> Result<usize, String> {
-    read_trace(golden_text).map_err(|e| format!("golden {e}"))?;
-    let dump = run_trace_dump(&TraceDumpSpec::golden(seed));
-    match first_divergence(golden_text, &dump.jsonl) {
-        None => Ok(dump.records.len()),
-        Some(d) => Err(render_divergence(golden_text, &d, 3)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_simnet::telemetry::read_trace;
 
     #[test]
     fn ci_spec_produces_market_fault_and_query_events() {
@@ -313,87 +207,5 @@ mod tests {
             .unwrap()
             .get("counters")
             .is_some());
-    }
-
-    #[test]
-    fn golden_run_is_byte_deterministic_and_self_checks() {
-        let a = run_trace_dump(&TraceDumpSpec::golden(GOLDEN_SEED));
-        let b = run_trace_dump(&TraceDumpSpec::golden(GOLDEN_SEED));
-        assert_eq!(a.jsonl, b.jsonl, "golden spec must replay byte-identically");
-        assert!(first_divergence(&a.jsonl, &b.jsonl).is_none());
-        assert_eq!(
-            check_golden_text(&a.jsonl, GOLDEN_SEED),
-            Ok(a.records.len())
-        );
-        // The golden shape covers the market + fault taxonomy.
-        let kinds: std::collections::BTreeSet<&str> =
-            a.records.iter().map(|r| r.event.kind()).collect();
-        for required in [
-            "price_adjusted",
-            "supply_computed",
-            "query_assigned",
-            "query_completed",
-            "message_dropped",
-            "node_crashed",
-            "node_recovered",
-            "period_started",
-        ] {
-            assert!(kinds.contains(required), "golden lacks {required}");
-        }
-    }
-
-    #[test]
-    fn single_byte_perturbation_is_caught_and_pointed_at() {
-        let dump = run_trace_dump(&TraceDumpSpec::golden(GOLDEN_SEED));
-        // Perturb one digit deep in the trace — the kind of change a
-        // wrong pricer constant produces.
-        let victim_line = dump.jsonl.lines().count() / 2;
-        let mut lines: Vec<String> = dump.jsonl.lines().map(str::to_string).collect();
-        let perturbed_line = lines[victim_line]
-            .chars()
-            .rev()
-            .collect::<String>()
-            .replacen('0', "1", 1)
-            .chars()
-            .rev()
-            .collect::<String>();
-        let perturbed = if perturbed_line != lines[victim_line] {
-            lines[victim_line] = perturbed_line;
-            lines.join("\n") + "\n"
-        } else {
-            // No zero to flip on that line: append a digit instead.
-            lines[victim_line].push('9');
-            lines.join("\n") + "\n"
-        };
-        let d = first_divergence(&perturbed, &dump.jsonl).expect("must diverge");
-        assert_eq!(
-            d.line,
-            victim_line + 1,
-            "divergence must name the first bad event"
-        );
-        let report = render_divergence(&perturbed, &d, 3);
-        assert!(report.contains(&format!("diverge at event {}", victim_line + 1)));
-        assert!(report.contains("- golden"));
-        assert!(report.contains("+ actual"));
-        assert!(report.contains("first differing byte"));
-        let err = check_golden_text(&perturbed, GOLDEN_SEED);
-        assert!(err.is_err(), "perturbed golden must fail the check");
-    }
-
-    #[test]
-    fn length_mismatch_reports_the_short_side() {
-        let d = first_divergence("a\nb\n", "a\n").expect("must diverge");
-        assert_eq!(d.line, 2);
-        assert_eq!(d.golden.as_deref(), Some("b"));
-        assert_eq!(d.actual, None);
-        let r = render_divergence("a\nb\n", &d, 3);
-        assert!(r.contains("<trace ends here>"));
-    }
-
-    #[test]
-    fn invalid_golden_lines_are_rejected_before_the_run() {
-        assert!(check_golden_text("not json\n", GOLDEN_SEED)
-            .unwrap_err()
-            .contains("golden line 1"));
     }
 }

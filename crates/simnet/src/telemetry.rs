@@ -19,7 +19,7 @@
 //!   installed,
 //! * [`EventSink`] / [`TraceBuffer`] / [`WriterSink`] /
 //!   [`CountingSink`] — pluggable destinations (in-memory for tests and
-//!   `qa-trace dump`, a JSONL writer for trace files, a counter for
+//!   the seeded `qa_fig` trace rows, a JSONL writer for trace files, a counter for
 //!   overhead benches),
 //! * [`MetricsRegistry`] — named counters, gauges, [`Welford`] handles
 //!   and log-bucket [`HistogramHandle`]s with a deterministic JSON
@@ -46,8 +46,8 @@
 //! [`crate::json`] module. A trace is read back through one strict
 //! reader, [`read_trace`]: every line parses ([`TraceRecord::parse_line`]),
 //! re-dumps to its own bytes, and keeps the clock monotone. Every trace
-//! consumer (`qa-trace`, the golden replay, `scripts/check_trace.sh`)
-//! reads through it.
+//! consumer (`qa-trace`, the figures test's committed traces,
+//! `scripts/check_trace.sh`) reads through it.
 
 use crate::json::{FromJson, Json, ToJson};
 use crate::stats::{LogHistogram, Welford};

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Validate the telemetry trace contract end to end: run the seeded
-# `qa-trace dump` (CI scale unless QA_SCALE says otherwise), then read the
-# trace with `qa-trace summary`, whose strict reader checks every JSONL
+# `qa_fig trace_dump` row (CI scale unless QA_SCALE says otherwise), then
+# read the trace with `qa-trace summary`, whose strict reader checks every JSONL
 # line — canonical re-dump byte equality, monotone timestamps — and
 # require the full event taxonomy that a seeded faulty run must produce
 # (market, query-lifecycle and fault events).
 #
 # Usage: scripts/check_trace.sh [trace.jsonl]
-# With an argument, skips the dump and validates that file.
+# With an argument, skips the run and validates that file.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,7 +17,7 @@ REQUIRED="price_adjusted,supply_computed,request_rejected,query_assigned,query_c
 if [ "$#" -ge 1 ]; then
     trace="$1"
 else
-    cargo run -q -p qa-bench --bin qa_trace -- dump
+    cargo run -q -p qa-bench --bin qa_fig -- trace_dump
     trace="bench_results/trace_dump.jsonl"
 fi
 

@@ -12,9 +12,11 @@
 #      (`qa-trace summary`: canonical re-dump, monotone clocks) and
 #      require the broker-tier event taxonomy to actually appear.
 #
-# The artifact's bytes from commit to commit are the determinism suite's
-# job (`cargo test -p qa-bench --test determinism fig_scale_quick`,
-# against goldens/fig_scale_quick_determinism.json). The timed artifact
+# Both files' bytes from commit to commit are the test suite's job: the
+# determinism artifact against goldens/fig_scale_quick_determinism.json
+# (`cargo test -p qa-bench --test determinism fig_scale_quick`), the
+# broker trace against the committed figures/fig_scale_trace.jsonl
+# (`cargo test -p qa-bench --test figures`). The timed artifact
 # (bench_results/fig_scale.json) is left in place for upload.
 set -eu
 cd "$(dirname "$0")/.."
