@@ -3,7 +3,7 @@
 //! Every other experiment drives the threaded in-process cluster; this
 //! one adds a **TCP-loopback column**: the same seeded federation runs as
 //! five real `qad` child processes on `127.0.0.1` ephemeral ports, with
-//! the driver talking `qa-net` frames over the [`TcpTransport`]. The
+//! the driver talking `qa-net` frames over the [`TcpTransport`](qa_cluster::TcpTransport). The
 //! sweep crosses negotiation-loss probability with a mid-run crash (the
 //! crash is a real process exit, delivered as a wire `Shutdown`), so the
 //! table answers: *does the market's fault story survive contact with an

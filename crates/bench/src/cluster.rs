@@ -8,7 +8,7 @@ use qa_core::MechanismKind;
 use qa_sim::config::SimConfig;
 use qa_sim::experiments::two_class_trace;
 use qa_sim::federation::Federation;
-use qa_sim::scenario::{Scenario, TwoClassParams};
+use qa_sim::scenario::Scenario;
 use qa_simnet::{json_obj, par_map_indexed_with, FaultPlan, LinkFaults, SimTime};
 use qa_workload::NodeId;
 use std::time::Duration;
@@ -107,7 +107,7 @@ pub fn resilience(scale: Scale, threads: usize) -> Report {
         }
         Scale::Full => (SimConfig::paper_defaults(), 60),
     };
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     let trace = two_class_trace(&scenario, 0.05, 0.8, secs);
     let mut r = Report::titled(format!(
         "Resilience extension — {} queries over {secs}s, drop sweep × crash schedule",

@@ -8,7 +8,7 @@ use qa_sim::experiments::{
     fig4_summarize, fig4_workload, fig5a_point, fig5b_point, fig5c_from_outcomes, fig5c_workload,
     fig6_point, fig6_scenario, run_cell, two_class_trace, Fig3Result, SweepPoint,
 };
-use qa_sim::scenario::{Scenario, TwoClassParams};
+use qa_sim::scenario::Scenario;
 use qa_simnet::{json_obj, par_map_indexed_with};
 use qa_workload::ClassId;
 
@@ -158,15 +158,15 @@ pub fn fig3(scale: Scale, threads: usize) -> Report {
         Scale::Ci => (SimConfig::small_test(2007), 40),
         Scale::Full => (SimConfig::paper_defaults(), 60),
     };
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
+    let scenario = Scenario::two_class(config.clone());
     let trace = two_class_trace(&scenario, 0.05, 0.6, secs);
     let classes = [ClassId(0), ClassId(1)];
     let mut series = par_map_indexed_with(threads, &classes, |_, &c| {
-        trace.arrivals_per_period(config.period, Some(c))
+        trace.arrivals_per_period(config.qant.period, Some(c))
     })
     .into_iter();
     let f = Fig3Result {
-        period_ms: config.period.as_millis(),
+        period_ms: config.qant.period.as_millis(),
         q1_per_period: series.next().expect("two series"),
         q2_per_period: series.next().expect("two series"),
     };
@@ -261,7 +261,7 @@ pub fn fig5a(scale: Scale, threads: usize) -> Report {
             60,
         ),
     };
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     let pts = par_map_indexed_with(threads, &fractions, |_, &f| fig5a_point(&scenario, f, secs));
 
     let mut r = Report::titled(
@@ -291,7 +291,7 @@ pub fn fig5b(scale: Scale, threads: usize) -> Report {
             60,
         ),
     };
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     let pts = par_map_indexed_with(threads, &freqs, |_, &f| fig5b_point(&scenario, f, secs));
 
     let mut r =
@@ -388,7 +388,7 @@ pub fn fig6(scale: Scale, threads: usize) -> Report {
 /// ms, retries). The scenario rebuild is a pure function of the config,
 /// so cells are independent.
 fn variant_cell(config: &SimConfig, frac: f64, secs: u64) -> (f64, u64) {
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
+    let scenario = Scenario::two_class(config.clone());
     let trace = two_class_trace(&scenario, 0.05, frac, secs);
     let r = run_cell(&scenario, &trace, MechanismKind::QaNt);
     (
@@ -429,7 +429,8 @@ pub fn ablation(scale: Scale, threads: usize) -> Report {
         variant("λ = 0.02 (slow)", |c| c.qant.pricer.lambda = 0.02),
         variant("λ = 0.30 (fast)", |c| c.qant.pricer.lambda = 0.3),
         variant("price threshold = 5 (§5.1 mode)", |c| {
-            c.qant.price_threshold = Some(5.0)
+            c.qant.price_threshold = Some(5.0);
+            c.qant.renormalize_prices = false;
         }),
     ];
 
@@ -479,7 +480,7 @@ pub fn fairness(scale: Scale, threads: usize) -> Report {
         }
         Scale::Full => (SimConfig::paper_defaults(), 60, 1.5),
     };
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     let trace = two_class_trace(&scenario, 0.05, frac, secs);
     let mut r = Report::titled(format!(
         "Equitable-allocation extension — {} queries at {:.0}% of capacity",

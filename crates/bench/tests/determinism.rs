@@ -24,7 +24,7 @@ use qa_sim::experiments::{
     fig6_scenario, fig6_zipf_sweep, run_cell, scale_trace, scale_world, two_class_trace,
 };
 use qa_sim::federation::Federation;
-use qa_sim::scenario::{Scenario, TwoClassParams};
+use qa_sim::scenario::Scenario;
 use qa_sim::sharded::{ShardPlan, ShardRunOptions};
 use qa_simnet::json::{Json, ToJson};
 use qa_simnet::telemetry::Telemetry;
@@ -59,7 +59,7 @@ fn fig5a_json_is_identical_across_thread_counts() {
     let fractions = [0.3, 0.8, 1.5];
     // The retained serial entry point is the reference.
     let reference = fig5a_load_sweep(&config, &fractions, 8).to_json().pretty();
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     for threads in THREADS {
         let pts = par_map_indexed_with(threads, &fractions, |_, &f| fig5a_point(&scenario, f, 8));
         assert_eq!(
@@ -114,7 +114,7 @@ fn single_shard_is_the_flat_engine_under_either_parent() {
     let overloaded = {
         let mut config = SimConfig::small_test(5);
         config.num_nodes = 30;
-        let scenario = Scenario::two_class(config, TwoClassParams::default());
+        let scenario = Scenario::two_class(config);
         let trace = two_class_trace(&scenario, 0.05, 1.5, 10);
         (scenario, trace)
     };
@@ -199,7 +199,7 @@ fn shard_steps_and_their_signal_reports_are_identical_across_thread_budgets() {
     // which worker wrote what.
     let mut config = SimConfig::small_test(2007);
     config.num_nodes = 96;
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     let trace = two_class_trace(&scenario, 0.05, 0.8, 6);
     for shards in [1, 4] {
         let plan = ShardPlan::build(&scenario, shards);
@@ -361,7 +361,7 @@ fn retry_paths_match_the_checked_in_golden() {
 }
 
 fn two_class(config: SimConfig) -> Scenario {
-    Scenario::two_class(config, TwoClassParams::default())
+    Scenario::two_class(config)
 }
 
 /// Uniform class mix, exponential gaps, at `load` × the world's capacity.
@@ -427,7 +427,7 @@ fn market_state_matches_the_checked_in_golden() {
             f.begin_run();
             let (mut states, mut boundary) = (Vec::new(), SimTime::ZERO);
             while f.peek_next_time().is_some() {
-                boundary += scenario.config.period;
+                boundary += scenario.config.qant.period;
                 f.step_through(boundary);
                 // One hash per column over every node, in node order; a
                 // node outside the market contributes a lone marker byte.

@@ -1,7 +1,7 @@
 //! A hand-rolled `/metrics` endpoint (HTTP/1.0, std only).
 //!
 //! `qad --metrics-addr 127.0.0.1:0` serves its live
-//! [`MetricsRegistry`](qa_simnet::MetricsRegistry) in the Prometheus text
+//! [`MetricsRegistry`] in the Prometheus text
 //! exposition format (version 0.0.4) so any off-the-shelf scraper — or
 //! plain `curl` — can watch one node of a federation. The server is
 //! deliberately minimal: one `GET /metrics` route, `Connection: close`

@@ -1,7 +1,7 @@
 //! Execution-time estimation with history correction (§5.2).
 //!
 //! The paper's deployment found raw `EXPLAIN PLAN` estimates "usually
-//! incorrect as [they] did not take into account the contents of the DBMS
+//! incorrect as \[they\] did not take into account the contents of the DBMS
 //! buffers", and settled on a two-step estimator: use `EXPLAIN` to identify
 //! the plan, then "past execution information concerning queries with the
 //! same plan to estimate the execution time of the new query".

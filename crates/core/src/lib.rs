@@ -44,5 +44,5 @@ pub use client::{choose_best_offer, RoundRobinState, TwoProbesChooser};
 pub use estimator::{EstimatorStats, PlanHistoryEstimator};
 pub use markov::MarkovAllocator;
 pub use mechanism::MechanismKind;
-pub use messages::{Offer, Request};
+pub use messages::Offer;
 pub use qant::{QantConfig, QantMarket, QantNode};

@@ -2,45 +2,22 @@
 //!
 //! The allocation protocol is a one-round call-for-offers:
 //!
-//! 1. the client broadcasts a [`Request`] for a query to the nodes holding
+//! 1. the client broadcasts a request for a query to the nodes holding
 //!    the relevant data,
 //! 2. each willing server answers with an [`Offer`] carrying its estimated
 //!    completion time (servers running QA-NT only offer while their supply
 //!    vector has units left — step 4 of the QA-NT pseudo-code),
-//! 3. the client accepts the best offer ([`Response::Accept`]) and the rest
-//!    implicitly expire; if nobody offered, the client re-submits the query
-//!    in the next time period (§2.2).
+//! 3. the client accepts the best offer and the rest implicitly expire; if
+//!    nobody offered, the client re-submits the query in the next time
+//!    period (§2.2).
 //!
-//! **Autonomy invariant**: no message carries a price. Prices are private
-//! per-node state; the compiler enforces what §3.3 claims ("Query prices
-//! are never disclosed or exchanged over the network").
+//! The messages a carrier actually sends are `qa_net::wire`'s `messages!`
+//! table. **Autonomy invariant**: none of them carries a price. Prices are
+//! private per-node state (§3.3: "Query prices are never disclosed or
+//! exchanged over the network"); a census test over that table holds it.
 
 use qa_simnet::SimDuration;
-use qa_workload::{ClassId, NodeId};
-
-// Wire encodings, used by tests to check the autonomy invariant and kept
-// here so any future field shows up on the wire (and in the check) too.
-qa_simnet::impl_to_json!(Request {
-    query_id,
-    class,
-    from
-});
-qa_simnet::impl_to_json!(Offer {
-    query_id,
-    server,
-    estimated_completion
-});
-
-/// A call-for-offers for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
-    /// The query's trace id.
-    pub query_id: u64,
-    /// Its class.
-    pub class: ClassId,
-    /// The client node.
-    pub from: NodeId,
-}
+use qa_workload::NodeId;
 
 /// A server's offer to evaluate a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,25 +30,6 @@ pub struct Offer {
     pub estimated_completion: SimDuration,
 }
 
-/// Client decision after collecting offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Response {
-    /// Accept the named server's offer.
-    Accept {
-        /// The query.
-        query_id: u64,
-        /// The chosen server.
-        server: NodeId,
-    },
-    /// Explicit decline (used when a server offered but lost).
-    Decline {
-        /// The query.
-        query_id: u64,
-        /// The losing server.
-        server: NodeId,
-    },
-}
-
 /// Approximate wire sizes, used by the network model to charge
 /// serialization time and by the Table 2 message-count comparison.
 pub const REQUEST_BYTES: u64 = 64;
@@ -79,48 +37,3 @@ pub const REQUEST_BYTES: u64 = 64;
 pub const OFFER_BYTES: u64 = 48;
 /// Accept/decline wire size.
 pub const RESPONSE_BYTES: u64 = 32;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn messages_are_compact_and_comparable() {
-        let r = Request {
-            query_id: 7,
-            class: ClassId(1),
-            from: NodeId(3),
-        };
-        assert_eq!(r, r);
-        let o = Offer {
-            query_id: 7,
-            server: NodeId(5),
-            estimated_completion: SimDuration::from_millis(120),
-        };
-        assert_eq!(o.server, NodeId(5));
-    }
-
-    /// The autonomy claim, enforced structurally: serialize every message
-    /// type and check no field could carry a float price (Request/Response
-    /// are integer-only; Offer's only non-integer payload is a duration).
-    #[test]
-    fn no_price_fields_on_the_wire() {
-        use qa_simnet::json::ToJson;
-        let r = Request {
-            query_id: 1,
-            class: ClassId(0),
-            from: NodeId(0),
-        }
-        .to_json();
-        let keys = r.keys().unwrap();
-        assert_eq!(keys.len(), 3);
-        assert!(keys.iter().all(|k| !k.contains("price")));
-        let o = Offer {
-            query_id: 1,
-            server: NodeId(0),
-            estimated_completion: SimDuration::from_millis(1),
-        }
-        .to_json();
-        assert!(o.keys().unwrap().iter().all(|k| !k.contains("price")));
-    }
-}

@@ -58,7 +58,8 @@ pub struct QantConfig {
     /// near-capacity behaviour. **Do not combine with `price_threshold`**:
     /// the recentring lets decayed idle classes drag the mean down and
     /// catapult active classes across the threshold — threshold
-    /// deployments should set this to `false`.
+    /// deployments must set this to `false`, and [`QantMarket`] refuses
+    /// the combination.
     pub renormalize_prices: bool,
 }
 
@@ -142,6 +143,10 @@ impl QantMarket {
 
     fn with_prices(k: usize, config: QantConfig, prices: Vec<f64>) -> QantMarket {
         config.pricer.validate();
+        assert!(
+            config.price_threshold.is_none() || !config.renormalize_prices,
+            "price_threshold needs renormalize_prices: false"
+        );
         QantMarket {
             chain: RefusalChain::new(&config.pricer),
             config,
@@ -344,7 +349,7 @@ impl QantMarket {
     /// Returns `true` when the node offers. A refusal raises the private
     /// price (step 9).
     ///
-    /// In the §5.1 threshold mode the node "properly track[s] query
+    /// In the §5.1 threshold mode the node "properly track\[s\] query
     /// prices" regardless: supply exhaustion still raises the price even
     /// while the node keeps offering — that is how a quiet market learns
     /// it is becoming overloaded and engages the restriction: no price has
@@ -592,6 +597,7 @@ mod tests {
     fn threshold_mode_tracks_prices_and_engages_under_stress() {
         let cfg = QantConfig {
             price_threshold: Some(2.0),
+            renormalize_prices: false,
             ..QantConfig::default()
         };
         let mut n = QantNode::new(1, cfg);
@@ -619,6 +625,16 @@ mod tests {
         let at = engaged_at.expect("restriction must eventually engage");
         assert!((5..=12).contains(&at), "engaged at request {at}");
         assert!(n.prices().get(0) > 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "renormalize_prices: false")]
+    fn threshold_mode_refuses_renormalization() {
+        let cfg = QantConfig {
+            price_threshold: Some(2.0),
+            ..QantConfig::default()
+        };
+        let _ = QantNode::new(1, cfg);
     }
 
     #[test]

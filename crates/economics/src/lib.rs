@@ -46,7 +46,7 @@ pub use non_tatonnement::{
     adjusted, ln_price, trade_exhausts_pair, trade_is_feasible, NonTatonnementPricer, PricerConfig,
     RefusalChain, ReplayWork,
 };
-pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMarketConfig, ParentMechanism};
+pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMechanism};
 pub use pareto::{dominates, enumerate_solutions, is_pareto_optimal, Solution};
 pub use preference::{EquitablePreference, Preference, ThroughputPreference, WeightedPreference};
 pub use supply::{

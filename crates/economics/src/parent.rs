@@ -41,65 +41,18 @@ pub enum ParentMechanism {
     Walras,
 }
 
-/// Tuning knobs of the parent market.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParentMarketConfig {
-    /// The clearing mechanism.
-    pub mechanism: ParentMechanism,
-    /// Price dynamics shared by both mechanisms (λ, floor, ceiling,
-    /// initial price). The QA-NT variant feeds these straight into its
-    /// private pricer; the WALRAS variant uses floor/ceiling as the
-    /// ln-price clamp range.
-    pub pricer: PricerConfig,
-    /// WALRAS step size on relative excess demand (log-price space).
-    pub walras_lambda: f64,
-    /// WALRAS round budget per class per window.
-    pub max_rounds: u32,
-    /// WALRAS stop tolerance on |excess demand| / demand.
-    pub tolerance: f64,
-    /// QA-NT leftover saturation: unsold parent-tier capacity scales with
-    /// shard size (thousands of units), not with a node's supply, so the
-    /// period-decay signal is capped here — without it one underloaded
-    /// window drives the parent price to the floor and the downward bias
-    /// loses all shape.
-    pub leftover_cap: u64,
-}
-
-impl Default for ParentMarketConfig {
-    fn default() -> Self {
-        ParentMarketConfig {
-            mechanism: ParentMechanism::QaNt,
-            pricer: PricerConfig::default(),
-            walras_lambda: 0.5,
-            max_rounds: 64,
-            tolerance: 0.05,
-            leftover_cap: 5,
-        }
-    }
-}
-
-impl ParentMarketConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on out-of-range values (delegates price checks to
-    /// [`PricerConfig::validate`]).
-    pub fn validate(&self) {
-        self.pricer.validate();
-        assert!(
-            self.walras_lambda.is_finite() && self.walras_lambda > 0.0,
-            "walras_lambda must be positive, got {}",
-            self.walras_lambda
-        );
-        assert!(self.max_rounds > 0, "max_rounds must be positive");
-        assert!(
-            self.tolerance.is_finite() && self.tolerance > 0.0 && self.tolerance < 1.0,
-            "tolerance must be in (0,1), got {}",
-            self.tolerance
-        );
-        assert!(self.leftover_cap > 0, "leftover_cap must be positive");
-    }
-}
+/// WALRAS step size on relative excess demand (log-price space).
+const WALRAS_LAMBDA: f64 = 0.5;
+/// WALRAS round budget per class per window.
+const MAX_ROUNDS: u32 = 64;
+/// WALRAS stop tolerance on |excess demand| / demand.
+const TOLERANCE: f64 = 0.05;
+/// QA-NT leftover saturation: unsold parent-tier capacity scales with
+/// shard size (thousands of units), not with a node's supply, so the
+/// period-decay signal is capped here — without it one underloaded
+/// window drives the parent price to the floor and the downward bias
+/// loses all shape.
+const LEFTOVER_CAP: u64 = 5;
 
 /// One broker's sealed bid for a clearing window: per-class capacity on
 /// offer and the reservation ln-price it was aggregated at (the mean
@@ -125,7 +78,7 @@ pub struct ClearingOutcome {
     /// caller escalates it into the next window.
     pub unserved: Vec<u64>,
     /// Price-adjustment rounds spent (0 or 1 per class for QA-NT, up to
-    /// `max_rounds` per class for WALRAS). Internal to the parent — not
+    /// `MAX_ROUNDS` per class for WALRAS). Internal to the parent — not
     /// cross-tier messages.
     pub rounds: u32,
 }
@@ -133,22 +86,23 @@ pub struct ClearingOutcome {
 /// The parent market: persistent price state plus the clearing solver.
 #[derive(Debug, Clone)]
 pub struct ParentMarket {
-    config: ParentMarketConfig,
-    /// QA-NT price state (used when `mechanism == QaNt`).
+    mechanism: ParentMechanism,
+    /// QA-NT price state (used when `mechanism == QaNt`); its floor and
+    /// ceiling also clamp the WALRAS ln-price.
     pricer: NonTatonnementPricer,
     /// WALRAS ln-price state, warm-started across windows.
     walras_ln: Vec<f64>,
 }
 
 impl ParentMarket {
-    /// A parent market over `k` classes.
-    pub fn new(k: usize, config: ParentMarketConfig) -> Self {
-        config.validate();
-        let initial_ln = config.pricer.initial_price.ln();
+    /// A parent market over `k` classes, priced by
+    /// [`PricerConfig::default`].
+    pub fn new(k: usize, mechanism: ParentMechanism) -> Self {
+        let pricer = NonTatonnementPricer::new(k, PricerConfig::default());
         ParentMarket {
-            pricer: NonTatonnementPricer::new(k, config.pricer),
-            walras_ln: vec![initial_ln; k],
-            config,
+            walras_ln: vec![pricer.config().initial_price.ln(); k],
+            pricer,
+            mechanism,
         }
     }
 
@@ -157,17 +111,12 @@ impl ParentMarket {
         self.walras_ln.len()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ParentMarketConfig {
-        &self.config
-    }
-
     /// Writes the parent's current ln-price per class into `out`.
     ///
     /// # Panics
     /// Panics when `out` is not sized to the class count.
     pub fn ln_prices_into(&self, out: &mut [f64]) {
-        match self.config.mechanism {
+        match self.mechanism {
             ParentMechanism::QaNt => self.pricer.ln_prices_into(out),
             ParentMechanism::Walras => {
                 assert_eq!(out.len(), self.walras_ln.len(), "class count mismatch");
@@ -196,7 +145,7 @@ impl ParentMarket {
                 "broker {b} reservation class count"
             );
         }
-        match self.config.mechanism {
+        match self.mechanism {
             ParentMechanism::QaNt => self.clear_qant(bids, demand),
             ParentMechanism::Walras => self.clear_walras(bids, demand),
         }
@@ -230,7 +179,7 @@ impl ParentMarket {
             unserved[kk] = remaining;
             let total_cap: u64 = bids.iter().map(|b| b.capacity[kk]).sum();
             let sold: u64 = demand[kk] - remaining;
-            leftover[kk] = (total_cap - sold).min(self.config.leftover_cap);
+            leftover[kk] = (total_cap - sold).min(LEFTOVER_CAP);
             if remaining > 0 {
                 // Excess demand at the broker tier: the parent infers the
                 // tier is under-supplied and raises the class price, just
@@ -269,8 +218,8 @@ impl ParentMarket {
 
     fn clear_walras(&mut self, bids: &[BrokerBid], demand: &[u64]) -> ClearingOutcome {
         let k = self.num_classes();
-        let ln_floor = self.config.pricer.price_floor.ln();
-        let ln_ceiling = self.config.pricer.price_ceiling.ln();
+        let ln_floor = self.pricer.config().price_floor.ln();
+        let ln_ceiling = self.pricer.config().price_ceiling.ln();
         let mut allocations = vec![vec![0u64; k]; bids.len()];
         let mut unserved = vec![0u64; k];
         let mut rounds = 0u32;
@@ -284,13 +233,13 @@ impl ParentMarket {
             // Tâtonnement on relative excess demand, eq. (6) in log-price
             // space: π ← π + λ·(d − S(π))/d, clamped to the price bounds.
             let mut pi = self.walras_ln[kk];
-            for _ in 0..self.config.max_rounds {
+            for _ in 0..MAX_ROUNDS {
                 let supply: f64 = bids.iter().map(|b| Self::supply_at(b, kk, pi)).sum();
                 let z_rel = (d as f64 - supply) / d as f64;
-                if z_rel.abs() <= self.config.tolerance {
+                if z_rel.abs() <= TOLERANCE {
                     break;
                 }
-                pi = (pi + self.config.walras_lambda * z_rel).clamp(ln_floor, ln_ceiling);
+                pi = (pi + WALRAS_LAMBDA * z_rel).clamp(ln_floor, ln_ceiling);
                 rounds += 1;
                 if pi == ln_floor && z_rel < 0.0 || pi == ln_ceiling && z_rel > 0.0 {
                     // Pinned at a bound with excess still pushing outward:
@@ -332,13 +281,7 @@ mod tests {
     }
 
     fn market(mechanism: ParentMechanism, k: usize) -> ParentMarket {
-        ParentMarket::new(
-            k,
-            ParentMarketConfig {
-                mechanism,
-                ..ParentMarketConfig::default()
-            },
-        )
+        ParentMarket::new(k, mechanism)
     }
 
     fn check_conservation(bids: &[BrokerBid], demand: &[u64], out: &ClearingOutcome) {
@@ -507,15 +450,5 @@ mod tests {
     fn clearing_requires_brokers() {
         let mut m = market(ParentMechanism::QaNt, 1);
         let _ = m.clear(&[], &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn config_validation_rejects_bad_tolerance() {
-        let cfg = ParentMarketConfig {
-            tolerance: 0.0,
-            ..ParentMarketConfig::default()
-        };
-        let _ = ParentMarket::new(1, cfg);
     }
 }

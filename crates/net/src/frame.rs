@@ -1,16 +1,16 @@
 //! Length-prefixed frames and the connection handshake.
 //!
 //! The stream format is `[len: u32 LE][payload: len bytes]` repeated; a
-//! payload is one [`WireMsg`](crate::wire::WireMsg) encoding. The reader
+//! payload is one [`WireMsg`] encoding. The reader
 //! validates the prefix against a hard cap **before** allocating, so a
 //! mangled or hostile prefix costs four bytes of reading, not gigabytes
 //! of memory.
 //!
 //! The handshake is the first frame in each direction: the dialer sends
-//! [`WireMsg::Hello`](crate::wire::WireMsg::Hello) (magic + version +
+//! [`WireMsg::Hello`] (magic + version +
 //! node id), the listener answers with `HelloAck`. Magic and version are
 //! validated by the codec itself, so a peer speaking a different protocol
-//! or version surfaces as a typed [`CodecError`](crate::wire::CodecError)
+//! or version surfaces as a typed [`CodecError`]
 //! rather than garbage.
 
 use crate::wire::{CodecError, NetError, WireMsg};

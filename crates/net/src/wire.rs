@@ -565,6 +565,41 @@ impl Field for Vec<f64> {
 mod tests {
     use super::*;
 
+    /// The autonomy invariant (§3.3: "Query prices are never disclosed or
+    /// exchanged over the network"), read off the vocabulary itself: no
+    /// field of any `messages!` row is named like a price, except in the
+    /// operator tooling that dumps a node's prices or its metrics.
+    #[test]
+    fn no_message_carries_a_price() {
+        const TOOLING: [&str; 3] = ["DumpPrices", "Prices", "StatsReply"];
+        let source = include_str!("wire.rs");
+        let table = source.split("\nmessages! {\n").nth(1).expect("the table");
+        let table = &table[..table.find("\n}\n").expect("its end")];
+        let (mut rows, mut tooling_prices) = (Vec::new(), 0);
+        for line in table.lines() {
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            let name = code
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next();
+            match (indent, name) {
+                (4, Some(row)) if code.contains(" = 0x") => rows.push(row),
+                (8, Some(field)) if code.contains(": ") && field.contains("price") => {
+                    let row = rows.last().expect("a field inside a row");
+                    assert!(TOOLING.contains(row), "{row}.{field} carries a price");
+                    tooling_prices += 1;
+                }
+                _ => {}
+            }
+        }
+        let market = ["CallForOffers", "OfferReply", "Execute", "ExecReply"];
+        assert!(
+            market.iter().chain(&TOOLING).all(|r| rows.contains(r)),
+            "{rows:?}"
+        );
+        assert_eq!(tooling_prices, 1, "Prices.prices is the one priced field");
+    }
+
     #[test]
     fn unknown_version_is_typed() {
         let mut bytes = WireMsg::Hello { node: 3 }.encode();

@@ -48,9 +48,8 @@ impl BrokerTier {
     /// the driver's sim-time clock; pass [`Telemetry::disabled`] when no
     /// trace is wanted.
     pub fn new(k: usize, config: &BrokerConfig, telemetry: Telemetry) -> BrokerTier {
-        config.validate();
         BrokerTier {
-            market: ParentMarket::new(k, config.market),
+            market: ParentMarket::new(k, config.mechanism),
             escalated: vec![0; k],
             total_escalated: 0,
             total_rounds: 0,

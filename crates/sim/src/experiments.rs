@@ -8,7 +8,7 @@
 use crate::config::{BrokerConfig, SimConfig};
 use crate::federation::{Federation, RunOutcome};
 use crate::metrics::MechanismSummary;
-use crate::scenario::{Scenario, TwoClassParams};
+use crate::scenario::Scenario;
 use crate::sharded::{ShardPlan, ShardRunOptions};
 use qa_core::MechanismKind;
 use qa_economics::parent::ParentMechanism;
@@ -79,12 +79,12 @@ pub fn fig3_sinusoid_workload(
     frac: f64,
     secs: u64,
 ) -> Fig3Result {
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
+    let scenario = Scenario::two_class(config.clone());
     let trace = two_class_trace(&scenario, freq_hz, frac, secs);
     Fig3Result {
-        period_ms: config.period.as_millis(),
-        q1_per_period: trace.arrivals_per_period(config.period, Some(ClassId(0))),
-        q2_per_period: trace.arrivals_per_period(config.period, Some(ClassId(1))),
+        period_ms: config.qant.period.as_millis(),
+        q1_per_period: trace.arrivals_per_period(config.qant.period, Some(ClassId(0))),
+        q2_per_period: trace.arrivals_per_period(config.qant.period, Some(ClassId(1))),
     }
 }
 
@@ -104,7 +104,7 @@ qa_simnet::impl_to_json!(Fig4Result { rows });
 /// below total system capacity ("peek load was slightly below total
 /// system capacity" — a ~95 % peak is a ~0.71 average, i.e. 0.75 × 0.95).
 pub fn fig4_workload(config: &SimConfig, secs: u64) -> (Scenario, Trace) {
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
+    let scenario = Scenario::two_class(config.clone());
     let trace = two_class_trace(&scenario, 0.05, 0.95 * 0.75, secs);
     (scenario, trace)
 }
@@ -195,7 +195,7 @@ pub fn fig5a_point(scenario: &Scenario, frac: f64, secs: u64) -> SweepPoint {
 /// Figure 5a: load sweep at 0.05 Hz, average workload 10–300 % of
 /// capacity.
 pub fn fig5a_load_sweep(config: &SimConfig, fractions: &[f64], secs: u64) -> Vec<SweepPoint> {
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
+    let scenario = Scenario::two_class(config.clone());
     fractions
         .iter()
         .map(|&f| fig5a_point(&scenario, f, secs))
@@ -234,7 +234,7 @@ qa_simnet::impl_to_json!(Fig5cResult {
 
 /// The Figure-5c workload: 0.05 Hz sinusoid at 95 % of capacity.
 pub fn fig5c_workload(config: &SimConfig, secs: u64) -> (Scenario, Trace) {
-    let scenario = Scenario::two_class(config.clone(), TwoClassParams::default());
+    let scenario = Scenario::two_class(config.clone());
     let trace = two_class_trace(&scenario, 0.05, 0.95, secs);
     (scenario, trace)
 }
@@ -248,8 +248,8 @@ pub fn fig5c_from_outcomes(
     greedy: &RunOutcome,
 ) -> Fig5cResult {
     Fig5cResult {
-        period_ms: config.period.as_millis(),
-        arrivals_q1: trace.arrivals_per_period(config.period, Some(ClassId(0))),
+        period_ms: config.qant.period.as_millis(),
+        arrivals_q1: trace.arrivals_per_period(config.qant.period, Some(ClassId(0))),
         executed_q1_qant: qant.metrics.executed_per_period_of(ClassId(0)).to_vec(),
         executed_q1_greedy: greedy.metrics.executed_per_period_of(ClassId(0)).to_vec(),
     }
@@ -390,7 +390,7 @@ pub const SCALE_CONVERGENCE_EPS: f64 = 1e-2;
 
 /// The scaling world: the two-class scenario at an arbitrary node count.
 pub fn scale_world(nodes: usize, seed: u64) -> Scenario {
-    Scenario::two_class(SimConfig::scaled(nodes, seed), TwoClassParams::default())
+    Scenario::two_class(SimConfig::scaled(nodes, seed))
 }
 
 /// The scaling trace: 0.05 Hz sinusoid at 75 % of the (size-dependent)
@@ -477,7 +477,7 @@ fn horizon_for_queries(scenario: &Scenario, target: u64) -> u64 {
 
 /// A parent mechanism's table/JSON label.
 fn parent_label(parent: &BrokerConfig) -> &'static str {
-    match parent.market.mechanism {
+    match parent.mechanism {
         ParentMechanism::QaNt => "broker_qant",
         ParentMechanism::Walras => "broker_walras",
     }
@@ -629,7 +629,7 @@ mod tests {
             let windows = trace
                 .horizon()
                 .as_micros()
-                .div_ceil(scenario.config.period.as_micros())
+                .div_ceil(scenario.config.qant.period.as_micros())
                 .max(1);
             assert_eq!(
                 (p.periods, p.cross_messages),

@@ -10,7 +10,7 @@
 //! A query rejected by every QA-NT server is re-submitted at the start of
 //! the next period (§2.2: "If all available servers reject a request for a
 //! query, the respective client resubmits it in the next time period"). It
-//! waits on a FIFO list, not in the event queue: one [`Event::Wake`] per
+//! waits on a FIFO list, not in the event queue: one `Event::Wake` per
 //! boundary retries the list's due members in the order they were parked.
 //! In pure-market mode a member whose class no seller offers any more is
 //! refused for two counters, and a wake turns a whole run of such members
@@ -44,7 +44,7 @@ use qa_core::{
 };
 use qa_economics::ReplayWork;
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
-use qa_simnet::{DetRng, EventQueue, FaultPlan, SimDuration, SimTime};
+use qa_simnet::{DetRng, EventQueue, FaultPlan, LinkSpec, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
 use std::collections::VecDeque;
 
@@ -54,6 +54,12 @@ use std::collections::VecDeque;
 /// capable nodes refusing forever) hits it — dropping queries early would
 /// bias the mean-response comparison in QA-NT's favour.
 const MAX_RETRIES: u32 = 20_000;
+
+/// Relative error of the completion estimates the Greedy baseline
+/// collects (`±GREEDY_ESTIMATE_ERROR`, multiplicative). Real clients never
+/// see perfectly fresh queue state (the paper's EXPLAIN-based estimates
+/// "were usually incorrect"); 0 would model an omniscient greedy.
+const GREEDY_ESTIMATE_ERROR: f64 = 0.25;
 
 /// Salt separating the fault-injection RNG stream from the mechanism's.
 const FAULT_SALT: u64 = 0xFA17_0001;
@@ -268,9 +274,9 @@ impl<'a> Federation<'a> {
         telemetry: Telemetry,
     ) -> Federation<'a> {
         let cfg = &scenario.config;
-        let one_way = cfg.link.transfer_time(REQUEST_BYTES);
-        let rtt =
-            one_way + cfg.link.transfer_time(OFFER_BYTES) + cfg.link.transfer_time(RESPONSE_BYTES);
+        let link = LinkSpec::fast_ethernet();
+        let one_way = link.transfer_time(REQUEST_BYTES);
+        let rtt = one_way + link.transfer_time(OFFER_BYTES) + link.transfer_time(RESPONSE_BYTES);
         let nodes = NodeSoa::new(cfg.num_nodes);
         let k = scenario.templates.num_classes();
         let mut exec = vec![SimDuration::ZERO; k * cfg.num_nodes];
@@ -288,7 +294,7 @@ impl<'a> Federation<'a> {
                     QantMarket::with_jitter(cfg.num_nodes, k, cfg.qant, &mut price_rng);
                 market.set_telemetry(telemetry.with_label(0));
                 for (i, costs) in scenario.exec_times_ms.iter().enumerate() {
-                    market.begin_period(i, costs, None, cfg.period.as_millis_f64());
+                    market.begin_period(i, costs, None, cfg.qant.period.as_millis_f64());
                 }
                 MechState::QaNt(Sellers {
                     market,
@@ -330,7 +336,7 @@ impl<'a> Federation<'a> {
             more_arrivals: false,
             state,
             rng: DetRng::seed_from_u64(cfg.seed ^ mechanism_salt(mechanism)),
-            metrics: RunMetrics::new(cfg.period, k),
+            metrics: RunMetrics::new(cfg.qant.period, k),
             period_demand: vec![0; k],
             kills: Vec::new(),
             recoveries: Vec::new(),
@@ -395,7 +401,7 @@ impl<'a> Federation<'a> {
     /// arrivals stepped through its boundary, then whatever is left.
     pub fn run(mut self, trace: &Trace) -> RunOutcome {
         self.begin_run();
-        let period = self.scenario.config.period;
+        let period = self.scenario.config.qant.period;
         for (boundary, window, last) in period_windows(trace.events(), period) {
             self.push_arrivals(window, !last);
             self.step_through(boundary);
@@ -440,7 +446,7 @@ impl<'a> Federation<'a> {
     /// Starts a run: fixes the pure-market mode, seeds the event queue
     /// with the failure schedule and the first period boundary.
     pub fn begin_run(&mut self) {
-        let cfg_period = self.scenario.config.period;
+        let cfg_period = self.scenario.config.qant.period;
         // Fixed for the whole run: fault schedules and kill/recover
         // events are installed before `run`, and the telemetry handle at
         // construction.
@@ -507,7 +513,7 @@ impl<'a> Federation<'a> {
     /// cursor head or the queue head; an arrival precedes any same-time
     /// dynamic event. Returns `false` when nothing is due.
     fn process_next(&mut self, until: SimTime) -> bool {
-        let cfg_period = self.scenario.config.period;
+        let cfg_period = self.scenario.config.qant.period;
         let queued = self.queue.peek_time().filter(|&t| t <= until);
         if let Some(&q) = self
             .arrivals
@@ -810,7 +816,7 @@ impl<'a> Federation<'a> {
             *cap = d.saturating_mul(2).max(2);
         }
         let config = &self.scenario.config;
-        let period_ms = config.period.as_millis_f64();
+        let period_ms = config.qant.period.as_millis_f64();
         // Work-conserving budget. In the §5.1 threshold mode it is
         // floored at T/2 so a node that queued work while the bypass was
         // active does not reject everything while draining; in pure
@@ -1019,20 +1025,16 @@ impl<'a> Federation<'a> {
                 // randomization may also be used." The client polls every
                 // candidate for an EXPLAIN-style completion estimate —
                 // live backlog plus execution time, each off by up to
-                // ±`greedy_estimate_error` — and assigns unilaterally:
+                // ±`GREEDY_ESTIMATE_ERROR` — and assigns unilaterally:
                 // the §4 autonomy violation.
                 self.metrics.messages += 2 * capable.len() as u64 + 1;
-                let err = self.scenario.config.greedy_estimate_error;
+                let err = GREEDY_ESTIMATE_ERROR;
                 let mut best: Option<(SimDuration, NodeId)> = None;
                 // Only nodes whose estimate round-trip survived the link
                 // are candidates this attempt.
                 for &n in reachable {
                     let raw = self.nodes.estimated_completion(n.index(), now, exec_of(n));
-                    let noisy = if err > 0.0 {
-                        raw * (1.0 + self.rng.float_in(-err, err))
-                    } else {
-                        raw
-                    };
+                    let noisy = raw * (1.0 + self.rng.float_in(-err, err));
                     if best.is_none_or(|b| (noisy, n) < b) {
                         best = Some((noisy, n));
                     }
@@ -1167,11 +1169,10 @@ fn mechanism_salt(m: MechanismKind) -> u64 {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::scenario::TwoClassParams;
     use qa_workload::arrival::{ArrivalProcess, SinusoidProcess};
 
     fn scenario() -> Scenario {
-        Scenario::two_class(SimConfig::small_test(11), TwoClassParams::default())
+        Scenario::two_class(SimConfig::small_test(11))
     }
 
     /// A moderate two-class sinusoid trace over `secs` seconds at roughly
@@ -1190,6 +1191,22 @@ mod tests {
 
     fn run(s: &Scenario, m: MechanismKind, t: &Trace) -> RunOutcome {
         Federation::new(s, m, t).run(t)
+    }
+
+    /// The run's one period is `qant.period`: halve it and the same
+    /// light run steps twice as many period boundaries.
+    #[test]
+    fn a_run_follows_its_one_period() {
+        let periods = |ms: u64| {
+            let mut cfg = SimConfig::small_test(11);
+            cfg.qant.period = SimDuration::from_millis(ms);
+            let s = Scenario::two_class(cfg);
+            let t = trace_for(&s, 10, 0.3);
+            let out = run(&s, MechanismKind::QaNt, &t);
+            out.boundary.node_periods / s.config.num_nodes as u64
+        };
+        let (p500, p250) = (periods(500), periods(250));
+        assert_eq!(p250, 2 * p500, "500 ms: {p500} periods, 250 ms: {p250}");
     }
 
     #[test]
@@ -1272,7 +1289,7 @@ mod tests {
         // exhaust the period supply and defer.
         let mut cfg = SimConfig::small_test(11);
         cfg.qant.price_threshold = None;
-        let s = Scenario::two_class(cfg, TwoClassParams::default());
+        let s = Scenario::two_class(cfg);
         // Huge burst at t=0: supply for the period runs out, retries occur.
         let mut rng = DetRng::seed_from_u64(3).derive("burst");
         let burst: Vec<(SimTime, ClassId)> = (0..200)
@@ -1583,7 +1600,6 @@ mod index_differential {
     use super::*;
     use crate::config::SimConfig;
     use crate::node::NodeHardware;
-    use crate::scenario::TwoClassParams;
     use qa_workload::arrival::{ArrivalProcess, SinusoidProcess};
     use qa_workload::{Dataset, QueryTemplate, Relation, RelationId, TemplateSet};
 
@@ -1750,7 +1766,7 @@ mod index_differential {
         let mut fast = start(s, trace, false, participates);
         let mut eager = start(s, trace, true, participates);
         let (mut fast_served, mut eager_served) = (Served::new(), Served::new());
-        let mut boundary = SimTime::ZERO + s.config.period;
+        let mut boundary = SimTime::ZERO + s.config.qant.period;
         let mut owed = false;
         while fast.peek_next_time().is_some() {
             let before = SimTime::from_micros(boundary.as_micros() - 1);
@@ -1768,7 +1784,7 @@ mod index_differential {
                 market_state(&fast, boundary) == market_state(&eager, boundary),
                 "{what}: the markets differ after the boundary at {boundary:?}"
             );
-            boundary += s.config.period;
+            boundary += s.config.qant.period;
         }
         assert!(eager.peek_next_time().is_none(), "{what}: eager runs on");
         assert!(
@@ -1850,7 +1866,7 @@ mod index_differential {
             .to_vec();
         cases.push((70, Some(2.0)));
         let refused = assert_draws_agree("two-class-draws", &cases, |cfg, load| {
-            let s = Scenario::two_class(cfg, TwoClassParams::default());
+            let s = Scenario::two_class(cfg);
             let t = two_class_trace(&s, load);
             (s, t)
         });
@@ -1878,7 +1894,7 @@ mod index_differential {
     #[test]
     fn overloaded_runs_turn_the_waiters_the_polled_path_attempts() {
         let cfg = SimConfig::small_test(0x0DD);
-        let two_class = Scenario::two_class(cfg.clone(), TwoClassParams::default());
+        let two_class = Scenario::two_class(cfg.clone());
         let table3 = Scenario::table3(cfg);
         let worlds = [
             (two_class_trace(&two_class, 1.5), two_class),
@@ -1886,7 +1902,7 @@ mod index_differential {
         ];
         for (t, s) in &worlds {
             let k = s.templates.num_classes();
-            let periods = t.horizon().period_index(s.config.period);
+            let periods = t.horizon().period_index(s.config.qant.period);
             assert!(periods >= 20, "K={k}: {periods} periods");
             let run_out = |traced: bool| {
                 let mut f = start(s, t, traced, None);
@@ -1986,7 +2002,7 @@ mod index_differential {
     fn eager_poll_is_choose_best_offer() {
         use qa_core::messages::Offer;
         let twins = identical_nodes(6);
-        let mixed = Scenario::two_class(SimConfig::small_test(0x1DE), TwoClassParams::default());
+        let mixed = Scenario::two_class(SimConfig::small_test(0x1DE));
         let outsiders: Option<fn(NodeId) -> bool> = Some(|n| n.index() % 3 != 0);
         let (mut ties, mut refusals) = (0, 0);
         for (s, participates, dead) in [
@@ -2044,7 +2060,6 @@ mod wait_list {
     use super::index_differential::{alike_nodes, identical_nodes, owner, step, Served};
     use super::*;
     use crate::config::SimConfig;
-    use crate::scenario::TwoClassParams;
     use qa_simnet::{LinkFaults, OutageWindow};
 
     const PERIOD_US: u64 = 500_000;
@@ -2054,7 +2069,7 @@ mod wait_list {
     const SECOND: SimTime = SimTime::from_micros(2 * PERIOD_US + 1);
 
     fn stepped<'a>(s: &'a Scenario, m: MechanismKind, t: &Trace) -> Federation<'a> {
-        assert_eq!(s.config.period.as_micros(), PERIOD_US);
+        assert_eq!(s.config.qant.period.as_micros(), PERIOD_US);
         let mut f = Federation::new(s, m, t);
         f.push_arrivals(t.events(), false);
         f
@@ -2271,7 +2286,7 @@ mod wait_list {
 
     #[test]
     fn a_refusal_on_the_boundary_waits_for_the_following_one() {
-        let s = Scenario::two_class(SimConfig::small_test(11), TwoClassParams::default());
+        let s = Scenario::two_class(SimConfig::small_test(11));
         // A burst that dries class 0 for the period, then one more query
         // at the boundary's own microsecond: the cursor serves it ahead of
         // the `PeriodStart`, from the closing period's (empty) supply.
@@ -2381,7 +2396,7 @@ mod wait_list {
         let mut f = Federation::with_telemetry(&s, MechanismKind::Greedy, &t, telemetry);
         let slot = f.admit(t.events()[0]);
         let now = SimTime::from_millis(10);
-        let wake = wake_after(now, s.config.period);
+        let wake = wake_after(now, s.config.qant.period);
         assert_eq!(wake, SimTime::from_micros(PERIOD_US + 1));
         f.resubmit(wake, slot, ClassId(0), MAX_RETRIES - 1);
         assert_eq!(list(&f), [waiter(wake, 0, MAX_RETRIES)]);

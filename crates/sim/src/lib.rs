@@ -8,9 +8,11 @@
 //!
 //! Structure:
 //!
-//! * [`config`] — [`SimConfig`] with `paper_defaults()` encoding Table 3,
-//! * [`node`] — the per-node model: CPU/I-O/buffer hardware factors, the
-//!   execution-time model, and a FIFO work-conserving queue,
+//! * [`config`] — [`SimConfig`]: a run's seed, size and QA-NT market
+//!   (`paper_defaults()` is Table 3's 100 nodes),
+//! * [`node`] — the per-node model: CPU/I-O/buffer hardware factors drawn
+//!   from Table 3's ranges, the execution-time model, and a FIFO
+//!   work-conserving queue,
 //! * [`federation`] — the event loop: arrivals run the allocation
 //!   protocol (with per-mechanism message accounting), executions occupy
 //!   nodes, period boundaries drive QA-NT's price dynamics,
@@ -38,6 +40,6 @@ pub use broker::BrokerTier;
 pub use config::{BrokerConfig, SimConfig};
 pub use federation::{Federation, RunOutcome};
 pub use metrics::RunMetrics;
-pub use scenario::{Scenario, TwoClassParams};
+pub use scenario::Scenario;
 pub use sharded::{ShardPlan, ShardRunOptions, ShardSpec, ShardedOutcome};
 pub use tracedump::{run_trace_dump, TraceDump, TraceDumpSpec};

@@ -6,9 +6,22 @@
 //! factors drawn from the Table-3 ranges: CPU speed, I/O speed and
 //! sort/hash buffer size, plus the hash-join capability bit.
 
-use crate::config::SimConfig;
 use qa_simnet::{DetRng, SimDuration, SimTime};
 use qa_workload::QueryTemplate;
+
+/// CPU speed range in GHz (Table 3: 1–3.5, avg 2.3).
+const CPU_GHZ: (f64, f64) = (1.0, 3.5);
+/// Reference CPU speed the template base costs are calibrated to.
+const REFERENCE_GHZ: f64 = 2.3;
+/// I/O speed range in MB/s (Table 3: 5–80, avg 42.5).
+const IO_MBPS: (f64, f64) = (5.0, 80.0);
+/// Reference I/O speed.
+const REFERENCE_IO_MBPS: f64 = 42.5;
+/// Sort/hash buffer size range in MB (Table 3: 2–10, avg 6).
+const BUFFER_MB: (f64, f64) = (2.0, 10.0);
+/// Fraction of nodes with hash-join capability (Table 3: 95/100; the
+/// rest merge-scan only and pay a join penalty).
+const HASH_JOIN_FRACTION: f64 = 0.95;
 
 /// Static hardware description of a node.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,13 +37,14 @@ pub struct NodeHardware {
 }
 
 impl NodeHardware {
-    /// Draws hardware from the configured ranges.
-    pub fn sample(cfg: &SimConfig, rng: &mut DetRng) -> NodeHardware {
+    /// Draws hardware from the Table-3 ranges (CPU, I/O, buffer, then the
+    /// hash-join bit: the draw order every world digest depends on).
+    pub fn sample(rng: &mut DetRng) -> NodeHardware {
         NodeHardware {
-            cpu_ghz: rng.float_in(cfg.cpu_ghz.0, cfg.cpu_ghz.1),
-            io_mbps: rng.float_in(cfg.io_mbps.0, cfg.io_mbps.1),
-            buffer_mb: rng.float_in(cfg.buffer_mb.0, cfg.buffer_mb.1),
-            hash_join: rng.chance(cfg.hash_join_fraction),
+            cpu_ghz: rng.float_in(CPU_GHZ.0, CPU_GHZ.1),
+            io_mbps: rng.float_in(IO_MBPS.0, IO_MBPS.1),
+            buffer_mb: rng.float_in(BUFFER_MB.0, BUFFER_MB.1),
+            hash_join: rng.chance(HASH_JOIN_FRACTION),
         }
     }
 
@@ -44,10 +58,10 @@ impl NodeHardware {
     ///   below the 6 MB reference (up to +50 % for a 49-join query on a
     ///   2 MB node),
     /// * joins on merge-scan-only nodes cost 30 % extra (no hash join).
-    pub fn execution_time(&self, template: &QueryTemplate, cfg: &SimConfig) -> SimDuration {
+    pub fn execution_time(&self, template: &QueryTemplate) -> SimDuration {
         let base = template.base_cost.as_secs_f64();
-        let cpu_part = 0.6 * cfg.reference_ghz / self.cpu_ghz;
-        let io_part = 0.4 * cfg.reference_io_mbps / self.io_mbps;
+        let cpu_part = 0.6 * REFERENCE_GHZ / self.cpu_ghz;
+        let io_part = 0.4 * REFERENCE_IO_MBPS / self.io_mbps;
         let mut t = base * (cpu_part + io_part);
         let join_weight = f64::from(template.joins) / 50.0;
         let reference_buffer = 6.0;
@@ -201,10 +215,6 @@ mod tests {
     use qa_simnet::SimDuration;
     use qa_workload::{ClassId, RelationId};
 
-    fn cfg() -> SimConfig {
-        SimConfig::paper_defaults()
-    }
-
     fn template(joins: u32, ms: u64) -> QueryTemplate {
         QueryTemplate {
             id: ClassId(0),
@@ -227,7 +237,7 @@ mod tests {
     #[test]
     fn reference_hardware_runs_at_base_cost() {
         let h = hw(2.3, 42.5, 6.0, true);
-        let t = h.execution_time(&template(10, 1_000), &cfg());
+        let t = h.execution_time(&template(10, 1_000));
         assert!((t.as_millis_f64() - 1_000.0).abs() < 1.0, "{t}");
     }
 
@@ -236,7 +246,7 @@ mod tests {
         let slow = hw(1.0, 42.5, 6.0, true);
         let fast = hw(3.5, 42.5, 6.0, true);
         let t = template(10, 1_000);
-        assert!(fast.execution_time(&t, &cfg()) < slow.execution_time(&t, &cfg()));
+        assert!(fast.execution_time(&t) < slow.execution_time(&t));
     }
 
     #[test]
@@ -244,7 +254,7 @@ mod tests {
         let slow = hw(2.3, 5.0, 6.0, true);
         let fast = hw(2.3, 80.0, 6.0, true);
         let t = template(0, 1_000);
-        assert!(fast.execution_time(&t, &cfg()) < slow.execution_time(&t, &cfg()));
+        assert!(fast.execution_time(&t) < slow.execution_time(&t));
     }
 
     #[test]
@@ -255,12 +265,12 @@ mod tests {
         let joins = template(49, 1_000);
         // 0-join query: no spill penalty.
         assert!(
-            (tight.execution_time(&scan, &cfg()).as_millis_f64()
-                - roomy.execution_time(&scan, &cfg()).as_millis_f64())
+            (tight.execution_time(&scan).as_millis_f64()
+                - roomy.execution_time(&scan).as_millis_f64())
             .abs()
                 < 1.0
         );
-        assert!(tight.execution_time(&joins, &cfg()) > roomy.execution_time(&joins, &cfg()));
+        assert!(tight.execution_time(&joins) > roomy.execution_time(&joins));
     }
 
     #[test]
@@ -269,22 +279,18 @@ mod tests {
         let hash = hw(2.3, 42.5, 6.0, true);
         let joins = template(5, 1_000);
         let scan = template(0, 1_000);
-        let ratio = merge.execution_time(&joins, &cfg()).as_millis_f64()
-            / hash.execution_time(&joins, &cfg()).as_millis_f64();
+        let ratio = merge.execution_time(&joins).as_millis_f64()
+            / hash.execution_time(&joins).as_millis_f64();
         assert!((ratio - 1.3).abs() < 0.01);
-        assert_eq!(
-            merge.execution_time(&scan, &cfg()),
-            hash.execution_time(&scan, &cfg())
-        );
+        assert_eq!(merge.execution_time(&scan), hash.execution_time(&scan));
     }
 
     #[test]
     fn sampled_hardware_in_ranges() {
-        let c = cfg();
         let mut rng = DetRng::seed_from_u64(5);
         let mut hash_count = 0;
         for _ in 0..500 {
-            let h = NodeHardware::sample(&c, &mut rng);
+            let h = NodeHardware::sample(&mut rng);
             assert!((1.0..3.5).contains(&h.cpu_ghz));
             assert!((5.0..80.0).contains(&h.io_mbps));
             assert!((2.0..10.0).contains(&h.buffer_mb));

@@ -12,26 +12,12 @@ use qa_workload::ids::RelationId;
 use qa_workload::template::{QueryTemplate, TemplateConfig, TemplateSet};
 use qa_workload::{ClassId, NodeId};
 
-/// Parameters of the two-class sinusoid world (§5.1 first experiment set).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoClassParams {
-    /// Q1 average execution time (paper: 1 000 ms).
-    pub q1_ms: u64,
-    /// Q2 average execution time (paper: 500 ms).
-    pub q2_ms: u64,
-    /// Fraction of nodes able to evaluate Q2 (paper: one half).
-    pub q2_node_fraction: f64,
-}
-
-impl Default for TwoClassParams {
-    fn default() -> Self {
-        TwoClassParams {
-            q1_ms: 1_000,
-            q2_ms: 500,
-            q2_node_fraction: 0.5,
-        }
-    }
-}
+/// Q1's average execution time in the two-class world (§5.1: 1 000 ms).
+const Q1_MS: u64 = 1_000;
+/// Q2's average execution time in the two-class world (§5.1: 500 ms).
+const Q2_MS: u64 = 500;
+/// Fraction of nodes able to evaluate Q2 (§5.1: one half).
+const Q2_NODE_FRACTION: f64 = 0.5;
 
 /// A fully built experiment world.
 #[derive(Debug, Clone)]
@@ -68,7 +54,7 @@ impl Scenario {
         let capable: Vec<Vec<NodeId>> =
             templates.iter().map(|t| dataset.capable_nodes(t)).collect();
         let exec_times_ms = exec_matrix(config.num_nodes, &templates, &capable, |i, t| {
-            hardware[i].execution_time(t, &config).as_millis_f64()
+            hardware[i].execution_time(t).as_millis_f64()
         });
         Scenario {
             config,
@@ -80,13 +66,13 @@ impl Scenario {
         }
     }
 
-    /// The two-class sinusoid world: Q1 evaluable everywhere, Q2 on a node
-    /// fraction only (the paper chose the classes "to avoid trivial
-    /// solutions").
-    pub fn two_class(config: SimConfig, params: TwoClassParams) -> Scenario {
+    /// The two-class sinusoid world of §5.1: Q1 (1 000 ms) evaluable
+    /// everywhere, Q2 (500 ms) on half the nodes only (the paper chose the
+    /// classes "to avoid trivial solutions").
+    pub fn two_class(config: SimConfig) -> Scenario {
         let mut rng = DetRng::seed_from_u64(config.seed).derive("two-class");
         let n = config.num_nodes;
-        let q2_nodes = ((n as f64 * params.q2_node_fraction).round() as usize).clamp(1, n);
+        let q2_nodes = ((n as f64 * Q2_NODE_FRACTION).round() as usize).clamp(1, n);
         let q2_mirror: Vec<NodeId> = rng
             .sample_indices(n, q2_nodes)
             .into_iter()
@@ -112,20 +98,18 @@ impl Scenario {
                 id: ClassId(0),
                 joins: 2,
                 relations: vec![RelationId(0)],
-                base_cost: SimDuration::from_millis(params.q1_ms),
+                base_cost: SimDuration::from_millis(Q1_MS),
                 result_bytes: 32 * 1024,
             },
             QueryTemplate {
                 id: ClassId(1),
                 joins: 1,
                 relations: vec![RelationId(1)],
-                base_cost: SimDuration::from_millis(params.q2_ms),
+                base_cost: SimDuration::from_millis(Q2_MS),
                 result_bytes: 16 * 1024,
             },
         ]);
-        let hardware: Vec<NodeHardware> = (0..n)
-            .map(|_| NodeHardware::sample(&config, &mut rng))
-            .collect();
+        let hardware: Vec<NodeHardware> = (0..n).map(|_| NodeHardware::sample(&mut rng)).collect();
         Scenario::assemble(config, templates, dataset, hardware)
     }
 
@@ -154,7 +138,7 @@ impl Scenario {
         let templates = TemplateSet::generate(&tpl_cfg, &mut rng.derive("templates"));
         let mut hw_rng = rng.derive("hardware");
         let hardware: Vec<NodeHardware> = (0..config.num_nodes)
-            .map(|_| NodeHardware::sample(&config, &mut hw_rng))
+            .map(|_| NodeHardware::sample(&mut hw_rng))
             .collect();
 
         let capable: Vec<Vec<NodeId>> = templates
@@ -171,7 +155,7 @@ impl Scenario {
             let node = NodeId(i as u32);
             let missing = t.relations.iter().filter(|&&r| !dataset.node_has(node, r));
             let frac = missing.count() as f64 / t.relations.len().max(1) as f64;
-            let base = hardware[i].execution_time(t, &config).as_millis_f64();
+            let base = hardware[i].execution_time(t).as_millis_f64();
             // Remote fetches add up to +50% for a fully remote join tail.
             base * (1.0 + 0.5 * frac)
         });
@@ -237,7 +221,7 @@ mod tests {
 
     #[test]
     fn two_class_world_shape() {
-        let s = Scenario::two_class(SimConfig::small_test(1), TwoClassParams::default());
+        let s = Scenario::two_class(SimConfig::small_test(1));
         assert_eq!(s.capable[0].len(), 10, "Q1 runs everywhere");
         assert_eq!(s.capable[1].len(), 5, "Q2 on half the nodes");
         // Exec times near the configured averages on reference hardware.
@@ -247,7 +231,7 @@ mod tests {
 
     #[test]
     fn two_class_exec_matrix_consistent_with_capability() {
-        let s = Scenario::two_class(SimConfig::small_test(2), TwoClassParams::default());
+        let s = Scenario::two_class(SimConfig::small_test(2));
         for i in 0..10 {
             let can_q2 = s.capable[1].contains(&NodeId(i as u32));
             assert_eq!(s.exec_times_ms[i][1].is_some(), can_q2);
@@ -307,11 +291,11 @@ mod tests {
             };
             let templates = TemplateSet::generate(&tpl_cfg, &mut rng);
             let hardware = (0..config.num_nodes)
-                .map(|_| NodeHardware::sample(&config, &mut rng))
+                .map(|_| NodeHardware::sample(&mut rng))
                 .collect();
             let s = Scenario::assemble(config, templates, dataset, hardware);
             assert_matrix_follows_capability(&s, |i, t| {
-                s.hardware[i].execution_time(t, &s.config).as_millis_f64()
+                s.hardware[i].execution_time(t).as_millis_f64()
             });
         }
     }
@@ -327,7 +311,7 @@ mod tests {
                     |&r: &RelationId| s.dataset.relation(r).mirrors.contains(&NodeId(i as u32));
                 let missing = t.relations.iter().filter(|r| !held(r)).count();
                 let frac = missing as f64 / t.relations.len().max(1) as f64;
-                let base = s.hardware[i].execution_time(t, &s.config).as_millis_f64();
+                let base = s.hardware[i].execution_time(t).as_millis_f64();
                 base * (1.0 + 0.5 * frac)
             });
         }
@@ -335,18 +319,18 @@ mod tests {
 
     #[test]
     fn capacity_scales_with_nodes() {
-        let small = Scenario::two_class(SimConfig::small_test(4), TwoClassParams::default());
+        let small = Scenario::two_class(SimConfig::small_test(4));
         let mut big_cfg = SimConfig::small_test(4);
         big_cfg.num_nodes = 20;
-        let big = Scenario::two_class(big_cfg, TwoClassParams::default());
+        let big = Scenario::two_class(big_cfg);
         let mix = [2.0 / 3.0, 1.0 / 3.0];
         assert!(big.capacity_qps(&mix) > 1.5 * small.capacity_qps(&mix));
     }
 
     #[test]
     fn scenarios_are_deterministic() {
-        let a = Scenario::two_class(SimConfig::small_test(7), TwoClassParams::default());
-        let b = Scenario::two_class(SimConfig::small_test(7), TwoClassParams::default());
+        let a = Scenario::two_class(SimConfig::small_test(7));
+        let b = Scenario::two_class(SimConfig::small_test(7));
         assert_eq!(a.exec_times_ms, b.exec_times_ms);
         assert_eq!(a.capable, b.capable);
     }

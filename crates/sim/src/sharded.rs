@@ -293,7 +293,7 @@ impl ShardPlan {
         );
         weights.iter_mut().for_each(|w| into_shares(w));
 
-        let period = self.shards[0].scenario.config.period;
+        let period = self.shards[0].scenario.config.qant.period;
         let mut signal_history = Vec::new();
         let mut buffers: Vec<Vec<QueryEvent>> = vec![Vec::new(); s_count];
         for (boundary, window, last) in period_windows(trace.events(), period) {
@@ -508,12 +508,11 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::experiments::two_class_trace;
-    use crate::scenario::TwoClassParams;
 
     fn world(nodes: usize, seed: u64) -> Scenario {
         let mut cfg = SimConfig::small_test(seed);
         cfg.num_nodes = nodes;
-        Scenario::two_class(cfg, TwoClassParams::default())
+        Scenario::two_class(cfg)
     }
 
     fn trace_for(scenario: &Scenario, seconds: u64) -> Trace {
@@ -523,7 +522,7 @@ mod tests {
     /// Period windows `(b - T, b]` from the first boundary through the
     /// one that holds the last arrival.
     fn windows_spanned(trace: &Trace, scenario: &Scenario) -> usize {
-        let period = scenario.config.period.as_micros();
+        let period = scenario.config.qant.period.as_micros();
         trace.horizon().as_micros().div_ceil(period).max(1) as usize
     }
 

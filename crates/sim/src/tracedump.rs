@@ -25,30 +25,32 @@
 use crate::config::SimConfig;
 use crate::experiments::two_class_trace;
 use crate::federation::Federation;
-use crate::scenario::{Scenario, TwoClassParams};
+use crate::scenario::Scenario;
 use qa_core::MechanismKind;
 use qa_simnet::json::{Json, ToJson};
 use qa_simnet::telemetry::{census, ConvergenceReport, Telemetry, TraceRecord};
 use qa_simnet::{FaultPlan, LinkFaults, SimTime};
 use qa_workload::NodeId;
 
-/// Parameters of a trace-dump run.
+/// Offered load of every trace-dump run, as a fraction of system capacity.
+const FRAC: f64 = 1.1;
+/// Sinusoid frequency of the two-class workload (Hz).
+const FREQ_HZ: f64 = 0.05;
+/// Uniform per-message drop probability.
+const DROP_PROB: f64 = 0.05;
+/// `mean |Δ ln p|` threshold below which a period counts as quiet.
+const CONVERGENCE_TOL: f64 = 0.02;
+
+/// Parameters of a trace-dump run. Every run offers 1.1× system capacity
+/// as a 0.05 Hz two-class sinusoid over links that drop 5 % of messages.
 #[derive(Debug, Clone)]
 pub struct TraceDumpSpec {
     /// Simulation configuration (nodes, period, seed, …).
     pub config: SimConfig,
     /// Trace horizon in seconds.
     pub secs: u64,
-    /// Offered load as a fraction of system capacity.
-    pub frac: f64,
-    /// Sinusoid frequency of the two-class workload (Hz).
-    pub freq_hz: f64,
-    /// Uniform per-message drop probability (0 disables link faults).
-    pub drop_prob: f64,
     /// Optional crash injection: `(node, kill_ms, recover_ms)`.
     pub kill: Option<(u32, u64, u64)>,
-    /// `mean |Δ ln p|` threshold below which a period counts as quiet.
-    pub convergence_tol: f64,
 }
 
 impl TraceDumpSpec {
@@ -57,11 +59,7 @@ impl TraceDumpSpec {
         TraceDumpSpec {
             config: SimConfig::small_test(seed),
             secs: 20,
-            frac: 1.1,
-            freq_hz: 0.05,
-            drop_prob: 0.05,
             kill: Some((0, 5_000, 12_000)),
-            convergence_tol: 0.02,
         }
     }
 
@@ -73,11 +71,7 @@ impl TraceDumpSpec {
                 ..SimConfig::paper_defaults()
             },
             secs: 120,
-            frac: 1.1,
-            freq_hz: 0.05,
-            drop_prob: 0.05,
             kill: Some((0, 30_000, 70_000)),
-            convergence_tol: 0.02,
         }
     }
 
@@ -115,14 +109,12 @@ pub struct TraceDump {
 
 /// Runs the spec and captures its telemetry.
 pub fn run_trace_dump(spec: &TraceDumpSpec) -> TraceDump {
-    let scenario = Scenario::two_class(spec.config.clone(), TwoClassParams::default());
-    let trace = two_class_trace(&scenario, spec.freq_hz, spec.frac, spec.secs);
+    let scenario = Scenario::two_class(spec.config.clone());
+    let trace = two_class_trace(&scenario, FREQ_HZ, FRAC, spec.secs);
     let (telemetry, buffer) = Telemetry::buffered();
     let mut federation =
         Federation::with_telemetry(&scenario, MechanismKind::QaNt, &trace, telemetry.clone());
-    if spec.drop_prob > 0.0 {
-        federation.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(spec.drop_prob)));
-    }
+    federation.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(DROP_PROB)));
     if let Some((node, kill_ms, recover_ms)) = spec.kill {
         federation.kill_node_at(NodeId(node), SimTime::from_millis(kill_ms));
         federation.recover_node_at(NodeId(node), SimTime::from_millis(recover_ms));
@@ -131,11 +123,8 @@ pub fn run_trace_dump(spec: &TraceDumpSpec) -> TraceDump {
 
     let records = buffer.records();
     let jsonl = buffer.to_jsonl();
-    let report = ConvergenceReport::from_records(
-        &records,
-        spec.config.period.as_micros(),
-        spec.convergence_tol,
-    );
+    let period_us = spec.config.qant.period.as_micros();
+    let report = ConvergenceReport::from_records(&records, period_us, CONVERGENCE_TOL);
     if let Some(registry) = telemetry.registry() {
         outcome.metrics.publish_to(registry);
         outcome.boundary.publish_to(registry);
@@ -150,8 +139,8 @@ pub fn run_trace_dump(spec: &TraceDumpSpec) -> TraceDump {
         "seed": spec.config.seed,
         "nodes": spec.config.num_nodes as u64,
         "secs": spec.secs,
-        "frac": spec.frac,
-        "drop_prob": spec.drop_prob,
+        "frac": FRAC,
+        "drop_prob": DROP_PROB,
         "queries": trace.len() as u64,
         "completed": outcome.metrics.completed,
         "unserved": outcome.metrics.unserved,

@@ -113,7 +113,7 @@ fn two_tier_routing_conserves_queries() {
                 "case {case_no}: no broker config must run the default QA-NT parent"
             );
         }
-        let period = scenario.config.period.as_micros();
+        let period = scenario.config.qant.period.as_micros();
         assert_eq!(
             out.periods() as u64,
             trace.horizon().as_micros().div_ceil(period).max(1),

@@ -13,7 +13,7 @@
 //! * stats (Welford) → `summary` with `_count` and `_sum` series
 //!   (`sum = mean × count`; quantile series are deliberately omitted —
 //!   a mean/variance accumulator has no honest quantiles),
-//! * histograms ([`LogHistogram`](crate::stats::LogHistogram)) →
+//! * histograms ([`LogHistogram`]) →
 //!   `histogram` with cumulative `_bucket{le="…"}` series at each
 //!   non-empty bucket bound, the mandatory `le="+Inf"` bucket, `_sum`
 //!   and `_count`.

@@ -108,7 +108,7 @@ impl ArrivalProcess for SinusoidProcess {
 /// The paper: "The inter-arrival time of queries belonging to the same
 /// query class followed a zipf distribution with parameter a = 1. The
 /// maximum inter-arrival time between two queries was constrained to
-/// 30,000 ms and the [minimum] inter-arrival time was varied from 10 ms to
+/// 30,000 ms and the \[minimum\] inter-arrival time was varied from 10 ms to
 /// 20,000 ms." Gaps are drawn over `num_slots` values spaced linearly on
 /// `[min_gap, max_gap]` with zipf(a) rank probabilities — rank 1 (= the
 /// minimum gap) carries the most mass, so small `min_gap` makes classes

@@ -17,7 +17,7 @@ use query_markets::sim::experiments::two_class_trace;
 fn main() {
     let mut config = SimConfig::small_test(7);
     config.num_nodes = 20;
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
 
     // 2.5× overload for 30 s (virtual).
     let trace = two_class_trace(&scenario, 0.05, 2.5, 30);

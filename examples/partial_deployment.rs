@@ -17,7 +17,7 @@ use query_markets::sim::experiments::two_class_trace;
 fn main() {
     let mut config = SimConfig::small_test(21);
     config.num_nodes = 30;
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
     let trace = two_class_trace(&scenario, 0.05, 2.5, 30);
     println!(
         "{} queries at 250% of capacity, 30 nodes, varying QA-NT adoption\n",

@@ -12,7 +12,7 @@ fn main() {
     // (~1000 ms) evaluable everywhere, Q2 (~500 ms) on half the nodes.
     let mut config = SimConfig::small_test(42);
     config.num_nodes = 20;
-    let scenario = Scenario::two_class(config, TwoClassParams::default());
+    let scenario = Scenario::two_class(config);
 
     // A 0.05 Hz sinusoid at 90 % of system capacity for 30 s of virtual
     // time — the regime where allocation quality matters most.

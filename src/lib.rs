@@ -22,13 +22,13 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`economics`](qa_economics) | price/quantity vectors, supply sets, eq.-4 solvers, Pareto optimality, tâtonnement & non-tâtonnement dynamics, welfare-theorem checks |
-//! | [`simnet`](qa_simnet) | discrete-event kernel: virtual clock, event queue, RNG, distributions, link model, statistics |
-//! | [`workload`](qa_workload) | query classes, synthetic datasets, sinusoid / zipf / uniform arrival processes, traces |
-//! | [`core`](qa_core) | QA-NT itself plus Greedy, Random, Round-robin, BNQRD, two-probes and Markov baselines; plan-history estimator |
-//! | [`sim`](qa_sim) | the §5.1 federation simulator and every figure's experiment |
-//! | [`minidb`](qa_minidb) | a real SQL engine: parser, optimizer, EXPLAIN, executors |
-//! | [`cluster`](qa_cluster) | the §5.2 threaded deployment over live engines |
+//! | [`economics`] | price/quantity vectors, supply sets, eq.-4 solvers, Pareto optimality, tâtonnement & non-tâtonnement dynamics, welfare-theorem checks |
+//! | [`simnet`] | discrete-event kernel: virtual clock, event queue, RNG, distributions, link model, statistics |
+//! | [`workload`] | query classes, synthetic datasets, sinusoid / zipf / uniform arrival processes, traces |
+//! | [`core`] | QA-NT itself plus Greedy, Random, Round-robin, BNQRD, two-probes and Markov baselines; plan-history estimator |
+//! | [`sim`] | the §5.1 federation simulator and every figure's experiment |
+//! | [`minidb`] | a real SQL engine: parser, optimizer, EXPLAIN, executors |
+//! | [`cluster`] | the §5.2 threaded deployment over live engines |
 //!
 //! ## Quickstart
 //!
@@ -38,7 +38,7 @@
 //! use query_markets::prelude::*;
 //!
 //! let config = SimConfig::small_test(7);
-//! let scenario = Scenario::two_class(config, TwoClassParams::default());
+//! let scenario = Scenario::two_class(config);
 //! let trace = two_class_trace(&scenario, 0.05, 0.8, 10);
 //! let qant = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
 //! let greedy = Federation::new(&scenario, MechanismKind::Greedy, &trace).run(&trace);
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use qa_sim::config::SimConfig;
     pub use qa_sim::experiments::two_class_trace;
     pub use qa_sim::federation::{Federation, RunOutcome};
-    pub use qa_sim::scenario::{Scenario, TwoClassParams};
+    pub use qa_sim::scenario::Scenario;
     pub use qa_simnet::{DetRng, FaultPlan, LinkFaults, OutageWindow, SimDuration, SimTime};
     pub use qa_workload::{ClassId, NodeId, Trace};
 }

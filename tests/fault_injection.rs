@@ -20,7 +20,7 @@ use std::time::Duration;
 fn sim_qant_survives_lossy_slow_link_and_mid_run_crash() {
     let out = with_watchdog("sim qant under loss and crash", 120, || {
         let config = SimConfig::small_test(2024);
-        let scenario = Scenario::two_class(config, TwoClassParams::default());
+        let scenario = Scenario::two_class(config);
         let trace = two_class_trace(&scenario, 0.05, 0.5, 20);
         let n = trace.len();
         let mut f = Federation::new(&scenario, MechanismKind::QaNt, &trace);
@@ -54,7 +54,7 @@ fn sim_qant_survives_lossy_slow_link_and_mid_run_crash() {
 fn sim_fault_runs_reproducible_and_fault_seed_sensitive() {
     let fingerprint = |fault_seed: Option<u64>| {
         let config = SimConfig::small_test(5);
-        let scenario = Scenario::two_class(config, TwoClassParams::default());
+        let scenario = Scenario::two_class(config);
         let trace = two_class_trace(&scenario, 0.05, 0.5, 12);
         let mut f = Federation::new(&scenario, MechanismKind::QaNt, &trace);
         f.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.2)));

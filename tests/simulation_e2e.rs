@@ -10,7 +10,7 @@ use query_markets::sim::experiments::{
 fn scenario(nodes: usize, seed: u64) -> Scenario {
     let mut config = SimConfig::small_test(seed);
     config.num_nodes = nodes;
-    Scenario::two_class(config, TwoClassParams::default())
+    Scenario::two_class(config)
 }
 
 #[test]

@@ -44,11 +44,11 @@ fn trace_dump_lines_are_canonical_jsonl() {
 fn observation_does_not_perturb_the_simulation() {
     use qa_core::MechanismKind;
     use qa_sim::federation::Federation;
-    use qa_sim::scenario::{Scenario, TwoClassParams};
+    use qa_sim::scenario::Scenario;
     use qa_sim::SimConfig;
     use qa_simnet::telemetry::Telemetry;
 
-    let scenario = Scenario::two_class(SimConfig::small_test(5), TwoClassParams::default());
+    let scenario = Scenario::two_class(SimConfig::small_test(5));
     let trace = qa_sim::experiments::two_class_trace(&scenario, 0.05, 0.8, 10);
     let silent = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
     let (telemetry, _buffer) = Telemetry::buffered();
