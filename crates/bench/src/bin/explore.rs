@@ -160,8 +160,12 @@ fn main() -> ExitCode {
     }
 
     let (sys_depth, sys_budget, random_count) = match scale() {
-        Scale::Ci => (6, 1_200, 200),
-        Scale::Full => (8, 10_000, 1_000),
+        Ok(Scale::Ci) => (6, 1_200, 200),
+        Ok(Scale::Full) => (8, 10_000, 1_000),
+        Err(e) => {
+            eprintln!("explore: {e}");
+            return ExitCode::from(2);
+        }
     };
     let seed = match seed_from(std::env::var("QA_SEED")) {
         Ok(seed) => seed,

@@ -122,8 +122,12 @@ fn tcp_cell(
 
 fn main() {
     let queries = match scale() {
-        Scale::Ci => 24,
-        Scale::Full => 96,
+        Ok(Scale::Ci) => 24,
+        Ok(Scale::Full) => 96,
+        Err(e) => {
+            eprintln!("ext_net: {e}");
+            std::process::exit(2)
+        }
     };
     let qad = find_qad();
     let scratch = std::env::temp_dir().join(format!("qa-ext-net-{}", std::process::id()));

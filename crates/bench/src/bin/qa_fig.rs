@@ -1,6 +1,6 @@
 //! `qa_fig <name>... | all`: runs rows of `qa_bench::FIGURES`, prints each
 //! one's text and writes its files under `bench_results/`. `QA_SCALE`
-//! (`ci` by default, or `full`) picks the scale and `QA_THREADS` the
+//! (`ci` by default, or `full`; anything else exits 2) picks the scale and `QA_THREADS` the
 //! worker budget; each row's wall time goes to stderr.
 
 use qa_bench::{figure, scale, write_result, Figure, FIGURES};
@@ -17,7 +17,11 @@ fn main() {
     if rows.is_empty() {
         usage(None);
     }
-    let (scale, threads) = (scale(), qa_simnet::thread_budget());
+    let scale = scale().unwrap_or_else(|e| {
+        eprintln!("qa_fig: {e}");
+        std::process::exit(2)
+    });
+    let threads = qa_simnet::thread_budget();
     for fig in rows {
         let start = Instant::now();
         let report = (fig.run)(scale, threads);

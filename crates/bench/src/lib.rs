@@ -2,9 +2,11 @@
 //!
 //! Every table and figure of the paper is one row of [`FIGURES`]: a name
 //! and a function from the scale and the thread budget to a [`Report`],
-//! the text to print and the files to write. `qa_fig <name>... | all`
-//! runs rows, prints their text and writes their files under
-//! `bench_results/`; the name is the file's stem. The rows marked
+//! the text to print and the files to write. A row's module states its
+//! figure once — workload, per-scale parameters, cells and result type —
+//! over the engine and the shared workloads of `qa_sim::experiments`.
+//! `qa_fig <name>... | all` runs rows, prints their text and writes their
+//! files under `bench_results/`; the name is the file's stem. The rows marked
 //! `committed` are functions of scale and seed alone: their full-scale
 //! files, the two seeded telemetry traces among them, are committed under
 //! `figures/` and `tests/figures.rs` regenerates them; nothing else
@@ -18,6 +20,8 @@
 //!   seconds; shapes hold, absolute numbers are noisier,
 //! * `full` — the paper-scale configuration (100 nodes, full sweeps);
 //!   minutes of runtime.
+//!
+//! Any other value is an error: the bins exit 2 naming it.
 //!
 //! `QA_THREADS` sizes the worker pool that fans a figure's independent
 //! cells out (`qa_simnet::par_map_indexed_with`). Cells are pure
@@ -44,11 +48,19 @@ pub enum Scale {
     Full,
 }
 
-/// Reads `QA_SCALE` (default [`Scale::Ci`]).
-pub fn scale() -> Scale {
-    match std::env::var("QA_SCALE").as_deref() {
-        Ok("full") | Ok("FULL") => Scale::Full,
-        _ => Scale::Ci,
+/// Reads `QA_SCALE`: unset or `ci` is [`Scale::Ci`], `full` is
+/// [`Scale::Full`]. Any other value is an error naming it, so a typo never
+/// writes CI-scale files under full-scale names.
+pub fn scale() -> Result<Scale, String> {
+    let value = std::env::var_os("QA_SCALE");
+    parse_scale(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None | Some("ci") => Ok(Scale::Ci),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!("QA_SCALE={other:?}: expected `ci` or `full`")),
     }
 }
 
@@ -242,10 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_defaults_to_ci() {
-        // Unless the caller's environment says otherwise.
-        if std::env::var("QA_SCALE").is_err() {
-            assert_eq!(scale(), Scale::Ci);
+    fn parse_scale_takes_ci_and_full_and_names_anything_else() {
+        assert_eq!(parse_scale(None), Ok(Scale::Ci));
+        assert_eq!(parse_scale(Some("ci")), Ok(Scale::Ci));
+        assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        for typo in ["Full", "FULL", "ful", "", " full"] {
+            let err = parse_scale(Some(typo)).unwrap_err();
+            assert!(err.starts_with(&format!("QA_SCALE={typo:?}")), "{err}");
         }
     }
 }

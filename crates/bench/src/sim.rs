@@ -4,13 +4,75 @@
 use crate::{fmt_ms, Report, Scale};
 use qa_core::MechanismKind;
 use qa_sim::config::SimConfig;
-use qa_sim::experiments::{
-    fig4_summarize, fig4_workload, fig5a_point, fig5b_point, fig5c_from_outcomes, fig5c_workload,
-    fig6_point, fig6_scenario, run_cell, two_class_trace, Fig3Result, SweepPoint,
-};
+use qa_sim::experiments::{run_cell, two_class_trace};
+use qa_sim::federation::RunOutcome;
 use qa_sim::scenario::Scenario;
-use qa_simnet::{json_obj, par_map_indexed_with};
-use qa_workload::ClassId;
+use qa_simnet::{json_obj, par_map_indexed_with, DetRng, SimDuration, SimTime};
+use qa_workload::arrival::{ArrivalProcess, ZipfProcess};
+use qa_workload::{ClassId, Trace};
+
+/// One mechanism's row of Fig. 4 and Table 2.
+#[derive(Debug, Clone)]
+struct MechanismSummary {
+    /// Mechanism display name.
+    mechanism: String,
+    /// Mean response time in ms.
+    mean_response_ms: f64,
+    /// Response normalized by QA-NT's.
+    normalized_response: f64,
+    /// Completed queries.
+    completed: u64,
+    /// Unserved queries.
+    unserved: u64,
+    /// Messages per completed query.
+    messages_per_query: f64,
+}
+
+qa_simnet::impl_to_json!(MechanismSummary {
+    mechanism,
+    mean_response_ms,
+    normalized_response,
+    completed,
+    unserved,
+    messages_per_query
+});
+
+/// Fig. 4's rows, one per mechanism, QA-NT first.
+#[derive(Debug, Clone)]
+struct Fig4Result {
+    rows: Vec<MechanismSummary>,
+}
+
+qa_simnet::impl_to_json!(Fig4Result { rows });
+
+/// The Fig. 4 (and Table 2) workload: a 0.05 Hz sinusoid whose peak sits
+/// slightly below total system capacity ("peek load was slightly below
+/// total system capacity" — a ~95 % peak is a ~0.71 average, i.e.
+/// 0.75 × 0.95).
+fn fig4_workload(config: &SimConfig, secs: u64) -> (Scenario, Trace) {
+    let scenario = Scenario::two_class(config.clone());
+    let trace = two_class_trace(&scenario, 0.05, 0.95 * 0.75, secs);
+    (scenario, trace)
+}
+
+/// Folds per-mechanism outcomes (QA-NT first, as in
+/// [`MechanismKind::DYNAMIC`]) into the Fig. 4 rows, normalizing every
+/// response by QA-NT's.
+fn fig4_summarize(outcomes: &[RunOutcome]) -> Fig4Result {
+    let qant = &outcomes[0].metrics;
+    let rows = outcomes
+        .iter()
+        .map(|o| MechanismSummary {
+            mechanism: o.mechanism.to_string(),
+            mean_response_ms: o.metrics.mean_response_ms().unwrap_or(f64::NAN),
+            normalized_response: o.metrics.normalized_response_vs(qant).unwrap_or(f64::NAN),
+            completed: o.metrics.completed,
+            unserved: o.metrics.unserved,
+            messages_per_query: o.metrics.messages as f64 / o.metrics.completed.max(1) as f64,
+        })
+        .collect();
+    Fig4Result { rows }
+}
 
 /// Table 2: qualitative comparison of query-allocation mechanisms, with
 /// the measurable columns backed by an actual run (messages per query and
@@ -150,6 +212,23 @@ pub fn table3(_: Scale, threads: usize) -> Report {
     r
 }
 
+/// Fig. 3's series: arrivals per period for each class.
+#[derive(Debug, Clone)]
+struct Fig3Result {
+    /// Bin width in ms (500 in the paper).
+    period_ms: u64,
+    /// Q1 arrivals per bin.
+    q1_per_period: Vec<u64>,
+    /// Q2 arrivals per bin.
+    q2_per_period: Vec<u64>,
+}
+
+qa_simnet::impl_to_json!(Fig3Result {
+    period_ms,
+    q1_per_period,
+    q2_per_period
+});
+
 /// Figure 3: an example sinusoid workload — Q1/Q2 arrivals per
 /// half-second for the canonical two-class workload (0.05 Hz, 90° phase
 /// offset, peak Q1 = 2 × peak Q2).
@@ -240,6 +319,65 @@ pub fn fig4(scale: Scale, threads: usize) -> Report {
     r
 }
 
+/// One point of a Greedy-vs-QA-NT sweep (Figs. 5a, 5b and 6).
+#[derive(Debug, Clone)]
+struct SweepPoint {
+    /// The swept parameter (load fraction for 5a, frequency for 5b,
+    /// inter-arrival ms for Fig. 6).
+    x: f64,
+    /// QA-NT mean response (ms).
+    qant_ms: f64,
+    /// Greedy mean response (ms).
+    greedy_ms: f64,
+    /// Greedy normalized by QA-NT (the paper's y-axis; > 1 = QA-NT wins).
+    normalized_greedy: f64,
+    /// QA-NT unserved queries.
+    qant_unserved: u64,
+    /// Greedy unserved queries.
+    greedy_unserved: u64,
+}
+
+qa_simnet::impl_to_json!(SweepPoint {
+    x,
+    qant_ms,
+    greedy_ms,
+    normalized_greedy,
+    qant_unserved,
+    greedy_unserved
+});
+
+/// Runs the QA-NT/Greedy pair on one trace and folds both outcomes into a
+/// [`SweepPoint`] at abscissa `x`. One sweep cell.
+fn sweep_point(scenario: &Scenario, trace: &Trace, x: f64) -> SweepPoint {
+    let q = run_cell(scenario, trace, MechanismKind::QaNt);
+    let g = run_cell(scenario, trace, MechanismKind::Greedy);
+    SweepPoint {
+        x,
+        qant_ms: q.metrics.mean_response_ms().unwrap_or(f64::NAN),
+        greedy_ms: g.metrics.mean_response_ms().unwrap_or(f64::NAN),
+        normalized_greedy: g
+            .metrics
+            .normalized_response_vs(&q.metrics)
+            .unwrap_or(f64::NAN),
+        qant_unserved: q.metrics.unserved,
+        greedy_unserved: g.metrics.unserved,
+    }
+}
+
+/// One Fig. 5a cell: the QA-NT/Greedy pair at load fraction `frac`
+/// (0.05 Hz sinusoid).
+fn fig5a_point(scenario: &Scenario, frac: f64, secs: u64) -> SweepPoint {
+    let trace = two_class_trace(scenario, 0.05, frac, secs);
+    sweep_point(scenario, &trace, frac)
+}
+
+/// One Fig. 5b cell: the QA-NT/Greedy pair at sinusoid frequency
+/// `freq_hz` (80 % average load).
+fn fig5b_point(scenario: &Scenario, freq_hz: f64, secs: u64) -> SweepPoint {
+    let trace = two_class_trace(scenario, freq_hz, 0.8, secs);
+    sweep_point(scenario, &trace, freq_hz)
+}
+
 /// The rows of a Greedy-vs-QA-NT sweep, each point's abscissa rendered by
 /// `x`.
 fn sweep_rows(pts: &[SweepPoint], x: impl Fn(f64) -> String) -> Vec<Vec<String>> {
@@ -303,6 +441,27 @@ pub fn fig5b(scale: Scale, threads: usize) -> Report {
     r
 }
 
+/// Fig. 5c's series: Q1 arrivals and Q1 completions per period under
+/// QA-NT and Greedy.
+#[derive(Debug, Clone)]
+struct Fig5cResult {
+    /// Bin width (ms).
+    period_ms: u64,
+    /// Q1 arrivals per bin.
+    arrivals_q1: Vec<u64>,
+    /// Q1 completions per bin under QA-NT.
+    executed_q1_qant: Vec<u64>,
+    /// Q1 completions per bin under Greedy.
+    executed_q1_greedy: Vec<u64>,
+}
+
+qa_simnet::impl_to_json!(Fig5cResult {
+    period_ms,
+    arrivals_q1,
+    executed_q1_qant,
+    executed_q1_greedy
+});
+
 /// Figure 5c: Q1 arrivals vs Q1 executions per half-second, near system
 /// capacity — QA-NT tracks the load curve, Greedy falls behind.
 pub fn fig5c(scale: Scale, threads: usize) -> Report {
@@ -310,11 +469,19 @@ pub fn fig5c(scale: Scale, threads: usize) -> Report {
         Scale::Ci => (SimConfig::small_test(2007), 15),
         Scale::Full => (SimConfig::paper_defaults(), 30),
     };
-    let (scenario, trace) = fig5c_workload(&config, secs);
+    // 0.05 Hz sinusoid at 95 % of capacity.
+    let scenario = Scenario::two_class(config.clone());
+    let trace = two_class_trace(&scenario, 0.05, 0.95, secs);
     let mechanisms = [MechanismKind::QaNt, MechanismKind::Greedy];
     let outcomes =
         par_map_indexed_with(threads, &mechanisms, |_, &m| run_cell(&scenario, &trace, m));
-    let f = fig5c_from_outcomes(&config, &trace, &outcomes[0], &outcomes[1]);
+    let q1 = |o: &RunOutcome| o.metrics.executed_per_period_of(ClassId(0)).to_vec();
+    let f = Fig5cResult {
+        period_ms: config.qant.period.as_millis(),
+        arrivals_q1: trace.arrivals_per_period(config.qant.period, Some(ClassId(0))),
+        executed_q1_qant: q1(&outcomes[0]),
+        executed_q1_greedy: q1(&outcomes[1]),
+    };
 
     let title = "Figure 5c — Q1 arrivals vs executions per";
     let mut r = Report::titled(format!("{title} {} ms window", f.period_ms));
@@ -349,6 +516,39 @@ pub fn fig5c(scale: Scale, threads: usize) -> Report {
     ));
     r.json("fig5c_tracking", &f);
     r
+}
+
+/// The Fig. 6 world: the Table-3 generator with the §5.1 threshold
+/// engaged.
+///
+/// The zipf world has 100 classes whose execution times (≈2–8 s) dwarf
+/// the 500 ms period, so per-period integer supply is fractional for
+/// every class and strict admission control mostly adds quantization
+/// friction. This is exactly the deployment the paper's §5.1 threshold
+/// remark addresses ("track query prices but only use them ... if they
+/// are above a specific threshold"), so the Fig. 6 runs use it.
+fn fig6_scenario(config: &SimConfig) -> Scenario {
+    let mut config = config.clone();
+    config.qant.price_threshold = Some(2.0);
+    config.qant.renormalize_prices = false; // incompatible with thresholds
+    Scenario::table3(config)
+}
+
+/// One Fig. 6 cell: zipf trace at minimum inter-arrival `gap_ms`,
+/// truncated to roughly `max_queries` arrivals.
+fn fig6_point(scenario: &Scenario, gap_ms: u64, max_queries: usize) -> SweepPoint {
+    let num_classes = scenario.templates.num_classes();
+    let process = ZipfProcess::paper(num_classes, SimDuration::from_millis(gap_ms));
+    let mut rng = DetRng::seed_from_u64(scenario.config.seed).derive("zipf-trace");
+    // Horizon sized to produce roughly `max_queries` arrivals.
+    let horizon_s =
+        (max_queries as f64 * process.mean_gap_secs() / num_classes as f64).clamp(10.0, 3_600.0);
+    let horizon = SimTime::from_micros((horizon_s.max(0.0) * 1e6) as u64);
+    let mut arrivals = process.generate(horizon, &mut rng);
+    arrivals.sort_by_key(|(t, c)| (*t, c.index()));
+    arrivals.truncate(max_queries);
+    let trace = Trace::from_arrivals(arrivals, scenario.config.num_nodes, &mut rng);
+    sweep_point(scenario, &trace, gap_ms as f64)
 }
 
 /// Figure 6: the heterogeneous zipf workload — Greedy's normalized
@@ -511,4 +711,101 @@ pub fn fairness(scale: Scale, threads: usize) -> Report {
         .collect();
     r.json("ext_fairness", &results);
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qa_simnet::json::Json;
+
+    fn cfg() -> SimConfig {
+        SimConfig::small_test(2007)
+    }
+
+    /// The one JSON file `report` writes.
+    fn file(report: Report) -> Json {
+        let [(_, text)] = &report.files[..] else {
+            panic!("one file")
+        };
+        Json::parse(text).expect("the row's JSON parses")
+    }
+
+    /// The `u64` series `key` of `json`.
+    fn series(json: &Json, key: &str) -> Vec<u64> {
+        json.field(key).expect("a series")
+    }
+
+    #[test]
+    fn fig3_waveform_oscillates_with_phase_offset() {
+        // The CI row: 10 nodes, 0.05 Hz at 60 % load for 40 s.
+        let r = file(fig3(Scale::Ci, 1));
+        assert_eq!(r.field::<u64>("period_ms"), Ok(500));
+        let (q1, q2) = (series(&r, "q1_per_period"), series(&r, "q2_per_period"));
+        let max_q1 = *q1.iter().max().unwrap();
+        let min_q1 = *q1.iter().min().unwrap();
+        assert!(
+            max_q1 >= 3 * (min_q1 + 1) / 2,
+            "waveform too flat: {max_q1} vs {min_q1}"
+        );
+        // Total Q1 ≈ 2 × total Q2.
+        let ratio = q1.iter().sum::<u64>() as f64 / q2.iter().sum::<u64>().max(1) as f64;
+        // Expected 2.0; wide tolerance for a short, small-sample trace.
+        assert!((1.3..3.0).contains(&ratio), "Q1/Q2 ratio {ratio}");
+    }
+
+    #[test]
+    fn fig4_qant_first_and_normalized_to_one() {
+        let (scenario, trace) = fig4_workload(&cfg(), 20);
+        let outcomes: Vec<_> = MechanismKind::DYNAMIC
+            .iter()
+            .map(|&m| run_cell(&scenario, &trace, m))
+            .collect();
+        let r = fig4_summarize(&outcomes);
+        assert_eq!(r.rows.len(), 6);
+        assert_eq!(r.rows[0].mechanism, "QA-NT");
+        assert!((r.rows[0].normalized_response - 1.0).abs() < 1e-9);
+        // Load balancers should be slower than QA-NT near capacity.
+        let random = r.rows.iter().find(|x| x.mechanism == "Random").unwrap();
+        assert!(
+            random.normalized_response > 1.0,
+            "{}",
+            random.normalized_response
+        );
+    }
+
+    #[test]
+    fn fig5a_sweep_produces_monotone_x() {
+        let scenario = Scenario::two_class(cfg());
+        let pts: Vec<_> = [0.3, 1.0]
+            .iter()
+            .map(|&f| fig5a_point(&scenario, f, 15))
+            .collect();
+        assert!(pts[0].x < pts[1].x);
+        assert!(pts.iter().all(|p| p.qant_ms.is_finite()));
+    }
+
+    #[test]
+    fn fig5c_series_cover_the_horizon() {
+        // The CI row: 10 nodes, 15 s.
+        let r = file(fig5c(Scale::Ci, 1));
+        let arrivals = series(&r, "arrivals_q1");
+        let executed = series(&r, "executed_q1_qant");
+        assert!(!arrivals.is_empty());
+        assert!(!executed.is_empty());
+        let arr: u64 = arrivals.iter().sum();
+        let done: u64 = executed.iter().sum();
+        assert!(done <= arr + 1);
+        assert!(done > 0);
+    }
+
+    #[test]
+    fn fig6_runs_at_small_scale() {
+        let mut c = cfg();
+        c.num_nodes = 20;
+        let scenario = fig6_scenario(&c);
+        for gap_ms in [2_000, 10_000] {
+            let p = fig6_point(&scenario, gap_ms, 300);
+            assert!(p.qant_ms.is_finite() && p.qant_ms > 0.0, "{p:?}");
+        }
+    }
 }

@@ -1,22 +1,110 @@
 //! The seeded simulator traces, and the digests `qa_trace` prints of any
 //! trace.
 //!
-//! * `trace_seed2007` — [`TraceDumpSpec::golden`]'s run (5 nodes, 4 s,
-//!   loss and one crash/recovery): every price move, rejection,
+//! Both trace rows run one QA-NT simulation with full telemetry capture:
+//! the two-class world offered 1.1× its capacity as a 0.05 Hz sinusoid,
+//! over links that drop 5 % of messages, with node 0 crashing and
+//! recovering mid-run, so fault events appear in the trace. Everything in
+//! the JSONL is derived from sim-time and seeded randomness, so two runs
+//! of the same shape are byte-identical.
+//!
+//! * `trace_seed2007` — 5 nodes, 4 s: every price move, rejection,
 //!   assignment, drop and crash in order, committed as
 //!   `figures/trace_seed2007.jsonl`, so a change to the market's dynamics
-//!   fails `tests/figures.rs` at the first differing event;
+//!   — a reordered float reduction, an off-by-one in the period loop, a
+//!   perturbed pricer constant — fails `tests/figures.rs` at the first
+//!   differing event;
 //! * `trace_dump` — the same shape at `QA_SCALE` (ci: 10 nodes, 20 s;
 //!   full: 100 nodes, 120 s): `trace_dump.jsonl` and
 //!   `trace_dump_convergence.json` (outcome, census, convergence and the
 //!   registry, whose span timings read the wall clock), with the
 //!   [`summary`] and [`convergence_text`] of its records.
+//!   `scripts/check_trace.sh` holds it to `qa-trace summary --require`.
 
 use crate::{render_table, Report, Scale};
-use qa_sim::{run_trace_dump, TraceDumpSpec};
+use qa_core::MechanismKind;
+use qa_sim::experiments::two_class_trace;
+use qa_sim::{Federation, Scenario, SimConfig};
 use qa_simnet::json::{FromJson, Json, ToJson};
-use qa_simnet::telemetry::{census, ConvergenceReport, TelemetryEvent, TraceRecord};
+use qa_simnet::telemetry::{census, ConvergenceReport, Telemetry, TelemetryEvent, TraceRecord};
+use qa_simnet::{FaultPlan, LinkFaults, SimTime};
+use qa_workload::NodeId;
 use std::fmt::Write as _;
+
+/// Offered load of every trace run, as a fraction of system capacity.
+const FRAC: f64 = 1.1;
+/// Sinusoid frequency of the two-class workload (Hz).
+const FREQ_HZ: f64 = 0.05;
+/// Uniform per-message drop probability.
+const DROP_PROB: f64 = 0.05;
+/// `mean |Δ ln p|` threshold below which a period counts as quiet.
+const CONVERGENCE_TOL: f64 = 0.02;
+
+/// Everything a trace run produces.
+struct TraceDump {
+    /// The captured records, in emission order.
+    records: Vec<TraceRecord>,
+    /// The records as JSONL (one compact object per line).
+    jsonl: String,
+    /// Convergence diagnostics over the price trajectories.
+    report: ConvergenceReport,
+    /// Summary JSON: run shape, outcome metrics, the event census
+    /// (`kinds`), convergence report and the telemetry registry snapshot.
+    /// The registry part contains wall-clock span timings, so — unlike
+    /// `jsonl` — the summary is *not* byte-deterministic.
+    summary: Json,
+}
+
+/// Runs the trace shape on `nodes` nodes for `secs` seconds, node 0 down
+/// from `down_ms.0` to `down_ms.1`, and captures its telemetry.
+fn run_trace_dump(seed: u64, nodes: usize, secs: u64, down_ms: (u64, u64)) -> TraceDump {
+    let scenario = Scenario::two_class(SimConfig::scaled(nodes, seed));
+    let trace = two_class_trace(&scenario, FREQ_HZ, FRAC, secs);
+    let (telemetry, buffer) = Telemetry::buffered();
+    let mut federation =
+        Federation::with_telemetry(&scenario, MechanismKind::QaNt, &trace, telemetry.clone());
+    federation.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(DROP_PROB)));
+    federation.kill_node_at(NodeId(0), SimTime::from_millis(down_ms.0));
+    federation.recover_node_at(NodeId(0), SimTime::from_millis(down_ms.1));
+    let outcome = federation.run(&trace);
+
+    let records = buffer.records();
+    let jsonl = buffer.to_jsonl();
+    let period_us = scenario.config.qant.period.as_micros();
+    let report = ConvergenceReport::from_records(&records, period_us, CONVERGENCE_TOL);
+    if let Some(registry) = telemetry.registry() {
+        outcome.metrics.publish_to(registry);
+        outcome.boundary.publish_to(registry);
+        outcome.wait.publish_to(registry);
+    }
+    let registry_snapshot = telemetry
+        .registry()
+        .map(|r| r.snapshot())
+        .unwrap_or(Json::Null);
+    let summary = qa_simnet::json_obj! {
+        "mechanism": format!("{}", outcome.mechanism),
+        "seed": seed,
+        "nodes": nodes as u64,
+        "secs": secs,
+        "frac": FRAC,
+        "drop_prob": DROP_PROB,
+        "queries": trace.len() as u64,
+        "completed": outcome.metrics.completed,
+        "unserved": outcome.metrics.unserved,
+        "retries": outcome.metrics.retries,
+        "mean_response_ms": outcome.metrics.mean_response_ms(),
+        "trace_records": records.len() as u64,
+        "kinds": Json::object(census(&records).into_iter().map(|(k, n)| (k, n.to_json()))),
+        "convergence": report,
+        "registry": registry_snapshot,
+    };
+    TraceDump {
+        records,
+        jsonl,
+        report,
+        summary,
+    }
+}
 
 /// The first of the wire fields `names` the event carries. Every field
 /// the filters ask for is a `u32` on the wire.
@@ -111,9 +199,14 @@ pub fn convergence_text(report: &ConvergenceReport, records: &[TraceRecord]) -> 
     text
 }
 
-/// `trace_seed2007`, at either scale.
+/// `trace_seed2007`, at either scale: small enough that the committed
+/// file stays reviewable, rich enough to cover the full event taxonomy.
+///
+/// **Changing anything here changes the committed
+/// `figures/trace_seed2007.jsonl`**: copy the `qa_fig trace_seed2007`
+/// output over it with the change that caused it.
 pub fn golden(_: Scale, _: usize) -> Report {
-    let dump = run_trace_dump(&TraceDumpSpec::golden(2007));
+    let dump = run_trace_dump(2007, 5, 4, (1_000, 2_500));
     let mut r = Report::default();
     r.line(format!("trace_seed2007 — {} records", dump.records.len()));
     r.files
@@ -123,14 +216,13 @@ pub fn golden(_: Scale, _: usize) -> Report {
 
 /// `trace_dump`.
 pub fn dump(scale: Scale, _: usize) -> Report {
-    let spec = match scale {
-        Scale::Ci => TraceDumpSpec::ci(2007),
-        Scale::Full => TraceDumpSpec::full(2007),
+    let (nodes, secs, down_ms) = match scale {
+        Scale::Ci => (10, 20, (5_000, 12_000)),
+        Scale::Full => (100, 120, (30_000, 70_000)),
     };
-    let dump = run_trace_dump(&spec);
+    let dump = run_trace_dump(2007, nodes, secs, down_ms);
     let mut r = Report::titled(format!(
-        "Trace dump — QA-NT, seed 2007, {} nodes, {} s horizon",
-        spec.config.num_nodes, spec.secs
+        "Trace dump — QA-NT, seed 2007, {nodes} nodes, {secs} s horizon"
     ));
     r.line(summary(&dump.records).1);
     r.line(convergence_text(&dump.report, &dump.records));
@@ -158,5 +250,39 @@ mod tests {
             read_trace(&lines),
             Err("line 2: timestamp regression 9223372036854775808 -> 5".to_string())
         );
+    }
+
+    #[test]
+    fn ci_shape_produces_market_fault_and_query_events() {
+        let dump = run_trace_dump(7, 10, 20, (5_000, 12_000));
+        let kinds: std::collections::BTreeSet<&str> =
+            dump.records.iter().map(|r| r.event.kind()).collect();
+        for expected in [
+            "price_adjusted",
+            "supply_computed",
+            "request_rejected",
+            "query_assigned",
+            "query_completed",
+            "message_dropped",
+            "node_crashed",
+            "node_recovered",
+            "period_started",
+        ] {
+            assert!(kinds.contains(expected), "missing {expected}: {kinds:?}");
+        }
+        assert!(dump.report.nodes > 0);
+        assert!(!dump.report.per_class.is_empty());
+        assert_eq!(read_trace(&dump.jsonl).as_ref(), Ok(&dump.records));
+        let kinds = dump.summary.get("kinds").unwrap();
+        assert_eq!(
+            kinds.get("price_adjusted").and_then(Json::as_u64),
+            census(&dump.records).get("price_adjusted").copied()
+        );
+        assert!(dump
+            .summary
+            .get("registry")
+            .unwrap()
+            .get("counters")
+            .is_some());
     }
 }

@@ -47,11 +47,6 @@ impl PlanHistoryEstimator {
         }
     }
 
-    /// Paper-ish defaults: responsive EWMA, unit cost calibration.
-    pub fn default_config() -> PlanHistoryEstimator {
-        PlanHistoryEstimator::new(0.3, 1.0)
-    }
-
     /// Estimated execution time (ms) for a query with plan `fingerprint`
     /// and optimizer `cost`: the history EWMA when available, the
     /// cost-derived prior otherwise.
@@ -80,11 +75,6 @@ impl PlanHistoryEstimator {
     /// Statistics for a plan, if any were recorded.
     pub fn stats(&self, fingerprint: u64) -> Option<EstimatorStats> {
         self.history.get(&fingerprint).copied()
-    }
-
-    /// Number of distinct plans with history.
-    pub fn plans_tracked(&self) -> usize {
-        self.history.len()
     }
 }
 
@@ -118,10 +108,10 @@ mod tests {
 
     #[test]
     fn plans_are_tracked_independently() {
-        let mut e = PlanHistoryEstimator::default_config();
+        let mut e = PlanHistoryEstimator::new(0.3, 1.0);
         e.observe_ms(1, 10.0);
         e.observe_ms(2, 1_000.0);
-        assert_eq!(e.plans_tracked(), 2);
+        assert_eq!(e.history.len(), 2);
         assert!(e.estimate_ms(1, 0.0) < e.estimate_ms(2, 0.0));
         assert_eq!(e.stats(1).unwrap().observations, 1);
         assert!(e.stats(3).is_none());

@@ -259,11 +259,6 @@ impl DensityOrderCache {
         }
         &self.order
     }
-
-    /// Drops the memo; the next [`Self::order`] call re-sorts.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
 }
 
 /// The integer greedy fill over a precomputed density ordering — the body
@@ -640,7 +635,6 @@ mod tests {
         // Same prices, different costs: the ordering must flip.
         let b = solve_supply_greedy_cached(&p, &fast_q2, None, &mut cache);
         assert_eq!(b, qv(&[0, 5]));
-        cache.invalidate();
         assert_eq!(
             solve_supply_greedy_cached(&p, &fast_q2, None, &mut cache),
             b

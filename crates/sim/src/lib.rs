@@ -20,10 +20,13 @@
 //!   executed counts, message counts, unserved queries,
 //! * [`scenario`] — canned setups: the two-class sinusoid world of
 //!   Figures 4/5 and the Table-3 zipf world of Figure 6,
-//! * [`experiments`] — one function per figure, returning serializable
-//!   series for the bench harness,
-//! * [`tracedump`] — seeded full-telemetry replay producing a
-//!   byte-deterministic JSONL market trace plus convergence diagnostics.
+//! * [`experiments`] — the workloads other code shares: the two-class
+//!   sinusoid trace, the scaled worlds, and the one-run sweep cell,
+//! * [`broker`] and [`sharded`] — the two-tier market and the sharded
+//!   engine that runs it.
+//!
+//! The crate defines no figure: each table and figure of the evaluation is
+//! one row of `qa-bench`, which states its parameters in one place.
 
 pub mod broker;
 pub mod config;
@@ -34,7 +37,6 @@ pub mod node;
 mod offer_index;
 pub mod scenario;
 pub mod sharded;
-pub mod tracedump;
 
 pub use broker::BrokerTier;
 pub use config::{BrokerConfig, SimConfig};
@@ -42,4 +44,30 @@ pub use federation::{Federation, RunOutcome};
 pub use metrics::RunMetrics;
 pub use scenario::Scenario;
 pub use sharded::{ShardPlan, ShardRunOptions, ShardSpec, ShardedOutcome};
-pub use tracedump::{run_trace_dump, TraceDump, TraceDumpSpec};
+
+#[cfg(test)]
+mod tests {
+    /// The engine states no figure: a figure's result type, sweep and run
+    /// shape live in its `qa-bench` row.
+    #[test]
+    fn the_engine_defines_no_figure() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let figure = [
+            "pub fn fig",
+            "pub struct Fig",
+            "ScalePoint",
+            "ScaleCell",
+            "TraceDump",
+        ];
+        for entry in std::fs::read_dir(&src).expect("src/") {
+            let path = entry.expect("a directory entry").path();
+            let source = std::fs::read_to_string(&path).expect("a source file");
+            let code = source.split("#[cfg(test)]").next().unwrap_or(&source);
+            for (n, line) in code.lines().enumerate() {
+                let code = line.split("//").next().unwrap_or(line);
+                let found = figure.iter().find(|needle| code.contains(*needle));
+                assert_eq!(found, None, "{}:{}: {line}", path.display(), n + 1);
+            }
+        }
+    }
+}

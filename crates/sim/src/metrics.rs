@@ -75,11 +75,6 @@ impl RunMetrics {
         }
     }
 
-    /// Records a completed query.
-    pub fn record_completion(&mut self, class: ClassId, arrived: SimTime, finished: SimTime) {
-        self.record_completion_from(class, NodeId(0), arrived, finished);
-    }
-
     /// Records a completed query with its origin node.
     pub fn record_completion_from(
         &mut self,
@@ -271,32 +266,6 @@ impl RunMetrics {
     }
 }
 
-/// One mechanism's summary row (Fig. 4 / Table 2 output shape).
-#[derive(Debug, Clone)]
-pub struct MechanismSummary {
-    /// Mechanism display name.
-    pub mechanism: String,
-    /// Mean response time in ms.
-    pub mean_response_ms: f64,
-    /// Response normalized by QA-NT's.
-    pub normalized_response: f64,
-    /// Completed queries.
-    pub completed: u64,
-    /// Unserved queries.
-    pub unserved: u64,
-    /// Messages per completed query.
-    pub messages_per_query: f64,
-}
-
-qa_simnet::impl_to_json!(MechanismSummary {
-    mechanism,
-    mean_response_ms,
-    normalized_response,
-    completed,
-    unserved,
-    messages_per_query
-});
-
 /// A block of `u64` work counts: functions of the seed and the code
 /// alone, so they repeat exactly and a change that moves them changed the
 /// algorithm. Kept outside [`RunMetrics`] — they measure the simulator, not
@@ -372,13 +341,15 @@ mod tests {
     #[test]
     fn records_response_and_bins_by_completion_period() {
         let mut m = metrics();
-        m.record_completion(
+        m.record_completion_from(
             ClassId(0),
+            NodeId(0),
             SimTime::from_millis(0),
             SimTime::from_millis(400),
         );
-        m.record_completion(
+        m.record_completion_from(
             ClassId(1),
+            NodeId(0),
             SimTime::from_millis(100),
             SimTime::from_millis(700),
         );
@@ -392,9 +363,19 @@ mod tests {
     #[test]
     fn normalization_against_reference() {
         let mut qant = metrics();
-        qant.record_completion(ClassId(0), SimTime::ZERO, SimTime::from_millis(100));
+        qant.record_completion_from(
+            ClassId(0),
+            NodeId(0),
+            SimTime::ZERO,
+            SimTime::from_millis(100),
+        );
         let mut other = metrics();
-        other.record_completion(ClassId(0), SimTime::ZERO, SimTime::from_millis(150));
+        other.record_completion_from(
+            ClassId(0),
+            NodeId(0),
+            SimTime::ZERO,
+            SimTime::from_millis(150),
+        );
         assert_eq!(other.normalized_response_vs(&qant), Some(1.5));
         assert_eq!(qant.normalized_response_vs(&qant), Some(1.0));
     }
@@ -402,7 +383,12 @@ mod tests {
     #[test]
     fn service_rate() {
         let mut m = metrics();
-        m.record_completion(ClassId(0), SimTime::ZERO, SimTime::from_millis(1));
+        m.record_completion_from(
+            ClassId(0),
+            NodeId(0),
+            SimTime::ZERO,
+            SimTime::from_millis(1),
+        );
         m.unserved = 1;
         assert_eq!(m.service_rate(), 0.5);
         assert_eq!(metrics().service_rate(), 1.0);
@@ -493,12 +479,17 @@ mod tests {
     #[test]
     fn normalized_response_vs_empty_or_zero_reference_is_none() {
         let mut m = metrics();
-        m.record_completion(ClassId(0), SimTime::ZERO, SimTime::from_millis(100));
+        m.record_completion_from(
+            ClassId(0),
+            NodeId(0),
+            SimTime::ZERO,
+            SimTime::from_millis(100),
+        );
         // Empty reference: no mean to normalize by.
         assert_eq!(m.normalized_response_vs(&metrics()), None);
         // Reference whose mean is exactly 0 ms: division guarded.
         let mut zero_ref = metrics();
-        zero_ref.record_completion(ClassId(0), SimTime::ZERO, SimTime::ZERO);
+        zero_ref.record_completion_from(ClassId(0), NodeId(0), SimTime::ZERO, SimTime::ZERO);
         assert_eq!(m.normalized_response_vs(&zero_ref), None);
         // And an empty self against a valid reference.
         assert_eq!(metrics().normalized_response_vs(&m), None);

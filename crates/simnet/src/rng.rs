@@ -137,14 +137,6 @@ impl DetRng {
         &items[self.index(items.len())]
     }
 
-    /// Fisher–Yates shuffles `items` in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// Samples `k` distinct indices below `n` (order unspecified but
     /// deterministic). Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
@@ -333,17 +325,6 @@ mod tests {
             let v = r.float_in(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move things");
     }
 
     #[test]

@@ -410,15 +410,6 @@ impl TimeSeries {
         self.bins.get(i)
     }
 
-    /// Mean over *all* observations, across bins.
-    pub fn overall_mean(&self) -> Option<f64> {
-        let mut acc = Welford::new();
-        for b in &self.bins {
-            acc.merge(b);
-        }
-        acc.mean()
-    }
-
     /// Folds another series into this one, bin by bin (exact Welford
     /// merge per bin). Both series must be binned on the same period —
     /// the sharded engine merges per-shard response series this way.
@@ -716,6 +707,5 @@ mod tests {
         assert_eq!(ts.means()[0], Some(2.0));
         assert_eq!(ts.means()[1], Some(10.0));
         assert_eq!(ts.means()[2], None);
-        assert!((ts.overall_mean().unwrap() - 5.25).abs() < 1e-12);
     }
 }

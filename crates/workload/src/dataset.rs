@@ -167,11 +167,6 @@ impl Dataset {
             .sum::<f64>()
             / self.relations.len() as f64
     }
-
-    /// Average relations per node (diagnostic; paper says ~50).
-    pub fn mean_relations_per_node(&self) -> f64 {
-        self.per_node.iter().map(|v| v.len() as f64).sum::<f64>() / self.num_nodes as f64
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +186,7 @@ mod tests {
         assert_eq!(ds.num_nodes(), 100);
         let mm = ds.mean_mirrors();
         assert!((mm - 5.0).abs() < 0.5, "mean mirrors {mm}");
-        let rpn = ds.mean_relations_per_node();
+        let rpn = ds.per_node.iter().map(Vec::len).sum::<usize>() as f64 / ds.num_nodes() as f64;
         assert!((rpn - 50.0).abs() < 10.0, "relations per node {rpn}");
     }
 

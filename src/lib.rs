@@ -26,7 +26,7 @@
 //! | [`simnet`] | discrete-event kernel: virtual clock, event queue, RNG, distributions, link model, statistics |
 //! | [`workload`] | query classes, synthetic datasets, sinusoid / zipf / uniform arrival processes, traces |
 //! | [`core`] | QA-NT itself plus Greedy, Random, Round-robin, BNQRD, two-probes and Markov baselines; plan-history estimator |
-//! | [`sim`] | the §5.1 federation simulator and every figure's experiment |
+//! | [`sim`] | the §5.1 federation simulator and the workloads its figures share |
 //! | [`minidb`] | a real SQL engine: parser, optimizer, EXPLAIN, executors |
 //! | [`cluster`] | the §5.2 threaded deployment over live engines |
 //!
@@ -45,8 +45,8 @@
 //! assert!(qant.metrics.completed > 0 && greedy.metrics.completed > 0);
 //! ```
 //!
-//! See `examples/` for realistic scenarios and `crates/bench/src/bin/` for
-//! the per-figure reproduction harness.
+//! See `examples/` for realistic scenarios and `qa_bench::FIGURES` (run by
+//! the `qa_fig` bin) for every table and figure.
 
 pub use qa_cluster as cluster;
 pub use qa_core as core;

@@ -3,9 +3,6 @@
 
 use query_markets::core::MechanismKind;
 use query_markets::prelude::*;
-use query_markets::sim::experiments::{
-    fig3_sinusoid_workload, fig4_all_algorithms, fig5c_tracking, two_class_trace,
-};
 
 fn scenario(nodes: usize, seed: u64) -> Scenario {
     let mut config = SimConfig::small_test(seed);
@@ -61,20 +58,21 @@ fn different_seeds_different_worlds() {
 
 #[test]
 fn fig4_shape_load_balancers_lose() {
-    let config = SimConfig::small_test(2007);
-    let r = fig4_all_algorithms(&config, 25);
-    let by_name = |n: &str| {
-        r.rows
-            .iter()
-            .find(|x| x.mechanism == n)
-            .unwrap_or_else(|| panic!("{n} missing"))
+    // Fig. 4's workload: a 0.05 Hz sinusoid peaking at ~95 % of capacity.
+    let s = Scenario::two_class(SimConfig::small_test(2007));
+    let trace = two_class_trace(&s, 0.05, 0.95 * 0.75, 25);
+    let qant_run = Federation::new(&s, MechanismKind::QaNt, &trace).run(&trace);
+    let normalized = |m: MechanismKind| {
+        let out = Federation::new(&s, m, &trace).run(&trace);
+        let r = out.metrics.normalized_response_vs(&qant_run.metrics);
+        r.unwrap_or(f64::NAN)
     };
     // The paper's ordering: QA-NT and Greedy "substantially better than
     // the load balancing ones"; random/round-robin worst.
-    let qant = by_name("QA-NT").normalized_response;
-    let greedy = by_name("Greedy").normalized_response;
-    let random = by_name("Random").normalized_response;
-    let rr = by_name("Round-robin").normalized_response;
+    let qant = normalized(MechanismKind::QaNt);
+    let greedy = normalized(MechanismKind::Greedy);
+    let random = normalized(MechanismKind::Random);
+    let rr = normalized(MechanismKind::RoundRobin);
     assert!((qant - 1.0).abs() < 1e-9);
     assert!(greedy < 1.5, "greedy competitive, got {greedy}");
     assert!(random > 1.5, "random should lose clearly, got {random}");
@@ -83,23 +81,39 @@ fn fig4_shape_load_balancers_lose() {
 
 #[test]
 fn fig3_is_periodic_and_phase_shifted() {
-    let r = fig3_sinusoid_workload(&SimConfig::small_test(2007), 0.05, 0.8, 40);
+    let config = SimConfig::small_test(2007);
+    let trace = two_class_trace(&Scenario::two_class(config.clone()), 0.05, 0.8, 40);
+    let [q1_per_period, q2_per_period] =
+        [ClassId(0), ClassId(1)].map(|c| trace.arrivals_per_period(config.qant.period, Some(c)));
     // Peaks of Q1 and troughs of Q1 differ strongly over a 20 s cycle.
-    let max = *r.q1_per_period.iter().max().unwrap();
-    let min = *r.q1_per_period.iter().min().unwrap();
+    let max = *q1_per_period.iter().max().unwrap();
+    let min = *q1_per_period.iter().min().unwrap();
     assert!(max >= min + 3, "waveform too flat: {max} vs {min}");
     // Q2 exists and is smaller in total.
-    let q1: u64 = r.q1_per_period.iter().sum();
-    let q2: u64 = r.q2_per_period.iter().sum();
+    let q1: u64 = q1_per_period.iter().sum();
+    let q2: u64 = q2_per_period.iter().sum();
     assert!(q1 > q2);
 }
 
 #[test]
 fn fig5c_execution_tracks_arrivals_within_capacity() {
-    let r = fig5c_tracking(&SimConfig::small_test(2007), 20);
-    let arrived: u64 = r.arrivals_q1.iter().sum();
-    let qant: u64 = r.executed_q1_qant.iter().sum();
-    let greedy: u64 = r.executed_q1_greedy.iter().sum();
+    // Fig. 5c's workload: a 0.05 Hz sinusoid at 95 % of capacity.
+    let config = SimConfig::small_test(2007);
+    let s = Scenario::two_class(config.clone());
+    let trace = two_class_trace(&s, 0.05, 0.95, 20);
+    let q1_executed = |m| {
+        let out = Federation::new(&s, m, &trace).run(&trace);
+        out.metrics
+            .executed_per_period_of(ClassId(0))
+            .iter()
+            .sum::<u64>()
+    };
+    let arrived: u64 = trace
+        .arrivals_per_period(config.qant.period, Some(ClassId(0)))
+        .iter()
+        .sum();
+    let qant = q1_executed(MechanismKind::QaNt);
+    let greedy = q1_executed(MechanismKind::Greedy);
     assert!(qant <= arrived && greedy <= arrived);
     assert!(qant > 0 && greedy > 0);
 }

@@ -10,46 +10,60 @@
 //!   the simulation computes,
 //! * the cluster driver emits the same wire schema from real threads.
 
-use qa_sim::{run_trace_dump, TraceDumpSpec};
+use qa_core::MechanismKind;
+use qa_sim::experiments::two_class_trace;
+use qa_sim::{Federation, Scenario, SimConfig};
 use qa_simnet::json::ToJson;
-use qa_simnet::telemetry::{read_trace, TelemetryEvent, TraceRecord};
+use qa_simnet::telemetry::{read_trace, ConvergenceReport, Telemetry, TelemetryEvent, TraceRecord};
+use qa_simnet::{FaultPlan, LinkFaults, SimTime};
+use qa_workload::NodeId;
+
+/// A trace dump at `qa_fig trace_dump`'s CI shape: QA-NT on 10 nodes
+/// offered 1.1× capacity as a 0.05 Hz sinusoid for 20 s, over links that
+/// drop 5 % of messages, node 0 down from 5 s to 12 s. Returns the JSONL,
+/// the records and their convergence report.
+fn trace_dump(seed: u64) -> (String, Vec<TraceRecord>, ConvergenceReport) {
+    let scenario = Scenario::two_class(SimConfig::small_test(seed));
+    let trace = two_class_trace(&scenario, 0.05, 1.1, 20);
+    let (telemetry, buffer) = Telemetry::buffered();
+    let mut federation =
+        Federation::with_telemetry(&scenario, MechanismKind::QaNt, &trace, telemetry);
+    federation.set_fault_plan(FaultPlan::uniform(LinkFaults::lossy(0.05)));
+    federation.kill_node_at(NodeId(0), SimTime::from_millis(5_000));
+    federation.recover_node_at(NodeId(0), SimTime::from_millis(12_000));
+    federation.run(&trace);
+    let records = buffer.records();
+    let period_us = scenario.config.qant.period.as_micros();
+    let report = ConvergenceReport::from_records(&records, period_us, 0.02);
+    (buffer.to_jsonl(), records, report)
+}
 
 #[test]
 fn trace_dump_is_byte_deterministic() {
-    let spec = TraceDumpSpec::ci(2007);
-    let a = run_trace_dump(&spec);
-    let b = run_trace_dump(&spec);
-    assert!(!a.jsonl.is_empty());
-    assert_eq!(
-        a.jsonl, b.jsonl,
-        "same-seed trace dumps must be byte-identical"
-    );
+    let (a, _, a_report) = trace_dump(2007);
+    let (b, _, b_report) = trace_dump(2007);
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "same-seed trace dumps must be byte-identical");
     // The convergence report is a pure function of the records, so it
     // agrees too.
-    assert_eq!(a.report.to_json().dump(), b.report.to_json().dump());
+    assert_eq!(a_report.to_json().dump(), b_report.to_json().dump());
 
     // A different seed must actually change the trace (the determinism
     // above is not vacuous).
-    let c = run_trace_dump(&TraceDumpSpec::ci(2008));
-    assert_ne!(a.jsonl, c.jsonl, "seed must steer the trace");
+    let (c, _, _) = trace_dump(2008);
+    assert_ne!(a, c, "seed must steer the trace");
 }
 
 #[test]
 fn trace_dump_lines_are_canonical_jsonl() {
-    let dump = run_trace_dump(&TraceDumpSpec::ci(11));
-    assert_eq!(read_trace(&dump.jsonl), Ok(dump.records));
+    let (jsonl, records, _) = trace_dump(11);
+    assert_eq!(read_trace(&jsonl), Ok(records));
 }
 
 #[test]
 fn observation_does_not_perturb_the_simulation() {
-    use qa_core::MechanismKind;
-    use qa_sim::federation::Federation;
-    use qa_sim::scenario::Scenario;
-    use qa_sim::SimConfig;
-    use qa_simnet::telemetry::Telemetry;
-
     let scenario = Scenario::two_class(SimConfig::small_test(5));
-    let trace = qa_sim::experiments::two_class_trace(&scenario, 0.05, 0.8, 10);
+    let trace = two_class_trace(&scenario, 0.05, 0.8, 10);
     let silent = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
     let (telemetry, _buffer) = Telemetry::buffered();
     let observed =
@@ -66,7 +80,6 @@ fn observation_does_not_perturb_the_simulation() {
 #[test]
 fn cluster_trace_speaks_the_same_wire_schema() {
     use qa_cluster::{run_experiment, ClusterConfig, ClusterMechanism, ClusterSpec};
-    use qa_simnet::telemetry::Telemetry;
 
     let spec = ClusterSpec::generate(4, 4, 6, 10, 5, 60);
     let mut cfg = ClusterConfig::ci_scale(ClusterMechanism::QaNt, 31);
