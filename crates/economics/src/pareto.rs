@@ -40,15 +40,6 @@ impl Solution {
     pub fn aggregate_consumption(&self) -> QuantityVector {
         QuantityVector::aggregate(&self.consumptions)
     }
-
-    /// Checks the market-clearing identity of eq. 3:
-    /// `s⃗ = c⃗ ≤ d⃗`.
-    pub fn satisfies_balance(&self, demands: &[QuantityVector]) -> bool {
-        let s = self.aggregate_supply();
-        let c = self.aggregate_consumption();
-        let d = QuantityVector::aggregate(demands);
-        s == c && c.le(&d)
-    }
 }
 
 /// `true` iff solution `a` Pareto dominates solution `b` under the given
@@ -264,9 +255,13 @@ mod tests {
 
     #[test]
     fn balance_identity_holds_for_both_solutions() {
+        // Eq. 3: s⃗ = c⃗ ≤ d⃗.
         let (_, demands) = example();
-        assert!(lb_solution().satisfies_balance(&demands));
-        assert!(qa_solution().satisfies_balance(&demands));
+        let d = QuantityVector::aggregate(&demands);
+        for sol in [lb_solution(), qa_solution()] {
+            assert_eq!(sol.aggregate_supply(), sol.aggregate_consumption());
+            assert!(sol.aggregate_consumption().le(&d));
+        }
     }
 
     #[test]
@@ -280,7 +275,7 @@ mod tests {
                     "infeasible supply"
                 );
             }
-            assert!(sol.satisfies_balance(&demands));
+            assert_eq!(sol.aggregate_supply(), sol.aggregate_consumption());
             assert!(sol.aggregate_supply().le(&d));
             for (c, dem) in sol.consumptions.iter().zip(&demands) {
                 assert!(c.le(dem), "node consumed more than it demanded");

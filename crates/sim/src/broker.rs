@@ -11,9 +11,10 @@
 //!    mechanism (`parent_cleared` telemetry),
 //! 3. escalates what could not be placed into the next window, capped at
 //!    the tier's reported capacity (`demand_escalated` telemetry), and
-//! 4. rewrites the router weights from the clearing result: each home
-//!    shard's weight is its quota biased by how far its own price sits
-//!    below the parent's clearing price.
+//! 4. rewrites the router weights from the shards' reports, not from the
+//!    clearing: each home shard's weight is the remaining class supply it
+//!    bid, so the next window's arrivals of a class are split in
+//!    proportion to the supply its home shards have left.
 //!
 //! Everything here runs serially at the boundary, so the tier is
 //! byte-stable across thread budgets for free; cross-tier traffic stays at
@@ -23,11 +24,6 @@
 use crate::config::BrokerConfig;
 use qa_economics::parent::{BrokerBid, ClearingOutcome, ParentMarket};
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
-
-/// Exponent clamp for the price-bias factor `e^(π − r)`: quotas already
-/// bound the weight magnitude, the bias only shades it, and an unclamped
-/// exponent could overflow to `inf` and poison the stride credits.
-const BIAS_EXP_CLAMP: f64 = 30.0;
 
 /// Parent-market state for one sharded run.
 pub struct BrokerTier {
@@ -65,10 +61,10 @@ impl BrokerTier {
     /// One period boundary: clears `window_demand` (this window's routed
     /// arrivals, a one-window-lagged proxy for the next) plus the escalated
     /// carry against the shards' boundary signals, and rewrites the router
-    /// `weights` over each class's home shards from the clearing result.
+    /// `weights` over each class's home shards from the supply they report.
     ///
     /// `supply[s][k]` / `lnp[s][k]` are the boundary signals of shard `s`,
-    /// exactly as the router consumes them; `weights[k][i]` indexes
+    /// bid as its capacity and reservation price; `weights[k][i]` indexes
     /// `home_shards[k][i]`, matching the router's layout. Classes with a
     /// single home shard keep their weight untouched (the router never
     /// reads it).
@@ -131,12 +127,8 @@ impl BrokerTier {
             if homes.len() <= 1 {
                 continue;
             }
-            for (i, &s) in homes.iter().enumerate() {
-                let quota = outcome.allocations[s][kc] as f64;
-                let bias = (outcome.ln_prices[kc] - lnp[s][kc])
-                    .clamp(-BIAS_EXP_CLAMP, BIAS_EXP_CLAMP)
-                    .exp();
-                weights[kc][i] = (1.0 + quota) * bias;
+            for (w, &s) in weights[kc].iter_mut().zip(homes) {
+                *w = supply[s][kc] as f64;
             }
         }
         outcome
@@ -165,23 +157,6 @@ mod tests {
 
     fn tier(k: usize) -> BrokerTier {
         BrokerTier::new(k, &BrokerConfig::qant(), Telemetry::disabled())
-    }
-
-    #[test]
-    fn quota_and_price_bias_shape_the_weights() {
-        let mut t = tier(1);
-        let home_shards = vec![vec![0usize, 1]];
-        // Shard 0 is cheap with ample supply; shard 1 expensive and tight.
-        let supply = vec![vec![20u64], vec![2u64]];
-        let lnp = vec![vec![-0.5], vec![1.5]];
-        let mut weights = vec![vec![1.0, 1.0]];
-        let out = t.clear_window(&home_shards, &supply, &lnp, &[10], &mut weights);
-        assert_eq!(out.unserved[0], 0);
-        assert!(
-            weights[0][0] > weights[0][1],
-            "cheap well-supplied shard must out-weigh the expensive tight one: {weights:?}"
-        );
-        assert!(weights[0].iter().all(|w| w.is_finite() && *w > 0.0));
     }
 
     #[test]
@@ -217,18 +192,6 @@ mod tests {
             "carry must stay within tier capacity, got {}",
             t.escalated()[0]
         );
-    }
-
-    #[test]
-    fn single_home_classes_keep_their_weight() {
-        let mut t = tier(2);
-        let home_shards = vec![vec![0usize], vec![0usize, 1]];
-        let supply = vec![vec![5u64, 5], vec![0u64, 5]];
-        let lnp = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
-        let mut weights = vec![vec![7.5], vec![1.0, 1.0]];
-        t.clear_window(&home_shards, &supply, &lnp, &[3, 3], &mut weights);
-        assert_eq!(weights[0], vec![7.5], "router never reads 1-home weights");
-        assert_ne!(weights[1], vec![1.0, 1.0], "multi-home weights rewritten");
     }
 
     #[test]

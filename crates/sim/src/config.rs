@@ -62,8 +62,9 @@ impl SimConfig {
 
 /// Two-tier market configuration: on a sharded run every shard gets a
 /// broker that bids its aggregate supply/ln-price signals on a parent
-/// market, and the clearing result (quotas + clearing prices) drives the
-/// cross-shard router. The default is the QA-NT parent.
+/// market, which clears them and escalates the demand it could not place.
+/// The cross-shard router reads the bids' supply, not the clearing result.
+/// The default is the QA-NT parent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrokerConfig {
     /// The parent market's clearing mechanism.

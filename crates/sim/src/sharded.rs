@@ -6,11 +6,12 @@
 //! loop of every shard in parallel. Cross-shard coordination happens only
 //! at period boundaries, as batched aggregate signals: each shard's broker
 //! bids its per-class remaining supply and the log of its geometric-mean
-//! price on a parent market ([`BrokerTier`]), whose clearing sets the
-//! router weights for the next window's arrivals. This is the WALRAS-style
-//! multicommodity decomposition (see `PAPERS.md`): sub-markets iterate
-//! locally and exchange only aggregated price/excess-demand signals, never
-//! per-query traffic.
+//! price on a parent market ([`BrokerTier`]), and the router splits the
+//! next window's arrivals of each class over its home shards in proportion
+//! to the supply they reported. This is the WALRAS-style multicommodity
+//! decomposition (see `PAPERS.md`): sub-markets iterate locally and
+//! exchange only aggregated price/excess-demand signals, never per-query
+//! traffic.
 //!
 //! ## Determinism contract
 //!
@@ -21,8 +22,8 @@
 //!   single home shard has nowhere else to route) perturb the market.
 //! * Any `S` is byte-stable across thread budgets: shards share nothing
 //!   within a period, the parent clears serially at the boundary, the
-//!   router is a pure function of its result, and the merge runs in
-//!   shard-index order.
+//!   router is a pure function of the reported supply, and the merge runs
+//!   in shard-index order.
 //!
 //! ## Thread budget
 //!
@@ -73,11 +74,12 @@ pub struct ShardPlan {
 pub struct ShardRunOptions {
     /// Worker threads the shard layer may step shards on.
     pub budget: usize,
-    /// The parent market a [`BrokerTier`] clears each window on to set the
-    /// router weights. `None` reads as [`BrokerConfig::default`], the
-    /// QA-NT parent: every sharded run clears a real market. The `Option`
-    /// stays only because the repo benchmark (`benchmark/`) writes
-    /// `Some(…)`; its next revision (ROADMAP item 1) removes it.
+    /// The parent market a [`BrokerTier`] clears each window on; routing
+    /// reads the shards' reported supply, not its result. `None` reads as
+    /// [`BrokerConfig::default`], the QA-NT parent: every sharded run
+    /// clears a real market. The `Option` stays only because the repo
+    /// benchmark (`benchmark/`) writes `Some(…)`; its next revision
+    /// (ROADMAP item 1) removes it.
     pub broker: Option<BrokerConfig>,
     /// Node crashes to schedule, in *parent* node ids (remapped onto the
     /// owning shard before the run starts).
@@ -441,11 +443,11 @@ fn into_shares(weights: &mut [f64]) {
     if total > 0.0 && total.is_finite() {
         weights.iter_mut().for_each(|w| *w /= total);
     } else {
-        // Starvation guard: when every weight is zero (a class the parent
-        // awarded no quota this window) the shares would be 0/0 = NaN,
-        // and NaN credits never win another argmax — the class would be
-        // silently parked on homes[0] forever. Uniform shares instead, so
-        // queued arrivals still round-robin across homes.
+        // Starvation guard: when every weight is zero (a class whose home
+        // shards all reported dry) the shares would be 0/0 = NaN, and NaN
+        // credits never win another argmax — the class would be silently
+        // parked on homes[0] forever. Uniform shares instead, so queued
+        // arrivals still round-robin across homes.
         weights.fill(1.0 / weights.len() as f64);
     }
 }
@@ -628,8 +630,8 @@ mod tests {
     #[test]
     fn zero_weight_window_still_routes_and_recovers() {
         // Starvation regression: a window where every weight is 0 (e.g. a
-        // class the parent awarded no quota) must still route — uniformly
-        // — and must not NaN-poison the credits for later windows.
+        // class whose home shards all reported dry) must still route —
+        // uniformly — and must not NaN-poison the credits for later windows.
         let homes = [0usize, 1];
         let mut credits = vec![0.0; 2];
         let mut counts = [0usize; 2];
@@ -649,8 +651,7 @@ mod tests {
     #[test]
     fn extreme_weight_skew_starves_no_class() {
         // End-to-end starvation check at extreme skew: tiny-but-nonzero
-        // weights (the legitimate floor is ~e^-27.6 from the price
-        // ceiling) and exact zeros both keep every arrival routed.
+        // weights and exact zeros both keep every arrival routed.
         let homes = [0usize, 1, 2];
         let weights = shares_of(&[1e-320, 0.0, 1e308]);
         let mut credits = vec![0.0; 3];
@@ -661,6 +662,34 @@ mod tests {
             routed += 1;
         }
         assert_eq!(routed, 1_000);
+        assert!(credits.iter().all(|c| c.is_finite()));
+    }
+
+    #[test]
+    fn shares_follow_the_reported_supply() {
+        // The router's rule, through the boundary that applies it. Class 0
+        // lives on shards 0 and 2, class 1 on shard 1 only, and class 2 on
+        // all three, each of which reports it dry.
+        let home_shards = vec![vec![0usize, 2], vec![1], vec![0, 1, 2]];
+        let supply = vec![vec![30u64, 0, 0], vec![0, 9, 0], vec![10, 0, 0]];
+        let lnp = vec![
+            vec![0.0, 0.0, 0.0],
+            vec![-3.0, 1.0, 2.0],
+            vec![5.0, 0.0, 0.0],
+        ];
+        let mut tier = BrokerTier::new(3, &BrokerConfig::qant(), Telemetry::disabled());
+        let mut shares = vec![vec![0.5, 0.5], vec![7.5], vec![0.0; 3]];
+        tier.clear_window(&home_shards, &supply, &lnp, &[40, 9, 6], &mut shares);
+        assert_eq!(shares[1], vec![7.5], "a single-home weight is never read");
+        shares.iter_mut().for_each(|w| into_shares(w));
+        assert_eq!(shares[0], vec![0.75, 0.25], "proportional to supply");
+        assert_eq!(shares[2], vec![1.0 / 3.0; 3], "all dry: equal shares");
+        let mut credits = vec![0.0; 3];
+        let mut counts = [0usize; 3];
+        for _ in 0..300 {
+            counts[pick_home(&home_shards[2], &shares[2], &mut credits)] += 1;
+        }
+        assert_eq!(counts, [100, 100, 100]);
         assert!(credits.iter().all(|c| c.is_finite()));
     }
 
@@ -806,23 +835,57 @@ mod tests {
         assert_eq!(
             boundary,
             BoundaryWork {
-                node_periods: 546_901,
-                refusal_lanes_walked: 251_495,
-                refusal_lanes_closed_form: 146_159,
-                refusal_lane_steps: 14_276_637,
-                refusal_lane_slots: 15_179_072,
-                density_sorts: 546_901,
+                node_periods: 510_313,
+                refusal_lanes_walked: 372_315,
+                refusal_lanes_closed_form: 73_563,
+                refusal_lane_steps: 14_658_508,
+                refusal_lane_slots: 15_637_600,
+                density_sorts: 510_313,
             }
         );
         assert_eq!(
             wait,
             WaitWork {
-                wakes: 622,
-                runs: 596,
-                turned: 343_058,
-                attempted: 68_369,
+                wakes: 32,
+                runs: 0,
+                turned: 0,
+                attempted: 1_813,
             }
         );
+    }
+
+    #[test]
+    fn broker10k_rep_routes_like_the_flat_engine() {
+        // The seam predicate, on the world and trace of the pin above:
+        // routing by reported supply keeps the sharded mean response
+        // within 1.25x of the flat engine's on the same trace, under
+        // either parent. Routing reads no clearing result, so the two
+        // parents leave the same metrics.
+        use crate::experiments::{run_cell, scale_world, two_class_trace};
+        let s = scale_world(10_000, 11);
+        let t = two_class_trace(&s, 0.05, 0.5, 24);
+        let flat = run_cell(&s, &t, MechanismKind::QaNt)
+            .metrics
+            .mean_response_ms()
+            .unwrap();
+        let plan = ShardPlan::build(&s, 32);
+        let metrics: Vec<_> = [BrokerConfig::qant(), BrokerConfig::walras()]
+            .into_iter()
+            .map(|cfg| {
+                let options = ShardRunOptions {
+                    broker: Some(cfg),
+                    ..ShardRunOptions::default()
+                };
+                let m = plan.run_with_options(&t, &options).outcome.metrics;
+                let sharded = m.mean_response_ms().unwrap();
+                assert!(
+                    sharded <= 1.25 * flat,
+                    "{cfg:?}: sharded {sharded:.1} ms vs flat {flat:.1} ms"
+                );
+                format!("{m:?}")
+            })
+            .collect();
+        assert_eq!(metrics[0], metrics[1], "the parents route alike");
     }
 
     #[test]

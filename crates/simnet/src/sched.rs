@@ -276,11 +276,6 @@ impl SystematicExplorer {
         }
     }
 
-    /// Schedules visited so far.
-    pub fn schedules_run(&self) -> u64 {
-        self.run
-    }
-
     /// `true` once the bounded tree is fully enumerated (as opposed to
     /// the budget running out).
     pub fn exhausted(&self) -> bool {
@@ -356,7 +351,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 2 * 3 * 2);
         assert!(explorer.exhausted());
-        assert_eq!(explorer.schedules_run(), 12);
     }
 
     #[test]
