@@ -599,8 +599,6 @@ fn variant_cell(config: &SimConfig, frac: f64, secs: u64) -> (f64, u64) {
 
 /// The market design choices DESIGN.md calls out, one variant each:
 ///
-/// * per-node initial price **jitter** (σ = 0 vs default 1.5) — without it
-///   identical sellers flip their supply priorities in lockstep,
 /// * period-end price **renormalization** — without it long overloads
 ///   saturate the floor/ceiling clamps and erase relative prices,
 /// * adjustment speed **λ**,
@@ -623,8 +621,7 @@ pub fn ablation(scale: Scale, threads: usize) -> Report {
         (name, c)
     };
     let variants = [
-        variant("default (jitter 1.5, renorm, λ=0.1)", |_| {}),
-        variant("no price jitter", |c| c.qant.initial_price_jitter = 0.0),
+        variant("default (renorm, λ=0.1)", |_| {}),
         variant("no renormalization", |c| c.qant.renormalize_prices = false),
         variant("λ = 0.02 (slow)", |c| c.qant.pricer.lambda = 0.02),
         variant("λ = 0.30 (fast)", |c| c.qant.pricer.lambda = 0.3),
@@ -634,7 +631,7 @@ pub fn ablation(scale: Scale, threads: usize) -> Report {
         }),
     ];
 
-    // One cell per (variant, load): 12 independent runs.
+    // One cell per (variant, load): 10 independent runs.
     let cells: Vec<(usize, f64)> = (0..variants.len())
         .flat_map(|i| [(i, 0.9), (i, 2.0)])
         .collect();

@@ -54,7 +54,7 @@ fn every_committed_figure_is_identical_across_thread_budgets() {
 #[test]
 fn single_shard_is_the_flat_engine_under_either_parent() {
     // The S = 1 contract: the sharded window loop must replay the flat
-    // event loop exactly — same market jitter, same event order, same
+    // event loop exactly — same sellers, same event order, same
     // Debug-formatted outcome — and a one-broker parent, whatever its
     // mechanism, has nowhere else to route. An overloaded world makes the
     // parent escalate.

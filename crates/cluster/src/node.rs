@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// (`qa_net::wire`'s table): every carrier hands these around unchanged.
 pub use qa_net::wire::{EstimateReply, ExecReply, NodeStats, OfferReply, PricesReply};
 
-/// Salt separating each node's fault stream from its price-jitter stream.
+/// Salt of each node's fault stream.
 const FAULT_SALT: u64 = 0xFA17_0002;
 
 /// One request's way back to whoever asked. The carrier owns the return
@@ -183,7 +183,7 @@ struct NodeWorker {
 }
 
 /// Spawns a node thread: loads its share of the data, optionally arms the
-/// QA-NT market (with jittered initial prices), and serves its mailbox.
+/// QA-NT market, and serves its mailbox.
 ///
 /// Its *negotiation replies* traverse a link that may be faulty
 /// ([`LinkFaults::none`] for a healthy one): estimate and offer replies
@@ -229,7 +229,7 @@ pub fn spawn_node(
     let num_classes = spec.classes.len();
     let telemetry = telemetry.with_label(node as u32);
     let node_seed = data_seed ^ (node as u64).wrapping_mul(0x9E37);
-    let mut seller = NodeProtocol::new(node, num_classes, qant_config, node_seed, &telemetry);
+    let mut seller = NodeProtocol::new(node, num_classes, qant_config, &telemetry);
     let fault_rng = DetRng::seed_from_u64(node_seed ^ FAULT_SALT);
     let join = std::thread::Builder::new()
         .name(format!("qa-node-{node}"))

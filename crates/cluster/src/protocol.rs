@@ -28,7 +28,6 @@ use crate::error::ClusterError;
 use crate::node::{EstimateReply, OfferReply, PricesReply};
 use qa_core::{QantConfig, QantNode};
 use qa_simnet::telemetry::{Counter, Gauge, HistogramHandle, Telemetry, TelemetryEvent};
-use qa_simnet::DetRng;
 use qa_workload::ClassId;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -358,17 +357,16 @@ pub struct NodeProtocol {
 
 impl NodeProtocol {
     /// Node `id`'s seller over `num_classes` classes: with `config`, a
-    /// market whose initial prices are jittered from `seed`; without, none.
-    /// `telemetry` must already carry the node's label.
+    /// market; without, none. `telemetry` must already carry the node's
+    /// label.
     pub fn new(
         id: usize,
         num_classes: usize,
         config: Option<QantConfig>,
-        seed: u64,
         telemetry: &Telemetry,
     ) -> NodeProtocol {
         let qant = config.map(|cfg| {
-            let mut q = QantNode::with_jitter(num_classes, cfg, &mut DetRng::seed_from_u64(seed));
+            let mut q = QantNode::new(num_classes, cfg);
             q.set_telemetry(telemetry.clone());
             q
         });
@@ -496,6 +494,7 @@ impl NodeProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_simnet::DetRng;
 
     /// A round in which only `node` bids.
     fn won(node: usize) -> Event {
@@ -778,7 +777,7 @@ mod tests {
     #[test]
     fn an_estimate_carries_no_backlog_and_an_offer_promises_it() {
         for market in markets() {
-            let mut seller = NodeProtocol::new(3, 3, market, 11, &Telemetry::disabled());
+            let mut seller = NodeProtocol::new(3, 3, market, &Telemetry::disabled());
             seller.open_market(|_| vec![Some(4.0), Some(8.0), None]);
             let idle = seller.estimate(8.0);
             seller.accept(ClassId(0), 4.0);
@@ -820,10 +819,8 @@ mod tests {
                 let costs: Vec<Option<f64>> = (0..k)
                     .map(|c| (k < 3 || c % 3 != 1).then(|| rng.float_in(3.0, 30.0)))
                     .collect();
-                let seed = 77 + case as u64;
-                let mut seller = NodeProtocol::new(0, k, market, seed, &Telemetry::disabled());
-                let mut qant = market
-                    .map(|cfg| QantNode::with_jitter(k, cfg, &mut DetRng::seed_from_u64(seed)));
+                let mut seller = NodeProtocol::new(0, k, market, &Telemetry::disabled());
+                let mut qant = market.map(|cfg| QantNode::new(k, cfg));
                 let mut backlog = 0.0_f64;
                 seller.open_market(|_| costs.clone());
                 if let Some(q) = &mut qant {

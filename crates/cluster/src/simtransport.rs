@@ -37,9 +37,6 @@ use std::sync::{Arc, Mutex};
 
 /// Virtual microseconds per delivered network step (telemetry clock).
 const STEP_US: u64 = 1_000;
-/// Seeds the fleet's initial price jitter: every schedule explores the
-/// same three sellers.
-const FLEET_SEED: u64 = 2007;
 
 /// Formats the harness SQL carrying query identity across the transport
 /// seam.
@@ -210,8 +207,7 @@ impl SimTransport {
     ) -> SimTransport {
         let node = |id: usize| {
             let labelled = telemetry.with_label(id as u32);
-            let seed = FLEET_SEED + id as u64;
-            let seller = NodeProtocol::new(id, num_classes, market, seed, &labelled);
+            let seller = NodeProtocol::new(id, num_classes, market, &labelled);
             SimNodeState::new(id, num_classes, seller)
         };
         SimTransport {

@@ -33,7 +33,7 @@ use qa_economics::{
     adjusted, ln_price, PriceVector, PricerConfig, QuantityVector, RefusalChain, ReplayWork,
 };
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
-use qa_simnet::{DetRng, SimDuration};
+use qa_simnet::SimDuration;
 use qa_workload::ClassId;
 use std::ops::Range;
 
@@ -45,13 +45,9 @@ pub struct QantConfig {
     /// Length of the time period τ (paper default: 500 ms).
     pub period: SimDuration,
     /// Optional §5.1 threshold: when `Some(t)` and every private price is
-    /// ≤ `t × its initial value`, the node offers unconditionally (supply
-    /// restriction off). Measured relative to the node's own initial
-    /// prices so that per-node jitter does not count as market stress.
+    /// ≤ `t × pricer.initial_price`, the node offers unconditionally
+    /// (supply restriction off).
     pub price_threshold: Option<f64>,
-    /// Log-space half-width of per-node initial price jitter (see
-    /// [`QantMarket::with_jitter`]); 0 = no jitter.
-    pub initial_price_jitter: f64,
     /// Renormalize private prices (geometric mean → 1) at every period
     /// end. Scale-invariant (only relative prices drive supply), it keeps
     /// long overloads from saturating the clamps and measurably improves
@@ -69,7 +65,6 @@ impl Default for QantConfig {
             pricer: PricerConfig::default(),
             period: SimDuration::from_millis(500),
             price_threshold: None,
-            initial_price_jitter: 1.5,
             renormalize_prices: true,
         }
     }
@@ -102,8 +97,6 @@ pub struct QantMarket {
     /// Estimated execution time in ms (`None` = cannot run), as of the
     /// row's last `begin_period` — estimates may improve over time.
     cost: Vec<Option<f64>>,
-    /// Initial prices (post-jitter), the baseline for the §5.1 threshold.
-    initial: Vec<f64>,
     /// Scratch of the supply solve: a row's capable classes as
     /// `(density, cost, class)`, in fill order.
     order: Vec<(f64, f64, usize)>,
@@ -117,45 +110,23 @@ pub struct QantMarket {
 }
 
 impl QantMarket {
-    /// `rows` sellers over `k` query classes whose initial prices are
-    /// jittered per class by `exp(U(-σ, σ))` with
-    /// `σ = config.initial_price_jitter`, drawn row by row.
-    ///
-    /// Under the multiplicative non-tâtonnement dynamics, log-price offsets
-    /// between nodes never decay, so this one-time jitter permanently
-    /// staggers the price ratios at which otherwise-identical nodes switch
-    /// their supply between classes — the population splits into a stable
-    /// mix of specializations instead of flip-flopping in lockstep.
-    pub fn with_jitter(rows: usize, k: usize, config: QantConfig, rng: &mut DetRng) -> QantMarket {
-        let sigma = config.initial_price_jitter;
-        assert!(sigma >= 0.0 && sigma.is_finite());
-        let pricer = config.pricer;
-        let jittered = |_| {
-            let factor = if sigma > 0.0 {
-                rng.float_in(-sigma, sigma).exp()
-            } else {
-                1.0
-            };
-            (pricer.initial_price * factor).clamp(pricer.price_floor, pricer.price_ceiling)
-        };
-        QantMarket::with_prices(k, config, (0..rows * k).map(jittered).collect())
-    }
-
-    fn with_prices(k: usize, config: QantConfig, prices: Vec<f64>) -> QantMarket {
+    /// `rows` sellers over `k` query classes, every price at
+    /// `config.pricer.initial_price`.
+    pub fn new(rows: usize, k: usize, config: QantConfig) -> QantMarket {
         config.pricer.validate();
         assert!(
             config.price_threshold.is_none() || !config.renormalize_prices,
             "price_threshold needs renormalize_prices: false"
         );
+        let n = rows * k;
         QantMarket {
             chain: RefusalChain::new(&config.pricer),
             config,
             classes: k,
-            supply: vec![0; prices.len()],
-            carry: vec![0.0; prices.len()],
-            cost: vec![None; prices.len()],
-            initial: prices.clone(),
-            prices,
+            prices: vec![config.pricer.initial_price; n],
+            supply: vec![0; n],
+            carry: vec![0.0; n],
+            cost: vec![None; n],
             order: Vec::with_capacity(k),
             ln_sums: Vec::new(),
             lanes: Vec::new(),
@@ -353,7 +324,7 @@ impl QantMarket {
     /// prices" regardless: supply exhaustion still raises the price even
     /// while the node keeps offering — that is how a quiet market learns
     /// it is becoming overloaded and engages the restriction: no price has
-    /// inflated past `threshold ×` its initial value.
+    /// inflated past `threshold ×` the initial price.
     #[inline]
     pub fn on_request(&mut self, row: usize, class: ClassId) -> bool {
         let (k, at) = (class.index(), row * self.classes + class.index());
@@ -368,10 +339,9 @@ impl QantMarket {
         self.prices[at] = self.chain.step(old);
         let new = self.prices[at];
         adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
-        let span = self.span(row);
-        let mut rises = self.prices[span.clone()].iter().zip(&self.initial[span]);
-        let threshold = self.config.price_threshold;
-        let bypass = threshold.is_some_and(|t| rises.all(|(p, initial)| *p <= t * initial));
+        let initial = self.config.pricer.initial_price;
+        let ceiling = self.config.price_threshold.map(|t| t * initial);
+        let bypass = ceiling.is_some_and(|c| self.prices(row).iter().all(|p| *p <= c));
         if !bypass {
             self.telemetry.emit(|| TelemetryEvent::RequestRejected {
                 node,
@@ -431,15 +401,9 @@ impl QantMarket {
 pub struct QantNode(QantMarket);
 
 impl QantNode {
-    /// A node over `k` query classes with uniform initial prices.
+    /// A node over `k` query classes: [`QantMarket::new`].
     pub fn new(k: usize, config: QantConfig) -> QantNode {
-        let prices = vec![config.pricer.initial_price; k];
-        QantNode(QantMarket::with_prices(k, config, prices))
-    }
-
-    /// A node with jittered initial prices: [`QantMarket::with_jitter`].
-    pub fn with_jitter(k: usize, config: QantConfig, rng: &mut DetRng) -> QantNode {
-        QantNode(QantMarket::with_jitter(1, k, config, rng))
+        QantNode(QantMarket::new(1, k, config))
     }
 
     /// Installs a telemetry handle (label it with this node's id via
@@ -510,6 +474,7 @@ impl QantNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_simnet::DetRng;
 
     /// Node N1 of the paper's example: q1 = 400 ms, q2 = 100 ms, T = 500 ms.
     fn n1() -> QantNode {
@@ -625,6 +590,24 @@ mod tests {
         let at = engaged_at.expect("restriction must eventually engage");
         assert!((5..=12).contains(&at), "engaged at request {at}");
         assert!(n.prices().get(0) > 2.0);
+
+        // The edge, against `t × initial_price` with an initial price
+        // other than 1: a class at exactly 2 × 3 still lets an
+        // empty-supply request through, one a hair above refuses it.
+        let cfg = QantConfig {
+            pricer: PricerConfig {
+                initial_price: 3.0,
+                ..cfg.pricer
+            },
+            ..cfg
+        };
+        for (p0, offered) in [(6.0, true), (6.0_f64.next_up(), false)] {
+            let mut n = QantNode::new(2, cfg);
+            n.begin_period_with_budget(&[Some(400.0), Some(100.0)], None, 0.0);
+            n.0.prices[0] = p0;
+            assert_eq!(n.on_request(ClassId(1)), offered, "class 0 at {p0}");
+            assert!(n.prices().get(1) > 3.0, "the refusal is tracked either way");
+        }
     }
 
     #[test]
@@ -703,11 +686,16 @@ mod tests {
                 renormalize_prices: !threshold,
                 ..QantConfig::default()
             };
-            let mut jitter = rng.derive("jitter");
-            let mut market = QantMarket::with_jitter(n, k, config, &mut jitter.clone());
-            let mut nodes: Vec<QantNode> = (0..n)
-                .map(|_| QantNode::with_jitter(k, config, &mut jitter))
-                .collect();
+            // Every row starts on prices of its own, so a stride bug shows.
+            let mut market = QantMarket::new(n, k, config);
+            let mut nodes: Vec<QantNode> = (0..n).map(|_| QantNode::new(k, config)).collect();
+            for (row, node) in nodes.iter_mut().enumerate() {
+                for class in 0..k {
+                    let price = rng.float_in(-1.5, 1.5).exp();
+                    market.prices[row * k + class] = price;
+                    node.0.prices[class] = price;
+                }
+            }
             let costs: Vec<Vec<Option<f64>>> = (0..n)
                 .map(|_| {
                     (0..k)
@@ -866,7 +854,7 @@ mod tests {
                 renormalize_prices: case % 7 != 3,
                 ..QantConfig::default()
             };
-            let mut kernel = QantMarket::with_jitter(n, k, config, &mut rng.derive("jitter"));
+            let mut kernel = QantMarket::new(n, k, config);
             let (floor, ceiling) = (pricer.price_floor, pricer.price_ceiling);
             let capable = rng.chance(0.9);
             for at in 0..n * k {

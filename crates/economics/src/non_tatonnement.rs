@@ -338,11 +338,8 @@ impl NonTatonnementPricer {
         Self::with_prices(PriceVector::uniform(k, config.initial_price), config)
     }
 
-    /// A pricer with explicit (already jittered) initial prices. Because
-    /// the non-tâtonnement dynamics are multiplicative, initial log-price
-    /// offsets between nodes persist forever — heterogeneous starting
-    /// prices are what desynchronizes otherwise-identical sellers into a
-    /// stable mix of specializations.
+    /// A pricer starting at explicit prices: any point of the price
+    /// band, for the properties that must hold from every start.
     pub fn with_prices(prices: PriceVector, config: PricerConfig) -> Self {
         config.validate();
         let k = prices.num_classes();

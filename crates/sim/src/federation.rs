@@ -289,9 +289,7 @@ impl<'a> Federation<'a> {
         }
         let state = match mechanism {
             MechanismKind::QaNt => {
-                let mut price_rng = DetRng::seed_from_u64(cfg.seed).derive("qant-prices");
-                let mut market =
-                    QantMarket::with_jitter(cfg.num_nodes, k, cfg.qant, &mut price_rng);
+                let mut market = QantMarket::new(cfg.num_nodes, k, cfg.qant);
                 market.set_telemetry(telemetry.with_label(0));
                 for (i, costs) in scenario.exec_times_ms.iter().enumerate() {
                     market.begin_period(i, costs, None, cfg.qant.period.as_millis_f64());
@@ -1194,7 +1192,8 @@ mod tests {
     }
 
     /// The run's one period is `qant.period`: halve it and the same
-    /// light run steps twice as many period boundaries.
+    /// light run steps twice as many period boundaries by the same time
+    /// (8 s, before its arrivals end, so the chain is alive throughout).
     #[test]
     fn a_run_follows_its_one_period() {
         let periods = |ms: u64| {
@@ -1202,11 +1201,13 @@ mod tests {
             cfg.qant.period = SimDuration::from_millis(ms);
             let s = Scenario::two_class(cfg);
             let t = trace_for(&s, 10, 0.3);
-            let out = run(&s, MechanismKind::QaNt, &t);
-            out.boundary.node_periods / s.config.num_nodes as u64
+            let mut f = Federation::new(&s, MechanismKind::QaNt, &t);
+            f.push_arrivals(t.events(), false);
+            f.begin_run();
+            f.step_through(SimTime::from_secs(8));
+            f.boundary.node_periods / s.config.num_nodes as u64
         };
-        let (p500, p250) = (periods(500), periods(250));
-        assert_eq!(p250, 2 * p500, "500 ms: {p500} periods, 250 ms: {p250}");
+        assert_eq!((periods(500), periods(250)), (16, 32));
     }
 
     #[test]
@@ -1435,8 +1436,9 @@ mod tests {
         assert!(f.parked.is_empty() && f.queue.is_empty());
         let out = f.finish();
         assert_eq!(out.metrics.completed, 8);
-        // Refused on arrival and again at 1.5 s; served at 2 s.
-        assert_eq!(out.metrics.retries, 16);
+        // Refused on arrival and again at 1.5 s; at 2 s seven are served
+        // and the eighth, refused once more, waits for the 2.5 s supply.
+        assert_eq!(out.metrics.retries, 17);
         assert!(out.metrics.lost_messages > 0);
     }
 
@@ -1509,20 +1511,20 @@ mod tests {
             out.boundary,
             BoundaryWork {
                 node_periods: 203_000,
-                refusal_lanes_walked: 102_278,
-                refusal_lanes_closed_form: 122_395,
-                refusal_lane_steps: 10_220_249,
-                refusal_lane_slots: 10_546_160,
+                refusal_lanes_walked: 102_250,
+                refusal_lanes_closed_form: 122_602,
+                refusal_lane_steps: 10_174_637,
+                refusal_lane_slots: 10_495_856,
                 density_sorts: 203_000,
             }
         );
         assert_eq!(
             out.wait,
             WaitWork {
-                wakes: 102,
-                runs: 350,
-                turned: 31_899,
-                attempted: 34_623,
+                wakes: 101,
+                runs: 387,
+                turned: 32_054,
+                attempted: 34_681,
             }
         );
         // Nothing here for another mechanism to count.
@@ -1546,9 +1548,9 @@ mod tests {
             out.wait,
             WaitWork {
                 wakes: 438,
-                runs: 3_928,
-                turned: 1_273_327,
-                attempted: 21_508,
+                runs: 3_915,
+                turned: 1_273_522,
+                attempted: 21_496,
             }
         );
         // Everyone parked was woken, one way or the other.

@@ -24,8 +24,6 @@ pub struct RunMetrics {
     executed_per_period: Vec<u64>,
     /// Executed counts per period, restricted by class (Fig. 5c needs Q1).
     executed_per_period_class: Vec<Vec<u64>>,
-    /// Response times per class.
-    response_per_class: Vec<Welford>,
     /// Response times per *origin* (client) node — the §6 equitable-
     /// allocation extension measures how evenly the federation treats its
     /// clients.
@@ -61,7 +59,6 @@ impl RunMetrics {
             response_series: TimeSeries::new(period),
             executed_per_period: Vec::new(),
             executed_per_period_class: vec![Vec::new(); num_classes],
-            response_per_class: (0..num_classes).map(|_| Welford::new()).collect(),
             response_per_origin: Vec::new(),
             num_classes,
             messages: 0,
@@ -86,9 +83,6 @@ impl RunMetrics {
         let resp_ms = finished.saturating_since(arrived).as_millis_f64();
         self.response.add(resp_ms);
         self.response_hist.record(resp_ms);
-        if class.index() < self.num_classes {
-            self.response_per_class[class.index()].add(resp_ms);
-        }
         if origin.index() >= self.response_per_origin.len() {
             self.response_per_origin
                 .resize_with(origin.index() + 1, Welford::new);
@@ -221,13 +215,6 @@ impl RunMetrics {
             for (i, v) in theirs.iter().enumerate() {
                 mine[i] += v;
             }
-        }
-        for (mine, theirs) in self
-            .response_per_class
-            .iter_mut()
-            .zip(&other.response_per_class)
-        {
-            mine.merge(theirs);
         }
         if other.response_per_origin.len() > self.response_per_origin.len() {
             self.response_per_origin

@@ -16,10 +16,10 @@
 //! ## Determinism contract
 //!
 //! * `S = 1` is byte-identical to the flat [`Federation::run`]: the single
-//!   shard is the parent scenario itself (same seed, same market jitter
-//!   stream), the window loop replays the flat event order exactly, and
-//!   neither the boundary signal reads nor the one-broker parent (a
-//!   single home shard has nowhere else to route) perturb the market.
+//!   shard is the parent scenario itself, the window loop replays the
+//!   flat event order exactly, and neither the boundary signal reads nor
+//!   the one-broker parent (a single home shard has nowhere else to
+//!   route) perturb the market.
 //! * Any `S` is byte-stable across thread budgets: shards share nothing
 //!   within a period, the parent clears serially at the boundary, the
 //!   router is a pure function of the reported supply, and the merge runs
@@ -38,7 +38,7 @@ use crate::federation::{period_windows, Federation, RunOutcome};
 use crate::scenario::Scenario;
 use qa_core::MechanismKind;
 use qa_simnet::telemetry::Telemetry;
-use qa_simnet::{par_for_each_chunk_mut, DetRng, SimTime};
+use qa_simnet::{par_for_each_chunk_mut, SimTime};
 use qa_workload::dataset::{Dataset, Relation};
 use qa_workload::ids::RelationId;
 use qa_workload::{NodeId, QueryEvent, Trace};
@@ -149,9 +149,8 @@ impl ShardPlan {
     /// `[s·N/S, (s+1)·N/S)`; its sub-scenario keeps the full template
     /// set and relation schema but filters mirrors, hardware, exec times
     /// and capability lists to the slice, remapping node ids to
-    /// `0..n_s`. With one shard the parent scenario is used as-is (same
-    /// seed), which is what makes `S = 1` byte-identical to the flat run;
-    /// with more, each shard derives its own market-jitter seed.
+    /// `0..n_s`. With one shard the parent scenario is used as-is, which
+    /// is what makes `S = 1` byte-identical to the flat run.
     pub fn build(parent: &Scenario, num_shards: usize) -> ShardPlan {
         assert!(num_shards >= 1, "need at least one shard");
         let n = parent.config.num_nodes;
@@ -171,7 +170,7 @@ impl ShardPlan {
                 shards.push(ShardSpec {
                     lo,
                     hi,
-                    scenario: slice_scenario(parent, s, lo, hi),
+                    scenario: slice_scenario(parent, lo, hi),
                 });
             }
         }
@@ -382,11 +381,11 @@ impl ShardPlan {
     }
 }
 
-/// Builds shard `s`'s sub-scenario: the parent world restricted to nodes
+/// Builds a shard's sub-scenario: the parent world restricted to nodes
 /// `[lo, hi)` with ids remapped to `0..hi-lo`. The relation schema and
 /// template set are kept whole (class ids stay globally meaningful);
 /// mirrors, hardware, exec rows and capability lists are sliced.
-fn slice_scenario(parent: &Scenario, s: usize, lo: usize, hi: usize) -> Scenario {
+fn slice_scenario(parent: &Scenario, lo: usize, hi: usize) -> Scenario {
     let n_s = hi - lo;
     let in_range = |node: NodeId| node.index() >= lo && node.index() < hi;
     let remap = |node: NodeId| NodeId((node.index() - lo) as u32);
@@ -409,10 +408,6 @@ fn slice_scenario(parent: &Scenario, s: usize, lo: usize, hi: usize) -> Scenario
         .collect();
     let mut config = parent.config.clone();
     config.num_nodes = n_s;
-    // Independent market-jitter stream per shard, derived from the parent
-    // seed so the whole plan remains a function of one seed.
-    let mut seed_rng = DetRng::seed_from_u64(parent.config.seed).derive(&format!("shard-{s}"));
-    config.seed = seed_rng.next_u64();
     let capable: Vec<Vec<NodeId>> = parent
         .capable
         .iter()
@@ -510,6 +505,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::experiments::two_class_trace;
+    use qa_simnet::DetRng;
 
     fn world(nodes: usize, seed: u64) -> Scenario {
         let mut cfg = SimConfig::small_test(seed);
@@ -835,12 +831,12 @@ mod tests {
         assert_eq!(
             boundary,
             BoundaryWork {
-                node_periods: 510_313,
-                refusal_lanes_walked: 372_315,
-                refusal_lanes_closed_form: 73_563,
-                refusal_lane_steps: 14_658_508,
-                refusal_lane_slots: 15_637_600,
-                density_sorts: 510_313,
+                node_periods: 511_563,
+                refusal_lanes_walked: 372_739,
+                refusal_lanes_closed_form: 73_523,
+                refusal_lane_steps: 14_621_204,
+                refusal_lane_slots: 15_604_656,
+                density_sorts: 511_563,
             }
         );
         assert_eq!(

@@ -251,11 +251,10 @@ fn crash_and_loss_runs_are_pinned() {
         }
     }
     let broker = format!("{:?} {bids:?} {cleared:?}", sharded.outcome);
-    // The flat digest was computed by the engine that kept five arrays per
-    // trace query, the broker digest by the router that splits each window
-    // by the shards' reported supply.
+    // Both digests were computed by the engine whose sellers all start at
+    // one price and whose metrics keep no per-class response times.
     assert_eq!(
         (fnv1a(flat.as_bytes()), fnv1a(broker.as_bytes())),
-        (0x328f_7547_37b5_c72b, 0xcb41_11b8_628d_9114)
+        (0x604e_246b_112e_a781, 0x9d51_dc00_1652_d82f)
     );
 }

@@ -5,7 +5,6 @@ use query_markets::core::{QantConfig, QantNode};
 use query_markets::economics::{
     check_ftwe, is_equilibrium, FtweCheck, LinearCapacitySet, QuantityVector, Tatonnement,
 };
-use query_markets::simnet::DetRng;
 use query_markets::workload::ClassId;
 
 /// The paper's two sellers.
@@ -54,28 +53,6 @@ fn qant_walkthrough_of_section_3_3() {
         assert!(periods < 200, "price never rose enough: {}", n1.prices());
     }
     assert!(n1.supply().get(0) >= 1);
-}
-
-#[test]
-fn jittered_nodes_specialize_differently() {
-    // Identical hardware, identical event streams — but jittered initial
-    // prices make the population split instead of moving in lockstep.
-    let mut rng = DetRng::seed_from_u64(99);
-    let nodes: Vec<QantNode> = (0..32)
-        .map(|_| {
-            let mut n = QantNode::with_jitter(2, QantConfig::default(), &mut rng);
-            n.begin_period(&[Some(400.0), Some(100.0)], None);
-            n
-        })
-        .collect();
-    let q1_suppliers = nodes.iter().filter(|n| n.supply().get(0) > 0).count();
-    // With σ = 1.5 the q1-vs-q2 density flip (at p1 = 4·p2) is within the
-    // jitter band for a meaningful minority of nodes.
-    assert!(q1_suppliers > 0, "some node should start in q1 mode");
-    assert!(
-        q1_suppliers < nodes.len(),
-        "and some node should start in q2 mode"
-    );
 }
 
 #[test]
