@@ -13,6 +13,12 @@
 //! a predicate over the committed files, with the verdict recorded next to
 //! it: a ✓ that stops holding, or a withdrawn one that starts to, fails
 //! until EXPERIMENTS.md and the verdict here are re-judged together.
+//!
+//! The tables EXPERIMENTS.md quotes from Table 2, Figs. 4, 5a, 5b and 6
+//! and the ablation sit between `<!-- table: NAME -->` and
+//! `<!-- /table -->` markers and are rendered here from `figures/NAME.json`
+//! and compared verbatim: a hand-edited number fails, printing the table
+//! the committed file gives.
 
 use qa_bench::{Scale, FIGURES};
 use qa_simnet::json::Json;
@@ -386,5 +392,238 @@ fn experiments_verdicts_match_the_committed_figures() {
         stale.is_empty(),
         "EXPERIMENTS.md's verdict is stale; re-judge it and the one recorded here:\n{}",
         stale.join("\n")
+    );
+}
+
+// ------------------------------------------------- EXPERIMENTS' tables
+
+/// `x` rounded to an integer, thousands grouped by spaces: `26 713`.
+fn grouped(x: f64) -> String {
+    let digits = format!("{:.0}", x.round());
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(' ');
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// A markdown table: the header, its rule and one line per row.
+fn table(head: &[String], rows: &[Vec<String>]) -> String {
+    let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+    let rule = format!("|{}\n", "---|".repeat(head.len()));
+    let mut out = line(head) + &rule;
+    for row in rows {
+        out += &line(row);
+    }
+    out
+}
+
+fn strings(cells: &[&str]) -> Vec<String> {
+    cells.iter().map(|c| c.to_string()).collect()
+}
+
+/// What the paper says of each mechanism: Table 2's performance column
+/// and Fig. 4's qualitative ranking.
+fn paper_says(mechanism: &str) -> (&'static str, &'static str) {
+    match mechanism {
+        "QA-NT" => ("Very Good", "best/equal-best"),
+        "Greedy" => ("Very Good", "≈ QA-NT"),
+        "BNQRD" => ("Poor", "\"balanced load but performed poorly\""),
+        "Two-probes" => ("(between)", "better than round-robin, worse than BNQRD"),
+        "Random" | "Round-robin" => ("Poor", "worst tier"),
+        "Markov" => ("Excellent", "—"),
+        other => panic!("no paper entry for {other}"),
+    }
+}
+
+fn text_of<'a>(row: &'a Json, field: &str) -> &'a str {
+    row.get(field).and_then(Json::as_str).expect("a string")
+}
+
+fn number(row: &Json, field: &str) -> f64 {
+    row.get(field).and_then(Json::as_f64).expect("a number")
+}
+
+fn table2(f: &Json) -> String {
+    let mark = |row: &Json, field: &str| {
+        let set = row.get(field) == Some(&Json::Bool(true));
+        if set { "X" } else { "–" }.to_string()
+    };
+    let measured = |row: &Json, field: &str, shown: fn(f64) -> String| {
+        row.get(field)
+            .and_then(Json::as_f64)
+            .map_or("n/a".to_string(), shown)
+    };
+    let rows: Vec<Vec<String>> = f
+        .as_array()
+        .expect("rows")
+        .iter()
+        .map(|r| {
+            let m = text_of(r, "mechanism");
+            vec![
+                m.to_string(),
+                mark(r, "distributed"),
+                text_of(r, "workload_type").to_string(),
+                mark(r, "conflicts_with_dqo"),
+                mark(r, "autonomy"),
+                paper_says(m).0.to_string(),
+                measured(r, "measured_normalized_response", |x| format!("{x:.2}")),
+                measured(r, "measured_messages_per_query", grouped),
+            ]
+        })
+        .collect();
+    let head = strings(&[
+        "mechanism",
+        "distributed",
+        "workload",
+        "conflicts w/ DQO",
+        "autonomy",
+        "paper perf.",
+        "measured norm. resp.",
+        "msgs/query",
+    ]);
+    table(&head, &rows)
+}
+
+fn fig4_table(f: &Json) -> String {
+    let rows: Vec<Vec<String>> = f
+        .get("rows")
+        .and_then(Json::as_array)
+        .expect("rows")
+        .iter()
+        .map(|r| {
+            let m = text_of(r, "mechanism");
+            vec![
+                m.to_string(),
+                paper_says(m).1.to_string(),
+                grouped(number(r, "mean_response_ms")),
+                format!("{:.2}", number(r, "normalized_response")),
+            ]
+        })
+        .collect();
+    let head = strings(&[
+        "mechanism",
+        "paper (qualitative)",
+        "measured mean (ms)",
+        "normalized",
+    ]);
+    table(&head, &rows)
+}
+
+/// A sweep as one row of greedy/QA-NT ratios under a header of its
+/// points, each point's `x` labelled by `label`.
+fn sweep(f: &Json, axis: &str, label: fn(f64) -> String) -> String {
+    let points = f.as_array().expect("points");
+    let mut head = vec![axis.to_string()];
+    head.extend(points.iter().map(|p| label(number(p, "x"))));
+    let mut row = vec!["measured greedy/QA-NT".to_string()];
+    row.extend(
+        points
+            .iter()
+            .map(|p| format!("{:.3}", number(p, "normalized_greedy"))),
+    );
+    table(&head, &[row])
+}
+
+fn ablation_table(f: &Json) -> String {
+    let rows: Vec<Vec<String>> = f
+        .as_array()
+        .expect("variants")
+        .iter()
+        .map(|r| {
+            vec![
+                text_of(r, "variant").to_string(),
+                grouped(number(r, "mean_ms_at_0_9")),
+                grouped(number(r, "mean_ms_at_2_0")),
+                format!("{} k", grouped(number(r, "retries_at_2_0") / 1e3)),
+            ]
+        })
+        .collect();
+    let head = strings(&["variant", "@90 %", "@200 %", "retries @200 %"]);
+    table(&head, &rows)
+}
+
+/// A committed figure's table, as EXPERIMENTS.md quotes it.
+type Render = fn(&Json) -> String;
+
+/// Each table EXPERIMENTS.md quotes, by the figure it renders.
+const TABLES: &[(&str, Render)] = &[
+    ("table2_comparison", table2),
+    ("fig4_all_algorithms", fig4_table),
+    ("fig5a_load_sweep", |f| {
+        sweep(f, "load", |x| format!("{:.0}%", x * 100.0))
+    }),
+    ("fig5b_frequency_sweep", |f| {
+        sweep(f, "frequency", |x| format!("{x} Hz"))
+    }),
+    ("fig6_zipf_sweep", |f| {
+        sweep(f, "min inter-arrival", |ms| {
+            if ms < 1e3 {
+                format!("{ms} ms")
+            } else {
+                format!("{} s", ms / 1e3)
+            }
+        })
+    }),
+    ("ablation_market", ablation_table),
+];
+
+/// Why the marked tables of `experiments` are not what `TABLES` renders
+/// from the committed figures: each stale table with the one expected,
+/// and each table that is not marked exactly once.
+fn stale_tables(experiments: &str) -> Vec<String> {
+    let mut stale = Vec::new();
+    for &(name, render) in TABLES {
+        let open = format!("<!-- table: {name} -->\n");
+        let mut marked = experiments.split(&open).skip(1);
+        let (Some(body), None) = (marked.next(), marked.next()) else {
+            stale.push(format!("{name}: not marked exactly once"));
+            continue;
+        };
+        let body = body.split("<!-- /table -->").next().unwrap_or(body);
+        let expected = render(&figure(name));
+        if body != expected {
+            stale.push(format!(
+                "{name}: EXPERIMENTS.md's table is not figures/{name}.json's; expected\n{expected}"
+            ));
+        }
+    }
+    stale
+}
+
+fn experiments() -> String {
+    std::fs::read_to_string(repo_root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md")
+}
+
+#[test]
+fn experiments_tables_are_the_committed_figures() {
+    let stale = stale_tables(&experiments());
+    assert!(stale.is_empty(), "{}", stale.join("\n"));
+}
+
+#[test]
+fn a_hand_edited_experiments_number_is_caught() {
+    let text = experiments();
+    let planted = text.replacen(
+        "| QA-NT | best/equal-best | 1 572 |",
+        "| QA-NT | best/equal-best | 1 527 |",
+        1,
+    );
+    assert_ne!(planted, text, "the planted row is in EXPERIMENTS.md");
+    let stale = stale_tables(&planted);
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert!(
+        stale[0].starts_with("fig4_all_algorithms:")
+            && stale[0].contains("| QA-NT | best/equal-best | 1 572 | 1.00 |"),
+        "{}",
+        stale[0]
+    );
+    let unmarked = text.replacen("<!-- table: ablation_market -->", "", 1);
+    assert_eq!(
+        stale_tables(&unmarked),
+        ["ablation_market: not marked exactly once"]
     );
 }
