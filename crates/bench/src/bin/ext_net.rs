@@ -15,11 +15,11 @@
 //! (`cargo build --release`) or `QAD_BIN` pointing at a `qad` binary.
 
 use qa_bench::{fmt_ms, render_table, scale, write_json, Scale};
-use qa_cluster::ctl::Federation;
+use qa_cluster::ctl::{find_qad, Federation};
 use qa_cluster::{run_experiment, run_workload, ExperimentResult, FedConfig, Transport};
 use qa_simnet::telemetry::Telemetry;
 use qa_simnet::{par_map_indexed_with, thread_budget};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,22 +63,6 @@ fn fed_for(drop_prob: f64, queries: usize) -> FedConfig {
     fed.num_queries = queries;
     fed.drop_prob = drop_prob;
     fed
-}
-
-/// Locates `qad`: the `QAD_BIN` env var, or a sibling of this bench
-/// binary (both live in `target/<profile>/`).
-fn find_qad() -> PathBuf {
-    if let Ok(p) = std::env::var("QAD_BIN") {
-        return PathBuf::from(p);
-    }
-    let me = std::env::current_exe().expect("current_exe");
-    let sibling = me.with_file_name(if cfg!(windows) { "qad.exe" } else { "qad" });
-    assert!(
-        sibling.exists(),
-        "cannot find qad at {} — run `cargo build --release` first or set QAD_BIN",
-        sibling.display()
-    );
-    sibling
 }
 
 fn row(transport: &str, fed: &FedConfig, crashes: usize, r: &ExperimentResult, clean: bool) -> Row {
@@ -129,7 +113,10 @@ fn main() {
             std::process::exit(2)
         }
     };
-    let qad = find_qad();
+    let qad = find_qad(None).unwrap_or_else(|e| {
+        eprintln!("ext_net: {e}");
+        std::process::exit(2)
+    });
     let scratch = std::env::temp_dir().join(format!("qa-ext-net-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
     println!(

@@ -327,14 +327,16 @@ fn uniform_mix_trace(s: &Scenario, load: f64, secs: f64) -> Trace {
 
 #[test]
 fn market_state_matches_the_checked_in_golden() {
-    // The sellers' whole state — price bits, remaining supply, carry —
-    // after the first, second, tenth and last period boundary of runs on
-    // both QA-NT selection paths (the offer index; the poll loop under a
-    // §5.1 threshold, lossy links and a crash) and a §4 partial
-    // deployment, over K = 2 and K = 100. The golden was generated by the
-    // engine that kept one `QantNode` struct per seller, before the
-    // sellers moved into one column block: since then both paths run on
-    // the same storage and cannot vouch for each other.
+    // The sellers' whole state — log-price quanta, remaining supply,
+    // carry bits — after the first, second, tenth and last period
+    // boundary of runs on both QA-NT selection paths (the offer index;
+    // the poll loop under a §5.1 threshold, lossy links and a crash) and
+    // a §4 partial deployment, over K = 2 and K = 100. The supply and
+    // carry hashes were generated by the engine that kept one `QantNode`
+    // struct per seller, before the sellers moved into one column block:
+    // since then both paths run on the same storage and cannot vouch for
+    // each other. The price hashes were regenerated when prices became
+    // integer log-prices; every other field of the file stayed.
     fn partial(f: &mut Federation) {
         f.restrict_market_to(|n| n.index() % 3 != 0);
     }
@@ -384,7 +386,7 @@ fn market_state_matches_the_checked_in_golden() {
                         columns.iter_mut().for_each(|c| c.push(0xFF));
                         continue;
                     };
-                    columns[0].extend(prices.iter().flat_map(|p| p.to_bits().to_le_bytes()));
+                    columns[0].extend(prices.iter().flat_map(|q| q.to_le_bytes()));
                     columns[1].extend(supply.iter().flat_map(|s| s.to_le_bytes()));
                     columns[2].extend(carry.iter().flat_map(|c| c.to_bits().to_le_bytes()));
                 }

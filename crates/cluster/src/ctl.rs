@@ -346,7 +346,7 @@ fn stats_table(report: &Json) -> String {
 
 /// Locates the `qad` binary: explicit flag, `QAD_BIN` env, or a sibling
 /// of the running executable.
-fn find_qad(explicit: Option<String>) -> Result<PathBuf, String> {
+pub fn find_qad(explicit: Option<String>) -> Result<PathBuf, String> {
     if let Some(p) = explicit {
         return Ok(PathBuf::from(p));
     }
@@ -359,7 +359,7 @@ fn find_qad(explicit: Option<String>) -> Result<PathBuf, String> {
         Ok(sibling)
     } else {
         Err(format!(
-            "cannot find qad (looked at {}); pass --qad PATH or set QAD_BIN",
+            "cannot find qad (looked at {}); set QAD_BIN (qa-ctl also takes --qad PATH)",
             sibling.display()
         ))
     }

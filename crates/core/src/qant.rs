@@ -28,9 +28,16 @@
 //! vectors if they are above a specific threshold" — below the threshold
 //! the node behaves like an always-offer server (the market is a pure
 //! overload-control mechanism).
+//!
+//! Prices are held as log-prices in quanta ([`qa_economics::PriceRules`]),
+//! so steps 9 and 13 are integer adds, and so are the comparisons made
+//! from prices: step 2's density order `ln p − ln t` (`ln t` is computed
+//! when the costs are set) and the threshold's `ln p ≤ ln(t × initial)`.
+//! A linear price is made only where one is read out: [`QantNode::prices`]
+//! and telemetry.
 
 use qa_economics::{
-    adjusted, ln_price, PriceVector, PricerConfig, QuantityVector, RefusalChain, ReplayWork,
+    ln_of_quanta, to_quanta, PriceRules, PriceVector, PricerConfig, QuantityVector,
 };
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
 use qa_simnet::SimDuration;
@@ -72,8 +79,8 @@ impl Default for QantConfig {
 
 /// The QA-NT sellers of one run: `rows` nodes × `classes` query classes of
 /// private state in node-major columns (`column[row * classes + class]`),
-/// one configuration, one refusal chain and one telemetry handle for all
-/// of them. Rows share nothing: every method touches the rows it names,
+/// one configuration, one set of price rules and one telemetry handle for
+/// all of them. Rows share nothing: every method touches the rows it names,
 /// and touches each the way it would touch a lone seller, so a population
 /// behaves exactly like that many independent sellers — [`QantNode`] is
 /// the one-row case.
@@ -85,25 +92,24 @@ impl Default for QantConfig {
 #[derive(Debug, Clone)]
 pub struct QantMarket {
     config: QantConfig,
-    chain: RefusalChain,
+    rules: PriceRules,
+    /// The §5.1 threshold price `t × initial`, in log-price quanta.
+    threshold: Option<i64>,
     classes: usize,
-    /// Private prices (never sent over the network).
-    prices: Vec<f64>,
+    /// Private log-prices in quanta (never sent over the network).
+    prices: Vec<i64>,
     /// Supply still unsold this period.
     supply: Vec<u64>,
     /// Error-diffusion carry: the fractional part of the relaxed eq.-4
     /// solution, rolled into the next period's (see `solve`).
     carry: Vec<f64>,
-    /// Estimated execution time in ms (`None` = cannot run), as of the
-    /// row's last `begin_period` — estimates may improve over time.
-    cost: Vec<Option<f64>>,
+    /// Estimated execution time in ms and its `ln` in quanta (`None` =
+    /// cannot run), as of the row's last `begin_period` — estimates may
+    /// improve over time.
+    cost: Vec<Option<(f64, i64)>>,
     /// Scratch of the supply solve: a row's capable classes as
-    /// `(density, cost, class)`, in fill order.
-    order: Vec<(f64, f64, usize)>,
-    /// Scratch of the renormalization: each rolled row's `ln` sum.
-    ln_sums: Vec<f64>,
-    /// Scratch of the refusal walk: `(owed, slot)` lanes.
-    lanes: Vec<(u64, usize)>,
+    /// `(ln density, cost, class)`, in fill order.
+    order: Vec<(i64, f64, usize)>,
     /// Market-event sink (disabled by default: one branch per emit site);
     /// row `r`'s events carry the node id `label + r`.
     telemetry: Telemetry,
@@ -113,23 +119,25 @@ impl QantMarket {
     /// `rows` sellers over `k` query classes, every price at
     /// `config.pricer.initial_price`.
     pub fn new(rows: usize, k: usize, config: QantConfig) -> QantMarket {
-        config.pricer.validate();
+        let rules = PriceRules::new(&config.pricer);
         assert!(
             config.price_threshold.is_none() || !config.renormalize_prices,
             "price_threshold needs renormalize_prices: false"
         );
+        let initial = config.pricer.initial_price;
         let n = rows * k;
         QantMarket {
-            chain: RefusalChain::new(&config.pricer),
+            threshold: config
+                .price_threshold
+                .map(|t| to_quanta((t * initial).ln())),
+            prices: vec![rules.initial(); n],
+            rules,
             config,
             classes: k,
-            prices: vec![config.pricer.initial_price; n],
             supply: vec![0; n],
             carry: vec![0.0; n],
             cost: vec![None; n],
             order: Vec::with_capacity(k),
-            ln_sums: Vec::new(),
-            lanes: Vec::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -150,9 +158,10 @@ impl QantMarket {
         self.telemetry.label() + row as u32
     }
 
-    /// Row `row`'s private prices (exposed for diagnostics and tests only).
+    /// Row `row`'s private log-prices in quanta (exposed for diagnostics
+    /// and tests only).
     #[inline]
-    pub fn prices(&self, row: usize) -> &[f64] {
+    pub fn log_prices(&self, row: usize) -> &[i64] {
         &self.prices[self.span(row)]
     }
 
@@ -175,12 +184,20 @@ impl QantMarket {
         &self.carry[self.span(row)]
     }
 
-    /// `ln(price)` of one class of one row: the log domain is what the
-    /// sharded engine's period reports aggregate, over the classes each
-    /// node can run.
+    /// `ln(price)` of one class of one row, exactly: the log domain is
+    /// what the sharded engine's period reports aggregate, over the
+    /// classes each node can run.
     #[inline]
     pub fn ln_price(&self, row: usize, class: ClassId) -> f64 {
-        ln_price(self.prices[row * self.classes + class.index()])
+        ln_of_quanta(self.prices[row * self.classes + class.index()])
+    }
+
+    /// Sets row `row`'s costs, each with its `ln` for the density order.
+    fn set_costs(&mut self, row: usize, unit_costs_ms: &[Option<f64>]) {
+        let span = self.span(row);
+        for (cost, t) in self.cost[span].iter_mut().zip(unit_costs_ms) {
+            *cost = t.map(|t| (t, to_quanta(t.ln())));
+        }
     }
 
     /// Step 2 alone: row `row` starts a period — its first, or the next
@@ -196,9 +213,8 @@ impl QantMarket {
         demand_caps: Option<&[u64]>,
         budget_ms: f64,
     ) {
-        let at = row * self.classes;
-        self.cost[at..at + self.classes].copy_from_slice(unit_costs_ms);
-        self.solve(row..row + 1, demand_caps, &mut |_| Some(budget_ms));
+        self.set_costs(row, unit_costs_ms);
+        self.solve(row, demand_caps, budget_ms);
     }
 
     /// The period boundary of every row in `rows` (§3.3 steps 12–14, then
@@ -214,106 +230,84 @@ impl QantMarket {
     /// proportionally less. Drivers pass `2T − current_backlog` so node
     /// queues stay bounded by `2T` while idle capacity is never refused —
     /// the work-conserving form of QA-NT admission control.
-    ///
-    /// The whole run is ended, a column pass at a time, before any row is
-    /// solved. Only the telemetry could tell, so with it on each row is
-    /// ended and solved before the next, its events in their own order.
     pub fn roll(
         &mut self,
         rows: Range<usize>,
         demand_caps: Option<&[u64]>,
         mut budget: impl FnMut(usize) -> Option<f64>,
     ) {
-        if self.telemetry.is_enabled() {
-            for row in rows {
-                self.end(row..row + 1);
-                self.solve(row..row + 1, demand_caps, &mut budget);
+        for row in rows {
+            self.end(row);
+            if let Some(budget_ms) = budget(row) {
+                self.solve(row, demand_caps, budget_ms);
             }
-        } else {
-            self.end(rows.clone());
-            self.solve(rows, demand_caps, &mut budget);
         }
     }
 
-    /// Steps 12–14 and the renormalization over `rows`, in column order.
-    /// A run of more than one row is only ended with telemetry off, where
-    /// no event reads the node label the decay is handed.
-    fn end(&mut self, rows: Range<usize>) {
+    /// Steps 12–14 and the renormalization of row `row`.
+    fn end(&mut self, row: usize) {
         let _span = self.telemetry.span("qant.price_update");
-        let (k, node) = (self.classes, self.node(rows.start));
-        let run = rows.start * k..rows.end * k;
-        let pricer = &self.config.pricer;
-        let prices = &mut self.prices[run.clone()];
-        let leftover = &mut self.supply[run];
-        pricer.decay_leftover(prices, leftover, &self.telemetry, node);
+        let (span, node) = (self.span(row), self.node(row));
+        let prices = &mut self.prices[span.clone()];
+        let leftover = &mut self.supply[span];
+        self.rules
+            .decay_leftover(prices, leftover, &self.telemetry, node);
         leftover.fill(0);
         if self.config.renormalize_prices {
-            pricer.renormalize_rows(prices, k, &mut self.ln_sums, &self.telemetry, node);
+            self.rules.renormalize(prices, &self.telemetry, node);
         }
     }
 
-    /// Step 2 for every row of `rows` that `budget` opens.
-    fn solve(
-        &mut self,
-        rows: Range<usize>,
-        demand_caps: Option<&[u64]>,
-        budget: &mut impl FnMut(usize) -> Option<f64>,
-    ) {
+    /// Step 2 for row `row` under a budget of `budget_ms`.
+    fn solve(&mut self, row: usize, demand_caps: Option<&[u64]>, budget_ms: f64) {
         let _span = self.telemetry.span("qant.supply_solve");
-        let (k, label) = (self.classes, self.telemetry.label());
-        for row in rows {
-            let Some(budget_ms) = budget(row) else {
-                continue;
-            };
-            assert!(budget_ms.is_finite() && budget_ms >= 0.0);
-            let span = row * k..(row + 1) * k;
-            let cost = &self.cost[span.clone()];
-            let supply = &mut self.supply[span.clone()];
-            let carry = &mut self.carry[span.clone()];
-            // Integer-greedy fill by price density `p/t` (descending, ties
-            // to the lower class), with two refinements over the plain
-            // knapsack:
-            //
-            // * capacity left after the whole units of a denser class
-            //   cascades to the next class — the paper's §3.2 example where
-            //   a node supplies (1 q1, 1 q2) within one 500 ms period;
-            // * the fractional remainder of each class rolls over to the
-            //   next period (error diffusion), so a class whose equilibrium
-            //   amount is e.g. 0.5/period (execution longer than `T`) is
-            //   supplied every other period rather than never — the
-            //   integer-rounding effect the paper analyses in §5.1.
-            self.order.clear();
-            let prices = &self.prices[span];
-            for (class, (&p, &t)) in prices.iter().zip(cost).enumerate() {
-                if let Some(t) = t {
-                    self.order.push((p / t, t, class));
-                }
+        assert!(budget_ms.is_finite() && budget_ms >= 0.0);
+        let span = self.span(row);
+        let cost = &self.cost[span.clone()];
+        let supply = &mut self.supply[span.clone()];
+        let carry = &mut self.carry[span.clone()];
+        // Integer-greedy fill by price density `p/t`, compared as
+        // `ln p − ln t` (descending, ties to the lower class), with two
+        // refinements over the plain knapsack:
+        //
+        // * capacity left after the whole units of a denser class
+        //   cascades to the next class — the paper's §3.2 example where
+        //   a node supplies (1 q1, 1 q2) within one 500 ms period;
+        // * the fractional remainder of each class rolls over to the
+        //   next period (error diffusion), so a class whose equilibrium
+        //   amount is e.g. 0.5/period (execution longer than `T`) is
+        //   supplied every other period rather than never — the
+        //   integer-rounding effect the paper analyses in §5.1.
+        self.order.clear();
+        for (class, (&q, &cost)) in self.prices[span].iter().zip(cost).enumerate() {
+            if let Some((t, ln_t)) = cost {
+                self.order.push((q.saturating_sub(ln_t), t, class));
             }
-            self.order
-                .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
-            supply.fill(0);
-            let mut remaining = budget_ms;
-            for &(_, t, class) in &self.order {
-                // Fractional allotment this period plus the rolled-over
-                // carry.
-                let alloc = remaining / t + carry[class];
-                // `as` floors, and saturates a negative allotment to zero.
-                let mut units = alloc as u64;
-                if let Some(caps) = demand_caps {
-                    units = units.min(caps[class]);
-                }
-                supply[class] = units;
-                // Carry keeps the unreleased fraction, clamped to < 1 so a
-                // demand-capped class cannot hoard unbounded future supply.
-                carry[class] = (alloc - units as f64).clamp(0.0, 0.999_999);
-                remaining = (remaining - units as f64 * t).max(0.0);
-            }
-            self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
-                node: label + row as u32,
-                budget_ms,
-                supply: supply.to_vec(),
-            });
         }
+        self.order
+            .sort_unstable_by_key(|&(density, _, class)| (std::cmp::Reverse(density), class));
+        supply.fill(0);
+        let mut remaining = budget_ms;
+        for &(_, t, class) in &self.order {
+            // Fractional allotment this period plus the rolled-over
+            // carry.
+            let alloc = remaining / t + carry[class];
+            // `as` floors, and saturates a negative allotment to zero.
+            let mut units = alloc as u64;
+            if let Some(caps) = demand_caps {
+                units = units.min(caps[class]);
+            }
+            supply[class] = units;
+            // Carry keeps the unreleased fraction, clamped to < 1 so a
+            // demand-capped class cannot hoard unbounded future supply.
+            carry[class] = (alloc - units as f64).clamp(0.0, 0.999_999);
+            remaining = (remaining - units as f64 * t).max(0.0);
+        }
+        self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
+            node: self.telemetry.label() + row as u32,
+            budget_ms,
+            supply: supply.to_vec(),
+        });
     }
 
     /// Steps 4–10: a request for class `class` arrived at row `row`.
@@ -336,12 +330,13 @@ impl QantMarket {
             return true;
         }
         let (node, old) = (self.node(row), self.prices[at]);
-        self.prices[at] = self.chain.step(old);
+        self.prices[at] = self.rules.refuse(old, 1);
         let new = self.prices[at];
-        adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
-        let initial = self.config.pricer.initial_price;
-        let ceiling = self.config.price_threshold.map(|t| t * initial);
-        let bypass = ceiling.is_some_and(|c| self.prices(row).iter().all(|p| *p <= c));
+        self.rules
+            .adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
+        let bypass = self
+            .threshold
+            .is_some_and(|c| self.log_prices(row).iter().all(|&q| q <= c));
         if !bypass {
             self.telemetry.emit(|| TelemetryEvent::RequestRejected {
                 node,
@@ -353,12 +348,10 @@ impl QantMarket {
 
     /// Charges every `(row, count)` of `owed` that many refused
     /// class-`class` requests: exactly the rejection arm of
-    /// [`Self::on_request`], batched — the price rises are bit-identical to
-    /// that many eager calls (see [`RefusalChain::replay`], which also
-    /// fills in `work`). Every lane of the class is pooled into that one
-    /// walk. Rows incapable of the class are not charged: an eager
-    /// `on_request` would not have been a market event either. No row may
-    /// be named twice.
+    /// [`Self::on_request`], batched — one add per row, equal to that many
+    /// eager calls ([`PriceRules::refuse`]). Rows incapable of the class
+    /// are not charged: an eager `on_request` would not have been a market
+    /// event either.
     ///
     /// The caller owns the equivalence argument: it may only defer
     /// refusals it has *proven* would each return `false` from
@@ -370,17 +363,14 @@ impl QantMarket {
         &mut self,
         class: ClassId,
         owed: impl IntoIterator<Item = (usize, u64)>,
-        work: &mut ReplayWork,
     ) {
         debug_assert!(!self.telemetry.is_enabled());
-        let (k, cost) = (self.classes, &self.cost);
-        let lanes = owed.into_iter().map(|(row, count)| {
-            let at = row * k + class.index();
-            (if cost[at].is_some() { count } else { 0 }, at)
-        });
-        self.lanes.clear();
-        self.lanes.extend(lanes);
-        self.chain.replay(&mut self.prices, &mut self.lanes, work);
+        for (row, count) in owed {
+            let at = row * self.classes + class.index();
+            if self.cost[at].is_some() {
+                self.prices[at] = self.rules.refuse(self.prices[at], count);
+            }
+        }
     }
 
     /// Step 6: row `row`'s offer was accepted — consume one supply unit
@@ -425,7 +415,8 @@ impl QantNode {
     /// The private prices (never sent over the network; exposed for
     /// diagnostics and tests only).
     pub fn prices(&self) -> PriceVector {
-        PriceVector::from_prices(self.0.prices(0).to_vec())
+        let linear = self.0.log_prices(0).iter().map(|&q| self.0.rules.linear(q));
+        PriceVector::from_prices(linear.collect())
     }
 
     /// Remaining supply for the current period (all zero outside one).
@@ -591,9 +582,9 @@ mod tests {
         assert!((5..=12).contains(&at), "engaged at request {at}");
         assert!(n.prices().get(0) > 2.0);
 
-        // The edge, against `t × initial_price` with an initial price
-        // other than 1: a class at exactly 2 × 3 still lets an
-        // empty-supply request through, one a hair above refuses it.
+        // The edge, against `ln(t × initial_price)` with an initial price
+        // other than 1: a class at exactly ln(2 × 3) still lets an
+        // empty-supply request through, one quantum above refuses it.
         let cfg = QantConfig {
             pricer: PricerConfig {
                 initial_price: 3.0,
@@ -601,11 +592,12 @@ mod tests {
             },
             ..cfg
         };
-        for (p0, offered) in [(6.0, true), (6.0_f64.next_up(), false)] {
+        let edge = to_quanta(6f64.ln());
+        for (q0, offered) in [(edge, true), (edge + 1, false)] {
             let mut n = QantNode::new(2, cfg);
             n.begin_period_with_budget(&[Some(400.0), Some(100.0)], None, 0.0);
-            n.0.prices[0] = p0;
-            assert_eq!(n.on_request(ClassId(1)), offered, "class 0 at {p0}");
+            n.0.prices[0] = q0;
+            assert_eq!(n.on_request(ClassId(1)), offered, "class 0 at {q0}");
             assert!(n.prices().get(1) > 3.0, "the refusal is tracked either way");
         }
     }
@@ -691,7 +683,7 @@ mod tests {
             let mut nodes: Vec<QantNode> = (0..n).map(|_| QantNode::new(k, config)).collect();
             for (row, node) in nodes.iter_mut().enumerate() {
                 for class in 0..k {
-                    let price = rng.float_in(-1.5, 1.5).exp();
+                    let price = to_quanta(rng.float_in(-1.5, 1.5));
                     market.prices[row * k + class] = price;
                     node.0.prices[class] = price;
                 }
@@ -705,9 +697,9 @@ mod tests {
                 .collect();
             // The costs a row's rolls solve under, kept as its first
             // `begin_period` would keep them.
-            market.cost = costs.concat();
-            for (node, costs) in nodes.iter_mut().zip(&costs) {
-                node.0.cost.clone_from(costs);
+            for (row, (node, costs)) in nodes.iter_mut().zip(&costs).enumerate() {
+                market.set_costs(row, costs);
+                node.0.set_costs(0, costs);
             }
             for step in 0..400 {
                 let (row, class) = (rng.index(n), ClassId(rng.index(k) as u32));
@@ -728,11 +720,10 @@ mod tests {
                         let owed: Vec<(usize, u64)> = (lo..n.min(lo + 1 + rng.index(100)))
                             .map(|r| (r, [0, 1, rng.int_in(2, 400), 1 << 40][rng.index(4)]))
                             .collect();
-                        let work = &mut ReplayWork::default();
-                        market.charge_refusals(class, owed.iter().copied(), work);
+                        market.charge_refusals(class, owed.iter().copied());
                         for &(r, count) in &owed {
                             let before = nodes[r].prices().get(class.index());
-                            nodes[r].0.charge_refusals(class, [(0, count)], work);
+                            nodes[r].0.charge_refusals(class, [(0, count)]);
                             // Not a market event for a row that cannot run
                             // the class.
                             if costs[r][class.index()].is_none() {
@@ -764,7 +755,11 @@ mod tests {
                 for (row, node) in nodes.iter().enumerate() {
                     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     let of = |m: &QantMarket, r: usize| {
-                        (bits(m.prices(r)), m.supply(r).to_vec(), bits(m.carry(r)))
+                        (
+                            m.log_prices(r).to_vec(),
+                            m.supply(r).to_vec(),
+                            bits(m.carry(r)),
+                        )
                     };
                     assert_eq!(
                         of(&market, row),
@@ -776,21 +771,21 @@ mod tests {
         }
     }
 
-    /// The period end one row at a time, as it stood before the boundary
-    /// kernel: the reference [`QantMarket::roll`] is held to.
+    /// The period end of one row, written out from the price rules: the
+    /// reference [`QantMarket::roll`] is held to.
     fn end_period_per_row(m: &mut QantMarket, row: usize) {
         let (span, node) = (m.span(row), m.node(row));
         let prices = &mut m.prices[span.clone()];
         let leftover = &mut m.supply[span];
-        let pricer = &m.config.pricer;
-        pricer.decay_leftover(prices, leftover, &m.telemetry, node);
+        m.rules.decay_leftover(prices, leftover, &m.telemetry, node);
         if m.config.renormalize_prices {
-            pricer.renormalize(prices, &m.telemetry, node);
+            m.rules.renormalize(prices, &m.telemetry, node);
         }
         leftover.fill(0);
     }
 
-    /// The supply solve one row at a time, likewise.
+    /// The supply solve of one row, likewise: the capable classes by
+    /// `ln p − ln t` descending, ties to the lower class.
     fn begin_period_per_row(
         m: &mut QantMarket,
         row: usize,
@@ -799,16 +794,17 @@ mod tests {
         budget_ms: f64,
     ) {
         let (span, node) = (m.span(row), m.node(row));
-        m.cost[span.clone()].copy_from_slice(unit_costs_ms);
+        m.set_costs(row, unit_costs_ms);
         let cost = &m.cost[span.clone()];
         let supply = &mut m.supply[span.clone()];
         let carry = &mut m.carry[span.clone()];
-        let mut order = Vec::new();
-        qa_economics::price_density_order_into(&m.prices[span], cost, &mut order);
+        let prices = &m.prices[span];
+        let mut order: Vec<usize> = (0..cost.len()).filter(|&k| cost[k].is_some()).collect();
+        order.sort_by_key(|&k| (std::cmp::Reverse(prices[k] - cost[k].unwrap().1), k));
         supply.fill(0);
         let mut remaining = budget_ms;
         for &k in &order {
-            let t = cost[k].expect("filtered");
+            let t = cost[k].expect("filtered").0;
             let alloc = remaining / t + carry[k];
             let mut units = alloc as u64;
             if let Some(caps) = demand_caps {
@@ -855,18 +851,23 @@ mod tests {
                 ..QantConfig::default()
             };
             let mut kernel = QantMarket::new(n, k, config);
-            let (floor, ceiling) = (pricer.price_floor, pricer.price_ceiling);
+            let floor = kernel.rules.quantize(pricer.price_floor);
+            let ceiling = kernel.rules.quantize(pricer.price_ceiling);
             let capable = rng.chance(0.9);
-            for at in 0..n * k {
-                kernel.prices[at] = match rng.index(6) {
-                    0 => floor,
-                    1 => ceiling,
-                    _ => (floor * (ceiling / floor).powf(rng.float_in(0.0, 1.0))).min(ceiling),
-                };
-                kernel.supply[at] = [0, 1, rng.int_in(2, 20), 1 << 40][rng.index(4)];
-                kernel.carry[at] = rng.float_in(0.0, 0.999_999);
-                let cost = [1e-3, rng.float_in(1.0, 900.0), 4_000.0][rng.index(3)];
-                kernel.cost[at] = (capable && rng.chance(0.75)).then_some(cost);
+            for row in 0..n {
+                let mut costs = Vec::new();
+                for at in row * k..(row + 1) * k {
+                    kernel.prices[at] = match rng.index(6) {
+                        0 => floor,
+                        1 => ceiling,
+                        _ => floor + ((ceiling - floor) as f64 * rng.float_in(0.0, 1.0)) as i64,
+                    };
+                    kernel.supply[at] = [0, 1, rng.int_in(2, 20), 1 << 40][rng.index(4)];
+                    kernel.carry[at] = rng.float_in(0.0, 0.999_999);
+                    let cost = [1e-3, rng.float_in(1.0, 900.0), 4_000.0][rng.index(3)];
+                    costs.push((capable && rng.chance(0.75)).then_some(cost));
+                }
+                kernel.set_costs(row, &costs);
             }
             let mut reference = kernel.clone();
             let traced = case % 2 == 0;
@@ -890,12 +891,16 @@ mod tests {
             for row in rows {
                 end_period_per_row(&mut reference, row);
                 if let Some(budget) = budgets[row] {
-                    let costs = reference.cost[reference.span(row)].to_vec();
+                    let span = reference.span(row);
+                    let costs: Vec<_> = reference.cost[span]
+                        .iter()
+                        .map(|c| c.map(|c| c.0))
+                        .collect();
                     begin_period_per_row(&mut reference, row, &costs, caps.as_deref(), budget);
                 }
             }
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&kernel.prices), bits(&reference.prices), "case {case}");
+            assert_eq!(kernel.prices, reference.prices, "case {case}");
             assert_eq!(kernel.supply, reference.supply, "case {case}");
             assert_eq!(bits(&kernel.carry), bits(&reference.carry), "case {case}");
             let sequence = |records: Vec<qa_simnet::telemetry::TraceRecord>| {

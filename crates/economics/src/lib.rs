@@ -43,16 +43,15 @@ pub mod welfare;
 
 pub use market::{excess_demand, is_equilibrium, ExcessVector};
 pub use non_tatonnement::{
-    adjusted, ln_price, trade_exhausts_pair, trade_is_feasible, NonTatonnementPricer, PricerConfig,
-    RefusalChain, ReplayWork,
+    ln_of_quanta, to_quanta, trade_exhausts_pair, trade_is_feasible, NonTatonnementPricer,
+    PriceRules, PricerConfig,
 };
 pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMechanism};
 pub use pareto::{dominates, enumerate_solutions, is_pareto_optimal, Solution};
 pub use preference::{EquitablePreference, Preference, ThroughputPreference, WeightedPreference};
 pub use supply::{
-    price_density_order_into, solve_supply_fractional, solve_supply_greedy,
-    solve_supply_greedy_cached, solve_supply_optimal, DensityOrderCache, EnumeratedSupplySet,
-    LinearCapacitySet, SupplySet,
+    solve_supply_fractional, solve_supply_greedy, solve_supply_greedy_cached, solve_supply_optimal,
+    DensityOrderCache, LinearCapacitySet, SupplySet,
 };
 pub use tatonnement::{Tatonnement, TatonnementOutcome};
 pub use vectors::{PriceVector, QuantityVector};

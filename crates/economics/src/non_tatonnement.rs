@@ -11,14 +11,25 @@
 //! * at period end, `s_ik > 0` units remain unsold → the node infers excess
 //!   supply and lowers `pₖ ← pₖ − s_ik·λ·pₖ` (steps 12–14).
 //!
-//! The three price moves are functions over a price row —
-//! [`RefusalChain`] (step 9, one step or a replayed batch),
-//! [`PricerConfig::decay_leftover`] (steps 12–14) and
-//! [`PricerConfig::renormalize`] — so a population of sellers can keep its
-//! rows in one block (`qa_core::QantMarket`, which the simulator and the
-//! threaded cluster run) and still share this one arithmetic.
-//! [`NonTatonnementPricer`] is the same state machine over one owned row:
-//! the parent market's pricer.
+//! Both moves multiply, so prices live in the log domain: a price `p` is
+//! the `i64` count of quanta nearest `ln p · 2⁴⁰` ([`QUANTA_PER_NAT`]), and
+//! each rule of [`PriceRules`] is an exact integer add and a clamp:
+//!
+//! * a refusal adds `G = ln(1+λ)`, and `n` refusals add `n·G` — integer
+//!   adds are associative, so charging `n` at once *is* charging them one
+//!   at a time;
+//! * a leftover of `s` units adds a tabulated `ln(1 − λs)`, or drops the
+//!   price to the floor once `λs ≥ 1`;
+//! * renormalizing subtracts the row's integer mean;
+//! * the floor and the ceiling are integer clamps.
+//!
+//! A row of quanta cannot hold 0, ∞ or NaN. Linear prices are made only
+//! where a price is read out ([`PriceRules::linear`]: a pricer's or a
+//! node's `prices`, and `PriceAdjusted` telemetry). The rules act on rows,
+//! so a population of sellers can keep its rows in one block
+//! (`qa_core::QantMarket`, which the simulator and the threaded cluster
+//! run) and still share this one arithmetic. [`NonTatonnementPricer`] is
+//! the same state machine over one owned row: the parent market's pricer.
 
 use crate::vectors::{PriceVector, QuantityVector};
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
@@ -76,162 +87,145 @@ impl PricerConfig {
     }
 }
 
-/// Lanes one vector group of [`RefusalChain::replay`]'s walk steps at once.
-const LANES: usize = 16;
+/// Log-price quanta per nat. Every count a row can hold (`|q| < 2⁵³`: a
+/// positive finite `f64` has `|ln p| < 745`) is an exact `f64`, and so is
+/// `q / 2⁴⁰`.
+pub const QUANTA_PER_NAT: f64 = (1u64 << 40) as f64;
 
-/// What a [`RefusalChain::replay`] did, in lanes: a function of the prices
-/// and counts alone, so a run's totals repeat exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayWork {
-    /// Lanes whose chain was walked step by step.
-    pub walked: u64,
-    /// Lanes settled at the ceiling without a walk.
-    pub closed_form: u64,
-    /// Refusals the walked lanes were owed, summed.
-    pub steps: u64,
-    /// Lane-steps the walk executed, padding included: a group of lanes
-    /// steps for as long as its longest, so `steps / slots` is the walk's
-    /// efficiency.
-    pub slots: u64,
-}
-
-/// One refusal: `min(p·factor, ceiling)`, without `f64::min`'s NaN fix-up
-/// (prices are finite) — a single `minpd`.
+/// `ln` in whole quanta, to the nearest (saturating; NaN reads 0).
 #[inline]
-fn raise(p: f64, factor: f64, ceiling: f64) -> f64 {
-    let raised = p * factor;
-    if raised < ceiling {
-        raised
-    } else {
-        ceiling
-    }
+pub fn to_quanta(ln: f64) -> i64 {
+    (ln * QUANTA_PER_NAT).round() as i64
 }
 
-/// The refusal chain `p ← min(p·(1+λ), ceiling)` (QA-NT step 9) of one
-/// configuration, and what deciding its outcome without walking it needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefusalChain {
-    factor: f64,
-    ceiling: f64,
-    log2_ceiling: f64,
-    /// Refusals that double a price, `ln 2 / ln(1+λ)`, stretched by the
-    /// share of a step's gain that rounding can eat (see
-    /// [`RefusalChain::saturates`]); infinite when λ is too small to bound
-    /// that share, and then every chain is walked.
-    steps_per_octave: f64,
+/// The `ln` that `q` quanta stand for, exactly.
+#[inline]
+pub fn ln_of_quanta(q: i64) -> f64 {
+    q as f64 / QUANTA_PER_NAT
 }
 
-impl RefusalChain {
-    /// The chain of `config`'s λ and ceiling.
-    pub fn new(config: &PricerConfig) -> RefusalChain {
-        let factor = 1.0 + config.lambda;
-        let gain = factor.ln();
-        RefusalChain {
-            factor,
-            ceiling: config.price_ceiling,
-            log2_ceiling: config.price_ceiling.log2(),
-            steps_per_octave: if gain >= 1e-8 {
-                std::f64::consts::LN_2 / gain * (1.0 + 2e-8)
-            } else {
-                f64::INFINITY
-            },
-        }
-    }
+/// Entries of the leftover table at most: it holds every leftover with
+/// `λ·s < 1` for λ ≥ 1/4 096. Under a smaller λ a leftover past the table
+/// computes its entry.
+const DECAY_TABLE: usize = 4096;
 
-    /// Where one refusal leaves `p`.
-    #[inline]
-    pub fn step(&self, p: f64) -> f64 {
-        raise(p, self.factor, self.ceiling)
-    }
+/// `ln(1 − λs)` in quanta, or `None` once `λs ≥ 1`: the factor is not
+/// positive, and the price drops to the floor.
+fn leftover_step(lambda: f64, s: u64) -> Option<i64> {
+    let cut = lambda * s as f64;
+    (cut < 1.0).then(|| to_quanta((-cut).ln_1p()))
+}
 
-    /// `true` when `count` refusals provably leave `p` at the ceiling —
-    /// and a chain that reaches the ceiling *is* the ceiling from there
-    /// on, so the closed form is exact to the bit. `p = 2^e·(1+x)` has
-    /// `log2 p ≥ e + x`, which makes `steps` an upper bound on the
-    /// refusals the real-valued chain needs, two to spare. The float
-    /// chain gains `ln(1+λ) − 2⁻⁵³` per step at worst; with
-    /// `ln(1+λ) ≥ 10⁻⁸` that is the `1 + 2·10⁻⁸` stretch, and the spare
-    /// steps dwarf the rounding of this arithmetic (under 10⁻⁴ step).
-    fn saturates(&self, p: f64, count: u64) -> bool {
-        let bits = p.to_bits();
-        let mantissa = (bits & ((1 << 52) - 1)) as f64 / (1u64 << 52) as f64;
-        let log2_p = (bits >> 52) as f64 - 1023.0 + mantissa;
-        let steps = (self.log2_ceiling - log2_p) * self.steps_per_octave + 2.0;
-        p >= f64::MIN_POSITIVE && count as f64 >= steps
-    }
+/// The QA-NT price rules of one [`PricerConfig`], over rows of log-prices
+/// in quanta: each rule an exact integer add and a clamp into
+/// `[floor, ceiling]`.
+#[derive(Debug, Clone)]
+pub struct PriceRules {
+    lambda: f64,
+    floor: i64,
+    ceiling: i64,
+    /// The configured band, which the clamps read out as.
+    price_floor: f64,
+    price_ceiling: f64,
+    initial: i64,
+    /// One refusal's rise, `ln(1+λ)`; at least one quantum.
+    gain: i64,
+    /// `decay[s] = ln(1 − λs)` for the leftovers `s` with `λs < 1`.
+    decay: Vec<i64>,
+}
 
-    /// Moves `prices[slot]` of every lane `(count, slot)` to where `count`
-    /// refusals leave it: bit-identical to that many [`Self::step`]s each.
-    /// Saturating lanes are settled in closed form; the rest are walked
-    /// `LANES` at a time — the chains are independent, and interleaving
-    /// them hides the multiply latency that makes a lone chain serial.
-    /// The more lanes a call pools, the closer in length the lanes of a
-    /// group, and the less of the walk is padding. What that took is added
-    /// to `work`; `lanes` is left holding the walked lanes, reordered. No
-    /// two lanes may name one slot; a lane owed nothing is no lane.
+impl PriceRules {
+    /// The rules of `config`.
     ///
     /// # Panics
-    /// Panics when a slot is out of range.
-    pub fn replay(&self, prices: &mut [f64], lanes: &mut Vec<(u64, usize)>, work: &mut ReplayWork) {
-        lanes.retain(|&(d, slot)| {
-            if d > 0 && self.saturates(prices[slot], d) {
-                prices[slot] = self.ceiling;
-                work.closed_form += 1;
-                return false;
-            }
-            work.steps += d;
-            d > 0
-        });
-        work.walked += lanes.len() as u64;
-        // Longest first: a group runs for its longest lane, so lanes of
-        // similar length share one, and within it the lanes still owed
-        // refusals are a prefix that only shrinks.
-        lanes.sort_unstable_by_key(|&(d, _)| std::cmp::Reverse(d));
-        for group in lanes.chunks(LANES) {
-            work.slots += group[0].0 * LANES as u64;
-            // Every lane steps until the group's longest is done; a lane
-            // is read out when its own count is reached, and what it
-            // computes after that is discarded (the ceiling keeps it
-            // finite). So the inner loop has a constant bound, no branch
-            // and one factor, and vectorizes.
-            let mut p = [0.0f64; LANES];
-            for (j, &(_, i)) in group.iter().enumerate() {
-                p[j] = prices[i];
-            }
-            let mut done = 0;
-            for (j, &(d, i)) in group.iter().enumerate().rev() {
-                for _ in done..d {
-                    for lane in &mut p {
-                        *lane = raise(*lane, self.factor, self.ceiling);
-                    }
-                }
-                (done, prices[i]) = (d, p[j]);
-            }
+    /// Panics when `config` does not [`PricerConfig::validate`].
+    pub fn new(config: &PricerConfig) -> PriceRules {
+        config.validate();
+        let lambda = config.lambda;
+        let mut decay = Vec::with_capacity(DECAY_TABLE.min(2 + (1.0 / lambda) as usize));
+        decay.extend(
+            (0..)
+                .map_while(|s| leftover_step(lambda, s))
+                .take(DECAY_TABLE),
+        );
+        PriceRules {
+            lambda,
+            floor: to_quanta(config.price_floor.ln()),
+            ceiling: to_quanta(config.price_ceiling.ln()),
+            price_floor: config.price_floor,
+            price_ceiling: config.price_ceiling,
+            initial: to_quanta(config.initial_price.ln()),
+            gain: to_quanta(lambda.ln_1p()).max(1),
+            decay,
         }
     }
-}
 
-/// The period-end price moves over one price row. Each change is a
-/// [`TelemetryEvent::PriceAdjusted`] of `node`.
-impl PricerConfig {
-    /// QA-NT steps 12–14: `leftover[k] > 0` unsold units lower `prices[k]`
-    /// by `s·λ·p`, floored (`p − s·λ·p` goes negative for a large
-    /// leftover; the factor is clamped at 0 and the floor keeps the
-    /// multiplicative dynamics alive).
+    /// The initial price, in quanta.
     #[inline]
-    pub fn decay_leftover(&self, prices: &mut [f64], leftover: &[u64], t: &Telemetry, node: u32) {
-        assert_eq!(prices.len(), leftover.len(), "class count mismatch");
-        for (k, (p, &s)) in prices.iter_mut().zip(leftover).enumerate() {
+    pub fn initial(&self) -> i64 {
+        self.initial
+    }
+
+    /// A linear price `p` in quanta, clamped into the band: how an
+    /// explicit starting price enters.
+    pub fn quantize(&self, p: f64) -> i64 {
+        to_quanta(p.ln()).clamp(self.floor, self.ceiling)
+    }
+
+    /// The price `q` stands for, `exp(q)`: exactly the configured bound at
+    /// either clamp, and kept inside the band against `exp`'s last-bit
+    /// rounding in between.
+    #[inline]
+    pub fn linear(&self, q: i64) -> f64 {
+        if q <= self.floor {
+            self.price_floor
+        } else if q >= self.ceiling {
+            self.price_ceiling
+        } else {
+            ln_of_quanta(q)
+                .exp()
+                .clamp(self.price_floor, self.price_ceiling)
+        }
+    }
+
+    /// Where `count` refusals leave `q` (step 9 each): `q + count·G`, at
+    /// most the ceiling — saturating, so any count is one add.
+    #[inline]
+    pub fn refuse(&self, q: i64, count: u64) -> i64 {
+        let rise = i64::try_from(count)
+            .unwrap_or(i64::MAX)
+            .saturating_mul(self.gain);
+        q.saturating_add(rise).min(self.ceiling)
+    }
+
+    /// Where a leftover of `s` unsold units leaves `q` (steps 12–14):
+    /// `q + ln(1 − λs)`, at least the floor.
+    #[inline]
+    pub fn decay(&self, q: i64, s: u64) -> i64 {
+        let entry = usize::try_from(s).ok().and_then(|s| self.decay.get(s));
+        match entry.copied().or_else(|| leftover_step(self.lambda, s)) {
+            Some(step) => (q + step).max(self.floor),
+            None => self.floor,
+        }
+    }
+
+    /// Steps 12–14 over one row: every class with `leftover[k] > 0` unsold
+    /// units decays. Each change is a [`TelemetryEvent::PriceAdjusted`] of
+    /// `node`.
+    #[inline]
+    pub fn decay_leftover(&self, row: &mut [i64], leftover: &[u64], t: &Telemetry, node: u32) {
+        assert_eq!(row.len(), leftover.len(), "class count mismatch");
+        for (k, (q, &s)) in row.iter_mut().zip(leftover).enumerate() {
             if s > 0 {
-                let old = *p;
-                let factor = (1.0 - self.lambda * s as f64).max(0.0);
-                *p = (old * factor).max(self.price_floor);
-                adjusted(t, node, k, old, *p, PriceReason::PeriodDecay);
+                let old = *q;
+                *q = self.decay(old, s);
+                self.adjusted(t, node, k, old, *q, PriceReason::PeriodDecay);
             }
         }
     }
 
-    /// Rescales the row so its geometric mean is 1.
+    /// Centres the row's geometric mean on 1: subtracts the row's integer
+    /// mean (rounded down), within the floor and the ceiling.
     ///
     /// A competitive market is invariant to a uniform price rescaling (only
     /// relative prices drive supply decisions), so this changes nothing
@@ -239,91 +233,51 @@ impl PricerConfig {
     /// into the ceiling/floor clamps, which *would* destroy the relative
     /// structure.
     #[inline]
-    pub fn renormalize(&self, prices: &mut [f64], telemetry: &Telemetry, node: u32) {
-        let ln_sum = prices.iter().map(|p| p.ln()).sum::<f64>();
-        self.rescale(prices, ln_sum, telemetry, node);
-    }
-
-    /// [`Self::renormalize`] of every `k`-price row of `prices` (row `r`
-    /// is node `first_node + r`), a column pass at a time: every row's
-    /// `ln` sum into `ln_sums` (scratch), then every row rescaled — so
-    /// the `ln` calls of many rows are in flight at once.
-    pub fn renormalize_rows(
-        &self,
-        prices: &mut [f64],
-        k: usize,
-        ln_sums: &mut Vec<f64>,
-        telemetry: &Telemetry,
-        first_node: u32,
-    ) {
-        if k == 0 {
+    pub fn renormalize(&self, row: &mut [i64], t: &Telemetry, node: u32) {
+        if row.is_empty() {
             return;
         }
-        ln_sums.clear();
-        ln_sums.extend(
-            prices
-                .chunks_exact(k)
-                .map(|row| row.iter().map(|p| p.ln()).sum::<f64>()),
-        );
-        let rows = prices.chunks_exact_mut(k).zip(ln_sums.iter());
-        for (node, (row, &ln_sum)) in (first_node..).zip(rows) {
-            self.rescale(row, ln_sum, telemetry, node);
-        }
-    }
-
-    /// Divides the row by its geometric mean `exp(ln_sum / len)`, within
-    /// the floor and the ceiling — unless that mean is not a positive
-    /// finite number (an empty row), which leaves the row as it is.
-    #[inline]
-    fn rescale(&self, prices: &mut [f64], ln_sum: f64, telemetry: &Telemetry, node: u32) {
-        let scale = (ln_sum / prices.len() as f64).exp();
-        if !scale.is_finite() || scale <= 0.0 {
-            return;
-        }
-        for (k, p) in prices.iter_mut().enumerate() {
-            let old = *p;
-            *p = (old / scale).clamp(self.price_floor, self.price_ceiling);
-            if *p != old {
-                adjusted(telemetry, node, k, old, *p, PriceReason::Renormalize);
+        let sum: i128 = row.iter().map(|&q| i128::from(q)).sum();
+        let mean = sum.div_euclid(row.len() as i128) as i64;
+        for (k, q) in row.iter_mut().enumerate() {
+            let old = *q;
+            *q = (old - mean).clamp(self.floor, self.ceiling);
+            if *q != old {
+                self.adjusted(t, node, k, old, *q, PriceReason::Renormalize);
             }
         }
     }
-}
 
-/// `ln(p)` the way aggregated price signals read it: the geometric mean
-/// over a region's sellers is an arithmetic mean of these.
-#[inline]
-pub fn ln_price(p: f64) -> f64 {
-    p.max(f64::MIN_POSITIVE).ln()
-}
-
-/// Emits `node`'s class-`k` price move as a
-/// [`TelemetryEvent::PriceAdjusted`].
-#[inline]
-pub fn adjusted(
-    telemetry: &Telemetry,
-    node: u32,
-    k: usize,
-    old: f64,
-    new: f64,
-    reason: PriceReason,
-) {
-    telemetry.emit(|| TelemetryEvent::PriceAdjusted {
-        node,
-        class: k as u32,
-        old,
-        new,
-        reason,
-    });
+    /// Emits `node`'s class-`k` move from `old` to `new` quanta as a
+    /// [`TelemetryEvent::PriceAdjusted`] in linear prices.
+    #[inline]
+    pub fn adjusted(
+        &self,
+        telemetry: &Telemetry,
+        node: u32,
+        k: usize,
+        old: i64,
+        new: i64,
+        reason: PriceReason,
+    ) {
+        telemetry.emit(|| TelemetryEvent::PriceAdjusted {
+            node,
+            class: k as u32,
+            old: self.linear(old),
+            new: self.linear(new),
+            reason,
+        });
+    }
 }
 
 /// A node's private price state and its non-tâtonnement dynamics: the row
-/// kernels above over one owned row.
+/// rules above over one owned row.
 #[derive(Debug, Clone)]
 pub struct NonTatonnementPricer {
     config: PricerConfig,
-    chain: RefusalChain,
-    prices: PriceVector,
+    rules: PriceRules,
+    /// Private log-prices, in quanta.
+    prices: Vec<i64>,
     /// Rejections recorded this period, per class (diagnostics).
     rejections: Vec<u64>,
     /// Event sink for `PriceAdjusted` telemetry; disabled (a single
@@ -335,21 +289,24 @@ pub struct NonTatonnementPricer {
 impl NonTatonnementPricer {
     /// A pricer over `k` classes starting at the configured initial price.
     pub fn new(k: usize, config: PricerConfig) -> Self {
-        Self::with_prices(PriceVector::uniform(k, config.initial_price), config)
-    }
-
-    /// A pricer starting at explicit prices: any point of the price
-    /// band, for the properties that must hold from every start.
-    pub fn with_prices(prices: PriceVector, config: PricerConfig) -> Self {
-        config.validate();
-        let k = prices.num_classes();
+        let rules = PriceRules::new(&config);
         NonTatonnementPricer {
-            prices,
+            prices: vec![rules.initial(); k],
             rejections: vec![0; k],
-            chain: RefusalChain::new(&config),
+            rules,
             config,
             telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// A pricer starting at explicit prices (clamped into the band): any
+    /// point of it, for the properties that must hold from every start.
+    pub fn with_prices(prices: PriceVector, config: PricerConfig) -> Self {
+        let mut pricer = Self::new(prices.num_classes(), config);
+        for (q, (_, p)) in pricer.prices.iter_mut().zip(prices.iter()) {
+            *q = pricer.rules.quantize(p);
+        }
+        pricer
     }
 
     /// Installs a telemetry handle (label it with the owning node id via
@@ -359,15 +316,17 @@ impl NonTatonnementPricer {
         self.telemetry = telemetry;
     }
 
-    /// [`PricerConfig::renormalize`] over this pricer's row.
+    /// [`PriceRules::renormalize`] over this pricer's row.
     pub fn renormalize(&mut self) {
-        let (prices, node) = (self.prices.as_mut_slice(), self.telemetry.label());
-        self.config.renormalize(prices, &self.telemetry, node);
+        let node = self.telemetry.label();
+        self.rules
+            .renormalize(&mut self.prices, &self.telemetry, node);
     }
 
     /// The current private prices.
-    pub fn prices(&self) -> &PriceVector {
-        &self.prices
+    pub fn prices(&self) -> PriceVector {
+        let linear = self.prices.iter().map(|&q| self.rules.linear(q));
+        PriceVector::from_prices(linear.collect())
     }
 
     /// Batched price read: writes `ln(price_k)` for every class into
@@ -377,14 +336,14 @@ impl NonTatonnementPricer {
     /// Panics when `out` is not sized to the class count.
     pub fn ln_prices_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.num_classes(), "class count mismatch");
-        for (slot, &p) in out.iter_mut().zip(self.prices.as_slice()) {
-            *slot = ln_price(p);
+        for (slot, &q) in out.iter_mut().zip(&self.prices) {
+            *slot = ln_of_quanta(q);
         }
     }
 
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
-        self.prices.num_classes()
+        self.prices.len()
     }
 
     /// The configuration.
@@ -395,69 +354,48 @@ impl NonTatonnementPricer {
     /// Step 9 of QA-NT: a class-`k` request had to be rejected because the
     /// node's supply for `k` is exhausted — price rises by a factor `1+λ`.
     pub fn on_rejection(&mut self, k: usize) {
-        let old = self.prices.get(k);
-        self.prices
-            .set(k, self.chain.step(old), self.config.price_floor);
-        self.rejections[k] += 1;
-        let (node, new) = (self.telemetry.label(), self.prices.get(k));
-        adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
+        let old = self.prices[k];
+        self.prices[k] = self.rules.refuse(old, 1);
+        self.rejections[k] = self.rejections[k].saturating_add(1);
+        let node = self.telemetry.label();
+        let new = self.prices[k];
+        self.rules
+            .adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
     }
 
     /// Applies `count` consecutive [`NonTatonnementPricer::on_rejection`]s
-    /// for class `k`, bit-identical to calling it in a loop: one lane of
-    /// [`Self::on_rejections_batch`].
+    /// for class `k` as one add. A traced pricer takes them one at a time
+    /// and emits every adjustment.
     pub fn on_rejections(&mut self, k: usize, count: u64) {
-        Self::on_rejections_batch(&mut [self], k, &[count]);
+        if self.telemetry.is_enabled() {
+            for _ in 0..count {
+                self.on_rejection(k);
+            }
+        } else {
+            self.prices[k] = self.rules.refuse(self.prices[k], count);
+            self.rejections[k] = self.rejections[k].saturating_add(count);
+        }
     }
 
-    /// Replays per-pricer rejection counts for class `k` across many
-    /// pricers at once — gather, [`RefusalChain::replay`], scatter:
-    /// result-identical to `counts[i]` stepwise [`Self::on_rejection`]s on
-    /// each. A chain long enough to provably reach the ceiling costs
-    /// nothing — a refusal storm is charged by its lanes, not its length.
-    /// A traced pricer takes the stepwise path and emits every
-    /// adjustment; so does one whose configuration differs from the
-    /// first's.
+    /// [`Self::on_rejections`] of `counts[i]` for class `k` on each of
+    /// many pricers.
     pub fn on_rejections_batch(
         pricers: &mut [&mut NonTatonnementPricer],
         k: usize,
         counts: &[u64],
     ) {
         assert_eq!(pricers.len(), counts.len());
-        let mut chain = None;
-        let mut p = vec![0.0f64; pricers.len()];
-        let mut batched = Vec::new();
-        for (j, (pr, &count)) in pricers.iter_mut().zip(counts).enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if pr.telemetry.is_enabled() || *chain.get_or_insert(pr.chain) != pr.chain {
-                for _ in 0..count {
-                    pr.on_rejection(k);
-                }
-            } else {
-                p[j] = pr.prices.get(k);
-                batched.push(j);
-            }
-        }
-        let Some(chain) = chain else { return };
-        let mut lanes = batched.iter().map(|&j| (counts[j], j)).collect();
-        chain.replay(&mut p, &mut lanes, &mut ReplayWork::default());
-        for j in batched {
-            let pr = &mut pricers[j];
-            // Finite and at or above the floor, so this one set is exactly
-            // the last of the per-step clamped sets.
-            pr.prices.set(k, p[j], pr.config.price_floor);
-            pr.rejections[k] += counts[j];
+        for (pricer, &count) in pricers.iter_mut().zip(counts) {
+            pricer.on_rejections(k, count);
         }
     }
 
-    /// [`PricerConfig::decay_leftover`] over this pricer's row; also
-    /// resets the per-period rejection counters.
+    /// [`PriceRules::decay_leftover`] over this pricer's row; also resets
+    /// the per-period rejection counters.
     pub fn on_period_end(&mut self, leftover: &QuantityVector) {
-        let (prices, node) = (self.prices.as_mut_slice(), self.telemetry.label());
-        self.config
-            .decay_leftover(prices, leftover.as_slice(), &self.telemetry, node);
+        let node = self.telemetry.label();
+        self.rules
+            .decay_leftover(&mut self.prices, leftover.as_slice(), &self.telemetry, node);
         self.rejections.fill(0);
     }
 
@@ -504,6 +442,34 @@ mod tests {
         QuantityVector::from_counts(v.to_vec())
     }
 
+    /// The linear kernel the log-domain rules replaced, kept as their
+    /// oracle: one refusal, one leftover and one renormalization of
+    /// linear prices.
+    mod linear {
+        use super::PricerConfig;
+
+        pub fn refuse(p: f64, cfg: &PricerConfig) -> f64 {
+            (p * (1.0 + cfg.lambda)).min(cfg.price_ceiling)
+        }
+
+        pub fn decay(p: f64, s: u64, cfg: &PricerConfig) -> f64 {
+            let factor = (1.0 - cfg.lambda * s as f64).max(0.0);
+            (p * factor).max(cfg.price_floor)
+        }
+
+        /// `None` where the oracle's own scale is not a positive finite
+        /// number: its old guard left such a row as it was.
+        pub fn renormalize(row: &[f64], cfg: &PricerConfig) -> Option<Vec<f64>> {
+            let ln_sum = row.iter().map(|p| p.ln()).sum::<f64>();
+            let scale = (ln_sum / row.len() as f64).exp();
+            (scale.is_finite() && scale > 0.0).then(|| {
+                row.iter()
+                    .map(|p| (p / scale).clamp(cfg.price_floor, cfg.price_ceiling))
+                    .collect()
+            })
+        }
+    }
+
     #[test]
     fn rejection_raises_price_multiplicatively() {
         let mut p = NonTatonnementPricer::new(2, PricerConfig::default());
@@ -527,9 +493,7 @@ mod tests {
     fn huge_leftover_clamps_at_floor_not_negative() {
         let mut p = NonTatonnementPricer::new(1, PricerConfig::default());
         p.on_period_end(&qv(&[1_000]));
-        let price = p.prices().get(0);
-        assert!(price >= p.config().price_floor);
-        assert!(price <= 1e-5, "price should have collapsed to the floor");
+        assert_eq!(p.prices().get(0), p.config().price_floor);
     }
 
     #[test]
@@ -542,177 +506,175 @@ mod tests {
         for _ in 0..1_000 {
             p.on_rejection(0);
         }
-        assert!(p.prices().get(0) <= 10.0 + 1e-9);
+        assert_eq!(p.prices().get(0), 10.0);
     }
 
     #[test]
-    fn batched_replay_matches_stepwise_rejections() {
-        // Counts short of, at and far past the ~290 steps that take a
-        // price from 1 to the ceiling; more pricers than one chunk; one
-        // with a low ceiling of its own; and a lone tail lane.
-        let counts = [
-            0u64, 1, 15, 16, 17, 100, 289, 290, 291, 700, 5_000, 700, 3, 2, 40, 600, 1_000,
-        ];
-        assert_eq!(counts.len() % 8, 1);
-        let tight = PricerConfig {
-            price_ceiling: 50.0,
-            ..PricerConfig::default()
-        };
-        let fresh = || -> Vec<NonTatonnementPricer> {
-            (0..counts.len())
-                .map(|i| {
-                    let cfg = if i == 9 {
-                        tight
-                    } else {
-                        PricerConfig::default()
-                    };
-                    let start = PriceVector::from_prices(vec![0.25 + 0.37 * i as f64, 1.0]);
-                    NonTatonnementPricer::with_prices(start, cfg)
-                })
-                .collect()
-        };
-        let mut stepwise = fresh();
-        for (p, &n) in stepwise.iter_mut().zip(&counts) {
-            for _ in 0..n {
-                p.on_rejection(0);
+    fn n_refusals_at_once_are_n_one_at_a_time() {
+        // Pricers from drawn points of drawn bands, owed counts from none
+        // to far past the ceiling: the batch and the stepwise loop agree
+        // to the bit, and so do the counters.
+        let mut rng = DetRng::seed_from_u64(0x5A7).derive("at-once");
+        for case in 0..200 {
+            let cfg = PricerConfig {
+                lambda: [1e-6, 0.1, 0.9][case % 3],
+                initial_price: 1e-3,
+                price_floor: 1e-3,
+                price_ceiling: 10f64.powf(rng.float_in(0.5, 14.0)),
+            };
+            let counts: Vec<u64> = (0..17)
+                .map(|_| [0, 1, rng.int_in(2, 400), rng.int_in(400, 5_000)][rng.index(4)])
+                .collect();
+            let fresh = |rng: &mut DetRng| -> Vec<NonTatonnementPricer> {
+                (0..counts.len())
+                    .map(|_| {
+                        let start = 10f64.powf(rng.float_in(-3.0, 14.0));
+                        let start = PriceVector::from_prices(vec![start, 1.0]);
+                        NonTatonnementPricer::with_prices(start, cfg)
+                    })
+                    .collect()
+            };
+            let mut draws = rng.derive("starts");
+            let mut stepwise = fresh(&mut draws.clone());
+            for (p, &n) in stepwise.iter_mut().zip(&counts) {
+                for _ in 0..n {
+                    p.on_rejection(0);
+                }
+            }
+            let mut batched = fresh(&mut draws);
+            let mut lanes: Vec<&mut NonTatonnementPricer> = batched.iter_mut().collect();
+            NonTatonnementPricer::on_rejections_batch(&mut lanes, 0, &counts);
+            for (i, (a, b)) in stepwise.iter().zip(&batched).enumerate() {
+                assert_eq!(
+                    a.prices, b.prices,
+                    "case {case} lane {i}, {} refusals",
+                    counts[i]
+                );
+                assert_eq!(a.rejections(0), b.rejections(0));
+                assert_eq!(b.prices().get(1), 1.0, "other class untouched");
             }
         }
-        let mut batched = fresh();
-        let mut lanes: Vec<&mut NonTatonnementPricer> = batched.iter_mut().collect();
-        NonTatonnementPricer::on_rejections_batch(&mut lanes, 0, &counts);
-        for (i, (a, b)) in stepwise.iter().zip(&batched).enumerate() {
-            assert_eq!(
-                a.prices().get(0).to_bits(),
-                b.prices().get(0).to_bits(),
-                "lane {i}, {} refusals",
-                counts[i]
-            );
-            assert_eq!(b.prices().get(1), 1.0, "other class untouched");
-            assert_eq!(a.rejections(0), b.rejections(0));
-        }
-        assert_eq!(batched[10].prices().get(0), 1e12, "5 000 steps saturate");
     }
 
-    /// Stepwise refusals from `p` until the price stops moving: the count
-    /// that reaches the ceiling, or `None` when `limit` steps do not.
-    fn steps_to_ceiling(p: f64, cfg: PricerConfig, limit: u64) -> Option<u64> {
-        let mut pricer = NonTatonnementPricer::with_prices(PriceVector::from_prices(vec![p]), cfg);
-        (0..=limit).find(|_| {
-            let at_ceiling = pricer.prices().get(0) == cfg.price_ceiling;
-            pricer.on_rejection(0);
-            at_ceiling
-        })
-    }
-
+    /// The rules at the edges of their inputs: λ = 1e-6 and 0.999, the
+    /// widest band an `f64` allows, K = 1, rows pinned at the floor and at
+    /// the ceiling, refusal counts up to `u64::MAX` and leftovers at and
+    /// past `⌈1/λ⌉`. Every linear price read back is finite and inside the
+    /// band, nothing panics, and each rule lands within one quantum of the
+    /// linear oracle from the same state, plus the oracle's own rounding.
     #[test]
-    fn closed_form_replay_is_the_stepwise_loop_to_the_bit() {
-        // (λ, whether its closed form may ever engage below the ceiling):
-        // at λ = 1e-9 rounding could eat a step's gain, so nothing is
-        // proven and every chain must be walked. λ < 1 by `validate`.
-        let lambdas = [(1e-9, false), (1e-6, true), (0.1, true), (0.9, true)];
-        let mut rng = DetRng::seed_from_u64(0x5A7).derive("closed-form");
-        let mut proven = 0;
-        for case in 0..400 {
-            let (lambda, provable) = lambdas[case % lambdas.len()];
-            let price_floor = 10f64.powf(rng.float_in(-12.0, -3.0));
-            let price_ceiling = 10f64.powf(rng.float_in(0.5, 14.0));
+    fn the_rules_hold_the_band_and_the_oracle_at_the_edges() {
+        let mut rng = DetRng::seed_from_u64(0xED6E).derive("edges");
+        let bands = [(1e-9, 1e12), (f64::MIN_POSITIVE, f64::MAX), (0.5, 4.0)];
+        let quantum = 1.0 / QUANTA_PER_NAT;
+        let mut compared = [0u32; 3];
+        for case in 0..540 {
+            let lambda = [1e-6, 0.1, 0.999][case % 3];
+            let (price_floor, price_ceiling) = bands[case / 3 % 3];
             let cfg = PricerConfig {
                 lambda,
                 initial_price: price_floor,
                 price_floor,
                 price_ceiling,
             };
-            let chain = RefusalChain::new(&cfg);
-            // Start a drawn number of steps under the ceiling (few enough
-            // to walk at any λ), at the floor, or at the ceiling.
-            let under = rng.float_in(0.0, 4_000.0);
-            let p = match case % 7 {
-                0 => price_ceiling,
-                1 if lambda >= 0.1 => price_floor,
-                _ => (price_ceiling / (1.0 + lambda).powf(under)).max(price_floor),
+            let rules = PriceRules::new(&cfg);
+            let (floor, ceiling) = (rules.floor, rules.ceiling);
+            let k = [1, 2, 5][case / 9 % 3];
+            let inside = |rng: &mut DetRng| floor + rng.int_in(0, (ceiling - floor) as u64) as i64;
+            let mut row: Vec<i64> = match case / 27 % 4 {
+                0 => vec![floor; k],
+                1 => vec![ceiling; k],
+                _ => (0..k)
+                    .map(|_| [floor, ceiling, inside(&mut rng)][rng.index(3)])
+                    .collect(),
             };
-            let bound = steps_to_ceiling(p, cfg, 40_000).expect("reachable by construction");
-            let far = bound + rng.int_in(4, 1 << 40);
-            for count in (bound.saturating_sub(3)..=bound + 3).chain([1, bound / 2, far]) {
-                let saturates = chain.saturates(p, count);
-                proven += u32::from(saturates);
-                assert!(!saturates || count >= bound, "λ={lambda} p={p}: unsound");
-                assert!(provable || p == price_ceiling || !saturates);
-                // Not proven only near the bound: the two spare steps and
-                // the 0.086 octave `e + x` sits under `log2 p` at worst.
-                let slack = 3.0 + 0.09 * std::f64::consts::LN_2 / lambda.ln_1p();
-                assert!(!provable || saturates || (count as f64) < bound as f64 + slack);
-                // Only a walk short enough to afford is replayed.
-                if saturates || count <= 40_000 {
-                    let fresh = || {
-                        let start = PriceVector::from_prices(vec![p, 1.0]);
-                        NonTatonnementPricer::with_prices(start, cfg)
-                    };
-                    let mut stepwise = fresh();
-                    for _ in 0..count.min(bound + 3) {
-                        stepwise.on_rejection(0);
+            let lambda_inverse = (1.0 / lambda).ceil() as u64;
+            // How far the oracle's reading of the state or its result is
+            // from a count of quanta; and its rounding over `terms` logs
+            // as wide as `ln`.
+            let off = |q: i64, p: f64| (ln_of_quanta(q) - p.ln()).abs();
+            let rounding =
+                |terms: usize, ln: f64| 4.0 * f64::EPSILON * terms as f64 * (1.0 + ln.abs());
+            for step in 0..40 {
+                let at = rng.index(k);
+                let q = row[at];
+                let p = rules.linear(q);
+                let slack = quantum + off(q, p) + rounding(2, p.ln());
+                match rng.index(3) {
+                    0 => {
+                        let n = [1, rng.int_in(2, 100), 1 << 40, u64::MAX][rng.index(4)];
+                        row[at] = rules.refuse(q, n);
+                        if n == 1 {
+                            let want = linear::refuse(p, &cfg);
+                            assert!(
+                                off(row[at], want) <= slack,
+                                "case {case} step {step}: refusal from {p}"
+                            );
+                            compared[0] += 1;
+                        } else if n <= 100 {
+                            let one_at_a_time = (0..n).fold(q, |q, _| rules.refuse(q, 1));
+                            assert_eq!(row[at], one_at_a_time, "case {case} step {step}");
+                        } else if n == u64::MAX {
+                            assert_eq!(row[at], ceiling, "case {case} step {step}");
+                        }
                     }
-                    let mut replayed = fresh();
-                    replayed.on_rejections(0, count);
-                    assert_eq!(
-                        replayed.prices().get(0).to_bits(),
-                        stepwise.prices().get(0).to_bits(),
-                        "λ={lambda} p={p} count={count} bound={bound}"
-                    );
-                    assert_eq!(replayed.rejections(0), count);
+                    1 => {
+                        let s = [
+                            1,
+                            rng.int_in(1, lambda_inverse),
+                            lambda_inverse,
+                            lambda_inverse + rng.int_in(1, 1 << 20),
+                            u64::MAX,
+                        ][rng.index(5)];
+                        row[at] = rules.decay(q, s);
+                        let want = linear::decay(p, s, &cfg);
+                        if lambda * s as f64 >= 1.0 {
+                            assert_eq!(row[at], floor, "case {case} step {step}: s = {s}");
+                        }
+                        assert!(
+                            off(row[at], want) <= slack,
+                            "case {case} step {step}: {s} left from {p}"
+                        );
+                        compared[1] += 1;
+                    }
+                    _ => {
+                        let before: Vec<f64> = row.iter().map(|&q| rules.linear(q)).collect();
+                        let read: Vec<f64> =
+                            row.iter().zip(&before).map(|(&q, &p)| off(q, p)).collect();
+                        let widest = before.iter().map(|p| p.ln().abs()).fold(0.0, f64::max);
+                        // The mean's own reading is off by the rows' at most.
+                        let mean_read = read.iter().copied().fold(0.0, f64::max);
+                        rules.renormalize(&mut row, &Telemetry::disabled(), 0);
+                        if let Some(want) = linear::renormalize(&before, &cfg) {
+                            for ((&q, &want), &read) in row.iter().zip(&want).zip(&read) {
+                                let slack = quantum + read + mean_read + rounding(k + 3, widest);
+                                assert!(
+                                    off(q, want) <= slack,
+                                    "case {case} step {step}: {before:?}"
+                                );
+                            }
+                            compared[2] += 1;
+                        }
+                    }
+                }
+                for &q in &row {
+                    assert!((floor..=ceiling).contains(&q), "case {case} step {step}");
+                    let p = rules.linear(q);
+                    assert!(p.is_finite() && (price_floor..=price_ceiling).contains(&p));
                 }
             }
-            // One pooled walk over more lanes than a group holds many
-            // times over, owed counts mixed: none, one, short and long
-            // walks, and (where λ proves it) far past saturation.
-            let starts: Vec<f64> = (0..80)
-                .map(|_| {
-                    let under = rng.float_in(0.0, 4_000.0);
-                    (price_ceiling / (1.0 + lambda).powf(under)).max(price_floor)
-                })
-                .collect();
-            let counts: Vec<u64> = (0..80)
-                .map(|i| match i % 4 {
-                    0 => 0,
-                    1 => 1,
-                    2 => rng.int_in(2, 5_000),
-                    _ if provable => 1 << 40,
-                    _ => rng.int_in(2, 60),
-                })
-                .collect();
-            let mut pooled = starts.clone();
-            let mut lanes: Vec<(u64, usize)> = counts.iter().copied().zip(0..).collect();
-            let mut work = ReplayWork::default();
-            chain.replay(&mut pooled, &mut lanes, &mut work);
-            for (i, (&start, &count)) in starts.iter().zip(&counts).enumerate() {
-                let mut p = start;
-                for _ in 0..count {
-                    if p == price_ceiling {
-                        break;
-                    }
-                    p = chain.step(p);
-                }
-                assert_eq!(
-                    pooled[i].to_bits(),
-                    p.to_bits(),
-                    "λ={lambda} lane {i} count={count}"
-                );
-            }
-            assert_eq!(work.walked + work.closed_form, 60);
-            assert!(work.slots >= work.steps && work.slots % LANES as u64 == 0);
         }
-        assert!(proven > 500, "the closed form barely engaged: {proven}");
+        assert!(compared.iter().all(|&n| n > 1_000), "{compared:?}");
     }
 
     #[test]
-    fn traced_pricers_replay_stepwise_and_emit_every_adjustment() {
+    fn traced_pricers_take_refusals_one_at_a_time_and_emit_each() {
         let (tel, buf) = Telemetry::buffered();
         let fresh = || NonTatonnementPricer::new(1, PricerConfig::default());
         let (mut lone, mut lane, mut quiet) = (fresh(), fresh(), fresh());
         lone.set_telemetry(tel.with_label(1));
         lane.set_telemetry(tel.with_label(2));
-        // 400 refusals saturate from the initial price: the closed form
-        // would apply, were nobody watching.
+        // 400 refusals saturate from the initial price.
         lone.on_rejections(0, 400);
         NonTatonnementPricer::on_rejections_batch(&mut [&mut quiet, &mut lane], 0, &[400, 400]);
         for node in [1, 2] {
@@ -742,9 +704,9 @@ mod tests {
     #[test]
     fn balanced_period_leaves_prices_unchanged() {
         let mut p = NonTatonnementPricer::new(3, PricerConfig::default());
-        let before = p.prices().clone();
+        let before = p.prices();
         p.on_period_end(&qv(&[0, 0, 0]));
-        assert_eq!(p.prices(), &before);
+        assert_eq!(p.prices(), before);
     }
 
     #[test]

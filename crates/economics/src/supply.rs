@@ -123,42 +123,6 @@ impl SupplySet for LinearCapacitySet {
     }
 }
 
-/// An explicitly enumerated supply set — used in unit tests and by the
-/// brute-force Pareto enumerator on small economies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnumeratedSupplySet {
-    k: usize,
-    vectors: Vec<QuantityVector>,
-}
-
-impl EnumeratedSupplySet {
-    /// Builds from an explicit list of feasible vectors. The zero vector is
-    /// added automatically (a node may always supply nothing).
-    pub fn new(k: usize, mut vectors: Vec<QuantityVector>) -> Self {
-        assert!(vectors.iter().all(|v| v.num_classes() == k));
-        let zero = QuantityVector::zeros(k);
-        if !vectors.contains(&zero) {
-            vectors.push(zero);
-        }
-        EnumeratedSupplySet { k, vectors }
-    }
-
-    /// All feasible vectors.
-    pub fn vectors(&self) -> &[QuantityVector] {
-        &self.vectors
-    }
-}
-
-impl SupplySet for EnumeratedSupplySet {
-    fn num_classes(&self) -> usize {
-        self.k
-    }
-
-    fn contains(&self, s: &QuantityVector) -> bool {
-        self.vectors.contains(s)
-    }
-}
-
 /// Enumerates every feasible supply vector of a [`LinearCapacitySet`]
 /// (bounded per class by `caps` when given). Exponential — only for the
 /// small economies in tests.
@@ -206,7 +170,7 @@ pub fn enumerate_capacity_set(
 /// caller's scratch vector — no per-call allocation once the scratch has
 /// grown to the class count.
 #[inline]
-pub fn price_density_order_into(prices: &[f64], unit_costs: &[Option<f64>], out: &mut Vec<usize>) {
+fn price_density_order_into(prices: &[f64], unit_costs: &[Option<f64>], out: &mut Vec<usize>) {
     assert_eq!(prices.len(), unit_costs.len(), "class count mismatch");
     out.clear();
     out.extend((0..unit_costs.len()).filter(|&i| unit_costs[i].is_some()));
@@ -655,13 +619,5 @@ mod tests {
             &qv(&[1, 0]),
             &set
         ));
-    }
-
-    #[test]
-    fn enumerated_set_includes_zero() {
-        let s = EnumeratedSupplySet::new(2, vec![qv(&[1, 0])]);
-        assert!(s.contains(&qv(&[0, 0])));
-        assert!(s.contains(&qv(&[1, 0])));
-        assert!(!s.contains(&qv(&[0, 1])));
     }
 }

@@ -225,12 +225,6 @@ impl PriceVector {
         &self.0
     }
 
-    /// The raw prices, for this crate's row kernels (which keep them
-    /// finite and positive).
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
     /// Largest price across classes.
     pub fn max_price(&self) -> f64 {
         self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)

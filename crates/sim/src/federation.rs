@@ -42,7 +42,6 @@ use qa_core::messages::{OFFER_BYTES, REQUEST_BYTES, RESPONSE_BYTES};
 use qa_core::{
     BnqrdCoordinator, MarkovAllocator, MechanismKind, QantMarket, RoundRobinState, TwoProbesChooser,
 };
-use qa_economics::ReplayWork;
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, EventQueue, FaultPlan, LinkSpec, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
@@ -408,15 +407,15 @@ impl<'a> Federation<'a> {
         self.finish()
     }
 
-    /// `node`'s seller between events: its private prices, remaining
-    /// supply and error-diffusion carry per class. `None` for a node
-    /// outside the market and for other mechanisms.
-    pub fn market_row(&self, node: NodeId) -> Option<(&[f64], &[u64], &[f64])> {
+    /// `node`'s seller between events: its private log-prices in quanta,
+    /// remaining supply and error-diffusion carry per class. `None` for a
+    /// node outside the market and for other mechanisms.
+    pub fn market_row(&self, node: NodeId) -> Option<(&[i64], &[u64], &[f64])> {
         let MechState::QaNt(Sellers { market, member, .. }) = &self.state else {
             return None;
         };
         let n = node.index();
-        member[n].then(|| (market.prices(n), market.supply(n), market.carry(n)))
+        member[n].then(|| (market.log_prices(n), market.supply(n), market.carry(n)))
     }
 
     /// Appends arrivals (time-ordered within and across calls) to the
@@ -792,7 +791,7 @@ impl<'a> Federation<'a> {
 
     /// QA-NT's period boundary (§3.3 steps 9–14, then step 2) as three
     /// passes over the whole market: the closing period's unpaid refusals,
-    /// one pooled walk per class; one roll of the market's rows (leftover
+    /// one add per dry row and class; one roll of the market's rows (leftover
     /// supply decays prices, each live row solves eq. 4 for the next
     /// period); and the index re-reading every leaf from the fresh supply.
     /// Per row that is the order the paper gives, the refusals ahead of
@@ -827,13 +826,12 @@ impl<'a> Federation<'a> {
         // every dry capable node refused each class request made since it
         // ran dry. Ahead of the period-end price update: the rises belong
         // to that period.
-        let mut refusals = ReplayWork::default();
         for (k, &demand) in self.period_demand.iter().enumerate() {
             let Some(index) = index.as_ref().filter(|_| demand > 0) else {
                 continue;
             };
             let class = ClassId(k as u32);
-            market.charge_refusals(class, index.rejections(class, demand), &mut refusals);
+            market.charge_refusals(class, index.rejections(class, demand));
         }
         // Each run of market rows ends its period; a live row opens the
         // next on a work-conserving budget.
@@ -858,10 +856,6 @@ impl<'a> Federation<'a> {
             // The only place supply can rise.
             index.reseat(market.supply_column(), member, soa);
         }
-        self.boundary.refusal_lanes_walked += refusals.walked;
-        self.boundary.refusal_lanes_closed_form += refusals.closed_form;
-        self.boundary.refusal_lane_steps += refusals.steps;
-        self.boundary.refusal_lane_slots += refusals.slots;
         self.boundary.density_sorts += solves;
         self.period_demand.fill(0);
     }
@@ -1498,9 +1492,8 @@ mod tests {
     fn boundary_work_of_the_flat1k_rep_is_pinned() {
         // The repo benchmark's `flat1k` rep. The counts are functions of
         // the seed and the code: a change that moves them changed the
-        // algorithm (which lanes the closed form settles, how refusals are
-        // deferred, how tightly the walk packs its lanes), not just its
-        // speed.
+        // algorithm (how refusals are deferred, how waiters are turned),
+        // not just its speed.
         use crate::experiments::{run_cell, scale_world, two_class_trace};
         let s = scale_world(1_000, 11);
         let t = two_class_trace(&s, 0.05, 0.75, 100);
@@ -1511,10 +1504,6 @@ mod tests {
             out.boundary,
             BoundaryWork {
                 node_periods: 203_000,
-                refusal_lanes_walked: 102_250,
-                refusal_lanes_closed_form: 122_602,
-                refusal_lane_steps: 10_174_637,
-                refusal_lane_slots: 10_495_856,
                 density_sorts: 203_000,
             }
         );
@@ -1701,8 +1690,9 @@ mod index_differential {
         let rows = (0..n as u32)
             .filter_map(|m| f.market_row(NodeId(m)))
             .map(|(prices, supply, carry)| {
-                let bits = |column: &[f64]| column.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                [bits(prices), supply.to_vec(), bits(carry)].concat()
+                let prices = prices.iter().map(|&q| q as u64).collect();
+                let carry = carry.iter().map(|x| x.to_bits()).collect();
+                [prices, supply.to_vec(), carry].concat()
             })
             .collect();
         let heads = (0..k)

@@ -281,15 +281,6 @@ work_counts! {
     BoundaryWork, "sim.boundary.", {
         /// Market rows that ended a period.
         node_periods,
-        /// Deferred-refusal lanes (a dry seller × a class) walked step by step.
-        refusal_lanes_walked,
-        /// Lanes settled at the price ceiling without a walk.
-        refusal_lanes_closed_form,
-        /// Refusals the walked lanes were owed, summed.
-        refusal_lane_steps,
-        /// Lane-steps the refusal walk executed, padding included:
-        /// `refusal_lane_steps / refusal_lane_slots` is its efficiency.
-        refusal_lane_slots,
         /// Price-density orderings computed for a supply solve.
         density_sorts,
     }

@@ -832,10 +832,6 @@ mod tests {
             boundary,
             BoundaryWork {
                 node_periods: 511_563,
-                refusal_lanes_walked: 372_739,
-                refusal_lanes_closed_form: 73_523,
-                refusal_lane_steps: 14_621_204,
-                refusal_lane_slots: 15_604_656,
                 density_sorts: 511_563,
             }
         );

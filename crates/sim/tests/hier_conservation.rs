@@ -251,10 +251,10 @@ fn crash_and_loss_runs_are_pinned() {
         }
     }
     let broker = format!("{:?} {bids:?} {cleared:?}", sharded.outcome);
-    // Both digests were computed by the engine whose sellers all start at
-    // one price and whose metrics keep no per-class response times.
+    // Both digests were computed by the engine that keeps every price as
+    // an integer log-price (the prices they cover carry its rounding).
     assert_eq!(
         (fnv1a(flat.as_bytes()), fnv1a(broker.as_bytes())),
-        (0x604e_246b_112e_a781, 0x9d51_dc00_1652_d82f)
+        (0xa37b_9929_17b3_46a9, 0xe37c_0f8d_9784_d11b)
     );
 }

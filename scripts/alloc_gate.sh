@@ -26,7 +26,10 @@
 # metrics' per-class response accumulators: flat1k 0.001710 calls,
 # 18.12 B; paper100_overload 0.005300 calls, 60.43 B. Only flat1k's
 # bytes ceiling came down (to 19.93): 10 % above each other count is
-# still above its ceiling. Before:
+# still above its ceiling. Integer log-prices then dropped the market's
+# refusal-lane and `ln`-sum scratch and kept each cost's `ln` beside it:
+# flat1k 0.001696 calls, 18.01 B; paper100_overload 0.005255 calls,
+# 60.40 B. Again only flat1k's bytes ceiling came down (to 19.81). Before:
 # (PR 17, the sellers in one column block — a run's construction stops
 # allocating nine vectors per node: flat1k 0.18638 -> 0.06133 calls;
 # paper100_overload 0.09363 -> 0.05313 calls, 77.69 -> 75.16 B. PR 16:
@@ -57,7 +60,7 @@ while read -r workload calls bytes; do
   check "$result" alloc.calls_per_query "$calls"
   [ "$bytes" = - ] || check "$result" alloc.bytes_per_query "$bytes"
 done <<ROWS
-flat1k 0.00179 19.93
+flat1k 0.00179 19.81
 paper100_overload 0.00553 66.40
 ROWS
 exit $status

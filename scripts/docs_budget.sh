@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 40658
-check CHANGES.md 47938
-check EXPERIMENTS.md 29520
+check DESIGN.md 40609
+check CHANGES.md 49462
+check EXPERIMENTS.md 29604
 check README.md 11132
 exit "$status"

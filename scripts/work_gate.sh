@@ -7,10 +7,12 @@
 # `paper100_overload` and `broker10k` reps. The counts are functions of
 # the seed and the code, so they repeat exactly on any host. What they
 # catch is a fast path that silently stops being taken — a run move that
-# turns one waiter at a time, a closed form that walks every lane, a walk
-# that pads its lanes — which keeps every simulated output, and so every
-# golden, and loses only speed: the slip a timing on a shared CI host is
-# too noisy to see.
+# turns one waiter at a time, a boundary that solves rows it did not roll
+# — which keeps every simulated output, and so every golden, and loses
+# only speed: the slip a timing on a shared CI host is too noisy to see.
+# `BoundaryWork` counts the rows that ended a period and the density
+# sorts their solves made; `WaitWork` the wakes, the runs they turned and
+# the waiters given a full attempt.
 #
 # Each workload must report exactly one `work-gate:` line: a pinned test
 # that was renamed or filtered out fails the gate instead of passing it
