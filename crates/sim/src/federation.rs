@@ -2409,4 +2409,63 @@ mod wait_list {
             }]
         ));
     }
+
+    /// The most events the queue of a run without crash schedules can hold
+    /// between two of its events: a completion per assigned query, the
+    /// next `PeriodStart`, and a `Wake` per distinct due time on the wait
+    /// list plus one per fence (the wake that retries the members behind
+    /// it). Waiting and not-yet-arrived queries hold no event of their own.
+    fn queue_bound(f: &Federation) -> usize {
+        let running = f.slots.iter().filter(|q| q.owner.is_some()).count();
+        let mut wakes = 0;
+        let mut due = None;
+        for w in &f.parked {
+            wakes += usize::from(due != Some(w.due)) + usize::from(w.query == FENCE);
+            due = Some(w.due);
+        }
+        running + 1 + wakes
+    }
+
+    /// Steps a run window by window and event by event, holding the queue
+    /// to [`queue_bound`] after every arrival push and every event; returns
+    /// the longest queue and the longest wait list seen.
+    fn assert_queue_holds_running_queries(s: &Scenario, t: &Trace) -> (usize, usize) {
+        let mut f = Federation::new(s, MechanismKind::QaNt, t);
+        f.begin_run();
+        let (mut queued, mut parked) = (0, 0);
+        let mut check = |f: &Federation| {
+            let bound = queue_bound(f);
+            assert!(f.queue.len() <= bound, "{} queued > {bound}", f.queue.len());
+            (queued, parked) = (queued.max(f.queue.len()), parked.max(f.parked.len()));
+        };
+        let windows = period_windows(t.events(), s.config.qant.period);
+        for (boundary, window, last) in windows.chain([(SimTime::MAX, &[][..], true)]) {
+            f.push_arrivals(window, !last);
+            check(&f);
+            while f.process_next(boundary) {
+                check(&f);
+            }
+        }
+        assert!(f.queue.is_empty() && f.parked.is_empty());
+        (queued, parked)
+    }
+
+    #[test]
+    fn the_queue_holds_running_queries_not_waiting_or_future_ones() {
+        use crate::experiments::{scale_world, two_class_trace};
+        // The `flat1k` rep's shape: about one retry per query.
+        let s = scale_world(1_000, 11);
+        let t = two_class_trace(&s, 0.05, 0.75, 100);
+        let (queued, parked) = assert_queue_holds_running_queries(&s, &t);
+        assert!(
+            queued < t.len() / 20 && parked > 0,
+            "{queued} queued, {parked} parked"
+        );
+        // The `paper100_overload` rep's: 60 retries per query, so the wait
+        // list outgrows the queue.
+        let s = scale_world(100, 11);
+        let t = two_class_trace(&s, 0.05, 1.5, 150);
+        let (queued, parked) = assert_queue_holds_running_queries(&s, &t);
+        assert!(parked > 10 * queued, "{queued} queued, {parked} parked");
+    }
 }

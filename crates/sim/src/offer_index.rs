@@ -191,7 +191,7 @@ impl OfferIndex {
         c.dry.push(leaf as u32);
     }
 
-    /// `node` accepted a query (of any class) and is now occupied until
+    /// `node` accepted a query (of any class) and is now busy until
     /// `backlog_until`: its offering leaves move to, or re-key in, the
     /// busy regime.
     pub(crate) fn accepted(&mut self, node: NodeId, backlog_until: SimTime) {

@@ -6,30 +6,21 @@
 //! two runs with the same seed must process events in the same order, so
 //! every event carries a monotonically increasing sequence number used as a
 //! timestamp tie-breaker — simultaneous events pop in the order they were
-//! scheduled.
+//! scheduled. `(time, seq)` is a total order, so the pop sequence is a
+//! function of the schedule calls alone, whatever store holds the events.
 //!
-//! The store is a calendar queue rather than a binary heap: a ring of
-//! buckets keyed by absolute time slot (`time_µs >> width_shift`). Because
-//! a simulation clock only moves forward, every pending event's slot lies
-//! in `[slot(now), slot(now) + buckets)` — the queue grows the ring (while
-//! it is smaller than ~4× the pending-event count) or the slot width until
-//! that invariant holds, so each bucket holds at most one distinct slot and
-//! the earliest non-empty bucket at or after `slot(now)` always holds the
-//! globally earliest event. Scheduling is an append plus an `O(1)`
-//! cached-head update; popping re-scans only the buckets between the old
-//! and new head slot through a per-bucket occupancy bitmap (64 empty
-//! buckets per word load), ranges that never overlap across pops, so total
-//! scan work is bounded by elapsed virtual time divided by `64 ×` the slot
-//! width. A bucket is a list in key order, threaded through one pool of
-//! event slots: an event later than its bucket's last (the common
-//! schedule-in-time-order case) appends, an earlier one is placed by a
-//! walk, kept short because the ring doubles at half the slot width
-//! whenever pending events outnumber its buckets. A popped event's slot is
-//! reused by the next one scheduled, so the queue's storage follows the
-//! pending-event count, not how many buckets the ring has ever filled.
+//! The store is one [`BinaryHeap`]: `O(log n)` per schedule and pop in the
+//! number of *pending* events. That number stays small because the queue
+//! holds running work, not waiting or future work. The federation engine
+//! keeps refused queries on its own wait list and reads arrivals from a
+//! cursor over the workload trace, so its queue holds one completion per
+//! running query, the next period boundary, one wake per distinct due
+//! time of the wait list and the crash schedule: at most ~1 600 events at
+//! 1 000 nodes, ~200 at 100.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An event scheduled for a point in virtual time.
 #[derive(Debug, Clone)]
@@ -40,13 +31,6 @@ pub struct ScheduledEvent<E> {
     pub seq: u64,
     /// The caller-defined payload.
     pub payload: E,
-}
-
-impl<E> ScheduledEvent<E> {
-    /// The total order key: earlier time first, then scheduling order.
-    fn key(&self) -> (u64, u64) {
-        (self.time.as_micros(), self.seq)
-    }
 }
 
 impl<E> PartialEq for ScheduledEvent<E> {
@@ -64,8 +48,7 @@ impl<E> PartialOrd for ScheduledEvent<E> {
 }
 
 impl<E> Ord for ScheduledEvent<E> {
-    /// Reversed so that the *earliest* event is the max of a max-heap
-    /// (kept for callers that use `ScheduledEvent` in a `BinaryHeap`).
+    /// Reversed so that the *earliest* event is the max of a max-heap.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .time
@@ -74,25 +57,6 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// End of a bucket's list, and both ends of an empty bucket.
-const NIL: u32 = u32::MAX;
-
-/// A pending event and the pool slot of the next one in its bucket.
-#[derive(Debug)]
-struct Node<E> {
-    ev: ScheduledEvent<E>,
-    next: u32,
-}
-
-/// Starting ring size; slots map to buckets by `slot & (len - 1)`.
-const INITIAL_BUCKETS: usize = 256;
-/// Hard ceiling on ring doubling; in practice the occupancy bound in
-/// [`EventQueue::grow`] stops the ring far earlier and the slot *width*
-/// doubles instead (halving the live slot span), so any horizon fits.
-const MAX_BUCKETS: usize = 1 << 16;
-/// Starting slot width: `2^9` µs = 512 µs per bucket.
-const INITIAL_WIDTH_SHIFT: u32 = 9;
-
 /// A future-event list with a virtual clock.
 ///
 /// The queue owns the notion of "now": popping an event advances the clock,
@@ -100,27 +64,7 @@ const INITIAL_WIDTH_SHIFT: u32 = 9;
 /// the simulation non-causal).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The pending events, one slot each. A popped event frees its slot
-    /// for the next one scheduled, so the store holds as many events as
-    /// are pending at most, whatever the ring's size.
-    pool: Vec<Option<Node<E>>>,
-    /// Freed pool slots.
-    free: Vec<u32>,
-    /// Per bucket, the first and last pool slot of its events, listed in
-    /// key order; `(NIL, NIL)` when it is empty.
-    buckets: Vec<(u32, u32)>,
-    /// One bit per bucket (set iff non-empty), packed into `u64` words.
-    /// Lets the head scan skip 64 empty buckets per word instead of
-    /// touching each bucket — sparse queues (few events spread over a
-    /// long horizon) would otherwise pay a cache miss per empty bucket.
-    occupied: Vec<u64>,
-    /// Bucket index mask; `buckets.len()` is always a power of two.
-    mask: u64,
-    /// Slot width is `2^width_shift` µs.
-    width_shift: u32,
-    /// Key `(time_µs, seq)` of the earliest pending event.
-    head: Option<(u64, u64)>,
-    len: usize,
+    heap: BinaryHeap<ScheduledEvent<E>>,
     now: SimTime,
     next_seq: u64,
 }
@@ -135,14 +79,7 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at the origin.
     pub fn new() -> Self {
         EventQueue {
-            pool: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![(NIL, NIL); INITIAL_BUCKETS],
-            occupied: vec![0; INITIAL_BUCKETS / 64],
-            mask: INITIAL_BUCKETS as u64 - 1,
-            width_shift: INITIAL_WIDTH_SHIFT,
-            head: None,
-            len: 0,
+            heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
         }
@@ -155,23 +92,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// `true` iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The slot the clock currently sits in. Every pending event's slot is
-    /// at or after this (causality: pending times are `>= now`), which is
-    /// what makes `slot & mask` collision-free within the live span.
-    fn base_slot(&self) -> u64 {
-        self.now.as_micros() >> self.width_shift
-    }
-
-    fn bucket_of(&self, time_us: u64) -> usize {
-        ((time_us >> self.width_shift) & self.mask) as usize
+        self.heap.is_empty()
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -184,184 +110,26 @@ impl<E> EventQueue<E> {
             "cannot schedule event in the past: at={at} now={}",
             self.now
         );
-        let t_us = at.as_micros();
-        loop {
-            let slot = t_us >> self.width_shift;
-            if slot - self.base_slot() < self.buckets.len() as u64 {
-                break;
-            }
-            self.grow();
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = (t_us, seq);
-        if self.head.is_none_or(|h| key < h) {
-            self.head = Some(key);
-        }
-        let node = Some(Node {
-            ev: ScheduledEvent {
-                time: at,
-                seq,
-                payload,
-            },
-            next: NIL,
+        self.heap.push(ScheduledEvent {
+            time: at,
+            seq,
+            payload,
         });
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.pool[i as usize] = node;
-                i
-            }
-            None => {
-                self.pool.push(node);
-                (self.pool.len() - 1) as u32
-            }
-        };
-        self.link(i);
-        self.len += 1;
-        // More events than buckets: halve the slot width and double the
-        // ring, which keeps the span and the buckets short, so that a walk
-        // stays short whatever order the events come in.
-        if self.len > self.buckets.len() && self.buckets.len() < MAX_BUCKETS && self.width_shift > 0
-        {
-            self.rebucket(self.buckets.len() * 2, self.width_shift - 1);
-        }
-    }
-
-    fn node(&self, i: u32) -> &Node<E> {
-        self.pool[i as usize].as_ref().expect("a pending event")
-    }
-
-    fn node_mut(&mut self, i: u32) -> &mut Node<E> {
-        self.pool[i as usize].as_mut().expect("a pending event")
-    }
-
-    /// Puts the unlinked event in pool slot `i` into its bucket, in key
-    /// order: after the last event when it is the latest (the common
-    /// case: a slot's events scheduled in time order), before the first
-    /// when it is the earliest, else where a walk from the front finds.
-    fn link(&mut self, i: u32) {
-        let key = self.node(i).ev.key();
-        let b = self.bucket_of(key.0);
-        let (first, last) = self.buckets[b];
-        if first == NIL {
-            self.buckets[b] = (i, i);
-            self.occupied[b / 64] |= 1 << (b % 64);
-        } else if key > self.node(last).ev.key() {
-            self.node_mut(last).next = i;
-            self.buckets[b].1 = i;
-        } else if key < self.node(first).ev.key() {
-            self.node_mut(i).next = first;
-            self.buckets[b].0 = i;
-        } else {
-            let mut prev = first;
-            while self.node(self.node(prev).next).ev.key() < key {
-                prev = self.node(prev).next;
-            }
-            self.node_mut(i).next = self.node(prev).next;
-            self.node_mut(prev).next = i;
-        }
-    }
-
-    /// Doubles the ring or the slot width and re-buckets every pending
-    /// event. The ring doubles only while it is smaller than ~4× the
-    /// pending-event count (and below [`MAX_BUCKETS`]); otherwise the slot
-    /// *width* doubles. Ring size must track occupancy, not horizon — a
-    /// handful of far-future completions would otherwise inflate the ring
-    /// to [`MAX_BUCKETS`] and every later grow/drop would drag megabytes
-    /// of empty buckets around. Amortised: growth happens `O(log horizon)`
-    /// times per queue lifetime.
-    fn grow(&mut self) {
-        let want = (4 * self.len.max(16)).next_power_of_two().min(MAX_BUCKETS);
-        if self.buckets.len() < want {
-            self.rebucket(self.buckets.len() * 2, self.width_shift);
-        } else {
-            self.rebucket(self.buckets.len(), self.width_shift + 1);
-        }
-    }
-
-    /// Re-buckets every pending event into a ring of `nb` buckets of
-    /// `2^width_shift` µs. The new ring must span every pending event.
-    fn rebucket(&mut self, nb: usize, width_shift: u32) {
-        let mut pending: Vec<u32> = Vec::with_capacity(self.len);
-        // Drain through the bitmap so the ring's empty buckets cost nothing.
-        for w in 0..self.occupied.len() {
-            let mut bits = self.occupied[w];
-            while bits != 0 {
-                let b = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut i = self.buckets[b].0;
-                while i != NIL {
-                    pending.push(i);
-                    i = std::mem::replace(&mut self.node_mut(i).next, NIL);
-                }
-            }
-        }
-        self.buckets.clear();
-        self.buckets.resize(nb, (NIL, NIL));
-        self.occupied.clear();
-        self.occupied.resize(nb / 64, 0);
-        self.mask = nb as u64 - 1;
-        self.width_shift = width_shift;
-        for i in pending {
-            self.link(i);
-        }
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let (t_us, seq) = self.head?;
-        let b = self.bucket_of(t_us);
-        let i = self.buckets[b].0;
-        let Node { ev, next } = self.pool[i as usize]
-            .take()
-            .expect("head bucket is non-empty");
-        self.free.push(i);
-        if next == NIL {
-            self.buckets[b] = (NIL, NIL);
-            self.occupied[b / 64] &= !(1 << (b % 64));
-        } else {
-            self.buckets[b].0 = next;
-        }
-        debug_assert_eq!(ev.key(), (t_us, seq));
-        self.len -= 1;
+        let ev = self.heap.pop()?;
         debug_assert!(ev.time >= self.now);
         self.now = ev.time;
-        self.refresh_head();
         Some(ev)
-    }
-
-    /// Recomputes the cached head after a pop: the first non-empty bucket
-    /// scanning forward from `slot(now)` holds the earliest pending event
-    /// (slot-per-bucket uniqueness within the live span). The scan walks
-    /// the occupancy bitmap a word at a time, so 64 empty buckets cost one
-    /// load and a `trailing_zeros`.
-    fn refresh_head(&mut self) {
-        if self.len == 0 {
-            self.head = None;
-            return;
-        }
-        let from = (self.base_slot() & self.mask) as usize;
-        let words = self.occupied.len();
-        let mut w = from / 64;
-        // Mask off buckets before `from` in the first word; the wrap-around
-        // visit at the end re-reads the full word, restoring them in ring
-        // order (they can only hold events if the scan wrapped past them).
-        let mut cur = self.occupied[w] & (!0u64 << (from % 64));
-        for _ in 0..=words {
-            if cur != 0 {
-                let b = w * 64 + cur.trailing_zeros() as usize;
-                self.head = Some(self.node(self.buckets[b].0).ev.key());
-                return;
-            }
-            w = (w + 1) % words;
-            cur = self.occupied[w];
-        }
-        unreachable!("len > 0 but every bucket is empty");
     }
 
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.head.map(|(t_us, _)| SimTime::from_micros(t_us))
+        self.heap.peek().map(|ev| ev.time)
     }
 
     /// The earliest pending event without popping it: the clock does not
@@ -369,18 +137,7 @@ impl<E> EventQueue<E> {
     /// queues by inspecting their heads (e.g. the sharded engine's
     /// multi-queue ordering tests).
     pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
-        let (t_us, _) = self.head?;
-        Some(&self.node(self.buckets[self.bucket_of(t_us)].0).ev)
-    }
-
-    /// Drops every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.pool.clear();
-        self.free.clear();
-        self.buckets.fill((NIL, NIL));
-        self.occupied.fill(0);
-        self.head = None;
-        self.len = 0;
+        self.heap.peek()
     }
 }
 
@@ -442,8 +199,8 @@ mod tests {
         assert!(q.peek().is_none());
         q.schedule(SimTime::from_millis(9), "later");
         q.schedule(SimTime::from_millis(2), "head");
-        // Two distinct timestamps in one 512 µs slot, out of push order:
-        // peek must surface the minimum.
+        // Two distinct timestamps, out of push order: peek must surface
+        // the minimum.
         let head = q.peek().expect("non-empty");
         assert_eq!(head.payload, "head");
         assert_eq!(head.time, SimTime::from_millis(2));
@@ -466,18 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop().map(|e| e.payload), None);
-    }
-
-    #[test]
-    fn far_future_event_grows_ring_then_slot_width() {
-        // 40 virtual seconds needs more slots than MAX_BUCKETS at the
-        // initial 512 µs width: both growth paths must fire.
+    fn far_future_event_pops_after_nearer_ones() {
+        // An event 40 virtual seconds out, scheduled between two near
+        // ones, pops last and moves the clock the whole way.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(1), "near");
         q.schedule(SimTime::from_secs(40), "far");
@@ -492,7 +240,7 @@ mod tests {
     #[test]
     fn late_insert_below_pending_head_pops_first() {
         // A pop-then-schedule of an earlier (but still causal) timestamp
-        // must displace the cached head.
+        // must displace the pending head.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(1), "first");
         q.schedule(SimTime::from_millis(900), "tail");
@@ -504,9 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_pushes_into_one_bucket_still_sort() {
-        // Several distinct timestamps inside a single 512 µs slot,
-        // scheduled out of order: linking must keep the bucket in order.
+    fn close_times_scheduled_out_of_order_pop_sorted() {
+        // Distinct timestamps a few hundred µs apart, scheduled out of
+        // order with one repeat: they pop by time, the repeat FIFO.
         let mut q = EventQueue::new();
         for &us in &[400u64, 100, 300, 100, 200] {
             q.schedule(SimTime::from_micros(us), us);
@@ -516,9 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn a_popped_event_frees_its_slot_for_the_next() {
-        // Ten events pending at any time over a horizon long enough to
-        // wrap the ring many times: the store never holds more than ten.
+    fn storage_follows_pending_events_not_events_seen() {
+        // Ten events pending at any time over 100 000 scheduled: the
+        // store's capacity stays at the pending count's scale.
         let mut q = EventQueue::new();
         for i in 0..10u64 {
             q.schedule(SimTime::from_micros(i * 700), i);
@@ -528,28 +276,27 @@ mod tests {
             assert_eq!(ev.payload, i - 10);
             q.schedule(ev.time + SimDuration::from_micros(7_000), i);
         }
-        assert_eq!((q.len(), q.pool.len()), (10, 10));
+        assert_eq!(q.len(), 10);
+        assert!(q.heap.capacity() <= 16, "capacity {}", q.heap.capacity());
     }
 
     #[test]
-    fn a_crowded_ring_narrows_its_slots() {
-        // Scattered times over a span the first few events already set:
-        // the ring keeps at least a bucket per event, so no bucket's list
-        // grows long, and pops stay in order.
+    fn many_scattered_times_pop_in_order() {
+        // 20 000 times scattered over a span the first few events already
+        // set, all pending at once: they pop in time order.
         let mut q = EventQueue::new();
         let n = 20_000u64;
         for i in 0..n {
             q.schedule(SimTime::from_micros((i * 7919) % (16 * n)), i);
         }
-        assert!(q.buckets.len() as u64 >= n, "{} buckets", q.buckets.len());
         let times: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|e| e.time)).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]) && times.len() as u64 == n);
     }
 
     #[test]
-    fn dense_wrap_around_keeps_order() {
-        // Slots wrap around the ring modulo the bucket count; order must
-        // follow absolute time, not bucket index.
+    fn evenly_spaced_times_pop_in_schedule_order() {
+        // 4 096 events 700 µs apart, scheduled in time order: they pop
+        // in the order they were scheduled.
         let mut q = EventQueue::new();
         let step = SimDuration::from_micros(700); // > one slot
         let mut t = SimTime::ZERO;

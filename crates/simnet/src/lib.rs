@@ -11,8 +11,8 @@
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with microsecond
 //!   resolution (the paper works in milliseconds; we keep a finer grain so
 //!   message latencies do not round to zero),
-//! * [`EventQueue`] — a deterministic future-event list with stable FIFO
-//!   tie-breaking for simultaneous events,
+//! * [`EventQueue`] — a deterministic future-event list, one binary heap,
+//!   with stable FIFO tie-breaking for simultaneous events,
 //! * [`MinTree`] — an indexed tournament tree: the minimum of a standing
 //!   set of keyed positions in `O(1)`, one position re-keyed in `O(log n)`,
 //! * [`DetRng`] and the distributions in [`dist`] — all randomness in an

@@ -33,19 +33,19 @@ fn event_queue_is_stably_ordered() {
     }
 }
 
-/// A trivially-correct reference future-event list: a `BinaryHeap` over
-/// the exported (reversed-`Ord`) `ScheduledEvent`, exactly the store the
-/// calendar queue replaced.
-struct HeapQueue {
-    heap: BinaryHeap<ScheduledEvent<u32>>,
+/// A trivially-correct reference future-event list: a `Vec` of
+/// `(time, seq, payload)` whose pop scans for the minimum `(time, seq)`.
+/// It shares no code and no ordering trait with [`EventQueue`].
+struct ScanQueue {
+    pending: Vec<(SimTime, u64, u32)>,
     now: SimTime,
     next_seq: u64,
 }
 
-impl HeapQueue {
+impl ScanQueue {
     fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
+        ScanQueue {
+            pending: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
         }
@@ -53,32 +53,38 @@ impl HeapQueue {
 
     fn schedule(&mut self, at: SimTime, payload: u32) {
         assert!(at >= self.now);
-        let seq = self.next_seq;
+        self.pending.push((at, self.next_seq, payload));
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent {
-            time: at,
-            seq,
-            payload,
-        });
+    }
+
+    /// The index of the minimum `(time, seq)`, by a left-to-right scan.
+    fn head(&self) -> Option<usize> {
+        let key = |i: &usize| (self.pending[*i].0, self.pending[*i].1);
+        (0..self.pending.len()).min_by_key(key)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.head().map(|i| self.pending[i].0)
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
-        let ev = self.heap.pop()?;
-        self.now = ev.time;
-        Some((ev.time, ev.seq, ev.payload))
+        let ev = self.pending.swap_remove(self.head()?);
+        self.now = ev.0;
+        Some(ev)
     }
 }
 
-/// The calendar queue and the reference heap, driven through identical
-/// schedule/pop interleavings (bursts of same-time events, mixed nearby
-/// offsets, and rare far-future jumps that force ring and slot-width
-/// growth), pop identical `(time, seq, payload)` streams.
+/// The event queue and the linear-scan reference, driven through
+/// identical schedule/pop interleavings (bursts of same-time events, mixed
+/// nearby offsets, and rare far-future jumps), pop identical
+/// `(time, seq, payload)` streams and agree on the head and the length
+/// after every step.
 #[test]
-fn calendar_queue_matches_reference_heap() {
+fn event_queue_matches_linear_scan_oracle() {
     let mut rng = DetRng::seed_from_u64(0x51B1_0006);
     for case in 0..CASES {
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut heap = HeapQueue::new();
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut oracle = ScanQueue::new();
         let ops = 1 + rng.index(300);
         let mut payload = 0u32;
         for _ in 0..ops {
@@ -92,26 +98,27 @@ fn calendar_queue_matches_reference_heap() {
                         8 => SimDuration::from_millis(rng.int_in(1, 800)),
                         _ => SimDuration::from_secs(rng.int_in(1, 90)), // far future
                     };
-                    let at = cal.now() + off;
-                    cal.schedule(at, payload);
-                    heap.schedule(at, payload);
+                    let at = q.now() + off;
+                    q.schedule(at, payload);
+                    oracle.schedule(at, payload);
                     payload += 1;
                 }
             } else {
                 assert_eq!(
-                    cal.peek_time(),
-                    heap.heap.peek().map(|e| e.time),
+                    q.peek_time(),
+                    oracle.peek_time(),
                     "case {case}: peek diverged"
                 );
-                let got = cal.pop().map(|e| (e.time, e.seq, e.payload));
-                assert_eq!(got, heap.pop(), "case {case}: pop diverged");
+                let got = q.pop().map(|e| (e.time, e.seq, e.payload));
+                assert_eq!(got, oracle.pop(), "case {case}: pop diverged");
+                assert_eq!(q.now(), oracle.now, "case {case}: clock diverged");
             }
-            assert_eq!(cal.len(), heap.heap.len(), "case {case}: len diverged");
+            assert_eq!(q.len(), oracle.pending.len(), "case {case}: len diverged");
         }
         // Drain both: the tails must agree event for event.
         loop {
-            let got = cal.pop().map(|e| (e.time, e.seq, e.payload));
-            let want = heap.pop();
+            let got = q.pop().map(|e| (e.time, e.seq, e.payload));
+            let want = oracle.pop();
             assert_eq!(got, want, "case {case}: drain diverged");
             if got.is_none() {
                 break;

@@ -10,30 +10,33 @@
 # creeping back into per-period or per-query code (the period boundary
 # allocates nothing; what is counted is the run's construction and
 # amortized buffer growth) — and, on the overload, refused queries
-# finding their way back into the event queue: parked there, 60 retries
-# per query grew the calendar ring to 6 054 B per query; on the wait list
-# they cost 78.
+# finding their way back into the event queue: parked there as events,
+# 60 retries per query cost 6 054 B per query; on the wait list they
+# cost 78.
 #
 # Each ceiling is 10 % above the value measured when it was last pinned
-# — now recycled per-query slots, arrivals a window at a time and the
-# event queue's buckets in one pool of event slots: flat1k 0.06139 ->
-# 0.001627 calls, 67.83 -> 18.30 B (its bytes ceiling is new);
-# paper100_overload 0.05332 -> 0.005028 calls, 75.30 -> 60.36 B. The
-# event pool then lost its up-front reservation, which no measurement
-# supported, and the counts rose within the ceilings: flat1k 0.001738
-# calls, 18.34 B; paper100_overload 0.005390 calls, 60.51 B. Uniform
-# initial prices then dropped the sellers' baseline column and the
-# metrics' per-class response accumulators: flat1k 0.001710 calls,
-# 18.12 B; paper100_overload 0.005300 calls, 60.43 B. Only flat1k's
-# bytes ceiling came down (to 19.93): 10 % above each other count is
-# still above its ceiling. Integer log-prices then dropped the market's
-# refusal-lane and `ln`-sum scratch and kept each cost's `ln` beside it:
-# flat1k 0.001696 calls, 18.01 B; paper100_overload 0.005255 calls,
-# 60.40 B. Again only flat1k's bytes ceiling came down (to 19.81). Before:
-# (PR 17, the sellers in one column block — a run's construction stops
+# — now the event queue as one binary heap in place of a calendar ring:
+# flat1k 0.001696 -> 0.001307 calls, 18.01 -> 15.27 B; paper100_overload
+# 0.005255 -> 0.004485 calls, 60.40 -> 59.40 B. Earlier, oldest first:
+# refused queries on a wait list, not in the event queue (0.21153 ->
+# 0.18638; 0.28488 -> 0.09363, 6 053.6 -> 77.69 B); then the sellers in
+# one column block — a run's construction stops
 # allocating nine vectors per node: flat1k 0.18638 -> 0.06133 calls;
-# paper100_overload 0.09363 -> 0.05313 calls, 77.69 -> 75.16 B. PR 16:
-# 0.21153 -> 0.18638; 0.28488 -> 0.09363, 6 053.6 -> 77.69 B). Lower one
+# paper100_overload 0.09363 -> 0.05313 calls, 77.69 -> 75.16 B. Then
+# recycled per-query slots, arrivals a window at a time and the event
+# queue's buckets in one pool of event slots: flat1k 0.06139 -> 0.001627
+# calls, 67.83 -> 18.30 B (its bytes ceiling is new); paper100_overload
+# 0.05332 -> 0.005028 calls, 75.30 -> 60.36 B. The event pool then lost
+# its up-front reservation, which no measurement supported, and the
+# counts rose within the ceilings: flat1k 0.001738 calls, 18.34 B;
+# paper100_overload 0.005390 calls, 60.51 B. Uniform initial prices then
+# dropped the sellers' baseline column and the metrics' per-class
+# response accumulators: flat1k 0.001710 calls, 18.12 B;
+# paper100_overload 0.005300 calls, 60.43 B; only flat1k's bytes ceiling
+# came down (to 19.93). Integer log-prices then dropped the market's
+# refusal-lane and `ln`-sum scratch: flat1k 0.001696 calls, 18.01 B;
+# paper100_overload 0.005255 calls, 60.40 B; again only flat1k's bytes
+# ceiling came down (to 19.81). Lower a ceiling
 # when a change lowers the count; raising one needs a reason in the
 # commit message.
 set -eu
@@ -60,7 +63,7 @@ while read -r workload calls bytes; do
   check "$result" alloc.calls_per_query "$calls"
   [ "$bytes" = - ] || check "$result" alloc.bytes_per_query "$bytes"
 done <<ROWS
-flat1k 0.00179 19.81
-paper100_overload 0.00553 66.40
+flat1k 0.00144 16.80
+paper100_overload 0.00493 65.34
 ROWS
 exit $status

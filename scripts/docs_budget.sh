@@ -23,7 +23,7 @@ check() {
 }
 
 check DESIGN.md 40609
-check CHANGES.md 49462
+check CHANGES.md 51678
 check EXPERIMENTS.md 29604
 check README.md 11132
 exit "$status"
