@@ -132,9 +132,10 @@ const fn uncommitted(name: &'static str, run: fn(Scale, usize) -> Report) -> Fig
 }
 
 /// Every figure, in the order `qa_fig all` runs them. Fig. 7,
-/// `ext_resilience` and `fig_scale` read the wall clock, and
-/// `trace_dump`'s registry holds span timings, so their files are not
-/// committed.
+/// `ext_resilience` and `fig_scale` read the wall clock, and so do
+/// `trace_dump`'s span timings (`trace_dump_spans.json`), so their files
+/// are not committed; `trace_dump`'s other two are seeded, and
+/// `scripts/check_trace.sh` holds them to that.
 pub const FIGURES: &[Figure] = &[
     committed("fig1_motivating", motivating::fig1),
     committed("table2_comparison", sim::table2),

@@ -15,11 +15,13 @@
 //!   perturbed pricer constant — fails `tests/figures.rs` at the first
 //!   differing event;
 //! * `trace_dump` — the same shape at `QA_SCALE` (ci: 10 nodes, 20 s;
-//!   full: 100 nodes, 120 s): `trace_dump.jsonl` and
+//!   full: 100 nodes, 120 s): `trace_dump.jsonl`,
 //!   `trace_dump_convergence.json` (outcome, census, convergence and the
-//!   registry, whose span timings read the wall clock), with the
-//!   [`summary`] and [`convergence_text`] of its records.
-//!   `scripts/check_trace.sh` holds it to `qa-trace summary --require`.
+//!   registry's counters and distributions, all seeded) and
+//!   `trace_dump_spans.json` (the registry's `span.*` timings, which read
+//!   the wall clock), with the [`summary`] and [`convergence_text`] of its
+//!   records. `scripts/check_trace.sh` runs it twice, `cmp`s the two seeded
+//!   files, and holds the trace to `qa-trace summary --require`.
 
 use crate::{render_table, Report, Scale};
 use qa_core::MechanismKind;
@@ -49,10 +51,11 @@ struct TraceDump {
     /// Convergence diagnostics over the price trajectories.
     report: ConvergenceReport,
     /// Summary JSON: run shape, outcome metrics, the event census
-    /// (`kinds`), convergence report and the telemetry registry snapshot.
-    /// The registry part contains wall-clock span timings, so — unlike
-    /// `jsonl` — the summary is *not* byte-deterministic.
+    /// (`kinds`), convergence report and the telemetry registry snapshot
+    /// without its span timings: as byte-deterministic as `jsonl`.
     summary: Json,
+    /// The registry's `span.*` statistics, which read the wall clock.
+    spans: Json,
 }
 
 /// Runs the trace shape on `nodes` nodes for `secs` seconds, node 0 down
@@ -77,10 +80,11 @@ fn run_trace_dump(seed: u64, nodes: usize, secs: u64, down_ms: (u64, u64)) -> Tr
         outcome.boundary.publish_to(registry);
         outcome.wait.publish_to(registry);
     }
-    let registry_snapshot = telemetry
+    let mut registry_snapshot = telemetry
         .registry()
         .map(|r| r.snapshot())
         .unwrap_or(Json::Null);
+    let spans = take_spans(&mut registry_snapshot);
     let summary = qa_simnet::json_obj! {
         "mechanism": format!("{}", outcome.mechanism),
         "seed": seed,
@@ -103,7 +107,24 @@ fn run_trace_dump(seed: u64, nodes: usize, secs: u64, down_ms: (u64, u64)) -> Tr
         jsonl,
         report,
         summary,
+        spans,
     }
+}
+
+/// Moves the `span.*` entries of a registry snapshot's `stats` out, into
+/// an object of their own.
+fn take_spans(snapshot: &mut Json) -> Json {
+    let Json::Obj(sections) = snapshot else {
+        return Json::Null;
+    };
+    let Some((_, Json::Obj(stats))) = sections.iter_mut().find(|(k, _)| k == "stats") else {
+        return Json::Null;
+    };
+    let (spans, seeded) = std::mem::take(stats)
+        .into_iter()
+        .partition(|(k, _)| k.starts_with("span."));
+    *stats = seeded;
+    Json::Obj(spans)
 }
 
 /// The first of the wire fields `names` the event carries. Every field
@@ -228,6 +249,7 @@ pub fn dump(scale: Scale, _: usize) -> Report {
     r.line(convergence_text(&dump.report, &dump.records));
     r.files.push(("trace_dump.jsonl".to_string(), dump.jsonl));
     r.json("trace_dump_convergence", &dump.summary);
+    r.json("trace_dump_spans", &dump.spans);
     r
 }
 
@@ -278,11 +300,20 @@ mod tests {
             kinds.get("price_adjusted").and_then(Json::as_u64),
             census(&dump.records).get("price_adjusted").copied()
         );
-        assert!(dump
-            .summary
-            .get("registry")
-            .unwrap()
-            .get("counters")
-            .is_some());
+        let registry = dump.summary.get("registry").unwrap();
+        assert!(registry.get("counters").is_some());
+        // The wall clock's span timings are apart, so a second run of the
+        // shape writes the same summary.
+        assert!(
+            !registry.pretty().contains("\"span."),
+            "{}",
+            registry.pretty()
+        );
+        let Json::Obj(spans) = &dump.spans else {
+            panic!("{:?}", dump.spans)
+        };
+        assert!(spans.iter().all(|(k, _)| k.starts_with("span.")) && !spans.is_empty());
+        let again = run_trace_dump(7, 10, 20, (5_000, 12_000));
+        assert_eq!(again.summary.pretty(), dump.summary.pretty());
     }
 }

@@ -9,13 +9,14 @@
 //! explicitly — not through the `QA_THREADS` env var — because the test
 //! harness runs tests concurrently and env mutation would race.
 //!
-//! The last three tests pin bytes from commit to commit instead: the
+//! The rest pin bytes from commit to commit instead: the
 //! `fig_scale` row's quick sweep, against
 //! `goldens/fig_scale_quick_determinism.json`;
 //! every way a query is resubmitted, against
-//! `goldens/retry_paths_determinism.json`; and every seller's prices,
+//! `goldens/retry_paths_determinism.json`; every seller's prices,
 //! supply and carry between periods, against
-//! `goldens/market_state_determinism.json`.
+//! `goldens/market_state_determinism.json`; and the metrics of a
+//! many-class world on both QA-NT selection paths, against a digest.
 
 use qa_bench::{Scale, FIGURES};
 use qa_core::MechanismKind;
@@ -411,4 +412,29 @@ fn market_state_matches_the_checked_in_golden() {
         }
     }
     assert_matches_golden("market_state_determinism.json", &Json::Arr(rows).pretty());
+}
+
+#[test]
+fn many_class_wait_order_is_pinned() {
+    // A Table-3 world (K = 100) at 1.5 × its capacity: many classes run
+    // dry and wait at once, so a wake interleaves the refused queries of
+    // many classes. Both QA-NT selection paths must keep the order the
+    // single FIFO wait list gave them; the digests were taken from that
+    // list, on both paths.
+    let scenario = Scenario::table3(SimConfig::scaled(60, 9));
+    let trace = uniform_mix_trace(&scenario, 1.5, 30.0);
+    let indexed = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
+    let polled = Federation::with_telemetry(
+        &scenario,
+        MechanismKind::QaNt,
+        &trace,
+        Telemetry::metrics_only(),
+    )
+    .run(&trace);
+    assert!(indexed.wait.turned > 0 && indexed.wait.runs > indexed.wait.wakes);
+    assert_eq!(polled.wait.turned, 0);
+    assert_eq!(
+        [&indexed, &polled].map(|out| debug_fnv1a(&out.metrics)),
+        ["3039ae7b7d2c7b6c"; 2]
+    );
 }

@@ -132,6 +132,9 @@ pub struct PriceRules {
     gain: i64,
     /// `decay[s] = ln(1 − λs)` for the leftovers `s` with `λs < 1`.
     decay: Vec<i64>,
+    /// The longest row whose sum cannot overflow an `i64`, every entry
+    /// inside the band: over 11 000 classes at `f64`'s extremes.
+    longest_row: usize,
 }
 
 impl PriceRules {
@@ -148,15 +151,21 @@ impl PriceRules {
                 .map_while(|s| leftover_step(lambda, s))
                 .take(DECAY_TABLE),
         );
+        let (floor, ceiling) = (
+            to_quanta(config.price_floor.ln()),
+            to_quanta(config.price_ceiling.ln()),
+        );
+        let widest = floor.unsigned_abs().max(ceiling.unsigned_abs()).max(1);
         PriceRules {
             lambda,
-            floor: to_quanta(config.price_floor.ln()),
-            ceiling: to_quanta(config.price_ceiling.ln()),
+            floor,
+            ceiling,
             price_floor: config.price_floor,
             price_ceiling: config.price_ceiling,
             initial: to_quanta(config.initial_price.ln()),
             gain: to_quanta(lambda.ln_1p()).max(1),
             decay,
+            longest_row: (i64::MAX as u64 / widest) as usize,
         }
     }
 
@@ -227,6 +236,9 @@ impl PriceRules {
     /// Centres the row's geometric mean on 1: subtracts the row's integer
     /// mean (rounded down), within the floor and the ceiling.
     ///
+    /// # Panics
+    /// Panics on a row longer than its sum can be taken in an `i64`.
+    ///
     /// A competitive market is invariant to a uniform price rescaling (only
     /// relative prices drive supply decisions), so this changes nothing
     /// economically — but it keeps long overloads from driving every price
@@ -237,8 +249,8 @@ impl PriceRules {
         if row.is_empty() {
             return;
         }
-        let sum: i128 = row.iter().map(|&q| i128::from(q)).sum();
-        let mean = sum.div_euclid(row.len() as i128) as i64;
+        assert!(row.len() <= self.longest_row, "a row too long to sum");
+        let mean = row.iter().sum::<i64>().div_euclid(row.len() as i64);
         for (k, q) in row.iter_mut().enumerate() {
             let old = *q;
             *q = (old - mean).clamp(self.floor, self.ceiling);
@@ -665,6 +677,42 @@ mod tests {
             }
         }
         assert!(compared.iter().all(|&n| n > 1_000), "{compared:?}");
+    }
+
+    /// The longest row the rules take, at `f64`'s extreme band, with
+    /// every price at the floor, at the ceiling, or split between them:
+    /// the `i64` sum is the `i128` one. One class more is refused.
+    #[test]
+    fn renormalize_sums_the_longest_row_exactly() {
+        let cfg = PricerConfig {
+            lambda: 0.1,
+            initial_price: 1.0,
+            price_floor: f64::from_bits(1),
+            price_ceiling: f64::MAX,
+        };
+        let rules = PriceRules::new(&cfg);
+        let (floor, ceiling, n) = (rules.floor, rules.ceiling, rules.longest_row);
+        assert!((11_000..12_000).contains(&n), "{n}");
+        let split = |k: usize| if k.is_multiple_of(2) { floor } else { ceiling };
+        for row in [
+            vec![floor; n],
+            vec![ceiling; n],
+            (0..n).map(split).collect(),
+        ] {
+            let sum: i128 = row.iter().map(|&q| i128::from(q)).sum();
+            let mean = sum.div_euclid(n as i128) as i64;
+            let want: Vec<i64> = row
+                .iter()
+                .map(|&q| (q - mean).clamp(floor, ceiling))
+                .collect();
+            let mut got = row;
+            rules.renormalize(&mut got, &Telemetry::disabled(), 0);
+            assert_eq!(got, want);
+        }
+        let longer = std::panic::catch_unwind(|| {
+            rules.renormalize(&mut vec![floor; n + 1], &Telemetry::disabled(), 0)
+        });
+        assert!(longer.is_err());
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! A query rejected by every QA-NT server is re-submitted at the start of
 //! the next period (§2.2: "If all available servers reject a request for a
 //! query, the respective client resubmits it in the next time period"). It
-//! waits on a FIFO list, not in the event queue: one `Event::Wake` per
-//! boundary retries the list's due members in the order they were parked.
-//! In pure-market mode a member whose class no seller offers any more is
-//! refused for two counters, and a wake turns a whole run of such members
-//! to the back of the list in one move (`Federation::turn_dry_run`) — what
-//! a refusal costs under sustained overload, where a query is refused 60
-//! times before it runs.
+//! waits on the wait list (module `wait_list`), not in the event queue:
+//! one `Event::Wake` per boundary retries the list's due members in the
+//! order they were parked. The list keeps one line per class, so in
+//! pure-market mode, where a member whose class no seller offers any more
+//! is refused for two counters, a wake turns each dry class's due members
+//! in one move per line — what a refusal costs under sustained overload,
+//! where a query is refused 60 times before it runs.
 //!
 //! ## Fault injection
 //!
@@ -38,6 +38,7 @@ use crate::metrics::{BoundaryWork, RunMetrics, WaitWork};
 use crate::node::NodeSoa;
 use crate::offer_index::OfferIndex;
 use crate::scenario::Scenario;
+use crate::wait_list::WaitList;
 use qa_core::messages::{OFFER_BYTES, REQUEST_BYTES, RESPONSE_BYTES};
 use qa_core::{
     BnqrdCoordinator, MarkovAllocator, MechanismKind, QantMarket, RoundRobinState, TwoProbesChooser,
@@ -45,7 +46,6 @@ use qa_core::{
 use qa_simnet::telemetry::{Telemetry, TelemetryEvent};
 use qa_simnet::{DetRng, EventQueue, FaultPlan, LinkSpec, SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId, QueryEvent, Trace};
-use std::collections::VecDeque;
 
 /// Cap on resubmissions per query (QA-NT rejections, fault losses, and
 /// crash re-entries all count); beyond it the query counts as unserved.
@@ -63,34 +63,12 @@ const GREEDY_ESTIMATE_ERROR: f64 = 0.25;
 /// Salt separating the fault-injection RNG stream from the mechanism's.
 const FAULT_SALT: u64 = 0xFA17_0001;
 
-/// The query slot of a wait-list entry that is no query but a fence: the
-/// [`Event::Wake`] that reaches it stops there.
-const FENCE: usize = usize::MAX;
-
 /// How many entries the in-flight buffers (slots, free list, wait list)
 /// are reserved for when a run is built. glibc serves a buffer's growth
 /// from the malloc arena of its first block, and the sharded engine steps
 /// each shard on a fresh worker thread every window: an empty buffer would
 /// take its first block, and all its growth, in some worker's arena.
 const IN_FLIGHT_RESERVE: usize = 64;
-
-/// A query waiting out a refusal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Waiter {
-    /// When it retries: the microsecond after a period boundary.
-    due: SimTime,
-    /// Its slot, or [`FENCE`].
-    query: usize,
-    /// Allocation attempts spent.
-    tried: u32,
-    /// Its class, so that a wake reads nothing but the list itself to
-    /// refuse it again.
-    class: ClassId,
-}
-
-// As large as the tuple it replaces, so that `paper100_overload`'s
-// `alloc.bytes_per_query` (`scripts/alloc_gate.sh`) cannot move.
-const _: () = assert!(std::mem::size_of::<Waiter>() == 24);
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -218,8 +196,8 @@ pub struct Federation<'a> {
     /// times never fall along the list, and the queue holds one
     /// [`Event::Wake`] per distinct one (two can be pending: a query
     /// refused at a boundary's own microsecond, before that boundary's wake
-    /// fires, already waits for the following one).
-    parked: VecDeque<Waiter>,
+    /// fires, already waits for the following one), plus one per fence.
+    waiting: WaitList,
     /// Further arrivals may be pushed, so the period chain must stay alive
     /// across boundaries even when the injected arrivals are exhausted.
     more_arrivals: bool,
@@ -253,7 +231,6 @@ pub struct Federation<'a> {
     /// period boundary; a reused buffer.
     demand_caps: Vec<u64>,
     boundary: BoundaryWork,
-    wait: WaitWork,
 }
 
 impl<'a> Federation<'a> {
@@ -329,7 +306,7 @@ impl<'a> Federation<'a> {
             slots: Vec::with_capacity(IN_FLIGHT_RESERVE),
             free: Vec::with_capacity(IN_FLIGHT_RESERVE),
             queue: EventQueue::new(),
-            parked: VecDeque::with_capacity(IN_FLIGHT_RESERVE),
+            waiting: WaitList::new(k, MAX_RETRIES, IN_FLIGHT_RESERVE),
             more_arrivals: false,
             state,
             rng: DetRng::seed_from_u64(cfg.seed ^ mechanism_salt(mechanism)),
@@ -346,7 +323,6 @@ impl<'a> Federation<'a> {
             one_way,
             demand_caps: vec![0; k],
             boundary: BoundaryWork::default(),
-            wait: WaitWork::default(),
         }
     }
 
@@ -440,8 +416,9 @@ impl<'a> Federation<'a> {
         self.more_arrivals = more;
     }
 
-    /// Starts a run: fixes the pure-market mode, seeds the event queue
-    /// with the failure schedule and the first period boundary.
+    /// Starts a run: fixes the pure-market mode and with it the wait
+    /// list's lines, seeds the event queue with the failure schedule and
+    /// the first period boundary.
     pub fn begin_run(&mut self) {
         let cfg_period = self.scenario.config.qant.period;
         // Fixed for the whole run: fault schedules and kill/recover
@@ -459,6 +436,11 @@ impl<'a> Federation<'a> {
                 offers.reseat(q.market.supply_column(), &q.member, &self.nodes);
                 offers
             });
+        }
+        if !matches!(&self.state, MechState::QaNt(Sellers { index: Some(_), .. })) {
+            // No class runs dry without the index: one line serves, with
+            // no heads to choose between.
+            self.waiting = WaitList::new(1, MAX_RETRIES, IN_FLIGHT_RESERVE);
         }
         for &(at, node) in &self.kills {
             self.queue.schedule(at, Event::Kill { node });
@@ -502,7 +484,7 @@ impl<'a> Federation<'a> {
             metrics: self.metrics,
             total_busy: self.nodes.total_busy(),
             boundary: self.boundary,
-            wait: self.wait,
+            wait: self.waiting.work,
         }
     }
 
@@ -534,20 +516,31 @@ impl<'a> Federation<'a> {
         match ev.payload {
             Event::Wake => {
                 let next = wake_after(now, cfg_period);
-                self.wait.wakes += 1;
+                self.waiting.work.wakes += 1;
                 loop {
-                    self.turn_dry_run(now, next);
-                    // The member that ends the run, if it is due.
-                    let Some(&w) = self.parked.front().filter(|w| w.due == now) else {
+                    // Members of dry classes are refused for the counters
+                    // `refuse_dry` touches.
+                    let (state, capable) = (&self.state, &self.scenario.capable);
+                    let (demand, m) = (&mut self.period_demand, &mut self.metrics);
+                    let (member, wake) = self.waiting.next_due(
+                        (now, next),
+                        |c| offers_none(state, capable, c),
+                        |c, n| {
+                            demand[c] += n;
+                            m.messages += capable[c].len() as u64 * n;
+                            m.retries += n;
+                        },
+                    );
+                    if wake {
+                        self.queue.schedule(next, Event::Wake);
+                    }
+                    let Some(w) = member else {
                         break;
                     };
-                    self.parked.pop_front();
-                    if w.query == FENCE {
-                        break;
-                    }
-                    self.wait.attempted += 1;
-                    if self.handle_arrival(now, w.query, w.class, w.tried) {
-                        self.resubmit(next, w.query, w.class, w.tried);
+                    let slot = w.slot as usize;
+                    let class = self.slots[slot].query.class;
+                    if self.handle_arrival(now, slot, class, w.tried) {
+                        self.resubmit(next, slot, class, w.tried);
                     }
                 }
             }
@@ -638,54 +631,13 @@ impl<'a> Federation<'a> {
     /// list. Returns whether the request was refused here.
     #[inline]
     fn refuse_dry(&mut self, class: ClassId) -> bool {
-        let MechState::QaNt(Sellers {
-            index: Some(index), ..
-        }) = &self.state
-        else {
-            return false;
-        };
-        let capable = self.scenario.capable[class.index()].len() as u64;
-        if capable == 0 || index.offerers(class) > 0 {
+        let c = class.index();
+        if !offers_none(&self.state, &self.scenario.capable, c) {
             return false;
         }
-        self.period_demand[class.index()] += 1;
-        self.metrics.messages += capable;
+        self.period_demand[c] += 1;
+        self.metrics.messages += self.scenario.capable[c].len() as u64;
         true
-    }
-
-    /// Refuses again, in one move, the maximal run of front waiters that
-    /// are due `now`, are no fence, have retry budget left and belong to a
-    /// dry class, parking them for `next`. This is the sequence of pops and
-    /// pushes the run's members would make one at a time: no allocation,
-    /// completion or `ran_dry` stamp can interleave, so each is refused
-    /// whatever came before it; the first push alone can need a wake
-    /// scheduled (its own `due` is `now`, every later one finds `next` at
-    /// the back); and nothing but the run moves, so fences and members
-    /// parked on a boundary's own microsecond keep their places. Without
-    /// an index there is no dry class and no run.
-    fn turn_dry_run(&mut self, now: SimTime, next: SimTime) {
-        let mut run = 0;
-        while let Some(&w) = self.parked.get(run) {
-            let turns = w.due == now && w.query != FENCE && w.tried < MAX_RETRIES;
-            if !(turns && self.refuse_dry(w.class)) {
-                break;
-            }
-            run += 1;
-        }
-        if run == 0 {
-            return;
-        }
-        self.wait.runs += 1;
-        self.wait.turned += run as u64;
-        self.metrics.retries += run as u64;
-        if self.parked.back().is_some_and(|w| w.due != next) {
-            self.queue.schedule(next, Event::Wake);
-        }
-        self.parked.rotate_left(run);
-        let kept = self.parked.len() - run;
-        for w in self.parked.range_mut(kept..) {
-            (w.due, w.tried) = (next, w.tried + 1);
-        }
     }
 
     /// Takes a slot for an arriving query, numbered with the next ordinal.
@@ -740,14 +692,8 @@ impl<'a> Federation<'a> {
                 // when each retry was a queue event of its own: queries
                 // parked for `finish` from here on retry after this
                 // completion, behind a wake of their own.
-                if self.parked.back().is_some_and(|w| w.due == finish) {
+                if self.waiting.fence(finish) {
                     self.queue.schedule(finish, Event::Wake);
-                    self.parked.push_back(Waiter {
-                        due: finish,
-                        query: FENCE,
-                        tried: 0,
-                        class,
-                    });
                 }
                 false
             }
@@ -767,15 +713,9 @@ impl<'a> Federation<'a> {
             return self.give_up(slot, class, tried);
         }
         self.metrics.retries += 1;
-        if self.parked.back().is_none_or(|w| w.due != next) {
+        if self.waiting.park(next, slot, class, tried + 1) {
             self.queue.schedule(next, Event::Wake);
         }
-        self.parked.push_back(Waiter {
-            due: next,
-            query: slot,
-            tried: tried + 1,
-            class,
-        });
     }
 
     /// The query in `slot` can run nowhere, or has spent its retry budget.
@@ -1139,6 +1079,20 @@ pub(crate) fn period_windows(
     })
 }
 
+/// Whether, in pure-market mode, no seller offers class `c` any more
+/// though some node can run it: a request of it is refused without an
+/// allocation attempt (see `Federation::refuse_dry`).
+#[inline]
+fn offers_none(state: &MechState, capable: &[Vec<NodeId>], c: usize) -> bool {
+    let MechState::QaNt(Sellers {
+        index: Some(index), ..
+    }) = state
+    else {
+        return false;
+    };
+    !capable[c].is_empty() && index.offerers(ClassId(c as u32)) == 0
+}
+
 /// When a query refused at `now` retries: the microsecond after the next
 /// period boundary.
 fn wake_after(now: SimTime, period: SimDuration) -> SimTime {
@@ -1425,9 +1379,9 @@ mod tests {
         f.step_through(SimTime::from_millis(1_400));
         // Nothing executes: the parked queries' one wake is all that keeps
         // the period chain rolling until the link returns.
-        assert_eq!((f.parked.len(), f.queue.len()), (8, 2));
+        assert_eq!((f.waiting.len(), f.queue.len()), (8, 2));
         f.step_through(SimTime::MAX);
-        assert!(f.parked.is_empty() && f.queue.is_empty());
+        assert!(f.waiting.len() == 0 && f.queue.is_empty());
         let out = f.finish();
         assert_eq!(out.metrics.completed, 8);
         // Refused on arrival and again at 1.5 s; at 2 s seven are served
@@ -1900,7 +1854,7 @@ mod index_differential {
                 let mut f = start(s, t, traced, None);
                 let mut served = Served::new();
                 step_through(&mut f, SimTime::MAX, &mut served);
-                (f.wait, residue(f, served))
+                (f.waiting.work, residue(f, served))
             };
             let (fast, indexed) = run_out(false);
             let (slow, polled) = run_out(true);
@@ -2067,8 +2021,20 @@ mod wait_list {
         f
     }
 
-    /// A class-0 wait-list entry, naming its query by ordinal (as
-    /// [`list`] does).
+    /// A wait-list entry as [`list`] shows it: its query named by ordinal,
+    /// or [`FENCE`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Waiter {
+        due: SimTime,
+        query: usize,
+        tried: u32,
+        class: ClassId,
+    }
+
+    /// The query of a fence, which holds none; its class reads 0.
+    const FENCE: usize = usize::MAX;
+
+    /// A class-0 wait-list entry.
     fn waiter(due: SimTime, query: usize, tried: u32) -> Waiter {
         Waiter {
             due,
@@ -2110,17 +2076,14 @@ mod wait_list {
     /// The wait list, each member named by its query's ordinal rather
     /// than its slot.
     fn list(f: &Federation) -> Vec<Waiter> {
-        let ordinal = |w: &Waiter| match w.query {
-            FENCE => FENCE,
-            slot => f.slots[slot].query.id as usize,
+        let entry = |(due, query, tried): crate::wait_list::Entry| match query {
+            None => waiter(due, FENCE, tried),
+            Some((slot, _)) => Waiter {
+                class: f.slots[slot].query.class,
+                ..waiter(due, f.slots[slot].query.id as usize, tried)
+            },
         };
-        f.parked
-            .iter()
-            .map(|w| Waiter {
-                query: ordinal(w),
-                ..*w
-            })
-            .collect()
+        f.waiting.members().into_iter().map(entry).collect()
     }
 
     /// The attempts the in-flight query `ordinal` had spent when it was
@@ -2177,7 +2140,7 @@ mod wait_list {
 
         f.step_through(WAKE);
         assert_eq!(list(&f), turned(&before, SECOND));
-        assert_eq!(f.wait, wait_work(1, 1, before.len(), 0));
+        assert_eq!(f.waiting.work, wait_work(1, 1, before.len(), 0));
         assert_eq!(pending_wakes(&f), 1);
     }
 
@@ -2191,13 +2154,13 @@ mod wait_list {
         assert!(before.len() >= served + 3, "{} waiting", before.len());
         // The second member of what would be one run is on its last try.
         let spent = before.remove(served + 1);
-        f.parked[served + 1].tried = MAX_RETRIES;
+        f.waiting.spend(served + 1);
         let (messages, retries) = (f.metrics.messages, f.metrics.retries);
 
         f.step_through(WAKE);
         assert_eq!(list(&f), turned(&before[served..], SECOND));
         let refused = before.len() - served;
-        assert_eq!(f.wait, wait_work(1, 2, refused, served + 1));
+        assert_eq!(f.waiting.work, wait_work(1, 2, refused, served + 1));
         assert_eq!(f.metrics.retries - retries, refused as u64);
         assert_eq!(
             (f.metrics.unserved, owner(&f, spent.query as u64)),
@@ -2227,7 +2190,10 @@ mod wait_list {
         f.step_through(WAKE);
         let after = [vec![early], turned(&before[served..], SECOND)].concat();
         assert_eq!(list(&f), after);
-        assert_eq!(f.wait, wait_work(1, 1, before.len() - served, served));
+        assert_eq!(
+            f.waiting.work,
+            wait_work(1, 1, before.len() - served, served)
+        );
         // The run found its wake scheduled: `early` is at the back.
         assert_eq!(pending_wakes(&f), 1);
     }
@@ -2251,10 +2217,7 @@ mod wait_list {
         let before = list(&f);
         let fence = before.len() - 3;
         assert!(fence > served, "no run ahead of the fence");
-        let parted = Waiter {
-            class: ClassId(1),
-            ..waiter(WAKE, FENCE, 0)
-        };
+        let parted = waiter(WAKE, FENCE, 0);
         assert_eq!(
             before[fence..],
             [parted, waiter(WAKE, 21, 1), waiter(WAKE, 22, 1)]
@@ -2265,14 +2228,14 @@ mod wait_list {
         let ahead = turned(&before[served..fence], SECOND);
         let after = [before[fence + 1..].to_vec(), ahead.clone()].concat();
         assert_eq!(list(&f), after);
-        assert_eq!(f.wait, wait_work(1, 1, fence - served, served));
+        assert_eq!(f.waiting.work, wait_work(1, 1, fence - served, served));
         assert_eq!((pending_wakes(&f), log.len()), (2, 0));
         step(&mut f, SimTime::MAX, &mut log);
         assert_eq!(log, [(20, NodeId(1))]);
         f.process_next(SimTime::MAX);
         let after = [ahead, turned(&before[fence + 1..], SECOND)].concat();
         assert_eq!(list(&f), after);
-        assert_eq!(f.wait, wait_work(2, 2, fence - served + 2, served));
+        assert_eq!(f.waiting.work, wait_work(2, 2, fence - served + 2, served));
         assert_eq!(pending_wakes(&f), 1);
     }
 
@@ -2295,9 +2258,9 @@ mod wait_list {
         let second = SimTime::from_micros(2 * PERIOD_US + 1);
         // Two wake times on the list at once, in order.
         assert_eq!(list(&f).last(), Some(&waiter(second, 200, 1)));
-        let before = f.parked.len() - 1;
+        let before = f.waiting.len() - 1;
         assert!(before > 0, "the burst fits the period's supply");
-        assert!(f.parked.iter().take(before).all(|w| w.due == first));
+        assert!(list(&f).iter().take(before).all(|w| w.due == first));
         let early = list(&f)[0].query as u64;
 
         f.step_through(first);
@@ -2395,9 +2358,9 @@ mod wait_list {
         assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 0));
         assert!(records.is_empty());
 
-        f.parked.clear();
+        f.waiting.clear();
         f.resubmit(wake, slot, ClassId(0), MAX_RETRIES);
-        assert!(f.parked.is_empty() && f.free == [slot]);
+        assert!(f.waiting.len() == 0 && f.free == [slot]);
         assert_eq!((f.metrics.retries, f.metrics.unserved), (1, 1));
         let events: Vec<_> = records.records().into_iter().map(|r| r.event).collect();
         assert!(matches!(
@@ -2417,13 +2380,14 @@ mod wait_list {
     /// it). Waiting and not-yet-arrived queries hold no event of their own.
     fn queue_bound(f: &Federation) -> usize {
         let running = f.slots.iter().filter(|q| q.owner.is_some()).count();
-        let mut wakes = 0;
-        let mut due = None;
-        for w in &f.parked {
-            wakes += usize::from(due != Some(w.due)) + usize::from(w.query == FENCE);
-            due = Some(w.due);
+        let (dues, fences) = f.waiting.dues();
+        let mut distinct = Vec::new();
+        for due in dues {
+            if !distinct.contains(&due) {
+                distinct.push(due);
+            }
         }
-        running + 1 + wakes
+        running + 1 + distinct.len() + fences
     }
 
     /// Steps a run window by window and event by event, holding the queue
@@ -2436,7 +2400,7 @@ mod wait_list {
         let mut check = |f: &Federation| {
             let bound = queue_bound(f);
             assert!(f.queue.len() <= bound, "{} queued > {bound}", f.queue.len());
-            (queued, parked) = (queued.max(f.queue.len()), parked.max(f.parked.len()));
+            (queued, parked) = (queued.max(f.queue.len()), parked.max(f.waiting.len()));
         };
         let windows = period_windows(t.events(), s.config.qant.period);
         for (boundary, window, last) in windows.chain([(SimTime::MAX, &[][..], true)]) {
@@ -2446,7 +2410,7 @@ mod wait_list {
                 check(&f);
             }
         }
-        assert!(f.queue.is_empty() && f.parked.is_empty());
+        assert!(f.queue.is_empty() && f.waiting.len() == 0);
         (queued, parked)
     }
 

@@ -37,6 +37,7 @@ pub mod node;
 mod offer_index;
 pub mod scenario;
 pub mod sharded;
+mod wait_list;
 
 pub use broker::BrokerTier;
 pub use config::{BrokerConfig, SimConfig};

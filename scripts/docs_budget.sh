@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 40609
-check CHANGES.md 51678
-check EXPERIMENTS.md 29604
-check README.md 11132
+check DESIGN.md 41046
+check CHANGES.md 53476
+check EXPERIMENTS.md 29788
+check README.md 11280
 exit "$status"
