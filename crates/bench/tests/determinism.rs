@@ -420,7 +420,8 @@ fn many_class_wait_order_is_pinned() {
     // dry and wait at once, so a wake interleaves the refused queries of
     // many classes. Both QA-NT selection paths must keep the order the
     // single FIFO wait list gave them; the digests were taken from that
-    // list, on both paths.
+    // list, on both paths, and re-taken on both when the sellers' demand
+    // caps were deleted.
     let scenario = Scenario::table3(SimConfig::scaled(60, 9));
     let trace = uniform_mix_trace(&scenario, 1.5, 30.0);
     let indexed = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
@@ -435,6 +436,6 @@ fn many_class_wait_order_is_pinned() {
     assert_eq!(polled.wait.turned, 0);
     assert_eq!(
         [&indexed, &polled].map(|out| debug_fnv1a(&out.metrics)),
-        ["3039ae7b7d2c7b6c"; 2]
+        ["2f2dbb0f66e6b318"; 2]
     );
 }

@@ -463,21 +463,17 @@ impl NodeProtocol {
     }
 
     /// A period boundary (steps 12–14, then step 2), `since_last_ms` after
-    /// the previous one by the shell's clock. The new period's budget is
-    /// work-conserving: `2T − backlog`, so an idle node never refuses
-    /// capacity while a backlogged one stops overselling (same policy as
-    /// the simulator). `costs` as in [`Self::open_market`].
+    /// the previous one by the shell's clock: the market's one seller rule
+    /// ([`QantMarket::roll`](qa_core::QantMarket::roll), as in the
+    /// simulator), on this node's backlog and fresh costs. `costs` as in
+    /// [`Self::open_market`].
     pub fn tick(&mut self, since_last_ms: f64, costs: impl FnOnce(usize) -> Vec<Option<f64>>) {
         if let Some(m) = &self.metrics {
             m.periods.incr();
             m.period_ms.observe(since_last_ms);
         }
         let Some(q) = &mut self.qant else { return };
-        let costs = costs(q.num_classes());
-        q.end_period();
-        let period_ms = q.config().period.as_millis_f64();
-        let budget = (2.0 * period_ms - self.backlog_ms).clamp(0.5 * period_ms, 2.0 * period_ms);
-        q.begin_period_with_budget(&costs, None, budget);
+        q.roll(&costs(q.num_classes()), Some(self.backlog_ms));
     }
 
     /// The per-class private prices (empty without a market), for operator
@@ -743,7 +739,7 @@ mod tests {
             ("explore.rs", include_str!("explore.rs")),
             ("episode.rs", include_str!("episode.rs")),
         ];
-        let market = "on_request|on_accept|end_period|begin_period|LAMBDA|prices[";
+        let market = "on_request|on_accept|.roll(|begin_period|LAMBDA|prices[";
         for_each_code_line(&shells, |at, code| {
             let restated = market.split('|').find(|needle| code.contains(needle));
             assert_eq!(
@@ -807,8 +803,9 @@ mod tests {
     }
 
     /// The seller is the `QantNode` it wraps plus a backlog float, to the
-    /// bit: 400 random requests against the calls `node.rs` made on its own
-    /// `QantNode` before the seller existed.
+    /// bit: 400 random requests against a `QantNode` driven directly, its
+    /// boundaries the one seller rule ([`QantNode::roll`]) on a backlog
+    /// kept beside it.
     #[test]
     fn seller_is_the_qant_node_it_wraps_to_the_bit() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -860,10 +857,7 @@ mod tests {
                         _ => {
                             seller.tick(40.0, |_| costs.clone());
                             if let Some(q) = &mut qant {
-                                q.end_period();
-                                let t = q.config().period.as_millis_f64();
-                                let budget = (2.0 * t - backlog).clamp(0.5 * t, 2.0 * t);
-                                q.begin_period_with_budget(&costs, None, budget);
+                                q.roll(&costs, Some(backlog));
                             }
                         }
                     }

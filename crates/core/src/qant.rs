@@ -32,7 +32,7 @@
 //! Prices are held as log-prices in quanta ([`qa_economics::PriceRules`]),
 //! so steps 9 and 13 are integer adds, and so are the comparisons made
 //! from prices: step 2's density order `ln p − ln t` (`ln t` is computed
-//! when the costs are set) and the threshold's `ln p ≤ ln(t × initial)`.
+//! when the costs are set) and the threshold's `ln p ≤ ln t`.
 //! A linear price is made only where one is read out: [`QantNode::prices`]
 //! and telemetry.
 
@@ -42,18 +42,20 @@ use qa_economics::{
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
 use qa_simnet::SimDuration;
 use qa_workload::ClassId;
+use std::convert::Infallible;
 use std::ops::Range;
 
 /// QA-NT tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QantConfig {
-    /// Price dynamics (λ, floor, ceiling, initial).
+    /// Price dynamics (λ).
     pub pricer: PricerConfig,
     /// Length of the time period τ (paper default: 500 ms).
     pub period: SimDuration,
     /// Optional §5.1 threshold: when `Some(t)` and every private price is
-    /// ≤ `t × pricer.initial_price`, the node offers unconditionally
-    /// (supply restriction off).
+    /// ≤ `t` (`t ×` the initial price of 1), the node offers
+    /// unconditionally (supply restriction off). It also floors the
+    /// period budget at `T/2` (see [`QantMarket::roll`]).
     pub price_threshold: Option<f64>,
     /// Renormalize private prices (geometric mean → 1) at every period
     /// end. Scale-invariant (only relative prices drive supply), it keeps
@@ -93,7 +95,7 @@ impl Default for QantConfig {
 pub struct QantMarket {
     config: QantConfig,
     rules: PriceRules,
-    /// The §5.1 threshold price `t × initial`, in log-price quanta.
+    /// The §5.1 threshold price `t`, in log-price quanta.
     threshold: Option<i64>,
     classes: usize,
     /// Private log-prices in quanta (never sent over the network).
@@ -117,19 +119,16 @@ pub struct QantMarket {
 
 impl QantMarket {
     /// `rows` sellers over `k` query classes, every price at
-    /// `config.pricer.initial_price`.
+    /// [`PriceRules::INITIAL_PRICE`].
     pub fn new(rows: usize, k: usize, config: QantConfig) -> QantMarket {
         let rules = PriceRules::new(&config.pricer);
         assert!(
             config.price_threshold.is_none() || !config.renormalize_prices,
             "price_threshold needs renormalize_prices: false"
         );
-        let initial = config.pricer.initial_price;
         let n = rows * k;
         QantMarket {
-            threshold: config
-                .price_threshold
-                .map(|t| to_quanta((t * initial).ln())),
+            threshold: config.price_threshold.map(|t| to_quanta(t.ln())),
             prices: vec![rules.initial(); n],
             rules,
             config,
@@ -200,46 +199,38 @@ impl QantMarket {
         }
     }
 
-    /// Step 2 alone: row `row` starts a period — its first, or the next
-    /// after a [`Self::roll`] that left it closed — with a capacity budget
-    /// of `budget_ms` milliseconds. `unit_costs_ms[k]` is the node's
-    /// estimated execution time for class `k` in milliseconds (`None` =
-    /// cannot run), kept for the row's later rolls; `demand_caps`
-    /// optionally bounds per-class supply by observed demand.
-    pub fn begin_period(
-        &mut self,
-        row: usize,
-        unit_costs_ms: &[Option<f64>],
-        demand_caps: Option<&[u64]>,
-        budget_ms: f64,
-    ) {
+    /// Step 2 alone: row `row` opens its first period on one period `T`
+    /// of budget. `unit_costs_ms[k]` is the node's estimated execution
+    /// time for class `k` in milliseconds (`None` = cannot run), kept for
+    /// the row's later rolls.
+    pub fn begin_period(&mut self, row: usize, unit_costs_ms: &[Option<f64>]) {
         self.set_costs(row, unit_costs_ms);
-        self.solve(row, demand_caps, budget_ms);
+        self.solve(row, self.config.period.as_millis_f64());
     }
 
     /// The period boundary of every row in `rows` (§3.3 steps 12–14, then
-    /// step 2): leftover supply lowers prices and is withdrawn, prices are
-    /// renormalized, and a row for which `budget(row)` is `Some(ms)` solves
-    /// eq. 4 for the next period under that capacity budget and its kept
-    /// costs (`None` leaves it closed: a dead node goes quiet).
-    /// `demand_caps` as in [`Self::begin_period`].
+    /// step 2), the one seller rule every driver runs: leftover supply
+    /// lowers prices and is withdrawn, prices are renormalized, and a row
+    /// for which `backlog_ms(row)` is `Some(ms)` of queued work solves
+    /// eq. 4 for the next period under its kept costs (`None` leaves it
+    /// closed: a dead node goes quiet).
     ///
     /// The supply set "depends on [the node's] available hardware
-    /// resources" (§2.2): an idle node can deliver up to two periods of
-    /// work within the coming period-and-backlog window, a backlogged one
-    /// proportionally less. Drivers pass `2T − current_backlog` so node
-    /// queues stay bounded by `2T` while idle capacity is never refused —
-    /// the work-conserving form of QA-NT admission control.
-    pub fn roll(
-        &mut self,
-        rows: Range<usize>,
-        demand_caps: Option<&[u64]>,
-        mut budget: impl FnMut(usize) -> Option<f64>,
-    ) {
+    /// resources" (§2.2), and on nothing a buyer asked for: the budget is
+    /// `(2T − backlog).clamp(floor, 2T)`. An idle node can deliver up to
+    /// two periods of work within the coming period-and-backlog window, a
+    /// backlogged one proportionally less, so queues stay bounded by `2T`
+    /// while idle capacity is never refused — the work-conserving form of
+    /// QA-NT admission control. The floor is `T/2` in the §5.1 threshold
+    /// mode, so a node that queued work while the bypass was open does not
+    /// refuse everything while it drains, and 0 otherwise.
+    pub fn roll(&mut self, rows: Range<usize>, mut backlog_ms: impl FnMut(usize) -> Option<f64>) {
+        let period = self.config.period.as_millis_f64();
+        let floor = self.threshold.map_or(0.0, |_| 0.5 * period);
         for row in rows {
             self.end(row);
-            if let Some(budget_ms) = budget(row) {
-                self.solve(row, demand_caps, budget_ms);
+            if let Some(backlog) = backlog_ms(row) {
+                self.solve(row, (2.0 * period - backlog).clamp(floor, 2.0 * period));
             }
         }
     }
@@ -259,7 +250,7 @@ impl QantMarket {
     }
 
     /// Step 2 for row `row` under a budget of `budget_ms`.
-    fn solve(&mut self, row: usize, demand_caps: Option<&[u64]>, budget_ms: f64) {
+    fn solve(&mut self, row: usize, budget_ms: f64) {
         let _span = self.telemetry.span("qant.supply_solve");
         assert!(budget_ms.is_finite() && budget_ms >= 0.0);
         let span = self.span(row);
@@ -293,13 +284,9 @@ impl QantMarket {
             // carry.
             let alloc = remaining / t + carry[class];
             // `as` floors, and saturates a negative allotment to zero.
-            let mut units = alloc as u64;
-            if let Some(caps) = demand_caps {
-                units = units.min(caps[class]);
-            }
+            let units = alloc as u64;
             supply[class] = units;
-            // Carry keeps the unreleased fraction, clamped to < 1 so a
-            // demand-capped class cannot hoard unbounded future supply.
+            // Carry keeps the unreleased fraction, held below 1.
             carry[class] = (alloc - units as f64).clamp(0.0, 0.999_999);
             remaining = (remaining - units as f64 * t).max(0.0);
         }
@@ -317,8 +304,9 @@ impl QantMarket {
     /// In the §5.1 threshold mode the node "properly track\[s\] query
     /// prices" regardless: supply exhaustion still raises the price even
     /// while the node keeps offering — that is how a quiet market learns
-    /// it is becoming overloaded and engages the restriction: no price has
-    /// inflated past `threshold ×` the initial price.
+    /// it is becoming overloaded and engages the restriction: the bypass
+    /// holds while no price has inflated past `threshold ×` the initial
+    /// price.
     #[inline]
     pub fn on_request(&mut self, row: usize, class: ClassId) -> bool {
         let (k, at) = (class.index(), row * self.classes + class.index());
@@ -407,11 +395,6 @@ impl QantNode {
         self.0.classes
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &QantConfig {
-        &self.0.config
-    }
-
     /// The private prices (never sent over the network; exposed for
     /// diagnostics and tests only).
     pub fn prices(&self) -> PriceVector {
@@ -424,25 +407,21 @@ impl QantNode {
         QuantityVector::from_counts(self.0.supply(0).to_vec())
     }
 
-    /// [`Self::begin_period_with_budget`] with one period `T` of budget.
-    pub fn begin_period(
-        &mut self,
-        unit_costs_ms: &[Option<f64>],
-        demand_caps: Option<&QuantityVector>,
-    ) {
-        let budget = self.0.config.period.as_millis_f64();
-        self.begin_period_with_budget(unit_costs_ms, demand_caps, budget);
+    /// Opens the first period on one period `T` of budget:
+    /// [`QantMarket::begin_period`]. A seller reads no demand, so
+    /// `_no_demand` can only be `None`; the parameter stays only because
+    /// the repo benchmark (`benchmark/`) passes it, and its next revision
+    /// (ROADMAP item 1) removes it.
+    pub fn begin_period(&mut self, unit_costs_ms: &[Option<f64>], _no_demand: Option<Infallible>) {
+        self.0.begin_period(0, unit_costs_ms);
     }
 
-    /// Step 2, with an explicit budget: [`QantMarket::begin_period`].
-    pub fn begin_period_with_budget(
-        &mut self,
-        unit_costs_ms: &[Option<f64>],
-        demand_caps: Option<&QuantityVector>,
-        budget_ms: f64,
-    ) {
-        let caps = demand_caps.map(QuantityVector::as_slice);
-        self.0.begin_period(0, unit_costs_ms, caps, budget_ms);
+    /// The period boundary under fresh costs: [`QantMarket::roll`] of this
+    /// node's row with `backlog_ms` of queued work (`None`: the row stays
+    /// closed).
+    pub fn roll(&mut self, unit_costs_ms: &[Option<f64>], backlog_ms: Option<f64>) {
+        self.0.set_costs(0, unit_costs_ms);
+        self.0.roll(0..1, |_| backlog_ms);
     }
 
     /// Steps 4–10: [`QantMarket::on_request`].
@@ -454,12 +433,6 @@ impl QantNode {
     pub fn on_accept(&mut self, class: ClassId) {
         self.0.on_accept(0, class);
     }
-
-    /// Steps 12–14 alone: [`QantMarket::roll`] over this node's row,
-    /// leaving it closed until the next [`Self::begin_period`].
-    pub fn end_period(&mut self) {
-        self.0.roll(0..1, None, |_| None);
-    }
 }
 
 #[cfg(test)]
@@ -468,9 +441,11 @@ mod tests {
     use qa_simnet::DetRng;
 
     /// Node N1 of the paper's example: q1 = 400 ms, q2 = 100 ms, T = 500 ms.
+    const N1: [Option<f64>; 2] = [Some(400.0), Some(100.0)];
+
     fn n1() -> QantNode {
         let mut n = QantNode::new(2, QantConfig::default());
-        n.begin_period(&[Some(400.0), Some(100.0)], None);
+        n.begin_period(&N1, None);
         n
     }
 
@@ -506,8 +481,7 @@ mod tests {
         let mut n = n1();
         for _ in 0..60 {
             let _ = n.on_request(ClassId(0)); // unmet q1 demand
-            n.end_period();
-            n.begin_period(&[Some(400.0), Some(100.0)], None);
+            n.roll(&N1, Some(500.0)); // a backlog of T leaves T of budget
             if n.supply().get(0) > 0 {
                 break;
             }
@@ -524,7 +498,7 @@ mod tests {
         let mut n = n1();
         let p2 = n.prices().get(1);
         // Nothing consumed: 5 leftover q2 units.
-        n.end_period();
+        n.roll(&N1, None);
         assert!(n.prices().get(1) < p2);
     }
 
@@ -541,12 +515,33 @@ mod tests {
         );
     }
 
+    /// The one budget rule at its edges, in both modes: an idle row gets
+    /// `2T`, a backlog past `2T` leaves the floor (`T/2` with a threshold,
+    /// 0 without), and a dead row stays closed.
     #[test]
-    fn demand_caps_bound_supply() {
-        let mut n = QantNode::new(2, QantConfig::default());
-        let caps = QuantityVector::from_counts(vec![0, 2]);
-        n.begin_period(&[Some(400.0), Some(100.0)], Some(&caps));
-        assert_eq!(n.supply().as_slice(), &[0, 2]);
+    fn the_budget_is_two_periods_less_the_backlog_above_the_floor() {
+        let t = QantConfig::default().period.as_millis_f64();
+        let backlogs = [Some(0.0), Some(1.5 * t), Some(2.0 * t), Some(3.0 * t), None];
+        for (threshold, budgets) in [
+            (None, [2.0 * t, 0.5 * t, 0.0, 0.0]),
+            (Some(2.0), [2.0 * t, 0.5 * t, 0.5 * t, 0.5 * t]),
+        ] {
+            let config = QantConfig {
+                price_threshold: threshold,
+                renormalize_prices: threshold.is_none(),
+                ..QantConfig::default()
+            };
+            let mut market = QantMarket::new(backlogs.len(), 1, config);
+            for row in 0..backlogs.len() {
+                market.begin_period(row, &[Some(50.0)]);
+                assert_eq!(market.supply(row), [t as u64 / 50], "a first period is T");
+            }
+            market.roll(0..backlogs.len(), |row| backlogs[row]);
+            let want = budgets.iter().map(|&b| b as u64 / 50).chain([0]);
+            for (row, want) in want.enumerate() {
+                assert_eq!(market.supply(row), [want], "{threshold:?}: row {row}");
+            }
+        }
     }
 
     #[test]
@@ -582,23 +577,16 @@ mod tests {
         assert!((5..=12).contains(&at), "engaged at request {at}");
         assert!(n.prices().get(0) > 2.0);
 
-        // The edge, against `ln(t × initial_price)` with an initial price
-        // other than 1: a class at exactly ln(2 × 3) still lets an
+        // The edge, against `ln 2`: a class at exactly ln 2 still lets an
         // empty-supply request through, one quantum above refuses it.
-        let cfg = QantConfig {
-            pricer: PricerConfig {
-                initial_price: 3.0,
-                ..cfg.pricer
-            },
-            ..cfg
-        };
-        let edge = to_quanta(6f64.ln());
+        let edge = to_quanta(2f64.ln());
         for (q0, offered) in [(edge, true), (edge + 1, false)] {
             let mut n = QantNode::new(2, cfg);
-            n.begin_period_with_budget(&[Some(400.0), Some(100.0)], None, 0.0);
+            n.begin_period(&N1, None);
+            n.0.supply.fill(0);
             n.0.prices[0] = q0;
             assert_eq!(n.on_request(ClassId(1)), offered, "class 0 at {q0}");
-            assert!(n.prices().get(1) > 3.0, "the refusal is tracked either way");
+            assert!(n.prices().get(1) > 1.0, "the refusal is tracked either way");
         }
     }
 
@@ -615,7 +603,7 @@ mod tests {
     #[test]
     fn end_period_without_begin_is_safe() {
         let mut n = QantNode::new(3, QantConfig::default());
-        n.end_period(); // no supply yet: all-zero leftover, prices unchanged
+        n.roll(&[None; 3], None); // no supply yet: all-zero leftover, prices unchanged
         assert_eq!(n.prices().get(0), 1.0);
     }
 
@@ -625,7 +613,7 @@ mod tests {
         let (tel, buf) = Telemetry::buffered();
         let mut n = QantNode::new(2, QantConfig::default());
         n.set_telemetry(tel.with_label(4));
-        n.begin_period(&[Some(400.0), Some(100.0)], None);
+        n.begin_period(&N1, None);
         let _ = n.on_request(ClassId(0)); // q1 supply is 0: refused
         let kinds: Vec<&str> = buf.records().iter().map(|r| r.event.kind()).collect();
         assert_eq!(
@@ -660,6 +648,16 @@ mod tests {
             n.on_accept(ClassId(1)); // more accepts than supply
         }
         assert_eq!(n.supply().get(1), 0);
+    }
+
+    /// `n` rows' backlogs, mostly live: none, up to and past `2T`.
+    fn draw_backlogs(rng: &mut DetRng, n: usize, period_ms: f64) -> Vec<Option<f64>> {
+        (0..n)
+            .map(|_| {
+                let backlog = [0.0, rng.float_in(0.0, 3.0), 2.0][rng.index(3)];
+                rng.chance(0.9).then_some(backlog * period_ms)
+            })
+            .collect()
     }
 
     /// The column store's bug class is a wrong stride or offset: an N-row
@@ -732,23 +730,11 @@ mod tests {
                         }
                     }
                     _ => {
-                        let caps: Vec<u64> = (0..k).map(|_| rng.int_in(0, 6)).collect();
-                        let caps = rng.chance(0.5).then_some(caps);
                         let rows = if rng.chance(0.3) { 0..n } else { row..row + 1 };
-                        let budgets: Vec<Option<f64>> = (0..n)
-                            .map(|_| {
-                                let budget = [0.0, rng.float_in(0.0, 2.0), 2.0][rng.index(3)];
-                                rng.chance(0.9).then_some(budget * period_ms)
-                            })
-                            .collect();
-                        market.roll(rows.clone(), caps.as_deref(), |r| budgets[r]);
-                        let caps = caps.map(QuantityVector::from_counts);
+                        let backlogs = draw_backlogs(&mut rng, n, period_ms);
+                        market.roll(rows.clone(), |r| backlogs[r]);
                         for row in rows {
-                            nodes[row].end_period();
-                            if let Some(budget) = budgets[row] {
-                                let caps = caps.as_ref();
-                                nodes[row].begin_period_with_budget(&costs[row], caps, budget);
-                            }
+                            nodes[row].roll(&costs[row], backlogs[row]);
                         }
                     }
                 }
@@ -784,17 +770,15 @@ mod tests {
         leftover.fill(0);
     }
 
-    /// The supply solve of one row, likewise: the capable classes by
-    /// `ln p − ln t` descending, ties to the lower class.
-    fn begin_period_per_row(
-        m: &mut QantMarket,
-        row: usize,
-        unit_costs_ms: &[Option<f64>],
-        demand_caps: Option<&[u64]>,
-        budget_ms: f64,
-    ) {
+    /// The supply solve of one row with `backlog_ms` of queued work,
+    /// likewise: the budget `2T − backlog` within `[floor, 2T]`, then the
+    /// capable classes by `ln p − ln t` descending, ties to the lower
+    /// class.
+    fn begin_period_per_row(m: &mut QantMarket, row: usize, backlog_ms: f64) {
         let (span, node) = (m.span(row), m.node(row));
-        m.set_costs(row, unit_costs_ms);
+        let period = m.config.period.as_millis_f64();
+        let floor = m.config.price_threshold.map_or(0.0, |_| period / 2.0);
+        let budget_ms = (2.0 * period - backlog_ms).clamp(floor, 2.0 * period);
         let cost = &m.cost[span.clone()];
         let supply = &mut m.supply[span.clone()];
         let carry = &mut m.carry[span.clone()];
@@ -806,10 +790,7 @@ mod tests {
         for &k in &order {
             let t = cost[k].expect("filtered").0;
             let alloc = remaining / t + carry[k];
-            let mut units = alloc as u64;
-            if let Some(caps) = demand_caps {
-                units = units.min(caps[k]);
-            }
+            let units = alloc as u64;
             supply[k] = units;
             carry[k] = (alloc - units as f64).clamp(0.0, 0.999_999);
             remaining = (remaining - units as f64 * t).max(0.0);
@@ -823,10 +804,11 @@ mod tests {
 
     /// The kernel against the per-row end → begin on the same random rows,
     /// at the edges: K = 1 and 5, `None` costs (whole rows of them),
-    /// prices at the floor and the ceiling, leftover 0, 1 and huge, caps
-    /// of 0, budget 0, dead rows and rows outside the rolled run. Prices,
-    /// supply and carry must agree to the bit everywhere, and with the
-    /// telemetry on the events must come in the same sequence.
+    /// prices at the floor and the ceiling, leftover 0, 1 and huge,
+    /// backlogs of 0 and past `2T` in both budget modes, dead rows and rows
+    /// outside the rolled run. Prices, supply and carry must agree to the
+    /// bit everywhere, and with the telemetry on the events must come in
+    /// the same sequence.
     #[test]
     fn the_roll_kernel_is_the_per_row_boundary_to_the_bit() {
         let mut rng = DetRng::seed_from_u64(0x2011).derive("roll");
@@ -835,24 +817,15 @@ mod tests {
         for case in 0..240 {
             let k = [1, 2, 5][case % 3];
             let n = 1 + rng.index(40);
-            let pricer = if case % 5 == 0 {
-                // Tight clamps: the renormalization pins prices to both.
-                PricerConfig {
-                    price_floor: 0.5,
-                    price_ceiling: 4.0,
-                    ..PricerConfig::default()
-                }
-            } else {
-                PricerConfig::default()
-            };
+            let threshold = case % 7 == 3;
             let config = QantConfig {
-                pricer,
-                renormalize_prices: case % 7 != 3,
+                price_threshold: threshold.then_some(2.0),
+                renormalize_prices: !threshold,
                 ..QantConfig::default()
             };
             let mut kernel = QantMarket::new(n, k, config);
-            let floor = kernel.rules.quantize(pricer.price_floor);
-            let ceiling = kernel.rules.quantize(pricer.price_ceiling);
+            let floor = kernel.rules.quantize(PriceRules::PRICE_FLOOR);
+            let ceiling = kernel.rules.quantize(PriceRules::PRICE_CEILING);
             let capable = rng.chance(0.9);
             for row in 0..n {
                 let mut costs = Vec::new();
@@ -879,24 +852,12 @@ mod tests {
             }
             let lo = rng.index(n);
             let rows = lo..lo + 1 + rng.index(n - lo);
-            let caps: Vec<u64> = (0..k).map(|_| rng.int_in(0, 4)).collect();
-            let caps = rng.chance(0.5).then_some(caps);
-            let budgets: Vec<Option<f64>> = (0..n)
-                .map(|_| {
-                    let budget = [0.0, rng.float_in(0.0, 2.0), 2.0][rng.index(3)];
-                    rng.chance(0.85).then_some(budget * period_ms)
-                })
-                .collect();
-            kernel.roll(rows.clone(), caps.as_deref(), |r| budgets[r]);
+            let backlogs = draw_backlogs(&mut rng, n, period_ms);
+            kernel.roll(rows.clone(), |r| backlogs[r]);
             for row in rows {
                 end_period_per_row(&mut reference, row);
-                if let Some(budget) = budgets[row] {
-                    let span = reference.span(row);
-                    let costs: Vec<_> = reference.cost[span]
-                        .iter()
-                        .map(|c| c.map(|c| c.0))
-                        .collect();
-                    begin_period_per_row(&mut reference, row, &costs, caps.as_deref(), budget);
+                if let Some(backlog) = backlogs[row] {
+                    begin_period_per_row(&mut reference, row, backlog);
                 }
             }
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

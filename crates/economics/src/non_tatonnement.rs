@@ -34,29 +34,17 @@
 use crate::vectors::{PriceVector, QuantityVector};
 use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
 
-/// Tuning knobs of the price dynamics.
+/// Tuning knob of the price dynamics; the band it moves in is
+/// [`PriceRules`]' constant one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricerConfig {
     /// Adjustment speed λ.
     pub lambda: f64,
-    /// Initial price of every class.
-    pub initial_price: f64,
-    /// Prices never fall below this (multiplicative dynamics cannot leave
-    /// zero).
-    pub price_floor: f64,
-    /// Prices never rise above this (guards against runaway growth during
-    /// long overloads).
-    pub price_ceiling: f64,
 }
 
 impl Default for PricerConfig {
     fn default() -> Self {
-        PricerConfig {
-            lambda: 0.1,
-            initial_price: 1.0,
-            price_floor: 1e-9,
-            price_ceiling: 1e12,
-        }
+        PricerConfig { lambda: 0.1 }
     }
 }
 
@@ -64,25 +52,12 @@ impl PricerConfig {
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics on non-finite or non-positive values, λ outside `(0, 1)`, or
-    /// an inverted floor/ceiling pair.
+    /// Panics on λ outside `(0, 1)`.
     pub fn validate(&self) {
         assert!(
             self.lambda.is_finite() && self.lambda > 0.0 && self.lambda < 1.0,
             "lambda must be in (0,1), got {}",
             self.lambda
-        );
-        assert!(
-            self.price_floor.is_finite() && self.price_floor > 0.0,
-            "bad floor"
-        );
-        assert!(
-            self.price_ceiling.is_finite() && self.price_ceiling > self.price_floor,
-            "bad ceiling"
-        );
-        assert!(
-            self.initial_price >= self.price_floor && self.initial_price <= self.price_ceiling,
-            "initial price outside [floor, ceiling]"
         );
     }
 }
@@ -124,20 +99,26 @@ pub struct PriceRules {
     lambda: f64,
     floor: i64,
     ceiling: i64,
-    /// The configured band, which the clamps read out as.
-    price_floor: f64,
-    price_ceiling: f64,
-    initial: i64,
     /// One refusal's rise, `ln(1+λ)`; at least one quantum.
     gain: i64,
     /// `decay[s] = ln(1 − λs)` for the leftovers `s` with `λs < 1`.
     decay: Vec<i64>,
     /// The longest row whose sum cannot overflow an `i64`, every entry
-    /// inside the band: over 11 000 classes at `f64`'s extremes.
+    /// inside the band.
     longest_row: usize,
 }
 
 impl PriceRules {
+    /// Every class's starting price.
+    pub const INITIAL_PRICE: f64 = 1.0;
+    /// Prices never fall below this (multiplicative dynamics cannot leave
+    /// zero).
+    pub const PRICE_FLOOR: f64 = 1e-9;
+    /// Prices never rise above this (guards against runaway growth during
+    /// long overloads): about 290 refusals from the initial price at
+    /// λ = 0.1.
+    pub const PRICE_CEILING: f64 = 1e12;
+
     /// The rules of `config`.
     ///
     /// # Panics
@@ -152,17 +133,14 @@ impl PriceRules {
                 .take(DECAY_TABLE),
         );
         let (floor, ceiling) = (
-            to_quanta(config.price_floor.ln()),
-            to_quanta(config.price_ceiling.ln()),
+            to_quanta(Self::PRICE_FLOOR.ln()),
+            to_quanta(Self::PRICE_CEILING.ln()),
         );
-        let widest = floor.unsigned_abs().max(ceiling.unsigned_abs()).max(1);
+        let widest = floor.unsigned_abs().max(ceiling.unsigned_abs());
         PriceRules {
             lambda,
             floor,
             ceiling,
-            price_floor: config.price_floor,
-            price_ceiling: config.price_ceiling,
-            initial: to_quanta(config.initial_price.ln()),
             gain: to_quanta(lambda.ln_1p()).max(1),
             decay,
             longest_row: (i64::MAX as u64 / widest) as usize,
@@ -172,7 +150,7 @@ impl PriceRules {
     /// The initial price, in quanta.
     #[inline]
     pub fn initial(&self) -> i64 {
-        self.initial
+        to_quanta(Self::INITIAL_PRICE.ln())
     }
 
     /// A linear price `p` in quanta, clamped into the band: how an
@@ -181,19 +159,19 @@ impl PriceRules {
         to_quanta(p.ln()).clamp(self.floor, self.ceiling)
     }
 
-    /// The price `q` stands for, `exp(q)`: exactly the configured bound at
+    /// The price `q` stands for, `exp(q)`: exactly the band's bound at
     /// either clamp, and kept inside the band against `exp`'s last-bit
     /// rounding in between.
     #[inline]
     pub fn linear(&self, q: i64) -> f64 {
         if q <= self.floor {
-            self.price_floor
+            Self::PRICE_FLOOR
         } else if q >= self.ceiling {
-            self.price_ceiling
+            Self::PRICE_CEILING
         } else {
             ln_of_quanta(q)
                 .exp()
-                .clamp(self.price_floor, self.price_ceiling)
+                .clamp(Self::PRICE_FLOOR, Self::PRICE_CEILING)
         }
     }
 
@@ -286,7 +264,6 @@ impl PriceRules {
 /// rules above over one owned row.
 #[derive(Debug, Clone)]
 pub struct NonTatonnementPricer {
-    config: PricerConfig,
     rules: PriceRules,
     /// Private log-prices, in quanta.
     prices: Vec<i64>,
@@ -299,14 +276,13 @@ pub struct NonTatonnementPricer {
 }
 
 impl NonTatonnementPricer {
-    /// A pricer over `k` classes starting at the configured initial price.
+    /// A pricer over `k` classes starting at [`PriceRules::INITIAL_PRICE`].
     pub fn new(k: usize, config: PricerConfig) -> Self {
         let rules = PriceRules::new(&config);
         NonTatonnementPricer {
             prices: vec![rules.initial(); k],
             rejections: vec![0; k],
             rules,
-            config,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -356,11 +332,6 @@ impl NonTatonnementPricer {
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
         self.prices.len()
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PricerConfig {
-        &self.config
     }
 
     /// Step 9 of QA-NT: a class-`k` request had to be rejected because the
@@ -458,25 +429,27 @@ mod tests {
     /// oracle: one refusal, one leftover and one renormalization of
     /// linear prices.
     mod linear {
-        use super::PricerConfig;
+        use super::PriceRules;
+        const FLOOR: f64 = PriceRules::PRICE_FLOOR;
+        const CEILING: f64 = PriceRules::PRICE_CEILING;
 
-        pub fn refuse(p: f64, cfg: &PricerConfig) -> f64 {
-            (p * (1.0 + cfg.lambda)).min(cfg.price_ceiling)
+        pub fn refuse(p: f64, lambda: f64) -> f64 {
+            (p * (1.0 + lambda)).min(CEILING)
         }
 
-        pub fn decay(p: f64, s: u64, cfg: &PricerConfig) -> f64 {
-            let factor = (1.0 - cfg.lambda * s as f64).max(0.0);
-            (p * factor).max(cfg.price_floor)
+        pub fn decay(p: f64, s: u64, lambda: f64) -> f64 {
+            let factor = (1.0 - lambda * s as f64).max(0.0);
+            (p * factor).max(FLOOR)
         }
 
         /// `None` where the oracle's own scale is not a positive finite
         /// number: its old guard left such a row as it was.
-        pub fn renormalize(row: &[f64], cfg: &PricerConfig) -> Option<Vec<f64>> {
+        pub fn renormalize(row: &[f64]) -> Option<Vec<f64>> {
             let ln_sum = row.iter().map(|p| p.ln()).sum::<f64>();
             let scale = (ln_sum / row.len() as f64).exp();
             (scale.is_finite() && scale > 0.0).then(|| {
                 row.iter()
-                    .map(|p| (p / scale).clamp(cfg.price_floor, cfg.price_ceiling))
+                    .map(|p| (p / scale).clamp(FLOOR, CEILING))
                     .collect()
             })
         }
@@ -505,34 +478,33 @@ mod tests {
     fn huge_leftover_clamps_at_floor_not_negative() {
         let mut p = NonTatonnementPricer::new(1, PricerConfig::default());
         p.on_period_end(&qv(&[1_000]));
-        assert_eq!(p.prices().get(0), p.config().price_floor);
+        assert_eq!(p.prices().get(0), PriceRules::PRICE_FLOOR);
     }
 
     #[test]
     fn ceiling_stops_runaway_growth() {
-        let cfg = PricerConfig {
-            price_ceiling: 10.0,
-            ..PricerConfig::default()
-        };
-        let mut p = NonTatonnementPricer::new(1, cfg);
+        // ln 10¹² / ln 1.1 ≈ 289.9: the 290th refusal reaches the ceiling,
+        // and further ones stay there.
+        let mut p = NonTatonnementPricer::new(1, PricerConfig::default());
+        for _ in 0..289 {
+            p.on_rejection(0);
+        }
+        assert!(p.prices().get(0) < PriceRules::PRICE_CEILING);
         for _ in 0..1_000 {
             p.on_rejection(0);
         }
-        assert_eq!(p.prices().get(0), 10.0);
+        assert_eq!(p.prices().get(0), PriceRules::PRICE_CEILING);
     }
 
     #[test]
     fn n_refusals_at_once_are_n_one_at_a_time() {
-        // Pricers from drawn points of drawn bands, owed counts from none
-        // to far past the ceiling: the batch and the stepwise loop agree
-        // to the bit, and so do the counters.
+        // Pricers from drawn points of the band, owed counts from none to
+        // far past the ceiling: the batch and the stepwise loop agree to
+        // the bit, and so do the counters.
         let mut rng = DetRng::seed_from_u64(0x5A7).derive("at-once");
         for case in 0..200 {
             let cfg = PricerConfig {
                 lambda: [1e-6, 0.1, 0.9][case % 3],
-                initial_price: 1e-3,
-                price_floor: 1e-3,
-                price_ceiling: 10f64.powf(rng.float_in(0.5, 14.0)),
             };
             let counts: Vec<u64> = (0..17)
                 .map(|_| [0, 1, rng.int_in(2, 400), rng.int_in(400, 5_000)][rng.index(4)])
@@ -540,7 +512,7 @@ mod tests {
             let fresh = |rng: &mut DetRng| -> Vec<NonTatonnementPricer> {
                 (0..counts.len())
                     .map(|_| {
-                        let start = 10f64.powf(rng.float_in(-3.0, 14.0));
+                        let start = 10f64.powf(rng.float_in(-10.0, 13.0));
                         let start = PriceVector::from_prices(vec![start, 1.0]);
                         NonTatonnementPricer::with_prices(start, cfg)
                     })
@@ -568,28 +540,21 @@ mod tests {
         }
     }
 
-    /// The rules at the edges of their inputs: λ = 1e-6 and 0.999, the
-    /// widest band an `f64` allows, K = 1, rows pinned at the floor and at
-    /// the ceiling, refusal counts up to `u64::MAX` and leftovers at and
-    /// past `⌈1/λ⌉`. Every linear price read back is finite and inside the
-    /// band, nothing panics, and each rule lands within one quantum of the
-    /// linear oracle from the same state, plus the oracle's own rounding.
+    /// The rules at the edges of their inputs: λ = 1e-6 and 0.999, K = 1,
+    /// rows pinned at the floor and at the ceiling, refusal counts up to
+    /// `u64::MAX` and leftovers at and past `⌈1/λ⌉`. Every linear price
+    /// read back is finite and inside the band, nothing panics, and each
+    /// rule lands within one quantum of the linear oracle from the same
+    /// state, plus the oracle's own rounding.
     #[test]
     fn the_rules_hold_the_band_and_the_oracle_at_the_edges() {
         let mut rng = DetRng::seed_from_u64(0xED6E).derive("edges");
-        let bands = [(1e-9, 1e12), (f64::MIN_POSITIVE, f64::MAX), (0.5, 4.0)];
+        let band = PriceRules::PRICE_FLOOR..=PriceRules::PRICE_CEILING;
         let quantum = 1.0 / QUANTA_PER_NAT;
         let mut compared = [0u32; 3];
         for case in 0..540 {
             let lambda = [1e-6, 0.1, 0.999][case % 3];
-            let (price_floor, price_ceiling) = bands[case / 3 % 3];
-            let cfg = PricerConfig {
-                lambda,
-                initial_price: price_floor,
-                price_floor,
-                price_ceiling,
-            };
-            let rules = PriceRules::new(&cfg);
+            let rules = PriceRules::new(&PricerConfig { lambda });
             let (floor, ceiling) = (rules.floor, rules.ceiling);
             let k = [1, 2, 5][case / 9 % 3];
             let inside = |rng: &mut DetRng| floor + rng.int_in(0, (ceiling - floor) as u64) as i64;
@@ -617,7 +582,7 @@ mod tests {
                         let n = [1, rng.int_in(2, 100), 1 << 40, u64::MAX][rng.index(4)];
                         row[at] = rules.refuse(q, n);
                         if n == 1 {
-                            let want = linear::refuse(p, &cfg);
+                            let want = linear::refuse(p, lambda);
                             assert!(
                                 off(row[at], want) <= slack,
                                 "case {case} step {step}: refusal from {p}"
@@ -639,7 +604,7 @@ mod tests {
                             u64::MAX,
                         ][rng.index(5)];
                         row[at] = rules.decay(q, s);
-                        let want = linear::decay(p, s, &cfg);
+                        let want = linear::decay(p, s, lambda);
                         if lambda * s as f64 >= 1.0 {
                             assert_eq!(row[at], floor, "case {case} step {step}: s = {s}");
                         }
@@ -657,7 +622,7 @@ mod tests {
                         // The mean's own reading is off by the rows' at most.
                         let mean_read = read.iter().copied().fold(0.0, f64::max);
                         rules.renormalize(&mut row, &Telemetry::disabled(), 0);
-                        if let Some(want) = linear::renormalize(&before, &cfg) {
+                        if let Some(want) = linear::renormalize(&before) {
                             for ((&q, &want), &read) in row.iter().zip(&want).zip(&read) {
                                 let slack = quantum + read + mean_read + rounding(k + 3, widest);
                                 assert!(
@@ -672,27 +637,21 @@ mod tests {
                 for &q in &row {
                     assert!((floor..=ceiling).contains(&q), "case {case} step {step}");
                     let p = rules.linear(q);
-                    assert!(p.is_finite() && (price_floor..=price_ceiling).contains(&p));
+                    assert!(p.is_finite() && band.contains(&p));
                 }
             }
         }
         assert!(compared.iter().all(|&n| n > 1_000), "{compared:?}");
     }
 
-    /// The longest row the rules take, at `f64`'s extreme band, with
-    /// every price at the floor, at the ceiling, or split between them:
-    /// the `i64` sum is the `i128` one. One class more is refused.
+    /// The longest row the rules take, with every price at the floor, at
+    /// the ceiling, or split between them: the `i64` sum is the `i128`
+    /// one. One class more is refused.
     #[test]
     fn renormalize_sums_the_longest_row_exactly() {
-        let cfg = PricerConfig {
-            lambda: 0.1,
-            initial_price: 1.0,
-            price_floor: f64::from_bits(1),
-            price_ceiling: f64::MAX,
-        };
-        let rules = PriceRules::new(&cfg);
+        let rules = PriceRules::new(&PricerConfig::default());
         let (floor, ceiling, n) = (rules.floor, rules.ceiling, rules.longest_row);
-        assert!((11_000..12_000).contains(&n), "{n}");
+        assert!((300_000..310_000).contains(&n), "{n}");
         let split = |k: usize| if k.is_multiple_of(2) { floor } else { ceiling };
         for row in [
             vec![floor; n],
@@ -825,10 +784,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "lambda")]
     fn config_validation_rejects_bad_lambda() {
-        let cfg = PricerConfig {
-            lambda: 1.5,
-            ..PricerConfig::default()
-        };
-        let _ = NonTatonnementPricer::new(1, cfg);
+        let _ = NonTatonnementPricer::new(1, PricerConfig { lambda: 1.5 });
     }
 }

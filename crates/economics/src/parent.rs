@@ -26,7 +26,7 @@
 //! unserved excess demand (this flows *up*, to be escalated into the next
 //! window's clearing).
 
-use crate::non_tatonnement::{NonTatonnementPricer, PricerConfig};
+use crate::non_tatonnement::{NonTatonnementPricer, PriceRules, PricerConfig};
 use crate::vectors::QuantityVector;
 
 /// Which clearing mechanism the parent market runs.
@@ -87,8 +87,9 @@ pub struct ClearingOutcome {
 #[derive(Debug, Clone)]
 pub struct ParentMarket {
     mechanism: ParentMechanism,
-    /// QA-NT price state (used when `mechanism == QaNt`); its floor and
-    /// ceiling also clamp the WALRAS ln-price.
+    /// QA-NT price state (used when `mechanism == QaNt`); its band
+    /// ([`PriceRules`]' floor and ceiling) also clamps the WALRAS
+    /// ln-price.
     pricer: NonTatonnementPricer,
     /// WALRAS ln-price state, warm-started across windows.
     walras_ln: Vec<f64>,
@@ -100,7 +101,7 @@ impl ParentMarket {
     pub fn new(k: usize, mechanism: ParentMechanism) -> Self {
         let pricer = NonTatonnementPricer::new(k, PricerConfig::default());
         ParentMarket {
-            walras_ln: vec![pricer.config().initial_price.ln(); k],
+            walras_ln: vec![PriceRules::INITIAL_PRICE.ln(); k],
             pricer,
             mechanism,
         }
@@ -218,8 +219,8 @@ impl ParentMarket {
 
     fn clear_walras(&mut self, bids: &[BrokerBid], demand: &[u64]) -> ClearingOutcome {
         let k = self.num_classes();
-        let ln_floor = self.pricer.config().price_floor.ln();
-        let ln_ceiling = self.pricer.config().price_ceiling.ln();
+        let ln_floor = PriceRules::PRICE_FLOOR.ln();
+        let ln_ceiling = PriceRules::PRICE_CEILING.ln();
         let mut allocations = vec![vec![0u64; k]; bids.len()];
         let mut unserved = vec![0u64; k];
         let mut rounds = 0u32;

@@ -253,8 +253,8 @@ fn greedy_fill(
 ///
 /// Fills the capacity in descending price density `pₖ / tₖ`, taking as many
 /// whole units of the densest class as fit, then the next, and so on.
-/// Optional `caps` bounds the per-class supply (a node that has seen demand
-/// for at most `caps[k]` class-k queries has no reason to reserve more).
+/// Optional `caps` bounds the per-class supply (the tâtonnement umpire's
+/// sequential rationing passes the demand earlier sellers left unserved).
 ///
 /// Sorts on every call; hot-path callers that solve repeatedly under
 /// slow-moving prices should use [`solve_supply_greedy_cached`].

@@ -4,8 +4,8 @@
 
 use qa_economics::{
     dominates, solve_supply_fractional, solve_supply_greedy, solve_supply_optimal,
-    LinearCapacitySet, NonTatonnementPricer, PriceVector, PricerConfig, QuantityVector, Solution,
-    SupplySet, ThroughputPreference,
+    LinearCapacitySet, NonTatonnementPricer, PriceRules, PriceVector, PricerConfig, QuantityVector,
+    Solution, SupplySet, ThroughputPreference,
 };
 use qa_simnet::DetRng;
 
@@ -147,7 +147,7 @@ fn pricer_bounds_hold() {
             for kk in 0..3 {
                 let v = p.prices().get(kk);
                 assert!(
-                    v >= cfg.price_floor && v <= cfg.price_ceiling,
+                    (PriceRules::PRICE_FLOOR..=PriceRules::PRICE_CEILING).contains(&v),
                     "case {case}"
                 );
             }

@@ -157,8 +157,6 @@ pub struct RunOutcome {
     pub mechanism: MechanismKind,
     /// All measurements.
     pub metrics: RunMetrics,
-    /// Total busy time summed over nodes (utilization diagnostics).
-    pub total_busy: SimDuration,
     /// What the run's QA-NT period boundaries did, in counts.
     pub boundary: BoundaryWork,
     /// What the run's wait list did at its wakes, in counts.
@@ -204,7 +202,8 @@ pub struct Federation<'a> {
     state: MechState,
     rng: DetRng,
     metrics: RunMetrics,
-    /// Per-class request counts of the running period (QA-NT demand caps).
+    /// Per-class request counts of the running period: the refusals the
+    /// offer index owes dry sellers at the boundary.
     period_demand: Vec<u64>,
     /// Failure injections to schedule.
     kills: Vec<(SimTime, NodeId)>,
@@ -227,9 +226,6 @@ pub struct Federation<'a> {
     /// model, and the request's alone.
     rtt: SimDuration,
     one_way: SimDuration,
-    /// Per-class supply caps handed to every node's supply solve at a
-    /// period boundary; a reused buffer.
-    demand_caps: Vec<u64>,
     boundary: BoundaryWork,
 }
 
@@ -268,7 +264,7 @@ impl<'a> Federation<'a> {
                 let mut market = QantMarket::new(cfg.num_nodes, k, cfg.qant);
                 market.set_telemetry(telemetry.with_label(0));
                 for (i, costs) in scenario.exec_times_ms.iter().enumerate() {
-                    market.begin_period(i, costs, None, cfg.qant.period.as_millis_f64());
+                    market.begin_period(i, costs);
                 }
                 MechState::QaNt(Sellers {
                     market,
@@ -321,7 +317,6 @@ impl<'a> Federation<'a> {
             scratch_reachable: Vec::new(),
             rtt,
             one_way,
-            demand_caps: vec![0; k],
             boundary: BoundaryWork::default(),
         }
     }
@@ -482,7 +477,6 @@ impl<'a> Federation<'a> {
         RunOutcome {
             mechanism: self.mechanism,
             metrics: self.metrics,
-            total_busy: self.nodes.total_busy(),
             boundary: self.boundary,
             wait: self.waiting.work,
         }
@@ -746,21 +740,6 @@ impl<'a> Federation<'a> {
         else {
             return;
         };
-        // Sellers have no reason to reserve more supply for a class than
-        // anyone asked for last period (with headroom for growth): the
-        // caps steer leftover capacity to classes with live demand.
-        for (cap, &d) in self.demand_caps.iter_mut().zip(&self.period_demand) {
-            *cap = d.saturating_mul(2).max(2);
-        }
-        let config = &self.scenario.config;
-        let period_ms = config.qant.period.as_millis_f64();
-        // Work-conserving budget. In the §5.1 threshold mode it is
-        // floored at T/2 so a node that queued work while the bypass was
-        // active does not reject everything while draining; in pure
-        // market mode backlog never exceeds ~2T and the floor must not
-        // oversell. Dead nodes get no budget: they end their period and
-        // go quiet.
-        let floor = config.qant.price_threshold.map_or(0.0, |_| 0.5 * period_ms);
         let soa = &self.nodes;
         // The refusals the closing period still owes in pure-market mode:
         // every dry capable node refused each class request made since it
@@ -774,7 +753,7 @@ impl<'a> Federation<'a> {
             market.charge_refusals(class, index.rejections(class, demand));
         }
         // Each run of market rows ends its period; a live row opens the
-        // next on a work-conserving budget.
+        // next on the budget its backlog leaves, a dead one goes quiet.
         let mut solves = 0;
         let mut lo = 0;
         for run in member.chunk_by(|a, b| a == b) {
@@ -784,11 +763,10 @@ impl<'a> Federation<'a> {
                 continue;
             }
             self.boundary.node_periods += run.len() as u64;
-            market.roll(rows, Some(&self.demand_caps), |i| {
+            market.roll(rows, |i| {
                 soa.alive(i).then(|| {
                     solves += 1;
-                    let backlog = soa.backlog(i, now).as_millis_f64();
-                    (2.0 * period_ms - backlog).clamp(floor, 2.0 * period_ms)
+                    soa.backlog(i, now).as_millis_f64()
                 })
             });
         }
@@ -1384,9 +1362,9 @@ mod tests {
         assert!(f.waiting.len() == 0 && f.queue.is_empty());
         let out = f.finish();
         assert_eq!(out.metrics.completed, 8);
-        // Refused on arrival and again at 1.5 s; at 2 s seven are served
-        // and the eighth, refused once more, waits for the 2.5 s supply.
-        assert_eq!(out.metrics.retries, 17);
+        // Refused on arrival and again at 1.5 s; at 2 s the idle sellers'
+        // fresh supply serves all eight.
+        assert_eq!(out.metrics.retries, 16);
         assert!(out.metrics.lost_messages > 0);
     }
 

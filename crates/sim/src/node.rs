@@ -90,8 +90,6 @@ pub struct NodeSoa {
     backlog_until: Vec<SimTime>,
     /// Queries currently queued or running, per node.
     queued: Vec<u32>,
-    /// Total busy time accumulated per node (utilization metrics).
-    busy: Vec<SimDuration>,
     /// Liveness (failure injection).
     alive: Vec<bool>,
     /// Number of `true` entries in `alive`. Lets the allocation path skip
@@ -106,7 +104,6 @@ impl NodeSoa {
         NodeSoa {
             backlog_until: vec![SimTime::ZERO; n],
             queued: vec![0; n],
-            busy: vec![SimDuration::ZERO; n],
             alive: vec![true; n],
             alive_count: n,
         }
@@ -170,7 +167,6 @@ impl NodeSoa {
         let finish = start + exec;
         self.backlog_until[i] = finish;
         self.queued[i] += 1;
-        self.busy[i] += exec;
         finish
     }
 
@@ -192,8 +188,7 @@ impl NodeSoa {
 
     /// Brings dead node `i` back at `now` (crash *recovery*). The node
     /// rejoins with an empty queue — whatever it held when it died was
-    /// lost with the crash and is the driver's to resubmit — while `busy`
-    /// keeps accumulating across incarnations for utilization accounting.
+    /// lost with the crash and is the driver's to resubmit.
     pub fn revive(&mut self, i: usize, now: SimTime) {
         if !self.alive[i] {
             self.alive_count += 1;
@@ -201,11 +196,6 @@ impl NodeSoa {
         self.alive[i] = true;
         self.backlog_until[i] = now;
         self.queued[i] = 0;
-    }
-
-    /// Total busy time summed over nodes.
-    pub fn total_busy(&self) -> SimDuration {
-        self.busy.iter().fold(SimDuration::ZERO, |acc, &b| acc + b)
     }
 }
 
@@ -324,11 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn kill_then_revive_resets_queue_but_keeps_busy_time() {
+    fn kill_then_revive_resets_the_queue() {
         let mut n = NodeSoa::new(2);
         let now = SimTime::from_millis(100);
         n.accept(0, now, SimDuration::from_millis(400));
-        let busy_before = n.total_busy();
         n.kill(0);
         assert!(!n.alive(0));
         assert!(n.alive(1), "other nodes unaffected");
@@ -337,11 +326,6 @@ mod tests {
         n.revive(0, later);
         assert!(n.alive(0));
         assert_eq!(n.backlog(0, later), SimDuration::ZERO, "rejoins idle");
-        assert_eq!(
-            n.total_busy(),
-            busy_before,
-            "utilization survives incarnations"
-        );
     }
 
     #[test]

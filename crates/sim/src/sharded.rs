@@ -366,7 +366,6 @@ impl ShardPlan {
         let mut merged = outcomes.next().expect("at least one shard");
         for o in outcomes {
             merged.metrics.merge_from(&o.metrics);
-            merged.total_busy += o.total_busy;
             merged.boundary.merge_from(&o.boundary);
             merged.wait.merge_from(&o.wait);
         }

@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 41046
-check CHANGES.md 53476
+check DESIGN.md 41608
+check CHANGES.md 55004
 check EXPERIMENTS.md 29788
 check README.md 11280
 exit "$status"

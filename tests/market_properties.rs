@@ -44,8 +44,7 @@ fn qant_walkthrough_of_section_3_3() {
     let mut periods = 0;
     loop {
         let _ = n1.on_request(ClassId(0)); // unmet q1 demand each period
-        n1.end_period();
-        n1.begin_period(&[Some(400.0), Some(100.0)], None);
+        n1.roll(&[Some(400.0), Some(100.0)], Some(500.0)); // a backlog of T leaves T
         periods += 1;
         if n1.supply().get(0) > 0 {
             break;
