@@ -16,7 +16,7 @@ use std::time::Duration;
 /// Figure 7: the real (threaded, live-DBMS) deployment — mean assignment
 /// time and mean total time for Greedy and QA-NT at two inter-arrival
 /// settings (the paper's 300 ms and 400 ms experiments, time-scaled).
-pub fn fig7(scale: Scale, _: usize) -> Report {
+pub(crate) fn fig7(scale: Scale, _: usize) -> Report {
     let (spec, configs): (ClusterSpec, Vec<(String, ClusterConfig, ClusterConfig)>) = match scale {
         Scale::Ci => {
             let spec = ClusterSpec::generate(2007, 5, 8, 16, 8, 80);
@@ -98,7 +98,7 @@ const DROP_PROBS: [f64; 5] = [0.0, 0.05, 0.10, 0.20, 0.30];
 /// normalized by QA-NT's at the same condition, losses and retries. The
 /// §2.2 resubmission rule is QA-NT's built-in retransmission: a lost
 /// negotiation behaves exactly like a period with no offers.
-pub fn resilience(scale: Scale, threads: usize) -> Report {
+pub(crate) fn resilience(scale: Scale, threads: usize) -> Report {
     let (config, secs) = match scale {
         Scale::Ci => {
             let mut c = SimConfig::small_test(2007);

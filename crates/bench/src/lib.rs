@@ -75,7 +75,7 @@ pub struct Report {
 
 impl Report {
     /// A report whose text opens with `title` and a blank line.
-    pub fn titled(title: impl Display) -> Report {
+    pub(crate) fn titled(title: impl Display) -> Report {
         let text = format!("{title}\n\n");
         Report {
             text,

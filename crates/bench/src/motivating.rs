@@ -7,7 +7,7 @@
 //! allocation is Pareto-dominated (Fig. 2).
 
 use crate::{Report, Scale};
-use qa_economics::{dominates, QuantityVector, Solution, ThroughputPreference};
+use qa_economics::{dominates, QuantityVector, Solution};
 
 /// Exec times: `times[node][class]` in ms.
 const TIMES: [[u64; 2]; 2] = [[400, 100], [450, 500]];
@@ -74,7 +74,7 @@ fn aggregates(assignment: &[usize]) -> (QuantityVector, QuantityVector) {
 }
 
 /// Figures 1 and 2 (neither depends on scale or threads).
-pub fn fig1(_: Scale, _: usize) -> Report {
+pub(crate) fn fig1(_: Scale, _: usize) -> Report {
     let lb = lb_assignment();
     let qa = qa_assignment();
     let lb_resp = response_times(&lb);
@@ -130,8 +130,7 @@ pub fn fig1(_: Scale, _: usize) -> Report {
             QuantityVector::from_counts(vec![1, 0]),
         ],
     };
-    let prefs = vec![ThroughputPreference, ThroughputPreference];
-    let dominated = dominates(&qa_solution, &lb_solution, &prefs);
+    let dominated = dominates(&qa_solution, &lb_solution);
     r.line(format!(
         "\nFirst period (T = 500 ms): QA Pareto-dominates LB: {dominated}"
     ));

@@ -245,7 +245,7 @@ fn peak_rss_mb() -> f64 {
     kb.map_or(0.0, |kb| kb / 1024.0)
 }
 
-pub fn fig_scale(scale: Scale, budget: usize) -> Report {
+pub(crate) fn fig_scale(scale: Scale, budget: usize) -> Report {
     let mut points: Vec<ScalePoint> = Vec::new();
     let mut peaks: Vec<f64> = Vec::new();
     for cell in scale_cells(scale) {
@@ -344,7 +344,7 @@ pub fn fig_scale(scale: Scale, budget: usize) -> Report {
 /// The broker telemetry of the sharded QA-NT row of the CI sweep's first
 /// cell (`broker_bid`, `parent_cleared`, `demand_escalated`) at either
 /// scale: sim-time stamped and boundary-serial, hence byte-deterministic.
-pub fn trace(_: Scale, budget: usize) -> Report {
+pub(crate) fn trace(_: Scale, budget: usize) -> Report {
     let cell = scale_cells(Scale::Ci)[0];
     let (scenario, trace) = cell.inputs();
     let (telemetry, buffer) = Telemetry::buffered();

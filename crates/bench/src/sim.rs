@@ -77,7 +77,7 @@ fn fig4_summarize(outcomes: &[RunOutcome]) -> Fig4Result {
 /// Table 2: qualitative comparison of query-allocation mechanisms, with
 /// the measurable columns backed by an actual run (messages per query and
 /// relative performance under a near-capacity sinusoid).
-pub fn table2(scale: Scale, threads: usize) -> Report {
+pub(crate) fn table2(scale: Scale, threads: usize) -> Report {
     let (config, secs) = match scale {
         Scale::Ci => (SimConfig::small_test(2007), 25),
         Scale::Full => (SimConfig::paper_defaults(), 90),
@@ -137,7 +137,7 @@ pub fn table2(scale: Scale, threads: usize) -> Report {
 /// Table 3: the simulation parameters — printed from the actual generated
 /// world, so the table is a measurement, not a restatement. The world is
 /// the paper's at either scale.
-pub fn table3(_: Scale, threads: usize) -> Report {
+pub(crate) fn table3(_: Scale, threads: usize) -> Report {
     let s = Scenario::table3(SimConfig::paper_defaults());
 
     // Each table row is an independent measurement over the shared world.
@@ -232,7 +232,7 @@ qa_simnet::impl_to_json!(Fig3Result {
 /// Figure 3: an example sinusoid workload — Q1/Q2 arrivals per
 /// half-second for the canonical two-class workload (0.05 Hz, 90° phase
 /// offset, peak Q1 = 2 × peak Q2).
-pub fn fig3(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fig3(scale: Scale, threads: usize) -> Report {
     let (config, secs) = match scale {
         Scale::Ci => (SimConfig::small_test(2007), 40),
         Scale::Full => (SimConfig::paper_defaults(), 60),
@@ -280,7 +280,7 @@ pub fn fig3(scale: Scale, threads: usize) -> Report {
 /// 0.05 Hz sinusoid with peak load slightly below total system capacity;
 /// every dynamic mechanism runs the same trace; responses are normalized
 /// by QA-NT's (the paper's y-axis).
-pub fn fig4(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fig4(scale: Scale, threads: usize) -> Report {
     let (config, secs) = match scale {
         Scale::Ci => (SimConfig::small_test(2007), 30),
         Scale::Full => (SimConfig::paper_defaults(), 120),
@@ -390,7 +390,7 @@ fn sweep_rows(pts: &[SweepPoint], x: impl Fn(f64) -> String) -> Vec<Vec<String>>
 
 /// Figure 5a: Greedy's normalized response time vs average workload
 /// (10–300 % of total system capacity, 0.05 Hz sinusoid).
-pub fn fig5a(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fig5a(scale: Scale, threads: usize) -> Report {
     let (config, fractions, secs): (SimConfig, Vec<f64>, u64) = match scale {
         Scale::Ci => (SimConfig::small_test(2007), vec![0.3, 0.8, 1.5], 20),
         Scale::Full => (
@@ -420,7 +420,7 @@ pub fn fig5a(scale: Scale, threads: usize) -> Report {
 
 /// Figure 5b: Greedy's normalized response vs sinusoid frequency
 /// (0.05–2 Hz at 80 % average load).
-pub fn fig5b(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fig5b(scale: Scale, threads: usize) -> Report {
     let (config, freqs, secs): (SimConfig, Vec<f64>, u64) = match scale {
         Scale::Ci => (SimConfig::small_test(2007), vec![0.05, 0.5], 20),
         Scale::Full => (
@@ -464,7 +464,7 @@ qa_simnet::impl_to_json!(Fig5cResult {
 
 /// Figure 5c: Q1 arrivals vs Q1 executions per half-second, near system
 /// capacity — QA-NT tracks the load curve, Greedy falls behind.
-pub fn fig5c(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fig5c(scale: Scale, threads: usize) -> Report {
     let (config, secs) = match scale {
         Scale::Ci => (SimConfig::small_test(2007), 15),
         Scale::Full => (SimConfig::paper_defaults(), 30),
@@ -554,7 +554,7 @@ fn fig6_point(scenario: &Scenario, gap_ms: u64, max_queries: usize) -> SweepPoin
 /// Figure 6: the heterogeneous zipf workload — Greedy's normalized
 /// response vs per-class mean inter-arrival time (Table 3 world: 100
 /// classes, 0–49 joins, 1 000 relations, ~5 mirrors).
-pub fn fig6(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fig6(scale: Scale, threads: usize) -> Report {
     let (config, gaps, max_queries): (SimConfig, Vec<u64>, usize) = match scale {
         Scale::Ci => {
             let mut c = SimConfig::small_test(2007);
@@ -606,7 +606,7 @@ fn variant_cell(config: &SimConfig, frac: f64, secs: u64) -> (f64, u64) {
 ///
 /// Each variant runs the near-capacity and 2× overload sinusoid scenarios;
 /// lower mean response is better.
-pub fn ablation(scale: Scale, threads: usize) -> Report {
+pub(crate) fn ablation(scale: Scale, threads: usize) -> Report {
     let (base, secs) = match scale {
         Scale::Ci => {
             let mut c = SimConfig::small_test(2007);
@@ -668,7 +668,7 @@ pub fn ablation(scale: Scale, threads: usize) -> Report {
 /// figure measures how evenly each mechanism treats the federation's
 /// *client* nodes under overload: Jain's fairness index over the
 /// per-origin mean response times (1.0 = perfectly even).
-pub fn fairness(scale: Scale, threads: usize) -> Report {
+pub(crate) fn fairness(scale: Scale, threads: usize) -> Report {
     let (config, secs, frac) = match scale {
         Scale::Ci => {
             let mut c = SimConfig::small_test(2007);

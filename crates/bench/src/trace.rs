@@ -226,7 +226,7 @@ pub fn convergence_text(report: &ConvergenceReport, records: &[TraceRecord]) -> 
 /// **Changing anything here changes the committed
 /// `figures/trace_seed2007.jsonl`**: copy the `qa_fig trace_seed2007`
 /// output over it with the change that caused it.
-pub fn golden(_: Scale, _: usize) -> Report {
+pub(crate) fn golden(_: Scale, _: usize) -> Report {
     let dump = run_trace_dump(2007, 5, 4, (1_000, 2_500));
     let mut r = Report::default();
     r.line(format!("trace_seed2007 — {} records", dump.records.len()));
@@ -236,7 +236,7 @@ pub fn golden(_: Scale, _: usize) -> Report {
 }
 
 /// `trace_dump`.
-pub fn dump(scale: Scale, _: usize) -> Report {
+pub(crate) fn dump(scale: Scale, _: usize) -> Report {
     let (nodes, secs, down_ms) = match scale {
         Scale::Ci => (10, 20, (5_000, 12_000)),
         Scale::Full => (100, 120, (30_000, 70_000)),

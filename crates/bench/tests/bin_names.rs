@@ -11,6 +11,10 @@
 //! line inside it, and each backticked Rust name in DESIGN.md occurs in
 //! some Rust file. There is no allowlist: a name that is not Rust is
 //! written without backticks.
+//!
+//! The libraries' surfaces are held to their callers: every `pub fn` of a
+//! crate's library source is named in some Rust file outside it, or it is
+//! `pub(crate)`, where rustc's dead-code lint sees it.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -398,7 +402,7 @@ fn every_backticked_rust_name_in_design_resolves() {
 #[test]
 fn a_stale_rust_name_is_caught() {
     let planted = "The fan-out is sized by `set_intra_threads` and `QantMarket::roll`,\n\
-                   with `qa_simnet::par::par_map_indexed`, `events!` and `Reply<T>`;\n\
+                   with `qa_simnet::par::par_map_indexed_with`, `events!` and `Reply<T>`;\n\
                    `QA_SCALE=full` and `--tol` are not names.\n\
                    ```sh\n`not_a_span_in_a_fence`\n```\n";
     assert_eq!(
@@ -422,4 +426,236 @@ fn a_missing_ambiguous_or_out_of_range_path_is_caught() {
     );
     assert!(bad[2].starts_with("`crates/core/src/qant.rs:99999`: the file has"));
     assert!(bad[3].starts_with("`crates/core/src/qant.rs:1–99999`: the file has"));
+}
+
+/// `source` with every comment, string and character literal blanked to
+/// spaces (newlines kept), so byte offsets still match `source`.
+fn code_only(source: &str) -> String {
+    let b = source.as_bytes();
+    let mut out = b.to_vec();
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut blank = |from: usize, to: usize| {
+        for c in &mut out[from..to.min(b.len())] {
+            if *c != b'\n' {
+                *c = b' ';
+            }
+        }
+    };
+    let mut i = 0;
+    while i < b.len() {
+        let start = i;
+        if b[i..].starts_with(b"//") {
+            i = b[i..]
+                .iter()
+                .position(|&c| c == b'\n')
+                .map_or(b.len(), |n| i + n);
+        } else if b[i..].starts_with(b"/*") {
+            let mut depth = 0;
+            while i < b.len() {
+                if b[i..].starts_with(b"/*") {
+                    (depth, i) = (depth + 1, i + 2);
+                } else if b[i..].starts_with(b"*/") {
+                    (depth, i) = (depth - 1, i + 2);
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+        } else if b[i] == b'r' && (i == 0 || !ident(b[i - 1]) || b[i - 1] == b'b') && {
+            let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+            b.get(i + 1 + hashes) == Some(&b'"')
+        } {
+            let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+            let mut close = vec![b'"'];
+            close.extend(std::iter::repeat_n(b'#', hashes));
+            i += 2 + hashes;
+            i = b[i..]
+                .windows(close.len())
+                .position(|w| w == close)
+                .map_or(b.len(), |n| i + n + close.len());
+        } else if b[i] == b'"' {
+            i += 1;
+            while i < b.len() && b[i] != b'"' {
+                i += if b[i] == b'\\' { 2 } else { 1 };
+            }
+            i += 1;
+        } else if b[i] == b'\'' {
+            // A character literal, or a lifetime (left as code).
+            let len = if b.get(i + 1) == Some(&b'\\') {
+                b[i + 2..].iter().position(|&c| c == b'\'').map(|n| n + 3)
+            } else {
+                let ch = source[i + 1..].chars().next().map_or(1, char::len_utf8);
+                (b.get(i + 1 + ch) == Some(&b'\'')).then_some(ch + 2)
+            };
+            match len {
+                Some(n) => i += n,
+                None => {
+                    i += 1;
+                    continue;
+                }
+            }
+        } else {
+            i += 1;
+            continue;
+        }
+        blank(start, i);
+    }
+    String::from_utf8(out).expect("only ASCII bytes replaced whole characters")
+}
+
+/// The byte spans of `code` (from [`code_only`]) that the census skips:
+/// each `#[cfg(test)]` item and each `macro_rules!` body.
+fn skipped_spans(code: &str) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    for marker in ["#[cfg(test)]", "macro_rules!"] {
+        for (at, _) in code.match_indices(marker) {
+            let from = at + marker.len();
+            let Some(open) = code[from..].find(['{', ';']).map(|n| from + n) else {
+                continue;
+            };
+            let mut end = open + 1;
+            if code.as_bytes()[open] == b'{' {
+                let mut depth = 0;
+                for (n, c) in code[open..].bytes().enumerate() {
+                    depth += i32::from(c == b'{') - i32::from(c == b'}');
+                    if depth == 0 {
+                        end = open + n + 1;
+                        break;
+                    }
+                }
+            }
+            spans.push((at, end));
+        }
+    }
+    spans
+}
+
+/// The names of the `pub fn`s (`const`, `unsafe` and `async` ones too)
+/// that `source` declares outside comments, strings, `#[cfg(test)]` items
+/// and `macro_rules!` bodies. `pub(crate) fn` and narrower are not `pub`.
+fn pub_fns(source: &str) -> Vec<String> {
+    let code = code_only(source);
+    let skipped = skipped_spans(&code);
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut names = Vec::new();
+    for (at, _) in code.match_indices("pub") {
+        let before = code[..at].chars().next_back();
+        if before.is_some_and(ident) || skipped.iter().any(|&(a, b)| (a..b).contains(&at)) {
+            continue;
+        }
+        let after = &code[at + 3..];
+        if !after.starts_with(char::is_whitespace) {
+            continue;
+        }
+        let mut rest = after.trim_start();
+        while let Some(r) = ["const", "unsafe", "async"].iter().find_map(|q| {
+            rest.strip_prefix(q)
+                .filter(|r| r.starts_with(char::is_whitespace))
+        }) {
+            rest = r.trim_start();
+        }
+        if let Some(r) = rest
+            .strip_prefix("fn")
+            .filter(|r| r.starts_with(char::is_whitespace))
+        {
+            let r = r.trim_start();
+            let end = r.find(|c: char| !ident(c)).unwrap_or(r.len());
+            names.push(r[..end].to_string());
+        }
+    }
+    names
+}
+
+/// The crate whose library source `path` (relative to the root) is:
+/// `crates/<crate>/src/**`, its bins excepted.
+fn library_crate(path: &str) -> Option<&str> {
+    let rest = path.strip_prefix("crates/")?;
+    let (krate, rest) = rest.split_once('/')?;
+    let inner = rest.strip_prefix("src/")?;
+    (!inner.starts_with("bin/")).then_some(krate)
+}
+
+/// `crate: path: name` of every `pub fn` of `files` that no file outside
+/// its crate's library source names as a whole word. This file, whose
+/// planted names are stale on purpose, names nothing.
+fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<String> {
+    let words = |f: &(String, String)| -> BTreeSet<String> {
+        f.1.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .map(str::to_string)
+            .collect()
+    };
+    let mut unnamed = Vec::new();
+    let crates: BTreeSet<&str> = files.iter().filter_map(|(p, _)| library_crate(p)).collect();
+    for krate in crates {
+        let outside: BTreeSet<String> = files
+            .iter()
+            .filter(|(p, _)| library_crate(p) != Some(krate) && !p.ends_with(file!()))
+            .flat_map(words)
+            .collect();
+        for (path, source) in files
+            .iter()
+            .filter(|(p, _)| library_crate(p) == Some(krate))
+        {
+            for name in pub_fns(source) {
+                if !outside.contains(&name) {
+                    unnamed.push(format!("{krate}: {path}: {name}"));
+                }
+            }
+        }
+    }
+    unnamed
+}
+
+#[test]
+fn every_pub_fn_is_named_outside_its_crate() {
+    let files = rust_files();
+    let unnamed = unnamed_pub_fns(&files);
+    assert!(
+        unnamed.is_empty(),
+        "{} `pub fn`s no other crate, test, bin, example or benchmark names \
+         (make them `pub(crate)`):\n{}",
+        unnamed.len(),
+        unnamed.join("\n")
+    );
+}
+
+#[test]
+fn a_pub_fn_named_nowhere_else_is_caught() {
+    let planted = r##"
+        /// A doc comment saying pub fn in_a_comment() is not code.
+        pub fn lonely_census_probe() -> &'static str { "pub fn in_a_string" }
+        pub(crate) fn narrowed_census_probe() {}
+        pub const fn const_census_probe(c: char) -> bool { c == '{' }
+        #[cfg(test)]
+        mod tests {
+            pub fn test_only_census_probe() {}
+        }
+        macro_rules! m { () => { pub fn macro_census_probe() {} }; }
+        pub unsafe fn unsafe_census_probe() { let _ = r#"}"#; }
+    "##;
+    assert_eq!(
+        pub_fns(planted),
+        [
+            "lonely_census_probe",
+            "const_census_probe",
+            "unsafe_census_probe"
+        ]
+    );
+    let files = [
+        ("crates/x/src/lib.rs".to_string(), planted.to_string()),
+        (
+            "crates/x/src/bin/b.rs".to_string(),
+            "const_census_probe();".to_string(),
+        ),
+        (
+            "tests/t.rs".to_string(),
+            "unsafe_census_probe();".to_string(),
+        ),
+    ];
+    assert_eq!(
+        unnamed_pub_fns(&files),
+        ["x: crates/x/src/lib.rs: lonely_census_probe"]
+    );
 }

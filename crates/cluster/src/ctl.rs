@@ -48,7 +48,7 @@ pub struct Federation {
     pub addrs: Vec<String>,
     /// Each node's bound `/metrics` endpoint, in node order (empty
     /// unless spawned via [`Federation::spawn_with_metrics`]).
-    pub metrics_addrs: Vec<String>,
+    pub(crate) metrics_addrs: Vec<String>,
 }
 
 impl Federation {
@@ -75,7 +75,7 @@ impl Federation {
     ///
     /// # Errors
     /// Same as [`Federation::spawn`].
-    pub fn spawn_with_metrics(
+    pub(crate) fn spawn_with_metrics(
         fed: &FedConfig,
         qad_bin: &Path,
         config_path: &str,
@@ -252,7 +252,7 @@ pub fn collect_stats(transport: &TcpTransport, timeout: Duration) -> Vec<Option<
 /// merge exactly; gauges are last-write-wins and therefore only
 /// meaningful per node, which is why the per-node section carries them
 /// too.
-pub fn fleet_report(stats: &[Option<NodeStats>], prices: &[Option<PricesReply>]) -> Json {
+pub(crate) fn fleet_report(stats: &[Option<NodeStats>], prices: &[Option<PricesReply>]) -> Json {
     let merged = MetricsRegistry::new();
     let mut alive = 0i64;
     let nodes = Json::Obj(

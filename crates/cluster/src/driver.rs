@@ -20,7 +20,7 @@
 //! [`ClusterConfig::crashes`], or a dead worker) is routed around, and
 //! failed attempts retry with capped exponential backoff within
 //! [`ClusterConfig::max_retries`]. Those rules are [`crate::protocol`]'s,
-//! carried out by the [`crate::episode`] shell; this module gives that
+//! carried out by the `crate::episode` shell; this module gives that
 //! shell a clock, the workload and a [`Transport`]. All
 //! environmental failures surface as [`ClusterError`] values in the
 //! per-query outcomes — the request, offer and execute paths never panic.
@@ -205,7 +205,7 @@ fn backoff(period: Duration, attempt: u32) -> Duration {
 /// market period — `None` for Greedy. Shared by the in-process spawner
 /// and the `qad` server so a multi-process federation prices exactly like
 /// the threaded one.
-pub fn qant_config_for(mechanism: ClusterMechanism, period: Duration) -> Option<QantConfig> {
+pub(crate) fn qant_config_for(mechanism: ClusterMechanism, period: Duration) -> Option<QantConfig> {
     match mechanism {
         ClusterMechanism::QaNt => Some(QantConfig {
             period: SimDuration::from_millis(period.as_millis() as u64),
@@ -265,7 +265,7 @@ pub fn run_experiment(
 /// dump post-run price vectors) and owns the final
 /// [`Transport::shutdown`].
 ///
-/// One loop on the caller's thread: it blocks on the [`Episode`]'s inbox
+/// One loop on the caller's thread: it blocks on the `Episode`'s inbox
 /// until the next timer is due — an issue time, a period tick, a scheduled
 /// crash, or one of the waits the episode names (reply deadline, back-off,
 /// the execute ceiling) — and hands each arrival and each expired timer to the

@@ -33,7 +33,7 @@ use std::time::Duration;
 /// (the round closed, the execute resolved, the query ended) matches
 /// nothing and is ignored, and the loop never has to cancel anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Wait {
+pub(crate) enum Wait {
     /// The replies to the query's poll round number `.0`, bounded by the
     /// reply deadline.
     Replies(u32),
@@ -46,14 +46,14 @@ pub enum Wait {
 
 /// A wait of `query` for the loop to time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Timer {
+pub(crate) struct Timer {
     pub query: usize,
     pub wait: Wait,
 }
 
 /// A reply reaching the inbox — or the news that it never will.
 #[derive(Debug)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     pub query: usize,
     /// The wait the reply can end.
     pub wait: Wait,
@@ -66,7 +66,7 @@ pub struct Arrival {
 
 /// What a node answered.
 #[derive(Debug)]
-pub enum Answer {
+pub(crate) enum Answer {
     Bid(Bid),
     Executed(ExecReply),
 }
@@ -118,7 +118,7 @@ fn ms(d: Duration) -> f64 {
 }
 
 /// The shell over the queries of one run; see the module docs.
-pub struct Episode<'a> {
+pub(crate) struct Episode<'a> {
     transport: &'a dyn Transport,
     mechanism: ClusterMechanism,
     max_retries: u32,
@@ -142,7 +142,7 @@ impl<'a> Episode<'a> {
     /// An episode with no query issued yet. Replies post to `inbox`; the
     /// loop reads the other end and hands each arrival to
     /// [`Episode::deliver`].
-    pub fn new(
+    pub(crate) fn new(
         transport: &'a dyn Transport,
         mechanism: ClusterMechanism,
         max_retries: u32,
@@ -167,33 +167,33 @@ impl<'a> Episode<'a> {
     }
 
     /// Queries issued so far.
-    pub fn issued(&self) -> usize {
+    pub(crate) fn issued(&self) -> usize {
         self.queries.len()
     }
 
     /// Queries finished so far.
-    pub fn finished(&self) -> usize {
+    pub(crate) fn finished(&self) -> usize {
         self.finished
     }
 
     /// What query `i` waits on (`None`: it is done).
-    pub fn waiting_on(&self, i: usize) -> Option<Wait> {
+    pub(crate) fn waiting_on(&self, i: usize) -> Option<Wait> {
         self.queries[i].wait
     }
 
     /// `(query, how it ended)` of every finished query.
-    pub fn outcomes(&self) -> impl Iterator<Item = (usize, &Outcome)> {
+    pub(crate) fn outcomes(&self) -> impl Iterator<Item = (usize, &Outcome)> {
         let slots = self.queries.iter().enumerate();
         slots.filter_map(|(i, q)| Some((i, q.outcome.as_ref()?)))
     }
 
     /// The per-query measurements, in issue order.
-    pub fn into_measurements(self) -> Vec<QueryOutcome> {
+    pub(crate) fn into_measurements(self) -> Vec<QueryOutcome> {
         self.queries.into_iter().map(|q| q.measured).collect()
     }
 
     /// The timers named since the last call, for the loop to arm.
-    pub fn take_timers(&mut self) -> Vec<Timer> {
+    pub(crate) fn take_timers(&mut self) -> Vec<Timer> {
         std::mem::take(&mut self.timers)
     }
 
@@ -206,7 +206,7 @@ impl<'a> Episode<'a> {
     }
 
     /// Issues the next query, of `class`, placeable on `capable`.
-    pub fn issue(&mut self, now: Duration, class: ClassId, capable: Vec<usize>) {
+    pub(crate) fn issue(&mut self, now: Duration, class: ClassId, capable: Vec<usize>) {
         let i = self.queries.len();
         self.queries.push(Query {
             proto: QueryProtocol::new(i as u64, class, self.max_retries, capable),
@@ -229,7 +229,7 @@ impl<'a> Episode<'a> {
     }
 
     /// A period boundary: tells every node, dead or not.
-    pub fn tick(&mut self, now: Duration, index: u64) {
+    pub(crate) fn tick(&mut self, now: Duration, index: u64) {
         self.stamp(now);
         self.telemetry
             .emit(|| TelemetryEvent::PeriodStarted { index });
@@ -243,7 +243,7 @@ impl<'a> Episode<'a> {
     /// exactly like a process death: in-flight replies are lost and every
     /// later send fails. The node is written off first, so no query polls
     /// it on the strength of a reply the kill is about to lose.
-    pub fn crash(&mut self, now: Duration, node: usize) {
+    pub(crate) fn crash(&mut self, now: Duration, node: usize) {
         self.stamp(now);
         self.dead[node].store(true, Ordering::Relaxed);
         self.telemetry
@@ -252,7 +252,7 @@ impl<'a> Episode<'a> {
     }
 
     /// Files one arrival under its query and wait.
-    pub fn deliver(&mut self, now: Duration, arrival: Arrival) {
+    pub(crate) fn deliver(&mut self, now: Duration, arrival: Arrival) {
         let (i, q) = (arrival.query, &mut self.queries[arrival.query]);
         if q.wait != Some(arrival.wait) {
             return;
@@ -288,7 +288,7 @@ impl<'a> Episode<'a> {
     }
 
     /// A wait has run out (or, under a schedule, was chosen to).
-    pub fn fire(&mut self, now: Duration, timer: Timer) {
+    pub(crate) fn fire(&mut self, now: Duration, timer: Timer) {
         if self.queries[timer.query].wait != Some(timer.wait) {
             return;
         }

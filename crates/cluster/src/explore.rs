@@ -1,10 +1,10 @@
 //! Model-checking harness for the cluster driver protocol.
 //!
-//! [`run_schedule`] executes one deterministic episode of the allocation
-//! protocol — the [`Episode`] shell [`crate::driver::run_workload`] runs,
-//! over the same [`crate::protocol::QueryProtocol`] machines, one per
+//! `run_schedule` executes one deterministic episode of the allocation
+//! protocol — the `Episode` shell [`crate::driver::run_workload`] runs,
+//! over the same `crate::protocol::QueryProtocol` machines, one per
 //! query — against the [`SimTransport`] virtual network, whose nodes are the sellers
-//! ([`crate::protocol::NodeProtocol`]) every node thread and `qad` process
+//! (`crate::protocol::NodeProtocol`) every node thread and `qad` process
 //! runs, under the shipped market configuration, with **every**
 //! nondeterministic decision (which message is delivered, what is dropped,
 //! when a node crashes, when a collection deadline fires, when the driver
@@ -58,18 +58,18 @@ pub struct ExploreConfig {
     /// measured in).
     pub period: Duration,
     /// Re-allocation attempts before a query is declared unserved.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Schedule-chosen crash injections available to the adversary.
-    pub crash_budget: u32,
+    pub(crate) crash_budget: u32,
     /// A period tick is broadcast before every `tick_every`-th issue.
-    pub tick_every: usize,
+    pub(crate) tick_every: usize,
     /// Driver-action budget — the virtual watchdog behind invariant 4.
-    pub max_actions: u64,
+    pub(crate) max_actions: u64,
     /// The protocol under test.
     pub mechanism: ClusterMechanism,
     /// Harness self-test: arm the virtual nodes' deliberate double-commit
     /// bug; the invariant checker must flag every such run.
-    pub inject_double_exec: bool,
+    pub(crate) inject_double_exec: bool,
 }
 
 impl ExploreConfig {
@@ -228,7 +228,7 @@ impl Explorer<'_> {
 
 /// Runs one episode under `schedule` and audits the invariants. The
 /// schedule is consumed; its full trail comes back in the outcome.
-pub fn run_schedule(
+pub(crate) fn run_schedule(
     cfg: &ExploreConfig,
     schedule: Box<dyn Schedule + Send>,
     telemetry: &Telemetry,
@@ -488,7 +488,7 @@ pub struct ExploreReport {
     /// the crash-point coverage measure.
     pub crash_points: BTreeSet<u64>,
     /// Schedules that violated an invariant (capped at
-    /// [`ExploreReport::MAX_FAILURES`]; `schedules_failed` keeps the
+    /// `ExploreReport::MAX_FAILURES`; `schedules_failed` keeps the
     /// true count).
     pub failures: Vec<FailedSchedule>,
     /// True number of failing schedules.
@@ -500,7 +500,7 @@ pub struct ExploreReport {
 
 impl ExploreReport {
     /// Failing schedules kept verbatim in [`ExploreReport::failures`].
-    pub const MAX_FAILURES: usize = 8;
+    pub(crate) const MAX_FAILURES: usize = 8;
 
     fn absorb(&mut self, outcome: &ScheduleOutcome) {
         self.schedules += 1;

@@ -26,7 +26,7 @@
 //! * [`setup`] — deployment generator: tables, views, copies, query classes,
 //! * [`protocol`] — both sides of the allocation protocol, sans-IO: one
 //!   query's state machine (winner selection, retry budget, crash
-//!   re-entry) and the one seller ([`protocol::NodeProtocol`]: §3.3's
+//!   re-entry) and the one seller (`protocol::NodeProtocol`: §3.3's
 //!   offer / refuse-and-raise / accept / period boundary over a private
 //!   `QantNode`, plus backlog and the `qad.*` metrics),
 //! * [`node`] — the node thread, the seller's threaded shell: minidb, the
@@ -34,7 +34,7 @@
 //!   [`NodeMsg`] mailbox; a `qad` process runs the same thread,
 //! * [`transport`] — `send(node, NodeMsg)` over mailboxes or TCP; the
 //!   reply travels back as a [`node::Reply`] inside the request,
-//! * [`episode`] — the driver's shell, once: it carries out what the
+//! * `episode` — the driver's shell, once: it carries out what the
 //!   query machines decide, files every reply (answered or lost) under
 //!   its query and round, closes rounds, names the timers it needs, and
 //!   reads no clock,
@@ -43,13 +43,13 @@
 //!   period ticks, the crash schedule, reply deadlines, back-offs),
 //!   Figure-7 measurements,
 //! * [`explore`] — the model checker: a schedule steps the *same* episode
-//!   and the same sellers over the [`simtransport`] virtual network,
+//!   and the same sellers over the `simtransport` virtual network,
 //! * [`error`] — the [`ClusterError`] taxonomy for environmental failures
 //!   (the protocol paths never panic).
 
 pub mod ctl;
 pub mod driver;
-pub mod episode;
+pub(crate) mod episode;
 pub mod error;
 pub mod explore;
 pub mod metrics_http;
@@ -57,20 +57,19 @@ pub mod node;
 pub mod protocol;
 pub mod qad;
 pub mod setup;
-pub mod simtransport;
+pub(crate) mod simtransport;
 pub mod transport;
 
 pub use driver::{
-    qant_config_for, run_experiment, run_workload, spawn_fleet, ClusterConfig, ClusterMechanism,
-    ExperimentResult,
+    run_experiment, run_workload, spawn_fleet, ClusterConfig, ClusterMechanism, ExperimentResult,
 };
 pub use error::ClusterError;
 pub use explore::{
-    explore_random, explore_systematic, run_schedule, run_seed, run_trail, ExploreConfig,
-    ExploreReport, ScheduleOutcome, Violation,
+    explore_random, explore_systematic, run_seed, run_trail, ExploreConfig, ExploreReport,
+    ScheduleOutcome, Violation,
 };
-pub use node::{spawn_node, NodeHandle, NodeMsg, NodeStats};
+pub use node::{NodeMsg, NodeStats};
 pub use qad::FedConfig;
 pub use setup::{ClusterSpec, QueryClassSpec};
-pub use simtransport::{SharedSchedule, SimNodeState, SimTransport};
+pub use simtransport::SimTransport;
 pub use transport::{ChannelTransport, TcpTransport, Transport};

@@ -32,7 +32,7 @@ const MAX_HEAD: u64 = 8 * 1024;
 ///
 /// # Errors
 /// The bind failure, as readable text. Per-request failures are absorbed.
-pub fn serve_metrics(addr: &str, registry: MetricsRegistry) -> Result<SocketAddr, String> {
+pub(crate) fn serve_metrics(addr: &str, registry: MetricsRegistry) -> Result<SocketAddr, String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = listener
         .local_addr()

@@ -1,5 +1,5 @@
 //! The node thread: the threaded shell around the seller
-//! ([`NodeProtocol`]) — a live minidb instance, a mailbox and a link.
+//! (`NodeProtocol`) — a live minidb instance, a mailbox and a link.
 //!
 //! Each node is one OS thread with a mailbox. It processes messages
 //! strictly in order, exactly like a saturated single-worker DBMS: while a
@@ -139,9 +139,7 @@ impl NodeMsg {
 }
 
 /// A handle to a spawned node.
-pub struct NodeHandle {
-    /// The node index.
-    pub id: usize,
+pub(crate) struct NodeHandle {
     /// Its mailbox.
     pub sender: Sender<NodeMsg>,
     join: JoinHandle<()>,
@@ -149,7 +147,7 @@ pub struct NodeHandle {
 
 impl NodeHandle {
     /// Requests shutdown and joins the thread.
-    pub fn shutdown(self) {
+    pub(crate) fn shutdown(self) {
         let _ = self.sender.send(NodeMsg::Shutdown);
         let _ = self.join.join();
     }
@@ -199,7 +197,7 @@ struct NodeWorker {
 /// relabelled with the node index, and its clock is stamped from
 /// `epoch.elapsed()` (wall-clock) per message. Pass
 /// [`Telemetry::disabled`] for a silent node.
-pub fn spawn_node(
+pub(crate) fn spawn_node(
     spec: &ClusterSpec,
     node: usize,
     data_seed: u64,
@@ -266,11 +264,7 @@ pub fn spawn_node(
         // Programmer-error invariant: thread spawning only fails on OS
         // resource exhaustion, which the experiment cannot run through.
         .expect("spawn node thread");
-    NodeHandle {
-        id: node,
-        sender: tx,
-        join,
-    }
+    NodeHandle { sender: tx, join }
 }
 
 impl NodeWorker {

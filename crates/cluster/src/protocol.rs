@@ -1,13 +1,13 @@
 //! Both sides of the allocation protocol, sans-IO: the query a client
-//! places ([`QueryProtocol`]) and the seller that answers it
-//! ([`NodeProtocol`], at the end of this file).
+//! places (`QueryProtocol`) and the seller that answers it
+//! (`NodeProtocol`, at the end of this file).
 //!
-//! [`QueryProtocol::step`] owns every protocol *decision* — which nodes a
+//! `QueryProtocol::step` owns every protocol *decision* — which nodes a
 //! round polls (the class's capable set minus the fleet's dead), who wins
 //! it, what a send failure or a lost execute does to fleet liveness, the
 //! retry budget, the assignment generation, and the query-lifecycle
 //! telemetry — and performs no I/O: no channels, clocks, sleeps or
-//! threads. A shell feeds it [`Event`]s and carries out the [`Action`]s it
+//! threads. A shell feeds it `Event`s and carries out the `Action`s it
 //! answers with:
 //!
 //! ```text
@@ -16,7 +16,7 @@
 //!   └──── Backoff{attempt} ◀─┴─────────────────────┘                 └▶ Poll at once
 //! ```
 //!
-//! One shell runs it: [`crate::episode::Episode`] carries out the actions
+//! One shell runs it: `crate::episode::Episode` carries out the actions
 //! of every live query of a run over any
 //! [`crate::transport::Transport`]. [`crate::driver`] steps that shell
 //! from one loop blocking on an inbox and a timer, [`crate::explore`] from
@@ -33,12 +33,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One node's answer to a poll, mechanism-erased.
 #[derive(Debug, Clone, Copy)]
-pub struct Bid {
+pub(crate) struct Bid {
     /// The node the reply claims to come from.
     pub node: usize,
     /// Its cost in ms (Greedy: execution estimate; QA-NT: promised
     /// completion), `None` when the node declined to offer.
-    pub cost_ms: Option<f64>,
+    pub(crate) cost_ms: Option<f64>,
 }
 
 impl From<EstimateReply> for Bid {
@@ -61,7 +61,7 @@ impl From<OfferReply> for Bid {
 
 /// What the shell observed.
 #[derive(Debug)]
-pub enum Event {
+pub(crate) enum Event {
     /// The query was issued, or its back-off elapsed: open a poll round.
     Ready,
     /// The round [`Action::Poll`] opened is over: `bids` are the replies in
@@ -81,7 +81,7 @@ pub enum Event {
 
 /// What the shell must do next.
 #[derive(Debug, PartialEq)]
-pub enum Action {
+pub(crate) enum Action {
     /// Send the mechanism's poll to each of these nodes, reporting a send
     /// that returns an error to [`QueryProtocol::poll_send_failed`] at
     /// once; gather the replies under the reply deadline, then report
@@ -124,7 +124,7 @@ enum State {
 
 /// One query's allocation protocol; see the module docs.
 #[derive(Debug)]
-pub struct QueryProtocol {
+pub(crate) struct QueryProtocol {
     query: u64,
     class: ClassId,
     max_retries: u32,
@@ -159,7 +159,12 @@ fn winner(polled: &[usize], bids: &[Bid]) -> Option<usize> {
 impl QueryProtocol {
     /// The protocol for query number `query` of `class`, placeable on the
     /// `capable` nodes, with `max_retries` resubmissions to spend.
-    pub fn new(query: u64, class: ClassId, max_retries: u32, capable: Vec<usize>) -> QueryProtocol {
+    pub(crate) fn new(
+        query: u64,
+        class: ClassId,
+        max_retries: u32,
+        capable: Vec<usize>,
+    ) -> QueryProtocol {
         QueryProtocol {
             query,
             class,
@@ -172,7 +177,7 @@ impl QueryProtocol {
     }
 
     /// Resubmissions spent so far (rejections, losses and re-allocations).
-    pub fn retries(&self) -> u32 {
+    pub(crate) fn retries(&self) -> u32 {
         self.retries
     }
 
@@ -180,7 +185,7 @@ impl QueryProtocol {
     /// names the send, `estimate_send` or `offer_send`): the node is
     /// written off while the rest of the round is still out, so no query
     /// polls it from here on, and no reply in its name can win the round.
-    pub fn poll_send_failed(
+    pub(crate) fn poll_send_failed(
         &mut self,
         node: usize,
         context: &str,
@@ -201,7 +206,12 @@ impl QueryProtocol {
     ///
     /// # Panics
     /// On an event the current state cannot accept — a bug in the shell.
-    pub fn step(&mut self, event: Event, dead: &[AtomicBool], telemetry: &Telemetry) -> Action {
+    pub(crate) fn step(
+        &mut self,
+        event: Event,
+        dead: &[AtomicBool],
+        telemetry: &Telemetry,
+    ) -> Action {
         match (std::mem::replace(&mut self.state, State::Done), event) {
             (State::Backoff, Event::Ready) => self.open_round(dead, telemetry),
             (State::Polling(polled), Event::RoundClosed { bids }) => match winner(&polled, &bids) {
@@ -347,7 +357,7 @@ impl NodeMetrics {
 /// Each `*_ms` argument is that shell's estimate or measurement in
 /// milliseconds.
 #[derive(Debug, Clone)]
-pub struct NodeProtocol {
+pub(crate) struct NodeProtocol {
     id: usize,
     qant: Option<QantNode>,
     /// Estimated outstanding work — grows on accept, shrinks once executed.
@@ -359,7 +369,7 @@ impl NodeProtocol {
     /// Node `id`'s seller over `num_classes` classes: with `config`, a
     /// market; without, none. `telemetry` must already carry the node's
     /// label.
-    pub fn new(
+    pub(crate) fn new(
         id: usize,
         num_classes: usize,
         config: Option<QantConfig>,
@@ -379,19 +389,14 @@ impl NodeProtocol {
     }
 
     /// The market, if this seller keeps one (diagnostics and tests).
-    pub fn market(&self) -> Option<&QantNode> {
+    pub(crate) fn market(&self) -> Option<&QantNode> {
         self.qant.as_ref()
-    }
-
-    /// Estimated outstanding work (ms).
-    pub fn backlog_ms(&self) -> f64 {
-        self.backlog_ms
     }
 
     /// Opens the first market period on one period of budget. `costs(K)`
     /// yields the per-class execution estimates (`None` = cannot
     /// evaluate); it is not called without a market.
-    pub fn open_market(&mut self, costs: impl FnOnce(usize) -> Vec<Option<f64>>) {
+    pub(crate) fn open_market(&mut self, costs: impl FnOnce(usize) -> Vec<Option<f64>>) {
         if let Some(q) = &mut self.qant {
             q.begin_period(&costs(q.num_classes()), None);
         }
@@ -400,7 +405,7 @@ impl NodeProtocol {
     /// Greedy's poll: the execution estimate alone, *without* queue
     /// information — the client cannot see other clients' outstanding work
     /// (§4's greedy).
-    pub fn estimate(&self, exec_ms: f64) -> EstimateReply {
+    pub(crate) fn estimate(&self, exec_ms: f64) -> EstimateReply {
         if let Some(m) = &self.metrics {
             m.estimates_served.incr();
         }
@@ -412,7 +417,7 @@ impl NodeProtocol {
     /// `class` (always, without a market); a refusal raises the class's
     /// price. `estimate` is asked for the execution estimate only when the
     /// node offers; the promised completion adds the node's own backlog.
-    pub fn offer(&mut self, class: ClassId, estimate: impl FnOnce() -> f64) -> OfferReply {
+    pub(crate) fn offer(&mut self, class: ClassId, estimate: impl FnOnce() -> f64) -> OfferReply {
         let offered = self.qant.as_mut().is_none_or(|q| q.on_request(class));
         if let Some(m) = &self.metrics {
             if offered {
@@ -438,7 +443,7 @@ impl NodeProtocol {
 
     /// The client took the offer (step 6): one supply unit is sold and the
     /// query's estimated `est_ms` joins the backlog.
-    pub fn accept(&mut self, class: ClassId, est_ms: f64) {
+    pub(crate) fn accept(&mut self, class: ClassId, est_ms: f64) {
         if let Some(q) = &mut self.qant {
             q.on_accept(class);
         }
@@ -450,7 +455,7 @@ impl NodeProtocol {
 
     /// The query accepted under `est_ms` ran for `exec_ms`: its *estimate*
     /// leaves the backlog, which holds estimates only.
-    pub fn executed(&mut self, est_ms: f64, exec_ms: f64, ok: bool) {
+    pub(crate) fn executed(&mut self, est_ms: f64, exec_ms: f64, ok: bool) {
         self.backlog_ms = (self.backlog_ms - est_ms).max(0.0);
         if let Some(m) = &self.metrics {
             m.backlog_ms.set(self.backlog_ms);
@@ -467,7 +472,11 @@ impl NodeProtocol {
     /// ([`QantMarket::roll`](qa_core::QantMarket::roll), as in the
     /// simulator), on this node's backlog and fresh costs. `costs` as in
     /// [`Self::open_market`].
-    pub fn tick(&mut self, since_last_ms: f64, costs: impl FnOnce(usize) -> Vec<Option<f64>>) {
+    pub(crate) fn tick(
+        &mut self,
+        since_last_ms: f64,
+        costs: impl FnOnce(usize) -> Vec<Option<f64>>,
+    ) {
         if let Some(m) = &self.metrics {
             m.periods.incr();
             m.period_ms.observe(since_last_ms);
@@ -478,7 +487,7 @@ impl NodeProtocol {
 
     /// The per-class private prices (empty without a market), for operator
     /// tooling (`qa-ctl prices`).
-    pub fn prices(&self) -> PricesReply {
+    pub(crate) fn prices(&self) -> PricesReply {
         let prices = self.qant.as_ref().map(|q| q.prices().as_slice().to_vec());
         PricesReply {
             node: self.id as u32,
@@ -491,6 +500,13 @@ impl NodeProtocol {
 mod tests {
     use super::*;
     use qa_simnet::DetRng;
+
+    impl NodeProtocol {
+        /// Estimated outstanding work (ms).
+        pub(crate) fn backlog_ms(&self) -> f64 {
+            self.backlog_ms
+        }
+    }
 
     /// A round in which only `node` bids.
     fn won(node: usize) -> Event {
@@ -766,7 +782,7 @@ mod tests {
     /// request is refused outright, prices renormalized).
     fn markets() -> [Option<QantConfig>; 3] {
         let period = std::time::Duration::from_millis(40);
-        let shipped = crate::qant_config_for(crate::ClusterMechanism::QaNt, period);
+        let shipped = crate::driver::qant_config_for(crate::ClusterMechanism::QaNt, period);
         [None, shipped, Some(QantConfig::default())]
     }
 

@@ -202,7 +202,7 @@ impl FedConfig {
     }
 
     /// The fault plan every fleet node runs under (uniform loss).
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         if self.drop_prob > 0.0 {
             FaultPlan::uniform(LinkFaults::lossy(self.drop_prob))
         } else {

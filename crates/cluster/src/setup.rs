@@ -23,9 +23,7 @@ pub struct TableSpec {
 
 /// One select-project view.
 #[derive(Debug, Clone)]
-pub struct ViewSpec {
-    /// View name (`v00`, …).
-    pub name: String,
+pub(crate) struct ViewSpec {
     /// The base table index.
     pub table: usize,
     /// The view's defining SQL.
@@ -67,7 +65,7 @@ pub struct ClusterSpec {
     /// Tables.
     pub tables: Vec<TableSpec>,
     /// Views.
-    pub views: Vec<ViewSpec>,
+    pub(crate) views: Vec<ViewSpec>,
     /// Query classes.
     pub classes: Vec<QueryClassSpec>,
     /// Per-node slowdown factor (1.0 = fastest; the paper's slowest PC ran
@@ -113,7 +111,6 @@ impl ClusterSpec {
                 let table = rng.index(num_tables);
                 let cutoff = rng.int_in(0, 500);
                 ViewSpec {
-                    name: format!("v{i:02}"),
                     table,
                     sql: format!(
                         "CREATE VIEW v{i:02} AS SELECT id, a, b, g FROM {} WHERE a > {cutoff}",

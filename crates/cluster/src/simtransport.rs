@@ -4,7 +4,7 @@
 //! Where [`crate::transport::ChannelTransport`] runs real node threads
 //! and [`crate::transport::TcpTransport`] real sockets, `SimTransport`
 //! runs the same sellers ([`NodeProtocol`], built from the shipped
-//! [`crate::qant_config_for`]) with neither minidb nor threads: an
+//! [`crate::driver::qant_config_for`]) with neither minidb nor threads: an
 //! in-memory message queue carries the [`NodeMsg`]s, a fixed cost table
 //! stands in for `EXPLAIN` plus history, an accepted query "runs" until
 //! its node's next period tick, and every piece of nondeterminism — which
@@ -40,7 +40,7 @@ const STEP_US: u64 = 1_000;
 
 /// Formats the harness SQL carrying query identity across the transport
 /// seam.
-pub fn encode_sql(query: u64, generation: u32, class: ClassId) -> String {
+pub(crate) fn encode_sql(query: u64, generation: u32, class: ClassId) -> String {
     format!("q={query} gen={generation} class={}", class.0)
 }
 
@@ -52,7 +52,7 @@ fn sql_field(sql: &str, key: &str) -> Option<u64> {
 
 /// One committed execution on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Execution {
+pub(crate) struct Execution {
     /// The query's trace index.
     pub query: u64,
     /// The assignment generation that executed it.
@@ -63,7 +63,7 @@ pub struct Execution {
 /// shell models around it — a cost table for the estimator, a log for the
 /// database.
 #[derive(Debug, Clone)]
-pub struct SimNodeState {
+pub(crate) struct SimNodeState {
     /// Node index.
     pub id: usize,
     /// `true` once crashed (schedule-chosen or driver-injected).
@@ -141,11 +141,11 @@ struct SimWorld {
 /// harness driver: both resolve their choice points through the same
 /// underlying [`Schedule`], so one trail replays the whole run.
 #[derive(Clone)]
-pub struct SharedSchedule(Arc<Mutex<Box<dyn Schedule + Send>>>);
+pub(crate) struct SharedSchedule(Arc<Mutex<Box<dyn Schedule + Send>>>);
 
 impl SharedSchedule {
     /// Wraps a schedule for sharing.
-    pub fn new(schedule: Box<dyn Schedule + Send>) -> SharedSchedule {
+    pub(crate) fn new(schedule: Box<dyn Schedule + Send>) -> SharedSchedule {
         SharedSchedule(Arc::new(Mutex::new(schedule)))
     }
 
@@ -153,7 +153,7 @@ impl SharedSchedule {
     /// consulting (or recording in) the schedule: a forced move is not a
     /// choice, and skipping it keeps the systematic depth budget for
     /// positions that actually branch.
-    pub fn choose(&self, point: &'static str, n: usize) -> usize {
+    pub(crate) fn choose(&self, point: &'static str, n: usize) -> usize {
         if n <= 1 {
             return 0;
         }
@@ -161,12 +161,12 @@ impl SharedSchedule {
     }
 
     /// The schedule's self-description (seed, systematic index, …).
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         self.0.lock().unwrap().describe()
     }
 
     /// The compact `point:chosen/arity` trail walked so far.
-    pub fn trail_string(&self) -> String {
+    pub(crate) fn trail_string(&self) -> String {
         self.0.lock().unwrap().trail().to_string()
     }
 
@@ -175,7 +175,7 @@ impl SharedSchedule {
     ///
     /// # Panics
     /// Panics if other clones of this handle are still alive.
-    pub fn into_inner(self) -> Box<dyn Schedule + Send> {
+    pub(crate) fn into_inner(self) -> Box<dyn Schedule + Send> {
         Arc::try_unwrap(self.0)
             .map_err(|_| ())
             .expect("SharedSchedule still shared")
@@ -197,7 +197,7 @@ impl SimTransport {
     /// nondeterminism is resolved by `schedule`. Up to `crash_budget`
     /// schedule-chosen crashes are injected at network steps of the
     /// schedule's choosing.
-    pub fn new(
+    pub(crate) fn new(
         num_nodes: usize,
         num_classes: usize,
         market: Option<QantConfig>,
@@ -225,28 +225,28 @@ impl SimTransport {
 
     /// Arms the deliberate double-commit bug (harness self-test: the
     /// invariant checker must flag runs with this set).
-    pub fn inject_double_exec(&self) {
+    pub(crate) fn inject_double_exec(&self) {
         self.world.lock().unwrap().inject_double_exec = true;
     }
 
     /// Messages currently in the virtual network.
-    pub fn pending_messages(&self) -> usize {
+    pub(crate) fn pending_messages(&self) -> usize {
         self.world.lock().unwrap().inflight.len()
     }
 
     /// Snapshot of every node's state.
-    pub fn node_states(&self) -> Vec<SimNodeState> {
+    pub(crate) fn node_states(&self) -> Vec<SimNodeState> {
         self.world.lock().unwrap().nodes.clone()
     }
 
     /// Network counters so far.
-    pub fn stats(&self) -> NetStats {
+    pub(crate) fn stats(&self) -> NetStats {
         self.world.lock().unwrap().stats.clone()
     }
 
     /// Un-crashes every node (driver reconnect after recovery). Market
     /// state survives — exactly like a `qad` server outliving its driver.
-    pub fn recover_all(&self) {
+    pub(crate) fn recover_all(&self) {
         let mut world = self.world.lock().unwrap();
         for node in &mut world.nodes {
             if node.crashed {
@@ -444,8 +444,10 @@ mod tests {
     #[test]
     fn drain_delivers_everything_and_consumes_no_choice_point() {
         let schedule = SharedSchedule::new(Box::new(RandomSchedule::new(5)));
-        let market =
-            crate::qant_config_for(crate::ClusterMechanism::QaNt, Duration::from_millis(40));
+        let market = crate::driver::qant_config_for(
+            crate::ClusterMechanism::QaNt,
+            Duration::from_millis(40),
+        );
         let net = SimTransport::new(3, 2, market, 0, schedule.clone(), Telemetry::disabled());
         let class = ClassId(1);
         let (estimates, estimate_rx) = channel();

@@ -84,7 +84,7 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// Wraps already-spawned node threads.
-    pub fn new(nodes: Vec<NodeHandle>) -> ChannelTransport {
+    pub(crate) fn new(nodes: Vec<NodeHandle>) -> ChannelTransport {
         ChannelTransport {
             senders: nodes.iter().map(|n| n.sender.clone()).collect(),
             handles: Mutex::new(nodes),
@@ -237,7 +237,11 @@ impl TcpTransport {
     ///
     /// # Errors
     /// [`ClusterError`] when the send itself fails (peer dead).
-    pub fn request_stats(&self, node: usize, reply: Reply<NodeStats>) -> Result<(), ClusterError> {
+    pub(crate) fn request_stats(
+        &self,
+        node: usize,
+        reply: Reply<NodeStats>,
+    ) -> Result<(), ClusterError> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let wire = WireMsg::StatsRequest { token };
         self.post("stats", node, token, wire, slot(reply))

@@ -32,13 +32,6 @@ impl BnqrdCoordinator {
         }
     }
 
-    /// Unbalance factor of a node: its outstanding work minus the fleet
-    /// average (positive = overloaded relative to peers).
-    pub fn unbalance(&self, node: NodeId) -> f64 {
-        let avg: f64 = self.outstanding_ms.iter().sum::<f64>() / self.outstanding_ms.len() as f64;
-        self.outstanding_ms[node.index()] - avg
-    }
-
     /// Assigns a query among `capable` nodes: the one with the lowest
     /// unbalance factor (i.e. least outstanding work) wins, and its
     /// counter grows by the query's reference cost.
@@ -133,14 +126,6 @@ mod tests {
             c.assign(&[NodeId(0)], 100.0);
         }
         assert_eq!(c.assign(&[NodeId(0)], 100.0), NodeId(0));
-    }
-
-    #[test]
-    fn unbalance_is_relative_to_average() {
-        let mut c = BnqrdCoordinator::new(2);
-        c.assign(&[NodeId(0)], 100.0);
-        assert!(c.unbalance(NodeId(0)) > 0.0);
-        assert!(c.unbalance(NodeId(1)) < 0.0);
     }
 
     #[test]

@@ -14,11 +14,11 @@ use std::collections::HashMap;
 
 /// Aggregate statistics for one plan fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimatorStats {
+pub(crate) struct EstimatorStats {
     /// Observations recorded.
     pub observations: u64,
     /// Current EWMA of execution time in milliseconds.
-    pub ewma_ms: f64,
+    pub(crate) ewma_ms: f64,
 }
 
 /// History-corrected execution time estimator.
@@ -71,11 +71,6 @@ impl PlanHistoryEstimator {
         }
         e.observations += 1;
     }
-
-    /// Statistics for a plan, if any were recorded.
-    pub fn stats(&self, fingerprint: u64) -> Option<EstimatorStats> {
-        self.history.get(&fingerprint).copied()
-    }
 }
 
 #[cfg(test)]
@@ -113,8 +108,12 @@ mod tests {
         e.observe_ms(2, 1_000.0);
         assert_eq!(e.history.len(), 2);
         assert!(e.estimate_ms(1, 0.0) < e.estimate_ms(2, 0.0));
-        assert_eq!(e.stats(1).unwrap().observations, 1);
-        assert!(e.stats(3).is_none());
+        assert_eq!(
+            e.estimate_ms(1, 0.0),
+            10.0,
+            "one observation is the estimate"
+        );
+        assert_eq!(e.estimate_ms(3, 5.0), 5.0, "an unseen plan keeps its prior");
     }
 
     #[test]

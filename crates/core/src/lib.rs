@@ -10,7 +10,7 @@
 //! | Greedy (least completion time) | [`client`] | "Greedy — Very Good, violates autonomy" |
 //! | Random | [`client`] | "Random — Poor" |
 //! | Round-robin | [`client`] | "Round-robin — Poor" |
-//! | BNQRD (central unbalance factor, Carey et al.) | [`bnqrd`] | "BNQRD — Poor, violates autonomy" |
+//! | BNQRD (central unbalance factor, Carey et al.) | [`BnqrdCoordinator`] | "BNQRD — Poor, violates autonomy" |
 //! | Two random probes (Mitzenmacher) | [`client`] | "(two-random probes) — between Round-robin and BNQRD" |
 //! | Markov/stochastic optimal (Drenick & Smith) | [`markov`] | "Markov — Excellent, static only, centralized" |
 //!
@@ -25,7 +25,7 @@
 //! queries ↔ commodities, client nodes ↔ buyers, server nodes ↔ sellers,
 //! virtual query prices ↔ commodity values.
 
-pub mod bnqrd;
+pub(crate) mod bnqrd;
 pub mod client;
 pub mod estimator;
 pub mod markov;
@@ -41,7 +41,7 @@ pub use qa_simnet::telemetry;
 
 pub use bnqrd::BnqrdCoordinator;
 pub use client::{choose_best_offer, RoundRobinState, TwoProbesChooser};
-pub use estimator::{EstimatorStats, PlanHistoryEstimator};
+pub use estimator::PlanHistoryEstimator;
 pub use markov::MarkovAllocator;
 pub use mechanism::MechanismKind;
 pub use messages::Offer;

@@ -12,44 +12,29 @@ use std::fmt;
 
 /// A signed per-class vector `z(p⃗) ∈ Z^K`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExcessVector(Vec<i64>);
+pub(crate) struct ExcessVector(Vec<i64>);
 
 impl ExcessVector {
     /// Builds from raw signed counts.
-    pub fn from_values(values: Vec<i64>) -> Self {
+    pub(crate) fn from_values(values: Vec<i64>) -> Self {
         ExcessVector(values)
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Excess demand for class `k`.
-    pub fn get(&self, k: usize) -> i64 {
-        self.0[k]
     }
 
     /// `true` iff all components are zero — Definition 3's equilibrium
     /// condition `z(p⃗*) = 0`.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.iter().all(|&z| z == 0)
     }
 
     /// L1 norm `Σ |zₖ|` — the distance-from-equilibrium measure used by the
     /// tâtonnement convergence tests.
-    pub fn l1_norm(&self) -> u64 {
+    pub(crate) fn l1_norm(&self) -> u64 {
         self.0.iter().map(|z| z.unsigned_abs()).sum()
     }
 
     /// Iterates `(class, excess)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
         self.0.iter().copied().enumerate()
-    }
-
-    /// The raw values.
-    pub fn as_slice(&self) -> &[i64] {
-        &self.0
     }
 }
 
@@ -68,7 +53,10 @@ impl fmt::Display for ExcessVector {
 
 /// Computes `z = Σᵢ (d⃗ᵢ − s⃗ᵢ)` from per-node demand and supply vectors
 /// (Definition 2).
-pub fn excess_demand(demands: &[QuantityVector], supplies: &[QuantityVector]) -> ExcessVector {
+pub(crate) fn excess_demand(
+    demands: &[QuantityVector],
+    supplies: &[QuantityVector],
+) -> ExcessVector {
     assert_eq!(demands.len(), supplies.len(), "node count mismatch");
     assert!(!demands.is_empty(), "empty economy");
     let d = QuantityVector::aggregate(demands);
@@ -102,7 +90,7 @@ mod tests {
         let demands = [qv(&[1, 6]), qv(&[1, 0])];
         let lb_supplies = [qv(&[1, 1]), qv(&[1, 0])];
         let z = excess_demand(&demands, &lb_supplies);
-        assert_eq!(z.as_slice(), &[0, 5]);
+        assert_eq!(z, ExcessVector::from_values(vec![0, 5]));
         assert!(!z.is_zero());
         assert_eq!(z.l1_norm(), 5);
     }
@@ -112,7 +100,7 @@ mod tests {
         let demands = [qv(&[1, 0])];
         let supplies = [qv(&[3, 0])];
         let z = excess_demand(&demands, &supplies);
-        assert_eq!(z.get(0), -2);
+        assert_eq!(z, ExcessVector::from_values(vec![-2, 0]));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Decentralized non-tâtonnement price adjustment (§3.3, QA-NT steps 9 and
-//! 12–14) and the Definition-4 trading rule.
+//! 12–14).
 //!
 //! In the non-tâtonnement process there is no umpire and trade happens at
 //! disequilibrium prices. Each node keeps a *private* price vector, never
@@ -65,7 +65,7 @@ impl PricerConfig {
 /// Log-price quanta per nat. Every count a row can hold (`|q| < 2⁵³`: a
 /// positive finite `f64` has `|ln p| < 745`) is an exact `f64`, and so is
 /// `q / 2⁴⁰`.
-pub const QUANTA_PER_NAT: f64 = (1u64 << 40) as f64;
+pub(crate) const QUANTA_PER_NAT: f64 = (1u64 << 40) as f64;
 
 /// `ln` in whole quanta, to the nearest (saturating; NaN reads 0).
 #[inline]
@@ -322,7 +322,7 @@ impl NonTatonnementPricer {
     ///
     /// # Panics
     /// Panics when `out` is not sized to the class count.
-    pub fn ln_prices_into(&self, out: &mut [f64]) {
+    pub(crate) fn ln_prices_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.num_classes(), "class count mismatch");
         for (slot, &q) in out.iter_mut().zip(&self.prices) {
             *slot = ln_of_quanta(q);
@@ -349,7 +349,7 @@ impl NonTatonnementPricer {
     /// Applies `count` consecutive [`NonTatonnementPricer::on_rejection`]s
     /// for class `k` as one add. A traced pricer takes them one at a time
     /// and emits every adjustment.
-    pub fn on_rejections(&mut self, k: usize, count: u64) {
+    pub(crate) fn on_rejections(&mut self, k: usize, count: u64) {
         if self.telemetry.is_enabled() {
             for _ in 0..count {
                 self.on_rejection(k);
@@ -360,7 +360,7 @@ impl NonTatonnementPricer {
         }
     }
 
-    /// [`Self::on_rejections`] of `counts[i]` for class `k` on each of
+    /// `Self::on_rejections` of `counts[i]` for class `k` on each of
     /// many pricers.
     pub fn on_rejections_batch(
         pricers: &mut [&mut NonTatonnementPricer],
@@ -388,37 +388,9 @@ impl NonTatonnementPricer {
     }
 }
 
-/// Checks rule 1 of Definition 4 (feasibility): after the proposed
-/// incremental trade `delta`, the seller's new supply vector must still lie
-/// in its supply set.
-pub fn trade_is_feasible<S: crate::supply::SupplySet>(
-    seller_supply: &QuantityVector,
-    delta: &QuantityVector,
-    seller_set: &S,
-) -> bool {
-    let new_supply = seller_supply.clone() + delta;
-    seller_set.contains(&new_supply)
-}
-
-/// Checks rule 2 of Definition 4 (exhaustion): the buyer's post-trade
-/// consumption must be weakly preferred to any alternative single-step
-/// extension the seller could still feasibly offer. Under the throughput
-/// preference this reduces to: there is no class the seller could still
-/// supply that the buyer still demands — i.e. the trade exhausted all
-/// possibilities of further trade between the pair.
-pub fn trade_exhausts_pair<S: crate::supply::SupplySet>(
-    buyer_unmet_demand: &QuantityVector,
-    seller_supply_after: &QuantityVector,
-    seller_set: &S,
-) -> bool {
-    (0..buyer_unmet_demand.num_classes())
-        .all(|k| buyer_unmet_demand.get(k) == 0 || !seller_set.can_add(seller_supply_after, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supply::LinearCapacitySet;
     use qa_simnet::DetRng;
 
     fn qv(v: &[u64]) -> QuantityVector {
@@ -433,18 +405,18 @@ mod tests {
         const FLOOR: f64 = PriceRules::PRICE_FLOOR;
         const CEILING: f64 = PriceRules::PRICE_CEILING;
 
-        pub fn refuse(p: f64, lambda: f64) -> f64 {
+        pub(super) fn refuse(p: f64, lambda: f64) -> f64 {
             (p * (1.0 + lambda)).min(CEILING)
         }
 
-        pub fn decay(p: f64, s: u64, lambda: f64) -> f64 {
+        pub(super) fn decay(p: f64, s: u64, lambda: f64) -> f64 {
             let factor = (1.0 - lambda * s as f64).max(0.0);
             (p * factor).max(FLOOR)
         }
 
         /// `None` where the oracle's own scale is not a positive finite
         /// number: its old guard left such a row as it was.
-        pub fn renormalize(row: &[f64]) -> Option<Vec<f64>> {
+        pub(super) fn renormalize(row: &[f64]) -> Option<Vec<f64>> {
             let ln_sum = row.iter().map(|p| p.ln()).sum::<f64>();
             let scale = (ln_sum / row.len() as f64).exp();
             (scale.is_finite() && scale > 0.0).then(|| {
@@ -727,26 +699,6 @@ mod tests {
             p.on_period_end(&qv(&[0, 1]));
         }
         assert!(p.prices().get(0) > 5.0 * p.prices().get(1));
-    }
-
-    #[test]
-    fn definition4_feasibility() {
-        let set = LinearCapacitySet::new(vec![Some(400.0), Some(100.0)], 500.0);
-        let current = qv(&[0, 3]);
-        assert!(trade_is_feasible(&current, &qv(&[0, 2]), &set)); // 500 total
-        assert!(!trade_is_feasible(&current, &qv(&[1, 0]), &set)); // 700 > 500
-    }
-
-    #[test]
-    fn definition4_exhaustion() {
-        let set = LinearCapacitySet::new(vec![Some(400.0), Some(100.0)], 500.0);
-        // Seller already supplies (0,5): full. No further trade possible.
-        assert!(trade_exhausts_pair(&qv(&[1, 2]), &qv(&[0, 5]), &set));
-        // Seller at (0,3) could still add q2, and the buyer still wants q2:
-        // the trade did NOT exhaust the pair.
-        assert!(!trade_exhausts_pair(&qv(&[0, 2]), &qv(&[0, 3]), &set));
-        // Buyer wants nothing: trivially exhausted.
-        assert!(trade_exhausts_pair(&qv(&[0, 0]), &qv(&[0, 0]), &set));
     }
 
     #[test]

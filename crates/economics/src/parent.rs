@@ -112,20 +112,6 @@ impl ParentMarket {
         self.walras_ln.len()
     }
 
-    /// Writes the parent's current ln-price per class into `out`.
-    ///
-    /// # Panics
-    /// Panics when `out` is not sized to the class count.
-    pub fn ln_prices_into(&self, out: &mut [f64]) {
-        match self.mechanism {
-            ParentMechanism::QaNt => self.pricer.ln_prices_into(out),
-            ParentMechanism::Walras => {
-                assert_eq!(out.len(), self.walras_ln.len(), "class count mismatch");
-                out.copy_from_slice(&self.walras_ln);
-            }
-        }
-    }
-
     /// Clears one window: rations `demand` (per class) across the broker
     /// `bids` and adjusts the parent prices. Allocation is conservative —
     /// for every class, `Σ_b allocations[b][k] + unserved[k] == demand[k]`
@@ -331,7 +317,7 @@ mod tests {
         let bids = vec![bid(&[4], &[0.0])];
         let before = {
             let mut p = [0.0];
-            m.ln_prices_into(&mut p);
+            m.pricer.ln_prices_into(&mut p);
             p[0]
         };
         let out = m.clear(&bids, &[10]);

@@ -4,14 +4,14 @@
 //! vector lists `<[s⃗ᵢ], [c⃗ᵢ]>`. Solution A *Pareto dominates* B iff every
 //! node weakly prefers its consumption in A and at least one strictly
 //! prefers it. A solution is *Pareto optimal* if nothing feasible dominates
-//! it.
+//! it. Every node holds §2.2's throughput preference, "all nodes prefer to
+//! evaluate as many queries as possible": `c⃗ ⪰ᵢ c⃗′ iff Σₖ cₖ ≥ Σₖ c′ₖ`.
 //!
 //! Besides the two predicates, this module provides a brute-force enumerator
 //! of all feasible solutions of a small economy — used by tests to verify
 //! both the paper's worked example (LB is dominated by QA) and the
 //! First-Theorem check in [`crate::welfare`].
 
-use crate::preference::Preference;
 use crate::supply::{enumerate_capacity_set, LinearCapacitySet};
 use crate::vectors::QuantityVector;
 
@@ -30,37 +30,21 @@ impl Solution {
     pub fn num_nodes(&self) -> usize {
         self.consumptions.len()
     }
-
-    /// Aggregate supply `s⃗ = Σᵢ s⃗ᵢ` (eq. 1).
-    pub fn aggregate_supply(&self) -> QuantityVector {
-        QuantityVector::aggregate(&self.supplies)
-    }
-
-    /// Aggregate consumption `c⃗ = Σᵢ c⃗ᵢ` (eq. 1).
-    pub fn aggregate_consumption(&self) -> QuantityVector {
-        QuantityVector::aggregate(&self.consumptions)
-    }
 }
 
-/// `true` iff solution `a` Pareto dominates solution `b` under the given
-/// per-node preferences (Definition 1).
-pub fn dominates<P: Preference>(a: &Solution, b: &Solution, prefs: &[P]) -> bool {
+/// `true` iff solution `a` Pareto dominates solution `b` (Definition 1):
+/// no node consumes fewer queries in `a` than in `b`, and some node
+/// consumes more.
+pub fn dominates(a: &Solution, b: &Solution) -> bool {
     assert_eq!(a.num_nodes(), b.num_nodes(), "node count mismatch");
-    assert_eq!(a.num_nodes(), prefs.len(), "preference count mismatch");
-    let all_weak =
-        (0..a.num_nodes()).all(|i| prefs[i].prefers(&a.consumptions[i], &b.consumptions[i]));
-    let some_strict = (0..a.num_nodes())
-        .any(|i| prefs[i].strictly_prefers(&a.consumptions[i], &b.consumptions[i]));
-    all_weak && some_strict
+    let pairs = || a.consumptions.iter().zip(&b.consumptions);
+    pairs().all(|(ca, cb)| ca.total() >= cb.total())
+        && pairs().any(|(ca, cb)| ca.total() > cb.total())
 }
 
 /// `true` iff `sol` is not dominated by any solution in `candidates`.
-pub fn is_pareto_optimal<P: Preference>(
-    sol: &Solution,
-    candidates: &[Solution],
-    prefs: &[P],
-) -> bool {
-    !candidates.iter().any(|c| dominates(c, sol, prefs))
+pub fn is_pareto_optimal(sol: &Solution, candidates: &[Solution]) -> bool {
+    !candidates.iter().any(|c| dominates(c, sol))
 }
 
 /// Brute-force enumeration of all feasible solutions of a small economy.
@@ -180,7 +164,6 @@ pub fn enumerate_solutions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preference::ThroughputPreference;
 
     fn qv(v: &[u64]) -> QuantityVector {
         QuantityVector::from_counts(v.to_vec())
@@ -219,26 +202,23 @@ mod tests {
 
     #[test]
     fn qa_dominates_lb_in_paper_example() {
-        let prefs = vec![ThroughputPreference, ThroughputPreference];
-        assert!(dominates(&qa_solution(), &lb_solution(), &prefs));
-        assert!(!dominates(&lb_solution(), &qa_solution(), &prefs));
+        assert!(dominates(&qa_solution(), &lb_solution()));
+        assert!(!dominates(&lb_solution(), &qa_solution()));
     }
 
     #[test]
     fn dominance_is_irreflexive() {
-        let prefs = vec![ThroughputPreference, ThroughputPreference];
-        assert!(!dominates(&qa_solution(), &qa_solution(), &prefs));
+        assert!(!dominates(&qa_solution(), &qa_solution()));
     }
 
     #[test]
     fn dominance_is_asymmetric_on_enumeration() {
         let (sets, demands) = example();
-        let prefs = vec![ThroughputPreference, ThroughputPreference];
         let all = enumerate_solutions(&sets, &demands);
         for a in all.iter().take(80) {
             for b in all.iter().take(80) {
-                if dominates(a, b, &prefs) {
-                    assert!(!dominates(b, a, &prefs), "asymmetry violated");
+                if dominates(a, b) {
+                    assert!(!dominates(b, a), "asymmetry violated");
                 }
             }
         }
@@ -247,10 +227,9 @@ mod tests {
     #[test]
     fn lb_is_not_pareto_optimal_but_qa_is() {
         let (sets, demands) = example();
-        let prefs = vec![ThroughputPreference, ThroughputPreference];
         let all = enumerate_solutions(&sets, &demands);
-        assert!(!is_pareto_optimal(&lb_solution(), &all, &prefs));
-        assert!(is_pareto_optimal(&qa_solution(), &all, &prefs));
+        assert!(!is_pareto_optimal(&lb_solution(), &all));
+        assert!(is_pareto_optimal(&qa_solution(), &all));
     }
 
     #[test]
@@ -259,8 +238,11 @@ mod tests {
         let (_, demands) = example();
         let d = QuantityVector::aggregate(&demands);
         for sol in [lb_solution(), qa_solution()] {
-            assert_eq!(sol.aggregate_supply(), sol.aggregate_consumption());
-            assert!(sol.aggregate_consumption().le(&d));
+            assert_eq!(
+                QuantityVector::aggregate(&sol.supplies),
+                QuantityVector::aggregate(&sol.consumptions)
+            );
+            assert!(QuantityVector::aggregate(&sol.consumptions).le(&d));
         }
     }
 
@@ -275,8 +257,11 @@ mod tests {
                     "infeasible supply"
                 );
             }
-            assert_eq!(sol.aggregate_supply(), sol.aggregate_consumption());
-            assert!(sol.aggregate_supply().le(&d));
+            assert_eq!(
+                QuantityVector::aggregate(&sol.supplies),
+                QuantityVector::aggregate(&sol.consumptions)
+            );
+            assert!(QuantityVector::aggregate(&sol.supplies).le(&d));
             for (c, dem) in sol.consumptions.iter().zip(&demands) {
                 assert!(c.le(dem), "node consumed more than it demanded");
             }
@@ -286,22 +271,24 @@ mod tests {
     #[test]
     fn pareto_front_maximizes_total_under_throughput_preference() {
         let (sets, demands) = example();
-        let prefs = vec![ThroughputPreference, ThroughputPreference];
         let all = enumerate_solutions(&sets, &demands);
         let best_total = all
             .iter()
-            .map(|s| s.aggregate_consumption().total())
+            .map(|s| QuantityVector::aggregate(&s.consumptions).total())
             .max()
             .unwrap();
         // The QA allocation achieves the maximum feasible throughput (6).
         assert_eq!(best_total, 6);
-        assert_eq!(qa_solution().aggregate_consumption().total(), best_total);
+        assert_eq!(
+            QuantityVector::aggregate(&qa_solution().consumptions).total(),
+            best_total
+        );
         // Under throughput preferences a Pareto-optimal solution cannot be
         // beaten in total by more than redistribution allows: every optimal
         // solution has total == best among solutions comparable to it.
-        for sol in all.iter().filter(|s| is_pareto_optimal(s, &all, &prefs)) {
+        for sol in all.iter().filter(|s| is_pareto_optimal(s, &all)) {
             // No other solution weakly improves every node and strictly one.
-            assert!(all.iter().all(|other| !dominates(other, sol, &prefs)));
+            assert!(all.iter().all(|other| !dominates(other, sol)));
         }
     }
 }

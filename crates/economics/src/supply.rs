@@ -26,17 +26,6 @@ pub trait SupplySet {
 
     /// `true` iff `s` is a feasible supply vector.
     fn contains(&self, s: &QuantityVector) -> bool;
-
-    /// `true` iff supply could grow by one unit of class `k` from `s` and
-    /// stay feasible. Default: test `s + eₖ`. Implementors with structure
-    /// should override this — the default clones the whole vector per
-    /// probe, and QA-NT deal admission ([`crate::trade_exhausts_pair`])
-    /// probes every class of every candidate trade.
-    fn can_add(&self, s: &QuantityVector, k: usize) -> bool {
-        let mut grown = s.clone();
-        grown.add_units(k, 1);
-        self.contains(&grown)
-    }
 }
 
 /// The time-capacity polytope `{ s : Σ sₖ·tₖ ≤ capacity }`.
@@ -84,7 +73,7 @@ impl LinearCapacitySet {
     }
 
     /// Time consumed by supply vector `s`.
-    pub fn load_of(&self, s: &QuantityVector) -> f64 {
+    pub(crate) fn load_of(&self, s: &QuantityVector) -> f64 {
         s.iter()
             .map(|(k, c)| match self.unit_costs[k] {
                 Some(t) => t * c as f64,
@@ -111,22 +100,12 @@ impl SupplySet for LinearCapacitySet {
         // times (ms), unit counts small integers.
         self.load_of(s) <= self.capacity * (1.0 + 1e-12) + 1e-9
     }
-
-    /// Allocation-free override of the default `s + eₖ` probe: growing by
-    /// one class-`k` unit adds exactly `t_k` load, so feasibility is
-    /// `load_of(s) + t_k ≤ T` (same epsilon as [`Self::contains`]).
-    fn can_add(&self, s: &QuantityVector, k: usize) -> bool {
-        match self.unit_costs[k] {
-            None => false,
-            Some(t) => self.load_of(s) + t <= self.capacity * (1.0 + 1e-12) + 1e-9,
-        }
-    }
 }
 
 /// Enumerates every feasible supply vector of a [`LinearCapacitySet`]
 /// (bounded per class by `caps` when given). Exponential — only for the
 /// small economies in tests.
-pub fn enumerate_capacity_set(
+pub(crate) fn enumerate_capacity_set(
     set: &LinearCapacitySet,
     caps: Option<&QuantityVector>,
 ) -> Vec<QuantityVector> {
@@ -422,7 +401,6 @@ mod tests {
         let s = LinearCapacitySet::new(vec![Some(100.0), None], 1_000.0);
         assert!(s.contains(&qv(&[10, 0])));
         assert!(!s.contains(&qv(&[0, 1])));
-        assert!(!s.can_add(&qv(&[0, 0]), 1));
     }
 
     #[test]
@@ -522,30 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn can_add_override_matches_clone_based_probe() {
-        // The LinearCapacitySet override must agree with the default
-        // `s + eₖ` probe on a grid of supply points, including the
-        // capacity boundary and the incapable class.
-        let set = LinearCapacitySet::new(vec![Some(400.0), Some(100.0), None], 500.0);
-        for a in 0..3u64 {
-            for b in 0..7u64 {
-                let s = QuantityVector::from_counts(vec![a, b, 0]);
-                for k in 0..3 {
-                    let mut grown = s.clone();
-                    grown.add_units(k, 1);
-                    let default_probe = grown.get(2) == 0 && set.contains(&grown);
-                    assert_eq!(
-                        set.can_add(&s, k),
-                        default_probe,
-                        "s={:?} k={k}",
-                        s.as_slice()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn density_order_helper_reuses_scratch() {
         let p = PriceVector::from_prices(vec![4.5, 1.0, 2.0]);
         let costs = vec![Some(400.0), Some(100.0), None];
@@ -603,21 +557,5 @@ mod tests {
             solve_supply_greedy_cached(&p, &fast_q2, None, &mut cache),
             b
         );
-    }
-
-    #[test]
-    fn trade_exhaustion_uses_nonallocating_probe() {
-        // The QA-NT deal-admission rule (Definition 4 rule 2) probes
-        // `can_add` for every demanded class; with the LinearCapacitySet
-        // override this is pure arithmetic. Semantics checked against the
-        // paper's N1: with 100 ms left no q1 (400 ms) fits but a q2
-        // (100 ms) does.
-        let set = n1();
-        assert!(crate::trade_exhausts_pair(&qv(&[5, 0]), &qv(&[1, 0]), &set));
-        assert!(!crate::trade_exhausts_pair(
-            &qv(&[0, 5]),
-            &qv(&[1, 0]),
-            &set
-        ));
     }
 }

@@ -55,9 +55,6 @@ pub struct TatonnementRun {
     pub prices: PriceVector,
     /// Per-seller supply vectors at the final prices.
     pub supplies: Vec<QuantityVector>,
-    /// ‖z‖₁ after each iteration — the convergence trace used by tests and
-    /// the ablation bench.
-    pub l1_trace: Vec<u64>,
 }
 
 impl Tatonnement {
@@ -79,7 +76,6 @@ impl Tatonnement {
         let k = demand.num_classes();
         assert_eq!(initial_prices.num_classes(), k);
         let mut prices = initial_prices;
-        let mut l1_trace = Vec::new();
         let mut best_l1 = u64::MAX;
         let mut remaining_cap;
 
@@ -104,7 +100,6 @@ impl Tatonnement {
                     .collect(),
             );
             let l1 = z.l1_norm();
-            l1_trace.push(l1);
             best_l1 = best_l1.min(l1);
             if z.is_zero() {
                 return TatonnementRun {
@@ -113,7 +108,6 @@ impl Tatonnement {
                     },
                     prices,
                     supplies,
-                    l1_trace,
                 };
             }
             // eq. 6: p(t+1) = p(t) + λ z(p(t)); multiplicative-in-price form
@@ -138,7 +132,6 @@ impl Tatonnement {
             outcome: TatonnementOutcome::IterationBudgetExhausted { best_l1 },
             prices,
             supplies,
-            l1_trace,
         }
     }
 }
@@ -167,9 +160,8 @@ mod tests {
         let run = t.run(&qv(&[1, 5]), &sellers(), PriceVector::uniform(2, 1.0));
         assert!(
             matches!(run.outcome, TatonnementOutcome::Converged { .. }),
-            "outcome {:?}, trace {:?}",
-            run.outcome,
-            &run.l1_trace[..run.l1_trace.len().min(20)]
+            "outcome {:?}",
+            run.outcome
         );
         let agg = QuantityVector::aggregate(&run.supplies);
         assert_eq!(agg, qv(&[1, 5]));
@@ -243,13 +235,6 @@ mod tests {
             }
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn l1_trace_eventually_hits_zero_when_converged() {
-        let t = Tatonnement::default();
-        let run = t.run(&qv(&[1, 5]), &sellers(), PriceVector::uniform(2, 1.0));
-        assert_eq!(*run.l1_trace.last().unwrap(), 0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! property tests run this over many random economies.
 
 use crate::pareto::{enumerate_solutions, is_pareto_optimal, Solution};
-use crate::preference::ThroughputPreference;
 use crate::supply::LinearCapacitySet;
 use crate::tatonnement::{Tatonnement, TatonnementOutcome};
 use crate::vectors::{PriceVector, QuantityVector};
@@ -17,7 +16,7 @@ use crate::vectors::{PriceVector, QuantityVector};
 /// Distributes an aggregate supply to per-node consumptions, respecting
 /// `c⃗ᵢ ≤ d⃗ᵢ` (greedy, in node order). Some split always exists because
 /// aggregate supply ≤ aggregate demand.
-pub fn split_supply_to_consumptions(
+pub(crate) fn split_supply_to_consumptions(
     aggregate_supply: &QuantityVector,
     demands: &[QuantityVector],
 ) -> Vec<QuantityVector> {
@@ -77,14 +76,13 @@ pub fn check_ftwe(
         supplies: run.supplies,
         consumptions,
     };
-    let prefs: Vec<ThroughputPreference> = demands.iter().map(|_| ThroughputPreference).collect();
     let all = enumerate_solutions(sellers, demands);
-    if is_pareto_optimal(&solution, &all, &prefs) {
+    if is_pareto_optimal(&solution, &all) {
         FtweCheck::Holds { solution }
     } else {
         let dominated_by = all
             .into_iter()
-            .find(|c| crate::pareto::dominates(c, &solution, &prefs))
+            .find(|c| crate::pareto::dominates(c, &solution))
             .expect("not optimal implies a dominator exists");
         FtweCheck::Violated {
             solution,
@@ -120,7 +118,7 @@ mod tests {
         let demands = vec![qv(&[0, 5]), qv(&[1, 0])];
         match check_ftwe(&sellers, &demands, &Tatonnement::default()) {
             FtweCheck::Holds { solution } => {
-                assert_eq!(solution.aggregate_consumption().total(), 6);
+                assert_eq!(QuantityVector::aggregate(&solution.consumptions).total(), 6);
             }
             other => panic!("FTWE should hold, got {other:?}"),
         }
@@ -132,7 +130,7 @@ mod tests {
         let demands = vec![qv(&[3])];
         match check_ftwe(&sellers, &demands, &Tatonnement::default()) {
             FtweCheck::Holds { solution } => {
-                assert_eq!(solution.aggregate_consumption(), qv(&[3]));
+                assert_eq!(QuantityVector::aggregate(&solution.consumptions), qv(&[3]));
             }
             other => panic!("expected Holds, got {other:?}"),
         }

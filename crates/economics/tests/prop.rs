@@ -3,10 +3,11 @@
 //! over 200 random cases from a fixed seed, so failures reproduce exactly.
 
 use qa_economics::{
-    dominates, solve_supply_fractional, solve_supply_greedy, solve_supply_optimal,
+    dominates, ln_of_quanta, solve_supply_fractional, solve_supply_greedy, solve_supply_optimal,
     LinearCapacitySet, NonTatonnementPricer, PriceRules, PriceVector, PricerConfig, QuantityVector,
-    Solution, SupplySet, ThroughputPreference,
+    Solution, SupplySet,
 };
+use qa_simnet::telemetry::Telemetry;
 use qa_simnet::DetRng;
 
 const CASES: usize = 200;
@@ -114,10 +115,9 @@ fn dominance_strict_partial_order() {
             ],
         };
         let (sa, sb) = (mk(&a), mk(&b));
-        let prefs = vec![ThroughputPreference, ThroughputPreference];
-        assert!(!dominates(&sa, &sa, &prefs), "case {case}: irreflexive");
-        if dominates(&sa, &sb, &prefs) {
-            assert!(!dominates(&sb, &sa, &prefs), "case {case}: asymmetric");
+        assert!(!dominates(&sa, &sa), "case {case}: irreflexive");
+        if dominates(&sa, &sb) {
+            assert!(!dominates(&sb, &sa), "case {case}: asymmetric");
         }
     }
 }
@@ -194,5 +194,93 @@ fn aggregation_is_commutative() {
         rev.reverse();
         let backward = QuantityVector::aggregate(&rev);
         assert_eq!(forward, backward, "case {case}");
+    }
+}
+
+/// 10 000 periods of one row of log-price quanta stay within a derived
+/// distance of the linear `f64` oracle the log domain replaced.
+///
+/// Each period every class takes `n` refusals (`p·(1+λ)ⁿ`) and a leftover
+/// of `s` units (`p·(1 − λs)`), then the row is renormalized (`p` divided
+/// by the row's geometric mean). The draws are seeded; a class priced above
+/// 1 draws mostly leftovers and one below mostly refusals, so the walk
+/// reverts to the middle of the band. It is asserted never to touch the
+/// floor or the ceiling, where the clamps, not the arithmetic, would set
+/// both sides.
+///
+/// The bound is a sum of per-operation roundings, accumulated as the walk
+/// runs (`Q` = 2⁻⁴⁰ nat, one quantum; `u` = 2⁻⁵³; libm's `ln`, `ln_1p`
+/// and `exp` are taken to be within one ulp):
+/// - a table add (one refusal's `G`, one leftover's `ln(1 − λs)`) is the
+///   exact `ln` rounded to the nearest quantum: at most `Q/2`, plus one
+///   ulp of `ln_1p`'s result, below `2u`;
+/// - a renormalization subtracts the row's integer mean rounded down, so
+///   each entry lands under `Q` above the exact centring;
+/// - the oracle: a refusal multiplies by the rounded `1 + λ` and rounds
+///   the product (`4u` in `ln p`); a leftover rounds `λs`, `1 − λs` (at
+///   least 1/2) and the product (`8u`); a renormalization takes `K` `ln`s
+///   of values below 2⁵ (`32u` each), adds them below 2⁷ (`64u` per add),
+///   divides by `K` = 4 exactly, calls `exp` (`4u`) and divides each
+///   price (`2u` each);
+/// - the check's own `ln p` (`32u`).
+///
+/// A renormalization subtracts the mean of the row's errors along with
+/// its prices, so one entry's error is at most the sum of the table errors
+/// of the whole row, not of that entry alone: the bound charges every
+/// operation on the row to every entry.
+#[test]
+fn log_prices_track_the_linear_oracle_over_a_long_run() {
+    const K: usize = 4;
+    const PERIODS: usize = 10_000;
+    const Q: f64 = 1.0 / (1u64 << 40) as f64;
+    const U: f64 = f64::EPSILON / 2.0;
+    let cfg = PricerConfig::default();
+    let rules = PriceRules::new(&cfg);
+    let lambda = cfg.lambda;
+    let (floor, ceiling) = (
+        rules.quantize(PriceRules::PRICE_FLOOR),
+        rules.quantize(PriceRules::PRICE_CEILING),
+    );
+    let off = Telemetry::disabled();
+    let mut row = vec![rules.initial(); K];
+    let mut oracle = vec![PriceRules::INITIAL_PRICE; K];
+    let mut bound = 32.0 * U;
+    let mut rng = DetRng::seed_from_u64(0xEC01_0008);
+    for period in 0..PERIODS {
+        for k in 0..K {
+            let (n, s) = if row[k] > 0 {
+                (rng.index(2) as u64, 1 + rng.index(5) as u64)
+            } else {
+                (1 + rng.index(4) as u64, rng.index(2) as u64)
+            };
+            row[k] = rules.refuse(row[k], n);
+            for _ in 0..n {
+                oracle[k] *= 1.0 + lambda;
+            }
+            bound += n as f64 * (Q / 2.0 + 2.0 * U + 4.0 * U);
+            if s > 0 {
+                row[k] = rules.decay(row[k], s);
+                oracle[k] *= 1.0 - lambda * s as f64;
+                bound += Q / 2.0 + 2.0 * U + 8.0 * U;
+            }
+        }
+        rules.renormalize(&mut row, &off, 0);
+        let mean_ln = oracle.iter().map(|p| p.ln()).sum::<f64>() / K as f64;
+        let scale = mean_ln.exp();
+        for p in &mut oracle {
+            *p /= scale;
+        }
+        bound += Q + (32 * K + 64 * (K - 1) + 4 + 2 * K) as f64 * U;
+        for (k, (&q, &p)) in row.iter().zip(&oracle).enumerate() {
+            assert!(
+                floor < q && q < ceiling,
+                "period {period}: class {k} reached the band's edge"
+            );
+            let drift = (ln_of_quanta(q) - p.ln()).abs();
+            assert!(
+                drift <= bound,
+                "period {period}: class {k} drifted {drift:e} nat, bound {bound:e}"
+            );
+        }
     }
 }

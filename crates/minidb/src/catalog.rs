@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 /// A stored view definition.
 #[derive(Debug, Clone)]
-pub struct View {
+pub(crate) struct View {
     /// The view name.
     pub name: String,
     /// The defining `SELECT` statement.
@@ -21,7 +21,7 @@ pub struct View {
 
 /// The namespace of tables and views.
 #[derive(Debug, Default)]
-pub struct Catalog {
+pub(crate) struct Catalog {
     tables: HashMap<String, Table>,
     views: HashMap<String, View>,
 }
@@ -31,16 +31,11 @@ fn key(name: &str) -> String {
 }
 
 impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Catalog {
-        Catalog::default()
-    }
-
     /// Registers a table.
     ///
     /// # Errors
     /// `Catalog` if a table or view with the name exists.
-    pub fn create_table(&mut self, table: Table) -> DbResult<()> {
+    pub(crate) fn create_table(&mut self, table: Table) -> DbResult<()> {
         let k = key(table.name());
         if self.tables.contains_key(&k) || self.views.contains_key(&k) {
             return Err(DbError::catalog(format!(
@@ -56,7 +51,7 @@ impl Catalog {
     ///
     /// # Errors
     /// `Catalog` if a table or view with the name exists.
-    pub fn create_view(&mut self, view: View) -> DbResult<()> {
+    pub(crate) fn create_view(&mut self, view: View) -> DbResult<()> {
         let k = key(&view.name);
         if self.tables.contains_key(&k) || self.views.contains_key(&k) {
             return Err(DbError::catalog(format!(
@@ -69,17 +64,17 @@ impl Catalog {
     }
 
     /// Looks up a table.
-    pub fn table(&self, name: &str) -> Option<&Table> {
+    pub(crate) fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(&key(name))
     }
 
     /// Mutable table lookup (INSERT path).
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(&key(name))
     }
 
     /// Looks up a view.
-    pub fn view(&self, name: &str) -> Option<&View> {
+    pub(crate) fn view(&self, name: &str) -> Option<&View> {
         self.views.get(&key(name))
     }
 }
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn create_and_lookup_case_insensitive() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         c.create_table(t("Emp")).unwrap();
         assert!(c.table("emp").is_some());
         assert!(c.table("EMP").is_some());
@@ -117,7 +112,7 @@ mod tests {
 
     #[test]
     fn duplicate_table_rejected() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         c.create_table(t("a")).unwrap();
         assert!(matches!(
             c.create_table(t("A")).unwrap_err(),
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn view_and_table_share_namespace() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         c.create_table(t("a")).unwrap();
         assert!(c.create_view(view("a")).is_err());
         c.create_view(view("va")).unwrap();

@@ -21,7 +21,7 @@ pub struct QueryResult {
     /// Output rows (empty for DDL/DML).
     pub rows: Vec<Row>,
     /// Rows affected by DML (INSERT).
-    pub rows_affected: u64,
+    pub(crate) rows_affected: u64,
 }
 
 /// An in-memory relational database instance.

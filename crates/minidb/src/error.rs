@@ -2,7 +2,7 @@
 //!
 //! One error enum for the whole engine; variants carry enough context to be
 //! actionable without backtraces. No panics on user input — the parser,
-//! binder and executor all return [`DbResult`].
+//! binder and executor all return `DbResult`.
 
 use std::fmt;
 
@@ -22,7 +22,7 @@ pub enum DbError {
 }
 
 /// The engine-wide result alias.
-pub type DbResult<T> = Result<T, DbError>;
+pub(crate) type DbResult<T> = Result<T, DbError>;
 
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -50,12 +50,12 @@ impl DbError {
     }
 
     /// Shorthand constructor for type errors.
-    pub fn type_err(msg: impl Into<String>) -> DbError {
+    pub(crate) fn type_err(msg: impl Into<String>) -> DbError {
         DbError::Type(msg.into())
     }
 
     /// Shorthand constructor for catalog errors.
-    pub fn catalog(msg: impl Into<String>) -> DbError {
+    pub(crate) fn catalog(msg: impl Into<String>) -> DbError {
         DbError::Catalog(msg.into())
     }
 

@@ -130,7 +130,7 @@ impl AggState {
 
 /// Hash aggregation of `rows` grouped by `group_by`: one output row per
 /// group, in first-seen order, holding the group key then the aggregates.
-pub fn hash_aggregate(
+pub(crate) fn hash_aggregate(
     rows: &[Row],
     group_by: &[BoundExpr],
     aggs: &[AggExpr],

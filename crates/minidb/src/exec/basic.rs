@@ -82,7 +82,7 @@ mod tests {
         for row in data {
             t.insert(row.clone()).unwrap();
         }
-        let mut catalog = Catalog::new();
+        let mut catalog = Catalog::default();
         catalog.create_table(t).unwrap();
         let plan = LogicalPlan::Scan {
             table: "t".into(),

@@ -1,6 +1,6 @@
 //! Execution: a materializing interpreter over the logical plan.
 //!
-//! [`run`] evaluates the optimized [`LogicalPlan`] bottom-up, one function
+//! `run` evaluates the optimized `LogicalPlan` bottom-up, one function
 //! per operator, each taking its input's rows and returning its own. Row
 //! order is fixed by construction: filters and projections keep input
 //! order, the hash join emits probe rows in order with each one's matches
@@ -22,7 +22,7 @@ use crate::plan::logical::LogicalPlan;
 use crate::value::Row;
 
 /// Executes a plan against the catalog, returning its rows.
-pub fn run(plan: &LogicalPlan, catalog: &Catalog) -> DbResult<Vec<Row>> {
+pub(crate) fn run(plan: &LogicalPlan, catalog: &Catalog) -> DbResult<Vec<Row>> {
     match plan {
         LogicalPlan::Scan { table, .. } => catalog
             .table(table)

@@ -54,7 +54,7 @@ pub enum BoundExpr {
 
 impl BoundExpr {
     /// The expression's static type (`None` for the NULL literal).
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             BoundExpr::Column { ty, .. } => Some(*ty),
             BoundExpr::Literal(v) => v.data_type(),
@@ -81,7 +81,7 @@ impl BoundExpr {
 
     /// A display name for output columns: column names pass through,
     /// everything else pretty-prints.
-    pub fn output_name(&self) -> String {
+    pub(crate) fn output_name(&self) -> String {
         match self {
             BoundExpr::Column { name, .. } => name.clone(),
             other => other.to_string(),
@@ -89,7 +89,7 @@ impl BoundExpr {
     }
 
     /// Evaluates against a row.
-    pub fn eval(&self, row: &Row) -> DbResult<Value> {
+    pub(crate) fn eval(&self, row: &Row) -> DbResult<Value> {
         match self {
             BoundExpr::Column { index, .. } => Ok(row[*index].clone()),
             BoundExpr::Literal(v) => Ok(v.clone()),
@@ -182,7 +182,7 @@ impl BoundExpr {
     }
 
     /// All column ordinals referenced by this expression.
-    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+    pub(crate) fn referenced_columns(&self, out: &mut Vec<usize>) {
         match self {
             BoundExpr::Column { index, .. } => out.push(*index),
             BoundExpr::Literal(_) => {}
@@ -197,7 +197,7 @@ impl BoundExpr {
 
     /// Rewrites every column ordinal through `map` (used when pushing
     /// expressions past projections or into join sides).
-    pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> BoundExpr {
+    pub(crate) fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> BoundExpr {
         match self {
             BoundExpr::Column { index, ty, name } => BoundExpr::Column {
                 index: map(*index),
@@ -266,7 +266,7 @@ fn eval_arith(op: BinaryOp, l: Value, r: Value) -> DbResult<Value> {
 
 /// Binds an AST expression against a schema. Aggregates are rejected —
 /// callers must lower them first.
-pub fn bind_expr(expr: &Expr, schema: &Schema) -> DbResult<BoundExpr> {
+pub(crate) fn bind_expr(expr: &Expr, schema: &Schema) -> DbResult<BoundExpr> {
     match expr {
         Expr::Column { qualifier, name } => {
             let index = schema.resolve(qualifier.as_deref(), name)?;

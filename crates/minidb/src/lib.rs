@@ -38,7 +38,7 @@
 //! assert_eq!(result.rows.len(), 2);
 //! ```
 
-pub mod catalog;
+pub(crate) mod catalog;
 pub mod engine;
 pub mod error;
 pub mod exec;
@@ -50,7 +50,7 @@ pub mod storage;
 pub mod value;
 
 pub use engine::{Database, QueryResult};
-pub use error::{DbError, DbResult};
+pub use error::DbError;
 pub use plan::explain::Explain;
-pub use schema::{Column, Schema};
+pub use schema::Column;
 pub use value::{DataType, Value};

@@ -21,7 +21,7 @@ use crate::value::DataType;
 const MAX_VIEW_DEPTH: usize = 16;
 
 /// Binds a SELECT statement into a logical plan.
-pub fn bind_select(select: &SelectStmt, catalog: &Catalog) -> DbResult<LogicalPlan> {
+pub(crate) fn bind_select(select: &SelectStmt, catalog: &Catalog) -> DbResult<LogicalPlan> {
     bind_select_depth(select, catalog, 0)
 }
 
@@ -494,7 +494,7 @@ mod tests {
     use crate::value::Value;
 
     fn catalog() -> Catalog {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         let mut emp = Table::new(
             "emp",
             Schema::new(vec![

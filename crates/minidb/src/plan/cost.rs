@@ -29,7 +29,7 @@ pub struct PlanEstimate {
 
 /// Heuristic selectivity of a predicate (no column histograms — the classic
 /// System-R constants).
-pub fn selectivity(pred: &BoundExpr) -> f64 {
+pub(crate) fn selectivity(pred: &BoundExpr) -> f64 {
     match pred {
         BoundExpr::Binary { left, op, right } => match op {
             BinaryOp::And => selectivity(left) * selectivity(right),
@@ -62,7 +62,7 @@ pub fn selectivity(pred: &BoundExpr) -> f64 {
 }
 
 /// Estimates a plan bottom-up against the catalog's table statistics.
-pub fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> PlanEstimate {
+pub(crate) fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> PlanEstimate {
     match plan {
         LogicalPlan::Scan { table, .. } => {
             let (rows, width) = catalog
@@ -176,7 +176,7 @@ mod tests {
     use crate::value::{DataType, Value};
 
     fn catalog(emp_rows: usize, dept_rows: usize) -> Catalog {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         let mut emp = Table::new(
             "emp",
             Schema::new(vec![

@@ -29,7 +29,7 @@ pub struct Explain {
 
 impl Explain {
     /// Explains a plan against the catalog.
-    pub fn of(plan: &LogicalPlan, catalog: &Catalog) -> Explain {
+    pub(crate) fn of(plan: &LogicalPlan, catalog: &Catalog) -> Explain {
         let mut text = String::new();
         render(plan, catalog, 0, &mut text);
         let mut hasher = DefaultHasher::new();
@@ -150,7 +150,7 @@ mod tests {
     use crate::value::{DataType, Value};
 
     fn catalog() -> Catalog {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         let mut t = Table::new(
             "t",
             Schema::new(vec![

@@ -14,13 +14,13 @@ use std::fmt;
 
 /// Equi-join keys: pairs of (left ordinal, right ordinal), where the right
 /// ordinal is relative to the right input's schema.
-pub type JoinKeys = Vec<(usize, usize)>;
+pub(crate) type JoinKeys = Vec<(usize, usize)>;
 
 /// One aggregate in an [`LogicalPlan::Aggregate`] node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AggExpr {
+pub(crate) struct AggExpr {
     /// The function.
-    pub func: AggFunc,
+    pub(crate) func: AggFunc,
     /// The argument over the input schema; `None` only for `COUNT(*)`.
     pub arg: Option<BoundExpr>,
     /// Output column name.
@@ -29,7 +29,7 @@ pub struct AggExpr {
 
 /// A logical plan node.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LogicalPlan {
+pub(crate) enum LogicalPlan {
     /// Scan of a base table.
     Scan {
         /// The catalog table name.
@@ -98,7 +98,7 @@ pub enum LogicalPlan {
 
 impl LogicalPlan {
     /// The node's output schema.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         match self {
             LogicalPlan::Scan { schema, .. } => schema,
             LogicalPlan::Filter { input, .. } => input.schema(),
@@ -111,7 +111,7 @@ impl LogicalPlan {
     }
 
     /// Short operator name for EXPLAIN.
-    pub fn op_name(&self) -> &'static str {
+    pub(crate) fn op_name(&self) -> &'static str {
         match self {
             LogicalPlan::Scan { .. } => "Scan",
             LogicalPlan::Filter { .. } => "Filter",
@@ -125,7 +125,7 @@ impl LogicalPlan {
     }
 
     /// The node's children.
-    pub fn children(&self) -> Vec<&LogicalPlan> {
+    pub(crate) fn children(&self) -> Vec<&LogicalPlan> {
         match self {
             LogicalPlan::Scan { .. } => vec![],
             LogicalPlan::Filter { input, .. }
@@ -138,7 +138,7 @@ impl LogicalPlan {
     }
 
     /// Details string for EXPLAIN (predicates, keys, …).
-    pub fn details(&self) -> String {
+    pub(crate) fn details(&self) -> String {
         match self {
             LogicalPlan::Scan { table, alias, .. } => {
                 if table == alias {

@@ -1,17 +1,14 @@
 //! Planning: logical plans, binding, optimization, costing, EXPLAIN.
 //!
-//! Pipeline: `ast::SelectStmt` → [`binder::bind_select`] → [`LogicalPlan`]
-//! → [`optimizer::optimize`] → costed/explained ([`cost`], [`explain`]) →
+//! Pipeline: `ast::SelectStmt` → `binder::bind_select` → `LogicalPlan`
+//! → `optimizer::optimize` → costed/explained ([`cost`], [`explain`]) →
 //! executed (`crate::exec`).
 
-pub mod binder;
+pub(crate) mod binder;
 pub mod cost;
 pub mod explain;
-pub mod logical;
+pub(crate) mod logical;
 pub mod optimizer;
 
-pub use binder::bind_select;
-pub use cost::{estimate, PlanEstimate};
+pub use cost::PlanEstimate;
 pub use explain::Explain;
-pub use logical::{AggExpr, JoinKeys, LogicalPlan};
-pub use optimizer::optimize;

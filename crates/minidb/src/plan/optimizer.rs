@@ -17,7 +17,7 @@ use crate::plan::logical::LogicalPlan;
 use crate::sql::ast::BinaryOp;
 
 /// Optimizes a bound plan.
-pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
+pub(crate) fn optimize(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     choose_build_sides(push_down_filters(plan), catalog)
 }
 
@@ -252,7 +252,7 @@ mod tests {
     use crate::value::{DataType, Value};
 
     fn catalog() -> Catalog {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         let mut big = Table::new(
             "big",
             Schema::new(vec![

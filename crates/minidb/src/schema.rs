@@ -1,6 +1,6 @@
 //! Schemas: ordered, possibly-qualified column lists.
 //!
-//! Every operator's output carries a [`Schema`]. Columns are resolved by
+//! Every operator's output carries a `Schema`. Columns are resolved by
 //! name during binding (qualified `alias.col` or bare `col` when
 //! unambiguous) and referenced by ordinal everywhere after that — execution
 //! never does string lookups.
@@ -13,7 +13,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// The table alias qualifying this column, if any.
-    pub qualifier: Option<String>,
+    pub(crate) qualifier: Option<String>,
     /// The column name.
     pub name: String,
     /// The column type.
@@ -31,7 +31,7 @@ impl Column {
     }
 
     /// A qualified column.
-    pub fn qualified(
+    pub(crate) fn qualified(
         qualifier: impl Into<String>,
         name: impl Into<String>,
         ty: DataType,
@@ -68,34 +68,29 @@ impl fmt::Display for Column {
 }
 
 /// An ordered column list.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Schema {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Schema {
     columns: Vec<Column>,
 }
 
 impl Schema {
     /// Builds from columns.
-    pub fn new(columns: Vec<Column>) -> Schema {
+    pub(crate) fn new(columns: Vec<Column>) -> Schema {
         Schema { columns }
     }
 
     /// Number of columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.columns.len()
     }
 
-    /// `true` iff no columns.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
     /// The columns in order.
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
     }
 
     /// The column at ordinal `i`.
-    pub fn column(&self, i: usize) -> &Column {
+    pub(crate) fn column(&self, i: usize) -> &Column {
         &self.columns[i]
     }
 
@@ -103,7 +98,7 @@ impl Schema {
     ///
     /// # Errors
     /// `Binding` if the column is unknown or (for bare names) ambiguous.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> DbResult<usize> {
+    pub(crate) fn resolve(&self, qualifier: Option<&str>, name: &str) -> DbResult<usize> {
         let mut hits = self
             .columns
             .iter()
@@ -126,7 +121,7 @@ impl Schema {
 
     /// A new schema with every column re-qualified to `alias` (what a
     /// `FROM table AS alias` does).
-    pub fn with_qualifier(&self, alias: &str) -> Schema {
+    pub(crate) fn with_qualifier(&self, alias: &str) -> Schema {
         Schema {
             columns: self
                 .columns
@@ -137,7 +132,7 @@ impl Schema {
     }
 
     /// Concatenation — the output schema of a join.
-    pub fn join(&self, right: &Schema) -> Schema {
+    pub(crate) fn join(&self, right: &Schema) -> Schema {
         let mut columns = self.columns.clone();
         columns.extend(right.columns.iter().cloned());
         Schema { columns }

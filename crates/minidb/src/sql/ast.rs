@@ -1,6 +1,6 @@
 //! Abstract syntax tree.
 //!
-//! [`Expr`] prints fully parenthesized, which is how the parser's tests
+//! `Expr` prints fully parenthesized, which is how the parser's tests
 //! read back the precedence it parsed.
 
 use crate::value::{DataType, Value};
@@ -8,7 +8,7 @@ use std::fmt;
 
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
+pub(crate) enum Statement {
     /// `CREATE TABLE name (col TYPE, …)`
     CreateTable {
         /// Table name.
@@ -36,24 +36,24 @@ pub enum Statement {
 
 /// A `SELECT` statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectStmt {
+pub(crate) struct SelectStmt {
     /// The projection list.
-    pub projections: Vec<SelectItem>,
+    pub(crate) projections: Vec<SelectItem>,
     /// The `FROM` clause (absent for `SELECT 1`-style constants).
     pub from: Option<FromClause>,
     /// The `WHERE` predicate.
-    pub where_clause: Option<Expr>,
+    pub(crate) where_clause: Option<Expr>,
     /// `GROUP BY` expressions.
-    pub group_by: Vec<Expr>,
+    pub(crate) group_by: Vec<Expr>,
     /// `ORDER BY` expressions with ascending flags.
-    pub order_by: Vec<(Expr, bool)>,
+    pub(crate) order_by: Vec<(Expr, bool)>,
     /// `LIMIT` row count.
     pub limit: Option<u64>,
 }
 
 /// One projection-list entry.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
+pub(crate) enum SelectItem {
     /// `*`
     Star,
     /// An expression with an optional `AS` alias.
@@ -67,7 +67,7 @@ pub enum SelectItem {
 
 /// A `FROM` clause: a table or a left-deep join tree.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FromClause {
+pub(crate) enum FromClause {
     /// A base table or view with an optional alias.
     Table {
         /// Relation name.
@@ -117,7 +117,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// `true` for the six comparison operators.
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(
             self,
             BinaryOp::Eq
@@ -141,7 +141,7 @@ pub enum UnaryOp {
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
+pub(crate) enum AggFunc {
     /// `COUNT(*)` or `COUNT(expr)`.
     Count,
     /// `SUM(expr)`.
@@ -168,7 +168,7 @@ impl fmt::Display for AggFunc {
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// A column reference, optionally qualified.
     Column {
         /// Table alias qualifier.

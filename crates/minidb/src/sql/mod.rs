@@ -17,6 +17,5 @@ pub mod ast;
 pub mod parser;
 pub mod token;
 
-pub use ast::{AggFunc, BinaryOp, Expr, FromClause, SelectItem, SelectStmt, Statement, UnaryOp};
-pub use parser::parse_statement;
-pub use token::{tokenize, Token};
+pub use ast::BinaryOp;
+pub use token::Token;

@@ -18,7 +18,7 @@ use crate::value::{DataType, Value};
 const MAX_DEPTH: usize = 32;
 
 /// Parses a single SQL statement (an optional trailing `;` is allowed).
-pub fn parse_statement(input: &str) -> DbResult<Statement> {
+pub(crate) fn parse_statement(input: &str) -> DbResult<Statement> {
     let tokens = tokenize(input)?;
     let mut p = Parser {
         tokens,

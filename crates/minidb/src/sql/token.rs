@@ -51,7 +51,7 @@ impl fmt::Display for Token {
 /// # Errors
 /// `Parse` on unterminated strings, malformed numbers or unknown
 /// characters, with byte positions in the message.
-pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> DbResult<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut i = 0;
     let mut out = Vec::new();

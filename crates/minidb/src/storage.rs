@@ -10,11 +10,11 @@ use crate::value::{Row, Value};
 
 /// Table-level statistics.
 #[derive(Debug, Clone, Default)]
-pub struct TableStats {
+pub(crate) struct TableStats {
     /// Number of rows.
-    pub row_count: u64,
+    pub(crate) row_count: u64,
     /// Mean serialized row width in bytes (rough, for I/O costing).
-    pub avg_row_bytes: f64,
+    pub(crate) avg_row_bytes: f64,
 }
 
 impl TableStats {
@@ -44,7 +44,7 @@ pub struct Table {
 
 impl Table {
     /// An empty table.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Table {
+    pub(crate) fn new(name: impl Into<String>, schema: Schema) -> Table {
         Table {
             name: name.into(),
             schema,
@@ -59,12 +59,12 @@ impl Table {
     }
 
     /// The schema.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 
     /// The statistics.
-    pub fn stats(&self) -> &TableStats {
+    pub(crate) fn stats(&self) -> &TableStats {
         &self.stats
     }
 

@@ -53,7 +53,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type, or `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
             Value::Bool(_) => Some(DataType::Bool),
@@ -78,7 +78,7 @@ impl Value {
     }
 
     /// `true` iff the value is a non-NULL number.
-    pub fn is_numeric(&self) -> bool {
+    pub(crate) fn is_numeric(&self) -> bool {
         matches!(self, Value::Int(_) | Value::Float(_))
     }
 
@@ -97,7 +97,7 @@ impl Value {
     }
 
     /// Coerces into column type `ty` (only INT → FLOAT actually converts).
-    pub fn coerce(self, ty: DataType) -> Value {
+    pub(crate) fn coerce(self, ty: DataType) -> Value {
         match (self, ty) {
             (Value::Int(i), DataType::Float) => Value::Float(i as f64),
             (v, _) => v,

@@ -252,9 +252,7 @@ impl Connection {
     }
 
     /// Runs the listener side of the handshake on an accepted socket and
-    /// wraps it. Returns the connection and the incoming-message channel;
-    /// the dialer's announced node id is available as
-    /// [`Connection::peer_node`].
+    /// wraps it. Returns the connection and the incoming-message channel.
     pub fn accept(
         stream: TcpStream,
         my_node: u32,
@@ -286,18 +284,8 @@ impl Connection {
     }
 
     /// `false` once the peer died or the connection was closed.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.state.alive.load(Ordering::SeqCst)
-    }
-
-    /// The peer's node id (from its handshake).
-    pub fn peer_node(&self) -> u32 {
-        self.state.peer_node
-    }
-
-    /// The peer's socket address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.state.peer_addr
     }
 
     /// Gracefully closes: flushes every queued outgoing frame, then tears
@@ -627,8 +615,8 @@ mod tests {
         let (client, client_rx) =
             Connection::dial(&addr, CLIENT_NODE, 4, &fast_cfg(), &Telemetry::disabled()).unwrap();
         let (server_conn, server_rx) = server.join().unwrap();
-        assert_eq!(client.peer_node(), 4);
-        assert_eq!(server_conn.peer_node(), CLIENT_NODE);
+        assert_eq!(client.state.peer_node, 4);
+        assert_eq!(server_conn.state.peer_node, CLIENT_NODE);
 
         client
             .send(WireMsg::Estimate {

@@ -17,7 +17,7 @@ use crate::wire::{CodecError, NetError, WireMsg};
 use std::io::{Read, Write};
 
 /// Handshake magic: the first four payload bytes of a `Hello`.
-pub const MAGIC: [u8; 4] = *b"QANT";
+pub(crate) const MAGIC: [u8; 4] = *b"QANT";
 
 /// The protocol version this build speaks. Bump on any wire change: the
 /// root package's `every_message_keeps_its_pinned_wire_bytes` test
@@ -56,7 +56,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
 /// [`NetError::PeerClosed`] on clean EOF at a frame boundary,
 /// [`NetError::Codec`] for an oversized prefix or mid-frame EOF,
 /// [`NetError::Io`] on a socket failure.
-pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Vec<u8>, NetError> {
+pub(crate) fn read_frame(r: &mut impl Read, max: u32) -> Result<Vec<u8>, NetError> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {

@@ -37,5 +37,5 @@ pub mod frame;
 pub mod wire;
 
 pub use conn::{backoff, ConnConfig, Connection};
-pub use frame::{read_frame, recv_msg, send_msg, write_frame, MAGIC, MAX_FRAME, PROTOCOL_VERSION};
+pub use frame::{recv_msg, send_msg, write_frame, MAX_FRAME, PROTOCOL_VERSION};
 pub use wire::{CodecError, NetError, ReplyBody, WireMsg};

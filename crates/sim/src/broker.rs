@@ -32,10 +32,10 @@ pub struct BrokerTier {
     /// into the next clearing.
     escalated: Vec<u64>,
     /// Lifetime units escalated across all windows (diagnostics).
-    pub total_escalated: u64,
+    pub(crate) total_escalated: u64,
     /// Lifetime price-adjustment rounds spent by the parent (diagnostics;
     /// internal to the parent, not cross-tier messages).
-    pub total_rounds: u64,
+    pub(crate) total_rounds: u64,
     telemetry: Telemetry,
 }
 

@@ -13,7 +13,7 @@ use qa_workload::Trace;
 
 /// The demand mix of the two-class workload: peak Q1 rate is twice Q2's,
 /// so Q1 is 2/3 of arrivals.
-pub const TWO_CLASS_MIX: [f64; 2] = [2.0 / 3.0, 1.0 / 3.0];
+pub(crate) const TWO_CLASS_MIX: [f64; 2] = [2.0 / 3.0, 1.0 / 3.0];
 
 /// Runs one `(scenario, mechanism)` cell over `trace`.
 ///

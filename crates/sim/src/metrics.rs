@@ -19,7 +19,7 @@ pub struct RunMetrics {
     /// Response-time distribution (log-bucket, mergeable across runs).
     pub response_hist: LogHistogram,
     /// Response-time series binned by period.
-    pub response_series: TimeSeries,
+    pub(crate) response_series: TimeSeries,
     /// Executed-count series binned by the period of *completion*.
     executed_per_period: Vec<u64>,
     /// Executed counts per period, restricted by class (Fig. 5c needs Q1).
@@ -39,7 +39,10 @@ pub struct RunMetrics {
     pub unserved: u64,
     /// QA-NT resubmissions (retries).
     pub retries: u64,
-    /// Total assignment latency (time from arrival to node assignment).
+    /// Protocol delay of the attempt that placed each query (ms): the
+    /// negotiation messages and link jitter of that one attempt. Time a
+    /// refused query spent waiting for a later period before it is not in
+    /// it, so this is not the time from arrival to node assignment.
     pub assign_latency: Welford,
     /// Execution time of the chosen node per assignment (placement
     /// quality: lower = work landed on faster nodes).
@@ -238,7 +241,7 @@ impl RunMetrics {
     }
 
     /// Fraction of arrivals that were served.
-    pub fn service_rate(&self) -> f64 {
+    pub(crate) fn service_rate(&self) -> f64 {
         let total = self.completed + self.unserved;
         if total == 0 {
             1.0

@@ -58,7 +58,7 @@ impl NodeHardware {
     ///   below the 6 MB reference (up to +50 % for a 49-join query on a
     ///   2 MB node),
     /// * joins on merge-scan-only nodes cost 30 % extra (no hash join).
-    pub fn execution_time(&self, template: &QueryTemplate) -> SimDuration {
+    pub(crate) fn execution_time(&self, template: &QueryTemplate) -> SimDuration {
         let base = template.base_cost.as_secs_f64();
         let cpu_part = 0.6 * REFERENCE_GHZ / self.cpu_ghz;
         let io_part = 0.4 * REFERENCE_IO_MBPS / self.io_mbps;
@@ -85,7 +85,7 @@ impl NodeHardware {
 /// Static hardware stays in [`crate::scenario::Scenario`]; this is purely
 /// the mutable simulation state.
 #[derive(Debug, Clone)]
-pub struct NodeSoa {
+pub(crate) struct NodeSoa {
     /// Time until which already-accepted work occupies each node.
     backlog_until: Vec<SimTime>,
     /// Queries currently queued or running, per node.
@@ -100,7 +100,7 @@ pub struct NodeSoa {
 
 impl NodeSoa {
     /// `n` fresh idle nodes.
-    pub fn new(n: usize) -> NodeSoa {
+    pub(crate) fn new(n: usize) -> NodeSoa {
         NodeSoa {
             backlog_until: vec![SimTime::ZERO; n],
             queued: vec![0; n],
@@ -110,54 +110,54 @@ impl NodeSoa {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.alive.len()
     }
 
-    /// `true` iff the federation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.alive.is_empty()
-    }
-
     /// Whether node `i` is alive.
-    pub fn alive(&self, i: usize) -> bool {
+    pub(crate) fn alive(&self, i: usize) -> bool {
         self.alive[i]
     }
 
     /// The liveness column (contiguous capable-set filtering).
-    pub fn alive_slice(&self) -> &[bool] {
+    pub(crate) fn alive_slice(&self) -> &[bool] {
         &self.alive
     }
 
     /// `true` iff every node is alive (no failure injected, or all
     /// recovered).
-    pub fn all_alive(&self) -> bool {
+    pub(crate) fn all_alive(&self) -> bool {
         self.alive_count == self.alive.len()
     }
 
     /// Queries currently queued or running on node `i`.
-    pub fn queued(&self, i: usize) -> u32 {
+    pub(crate) fn queued(&self, i: usize) -> u32 {
         self.queued[i]
     }
 
     /// The backlog column: when each node's queue drains.
-    pub fn backlog_until_slice(&self) -> &[SimTime] {
+    pub(crate) fn backlog_until_slice(&self) -> &[SimTime] {
         &self.backlog_until
     }
 
     /// Outstanding work on node `i` as seen at `now`.
-    pub fn backlog(&self, i: usize, now: SimTime) -> SimDuration {
+    pub(crate) fn backlog(&self, i: usize, now: SimTime) -> SimDuration {
         self.backlog_until[i].saturating_since(now)
     }
 
     /// Estimated completion (queueing + execution) of a query with the
     /// given execution time, if node `i` accepted it at `now`.
-    pub fn estimated_completion(&self, i: usize, now: SimTime, exec: SimDuration) -> SimDuration {
+    pub(crate) fn estimated_completion(
+        &self,
+        i: usize,
+        now: SimTime,
+        exec: SimDuration,
+    ) -> SimDuration {
         self.backlog(i, now) + exec
     }
 
     /// Node `i` accepts a query at `now`; returns its completion time.
-    pub fn accept(&mut self, i: usize, now: SimTime, exec: SimDuration) -> SimTime {
+    pub(crate) fn accept(&mut self, i: usize, now: SimTime, exec: SimDuration) -> SimTime {
         debug_assert!(self.alive[i]);
         let start = if self.backlog_until[i] > now {
             self.backlog_until[i]
@@ -171,14 +171,14 @@ impl NodeSoa {
     }
 
     /// A query finished on node `i`.
-    pub fn complete(&mut self, i: usize) {
+    pub(crate) fn complete(&mut self, i: usize) {
         debug_assert!(self.queued[i] > 0);
         self.queued[i] -= 1;
     }
 
     /// Marks node `i` dead (failure injection): it stops offering and its
     /// queue is considered lost.
-    pub fn kill(&mut self, i: usize) {
+    pub(crate) fn kill(&mut self, i: usize) {
         if self.alive[i] {
             self.alive_count -= 1;
         }
@@ -189,7 +189,7 @@ impl NodeSoa {
     /// Brings dead node `i` back at `now` (crash *recovery*). The node
     /// rejoins with an empty queue — whatever it held when it died was
     /// lost with the crash and is the driver's to resubmit.
-    pub fn revive(&mut self, i: usize, now: SimTime) {
+    pub(crate) fn revive(&mut self, i: usize, now: SimTime) {
         if !self.alive[i] {
             self.alive_count += 1;
         }

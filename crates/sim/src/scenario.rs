@@ -42,7 +42,7 @@ impl Scenario {
     /// dataset, then the execution-time matrix by walking each list once,
     /// so the cost is linear in nodes × classes (no per-cell membership
     /// test).
-    pub fn assemble(
+    pub(crate) fn assemble(
         config: SimConfig,
         templates: TemplateSet,
         dataset: Dataset,

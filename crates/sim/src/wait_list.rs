@@ -68,7 +68,7 @@ pub(crate) struct WaitList {
 impl WaitList {
     /// An empty list of `lines` lines, `reserve` entries reserved across
     /// all of them: one per class, or one that holds every class.
-    pub fn new(lines: usize, budget: u32, reserve: usize) -> WaitList {
+    pub(crate) fn new(lines: usize, budget: u32, reserve: usize) -> WaitList {
         let line = || VecDeque::with_capacity(reserve / lines.max(1));
         WaitList {
             lines: (0..lines).map(|_| line()).collect(),
@@ -87,7 +87,7 @@ impl WaitList {
     /// Parks the query in `slot`, of `class`, `tried` attempts behind it,
     /// until `due`. Returns whether that needs a wake: the last entry
     /// parked is due at another time.
-    pub fn park(&mut self, due: SimTime, slot: usize, class: ClassId, tried: u32) -> bool {
+    pub(crate) fn park(&mut self, due: SimTime, slot: usize, class: ClassId, tried: u32) -> bool {
         let c = if self.lines.len() == 1 {
             0
         } else {
@@ -112,7 +112,7 @@ impl WaitList {
     /// A completion was scheduled for `due`. When the last entry parked is
     /// due then too, parks a fence, which needs a wake of its own, and
     /// returns `true`: those parked from here on retry after the completion.
-    pub fn fence(&mut self, due: SimTime) -> bool {
+    pub(crate) fn fence(&mut self, due: SimTime) -> bool {
         let fenced = self.back == Some(due);
         if fenced {
             self.fences.push_back((due, self.next_seq));
@@ -127,7 +127,7 @@ impl WaitList {
     /// `charge` each class's count, and takes that member off the list.
     /// Also returns whether the turn needs a wake for `next`. Past the last
     /// member, the fence the wake stopped at goes.
-    pub fn next_due(
+    pub(crate) fn next_due(
         &mut self,
         (now, next): (SimTime, SimTime),
         dry: impl Fn(usize) -> bool,

@@ -1,83 +1,11 @@
-//! Sampling distributions used by the workload generators.
+//! The zipf sampler of the workload generators.
 //!
 //! Table 3 of the paper specifies a *zipf* distribution for query
-//! inter-arrival times and uniform ranges for node hardware parameters; the
-//! real-cluster experiment (§5.2) uses uniform inter-arrival. We implement
-//! the three distributions needed — [`Uniform`], [`Exponential`] and
-//! [`Zipf`] — from scratch over [`DetRng`] rather than pulling in
-//! `rand_distr`, keeping the dependency set minimal.
+//! inter-arrival times. [`Zipf`] is implemented from scratch over
+//! [`DetRng`] rather than pulling in `rand_distr`, keeping the dependency
+//! set minimal.
 
 use crate::rng::DetRng;
-
-/// A distribution over `f64` that can be sampled with a [`DetRng`].
-pub trait Distribution {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut DetRng) -> f64;
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// A uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or not finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "bad range [{lo}, {hi})"
-        );
-        Uniform { lo, hi }
-    }
-
-    /// The mean `(lo + hi) / 2`.
-    pub fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        rng.float_in(self.lo, self.hi)
-    }
-}
-
-/// Exponential distribution with the given mean (i.e. rate `1/mean`).
-///
-/// Used to model Poisson arrivals in tests and in the Markov-allocator
-/// queueing model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// An exponential distribution with mean `mean`.
-    ///
-    /// # Panics
-    /// Panics if `mean` is not strictly positive and finite.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "bad mean {mean}");
-        Exponential { mean }
-    }
-
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        // Inverse CDF; 1 - unit() is in (0, 1] so ln() is finite.
-        -self.mean * (1.0 - rng.unit()).ln()
-    }
-}
 
 /// Zipf distribution over ranks `1..=n` with exponent `a`:
 /// `P(rank = k) ∝ k^-a`.
@@ -113,11 +41,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draws a rank in `1..=n`.
     pub fn sample_rank(&self, rng: &mut DetRng) -> usize {
         let u = rng.unit();
@@ -142,44 +65,12 @@ impl Zipf {
     }
 }
 
-impl Distribution for Zipf {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.sample_rank(rng) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(0xDECAF)
-    }
-
-    #[test]
-    fn uniform_mean_converges() {
-        let d = Uniform::new(10.0, 20.0);
-        let mut r = rng();
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| d.sample(&mut r)).sum();
-        assert!((sum / n as f64 - d.mean()).abs() < 0.1);
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let d = Exponential::new(300.0);
-        let mut r = rng();
-        let n = 50_000;
-        let sum: f64 = (0..n).map(|_| d.sample(&mut r)).sum();
-        let emp = sum / n as f64;
-        assert!((emp - 300.0).abs() < 10.0, "empirical mean {emp}");
-    }
-
-    #[test]
-    fn exponential_is_nonnegative() {
-        let d = Exponential::new(1.0);
-        let mut r = rng();
-        assert!((0..10_000).all(|_| d.sample(&mut r) >= 0.0));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::stats::LogHistogram;
 use std::fmt::Write;
 
 /// Sanitizes a registry metric name into the exposition charset.
-pub fn metric_name(raw: &str) -> String {
+pub(crate) fn metric_name(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for (i, c) in raw.chars().enumerate() {
         let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());

@@ -15,8 +15,8 @@
 //!   with stable FIFO tie-breaking for simultaneous events,
 //! * [`MinTree`] — an indexed tournament tree: the minimum of a standing
 //!   set of keyed positions in `O(1)`, one position re-keyed in `O(log n)`,
-//! * [`DetRng`] and the distributions in [`dist`] — all randomness in an
-//!   experiment flows from a single seed, so every run is reproducible,
+//! * [`DetRng`] and the [`Zipf`] sampler — all randomness in an experiment
+//!   flows from a single seed, so every run is reproducible,
 //! * [`LinkSpec`] — a latency + bandwidth model for network links,
 //! * [`FaultPlan`] — deterministic fault injection layered over the links:
 //!   per-link drop probability, latency jitter, scheduled outage windows,
@@ -25,7 +25,7 @@
 //! * [`telemetry`] — structured market tracing (typed events, JSONL
 //!   sinks, metrics registry, convergence diagnostics), zero-cost when
 //!   disabled,
-//! * [`par`] — a hermetic scoped thread pool whose [`par_map_indexed`]
+//! * [`par`] — a hermetic scoped thread pool whose [`par_map_indexed_with`]
 //!   fans independent sweep cells over the cores while keeping output
 //!   byte-identical to the serial run,
 //! * [`sched`] — deterministic schedule exploration for message-passing
@@ -38,13 +38,13 @@
 //! 100-node simulation (`qa-sim`) and the synthetic-workload generators
 //! (`qa-workload`).
 
-pub mod dist;
+pub(crate) mod dist;
 pub mod event;
 pub mod exposition;
 pub mod fault;
 pub mod json;
 pub mod link;
-pub mod mintree;
+pub(crate) mod mintree;
 pub mod par;
 pub mod rng;
 pub mod sched;
@@ -53,14 +53,14 @@ pub mod telemetry;
 pub mod time;
 pub mod watchdog;
 
-pub use dist::{Exponential, Uniform, Zipf};
+pub use dist::Zipf;
 pub use event::{EventQueue, ScheduledEvent};
 pub use exposition::prometheus_text;
 pub use fault::{FaultPlan, LinkFaults, OutageWindow};
 pub use json::{Json, ToJson};
 pub use link::LinkSpec;
 pub use mintree::MinTree;
-pub use par::{par_for_each_chunk_mut, par_map_indexed, par_map_indexed_with, thread_budget};
+pub use par::{par_for_each_chunk_mut, par_map_indexed_with, thread_budget};
 pub use rng::DetRng;
 pub use sched::{
     ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer, SystematicSchedule,

@@ -16,7 +16,7 @@ pub struct LinkSpec {
     /// Fixed one-way latency.
     pub latency: SimDuration,
     /// Bandwidth in bytes per second of virtual time.
-    pub bandwidth_bytes_per_sec: f64,
+    pub(crate) bandwidth_bytes_per_sec: f64,
 }
 
 impl LinkSpec {

@@ -15,7 +15,7 @@
 /// Slot of an absent leaf: loses every match against a present one.
 const ABSENT: (u64, u32) = (u64::MAX, u32::MAX);
 
-/// See the [module docs](self).
+/// See the `mintree` module docs.
 #[derive(Debug, Clone)]
 pub struct MinTree {
     /// Implicit binary tree, root at 1; leaf `i` sits at `cap + i` and

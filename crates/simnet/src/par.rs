@@ -5,7 +5,7 @@
 //! derives all of its randomness from its own seed. That makes the sweep
 //! trivially parallel *as long as the harness preserves two properties*:
 //!
-//! 1. **Input-order results.** [`par_map_indexed`] fans jobs over a scoped
+//! 1. **Input-order results.** [`par_map_indexed_with`] fans jobs over a scoped
 //!    worker pool but returns results in input order, so downstream
 //!    serialization is byte-identical to the serial run at any thread
 //!    count.
@@ -52,17 +52,6 @@ pub fn thread_budget() -> usize {
     let default =
         *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     parse_threads(std::env::var("QA_THREADS").ok().as_deref(), default)
-}
-
-/// Maps `f` over `items` on up to [`thread_budget`] worker threads,
-/// returning results in input order. See [`par_map_indexed_with`].
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_with(thread_budget(), items, f)
 }
 
 /// Maps `f(index, item)` over `items` on `min(threads, items.len())`

@@ -73,7 +73,7 @@ impl Welford {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
 
@@ -92,7 +92,7 @@ impl Welford {
     /// scraped off another process can be [`merge`](Self::merge)d into a
     /// local one. `m2` is recovered as `std_dev² · (n − 1)`; for `n ≤ 1`
     /// the variance is undefined and `m2` is zero by construction.
-    pub fn from_summary(n: u64, mean: f64, std_dev: f64, min: f64, max: f64) -> Welford {
+    pub(crate) fn from_summary(n: u64, mean: f64, std_dev: f64, min: f64, max: f64) -> Welford {
         if n == 0 {
             return Welford::new();
         }

@@ -17,7 +17,7 @@
 //!   `Option<Arc<_>>`, and event construction is deferred behind a
 //!   closure so no formatting or allocation happens unless a sink is
 //!   installed,
-//! * [`EventSink`] / [`TraceBuffer`] / [`WriterSink`] /
+//! * [`EventSink`] / [`TraceBuffer`] / `WriterSink` /
 //!   [`CountingSink`] — pluggable destinations (in-memory for tests and
 //!   the seeded `qa_fig` trace rows, a JSONL writer for trace files, a counter for
 //!   overhead benches),
@@ -490,13 +490,13 @@ impl fmt::Debug for TraceBuffer {
 
 /// Streams each record as a compact JSONL line to any writer
 /// (`stderr`, a file, …).
-pub struct WriterSink<W: std::io::Write + Send> {
+pub(crate) struct WriterSink<W: std::io::Write + Send> {
     writer: W,
 }
 
 impl<W: std::io::Write + Send> WriterSink<W> {
     /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
+    pub(crate) fn new(writer: W) -> Self {
         WriterSink { writer }
     }
 }
@@ -985,10 +985,10 @@ pub struct ClassConvergence {
     pub final_mean_price: f64,
     /// Per-period population variance of `ln(price)` across nodes —
     /// the paper's price-dispersion view of convergence.
-    pub log_price_variance: Vec<f64>,
+    pub(crate) log_price_variance: Vec<f64>,
     /// Per-period mean `|Δ ln(price)|` over the period's adjustments
     /// (0 for quiet periods).
-    pub mean_abs_log_step: Vec<f64>,
+    pub(crate) mean_abs_log_step: Vec<f64>,
     /// First period after which `mean_abs_log_step` stays at or below
     /// the tolerance for the rest of the run; `None` if prices were
     /// still moving in the final period.

@@ -11,11 +11,11 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// Environment variable that overrides every watchdog bound, in seconds.
-pub const TIMEOUT_ENV: &str = "QA_TEST_TIMEOUT_SECS";
+pub(crate) const TIMEOUT_ENV: &str = "QA_TEST_TIMEOUT_SECS";
 
 /// The effective bound: `QA_TEST_TIMEOUT_SECS` when set to a positive
 /// integer, else `default_secs`.
-pub fn timeout_secs(default_secs: u64) -> u64 {
+pub(crate) fn timeout_secs(default_secs: u64) -> u64 {
     match std::env::var(TIMEOUT_ENV) {
         Ok(v) => match v.trim().parse::<u64>() {
             Ok(n) if n > 0 => n,
@@ -26,7 +26,7 @@ pub fn timeout_secs(default_secs: u64) -> u64 {
 }
 
 /// Runs `f` on its own thread and panics if it does not finish within
-/// [`timeout_secs`]`(default_secs)` — the "never deadlocks" bound for
+/// `timeout_secs``(default_secs)` — the "never deadlocks" bound for
 /// runs that wait on messages that might not come. `label` names the
 /// guarded run in the panic message.
 ///

@@ -1,4 +1,4 @@
-//! Arrival processes (§5.1 and §5.2 workloads).
+//! Arrival processes (§5.1 workloads).
 //!
 //! * [`SinusoidProcess`] — the first experiment set: query arrival rates
 //!   follow a sinusoid waveform (Fig. 3). The paper's canonical setup is
@@ -8,8 +8,6 @@
 //! * [`ZipfProcess`] — the second experiment set (Fig. 6): 10 000 queries
 //!   in 100 classes, per-class inter-arrival times zipf-distributed with
 //!   `a = 1`, capped at 30 s, mean swept from 10 ms to 20 s.
-//! * [`UniformProcess`] — the real-cluster experiment (§5.2): uniform
-//!   inter-arrival with a configurable mean (300/400 ms in the paper).
 //!
 //! Each process generates `(time, class)` pairs; [`crate::trace::Trace`]
 //! attaches origins and ids.
@@ -34,11 +32,11 @@ pub struct SinusoidProcess {
     /// The class every arrival belongs to.
     pub class: ClassId,
     /// Waveform frequency in Hz (paper sweeps 0.05–2 Hz).
-    pub frequency_hz: f64,
+    pub(crate) frequency_hz: f64,
     /// Peak arrival rate in queries/second.
-    pub peak_rate_per_sec: f64,
+    pub(crate) peak_rate_per_sec: f64,
     /// Phase offset in radians (Q2 uses 90° = π/2 in the paper).
-    pub phase_rad: f64,
+    pub(crate) phase_rad: f64,
 }
 
 impl SinusoidProcess {
@@ -58,7 +56,7 @@ impl SinusoidProcess {
     }
 
     /// Instantaneous rate at time `t` (queries/second).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         let x = 2.0 * std::f64::consts::PI * self.frequency_hz * t.as_secs_f64() + self.phase_rad;
         self.peak_rate_per_sec / 2.0 * (1.0 + x.sin())
     }
@@ -120,11 +118,11 @@ pub struct ZipfProcess {
     /// Zipf exponent (paper: `a = 1`).
     pub exponent: f64,
     /// Minimum inter-arrival gap (the paper's swept x-axis).
-    pub min_gap: SimDuration,
+    pub(crate) min_gap: SimDuration,
     /// Maximum inter-arrival gap (paper: 30 000 ms).
-    pub max_gap: SimDuration,
+    pub(crate) max_gap: SimDuration,
     /// Zipf support size (number of distinct gap "slots").
-    pub num_slots: usize,
+    pub(crate) num_slots: usize,
 }
 
 impl ZipfProcess {
@@ -173,43 +171,6 @@ impl ArrivalProcess for ZipfProcess {
                 out.push((SimTime::from_micros((t * 1e6) as u64), class));
                 t += self.gap_of_rank(zipf.sample_rank(rng));
             }
-        }
-        out
-    }
-}
-
-/// Uniform inter-arrival process over a class mix (§5.2 workload).
-#[derive(Debug, Clone)]
-pub struct UniformProcess {
-    /// Mean inter-arrival gap; individual gaps are uniform on
-    /// `[0.5·mean, 1.5·mean)`.
-    pub mean_gap: SimDuration,
-    /// Classes to draw from, uniformly.
-    pub classes: Vec<ClassId>,
-    /// Stop after this many queries (the paper issues exactly 300), or
-    /// `None` to fill the horizon.
-    pub max_queries: Option<usize>,
-}
-
-impl ArrivalProcess for UniformProcess {
-    fn generate(&self, horizon: SimTime, rng: &mut DetRng) -> Vec<(SimTime, ClassId)> {
-        assert!(!self.classes.is_empty());
-        let mean = self.mean_gap.as_secs_f64();
-        assert!(mean > 0.0);
-        let mut out = Vec::new();
-        let mut t = 0.0_f64;
-        loop {
-            t += rng.float_in(0.5 * mean, 1.5 * mean);
-            if t >= horizon.as_secs_f64() {
-                break;
-            }
-            if self.max_queries.is_some_and(|m| out.len() >= m) {
-                break;
-            }
-            out.push((
-                SimTime::from_micros((t * 1e6) as u64),
-                *rng.pick(&self.classes),
-            ));
         }
         out
     }
@@ -345,36 +306,6 @@ mod tests {
                 w[1] - w[0]
             );
         }
-    }
-
-    #[test]
-    fn uniform_respects_count_and_mean() {
-        let p = UniformProcess {
-            mean_gap: SimDuration::from_millis(300),
-            classes: vec![ClassId(0), ClassId(1), ClassId(2)],
-            max_queries: Some(300),
-        };
-        let mut r = rng();
-        let arrivals = p.generate(SimTime::from_secs(600), &mut r);
-        assert_eq!(arrivals.len(), 300);
-        let last = arrivals.last().unwrap().0.as_secs_f64();
-        // 300 gaps of ~0.3 s ≈ 90 s.
-        assert!((70.0..110.0).contains(&last), "last arrival {last}s");
-        assert!(arrivals.iter().all(|(_, c)| c.index() < 3));
-    }
-
-    #[test]
-    fn uniform_stops_at_horizon_without_cap() {
-        let p = UniformProcess {
-            mean_gap: SimDuration::from_millis(100),
-            classes: vec![ClassId(0)],
-            max_queries: None,
-        };
-        let mut r = rng();
-        let arrivals = p.generate(SimTime::from_secs(5), &mut r);
-        assert!(!arrivals.is_empty());
-        assert!(arrivals.iter().all(|(t, _)| t.as_secs_f64() < 5.0));
-        assert!((40..60).contains(&arrivals.len()), "len {}", arrivals.len());
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! * [`dataset`] — the synthetic federation dataset: 1 000 relations of
 //!   1–20 MB mirrored ~5× across 100 heterogeneous nodes,
 //! * [`arrival`] — arrival processes: the 0.05–2 Hz sinusoid workloads of
-//!   Figures 3–5 (two classes, 90° phase offset, peak Q1 = 2 × peak Q2),
-//!   the zipf inter-arrival workload of Figure 6, and the uniform
-//!   inter-arrival workload of the real-cluster experiment (§5.2),
+//!   Figures 3–5 (two classes, 90° phase offset, peak Q1 = 2 × peak Q2)
+//!   and the zipf inter-arrival workload of Figure 6,
 //! * [`trace`] — materialized query traces: time-ordered
 //!   [`QueryEvent`]s that the simulator and the cluster driver replay.
 
@@ -23,7 +22,7 @@ pub mod ids;
 pub mod template;
 pub mod trace;
 
-pub use arrival::{ArrivalProcess, SinusoidProcess, UniformProcess, ZipfProcess};
+pub use arrival::{ArrivalProcess, SinusoidProcess, ZipfProcess};
 pub use dataset::{Dataset, DatasetConfig, Relation};
 pub use ids::{ClassId, NodeId, RelationId};
 pub use template::{QueryTemplate, TemplateConfig, TemplateSet};

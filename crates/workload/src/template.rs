@@ -36,7 +36,7 @@ impl QueryTemplate {
     /// `true` iff the template can run on a node holding `has_relation`
     /// (a predicate over relation ids): every touched relation must be
     /// locally available.
-    pub fn runnable_where<F: Fn(RelationId) -> bool>(&self, has_relation: F) -> bool {
+    pub(crate) fn runnable_where<F: Fn(RelationId) -> bool>(&self, has_relation: F) -> bool {
         self.relations.iter().all(|&r| has_relation(r))
     }
 }

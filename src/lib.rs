@@ -24,7 +24,7 @@
 //! |---|---|
 //! | [`economics`] | price/quantity vectors, supply sets, eq.-4 solvers, Pareto optimality, tâtonnement & non-tâtonnement dynamics, welfare-theorem checks |
 //! | [`simnet`] | discrete-event kernel: virtual clock, event queue, RNG, distributions, link model, statistics |
-//! | [`workload`] | query classes, synthetic datasets, sinusoid / zipf / uniform arrival processes, traces |
+//! | [`workload`] | query classes, synthetic datasets, sinusoid / zipf arrival processes, traces |
 //! | [`core`] | QA-NT itself plus Greedy, Random, Round-robin, BNQRD, two-probes and Markov baselines; plan-history estimator |
 //! | [`sim`] | the §5.1 federation simulator and the workloads its figures share |
 //! | [`minidb`] | a real SQL engine: parser, optimizer, EXPLAIN, executors |

@@ -7,7 +7,6 @@
 
 use query_markets::economics::{
     dominates, enumerate_solutions, is_pareto_optimal, LinearCapacitySet, QuantityVector, Solution,
-    ThroughputPreference,
 };
 
 const TIMES: [[u64; 2]; 2] = [[400, 100], [450, 500]];
@@ -118,12 +117,8 @@ fn first_period_lb_dominated_qa_optimal() {
             QuantityVector::from_counts(vec![1, 0]),
         ],
     };
-    let prefs = vec![ThroughputPreference, ThroughputPreference];
-    assert!(dominates(&qa, &lb, &prefs));
+    assert!(dominates(&qa, &lb));
     let all = enumerate_solutions(&sets, &demands);
-    assert!(
-        !is_pareto_optimal(&lb, &all, &prefs),
-        "LB is not Pareto optimal"
-    );
-    assert!(is_pareto_optimal(&qa, &all, &prefs), "QA is Pareto optimal");
+    assert!(!is_pareto_optimal(&lb, &all), "LB is not Pareto optimal");
+    assert!(is_pareto_optimal(&qa, &all), "QA is Pareto optimal");
 }
