@@ -3,7 +3,7 @@
 //! `run_schedule` executes one deterministic episode of the allocation
 //! protocol — the `Episode` shell [`crate::driver::run_workload`] runs,
 //! over the same `crate::protocol::QueryProtocol` machines, one per
-//! query — against the [`SimTransport`] virtual network, whose nodes are the sellers
+//! query — against the `SimTransport` virtual network, whose nodes are the sellers
 //! (`crate::protocol::NodeProtocol`) every node thread and `qad` process
 //! runs, under the shipped market configuration, with **every**
 //! nondeterministic decision (which message is delivered, what is dropped,

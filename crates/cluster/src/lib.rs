@@ -66,10 +66,9 @@ pub use driver::{
 pub use error::ClusterError;
 pub use explore::{
     explore_random, explore_systematic, run_seed, run_trail, ExploreConfig, ExploreReport,
-    ScheduleOutcome, Violation,
+    ScheduleOutcome,
 };
-pub use node::{NodeMsg, NodeStats};
+pub use node::NodeMsg;
 pub use qad::FedConfig;
-pub use setup::{ClusterSpec, QueryClassSpec};
-pub use simtransport::SimTransport;
-pub use transport::{ChannelTransport, TcpTransport, Transport};
+pub use setup::ClusterSpec;
+pub use transport::{TcpTransport, Transport};

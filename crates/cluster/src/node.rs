@@ -27,7 +27,8 @@ use std::time::{Duration, Instant};
 
 /// The answers a node gives, one per reply message of the wire protocol
 /// (`qa_net::wire`'s table): every carrier hands these around unchanged.
-pub use qa_net::wire::{EstimateReply, ExecReply, NodeStats, OfferReply, PricesReply};
+pub use qa_net::wire::EstimateReply;
+pub(crate) use qa_net::wire::{ExecReply, NodeStats, OfferReply, PricesReply};
 
 /// Salt of each node's fault stream.
 const FAULT_SALT: u64 = 0xFA17_0002;

@@ -21,7 +21,7 @@
 //! [`crate::transport::Transport`]. [`crate::driver`] steps that shell
 //! from one loop blocking on an inbox and a timer, [`crate::explore`] from
 //! a schedule's choice points over
-//! [`crate::simtransport::SimTransport`] — so the invariants the explorer
+//! `crate::simtransport::SimTransport` — so the invariants the explorer
 //! checks are checked about the code that serves traffic.
 
 use crate::error::ClusterError;

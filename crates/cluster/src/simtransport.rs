@@ -185,7 +185,7 @@ impl SharedSchedule {
 }
 
 /// The deterministic virtual-network transport. See the module docs.
-pub struct SimTransport {
+pub(crate) struct SimTransport {
     world: Mutex<SimWorld>,
     schedule: SharedSchedule,
     telemetry: Telemetry,
@@ -262,7 +262,7 @@ impl SimTransport {
     /// else pick an in-flight message, decide drop-vs-deliver, hand it to
     /// its node, and decide whether the reply survives. Returns `false`
     /// when the network is idle (nothing in flight, no step taken).
-    pub fn step(&self) -> bool {
+    pub(crate) fn step(&self) -> bool {
         let mut world = self.world.lock().unwrap();
         let world = &mut *world;
         if world.inflight.is_empty() {
@@ -316,7 +316,7 @@ impl SimTransport {
     /// FIFO order) and **without** consuming schedule choice points —
     /// the post-run drain the invariant checks use to quiesce the
     /// network before auditing state.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut world = self.world.lock().unwrap();
         while !world.inflight.is_empty() {
             world.stats.steps += 1;

@@ -33,16 +33,9 @@ pub mod mechanism;
 pub mod messages;
 pub mod qant;
 
-/// In-tree JSON support (hosted in `qa-simnet` so the workload layer can
-/// use it too; re-exported here as the canonical entry point for the
-/// upper layers — see DESIGN.md, "Hermetic build").
-pub use qa_simnet::json;
-pub use qa_simnet::telemetry;
-
 pub use bnqrd::BnqrdCoordinator;
-pub use client::{choose_best_offer, RoundRobinState, TwoProbesChooser};
+pub use client::{RoundRobinState, TwoProbesChooser};
 pub use estimator::PlanHistoryEstimator;
 pub use markov::MarkovAllocator;
 pub use mechanism::MechanismKind;
-pub use messages::Offer;
 pub use qant::{QantConfig, QantMarket, QantNode};

@@ -42,7 +42,6 @@ pub use market::is_equilibrium;
 pub use non_tatonnement::{
     ln_of_quanta, to_quanta, NonTatonnementPricer, PriceRules, PricerConfig,
 };
-pub use parent::{BrokerBid, ClearingOutcome, ParentMarket, ParentMechanism};
 pub use pareto::{dominates, enumerate_solutions, is_pareto_optimal, Solution};
 pub use supply::{
     solve_supply_fractional, solve_supply_greedy, solve_supply_greedy_cached, solve_supply_optimal,

@@ -49,8 +49,7 @@ pub mod sql;
 pub mod storage;
 pub mod value;
 
-pub use engine::{Database, QueryResult};
+pub use engine::Database;
 pub use error::DbError;
 pub use plan::explain::Explain;
-pub use schema::Column;
-pub use value::{DataType, Value};
+pub use value::Value;

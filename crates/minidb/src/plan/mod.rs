@@ -9,6 +9,3 @@ pub mod cost;
 pub mod explain;
 pub(crate) mod logical;
 pub mod optimizer;
-
-pub use cost::PlanEstimate;
-pub use explain::Explain;

@@ -16,6 +16,3 @@
 pub mod ast;
 pub mod parser;
 pub mod token;
-
-pub use ast::BinaryOp;
-pub use token::Token;

@@ -36,6 +36,6 @@ pub mod conn;
 pub mod frame;
 pub mod wire;
 
-pub use conn::{backoff, ConnConfig, Connection};
-pub use frame::{recv_msg, send_msg, write_frame, MAX_FRAME, PROTOCOL_VERSION};
+pub use conn::{ConnConfig, Connection};
+pub use frame::{recv_msg, send_msg, write_frame, MAX_FRAME};
 pub use wire::{CodecError, NetError, ReplyBody, WireMsg};

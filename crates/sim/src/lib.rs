@@ -40,11 +40,9 @@ pub mod sharded;
 mod wait_list;
 
 pub use broker::BrokerTier;
-pub use config::{BrokerConfig, SimConfig};
-pub use federation::{Federation, RunOutcome};
-pub use metrics::RunMetrics;
+pub use config::SimConfig;
+pub use federation::Federation;
 pub use scenario::Scenario;
-pub use sharded::{ShardPlan, ShardRunOptions, ShardSpec, ShardedOutcome};
 
 #[cfg(test)]
 mod tests {

@@ -26,8 +26,7 @@
 //!
 //! It lives in `qa-simnet` because the substrate crate is the one
 //! dependency shared by every layer that serializes (workload traces,
-//! simulator results, cluster results, bench output); `qa-core` re-exports
-//! it as `qa_core::json` for the upper layers.
+//! simulator results, cluster results, bench output).
 //!
 //! Integers are exact over `i64::MIN ..= u64::MAX`: [`Json::Int`] holds
 //! what fits an `i64`, [`Json::UInt`] only the `u64` values above it, so

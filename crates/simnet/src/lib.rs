@@ -57,16 +57,11 @@ pub use dist::Zipf;
 pub use event::{EventQueue, ScheduledEvent};
 pub use exposition::prometheus_text;
 pub use fault::{FaultPlan, LinkFaults, OutageWindow};
-pub use json::{Json, ToJson};
+pub use json::Json;
 pub use link::LinkSpec;
 pub use mintree::MinTree;
 pub use par::{par_for_each_chunk_mut, par_map_indexed_with, thread_budget};
 pub use rng::DetRng;
-pub use sched::{
-    ChoiceTrail, RandomSchedule, ReplaySchedule, Schedule, SystematicExplorer, SystematicSchedule,
-};
-pub use telemetry::{
-    census, read_trace, ConvergenceReport, MetricsRegistry, Telemetry, TelemetryEvent, TraceRecord,
-};
+pub use telemetry::{MetricsRegistry, Telemetry};
 pub use time::{SimDuration, SimTime};
 pub use watchdog::with_watchdog;

@@ -22,8 +22,7 @@ pub mod ids;
 pub mod template;
 pub mod trace;
 
-pub use arrival::{ArrivalProcess, SinusoidProcess, ZipfProcess};
-pub use dataset::{Dataset, DatasetConfig, Relation};
+pub use dataset::{Dataset, Relation};
 pub use ids::{ClassId, NodeId, RelationId};
-pub use template::{QueryTemplate, TemplateConfig, TemplateSet};
+pub use template::{QueryTemplate, TemplateSet};
 pub use trace::{QueryEvent, Trace};
