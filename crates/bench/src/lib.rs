@@ -84,20 +84,20 @@ impl Report {
     }
 
     /// Appends `line` and a newline.
-    pub fn line(&mut self, line: impl Display) {
+    pub(crate) fn line(&mut self, line: impl Display) {
         self.text.push_str(&format!("{line}\n"));
     }
 
     /// Appends [`render_table`] of `rows` under `headers` (separated by
     /// `|`), then a blank line.
-    pub fn table(&mut self, headers: &str, rows: &[Vec<String>]) {
+    pub(crate) fn table(&mut self, headers: &str, rows: &[Vec<String>]) {
         let headers: Vec<&str> = headers.split('|').collect();
         self.line(render_table(&headers, rows));
     }
 
     /// Adds `<name>.json` holding `value`, rendered as every result file
     /// is.
-    pub fn json<T: ToJson + ?Sized>(&mut self, name: &str, value: &T) {
+    pub(crate) fn json<T: ToJson + ?Sized>(&mut self, name: &str, value: &T) {
         let contents = value.to_json().pretty();
         self.files.push((format!("{name}.json"), contents));
     }

@@ -19,7 +19,7 @@
 //! whose mailbox disconnects (crash injection via
 //! [`ClusterConfig::crashes`], or a dead worker) is routed around, and
 //! failed attempts retry with capped exponential backoff within
-//! [`ClusterConfig::max_retries`]. Those rules are [`crate::protocol`]'s,
+//! [`ClusterConfig::max_retries`]. Those rules are `crate::protocol`'s,
 //! carried out by the `crate::episode` shell; this module gives that
 //! shell a clock, the workload and a [`Transport`]. All
 //! environmental failures surface as [`ClusterError`] values in the
@@ -259,7 +259,7 @@ pub fn run_experiment(
 }
 
 /// Replays the workload against an already-connected fleet — in-process
-/// threads ([`ChannelTransport`]) or real `qad` processes
+/// threads (`ChannelTransport`) or real `qad` processes
 /// ([`crate::transport::TcpTransport`]) behave identically here. Does
 /// **not** tear the transport down: the caller may keep using it (e.g. to
 /// dump post-run price vectors) and owns the final

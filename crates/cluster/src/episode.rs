@@ -47,21 +47,21 @@ pub(crate) enum Wait {
 /// A wait of `query` for the loop to time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Timer {
-    pub query: usize,
-    pub wait: Wait,
+    pub(crate) query: usize,
+    pub(crate) wait: Wait,
 }
 
 /// A reply reaching the inbox — or the news that it never will.
 #[derive(Debug)]
 pub(crate) struct Arrival {
-    pub query: usize,
+    pub(crate) query: usize,
     /// The wait the reply can end.
-    pub wait: Wait,
+    pub(crate) wait: Wait,
     /// The node the request went to.
-    pub node: usize,
+    pub(crate) node: usize,
     /// `None` when the reply was lost (or the request never left: a failed
     /// send lets go of its reply too).
-    pub answer: Option<Answer>,
+    pub(crate) answer: Option<Answer>,
 }
 
 /// What a node answered.

@@ -49,14 +49,14 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Fleet size.
-    pub num_nodes: usize,
+    pub(crate) num_nodes: usize,
     /// Query classes (query `i` has class `i % num_classes`).
-    pub num_classes: usize,
+    pub(crate) num_classes: usize,
     /// Queries in the episode.
-    pub num_queries: usize,
+    pub(crate) num_queries: usize,
     /// The sellers' market period (what a period tick's eq.-4 budget is
     /// measured in).
-    pub period: Duration,
+    pub(crate) period: Duration,
     /// Re-allocation attempts before a query is declared unserved.
     pub(crate) max_retries: u32,
     /// Schedule-chosen crash injections available to the adversary.

@@ -23,8 +23,8 @@
 //! of hundreds of rows, queries of milliseconds) so the experiment runs in
 //! CI; all comparisons are relative, which is what Figure 7 reports.
 //!
-//! * [`setup`] — deployment generator: tables, views, copies, query classes,
-//! * [`protocol`] — both sides of the allocation protocol, sans-IO: one
+//! * `setup` — deployment generator: tables, views, copies, query classes,
+//! * `protocol` — both sides of the allocation protocol, sans-IO: one
 //!   query's state machine (winner selection, retry budget, crash
 //!   re-entry) and the one seller (`protocol::NodeProtocol`: §3.3's
 //!   offer / refuse-and-raise / accept / period boundary over a private
@@ -32,7 +32,7 @@
 //! * [`node`] — the node thread, the seller's threaded shell: minidb, the
 //!   two-step estimator, the modelled link (optionally lossy) and the
 //!   [`NodeMsg`] mailbox; a `qad` process runs the same thread,
-//! * [`transport`] — `send(node, NodeMsg)` over mailboxes or TCP; the
+//! * `transport` — `send(node, NodeMsg)` over mailboxes or TCP; the
 //!   reply travels back as a [`node::Reply`] inside the request,
 //! * `episode` — the driver's shell, once: it carries out what the
 //!   query machines decide, files every reply (answered or lost) under
@@ -42,23 +42,23 @@
 //!   steps the episode from an inbox and a timer list (issue times,
 //!   period ticks, the crash schedule, reply deadlines, back-offs),
 //!   Figure-7 measurements,
-//! * [`explore`] — the model checker: a schedule steps the *same* episode
+//! * `explore` — the model checker: a schedule steps the *same* episode
 //!   and the same sellers over the `simtransport` virtual network,
-//! * [`error`] — the [`ClusterError`] taxonomy for environmental failures
+//! * `error` — the [`ClusterError`] taxonomy for environmental failures
 //!   (the protocol paths never panic).
 
 pub mod ctl;
 pub mod driver;
 pub(crate) mod episode;
-pub mod error;
-pub mod explore;
+pub(crate) mod error;
+pub(crate) mod explore;
 pub mod metrics_http;
 pub mod node;
-pub mod protocol;
+pub(crate) mod protocol;
 pub mod qad;
-pub mod setup;
+pub(crate) mod setup;
 pub(crate) mod simtransport;
-pub mod transport;
+pub(crate) mod transport;
 
 pub use driver::{
     run_experiment, run_workload, spawn_fleet, ClusterConfig, ClusterMechanism, ExperimentResult,

@@ -44,12 +44,12 @@ pub struct Reply<T>(Option<Box<dyn FnOnce(Option<T>) + Send>>);
 impl<T> Reply<T> {
     /// A reply that ends in `deliver`: called exactly once, with the answer
     /// or with `None` when the reply was lost.
-    pub fn new(deliver: impl FnOnce(Option<T>) + Send + 'static) -> Reply<T> {
+    pub(crate) fn new(deliver: impl FnOnce(Option<T>) + Send + 'static) -> Reply<T> {
         Reply(Some(Box::new(deliver)))
     }
 
     /// Answers the request.
-    pub fn send(mut self, value: T) {
+    pub(crate) fn send(mut self, value: T) {
         if let Some(deliver) = self.0.take() {
             deliver(Some(value));
         }
@@ -127,7 +127,7 @@ pub enum NodeMsg {
 
 impl NodeMsg {
     /// The request's name in errors and drop reports.
-    pub fn phase(&self) -> &'static str {
+    pub(crate) fn phase(&self) -> &'static str {
         match self {
             NodeMsg::Estimate { .. } => "estimate",
             NodeMsg::CallForOffers { .. } => "offer",
@@ -142,7 +142,7 @@ impl NodeMsg {
 /// A handle to a spawned node.
 pub(crate) struct NodeHandle {
     /// Its mailbox.
-    pub sender: Sender<NodeMsg>,
+    pub(crate) sender: Sender<NodeMsg>,
     join: JoinHandle<()>,
 }
 

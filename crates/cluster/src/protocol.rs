@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Bid {
     /// The node the reply claims to come from.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Its cost in ms (Greedy: execution estimate; QA-NT: promised
     /// completion), `None` when the node declined to offer.
     pub(crate) cost_ms: Option<f64>,
@@ -101,7 +101,7 @@ pub(crate) enum Action {
 
 /// How a query ended.
 #[derive(Debug, PartialEq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// Executed on `node` under assignment `generation`.
     Completed { node: usize, generation: u32 },
     /// Given up on, and why.

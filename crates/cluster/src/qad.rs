@@ -146,7 +146,7 @@ impl FedConfig {
     ///
     /// # Errors
     /// A human-readable description of the first problem found.
-    pub fn parse(text: &str) -> Result<FedConfig, String> {
+    pub(crate) fn parse(text: &str) -> Result<FedConfig, String> {
         let Json::Obj(given) = Json::parse(text)? else {
             return Err("config must be a JSON object".to_string());
         };
@@ -179,7 +179,7 @@ impl FedConfig {
     ///
     /// # Errors
     /// IO problems and parse problems, as readable text.
-    pub fn load(path: &str) -> Result<FedConfig, String> {
+    pub(crate) fn load(path: &str) -> Result<FedConfig, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         FedConfig::parse(&text)
     }
@@ -245,7 +245,7 @@ enum SessionEnd {
 /// # Errors
 /// Socket-level failures (bind/accept) as readable text. Per-session
 /// failures are not fatal — the server returns to accepting.
-pub fn serve(
+pub(crate) fn serve(
     node: usize,
     listen: &str,
     metrics_addr: Option<&str>,

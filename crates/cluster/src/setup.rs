@@ -16,7 +16,7 @@ pub struct TableSpec {
     /// Table name (`t00`, `t01`, …).
     pub name: String,
     /// Rows to generate.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Nodes holding a copy (2–4 of them).
     pub copies: Vec<usize>,
 }
@@ -25,9 +25,9 @@ pub struct TableSpec {
 #[derive(Debug, Clone)]
 pub(crate) struct ViewSpec {
     /// The base table index.
-    pub table: usize,
+    pub(crate) table: usize,
     /// The view's defining SQL.
-    pub sql: String,
+    pub(crate) sql: String,
 }
 
 /// One query class: a star-query template with a `{c}` placeholder for the
@@ -37,9 +37,9 @@ pub struct QueryClassSpec {
     /// The class id.
     pub id: ClassId,
     /// Template with `{c}` placeholder.
-    pub template: String,
+    pub(crate) template: String,
     /// Tables touched (by index), for capability checks.
-    pub tables: Vec<usize>,
+    pub(crate) tables: Vec<usize>,
     /// Range of the selection constant.
     pub const_range: (i64, i64),
 }
@@ -51,7 +51,7 @@ impl QueryClassSpec {
     }
 
     /// Draws a random instance.
-    pub fn sample(&self, rng: &mut DetRng) -> String {
+    pub(crate) fn sample(&self, rng: &mut DetRng) -> String {
         let c = rng.int_in(self.const_range.0 as u64, self.const_range.1 as u64) as i64;
         self.instantiate(c)
     }

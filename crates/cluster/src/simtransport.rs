@@ -54,9 +54,9 @@ fn sql_field(sql: &str, key: &str) -> Option<u64> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Execution {
     /// The query's trace index.
-    pub query: u64,
+    pub(crate) query: u64,
     /// The assignment generation that executed it.
-    pub generation: u32,
+    pub(crate) generation: u32,
 }
 
 /// One node of the virtual fleet: the seller under test, and what this
@@ -65,15 +65,15 @@ pub(crate) struct Execution {
 #[derive(Debug, Clone)]
 pub(crate) struct SimNodeState {
     /// Node index.
-    pub id: usize,
+    pub(crate) id: usize,
     /// `true` once crashed (schedule-chosen or driver-injected).
-    pub crashed: bool,
+    pub(crate) crashed: bool,
     /// Prices, supply and backlog: the seller [`crate::node`] runs.
-    pub seller: NodeProtocol,
+    pub(crate) seller: NodeProtocol,
     /// Per-class execution estimate in milliseconds.
-    pub exec_ms: Vec<f64>,
+    pub(crate) exec_ms: Vec<f64>,
     /// Every execution this node ever committed, in order.
-    pub executions: Vec<Execution>,
+    pub(crate) executions: Vec<Execution>,
     /// Estimates of the accepted queries still running; they finish at the
     /// node's next period tick.
     running: Vec<f64>,
@@ -118,7 +118,7 @@ pub struct NetStats {
     /// Network steps taken (deliveries, drops, and crash injections).
     pub steps: u64,
     /// Requests delivered to a node.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Requests dropped by the schedule.
     pub dropped_requests: u64,
     /// Replies dropped by the schedule.

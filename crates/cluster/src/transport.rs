@@ -60,7 +60,7 @@ pub trait Transport: Send + Sync {
     /// reply.
     ///
     /// # Errors
-    /// [`ClusterError`] (its phase is [`NodeMsg::phase`]) when the send
+    /// [`ClusterError`] (its phase is `NodeMsg::phase`) when the send
     /// itself fails (peer dead).
     fn send(&self, node: usize, msg: NodeMsg) -> Result<(), ClusterError>;
 

@@ -64,11 +64,6 @@ impl BnqrdCoordinator {
             *o *= self.decay;
         }
     }
-
-    /// Current outstanding work vector (diagnostics).
-    pub fn outstanding(&self) -> &[f64] {
-        &self.outstanding_ms
-    }
 }
 
 #[cfg(test)]
@@ -110,12 +105,12 @@ mod tests {
         let mut c = BnqrdCoordinator::new(2);
         let all = nodes(2);
         let n = c.assign(&all, 100.0);
-        assert!(c.outstanding()[n.index()] > 0.0);
+        assert!(c.outstanding_ms[n.index()] > 0.0);
         c.report_completion(n, 100.0);
-        assert_eq!(c.outstanding()[n.index()], 0.0);
+        assert_eq!(c.outstanding_ms[n.index()], 0.0);
         // Over-reporting saturates at zero.
         c.report_completion(n, 50.0);
-        assert_eq!(c.outstanding()[n.index()], 0.0);
+        assert_eq!(c.outstanding_ms[n.index()], 0.0);
     }
 
     #[test]
@@ -133,6 +128,6 @@ mod tests {
         let mut c = BnqrdCoordinator::new(2);
         c.assign(&nodes(2), 100.0);
         c.tick(0.5);
-        assert!(c.outstanding().iter().all(|&o| o <= 50.0));
+        assert!(c.outstanding_ms.iter().all(|&o| o <= 50.0));
     }
 }

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct EstimatorStats {
     /// Observations recorded.
-    pub observations: u64,
+    pub(crate) observations: u64,
     /// Current EWMA of execution time in milliseconds.
     pub(crate) ewma_ms: f64,
 }

@@ -6,13 +6,13 @@
 //!
 //! | Mechanism | Module | Paper row |
 //! |---|---|---|
-//! | **QA-NT** (query markets, non-tâtonnement) | [`qant`] | "QA-NT — Very Good, distributed, autonomous" |
+//! | **QA-NT** (query markets, non-tâtonnement) | `qant` | "QA-NT — Very Good, distributed, autonomous" |
 //! | Greedy (least completion time) | [`client`] | "Greedy — Very Good, violates autonomy" |
 //! | Random | [`client`] | "Random — Poor" |
 //! | Round-robin | [`client`] | "Round-robin — Poor" |
 //! | BNQRD (central unbalance factor, Carey et al.) | [`BnqrdCoordinator`] | "BNQRD — Poor, violates autonomy" |
 //! | Two random probes (Mitzenmacher) | [`client`] | "(two-random probes) — between Round-robin and BNQRD" |
-//! | Markov/stochastic optimal (Drenick & Smith) | [`markov`] | "Markov — Excellent, static only, centralized" |
+//! | Markov/stochastic optimal (Drenick & Smith) | `markov` | "Markov — Excellent, static only, centralized" |
 //!
 //! The crate holds the *decision logic* only; the drivers live in `qa-sim`
 //! (discrete-event, 100 nodes, §5.1) and `qa-cluster` (threaded deployment
@@ -27,11 +27,11 @@
 
 pub(crate) mod bnqrd;
 pub mod client;
-pub mod estimator;
-pub mod markov;
-pub mod mechanism;
+pub(crate) mod estimator;
+pub(crate) mod markov;
+pub(crate) mod mechanism;
 pub mod messages;
-pub mod qant;
+pub(crate) mod qant;
 
 pub use bnqrd::BnqrdCoordinator;
 pub use client::{RoundRobinState, TwoProbesChooser};

@@ -128,19 +128,6 @@ impl MarkovAllocator {
         MarkovAllocator { probs }
     }
 
-    /// The routing distribution of a class as `(node, probability)` pairs.
-    pub fn distribution(&self, class: ClassId) -> Vec<(NodeId, f64)> {
-        let cum = &self.probs[class.index()];
-        let mut prev = 0.0;
-        cum.iter()
-            .map(|&(n, c)| {
-                let p = c - prev;
-                prev = c;
-                (n, p)
-            })
-            .collect()
-    }
-
     /// Samples a destination node for a class-`k` query.
     ///
     /// # Panics
@@ -163,6 +150,22 @@ impl MarkovAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MarkovAllocator {
+        /// The routing distribution of a class as `(node, probability)`
+        /// pairs.
+        fn distribution(&self, class: ClassId) -> Vec<(NodeId, f64)> {
+            let cum = &self.probs[class.index()];
+            let mut prev = 0.0;
+            cum.iter()
+                .map(|&(n, c)| {
+                    let p = c - prev;
+                    prev = c;
+                    (n, p)
+                })
+                .collect()
+        }
+    }
 
     #[test]
     fn single_capable_node_gets_everything() {

@@ -7,13 +7,13 @@
 //!   consumption (`c⃗`) vectors over `N^K` (K query classes),
 //! * [`PriceVector`] — virtual prices `p⃗ ∈ R₊^K` with value products
 //!   `p⃗·s⃗`,
-//! * [`supply`] — supply sets `Sᵢ` (the feasible supply vectors of a node)
+//! * `supply` — supply sets `Sᵢ` (the feasible supply vectors of a node)
 //!   and the profit-maximisation problem of eq. (4),
 //! * [`dominates`] and [`is_pareto_optimal`] — Pareto dominance and
 //!   optimality (Definition 1) under the paper's throughput preference
 //!   (`c⃗ ⪰ c⃗′  iff  Σc ≥ Σc′`), with [`enumerate_solutions`], a brute-force
 //!   enumerator for small economies used by tests,
-//! * [`market`] — excess demand `z(p⃗)` (Definition 2) and competitive
+//! * `market` — excess demand `z(p⃗)` (Definition 2) and competitive
 //!   equilibrium (Definition 3),
 //! * [`Tatonnement`] — the classical centralized umpire iteration
 //!   `p(t+1) = p(t) + λ·z(p(t))` (eq. 6),
@@ -22,21 +22,21 @@
 //! * [`parent`] — the hierarchical tier: a parent market that clears shard
 //!   broker bids (QA-NT at the broker tier, or a WALRAS-style tâtonnement
 //!   over aggregate supply curves),
-//! * [`welfare`] — empirical First-Theorem-of-Welfare-Economics checks used
+//! * `welfare` — empirical First-Theorem-of-Welfare-Economics checks used
 //!   by the test suite.
 //!
 //! This crate is independent of queries and databases: it speaks only of
 //! commodities, prices, buyers and sellers. `qa-core` maps the QA problem
 //! onto it (Table 1 of the paper).
 
-pub mod market;
+pub(crate) mod market;
 pub(crate) mod non_tatonnement;
 pub mod parent;
 pub(crate) mod pareto;
-pub mod supply;
+pub(crate) mod supply;
 pub(crate) mod tatonnement;
-pub mod vectors;
-pub mod welfare;
+pub(crate) mod vectors;
+pub(crate) mod welfare;
 
 pub use market::is_equilibrium;
 pub use non_tatonnement::{

@@ -53,7 +53,7 @@ impl PricerConfig {
     ///
     /// # Panics
     /// Panics on λ outside `(0, 1)`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.lambda.is_finite() && self.lambda > 0.0 && self.lambda < 1.0,
             "lambda must be in (0,1), got {}",
@@ -122,7 +122,7 @@ impl PriceRules {
     /// The rules of `config`.
     ///
     /// # Panics
-    /// Panics when `config` does not [`PricerConfig::validate`].
+    /// Panics when `config` does not `PricerConfig::validate`.
     pub fn new(config: &PricerConfig) -> PriceRules {
         config.validate();
         let lambda = config.lambda;
@@ -269,9 +269,9 @@ pub struct NonTatonnementPricer {
     prices: Vec<i64>,
     /// Rejections recorded this period, per class (diagnostics).
     rejections: Vec<u64>,
-    /// Event sink for `PriceAdjusted` telemetry; disabled (a single
-    /// branch per adjustment) unless [`NonTatonnementPricer::set_telemetry`]
-    /// installs a labeled handle.
+    /// Event sink for `PriceAdjusted` telemetry: disabled (a single branch
+    /// per adjustment), except where this module's tests install a labeled
+    /// handle.
     telemetry: Telemetry,
 }
 
@@ -295,13 +295,6 @@ impl NonTatonnementPricer {
             *q = pricer.rules.quantize(p);
         }
         pricer
-    }
-
-    /// Installs a telemetry handle (label it with the owning node id via
-    /// [`Telemetry::with_label`] first); price adjustments emit
-    /// [`TelemetryEvent::PriceAdjusted`] through it.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// [`PriceRules::renormalize`] over this pricer's row.
@@ -381,11 +374,6 @@ impl NonTatonnementPricer {
             .decay_leftover(&mut self.prices, leftover.as_slice(), &self.telemetry, node);
         self.rejections.fill(0);
     }
-
-    /// Rejections observed for class `k` in the current period.
-    pub fn rejections(&self, k: usize) -> u64 {
-        self.rejections[k]
-    }
 }
 
 #[cfg(test)]
@@ -434,7 +422,7 @@ mod tests {
         p.on_rejection(0);
         assert!((p.prices().get(0) - before * 1.1).abs() < 1e-12);
         assert_eq!(p.prices().get(1), 1.0, "other classes untouched");
-        assert_eq!(p.rejections(0), 1);
+        assert_eq!(p.rejections[0], 1);
     }
 
     #[test]
@@ -506,7 +494,7 @@ mod tests {
                     "case {case} lane {i}, {} refusals",
                     counts[i]
                 );
-                assert_eq!(a.rejections(0), b.rejections(0));
+                assert_eq!(a.rejections[0], b.rejections[0]);
                 assert_eq!(b.prices().get(1), 1.0, "other class untouched");
             }
         }
@@ -651,8 +639,8 @@ mod tests {
         let (tel, buf) = Telemetry::buffered();
         let fresh = || NonTatonnementPricer::new(1, PricerConfig::default());
         let (mut lone, mut lane, mut quiet) = (fresh(), fresh(), fresh());
-        lone.set_telemetry(tel.with_label(1));
-        lane.set_telemetry(tel.with_label(2));
+        lone.telemetry = tel.with_label(1);
+        lane.telemetry = tel.with_label(2);
         // 400 refusals saturate from the initial price.
         lone.on_rejections(0, 400);
         NonTatonnementPricer::on_rejections_batch(&mut [&mut quiet, &mut lane], 0, &[400, 400]);
@@ -675,9 +663,9 @@ mod tests {
         let mut p = NonTatonnementPricer::new(1, PricerConfig::default());
         p.on_rejection(0);
         p.on_rejection(0);
-        assert_eq!(p.rejections(0), 2);
+        assert_eq!(p.rejections[0], 2);
         p.on_period_end(&qv(&[0]));
-        assert_eq!(p.rejections(0), 0);
+        assert_eq!(p.rejections[0], 0);
     }
 
     #[test]
@@ -705,7 +693,7 @@ mod tests {
     fn adjustments_emit_labeled_telemetry() {
         let (tel, buf) = Telemetry::buffered();
         let mut p = NonTatonnementPricer::new(2, PricerConfig::default());
-        p.set_telemetry(tel.with_label(7));
+        p.telemetry = tel.with_label(7);
         p.on_rejection(0);
         p.on_period_end(&qv(&[0, 2]));
         let records = buf.records();

@@ -71,7 +71,7 @@ pub struct BrokerBid {
 pub struct ClearingOutcome {
     /// `allocations[b][k]` — units of class `k` awarded to broker `b`.
     /// Never exceeds the broker's reported capacity.
-    pub allocations: Vec<Vec<u64>>,
+    pub(crate) allocations: Vec<Vec<u64>>,
     /// The parent's clearing ln-price per class after this window.
     pub ln_prices: Vec<f64>,
     /// Demand the market could not place this window, per class. The

@@ -27,7 +27,7 @@ pub struct Solution {
 
 impl Solution {
     /// Number of nodes `I`.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.consumptions.len()
     }
 }

@@ -63,12 +63,12 @@ impl LinearCapacitySet {
     }
 
     /// The per-class unit costs.
-    pub fn unit_costs(&self) -> &[Option<f64>] {
+    pub(crate) fn unit_costs(&self) -> &[Option<f64>] {
         &self.unit_costs
     }
 
     /// The capacity `T`.
-    pub fn capacity(&self) -> f64 {
+    pub(crate) fn capacity(&self) -> f64 {
         self.capacity
     }
 
@@ -182,7 +182,7 @@ pub struct DensityOrderCache {
 }
 
 impl DensityOrderCache {
-    /// An empty cache; the first [`Self::order`] call computes.
+    /// An empty cache; the first `Self::order` call computes.
     pub fn new() -> Self {
         Self::default()
     }
@@ -190,7 +190,7 @@ impl DensityOrderCache {
     /// The density ordering for `(prices, unit_costs)`, recomputed only
     /// when either differs from the cached pair. (Prices are finite by
     /// `PriceVector` invariant, so the float equality scan is exact.)
-    pub fn order(&mut self, prices: &PriceVector, unit_costs: &[Option<f64>]) -> &[usize] {
+    pub(crate) fn order(&mut self, prices: &PriceVector, unit_costs: &[Option<f64>]) -> &[usize] {
         let hit = self.valid && self.prices == prices.as_slice() && self.unit_costs == unit_costs;
         if !hit {
             price_density_order_into(prices.as_slice(), unit_costs, &mut self.order);

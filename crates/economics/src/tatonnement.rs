@@ -15,7 +15,7 @@ use crate::vectors::{PriceVector, QuantityVector};
 
 /// Result of running the umpire iteration.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TatonnementOutcome {
+pub(crate) enum TatonnementOutcome {
     /// `z(p⃗*) = 0` was reached after the given number of iterations.
     Converged { iterations: usize },
     /// The iteration budget ran out; the best (lowest ‖z‖₁) state seen is
@@ -50,11 +50,11 @@ impl Default for Tatonnement {
 #[derive(Debug, Clone)]
 pub struct TatonnementRun {
     /// How the run ended.
-    pub outcome: TatonnementOutcome,
+    pub(crate) outcome: TatonnementOutcome,
     /// Final prices.
     pub prices: PriceVector,
     /// Per-seller supply vectors at the final prices.
-    pub supplies: Vec<QuantityVector>,
+    pub(crate) supplies: Vec<QuantityVector>,
 }
 
 impl Tatonnement {

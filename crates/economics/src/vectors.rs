@@ -26,7 +26,7 @@ impl QuantityVector {
     }
 
     /// Number of commodity classes `K`.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.0.len()
     }
 
@@ -47,41 +47,29 @@ impl QuantityVector {
 
     /// Total units across all classes — the quantity the paper's
     /// throughput preference compares.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.0.iter().sum()
     }
 
     /// `true` iff every component is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.iter().all(|&c| c == 0)
     }
 
     /// Component-wise `≤` — the partial order of eq. 3 (`c⃗ ≤ d⃗`).
-    pub fn le(&self, other: &QuantityVector) -> bool {
+    pub(crate) fn le(&self, other: &QuantityVector) -> bool {
         assert_eq!(self.num_classes(), other.num_classes());
         self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
     }
 
     /// Component-wise saturating subtraction.
-    pub fn saturating_sub(&self, other: &QuantityVector) -> QuantityVector {
+    pub(crate) fn saturating_sub(&self, other: &QuantityVector) -> QuantityVector {
         assert_eq!(self.num_classes(), other.num_classes());
         QuantityVector(
             self.0
                 .iter()
                 .zip(&other.0)
                 .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        )
-    }
-
-    /// Component-wise minimum.
-    pub fn min(&self, other: &QuantityVector) -> QuantityVector {
-        assert_eq!(self.num_classes(), other.num_classes());
-        QuantityVector(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| *a.min(b))
                 .collect(),
         )
     }
@@ -101,7 +89,7 @@ impl QuantityVector {
     }
 
     /// Iterates `(class, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.0.iter().copied().enumerate()
     }
 
@@ -186,7 +174,7 @@ impl PriceVector {
     }
 
     /// Number of classes `K`.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.0.len()
     }
 
@@ -196,7 +184,7 @@ impl PriceVector {
     }
 
     /// Sets the price of class `k`, clamping to `floor`.
-    pub fn set(&mut self, k: usize, price: f64, floor: f64) {
+    pub(crate) fn set(&mut self, k: usize, price: f64, floor: f64) {
         debug_assert!(floor > 0.0);
         self.0[k] = if price.is_finite() {
             price.max(floor)
@@ -228,13 +216,6 @@ impl PriceVector {
     /// Largest price across classes.
     pub fn max_price(&self) -> f64 {
         self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Rescales all prices so the largest is 1 — useful for display; the
-    /// market is invariant to a uniform rescaling.
-    pub fn normalized(&self) -> PriceVector {
-        let m = self.max_price();
-        PriceVector(self.0.iter().map(|p| p / m).collect())
     }
 }
 
@@ -332,18 +313,6 @@ mod tests {
         assert_eq!(p.get(0), 0.01);
         p.set(0, f64::NAN, 0.01);
         assert_eq!(p.get(0), 0.01);
-    }
-
-    #[test]
-    fn normalization_scales_max_to_one() {
-        let p = PriceVector::from_prices(vec![2.0, 8.0, 4.0]);
-        let n = p.normalized();
-        assert_eq!(n.as_slice(), &[0.25, 1.0, 0.5]);
-    }
-
-    #[test]
-    fn component_min() {
-        assert_eq!(qv(&[3, 1]).min(&qv(&[2, 5])), qv(&[2, 1]));
     }
 
     #[test]

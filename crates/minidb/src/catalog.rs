@@ -14,9 +14,9 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub(crate) struct View {
     /// The view name.
-    pub name: String,
+    pub(crate) name: String,
     /// The defining `SELECT` statement.
-    pub select: SelectStmt,
+    pub(crate) select: SelectStmt,
 }
 
 /// The namespace of tables and views.

@@ -40,12 +40,12 @@ impl std::error::Error for DbError {}
 
 impl DbError {
     /// Shorthand constructor for parse errors.
-    pub fn parse(msg: impl Into<String>) -> DbError {
+    pub(crate) fn parse(msg: impl Into<String>) -> DbError {
         DbError::Parse(msg.into())
     }
 
     /// Shorthand constructor for binding errors.
-    pub fn binding(msg: impl Into<String>) -> DbError {
+    pub(crate) fn binding(msg: impl Into<String>) -> DbError {
         DbError::Binding(msg.into())
     }
 
@@ -60,7 +60,7 @@ impl DbError {
     }
 
     /// Shorthand constructor for execution errors.
-    pub fn execution(msg: impl Into<String>) -> DbError {
+    pub(crate) fn execution(msg: impl Into<String>) -> DbError {
         DbError::Execution(msg.into())
     }
 }

@@ -7,7 +7,7 @@ use std::cmp::Ordering;
 
 /// Keeps the rows where `predicate` is `TRUE` (SQL semantics: `NULL`
 /// drops).
-pub fn filter(rows: Vec<Row>, predicate: &BoundExpr) -> DbResult<Vec<Row>> {
+pub(crate) fn filter(rows: Vec<Row>, predicate: &BoundExpr) -> DbResult<Vec<Row>> {
     let mut out = Vec::new();
     for row in rows {
         if predicate.eval_predicate(&row)? {
@@ -18,7 +18,7 @@ pub fn filter(rows: Vec<Row>, predicate: &BoundExpr) -> DbResult<Vec<Row>> {
 }
 
 /// Evaluates `exprs` over every row.
-pub fn project(rows: &[Row], exprs: &[BoundExpr]) -> DbResult<Vec<Row>> {
+pub(crate) fn project(rows: &[Row], exprs: &[BoundExpr]) -> DbResult<Vec<Row>> {
     rows.iter().map(|row| eval_all(exprs.iter(), row)).collect()
 }
 

@@ -12,7 +12,7 @@
 //! an overflow) in a row past the limit fails the query, where a pull
 //! pipeline stopped before reading that row.
 
-pub mod aggregate;
+pub(crate) mod aggregate;
 pub mod basic;
 pub mod join;
 

@@ -39,14 +39,14 @@
 //! ```
 
 pub(crate) mod catalog;
-pub mod engine;
-pub mod error;
+pub(crate) mod engine;
+pub(crate) mod error;
 pub mod exec;
 pub mod expr;
-pub mod plan;
-pub mod schema;
+pub(crate) mod plan;
+pub(crate) mod schema;
 pub mod sql;
-pub mod storage;
+pub(crate) mod storage;
 pub mod value;
 
 pub use engine::Database;

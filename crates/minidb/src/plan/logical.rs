@@ -22,9 +22,9 @@ pub(crate) struct AggExpr {
     /// The function.
     pub(crate) func: AggFunc,
     /// The argument over the input schema; `None` only for `COUNT(*)`.
-    pub arg: Option<BoundExpr>,
+    pub(crate) arg: Option<BoundExpr>,
     /// Output column name.
-    pub name: String,
+    pub(crate) name: String,
 }
 
 /// A logical plan node.

@@ -5,7 +5,7 @@
 //! executed (`crate::exec`).
 
 pub(crate) mod binder;
-pub mod cost;
-pub mod explain;
+pub(crate) mod cost;
+pub(crate) mod explain;
 pub(crate) mod logical;
-pub mod optimizer;
+pub(crate) mod optimizer;

@@ -11,18 +11,18 @@ use std::fmt;
 
 /// One output column.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Column {
+pub(crate) struct Column {
     /// The table alias qualifying this column, if any.
     pub(crate) qualifier: Option<String>,
     /// The column name.
-    pub name: String,
+    pub(crate) name: String,
     /// The column type.
-    pub ty: DataType,
+    pub(crate) ty: DataType,
 }
 
 impl Column {
     /// An unqualified column.
-    pub fn new(name: impl Into<String>, ty: DataType) -> Column {
+    pub(crate) fn new(name: impl Into<String>, ty: DataType) -> Column {
         Column {
             qualifier: None,
             name: name.into(),

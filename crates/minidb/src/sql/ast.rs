@@ -40,7 +40,7 @@ pub(crate) struct SelectStmt {
     /// The projection list.
     pub(crate) projections: Vec<SelectItem>,
     /// The `FROM` clause (absent for `SELECT 1`-style constants).
-    pub from: Option<FromClause>,
+    pub(crate) from: Option<FromClause>,
     /// The `WHERE` predicate.
     pub(crate) where_clause: Option<Expr>,
     /// `GROUP BY` expressions.
@@ -48,7 +48,7 @@ pub(crate) struct SelectStmt {
     /// `ORDER BY` expressions with ascending flags.
     pub(crate) order_by: Vec<(Expr, bool)>,
     /// `LIMIT` row count.
-    pub limit: Option<u64>,
+    pub(crate) limit: Option<u64>,
 }
 
 /// One projection-list entry.

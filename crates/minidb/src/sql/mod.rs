@@ -14,5 +14,5 @@
 //! ```
 
 pub mod ast;
-pub mod parser;
-pub mod token;
+pub(crate) mod parser;
+pub(crate) mod token;

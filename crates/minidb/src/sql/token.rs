@@ -18,7 +18,7 @@ const KEYWORDS: &[&str] = &[
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A reserved word, upper-cased.
     Keyword(String),
     /// An identifier (original case preserved).

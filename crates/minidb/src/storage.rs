@@ -35,7 +35,7 @@ impl TableStats {
 
 /// An in-memory table.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
@@ -54,7 +54,7 @@ impl Table {
     }
 
     /// The table name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -70,7 +70,7 @@ impl Table {
 
     /// Inserts a row after arity/type checking (INT coerces into FLOAT
     /// columns).
-    pub fn insert(&mut self, row: Row) -> DbResult<()> {
+    pub(crate) fn insert(&mut self, row: Row) -> DbResult<()> {
         if row.len() != self.schema.len() {
             return Err(DbError::type_err(format!(
                 "table '{}' expects {} values, got {}",
@@ -95,7 +95,7 @@ impl Table {
     }
 
     /// The stored rows.
-    pub fn rows(&self) -> &[Row] {
+    pub(crate) fn rows(&self) -> &[Row] {
         &self.rows
     }
 }

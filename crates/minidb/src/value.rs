@@ -84,7 +84,7 @@ impl Value {
 
     /// Whether this value can be stored in a column of type `ty`
     /// (NULL fits anywhere; INT widens into FLOAT).
-    pub fn fits(&self, ty: DataType) -> bool {
+    pub(crate) fn fits(&self, ty: DataType) -> bool {
         matches!(
             (self, ty),
             (Value::Null, _)

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 /// Capped exponential backoff between connection attempts: `base`
 /// doubling per attempt, never more than eight times `base` — the same
 /// semantics as the cluster driver's allocation backoff.
-pub fn backoff(base: Duration, attempt: u32) -> Duration {
+pub(crate) fn backoff(base: Duration, attempt: u32) -> Duration {
     let factor = 1u32 << attempt.min(3);
     base.saturating_mul(factor)
 }

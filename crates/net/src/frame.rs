@@ -23,7 +23,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"QANT";
 /// root package's `every_message_keeps_its_pinned_wire_bytes` test
 /// (`tests/net_codec.rs`) fails when a message's bytes move.
 /// v2: added `StatsRequest`/`StatsReply` (fleet metrics scrape).
-pub const PROTOCOL_VERSION: u16 = 2;
+pub(crate) const PROTOCOL_VERSION: u16 = 2;
 
 /// Hard cap on one frame's payload (1 MiB — generous for SQL text, tiny
 /// against a hostile length prefix).

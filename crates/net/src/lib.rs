@@ -12,11 +12,11 @@
 //!   codec and each reply's token-less answer type ([`ReplyBody`]), which
 //!   `qa-cluster`'s carriers hand around. No serde — the workspace is
 //!   hermetic (zero registry deps) and the format is small enough to own.
-//! * [`frame`] — length-prefixed frames over any `Read`/`Write` pair,
+//! * `frame` — length-prefixed frames over any `Read`/`Write` pair,
 //!   with a hard frame-size cap (an adversarial length prefix errors
 //!   out before any allocation) and the magic + protocol-version
-//!   handshake ([`frame::PROTOCOL_VERSION`]).
-//! * [`conn`] — a per-peer [`Connection`]: dedicated reader and writer
+//!   handshake (`frame::PROTOCOL_VERSION`).
+//! * `conn` — a per-peer [`Connection`]: dedicated reader and writer
 //!   threads, an outgoing send queue, ping/pong heartbeats with an idle
 //!   deadline, and dial-time retry with the capped exponential backoff
 //!   the cluster driver established (base × 2^attempt, capped at 8×).
@@ -32,8 +32,8 @@
 //! moves [`WireMsg`] values between processes. `qa-cluster` builds its
 //! transport-agnostic driver on top.
 
-pub mod conn;
-pub mod frame;
+pub(crate) mod conn;
+pub(crate) mod frame;
 pub mod wire;
 
 pub use conn::{ConnConfig, Connection};

@@ -53,11 +53,6 @@ impl BrokerTier {
         }
     }
 
-    /// Demand currently carried toward the next clearing, per class.
-    pub fn escalated(&self) -> &[u64] {
-        &self.escalated
-    }
-
     /// One period boundary: clears `window_demand` (this window's routed
     /// arrivals, a one-window-lagged proxy for the next) plus the escalated
     /// carry against the shards' boundary signals, and rewrites the router
@@ -169,12 +164,12 @@ mod tests {
         // 9 demanded, 5 available: 4 unserved, all within tier supply.
         let out = t.clear_window(&home_shards, &supply, &lnp, &[9], &mut weights);
         assert_eq!(out.unserved[0], 4);
-        assert_eq!(t.escalated(), &[4]);
+        assert_eq!(t.escalated, &[4]);
         assert_eq!(t.total_escalated, 4);
         // Next window: 2 new arrivals + 4 carried = 6 demanded, 5 placed.
         let out = t.clear_window(&home_shards, &supply, &lnp, &[2], &mut weights);
         assert_eq!(out.unserved[0], 1);
-        assert_eq!(t.escalated(), &[1]);
+        assert_eq!(t.escalated, &[1]);
     }
 
     #[test]
@@ -188,9 +183,9 @@ mod tests {
             t.clear_window(&home_shards, &supply, &lnp, &[100], &mut weights);
         }
         assert!(
-            t.escalated()[0] <= 3,
+            t.escalated[0] <= 3,
             "carry must stay within tier capacity, got {}",
-            t.escalated()[0]
+            t.escalated[0]
         );
     }
 

@@ -1,7 +1,7 @@
 //! Simulation configuration (Table 3), plus the hierarchical-market
 //! broker-tier configuration (DESIGN.md §12).
 //!
-//! The Table-3 hardware ranges are constants of [`crate::node`]; what a
+//! The Table-3 hardware ranges are constants of `crate::node`; what a
 //! run may vary is its seed, its size and its market.
 
 use qa_core::QantConfig;
@@ -54,7 +54,7 @@ impl SimConfig {
     ///
     /// # Panics
     /// Panics on an empty federation or a zero period.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_nodes > 0);
         assert!(!self.qant.period.is_zero());
     }

@@ -20,7 +20,7 @@
 //!
 //! ## Fault injection
 //!
-//! A [`FaultPlan`] (see [`qa_simnet::fault`]) makes links lossy: any
+//! A [`FaultPlan`] (see `qa_simnet::fault`) makes links lossy: any
 //! negotiation message may be dropped, links may jitter, and scheduled
 //! outage windows can take a link down entirely. Crash schedules
 //! ([`Federation::kill_node_at`] / [`Federation::recover_node_at`]) kill

@@ -10,7 +10,7 @@
 //!
 //! * [`config`] — [`SimConfig`]: a run's seed, size and QA-NT market
 //!   (`paper_defaults()` is Table 3's 100 nodes),
-//! * [`node`] — the per-node model: CPU/I-O/buffer hardware factors drawn
+//! * `node` — the per-node model: CPU/I-O/buffer hardware factors drawn
 //!   from Table 3's ranges, the execution-time model, and a FIFO
 //!   work-conserving queue,
 //! * [`federation`] — the event loop: arrivals run the allocation
@@ -22,18 +22,18 @@
 //!   Figures 4/5 and the Table-3 zipf world of Figure 6,
 //! * [`experiments`] — the workloads other code shares: the two-class
 //!   sinusoid trace, the scaled worlds, and the one-run sweep cell,
-//! * [`broker`] and [`sharded`] — the two-tier market and the sharded
+//! * `broker` and [`sharded`] — the two-tier market and the sharded
 //!   engine that runs it.
 //!
 //! The crate defines no figure: each table and figure of the evaluation is
 //! one row of `qa-bench`, which states its parameters in one place.
 
-pub mod broker;
+pub(crate) mod broker;
 pub mod config;
 pub mod experiments;
 pub mod federation;
 pub mod metrics;
-pub mod node;
+pub(crate) mod node;
 mod offer_index;
 pub mod scenario;
 pub mod sharded;

@@ -39,7 +39,7 @@ pub struct NodeHardware {
 impl NodeHardware {
     /// Draws hardware from the Table-3 ranges (CPU, I/O, buffer, then the
     /// hash-join bit: the draw order every world digest depends on).
-    pub fn sample(rng: &mut DetRng) -> NodeHardware {
+    pub(crate) fn sample(rng: &mut DetRng) -> NodeHardware {
         NodeHardware {
             cpu_ghz: rng.float_in(CPU_GHZ.0, CPU_GHZ.1),
             io_mbps: rng.float_in(IO_MBPS.0, IO_MBPS.1),

@@ -45,14 +45,14 @@ use qa_workload::{NodeId, QueryEvent, Trace};
 
 /// One shard: a contiguous node slice `[lo, hi)` of the parent federation
 /// re-packaged as a self-contained scenario with local node ids `0..hi-lo`.
-pub struct ShardSpec {
+pub(crate) struct ShardSpec {
     /// First parent node id owned by this shard.
-    pub lo: usize,
+    pub(crate) lo: usize,
     /// One past the last parent node id owned by this shard.
-    pub hi: usize,
+    pub(crate) hi: usize,
     /// The shard-local world (remapped dataset, hardware, exec matrix,
     /// capability lists).
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
 }
 
 /// The static partition of one scenario into shards, plus the per-class
@@ -68,8 +68,8 @@ pub struct ShardPlan {
 }
 
 /// Per-run knobs of the sharded engine beyond the trace itself. The
-/// default — ambient thread budget, the QA-NT parent, no faults,
-/// telemetry off — reproduces [`ShardPlan::run`] exactly.
+/// default: the ambient thread budget, the QA-NT parent, no faults,
+/// telemetry off.
 #[derive(Clone)]
 pub struct ShardRunOptions {
     /// Worker threads the shard layer may step shards on.
@@ -191,25 +191,9 @@ impl ShardPlan {
         }
     }
 
-    /// The shards, in node order.
-    pub fn shards(&self) -> &[ShardSpec] {
-        &self.shards
-    }
-
-    /// Shards holding at least one node capable of class `k`.
-    pub fn home_shards(&self, k: usize) -> &[usize] {
-        &self.home_shards[k]
-    }
-
-    /// Runs the trace through the sharded engine on the ambient
-    /// [`qa_simnet::thread_budget`].
-    pub fn run(&self, trace: &Trace) -> ShardedOutcome {
-        self.run_with_options(trace, &ShardRunOptions::default())
-    }
-
-    /// [`ShardPlan::run`] with an explicit thread budget. The output is
-    /// identical at any budget; the budget only decides how many workers
-    /// step the shards.
+    /// Runs the trace through the sharded engine with an explicit thread
+    /// budget. The output is identical at any budget; the budget only
+    /// decides how many workers step the shards.
     pub fn run_with_budget(&self, trace: &Trace, budget: usize) -> ShardedOutcome {
         self.run_with_options(
             trace,
@@ -234,8 +218,9 @@ impl ShardPlan {
         (s, NodeId((idx - self.shards[s].lo) as u32))
     }
 
-    /// [`ShardPlan::run`] with full per-run options: thread budget, the
-    /// two-tier broker market, fault schedules, and broker telemetry.
+    /// Runs the trace through the sharded engine with full per-run options:
+    /// thread budget, the two-tier broker market, fault schedules, and
+    /// broker telemetry.
     pub fn run_with_options(&self, trace: &Trace, options: &ShardRunOptions) -> ShardedOutcome {
         let s_count = self.shards.len();
         let k = self.num_classes;
@@ -530,26 +515,26 @@ mod tests {
         let parent = Scenario::table3(cfg);
         for s_count in [2, 3, 4, 7] {
             let plan = ShardPlan::build(&parent, s_count);
-            assert_eq!(plan.shards().len(), s_count);
+            assert_eq!(plan.shards.len(), s_count);
             // Slices tile [0, N) contiguously.
-            assert_eq!(plan.shards()[0].lo, 0);
-            assert_eq!(plan.shards().last().unwrap().hi, 30);
-            for w in plan.shards().windows(2) {
+            assert_eq!(plan.shards[0].lo, 0);
+            assert_eq!(plan.shards.last().unwrap().hi, 30);
+            for w in plan.shards.windows(2) {
                 assert_eq!(w[0].hi, w[1].lo);
             }
             for k in 0..parent.templates.num_classes() {
                 assert!(
-                    !plan.home_shards(k).is_empty(),
+                    !plan.home_shards[k].is_empty(),
                     "class {k} lost all capable nodes at S={s_count}"
                 );
                 // The shard-local capability lists partition the parent's.
                 let total: usize = plan
-                    .shards()
+                    .shards
                     .iter()
                     .map(|sh| sh.scenario.capable[k].len())
                     .sum();
                 assert_eq!(total, parent.capable[k].len());
-                for sh in plan.shards() {
+                for sh in &plan.shards {
                     for node in &sh.scenario.capable[k] {
                         assert!(node.index() < sh.hi - sh.lo, "unremapped node id");
                     }
@@ -564,7 +549,7 @@ mod tests {
         let trace = trace_for(&parent, 30);
         let flat = Federation::new(&parent, MechanismKind::QaNt, &trace).run(&trace);
         let plan = ShardPlan::build(&parent, 1);
-        let sharded = plan.run(&trace);
+        let sharded = plan.run_with_options(&trace, &ShardRunOptions::default());
         assert_eq!(
             format!("{:?}", sharded.outcome),
             format!("{flat:?}"),
@@ -597,7 +582,7 @@ mod tests {
         let parent = world(16, 5);
         let trace = trace_for(&parent, 30);
         let plan = ShardPlan::build(&parent, 4);
-        let out = plan.run(&trace);
+        let out = plan.run_with_options(&trace, &ShardRunOptions::default());
         let m = &out.outcome.metrics;
         assert_eq!(m.completed + m.unserved, trace.len() as u64);
         assert!(m.completed > 0, "nothing completed");
@@ -890,7 +875,8 @@ mod tests {
     fn convergence_period_reads_the_signal_history() {
         let parent = world(12, 9);
         let trace = trace_for(&parent, 60);
-        let out = ShardPlan::build(&parent, 2).run(&trace);
+        let out =
+            ShardPlan::build(&parent, 2).run_with_options(&trace, &ShardRunOptions::default());
         if let Some(p) = out.convergence_period(1e-2) {
             assert!(out.signal_history[p] < 1e-2);
             assert!(out.signal_history[..p].iter().all(|&d| d >= 1e-2));

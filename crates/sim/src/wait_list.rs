@@ -29,11 +29,11 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Waiter {
     /// When it retries: the microsecond after a period boundary.
-    pub due: SimTime,
+    pub(crate) due: SimTime,
     /// Its place in park order, across every line.
     seq: u64,
-    pub slot: u32,
-    pub tried: u32,
+    pub(crate) slot: u32,
+    pub(crate) tried: u32,
 }
 
 // As large as the entry of the one FIFO list it replaces, so that
@@ -62,7 +62,7 @@ pub(crate) struct WaitList {
     spent: usize,
     /// The first fence due at the running wake, or `u64::MAX`.
     stop: u64,
-    pub work: WaitWork,
+    pub(crate) work: WaitWork,
 }
 
 impl WaitList {

@@ -32,9 +32,9 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageWindow {
     /// First instant of the outage.
-    pub from: SimTime,
+    pub(crate) from: SimTime,
     /// First instant *after* the outage.
-    pub until: SimTime,
+    pub(crate) until: SimTime,
 }
 
 impl OutageWindow {
@@ -48,7 +48,7 @@ impl OutageWindow {
     }
 
     /// Whether `at` falls inside the window.
-    pub fn contains(&self, at: SimTime) -> bool {
+    pub(crate) fn contains(&self, at: SimTime) -> bool {
         self.from <= at && at < self.until
     }
 }
@@ -127,9 +127,9 @@ impl LinkFaults {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Behaviour of every link without an override.
-    pub default: LinkFaults,
+    pub(crate) default: LinkFaults,
     /// `(node, faults)` overrides, consulted before `default`.
-    pub overrides: Vec<(usize, LinkFaults)>,
+    pub(crate) overrides: Vec<(usize, LinkFaults)>,
 }
 
 impl FaultPlan {

@@ -65,11 +65,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// Builds an array by converting each element.
-    pub fn array<T: ToJson>(items: impl IntoIterator<Item = T>) -> Json {
-        Json::Arr(items.into_iter().map(|v| v.to_json()).collect())
-    }
-
     /// Looks up a key in an object (`None` for non-objects/missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -119,14 +114,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The keys of an object, in order (`None` for non-objects).
-    pub fn keys(&self) -> Option<Vec<&str>> {
-        match self {
-            Json::Obj(pairs) => Some(pairs.iter().map(|(k, _)| k.as_str()).collect()),
             _ => None,
         }
     }

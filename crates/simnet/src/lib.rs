@@ -25,13 +25,13 @@
 //! * [`telemetry`] — structured market tracing (typed events, JSONL
 //!   sinks, metrics registry, convergence diagnostics), zero-cost when
 //!   disabled,
-//! * [`par`] — a hermetic scoped thread pool whose [`par_map_indexed_with`]
+//! * `par` — a hermetic scoped thread pool whose [`par_map_indexed_with`]
 //!   fans independent sweep cells over the cores while keeping output
 //!   byte-identical to the serial run,
 //! * [`sched`] — deterministic schedule exploration for message-passing
 //!   protocols: seeded-random, replay, and bounded-systematic choosers
 //!   driving the cluster's model-checking harness,
-//! * [`watchdog`] — the shared test-support termination bound
+//! * `watchdog` — the shared test-support termination bound
 //!   (`QA_TEST_TIMEOUT_SECS` override) used by the e2e suites.
 //!
 //! Everything here is deliberately generic: the same kernel drives the
@@ -39,19 +39,19 @@
 //! (`qa-workload`).
 
 pub(crate) mod dist;
-pub mod event;
-pub mod exposition;
-pub mod fault;
+pub(crate) mod event;
+pub(crate) mod exposition;
+pub(crate) mod fault;
 pub mod json;
-pub mod link;
+pub(crate) mod link;
 pub(crate) mod mintree;
-pub mod par;
+pub(crate) mod par;
 pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod telemetry;
-pub mod time;
-pub mod watchdog;
+pub(crate) mod time;
+pub(crate) mod watchdog;
 
 pub use dist::Zipf;
 pub use event::{EventQueue, ScheduledEvent};

@@ -14,7 +14,7 @@ use crate::time::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Fixed one-way latency.
-    pub latency: SimDuration,
+    pub(crate) latency: SimDuration,
     /// Bandwidth in bytes per second of virtual time.
     pub(crate) bandwidth_bytes_per_sec: f64,
 }
@@ -24,7 +24,7 @@ impl LinkSpec {
     ///
     /// # Panics
     /// Panics if bandwidth is not strictly positive and finite.
-    pub fn new(latency: SimDuration, bandwidth_bytes_per_sec: f64) -> Self {
+    pub(crate) fn new(latency: SimDuration, bandwidth_bytes_per_sec: f64) -> Self {
         assert!(
             bandwidth_bytes_per_sec.is_finite() && bandwidth_bytes_per_sec > 0.0,
             "bad bandwidth {bandwidth_bytes_per_sec}"

@@ -33,33 +33,23 @@ use std::fmt;
 /// One recorded choice: which alternative was taken, out of how many,
 /// at which named choice point.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Choice {
+pub(crate) struct Choice {
     /// The choice-point label (e.g. `"deliver"`, `"drop"`, `"crash"`).
-    pub point: &'static str,
+    pub(crate) point: &'static str,
     /// The alternative taken.
-    pub chosen: u32,
+    pub(crate) chosen: u32,
     /// How many alternatives existed.
-    pub arity: u32,
+    pub(crate) arity: u32,
 }
 
 /// The sequence of choices one schedule made, in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChoiceTrail {
     /// The choices, in the order they were resolved.
-    pub choices: Vec<Choice>,
+    pub(crate) choices: Vec<Choice>,
 }
 
 impl ChoiceTrail {
-    /// Number of choice points resolved.
-    pub fn len(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// `true` iff no choice point was resolved.
-    pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
-    }
-
     /// Just the chosen indices (the replay vector).
     pub fn indices(&self) -> Vec<u32> {
         self.choices.iter().map(|c| c.chosen).collect()
@@ -113,11 +103,6 @@ impl RandomSchedule {
             rng: DetRng::seed_from_u64(seed).derive("sched"),
             trail: ChoiceTrail::default(),
         }
-    }
-
-    /// The seed this schedule was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -415,7 +400,6 @@ mod tests {
         s.choose("deliver", 3);
         s.choose("drop", 4);
         assert_eq!(s.trail().to_string(), "deliver:1/3,drop:2/4");
-        assert_eq!(s.trail().len(), 2);
-        assert!(!s.trail().is_empty());
+        assert_eq!(s.trail().choices.len(), 2);
     }
 }

@@ -14,7 +14,7 @@
 //!   directly matching the paper's "per half second" plots (Fig. 3, 5c).
 
 use crate::json::{Json, ToJson};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Welford's online algorithm for mean and variance.
 #[derive(Debug, Clone)]
@@ -234,12 +234,12 @@ impl LogHistogram {
     }
 
     /// Sum of all observations (the Prometheus `_sum` series).
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.total > 0).then_some(self.min)
     }
 
@@ -371,11 +371,6 @@ impl TimeSeries {
         self.period
     }
 
-    /// Records observation `x` at virtual time `at`.
-    pub fn record(&mut self, at: SimTime, x: f64) {
-        self.record_in_bin(at.period_index(self.period) as usize, x);
-    }
-
     /// Records observation `x` in bin `idx`, for a caller that already
     /// holds the time's [`period_index`](SimTime::period_index).
     pub fn record_in_bin(&mut self, idx: usize, x: f64) {
@@ -383,31 +378,6 @@ impl TimeSeries {
             self.bins.resize_with(idx + 1, Welford::new);
         }
         self.bins[idx].add(x);
-    }
-
-    /// Number of bins touched so far (trailing empty bins are not created).
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// `true` iff nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
-    }
-
-    /// Per-bin observation counts.
-    pub fn counts(&self) -> Vec<u64> {
-        self.bins.iter().map(Welford::count).collect()
-    }
-
-    /// Per-bin means (`None` for empty bins).
-    pub fn means(&self) -> Vec<Option<f64>> {
-        self.bins.iter().map(Welford::mean).collect()
-    }
-
-    /// The accumulator for bin `i`, if it exists.
-    pub fn bin(&self, i: usize) -> Option<&Welford> {
-        self.bins.get(i)
     }
 
     /// Folds another series into this one, bin by bin (exact Welford
@@ -430,10 +400,20 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
+
+    /// Records `x` in the bin of virtual time `at`.
+    fn record(ts: &mut TimeSeries, at: SimTime, x: f64) {
+        ts.record_in_bin(at.period_index(ts.period) as usize, x);
+    }
+
+    /// `(count, mean)` of each bin.
+    fn bins(ts: &TimeSeries) -> Vec<(u64, Option<f64>)> {
+        ts.bins.iter().map(|w| (w.count(), w.mean())).collect()
+    }
 
     #[test]
     fn time_series_merge_equals_sequential() {
-        use crate::time::{SimDuration, SimTime};
         let period = SimDuration::from_millis(500);
         let mut a = TimeSeries::new(period);
         let mut b = TimeSeries::new(period);
@@ -442,16 +422,16 @@ mod tests {
             let at = SimTime::from_millis(i * 37);
             let x = (i as f64).cos() * 5.0;
             if i % 3 == 0 {
-                a.record(at, x);
+                record(&mut a, at, x);
             } else {
-                b.record(at, x);
+                record(&mut b, at, x);
             }
-            all.record(at, x);
+            record(&mut all, at, x);
         }
         a.merge(&b);
-        assert_eq!(a.len(), all.len());
-        assert_eq!(a.counts(), all.counts());
-        for (x, y) in a.means().iter().zip(all.means().iter()) {
+        assert_eq!(a.bins.len(), all.bins.len());
+        for ((na, x), (nb, y)) in bins(&a).into_iter().zip(bins(&all)) {
+            assert_eq!(na, nb);
             match (x, y) {
                 (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
                 (x, y) => assert_eq!(x, y),
@@ -698,14 +678,13 @@ mod tests {
     #[test]
     fn time_series_bins_by_period() {
         let mut ts = TimeSeries::new(SimDuration::from_millis(500));
-        ts.record(SimTime::from_millis(0), 1.0);
-        ts.record(SimTime::from_millis(499), 3.0);
-        ts.record(SimTime::from_millis(500), 10.0);
-        ts.record(SimTime::from_millis(1_700), 7.0);
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts.counts(), vec![2, 1, 0, 1]);
-        assert_eq!(ts.means()[0], Some(2.0));
-        assert_eq!(ts.means()[1], Some(10.0));
-        assert_eq!(ts.means()[2], None);
+        record(&mut ts, SimTime::from_millis(0), 1.0);
+        record(&mut ts, SimTime::from_millis(499), 3.0);
+        record(&mut ts, SimTime::from_millis(500), 10.0);
+        record(&mut ts, SimTime::from_millis(1_700), 7.0);
+        assert_eq!(
+            bins(&ts),
+            [(2, Some(2.0)), (1, Some(10.0)), (0, None), (1, Some(7.0))]
+        );
     }
 }

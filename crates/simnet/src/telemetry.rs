@@ -586,7 +586,7 @@ pub struct WelfordHandle {
 
 impl WelfordHandle {
     /// Adds one observation.
-    pub fn observe(&self, x: f64) {
+    pub(crate) fn observe(&self, x: f64) {
         self.inner.lock().unwrap().add(x);
     }
 
@@ -890,15 +890,6 @@ impl Telemetry {
         }
     }
 
-    /// The current event clock (0 when disabled).
-    #[inline]
-    pub fn now_us(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.now_us.load(Ordering::Relaxed),
-            None => 0,
-        }
-    }
-
     /// Emits one event. The closure only runs when a sink is installed,
     /// so a disabled handle pays exactly one branch — no allocation, no
     /// formatting.
@@ -1013,7 +1004,7 @@ impl ToJson for ClassConvergence {
 #[derive(Debug, Clone)]
 pub struct ConvergenceReport {
     /// Period length (µs) the trace was bucketed by.
-    pub period_us: u64,
+    pub(crate) period_us: u64,
     /// Number of periods covered.
     pub periods: u64,
     /// Distinct nodes that emitted price, rejection or supply events.
@@ -1460,7 +1451,6 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.emit(|| panic!("closure must not run when disabled"));
         tel.set_now_us(123);
-        assert_eq!(tel.now_us(), 0);
         let _span = tel.span("noop");
         assert!(tel.registry().is_none());
     }
@@ -1488,6 +1478,14 @@ mod tests {
         }
     }
 
+    /// The keys of a JSON object, in order.
+    fn keys(j: &Json) -> Vec<&str> {
+        match j {
+            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
     #[test]
     fn registry_snapshot_is_sorted_and_typed() {
         let reg = MetricsRegistry::new();
@@ -1498,7 +1496,7 @@ mod tests {
         reg.welford("latency_us").observe(20.0);
         let snap = reg.snapshot();
         assert_eq!(
-            snap.get("counters").unwrap().keys().unwrap(),
+            keys(snap.get("counters").unwrap()),
             vec!["a.count", "b.count"]
         );
         assert_eq!(
@@ -1517,10 +1515,10 @@ mod tests {
         assert_eq!(reg.welford("latency_us").snapshot().count(), 2);
         // All four sections are present even when empty.
         assert_eq!(
-            snap.keys().unwrap(),
+            keys(&snap),
             vec!["counters", "gauges", "stats", "histograms"]
         );
-        assert_eq!(snap.get("histograms").unwrap().keys().unwrap().len(), 0);
+        assert_eq!(keys(snap.get("histograms").unwrap()).len(), 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub trait ArrivalProcess {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinusoidProcess {
     /// The class every arrival belongs to.
-    pub class: ClassId,
+    pub(crate) class: ClassId,
     /// Waveform frequency in Hz (paper sweeps 0.05–2 Hz).
     pub(crate) frequency_hz: f64,
     /// Peak arrival rate in queries/second.
@@ -114,9 +114,9 @@ impl ArrivalProcess for SinusoidProcess {
 #[derive(Debug, Clone)]
 pub struct ZipfProcess {
     /// Number of classes; arrivals are generated independently per class.
-    pub num_classes: usize,
+    pub(crate) num_classes: usize,
     /// Zipf exponent (paper: `a = 1`).
-    pub exponent: f64,
+    pub(crate) exponent: f64,
     /// Minimum inter-arrival gap (the paper's swept x-axis).
     pub(crate) min_gap: SimDuration,
     /// Maximum inter-arrival gap (paper: 30 000 ms).

@@ -55,7 +55,7 @@ pub struct RelationId(pub u32);
 
 impl RelationId {
     /// The numeric index (relations are dense).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

@@ -13,14 +13,14 @@
 //! * [`arrival`] — arrival processes: the 0.05–2 Hz sinusoid workloads of
 //!   Figures 3–5 (two classes, 90° phase offset, peak Q1 = 2 × peak Q2)
 //!   and the zipf inter-arrival workload of Figure 6,
-//! * [`trace`] — materialized query traces: time-ordered
+//! * `trace` — materialized query traces: time-ordered
 //!   [`QueryEvent`]s that the simulator and the cluster driver replay.
 
 pub mod arrival;
 pub mod dataset;
 pub mod ids;
 pub mod template;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use dataset::{Dataset, Relation};
 pub use ids::{ClassId, NodeId, RelationId};

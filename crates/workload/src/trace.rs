@@ -7,8 +7,7 @@
 //! (paired comparison, same arrivals for QA-NT and all baselines).
 
 use crate::ids::{ClassId, NodeId};
-use qa_simnet::json::{FromJson, Json, ToJson};
-use qa_simnet::{json_obj, DetRng, SimDuration, SimTime};
+use qa_simnet::{DetRng, SimDuration, SimTime};
 
 /// A single query arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,28 +20,6 @@ pub struct QueryEvent {
     pub class: ClassId,
     /// The client node that poses the query.
     pub origin: NodeId,
-}
-
-impl ToJson for QueryEvent {
-    fn to_json(&self) -> Json {
-        json_obj! {
-            "id": self.id,
-            "at_us": self.at.as_micros(),
-            "class": self.class.index(),
-            "origin": self.origin.index(),
-        }
-    }
-}
-
-impl FromJson for QueryEvent {
-    fn from_json(v: &Json) -> Result<QueryEvent, String> {
-        Ok(QueryEvent {
-            id: v.field("id")?,
-            at: SimTime::from_micros(v.field("at_us")?),
-            class: ClassId(v.field("class")?),
-            origin: NodeId(v.field("origin")?),
-        })
-    }
 }
 
 /// A time-ordered sequence of query arrivals.
@@ -174,22 +151,6 @@ impl Trace {
     pub fn count_class(&self, class: ClassId) -> usize {
         self.events.iter().filter(|e| e.class == class).count()
     }
-
-    /// Serializes the trace to JSON (recorded workloads are replayed across
-    /// mechanisms and sessions). Times are stored in microseconds.
-    pub fn to_json(&self) -> String {
-        json_obj! { "events": self.events }.dump()
-    }
-
-    /// Deserializes a trace from [`Trace::to_json`] output, re-validating
-    /// the time ordering.
-    pub fn from_json(json: &str) -> Result<Trace, String> {
-        let events: Vec<QueryEvent> = Json::parse(json)?.field("events")?;
-        if !events.windows(2).all(|w| w[0].at <= w[1].at) {
-            return Err("trace events out of order".to_string());
-        }
-        Ok(Trace { events })
-    }
 }
 
 #[cfg(test)]
@@ -292,27 +253,6 @@ mod tests {
             origin: NodeId(0),
         };
         let _ = Trace::from_events(vec![e(10, 0), e(5, 1)]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = Trace::from_arrivals(
-            vec![
-                (SimTime::from_millis(10), ClassId(0)),
-                (SimTime::from_millis(50), ClassId(1)),
-            ],
-            3,
-            &mut rng(),
-        );
-        let j = t.to_json();
-        let back = Trace::from_json(&j).unwrap();
-        assert_eq!(t, back);
-        assert!(Trace::from_json("{bad json").is_err());
-        let wide = j.replacen("\"class\":", "\"class\":4294967296, \"was\":", 1);
-        assert_eq!(
-            Trace::from_json(&wide),
-            Err("field \"events\": element 0: field \"class\": exceeds u32".to_string())
-        );
     }
 
     #[test]
