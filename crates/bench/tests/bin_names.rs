@@ -581,27 +581,27 @@ fn library_crate(path: &str) -> Option<&str> {
 /// its crate's library source names as a whole word. This file, whose
 /// planted names are stale on purpose, names nothing.
 fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<String> {
-    let words = |f: &(String, String)| -> BTreeSet<String> {
-        f.1.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .map(str::to_string)
-            .collect()
-    };
+    let words: Vec<BTreeSet<&str>> = files
+        .iter()
+        .map(|(_, source)| {
+            source
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .collect()
+        })
+        .collect();
     let mut unnamed = Vec::new();
-    let crates: BTreeSet<&str> = files.iter().filter_map(|(p, _)| library_crate(p)).collect();
-    for krate in crates {
-        let outside: BTreeSet<String> = files
-            .iter()
-            .filter(|(p, _)| library_crate(p) != Some(krate) && !p.ends_with(file!()))
-            .flat_map(words)
-            .collect();
-        for (path, source) in files
-            .iter()
-            .filter(|(p, _)| library_crate(p) == Some(krate))
-        {
-            for name in pub_fns(source) {
-                if !outside.contains(&name) {
-                    unnamed.push(format!("{krate}: {path}: {name}"));
-                }
+    for (path, source) in files {
+        let Some(krate) = library_crate(path) else {
+            continue;
+        };
+        for name in pub_fns(source) {
+            let named = files.iter().zip(&words).any(|((p, _), w)| {
+                library_crate(p) != Some(krate)
+                    && !p.ends_with(file!())
+                    && w.contains(name.as_str())
+            });
+            if !named {
+                unnamed.push(format!("{krate}: {path}: {name}"));
             }
         }
     }
