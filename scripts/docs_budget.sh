@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 41608
-check CHANGES.md 55004
+check DESIGN.md 41558
+check CHANGES.md 61514
 check EXPERIMENTS.md 29788
-check README.md 11280
+check README.md 11248
 exit "$status"
