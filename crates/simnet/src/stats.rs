@@ -372,7 +372,7 @@ impl TimeSeries {
     }
 
     /// Records observation `x` in bin `idx`, for a caller that already
-    /// holds the time's [`period_index`](SimTime::period_index).
+    /// holds the time's [`period_index`](crate::SimTime::period_index).
     pub fn record_in_bin(&mut self, idx: usize, x: f64) {
         if idx >= self.bins.len() {
             self.bins.resize_with(idx + 1, Welford::new);
