@@ -23,7 +23,7 @@ check() {
 }
 
 check DESIGN.md 41558
-check CHANGES.md 61514
+check CHANGES.md 61746
 check EXPERIMENTS.md 29788
 check README.md 11248
 exit "$status"
