@@ -463,11 +463,11 @@ fn code_only(source: &str) -> String {
                     i += 1;
                 }
             }
-        } else if b[i] == b'r' && (i == 0 || !ident(b[i - 1]) || b[i - 1] == b'b') && {
-            let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
-            b.get(i + 1 + hashes) == Some(&b'"')
-        } {
-            let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+        } else if let Some(hashes) = (b[i] == b'r'
+            && (i == 0 || !ident(b[i - 1]) || b[i - 1] == b'b'))
+            .then(|| b[i + 1..].iter().take_while(|&&c| c == b'#').count())
+            .filter(|&hashes| b.get(i + 1 + hashes) == Some(&b'"'))
+        {
             let mut close = vec![b'"'];
             close.extend(std::iter::repeat_n(b'#', hashes));
             i += 2 + hashes;
