@@ -39,7 +39,7 @@
 use qa_economics::{
     ln_of_quanta, to_quanta, PriceRules, PriceVector, PricerConfig, QuantityVector,
 };
-use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{Events, PriceReason, Silent, Telemetry, TelemetryEvent};
 use qa_simnet::SimDuration;
 use qa_workload::ClassId;
 use std::convert::Infallible;
@@ -103,7 +103,7 @@ pub struct QantMarket {
     /// Supply still unsold this period.
     supply: Vec<u64>,
     /// Error-diffusion carry: the fractional part of the relaxed eq.-4
-    /// solution, rolled into the next period's (see `solve`).
+    /// solution, rolled into the next period's (see `Seller::fill`).
     carry: Vec<f64>,
     /// Estimated execution time in ms and its `ln` in quanta (`None` =
     /// cannot run), as of the row's last `begin_period` — estimates may
@@ -112,8 +112,9 @@ pub struct QantMarket {
     /// Scratch of the supply solve: a row's capable classes as
     /// `(ln density, cost, class)`, in fill order.
     order: Vec<(i64, f64, usize)>,
-    /// Market-event sink (disabled by default: one branch per emit site);
-    /// row `r`'s events carry the node id `label + r`.
+    /// Market-event sink (disabled by default: one branch per emit site,
+    /// and none in the roll kernel); row `r`'s events carry the node id
+    /// `label + r`.
     telemetry: Telemetry,
 }
 
@@ -191,6 +192,30 @@ impl QantMarket {
         ln_of_quanta(self.prices[row * self.classes + class.index()])
     }
 
+    /// Adds each class's remaining supply (saturating) and `ln` price over
+    /// the rows `member` admits that can run it, into `supply[k]` and
+    /// `ln_price[k]`: one walk of the columns in ascending row order, so a
+    /// float sum does not depend on how a caller lists the rows.
+    pub fn sum_capable_into(&self, member: &[bool], supply: &mut [u64], ln_price: &mut [f64]) {
+        let k = self.classes;
+        assert!(
+            supply.len() == k && ln_price.len() == k,
+            "class count mismatch"
+        );
+        for row in (0..member.len()).filter(|&row| member[row]) {
+            let span = self.span(row);
+            let cells = self.cost[span.clone()]
+                .iter()
+                .zip(&self.supply[span.clone()]);
+            for (class, ((cost, &left), &q)) in cells.zip(&self.prices[span]).enumerate() {
+                if cost.is_some() {
+                    supply[class] = supply[class].saturating_add(left);
+                    ln_price[class] += ln_of_quanta(q);
+                }
+            }
+        }
+    }
+
     /// Sets row `row`'s costs, each with its `ln` for the density order.
     fn set_costs(&mut self, row: usize, unit_costs_ms: &[Option<f64>]) {
         let span = self.span(row);
@@ -205,7 +230,9 @@ impl QantMarket {
     /// the row's later rolls.
     pub fn begin_period(&mut self, row: usize, unit_costs_ms: &[Option<f64>]) {
         self.set_costs(row, unit_costs_ms);
-        self.solve(row, self.config.period.as_millis_f64());
+        let (telemetry, node) = (self.telemetry.clone(), self.node(row));
+        let budget_ms = self.config.period.as_millis_f64();
+        self.row(row).fill(&telemetry, node, budget_ms);
     }
 
     /// The period boundary of every row in `rows` (§3.3 steps 12–14, then
@@ -224,77 +251,68 @@ impl QantMarket {
     /// QA-NT admission control. The floor is `T/2` in the §5.1 threshold
     /// mode, so a node that queued work while the bypass was open does not
     /// refuse everything while it drains, and 0 otherwise.
-    pub fn roll(&mut self, rows: Range<usize>, mut backlog_ms: impl FnMut(usize) -> Option<f64>) {
+    ///
+    /// The observer is picked once per call: the telemetry handle when it
+    /// is enabled, [`Silent`] otherwise.
+    pub fn roll(&mut self, rows: Range<usize>, backlog_ms: impl FnMut(usize) -> Option<f64>) {
+        if self.telemetry.is_enabled() {
+            let telemetry = self.telemetry.clone();
+            self.roll_with(&telemetry, rows, backlog_ms);
+        } else {
+            self.roll_with(&Silent, rows, backlog_ms);
+        }
+    }
+
+    /// The roll kernel: one loop over the rows whose body is a row's
+    /// decay, renormalization and eq.-4 fill, reporting to `events`.
+    /// Compiled once per observer [`Self::roll`] picks: against [`Silent`]
+    /// it is the arithmetic alone; against the handle it emits each row's
+    /// `PriceAdjusted` and `SupplyComputed` records inside its
+    /// `qant.price_update` and `qant.supply_solve` spans.
+    fn roll_with<E: Events>(
+        &mut self,
+        events: &E,
+        rows: Range<usize>,
+        mut backlog_ms: impl FnMut(usize) -> Option<f64>,
+    ) {
         let period = self.config.period.as_millis_f64();
         let floor = self.threshold.map_or(0.0, |_| 0.5 * period);
+        let renormalize = self.config.renormalize_prices;
+        let label = self.telemetry.label();
         for row in rows {
-            self.end(row);
+            let node = label + row as u32;
+            let mut seller = self.row(row);
+            let price_update = events.span("qant.price_update");
+            seller
+                .rules
+                .decay_leftover(seller.prices, seller.supply, events, node);
+            seller.supply.fill(0);
+            if renormalize {
+                seller.rules.renormalize(seller.prices, events, node);
+            }
+            drop(price_update);
             if let Some(backlog) = backlog_ms(row) {
-                self.solve(row, (2.0 * period - backlog).clamp(floor, 2.0 * period));
+                seller.fill(
+                    events,
+                    node,
+                    (2.0 * period - backlog).clamp(floor, 2.0 * period),
+                );
             }
         }
     }
 
-    /// Steps 12–14 and the renormalization of row `row`.
-    fn end(&mut self, row: usize) {
-        let _span = self.telemetry.span("qant.price_update");
-        let (span, node) = (self.span(row), self.node(row));
-        let prices = &mut self.prices[span.clone()];
-        let leftover = &mut self.supply[span];
-        self.rules
-            .decay_leftover(prices, leftover, &self.telemetry, node);
-        leftover.fill(0);
-        if self.config.renormalize_prices {
-            self.rules.renormalize(prices, &self.telemetry, node);
-        }
-    }
-
-    /// Step 2 for row `row` under a budget of `budget_ms`.
-    fn solve(&mut self, row: usize, budget_ms: f64) {
-        let _span = self.telemetry.span("qant.supply_solve");
-        assert!(budget_ms.is_finite() && budget_ms >= 0.0);
+    /// Row `row`'s columns, with the rules and the fill's scratch.
+    #[inline(always)]
+    fn row(&mut self, row: usize) -> Seller<'_> {
         let span = self.span(row);
-        let cost = &self.cost[span.clone()];
-        let supply = &mut self.supply[span.clone()];
-        let carry = &mut self.carry[span.clone()];
-        // Integer-greedy fill by price density `p/t`, compared as
-        // `ln p − ln t` (descending, ties to the lower class), with two
-        // refinements over the plain knapsack:
-        //
-        // * capacity left after the whole units of a denser class
-        //   cascades to the next class — the paper's §3.2 example where
-        //   a node supplies (1 q1, 1 q2) within one 500 ms period;
-        // * the fractional remainder of each class rolls over to the
-        //   next period (error diffusion), so a class whose equilibrium
-        //   amount is e.g. 0.5/period (execution longer than `T`) is
-        //   supplied every other period rather than never — the
-        //   integer-rounding effect the paper analyses in §5.1.
-        self.order.clear();
-        for (class, (&q, &cost)) in self.prices[span].iter().zip(cost).enumerate() {
-            if let Some((t, ln_t)) = cost {
-                self.order.push((q.saturating_sub(ln_t), t, class));
-            }
+        Seller {
+            rules: &self.rules,
+            prices: &mut self.prices[span.clone()],
+            supply: &mut self.supply[span.clone()],
+            carry: &mut self.carry[span.clone()],
+            cost: &self.cost[span],
+            order: &mut self.order,
         }
-        self.order
-            .sort_unstable_by_key(|&(density, _, class)| (std::cmp::Reverse(density), class));
-        supply.fill(0);
-        let mut remaining = budget_ms;
-        for &(_, t, class) in &self.order {
-            // Fractional allotment this period plus the rolled-over
-            // carry.
-            let alloc = remaining / t + carry[class];
-            // `as` floors, and saturates a negative allotment to zero.
-            let units = alloc as u64;
-            supply[class] = units;
-            // Carry keeps the unreleased fraction, held below 1.
-            carry[class] = (alloc - units as f64).clamp(0.0, 0.999_999);
-            remaining = (remaining - units as f64 * t).max(0.0);
-        }
-        self.telemetry.emit(|| TelemetryEvent::SupplyComputed {
-            node: self.telemetry.label() + row as u32,
-            budget_ms,
-            supply: supply.to_vec(),
-        });
     }
 
     /// Steps 4–10: a request for class `class` arrived at row `row`.
@@ -369,6 +387,67 @@ impl QantMarket {
         let left = &mut self.supply[row * self.classes + class.index()];
         *left = left.saturating_sub(1);
         *left
+    }
+}
+
+/// One seller's row of a [`QantMarket`]'s columns.
+struct Seller<'a> {
+    rules: &'a PriceRules,
+    prices: &'a mut [i64],
+    supply: &'a mut [u64],
+    carry: &'a mut [f64],
+    cost: &'a [Option<(f64, i64)>],
+    /// The market's scratch: the capable classes as `(ln density, cost,
+    /// class)`, in fill order.
+    order: &'a mut Vec<(i64, f64, usize)>,
+}
+
+impl Seller<'_> {
+    /// Step 2 under a budget of `budget_ms`, as node `node`: the fill of
+    /// both [`QantMarket::begin_period`] and the roll kernel.
+    #[inline(always)]
+    fn fill(&mut self, events: &impl Events, node: u32, budget_ms: f64) {
+        let _span = events.span("qant.supply_solve");
+        assert!(budget_ms.is_finite() && budget_ms >= 0.0);
+        // Integer-greedy fill by price density `p/t`, compared as
+        // `ln p − ln t` (descending, ties to the lower class), with two
+        // refinements over the plain knapsack:
+        //
+        // * capacity left after the whole units of a denser class
+        //   cascades to the next class — the paper's §3.2 example where
+        //   a node supplies (1 q1, 1 q2) within one 500 ms period;
+        // * the fractional remainder of each class rolls over to the
+        //   next period (error diffusion), so a class whose equilibrium
+        //   amount is e.g. 0.5/period (execution longer than `T`) is
+        //   supplied every other period rather than never — the
+        //   integer-rounding effect the paper analyses in §5.1.
+        self.order.clear();
+        for (class, (&q, &cost)) in self.prices.iter().zip(self.cost).enumerate() {
+            if let Some((t, ln_t)) = cost {
+                self.order.push((q.saturating_sub(ln_t), t, class));
+            }
+        }
+        self.order
+            .sort_unstable_by_key(|&(density, _, class)| (std::cmp::Reverse(density), class));
+        self.supply.fill(0);
+        let mut remaining = budget_ms;
+        for &(_, t, class) in self.order.iter() {
+            // Fractional allotment this period plus the rolled-over
+            // carry.
+            let alloc = remaining / t + self.carry[class];
+            // `as` floors, and saturates a negative allotment to zero.
+            let units = alloc as u64;
+            self.supply[class] = units;
+            // Carry keeps the unreleased fraction, held below 1.
+            self.carry[class] = (alloc - units as f64).clamp(0.0, 0.999_999);
+            remaining = (remaining - units as f64 * t).max(0.0);
+        }
+        let supply = &*self.supply;
+        events.emit(|| TelemetryEvent::SupplyComputed {
+            node,
+            budget_ms,
+            supply: supply.to_vec(),
+        });
     }
 }
 

@@ -32,7 +32,7 @@
 //! the same state machine over one owned row: the parent market's pricer.
 
 use crate::vectors::{PriceVector, QuantityVector};
-use qa_simnet::telemetry::{PriceReason, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{Events, PriceReason, Telemetry, TelemetryEvent};
 
 /// Tuning knob of the price dynamics; the band it moves in is
 /// [`PriceRules`]' constant one.
@@ -200,7 +200,7 @@ impl PriceRules {
     /// units decays. Each change is a [`TelemetryEvent::PriceAdjusted`] of
     /// `node`.
     #[inline]
-    pub fn decay_leftover(&self, row: &mut [i64], leftover: &[u64], t: &Telemetry, node: u32) {
+    pub fn decay_leftover(&self, row: &mut [i64], leftover: &[u64], t: &impl Events, node: u32) {
         assert_eq!(row.len(), leftover.len(), "class count mismatch");
         for (k, (q, &s)) in row.iter_mut().zip(leftover).enumerate() {
             if s > 0 {
@@ -223,7 +223,7 @@ impl PriceRules {
     /// into the ceiling/floor clamps, which *would* destroy the relative
     /// structure.
     #[inline]
-    pub fn renormalize(&self, row: &mut [i64], t: &Telemetry, node: u32) {
+    pub fn renormalize(&self, row: &mut [i64], t: &impl Events, node: u32) {
         if row.is_empty() {
             return;
         }
@@ -243,7 +243,7 @@ impl PriceRules {
     #[inline]
     pub fn adjusted(
         &self,
-        telemetry: &Telemetry,
+        telemetry: &impl Events,
         node: u32,
         k: usize,
         old: i64,

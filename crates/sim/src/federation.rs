@@ -110,6 +110,9 @@ struct Sellers {
     /// `false` for a non-participating node, which always offers (the §4
     /// partial-deployment case); its row lies unused.
     member: Vec<bool>,
+    /// Per class, the member nodes that can run it: the divisor of the
+    /// mean ln price a shard reports, counted whenever `member` is set.
+    markets: Vec<usize>,
     /// Pure-market mode (set once per run, in `begin_run`): with no §5.1
     /// threshold, telemetry off and no fault or crash schedule, the
     /// candidate set is the static capable list and a within-period price
@@ -148,6 +151,12 @@ enum Allocation {
     NoOffers,
     /// No capable node is alive: the query can never run.
     Impossible,
+}
+
+/// Per class, how many of its capable nodes are in the market.
+fn count_markets(capable: &[Vec<NodeId>], member: &[bool]) -> Vec<usize> {
+    let in_market = |nodes: &Vec<NodeId>| nodes.iter().filter(|n| member[n.index()]).count();
+    capable.iter().map(in_market).collect()
 }
 
 /// Outcome of one run.
@@ -266,9 +275,11 @@ impl<'a> Federation<'a> {
                 for (i, costs) in scenario.exec_times_ms.iter().enumerate() {
                     market.begin_period(i, costs);
                 }
+                let member = vec![true; cfg.num_nodes];
                 MechState::QaNt(Sellers {
                     market,
-                    member: vec![true; cfg.num_nodes],
+                    markets: count_markets(&scenario.capable, &member),
+                    member,
                     index: None,
                 })
             }
@@ -362,6 +373,7 @@ impl<'a> Federation<'a> {
         for (i, m) in sellers.member.iter_mut().enumerate() {
             *m &= participates(NodeId(i as u32));
         }
+        sellers.markets = count_markets(&self.scenario.capable, &sellers.member);
     }
 
     /// Runs the trace to completion and returns the measurements: the
@@ -736,6 +748,7 @@ impl<'a> Federation<'a> {
             market,
             member,
             index,
+            ..
         }) = &mut self.state
         else {
             return;
@@ -789,24 +802,22 @@ impl<'a> Federation<'a> {
     /// # Panics
     /// Panics for non-QA-NT mechanisms.
     pub(crate) fn qant_signals_into(&self, supply: &mut [u64], ln_price: &mut [f64]) {
-        let MechState::QaNt(Sellers { market, member, .. }) = &self.state else {
+        let MechState::QaNt(Sellers {
+            market,
+            member,
+            markets,
+            ..
+        }) = &self.state
+        else {
             panic!("market signals apply to QA-NT only");
         };
-        // One pass over the market rows: log prices sum in ascending node
-        // order whatever order the scenario lists a class's capable nodes
-        // in — float addition is not associative, and the signal must not
-        // depend on the listing.
+        // Log prices sum in ascending node order whatever order the
+        // scenario lists a class's capable nodes in — float addition is
+        // not associative, and the signal must not depend on the listing.
         supply.fill(0);
         ln_price.fill(0.0);
-        let rows = self.scenario.exec_times_ms.iter().enumerate();
-        for (n, exec_times) in rows.filter(|(n, _)| member[*n]) {
-            for k in (0..exec_times.len()).filter(|&k| exec_times[k].is_some()) {
-                supply[k] = supply[k].saturating_add(market.supply(n)[k]);
-                ln_price[k] += market.ln_price(n, ClassId(k as u32));
-            }
-        }
-        for (lnp, capable) in ln_price.iter_mut().zip(&self.scenario.capable) {
-            let markets = capable.iter().filter(|node| member[node.index()]).count();
+        market.sum_capable_into(member, supply, ln_price);
+        for (lnp, &markets) in ln_price.iter_mut().zip(markets) {
             *lnp = if markets > 0 {
                 *lnp / markets as f64
             } else {
@@ -882,6 +893,7 @@ impl<'a> Federation<'a> {
                 market,
                 member,
                 index,
+                ..
             }) => {
                 self.period_demand[class.index()] += 1;
                 // `leaf`: the winner's place in the index, when it answered.
@@ -1975,6 +1987,100 @@ mod index_differential {
             }
         }
         assert!(ties > 0 && refusals > 0, "{ties} ties, {refusals} refusals");
+    }
+
+    /// The shard report as it was first written: a walk over the
+    /// scenario's per-row cost vectors, kept as the oracle of
+    /// [`Federation::qant_signals_into`].
+    fn signals_over_exec_times(f: &Federation) -> (Vec<u64>, Vec<f64>) {
+        let MechState::QaNt(Sellers { market, member, .. }) = &f.state else {
+            unreachable!("a QA-NT run")
+        };
+        let k = f.period_demand.len();
+        let (mut supply, mut ln_price) = (vec![0u64; k], vec![0.0; k]);
+        let rows = f.scenario.exec_times_ms.iter().enumerate();
+        for (n, exec_times) in rows.filter(|(n, _)| member[*n]) {
+            for k in (0..exec_times.len()).filter(|&k| exec_times[k].is_some()) {
+                supply[k] = supply[k].saturating_add(market.supply(n)[k]);
+                ln_price[k] += market.ln_price(n, ClassId(k as u32));
+            }
+        }
+        for (lnp, capable) in ln_price.iter_mut().zip(&f.scenario.capable) {
+            let markets = capable.iter().filter(|node| member[node.index()]).count();
+            *lnp = if markets > 0 {
+                *lnp / markets as f64
+            } else {
+                0.0
+            };
+        }
+        (supply, ln_price)
+    }
+
+    /// Random worlds — some nodes outside the market, some classes no
+    /// node can run — stepped a period at a time: after every boundary the
+    /// report read off the market's columns is the oracle's, to the bit.
+    /// Ahead of each read every seller is charged a random number of
+    /// refusals, up to the ceiling: a sum of `ln` prices in quanta is
+    /// exact until it passes 2¹³, so only the large worlds, whose sums do,
+    /// can tell one summation order from another.
+    #[test]
+    fn the_shard_report_is_the_walk_over_exec_times_to_the_bit() {
+        let mut rng = DetRng::seed_from_u64(0x5EED).derive("report");
+        let (mut outsiders, mut orphans, mut reads) = (0, 0, 0);
+        for case in 0..24 {
+            let n = if case % 3 == 0 {
+                rng.int_in(400, 1_200) as usize
+            } else {
+                2 + rng.index(24)
+            };
+            let k = 1 + rng.index(4);
+            let holders: Vec<Vec<u32>> = (0..k)
+                .map(|_| match rng.index(5) {
+                    0 => Vec::new(),
+                    _ => (0..n as u32).filter(|_| rng.chance(0.6)).collect(),
+                })
+                .collect();
+            let s = alike_nodes(n, &holders);
+            let member: Vec<bool> = (0..n).map(|_| rng.chance(0.8)).collect();
+            outsiders += member.iter().filter(|&&m| !m).count();
+            orphans += holders.iter().filter(|h| h.is_empty()).count();
+            let period = s.config.qant.period;
+            let arrivals = (0..n * 6)
+                .map(|_| {
+                    let at = rng.int_in(0, 4 * period.as_micros());
+                    (SimTime::from_micros(at), ClassId(rng.index(k) as u32))
+                })
+                .collect();
+            let trace = Trace::from_arrivals(arrivals, n, &mut rng);
+            let mut f = Federation::new(&s, MechanismKind::QaNt, &trace);
+            f.restrict_market_to(|node| member[node.index()]);
+            f.push_arrivals(trace.events(), false);
+            f.begin_run();
+            let mut boundary = SimTime::ZERO;
+            for _ in 0..6 {
+                let MechState::QaNt(Sellers { market, .. }) = &mut f.state else {
+                    unreachable!("a QA-NT run")
+                };
+                for c in 0..k as u32 {
+                    let owed = (0..n).map(|row| (row, rng.int_in(0, 400)));
+                    market.charge_refusals(ClassId(c), owed.collect::<Vec<_>>());
+                }
+                let (mut supply, mut ln_price) = (vec![0; k], vec![0.0; k]);
+                f.qant_signals_into(&mut supply, &mut ln_price);
+                let (want_supply, want_ln_price) = signals_over_exec_times(&f);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(supply, want_supply, "case {case} at {boundary:?}");
+                assert_eq!(bits(&ln_price), bits(&want_ln_price), "case {case}");
+                boundary += period;
+                f.step_through(boundary);
+                reads += 1;
+            }
+        }
+        assert!(
+            outsiders > 100 && orphans > 3,
+            "{outsiders} outsiders, {orphans} orphans"
+        );
+        assert_eq!(reads, 144);
     }
 }
 

@@ -925,6 +925,45 @@ impl Telemetry {
     }
 }
 
+/// Where a kernel sends its events and spans, fixed when it is compiled: a
+/// [`Telemetry`] handle branches on its sink at every site, [`Silent`]
+/// drops everything before code is generated. A kernel generic over
+/// `Events` and called with `Silent` is its arithmetic alone; called with
+/// the handle, it emits what the handle would.
+pub trait Events {
+    /// The guard [`Events::span`] returns.
+    type Span;
+    /// [`Telemetry::span`].
+    fn span(&self, name: &'static str) -> Self::Span;
+    /// [`Telemetry::emit`].
+    fn emit(&self, build: impl FnOnce() -> TelemetryEvent);
+}
+
+impl Events for Telemetry {
+    type Span = Span;
+    #[inline]
+    fn span(&self, name: &'static str) -> Span {
+        Telemetry::span(self, name)
+    }
+    #[inline]
+    fn emit(&self, build: impl FnOnce() -> TelemetryEvent) {
+        Telemetry::emit(self, build);
+    }
+}
+
+/// The [`Events`] of a disabled handle, known to be disabled at compile
+/// time: no span guard, no emit branch.
+#[derive(Debug, Clone, Copy)]
+pub struct Silent;
+
+impl Events for Silent {
+    type Span = ();
+    #[inline(always)]
+    fn span(&self, _: &'static str) {}
+    #[inline(always)]
+    fn emit(&self, _: impl FnOnce() -> TelemetryEvent) {}
+}
+
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
