@@ -669,11 +669,20 @@ mod tests {
                 .unwrap();
             let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         }
-        // Several ticks (prices decay, supply recomputes with carry).
-        for _ in 0..4 {
-            h.sender.send(NodeMsg::PeriodTick).unwrap();
+        // Every execution has replied, so the backlog is empty and each
+        // tick budgets 2T. What a tick releases is 2T over the node's cost
+        // of the class, which its wall-clock executions taught it: on a
+        // slow host that cost is high and the carry takes more ticks to
+        // reach a unit. So tick until the class is offered again; the
+        // bound only stops a node that never replenishes.
+        let mut ticks = 0;
+        while !offer(&h) {
+            assert!(ticks < 4_096, "supply must replenish after period ticks");
+            for _ in 0..8 {
+                h.sender.send(NodeMsg::PeriodTick).unwrap();
+            }
+            ticks += 8;
         }
-        assert!(offer(&h), "supply must replenish after period ticks");
         h.shutdown();
     }
 

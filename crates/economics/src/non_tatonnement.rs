@@ -267,8 +267,6 @@ pub struct NonTatonnementPricer {
     rules: PriceRules,
     /// Private log-prices, in quanta.
     prices: Vec<i64>,
-    /// Rejections recorded this period, per class (diagnostics).
-    rejections: Vec<u64>,
     /// Event sink for `PriceAdjusted` telemetry: disabled (a single branch
     /// per adjustment), except where this module's tests install a labeled
     /// handle.
@@ -281,7 +279,6 @@ impl NonTatonnementPricer {
         let rules = PriceRules::new(&config);
         NonTatonnementPricer {
             prices: vec![rules.initial(); k],
-            rejections: vec![0; k],
             rules,
             telemetry: Telemetry::disabled(),
         }
@@ -332,7 +329,6 @@ impl NonTatonnementPricer {
     pub fn on_rejection(&mut self, k: usize) {
         let old = self.prices[k];
         self.prices[k] = self.rules.refuse(old, 1);
-        self.rejections[k] = self.rejections[k].saturating_add(1);
         let node = self.telemetry.label();
         let new = self.prices[k];
         self.rules
@@ -349,7 +345,6 @@ impl NonTatonnementPricer {
             }
         } else {
             self.prices[k] = self.rules.refuse(self.prices[k], count);
-            self.rejections[k] = self.rejections[k].saturating_add(count);
         }
     }
 
@@ -366,13 +361,11 @@ impl NonTatonnementPricer {
         }
     }
 
-    /// [`PriceRules::decay_leftover`] over this pricer's row; also resets
-    /// the per-period rejection counters.
+    /// [`PriceRules::decay_leftover`] over this pricer's row.
     pub fn on_period_end(&mut self, leftover: &QuantityVector) {
         let node = self.telemetry.label();
         self.rules
             .decay_leftover(&mut self.prices, leftover.as_slice(), &self.telemetry, node);
-        self.rejections.fill(0);
     }
 }
 
@@ -422,7 +415,7 @@ mod tests {
         p.on_rejection(0);
         assert!((p.prices().get(0) - before * 1.1).abs() < 1e-12);
         assert_eq!(p.prices().get(1), 1.0, "other classes untouched");
-        assert_eq!(p.rejections[0], 1);
+        assert_eq!(p.prices[0], p.rules.refuse(p.rules.initial(), 1));
     }
 
     #[test]
@@ -460,7 +453,7 @@ mod tests {
     fn n_refusals_at_once_are_n_one_at_a_time() {
         // Pricers from drawn points of the band, owed counts from none to
         // far past the ceiling: the batch and the stepwise loop agree to
-        // the bit, and so do the counters.
+        // the bit, and each lane moved by its own count.
         let mut rng = DetRng::seed_from_u64(0x5A7).derive("at-once");
         for case in 0..200 {
             let cfg = PricerConfig {
@@ -479,6 +472,7 @@ mod tests {
                     .collect()
             };
             let mut draws = rng.derive("starts");
+            let starts = fresh(&mut draws.clone());
             let mut stepwise = fresh(&mut draws.clone());
             for (p, &n) in stepwise.iter_mut().zip(&counts) {
                 for _ in 0..n {
@@ -494,7 +488,8 @@ mod tests {
                     "case {case} lane {i}, {} refusals",
                     counts[i]
                 );
-                assert_eq!(a.rejections[0], b.rejections[0]);
+                let start = starts[i].prices[0];
+                assert_eq!(b.prices[0], b.rules.refuse(start, counts[i]), "lane {i}");
                 assert_eq!(b.prices().get(1), 1.0, "other class untouched");
             }
         }
@@ -659,13 +654,14 @@ mod tests {
     }
 
     #[test]
-    fn period_end_resets_rejection_counters() {
+    fn period_end_neither_undoes_nor_repeats_refusals() {
         let mut p = NonTatonnementPricer::new(1, PricerConfig::default());
         p.on_rejection(0);
         p.on_rejection(0);
-        assert_eq!(p.rejections[0], 2);
+        let risen = p.rules.refuse(p.rules.initial(), 2);
+        assert_eq!(p.prices[0], risen);
         p.on_period_end(&qv(&[0]));
-        assert_eq!(p.rejections[0], 0);
+        assert_eq!(p.prices[0], risen);
     }
 
     #[test]
