@@ -421,7 +421,7 @@ fn many_class_wait_order_is_pinned() {
     // many classes. Both QA-NT selection paths must keep the order the
     // single FIFO wait list gave them; the digests were taken from that
     // list, on both paths, and re-taken on both when the sellers' demand
-    // caps were deleted.
+    // caps were deleted and when the metrics' unread response series was.
     let scenario = Scenario::table3(SimConfig::scaled(60, 9));
     let trace = uniform_mix_trace(&scenario, 1.5, 30.0);
     let indexed = Federation::new(&scenario, MechanismKind::QaNt, &trace).run(&trace);
@@ -436,6 +436,6 @@ fn many_class_wait_order_is_pinned() {
     assert_eq!(polled.wait.turned, 0);
     assert_eq!(
         [&indexed, &polled].map(|out| debug_fnv1a(&out.metrics)),
-        ["2f2dbb0f66e6b318"; 2]
+        ["4f34871ccc633c88"; 2]
     );
 }

@@ -5,7 +5,7 @@
 //! the algorithms. The latter was normalized by dividing it with the
 //! respective response time of QA-NT."
 
-use qa_simnet::stats::{LogHistogram, TimeSeries, Welford};
+use qa_simnet::stats::{LogHistogram, Welford};
 use qa_simnet::telemetry::MetricsRegistry;
 use qa_simnet::{SimDuration, SimTime};
 use qa_workload::{ClassId, NodeId};
@@ -18,8 +18,6 @@ pub struct RunMetrics {
     pub response: Welford,
     /// Response-time distribution (log-bucket, mergeable across runs).
     pub response_hist: LogHistogram,
-    /// Response-time series binned by period.
-    pub(crate) response_series: TimeSeries,
     /// Executed-count series binned by the period of *completion*.
     executed_per_period: Vec<u64>,
     /// Executed counts per period, restricted by class (Fig. 5c needs Q1).
@@ -59,7 +57,6 @@ impl RunMetrics {
             period,
             response: Welford::new(),
             response_hist: LogHistogram::new(),
-            response_series: TimeSeries::new(period),
             executed_per_period: Vec::new(),
             executed_per_period_class: vec![Vec::new(); num_classes],
             response_per_origin: Vec::new(),
@@ -91,10 +88,8 @@ impl RunMetrics {
                 .resize_with(origin.index() + 1, Welford::new);
         }
         self.response_per_origin[origin.index()].add(resp_ms);
-        // One period index serves the response series and both counts.
-        debug_assert_eq!(self.response_series.period(), self.period);
+        // One period index serves both counts.
         let idx = finished.period_index(self.period) as usize;
-        self.response_series.record_in_bin(idx, resp_ms);
         self.completed += 1;
         if idx >= self.executed_per_period.len() {
             self.executed_per_period.resize(idx + 1, 0);
@@ -199,7 +194,6 @@ impl RunMetrics {
         );
         self.response.merge(&other.response);
         self.response_hist.merge(&other.response_hist);
-        self.response_series.merge(&other.response_series);
         if other.executed_per_period.len() > self.executed_per_period.len() {
             self.executed_per_period
                 .resize(other.executed_per_period.len(), 0);

@@ -9,12 +9,9 @@
 //! * [`LogHistogram`] — power-of-two log-bucket counts with a fixed,
 //!   universal bucket layout, so any two instances (including one
 //!   reconstructed from a JSON snapshot scraped off another process)
-//!   merge exactly — the distribution kind behind the fleet stats scrape,
-//! * [`TimeSeries`] — per-period bins of a [`Welford`] plus a counter,
-//!   directly matching the paper's "per half second" plots (Fig. 3, 5c).
+//!   merge exactly — the distribution kind behind the fleet stats scrape.
 
 use crate::json::{Json, ToJson};
-use crate::time::SimDuration;
 
 /// Welford's online algorithm for mean and variance.
 #[derive(Debug, Clone)]
@@ -346,98 +343,9 @@ impl ToJson for LogHistogram {
     }
 }
 
-/// Per-period time series: bins observations by period index.
-///
-/// Matches the paper's measurement scheme: "in each time period, we measured
-/// the number of queries executed and the average query response time".
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    period: SimDuration,
-    bins: Vec<Welford>,
-}
-
-impl TimeSeries {
-    /// A series binned in periods of the given length.
-    pub fn new(period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "period must be positive");
-        TimeSeries {
-            period,
-            bins: Vec::new(),
-        }
-    }
-
-    /// The bin length.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Records observation `x` in bin `idx`, for a caller that already
-    /// holds the time's [`period_index`](crate::SimTime::period_index).
-    pub fn record_in_bin(&mut self, idx: usize, x: f64) {
-        if idx >= self.bins.len() {
-            self.bins.resize_with(idx + 1, Welford::new);
-        }
-        self.bins[idx].add(x);
-    }
-
-    /// Folds another series into this one, bin by bin (exact Welford
-    /// merge per bin). Both series must be binned on the same period —
-    /// the sharded engine merges per-shard response series this way.
-    ///
-    /// # Panics
-    /// Panics on mismatched periods.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(self.period, other.period, "period mismatch in merge");
-        if other.bins.len() > self.bins.len() {
-            self.bins.resize_with(other.bins.len(), Welford::new);
-        }
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            a.merge(b);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
-
-    /// Records `x` in the bin of virtual time `at`.
-    fn record(ts: &mut TimeSeries, at: SimTime, x: f64) {
-        ts.record_in_bin(at.period_index(ts.period) as usize, x);
-    }
-
-    /// `(count, mean)` of each bin.
-    fn bins(ts: &TimeSeries) -> Vec<(u64, Option<f64>)> {
-        ts.bins.iter().map(|w| (w.count(), w.mean())).collect()
-    }
-
-    #[test]
-    fn time_series_merge_equals_sequential() {
-        let period = SimDuration::from_millis(500);
-        let mut a = TimeSeries::new(period);
-        let mut b = TimeSeries::new(period);
-        let mut all = TimeSeries::new(period);
-        for i in 0..200u64 {
-            let at = SimTime::from_millis(i * 37);
-            let x = (i as f64).cos() * 5.0;
-            if i % 3 == 0 {
-                record(&mut a, at, x);
-            } else {
-                record(&mut b, at, x);
-            }
-            record(&mut all, at, x);
-        }
-        a.merge(&b);
-        assert_eq!(a.bins.len(), all.bins.len());
-        for ((na, x), (nb, y)) in bins(&a).into_iter().zip(bins(&all)) {
-            assert_eq!(na, nb);
-            match (x, y) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
-                (x, y) => assert_eq!(x, y),
-            }
-        }
-    }
 
     #[test]
     fn welford_matches_direct_computation() {
@@ -673,18 +581,5 @@ mod tests {
         assert_eq!(LogHistogram::bucket_bound(30), Some(2f64.powi(20)));
         assert_eq!(LogHistogram::bucket_bound(31), None);
         assert_eq!(LogHistogram::new().buckets().len(), 32);
-    }
-
-    #[test]
-    fn time_series_bins_by_period() {
-        let mut ts = TimeSeries::new(SimDuration::from_millis(500));
-        record(&mut ts, SimTime::from_millis(0), 1.0);
-        record(&mut ts, SimTime::from_millis(499), 3.0);
-        record(&mut ts, SimTime::from_millis(500), 10.0);
-        record(&mut ts, SimTime::from_millis(1_700), 7.0);
-        assert_eq!(
-            bins(&ts),
-            [(2, Some(2.0)), (1, Some(10.0)), (0, None), (1, Some(7.0))]
-        );
     }
 }
