@@ -230,9 +230,13 @@ impl QantMarket {
     /// the row's later rolls.
     pub fn begin_period(&mut self, row: usize, unit_costs_ms: &[Option<f64>]) {
         self.set_costs(row, unit_costs_ms);
-        let (telemetry, node) = (self.telemetry.clone(), self.node(row));
-        let budget_ms = self.config.period.as_millis_f64();
-        self.row(row).fill(&telemetry, node, budget_ms);
+        let (budget_ms, node) = (self.config.period.as_millis_f64(), self.node(row));
+        if self.telemetry.is_enabled() {
+            let telemetry = self.telemetry.clone();
+            self.row(row).fill(&telemetry, node, budget_ms);
+        } else {
+            self.row(row).fill(&Silent, node, budget_ms);
+        }
     }
 
     /// The period boundary of every row in `rows` (§3.3 steps 12–14, then
