@@ -184,34 +184,18 @@ impl QantMarket {
         &self.carry[self.span(row)]
     }
 
-    /// `ln(price)` of one class of one row, exactly: the log domain is
-    /// what the sharded engine's period reports aggregate, over the
-    /// classes each node can run.
-    #[inline]
-    pub fn ln_price(&self, row: usize, class: ClassId) -> f64 {
-        ln_of_quanta(self.prices[row * self.classes + class.index()])
-    }
-
     /// Adds each class's remaining supply (saturating) and `ln` price over
     /// the rows `member` admits that can run it, into `supply[k]` and
     /// `ln_price[k]`: one walk of the columns in ascending row order, so a
     /// float sum does not depend on how a caller lists the rows.
     pub fn sum_capable_into(&self, member: &[bool], supply: &mut [u64], ln_price: &mut [f64]) {
         let k = self.classes;
-        assert!(
-            supply.len() == k && ln_price.len() == k,
-            "class count mismatch"
-        );
+        assert!(supply.len() == k && ln_price.len() == k);
         for row in (0..member.len()).filter(|&row| member[row]) {
-            let span = self.span(row);
-            let cells = self.cost[span.clone()]
-                .iter()
-                .zip(&self.supply[span.clone()]);
-            for (class, ((cost, &left), &q)) in cells.zip(&self.prices[span]).enumerate() {
-                if cost.is_some() {
-                    supply[class] = supply[class].saturating_add(left);
-                    ln_price[class] += ln_of_quanta(q);
-                }
+            for class in (0..k).filter(|&class| self.cost[row * k + class].is_some()) {
+                let at = row * k + class;
+                supply[class] = supply[class].saturating_add(self.supply[at]);
+                ln_price[class] += ln_of_quanta(self.prices[at]);
             }
         }
     }

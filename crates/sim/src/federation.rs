@@ -1535,6 +1535,7 @@ mod index_differential {
     use super::*;
     use crate::config::SimConfig;
     use crate::node::NodeHardware;
+    use qa_economics::ln_of_quanta;
     use qa_workload::arrival::{ArrivalProcess, SinusoidProcess};
     use qa_workload::{Dataset, QueryTemplate, Relation, RelationId, TemplateSet};
 
@@ -1677,7 +1678,7 @@ mod index_differential {
             .filter(|&n| member[n])
             .map(|n| {
                 (0..k)
-                    .map(|c| market.ln_price(n, ClassId(c as u32)).to_bits())
+                    .map(|c| ln_of_quanta(market.log_prices(n)[c]).to_bits())
                     .collect()
             })
             .collect();
@@ -2002,7 +2003,7 @@ mod index_differential {
         for (n, exec_times) in rows.filter(|(n, _)| member[*n]) {
             for k in (0..exec_times.len()).filter(|&k| exec_times[k].is_some()) {
                 supply[k] = supply[k].saturating_add(market.supply(n)[k]);
-                ln_price[k] += market.ln_price(n, ClassId(k as u32));
+                ln_price[k] += ln_of_quanta(market.log_prices(n)[k]);
             }
         }
         for (lnp, capable) in ln_price.iter_mut().zip(&f.scenario.capable) {
