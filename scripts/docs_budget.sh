@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 41558
-check CHANGES.md 61746
-check EXPERIMENTS.md 29788
+check DESIGN.md 42553
+check CHANGES.md 65935
+check EXPERIMENTS.md 29960
 check README.md 11248
 exit "$status"
