@@ -953,7 +953,7 @@ impl Events for Telemetry {
 
 /// The [`Events`] of a disabled handle, known to be disabled at compile
 /// time: no span guard, no emit branch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Silent;
 
 impl Events for Silent {
