@@ -2,14 +2,13 @@
 //!
 //! Spawns N [`crate::qad`] server processes on loopback ephemeral ports,
 //! connects a [`TcpTransport`] to them, and either replays the workload
-//! (`run`) or inspects the live market (`prices`). The same JSON
+//! (`run`) or scrapes the fleet's metrics (`stats`). The same JSON
 //! federation config ([`FedConfig`]) is handed to every child, so driver
 //! and servers agree on the deployment byte-for-byte.
 //!
 //! ```text
 //! qa-ctl init                          # print a starter federation config
 //! qa-ctl run    --config fed.json     # spawn, submit queries, report, stop
-//! qa-ctl prices --config fed.json     # spawn, dump price vectors, stop
 //! qa-ctl stats  --config fed.json     # spawn, scrape + merge metrics, stop
 //! qa-ctl stats  --addrs a:p,b:p       # scrape an already-running fleet
 //! ```
@@ -478,28 +477,6 @@ fn cmd_run(args: CtlArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Spawns the federation, dumps each node's current price vector without
-/// submitting any queries, and tears everything down.
-fn cmd_prices(args: CtlArgs) -> Result<(), String> {
-    let config_path = args.config.ok_or("prices requires --config FILE")?;
-    let fed = FedConfig::load(&config_path)?;
-    let qad_bin = find_qad(args.qad)?;
-    let telemetry = driver_telemetry(&args.trace)?;
-    let federation = Federation::spawn(&fed, &qad_bin, &config_path, None)?;
-    let transport = federation
-        .connect(&telemetry)
-        .map_err(|e| format!("connect: {e}"))?;
-    let prices = collect_prices(&transport, Duration::from_secs(10));
-    transport.shutdown();
-    let clean = federation.wait();
-    let report = Json::object([
-        ("prices", prices_json(&prices)),
-        ("clean_shutdown", Json::Bool(clean)),
-    ]);
-    println!("{}", report.pretty());
-    Ok(())
-}
-
 /// One scrape round: stats + prices from every node, merged, printed.
 /// `pretty` selects the single-shot pretty layout over watch-mode JSONL.
 fn scrape_once(transport: &TcpTransport, timeout: Duration, pretty: bool) -> Json {
@@ -579,7 +556,7 @@ fn cmd_stats(args: CtlArgs) -> Result<(), String> {
 
 /// Entry point for the `qa-ctl` binary. Returns the process exit code.
 pub fn ctl_main(args: &[String]) -> i32 {
-    let usage = "usage: qa-ctl <init|run|prices|stats> [--config FILE] [--qad PATH] \
+    let usage = "usage: qa-ctl <init|run|stats> [--config FILE] [--qad PATH] \
                  [--trace FILE] [--trace-dir DIR]\n\
                  \x20      qa-ctl stats [--addrs A,B,...] [--watch] [--rounds N] \
                  [--interval-ms MS] [--metrics]";
@@ -593,7 +570,6 @@ pub fn ctl_main(args: &[String]) -> i32 {
             Ok(())
         }
         "run" => parse_ctl_args(rest).and_then(cmd_run),
-        "prices" => parse_ctl_args(rest).and_then(cmd_prices),
         "stats" => parse_ctl_args(rest).and_then(cmd_stats),
         "--help" | "-h" | "help" => {
             println!("{usage}");

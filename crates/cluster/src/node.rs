@@ -115,8 +115,8 @@ pub enum NodeMsg {
     /// A QA-NT period boundary.
     PeriodTick,
     /// Report the node's current per-class price vector (empty for a
-    /// Greedy node, which has no market state). Used by operator tooling
-    /// (`qa-ctl prices`) to inspect a live federation.
+    /// Greedy node, which has no market state). Read by operator tooling
+    /// (`qa-ctl run` and `stats`) and by the explorer's invariants.
     DumpPrices {
         /// Where to send the reply.
         reply: Reply<PricesReply>,

@@ -486,7 +486,7 @@ impl NodeProtocol {
     }
 
     /// The per-class private prices (empty without a market), for operator
-    /// tooling (`qa-ctl prices`).
+    /// tooling (`qa-ctl run` and `stats`, and the explorer's invariants).
     pub(crate) fn prices(&self) -> PricesReply {
         let prices = self.qant.as_ref().map(|q| q.prices().as_slice().to_vec());
         PricesReply {

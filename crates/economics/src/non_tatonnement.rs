@@ -32,7 +32,7 @@
 //! the same state machine over one owned row: the parent market's pricer.
 
 use crate::vectors::{PriceVector, QuantityVector};
-use qa_simnet::telemetry::{Events, PriceReason, Telemetry, TelemetryEvent};
+use qa_simnet::telemetry::{Events, PriceReason, Silent, TelemetryEvent};
 
 /// Tuning knob of the price dynamics; the band it moves in is
 /// [`PriceRules`]' constant one.
@@ -261,16 +261,12 @@ impl PriceRules {
 }
 
 /// A node's private price state and its non-tâtonnement dynamics: the row
-/// rules above over one owned row.
+/// rules above over one owned row, emitting nothing.
 #[derive(Debug, Clone)]
 pub struct NonTatonnementPricer {
     rules: PriceRules,
     /// Private log-prices, in quanta.
     prices: Vec<i64>,
-    /// Event sink for `PriceAdjusted` telemetry: disabled (a single branch
-    /// per adjustment), except where this module's tests install a labeled
-    /// handle.
-    telemetry: Telemetry,
 }
 
 impl NonTatonnementPricer {
@@ -280,7 +276,6 @@ impl NonTatonnementPricer {
         NonTatonnementPricer {
             prices: vec![rules.initial(); k],
             rules,
-            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -296,9 +291,7 @@ impl NonTatonnementPricer {
 
     /// [`PriceRules::renormalize`] over this pricer's row.
     pub fn renormalize(&mut self) {
-        let node = self.telemetry.label();
-        self.rules
-            .renormalize(&mut self.prices, &self.telemetry, node);
+        self.rules.renormalize(&mut self.prices, &Silent, 0);
     }
 
     /// The current private prices.
@@ -327,25 +320,13 @@ impl NonTatonnementPricer {
     /// Step 9 of QA-NT: a class-`k` request had to be rejected because the
     /// node's supply for `k` is exhausted — price rises by a factor `1+λ`.
     pub fn on_rejection(&mut self, k: usize) {
-        let old = self.prices[k];
-        self.prices[k] = self.rules.refuse(old, 1);
-        let node = self.telemetry.label();
-        let new = self.prices[k];
-        self.rules
-            .adjusted(&self.telemetry, node, k, old, new, PriceReason::Rejection);
+        self.on_rejections(k, 1);
     }
 
     /// Applies `count` consecutive [`NonTatonnementPricer::on_rejection`]s
-    /// for class `k` as one add. A traced pricer takes them one at a time
-    /// and emits every adjustment.
+    /// for class `k` as one add.
     pub(crate) fn on_rejections(&mut self, k: usize, count: u64) {
-        if self.telemetry.is_enabled() {
-            for _ in 0..count {
-                self.on_rejection(k);
-            }
-        } else {
-            self.prices[k] = self.rules.refuse(self.prices[k], count);
-        }
+        self.prices[k] = self.rules.refuse(self.prices[k], count);
     }
 
     /// `Self::on_rejections` of `counts[i]` for class `k` on each of
@@ -363,15 +344,15 @@ impl NonTatonnementPricer {
 
     /// [`PriceRules::decay_leftover`] over this pricer's row.
     pub fn on_period_end(&mut self, leftover: &QuantityVector) {
-        let node = self.telemetry.label();
         self.rules
-            .decay_leftover(&mut self.prices, leftover.as_slice(), &self.telemetry, node);
+            .decay_leftover(&mut self.prices, leftover.as_slice(), &Silent, 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_simnet::telemetry::Telemetry;
     use qa_simnet::DetRng;
 
     fn qv(v: &[u64]) -> QuantityVector {
@@ -630,30 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_pricers_take_refusals_one_at_a_time_and_emit_each() {
-        let (tel, buf) = Telemetry::buffered();
-        let fresh = || NonTatonnementPricer::new(1, PricerConfig::default());
-        let (mut lone, mut lane, mut quiet) = (fresh(), fresh(), fresh());
-        lone.telemetry = tel.with_label(1);
-        lane.telemetry = tel.with_label(2);
-        // 400 refusals saturate from the initial price.
-        lone.on_rejections(0, 400);
-        NonTatonnementPricer::on_rejections_batch(&mut [&mut quiet, &mut lane], 0, &[400, 400]);
-        for node in [1, 2] {
-            let adjustments = buf
-                .records()
-                .iter()
-                .filter(|r| matches!(r.event, TelemetryEvent::PriceAdjusted { node: n, .. } if n == node))
-                .count();
-            assert_eq!(adjustments, 400, "node {node}");
-        }
-        assert_eq!(buf.records().len(), 800);
-        for p in [&lone, &lane, &quiet] {
-            assert_eq!(p.prices().get(0), 1e12);
-        }
-    }
-
-    #[test]
     fn period_end_neither_undoes_nor_repeats_refusals() {
         let mut p = NonTatonnementPricer::new(1, PricerConfig::default());
         p.on_rejection(0);
@@ -685,13 +642,20 @@ mod tests {
         assert!(p.prices().get(0) > 5.0 * p.prices().get(1));
     }
 
+    /// A refusal's adjustment and a leftover's decay, each recorded once
+    /// and labeled, and the row they leave the one a silent pass leaves.
     #[test]
-    fn adjustments_emit_labeled_telemetry() {
+    fn the_rules_emit_labeled_adjustments() {
         let (tel, buf) = Telemetry::buffered();
-        let mut p = NonTatonnementPricer::new(2, PricerConfig::default());
-        p.telemetry = tel.with_label(7);
-        p.on_rejection(0);
-        p.on_period_end(&qv(&[0, 2]));
+        let rules = PriceRules::new(&PricerConfig::default());
+        let mut row = vec![rules.initial(); 2];
+        let old = row[0];
+        row[0] = rules.refuse(old, 1);
+        rules.adjusted(&tel, 7, 0, old, row[0], PriceReason::Rejection);
+        let mut silent = row.clone();
+        rules.decay_leftover(&mut row, &[0, 2], &tel, 7);
+        rules.decay_leftover(&mut silent, &[0, 2], &Silent, 7);
+        assert_eq!(row, silent);
         let records = buf.records();
         assert_eq!(records.len(), 2);
         match &records[0].event {
@@ -709,8 +673,13 @@ mod tests {
             other => panic!("unexpected event {other:?}"),
         }
         match &records[1].event {
-            TelemetryEvent::PriceAdjusted { class, reason, .. } => {
-                assert_eq!(*class, 1);
+            TelemetryEvent::PriceAdjusted {
+                node,
+                class,
+                reason,
+                ..
+            } => {
+                assert_eq!((*node, *class), (7, 1));
                 assert_eq!(*reason, PriceReason::PeriodDecay);
             }
             other => panic!("unexpected event {other:?}"),

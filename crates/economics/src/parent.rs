@@ -22,9 +22,9 @@
 //!
 //! Both mechanisms produce a [`ClearingOutcome`]: integer per-broker
 //! allocations (never exceeding reported capacity), the parent's clearing
-//! ln-prices (these flow *down* to bias per-shard routing credits), and the
-//! unserved excess demand (this flows *up*, to be escalated into the next
-//! window's clearing).
+//! ln-prices (traced in `parent_cleared`; the shard router reads the
+//! shards' reported supply, not these), and the unserved excess demand
+//! (escalated into the next window's clearing).
 
 use crate::non_tatonnement::{NonTatonnementPricer, PriceRules, PricerConfig};
 use crate::vectors::QuantityVector;

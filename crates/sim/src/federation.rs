@@ -72,7 +72,7 @@ const IN_FLIGHT_RESERVE: usize = 64;
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The wait list's front members due now retry, up to the next fence.
+    /// The wait list's members due now retry.
     Wake,
     /// The query in `slot` finished on `node`. `gen` is the slot's
     /// generation at scheduling time: a crash that orphans the query bumps
@@ -203,7 +203,7 @@ pub struct Federation<'a> {
     /// times never fall along the list, and the queue holds one
     /// [`Event::Wake`] per distinct one (two can be pending: a query
     /// refused at a boundary's own microsecond, before that boundary's wake
-    /// fires, already waits for the following one), plus one per fence.
+    /// fires, already waits for the following one).
     waiting: WaitList,
     /// Further arrivals may be pushed, so the period chain must stay alive
     /// across boundaries even when the injected arrivals are exhausted.
@@ -423,9 +423,8 @@ impl<'a> Federation<'a> {
         self.more_arrivals = more;
     }
 
-    /// Starts a run: fixes the pure-market mode and with it the wait
-    /// list's lines, seeds the event queue with the failure schedule and
-    /// the first period boundary.
+    /// Starts a run: fixes the pure-market mode, seeds the event queue with
+    /// the failure schedule and the first period boundary.
     pub fn begin_run(&mut self) {
         let cfg_period = self.scenario.config.qant.period;
         // Fixed for the whole run: fault schedules and kill/recover
@@ -443,11 +442,6 @@ impl<'a> Federation<'a> {
                 offers.reseat(q.market.supply_column(), &q.member, &self.nodes);
                 offers
             });
-        }
-        if !matches!(&self.state, MechState::QaNt(Sellers { index: Some(_), .. })) {
-            // No class runs dry without the index: one line serves, with
-            // no heads to choose between.
-            self.waiting = WaitList::new(1, MAX_RETRIES, IN_FLIGHT_RESERVE);
         }
         for &(at, node) in &self.kills {
             self.queue.schedule(at, Event::Kill { node });
@@ -694,13 +688,6 @@ impl<'a> Federation<'a> {
                 });
                 self.queue
                     .schedule(finish, Event::Completion { slot, node, gen });
-                // Same-microsecond order is park and schedule order, as
-                // when each retry was a queue event of its own: queries
-                // parked for `finish` from here on retry after this
-                // completion, behind a wake of their own.
-                if self.waiting.fence(finish) {
-                    self.queue.schedule(finish, Event::Wake);
-                }
                 false
             }
             Allocation::NoOffers => true,
@@ -1557,7 +1544,7 @@ mod index_differential {
 
     /// [`Federation::process_next`], logging the query it completes, if
     /// it completes one.
-    pub(super) fn step(f: &mut Federation, until: SimTime, served: &mut Served) -> bool {
+    fn step(f: &mut Federation, until: SimTime, served: &mut Served) -> bool {
         let arrival = f.arrivals.get(f.next_arrival).map(|q| q.at);
         if let Some(ev) = f.queue.peek() {
             let first = ev.time <= until && arrival.is_none_or(|a| ev.time < a);
@@ -1866,7 +1853,7 @@ mod index_differential {
 
     /// `n` identical nodes and one class per entry of `holders`, which
     /// lists the nodes that can run it; every class costs the same.
-    pub(super) fn alike_nodes(n: usize, holders: &[Vec<u32>]) -> Scenario {
+    fn alike_nodes(n: usize, holders: &[Vec<u32>]) -> Scenario {
         let cfg = SimConfig {
             num_nodes: n,
             ..SimConfig::small_test(5)
@@ -2088,7 +2075,7 @@ mod index_differential {
 /// The wait list that holds refused queries between period boundaries.
 #[cfg(test)]
 mod wait_list {
-    use super::index_differential::{alike_nodes, identical_nodes, owner, step, Served};
+    use super::index_differential::{identical_nodes, owner, step_through, Served};
     use super::*;
     use crate::config::SimConfig;
     use qa_simnet::{LinkFaults, OutageWindow};
@@ -2106,8 +2093,7 @@ mod wait_list {
         f
     }
 
-    /// A wait-list entry as [`list`] shows it: its query named by ordinal,
-    /// or [`FENCE`].
+    /// A wait-list entry as [`list`] shows it: its query named by ordinal.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Waiter {
         due: SimTime,
@@ -2115,9 +2101,6 @@ mod wait_list {
         tried: u32,
         class: ClassId,
     }
-
-    /// The query of a fence, which holds none; its class reads 0.
-    const FENCE: usize = usize::MAX;
 
     /// A class-0 wait-list entry.
     fn waiter(due: SimTime, query: usize, tried: u32) -> Waiter {
@@ -2161,12 +2144,9 @@ mod wait_list {
     /// The wait list, each member named by its query's ordinal rather
     /// than its slot.
     fn list(f: &Federation) -> Vec<Waiter> {
-        let entry = |(due, query, tried): crate::wait_list::Entry| match query {
-            None => waiter(due, FENCE, tried),
-            Some((slot, _)) => Waiter {
-                class: f.slots[slot].query.class,
-                ..waiter(due, f.slots[slot].query.id as usize, tried)
-            },
+        let entry = |(due, (slot, _), tried): crate::wait_list::Entry| Waiter {
+            class: f.slots[slot].query.class,
+            ..waiter(due, f.slots[slot].query.id as usize, tried)
         };
         f.waiting.members().into_iter().map(entry).collect()
     }
@@ -2283,47 +2263,6 @@ mod wait_list {
         assert_eq!(pending_wakes(&f), 1);
     }
 
-    /// The fence test below on an indexed QA-NT run: the run ends at the
-    /// fence, the completion fires, and the fence's own wake turns the
-    /// rest.
-    #[test]
-    fn a_run_stops_at_a_fence_and_the_second_wake_turns_the_rest() {
-        // Class 0 runs on node 0 alone, class 1 on node 1 alone.
-        let s = alike_nodes(2, &[vec![0], vec![1]]);
-        let probe = Federation::new(&s, MechanismKind::QaNt, &Trace::from_events(vec![]));
-        // Posed here, query 20 completes on the idle node 1 exactly at
-        // `WAKE`; class 0 has long run dry, and 21 and 22 park behind it.
-        let posed = WAKE.as_micros() - (probe.rtt + probe.exec[3]).as_micros();
-        let later = [(posed, 1), (posed + 1_000, 0), (posed + 2_000, 0)];
-        let mut f = burst(&s, 20, &later);
-        pose_all(&mut f);
-        f.step_through(BOUNDARY);
-        let served = supply(&f);
-        let before = list(&f);
-        let fence = before.len() - 3;
-        assert!(fence > served, "no run ahead of the fence");
-        let parted = waiter(WAKE, FENCE, 0);
-        assert_eq!(
-            before[fence..],
-            [parted, waiter(WAKE, 21, 1), waiter(WAKE, 22, 1)]
-        );
-
-        let mut log = Served::new();
-        step(&mut f, SimTime::MAX, &mut log);
-        let ahead = turned(&before[served..fence], SECOND);
-        let after = [before[fence + 1..].to_vec(), ahead.clone()].concat();
-        assert_eq!(list(&f), after);
-        assert_eq!(f.waiting.work, wait_work(1, 1, fence - served, served));
-        assert_eq!((pending_wakes(&f), log.len()), (2, 0));
-        step(&mut f, SimTime::MAX, &mut log);
-        assert_eq!(log, [(20, NodeId(1))]);
-        f.process_next(SimTime::MAX);
-        let after = [ahead, turned(&before[fence + 1..], SECOND)].concat();
-        assert_eq!(list(&f), after);
-        assert_eq!(f.waiting.work, wait_work(2, 2, fence - served + 2, served));
-        assert_eq!(pending_wakes(&f), 1);
-    }
-
     #[test]
     fn a_refusal_on_the_boundary_waits_for_the_following_one() {
         let s = Scenario::two_class(SimConfig::small_test(11));
@@ -2362,18 +2301,18 @@ mod wait_list {
         assert_eq!(out.metrics.retries, 4_652);
     }
 
-    /// A completion that lands on a wake's microsecond, scheduled between
-    /// two parks for it, runs between the two retries: the order of the
-    /// queue when each retry was an event of its own. BNQRD shows it — the
-    /// completion's load report decides where the second retry goes.
+    /// A completion that lands on a wake's microsecond runs after every
+    /// retry due then, even one parked after it was scheduled. BNQRD shows
+    /// it: the completion's load report would send the second retry
+    /// elsewhere.
     #[test]
-    fn a_completion_on_the_wake_microsecond_keeps_its_place_between_two_waiters() {
+    fn a_completion_on_the_wake_microsecond_runs_after_the_wake() {
         let s = identical_nodes(4);
         let wake = SimTime::from_micros(PERIOD_US + 1);
         let probe = Federation::new(&s, MechanismKind::Bnqrd, &Trace::from_events(vec![]));
         // Posed here on an idle node, a query completes exactly at `wake`.
         let posed = wake.as_micros() - (probe.rtt + probe.exec[0]).as_micros();
-        let mut rng = DetRng::seed_from_u64(1).derive("fence");
+        let mut rng = DetRng::seed_from_u64(1).derive("completion");
         let arrivals =
             [posed - 1_000, posed, posed + 1_000].map(|at| (SimTime::from_micros(at), ClassId(0)));
         let t = Trace::from_arrivals(arrivals.to_vec(), 4, &mut rng);
@@ -2397,22 +2336,15 @@ mod wait_list {
         pose_all(&mut f);
         let owners = |f: &Federation| [0, 1, 2].map(|q| owner(f, q));
         assert_eq!(owners(&f), [None, Some(NodeId(1)), None]);
-        assert_eq!(
-            list(&f),
-            [
-                waiter(wake, 0, 1),
-                waiter(wake, FENCE, 0),
-                waiter(wake, 2, 1)
-            ]
-        );
+        assert_eq!(list(&f), [waiter(wake, 0, 1), waiter(wake, 2, 1)]);
         let mut served = Served::new();
-        super::index_differential::step_through(&mut f, SimTime::MAX, &mut served);
+        step_through(&mut f, SimTime::MAX, &mut served);
         // Query 0 retries first and takes the one node never charged, 3.
-        // Then node 1 reports its completion and is the least loaded when
-        // query 2 retries; retried ahead of the report, query 2 would have
-        // gone to node 0.
+        // Query 2 retries in the same wake, ahead of node 1's report of its
+        // completion, and goes to node 0; retried after the report, it
+        // would have gone to node 1, then the least loaded.
         served.sort_unstable();
-        assert_eq!(served, [(0, NodeId(3)), (1, NodeId(1)), (2, NodeId(1))]);
+        assert_eq!(served, [(0, NodeId(3)), (1, NodeId(1)), (2, NodeId(0))]);
         let out = f.finish();
         let m = &out.metrics;
         assert_eq!(
@@ -2461,18 +2393,17 @@ mod wait_list {
     /// The most events the queue of a run without crash schedules can hold
     /// between two of its events: a completion per assigned query, the
     /// next `PeriodStart`, and a `Wake` per distinct due time on the wait
-    /// list plus one per fence (the wake that retries the members behind
-    /// it). Waiting and not-yet-arrived queries hold no event of their own.
+    /// list. Waiting and not-yet-arrived queries hold no event of their
+    /// own.
     fn queue_bound(f: &Federation) -> usize {
         let running = f.slots.iter().filter(|q| q.owner.is_some()).count();
-        let (dues, fences) = f.waiting.dues();
         let mut distinct = Vec::new();
-        for due in dues {
+        for due in f.waiting.dues() {
             if !distinct.contains(&due) {
                 distinct.push(due);
             }
         }
-        running + 1 + distinct.len() + fences
+        running + 1 + distinct.len()
     }
 
     /// Steps a run window by window and event by event, holding the queue

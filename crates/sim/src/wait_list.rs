@@ -1,22 +1,18 @@
 //! The wait list: queries every server refused, waiting out the period
 //! (§2.2: "the respective client resubmits it in the next time period").
 //!
-//! One FIFO line per class, or one line for all when no class can run dry.
-//! A sequence number on every entry records its place in park order across
-//! the lines, so read in that order the lines are the one FIFO list they
-//! stand for: due times never fall along it, and a wake's due members are
-//! a prefix of each line. A fence, a completion on a wake's own microsecond
-//! that those parked behind it retry after, holds a sequence number in a
-//! deque of its own.
+//! One FIFO line per class. A sequence number on every entry records its
+//! place in park order across the lines, so read in that order the lines
+//! are the one FIFO list they stand for: due times never fall along it,
+//! and a wake's due members are a prefix of each line.
 //!
 //! A wake ([`WaitList::next_due`] until it yields nobody) gives out, in
-//! sequence order, each due member ahead of the first due fence whose class
-//! is still offered or whose retry budget is spent. The due members of dry
-//! classes parked ahead of it are refused again for counters only and go
-//! behind everything parked: a prefix of each dry line, turned in one move.
-//! All that one step turns shifts by one offset, `next_seq − first turned`,
-//! which keeps their order across lines and the place of any fence the wake
-//! creates. Lines are found by the sequence number at their heads, in
+//! sequence order, each due member whose class is still offered or whose
+//! retry budget is spent. The due members of dry classes parked ahead of
+//! it are refused again for counters only and go behind everything parked:
+//! a prefix of each dry line, turned in one move. All that one step turns
+//! shifts by one offset, `next_seq − first turned`, which keeps their order
+//! across lines. Lines are found by the sequence number at their heads, in
 //! [`MinTree`]s, not by a scan.
 
 use crate::metrics::WaitWork;
@@ -43,14 +39,12 @@ const _: () = assert!(std::mem::size_of::<Waiter>() == 24);
 
 /// See the [module docs](self).
 pub(crate) struct WaitList {
-    /// One FIFO line per class, or one for all; each in sequence order.
+    /// One FIFO line per class, each in sequence order.
     lines: Vec<VecDeque<Waiter>>,
-    /// Each fence's due time and sequence number.
-    fences: VecDeque<(SimTime, u64)>,
     /// The non-empty lines the running wake has not set aside as dry,
     /// keyed by their heads' sequence numbers.
     heads: MinTree,
-    /// The set-aside lines with a head due ahead of the wake's fence.
+    /// The set-aside lines with a head due at the running wake.
     dry: MinTree,
     next_seq: u64,
     /// The due time of the last entry parked: once the list runs empty it
@@ -60,26 +54,22 @@ pub(crate) struct WaitList {
     /// and how many members have spent them.
     budget: u32,
     spent: usize,
-    /// The first fence due at the running wake, or `u64::MAX`.
-    stop: u64,
     pub(crate) work: WaitWork,
 }
 
 impl WaitList {
-    /// An empty list of `lines` lines, `reserve` entries reserved across
-    /// all of them: one per class, or one that holds every class.
-    pub(crate) fn new(lines: usize, budget: u32, reserve: usize) -> WaitList {
-        let line = || VecDeque::with_capacity(reserve / lines.max(1));
+    /// An empty list of `classes` lines, one per class, `reserve` entries
+    /// reserved across all of them.
+    pub(crate) fn new(classes: usize, budget: u32, reserve: usize) -> WaitList {
+        let line = || VecDeque::with_capacity(reserve / classes.max(1));
         WaitList {
-            lines: (0..lines).map(|_| line()).collect(),
-            fences: VecDeque::new(),
-            heads: MinTree::new(lines),
-            dry: MinTree::new(lines),
+            lines: (0..classes).map(|_| line()).collect(),
+            heads: MinTree::new(classes),
+            dry: MinTree::new(classes),
             next_seq: 0,
             back: None,
             budget,
             spent: 0,
-            stop: u64::MAX,
             work: WaitWork::default(),
         }
     }
@@ -88,11 +78,7 @@ impl WaitList {
     /// until `due`. Returns whether that needs a wake: the last entry
     /// parked is due at another time.
     pub(crate) fn park(&mut self, due: SimTime, slot: usize, class: ClassId, tried: u32) -> bool {
-        let c = if self.lines.len() == 1 {
-            0
-        } else {
-            class.index()
-        };
+        let c = class.index();
         let seq = self.next_seq;
         if self.lines[c].is_empty() {
             self.heads.update(c, seq);
@@ -109,36 +95,21 @@ impl WaitList {
         self.back.replace(due) != Some(due)
     }
 
-    /// A completion was scheduled for `due`. When the last entry parked is
-    /// due then too, parks a fence, which needs a wake of its own, and
-    /// returns `true`: those parked from here on retry after the completion.
-    pub(crate) fn fence(&mut self, due: SimTime) -> bool {
-        let fenced = self.back == Some(due);
-        if fenced {
-            self.fences.push_back((due, self.next_seq));
-            self.next_seq += 1;
-        }
-        fenced
-    }
-
-    /// One step of the wake at `now`, which runs up to the first fence due
-    /// `now`: turns for `next` the due members of the class lines `dry`
-    /// names that are parked ahead of the next member to attempt, handing
-    /// `charge` each class's count, and takes that member off the list.
-    /// Also returns whether the turn needs a wake for `next`. Past the last
-    /// member, the fence the wake stopped at goes.
+    /// One step of the wake at `now`: turns for `next` the due members of
+    /// the class lines `dry` names that are parked ahead of the next member
+    /// to attempt, handing `charge` each class's count, and takes that
+    /// member off the list. Also returns whether the turn needs a wake for
+    /// `next`.
     pub(crate) fn next_due(
         &mut self,
         (now, next): (SimTime, SimTime),
         dry: impl Fn(usize) -> bool,
         charge: impl FnMut(usize, u64),
     ) -> (Option<Waiter>, bool) {
-        let fence = self.fences.front().filter(|f| f.0 == now);
-        self.stop = fence.map_or(u64::MAX, |f| f.1);
         // Set aside each dry line due ahead of the first line offered.
         let mut member = None;
         while let Some((c, seq)) = self.heads.min() {
-            if seq >= self.stop || self.lines[c][0].due != now {
+            if self.lines[c][0].due != now {
                 break;
             } else if !dry(c) {
                 member = Some((c, seq, false));
@@ -150,17 +121,14 @@ impl WaitList {
         // Only set-aside lines hold members due ahead of `member`; one
         // whose budget is spent is attempted in its place.
         for (c, line) in self.lines.iter().enumerate().filter(|_| self.spent > 0) {
-            let bound = member.map_or(self.stop, |m| m.1);
+            let bound = member.map_or(u64::MAX, |m| m.1);
             let mut due = line.iter().take_while(|w| w.due == now && w.seq < bound);
             if let Some(w) = due.find(|w| w.tried >= self.budget) {
                 member = Some((c, w.seq, true));
             }
         }
-        let wake = self.turn((now, next), member.map_or(self.stop, |m| m.1), charge);
+        let wake = self.turn((now, next), member.map_or(u64::MAX, |m| m.1), charge);
         let Some((c, _, aside)) = member else {
-            if self.stop != u64::MAX {
-                self.fences.pop_front();
-            }
             return (None, wake);
         };
         let w = self.lines[c]
@@ -216,10 +184,10 @@ impl WaitList {
     }
 
     /// Re-keys the set-aside line `c`: it stays aside while its head is due
-    /// ahead of the running wake's fence, and rejoins `heads` otherwise.
+    /// at the running wake, and rejoins `heads` otherwise.
     fn reseat_dry(&mut self, c: usize, now: SimTime) {
         match self.lines[c].front() {
-            Some(w) if w.due == now && w.seq < self.stop => self.dry.update(c, w.seq),
+            Some(w) if w.due == now => self.dry.update(c, w.seq),
             head => {
                 self.dry.remove(c);
                 if let Some(w) = head {
@@ -230,51 +198,45 @@ impl WaitList {
     }
 }
 
-/// A wait-list entry as tests read it: its due time, `(slot, line)` or
-/// `None` for a fence, and its attempts.
+/// A wait-list entry as tests read it: its due time, `(slot, line)` and
+/// its attempts.
 #[cfg(test)]
-pub(crate) type Entry = (SimTime, Option<(usize, usize)>, u32);
+pub(crate) type Entry = (SimTime, (usize, usize), u32);
 
 #[cfg(test)]
 impl WaitList {
-    /// Members and fences held.
+    /// Members held.
     pub(crate) fn len(&self) -> usize {
-        self.lines.iter().map(VecDeque::len).sum::<usize>() + self.fences.len()
+        self.lines.iter().map(VecDeque::len).sum()
     }
 
-    /// Every entry in park order, with its sequence number.
+    /// Every member in park order, with its sequence number.
     fn entries(&self) -> Vec<(u64, Entry)> {
-        let lines = self.lines.iter().enumerate().flat_map(|(c, line)| {
-            let member = move |w: &Waiter| Some((w.slot as usize, c));
-            line.iter()
-                .map(move |w| (w.seq, (w.due, member(w), w.tried)))
-        });
-        let fences = self.fences.iter().map(|&(due, seq)| (seq, (due, None, 0)));
-        let mut all: Vec<_> = lines.chain(fences).collect();
+        let mut all: Vec<_> = (self.lines.iter().enumerate())
+            .flat_map(|(c, line)| {
+                line.iter()
+                    .map(move |w| (w.seq, (w.due, (w.slot as usize, c), w.tried)))
+            })
+            .collect();
         all.sort_unstable_by_key(|e| e.0);
         all
     }
 
-    /// Every entry in park order.
+    /// Every member in park order.
     pub(crate) fn members(&self) -> Vec<Entry> {
         self.entries().into_iter().map(|e| e.1).collect()
     }
 
-    /// The due time of every entry, fences included, in no order; and the
-    /// number of fences.
-    pub(crate) fn dues(&self) -> (impl Iterator<Item = SimTime> + '_, usize) {
-        let members = self.lines.iter().flatten().map(|w| w.due);
-        (
-            members.chain(self.fences.iter().map(|f| f.0)),
-            self.fences.len(),
-        )
+    /// The due time of every member, in no order.
+    pub(crate) fn dues(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.lines.iter().flatten().map(|w| w.due)
     }
 
-    /// Spends the retry budget of the `i`-th entry in park order, a member.
+    /// Spends the retry budget of the `i`-th member in park order.
     pub(crate) fn spend(&mut self, i: usize) {
         let seq = self.entries()[i].0;
         let w = self.lines.iter_mut().flatten().find(|w| w.seq == seq);
-        let w = w.expect("a member, not a fence");
+        let w = w.expect("a member");
         self.spent += usize::from(w.tried < self.budget);
         w.tried = self.budget;
     }
@@ -302,7 +264,7 @@ mod tests {
         SimTime::from_micros((t / PERIOD + 1) * PERIOD + 1)
     }
 
-    /// An entry of the single FIFO list; `query` [`FENCE`] marks a fence.
+    /// An entry of the single FIFO list.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Old {
         due: SimTime,
@@ -311,11 +273,9 @@ mod tests {
         class: usize,
     }
 
-    const FENCE: usize = usize::MAX;
-
     /// The single-deque wait list the lines replaced, kept as their
-    /// oracle: its park and fence rules, `Federation::turn_dry_run`, and
-    /// one pass of the `Wake` arm's loop.
+    /// oracle: its park rule, `Federation::turn_dry_run`, and one pass of
+    /// the `Wake` arm's loop.
     struct Model {
         parked: VecDeque<Old>,
         work: WaitWork,
@@ -334,21 +294,6 @@ mod tests {
             wake
         }
 
-        fn fence(&mut self, due: SimTime) -> bool {
-            if self.parked.back().is_none_or(|w| w.due != due) {
-                return false;
-            }
-            let (query, tried, class) = (FENCE, 0, 0);
-            let fence = Old {
-                due,
-                query,
-                tried,
-                class,
-            };
-            self.parked.push_back(fence);
-            true
-        }
-
         fn next_due(
             &mut self,
             now: SimTime,
@@ -357,7 +302,7 @@ mod tests {
         ) -> (Option<Old>, u64, bool) {
             let mut run = 0;
             while let Some(&w) = self.parked.get(run) {
-                let turns = w.due == now && w.query != FENCE && w.tried < BUDGET;
+                let turns = w.due == now && w.tried < BUDGET;
                 if !(turns && dry[w.class]) {
                     break;
                 }
@@ -379,18 +324,12 @@ mod tests {
                 return (None, run as u64, wake);
             };
             self.parked.pop_front();
-            if w.query == FENCE {
-                return (None, run as u64, wake);
-            }
             self.work.attempted += 1;
             (Some(w), run as u64, wake)
         }
 
         fn members(&self) -> Vec<Entry> {
-            let view = |w: &Old| match w.query {
-                FENCE => (w.due, None, 0),
-                q => (w.due, Some((q, w.class)), w.tried),
-            };
+            let view = |w: &Old| (w.due, (w.query, w.class), w.tried);
             self.parked.iter().map(view).collect()
         }
     }
@@ -443,18 +382,8 @@ mod tests {
             self.agree();
         }
 
-        fn fence(&mut self, due: SimTime) {
-            let fenced = self.lines.fence(due);
-            assert_eq!(fenced, self.model.fence(due));
-            if fenced {
-                self.wakes.push(due);
-            }
-            self.agree();
-        }
-
         /// Runs the earliest pending wake; each member attempted is
-        /// assigned, maybe drying its class or fencing a completion, or
-        /// refused again.
+        /// assigned, maybe drying its class, or refused again.
         fn wake(&mut self, rng: &mut DetRng) {
             let first = (0..self.wakes.len()).min_by_key(|&i| self.wakes[i]);
             let now = self.wakes.remove(first.expect("a pending wake"));
@@ -487,12 +416,8 @@ mod tests {
                 self.agree();
                 let Some(w) = want else { break };
                 match rng.index(6) {
-                    // Assigned, the completion on the next wake's
-                    // microsecond or a little past it.
-                    0 | 1 => {
-                        let finish = next + qa_simnet::SimDuration::from_micros(rng.int_in(0, 1));
-                        self.fence(finish);
-                    }
+                    // Assigned.
+                    0 | 1 => {}
                     // Assigned, and that sold its class out.
                     2 => self.dry[w.class] = true,
                     // Refused, or given up with its budget spent.
@@ -527,13 +452,8 @@ mod tests {
                 let mut rng = DetRng::seed_from_u64(seed).derive("wait-lines");
                 let mut pair = Pair::new(k);
                 for _ in 0..300 {
-                    match rng.index(8) {
+                    match rng.index(7) {
                         0..=4 => pair.arrive(&mut rng, k),
-                        // A completion lands where the last member waits.
-                        5 => match pair.model.parked.back() {
-                            Some(w) if w.due.as_micros() > pair.now => pair.fence(w.due),
-                            _ => {}
-                        },
                         _ if !pair.wakes.is_empty() => pair.wake(&mut rng),
                         _ => {}
                     }

@@ -20,8 +20,8 @@
 //! * [`LinkSpec`] — a latency + bandwidth model for network links,
 //! * [`FaultPlan`] — deterministic fault injection layered over the links:
 //!   per-link drop probability, latency jitter, scheduled outage windows,
-//! * [`stats`] — streaming statistics (Welford mean/variance, histograms,
-//!   fixed-bin time series) used to produce the paper's figures,
+//! * [`stats`] — streaming statistics (Welford mean/variance, histograms)
+//!   used to produce the paper's figures,
 //! * [`telemetry`] — structured market tracing (typed events, JSONL
 //!   sinks, metrics registry, convergence diagnostics), zero-cost when
 //!   disabled,

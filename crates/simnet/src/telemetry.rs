@@ -434,21 +434,17 @@ pub trait EventSink: Send {
     fn record(&mut self, record: &TraceRecord);
 }
 
-#[derive(Default)]
-struct BufferSink {
-    records: Arc<Mutex<Vec<TraceRecord>>>,
-}
-
-impl EventSink for BufferSink {
-    fn record(&mut self, record: &TraceRecord) {
-        self.records.lock().unwrap().push(record.clone());
-    }
-}
-
-/// Shared view of an in-memory trace, returned by [`Telemetry::buffered`].
+/// Shared view of an in-memory trace, returned by [`Telemetry::buffered`]:
+/// every clone reads and fills the same records.
 #[derive(Clone, Default)]
 pub struct TraceBuffer {
     records: Arc<Mutex<Vec<TraceRecord>>>,
+}
+
+impl EventSink for TraceBuffer {
+    fn record(&mut self, record: &TraceRecord) {
+        self.records.lock().unwrap().push(record.clone());
+    }
 }
 
 impl TraceBuffer {
@@ -829,10 +825,7 @@ impl Telemetry {
     /// A handle writing into an in-memory buffer; returns the buffer too.
     pub fn buffered() -> (Telemetry, TraceBuffer) {
         let buffer = TraceBuffer::default();
-        let sink = BufferSink {
-            records: Arc::clone(&buffer.records),
-        };
-        (Telemetry::with_sink(Box::new(sink)), buffer)
+        (Telemetry::with_sink(Box::new(buffer.clone())), buffer)
     }
 
     /// A handle driving an arbitrary sink.

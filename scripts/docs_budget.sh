@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 42553
-check CHANGES.md 65935
+check DESIGN.md 42508
+check CHANGES.md 69119
 check EXPERIMENTS.md 29960
-check README.md 11248
+check README.md 11156
 exit "$status"
