@@ -50,10 +50,15 @@ impl<E> PartialOrd for ScheduledEvent<E> {
 impl<E> Ord for ScheduledEvent<E> {
     /// Reversed so that the *earliest* event is the max of a max-heap.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
+    }
+}
+
+impl<E> ScheduledEvent<E> {
+    /// `(time, seq)` as one word, `time << 64 | seq`: a single compare.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.time.as_micros()) << 64 | u128::from(self.seq)
     }
 }
 
@@ -235,6 +240,23 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.payload), Some("far"));
         assert_eq!(q.now(), SimTime::from_secs(40));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn events_at_the_end_of_time_keep_their_order() {
+        // Times at and just below `u64::MAX` µs fill the key's high word:
+        // same-time events still pop FIFO, the far ones after the near.
+        let mut q = EventQueue::new();
+        let end = SimTime::from_micros(u64::MAX);
+        let below = SimTime::from_micros(u64::MAX - 1);
+        q.schedule(end, "end-a");
+        q.schedule(below, "below-a");
+        q.schedule(end, "end-b");
+        q.schedule(SimTime::ZERO, "origin");
+        q.schedule(below, "below-b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, ["origin", "below-a", "below-b", "end-a", "end-b"]);
+        assert_eq!(q.now(), end);
     }
 
     #[test]

@@ -206,9 +206,12 @@ fn sharded_multi_queue_merge_matches_single_heap_oracle() {
 /// The tournament tree against a linear-scan oracle under random
 /// update / remove / stage-and-restore interleavings: after every step `min` and
 /// `len` agree with a plain `Vec<Option<u64>>` scanned left to right. Keys come from a handful of values so ties are the norm (the
-/// lowest leaf must win them); sizes cover no leaves, a single leaf and
-/// non-powers of two; removals outnumber inserts often enough to empty
-/// the tree, and emptied leaves are re-inserted.
+/// lowest leaf must win them); sizes cover no leaves, a single leaf,
+/// powers of two and one past them (where the leaf's share of the packed
+/// slot grows by a bit) and other non-powers of two; in half the cases
+/// the handful sits at the top of the key domain, ending at the tree's
+/// largest key; removals outnumber inserts often enough to empty the
+/// tree, and emptied leaves are re-inserted.
 #[test]
 fn min_tree_matches_linear_scan_oracle() {
     let mut rng = DetRng::seed_from_u64(0x51B1_0004);
@@ -216,9 +219,19 @@ fn min_tree_matches_linear_scan_oracle() {
         let leaves = match case % 8 {
             0 => 0,
             1 => 1,
+            2 | 3 => (1usize << rng.int_in(1, 7)) + case % 2,
             _ => 1 + rng.index(70),
         };
+        // A slot keeps log2 of the leaf capacity, at least 1 bit, for
+        // its leaf; the key takes the rest, short of the absent word.
+        let bits = leaves.next_power_of_two().trailing_zeros().max(1);
+        let largest = (u64::MAX >> bits) - 1;
         let key_range = 1 + rng.int_in(0, 6);
+        let key_base = if case % 4 >= 2 {
+            largest - key_range
+        } else {
+            0
+        };
         let mut tree = MinTree::new(leaves);
         let mut oracle: Vec<Option<u64>> = vec![None; leaves];
         let steps = if leaves == 0 { 4 } else { 300 };
@@ -232,7 +245,7 @@ fn min_tree_matches_linear_scan_oracle() {
                     // after the one `restore`, the others keep theirs.
                     for (leaf, slot) in oracle.iter_mut().enumerate() {
                         if rng.chance(0.8) {
-                            *slot = rng.chance(0.5).then(|| rng.int_in(0, key_range));
+                            *slot = rng.chance(0.5).then(|| key_base + rng.int_in(0, key_range));
                             tree.stage(leaf, *slot);
                         }
                     }
@@ -245,7 +258,7 @@ fn min_tree_matches_linear_scan_oracle() {
                         oracle[leaf] = None;
                         tree.remove(leaf);
                     } else {
-                        let key = rng.int_in(0, key_range);
+                        let key = key_base + rng.int_in(0, key_range);
                         oracle[leaf] = Some(key);
                         tree.update(leaf, key);
                     }
