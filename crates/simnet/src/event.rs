@@ -246,16 +246,22 @@ mod tests {
     fn events_at_the_end_of_time_keep_their_order() {
         // Times at and just below `u64::MAX` µs fill the key's high word:
         // same-time events still pop FIFO, the far ones after the near.
+        // `mid` differs from the origin only in its top bit, which a key
+        // that shifted the time within one `u64` would drop.
         let mut q = EventQueue::new();
         let end = SimTime::from_micros(u64::MAX);
         let below = SimTime::from_micros(u64::MAX - 1);
+        q.schedule(SimTime::from_micros(1 << 63), "mid");
         q.schedule(end, "end-a");
         q.schedule(below, "below-a");
         q.schedule(end, "end-b");
         q.schedule(SimTime::ZERO, "origin");
         q.schedule(below, "below-b");
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, ["origin", "below-a", "below-b", "end-a", "end-b"]);
+        assert_eq!(
+            order,
+            ["origin", "mid", "below-a", "below-b", "end-a", "end-b"]
+        );
         assert_eq!(q.now(), end);
     }
 

@@ -42,7 +42,7 @@ impl MinTree {
     /// A tree over `leaves` positions, all absent.
     ///
     /// # Panics
-    /// Panics when `leaves` does not fit the `u32` leaf index.
+    /// Panics unless `leaves < u32::MAX`, so a slot keeps 32 bits of key.
     pub fn new(leaves: usize) -> MinTree {
         assert!(leaves < u32::MAX as usize, "too many leaves");
         let cap = leaves.next_power_of_two().max(1);

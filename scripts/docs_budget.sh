@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 42508
-check CHANGES.md 69119
+check DESIGN.md 42927
+check CHANGES.md 72493
 check EXPERIMENTS.md 29960
 check README.md 11156
 exit "$status"
