@@ -109,8 +109,8 @@ pub struct QantMarket {
     /// cannot run), as of the row's last `begin_period` — estimates may
     /// improve over time.
     cost: Vec<Option<(f64, i64)>>,
-    /// Scratch of the supply solve: a row's capable classes as
-    /// `(ln density, cost, class)`, in fill order.
+    /// Scratch of the supply solve, one slot per class: a row's capable
+    /// classes as `(ln density, cost, class)`, in fill order, at its front.
     order: Vec<(i64, f64, usize)>,
     /// Market-event sink (disabled by default: one branch per emit site,
     /// and none in the roll kernel); row `r`'s events carry the node id
@@ -137,7 +137,7 @@ impl QantMarket {
             supply: vec![0; n],
             carry: vec![0.0; n],
             cost: vec![None; n],
-            order: Vec::with_capacity(k),
+            order: vec![(0, 0.0, 0); k],
             telemetry: Telemetry::disabled(),
         }
     }
@@ -274,17 +274,19 @@ impl QantMarket {
             seller
                 .rules
                 .decay_leftover(seller.prices, seller.supply, events, node);
-            seller.supply.fill(0);
             if renormalize {
                 seller.rules.renormalize(seller.prices, events, node);
             }
             drop(price_update);
-            if let Some(backlog) = backlog_ms(row) {
-                seller.fill(
+            // The fill writes every class of the row; a closed row is
+            // zeroed here instead, withdrawing its leftover.
+            match backlog_ms(row) {
+                Some(backlog) => seller.fill(
                     events,
                     node,
                     (2.0 * period - backlog).clamp(floor, 2.0 * period),
-                );
+                ),
+                None => seller.supply.fill(0),
             }
         }
     }
@@ -385,14 +387,15 @@ struct Seller<'a> {
     supply: &'a mut [u64],
     carry: &'a mut [f64],
     cost: &'a [Option<(f64, i64)>],
-    /// The market's scratch: the capable classes as `(ln density, cost,
-    /// class)`, in fill order.
-    order: &'a mut Vec<(i64, f64, usize)>,
+    /// The market's scratch, one slot per class: the capable classes as
+    /// `(ln density, cost, class)`, in fill order, at its front.
+    order: &'a mut [(i64, f64, usize)],
 }
 
 impl Seller<'_> {
     /// Step 2 under a budget of `budget_ms`, as node `node`: the fill of
-    /// both [`QantMarket::begin_period`] and the roll kernel.
+    /// both [`QantMarket::begin_period`] and the roll kernel. It writes
+    /// every class's supply: the units of a capable one, 0 for the rest.
     #[inline(always)]
     fn fill(&mut self, events: &impl Events, node: u32, budget_ms: f64) {
         let _span = events.span("qant.supply_solve");
@@ -409,17 +412,25 @@ impl Seller<'_> {
         //   amount is e.g. 0.5/period (execution longer than `T`) is
         //   supplied every other period rather than never — the
         //   integer-rounding effect the paper analyses in §5.1.
-        self.order.clear();
+        let mut capable = 0;
         for (class, (&q, &cost)) in self.prices.iter().zip(self.cost).enumerate() {
-            if let Some((t, ln_t)) = cost {
-                self.order.push((q.saturating_sub(ln_t), t, class));
+            let Some((t, ln_t)) = cost else {
+                self.supply[class] = 0;
+                continue;
+            };
+            // Insertion in class order: a class goes behind every class at
+            // least as dense, so ties stay with the lower class.
+            let density = q.saturating_sub(ln_t);
+            let mut at = capable;
+            while at > 0 && self.order[at - 1].0 < density {
+                self.order[at] = self.order[at - 1];
+                at -= 1;
             }
+            self.order[at] = (density, t, class);
+            capable += 1;
         }
-        self.order
-            .sort_unstable_by_key(|&(density, _, class)| (std::cmp::Reverse(density), class));
-        self.supply.fill(0);
         let mut remaining = budget_ms;
-        for &(_, t, class) in self.order.iter() {
+        for &(_, t, class) in &self.order[..capable] {
             // Fractional allotment this period plus the rolled-over
             // carry.
             let alloc = remaining / t + self.carry[class];
@@ -870,20 +881,25 @@ mod tests {
     }
 
     /// The kernel against the per-row end → begin on the same random rows,
-    /// at the edges: K = 1 and 5, `None` costs (whole rows of them),
-    /// prices at the floor and the ceiling, leftover 0, 1 and huge,
+    /// at the edges: K = 1, 5 and 12, `None` costs (whole rows of them),
+    /// prices at the floor and the ceiling, rows whose capable classes all
+    /// share one density (the fill's tie order), leftover 0, 1 and huge,
     /// backlogs of 0 and past `2T` in both budget modes, dead rows and rows
-    /// outside the rolled run. Prices, supply and carry must agree to the
-    /// bit everywhere, and with the telemetry on the events must come in
-    /// the same sequence.
+    /// outside the rolled run. A quarter of the cases open periods with
+    /// [`QantMarket::begin_period`] instead, on fresh rows or on the drawn
+    /// state. Prices, supply and carry must agree to the bit everywhere,
+    /// and with the telemetry on the events must come in the same
+    /// sequence.
     #[test]
     fn the_roll_kernel_is_the_per_row_boundary_to_the_bit() {
         let mut rng = DetRng::seed_from_u64(0x2011).derive("roll");
         let period_ms = QantConfig::default().period.as_millis_f64();
-        let mut events = 0;
-        for case in 0..240 {
-            let k = [1, 2, 5][case % 3];
+        let (mut events, mut tied_rows) = (0, 0);
+        for case in 0..480 {
+            let k = [1, 2, 5, 12][case % 4];
             let n = 1 + rng.index(40);
+            let begin = case % 8 >= 6;
+            let fresh = begin && rng.chance(0.5);
             let threshold = case % 7 == 3;
             let config = QantConfig {
                 price_threshold: threshold.then_some(2.0),
@@ -894,20 +910,35 @@ mod tests {
             let floor = kernel.rules.quantize(PriceRules::PRICE_FLOOR);
             let ceiling = kernel.rules.quantize(PriceRules::PRICE_CEILING);
             let capable = rng.chance(0.9);
-            for row in 0..n {
-                let mut costs = Vec::new();
+            let mut costs = vec![Vec::new(); n];
+            for (row, costs) in costs.iter_mut().enumerate() {
                 for at in row * k..(row + 1) * k {
-                    kernel.prices[at] = match rng.index(6) {
-                        0 => floor,
-                        1 => ceiling,
-                        _ => floor + ((ceiling - floor) as f64 * rng.float_in(0.0, 1.0)) as i64,
-                    };
-                    kernel.supply[at] = [0, 1, rng.int_in(2, 20), 1 << 40][rng.index(4)];
-                    kernel.carry[at] = rng.float_in(0.0, 0.999_999);
+                    if !fresh {
+                        kernel.prices[at] = match rng.index(6) {
+                            0 => floor,
+                            1 => ceiling,
+                            _ => floor + ((ceiling - floor) as f64 * rng.float_in(0.0, 1.0)) as i64,
+                        };
+                        kernel.supply[at] = [0, 1, rng.int_in(2, 20), 1 << 40][rng.index(4)];
+                        kernel.carry[at] = rng.float_in(0.0, 0.999_999);
+                    }
                     let cost = [1e-3, rng.float_in(1.0, 900.0), 4_000.0][rng.index(3)];
                     costs.push((capable && rng.chance(0.75)).then_some(cost));
                 }
-                kernel.set_costs(row, &costs);
+                kernel.set_costs(row, costs);
+                if rng.chance(0.4) {
+                    // One density `d` for every capable class: no leftover
+                    // decays a price, and the renormalization shifts them
+                    // all alike, so the fill sees the tie.
+                    let d = to_quanta(rng.float_in(-10.0, 15.0));
+                    for at in row * k..(row + 1) * k {
+                        if let Some((_, ln_t)) = kernel.cost[at] {
+                            kernel.prices[at] = ln_t + d;
+                            kernel.supply[at] = 0;
+                        }
+                    }
+                    tied_rows += 1;
+                }
             }
             let mut reference = kernel.clone();
             let traced = case % 2 == 0;
@@ -919,12 +950,20 @@ mod tests {
             }
             let lo = rng.index(n);
             let rows = lo..lo + 1 + rng.index(n - lo);
-            let backlogs = draw_backlogs(&mut rng, n, period_ms);
-            kernel.roll(rows.clone(), |r| backlogs[r]);
-            for row in rows {
-                end_period_per_row(&mut reference, row);
-                if let Some(backlog) = backlogs[row] {
-                    begin_period_per_row(&mut reference, row, backlog);
+            if begin {
+                // A first period's budget is one `T`: a backlog of `T`.
+                for row in rows {
+                    kernel.begin_period(row, &costs[row]);
+                    begin_period_per_row(&mut reference, row, period_ms);
+                }
+            } else {
+                let backlogs = draw_backlogs(&mut rng, n, period_ms);
+                kernel.roll(rows.clone(), |r| backlogs[r]);
+                for row in rows {
+                    end_period_per_row(&mut reference, row);
+                    if let Some(backlog) = backlogs[row] {
+                        begin_period_per_row(&mut reference, row, backlog);
+                    }
                 }
             }
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -945,5 +984,6 @@ mod tests {
             events += buf.records().len();
         }
         assert!(events > 1_000, "the traced cases emitted {events} events");
+        assert!(tied_rows > 1_000, "{tied_rows} rows tied");
     }
 }

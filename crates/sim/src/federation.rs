@@ -439,7 +439,8 @@ impl<'a> Federation<'a> {
             q.index = pure_market.then(|| {
                 let mut offers =
                     OfferIndex::new(&self.scenario.capable, &self.exec, self.nodes.len());
-                offers.reseat(q.market.supply_column(), &q.member, &self.nodes);
+                self.boundary.leaves_reseated +=
+                    offers.reseat(q.market.supply_column(), &q.member, &self.nodes);
                 offers
             });
         }
@@ -772,9 +773,9 @@ impl<'a> Federation<'a> {
         }
         if let Some(index) = index {
             // The only place supply can rise.
-            index.reseat(market.supply_column(), member, soa);
+            self.boundary.leaves_reseated += index.reseat(market.supply_column(), member, soa);
         }
-        self.boundary.density_sorts += solves;
+        self.boundary.supply_solves += solves;
         self.period_demand.fill(0);
     }
 
@@ -1435,7 +1436,8 @@ mod tests {
             out.boundary,
             BoundaryWork {
                 node_periods: 203_000,
-                density_sorts: 203_000,
+                supply_solves: 203_000,
+                leaves_reseated: 306_000,
             }
         );
         assert_eq!(
@@ -1463,7 +1465,18 @@ mod tests {
         let s = scale_world(100, 11);
         let t = two_class_trace(&s, 0.05, 1.5, 150);
         let out = run_cell(&s, &t, MechanismKind::QaNt);
-        println!("work-gate: paper100_overload {:?}", out.wait);
+        println!(
+            "work-gate: paper100_overload {:?} {:?}",
+            out.boundary, out.wait
+        );
+        assert_eq!(
+            out.boundary,
+            BoundaryWork {
+                node_periods: 44_300,
+                supply_solves: 44_300,
+                leaves_reseated: 66_600,
+            }
+        );
         assert_eq!(
             out.wait,
             WaitWork {
@@ -1480,6 +1493,7 @@ mod tests {
         let traced = Telemetry::metrics_only();
         let polled = Federation::with_telemetry(&s, MechanismKind::QaNt, &t, traced).run(&t);
         assert_eq!(polled.metrics.retries, out.metrics.retries);
+        assert_eq!(polled.boundary.leaves_reseated, 0);
         let all = out.metrics.retries;
         assert_eq!(
             polled.wait,

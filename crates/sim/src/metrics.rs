@@ -278,8 +278,11 @@ work_counts! {
     BoundaryWork, "sim.boundary.", {
         /// Market rows that ended a period.
         node_periods,
-        /// Price-density orderings computed for a supply solve.
-        density_sorts,
+        /// Eq.-4 supply solves of live rows.
+        supply_solves,
+        /// Offer-index leaves re-read from the fresh supply, one per
+        /// capable (node, class) pair at each boundary and at the start.
+        leaves_reseated,
     }
 }
 

@@ -132,8 +132,9 @@ impl OfferIndex {
     /// per class). A node outside the market (`member[n]` false, the §4
     /// partial deployment) always offers; a market node between periods
     /// has an all-zero row and offers nothing. One class at a time: its
-    /// leaves are staged in order, then its trees replayed.
-    pub(crate) fn reseat(&mut self, supply: &[u64], member: &[bool], nodes: &NodeSoa) {
+    /// leaves are staged in order, then its trees replayed. Returns the
+    /// number of leaves staged.
+    pub(crate) fn reseat(&mut self, supply: &[u64], member: &[bool], nodes: &NodeSoa) -> u64 {
         let classes = self.classes.len();
         let backlog_until = nodes.backlog_until_slice();
         for (k, c) in self.classes.iter_mut().enumerate() {
@@ -155,6 +156,7 @@ impl OfferIndex {
             c.idle.restore();
             c.busy.restore();
         }
+        self.leaves.len() as u64
     }
 
     /// How many nodes would answer a class request with an offer.

@@ -816,7 +816,8 @@ mod tests {
             boundary,
             BoundaryWork {
                 node_periods: 511_563,
-                density_sorts: 511_563,
+                supply_solves: 511_563,
+                leaves_reseated: 782_341,
             }
         );
         assert_eq!(

@@ -10,9 +10,10 @@
 # turns one waiter at a time, a boundary that solves rows it did not roll
 # — which keeps every simulated output, and so every golden, and loses
 # only speed: the slip a timing on a shared CI host is too noisy to see.
-# `BoundaryWork` counts the rows that ended a period and the density
-# sorts their solves made; `WaitWork` the wakes, the runs they turned and
-# the waiters given a full attempt.
+# `BoundaryWork` counts the rows that ended a period, the eq.-4 supply
+# solves of the live ones and the offer-index leaves re-read from the
+# fresh supply (the start of the run's reseat included); `WaitWork` the
+# wakes, the runs they turned and the waiters given a full attempt.
 #
 # Each workload must report exactly one `work-gate:` line: a pinned test
 # that was renamed or filtered out fails the gate instead of passing it
