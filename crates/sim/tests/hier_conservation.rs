@@ -253,11 +253,13 @@ fn crash_and_loss_runs_are_pinned() {
     let broker = format!("{:?} {bids:?} {cleared:?}", sharded.outcome);
     // Both digests were computed by the engine that keeps every price as
     // an integer log-price (the prices they cover carry its rounding), and
-    // re-taken when `RunOutcome` lost its `total_busy` field and when
-    // `RunMetrics` lost its unread response series: the rendered outcomes
-    // are otherwise the same bytes.
+    // re-taken when `RunOutcome` lost its `total_busy` field, when
+    // `RunMetrics` lost its unread response series and when
+    // `BoundaryWork::density_sorts` became `supply_solves` beside the new
+    // `leaves_reseated`: the rendered outcomes are otherwise the same
+    // bytes.
     assert_eq!(
         (fnv1a(flat.as_bytes()), fnv1a(broker.as_bytes())),
-        (0x0ca2_f5b5_96c2_44f4, 0xa5e2_0d57_06ff_5619)
+        (0x1513_ba6a_e12f_e1e8, 0xc4d2_eab2_e66a_974d)
     );
 }
