@@ -898,7 +898,7 @@ mod tests {
         for case in 0..480 {
             let k = [1, 2, 5, 12][case % 4];
             let n = 1 + rng.index(40);
-            let begin = case % 8 >= 6;
+            let begin = case % 16 >= 12;
             let fresh = begin && rng.chance(0.5);
             let threshold = case % 7 == 3;
             let config = QantConfig {

@@ -22,8 +22,8 @@ check() {
     fi
 }
 
-check DESIGN.md 42927
-check CHANGES.md 72493
+check DESIGN.md 43399
+check CHANGES.md 77453
 check EXPERIMENTS.md 29960
 check README.md 11156
 exit "$status"
